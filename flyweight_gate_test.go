@@ -126,12 +126,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 	perRound := testing.AllocsPerRun(5, func() { s.Run(1) })
 	perNode := perRound / nodes
 
-	// Measured steady state is ~5500 allocs/node/round at these
-	// parameters (messages, ciphertexts and big.Int temporaries dominate
-	// — those are per-round traffic, not retained state). The budget
-	// leaves ~25% headroom; treat growth past it as a leak or a pooling
-	// regression, not noise to be accommodated.
-	const budget = 7000
+	// Measured steady state is 2990-3090 allocs/node/round at these
+	// parameters (messages, ciphertexts and the final ProbablyPrime of
+	// each prime search dominate — those are per-round traffic, not
+	// retained state); it was ~5500 while every lift and every prime
+	// candidate went through math/big. The budget leaves ~25% headroom;
+	// treat growth past it as a leak or a pooling regression, not noise
+	// to be accommodated. (The race detector bypasses sync.Pool and reads
+	// ~4000; the race job runs -short, which skips this test.)
+	const budget = 3800
 	t.Logf("steady state: %.0f allocs/node/round", perNode)
 	if perNode > budget {
 		t.Errorf("steady-state allocations: %.0f allocs/node/round, budget %d", perNode, budget)

@@ -701,9 +701,10 @@ func (n *Node) encryptTo(to model.NodeID, plaintext []byte) ([]byte, error) {
 }
 
 // drawPrime issues the next exchange prime: from the pregeneration pool
-// when one is attached, inline otherwise. Both paths consume the node's
-// entropy stream in issuance order, so which one runs never changes the
-// sequence of primes an exchange observes.
+// when one is attached, inline otherwise. Both paths run the same search
+// (hhash.GeneratePrimeKey is the pool's generator) over the node's entropy
+// stream in issuance order, so which one runs never changes the sequence
+// of primes an exchange observes.
 func (n *Node) drawPrime() (hhash.Key, error) {
 	if n.pool != nil {
 		return n.pool.Get()

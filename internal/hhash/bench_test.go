@@ -2,6 +2,7 @@ package hhash
 
 import (
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -163,28 +164,24 @@ func BenchmarkProductEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratePrime compares the inline crypto/rand.Prime schedule
-// (20 Miller-Rabin rounds) against the pool's Baillie-PSW-grade
-// pregeneration — the dominant per-exchange cost.
+// BenchmarkGeneratePrime compares the prime search against the bare loop
+// it must agree with (every candidate straight to ProbablyPrime(1)) —
+// the dominant per-exchange cost off the driver thread.
 func BenchmarkGeneratePrime(b *testing.B) {
 	for _, bits := range []int{128, 512} {
-		b.Run(fmt.Sprintf("randPrime/bits=%d", bits), func(b *testing.B) {
-			rnd := rand.New(rand.NewSource(42))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := GeneratePrimeKey(rnd, bits); err != nil {
-					b.Fatal(err)
+		for _, gen := range []struct {
+			name string
+			fn   func(io.Reader, int) (Key, error)
+		}{{"reference", referencePregenPrime}, {"search", GeneratePrimeKey}} {
+			b.Run(fmt.Sprintf("%s/bits=%d", gen.name, bits), func(b *testing.B) {
+				rnd := rand.New(rand.NewSource(42))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := gen.fn(rnd, bits); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("pregen/bits=%d", bits), func(b *testing.B) {
-			rnd := rand.New(rand.NewSource(42))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pregenPrime(rnd, bits); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -119,19 +119,18 @@ type Key struct {
 	e *big.Int
 }
 
-// GeneratePrimeKey draws a fresh prime exponent of the given bit size.
+// GeneratePrimeKey draws a fresh prime exponent of the given bit size;
+// rnd may be nil to use crypto/rand.Reader. It is the generator PrimePool
+// runs (pregenPrime), so a node draws the same primes from its stream with
+// or without a pool. crypto/rand.Prime's 20-round Miller-Rabin schedule
+// and its MaybeReadByte went with the switch, on the argument given at
+// pregenPrime: Baillie-PSW acceptance for an ephemeral exponent, and a
+// stream position that is a function of the stream alone.
 func GeneratePrimeKey(rnd io.Reader, bits int) (Key, error) {
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	if bits < 8 {
-		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
-	}
-	p, err := rand.Prime(rnd, bits)
-	if err != nil {
-		return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
-	}
-	return Key{e: p}, nil
+	return pregenPrime(rnd, bits)
 }
 
 // KeyFromInt builds a key from an explicit positive exponent.
@@ -236,7 +235,7 @@ func (c *Counter) Reset() {
 // counts to an optional per-node Counter.
 //
 // A Hasher is NOT safe for concurrent use: it carries per-instance
-// scratch state (the Embed buffer and the Montgomery context of
+// scratch state (the Embed buffer and the Montgomery context of Lift and
 // MultiExp). Protocol nodes serialise all entry points under their own
 // mutex, which covers the monitor role sharing the node's hasher.
 type Hasher struct {
@@ -261,7 +260,8 @@ type Hasher struct {
 
 	// multi is the lazily-built fixed-modulus engine of MultiExp (nil for
 	// degenerate moduli — multiBuilt distinguishes "not yet built" from
-	// "unbuildable").
+	// "unbuildable"). For an odd modulus it is the Montgomery context, and
+	// every single-base exponentiation runs on it too (montEngine).
 	multi      multiExper
 	multiBuilt bool
 }
@@ -313,9 +313,19 @@ func (h *Hasher) Lift(v *big.Int, key Key) *big.Int {
 		h.ops.hashOps.Add(1)
 	}
 	span := h.liftSpans.SpanStart()
-	out := new(big.Int).Exp(v, key.e, h.params.m)
+	out := h.modExp(new(big.Int), v, key.e)
 	h.liftSpans.SpanEnd(span)
 	return out
+}
+
+// modExp sets z = v^e mod M (e >= 0) on the hasher's Montgomery engine —
+// the one MultiExp runs on — and returns z. An even modulus, which
+// Montgomery reduction cannot serve, falls back to math/big.
+func (h *Hasher) modExp(z, v, e *big.Int) *big.Int {
+	if mc := h.montEngine(); mc != nil {
+		return mc.exp(z, v, e)
+	}
+	return z.Exp(v, e, h.params.m)
 }
 
 // Combine multiplies two hash values mod M — the homomorphic combination of
@@ -356,7 +366,7 @@ func (h *Hasher) ProductEmbed(items [][]byte, counts []uint64) *big.Int {
 			if h.ops != nil {
 				h.ops.hashOps.Add(1)
 			}
-			v.Exp(v, c, h.params.m)
+			h.modExp(v, v, c)
 		}
 		if h.ops != nil {
 			h.ops.mulOps.Add(1)

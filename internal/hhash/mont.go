@@ -1,15 +1,19 @@
 package hhash
 
-// Word-level Montgomery multiplication for odd moduli, used by the
-// multi-exponentiation ladder. The loop is the fused CIOS variant (FIOS):
+// Word-level Montgomery multiplication for odd moduli: the engine of every
+// exponentiation in the package — the multi-exponentiation ladder
+// (multiExp), the single-base ladder of Lift (exp) and, on a throwaway
+// per-candidate context, the prime search's base-2 test (primesearch.go).
+// The loop is the fused CIOS variant (FIOS):
 // the a·b[i] accumulation and the u·m reduction run in ONE pass over the
 // accumulator per outer word, so t is loaded and stored once per step
 // instead of twice. math/big's assembly kernels are not reachable from
 // outside the standard library; a fused pure-Go loop over math/bits
 // intrinsics (one MUL + ADC chain per limb pair) is the closest
-// substitute, and for the fixed 512-bit production modulus the k=8
-// specialization below runs with constant loop bounds and a stack-array
-// accumulator, which eliminates every bounds check on the hot path.
+// substitute, and for the two production widths — the 512-bit paper
+// modulus (k=8, below) and the 128-bit one sessions default to (k=2,
+// montkern.go) — unrolled kernels over named locals eliminate every
+// bounds check on the hot path.
 
 import (
 	"math/big"
@@ -38,16 +42,21 @@ func newMontCtx(mod *big.Int) *montCtx {
 	for i, w := range words {
 		m[i] = uint(w)
 	}
-	// n0inv by Newton iteration: each step doubles the valid low bits.
-	inv := m[0]
-	for i := 0; i < 6; i++ {
-		inv *= 2 - m[0]*inv
-	}
-	c := &montCtx{mod: mod, m: m, k: k, n0inv: -inv, t: make([]uint, k+1)}
+	c := &montCtx{mod: mod, m: m, k: k, n0inv: -invWord(m[0]), t: make([]uint, k+1)}
 	r := new(big.Int).Lsh(_one, uint(k)*_W)
 	c.one = c.limbsOf(new(big.Int).Mod(r, mod))
 	c.rr = c.limbsOf(new(big.Int).Mod(new(big.Int).Mul(r, r), mod))
 	return c
+}
+
+// invWord returns x⁻¹ mod 2^W for odd x, by Newton iteration: x is its own
+// inverse to 3 bits and each step doubles the valid low bits.
+func invWord(x uint) uint {
+	inv := x
+	for i := 0; i < 5; i++ {
+		inv *= 2 - x*inv
+	}
+	return inv
 }
 
 // limbsOf zero-pads v (which must be < m) to k limbs.
@@ -61,7 +70,17 @@ func (c *montCtx) limbsOf(v *big.Int) []uint {
 
 // toInt converts k limbs back to a big.Int.
 func (c *montCtx) toInt(a []uint) *big.Int {
-	words := make([]big.Word, len(a))
+	return limbsToInt(new(big.Int), a)
+}
+
+// limbsToInt sets z to the value of the limbs, reusing z's storage when it
+// has room, and returns z.
+func limbsToInt(z *big.Int, a []uint) *big.Int {
+	words := z.Bits()[:0]
+	if cap(words) < len(a) {
+		words = make([]big.Word, len(a))
+	}
+	words = words[:len(a)]
 	n := 0
 	for i, w := range a {
 		words[i] = big.Word(w)
@@ -69,7 +88,7 @@ func (c *montCtx) toInt(a []uint) *big.Int {
 			n = i + 1
 		}
 	}
-	return new(big.Int).SetBits(words[:n])
+	return z.SetBits(words[:n])
 }
 
 // toMont sets dst = v·R mod m for v < m.
@@ -95,8 +114,12 @@ func (c *montCtx) one4() []uint {
 // mul sets dst = a·b·R⁻¹ mod m. dst, a, b are k-limb; dst may alias a
 // and/or b.
 func (c *montCtx) mul(dst, a, b []uint) {
-	if c.k == 8 && len(a) >= 8 && len(b) >= 8 && len(dst) >= 8 {
+	switch c.k {
+	case 8:
 		mul8(dst, a, b, c.m, c.n0inv)
+		return
+	case 2:
+		mul2(dst, a, b, c.m, c.n0inv)
 		return
 	}
 	k := c.k
@@ -140,6 +163,19 @@ func (c *montCtx) mul(dst, a, b []uint) {
 		}
 	} else {
 		copy(dst, t[:k])
+	}
+}
+
+// sqr sets dst = a²·R⁻¹ mod m; dst may alias a. The two production widths
+// have their own kernels (montkern.go); the rest square with mul.
+func (c *montCtx) sqr(dst, a []uint) {
+	switch c.k {
+	case 8:
+		sqr8(dst, a, c.m, c.n0inv)
+	case 2:
+		sqr2(dst, a, c.m, c.n0inv)
+	default:
+		c.mul(dst, a, a)
 	}
 }
 
@@ -342,7 +378,7 @@ func (c *montCtx) multiExp(bases, exps []*big.Int) *big.Int {
 	for pos := nw - 1; pos >= 0; pos-- {
 		if pos != nw-1 {
 			for s := 0; s < w; s++ {
-				c.mul(acc, acc, acc)
+				c.sqr(acc, acc)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -352,4 +388,71 @@ func (c *montCtx) multiExp(bases, exps []*big.Int) *big.Int {
 		}
 	}
 	return c.fromMont(acc)
+}
+
+// expStackLimbs bounds the modulus width (1024 bits) whose exp working set
+// — 15 window-table entries, the accumulator and one temporary — stays in
+// a stack array; wider moduli take it from the heap.
+const expStackLimbs = 16
+
+// exp sets z = base^e mod m for e >= 0 and returns z: the single-base
+// case of the ladder above, 4-bit fixed windows, squarings through sqr.
+// The only heap object is z's limb slice (reused when z already has
+// room), so a lift costs the caller's result and nothing else. z may
+// alias base.
+func (c *montCtx) exp(z, base, e *big.Int) *big.Int {
+	if e.Sign() == 0 {
+		return z.Set(_one)
+	}
+	k := c.k
+	var stack [17 * expStackLimbs]uint
+	buf := stack[:]
+	if k > expStackLimbs {
+		buf = make([]uint, 17*k)
+	}
+	tbl := func(d uint) []uint { return buf[(d-1)*uint(k) : d*uint(k)] } // base^d, d = 1..15
+	acc := buf[15*k : 16*k]
+	tmp := buf[16*k : 17*k]
+
+	if base.Sign() < 0 || base.Cmp(c.mod) >= 0 {
+		base = new(big.Int).Mod(base, c.mod)
+	}
+	for i, w := range base.Bits() {
+		tmp[i] = uint(w)
+	}
+	c.mul(tbl(1), tmp, c.rr)
+
+	words := e.Bits()
+	ebits := e.BitLen()
+	top := uint(15) // highest table entry any window can ask for
+	if ebits <= 4 {
+		top = uint(words[0])
+	}
+	for d := uint(2); d <= top; d++ {
+		if d%2 == 0 {
+			c.sqr(tbl(d), tbl(d/2))
+		} else {
+			c.mul(tbl(d), tbl(d-1), tbl(1))
+		}
+	}
+
+	pos := (ebits - 1) / 4 // the top window holds the top bit: never zero
+	copy(acc, tbl(windowDigit(words, pos*4, 4)))
+	for pos--; pos >= 0; pos-- {
+		c.sqr(acc, acc)
+		c.sqr(acc, acc)
+		c.sqr(acc, acc)
+		c.sqr(acc, acc)
+		if d := windowDigit(words, pos*4, 4); d != 0 {
+			c.mul(acc, acc, tbl(d))
+		}
+	}
+
+	// Leave the Montgomery domain: multiplying by plain 1 is the R⁻¹ step.
+	for i := range tmp {
+		tmp[i] = 0
+	}
+	tmp[0] = 1
+	c.mul(acc, acc, tmp)
+	return limbsToInt(z, acc)
 }

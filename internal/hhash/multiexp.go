@@ -73,6 +73,13 @@ func (h *Hasher) multiCtx() multiExper {
 	return h.multi
 }
 
+// montEngine returns the engine when it is the Montgomery one; nil for an
+// even or degenerate modulus.
+func (h *Hasher) montEngine() *montCtx {
+	mc, _ := h.multiCtx().(*montCtx)
+	return mc
+}
+
 // multiExp runs the interleaved windowed ladder.
 func (c *modCtx) multiExp(bases, exps []*big.Int) *big.Int {
 	n := len(bases)

@@ -1,11 +1,11 @@
 package hhash
 
-// Prime pregeneration: PAG mints one fresh prime exponent per exchange
+// Prime generation: PAG mints one fresh prime exponent per exchange
 // (message 2 of Fig 5), which profiling shows is ~40% of a node's round
 // CPU when generated inline with crypto/rand.Prime. PrimePool moves the
 // generation off the exchange's critical path and pregenPrime cuts the
 // primality-testing schedule from 20 Miller-Rabin rounds to a
-// Baillie-PSW-grade test, which is where the bulk of the cost sits.
+// Baillie-PSW-grade test behind a composite prefilter (primesearch.go).
 
 import (
 	"errors"
@@ -31,6 +31,12 @@ import (
 // Unlike crypto/rand.Prime it also consumes a deterministic number of
 // stream bytes per candidate (no randutil.MaybeReadByte), so a seeded
 // rnd yields a reproducible prime sequence.
+//
+// Composites are turned away by the allocation-free prefilter of
+// primesearch.go before math/big sees them. It rejects nothing
+// ProbablyPrime(1) would accept, so the prime returned — and the stream
+// position it is returned at — is the one the bare loop
+// (referencePregenPrime in the tests) returns.
 func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 	if bits < 8 {
 		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
@@ -40,6 +46,7 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 		b = 8
 	}
 	buf := make([]byte, (bits+7)/8)
+	search := newPrimeSearch(bits)
 	p := new(big.Int)
 	for {
 		if _, err := io.ReadFull(rnd, buf); err != nil {
@@ -54,11 +61,18 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 			buf[1] |= 0x80
 		}
 		buf[len(buf)-1] |= 1
-		p.SetBytes(buf)
-		if p.ProbablyPrime(1) {
+		if search.accepts(buf, p) {
 			return Key{e: p}, nil
 		}
 	}
+}
+
+// accepts is the search's acceptance predicate for one candidate (the
+// big-endian bytes of an odd number of the search's bit length): the
+// prefilter, then ProbablyPrime(1) on p set to the candidate.
+func (s *primeSearch) accepts(candidate []byte, p *big.Int) bool {
+	s.load(candidate)
+	return s.maybePrime() && p.SetBytes(candidate).ProbablyPrime(1)
 }
 
 // PrimePool pregenerates prime exponents from a single entropy stream.

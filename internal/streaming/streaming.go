@@ -75,19 +75,29 @@ func (s *Source) Tick(r model.Round) error {
 // Player consumes deliveries on one node and computes playback metrics.
 // It is safe for concurrent use (the TCP deployment delivers from reader
 // goroutines).
+//
+// The delivered set is a dense bitset indexed by sequence number, plus a
+// count: a stream's sequence numbers are 0, 1, 2, … from its one signed
+// source, so the set costs a bit per chunk emitted for as long as the
+// player lives, where a map cost tens of bytes per chunk.
 type Player struct {
 	stream model.StreamID
 
 	mu        sync.Mutex
-	delivered map[uint64]bool
+	delivered []uint64 // bit seq%64 of word seq/64
+	count     uint64
 	dupes     uint64
-	maxSeq    uint64
-	hasAny    bool
 }
 
 // NewPlayer builds a player for one stream.
 func NewPlayer(stream model.StreamID) *Player {
-	return &Player{stream: stream, delivered: make(map[uint64]bool)}
+	return &Player{stream: stream}
+}
+
+// has reports whether seq was delivered. Callers hold p.mu.
+func (p *Player) has(seq uint64) bool {
+	w := seq / 64
+	return w < uint64(len(p.delivered)) && p.delivered[w]>>(seq%64)&1 != 0
 }
 
 // OnDeliver is the node-config callback.
@@ -95,24 +105,29 @@ func (p *Player) OnDeliver(u update.Update) {
 	if u.ID.Stream != p.stream {
 		return
 	}
+	seq := u.ID.Seq
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.delivered[u.ID.Seq] {
+	if p.has(seq) {
 		p.dupes++
 		return
 	}
-	p.delivered[u.ID.Seq] = true
-	if u.ID.Seq > p.maxSeq {
-		p.maxSeq = u.ID.Seq
+	if w := seq / 64; w >= uint64(len(p.delivered)) {
+		// Grow to the word needed, rounded up to a 64-byte line: retained
+		// bytes stay within maxSeq/8 plus a constant.
+		grown := make([]uint64, (w+8)&^7)
+		copy(grown, p.delivered)
+		p.delivered = grown
 	}
-	p.hasAny = true
+	p.delivered[seq/64] |= 1 << (seq % 64)
+	p.count++
 }
 
 // Delivered returns the number of distinct chunks played.
 func (p *Player) Delivered() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return uint64(len(p.delivered))
+	return p.count
 }
 
 // Duplicates returns duplicate delivery attempts (should be zero: the
@@ -133,7 +148,7 @@ func (p *Player) ContinuityRatio(emittedThrough uint64) float64 {
 	defer p.mu.Unlock()
 	got := 0
 	for seq := uint64(0); seq < emittedThrough; seq++ {
-		if p.delivered[seq] {
+		if p.has(seq) {
 			got++
 		}
 	}
@@ -149,7 +164,7 @@ func (p *Player) DeliveredInRange(from, to uint64) uint64 {
 	defer p.mu.Unlock()
 	var got uint64
 	for seq := from; seq < to; seq++ {
-		if p.delivered[seq] {
+		if p.has(seq) {
 			got++
 		}
 	}
@@ -170,7 +185,7 @@ func (p *Player) CompleteWindows(windowSize int, emittedThrough uint64) (complet
 		total++
 		ok := true
 		for s := start; s < start+uint64(windowSize); s++ {
-			if !p.delivered[s] {
+			if !p.has(s) {
 				ok = false
 				break
 			}
