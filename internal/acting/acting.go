@@ -122,7 +122,10 @@ type Config struct {
 	Directory *membership.Directory
 	Endpoint  transport.Endpoint
 	// Sources[s] is the source (and update signer) of stream s.
-	Sources     []model.NodeID
+	Sources []model.NodeID
+	// Intern is the session-wide update-content flyweight table; nil keeps
+	// a private copy of every stored update per node.
+	Intern      *update.Interner
 	AuditPeriod int // DefaultAuditPeriod if 0
 	Behavior    Behavior
 	Verdicts    func(Verdict)
@@ -251,7 +254,7 @@ func (n *Node) BeginRound(r model.Round) {
 	n.servedTo = make(map[model.NodeID]map[model.UpdateID]bool)
 
 	for _, u := range n.injected {
-		if n.store.Add(u, r, 1, true) {
+		if n.store.Add(n.cfg.Intern.Canonical(u), r, 1, true) {
 			n.fresh = append(n.fresh, u.ID)
 		}
 	}
@@ -279,7 +282,7 @@ func (n *Node) BeginRound(r model.Round) {
 	for _, succ := range n.cfg.Directory.Successors(n.id, r) {
 		msg := &proposeMsg{Round: r, From: n.id, To: succ, IDs: n.fresh}
 		n.signAndSend(succ, kindPropose, msg)
-		n.log.Append(r, securelog.EntrySend, succ, encodeIDList("PROPOSE", n.fresh))
+		n.logIDs(securelog.EntrySend, succ, "PROPOSE", n.fresh)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/pki"
 	"repro/internal/securelog"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // HandleMessage is the transport handler.
@@ -31,6 +32,12 @@ func (n *Node) verifySig(signer model.NodeID, body, sig []byte) bool {
 	return pki.VerifyCounted(n.cfg.Suite, n.cfg.Identity.Counter(), signer, body, sig) == nil
 }
 
+// verifySigned checks a decoded message's trailing signature over the
+// prefix of the payload it was decoded from (see wire.SignedPrefix).
+func (n *Node) verifySigned(signer model.NodeID, payload, sig []byte) bool {
+	return n.verifySig(signer, wire.SignedPrefix(payload, sig), sig)
+}
+
 // onPropose requests the updates this node misses. Each identifier is
 // requested from at most one proposer per round (this single-transfer
 // discipline is why AcTinG stays near the stream rate, §VII-B).
@@ -39,10 +46,10 @@ func (n *Node) onPropose(msg transport.Message) {
 	if err != nil || p.From != msg.From || p.To != n.id || p.Round != n.round {
 		return
 	}
-	if !n.verifySig(p.From, p.SigningBytes(), p.Sig) {
+	if !n.verifySigned(p.From, msg.Payload, p.Sig) {
 		return
 	}
-	n.log.Append(n.round, securelog.EntryRecv, p.From, encodeIDList("PROPOSE", p.IDs))
+	n.logIDs(securelog.EntryRecv, p.From, "PROPOSE", p.IDs)
 
 	already := make(map[model.UpdateID]bool)
 	for _, ids := range n.requestedFrom {
@@ -62,7 +69,7 @@ func (n *Node) onPropose(msg transport.Message) {
 	n.requestedFrom[p.From] = append(n.requestedFrom[p.From], want...)
 	req := &requestMsg{Round: n.round, From: n.id, To: p.From, IDs: want}
 	n.signAndSend(p.From, kindRequest, req)
-	n.log.Append(n.round, securelog.EntrySend, p.From, encodeIDList("REQ", want))
+	n.logIDs(securelog.EntrySend, p.From, "REQ", want)
 }
 
 // onRequest serves the requested updates (unless free-riding) and logs both
@@ -72,10 +79,10 @@ func (n *Node) onRequest(msg transport.Message) {
 	if err != nil || req.From != msg.From || req.To != n.id || req.Round != n.round {
 		return
 	}
-	if !n.verifySig(req.From, req.SigningBytes(), req.Sig) {
+	if !n.verifySigned(req.From, msg.Payload, req.Sig) {
 		return
 	}
-	n.log.Append(n.round, securelog.EntryRecv, req.From, encodeIDList("REQ", req.IDs))
+	n.logIDs(securelog.EntryRecv, req.From, "REQ", req.IDs)
 
 	if n.cfg.Behavior.FreeRide {
 		return // save the upload; the audit or a complaint will tell
@@ -92,7 +99,7 @@ func (n *Node) onRequest(msg transport.Message) {
 		return
 	}
 	n.signAndSend(req.From, kindData, data)
-	n.log.Append(n.round, securelog.EntrySend, req.From, encodeIDList("DATA", served))
+	n.logIDs(securelog.EntrySend, req.From, "DATA", served)
 	if n.servedTo[req.From] == nil {
 		n.servedTo[req.From] = make(map[model.UpdateID]bool)
 	}
@@ -108,22 +115,27 @@ func (n *Node) onData(msg transport.Message) {
 	if err != nil || d.From != msg.From || d.To != n.id || d.Round != n.round {
 		return
 	}
-	if !n.verifySig(d.From, d.SigningBytes(), d.Sig) {
+	if !n.verifySigned(d.From, msg.Payload, d.Sig) {
 		return
 	}
-	var got []model.UpdateID
-	for _, u := range d.Updates {
+	got := make([]model.UpdateID, 0, len(d.Updates))
+	w := wire.GetWriter()
+	defer w.Release()
+	for i := range d.Updates {
+		u := &d.Updates[i]
 		src, ok := n.streamSource(u.ID.Stream)
-		if !ok || !n.verifySig(src, u.CanonicalBytes(), u.SrcSig) {
+		if !ok || !n.verifySig(src, w.Canonical(u), u.SrcSig) {
 			return
 		}
-		if n.store.Add(u, n.round, 1, true) {
+		// u aliases the delivered payload: the store keeps the session's
+		// shared copy (or a private clone without an interner).
+		if n.store.Add(n.cfg.Intern.Canonical(*u), n.round, 1, true) {
 			n.stats.UpdatesReceived++
 			n.freshNext[u.ID] = true
 		}
 		got = append(got, u.ID)
 	}
-	n.log.Append(n.round, securelog.EntryRecv, d.From, encodeIDList("DATA", got))
+	n.logIDs(securelog.EntryRecv, d.From, "DATA", got)
 }
 
 func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {
@@ -140,7 +152,7 @@ func (n *Node) onComplaint(msg transport.Message) {
 	if err != nil || c.From != msg.From {
 		return
 	}
-	if !n.verifySig(c.From, c.SigningBytes(), c.Sig) {
+	if !n.verifySigned(c.From, msg.Payload, c.Sig) {
 		return
 	}
 	st, ok := n.audits[c.Against]
@@ -158,7 +170,7 @@ func (n *Node) onAuditRequest(msg transport.Message) {
 	if err != nil || req.From != msg.From {
 		return
 	}
-	if !n.verifySig(req.From, req.SigningBytes(), req.Sig) {
+	if !n.verifySigned(req.From, msg.Payload, req.Sig) {
 		return
 	}
 	if !n.cfg.Directory.IsMonitorOf(req.From, n.id, n.round) {
@@ -173,7 +185,7 @@ func (n *Node) onAuditRequest(msg transport.Message) {
 	reply := &auditReplyMsg{
 		Round:   n.round,
 		From:    n.id,
-		Entries: n.log.Since(req.SinceSeq),
+		Entries: n.log.Suffix(req.SinceSeq), // encoded straight from the log
 	}
 	n.signAndSend(req.From, kindAuditReply, reply)
 }
@@ -185,7 +197,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	if err != nil || reply.From != msg.From {
 		return
 	}
-	if !n.verifySig(reply.From, reply.SigningBytes(), reply.Sig) {
+	if !n.verifySigned(reply.From, msg.Payload, reply.Sig) {
 		return
 	}
 	st, ok := n.audits[reply.From]

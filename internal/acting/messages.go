@@ -9,51 +9,53 @@ import (
 	"repro/internal/wire"
 )
 
-// AcTinG's wire messages, encoded with the shared deterministic codec.
+// AcTinG's wire messages, encoded with the shared deterministic codec and
+// sent and checked on the shared message path (internal/wire/pool.go):
+// every message is its body followed by the signature as a trailing
+// length-prefixed field, decoders return views into the delivered payload,
+// and signatures are verified over the received prefix.
 
-type signable interface {
-	SigningBytes() []byte
-	Marshal() []byte
-	setSig([]byte)
+// message is an AcTinG message's deterministic body encoder.
+type message interface {
+	body(w *wire.Writer)
 }
 
-func (n *Node) signAndSend(to model.NodeID, kind uint8, m signable) {
-	sig, err := n.cfg.Identity.Sign(m.SigningBytes())
-	if err != nil {
-		return
+// signAndSend encodes m once into a pooled buffer, signs it in place and
+// transmits it; the Endpoint copies, so the buffer is free on return.
+func (n *Node) signAndSend(to model.NodeID, kind uint8, m message) {
+	w := wire.GetWriter()
+	defer w.Release()
+	m.body(w)
+	if w.Sign(n.cfg.Identity) == nil {
+		_ = n.cfg.Endpoint.Send(to, kind, w.Finish())
 	}
-	m.setSig(sig)
-	_ = n.cfg.Endpoint.Send(to, kind, m.Marshal())
 }
 
 func putIDs(w *wire.Writer, ids []model.UpdateID) {
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		w.U32(uint32(id.Stream))
-		w.U64(id.Seq)
+		w.UpdateID(id)
 	}
 }
 
 func getIDs(r *wire.Reader) []model.UpdateID {
-	count := r.ListLen()
-	out := make([]model.UpdateID, 0, count)
-	for i := 0; i < count && r.Err() == nil; i++ {
-		out = append(out, model.UpdateID{
-			Stream: model.StreamID(r.U32()),
-			Seq:    r.U64(),
-		})
+	out := make([]model.UpdateID, r.ListLen(wire.UpdateIDLen))
+	for i := range out {
+		out[i] = r.UpdateID()
 	}
 	return out
 }
 
-// encodeIDList renders a tagged identifier list for log contents. AcTinG
-// logs update identifiers in clear — this is precisely the privacy leak
-// PAG eliminates (§II-C).
-func encodeIDList(tag string, ids []model.UpdateID) []byte {
-	w := wire.NewWriter()
+// logIDs appends a tagged identifier list to the node's secure log.
+// AcTinG logs update identifiers in clear — this is precisely the privacy
+// leak PAG eliminates (§II-C). The content is encoded in a pooled buffer;
+// the log keeps its own exact-size copy.
+func (n *Node) logIDs(t securelog.EntryType, peer model.NodeID, tag string, ids []model.UpdateID) {
+	w := wire.GetWriter()
+	defer w.Release()
 	w.Bytes([]byte(tag))
 	putIDs(w, ids)
-	return w.Finish()
+	n.log.Append(n.round, t, peer, w.Finish())
 }
 
 // decodeIDList parses a tagged identifier list from log content.
@@ -86,21 +88,6 @@ func (m *proposeMsg) body(w *wire.Writer) {
 	w.U32(uint32(m.To))
 	putIDs(w, m.IDs)
 }
-
-func (m *proposeMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *proposeMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *proposeMsg) setSig(s []byte) { m.Sig = s }
 
 func unmarshalPropose(b []byte) (*proposeMsg, error) {
 	r := wire.NewReader(b)
@@ -136,21 +123,6 @@ func (m *requestMsg) body(w *wire.Writer) {
 	putIDs(w, m.IDs)
 }
 
-func (m *requestMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *requestMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *requestMsg) setSig(s []byte) { m.Sig = s }
-
 func unmarshalRequest(b []byte) (*requestMsg, error) {
 	r := wire.NewReader(b)
 	if k := r.U8(); k != kindRequest && r.Err() == nil {
@@ -169,6 +141,8 @@ func unmarshalRequest(b []byte) (*requestMsg, error) {
 	return m, nil
 }
 
+// dataMsg carries full updates. Decoded, their payloads and source
+// signatures are views into the delivered message.
 type dataMsg struct {
 	Round   model.Round
 	From    model.NodeID
@@ -184,29 +158,9 @@ func (m *dataMsg) body(w *wire.Writer) {
 	w.U32(uint32(m.To))
 	w.U32(uint32(len(m.Updates)))
 	for i := range m.Updates {
-		u := &m.Updates[i]
-		w.U32(uint32(u.ID.Stream))
-		w.U64(u.ID.Seq)
-		w.U64(uint64(u.Deadline))
-		w.Bytes(u.Payload)
-		w.Bytes(u.SrcSig)
+		w.Update(&m.Updates[i])
 	}
 }
-
-func (m *dataMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *dataMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *dataMsg) setSig(s []byte) { m.Sig = s }
 
 func unmarshalData(b []byte) (*dataMsg, error) {
 	r := wire.NewReader(b)
@@ -218,17 +172,9 @@ func unmarshalData(b []byte) (*dataMsg, error) {
 		From:  model.NodeID(r.U32()),
 		To:    model.NodeID(r.U32()),
 	}
-	count := r.ListLen()
-	for i := 0; i < count && r.Err() == nil; i++ {
-		m.Updates = append(m.Updates, update.Update{
-			ID: model.UpdateID{
-				Stream: model.StreamID(r.U32()),
-				Seq:    r.U64(),
-			},
-			Deadline: model.Round(r.U64()),
-			Payload:  r.Bytes(),
-			SrcSig:   r.Bytes(),
-		})
+	m.Updates = make([]update.Update, r.ListLen(wire.MinUpdateLen))
+	for i := range m.Updates {
+		m.Updates[i] = r.Update()
 	}
 	m.Sig = r.Bytes()
 	if err := r.Done(); err != nil {
@@ -252,21 +198,6 @@ func (m *complaintMsg) body(w *wire.Writer) {
 	w.U32(uint32(m.Against))
 	putIDs(w, m.IDs)
 }
-
-func (m *complaintMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *complaintMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *complaintMsg) setSig(s []byte) { m.Sig = s }
 
 func unmarshalComplaint(b []byte) (*complaintMsg, error) {
 	r := wire.NewReader(b)
@@ -304,21 +235,6 @@ func (m *auditReqMsg) body(w *wire.Writer) {
 	w.U64(m.SinceSeq)
 }
 
-func (m *auditReqMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *auditReqMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *auditReqMsg) setSig(s []byte) { m.Sig = s }
-
 func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
 	r := wire.NewReader(b)
 	if k := r.U8(); k != kindAuditRequest && r.Err() == nil {
@@ -336,12 +252,17 @@ func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
 	return m, nil
 }
 
+// auditReplyMsg carries a log suffix. Decoded, the entries' contents are
+// views into the delivered message.
 type auditReplyMsg struct {
 	Round   model.Round
 	From    model.NodeID
 	Entries []securelog.Entry
 	Sig     []byte
 }
+
+// minEntryLen is the encoding of a log entry with empty content.
+const minEntryLen = 8 + 8 + 1 + 4 + 4 + securelog.HashSize
 
 func (m *auditReplyMsg) body(w *wire.Writer) {
 	w.U8(kindAuditReply)
@@ -359,21 +280,6 @@ func (m *auditReplyMsg) body(w *wire.Writer) {
 	}
 }
 
-func (m *auditReplyMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-func (m *auditReplyMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
-func (m *auditReplyMsg) setSig(s []byte) { m.Sig = s }
-
 func unmarshalAuditReply(b []byte) (*auditReplyMsg, error) {
 	r := wire.NewReader(b)
 	if k := r.U8(); k != kindAuditReply && r.Err() == nil {
@@ -383,21 +289,15 @@ func unmarshalAuditReply(b []byte) (*auditReplyMsg, error) {
 		Round: model.Round(r.U64()),
 		From:  model.NodeID(r.U32()),
 	}
-	count := r.ListLen()
-	for i := 0; i < count && r.Err() == nil; i++ {
-		e := securelog.Entry{
-			Seq:     r.U64(),
-			Round:   model.Round(r.U64()),
-			Type:    securelog.EntryType(r.U8()),
-			Peer:    model.NodeID(r.U32()),
-			Content: r.Bytes(),
-		}
-		var h [securelog.HashSize]byte
-		for j := 0; j < securelog.HashSize; j++ {
-			h[j] = r.U8()
-		}
-		e.Hash = h
-		m.Entries = append(m.Entries, e)
+	m.Entries = make([]securelog.Entry, r.ListLen(minEntryLen))
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		e.Seq = r.U64()
+		e.Round = model.Round(r.U64())
+		e.Type = securelog.EntryType(r.U8())
+		e.Peer = model.NodeID(r.U32())
+		e.Content = r.Bytes()
+		copy(e.Hash[:], r.Raw(securelog.HashSize))
 	}
 	m.Sig = r.Bytes()
 	if err := r.Done(); err != nil {

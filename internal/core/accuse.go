@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -75,15 +77,7 @@ func (n *Node) publishDigest(r model.Round) {
 	if err != nil {
 		return
 	}
-	msg := &wire.NodeDigest{Round: r, From: n.id, HFwd: enc}
-	sig, err := n.signBody(msg)
-	if err != nil {
-		return
-	}
-	msg.Sig = sig
-	for _, m := range monitors {
-		_ = n.cfg.Endpoint.Send(m, wire.KindNodeDigest, msg.Marshal())
-	}
+	n.signAndSendAll(monitors, &wire.NodeDigest{Round: r, From: n.id, HFwd: enc})
 }
 
 // raiseAccusations runs in MidRound on the sender side: every served but
@@ -116,14 +110,7 @@ func (n *Node) raiseAccusations(r model.Round) {
 			ServeCipher: ex.serveCipher,
 			AttBytes:    ex.attBytes,
 		}
-		sig, err := n.signBody(acc)
-		if err != nil {
-			return
-		}
-		acc.Sig = sig
-		for _, m := range n.sh.Directory.Monitors(succ, r) {
-			_ = n.cfg.Endpoint.Send(m, wire.KindAccusation, acc.Marshal())
-		}
+		n.signAndSendAll(n.sh.Directory.Monitors(succ, r), acc)
 		if n.trace != nil {
 			n.trace.Emit("accusation",
 				obs.XID(model.ExchangeID(r, n.id, succ)),
@@ -147,12 +134,7 @@ func (n *Node) serveForAccusation(succ model.NodeID, ex *sendExchange) {
 	for _, it := range n.sendCur.items {
 		srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 	}
-	sig, err := n.signBody(srv)
-	if err != nil {
-		return
-	}
-	srv.Sig = sig
-	cipher, err := n.encryptTo(succ, srv.Marshal())
+	cipher, err := n.signEncrypt(succ, srv)
 	if err != nil {
 		return
 	}
@@ -171,7 +153,7 @@ func (m *monitorState) onAccusation(msg transport.Message) {
 	if err != nil || acc.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(acc.From, acc, acc.Sig, "Accusation") {
+	if !m.n.verifySigned(acc.From, msg.Payload, acc.Sig, "Accusation") {
 		return
 	}
 	if !m.isMonitorOf(m.n.id, acc.Against, acc.Round) {
@@ -202,12 +184,7 @@ func (m *monitorState) onAccusation(msg transport.Message) {
 		ServeCipher: acc.ServeCipher,
 		AttBytes:    acc.AttBytes,
 	}
-	sig, err := m.n.signBody(probe)
-	if err != nil {
-		return
-	}
-	probe.Sig = sig
-	_ = m.n.cfg.Endpoint.Send(acc.Against, wire.KindProbe, probe.Marshal())
+	m.n.signAndSend(acc.Against, probe)
 	if m.n.trace != nil {
 		m.n.trace.Emit("probe",
 			obs.XID(model.ExchangeID(acc.Round, acc.From, acc.Against)),
@@ -228,7 +205,7 @@ func (n *Node) onProbe(msg transport.Message) {
 	if err != nil || probe.From != msg.From || probe.Round != n.round {
 		return
 	}
-	if !n.verifyBody(probe.From, probe, probe.Sig, "Probe") {
+	if !n.verifySigned(probe.From, msg.Payload, probe.Sig, "Probe") {
 		return
 	}
 	if !n.sh.Directory.IsMonitorOf(probe.From, n.id, probe.Round) {
@@ -247,7 +224,7 @@ func (n *Node) onProbe(msg transport.Message) {
 		if err != nil || srv.From != probe.Origin || srv.To != n.id || srv.Round != n.round {
 			return
 		}
-		if !n.verifyBody(srv.From, srv, srv.Sig, "probed Serve") {
+		if !n.verifySigned(srv.From, plain, srv.Sig, "probed Serve") {
 			return
 		}
 		n.processServe(srv)
@@ -255,8 +232,8 @@ func (n *Node) onProbe(msg transport.Message) {
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
 			if att, err := wire.UnmarshalAttestation(probe.AttBytes); err == nil &&
 				att.From == probe.Origin && att.To == n.id && att.Round == n.round &&
-				n.suiteVerifyBody(att.From, att, att.Sig) == nil {
-				ex.attBytes = probe.AttBytes
+				n.suiteVerifySigned(att.From, probe.AttBytes, att.Sig) == nil {
+				ex.attBytes = bytes.Clone(probe.AttBytes) // evidence: outlives the delivery
 				n.maybeAck(probe.Origin, ex)
 			}
 		}
@@ -287,7 +264,7 @@ func (n *Node) onAckRequest(msg transport.Message) {
 	if err != nil || req.From != msg.From || req.Round != n.round {
 		return
 	}
-	if !n.verifyBody(req.From, req, req.Sig, "AckRequest") {
+	if !n.verifySigned(req.From, msg.Payload, req.Sig, "AckRequest") {
 		return
 	}
 	if !n.sh.Directory.IsMonitorOf(req.From, n.id, req.Round) {
@@ -310,7 +287,7 @@ func (m *monitorState) onAckExhibit(msg transport.Message) {
 	if err != nil || ex.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(ex.From, ex, ex.Sig, "AckExhibit") {
+	if !m.n.verifySigned(ex.From, msg.Payload, ex.Sig, "AckExhibit") {
 		return
 	}
 	if !m.isMonitorOf(m.n.id, ex.From, ex.Round) {
@@ -318,6 +295,8 @@ func (m *monitorState) onAckExhibit(msg transport.Message) {
 	}
 	st := m.state(ex.Round, ex.From)
 	if st.requested[ex.Succ] && st.exhibits[ex.Succ] == nil {
+		// Kept until judgement: detach the evidence from the delivery.
+		ex.AckBytes, ex.Sig = bytes.Clone(ex.AckBytes), nil
 		st.putExhibit(ex.Succ, ex)
 	}
 }

@@ -30,6 +30,9 @@ type harness struct {
 	verdicts   []core.Verdict
 	perRound   int // updates injected per round
 	ttl        model.Round
+	// deliver, when set, replaces the plain handler call for every
+	// delivered message (tests wrap or perturb deliveries with it).
+	deliver func(n *core.Node, m transport.Message)
 }
 
 type harnessOpt func(*harness, *core.Config)
@@ -106,7 +109,13 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 		}
 
 		var node *core.Node
-		ep, err := h.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
+		ep, err := h.net.Register(id, func(m transport.Message) {
+			if h.deliver != nil {
+				h.deliver(node, m)
+			} else {
+				node.HandleMessage(m)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 
@@ -33,7 +34,7 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	if req.Round != n.round {
 		return // phase skew: dropped, the sender's monitors investigate
 	}
-	if !n.verifyBody(req.From, req, req.Sig, "KeyRequest") {
+	if !n.verifySigned(req.From, msg.Payload, req.Sig, "KeyRequest") {
 		return
 	}
 
@@ -85,22 +86,24 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	}
 }
 
-// signEncryptSend signs m, encrypts the whole marshalled message to the
-// recipient ({⟨m⟩_X}_pk(to), the paper's construction for messages 2, 3
-// and 7) and transmits it under the given kind.
-func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) {
-	sig, err := n.signBody(m)
-	if err != nil {
-		return
-	}
-	setSig(m, sig)
+// signEncrypt builds {⟨m⟩_X}_pk(to), the paper's construction for
+// messages 2, 3 and 7: m is encoded and signed in a pooled buffer and
+// sealed straight from it into one exact-size ciphertext.
+func (n *Node) signEncrypt(to model.NodeID, m wire.BodyMessage) ([]byte, error) {
 	w := wire.GetWriter()
-	cipher, err := n.encryptTo(to, wire.MarshalInto(w, m, sig))
-	w.Release()
+	defer w.Release()
+	plain, err := wire.Seal(w, m, n.cfg.Identity)
 	if err != nil {
-		return
+		return nil, err
 	}
-	_ = n.cfg.Endpoint.Send(to, kind, cipher)
+	return n.encryptTo(to, plain)
+}
+
+// signEncryptSend transmits signEncrypt's ciphertext under the given kind.
+func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) {
+	if cipher, err := n.signEncrypt(to, m); err == nil {
+		_ = n.cfg.Endpoint.Send(to, kind, cipher)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 	if resp.Round != n.round {
 		return // stale response
 	}
-	if !n.verifyBody(resp.From, resp, resp.Sig, "KeyResponse") {
+	if !n.verifySigned(resp.From, plain, resp.Sig, "KeyResponse") {
 		return
 	}
 	ex := n.sendCur.perSucc[resp.From]
@@ -168,7 +171,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	for _, it := range items {
 		ve := it.embed
 		if ve == nil {
-			ve = n.hasher.Embed(it.upd.CanonicalBytes())
+			ve = n.embed(&it.upd)
 		}
 		owned := false
 		if bm.Len() > 0 {
@@ -208,29 +211,21 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 
 	// Send the Serve encrypted, then the Attestation in the clear (it is
 	// meaningless without the prime); record both for accusations.
-	sig, err := n.signBody(srv)
+	cipher, err := n.signEncrypt(succ, srv)
 	if err != nil {
 		return
 	}
-	srv.Sig = sig
-	w := wire.GetWriter()
-	cipher, err := n.encryptTo(succ, wire.MarshalInto(w, srv, sig))
-	w.Release()
+	attBytes, err := n.signOwned(att)
 	if err != nil {
 		return
 	}
-	attSig, err := n.signBody(att)
-	if err != nil {
-		return
-	}
-	att.Sig = attSig
 
 	_ = n.cfg.Endpoint.Send(succ, wire.KindServe, cipher)
-	_ = n.cfg.Endpoint.Send(succ, wire.KindAttestation, att.Marshal())
+	_ = n.cfg.Endpoint.Send(succ, wire.KindAttestation, attBytes)
 
 	ex.served = true
 	ex.serveCipher = cipher
-	ex.attBytes = att.Marshal()
+	ex.attBytes = attBytes
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ func (n *Node) onServe(msg transport.Message) {
 	if srv.Round != n.round {
 		return // stale serve
 	}
-	if !n.verifyBody(srv.From, srv, srv.Sig, "Serve") {
+	if !n.verifySigned(srv.From, plain, srv.Sig, "Serve") {
 		return
 	}
 	n.processServe(srv)
@@ -298,7 +293,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 		if e := n.store.Get(u.ID); e != nil {
 			ve = n.embedOf(e)
 		} else {
-			ve = n.hasher.Embed(u.CanonicalBytes())
+			ve = n.embed(&u)
 		}
 		v := ve
 		if count != 1 {
@@ -317,7 +312,8 @@ func (n *Node) processServe(srv *wire.Serve) {
 		}
 	}
 
-	for _, su := range srv.Full {
+	for i := range srv.Full {
+		su := &srv.Full[i]
 		if su.Update.Expired(n.round) {
 			n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
 				Accused: srv.From, Detail: fmt.Sprintf("expired update %v served", su.Update.ID)})
@@ -331,13 +327,14 @@ func (n *Node) processServe(srv *wire.Serve) {
 				Accused: srv.From, Detail: "update for unknown stream"})
 			return
 		}
-		if !n.verify(src, su.Update.CanonicalBytes(), su.Update.SrcSig, "update source signature") {
+		if !n.verifyUpdate(src, &su.Update) {
 			return
 		}
-		// Content verified against the source signature: swap in the
-		// session-wide flyweight copy before storing, so N nodes hold one
-		// payload+signature allocation instead of N (no-op when the
-		// interner is ablated away).
+		// Content verified against the source signature. The served update
+		// still aliases the decrypted Serve; swap in the session-wide
+		// flyweight copy before storing, so N nodes hold one
+		// payload+signature allocation instead of N (a private clone when
+		// the interner is ablated away).
 		accept(n.sh.Intern.Canonical(su.Update), su.Count)
 	}
 	for _, ref := range srv.Refs {
@@ -375,14 +372,14 @@ func (n *Node) onAttestation(msg transport.Message) {
 	if att.Round != n.round {
 		return // stale attestation
 	}
-	if !n.verifyBody(att.From, att, att.Sig, "Attestation") {
+	if !n.verifySigned(att.From, msg.Payload, att.Sig, "Attestation") {
 		return
 	}
 	ex, ok := n.recvCur.exchanges[att.From]
 	if !ok || ex.attBytes != nil {
 		return
 	}
-	ex.attBytes = msg.Payload
+	ex.attBytes = bytes.Clone(msg.Payload) // evidence: outlives the delivery
 	n.maybeAck(att.From, ex)
 }
 
@@ -444,12 +441,9 @@ func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
 		return
 	}
 	ack := &wire.Ack{Round: n.round, From: n.id, To: pred, H: enc}
-	sig, err := n.signBody(ack)
-	if err != nil {
+	if ex.ackBytes, err = n.signOwned(ack); err != nil {
 		return
 	}
-	ack.Sig = sig
-	ex.ackBytes = ack.Marshal()
 	_ = n.cfg.Endpoint.Send(pred, wire.KindAck, ex.ackBytes)
 	if n.trace != nil {
 		n.trace.Emit("ack_sent",
@@ -472,7 +466,7 @@ func (n *Node) onAck(msg transport.Message) {
 	if ack.Round != n.round {
 		return // stale ack
 	}
-	if !n.verifyBody(ack.From, ack, ack.Sig, "Ack") {
+	if !n.verifySigned(ack.From, msg.Payload, ack.Sig, "Ack") {
 		return
 	}
 	ex := n.sendCur.perSucc[ack.From]
@@ -489,7 +483,7 @@ func (n *Node) onAck(msg transport.Message) {
 		return
 	}
 	ex.acked = true
-	ex.ackBytes = msg.Payload
+	ex.ackBytes = bytes.Clone(msg.Payload) // evidence: outlives the delivery
 	if n.trace != nil {
 		n.trace.Emit("ack_received",
 			obs.XID(model.ExchangeID(n.round, n.id, ack.From)),
@@ -514,7 +508,7 @@ func (n *Node) expectedAckFor(ex *sendExchange) *big.Int {
 	for _, it := range items {
 		v := it.embed
 		if v == nil {
-			v = n.hasher.Embed(it.upd.CanonicalBytes())
+			v = n.embed(&it.upd)
 		}
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))

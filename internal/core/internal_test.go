@@ -95,28 +95,6 @@ func TestMustCountKey(t *testing.T) {
 	mustCountKey(0)
 }
 
-func TestSetSigCoversAllMessages(t *testing.T) {
-	sig := []byte("the-signature")
-	msgs := []interface {
-		Kind() uint8
-		Marshal() []byte
-	}{
-		&wire.KeyRequest{}, &wire.KeyResponse{}, &wire.Serve{},
-		&wire.Attestation{}, &wire.Ack{}, &wire.AttForward{},
-		&wire.HashShare{}, wire.NewAckForward(1, 2, nil),
-		&wire.NodeDigest{}, &wire.Accusation{}, &wire.Probe{},
-		&wire.Nack{}, &wire.AckRequest{}, &wire.AckExhibit{},
-	}
-	for _, m := range msgs {
-		before := len(m.Marshal())
-		setSig(m, sig)
-		after := len(m.Marshal())
-		if after != before+len(sig) {
-			t.Fatalf("setSig missed %T", m)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewNode(Config{}); err == nil {
 		t.Fatal("empty config accepted")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 
@@ -184,7 +185,7 @@ func (m *monitorState) onAckCopy(msg transport.Message) {
 	if err != nil || ack.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(ack.From, ack, ack.Sig, "AckCopy") {
+	if !m.n.verifySigned(ack.From, msg.Payload, ack.Sig, "AckCopy") {
 		return
 	}
 	if !m.isMonitorOf(m.n.id, ack.From, ack.Round) {
@@ -195,7 +196,8 @@ func (m *monitorState) onAckCopy(msg transport.Message) {
 		per = make(map[[2]model.NodeID][]byte)
 		m.ackCopies[ack.Round] = per
 	}
-	per[[2]model.NodeID{ack.From, ack.To}] = msg.Payload
+	ackBytes := bytes.Clone(msg.Payload) // evidence: outlives the delivery
+	per[[2]model.NodeID{ack.From, ack.To}] = ackBytes
 
 	// A pending probe against ack.From for the exchange with ack.To is
 	// resolved by this acknowledgement: confirm to the accuser's
@@ -203,7 +205,7 @@ func (m *monitorState) onAckCopy(msg transport.Message) {
 	key := probeKey{accuser: ack.To, accused: ack.From, round: ack.Round}
 	if resolved, pending := m.probes[key]; pending && !resolved {
 		m.probes[key] = true
-		m.relayAck(ack.Round, ack.To, msg.Payload, true)
+		m.relayAck(ack.Round, ack.To, ackBytes, true)
 	}
 }
 
@@ -223,7 +225,7 @@ func (m *monitorState) onAttForward(msg transport.Message) {
 	if err != nil || fwd.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(fwd.From, fwd, fwd.Sig, "AttForward") {
+	if !m.n.verifySigned(fwd.From, plain, fwd.Sig, "AttForward") {
 		return
 	}
 	if !m.isMonitorOf(m.n.id, fwd.From, fwd.Round) {
@@ -235,7 +237,7 @@ func (m *monitorState) onAttForward(msg transport.Message) {
 			Accused: fwd.From, Detail: "AttForward with inconsistent attestation"})
 		return
 	}
-	if !m.n.verifyBody(att.From, att, att.Sig, "forwarded Attestation") {
+	if !m.n.verifySigned(att.From, fwd.AttBytes, att.Sig, "forwarded Attestation") {
 		return
 	}
 	remainder, err := hhash.KeyFromBytes(fwd.Remainder)
@@ -267,26 +269,31 @@ func (m *monitorState) onAttForward(msg transport.Message) {
 		HFwdLifted: encFwd,
 		AckBytes:   ackBytes,
 	}
-	sig, err := m.n.signBody(share)
-	if err != nil {
-		return
-	}
-	share.Sig = sig
-
 	// Broadcast to the other monitors of the monitored node (msg 8) and
 	// fold the share in locally.
-	for _, peer := range m.n.sh.Directory.Monitors(fwd.From, fwd.Round) {
-		if peer == m.n.id {
-			continue
-		}
-		_ = m.n.cfg.Endpoint.Send(peer, wire.KindHashShare, share.Marshal())
-	}
+	others, _ := m.peers(fwd.From, fwd.Round)
+	m.n.signAndSendAll(others, share)
 	m.applyShare(share)
 
 	// Relay the acknowledgement to the predecessor's monitors (msg 9).
 	if len(ackBytes) > 0 {
 		m.relayAck(fwd.Round, att.From, ackBytes, false)
 	}
+}
+
+// peers splits the monitors of y at round r into the others and whether
+// this node is one of them.
+func (m *monitorState) peers(y model.NodeID, r model.Round) (others []model.NodeID, self bool) {
+	monitors := m.n.sh.Directory.Monitors(y, r)
+	others = make([]model.NodeID, 0, len(monitors))
+	for _, peer := range monitors {
+		if peer == m.n.id {
+			self = true
+		} else {
+			others = append(others, peer)
+		}
+	}
+	return others, self
 }
 
 func (m *monitorState) ackCopyFor(r model.Round, monitored, pred model.NodeID) []byte {
@@ -315,18 +322,10 @@ func (m *monitorState) relayAck(r model.Round, pred model.NodeID, ackBytes []byt
 	} else {
 		relay = wire.NewAckForward(r, m.n.id, ackBytes)
 	}
-	sig, err := m.n.signBody(relay)
-	if err != nil {
-		return
-	}
-	relay.Sig = sig
-	enc := relay.Marshal()
-	for _, peer := range m.n.sh.Directory.Monitors(pred, r) {
-		if peer == m.n.id {
-			m.acceptRelayedAck(relay)
-			continue
-		}
-		_ = m.n.cfg.Endpoint.Send(peer, relay.Kind(), enc)
+	others, self := m.peers(pred, r)
+	m.n.signAndSendAll(others, relay)
+	if self {
+		m.acceptRelayedAck(relay)
 	}
 }
 
@@ -338,7 +337,7 @@ func (m *monitorState) onHashShare(msg transport.Message) {
 	if err != nil || share.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(share.From, share, share.Sig, "HashShare") {
+	if !m.n.verifySigned(share.From, msg.Payload, share.Sig, "HashShare") {
 		return
 	}
 	// Only the designated monitor for that exchange may originate it,
@@ -395,7 +394,7 @@ func (m *monitorState) onAckRelay(msg transport.Message) {
 	if err != nil || relay.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(relay.From, relay, relay.Sig, "AckRelay") {
+	if !m.n.verifySigned(relay.From, msg.Payload, relay.Sig, "AckRelay") {
 		return
 	}
 	m.acceptRelayedAck(relay)
@@ -412,7 +411,7 @@ func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
 		!m.isMonitorOf(m.n.id, ack.To, ack.Round) {
 		return
 	}
-	if !m.n.verifyBody(ack.From, ack, ack.Sig, "relayed Ack") {
+	if !m.n.verifySigned(ack.From, relay.AckBytes, ack.Sig, "relayed Ack") {
 		return
 	}
 	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
@@ -435,7 +434,7 @@ func (m *monitorState) onNack(msg transport.Message) {
 	if err != nil || nack.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(nack.From, nack, nack.Sig, "Nack") {
+	if !m.n.verifySigned(nack.From, msg.Payload, nack.Sig, "Nack") {
 		return
 	}
 	// The nacker must monitor the accused; this node must monitor the
@@ -459,7 +458,7 @@ func (m *monitorState) onNodeDigest(msg transport.Message) {
 	if err != nil || d.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(d.From, d, d.Sig, "NodeDigest") {
+	if !m.n.verifySigned(d.From, msg.Payload, d.Sig, "NodeDigest") {
 		return
 	}
 	if !m.isMonitorOf(m.n.id, d.From, d.Round) {
@@ -490,17 +489,10 @@ func (m *monitorState) verify(r model.Round) {
 			Accused: key.accused, Detail: "ignored monitor probe",
 			Exchange: model.ExchangeID(r, key.accuser, key.accused)})
 		nack := &wire.Nack{Round: r, From: m.n.id, Accuser: key.accuser, Against: key.accused}
-		sig, err := m.n.signBody(nack)
-		if err != nil {
-			continue
-		}
-		nack.Sig = sig
-		for _, peer := range m.n.sh.Directory.Monitors(key.accuser, r) {
-			if peer == m.n.id {
-				m.state(r, key.accuser).markNacked(key.accused)
-				continue
-			}
-			_ = m.n.cfg.Endpoint.Send(peer, wire.KindNack, nack.Marshal())
+		others, self := m.peers(key.accuser, r)
+		m.n.signAndSendAll(others, nack)
+		if self {
+			m.state(r, key.accuser).markNacked(key.accused)
 		}
 	}
 
@@ -655,18 +647,14 @@ func (m *monitorState) handover(r model.Round) {
 			Obligation: enc,
 			Suspect:    st.suspect,
 		}
-		sig, err := m.n.signBody(ho)
-		if err != nil {
-			continue
-		}
-		ho.Sig = sig
-		payload := ho.Marshal()
+		var incoming []model.NodeID
 		for _, peer := range d.Monitors(y, r+1) {
 			if peer == m.n.id || d.IsMonitorOf(peer, y, r) {
 				continue // staying monitors keep their own accumulation
 			}
-			_ = m.n.cfg.Endpoint.Send(peer, wire.KindObligationHandover, payload)
+			incoming = append(incoming, peer)
 		}
+		m.n.signAndSendAll(incoming, ho)
 	}
 }
 
@@ -679,7 +667,7 @@ func (m *monitorState) onObligationHandover(msg transport.Message) {
 	if err != nil || ho.From != msg.From {
 		return
 	}
-	if !m.n.verifyBody(ho.From, ho, ho.Sig, "ObligationHandover") {
+	if !m.n.verifySigned(ho.From, msg.Payload, ho.Sig, "ObligationHandover") {
 		return
 	}
 	// Only an outgoing monitor of the node may originate the transfer,
@@ -705,7 +693,7 @@ func (m *monitorState) onObligationHandover(msg transport.Message) {
 		}
 	}
 	per[ho.Monitored] = append(per[ho.Monitored], handoverRec{
-		from: ho.From, value: v, suspect: ho.Suspect, enc: ho.Obligation,
+		from: ho.From, value: v, suspect: ho.Suspect, enc: bytes.Clone(ho.Obligation),
 	})
 }
 
@@ -811,7 +799,7 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 			Accused: y, Detail: "exhibited ack is inconsistent", Exchange: xid})
 		return
 	}
-	if m.n.suiteVerifyBody(succ, ack, ack.Sig) != nil {
+	if m.n.suiteVerifySigned(succ, ackBytes, ack.Sig) != nil {
 		m.n.report(Verdict{Round: r, Kind: VerdictNoForward,
 			Accused: y, Detail: "exhibited ack has a bad signature", Exchange: xid})
 		return

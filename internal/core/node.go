@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -359,7 +360,7 @@ func (n *Node) BeginRound(r model.Round) {
 	for _, it := range items {
 		v := it.embed
 		if v == nil {
-			v = n.hasher.Embed(it.upd.CanonicalBytes())
+			v = n.embed(&it.upd)
 		}
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
@@ -543,6 +544,8 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		if r, ok := peekRound(msg.Payload); ok {
 			switch {
 			case r == n.round+1:
+				// Kept past the handler's return: own the bytes.
+				msg.Payload = bytes.Clone(msg.Payload)
 				n.deferred = append(n.deferred, msg)
 				return
 			case r != n.round:
@@ -609,76 +612,57 @@ func (n *Node) dispatch(msg transport.Message) {
 // Helpers
 // ---------------------------------------------------------------------------
 
-// signAndSend signs m with the node's identity and transmits it. The
-// signing bytes run through a pooled buffer; the transport payload is a
-// fresh Marshal because the in-memory network delivers it zero-copy.
+// signAndSend signs m and transmits it to one peer.
 func (n *Node) signAndSend(to model.NodeID, m wire.BodyMessage) {
-	sig, err := n.signBody(m)
+	n.signAndSendAll([]model.NodeID{to}, m)
+}
+
+// signAndSendAll encodes m once into a pooled buffer, signs it in place
+// and transmits the same bytes to every peer; the buffer is free again on
+// return because every Endpoint copies what it sends.
+func (n *Node) signAndSendAll(peers []model.NodeID, m wire.BodyMessage) {
+	w := wire.GetWriter()
+	defer w.Release()
+	payload, err := wire.Seal(w, m, n.cfg.Identity)
 	if err != nil {
 		return
 	}
-	setSig(m, sig)
-	_ = n.cfg.Endpoint.Send(to, m.Kind(), m.Marshal())
-}
-
-// signBody signs m's body encoding through a pooled buffer (the signer
-// only hashes the bytes, so the buffer is free for reuse on return).
-func (n *Node) signBody(m wire.BodyMessage) ([]byte, error) {
-	w := wire.GetWriter()
-	defer w.Release()
-	return n.cfg.Identity.Sign(wire.SigningInto(w, m))
-}
-
-// verifyBody is verify over a pooled body encoding.
-func (n *Node) verifyBody(signer model.NodeID, m wire.BodyMessage, sig []byte, what string) bool {
-	w := wire.GetWriter()
-	defer w.Release()
-	return n.verify(signer, wire.SigningInto(w, m), sig, what)
-}
-
-// suiteVerifyBody is the uncounted raw suite check over a pooled body
-// encoding (used where a failed signature is expected evidence handling,
-// not an op to account).
-func (n *Node) suiteVerifyBody(signer model.NodeID, m wire.BodyMessage, sig []byte) error {
-	w := wire.GetWriter()
-	defer w.Release()
-	return n.sh.Suite.Verify(signer, wire.SigningInto(w, m), sig)
-}
-
-// setSig assigns the signature field of any wire message.
-func setSig(m interface{ Kind() uint8 }, sig []byte) {
-	switch v := m.(type) {
-	case *wire.KeyRequest:
-		v.Sig = sig
-	case *wire.KeyResponse:
-		v.Sig = sig
-	case *wire.Serve:
-		v.Sig = sig
-	case *wire.Attestation:
-		v.Sig = sig
-	case *wire.Ack:
-		v.Sig = sig
-	case *wire.AttForward:
-		v.Sig = sig
-	case *wire.HashShare:
-		v.Sig = sig
-	case *wire.AckRelay:
-		v.Sig = sig
-	case *wire.NodeDigest:
-		v.Sig = sig
-	case *wire.Accusation:
-		v.Sig = sig
-	case *wire.Probe:
-		v.Sig = sig
-	case *wire.Nack:
-		v.Sig = sig
-	case *wire.AckRequest:
-		v.Sig = sig
-	case *wire.AckExhibit:
-		v.Sig = sig
-	case *wire.ObligationHandover:
-		v.Sig = sig
+	for _, peer := range peers {
+		_ = n.cfg.Endpoint.Send(peer, m.Kind(), payload)
 	}
+}
+
+// signOwned is Seal into one exact-size heap slice, for the signed
+// messages a node keeps as evidence after sending them (its attestations
+// and acknowledgements).
+func (n *Node) signOwned(m wire.BodyMessage) ([]byte, error) {
+	w := wire.GetWriter()
+	defer w.Release()
+	payload, err := wire.Seal(w, m, n.cfg.Identity)
+	return bytes.Clone(payload), err
+}
+
+// verifySigned checks the trailing signature sig of a decoded message
+// over the prefix of the bytes it was decoded from (see
+// wire.SignedPrefix), with op accounting and a BadMessage verdict on
+// failure.
+func (n *Node) verifySigned(signer model.NodeID, encoded, sig []byte, what string) bool {
+	return n.verify(signer, wire.SignedPrefix(encoded, sig), sig, what)
+}
+
+// suiteVerifySigned is the uncounted raw suite check of verifySigned
+// (used where a failed signature is expected evidence handling, not an op
+// to account).
+func (n *Node) suiteVerifySigned(signer model.NodeID, encoded, sig []byte) error {
+	return n.sh.Suite.Verify(signer, wire.SignedPrefix(encoded, sig), sig)
+}
+
+// verifyUpdate checks an update's source signature, encoding the
+// canonical bytes into a pooled buffer.
+func (n *Node) verifyUpdate(src model.NodeID, u *update.Update) bool {
+	w := wire.GetWriter()
+	defer w.Release()
+	return n.verify(src, w.Canonical(u), u.SrcSig, "update source signature")
 }
 
 // verify checks a signature with op accounting; on failure a BadMessage
@@ -712,6 +696,14 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 	return hhash.GeneratePrimeKey(n.rnd, n.sh.PrimeBits)
 }
 
+// embed computes an update's embedding from its canonical bytes, encoded
+// into a pooled buffer (Embed only reads them).
+func (n *Node) embed(u *update.Update) *big.Int {
+	w := wire.GetWriter()
+	defer w.Release()
+	return n.hasher.Embed(w.Canonical(u))
+}
+
 // embedOf returns the entry's cached embedding, computing and caching it
 // on first use. Embeddings are pure functions of the update bytes and are
 // only ever read afterwards (Lift and Combine never mutate their
@@ -722,7 +714,7 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 func (n *Node) embedOf(e *update.Entry) *big.Int {
 	if e.Embed == nil {
 		e.Embed = n.sh.Intern.SharedEmbed(e.Update, func() *big.Int {
-			return n.hasher.Embed(e.Update.CanonicalBytes())
+			return n.embed(&e.Update)
 		})
 	}
 	return e.Embed

@@ -27,9 +27,11 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -103,6 +105,10 @@ type Identity interface {
 	NodeID() model.NodeID
 	// Sign produces ⟨msg⟩_X's signature bytes.
 	Sign(msg []byte) ([]byte, error)
+	// SignAppend appends the signature Sign would produce to dst and
+	// returns the extended slice; msg may alias dst's contents. It is how
+	// a message is signed inside the buffer it was encoded into.
+	SignAppend(dst, msg []byte) ([]byte, error)
 	// Decrypt opens a ciphertext produced with Encrypt for this node.
 	Decrypt(ciphertext []byte) ([]byte, error)
 	// Counter returns the identity's operation counter (never nil).
@@ -252,6 +258,11 @@ func (r *rsaIdentity) Sign(msg []byte) ([]byte, error) {
 	return sig, nil
 }
 
+func (r *rsaIdentity) SignAppend(dst, msg []byte) ([]byte, error) {
+	sig, err := r.Sign(msg)
+	return append(dst, sig...), err
+}
+
 func (r *rsaIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
 	r.ops.decrypts.Add(1)
 	blockLen := r.suite.bits / 8
@@ -279,18 +290,70 @@ type FastSuite struct {
 	sigSize  int
 	wrapSize int
 
-	mu      sync.RWMutex
-	secrets map[model.NodeID][]byte
+	mu   sync.RWMutex
+	keys map[model.NodeID]*fastKey
 }
 
 var _ Suite = (*FastSuite)(nil)
+
+// fastKey is one identity's keyed state, built once and shared by the
+// identity (sign, decrypt) and the suite (verify, encrypt to it).
+type fastKey struct {
+	// macs pools HMAC-SHA256 states keyed with the node secret. An HMAC
+	// is Reset, not rebuilt, between messages; the pool (rather than one
+	// shared state) is what lets the parallel engine's shards sign and
+	// verify under the same identity at once.
+	macs sync.Pool
+	// aead is AES-GCM under the key the node receives ciphertexts with.
+	// A cipher.AEAD is stateless after construction, so one serves every
+	// concurrent Encrypt and Decrypt.
+	aead cipher.AEAD
+}
+
+// macState is one pooled HMAC with the scratch its tag is summed into
+// (kept beside it so computing a tag allocates nothing).
+type macState struct {
+	h   hash.Hash
+	tag [sha256.Size]byte
+}
+
+func newFastKey(secret []byte) (*fastKey, error) {
+	// The receive key is derived from the secret, never the secret itself.
+	kdf := hmac.New(sha256.New, secret)
+	kdf.Write([]byte("pag-enc-key"))
+	block, err := aes.NewCipher(kdf.Sum(nil))
+	if err != nil {
+		return nil, fmt.Errorf("pki: aes: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("pki: gcm: %w", err)
+	}
+	k := &fastKey{aead: aead}
+	k.macs.New = func() any { return &macState{h: hmac.New(sha256.New, secret)} }
+	return k, nil
+}
+
+// mac computes HMAC(secret, msg) into a pooled state's tag; the caller
+// reads it and hands the state back with done.
+func (k *fastKey) mac(msg []byte) *macState {
+	st := k.macs.Get().(*macState)
+	st.h.Write(msg)
+	st.h.Sum(st.tag[:0])
+	return st
+}
+
+func (k *fastKey) done(st *macState) {
+	st.h.Reset()
+	k.macs.Put(st)
+}
 
 // NewFastSuite creates a FastSuite mimicking RSA-2048 sizes.
 func NewFastSuite() *FastSuite {
 	return &FastSuite{
 		sigSize:  DefaultRSABits / 8,
 		wrapSize: DefaultRSABits / 8,
-		secrets:  make(map[model.NodeID][]byte),
+		keys:     make(map[model.NodeID]*fastKey),
 	}
 }
 
@@ -307,17 +370,11 @@ func (s *FastSuite) CiphertextOverhead() int {
 
 // NewIdentity implements Suite.
 func (s *FastSuite) NewIdentity(id model.NodeID) (Identity, error) {
-	if id == model.NoNode {
-		return nil, errors.New("pki: cannot create identity for NoNode")
-	}
 	secret := make([]byte, 32)
 	if _, err := rand.Read(secret); err != nil {
 		return nil, fmt.Errorf("pki: drawing node secret: %w", err)
 	}
-	s.mu.Lock()
-	s.secrets[id] = secret
-	s.mu.Unlock()
-	return &fastIdentity{id: id, secret: secret, suite: s}, nil
+	return s.register(id, secret)
 }
 
 // NewDeterministicIdentity derives a node's key material from a shared
@@ -325,106 +382,120 @@ func (s *FastSuite) NewIdentity(id model.NodeID) (Identity, error) {
 // verification material without a key-exchange service. Simulation/testbed
 // use only: anyone knowing the seed can impersonate any node.
 func (s *FastSuite) NewDeterministicIdentity(id model.NodeID, seed uint64) (Identity, error) {
-	if id == model.NoNode {
-		return nil, errors.New("pki: cannot create identity for NoNode")
-	}
 	h := sha256.New()
 	var buf [12]byte
 	binary.BigEndian.PutUint64(buf[:8], seed)
 	binary.BigEndian.PutUint32(buf[8:], uint32(id))
 	h.Write([]byte("pag-node-secret"))
 	h.Write(buf[:])
-	secret := h.Sum(nil)
-	s.mu.Lock()
-	s.secrets[id] = secret
-	s.mu.Unlock()
-	return &fastIdentity{id: id, secret: secret, suite: s}, nil
+	return s.register(id, h.Sum(nil))
 }
 
-func (s *FastSuite) secret(id model.NodeID) ([]byte, error) {
+// register builds the keyed state for a node secret and publishes it.
+func (s *FastSuite) register(id model.NodeID, secret []byte) (Identity, error) {
+	if id == model.NoNode {
+		return nil, errors.New("pki: cannot create identity for NoNode")
+	}
+	key, err := newFastKey(secret)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.keys[id] = key
+	s.mu.Unlock()
+	return &fastIdentity{id: id, key: key, suite: s}, nil
+}
+
+func (s *FastSuite) key(id model.NodeID) (*fastKey, error) {
 	s.mu.RLock()
-	sec, ok := s.secrets[id]
+	key, ok := s.keys[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
-	return sec, nil
+	return key, nil
 }
 
-func (s *FastSuite) mac(secret, msg []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write(msg)
-	tag := h.Sum(nil)
-	// Pad deterministically to the RSA signature width so wire sizes —
-	// and therefore all bandwidth measurements — match the real suite.
-	out := make([]byte, s.sigSize)
-	for i := 0; i < len(out); i += len(tag) {
-		copy(out[i:], tag)
-	}
-	copy(out, tag)
-	return out
-}
-
-// Verify implements Suite.
+// Verify implements Suite. A signature is the 32-byte tag repeated to the
+// RSA signature width (see SignAppend); it is checked block by block
+// against the tag, with no padded copy built.
 func (s *FastSuite) Verify(signer model.NodeID, msg, sig []byte) error {
-	sec, err := s.secret(signer)
+	key, err := s.key(signer)
 	if err != nil {
 		return err
 	}
-	want := s.mac(sec, msg)
-	if !hmac.Equal(want, sig) {
+	ok := 0
+	if len(sig) == s.sigSize {
+		ok = 1
+	}
+	st := key.mac(msg)
+	for len(sig) > 0 {
+		n := min(len(sig), len(st.tag))
+		ok &= subtle.ConstantTimeCompare(sig[:n], st.tag[:n])
+		sig = sig[n:]
+	}
+	key.done(st)
+	if ok != 1 {
 		return ErrBadSignature
 	}
 	return nil
 }
 
-// encKey derives the AES key a node uses to receive ciphertexts.
-func (s *FastSuite) encKey(secret []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write([]byte("pag-enc-key"))
-	return h.Sum(nil)
-}
-
 // Encrypt implements Suite: zero-filled fake key-wrap block (size parity
-// with RSA) || nonce || GCM(msg) under the recipient's derived key.
+// with RSA) || nonce || GCM(msg) under the recipient's derived key, sealed
+// into one exact-size allocation.
 func (s *FastSuite) Encrypt(to model.NodeID, msg []byte) ([]byte, error) {
-	sec, err := s.secret(to)
+	key, err := s.key(to)
 	if err != nil {
 		return nil, err
 	}
-	sealed, nonce, err := gcmSeal(s.encKey(sec), msg)
-	if err != nil {
-		return nil, err
+	head := s.wrapSize + _gcmNonceLen
+	out := make([]byte, head, head+len(msg)+_gcmTagLen)
+	nonce := out[s.wrapSize:head]
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("pki: drawing nonce: %w", err)
 	}
-	out := make([]byte, s.wrapSize, s.wrapSize+len(nonce)+len(sealed))
-	out = append(out, nonce...)
-	out = append(out, sealed...)
-	return out, nil
+	return key.aead.Seal(out, nonce, msg, nil), nil
 }
 
 type fastIdentity struct {
-	id     model.NodeID
-	secret []byte
-	suite  *FastSuite
-	ops    Counter
+	id    model.NodeID
+	key   *fastKey
+	suite *FastSuite
+	ops   Counter
 }
 
 func (f *fastIdentity) NodeID() model.NodeID { return f.id }
 func (f *fastIdentity) Counter() *Counter    { return &f.ops }
 
 func (f *fastIdentity) Sign(msg []byte) ([]byte, error) {
+	return f.SignAppend(make([]byte, 0, f.suite.sigSize), msg)
+}
+
+// SignAppend implements Identity: the HMAC tag, repeated (the last copy
+// truncated) to the RSA signature width so wire sizes — and therefore all
+// bandwidth measurements — match the real suite.
+func (f *fastIdentity) SignAppend(dst, msg []byte) ([]byte, error) {
 	f.ops.signs.Add(1)
-	return f.suite.mac(f.secret, msg), nil
+	st := f.key.mac(msg)
+	for left := f.suite.sigSize; left > 0; left -= len(st.tag) {
+		dst = append(dst, st.tag[:min(left, len(st.tag))]...)
+	}
+	f.key.done(st)
+	return dst, nil
 }
 
 func (f *fastIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
 	f.ops.decrypts.Add(1)
-	min := f.suite.wrapSize + _gcmNonceLen + _gcmTagLen
-	if len(ciphertext) < min {
+	head := f.suite.wrapSize + _gcmNonceLen
+	if len(ciphertext) < head+_gcmTagLen {
 		return nil, ErrBadCiphertext
 	}
-	nonce := ciphertext[f.suite.wrapSize : f.suite.wrapSize+_gcmNonceLen]
-	return gcmOpen(f.suite.encKey(f.secret), nonce, ciphertext[f.suite.wrapSize+_gcmNonceLen:])
+	out, err := f.key.aead.Open(nil, ciphertext[f.suite.wrapSize:head], ciphertext[head:], nil)
+	if err != nil {
+		return nil, ErrBadCiphertext
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package pki
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -287,4 +288,129 @@ func BenchmarkFastSign(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// SignAppend is Sign into the caller's buffer: same bytes, appended after
+// whatever dst holds, also when the message is dst's own contents (the way
+// wire.Writer.Sign calls it).
+func TestSignAppendMatchesSign(t *testing.T) {
+	for name, s := range suites(t) {
+		t.Run(name, func(t *testing.T) {
+			id, _ := s.NewIdentity(1)
+			buf := append(make([]byte, 0, 16), "a message body"...)
+			want, err := id.Sign(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := id.SignAppend(buf, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:len(buf)], buf) || !bytes.Equal(got[len(buf):], want) {
+				t.Fatal("SignAppend is not dst followed by Sign's signature")
+			}
+			if err := s.Verify(1, buf, got[len(buf):]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// FastSuite.Verify compares the signature block by block against the
+// 32-byte tag instead of against a padded copy: every single-byte change
+// and every wrong length must still be rejected.
+func TestFastVerifyRejectsEveryByteFlip(t *testing.T) {
+	s := NewFastSuite()
+	id, _ := s.NewIdentity(1)
+	msg := []byte("message")
+	sig, _ := id.Sign(msg)
+	for i := range sig {
+		bad := bytes.Clone(sig)
+		bad[i] ^= 0x01
+		if err := s.Verify(1, msg, bad); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("flip of signature byte %d accepted", i)
+		}
+	}
+	for _, bad := range [][]byte{nil, sig[:32], sig[:len(sig)-1], append(bytes.Clone(sig), sig[:32]...)} {
+		if err := s.Verify(1, msg, bad); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("signature of %d bytes accepted", len(bad))
+		}
+	}
+}
+
+// The keyed state is per identity and pooled: the hot operations allocate
+// only what they return. (The race detector bypasses sync.Pool; the race
+// job runs -short.)
+func TestFastSuiteAllocBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts need the pool")
+	}
+	s := NewFastSuite()
+	alice, _ := s.NewIdentity(1)
+	bob, _ := s.NewIdentity(2)
+	msg := make([]byte, 1024)
+	sig, _ := alice.Sign(msg)
+	ct, _ := s.Encrypt(2, msg)
+	buf := make([]byte, 0, len(msg)+s.SignatureSize())
+	for _, c := range []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"Sign", 1, func() { _, _ = alice.Sign(msg) }},
+		{"SignAppend", 0, func() { _, _ = alice.SignAppend(buf, msg) }},
+		{"Verify", 0, func() { _ = s.Verify(1, msg, sig) }},
+		{"Encrypt", 2, func() { _, _ = s.Encrypt(2, msg) }},
+		{"Decrypt", 1, func() { _, _ = bob.Decrypt(ct) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.op); got > c.budget {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}
+
+// One signer's keyed state serves the parallel engine's shards at once:
+// concurrent Sign, Verify, Encrypt and Decrypt under one identity agree
+// with the serial results (run under -race).
+func TestFastSuiteConcurrentUse(t *testing.T) {
+	s := NewFastSuite()
+	id, _ := s.NewIdentity(1)
+	msgs := make([][]byte, 8)
+	sigs := make([][]byte, 8)
+	for i := range msgs {
+		msgs[i] = bytes.Repeat([]byte{byte(i)}, 100+i)
+		sigs[i], _ = id.Sign(msgs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (g + i) % len(msgs)
+				if err := s.Verify(1, msgs[k], sigs[k]); err != nil {
+					t.Errorf("concurrent Verify rejected a good signature: %v", err)
+					return
+				}
+				if s.Verify(1, msgs[k], sigs[(k+1)%len(sigs)]) == nil {
+					t.Error("concurrent Verify accepted another message's signature")
+					return
+				}
+				if sig, _ := id.Sign(msgs[k]); !bytes.Equal(sig, sigs[k]) {
+					t.Error("concurrent Sign produced a different signature")
+					return
+				}
+				ct, err := s.Encrypt(1, msgs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if pt, err := id.Decrypt(ct); err != nil || !bytes.Equal(pt, msgs[k]) {
+					t.Errorf("concurrent Encrypt/Decrypt round trip failed: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

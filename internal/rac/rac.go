@@ -203,21 +203,7 @@ func (m *slotMsg) body(w *wire.Writer) {
 	w.Bytes(m.Content)
 }
 
-// SigningBytes returns the signed preimage.
-func (m *slotMsg) SigningBytes() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
-// Marshal returns the full encoding.
-func (m *slotMsg) Marshal() []byte {
-	w := wire.NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
-
+// unmarshalSlot decodes a slot; Content and Sig are views into b.
 func unmarshalSlot(b []byte) (*slotMsg, error) {
 	r := wire.NewReader(b)
 	if k := r.U8(); k != kindSlot && r.Err() == nil {
@@ -237,25 +223,17 @@ func unmarshalSlot(b []byte) (*slotMsg, error) {
 	return m, nil
 }
 
-// encodeUpdate/decodeUpdate carry one update inside a real slot.
+// encodeUpdate/decodeUpdate carry one update inside a real slot; the
+// decoded update aliases b.
 func encodeUpdate(u *update.Update) []byte {
 	w := wire.NewWriter()
-	w.U32(uint32(u.ID.Stream))
-	w.U64(u.ID.Seq)
-	w.U64(uint64(u.Deadline))
-	w.Bytes(u.Payload)
-	w.Bytes(u.SrcSig)
+	w.Update(u)
 	return w.Finish()
 }
 
 func decodeUpdate(b []byte) (update.Update, error) {
 	r := wire.NewReader(b)
-	u := update.Update{
-		ID:       model.UpdateID{Stream: model.StreamID(r.U32()), Seq: r.U64()},
-		Deadline: model.Round(r.U64()),
-		Payload:  r.Bytes(),
-		SrcSig:   r.Bytes(),
-	}
+	u := r.Update()
 	if err := r.Done(); err != nil {
 		return update.Update{}, err
 	}
@@ -326,13 +304,15 @@ func (n *Node) BeginRound(r model.Round) {
 		} else {
 			slot.Content = make([]byte, n.cfg.SlotBytes)
 		}
-		sig, err := n.cfg.Identity.Sign(slot.SigningBytes())
-		if err != nil {
-			return
+		// One encoding in a pooled buffer, signed in place; the Endpoint
+		// copies what it sends.
+		w := wire.GetWriter()
+		slot.body(w)
+		if w.Sign(n.cfg.Identity) == nil {
+			n.stats.SlotsEmitted++
+			_ = n.cfg.Endpoint.Send(n.succ, kindSlot, w.Finish())
 		}
-		slot.Sig = sig
-		n.stats.SlotsEmitted++
-		_ = n.cfg.Endpoint.Send(n.succ, kindSlot, slot.Marshal())
+		w.Release()
 	}
 }
 
@@ -417,8 +397,9 @@ func (n *Node) HandleMessage(msg transport.Message) {
 	if err != nil || slot.Round != n.round {
 		return
 	}
+	// The origin's signature is checked over the received bytes.
 	if pki.VerifyCounted(n.cfg.Suite, n.cfg.Identity.Counter(),
-		slot.Origin, slot.SigningBytes(), slot.Sig) != nil {
+		slot.Origin, wire.SignedPrefix(msg.Payload, slot.Sig), slot.Sig) != nil {
 		return
 	}
 	n.seenOrigins[slot.Origin]++
@@ -426,9 +407,12 @@ func (n *Node) HandleMessage(msg transport.Message) {
 	if slot.Real {
 		if u, err := decodeUpdate(slot.Content); err == nil {
 			if src, ok := n.streamSource(u.ID.Stream); ok {
-				if n.cfg.Suite.Verify(src, u.CanonicalBytes(), u.SrcSig) == nil {
-					n.store.Add(u, n.round, 1, true)
+				w := wire.GetWriter()
+				if n.cfg.Suite.Verify(src, w.Canonical(&u), u.SrcSig) == nil {
+					// u aliases the delivered slot: the store keeps a copy.
+					n.store.Add(u.Clone(), n.round, 1, true)
 				}
+				w.Release()
 			}
 		}
 	}

@@ -125,16 +125,23 @@ func (l *Log) Append(r model.Round, t EntryType, peer model.NodeID, content []by
 	return e
 }
 
+// Suffix returns the entries with Seq > seq, in order, as a read-only view
+// of the log itself — what the owner encodes into an audit reply. Entry i
+// carries Seq i+1, so the suffix is a tail slice, not a scan.
+func (l *Log) Suffix(seq uint64) []Entry {
+	if seq >= uint64(len(l.entries)) {
+		return nil
+	}
+	return l.entries[seq:]
+}
+
 // Since returns copies of the entries with Seq > seq, in order — the suffix
 // an auditor fetches.
 func (l *Log) Since(seq uint64) []Entry {
 	var out []Entry
-	for _, e := range l.entries {
-		if e.Seq > seq {
-			cp := e
-			cp.Content = append([]byte(nil), e.Content...)
-			out = append(out, cp)
-		}
+	for _, e := range l.Suffix(seq) {
+		e.Content = append([]byte(nil), e.Content...)
+		out = append(out, e)
 	}
 	return out
 }

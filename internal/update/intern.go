@@ -55,14 +55,16 @@ func NewInterner() *Interner {
 	return &Interner{m: make(map[model.UpdateID]*interned)}
 }
 
-// Canonical returns the flyweight representation of u: an Update whose
-// Payload and SrcSig alias the session-wide shared copy. The first caller
-// for an id publishes (cloning the slices, so transport decode buffers are
-// never retained); later callers with byte-equal content get the shared
-// slices, and callers with divergent content get u back unchanged.
+// Canonical returns the representation of u a store may keep: an Update
+// whose Payload and SrcSig alias the session-wide shared copy. The first
+// caller for an id publishes (cloning the slices); later callers with
+// byte-equal content get the shared slices. Callers with divergent
+// content, and every caller of a nil Interner, get a private clone — u
+// typically aliases the message it was decoded from, and the result
+// never does.
 func (in *Interner) Canonical(u Update) Update {
 	if in == nil {
-		return u
+		return u.Clone()
 	}
 	in.mu.RLock()
 	e := in.m[u.ID]
@@ -81,7 +83,7 @@ func (in *Interner) Canonical(u Update) Update {
 	}
 	if e.deadline != u.Deadline ||
 		!bytes.Equal(e.payload, u.Payload) || !bytes.Equal(e.srcSig, u.SrcSig) {
-		return u // divergent content: keep the private copy
+		return u.Clone() // divergent content: keep a private copy
 	}
 	u.Payload = e.payload
 	u.SrcSig = e.srcSig

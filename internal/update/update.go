@@ -5,6 +5,7 @@
 package update
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,13 +30,26 @@ type Update struct {
 // and that the homomorphic hash embeds. Two updates with equal canonical
 // bytes are the same update.
 func (u *Update) CanonicalBytes() []byte {
-	out := make([]byte, 0, 4+8+8+4+len(u.Payload))
-	out = binary.BigEndian.AppendUint32(out, uint32(u.ID.Stream))
-	out = binary.BigEndian.AppendUint64(out, u.ID.Seq)
-	out = binary.BigEndian.AppendUint64(out, uint64(u.Deadline))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(u.Payload)))
-	out = append(out, u.Payload...)
-	return out
+	return u.AppendCanonical(make([]byte, 0, 4+8+8+4+len(u.Payload)))
+}
+
+// AppendCanonical appends the canonical encoding to dst: the form for
+// callers that only hash or verify the bytes and bring their own buffer.
+func (u *Update) AppendCanonical(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(u.ID.Stream))
+	dst = binary.BigEndian.AppendUint64(dst, u.ID.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(u.Deadline))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(u.Payload)))
+	return append(dst, u.Payload...)
+}
+
+// Clone returns u with private copies of Payload and SrcSig. A decoded
+// update aliases the message it arrived in; a store that keeps it without
+// the session interner clones it first.
+func (u Update) Clone() Update {
+	u.Payload = bytes.Clone(u.Payload)
+	u.SrcSig = bytes.Clone(u.SrcSig)
+	return u
 }
 
 // Expired reports whether the update must no longer be forwarded at the

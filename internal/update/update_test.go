@@ -291,3 +291,47 @@ func TestGeneratorValidation(t *testing.T) {
 		t.Fatal("zero ttl accepted")
 	}
 }
+
+func TestAppendCanonicalMatchesCanonicalBytes(t *testing.T) {
+	u := mkUpdate(7, 12)
+	prefix := []byte("kept")
+	got := u.AppendCanonical(prefix)
+	if !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], u.CanonicalBytes()) {
+		t.Fatal("AppendCanonical is not dst followed by CanonicalBytes")
+	}
+}
+
+// Canonical is the store's retention point: whatever it returns — the
+// shared copy, a private clone of divergent content, or a clone from a nil
+// interner — never aliases the caller's (message-backed) slices.
+func TestCanonicalNeverAliasesInput(t *testing.T) {
+	fresh := func() Update {
+		u := mkUpdate(3, 9)
+		u.SrcSig = []byte{1, 2, 3}
+		return u
+	}
+	in := NewInterner()
+	divergent := fresh()
+	divergent.Payload = []byte{9, 9}
+	for name, c := range map[string]struct {
+		in *Interner
+		u  Update
+	}{
+		"nil interner": {nil, fresh()},
+		"first":        {in, fresh()},
+		"later":        {in, fresh()},
+		"divergent":    {in, divergent},
+	} {
+		want := c.u.Clone()
+		got := c.in.Canonical(c.u)
+		for i := range c.u.Payload {
+			c.u.Payload[i] = 0xEE
+		}
+		for i := range c.u.SrcSig {
+			c.u.SrcSig[i] = 0xEE
+		}
+		if !bytes.Equal(got.Payload, want.Payload) || !bytes.Equal(got.SrcSig, want.SrcSig) {
+			t.Errorf("%s: Canonical's result aliases its input", name)
+		}
+	}
+}

@@ -2,11 +2,12 @@ package wire
 
 // Ref-counted receive arenas. The transport read loops slice inbound
 // frame payloads straight out of a shared fill buffer instead of
-// allocating per frame (the zero-copy receive path). The aliasing rule
-// from pool.go still binds: receivers retain message bytes for
-// accusations and monitor reports, so a buffer that handed out even one
-// delivered payload can never be recycled — it is Pinned and left to the
-// garbage collector. Buffers whose frames were all dropped before
+// allocating per frame (the zero-copy receive path). Decoded messages
+// alias the payload they were delivered in (Reader.Bytes returns views),
+// so a buffer that handed out even one delivered payload is never
+// recycled — it is Pinned and left to the garbage collector, which makes
+// a handler that keeps a view a memory cost, never a correctness bug.
+// Buffers whose frames were all dropped before
 // delivery (fault-plane rechecks, departed destinations, protocol
 // violations) hit refcount zero and return to the pool, which is where
 // the recycling win lives under loss-heavy scripts and idle keepalive

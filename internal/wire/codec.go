@@ -29,7 +29,9 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrTrailing is returned when a message has unconsumed trailing bytes.
 var ErrTrailing = errors.New("wire: trailing bytes after message")
 
-// Writer accumulates a deterministic binary encoding.
+// Writer accumulates a deterministic binary encoding. Hot paths take one
+// from the pool (GetWriter) so a message is encoded once, into a buffer
+// that is recycled instead of grown from 256 bytes every time.
 type Writer struct {
 	buf []byte
 }
@@ -69,12 +71,16 @@ func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 // Len returns the current encoded length.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Finish returns the encoded bytes. The Writer must not be reused.
+// Finish returns the encoded bytes. They alias the Writer's buffer: valid
+// until the next Reset or Release.
 func (w *Writer) Finish() []byte { return w.buf }
 
 // Reader decodes a binary encoding with sticky error semantics: after the
 // first failure every further read returns zero values and Err reports the
-// failure.
+// failure. Byte-string reads return views into the input, never copies:
+// a decoded message aliases the buffer it was decoded from, and whoever
+// keeps a field beyond the life of that buffer clones it (see DESIGN.md,
+// "Message path").
 type Reader struct {
 	buf []byte
 	off int
@@ -101,7 +107,9 @@ func (r *Reader) take(n int) []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	out := r.buf[r.off : r.off+n]
+	// The capacity is clipped so an append to a view can never write into
+	// the bytes that follow it in the input.
+	out := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
@@ -146,7 +154,8 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// Bytes reads a length-prefixed byte string (copied).
+// Bytes reads a length-prefixed byte string as a view into the input (nil
+// when empty).
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
 	if r.err != nil {
@@ -156,21 +165,30 @@ func (r *Reader) Bytes() []byte {
 		r.fail(fmt.Errorf("wire: field of %d bytes exceeds limit", n))
 		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
+	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return r.take(int(n))
 }
 
-// ListLen reads a list length, enforcing the limit.
-func (r *Reader) ListLen() int {
+// Raw reads n unprefixed bytes as a view into the input.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
+// ListLen reads a list length. minElem is the smallest encoding of one
+// element: a count the remaining input cannot hold is rejected here, so a
+// decoder may allocate the list at its declared length without a short
+// hostile message buying a large allocation.
+func (r *Reader) ListLen(minElem int) int {
 	n := r.U32()
 	if r.err != nil {
 		return 0
 	}
 	if n > MaxListLen {
 		r.fail(fmt.Errorf("wire: list of %d elements exceeds limit", n))
+		return 0
+	}
+	if int(n)*minElem > len(r.buf)-r.off {
+		r.fail(ErrTruncated)
 		return 0
 	}
 	return int(n)

@@ -28,7 +28,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if string(r.Bytes()) != "payload" {
 		t.Fatal("bytes mismatch")
 	}
-	if !bytes.Equal(r.take(2), []byte{1, 2}) {
+	if !bytes.Equal(r.Raw(2), []byte{1, 2}) {
 		t.Fatal("raw mismatch")
 	}
 	if err := r.Done(); err != nil {
@@ -80,21 +80,54 @@ func TestReaderHugeList(t *testing.T) {
 	w := NewWriter()
 	w.U32(MaxListLen + 1)
 	r := NewReader(w.Finish())
-	_ = r.ListLen()
+	_ = r.ListLen(1)
 	if r.Err() == nil {
 		t.Fatal("oversized list accepted")
 	}
 }
 
-func TestBytesCopied(t *testing.T) {
+// A count the remaining input cannot hold is rejected at the count, before
+// any decoder sizes a list from it.
+func TestReaderListLenBoundedByInput(t *testing.T) {
+	w := NewWriter()
+	w.U32(3)
+	w.Raw(make([]byte, 35))
+	if r := NewReader(w.Finish()); r.ListLen(12) != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("3 elements of 12 bytes accepted in 35 bytes (err %v)", r.Err())
+	}
+	w.U8(0)
+	if r := NewReader(w.Finish()); r.ListLen(12) != 3 || r.Err() != nil {
+		t.Fatalf("3 elements of 12 bytes rejected in 36 bytes (err %v)", r.Err())
+	}
+}
+
+// Reader.Bytes and Raw return views: they alias the input (that is the
+// zero-copy receive path), an empty field is nil, and a view's capacity
+// stops at its end so appending to it cannot reach the following bytes.
+func TestBytesAliasInput(t *testing.T) {
 	w := NewWriter()
 	w.Bytes([]byte("abc"))
+	w.Bytes(nil)
+	w.Raw([]byte("xy"))
 	enc := w.Finish()
 	r := NewReader(enc)
-	got := r.Bytes()
+	got, empty, raw := r.Bytes(), r.Bytes(), r.Raw(2)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
 	enc[5] = 'Z' // mutate the backing buffer
-	if string(got) != "abc" {
-		t.Fatal("Reader.Bytes aliases input")
+	if string(got) != "aZc" {
+		t.Fatal("Reader.Bytes copied its input")
+	}
+	if empty != nil {
+		t.Fatal("empty field decoded non-nil")
+	}
+	if cap(got) != len(got) || cap(raw) != len(raw) {
+		t.Fatal("view capacity extends past its field")
+	}
+	_ = append(got, '!')
+	if string(raw) != "xy" || enc[7] != 0 {
+		t.Fatal("append to a view overwrote the bytes after it")
 	}
 }
 

@@ -80,9 +80,8 @@ func KindName(k uint8) string {
 type Message interface {
 	// Kind returns the transport envelope kind.
 	Kind() uint8
-	// SigningBytes returns the deterministic body the signature covers.
-	SigningBytes() []byte
-	// Marshal returns the full encoding, signature included.
+	// Marshal returns the full encoding: the deterministic body the
+	// signature covers, then the signature as a length-prefixed field.
 	Marshal() []byte
 }
 
@@ -90,25 +89,40 @@ type Message interface {
 // Shared sub-encodings
 // ---------------------------------------------------------------------------
 
-func putUpdateID(w *Writer, id model.UpdateID) {
+// Encoded sizes the list decoders bound their counts with (Reader.ListLen).
+const (
+	// UpdateIDLen is the encoding of one update identifier.
+	UpdateIDLen = 4 + 8
+	// MinUpdateLen is the encoding of an update with empty payload and
+	// source signature.
+	MinUpdateLen = UpdateIDLen + 8 + 4 + 4
+)
+
+// UpdateID appends an update identifier.
+func (w *Writer) UpdateID(id model.UpdateID) {
 	w.U32(uint32(id.Stream))
 	w.U64(id.Seq)
 }
 
-func getUpdateID(r *Reader) model.UpdateID {
+// UpdateID reads an update identifier.
+func (r *Reader) UpdateID() model.UpdateID {
 	return model.UpdateID{Stream: model.StreamID(r.U32()), Seq: r.U64()}
 }
 
-func putUpdate(w *Writer, u *update.Update) {
-	putUpdateID(w, u.ID)
+// Update appends a full update: identifier, deadline, payload, source
+// signature.
+func (w *Writer) Update(u *update.Update) {
+	w.UpdateID(u.ID)
 	w.U64(uint64(u.Deadline))
 	w.Bytes(u.Payload)
 	w.Bytes(u.SrcSig)
 }
 
-func getUpdate(r *Reader) update.Update {
+// Update reads a full update. Payload and SrcSig are views into the
+// input; update.Update.Clone (or the session interner) detaches them.
+func (r *Reader) Update() update.Update {
 	return update.Update{
-		ID:       getUpdateID(r),
+		ID:       r.UpdateID(),
 		Deadline: model.Round(r.U64()),
 		Payload:  r.Bytes(),
 		SrcSig:   r.Bytes(),
@@ -137,20 +151,8 @@ func (m *KeyRequest) body(w *Writer) {
 	w.U32(uint32(m.To))
 }
 
-// SigningBytes implements Message.
-func (m *KeyRequest) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *KeyRequest) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *KeyRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalKeyRequest decodes a KeyRequest.
 func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
@@ -202,20 +204,8 @@ func (m *KeyResponse) body(w *Writer) {
 	}
 }
 
-// SigningBytes implements Message.
-func (m *KeyResponse) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *KeyResponse) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *KeyResponse) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalKeyResponse decodes a KeyResponse.
 func UnmarshalKeyResponse(b []byte) (*KeyResponse, error) {
@@ -229,9 +219,11 @@ func UnmarshalKeyResponse(b []byte) (*KeyResponse, error) {
 		To:    model.NodeID(r.U32()),
 		Prime: r.Bytes(),
 	}
-	n := r.ListLen()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.BufferMap = append(m.BufferMap, r.Bytes())
+	if n := r.ListLen(4); n > 0 {
+		m.BufferMap = make([][]byte, n)
+		for i := range m.BufferMap {
+			m.BufferMap[i] = r.Bytes()
+		}
 	}
 	m.Sig = r.Bytes()
 	if err := r.Done(); err != nil {
@@ -285,30 +277,18 @@ func (m *Serve) body(w *Writer) {
 	w.Bytes(m.KPrev)
 	w.U32(uint32(len(m.Full)))
 	for i := range m.Full {
-		putUpdate(w, &m.Full[i].Update)
+		w.Update(&m.Full[i].Update)
 		w.U64(m.Full[i].Count)
 	}
 	w.U32(uint32(len(m.Refs)))
 	for i := range m.Refs {
-		putUpdateID(w, m.Refs[i].ID)
+		w.UpdateID(m.Refs[i].ID)
 		w.U64(m.Refs[i].Count)
 	}
 }
 
-// SigningBytes implements Message.
-func (m *Serve) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Serve) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Serve) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalServe decodes a Serve.
 func UnmarshalServe(b []byte) (*Serve, error) {
@@ -322,13 +302,17 @@ func UnmarshalServe(b []byte) (*Serve, error) {
 		To:    model.NodeID(r.U32()),
 		KPrev: r.Bytes(),
 	}
-	nFull := r.ListLen()
-	for i := 0; i < nFull && r.Err() == nil; i++ {
-		m.Full = append(m.Full, ServedUpdate{Update: getUpdate(r), Count: r.U64()})
+	if n := r.ListLen(MinUpdateLen + 8); n > 0 {
+		m.Full = make([]ServedUpdate, n)
+		for i := range m.Full {
+			m.Full[i] = ServedUpdate{Update: r.Update(), Count: r.U64()}
+		}
 	}
-	nRefs := r.ListLen()
-	for i := 0; i < nRefs && r.Err() == nil; i++ {
-		m.Refs = append(m.Refs, ServedRef{ID: getUpdateID(r), Count: r.U64()})
+	if n := r.ListLen(UpdateIDLen + 8); n > 0 {
+		m.Refs = make([]ServedRef, n)
+		for i := range m.Refs {
+			m.Refs[i] = ServedRef{ID: r.UpdateID(), Count: r.U64()}
+		}
 	}
 	m.Sig = r.Bytes()
 	if err := r.Done(); err != nil {
@@ -367,20 +351,8 @@ func (m *Attestation) body(w *Writer) {
 	w.Bytes(m.HForwardable)
 }
 
-// SigningBytes implements Message.
-func (m *Attestation) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Attestation) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Attestation) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAttestation decodes an Attestation.
 func UnmarshalAttestation(b []byte) (*Attestation, error) {
@@ -428,20 +400,8 @@ func (m *Ack) body(w *Writer) {
 	w.Bytes(m.H)
 }
 
-// SigningBytes implements Message.
-func (m *Ack) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Ack) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Ack) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAck decodes an Ack.
 func UnmarshalAck(b []byte) (*Ack, error) {
@@ -492,20 +452,8 @@ func (m *AttForward) body(w *Writer) {
 	w.Bytes(m.Remainder)
 }
 
-// SigningBytes implements Message.
-func (m *AttForward) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *AttForward) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *AttForward) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAttForward decodes an AttForward.
 func UnmarshalAttForward(b []byte) (*AttForward, error) {
@@ -560,20 +508,8 @@ func (m *HashShare) body(w *Writer) {
 	w.Bytes(m.AckBytes)
 }
 
-// SigningBytes implements Message.
-func (m *HashShare) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *HashShare) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *HashShare) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalHashShare decodes a HashShare.
 func UnmarshalHashShare(b []byte) (*HashShare, error) {
@@ -633,20 +569,8 @@ func (m *AckRelay) body(w *Writer) {
 	w.Bytes(m.AckBytes)
 }
 
-// SigningBytes implements Message.
-func (m *AckRelay) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *AckRelay) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *AckRelay) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckRelay decodes an AckRelay of either kind.
 func UnmarshalAckRelay(b []byte) (*AckRelay, error) {
@@ -694,20 +618,8 @@ func (m *NodeDigest) body(w *Writer) {
 	w.Bytes(m.HFwd)
 }
 
-// SigningBytes implements Message.
-func (m *NodeDigest) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *NodeDigest) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *NodeDigest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalNodeDigest decodes a NodeDigest.
 func UnmarshalNodeDigest(b []byte) (*NodeDigest, error) {
@@ -757,20 +669,8 @@ func (m *Accusation) body(w *Writer) {
 	w.Bytes(m.AttBytes)
 }
 
-// SigningBytes implements Message.
-func (m *Accusation) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Accusation) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Accusation) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAccusation decodes an Accusation.
 func UnmarshalAccusation(b []byte) (*Accusation, error) {
@@ -815,20 +715,8 @@ func (m *Probe) body(w *Writer) {
 	w.Bytes(m.AttBytes)
 }
 
-// SigningBytes implements Message.
-func (m *Probe) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Probe) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Probe) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalProbe decodes a Probe.
 func UnmarshalProbe(b []byte) (*Probe, error) {
@@ -871,20 +759,8 @@ func (m *Nack) body(w *Writer) {
 	w.U32(uint32(m.Against))
 }
 
-// SigningBytes implements Message.
-func (m *Nack) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *Nack) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *Nack) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalNack decodes a Nack.
 func UnmarshalNack(b []byte) (*Nack, error) {
@@ -925,20 +801,8 @@ func (m *AckRequest) body(w *Writer) {
 	w.U32(uint32(m.Succ))
 }
 
-// SigningBytes implements Message.
-func (m *AckRequest) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *AckRequest) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *AckRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckRequest decodes an AckRequest.
 func UnmarshalAckRequest(b []byte) (*AckRequest, error) {
@@ -985,20 +849,8 @@ func (m *AckExhibit) body(w *Writer) {
 	w.Bool(m.Accused)
 }
 
-// SigningBytes implements Message.
-func (m *AckExhibit) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *AckExhibit) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *AckExhibit) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckExhibit decodes an AckExhibit.
 func UnmarshalAckExhibit(b []byte) (*AckExhibit, error) {
@@ -1050,20 +902,8 @@ func (m *ObligationHandover) body(w *Writer) {
 	w.Bool(m.Suspect)
 }
 
-// SigningBytes implements Message.
-func (m *ObligationHandover) SigningBytes() []byte {
-	w := NewWriter()
-	m.body(w)
-	return w.Finish()
-}
-
 // Marshal implements Message.
-func (m *ObligationHandover) Marshal() []byte {
-	w := NewWriter()
-	m.body(w)
-	w.Bytes(m.Sig)
-	return w.Finish()
-}
+func (m *ObligationHandover) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalObligationHandover decodes an ObligationHandover.
 func UnmarshalObligationHandover(b []byte) (*ObligationHandover, error) {

@@ -46,11 +46,14 @@ func TestKeyRequestRoundTrip(t *testing.T) {
 
 func TestSigningBytesExcludeSignature(t *testing.T) {
 	m := &KeyRequest{Round: 9, From: 1, To: 2}
-	before := m.SigningBytes()
+	before := signingBytes(m)
 	m.Sig = []byte("later signature")
-	after := m.SigningBytes()
+	after := signingBytes(m)
 	if !bytes.Equal(before, after) {
-		t.Fatal("SigningBytes must not depend on Sig")
+		t.Fatal("the signed body must not depend on Sig")
+	}
+	if enc := m.Marshal(); !bytes.Equal(SignedPrefix(enc, m.Sig), before) {
+		t.Fatal("SignedPrefix of the marshalled form is not the signed body")
 	}
 }
 
@@ -211,7 +214,7 @@ func TestAckRelayBothKinds(t *testing.T) {
 		t.Fatal("confirm kind lost")
 	}
 	// Kinds are part of the signed bytes: relabeling is detectable.
-	if bytes.Equal(fw.SigningBytes(), NewConfirm(3, 9, []byte("ack")).SigningBytes()) {
+	if bytes.Equal(signingBytes(fw), signingBytes(NewConfirm(3, 9, []byte("ack")))) {
 		t.Fatal("kind not covered by signature")
 	}
 }

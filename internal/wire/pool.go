@@ -1,14 +1,20 @@
 package wire
 
-// Pooled encode buffers. Every exchange message is signed over its body
-// encoding and most are immediately re-encoded for encryption; both
-// encodings are transient (the signer hashes them, the cipher copies
-// them), so the byte buffers can be recycled instead of churned through
-// the garbage collector. Transport payloads are NOT pooled: the in-memory
-// network hands the marshalled slice to the receiver zero-copy, and
-// receivers retain message bytes for accusations and monitor reports.
+// The message path every protocol in this repository shares (PAG's core,
+// the AcTinG and RAC baselines): a sender encodes a message body once into
+// a pooled Writer, signs those bytes in place (Writer.Sign), and hands the
+// transport the result — every Endpoint copies what it is given, so the
+// pooled buffer is free again when Send returns. A receiver decodes views
+// into the payload it was delivered and checks the signature over the
+// prefix of those same bytes (SignedPrefix), never over a re-encoding.
 
-import "sync"
+import (
+	"bytes"
+	"encoding/binary"
+	"sync"
+
+	"repro/internal/update"
+)
 
 // maxPooledWriter caps the capacity a Writer may keep when returned to
 // the pool, so one oversized Serve does not pin a large buffer forever.
@@ -30,12 +36,48 @@ func GetWriter() *Writer {
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Release returns the Writer to the pool. Slices previously returned by
-// SigningInto/MarshalInto/Finish alias its buffer and must not be used
-// afterwards.
+// Seal/Finish alias its buffer and must not be used afterwards.
 func (w *Writer) Release() {
 	if cap(w.buf) <= maxPooledWriter {
 		writerPool.Put(w)
 	}
+}
+
+// Signer signs in place: it appends the signature over msg to dst and
+// returns the extended slice (pki identities implement it). msg may alias
+// dst's contents.
+type Signer interface {
+	SignAppend(dst, msg []byte) ([]byte, error)
+}
+
+// sigPrefixLen is the length prefix of the trailing signature field.
+const sigPrefixLen = 4
+
+// Sign signs everything encoded so far and appends the signature as the
+// message's trailing length-prefixed field: the body is encoded once and
+// the same bytes are what is signed and what is sent. On error the Writer
+// still holds the unsigned body.
+func (w *Writer) Sign(s Signer) error {
+	n := len(w.buf)
+	w.U32(0) // length slot, patched once the signature's size is known
+	buf, err := s.SignAppend(w.buf, w.buf[:n])
+	if err != nil {
+		w.buf = w.buf[:n]
+		return err
+	}
+	binary.BigEndian.PutUint32(buf[n:], uint32(len(buf)-n-sigPrefixLen))
+	w.buf = buf
+	return nil
+}
+
+// SignedPrefix returns the part of an encoded message its signature
+// covers: everything before the trailing signature field. encoded must
+// have decoded successfully with sig as its last field; because decoding
+// is canonical (a decoder accepts only the bytes Marshal would produce for
+// the decoded value), verifying over this prefix is verifying over the
+// re-encoded body.
+func SignedPrefix(encoded, sig []byte) []byte {
+	return encoded[:len(encoded)-sigPrefixLen-len(sig)]
 }
 
 // BodyMessage is the encoding surface shared by every wire message: the
@@ -46,22 +88,34 @@ type BodyMessage interface {
 	body(w *Writer)
 }
 
-// SigningInto encodes m's signing bytes into w and returns them. The
-// returned slice aliases w's buffer: it is valid until the next Reset,
-// SigningInto/MarshalInto call, or Release.
-func SigningInto(w *Writer, m BodyMessage) []byte {
+// Seal encodes m's body into w, signs it in place and returns the full
+// wire form — byte for byte what Marshal produces once m's signature
+// field holds that signature. The returned slice aliases w's buffer: it
+// is valid until the next Reset, Seal or Release.
+func Seal(w *Writer, m BodyMessage, s Signer) ([]byte, error) {
 	w.Reset()
 	m.body(w)
+	if err := w.Sign(s); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// Canonical resets w to u's canonical bytes (what the source signed) and
+// returns them, for verifying a source signature without a fresh
+// allocation per update.
+func (w *Writer) Canonical(u *update.Update) []byte {
+	w.buf = u.AppendCanonical(w.buf[:0])
 	return w.buf
 }
 
-// MarshalInto encodes m's full wire form (body plus the given signature)
-// into w and returns it, with the same aliasing contract as SigningInto.
-// It is byte-for-byte the encoding Marshal produces once the message's
-// signature field holds sig.
-func MarshalInto(w *Writer, m BodyMessage, sig []byte) []byte {
-	w.Reset()
+// marshal is Marshal for every message type: body plus signature field,
+// encoded through a pooled Writer into one exact-size slice.
+func marshal(m BodyMessage, sig []byte) []byte {
+	w := GetWriter()
 	m.body(w)
 	w.Bytes(sig)
-	return w.buf
+	out := bytes.Clone(w.buf)
+	w.Release()
+	return out
 }

@@ -2,8 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -45,43 +46,81 @@ func randBytes(rnd *rand.Rand, n int) []byte {
 	return b
 }
 
-// SigningInto/MarshalInto must agree byte-for-byte with the heap-allocating
-// SigningBytes/Marshal across randomized messages, including when the same
-// pooled writer is reused back-to-back (no state leaks between encodes).
+// signingBytes is the body encoding a signature covers, built the slow
+// way (fresh writer) as the reference for the pooled path.
+func signingBytes(m BodyMessage) []byte {
+	w := NewWriter()
+	m.body(w)
+	return w.Finish()
+}
+
+// tagSigner is a stand-in identity: its signature is a fixed-width digest
+// of the message, appended in place like a pki identity's.
+type tagSigner struct{ fail bool }
+
+func (s tagSigner) SignAppend(dst, msg []byte) ([]byte, error) {
+	if s.fail {
+		return dst, errors.New("no key")
+	}
+	sum := sha256.Sum256(msg)
+	return append(dst, sum[:]...), nil
+}
+
+// Seal — one encoding in a pooled writer, signed in place — must agree
+// byte-for-byte with the heap path (sign the body, set Sig, Marshal)
+// across randomized messages, including when the same pooled writer is
+// reused back-to-back (no state leaks between encodes).
 func TestPooledEncodingMatchesHeap(t *testing.T) {
 	rnd := rand.New(rand.NewSource(41))
 	w := GetWriter()
 	defer w.Release()
 	for i := 0; i < 200; i++ {
 		m := randomServe(rnd)
-		if got := SigningInto(w, m); !bytes.Equal(got, m.SigningBytes()) {
-			t.Fatalf("iteration %d: SigningInto diverges from SigningBytes", i)
+		m.Sig, _ = tagSigner{}.SignAppend(nil, signingBytes(m))
+		got, err := Seal(w, m, tagSigner{})
+		if err != nil || !bytes.Equal(got, m.Marshal()) {
+			t.Fatalf("iteration %d: Seal diverges from Marshal (err %v)", i, err)
 		}
-		if got := MarshalInto(w, m, m.Sig); !bytes.Equal(got, m.Marshal()) {
-			t.Fatalf("iteration %d: MarshalInto diverges from Marshal", i)
+		if !bytes.Equal(SignedPrefix(got, m.Sig), signingBytes(m)) {
+			t.Fatalf("iteration %d: SignedPrefix is not the signed body", i)
 		}
 	}
 }
 
-// A decoded message must not alias the pooled buffer it was decoded from:
-// after the writer is clobbered by a different message and released, the
-// first decode's fields must be unchanged. This is the contract that lets
-// the core reuse one writer across an exchange.
-func TestPooledRoundTripNoAliasing(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	for i := 0; i < 100; i++ {
-		w := GetWriter()
-		first := randomServe(rnd)
-		dec, err := UnmarshalServe(MarshalInto(w, first, first.Sig))
+// Seal must cover every message kind: for each, the sealed bytes decode
+// back to the message with the signer's signature in its Sig field.
+func TestSealMatchesMarshal(t *testing.T) {
+	w := GetWriter()
+	defer w.Release()
+	for _, m := range sampleMessages() {
+		want, _ := tagSigner{}.SignAppend(nil, signingBytes(m))
+		got, err := Seal(w, m, tagSigner{})
 		if err != nil {
-			t.Fatalf("iteration %d: decode: %v", i, err)
+			t.Fatalf("%T: %v", m, err)
 		}
-		// Clobber the pooled buffer with a different message, then release.
-		MarshalInto(w, randomServe(rnd), nil)
-		w.Release()
-		if !reflect.DeepEqual(first, dec) {
-			t.Fatalf("iteration %d: decoded Serve aliases pooled buffer", i)
+		if !bytes.Equal(SignedPrefix(got, want), signingBytes(m)) || !bytes.HasSuffix(got, want) {
+			t.Fatalf("%T: sealed form is not body + signature field", m)
 		}
+		dec, err := decoderOf(m)(got)
+		if err != nil {
+			t.Fatalf("%T: sealed form does not decode: %v", m, err)
+		}
+		if !bytes.Equal(dec.Marshal(), got) {
+			t.Fatalf("%T: decoded message re-marshals differently", m)
+		}
+	}
+}
+
+// A failed signature leaves no half-written signature field behind.
+func TestSealSignerError(t *testing.T) {
+	w := GetWriter()
+	defer w.Release()
+	m := &KeyRequest{Round: 1, From: 2, To: 3}
+	if _, err := Seal(w, m, tagSigner{fail: true}); err == nil {
+		t.Fatal("signer error swallowed")
+	}
+	if !bytes.Equal(w.Finish(), signingBytes(m)) {
+		t.Fatal("writer holds more than the unsigned body after a failed Sign")
 	}
 }
 
@@ -97,8 +136,9 @@ func TestWriterPoolConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				m := randomServe(rnd)
 				w := GetWriter()
-				if !bytes.Equal(SigningInto(w, m), m.SigningBytes()) {
-					t.Error("pooled signing bytes diverge under concurrency")
+				got, err := Seal(w, m, tagSigner{})
+				if err != nil || !bytes.Equal(SignedPrefix(got, got[len(got)-sha256.Size:]), signingBytes(m)) {
+					t.Error("pooled encoding diverges under concurrency")
 					w.Release()
 					return
 				}
@@ -150,7 +190,7 @@ func BenchmarkServeEncode(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w := GetWriter()
-			_ = MarshalInto(w, m, m.Sig)
+			_, _ = Seal(w, m, tagSigner{})
 			w.Release()
 		}
 	})

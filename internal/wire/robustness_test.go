@@ -6,22 +6,22 @@ import (
 )
 
 // decoders enumerates every message decoder.
-var decoders = map[string]func([]byte) (any, error){
-	"KeyRequest":  func(b []byte) (any, error) { return UnmarshalKeyRequest(b) },
-	"KeyResponse": func(b []byte) (any, error) { return UnmarshalKeyResponse(b) },
-	"Serve":       func(b []byte) (any, error) { return UnmarshalServe(b) },
-	"Attestation": func(b []byte) (any, error) { return UnmarshalAttestation(b) },
-	"Ack":         func(b []byte) (any, error) { return UnmarshalAck(b) },
-	"AttForward":  func(b []byte) (any, error) { return UnmarshalAttForward(b) },
-	"HashShare":   func(b []byte) (any, error) { return UnmarshalHashShare(b) },
-	"AckRelay":    func(b []byte) (any, error) { return UnmarshalAckRelay(b) },
-	"NodeDigest":  func(b []byte) (any, error) { return UnmarshalNodeDigest(b) },
-	"Accusation":  func(b []byte) (any, error) { return UnmarshalAccusation(b) },
-	"Probe":       func(b []byte) (any, error) { return UnmarshalProbe(b) },
-	"Nack":        func(b []byte) (any, error) { return UnmarshalNack(b) },
-	"AckRequest":  func(b []byte) (any, error) { return UnmarshalAckRequest(b) },
-	"AckExhibit":  func(b []byte) (any, error) { return UnmarshalAckExhibit(b) },
-	"ObligationHandover": func(b []byte) (any, error) {
+var decoders = map[string]func([]byte) (Message, error){
+	"KeyRequest":  func(b []byte) (Message, error) { return UnmarshalKeyRequest(b) },
+	"KeyResponse": func(b []byte) (Message, error) { return UnmarshalKeyResponse(b) },
+	"Serve":       func(b []byte) (Message, error) { return UnmarshalServe(b) },
+	"Attestation": func(b []byte) (Message, error) { return UnmarshalAttestation(b) },
+	"Ack":         func(b []byte) (Message, error) { return UnmarshalAck(b) },
+	"AttForward":  func(b []byte) (Message, error) { return UnmarshalAttForward(b) },
+	"HashShare":   func(b []byte) (Message, error) { return UnmarshalHashShare(b) },
+	"AckRelay":    func(b []byte) (Message, error) { return UnmarshalAckRelay(b) },
+	"NodeDigest":  func(b []byte) (Message, error) { return UnmarshalNodeDigest(b) },
+	"Accusation":  func(b []byte) (Message, error) { return UnmarshalAccusation(b) },
+	"Probe":       func(b []byte) (Message, error) { return UnmarshalProbe(b) },
+	"Nack":        func(b []byte) (Message, error) { return UnmarshalNack(b) },
+	"AckRequest":  func(b []byte) (Message, error) { return UnmarshalAckRequest(b) },
+	"AckExhibit":  func(b []byte) (Message, error) { return UnmarshalAckExhibit(b) },
+	"ObligationHandover": func(b []byte) (Message, error) {
 		return UnmarshalObligationHandover(b)
 	},
 }

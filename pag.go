@@ -273,8 +273,8 @@ type Session struct {
 	dir    *membership.Directory
 	// shared is the flyweight session plane every PAG node references
 	// (one immutable config/roster instead of per-node copies); intern is
-	// the session-wide update-content table inside it (nil under the
-	// DisableFlyweight ablation).
+	// the session-wide update-content table PAG and AcTinG nodes store
+	// through (nil under the DisableFlyweight ablation and for RAC).
 	shared *core.Shared
 	intern *update.Interner
 
@@ -428,10 +428,13 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.suite = suite
 	s.params = params
 
+	// PAG and AcTinG nodes store full update content; one session-wide
+	// interner shares it between them (RAC's ring stores too little for it
+	// to matter).
+	if !c.DisableFlyweight && c.Protocol != ProtocolRAC {
+		s.intern = update.NewInterner()
+	}
 	if c.Protocol == ProtocolPAG {
-		if !c.DisableFlyweight {
-			s.intern = update.NewInterner()
-		}
 		s.shared = core.NewShared(core.Config{
 			Suite:                suite,
 			HashParams:           params,

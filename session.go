@@ -101,6 +101,7 @@ func (s *Session) buildActingNode(id model.NodeID, suite pki.Suite, identity pki
 		Directory:   dir,
 		Endpoint:    ep,
 		Sources:     []model.NodeID{SourceID},
+		Intern:      s.intern,
 		AuditPeriod: s.cfg.AuditPeriod,
 		Behavior:    s.cfg.ActingBehaviors[id],
 		Verdicts:    func(v acting.Verdict) { s.registry.Submit(v) },
