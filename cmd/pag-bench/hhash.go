@@ -101,6 +101,34 @@ func recordHHashBench(path string) error {
 				h.Lift(v, key)
 			}
 		})
+		// The buffermap's shape (§V-D): one embedding under fresh primes of
+		// the session's PrimeBits (= the modulus size by default) — on the
+		// generic ladder, on the embedding's comb table, and the first lift
+		// of a fresh base, which builds the table before using it.
+		prime, err := hhash.GeneratePrimeKey(rand.New(rand.NewSource(43)), modBits)
+		if err != nil {
+			return fmt.Errorf("hhash bench prime at %d bits: %w", modBits, err)
+		}
+		record(&report, "lift_prime", modBits, 0, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Lift(v, prime)
+			}
+		})
+		fixed := hhash.NewFixedBase(v, modBits)
+		h.LiftFixed(fixed, prime)
+		record(&report, "lift_fixed", modBits, 0, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.LiftFixed(fixed, prime)
+			}
+		})
+		record(&report, "lift_fixed_table_build_and_lift", modBits, 0, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.LiftFixed(hhash.NewFixedBase(v, modBits), prime)
+			}
+		})
 		record(&report, "verify_forwarding_multiexp", modBits, preds, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -69,7 +69,7 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	// prime (§V-D) — the requester matches without revealing identifiers.
 	if w := n.sh.BuffermapWindow; w > 0 {
 		for _, e := range n.store.OwnedInWindow(n.round, w) {
-			h := n.hasher.Lift(n.embedOf(e), ex.prime)
+			h := n.hasher.LiftFixed(n.embedOf(e), ex.prime)
 			enc, err := n.sh.HashParams.EncodeValue(h)
 			if err != nil {
 				continue
@@ -175,7 +175,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		}
 		owned := false
 		if bm.Len() > 0 {
-			h := n.hasher.Lift(ve, prime)
+			h := n.hasher.LiftFixed(ve, prime)
 			if enc, err := n.sh.HashParams.EncodeValue(h); err == nil {
 				owned = bm.Contains(enc)
 			}
@@ -187,9 +187,9 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 			n.stats.PayloadsSent++
 		}
-		v := ve
+		v := ve.Value()
 		if it.count != 1 {
-			v = n.hasher.Lift(ve, mustCountKey(it.count))
+			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}
 		if it.upd.ExpiresNextRound(n.round) {
 			expProd = n.hasher.Combine(expProd, v)
@@ -289,15 +289,15 @@ func (n *Node) processServe(srv *wire.Serve) {
 		} else {
 			n.stats.DuplicateReceptions += count
 		}
-		var ve *big.Int
+		var ve *hhash.FixedBase
 		if e := n.store.Get(u.ID); e != nil {
 			ve = n.embedOf(e)
 		} else {
 			ve = n.embed(&u)
 		}
-		v := ve
+		v := ve.Value()
 		if count != 1 {
-			v = n.hasher.Lift(ve, mustCountKey(count))
+			v = n.hasher.Lift(v, mustCountKey(count))
 		}
 		if fwd {
 			fwdProd = n.hasher.Combine(fwdProd, v)
@@ -506,10 +506,11 @@ func (n *Node) expectedAckFor(ex *sendExchange) *big.Int {
 	}
 	prod := n.hasher.Identity()
 	for _, it := range items {
-		v := it.embed
-		if v == nil {
-			v = n.embed(&it.upd)
+		b := it.embed
+		if b == nil {
+			b = n.embed(&it.upd)
 		}
+		v := b.Value()
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}

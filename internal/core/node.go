@@ -27,9 +27,10 @@ type pendingItem struct {
 	count uint64
 	// embed caches hhash.Embed(upd.CanonicalBytes()) — the update-sized
 	// modular reduction every serve, buffermap and acknowledgement
-	// computation starts from. Shared read-only with the update store's
-	// entry; nil means "not computed yet".
-	embed *big.Int
+	// computation starts from — as the fixed base the buffermap match
+	// lifts. Shared read-only with the update store's entry; nil means
+	// "not computed yet".
+	embed *hhash.FixedBase
 }
 
 // recvExchange is the receiver-side state of one predecessor exchange
@@ -294,10 +295,22 @@ func (n *Node) BeginRound(r model.Round) {
 	defer n.mu.Unlock()
 	n.round = r
 
+	// Updates with deadline + window < r are in no forward set and no
+	// KeyResponse window from this round on: the lift tables this node
+	// owns go (the session releases the interner's by the same rule).
+	if w := model.Round(n.sh.BuffermapWindow); r > w {
+		n.store.ReleaseLiftTables(r - w)
+	}
+
 	// Recycle the previous round's container shells into the node's
 	// free lists (see the Node field comment for the aliasing rules).
 	var items []pendingItem
 	if prev := n.sendCur; prev != nil {
+		// Recycled shells are zeroed as they are parked, here and for
+		// itemFree below: what they would keep pointing at (payload,
+		// signature, embedding) must not outlive the round because a
+		// slot happens not to be reused.
+		clear(prev.items)
 		items = prev.items[:0]
 		for _, ex := range prev.perSucc {
 			*ex = sendExchange{}
@@ -322,6 +335,7 @@ func (n *Node) BeginRound(r model.Round) {
 	// Promote last round's receptions into this round's forward set.
 	for _, it := range n.pendingNext {
 		items = append(items, *it)
+		*it = pendingItem{}
 		n.itemFree = append(n.itemFree, it)
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].upd.ID.Less(items[j].upd.ID) })
@@ -358,10 +372,11 @@ func (n *Node) BeginRound(r model.Round) {
 	// Precompute the expected acknowledgement hash (one modexp).
 	prod := n.hasher.Identity()
 	for _, it := range items {
-		v := it.embed
-		if v == nil {
-			v = n.embed(&it.upd)
+		b := it.embed
+		if b == nil {
+			b = n.embed(&it.upd)
 		}
+		v := b.Value()
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}
@@ -697,25 +712,32 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 }
 
 // embed computes an update's embedding from its canonical bytes, encoded
-// into a pooled buffer (Embed only reads them).
-func (n *Node) embed(u *update.Update) *big.Int {
+// into a pooled buffer (Embed only reads them), as a fixed base for lifts
+// under exchange primes.
+func (n *Node) embed(u *update.Update) *hhash.FixedBase {
 	w := wire.GetWriter()
 	defer w.Release()
-	return n.hasher.Embed(w.Canonical(u))
+	return hhash.NewFixedBase(n.hasher.Embed(w.Canonical(u)), n.sh.PrimeBits)
 }
 
 // embedOf returns the entry's cached embedding, computing and caching it
 // on first use. Embeddings are pure functions of the update bytes and are
 // only ever read afterwards (Lift and Combine never mutate their
-// arguments), so one big.Int is safely shared across rounds, successors
-// and the store entry itself — and, through the interner, across every
-// node of the session. Embed carries no operation counters, which keeps
-// the cache invisible to Table I accounting.
-func (n *Node) embedOf(e *update.Entry) *big.Int {
+// arguments), so one residue — and the one comb table the buffermap lifts
+// build on it — is safely shared across rounds, successors and the store
+// entry itself, and, through the interner, across every node of the
+// session. Embed carries no operation counters, which keeps the cache
+// invisible to Table I accounting.
+func (n *Node) embedOf(e *update.Entry) *hhash.FixedBase {
 	if e.Embed == nil {
-		e.Embed = n.sh.Intern.SharedEmbed(e.Update, func() *big.Int {
+		b, shared := n.sh.Intern.SharedEmbed(e.Update, func() *hhash.FixedBase {
 			return n.embed(&e.Update)
 		})
+		if shared {
+			e.Embed = b
+		} else {
+			n.store.SetOwnEmbed(e, b)
+		}
 	}
 	return e.Embed
 }
@@ -741,7 +763,7 @@ func (n *Node) newSendExchange() *sendExchange {
 	return &sendExchange{}
 }
 
-func (n *Node) newPendingItem(u update.Update, count uint64, embed *big.Int) *pendingItem {
+func (n *Node) newPendingItem(u update.Update, count uint64, embed *hhash.FixedBase) *pendingItem {
 	if k := len(n.itemFree); k > 0 {
 		it := n.itemFree[k-1]
 		n.itemFree = n.itemFree[:k-1]

@@ -252,10 +252,11 @@ type Hasher struct {
 	liftSpans   *obs.Histogram
 	verifySpans *obs.Histogram
 
-	// embedScratch absorbs Embed's update-sized intermediate so the
-	// retained residue is modulus-sized: embeddings are cached across
-	// rounds by the protocol layer, and without the scratch each cached
-	// residue would pin an update-sized backing array.
+	// embedScratch holds Embed's update-sized dividend across calls. The
+	// remainder is NOT what Embed returns: math/big sizes a remainder's
+	// backing array after the dividend (~1 KB for a 938-byte update), and
+	// embeddings are cached across rounds by the protocol layer, so Embed
+	// hands out a modulus-sized copy and lets the big array go.
 	embedScratch big.Int
 
 	// multi is the lazily-built fixed-modulus engine of MultiExp (nil for
@@ -264,6 +265,11 @@ type Hasher struct {
 	// every single-base exponentiation runs on it too (montEngine).
 	multi      multiExper
 	multiBuilt bool
+
+	// combExp / combDigits cache the comb recoding of the last exponent
+	// LiftFixed ran under (comb.go).
+	combExp    *big.Int
+	combDigits []uint8
 }
 
 // NewHasher builds a Hasher; ops may be nil if counting is not needed.
@@ -285,16 +291,15 @@ func (h *Hasher) Params() Params { return h.params }
 // are interpreted as a big-endian integer reduced mod M; a zero residue is
 // mapped to 1 so that products are never annihilated. The embedding is the
 // "u" of H(u)_(p,M).
-// The returned residue is freshly allocated (callers cache and retain
-// embeddings); only the update-sized intermediate lives in the hasher's
-// scratch.
+// The returned residue is a fresh modulus-sized copy (callers cache and
+// retain embeddings).
 func (h *Hasher) Embed(data []byte) *big.Int {
 	h.embedScratch.SetBytes(data)
-	v := new(big.Int).Mod(&h.embedScratch, h.params.m)
-	if v.Sign() == 0 {
-		v.Set(_one)
+	r := new(big.Int).Mod(&h.embedScratch, h.params.m)
+	if r.Sign() == 0 {
+		r = _one
 	}
-	return v
+	return new(big.Int).Set(r)
 }
 
 // Hash computes H(data)_(key,M) = Embed(data)^key mod M.
@@ -306,6 +311,13 @@ func (h *Hasher) Hash(key Key, data []byte) *big.Int {
 // Lift(H(u)_(p1), p2) = H(u)_(p1·p2). This is the monitor-side operation of
 // §V-B (message 8): raising an attestation to the remainder product.
 func (h *Hasher) Lift(v *big.Int, key Key) *big.Int {
+	return h.lift(v, nil, key)
+}
+
+// lift is the one accounted lift: a hash-op and a span around v^key, taken
+// from fixed's comb table when the caller has one that serves the key
+// (LiftFixed, comb.go) and from the generic ladder otherwise.
+func (h *Hasher) lift(v *big.Int, fixed *FixedBase, key Key) *big.Int {
 	if key.e == nil {
 		panic("hhash: Lift with zero key")
 	}
@@ -313,7 +325,13 @@ func (h *Hasher) Lift(v *big.Int, key Key) *big.Int {
 		h.ops.hashOps.Add(1)
 	}
 	span := h.liftSpans.SpanStart()
-	out := h.modExp(new(big.Int), v, key.e)
+	var out *big.Int
+	if fixed != nil {
+		out = h.liftComb(fixed, key.e)
+	}
+	if out == nil {
+		out = h.modExp(new(big.Int), v, key.e)
+	}
 	h.liftSpans.SpanEnd(span)
 	return out
 }

@@ -488,3 +488,37 @@ func BenchmarkHash256(b *testing.B) {
 		h.Hash(k, data)
 	}
 }
+
+// TestEmbedResidueIsModulusSized: embeddings are cached for rounds by
+// every node that stores the update, so the residue must not carry the
+// update-sized backing array math/big gives a remainder.
+func TestEmbedResidueIsModulusSized(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31))
+	for _, bits := range []int{128, 512} {
+		m := testModulus(rnd, bits, true)
+		h := hasherFor(t, m)
+		data := make([]byte, 938+24) // a paper-sized update's canonical bytes
+		rnd.Read(data)
+		k := len(m.Bits())
+		for i := 0; i < 3; i++ { // the scratch is reused across calls
+			data[0] ^= byte(i + 1)
+			v := h.Embed(data)
+			if c := cap(v.Bits()); c > k+4 {
+				t.Fatalf("bits=%d: residue has %d limbs of capacity, modulus has %d", bits, c, k)
+			}
+			if want := new(big.Int).Mod(new(big.Int).SetBytes(data), m); v.Cmp(want) != 0 {
+				t.Fatalf("bits=%d: Embed = %v, want %v", bits, v, want)
+			}
+		}
+	}
+	// A multiple of the modulus embeds as 1, and the result is the caller's.
+	h := hasherFor(t, big.NewInt(0xfff1))
+	v := h.Embed(big.NewInt(0xfff1 * 3).Bytes())
+	if v.Cmp(_one) != 0 {
+		t.Fatalf("zero residue embedded as %v", v)
+	}
+	v.SetInt64(7)
+	if _one.Cmp(big.NewInt(1)) != 0 {
+		t.Fatal("Embed handed out the package's shared constant")
+	}
+}

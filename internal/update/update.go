@@ -9,9 +9,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 
+	"repro/internal/hhash"
 	"repro/internal/model"
 )
 
@@ -78,8 +78,12 @@ type Entry struct {
 	// Embed caches the protocol layer's homomorphic-hash embedding of the
 	// update bytes (u^1 mod M): every buffermap hash, serve attestation
 	// and acknowledgement lifts this value, and it never changes once the
-	// update is stored. nil until first computed; treated as read-only.
-	Embed *big.Int
+	// update is stored. It is a fixed base: the buffermap lifts it under
+	// one fresh prime after another, so it also owns the comb table those
+	// lifts run on (the interner's object when the content is interned,
+	// this entry's own, attached with Store.SetOwnEmbed, otherwise). nil
+	// until first computed; the residue is read-only.
+	Embed *hhash.FixedBase
 }
 
 // Store is a single node's update store. It is not safe for concurrent use;
@@ -93,8 +97,12 @@ type Entry struct {
 type Store struct {
 	byID    map[model.UpdateID]*Entry
 	byRound map[model.Round][]model.UpdateID // reception round index
-	free    []*Entry                         // retired entries awaiting reuse
-	chunk   []Entry                          // tail of the current slab
+	// liftTables indexes, by update deadline, the embeddings this store
+	// owns (SetOwnEmbed) and ReleaseLiftTables has not released yet. nil
+	// while every embedding is the interner's.
+	liftTables map[model.Round][]*hhash.FixedBase
+	free       []*Entry // retired (zeroed) entries awaiting reuse
+	chunk      []Entry  // tail of the current slab
 }
 
 // storeChunkEntries sizes the entry slabs: one allocation covers several
@@ -109,12 +117,12 @@ func NewStore() *Store {
 	}
 }
 
-// alloc hands out a zeroed Entry from the free list or the current slab.
+// alloc hands out a zeroed Entry from the free list (DropBefore zeroes
+// what it retires) or the current slab.
 func (s *Store) alloc() *Entry {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
 		s.free = s.free[:n-1]
-		*e = Entry{}
 		return e
 	}
 	if len(s.chunk) == 0 {
@@ -223,8 +231,10 @@ func (s *Store) DropBefore(r model.Round) int {
 			if e, ok := s.byID[id]; ok {
 				// Retired entries are recycled; by the retention horizon
 				// (several playout windows) nothing outside the store still
-				// references them. The shared slices they alias stay owned
-				// by the interner.
+				// references them. They are zeroed here, not at reuse: a
+				// parked entry would otherwise pin its payload, source
+				// signature and embedding for as long as it stays parked.
+				*e = Entry{}
 				s.free = append(s.free, e)
 				delete(s.byID, id)
 				dropped++
@@ -233,6 +243,35 @@ func (s *Store) DropBefore(r model.Round) int {
 		delete(s.byRound, rr)
 	}
 	return dropped
+}
+
+// SetOwnEmbed caches an embedding that belongs to this store alone (no
+// interner, or content the interner does not hold) and takes charge of the
+// lift table it will grow; the interner's shared embeddings are assigned to
+// Entry.Embed directly and released by Interner.DropExpired.
+func (s *Store) SetOwnEmbed(e *Entry, b *hhash.FixedBase) {
+	e.Embed = b
+	if s.liftTables == nil {
+		s.liftTables = make(map[model.Round][]*hhash.FixedBase)
+	}
+	d := e.Update.Deadline
+	s.liftTables[d] = append(s.liftTables[d], b)
+}
+
+// ReleaseLiftTables releases the lift tables of the store's own embeddings
+// whose update's deadline is strictly before the given round — the rule of
+// Interner.DropExpired, which nodes apply at the round top to what the
+// interner does not cover. The embedding itself stays with the entry.
+func (s *Store) ReleaseLiftTables(before model.Round) {
+	for d, bases := range s.liftTables {
+		if d >= before {
+			continue
+		}
+		for _, b := range bases {
+			b.Release()
+		}
+		delete(s.liftTables, d)
+	}
 }
 
 func sortEntries(es []*Entry) {

@@ -2,9 +2,11 @@ package update
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hhash"
 	"repro/internal/model"
 )
 
@@ -191,6 +193,133 @@ func TestDropBefore(t *testing.T) {
 	}
 	if got := s.DropBefore(3); got != 0 {
 		t.Fatal("second DropBefore should drop nothing")
+	}
+}
+
+// TestDropBeforeClearsRetiredEntries: a retired entry waits on the free
+// list for an unbounded time, so it must not keep its payload, signature
+// or embedding alive while it waits.
+func TestDropBeforeClearsRetiredEntries(t *testing.T) {
+	s := NewStore()
+	for seq := uint64(1); seq <= 5; seq++ {
+		u := mkUpdate(seq, 50)
+		u.SrcSig = []byte{0x51, byte(seq)}
+		s.Add(u, model.Round(seq), 1, true)
+		s.Get(u.ID).Embed = hhash.NewFixedBase(big.NewInt(int64(seq)), 64)
+	}
+	if got := s.DropBefore(4); got != 3 {
+		t.Fatalf("dropped %d, want 3", got)
+	}
+	if len(s.free) != 3 {
+		t.Fatalf("%d entries on the free list, want 3", len(s.free))
+	}
+	for i, e := range s.free {
+		if e.Update.Payload != nil || e.Update.SrcSig != nil || e.Embed != nil {
+			t.Errorf("free entry %d still references payload=%v sig=%v embed=%v",
+				i, e.Update.Payload != nil, e.Update.SrcSig != nil, e.Embed != nil)
+		}
+	}
+	// A recycled slot starts from the zero Entry.
+	s.Add(mkUpdate(9, 60), 9, 1, false)
+	if e := s.Get(model.UpdateID{Stream: 1, Seq: 9}); e.Embed != nil || e.Delivered || e.Count != 1 {
+		t.Fatalf("recycled entry not clean: %+v", e)
+	}
+}
+
+// TestReleaseLiftTables: the tables of exactly the updates whose deadline
+// is before the bound are released, once; embeddings stay.
+func TestReleaseLiftTables(t *testing.T) {
+	params, err := hhash.ParamsFromModulus(big.NewInt(0xfff1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hhash.NewHasher(params, nil)
+	key, err := hhash.KeyFromInt(big.NewInt(0x1d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	for seq, deadline := range []model.Round{5, 6, 6, 7, 9} {
+		u := mkUpdate(uint64(seq), deadline)
+		s.Add(u, 2, 1, true)
+		e := s.Get(u.ID)
+		s.SetOwnEmbed(e, hhash.NewFixedBase(big.NewInt(int64(seq)+2), 8))
+		h.LiftFixed(e.Embed, key)
+		if !e.Embed.HasTable() {
+			t.Fatal("lift built no table")
+		}
+	}
+	s.Add(mkUpdate(99, 5), 2, 1, true) // no embedding yet: nothing to release
+	tabled := func() (n int) {
+		for _, e := range s.ReceivedIn(2) {
+			if e.Embed != nil && e.Embed.HasTable() {
+				n++
+			}
+		}
+		return n
+	}
+	for _, step := range []struct {
+		before model.Round
+		want   int
+	}{{5, 5}, {6, 4}, {7, 2}, {7, 2}, {10, 0}} {
+		s.ReleaseLiftTables(step.before)
+		if got := tabled(); got != step.want {
+			t.Fatalf("after ReleaseLiftTables(%d): %d tables, want %d", step.before, got, step.want)
+		}
+	}
+	if len(s.liftTables) != 0 {
+		t.Fatalf("deadline index keeps %d released rounds", len(s.liftTables))
+	}
+	for _, e := range s.ReceivedIn(2) {
+		if e.Update.ID.Seq != 99 && (e.Embed == nil || e.Embed.Value() == nil) {
+			t.Fatal("release dropped an embedding")
+		}
+	}
+}
+
+// TestInternerReleasesSharedLiftTables: interned content gets one shared
+// embedding, reported as shared; divergent or unknown content gets the
+// caller's own; DropExpired releases the shared table with the entry.
+func TestInternerReleasesSharedLiftTables(t *testing.T) {
+	params, err := hhash.ParamsFromModulus(big.NewInt(0xfff1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hhash.NewHasher(params, nil)
+	key, err := hhash.KeyFromInt(big.NewInt(0x1d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := 0
+	compute := func() *hhash.FixedBase {
+		computed++
+		return hhash.NewFixedBase(big.NewInt(int64(computed)+1), 8)
+	}
+
+	in := NewInterner()
+	early, late := in.Canonical(mkUpdate(1, 5)), in.Canonical(mkUpdate(2, 9))
+	b1, shared := in.SharedEmbed(early, compute)
+	if !shared {
+		t.Fatal("interned content not reported as shared")
+	}
+	if again, _ := in.SharedEmbed(early, compute); again != b1 || computed != 1 {
+		t.Fatalf("second lookup recomputed (%d computes) or returned another object", computed)
+	}
+	b2, _ := in.SharedEmbed(late, compute)
+	if own, shared := in.SharedEmbed(mkUpdate(1, 5), compute); shared || own == b1 {
+		t.Fatal("a copy that did not go through Canonical was given the shared embedding")
+	}
+	if _, shared := (*Interner)(nil).SharedEmbed(early, compute); shared {
+		t.Fatal("nil interner reported a shared embedding")
+	}
+
+	h.LiftFixed(b1, key)
+	h.LiftFixed(b2, key)
+	if in.DropExpired(5) != 0 || !b1.HasTable() {
+		t.Fatal("DropExpired(5) touched an update whose deadline is 5")
+	}
+	if in.DropExpired(6) != 1 || b1.HasTable() || !b2.HasTable() {
+		t.Fatalf("DropExpired(6): early table attached = %v, late = %v", b1.HasTable(), b2.HasTable())
 	}
 }
 

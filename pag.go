@@ -533,9 +533,19 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.engine.OnRoundStart(func(r model.Round) { s.dir.View(r) })
 	// Expired content leaves the flyweight table at the round top (an
 	// expired update can never be served again, and store entries keep
-	// their aliases alive until each node's own retention GC).
+	// their aliases alive until each node's own retention GC) — in PAG
+	// once it has also left every buffermap window, which is when the
+	// lift table shared through the table can go with it.
 	if s.intern != nil {
-		s.engine.OnRoundStart(func(r model.Round) { s.intern.DropExpired(r) })
+		var window model.Round
+		if s.shared != nil {
+			window = model.Round(s.shared.BuffermapWindow)
+		}
+		s.engine.OnRoundStart(func(r model.Round) {
+			if r > window {
+				s.intern.DropExpired(r - window)
+			}
+		})
 	}
 	// Live heap per member, sampled at each round top. ClassSched: the
 	// value is a host artifact (GC timing, allocator state), not a
