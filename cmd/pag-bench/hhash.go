@@ -149,6 +149,28 @@ func recordHHashBench(path string) error {
 				}
 			}
 		})
+		// The prime search's last word on a candidate, on a prime (every
+		// stage runs): the search's own Baillie-PSW test against the
+		// math/big call it replaced.
+		if modBits != 256 {
+			p := prime.Exponent()
+			record(&report, "prime_final_check_mathbig", modBits, 0, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !p.ProbablyPrime(1) {
+						b.Fatal("reference prime rejected")
+					}
+				}
+			})
+			record(&report, "prime_final_check", modBits, 0, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !hhash.IsProbablePrime(p) {
+						b.Fatal("reference prime rejected")
+					}
+				}
+			})
+		}
 		fmt.Fprintf(os.Stderr, "pag-bench: hhash %d-bit modulus done\n", modBits)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -178,14 +180,17 @@ func TestHostileListCountRejected(t *testing.T) {
 type cluster struct {
 	suite    *pki.FastSuite
 	net      *transport.MemNet
-	engine   *sim.Engine
+	engine   sim.Stepper
 	nodes    map[model.NodeID]*Node
+	mu       sync.Mutex // the parallel engine's shards share the verdict sink
 	verdicts []Verdict
 	// deliver replaces the plain handler call when set.
 	deliver func(n *Node, m transport.Message)
 }
 
-func newCluster(t *testing.T, size int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
+// newCluster builds the session on the serial engine, or on the parallel
+// one when workers > 0.
+func newCluster(t *testing.T, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
 	t.Helper()
 	c := &cluster{suite: pki.NewFastSuite(), net: transport.NewMemNet(), nodes: map[model.NodeID]*Node{}}
 	ids := make([]model.NodeID, size)
@@ -196,7 +201,11 @@ func newCluster(t *testing.T, size int, intern *update.Interner, behaviors map[m
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.engine = sim.NewEngine(c.net)
+	if workers > 0 {
+		c.engine = engine.New(c.net, workers)
+	} else {
+		c.engine = sim.NewEngine(c.net)
+	}
 	var source pki.Identity
 	for _, id := range ids {
 		identity, err := c.suite.NewDeterministicIdentity(id, 99)
@@ -220,7 +229,11 @@ func newCluster(t *testing.T, size int, intern *update.Interner, behaviors map[m
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
 			Sources: []model.NodeID{1}, Intern: intern, AuditPeriod: 3, Behavior: behaviors[id],
-			Verdicts: func(v Verdict) { c.verdicts = append(c.verdicts, v) },
+			Verdicts: func(v Verdict) {
+				c.mu.Lock()
+				c.verdicts = append(c.verdicts, v)
+				c.mu.Unlock()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +274,7 @@ func (c *cluster) footprint(n *Node) string {
 // silently, before any log entry, store change, reply or verdict — and the
 // untouched message is then accepted.
 func TestTamperedMessagesDropped(t *testing.T) {
-	c := newCluster(t, 16, nil, map[model.NodeID]Behavior{5: {FreeRide: true}})
+	c := newCluster(t, 16, 0, nil, map[model.NodeID]Behavior{5: {FreeRide: true}})
 	swept := map[uint8]bool{}
 	c.deliver = func(n *Node, m transport.Message) {
 		if !swept[m.Kind] {
@@ -293,58 +306,73 @@ func TestTamperedMessagesDropped(t *testing.T) {
 	}
 }
 
-// TestRetainedStateSurvivesPayloadOverwrite: decoded messages alias the
-// delivered payload, so everything a node keeps must have been cloned at
-// its retention point (the update store, the secure log). Overwriting
-// every payload as soon as its handler returns must change nothing: same
-// deliveries, clean audits, intact stores and log chains.
+// TestRetainedStateSurvivesPayloadOverwrite: a handler is lent its
+// payload and decoded messages alias it, so everything a node keeps must
+// have been cloned at its retention point (the update store, the secure
+// log). Delivered payloads are shared with whoever else holds them, so
+// each handler is handed a private copy that is overwritten as soon as it
+// returns, and wire poisons every pooled buffer on release (pooled bytes
+// handed to Endpoint.Send would arrive as garbage). Nothing may change:
+// same deliveries, clean audits, intact stores and log chains — on the
+// serial engine and on four workers.
 func TestRetainedStateSurvivesPayloadOverwrite(t *testing.T) {
-	for name, intern := range map[string]*update.Interner{"private": nil, "interned": update.NewInterner()} {
+	for name, intern := range map[string]func() *update.Interner{
+		"private":  func() *update.Interner { return nil },
+		"interned": update.NewInterner,
+	} {
 		t.Run(name, func(t *testing.T) {
-			c := newCluster(t, 12, intern, nil)
-			c.deliver = func(n *Node, m transport.Message) {
-				n.HandleMessage(m)
-				for i := range m.Payload {
-					m.Payload[i] = 0xAA
-				}
-			}
-			c.engine.Run(12)
-			if len(c.verdicts) != 0 {
-				t.Fatalf("audits of scribbled-over sessions raised verdicts: %v", c.verdicts)
-			}
-			w := wire.NewWriter()
-			for id, n := range c.nodes {
-				if n.store.Len() == 0 {
-					t.Fatalf("node %v stored nothing", id)
-				}
-				if got := n.Stats().UpdatesDelivered; got == 0 {
-					t.Fatalf("node %v delivered nothing", id)
-				}
-				for r := model.Round(1); r <= 12; r++ {
-					for _, e := range n.store.ReceivedIn(r) {
-						if c.suite.Verify(1, w.Canonical(&e.Update), e.Update.SrcSig) != nil {
-							t.Fatalf("node %v: stored update %v no longer verifies", id, e.Update.ID)
-						}
-					}
-				}
-				if err := securelog.VerifyChain(0, [securelog.HashSize]byte{}, n.log.Since(0)); err != nil {
-					t.Fatalf("node %v: %v", id, err)
-				}
+			for _, workers := range []int{0, 4} {
+				checkSurvivesOverwrite(t, workers, intern())
 			}
 		})
 	}
 }
 
+func checkSurvivesOverwrite(t *testing.T, workers int, intern *update.Interner) {
+	defer wire.PoisonReleased()()
+	c := newCluster(t, 12, workers, intern, nil)
+	c.deliver = func(n *Node, m transport.Message) {
+		m.Payload = bytes.Clone(m.Payload)
+		n.HandleMessage(m)
+		for i := range m.Payload {
+			m.Payload[i] = 0xAA
+		}
+	}
+	c.engine.Run(12)
+	if len(c.verdicts) != 0 {
+		t.Fatalf("audits of scribbled-over sessions raised verdicts: %v", c.verdicts)
+	}
+	w := wire.NewWriter()
+	for id, n := range c.nodes {
+		if n.store.Len() == 0 {
+			t.Fatalf("node %v stored nothing", id)
+		}
+		if got := n.Stats().UpdatesDelivered; got == 0 {
+			t.Fatalf("node %v delivered nothing", id)
+		}
+		for r := model.Round(1); r <= 12; r++ {
+			for _, e := range n.store.ReceivedIn(r) {
+				if c.suite.Verify(1, w.Canonical(&e.Update), e.Update.SrcSig) != nil {
+					t.Fatalf("node %v: stored update %v no longer verifies", id, e.Update.ID)
+				}
+			}
+		}
+		if err := securelog.VerifyChain(0, [securelog.HashSize]byte{}, n.log.Since(0)); err != nil {
+			t.Fatalf("node %v: %v", id, err)
+		}
+	}
+}
+
 // TestSignAndSendAllocations: one encoding in a pooled buffer, signed in
-// place — sending a 40-update data message allocates only the transport's
-// own copy of the payload (plus amortised queue growth), not three
+// place — sending a 40-update data message allocates only the exact-size
+// copy the transport is handed (plus amortised queue growth), not three
 // encodings of it. (The race detector bypasses sync.Pool; the race job
 // runs -short.)
 func TestSignAndSendAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts need the pool")
 	}
-	c := newCluster(t, 5, nil, nil)
+	c := newCluster(t, 5, 0, nil, nil)
 	n := c.nodes[2]
 	msg := &dataMsg{Round: 1, From: 2, To: 3}
 	for i := 0; i < 40; i++ {

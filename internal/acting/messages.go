@@ -1,6 +1,7 @@
 package acting
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/model"
@@ -21,13 +22,13 @@ type message interface {
 }
 
 // signAndSend encodes m once into a pooled buffer, signs it in place and
-// transmits it; the Endpoint copies, so the buffer is free on return.
+// transmits an exact-size copy: the Endpoint owns what it is sent.
 func (n *Node) signAndSend(to model.NodeID, kind uint8, m message) {
 	w := wire.GetWriter()
 	defer w.Release()
 	m.body(w)
 	if w.Sign(n.cfg.Identity) == nil {
-		_ = n.cfg.Endpoint.Send(to, kind, w.Finish())
+		_ = n.cfg.Endpoint.Send(to, kind, bytes.Clone(w.Finish()))
 	}
 }
 

@@ -216,7 +216,9 @@ func (n *Node) onProbe(msg transport.Message) {
 	if ex == nil || ex.ackBytes == nil {
 		// Process the relayed Serve (it is encrypted to this node) and
 		// attestation, then acknowledge.
-		plain, err := n.cfg.Identity.Decrypt(probe.ServeCipher)
+		w := wire.GetWriter()
+		defer w.Release() // srv aliases the opened plaintext until here
+		plain, err := w.Open(n.cfg.Identity, probe.ServeCipher)
 		if err != nil {
 			return
 		}

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hhash"
 	"repro/internal/membership"
 	"repro/internal/model"
@@ -22,11 +24,13 @@ type harness struct {
 	params     hhash.Params
 	dir        *membership.Directory
 	net        *transport.MemNet
-	engine     *sim.Engine
+	engine     sim.Stepper
+	workers    int // > 0: the parallel engine with that many workers
 	nodes      map[model.NodeID]*core.Node
 	identities map[model.NodeID]pki.Identity
 	gen        *update.Generator
 	source     model.NodeID
+	verdictMu  sync.Mutex // the parallel engine's shards share the sink
 	verdicts   []core.Verdict
 	perRound   int // updates injected per round
 	ttl        model.Round
@@ -47,6 +51,11 @@ func withBehavior(id model.NodeID, b core.Behavior) harnessOpt {
 
 func withBuffermapWindow(w int) harnessOpt {
 	return func(_ *harness, cfg *core.Config) { cfg.BuffermapWindow = w }
+}
+
+// withWorkers runs the session on the parallel engine.
+func withWorkers(k int) harnessOpt {
+	return func(h *harness, _ *core.Config) { h.workers = k }
 }
 
 func withTTL(ttl model.Round) harnessOpt {
@@ -78,12 +87,16 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.engine = sim.NewEngine(h.net)
-
-	// Apply TTL options before the generator is built.
+	// Apply harness-level options (TTL, workers) before the engine and the
+	// generator are built.
 	probe := core.Config{}
 	for _, opt := range opts {
 		opt(h, &probe)
+	}
+	if h.workers > 0 {
+		h.engine = engine.New(h.net, h.workers)
+	} else {
+		h.engine = sim.NewEngine(h.net)
 	}
 
 	for _, id := range ids {
@@ -102,7 +115,11 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 			Sources:    []model.NodeID{h.source},
 			IsSource:   id == h.source,
 			PrimeBits:  128,
-			Verdicts:   func(v core.Verdict) { h.verdicts = append(h.verdicts, v) },
+			Verdicts: func(v core.Verdict) {
+				h.verdictMu.Lock()
+				h.verdicts = append(h.verdicts, v)
+				h.verdictMu.Unlock()
+			},
 		}
 		for _, opt := range opts {
 			opt(h, &cfg)

@@ -111,7 +111,9 @@ func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) 
 // ---------------------------------------------------------------------------
 
 func (n *Node) onKeyResponse(msg transport.Message) {
-	plain, err := n.cfg.Identity.Decrypt(msg.Payload)
+	w := wire.GetWriter()
+	defer w.Release() // resp aliases the opened plaintext until here
+	plain, err := w.Open(n.cfg.Identity, msg.Payload)
 	if err != nil {
 		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "undecryptable KeyResponse"})
@@ -236,7 +238,9 @@ func (n *Node) onServe(msg transport.Message) {
 	if n.cfg.Behavior.RefuseReceive {
 		return
 	}
-	plain, err := n.cfg.Identity.Decrypt(msg.Payload)
+	w := wire.GetWriter()
+	defer w.Release() // srv aliases the opened plaintext until here
+	plain, err := w.Open(n.cfg.Identity, msg.Payload)
 	if err != nil {
 		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "undecryptable Serve"})

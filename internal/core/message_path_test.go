@@ -164,23 +164,34 @@ func TestTamperSweepVerdicts(t *testing.T) {
 	}
 }
 
-// TestEvidenceSurvivesPayloadOverwrite: decoded messages alias the payload
-// they were delivered in, so every blob a node keeps — stored updates,
-// attestations and acknowledgements held as evidence, monitors' ack
-// copies, exhibits, deferred messages — must be cloned where it is kept.
-// A session whose payloads are overwritten the moment each handler returns
-// must end exactly like its undisturbed twin — through the accusation and
-// probe flow a NoAck node forces and the AckRequest/AckExhibit
-// investigation a node withholding its monitor reports forces — with and
-// without the interner.
+// TestEvidenceSurvivesPayloadOverwrite: a handler is lent its payload and,
+// for the encrypted kinds, the pooled buffer it opened the payload into;
+// decoded messages alias one or the other, so every blob a node keeps —
+// stored updates, attestations and acknowledgements held as evidence,
+// monitors' ack copies, exhibits, deferred messages — must be cloned where
+// it is kept. Delivered payloads are shared (with the sender's evidence and
+// with the other recipients of a fan-out), so the perturbed session hands
+// each handler a private copy and overwrites that the moment the handler
+// returns, and has wire poison every pooled buffer on release — which also
+// catches pooled bytes handed to Endpoint.Send. It must end exactly like
+// its undisturbed twin — through the accusation and probe flow a NoAck node
+// forces and the AckRequest/AckExhibit investigation a node withholding its
+// monitor reports forces — with and without the interner, on the serial
+// engine and on four workers.
 func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 	const lazy, sneak = 6, 9
-	run := func(scribble bool, intern *update.Interner) ([]string, []uint64) {
-		h := newHarness(t, 16, 2, withBehavior(lazy, core.Behavior{NoAck: true}),
+	run := func(perturb bool, workers int, intern *update.Interner) ([]string, []uint64) {
+		opts := []harnessOpt{withBehavior(lazy, core.Behavior{NoAck: true}),
 			withBehavior(sneak, core.Behavior{SkipMonitorReport: true}),
-			func(_ *harness, cfg *core.Config) { cfg.Intern = intern })
-		if scribble {
+			func(_ *harness, cfg *core.Config) { cfg.Intern = intern }}
+		if workers > 0 {
+			opts = append(opts, withWorkers(workers))
+		}
+		h := newHarness(t, 16, 2, opts...)
+		if perturb {
+			defer wire.PoisonReleased()()
 			h.deliver = func(n *core.Node, m transport.Message) {
+				m.Payload = bytes.Clone(m.Payload)
 				n.HandleMessage(m)
 				for i := range m.Payload {
 					m.Payload[i] = 0xAA
@@ -204,16 +215,18 @@ func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 		"interned": update.NewInterner,
 	} {
 		t.Run(name, func(t *testing.T) {
-			wantV, wantD := run(false, intern())
-			gotV, gotD := run(true, intern())
-			if !reflect.DeepEqual(gotV, wantV) {
-				t.Errorf("verdicts differ once payloads are overwritten:\n got %v\nwant %v", gotV, wantV)
-			}
-			if !reflect.DeepEqual(gotD, wantD) {
-				t.Errorf("deliveries differ once payloads are overwritten:\n got %v\nwant %v", gotD, wantD)
-			}
+			wantV, wantD := run(false, 0, intern())
 			if len(wantD) == 0 || wantD[2] == 0 {
 				t.Fatal("the reference run delivered nothing")
+			}
+			for _, workers := range []int{0, 4} {
+				gotV, gotD := run(true, workers, intern())
+				if !reflect.DeepEqual(gotV, wantV) {
+					t.Errorf("workers=%d: verdicts differ once payloads are overwritten:\n got %v\nwant %v", workers, gotV, wantV)
+				}
+				if !reflect.DeepEqual(gotD, wantD) {
+					t.Errorf("workers=%d: deliveries differ once payloads are overwritten:\n got %v\nwant %v", workers, gotD, wantD)
+				}
 			}
 		})
 	}

@@ -217,7 +217,9 @@ func (m *monitorState) onAttForward(msg transport.Message) {
 	if m.n.cfg.Behavior.SilentMonitor {
 		return
 	}
-	plain, err := m.n.cfg.Identity.Decrypt(msg.Payload)
+	w := wire.GetWriter()
+	defer w.Release() // fwd aliases the opened plaintext until here
+	plain, err := w.Open(m.n.cfg.Identity, msg.Payload)
 	if err != nil {
 		return
 	}

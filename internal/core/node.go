@@ -238,6 +238,25 @@ func (n *Node) Stats() Stats {
 	return s
 }
 
+// Retire releases what a node that has left its session no longer needs —
+// the update store, the round state and forward set, the monitor
+// bookkeeping, the recycled shells and the prime pool — and keeps what is
+// still read from a departed node: its counters and its behaviour. A
+// retired node is not stepped and receives nothing.
+func (n *Node) Retire() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.store = update.NewStore()
+	n.pendingNext = make(map[model.UpdateID]*pendingItem)
+	n.recvCur = newRecvRound()
+	n.sendCur = &sendRound{perSucc: make(map[model.NodeID]*sendExchange)}
+	n.injected, n.deferred = nil, nil
+	n.mon = newMonitorState(n)
+	n.pool = nil
+	n.recvFree, n.sendFree = nil, nil
+	n.rexFree, n.sexFree, n.itemFree = nil, nil, nil
+}
+
 // Store exposes the node's update store (read-mostly; used by the
 // application layer and tests).
 func (n *Node) Store() *update.Store { return n.store }
@@ -632,13 +651,11 @@ func (n *Node) signAndSend(to model.NodeID, m wire.BodyMessage) {
 	n.signAndSendAll([]model.NodeID{to}, m)
 }
 
-// signAndSendAll encodes m once into a pooled buffer, signs it in place
-// and transmits the same bytes to every peer; the buffer is free again on
-// return because every Endpoint copies what it sends.
+// signAndSendAll encodes and signs m once and transmits those bytes to
+// every peer: the Endpoint owns what it is sent, so the recipients of a
+// fan-out share one slice.
 func (n *Node) signAndSendAll(peers []model.NodeID, m wire.BodyMessage) {
-	w := wire.GetWriter()
-	defer w.Release()
-	payload, err := wire.Seal(w, m, n.cfg.Identity)
+	payload, err := n.signOwned(m)
 	if err != nil {
 		return
 	}
@@ -647,9 +664,10 @@ func (n *Node) signAndSendAll(peers []model.NodeID, m wire.BodyMessage) {
 	}
 }
 
-// signOwned is Seal into one exact-size heap slice, for the signed
-// messages a node keeps as evidence after sending them (its attestations
-// and acknowledgements).
+// signOwned is Seal into one exact-size heap slice: the form a signed
+// message takes when it leaves the pooled buffer it was encoded in — handed
+// to Endpoint.Send, kept as evidence (attestations, acknowledgements), or
+// both.
 func (n *Node) signOwned(m wire.BodyMessage) ([]byte, error) {
 	w := wire.GetWriter()
 	defer w.Release()

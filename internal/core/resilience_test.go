@@ -19,7 +19,7 @@ import (
 func TestExchangeOmissionsRecovered(t *testing.T) {
 	h := newHarness(t, 16, 2)
 	rng := rand.New(rand.NewSource(13))
-	h.net.SetDropFunc(func(m transport.Message) bool {
+	h.net.Faults().SetDropFunc(func(m transport.Message) bool {
 		switch m.Kind {
 		case wire.KindServe, wire.KindAttestation, wire.KindAck:
 			return rng.Float64() < 0.05 // 5% exchange-layer loss

@@ -49,8 +49,8 @@ func (c *chatter) handle(m transport.Message) {
 // network plus nodes; deterministic given the seed.
 func buildRun(n int, seed uint64) (*transport.MemNet, []*chatter) {
 	net := transport.NewMemNet()
-	net.SetFaultSeed(seed)
-	net.SetLossRate(0.1)
+	net.Faults().SetSeed(seed)
+	net.Faults().SetLossRate(0.1)
 	nodes := make([]*chatter, n)
 	for i := 1; i <= n; i++ {
 		c := &chatter{id: model.NodeID(i), n: n, burst: 3}
@@ -62,7 +62,7 @@ func buildRun(n int, seed uint64) (*transport.MemNet, []*chatter) {
 		nodes[i-1] = c
 	}
 	// An upload cap on node 2 exercises merge-point cap accounting.
-	net.SetUploadCap(2, 3*uint64(transport.HeaderBytes+20))
+	net.Faults().SetUploadCap(2, 3*uint64(transport.HeaderBytes+20))
 	return net, nodes
 }
 

@@ -69,6 +69,33 @@ func BenchmarkLift(b *testing.B) {
 	}
 }
 
+// BenchmarkCombine compares Combine (two Montgomery multiplications)
+// against the math/big Mul + Mod it replaced.
+func BenchmarkCombine(b *testing.B) {
+	for _, bits := range []int{128, 512} {
+		rnd := rand.New(rand.NewSource(42))
+		params, err := GenerateParams(rnd, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := NewHasher(params, nil)
+		x, y := new(big.Int).Rand(rnd, params.m), new(big.Int).Rand(rnd, params.m)
+		b.Run(fmt.Sprintf("mont/bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Combine(x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("big/bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v := new(big.Int).Mul(x, y)
+				v.Mod(v, params.m)
+			}
+		})
+	}
+}
+
 // BenchmarkVerifyForwarding compares the naive per-attestation loop
 // against the simultaneous multi-exponentiation path at the paper's
 // 512-bit parameters — the headline acceptance number is multiexp vs

@@ -347,10 +347,14 @@ func (h *Hasher) modExp(z, v, e *big.Int) *big.Int {
 }
 
 // Combine multiplies two hash values mod M — the homomorphic combination of
-// §V-C: H(S_A ∪ S_F)_K = H(S_A)_K × H(S_F)_K.
+// §V-C: H(S_A ∪ S_F)_K = H(S_A)_K × H(S_F)_K — on the engine modExp runs
+// on, with the same math/big fallback for an even modulus.
 func (h *Hasher) Combine(a, b *big.Int) *big.Int {
 	if h.ops != nil {
 		h.ops.mulOps.Add(1)
+	}
+	if mc := h.montEngine(); mc != nil {
+		return mc.mulMod(new(big.Int), a, b)
 	}
 	v := new(big.Int).Mul(a, b)
 	return v.Mod(v, h.params.m)

@@ -390,6 +390,39 @@ func (c *montCtx) multiExp(bases, exps []*big.Int) *big.Int {
 	return c.fromMont(acc)
 }
 
+// residue sets the k limbs of dst to v mod m. Only a v outside [0, m)
+// allocates.
+func (c *montCtx) residue(dst []uint, v *big.Int) {
+	if v.Sign() < 0 || v.Cmp(c.mod) >= 0 {
+		v = new(big.Int).Mod(v, c.mod)
+	}
+	words := v.Bits()
+	for i := range dst {
+		dst[i] = 0
+		if i < len(words) {
+			dst[i] = uint(words[i])
+		}
+	}
+}
+
+// mulMod sets z = a·b mod m and returns z. mul leaves a·b·R⁻¹ and a second
+// multiplication, by R², puts the R back: two word-level multiplications
+// and no division. The only heap object is z's limb slice.
+func (c *montCtx) mulMod(z, a, b *big.Int) *big.Int {
+	k := c.k
+	var stack [2 * expStackLimbs]uint
+	buf := stack[:]
+	if k > expStackLimbs {
+		buf = make([]uint, 2*k)
+	}
+	x, y := buf[:k], buf[k:2*k]
+	c.residue(x, a)
+	c.residue(y, b)
+	c.mul(x, x, y)
+	c.mul(x, x, c.rr)
+	return limbsToInt(z, x)
+}
+
 // expStackLimbs bounds the modulus width (1024 bits) whose exp working set
 // — 15 window-table entries, the accumulator and one temporary — stays in
 // a stack array; wider moduli take it from the heap.
@@ -414,12 +447,7 @@ func (c *montCtx) exp(z, base, e *big.Int) *big.Int {
 	acc := buf[15*k : 16*k]
 	tmp := buf[16*k : 17*k]
 
-	if base.Sign() < 0 || base.Cmp(c.mod) >= 0 {
-		base = new(big.Int).Mod(base, c.mod)
-	}
-	for i, w := range base.Bits() {
-		tmp[i] = uint(w)
-	}
+	c.residue(tmp, base)
 	c.mul(tbl(1), tmp, c.rr)
 
 	words := e.Bits()

@@ -83,6 +83,47 @@ func TestLiftMatchesBig(t *testing.T) {
 	}
 }
 
+// TestCombineMatchesBig: Combine against big.Int Mul + Mod at the kernel
+// widths (128 and 512 bits), at widths the generic loop serves (256, 192
+// and a partial top limb), on the even-modulus fallback, and on operands
+// outside [0, M); it never mutates an operand.
+func TestCombineMatchesBig(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(17))
+	for _, bits := range []int{64, 128, 192, 256, 512, 513, 1088} {
+		for _, odd := range []bool{true, false} {
+			m := testModulus(rnd, bits, odd)
+			h := hasherFor(t, m)
+			mMinus1 := new(big.Int).Sub(m, _one)
+			vals := []*big.Int{
+				new(big.Int), big.NewInt(1), big.NewInt(2), mMinus1,
+				new(big.Int).Set(m), new(big.Int).Lsh(mMinus1, 70), big.NewInt(-3),
+			}
+			for i := 0; i < 200; i++ {
+				vals = append(vals, new(big.Int).Rand(rnd, m))
+			}
+			for i, a := range vals {
+				b := vals[(i*7+3)%len(vals)]
+				inA, inB := new(big.Int).Set(a), new(big.Int).Set(b)
+				want := new(big.Int).Mul(a, b)
+				want.Mod(want, m)
+				if got := h.Combine(a, b); got.Cmp(want) != 0 {
+					t.Fatalf("bits=%d odd=%v: %v·%v = %v, want %v", bits, odd, a, b, got, want)
+				}
+				if a.Cmp(inA) != 0 || b.Cmp(inB) != 0 {
+					t.Fatal("Combine mutated an operand")
+				}
+			}
+			if !odd {
+				continue
+			}
+			a, b := vals[len(vals)-1], vals[len(vals)-2]
+			if allocs := testing.AllocsPerRun(50, func() { h.Combine(a, b) }); bits <= 1024 && allocs > 2 {
+				t.Errorf("bits=%d: Combine allocates %.0f objects, want the result's two", bits, allocs)
+			}
+		}
+	}
+}
+
 // TestModExpInPlaceAndZero covers what Lift cannot reach: a zero exponent
 // (ProductEmbed multiplicity 0) and a receiver aliasing the base.
 func TestModExpInPlaceAndZero(t *testing.T) {

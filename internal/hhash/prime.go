@@ -4,8 +4,9 @@ package hhash
 // (message 2 of Fig 5), which profiling shows is ~40% of a node's round
 // CPU when generated inline with crypto/rand.Prime. PrimePool moves the
 // generation off the exchange's critical path and pregenPrime cuts the
-// primality-testing schedule from 20 Miller-Rabin rounds to a
-// Baillie-PSW-grade test behind a composite prefilter (primesearch.go).
+// primality-testing schedule from 20 Miller-Rabin rounds to an
+// allocation-free Baillie-PSW test on the candidate's limbs
+// (primesearch.go).
 
 import (
 	"errors"
@@ -47,7 +48,6 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 	}
 	buf := make([]byte, (bits+7)/8)
 	search := newPrimeSearch(bits)
-	p := new(big.Int)
 	for {
 		if _, err := io.ReadFull(rnd, buf); err != nil {
 			return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
@@ -61,18 +61,20 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 			buf[1] |= 0x80
 		}
 		buf[len(buf)-1] |= 1
-		if search.accepts(buf, p) {
-			return Key{e: p}, nil
+		if search.accepts(buf) {
+			return Key{e: new(big.Int).SetBytes(buf)}, nil
 		}
 	}
 }
 
-// accepts is the search's acceptance predicate for one candidate (the
-// big-endian bytes of an odd number of the search's bit length): the
-// prefilter, then ProbablyPrime(1) on p set to the candidate.
-func (s *primeSearch) accepts(candidate []byte, p *big.Int) bool {
-	s.load(candidate)
-	return s.maybePrime() && p.SetBytes(candidate).ProbablyPrime(1)
+// IsProbablePrime reports whether n passes the acceptance test of
+// GeneratePrimeKey: n >= 3, odd, and a Baillie-PSW probable prime
+// (primesearch.go). It is exact below 2⁶⁴.
+func IsProbablePrime(n *big.Int) bool {
+	if n.Cmp(_two) <= 0 || n.Bit(0) == 0 {
+		return false
+	}
+	return newPrimeSearch(n.BitLen()).accepts(n.Bytes())
 }
 
 // PrimePool pregenerates prime exponents from a single entropy stream.

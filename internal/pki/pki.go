@@ -109,8 +109,14 @@ type Identity interface {
 	// returns the extended slice; msg may alias dst's contents. It is how
 	// a message is signed inside the buffer it was encoded into.
 	SignAppend(dst, msg []byte) ([]byte, error)
-	// Decrypt opens a ciphertext produced with Encrypt for this node.
+	// Decrypt opens a ciphertext produced with Encrypt for this node into
+	// a fresh slice: DecryptAppend(nil, ciphertext).
 	Decrypt(ciphertext []byte) ([]byte, error)
+	// DecryptAppend opens a ciphertext produced with Encrypt for this node,
+	// appends the plaintext to dst and returns the extended slice. It is
+	// how a message is opened into a buffer the receiver already has; dst's
+	// spare capacity must not overlap ciphertext.
+	DecryptAppend(dst, ciphertext []byte) ([]byte, error)
 	// Counter returns the identity's operation counter (never nil).
 	Counter() *Counter
 }
@@ -264,6 +270,10 @@ func (r *rsaIdentity) SignAppend(dst, msg []byte) ([]byte, error) {
 }
 
 func (r *rsaIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
+	return r.DecryptAppend(nil, ciphertext)
+}
+
+func (r *rsaIdentity) DecryptAppend(dst, ciphertext []byte) ([]byte, error) {
 	r.ops.decrypts.Add(1)
 	blockLen := r.suite.bits / 8
 	if len(ciphertext) < blockLen+_gcmNonceLen+_gcmTagLen {
@@ -275,7 +285,7 @@ func (r *rsaIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
 		return nil, ErrBadCiphertext
 	}
 	nonce := ciphertext[blockLen : blockLen+_gcmNonceLen]
-	return gcmOpen(aesKey, nonce, ciphertext[blockLen+_gcmNonceLen:])
+	return gcmOpen(dst, aesKey, nonce, ciphertext[blockLen+_gcmNonceLen:])
 }
 
 // ---------------------------------------------------------------------------
@@ -486,12 +496,16 @@ func (f *fastIdentity) SignAppend(dst, msg []byte) ([]byte, error) {
 }
 
 func (f *fastIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
+	return f.DecryptAppend(nil, ciphertext)
+}
+
+func (f *fastIdentity) DecryptAppend(dst, ciphertext []byte) ([]byte, error) {
 	f.ops.decrypts.Add(1)
 	head := f.suite.wrapSize + _gcmNonceLen
 	if len(ciphertext) < head+_gcmTagLen {
 		return nil, ErrBadCiphertext
 	}
-	out, err := f.key.aead.Open(nil, ciphertext[f.suite.wrapSize:head], ciphertext[head:], nil)
+	out, err := f.key.aead.Open(dst, ciphertext[f.suite.wrapSize:head], ciphertext[head:], nil)
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}
@@ -534,7 +548,7 @@ func gcmSeal(key, msg []byte) (sealed, nonce []byte, err error) {
 	return gcm.Seal(nil, nonce, msg, nil), nonce, nil
 }
 
-func gcmOpen(key, nonce, sealed []byte) ([]byte, error) {
+func gcmOpen(dst, key, nonce, sealed []byte) ([]byte, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: aes: %w", err)
@@ -543,7 +557,7 @@ func gcmOpen(key, nonce, sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: gcm: %w", err)
 	}
-	out, err := gcm.Open(nil, nonce, sealed, nil)
+	out, err := gcm.Open(dst, nonce, sealed, nil)
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}

@@ -120,6 +120,40 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecryptAppend: the plaintext is appended to what dst already holds,
+// inside dst's storage when it has room, and Decrypt is the dst == nil
+// case; a rejected ciphertext returns no slice.
+func TestDecryptAppend(t *testing.T) {
+	for name, s := range suites(t) {
+		t.Run(name, func(t *testing.T) {
+			id, _ := s.NewIdentity(1)
+			msg := bytes.Repeat([]byte{0xAB}, model.UpdateBytes)
+			ct, err := s.Encrypt(1, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := append(make([]byte, 0, 4+len(msg)), "head"...)
+			got, err := id.DecryptAppend(dst, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, append([]byte("head"), msg...)) {
+				t.Fatal("DecryptAppend did not append the plaintext to dst")
+			}
+			if &got[0] != &dst[0] {
+				t.Fatal("DecryptAppend left dst's storage although it had room")
+			}
+			if before := id.Counter().Decrypts(); before != 1 {
+				t.Fatalf("one DecryptAppend counted %d decryptions", before)
+			}
+			ct[len(ct)-1] ^= 0x01
+			if got, err := id.DecryptAppend(dst, ct); !errors.Is(err, ErrBadCiphertext) || got != nil {
+				t.Fatalf("tampered ciphertext: %d bytes, err = %v", len(got), err)
+			}
+		})
+	}
+}
+
 func TestDecryptRejectsTampering(t *testing.T) {
 	for name, s := range suites(t) {
 		t.Run(name, func(t *testing.T) {
@@ -362,6 +396,7 @@ func TestFastSuiteAllocBudgets(t *testing.T) {
 		{"Verify", 0, func() { _ = s.Verify(1, msg, sig) }},
 		{"Encrypt", 2, func() { _, _ = s.Encrypt(2, msg) }},
 		{"Decrypt", 1, func() { _, _ = bob.Decrypt(ct) }},
+		{"DecryptAppend", 0, func() { _, _ = bob.DecryptAppend(buf, ct) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.op); got > c.budget {
 			t.Errorf("%s: %.1f allocs/op, budget %.0f", c.name, got, c.budget)

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -100,13 +102,16 @@ func TestDecodeIsCanonical(t *testing.T) {
 type cluster struct {
 	suite    *pki.FastSuite
 	net      *transport.MemNet
-	engine   *sim.Engine
+	engine   sim.Stepper
 	nodes    map[model.NodeID]*Node
+	mu       sync.Mutex // the parallel engine's shards share the verdict sink
 	verdicts []Verdict
 	deliver  func(n *Node, m transport.Message)
 }
 
-func newCluster(t *testing.T, size int) *cluster {
+// newCluster builds the session on the serial engine, or on the parallel
+// one when workers > 0.
+func newCluster(t *testing.T, size, workers int) *cluster {
 	t.Helper()
 	c := &cluster{suite: pki.NewFastSuite(), net: transport.NewMemNet(), nodes: map[model.NodeID]*Node{}}
 	ids := make([]model.NodeID, size)
@@ -117,7 +122,11 @@ func newCluster(t *testing.T, size int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.engine = sim.NewEngine(c.net)
+	if workers > 0 {
+		c.engine = engine.New(c.net, workers)
+	} else {
+		c.engine = sim.NewEngine(c.net)
+	}
 	var source pki.Identity
 	for _, id := range ids {
 		identity, err := c.suite.NewDeterministicIdentity(id, 99)
@@ -141,7 +150,11 @@ func newCluster(t *testing.T, size int) *cluster {
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
 			Sources: []model.NodeID{1}, SlotBytes: 64,
-			Verdicts: func(v Verdict) { c.verdicts = append(c.verdicts, v) },
+			Verdicts: func(v Verdict) {
+				c.mu.Lock()
+				c.verdicts = append(c.verdicts, v)
+				c.mu.Unlock()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +188,7 @@ func (c *cluster) footprint(n *Node) string {
 // cover slot (body or signature) is dropped silently — not counted, not
 // stored, not relayed — and the untouched slot is then accepted.
 func TestTamperedSlotsDropped(t *testing.T) {
-	c := newCluster(t, 6)
+	c := newCluster(t, 6, 0)
 	swept := map[bool]bool{}
 	c.deliver = func(n *Node, m transport.Message) {
 		slot, err := unmarshalSlot(m.Payload)
@@ -209,12 +222,23 @@ func TestTamperedSlotsDropped(t *testing.T) {
 	}
 }
 
-// TestStoreSurvivesPayloadOverwrite: a decoded slot aliases the delivered
-// payload and the store keeps a clone; overwriting every payload once its
-// handler returned leaves every stored update verifiable.
+// TestStoreSurvivesPayloadOverwrite: a handler is lent its payload, a
+// decoded slot aliases it, the store keeps a clone and a relay sends one.
+// Each handler is handed a private copy of the (shared) payload that is
+// overwritten once it returns, and wire poisons every pooled buffer on
+// release; every stored update stays verifiable and the ring keeps
+// turning — on the serial engine and on four workers.
 func TestStoreSurvivesPayloadOverwrite(t *testing.T) {
-	c := newCluster(t, 6)
+	for _, workers := range []int{0, 4} {
+		checkSurvivesOverwrite(t, workers)
+	}
+}
+
+func checkSurvivesOverwrite(t *testing.T, workers int) {
+	defer wire.PoisonReleased()()
+	c := newCluster(t, 6, workers)
 	c.deliver = func(n *Node, m transport.Message) {
+		m.Payload = bytes.Clone(m.Payload)
 		n.HandleMessage(m)
 		for i := range m.Payload {
 			m.Payload[i] = 0xAA
@@ -227,12 +251,12 @@ func TestStoreSurvivesPayloadOverwrite(t *testing.T) {
 			for _, e := range n.store.ReceivedIn(r) {
 				stored++
 				if c.suite.Verify(1, e.Update.CanonicalBytes(), e.Update.SrcSig) != nil {
-					t.Fatalf("node %v: stored update %v no longer verifies", id, e.Update.ID)
+					t.Fatalf("workers=%d: node %v: stored update %v no longer verifies", workers, id, e.Update.ID)
 				}
 			}
 		}
 		if stored == 0 {
-			t.Fatalf("node %v stored nothing", id)
+			t.Fatalf("workers=%d: node %v stored nothing", workers, id)
 		}
 	}
 }

@@ -24,6 +24,7 @@
 package rac
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -305,12 +306,12 @@ func (n *Node) BeginRound(r model.Round) {
 			slot.Content = make([]byte, n.cfg.SlotBytes)
 		}
 		// One encoding in a pooled buffer, signed in place; the Endpoint
-		// copies what it sends.
+		// owns what it is sent, so it gets an exact-size copy.
 		w := wire.GetWriter()
 		slot.body(w)
 		if w.Sign(n.cfg.Identity) == nil {
 			n.stats.SlotsEmitted++
-			_ = n.cfg.Endpoint.Send(n.succ, kindSlot, w.Finish())
+			_ = n.cfg.Endpoint.Send(n.succ, kindSlot, bytes.Clone(w.Finish()))
 		}
 		w.Release()
 	}
@@ -426,7 +427,9 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		return
 	}
 	n.stats.SlotsRelayed++
-	_ = n.cfg.Endpoint.Send(n.succ, kindSlot, msg.Payload)
+	// The delivered payload is only lent to this handler; the relay is a
+	// message of its own.
+	_ = n.cfg.Endpoint.Send(n.succ, kindSlot, bytes.Clone(msg.Payload))
 }
 
 func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // newSteppedTCP builds the batching tests' standard fixture: a dynamic
@@ -214,5 +216,71 @@ func TestTCPBatchOverflowFlushesMidPhase(t *testing.T) {
 	if d.Writes < 2 {
 		t.Fatalf("%d bytes pending against a %d-byte batch bound cost %d writes; the overflow flush never fired",
 			frames*len(payload), maxBatchBytes, d.Writes)
+	}
+}
+
+// TestFrameReaderArenaOwnership: the reader recycles its arena in place
+// while no payload of it is queued, moves to a fresh one — leaving the
+// queued payloads intact — while one is, and the arena left behind is free
+// again once those payloads have been handled.
+func TestFrameReaderArenaOwnership(t *testing.T) {
+	const frames = 80
+	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 4000) }
+	var stream bytes.Buffer
+	for i := 0; i < frames; i++ {
+		stream.Write(buildFrame(1, 2, 7, body(i)))
+	}
+	// Nothing queued: 320 KB of frames pass through one arena.
+	fr := newFrameReader(bytes.NewReader(stream.Bytes()))
+	first := fr.arena
+	for i := 0; i < frames; i++ {
+		if _, payload, err := fr.next(); err != nil || !bytes.Equal(payload, body(i)) {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if fr.arena != first || first.Shared() {
+		t.Fatal("reader left an arena nobody else held")
+	}
+	fr.close()
+
+	// Every payload queued, the way stepped delivery queues them.
+	fr = newFrameReader(bytes.NewReader(stream.Bytes()))
+	var queued []queuedDelivery
+	for i := 0; i < frames; i++ {
+		_, payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		fr.arena.Retain()
+		queued = append(queued, queuedDelivery{msg: Message{To: 2, Payload: payload}, arena: fr.arena})
+	}
+	fr.close()
+	arenas := map[*wire.Arena]bool{}
+	for i, q := range queued {
+		arenas[q.arena] = true
+		if !bytes.Equal(q.msg.Payload, body(i)) {
+			t.Fatalf("queued payload %d was overwritten before it was handled", i)
+		}
+	}
+	if len(arenas) < 2 { // a pooled arena may be up to 256 KB
+		t.Fatalf("320 KB of queued payloads sat in %d arena", len(arenas))
+	}
+	var delivered atomic.Uint64
+	handled := 0
+	drainQueued(queued, func(model.NodeID) Handler {
+		return func(m Message) {
+			if !bytes.Equal(m.Payload, body(handled)) {
+				t.Errorf("payload %d changed under its handler", handled)
+			}
+			handled++
+		}
+	}, &delivered)
+	if handled != frames || delivered.Load() != frames {
+		t.Fatalf("handled %d of %d", handled, frames)
+	}
+	for a := range arenas {
+		if a.Shared() {
+			t.Fatal("an arena is still referenced after its wave was handled")
+		}
 	}
 }

@@ -49,12 +49,6 @@ const (
 	OutcomeQueued
 )
 
-// (The pre-queue OutcomeCapDropped constant is gone on purpose, not
-// aliased: its meaning inverted — a capped message used to be lost, now
-// it is deferred and usually still delivered — so any switch arm written
-// against it must be reviewed, not silently recompiled. The CapDrops
-// *counter* keeps a deprecated alias below; counters only renamed.)
-
 // DefaultQueueDeadlineRounds is the queue-expiry default: the paper's
 // 10-round playout window (§V-D) — bytes still queued when their content's
 // playback deadline passes can no longer be useful to the receiver.
@@ -160,9 +154,7 @@ func NewFaultPlane() *FaultPlane {
 // mirroring every admission outcome (unlike the resettable legacy
 // counters they are cumulative for the plane's lifetime), a
 // current-backlog gauge updated at each BeginRound, and per-message
-// defer/expire trace events. Either argument may be nil; the obs counter
-// names use the canonical Deferred/CapExpired vocabulary, not the
-// deprecated CapDrops alias.
+// defer/expire trace events. Either argument may be nil.
 func (p *FaultPlane) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -502,14 +494,6 @@ func (p *FaultPlane) CapExpired() uint64 {
 	return p.expired
 }
 
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: since the queued link model, caps defer first and only
-// deadline expiry discards; CapDrops is an alias of CapExpired kept so
-// pre-refactor callers and report consumers stay correct. New code should
-// read CapExpired (discards) and Deferred (queue pressure) instead.
-func (p *FaultPlane) CapDrops() uint64 { return p.CapExpired() }
-
 // QueueDepth returns how many messages are currently waiting in the
 // upload queues across all nodes.
 func (p *FaultPlane) QueueDepth() int {
@@ -561,21 +545,10 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 // that fixed order (the order every PRNG draw depends on) — updates the
 // counters and the sender's round budget, and returns the outcome. The
 // caller charges traffic according to the outcome: sender on anything but
-// OutcomeQueued, receiver only on OutcomePass. A queued message is
-// retained by the plane (payload copied) until a later BeginRound
-// releases or expires it.
+// OutcomeQueued, receiver only on OutcomePass. The plane takes the
+// ownership Endpoint.Send was given: a queued message is retained as it is,
+// payload and all, until a later BeginRound releases or expires it.
 func (p *FaultPlane) Admit(msg Message) Outcome {
-	return p.admit(msg, false)
-}
-
-// AdmitOwned is Admit for callers that transfer ownership of the payload
-// buffer (MemNet's merge point, whose endpoints already copied it): a
-// deferred message is retained without a second copy.
-func (p *FaultPlane) AdmitOwned(msg Message) Outcome {
-	return p.admit(msg, true)
-}
-
-func (p *FaultPlane) admit(msg Message, ownsPayload bool) Outcome {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	size := uint64(msg.WireSize())
@@ -601,12 +574,12 @@ func (p *FaultPlane) admit(msg Message, ownsPayload bool) Outcome {
 	// same oversized-frame rule the release loop applies, so a message
 	// can never be too big to ever leave the NIC.
 	if len(p.queues[msg.From]) > 0 {
-		p.enqueue(msg, ownsPayload)
+		p.enqueue(msg)
 		return OutcomeQueued
 	}
 	if limit, ok := p.caps[msg.From]; ok &&
 		p.spent[msg.From] > 0 && p.spent[msg.From]+size > limit {
-		p.enqueue(msg, ownsPayload)
+		p.enqueue(msg)
 		return OutcomeQueued
 	}
 	p.spent[msg.From] += size
@@ -624,15 +597,8 @@ func (p *FaultPlane) admit(msg Message, ownsPayload bool) Outcome {
 	return OutcomePass
 }
 
-// enqueue defers msg on its sender's queue, with p.mu held. Unless the
-// caller handed over ownership, the payload is copied: the plane outlives
-// the caller's buffer (Endpoint.Send promises not to retain it).
-func (p *FaultPlane) enqueue(msg Message, ownsPayload bool) {
-	if !ownsPayload {
-		cp := make([]byte, len(msg.Payload))
-		copy(cp, msg.Payload)
-		msg.Payload = cp
-	}
+// enqueue defers msg on its sender's queue, with p.mu held.
+func (p *FaultPlane) enqueue(msg Message) {
 	p.queues[msg.From] = append(p.queues[msg.From], queuedMsg{msg: msg, round: p.round})
 	p.deferred++
 	p.o.deferred.Inc()

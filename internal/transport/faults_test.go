@@ -27,8 +27,8 @@ func faultNet(t *testing.T, n int) (*MemNet, []Endpoint, []int) {
 func TestLossRateDeterministic(t *testing.T) {
 	run := func() (delivered int, dropped uint64) {
 		net, eps, got := faultNet(t, 2)
-		net.SetFaultSeed(42)
-		net.SetLossRate(0.5)
+		net.Faults().SetSeed(42)
+		net.Faults().SetLossRate(0.5)
 		for i := 0; i < 200; i++ {
 			_ = eps[1].Send(2, 1, []byte("x"))
 		}
@@ -50,7 +50,7 @@ func TestLossRateDeterministic(t *testing.T) {
 
 func TestLinkLossIsDirectional(t *testing.T) {
 	net, eps, got := faultNet(t, 2)
-	net.SetLinkLoss(1, 2, 1)
+	net.Faults().SetLinkLoss(1, 2, 1)
 	for i := 0; i < 10; i++ {
 		_ = eps[1].Send(2, 1, nil)
 		_ = eps[2].Send(1, 1, nil)
@@ -62,7 +62,7 @@ func TestLinkLossIsDirectional(t *testing.T) {
 	if got[1] != 10 {
 		t.Fatalf("2→1 clean but %d/10 delivered", got[1])
 	}
-	net.SetLinkLoss(1, 2, 0)
+	net.Faults().SetLinkLoss(1, 2, 0)
 	_ = eps[1].Send(2, 1, nil)
 	net.DeliverAll()
 	if got[2] != 1 {
@@ -73,7 +73,7 @@ func TestLinkLossIsDirectional(t *testing.T) {
 func TestPartitionAndHeal(t *testing.T) {
 	net, eps, got := faultNet(t, 4)
 	// {1,2} vs implicit {3,4}.
-	net.SetPartition([]model.NodeID{1, 2})
+	net.Faults().SetPartition([]model.NodeID{1, 2})
 	_ = eps[1].Send(2, 1, nil) // same group
 	_ = eps[1].Send(3, 1, nil) // cross
 	_ = eps[4].Send(3, 1, nil) // same implicit group
@@ -82,7 +82,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	if got[2] != 1 || got[3] != 1 {
 		t.Fatalf("partition leaked: got %v", got)
 	}
-	net.Heal()
+	net.Faults().Heal()
 	_ = eps[1].Send(3, 1, nil)
 	net.DeliverAll()
 	if got[3] != 2 {
@@ -92,14 +92,14 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestNodeDownDropsBothDirections(t *testing.T) {
 	net, eps, got := faultNet(t, 2)
-	net.SetNodeDown(2, true)
+	net.Faults().SetNodeDown(2, true)
 	_ = eps[1].Send(2, 1, nil)
 	_ = eps[2].Send(1, 1, nil)
 	net.DeliverAll()
 	if got[1] != 0 || got[2] != 0 {
 		t.Fatalf("down node exchanged traffic: got %v", got)
 	}
-	net.SetNodeDown(2, false)
+	net.Faults().SetNodeDown(2, false)
 	_ = eps[1].Send(2, 1, nil)
 	net.DeliverAll()
 	if got[2] != 1 {
@@ -111,7 +111,7 @@ func TestDownAtDeliveryTime(t *testing.T) {
 	// A message in flight when the destination crashes is lost.
 	net, eps, got := faultNet(t, 2)
 	_ = eps[1].Send(2, 1, nil)
-	net.SetNodeDown(2, true)
+	net.Faults().SetNodeDown(2, true)
 	net.DeliverAll()
 	if got[2] != 0 {
 		t.Fatal("in-flight message delivered to a crashed node")
@@ -121,7 +121,7 @@ func TestDownAtDeliveryTime(t *testing.T) {
 func TestUploadCapQueuesAndCarriesOver(t *testing.T) {
 	net, eps, got := faultNet(t, 2)
 	size := uint64(Message{Payload: make([]byte, 10)}.WireSize())
-	net.SetUploadCap(1, 3*size)
+	net.Faults().SetUploadCap(1, 3*size)
 	net.BeginRound()
 	for i := 0; i < 5; i++ {
 		_ = eps[1].Send(2, 1, make([]byte, 10))
@@ -157,7 +157,7 @@ func TestUploadCapQueuesAndCarriesOver(t *testing.T) {
 	}
 	// Removing the cap lifts pacing entirely for fresh sends.
 	net.BeginRound()
-	net.SetUploadCap(1, 0)
+	net.Faults().SetUploadCap(1, 0)
 	for i := 0; i < 5; i++ {
 		_ = eps[1].Send(2, 1, make([]byte, 10))
 	}
@@ -181,7 +181,7 @@ func TestUploadCapFIFOPacing(t *testing.T) {
 	big := make([]byte, 100)
 	big[0] = 1
 	small := []byte{2}
-	net.SetUploadCap(1, uint64(Message{Payload: big}.WireSize())) // exactly one big message per round
+	net.Faults().SetUploadCap(1, uint64(Message{Payload: big}.WireSize())) // exactly one big message per round
 	net.BeginRound()
 	_ = eps[1].Send(2, 1, big)   // fills the budget
 	_ = eps[1].Send(2, 1, big)   // queues
@@ -208,12 +208,12 @@ func TestUncapMidRoundKeepsFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := func(tag byte) []byte { return []byte{tag, 0, 0, 0, 0, 0, 0, 0, 0, 0} }
-	net.SetUploadCap(1, uint64(Message{Payload: payload(0)}.WireSize())) // one message per round
+	net.Faults().SetUploadCap(1, uint64(Message{Payload: payload(0)}.WireSize())) // one message per round
 	net.BeginRound()
 	_ = eps[1].Send(2, 1, payload(1)) // passes at the merge
 	_ = eps[1].Send(2, 1, payload(2)) // queues at the merge
 	net.DeliverAll()                  // merge point: 1 delivered, 2 deferred
-	net.SetUploadCap(1, 0)            // cap lifted mid-round, backlog still queued
+	net.Faults().SetUploadCap(1, 0)   // cap lifted mid-round, backlog still queued
 	_ = eps[1].Send(2, 1, payload(3)) // must wait behind 2, not overtake
 	net.DeliverAll()
 	if len(order) != 1 || order[0] != 1 {
@@ -234,8 +234,8 @@ func TestOversizedMessageStillPaces(t *testing.T) {
 	net, eps, got := faultNet(t, 2)
 	big := make([]byte, 200)
 	small := make([]byte, 10)
-	net.SetUploadCap(1, uint64(Message{Payload: small}.WireSize())) // budget < big frame
-	net.SetQueueDeadline(0)                                         // expiry off: a wedged queue would hang forever
+	net.Faults().SetUploadCap(1, uint64(Message{Payload: small}.WireSize())) // budget < big frame
+	net.Faults().SetQueueDeadline(0)                                         // expiry off: a wedged queue would hang forever
 	net.BeginRound()
 	_ = eps[1].Send(2, 1, big) // oversized, fresh round: passes, overshoots the budget
 	_ = eps[1].Send(2, 1, small)
@@ -269,8 +269,8 @@ func TestDownNodeLosesItsQueue(t *testing.T) {
 	// re-joining) must not replay stale pre-crash traffic.
 	net, eps, got := faultNet(t, 2)
 	size := uint64(Message{Payload: make([]byte, 10)}.WireSize())
-	net.SetUploadCap(1, size)
-	net.SetQueueDeadline(0) // even with expiry off, the crash clears it
+	net.Faults().SetUploadCap(1, size)
+	net.Faults().SetQueueDeadline(0) // even with expiry off, the crash clears it
 	net.BeginRound()
 	for i := 0; i < 4; i++ {
 		_ = eps[1].Send(2, 1, make([]byte, 10))
@@ -279,7 +279,7 @@ func TestDownNodeLosesItsQueue(t *testing.T) {
 	if got[2] != 1 || net.Faults().QueueDepthOf(1) != 3 {
 		t.Fatalf("setup: delivered=%d depth=%d, want 1/3", got[2], net.Faults().QueueDepthOf(1))
 	}
-	net.SetNodeDown(1, true)
+	net.Faults().SetNodeDown(1, true)
 	if d := net.Faults().QueueDepthOf(1); d != 0 {
 		t.Fatalf("crashed node kept %d queued messages", d)
 	}
@@ -295,7 +295,7 @@ func TestDownNodeLosesItsQueue(t *testing.T) {
 		t.Fatalf("down sender deferred %d messages", d)
 	}
 	// Recovery starts clean: no stale backlog arrives.
-	net.SetNodeDown(1, false)
+	net.Faults().SetNodeDown(1, false)
 	net.BeginRound()
 	net.DeliverAll()
 	if got[2] != 1 {
@@ -306,8 +306,8 @@ func TestDownNodeLosesItsQueue(t *testing.T) {
 func TestQueueDeadlineExpires(t *testing.T) {
 	net, eps, got := faultNet(t, 2)
 	size := uint64(Message{Payload: make([]byte, 10)}.WireSize())
-	net.SetUploadCap(1, size) // one message per round
-	net.SetQueueDeadline(1)   // one round of waiting, then useless
+	net.Faults().SetUploadCap(1, size) // one message per round
+	net.Faults().SetQueueDeadline(1)   // one round of waiting, then useless
 	net.BeginRound()
 	for i := 0; i < 4; i++ {
 		_ = eps[1].Send(2, 1, make([]byte, 10))
@@ -349,11 +349,11 @@ func TestQueuedRunDeterministic(t *testing.T) {
 	// consumes PRNG draws, and the release order is canonical.
 	run := func() (delivered int, deferred, expired, dropped uint64) {
 		net, eps, got := faultNet(t, 3)
-		net.SetFaultSeed(77)
-		net.SetLossRate(0.3)
+		net.Faults().SetSeed(77)
+		net.Faults().SetLossRate(0.3)
 		size := uint64(Message{Payload: make([]byte, 10)}.WireSize())
-		net.SetUploadCap(1, 2*size)
-		net.SetQueueDeadline(2)
+		net.Faults().SetUploadCap(1, 2*size)
+		net.Faults().SetQueueDeadline(2)
 		for r := 0; r < 6; r++ {
 			net.BeginRound()
 			for i := 0; i < 4; i++ {

@@ -101,15 +101,14 @@ func decodeJumbo(payload []byte, to model.NodeID, fn func(frameHeader, []byte) e
 // frameReader decodes length-prefixed frames from a stream with payloads
 // sliced zero-copy out of pooled ref-counted arenas (wire.Arena). One
 // fill read drains everything the kernel has buffered — many frames per
-// syscall, the portable batch-receive path — and the arena is recycled
-// unless a payload escaped to a consumer (markRetained), in which case it
-// falls to the GC once those slices die.
+// syscall, the portable batch-receive path. A consumer that queues a
+// payload retains the arena for it; the arena is recycled when the reader
+// has moved on and the last such payload has been handled.
 type frameReader struct {
-	src      io.Reader
-	arena    *wire.Arena
-	buf      []byte
-	r, w     int  // unconsumed bytes live in buf[r:w]
-	retained bool // a payload slice of the current arena escaped
+	src   io.Reader
+	arena *wire.Arena
+	buf   []byte
+	r, w  int // unconsumed bytes live in buf[r:w]
 }
 
 func newFrameReader(src io.Reader) *frameReader {
@@ -118,9 +117,9 @@ func newFrameReader(src io.Reader) *frameReader {
 }
 
 // next returns the next frame's header and its payload, which aliases the
-// reader's current arena and is valid until the consumer either copies it
-// or calls markRetained. Length and addressing validation is the
-// caller's: next only bounds n against MaxTCPPayload.
+// reader's current arena (fr.arena) and is valid until the following call
+// unless the consumer retains that arena. Length and addressing validation
+// is the caller's: next only bounds n against MaxTCPPayload.
 func (fr *frameReader) next() (frameHeader, []byte, error) {
 	if err := fr.ensure(_tcpFrameHeader); err != nil {
 		return frameHeader{}, nil, err
@@ -142,20 +141,10 @@ func (fr *frameReader) next() (frameHeader, []byte, error) {
 	return h, payload, nil
 }
 
-// markRetained records that the most recent payload escaped to a consumer
-// that may hold it beyond the next call; the current arena is pinned out
-// of the pool.
-func (fr *frameReader) markRetained() {
-	if !fr.retained {
-		fr.retained = true
-		fr.arena.Pin()
-	}
-}
-
 // ensure makes buf[r:r+n] valid, filling from src. When the current
 // arena cannot hold the frame contiguously it switches to a fresh one,
 // carrying the unconsumed tail over; the old arena returns to the pool
-// unless a payload escaped from it.
+// once its queued payloads have been handled.
 func (fr *frameReader) ensure(n int) error {
 	for fr.w-fr.r < n {
 		if fr.r+n > len(fr.buf) {
@@ -174,8 +163,8 @@ func (fr *frameReader) ensure(n int) error {
 // contiguous bytes (possibly the same one, compacted).
 func (fr *frameReader) switchArena(n int) {
 	pending := fr.w - fr.r
-	if n <= len(fr.buf) && !fr.retained {
-		// Same arena, nothing escaped: compact in place.
+	if n <= len(fr.buf) && !fr.arena.Shared() {
+		// Same arena, no payload of it still queued: compact in place.
 		copy(fr.buf, fr.buf[fr.r:fr.w])
 		fr.r, fr.w = 0, pending
 		return
@@ -184,7 +173,7 @@ func (fr *frameReader) switchArena(n int) {
 	nb := next.Bytes()
 	copy(nb, fr.buf[fr.r:fr.w])
 	fr.arena.Release()
-	fr.arena, fr.buf, fr.retained = next, nb, false
+	fr.arena, fr.buf = next, nb
 	fr.r, fr.w = 0, pending
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // TCPNet is a real TCP transport implementing FaultyNetwork. Each
@@ -51,8 +52,8 @@ import (
 // every Send flushes immediately — the live deployment keeps per-message
 // latency. The receive side slices payloads zero-copy out of pooled
 // ref-counted arenas (wire.Arena, frame.go): one read syscall drains
-// everything the kernel buffered, and an arena is recycled unless one of
-// its payloads escaped to a handler that may retain it.
+// everything the kernel buffered, and an arena is recycled once the
+// delivery wave has handled the last payload read into it.
 //
 // # Dynamic roster
 //
@@ -86,14 +87,16 @@ type TCPNet struct {
 	mux    *connMux
 	io     ioCounters
 
-	// stepped-mode state: inbox holds arrived-but-undelivered messages;
+	// stepped-mode state: inbox holds arrived-but-undelivered messages
+	// (spare is the drained array of the previous wave, swapped back in);
 	// inflight counts frames enqueued for the wire and not yet enqueued
 	// (stepped) or handled (direct) at the receiver. delivered counts
 	// handler invocations.
 	stepped   bool
 	quiesce   time.Duration // max DeliverAll wait; 0 = default
 	inboxMu   sync.Mutex
-	inbox     []Message
+	inbox     []queuedDelivery
+	spare     []queuedDelivery
 	inflight  atomic.Int64
 	delivered atomic.Uint64
 }
@@ -138,12 +141,6 @@ func (t *TCPNet) Deferred() uint64 { return t.faults.Deferred() }
 // CapExpired returns how many queued messages expired before the cap
 // released them.
 func (t *TCPNet) CapExpired() uint64 { return t.faults.CapExpired() }
-
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: alias of CapExpired since the queued link model; see
-// FaultPlane.CapDrops.
-func (t *TCPNet) CapDrops() uint64 { return t.faults.CapDrops() }
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
@@ -491,26 +488,41 @@ func (t *TCPNet) DeliverAll() int {
 	}
 }
 
-// drainInbox delivers the currently queued messages on the calling
-// goroutine and reports whether it delivered any. Handler resolution
-// happens per message, so a destination unregistered while queued is
-// silently discarded (its receive was already charged — same contract as
-// MemNet).
+// queuedDelivery is one inbox entry: a message whose payload aliases a
+// receive arena, and the reference that keeps the arena out of the pool
+// until the message has been handled.
+type queuedDelivery struct {
+	msg   Message
+	arena *wire.Arena
+}
+
+// drainQueued hands a wave of queued messages to their handlers on the
+// calling goroutine, giving each arena reference back as its handler
+// returns, and clears the wave. Handler resolution happens per message,
+// so a destination unregistered while queued is silently discarded (its
+// receive was already charged — same contract as MemNet).
+func drainQueued(wave []queuedDelivery, handlerOf func(model.NodeID) Handler, delivered *atomic.Uint64) {
+	for _, q := range wave {
+		if h := handlerOf(q.msg.To); h != nil {
+			h(q.msg)
+			delivered.Add(1)
+		}
+		q.arena.Release()
+	}
+	clear(wave)
+}
+
+// drainInbox delivers the currently queued messages and reports whether
+// it delivered any. DeliverAll is its only caller, one goroutine at a
+// time, which is what lets the two inbox arrays swap without allocating.
 func (t *TCPNet) drainInbox() bool {
 	t.inboxMu.Lock()
-	msgs := t.inbox
-	t.inbox = nil
+	wave := t.inbox
+	t.inbox = t.spare[:0]
 	t.inboxMu.Unlock()
-	if len(msgs) == 0 {
-		return false
-	}
-	for _, m := range msgs {
-		if h := t.handlerOf(m.To); h != nil {
-			h(m)
-			t.delivered.Add(1)
-		}
-	}
-	return true
+	drainQueued(wave, t.handlerOf, &t.delivered)
+	t.spare = wave
+	return len(wave) > 0
 }
 
 // Close shuts down all listeners and connections and waits for goroutines.
@@ -628,63 +640,50 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		default:
 		}
 		if h.kind == kindJumbo {
-			escaped := false
 			err := decodeJumbo(payload, e.id, func(sh frameHeader, body []byte) error {
 				e.net.io.framesIn.Add(1)
-				if e.deliver(Message{From: sh.from, To: sh.to, Kind: sh.kind, Payload: body}) {
-					escaped = true
-				}
+				e.deliver(Message{From: sh.from, To: sh.to, Kind: sh.kind, Payload: body}, fr.arena)
 				return nil
 			})
-			if escaped {
-				fr.markRetained()
-			}
 			if err != nil {
 				return // malformed jumbo: drop the connection
 			}
 			continue
 		}
 		e.net.io.framesIn.Add(1)
-		if e.deliver(Message{From: h.from, To: h.to, Kind: h.kind, Payload: payload}) {
-			fr.markRetained()
-		}
+		e.deliver(Message{From: h.from, To: h.to, Kind: h.kind, Payload: payload}, fr.arena)
 	}
 }
 
 // deliver runs one decoded frame through the receive-side pipeline —
-// fault recheck, download cap, charging, then inbox or handler — and
-// reports whether the payload escaped this call (it aliases a receive
-// arena; an escaped payload pins the arena out of the pool, honouring the
-// retained-message contract).
-func (e *tcpEndpoint) deliver(msg Message) bool {
+// fault recheck, download cap, charging, then inbox or handler. The
+// payload aliases arena: a queued message retains it until drainInbox has
+// handled the message, a direct-mode handler is done with the bytes when
+// it returns (the Handler contract).
+func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
 	// Receive-side recheck: a frame that was in flight when its link
 	// partitioned or an end went down is lost here (counted once —
 	// admission passed it, so no PRNG double-roll). Then the download-side
 	// cap: the receiver's NIC discards what exceeds its per-round inbound
 	// budget.
-	if e.net.faults.ReceiveBlocked(msg) {
+	if e.net.faults.ReceiveBlocked(msg) || !e.net.faults.AdmitInbound(msg) {
 		e.net.inflight.Add(-1)
-		return false
-	}
-	if !e.net.faults.AdmitInbound(msg) {
-		e.net.inflight.Add(-1)
-		return false
+		return
 	}
 	e.net.charge(msg.To, true, uint64(msg.WireSize()))
 	e.net.mu.Lock()
 	stepped := e.net.stepped
 	e.net.mu.Unlock()
 	if stepped {
+		arena.Retain()
 		e.net.inboxMu.Lock()
-		e.net.inbox = append(e.net.inbox, msg)
+		e.net.inbox = append(e.net.inbox, queuedDelivery{msg: msg, arena: arena})
 		e.net.inboxMu.Unlock()
-		e.net.inflight.Add(-1)
-		return true
+	} else {
+		e.handler(msg)
+		e.net.delivered.Add(1)
 	}
-	e.handler(msg)
-	e.net.delivered.Add(1)
 	e.net.inflight.Add(-1)
-	return true
 }
 
 // close tears the endpoint off the accept side of the wire: the listener

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -221,7 +222,7 @@ func TestTCPSteppedDeliveryFollowsCascade(t *testing.T) {
 		// Unsynchronised handler state is safe: stepped delivery is
 		// single-threaded.
 		relayed.Add(1)
-		_ = ep2.Send(1, 2, m.Payload)
+		_ = ep2.Send(1, 2, bytes.Clone(m.Payload))
 	})
 	if err != nil {
 		t.Fatal(err)

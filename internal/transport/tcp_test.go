@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -43,6 +44,7 @@ func newCollector() *collector {
 }
 
 func (c *collector) handle(m Message) {
+	m.Payload = bytes.Clone(m.Payload) // a handler keeps no view of its payload
 	c.mu.Lock()
 	c.msgs = append(c.msgs, m)
 	c.cond.Broadcast()

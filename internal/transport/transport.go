@@ -12,9 +12,10 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -38,13 +39,23 @@ type Message struct {
 func (m Message) WireSize() int { return HeaderBytes + len(m.Payload) }
 
 // Handler consumes delivered messages. Handlers may send further messages.
+//
+// The payload is lent for the duration of the call: a handler must not
+// write to it and must not keep it, or any slice of it, once it returns —
+// what it needs later it copies. The same bytes may be the sender's
+// retained evidence and the payload of every other recipient of a fan-out
+// (MemNet), or a slice of a receive arena that is recycled when the
+// delivery wave has been handled (the socket transports).
 type Handler func(Message)
 
 // Endpoint is a node's attachment to a network.
 type Endpoint interface {
 	// NodeID returns the attached node.
 	NodeID() model.NodeID
-	// Send transmits a message; payload is not retained.
+	// Send transmits a message and takes ownership of payload: the network
+	// may deliver that very slice, so the caller may keep reading it — and
+	// send it again — but nobody may write to it from here on. A caller
+	// encoding into a reused buffer hands over a copy.
 	Send(to model.NodeID, kind uint8, payload []byte) error
 }
 
@@ -142,6 +153,13 @@ type MemNet struct {
 	// so every PRNG draw stays canonical.
 	carryover []Message
 
+	// Merge-point scratch, kept across waves so a steady-state TakeWave
+	// allocates nothing: the merge set, the merged inflow and the wave
+	// handed to the caller.
+	mergeBuf []*memEndpoint
+	inflow   []Message
+	wave     []Delivery
+
 	// faults is the transport-agnostic fault plane, consulted exclusively
 	// at the merge point so every PRNG draw happens in canonical order.
 	faults *FaultPlane
@@ -227,14 +245,6 @@ func (n *MemNet) Unregister(id model.NodeID) bool {
 	return true
 }
 
-// SetDropFunc, SetFaultSeed, SetLossRate, SetLinkLoss, SetPartition, Heal,
-// SetNodeDown, SetUploadCap, Dropped and the queue counters delegate to
-// the fault plane — kept as methods so existing callers (and the
-// pre-extraction API) keep working unchanged.
-
-// SetDropFunc installs a fault-injection predicate (nil to clear).
-func (n *MemNet) SetDropFunc(f DropFunc) { n.faults.SetDropFunc(f) }
-
 // Dropped returns how many messages the fault plane (drop predicate, loss,
 // partitions, down nodes and queue expiry combined) discarded.
 func (n *MemNet) Dropped() uint64 { return n.faults.Dropped() }
@@ -245,64 +255,6 @@ func (n *MemNet) Deferred() uint64 { return n.faults.Deferred() }
 // CapExpired returns how many queued messages expired before the cap
 // released them.
 func (n *MemNet) CapExpired() uint64 { return n.faults.CapExpired() }
-
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: alias of CapExpired since the queued link model; see
-// FaultPlane.CapDrops.
-func (n *MemNet) CapDrops() uint64 { return n.faults.CapDrops() }
-
-// SetFaultSeed re-seeds the fault-plane PRNG; runs with the same seed and
-// the same send sequence replay identically.
-func (n *MemNet) SetFaultSeed(seed uint64) { n.faults.SetSeed(seed) }
-
-// SetLossRate sets the uniform message-loss probability in [0, 1].
-func (n *MemNet) SetLossRate(p float64) { n.faults.SetLossRate(p) }
-
-// SetLinkLoss sets the loss probability of the directed link from → to
-// (applied on top of the uniform rate; 0 removes the entry).
-func (n *MemNet) SetLinkLoss(from, to model.NodeID, p float64) {
-	n.faults.SetLinkLoss(from, to, p)
-}
-
-// SetPartition splits the network: messages crossing group boundaries are
-// dropped. Nodes absent from every listed group form one implicit extra
-// group (so Partition([]{victim}) isolates a single node). Heal removes
-// the partition.
-func (n *MemNet) SetPartition(groups ...[]model.NodeID) {
-	n.faults.SetPartition(groups...)
-}
-
-// Heal removes the current partition.
-func (n *MemNet) Heal() { n.faults.Heal() }
-
-// SetNodeDown marks a node crashed: everything it sends or should receive
-// is dropped, but its registration and counters are kept (so it can come
-// back up and so post-mortem accounting still works).
-func (n *MemNet) SetNodeDown(id model.NodeID, isDown bool) {
-	n.faults.SetNodeDown(id, isDown)
-}
-
-// SetUploadCap bounds a node's outbound bytes per round (0 removes the
-// cap). Messages beyond the budget wait at the NIC: they queue in FIFO
-// order and are released by later rounds' budgets (so measured egress
-// saturates at the cap while the backlog grows), expiring once they
-// out-age the queue deadline.
-func (n *MemNet) SetUploadCap(id model.NodeID, bytesPerRound uint64) {
-	n.faults.SetUploadCap(id, bytesPerRound)
-}
-
-// SetQueueDeadline bounds how long a capped node's queued messages may
-// wait before expiring (rounds; <= 0 disables expiry).
-func (n *MemNet) SetQueueDeadline(rounds int) { n.faults.SetQueueDeadline(rounds) }
-
-// SetDownloadCap bounds a node's inbound bytes per round (0 removes the
-// cap): the download side of the asymmetric-link model, applied at
-// delivery — over-budget arrivals are discarded at the receiver's NIC
-// after the sender was charged.
-func (n *MemNet) SetDownloadCap(id model.NodeID, bytesPerRound uint64) {
-	n.faults.SetDownloadCap(id, bytesPerRound)
-}
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
@@ -331,15 +283,15 @@ func clampProb(p float64) float64 {
 }
 
 // mergeSet snapshots the active endpoints in canonical (ascending id)
-// order.
-func (n *MemNet) mergeSet() []*memEndpoint {
+// order, into buf's storage.
+func (n *MemNet) mergeSet(buf []*memEndpoint) []*memEndpoint {
+	eps := buf[:0]
 	n.regMu.RLock()
-	eps := make([]*memEndpoint, 0, len(n.active))
 	for _, ep := range n.active {
 		eps = append(eps, ep)
 	}
 	n.regMu.RUnlock()
-	sort.Slice(eps, func(i, j int) bool { return eps[i].id < eps[j].id })
+	slices.SortFunc(eps, func(a, b *memEndpoint) int { return cmp.Compare(a.id, b.id) })
 	return eps
 }
 
@@ -350,7 +302,7 @@ func (n *MemNet) PendingCount() int {
 	n.mu.Lock()
 	total := len(n.carryover)
 	n.mu.Unlock()
-	for _, ep := range n.mergeSet() {
+	for _, ep := range n.mergeSet(nil) {
 		ep.mu.Lock()
 		total += len(ep.outbox)
 		ep.mu.Unlock()
@@ -365,9 +317,7 @@ func (n *MemNet) PendingCount() int {
 // canonical order, so the charge sequence and every PRNG consultation are
 // independent of how the sends were scheduled.
 func (n *MemNet) admit(msg Message) bool {
-	// The endpoint copied the payload at Send, so the plane may retain it
-	// without another copy if the cap defers the message.
-	outcome := n.faults.AdmitOwned(msg)
+	outcome := n.faults.Admit(msg)
 	if outcome == OutcomeQueued {
 		return false
 	}
@@ -414,26 +364,31 @@ type Delivery struct {
 // each Delivery's handler — in slice order for a serial run, or
 // partitioned by destination for a sharded run (per-destination
 // subsequences preserve the canonical order either way).
+//
+// TakeWave is the merge point and has one caller at a time. The returned
+// slice is that caller's until its next TakeWave, which reuses the storage.
 func (n *MemNet) TakeWave() []Delivery {
 	// Drain the outboxes sender by sender in canonical order. Drained
 	// endpoints whose id is no longer registered fall out of the merge
-	// set (their next Send re-attaches them).
-	var inflow []Message
-	eps := n.mergeSet()
+	// set (their next Send re-attaches them). Outboxes and the scratch
+	// slices keep their arrays, cleared so no payload outlives its wave.
+	clear(n.wave)
+	inflow := n.inflow[:0]
+	eps := n.mergeSet(n.mergeBuf)
 	for _, ep := range eps {
 		ep.mu.Lock()
-		if len(ep.outbox) > 0 {
-			inflow = append(inflow, ep.outbox...)
-			ep.outbox = nil
-		}
+		inflow = append(inflow, ep.outbox...)
+		clear(ep.outbox)
+		ep.outbox = ep.outbox[:0]
 		ep.mu.Unlock()
 	}
 	n.pruneDeparted(eps)
+	n.mergeBuf = eps
 
 	n.mu.Lock()
 	carried := n.carryover
 	n.carryover = nil
-	out := make([]Delivery, 0, len(carried)+len(inflow))
+	out := n.wave[:0]
 	for _, msg := range carried {
 		// Carryover already passed the cap (BeginRound charged its
 		// budget); only the post-cap plane applies. The sender is charged
@@ -469,6 +424,8 @@ func (n *MemNet) TakeWave() []Delivery {
 		out = append(out, Delivery{Msg: msg})
 	}
 	n.mu.Unlock()
+	clear(inflow)
+	n.inflow, n.wave = inflow, out
 
 	// Resolve handlers outside n.mu (regMu and mu are never nested). A
 	// destination unregistered while the message was queued was charged
@@ -570,9 +527,10 @@ func (n *MemNet) ResetTraffic() {
 }
 
 // memEndpoint buffers a node's outbound messages until the next merge
-// point. During a simulation phase an endpoint is driven by exactly one
-// goroutine (its node's), so the mutex is uncontended; it exists for users
-// that share an endpoint across goroutines.
+// point: the payloads themselves, which Send was given to own. During a
+// simulation phase an endpoint is driven by exactly one goroutine (its
+// node's), so the mutex is uncontended; it exists for users that share an
+// endpoint across goroutines.
 type memEndpoint struct {
 	net *MemNet
 	id  model.NodeID
@@ -591,10 +549,8 @@ func (e *memEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	if !known {
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
 	e.mu.Lock()
-	e.outbox = append(e.outbox, Message{From: e.id, To: to, Kind: kind, Payload: cp})
+	e.outbox = append(e.outbox, Message{From: e.id, To: to, Kind: kind, Payload: payload})
 	e.mu.Unlock()
 	if !attached {
 		// A sender pruned after its id departed rejoins the merge set.

@@ -53,17 +53,63 @@ func TestMemNetDelivery(t *testing.T) {
 	}
 }
 
-func TestMemNetPayloadCopied(t *testing.T) {
+// TestMemNetSendOwnership: Send takes the slice it is given. Every
+// recipient of a fan-out is delivered that very array — no copy on the way
+// in, none at the merge, none when an upload cap parks the message in the
+// link queue for a round.
+func TestMemNetSendOwnership(t *testing.T) {
 	n := NewMemNet()
-	var got Message
-	_, _ = n.Register(2, func(m Message) { got = m })
+	var got []Message
+	record := func(m Message) { got = append(got, m) }
+	_, _ = n.Register(2, record)
+	_, _ = n.Register(3, record)
 	ep1, _ := n.Register(1, func(Message) {})
 	buf := []byte("abc")
+	n.Faults().SetUploadCap(1, uint64(HeaderBytes+len(buf)))
 	_ = ep1.Send(2, 0, buf)
-	buf[0] = 'Z'
-	n.DeliverPending()
-	if string(got.Payload) != "abc" {
-		t.Fatal("payload aliased the caller's buffer")
+	_ = ep1.Send(3, 0, buf) // over budget: deferred to the next round
+	n.DeliverAll()
+	n.BeginRound()
+	n.DeliverAll()
+	if len(got) != 2 || got[0].To != 2 || got[1].To != 3 {
+		t.Fatalf("delivered %+v", got)
+	}
+	for _, m := range got {
+		if &m.Payload[0] != &buf[0] || len(m.Payload) != len(buf) {
+			t.Fatalf("message to %v was delivered a copy", m.To)
+		}
+	}
+}
+
+// TestMemNetSteadyStateAllocations: once the outboxes and the merge
+// scratch have grown to a wave's size, sending and merging allocate
+// nothing.
+func TestMemNetSteadyStateAllocations(t *testing.T) {
+	n := NewMemNet()
+	const nodes = 8
+	eps := make([]Endpoint, nodes)
+	for i := range eps {
+		eps[i], _ = n.Register(model.NodeID(i+1), func(Message) {})
+	}
+	payload := make([]byte, 64)
+	wave := func() {
+		for i, ep := range eps {
+			for j := 1; j <= 3; j++ {
+				_ = ep.Send(model.NodeID((i+j)%nodes+1), 1, payload)
+			}
+		}
+	}
+	wave()
+	n.DeliverAll()
+	if allocs := testing.AllocsPerRun(100, wave); allocs != 0 {
+		t.Errorf("Send allocates %.0f objects per wave of %d (amortised)", allocs, 3*nodes)
+	}
+	n.DeliverAll()
+	if allocs := testing.AllocsPerRun(100, func() {
+		wave()
+		n.DeliverAll()
+	}); allocs != 0 {
+		t.Errorf("a send-and-deliver wave allocates %.0f objects", allocs)
 	}
 }
 
@@ -143,7 +189,7 @@ func TestMemNetDrop(t *testing.T) {
 	_, _ = n.Register(2, func(Message) { received++ })
 	ep1, _ := n.Register(1, func(Message) {})
 
-	n.SetDropFunc(func(m Message) bool { return m.Kind == 9 })
+	n.Faults().SetDropFunc(func(m Message) bool { return m.Kind == 9 })
 	_ = ep1.Send(2, 9, []byte("dropped"))
 	_ = ep1.Send(2, 1, []byte("kept"))
 	n.DeliverAll()
@@ -158,7 +204,7 @@ func TestMemNetDrop(t *testing.T) {
 	if n.TrafficOf(1).MsgsOut != 2 || n.TrafficOf(2).MsgsIn != 1 {
 		t.Fatal("drop accounting wrong")
 	}
-	n.SetDropFunc(nil)
+	n.Faults().SetDropFunc(nil)
 	_ = ep1.Send(2, 9, []byte("now kept"))
 	n.DeliverAll()
 	if received != 2 {

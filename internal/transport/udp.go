@@ -59,7 +59,8 @@ type UDPNet struct {
 	stepped   bool
 	quiesce   time.Duration
 	inboxMu   sync.Mutex
-	inbox     []Message
+	inbox     []queuedDelivery
+	spare     []queuedDelivery
 	inflight  atomic.Int64
 	delivered atomic.Uint64
 
@@ -374,21 +375,15 @@ func (u *UDPNet) DeliverAll() int {
 	}
 }
 
+// drainInbox is TCPNet.drainInbox on this net's inbox.
 func (u *UDPNet) drainInbox() bool {
 	u.inboxMu.Lock()
-	msgs := u.inbox
-	u.inbox = nil
+	wave := u.inbox
+	u.inbox = u.spare[:0]
 	u.inboxMu.Unlock()
-	if len(msgs) == 0 {
-		return false
-	}
-	for _, m := range msgs {
-		if h := u.handlerOf(m.To); h != nil {
-			h(m)
-			u.delivered.Add(1)
-		}
-	}
-	return true
+	drainQueued(wave, u.handlerOf, &u.delivered)
+	u.spare = wave
+	return len(wave) > 0
 }
 
 // Close shuts down every socket and waits for the goroutines.
@@ -521,7 +516,7 @@ type unackedFrame struct {
 	to      model.NodeID
 	kind    uint8
 	seq     uint32
-	payload []byte // owned copy: retransmission outlives the caller's buffer
+	payload []byte // the slice Send was given to own
 	sentAt  time.Time
 	tries   int
 }
@@ -610,9 +605,7 @@ func (e *udpEndpoint) sendFrame(to model.NodeID, kind uint8, payload []byte, siz
 	flags := uint8(0)
 	if reliable {
 		flags |= udpFlagReliable
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		p.unacked[seq] = &unackedFrame{to: to, kind: kind, seq: seq, payload: cp, sentAt: time.Now()}
+		p.unacked[seq] = &unackedFrame{to: to, kind: kind, seq: seq, payload: payload, sentAt: time.Now()}
 		e.net.inflight.Add(1)
 	}
 	e.appendSubLocked(p, to, kind, flags, seq, payload)
@@ -784,7 +777,8 @@ func (s *udpSrc) markSeenLocked(seq uint32) (dup bool) {
 
 // readLoop receives container datagrams into pooled arenas, delivers
 // their sub-frames zero-copy, and acks reliable traffic one return
-// datagram per received datagram.
+// datagram per received datagram. An arena that queued a payload is left
+// to the delivery wave, which recycles it; any other is read into again.
 func (e *udpEndpoint) readLoop() {
 	arena := wire.GetArena(maxUDPDatagram + 4096)
 	defer func() { arena.Release() }()
@@ -802,7 +796,6 @@ func (e *udpEndpoint) readLoop() {
 		}
 		e.net.io.reads.Add(1)
 		e.net.io.bytesIn.Add(uint64(n))
-		escaped := false
 		var ackSeqs []uint32
 		var from model.NodeID
 		decErr := decodeUDPContainer(buf[:n], func(f model.NodeID, sub udpSub) error {
@@ -828,9 +821,7 @@ func (e *udpEndpoint) readLoop() {
 					return nil // re-acked above, not re-delivered
 				}
 			}
-			if e.deliver(Message{From: f, To: e.id, Kind: sub.kind, Payload: sub.body}) {
-				escaped = true
-			}
+			e.deliver(Message{From: f, To: e.id, Kind: sub.kind, Payload: sub.body}, arena)
 			return nil
 		})
 		if decErr != nil {
@@ -842,8 +833,7 @@ func (e *udpEndpoint) readLoop() {
 			ackBuf = e.encodeAck(ackBuf[:0], from, ackSeqs)
 			_, _ = e.pc.WriteToUDP(ackBuf, raddr)
 		}
-		if escaped {
-			arena.Pin()
+		if arena.Shared() {
 			arena.Release()
 			arena = wire.GetArena(maxUDPDatagram + 4096)
 		}
@@ -869,26 +859,23 @@ func (e *udpEndpoint) encodeAck(buf []byte, to model.NodeID, seqs []uint32) []by
 }
 
 // deliver mirrors the TCP receive pipeline: fault recheck, download cap,
-// charging, then inbox or handler; it reports whether the payload escaped
-// (pinning the receive arena).
-func (e *udpEndpoint) deliver(msg Message) bool {
-	if e.net.faults.ReceiveBlocked(msg) {
-		return false
-	}
-	if !e.net.faults.AdmitInbound(msg) {
-		return false
+// charging, then inbox (retaining the arena the payload aliases) or
+// handler.
+func (e *udpEndpoint) deliver(msg Message, arena *wire.Arena) {
+	if e.net.faults.ReceiveBlocked(msg) || !e.net.faults.AdmitInbound(msg) {
+		return
 	}
 	e.net.charge(msg.To, true, uint64(msg.WireSize()))
 	e.net.mu.Lock()
 	stepped := e.net.stepped
 	e.net.mu.Unlock()
 	if stepped {
+		arena.Retain()
 		e.net.inboxMu.Lock()
-		e.net.inbox = append(e.net.inbox, msg)
+		e.net.inbox = append(e.net.inbox, queuedDelivery{msg: msg, arena: arena})
 		e.net.inboxMu.Unlock()
-		return true
+		return
 	}
 	e.handler(msg)
 	e.net.delivered.Add(1)
-	return true
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +29,10 @@ func TestUDPRoundTrip(t *testing.T) {
 	defer func() { _ = un.Close() }()
 
 	got := make(chan Message, 1)
-	if _, err := un.Register(2, func(m Message) { got <- m }); err != nil {
+	if _, err := un.Register(2, func(m Message) {
+		m.Payload = bytes.Clone(m.Payload)
+		got <- m
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ep1, err := un.Register(1, func(Message) {})

@@ -2,16 +2,15 @@ package wire
 
 // Ref-counted receive arenas. The transport read loops slice inbound
 // frame payloads straight out of a shared fill buffer instead of
-// allocating per frame (the zero-copy receive path). Decoded messages
-// alias the payload they were delivered in (Reader.Bytes returns views),
-// so a buffer that handed out even one delivered payload is never
-// recycled — it is Pinned and left to the garbage collector, which makes
-// a handler that keeps a view a memory cost, never a correctness bug.
-// Buffers whose frames were all dropped before
-// delivery (fault-plane rechecks, departed destinations, protocol
-// violations) hit refcount zero and return to the pool, which is where
-// the recycling win lives under loss-heavy scripts and idle keepalive
-// traffic.
+// allocating per frame (the zero-copy receive path). A payload queued for
+// a later delivery wave holds a reference on its arena (Retain) and gives
+// it back once its handler has returned (Release): handlers keep no view
+// of what they were delivered (the transport.Handler contract, proved by
+// the *SurvivesPayloadOverwrite tests), so an arena whose last payload
+// has been handled goes back to the pool instead of to the garbage
+// collector. Arenas whose frames were all dropped before delivery
+// (fault-plane rechecks, departed destinations, protocol violations)
+// never leave the read loop's hands and recycle the same way.
 
 import (
 	"sync"
@@ -20,8 +19,8 @@ import (
 
 // ArenaSize is the default capacity of a pooled receive arena: large
 // enough that one socket read drains many queued frames (the batch-
-// receive path — one syscall, many frames), small enough that a pinned
-// arena does not anchor much dead memory around a retained payload.
+// receive path — one syscall, many frames), small enough that an arena
+// waiting on one undelivered payload does not anchor much dead memory.
 const ArenaSize = 64 << 10
 
 // maxPooledArena caps what the pool keeps; oversized one-off arenas
@@ -33,10 +32,10 @@ var arenaPool = sync.Pool{
 }
 
 // Arena is a ref-counted pooled byte buffer for zero-copy receive paths.
-// The holder that obtained it from GetArena owns one reference; Pin adds
-// a permanent reference on behalf of an escaped payload slice. Release
-// drops the holder's reference and recycles the buffer iff nothing
-// escaped.
+// The read loop that obtained it from GetArena owns one reference and is
+// the only one to write the buffer or to Retain; every payload slice
+// handed on owns one more. Whoever drops the last reference recycles the
+// buffer.
 type Arena struct {
 	buf  []byte
 	refs atomic.Int32
@@ -60,13 +59,17 @@ func GetArena(n int) *Arena {
 // Bytes returns the arena's full backing slice.
 func (a *Arena) Bytes() []byte { return a.buf }
 
-// Pin records that a slice of the arena escaped to a consumer that may
-// retain it indefinitely. A pinned arena never returns to the pool; it is
-// reclaimed by the GC once every escaped slice is dead.
-func (a *Arena) Pin() { a.refs.Add(1) }
+// Retain adds a reference on behalf of a payload slice handed to a
+// consumer, who calls Release when it is done with the bytes.
+func (a *Arena) Retain() { a.refs.Add(1) }
 
-// Release drops the holder's reference. At zero — nothing escaped — the
-// arena returns to the pool for the next read loop.
+// Shared reports whether any reference but the caller's is outstanding.
+// Only the read loop retains, so once it sees false no payload of the
+// arena is live and it may overwrite the buffer.
+func (a *Arena) Shared() bool { return a.refs.Load() > 1 }
+
+// Release drops one reference. At zero the arena returns to the pool for
+// the next read loop.
 func (a *Arena) Release() {
 	if a.refs.Add(-1) == 0 && cap(a.buf) <= maxPooledArena {
 		arenaPool.Put(a)

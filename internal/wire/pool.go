@@ -2,16 +2,20 @@ package wire
 
 // The message path every protocol in this repository shares (PAG's core,
 // the AcTinG and RAC baselines): a sender encodes a message body once into
-// a pooled Writer, signs those bytes in place (Writer.Sign), and hands the
-// transport the result — every Endpoint copies what it is given, so the
-// pooled buffer is free again when Send returns. A receiver decodes views
-// into the payload it was delivered and checks the signature over the
-// prefix of those same bytes (SignedPrefix), never over a re-encoding.
+// a pooled Writer, signs those bytes in place (Writer.Sign) and hands the
+// transport one exact-size copy — Endpoint.Send owns what it is given, and
+// every recipient of a fan-out is delivered that one slice. A receiver
+// decodes views into the payload it was delivered — or, for the encrypted
+// kinds, into the pooled Writer it opened the payload into (Writer.Open) —
+// and checks the signature over the prefix of those same bytes
+// (SignedPrefix), never over a re-encoding. Views die with the handler:
+// the payload goes back to its owner and the Writer to the pool.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/update"
 )
@@ -36,11 +40,30 @@ func GetWriter() *Writer {
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Release returns the Writer to the pool. Slices previously returned by
-// Seal/Finish alias its buffer and must not be used afterwards.
+// Seal/Open/Finish alias its buffer and must not be used afterwards.
 func (w *Writer) Release() {
+	if poisonReleased.Load() {
+		buf := w.buf[:cap(w.buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
 	if cap(w.buf) <= maxPooledWriter {
 		writerPool.Put(w)
 	}
+}
+
+// poisonReleased is the test hook behind PoisonReleased.
+var poisonReleased atomic.Bool
+
+// PoisonReleased makes Release overwrite a Writer's buffer before pooling
+// it, so that a view kept past Release — a decoded field of an opened
+// message, pooled bytes handed to a transport — reads garbage at once
+// instead of whenever the pool happens to reuse the buffer. For tests
+// only; it returns the function that restores the previous setting.
+func PoisonReleased() (restore func()) {
+	prev := poisonReleased.Swap(true)
+	return func() { poisonReleased.Store(prev) }
 }
 
 // Signer signs in place: it appends the signature over msg to dst and
@@ -48,6 +71,25 @@ func (w *Writer) Release() {
 // dst's contents.
 type Signer interface {
 	SignAppend(dst, msg []byte) ([]byte, error)
+}
+
+// Opener decrypts into a buffer it is given: it appends the plaintext of
+// ciphertext to dst and returns the extended slice (pki identities
+// implement it).
+type Opener interface {
+	DecryptAppend(dst, ciphertext []byte) ([]byte, error)
+}
+
+// Open resets w to the plaintext of ciphertext and returns it, the
+// receiving counterpart of Seal. The returned slice aliases w's buffer: it
+// is valid until the next Reset, Seal, Open or Release.
+func (w *Writer) Open(o Opener, ciphertext []byte) ([]byte, error) {
+	buf, err := o.DecryptAppend(w.buf[:0], ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	w.buf = buf
+	return buf, nil
 }
 
 // sigPrefixLen is the length prefix of the trailing signature field.
@@ -91,7 +133,7 @@ type BodyMessage interface {
 // Seal encodes m's body into w, signs it in place and returns the full
 // wire form — byte for byte what Marshal produces once m's signature
 // field holds that signature. The returned slice aliases w's buffer: it
-// is valid until the next Reset, Seal or Release.
+// is valid until the next Reset, Seal, Open or Release.
 func Seal(w *Writer, m BodyMessage, s Signer) ([]byte, error) {
 	w.Reset()
 	m.body(w)

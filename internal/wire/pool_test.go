@@ -207,3 +207,82 @@ func BenchmarkServeDecode(b *testing.B) {
 		}
 	}
 }
+
+// xorOpener is a stand-in identity whose "ciphertext" is the plaintext
+// XORed with 0x5A; an empty ciphertext is rejected.
+type xorOpener struct{}
+
+func (xorOpener) DecryptAppend(dst, ciphertext []byte) ([]byte, error) {
+	if len(ciphertext) == 0 {
+		return nil, errors.New("empty ciphertext")
+	}
+	for _, b := range ciphertext {
+		dst = append(dst, b^0x5A)
+	}
+	return dst, nil
+}
+
+// Open is Seal's receiving counterpart: the plaintext lands in the
+// writer's buffer, replacing what it held, and a failure leaves no slice.
+func TestWriterOpen(t *testing.T) {
+	w := GetWriter()
+	defer w.Release()
+	w.Bytes([]byte("left over from a previous use"))
+	ct := []byte{'h' ^ 0x5A, 'i' ^ 0x5A}
+	plain, err := w.Open(xorOpener{}, ct)
+	if err != nil || string(plain) != "hi" {
+		t.Fatalf("Open = %q, %v", plain, err)
+	}
+	if &plain[0] != &w.Finish()[0] || len(w.Finish()) != 2 {
+		t.Fatal("the plaintext is not the writer's buffer")
+	}
+	if plain, err := w.Open(xorOpener{}, nil); err == nil || plain != nil {
+		t.Fatalf("rejected ciphertext gave %q, %v", plain, err)
+	}
+}
+
+// TestPoisonReleased: with the hook on, a view kept past Release reads
+// poison whether or not the pool has reused the buffer; restoring turns it
+// off again.
+func TestPoisonReleased(t *testing.T) {
+	restore := PoisonReleased()
+	w := GetWriter()
+	view, _ := w.Open(xorOpener{}, bytes.Repeat([]byte{0}, 64))
+	w.Release()
+	if !bytes.Equal(view, bytes.Repeat([]byte{0xDB}, 64)) {
+		t.Fatalf("released buffer not poisoned: %x", view[:8])
+	}
+	restore()
+	w = GetWriter()
+	view, _ = w.Open(xorOpener{}, bytes.Repeat([]byte{0}, 64))
+	w.Release()
+	if view[0] == 0xDB {
+		t.Fatal("poisoning survived its restore")
+	}
+}
+
+// TestArenaOwnership: the read loop's reference plus one per payload
+// handed on; the arena is shared exactly while a payload is outstanding.
+func TestArenaOwnership(t *testing.T) {
+	a := GetArena(ArenaSize)
+	if a.Shared() {
+		t.Fatal("fresh arena already shared")
+	}
+	a.Retain()
+	a.Retain()
+	if !a.Shared() {
+		t.Fatal("arena with queued payloads not shared")
+	}
+	a.Release()
+	if !a.Shared() {
+		t.Fatal("one payload still outstanding")
+	}
+	a.Release()
+	if a.Shared() {
+		t.Fatal("arena still shared after the last payload was handled")
+	}
+	a.Release()
+	if big := GetArena(maxPooledArena + 1); len(big.Bytes()) != maxPooledArena+1 {
+		t.Fatalf("oversized arena has %d bytes", len(big.Bytes()))
+	}
+}

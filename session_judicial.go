@@ -69,9 +69,7 @@ func (s *Session) applyJudgments(r model.Round) {
 			s.evictions = append(s.evictions, ev)
 			continue
 		}
-		s.engine.Remove(j.Node)
-		s.silence(j.Node)
-		s.departed[j.Node] = r
+		s.depart(j.Node, r)
 		s.evicted[j.Node] = true
 		s.bumpEpoch(r)
 		s.evictions = append(s.evictions, ev)

@@ -168,21 +168,29 @@ func (s *Session) Leave(r model.Round, id model.NodeID) error {
 	if err := s.dir.Leave(id, r); err != nil {
 		return fmt.Errorf("pag: leave of %v: %w", id, err)
 	}
-	s.engine.Remove(id)
-	s.silence(id)
-	s.departed[id] = r
+	s.depart(id, r)
 	s.bumpEpoch(r)
 	return nil
 }
 
-// silence takes a departed node off the network: the down flag drops
-// anything already heading its way, and deregistering releases its
-// endpoint — on a TCP transport that is a real listener-and-connection
-// teardown, on MemNet it makes later sends to the id fail fast instead of
-// being charged and fault-dropped. Traffic counters survive either way.
-func (s *Session) silence(id model.NodeID) {
+// depart takes a node out of the running session at round r, for every
+// way of leaving (graceful, crash, eviction). The engine stops stepping
+// it; the down flag drops anything already heading its way and
+// deregistering releases its endpoint — on a TCP transport that is a real
+// listener-and-connection teardown, on MemNet it makes later sends to the
+// id fail fast instead of being charged and fault-dropped. Traffic
+// counters survive either way. A PAG node, which carries a 24-round update
+// store and its monitors' bookkeeping, lets go of them: the session reads
+// nothing but counters from a departed node, and a long churn script
+// would otherwise keep the state of everyone who ever left.
+func (s *Session) depart(id model.NodeID, r model.Round) {
+	s.engine.Remove(id)
 	s.net.Faults().SetNodeDown(id, true)
 	s.net.Unregister(id)
+	s.departed[id] = r
+	if n := s.pagNodes[id]; n != nil {
+		n.Retire()
+	}
 }
 
 // Crash implements scenario.Applier: the node goes silent immediately but
@@ -202,9 +210,7 @@ func (s *Session) Crash(r model.Round, id model.NodeID, lingerRounds int) error 
 	if lingerRounds <= 0 {
 		return s.Leave(r, id)
 	}
-	s.engine.Remove(id)
-	s.silence(id)
-	s.departed[id] = r
+	s.depart(id, r)
 	s.engine.ScheduleAt(r+model.Round(lingerRounds), func(rr model.Round) {
 		// Detection: the membership drops the crashed node. A failed
 		// removal (system already at minimum size) keeps it as a

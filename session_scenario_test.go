@@ -86,6 +86,16 @@ func TestLeaveRedrawsMembership(t *testing.T) {
 	if c := s.MeanContinuity(); c < 0.9 {
 		t.Fatalf("mean continuity %v after the leave", c)
 	}
+	// The departed node let go of its state and kept its counters.
+	if got := s.pagNodes[9].Store().Len(); got != 0 {
+		t.Fatalf("departed node still stores %d updates", got)
+	}
+	if got := s.PAGNodeStats()[9]; got.UpdatesReceived == 0 || got.RoundsRun != 6 {
+		t.Fatalf("departed node's counters: %+v", got)
+	}
+	if s.pagNodes[3].Store().Len() == 0 {
+		t.Fatal("a member's store is empty")
+	}
 }
 
 // TestPartitionContinuityDropsAndRecovers: a node cut off from the rest of
