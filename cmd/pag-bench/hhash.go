@@ -8,6 +8,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"os"
@@ -67,13 +68,23 @@ func cryptoBench(modBits, primeBits, preds int) (*hhash.Hasher, []*big.Int, []hh
 	return h, atts, rems, ack, nil
 }
 
+// record times fn three times and keeps the fastest: on a shared box the
+// slow runs measure the neighbours, and the rows are compared across
+// commits recorded hours apart.
 func record(report *hhashReport, op string, modBits, preds int, fn func(b *testing.B)) {
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
 	r := testing.Benchmark(fn)
+	for i := 0; i < 2; i++ {
+		if again := testing.Benchmark(fn); nsPerOp(again) < nsPerOp(r) {
+			r = again
+		}
+	}
 	report.Results = append(report.Results, hhashResult{
 		Op:          op,
 		ModulusBits: modBits,
 		Preds:       preds,
-		MicrosPerOp: float64(r.NsPerOp()) / 1e3,
+		// To a tenth of a nanosecond: a Montgomery kernel runs in tens.
+		MicrosPerOp: math.Round(nsPerOp(r)*10) / 1e4,
 		AllocsPerOp: r.AllocsPerOp(),
 	})
 }
@@ -92,6 +103,31 @@ func recordHHashBench(path string) error {
 		h, atts, rems, ack, err := cryptoBench(modBits, primeBits, preds)
 		if err != nil {
 			return fmt.Errorf("hhash bench setup at %d bits: %w", modBits, err)
+		}
+		// One Montgomery multiplication and squaring — what every row below
+		// is made of — on the kernels this machine dispatches to and on the
+		// portable Go ones (equal where no assembly kernel exists: off
+		// amd64, without ADX, and at 128 bits everywhere).
+		for _, portable := range []bool{false, true} {
+			suffix := ""
+			if portable {
+				suffix = "_portable"
+			}
+			mul, sqr, err := hhash.MontgomeryOps(h.Params().Modulus(), portable)
+			if err != nil {
+				return fmt.Errorf("hhash bench kernels at %d bits: %w", modBits, err)
+			}
+			for _, op := range []struct {
+				name string
+				fn   func()
+			}{{"mont_mul", mul}, {"mont_sqr", sqr}} {
+				record(&report, op.name+suffix, modBits, 0, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						op.fn()
+					}
+				})
+			}
 		}
 		v := h.Embed([]byte("the update payload under benchmark"))
 		key := rems[0].Mul(hhash.OneKey())

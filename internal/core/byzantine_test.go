@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hhash"
+	"repro/internal/model"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -93,5 +96,85 @@ func TestReplayedAckIgnored(t *testing.T) {
 	h.engine.Run(6)
 	for _, v := range h.verdicts[before:] {
 		t.Fatalf("replayed ack caused verdict: %v", v)
+	}
+}
+
+// TestServeBadMultiplicityRejected: a Serve correctly signed by a Byzantine
+// predecessor whose multiplicities are unusable — zero (no hash key
+// exists for it) or so large that the receiver's sums could wrap to zero —
+// costs the sender one BadMessage verdict and changes nothing: no panic,
+// no stored update, no reception counted, and the node keeps going.
+func TestServeBadMultiplicityRejected(t *testing.T) {
+	h := newHarness(t, 8, 2)
+	h.engine.Run(3)
+	const b = model.NodeID(3) // the receiver
+	node := h.nodes[b]
+	round := node.Round()
+	// The signer: a member whose exchange with b this round is not already
+	// closed, so its Serve is processed rather than dropped as a duplicate.
+	a := model.NoNode
+	preds := h.dir.Predecessors(b, round)
+	for _, id := range h.dir.MembersAt(round) {
+		if id != b && id != h.source && !slices.Contains(preds, id) {
+			a = id
+			break
+		}
+	}
+	if a == model.NoNode {
+		t.Fatal("every member is a predecessor of the receiver")
+	}
+	fresh, err := h.gen.Emit(round, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := node.Store().OwnedInWindow(round, 4)
+	if len(owned) == 0 {
+		t.Fatal("receiver owns nothing to reference")
+	}
+	ref, refCount := owned[0].Update.ID, owned[0].Count
+
+	for _, tc := range []struct {
+		name string
+		srv  *wire.Serve
+	}{
+		{"zero count on a full update", &wire.Serve{
+			Full: []wire.ServedUpdate{{Update: fresh[0], Count: 0}}}},
+		{"zero count on a reference", &wire.Serve{
+			Refs: []wire.ServedRef{{ID: ref, Count: 0}}}},
+		{"zero count after a valid item", &wire.Serve{
+			Full: []wire.ServedUpdate{{Update: fresh[0], Count: 1}},
+			Refs: []wire.ServedRef{{ID: ref, Count: 0}}}},
+		{"count that wraps the sum", &wire.Serve{
+			Full: []wire.ServedUpdate{{Update: fresh[0], Count: ^uint64(0)}},
+			Refs: []wire.ServedRef{{ID: fresh[0].ID, Count: 1}}}},
+	} {
+		tc.srv.Round, tc.srv.From, tc.srv.To = round, a, b
+		tc.srv.KPrev = hhash.OneKey().Bytes()
+		cipher, err := h.suite.Encrypt(b, sealMsg(t, h.identities[a], tc.srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, stats := len(h.verdicts), node.Stats()
+		node.HandleMessage(transport.Message{From: a, To: b, Kind: wire.KindServe, Payload: cipher})
+		got := h.verdicts[before:]
+		if len(got) != 1 || got[0].Kind != core.VerdictBadMessage || got[0].Accused != a {
+			t.Fatalf("%s: verdicts %v, want one BadMessage against %v", tc.name, got, a)
+		}
+		if node.Store().Has(fresh[0].ID) {
+			t.Fatalf("%s: the served update was stored", tc.name)
+		}
+		if e := node.Store().Get(ref); e.Count != refCount {
+			t.Fatalf("%s: referenced entry's count moved %d -> %d", tc.name, refCount, e.Count)
+		}
+		if after := node.Stats(); after.UpdatesReceived != stats.UpdatesReceived || after.DuplicateReceptions != stats.DuplicateReceptions {
+			t.Fatalf("%s: reception counters moved", tc.name)
+		}
+	}
+
+	// Nothing unusable reached the forward set: the next rounds serve it.
+	received := node.Stats().UpdatesReceived
+	h.engine.Run(3)
+	if node.Stats().UpdatesReceived == received {
+		t.Fatal("receiver stopped receiving")
 	}
 }

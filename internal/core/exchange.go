@@ -264,6 +264,25 @@ func (n *Node) onServe(msg transport.Message) {
 // processServe accepts a verified Serve (from the direct path or a monitor
 // probe) and, once the attestation is present, acknowledges.
 func (n *Node) processServe(srv *wire.Serve) {
+	// The signature proves who sent the multiplicities, not that they are
+	// usable: a zero one has no key (mustCountKey), and an absurd one could
+	// wrap the sums the node keeps back to zero. Nothing is stored yet.
+	reject := func(count uint64, id model.UpdateID) {
+		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+			Accused: srv.From, Detail: fmt.Sprintf("multiplicity %d served for update %v", count, id)})
+	}
+	for i := range srv.Full {
+		if su := &srv.Full[i]; !validServedCount(su.Count) {
+			reject(su.Count, su.Update.ID)
+			return
+		}
+	}
+	for _, ref := range srv.Refs {
+		if !validServedCount(ref.Count) {
+			reject(ref.Count, ref.ID)
+			return
+		}
+	}
 	ex, ok := n.recvCur.exchanges[srv.From]
 	if !ok {
 		// A serve without a prior KeyRequest→KeyResponse handshake can

@@ -815,11 +815,22 @@ func (s *coeffStream) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// maxServedCount bounds one served multiplicity. An honest one is a sum
+// of receptions over an update's few rounds of life, nowhere near it; the
+// bound keeps the uint64 sums built from served counts (a pending item's,
+// a store entry's) from wrapping around to zero.
+const maxServedCount = 1 << 32
+
+// validServedCount reports whether a multiplicity read off the wire may
+// enter the node's accounting.
+func validServedCount(c uint64) bool { return c >= 1 && c <= maxServedCount }
+
 // mustCountKey converts a multiplicity into a hash key exponent.
 func mustCountKey(c uint64) hhash.Key {
 	k, err := hhash.KeyFromInt(new(big.Int).SetUint64(c))
 	if err != nil {
-		// counts are always >= 1 by construction
+		// Counts are >= 1 by construction: a node mints 1 and otherwise
+		// sums what processServe let in (validServedCount).
 		panic(fmt.Sprintf("core: invalid count %d: %v", c, err))
 	}
 	return k

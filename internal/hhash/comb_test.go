@@ -10,14 +10,14 @@ import (
 )
 
 // TestLiftFixedMatchesBig is the comb's differential test, over the same
-// grid as TestLiftMatchesBig: limb counts 1, 2, 3, 8, 9 and 16, odd moduli
+// grid as TestLiftMatchesBig: limb counts 1, 2, 3, 4, 8, 9 and 16, odd moduli
 // (the comb) and even ones (the fallback), the edge bases, and exponents
 // of 1, below one window, prime-sized with the top bit set, exactly at the
 // declared width, and wider than it (the fallback). Every value is checked
 // against big.Int.Exp and against the generic Lift.
 func TestLiftFixedMatchesBig(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(21))
-	for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 512, 513, 576, 1024} {
+	for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 255, 256, 512, 513, 576, 1024} {
 		for _, odd := range []bool{true, false} {
 			m := testModulus(rnd, bits, odd)
 			h := hasherFor(t, m)
@@ -168,10 +168,10 @@ func TestCombDigitCache(t *testing.T) {
 }
 
 // TestLiftFixedAllocations: like Lift, a comb lift allocates its result
-// (the big.Int and its limbs) and nothing else, at both production widths.
+// (the big.Int and its limbs) and nothing else, at every kernel width.
 func TestLiftFixedAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(25))
-	for _, bits := range []int{128, 512} {
+	for _, bits := range []int{128, 256, 512} {
 		h := hasherFor(t, testModulus(rnd, bits, true))
 		key, err := pregenPrime(rnd, bits)
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 // exponents, and varying base counts.
 func TestMultiExpMatchesNaive(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(9))
-	for _, bits := range []int{16, 64, 128, 200, 512, 600, 1024} {
+	for _, bits := range []int{16, 64, 128, 200, 256, 512, 600, 1024} {
 		for trial := 0; trial < 8; trial++ {
 			m := new(big.Int).Rand(rnd, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 			if m.BitLen() < 2 {

@@ -9,13 +9,17 @@ package hhash
 // accumulator per outer word, so t is loaded and stored once per step
 // instead of twice. math/big's assembly kernels are not reachable from
 // outside the standard library; a fused pure-Go loop over math/bits
-// intrinsics (one MUL + ADC chain per limb pair) is the closest
-// substitute, and for the two production widths — the 512-bit paper
-// modulus (k=8, below) and the 128-bit one sessions default to (k=2,
-// montkern.go) — unrolled kernels over named locals eliminate every
-// bounds check on the hot path.
+// intrinsics (one MUL + ADC chain per limb pair) is the portable
+// substitute, and for two widths — the 512-bit paper modulus (k=8, below)
+// and the 128-bit one sessions default to (k=2, montkern.go) — unrolled
+// kernels over named locals eliminate every bounds check on the hot path.
+// On amd64 CPUs with ADX and BMI2 the 512- and 256-bit widths run on
+// generated MULX/ADCX/ADOX kernels instead (mont_amd64.s, from
+// montasm_gen.go); the Go code stays as the path everywhere else and as
+// the oracle those kernels are tested against.
 
 import (
+	"errors"
 	"math/big"
 	"math/bits"
 )
@@ -111,9 +115,48 @@ func (c *montCtx) one4() []uint {
 	return v
 }
 
+// useADX selects the MULX/ADCX/ADOX kernels (mont_amd64.s) for the 512-
+// and 256-bit widths: read from CPUID once, false off amd64.
+var useADX = hasADX()
+
 // mul sets dst = a·b·R⁻¹ mod m. dst, a, b are k-limb; dst may alias a
-// and/or b.
+// and/or b. The 128-bit width stays on its Go kernel everywhere: an
+// assembly call costs more than the kernel's 8 ns.
 func (c *montCtx) mul(dst, a, b []uint) {
+	switch {
+	case c.k == 2:
+		mul2(dst, a, b, c.m, c.n0inv)
+	case c.k == 8 && useADX:
+		mulADX8((*[8]uint)(dst), (*[8]uint)(a), (*[8]uint)(b), (*[8]uint)(c.m), c.n0inv)
+	case c.k == 4 && useADX:
+		mulADX4((*[4]uint)(dst), (*[4]uint)(a), (*[4]uint)(b), (*[4]uint)(c.m), c.n0inv)
+	default:
+		c.mulPortable(dst, a, b)
+	}
+}
+
+// sqr sets dst = a²·R⁻¹ mod m; dst may alias a. At 512 bits the assembly
+// has a squaring of its own (17 % under mulADX8(a, a) in a ladder's
+// dependent chain); at 256 bits one measured 3 to 10 % and was left out, so
+// the multiply kernel squares there.
+func (c *montCtx) sqr(dst, a []uint) {
+	switch {
+	case c.k == 2:
+		sqr2(dst, a, c.m, c.n0inv)
+	case c.k == 8 && useADX:
+		sqrADX8((*[8]uint)(dst), (*[8]uint)(a), (*[8]uint)(c.m), c.n0inv)
+	case c.k == 4 && useADX:
+		ap := (*[4]uint)(a)
+		mulADX4((*[4]uint)(dst), ap, ap, (*[4]uint)(c.m), c.n0inv)
+	default:
+		c.sqrPortable(dst, a)
+	}
+}
+
+// mulPortable is mul on the pure-Go kernels alone: the only path off
+// amd64 and on CPUs without ADX, and the oracle the assembly kernels are
+// tested against.
+func (c *montCtx) mulPortable(dst, a, b []uint) {
 	switch c.k {
 	case 8:
 		mul8(dst, a, b, c.m, c.n0inv)
@@ -166,17 +209,34 @@ func (c *montCtx) mul(dst, a, b []uint) {
 	}
 }
 
-// sqr sets dst = a²·R⁻¹ mod m; dst may alias a. The two production widths
-// have their own kernels (montkern.go); the rest square with mul.
-func (c *montCtx) sqr(dst, a []uint) {
+// sqrPortable is sqr on the pure-Go kernels alone: dedicated squarings at
+// the two widths that have one, mulPortable elsewhere.
+func (c *montCtx) sqrPortable(dst, a []uint) {
 	switch c.k {
 	case 8:
 		sqr8(dst, a, c.m, c.n0inv)
 	case 2:
 		sqr2(dst, a, c.m, c.n0inv)
 	default:
-		c.mul(dst, a, a)
+		c.mulPortable(dst, a, a)
 	}
+}
+
+// MontgomeryOps returns one Montgomery multiplication and one squaring
+// modulo the odd m as closures over fixed operands: on the kernels this
+// machine dispatches to or, with portable set, on the pure-Go kernels that
+// every machine without ADX runs. It is a probe for cmd/pag-bench's
+// mont_mul and mont_sqr rows and selects nothing for the engine.
+func MontgomeryOps(m *big.Int, portable bool) (mul, sqr func(), err error) {
+	c := newMontCtx(m)
+	if c == nil {
+		return nil, nil, errors.New("hhash: Montgomery arithmetic needs an odd modulus > 1")
+	}
+	a, b, dst := c.limbsOf(new(big.Int).Rsh(m, 1)), c.limbsOf(new(big.Int).Rsh(m, 2)), make([]uint, c.k)
+	if portable {
+		return func() { c.mulPortable(dst, a, b) }, func() { c.sqrPortable(dst, a) }, nil
+	}
+	return func() { c.mul(dst, a, b) }, func() { c.sqr(dst, a) }, nil
 }
 
 // mul8 is the 512-bit (k=8) specialization: the outer loop is written

@@ -31,13 +31,13 @@ func hasherFor(t testing.TB, m *big.Int) *Hasher {
 }
 
 // TestLiftMatchesBig is the engine's differential test: Lift against
-// big.Int.Exp over limb counts 1, 2, 3, 8, 9 and 16 (full and partial top
+// big.Int.Exp over limb counts 1, 2, 3, 4, 8, 9 and 16 (full and partial top
 // limbs), odd moduli (Montgomery) and even ones (the fallback), the edge
 // bases, and the three exponent shapes the protocol produces — 1, a prime,
 // and the three-prime product kPrev.
 func TestLiftMatchesBig(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(14))
-	for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 512, 513, 576, 1024} {
+	for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 255, 256, 512, 513, 576, 1024} {
 		for _, odd := range []bool{true, false} {
 			m := testModulus(rnd, bits, odd)
 			h := hasherFor(t, m)
@@ -128,7 +128,7 @@ func TestCombineMatchesBig(t *testing.T) {
 // (ProductEmbed multiplicity 0) and a receiver aliasing the base.
 func TestModExpInPlaceAndZero(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(15))
-	for _, bits := range []int{64, 128, 512} {
+	for _, bits := range []int{64, 128, 256, 512} {
 		m := testModulus(rnd, bits, true)
 		h := hasherFor(t, m)
 		v := new(big.Int).Rand(rnd, m)
@@ -148,7 +148,7 @@ func TestModExpInPlaceAndZero(t *testing.T) {
 // limbs and on the carry-heavy extremes.
 func TestSqrMatchesMul(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(16))
-	for _, k := range []int{1, 2, 3, 8, 9} {
+	for _, k := range []int{1, 2, 3, 4, 8, 9} {
 		for trial := 0; trial < 200; trial++ {
 			var m *big.Int
 			if trial%4 == 0 {
@@ -197,10 +197,10 @@ func TestSqrMatchesMul(t *testing.T) {
 }
 
 // TestLiftAllocations: a lift allocates its result (the big.Int and its
-// limbs) and nothing else, at both production widths.
+// limbs) and nothing else, at every width with a kernel of its own.
 func TestLiftAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(17))
-	for _, bits := range []int{128, 512} {
+	for _, bits := range []int{128, 256, 512} {
 		h := hasherFor(t, testModulus(rnd, bits, true))
 		key, err := pregenPrime(rnd, bits)
 		if err != nil {
@@ -242,7 +242,7 @@ func FuzzLiftMatchesBig(f *testing.F) {
 
 func BenchmarkMontKernels(b *testing.B) {
 	rnd := mrand.New(mrand.NewSource(18))
-	for _, k := range []int{2, 8} {
+	for _, k := range []int{2, 4, 8} {
 		c := newMontCtx(testModulus(rnd, k*_W, true))
 		a := c.limbsOf(new(big.Int).Rand(rnd, c.mod))
 		dst := make([]uint, k)

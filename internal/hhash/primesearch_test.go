@@ -396,7 +396,8 @@ func TestFinalCheckPseudoprimes(t *testing.T) {
 
 // TestFinalCheckMatchesProbablyPrime: on seeded candidates built the way
 // pregenPrime builds them — and on unconstrained odd ones, which reach
-// narrower top limbs — the search and ProbablyPrime(1) give one verdict.
+// narrower top limbs — the search, on the dispatched kernels and on the
+// portable ones, and ProbablyPrime(1) give one verdict.
 func TestFinalCheckMatchesProbablyPrime(t *testing.T) {
 	candidates := 200_000
 	if testing.Short() {
@@ -419,6 +420,9 @@ func TestFinalCheckMatchesProbablyPrime(t *testing.T) {
 			got, want := s.accepts(buf), n.ProbablyPrime(1)
 			if got != want {
 				t.Fatalf("bits=%d: %v: search says %v, ProbablyPrime(1) %v", bits, n, got, want)
+			}
+			if portableKernels(func() { got = s.accepts(buf) }); got != want {
+				t.Fatalf("bits=%d: %v: search on the portable kernels says %v, ProbablyPrime(1) %v", bits, n, got, want)
 			}
 			if got {
 				primes++

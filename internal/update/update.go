@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hhash"
@@ -101,8 +102,14 @@ type Store struct {
 	// owns (SetOwnEmbed) and ReleaseLiftTables has not released yet. nil
 	// while every embedding is the interner's.
 	liftTables map[model.Round][]*hhash.FixedBase
-	free       []*Entry // retired (zeroed) entries awaiting reuse
-	chunk      []Entry  // tail of the current slab
+	// pending indexes the entries not yet handed to the application, in
+	// no particular order: Add appends, Undelivered drops what its caller
+	// marked Delivered since the last call, DropBefore what it retires.
+	// It is what Undelivered walks instead of byID, which also holds the
+	// delivered entries of the whole retention window.
+	pending []*Entry
+	free    []*Entry // retired (zeroed) entries awaiting reuse
+	chunk   []Entry  // tail of the current slab
 }
 
 // storeChunkEntries sizes the entry slabs: one allocation covers several
@@ -168,6 +175,7 @@ func (s *Store) Add(u Update, r model.Round, count uint64, forwardable bool) boo
 	e.Forwardable = forwardable
 	s.byID[u.ID] = e
 	s.byRound[r] = append(s.byRound[r], u.ID)
+	s.pending = append(s.pending, e)
 	return true
 }
 
@@ -208,9 +216,11 @@ func (s *Store) OwnedInWindow(r model.Round, window int) []*Entry {
 // Undelivered returns stored entries not yet handed to the application
 // whose deadline is at or before r (ready for playback), in ID order.
 func (s *Store) Undelivered(r model.Round) []*Entry {
+	// What the caller handed over since the last call leaves the index.
+	s.pending = slices.DeleteFunc(s.pending, func(e *Entry) bool { return e.Delivered })
 	var out []*Entry
-	for _, e := range s.byID {
-		if !e.Delivered && e.Update.Deadline <= r {
+	for _, e := range s.pending {
+		if e.Update.Deadline <= r {
 			out = append(out, e)
 		}
 	}
@@ -222,6 +232,10 @@ func (s *Store) Undelivered(r model.Round) []*Entry {
 // how many were dropped. Callers garbage-collect with a retention of a few
 // playout windows.
 func (s *Store) DropBefore(r model.Round) int {
+	// What is about to be retired (everything received before r) leaves the
+	// undelivered index first: a recycled entry must not be found there.
+	s.pending = slices.DeleteFunc(s.pending, func(e *Entry) bool { return e.Received < r })
+
 	dropped := 0
 	for rr, ids := range s.byRound {
 		if rr >= r {

@@ -3,6 +3,8 @@ package update
 import (
 	"bytes"
 	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +179,69 @@ func TestUndelivered(t *testing.T) {
 	}
 	if len(s.Undelivered(9)) != 1 {
 		t.Fatal("deadline-9 update should be ready at round 9")
+	}
+}
+
+// undeliveredByWalk is Undelivered as it was before the store kept an
+// index: every stored entry visited, the ready ones sorted.
+func undeliveredByWalk(s *Store, r model.Round) []*Entry {
+	var out []*Entry
+	for _, e := range s.byID {
+		if !e.Delivered && e.Update.Deadline <= r {
+			out = append(out, e)
+		}
+	}
+	sortEntries(out)
+	return out
+}
+
+// TestUndeliveredMatchesWalk drives a store through a random schedule of
+// receptions (new and duplicate, on time and late), partial deliveries —
+// through Undelivered's result and through Get — and retirements, entry
+// recycling included, and holds every Undelivered call to the map walk:
+// the same entries in the same order.
+func TestUndeliveredMatchesWalk(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		s := NewStore()
+		var seq uint64
+		for r := model.Round(1); r <= 80; r++ {
+			for i := rnd.Intn(9); i > 0; i-- {
+				id := seq
+				if seq > 0 && rnd.Intn(4) == 0 {
+					id = uint64(rnd.Int63n(int64(seq))) // a duplicate, or a retired id again
+				} else {
+					seq++
+				}
+				deadline := r + model.Round(rnd.Intn(12)) - 2 // some arrive already due
+				s.Add(mkUpdate(id, deadline), r, 1, rnd.Intn(2) == 0)
+			}
+			if rnd.Intn(5) == 0 && seq > 0 {
+				if e := s.Get(model.UpdateID{Stream: 1, Seq: uint64(rnd.Int63n(int64(seq)))}); e != nil {
+					e.Delivered = true // delivered without having been listed
+				}
+			}
+			if rnd.Intn(4) != 0 {
+				at := r - model.Round(rnd.Intn(3))
+				want := undeliveredByWalk(s, at)
+				got := s.Undelivered(at)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d round %d: Undelivered(%d) = %d entries, the walk finds %d (or another order)",
+						trial, r, at, len(got), len(want))
+				}
+				for _, e := range got {
+					if rnd.Intn(6) != 0 { // a few stay for the next call
+						e.Delivered = true
+					}
+				}
+			}
+			if horizon := model.Round(rnd.Intn(20)); rnd.Intn(3) == 0 && r > horizon {
+				s.DropBefore(r - horizon)
+			}
+		}
+		if got, want := s.Undelivered(1000), undeliveredByWalk(s, 1000); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: final sweep differs", trial)
+		}
 	}
 }
 
