@@ -26,6 +26,7 @@ type Wire struct {
 	HeaderBytes int // transport framing per message
 	EncOverhead int // hybrid encryption overhead
 	HashBytes   int // encoded homomorphic hash value (modulus width + len)
+	BufTagBytes int // one KeyResponse buffermap entry (wire.BufTagBytes)
 	PrimeBytes  int // encoded prime exponent
 	RefBytes    int // serve reference (id + count)
 	MsgFixed    int // round/from/to fields
@@ -39,6 +40,7 @@ func DefaultWire() Wire {
 		HeaderBytes: 40,
 		EncOverhead: 256 + 12 + 16,
 		HashBytes:   64 + 4,
+		BufTagBytes: 8,
 		PrimeBytes:  64 + 4,
 		RefBytes:    20,
 		MsgFixed:    17,
@@ -111,6 +113,20 @@ func (p Params) refRounds() float64 {
 // before buffermaps suppress them (same-round concurrent serves).
 const duplicateFactor = 0.3
 
+// KeyResponseBytes models message 2 per node per round: one KeyResponse to
+// each of the f predecessors, carrying the fresh prime and the buffermap —
+// one tag per update owned in the window (§V-D). A KeyRequest is answered
+// at the top of its round, before that round's serves arrive, so the
+// newest of the window's rounds is still empty when the map is built.
+func KeyResponseBytes(in Params) float64 {
+	p := in.withDefaults()
+	w := p.Wire
+	tags := p.updatesPerSec() * float64(p.BuffermapWindow-1)
+	const prefixes = 4 + 4 // tag count, signature length
+	return float64(p.Fanout) * (float64(w.HeaderBytes+w.EncOverhead+w.MsgFixed+w.PrimeBytes+prefixes+w.SigBytes) +
+		tags*float64(w.BufTagBytes))
+}
+
 // PAGPerNodeKbps models PAG's per-node bandwidth (§V message flow).
 func PAGPerNodeKbps(in Params) float64 {
 	p := in.withDefaults()
@@ -125,11 +141,8 @@ func PAGPerNodeKbps(in Params) float64 {
 	// Message 1: KeyRequest to every successor.
 	bytesPerSec += f * float64(w.HeaderBytes+w.MsgFixed+w.SigBytes)
 
-	// Message 2: KeyResponse to every predecessor, carrying the
-	// buffermap: one hash per owned update of the window (§V-D).
-	bufHashes := u * float64(p.BuffermapWindow)
-	bytesPerSec += f * (float64(w.HeaderBytes+w.EncOverhead+w.MsgFixed+w.PrimeBytes+w.SigBytes) +
-		bufHashes*float64(w.HashBytes))
+	// Message 2: KeyResponse to every predecessor, carrying the buffermap.
+	bytesPerSec += KeyResponseBytes(p)
 
 	// Message 3: Serve. Payload crosses each node essentially once
 	// (plus same-round duplicates); afterwards the update circulates as

@@ -253,6 +253,12 @@ type Config struct {
 	OnDeliver func(update.Update)
 	// Rand is the entropy source for primes (crypto/rand if nil).
 	Rand io.Reader
+	// CoeffRand is the entropy source for the small exponents that fold an
+	// exchange's attestation checks into one equation (crypto/rand if nil).
+	// A predecessor who can predict them can craft two wrong attestation
+	// hashes whose errors cancel in the fold, so they must be as secret as
+	// a key; simulated sessions pass SeededCoeffs to stay replayable.
+	CoeffRand io.Reader
 	// DisablePrimePool generates exchange primes inline with
 	// crypto/rand.Prime's 20-round schedule instead of drawing from the
 	// node's pregeneration pool — the crypto-hot-path ablation used by the

@@ -65,17 +65,15 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 		To:    req.From,
 		Prime: ex.prime.Bytes(),
 	}
-	// Buffermap: hashes of the last-window ownership under the fresh
+	// Buffermap: tags of the last-window ownership hashed under the fresh
 	// prime (§V-D) — the requester matches without revealing identifiers.
 	if w := n.sh.BuffermapWindow; w > 0 {
-		for _, e := range n.store.OwnedInWindow(n.round, w) {
-			h := n.hasher.LiftFixed(n.embedOf(e), ex.prime)
-			enc, err := n.sh.HashParams.EncodeValue(h)
-			if err != nil {
-				continue
-			}
-			resp.BufferMap = append(resp.BufferMap, enc)
+		owned := n.store.OwnedInWindow(n.round, w)
+		tags := make([]uint64, len(owned))
+		for i, e := range owned {
+			tags[i] = n.sh.HashParams.Tag(n.hasher.LiftFixed(n.embedOf(e), ex.prime))
 		}
+		resp.BufferMap = update.NewBufferMap(tags)
 	}
 	n.signEncryptSend(req.From, resp, wire.KindKeyResponse)
 	if n.trace != nil {
@@ -141,7 +139,8 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 			Accused: msg.From, Detail: "invalid prime in KeyResponse"})
 		return
 	}
-	n.serve(resp.From, ex, prime, update.NewBufferMap(resp.BufferMap))
+	// Decoding proved the tags strictly ascending: they are a BufferMap.
+	n.serve(resp.From, ex, prime, update.BufferMap(resp.BufferMap))
 }
 
 // serve builds and sends messages 3 (Serve) and 4 (Attestation) for one
@@ -175,14 +174,9 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		if ve == nil {
 			ve = n.embed(&it.upd)
 		}
-		owned := false
-		if bm.Len() > 0 {
-			h := n.hasher.LiftFixed(ve, prime)
-			if enc, err := n.sh.HashParams.EncodeValue(h); err == nil {
-				owned = bm.Contains(enc)
-			}
-		}
-		if owned {
+		// No map, no lift: against an empty buffermap (the ablation, or a
+		// successor that owns nothing yet) matching costs no hash operation.
+		if len(bm) > 0 && bm.Contains(n.sh.HashParams.Tag(n.hasher.LiftFixed(ve, prime))) {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
 			n.stats.RefsSent++
 		} else {

@@ -65,7 +65,7 @@ func TestTamperSweepVerdicts(t *testing.T) {
 		encrypted bool
 	}{
 		{wire.KindKeyRequest, &wire.KeyRequest{Round: round, From: a, To: b}, false},
-		{wire.KindKeyResponse, &wire.KeyResponse{Round: round, From: a, To: b, Prime: []byte{0x0B}, BufferMap: [][]byte{hv}}, true},
+		{wire.KindKeyResponse, &wire.KeyResponse{Round: round, From: a, To: b, Prime: []byte{0x0B}, BufferMap: []uint64{0x0707070707070706, 0x0707070707070707}}, true},
 		{wire.KindServe, srv, true},
 		{wire.KindAttestation, &wire.Attestation{Round: round, From: a, To: b, HExpiring: hv, HForwardable: hv}, false},
 		{wire.KindAck, &wire.Ack{Round: round, From: a, To: b, H: hv}, false},

@@ -123,10 +123,10 @@ type Node struct {
 	// the ablation (DisablePrimePool) or a construction failure routed
 	// prime generation back inline.
 	pool *hhash.PrimePool
-	// coeffs feeds batched-verification coefficients. It is deliberately
-	// NOT n.rnd: coefficients never reach the wire, and drawing them from
-	// the prime stream would shift the prime sequence relative to the
-	// unbatched ablation.
+	// coeffs feeds batched-verification coefficients (Config.CoeffRand).
+	// It is deliberately NOT n.rnd: coefficients never reach the wire, and
+	// drawing them from the prime stream would shift the prime sequence
+	// relative to the unbatched ablation.
 	coeffs io.Reader
 
 	store *update.Store
@@ -209,7 +209,9 @@ func NewNode(cfg Config) (*Node, error) {
 			n.pool = pool
 		}
 	}
-	n.coeffs = newCoeffStream(uint64(cfg.ID))
+	if n.coeffs = cfg.CoeffRand; n.coeffs == nil {
+		n.coeffs = rand.Reader
+	}
 	if sh.Metrics != nil {
 		n.hasher.Instrument(sh.liftHist, sh.verifyHist)
 	}
@@ -567,6 +569,7 @@ func (n *Node) HandleMessage(msg transport.Message) {
 	defer n.mu.Unlock()
 	if msg.Kind <= maxWireKind {
 		n.sh.msgK[msg.Kind].Inc()
+		n.sh.bytesK[msg.Kind].Add(uint64(msg.WireSize()))
 	}
 
 	// Round gating only applies to the round-synchronous exchange
@@ -791,25 +794,35 @@ func (n *Node) newPendingItem(u update.Update, count uint64, embed *hhash.FixedB
 	return &pendingItem{upd: u, count: count, embed: embed}
 }
 
-// coeffStream is a splitmix64 byte stream seeding batched-verification
-// coefficients. The simulation only needs the coefficients to be
-// independent of anything a misbehaving predecessor controls; a deployment
-// would seed from crypto/rand instead.
+// coeffStream is a splitmix64 byte stream of batched-verification
+// coefficients: eight bytes of state, so a simulated session can give each
+// of 10⁵ nodes its own and still replay byte for byte.
 type coeffStream struct{ state uint64 }
 
 func newCoeffStream(seed uint64) *coeffStream {
 	return &coeffStream{state: seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03}
 }
 
+// SeededCoeffs returns the Config.CoeffRand of a simulated node: a stream
+// keyed by the session seed and the node id. It is as secret as the seed —
+// enough where every node runs in one process and no peer computes
+// anything from it; a deployment leaves CoeffRand nil.
+func SeededCoeffs(seed uint64, id model.NodeID) io.Reader {
+	return newCoeffStream(newCoeffStream(seed).next() ^ uint64(id))
+}
+
+func (s *coeffStream) next() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
 func (s *coeffStream) Read(p []byte) (int, error) {
 	for i := 0; i < len(p); i += 8 {
-		s.state += 0x9E3779B97F4A7C15
-		z := s.state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], z)
+		binary.BigEndian.PutUint64(buf[:], s.next())
 		copy(p[i:], buf[:])
 	}
 	return len(p), nil

@@ -46,9 +46,11 @@ type Shared struct {
 	// representation.
 	Intern *update.Interner
 
-	// msgK holds the per-kind received-message counters, resolved once
-	// for the whole session (nil entries without a registry — Inc no-ops).
-	msgK [maxWireKind + 1]*obs.Counter
+	// msgK / bytesK hold the per-kind received-message and received-byte
+	// counters (payload plus transport.HeaderBytes, what the bandwidth
+	// accounting charges), resolved once for the whole session (nil entries
+	// without a registry — Inc and Add no-op).
+	msgK, bytesK [maxWireKind + 1]*obs.Counter
 	// liftHist/verifyHist are the hhash timing histograms every node's
 	// hasher reports into.
 	liftHist, verifyHist *obs.Histogram
@@ -83,8 +85,9 @@ func NewShared(cfg Config) *Shared {
 	}
 	if sh.Metrics != nil {
 		for k := uint8(1); k <= maxWireKind; k++ {
-			sh.msgK[k] = sh.Metrics.Counter("pag_core_messages_total",
-				obs.L("kind", wire.KindName(k)))
+			kind := obs.L("kind", wire.KindName(k))
+			sh.msgK[k] = sh.Metrics.Counter("pag_core_messages_total", kind)
+			sh.bytesK[k] = sh.Metrics.Counter("pag_core_bytes_total", kind)
 		}
 		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed, nil)
 		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed, nil)

@@ -17,7 +17,9 @@ import (
 	"repro/internal/coalition"
 	"repro/internal/dolevyao"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/wire"
 
 	pag "repro"
 )
@@ -93,6 +95,14 @@ func (o Options) withDefaults() Options {
 
 // runSession measures one protocol's per-node bandwidth distribution.
 func runSession(o Options, protocol pag.Protocol) (*pag.Session, error) {
+	s, _, err := runSessionByKind(o, protocol, nil)
+	return s, err
+}
+
+// runSessionByKind is runSession with a metrics registry attached (when reg
+// is non-nil): it also returns what the PAG nodes received over the
+// measured rounds, in bytes per node per round by wire kind.
+func runSessionByKind(o Options, protocol pag.Protocol, reg *obs.Registry) (*pag.Session, map[string]float64, error) {
 	s, err := pag.NewSession(pag.SessionConfig{
 		Nodes:       o.Nodes,
 		Protocol:    protocol,
@@ -100,21 +110,27 @@ func runSession(o Options, protocol pag.Protocol) (*pag.Session, error) {
 		ModulusBits: o.ModulusBits,
 		Seed:        o.Seed,
 		Workers:     o.Workers,
+		Obs:         reg,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.Run(o.WarmupRounds)
 	s.StartMeasuring()
+	before := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
 	s.Run(o.MeasureRounds)
-	return s, nil
+	byKind := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
+	for kind, b := range byKind {
+		byKind[kind] = (b - before[kind]) / float64(o.Nodes*o.MeasureRounds)
+	}
+	return s, byKind, nil
 }
 
 // Fig7 regenerates the bandwidth-consumption CDF of PAG vs AcTinG
 // (300 kbps stream, 3 monitors).
 func Fig7(opt Options) (Result, error) {
 	o := opt.withDefaults()
-	pagSess, err := runSession(o, pag.ProtocolPAG)
+	pagSess, pagByKind, err := runSessionByKind(o, pag.ProtocolPAG, obs.NewRegistry())
 	if err != nil {
 		return Result{}, fmt.Errorf("experiments: fig7 PAG: %w", err)
 	}
@@ -138,6 +154,23 @@ func Fig7(opt Options) (Result, error) {
 		actBW.Mean(), pagBW.Mean(), pagBW.Mean()/actBW.Mean())
 	fmt.Fprintf(&b, "continuity: AcTinG %.3f, PAG %.3f\n",
 		actSess.MeanContinuity(), pagSess.MeanContinuity())
+
+	// Where PAG's bytes go: what a node receives per round of each wire
+	// kind (pag_core_bytes_total), so a change to one message shows up in
+	// its own row.
+	total := 0.0
+	for _, v := range pagByKind {
+		total += v
+	}
+	fmt.Fprintf(&b, "\nPAG bytes received per node per round, by wire kind\n")
+	fmt.Fprintf(&b, "%-20s %-12s %-8s %-8s\n", "kind", "B/node/round", "kbps", "share(%)")
+	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+		if v := pagByKind[wire.KindName(k)]; v > 0 {
+			fmt.Fprintf(&b, "%-20s %-12.0f %-8.1f %-8.1f\n", wire.KindName(k), v,
+				v*8/1000/model.RoundDurationSeconds, 100*v/total)
+		}
+	}
+	fmt.Fprintf(&b, "%-20s %-12.0f %-8.1f\n", "all kinds", total, total*8/1000/model.RoundDurationSeconds)
 	return Result{ID: "fig7", Title: "Bandwidth consumption CDF (PAG vs AcTinG)", Text: b.String()}, nil
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -110,6 +111,25 @@ func (p Params) ValueLen() int {
 		return 0
 	}
 	return (p.m.BitLen() + 7) / 8
+}
+
+// Tag returns the §V-D buffermap tag of a reduced hash value: its
+// low-order 64 bits. A buffermap entry is only ever tested for membership,
+// so the responder ships the tag instead of the value and the requester
+// compares tags — both through this one function. It reads the low limb:
+// big.Int.Uint64 is undefined for values wider than 64 bits, and the
+// high-order bytes are biased by the modulus' top limb where the low ones
+// are as good as uniform.
+func (p Params) Tag(v *big.Int) uint64 {
+	w := v.Bits()
+	if len(w) == 0 {
+		return 0
+	}
+	t := uint64(w[0])
+	if bits.UintSize == 32 && len(w) > 1 {
+		t |= uint64(w[1]) << 32
+	}
+	return t
 }
 
 // Key is a hash exponent: a prime number chosen by a receiver, or a product

@@ -2,6 +2,7 @@ package hhash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -392,6 +393,34 @@ func TestValueDecodeRejectsBad(t *testing.T) {
 	tooBig := bytes.Repeat([]byte{0xFF}, p.ValueLen())
 	if _, err := p.DecodeValue(tooBig); err == nil {
 		t.Fatal("oversized value accepted")
+	}
+}
+
+// TestTagIsLowOrderBytesOfEncoding: a tag is the last eight bytes of the
+// fixed-width encoding, read as a big-endian number — at the paper's width,
+// at a modulus narrower than a tag, and for values of one limb or none.
+func TestTagIsLowOrderBytesOfEncoding(t *testing.T) {
+	narrow, err := ParamsFromModulus(big.NewInt(65521 * 65519))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{testParams(t), narrow} {
+		h := NewHasher(p, nil)
+		values := []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(p.m, _one)}
+		for i := 0; i < 50; i++ {
+			values = append(values, h.Hash(testKey(t, int64(i+1)), []byte{byte(i)}))
+		}
+		for _, v := range values {
+			enc, err := p.EncodeValue(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var low [8]byte
+			copy(low[max(0, 8-len(enc)):], enc[max(0, len(enc)-8):])
+			if want := binary.BigEndian.Uint64(low[:]); p.Tag(v) != want {
+				t.Fatalf("Tag(%v) = %#x, want %#x", v, p.Tag(v), want)
+			}
+		}
 	}
 }
 

@@ -60,6 +60,23 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
+// ByLabel returns the counter or gauge values of one metric family keyed by
+// the value of the given label — pag_core_bytes_total by "kind", say.
+func (s Snapshot) ByLabel(name, key string) map[string]float64 {
+	out := map[string]float64{}
+	for _, p := range s.Points {
+		if p.Name != name {
+			continue
+		}
+		for _, l := range p.Labels {
+			if l.Key == key {
+				out[l.Value] += p.Value
+			}
+		}
+	}
+	return out
+}
+
 // labelRender renders {k="v",...} for a sample line, with an optional
 // extra label appended (Prometheus histogram "le"). Empty labels render
 // as the empty string.

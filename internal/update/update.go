@@ -298,33 +298,23 @@ func sortEntries(es []*Entry) {
 // Buffermap
 // ---------------------------------------------------------------------------
 
-// BufferMap is the privacy-preserving ownership hint of §V-D: the
-// homomorphic hashes, under the responder's fresh prime, of the updates it
-// owns in the window. The requester matches by hashing its own candidates
-// under the same prime — neither side reveals identifiers in clear to the
-// monitors.
-type BufferMap struct {
-	hashes map[string]struct{}
+// BufferMap is the privacy-preserving ownership hint of §V-D: the tags
+// (hhash.Params.Tag) of the homomorphic hashes, under the responder's fresh
+// prime, of the updates it owns in the window — a set, held strictly
+// ascending, which is also how it travels. The requester matches by tagging
+// its own candidates under the same prime — neither side reveals
+// identifiers in clear to the monitors.
+type BufferMap []uint64
+
+// NewBufferMap makes tags a BufferMap in place: sorted, duplicates dropped.
+func NewBufferMap(tags []uint64) BufferMap {
+	slices.Sort(tags)
+	return slices.Compact(tags)
 }
 
-// NewBufferMap builds a BufferMap from encoded hash values.
-func NewBufferMap(encodedHashes [][]byte) BufferMap {
-	m := make(map[string]struct{}, len(encodedHashes))
-	for _, h := range encodedHashes {
-		m[string(h)] = struct{}{}
-	}
-	return BufferMap{hashes: m}
-}
-
-// Len returns the number of hashes in the map.
-func (b BufferMap) Len() int { return len(b.hashes) }
-
-// Contains reports whether the encoded hash is present.
-func (b BufferMap) Contains(encodedHash []byte) bool {
-	if b.hashes == nil {
-		return false
-	}
-	_, ok := b.hashes[string(encodedHash)]
+// Contains reports whether the tag is present.
+func (b BufferMap) Contains(tag uint64) bool {
+	_, ok := slices.BinarySearch(b, tag)
 	return ok
 }
 

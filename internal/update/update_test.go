@@ -389,20 +389,88 @@ func TestInternerReleasesSharedLiftTables(t *testing.T) {
 }
 
 func TestBufferMap(t *testing.T) {
-	h1, h2 := []byte{1, 2, 3}, []byte{4, 5, 6}
-	bm := NewBufferMap([][]byte{h1, h2})
-	if bm.Len() != 2 {
-		t.Fatalf("Len = %d", bm.Len())
+	bm := NewBufferMap([]uint64{9, 1 << 63, 3, 9, 0})
+	if !slices.Equal(bm, BufferMap{0, 3, 9, 1 << 63}) {
+		t.Fatalf("NewBufferMap = %v, want sorted without duplicates", bm)
 	}
-	if !bm.Contains(h1) || !bm.Contains(h2) {
-		t.Fatal("Contains false negative")
+	for _, tag := range bm {
+		if !bm.Contains(tag) {
+			t.Fatalf("Contains(%d) false negative", tag)
+		}
 	}
-	if bm.Contains([]byte{9}) {
-		t.Fatal("Contains false positive")
+	for _, tag := range []uint64{1, 4, 1<<63 - 1, 1<<64 - 1} {
+		if bm.Contains(tag) {
+			t.Fatalf("Contains(%d) false positive", tag)
+		}
 	}
 	var empty BufferMap
-	if empty.Contains(h1) {
+	if empty.Contains(0) {
 		t.Fatal("zero BufferMap should contain nothing")
+	}
+}
+
+// TestTagMatchSetEqualsFullWidthMatchSet: over random stores, windows and
+// forward sets, matching the requester's candidates against the
+// responder's 64-bit tags selects exactly the updates that matching the
+// full-width hash values selects.
+func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	params, err := hhash.GenerateParams(rng, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hhash.NewHasher(params, nil)
+	lift := func(u *Update, prime hhash.Key) *big.Int {
+		return h.Lift(h.Embed(u.CanonicalBytes()), prime)
+	}
+	for trial := 0; trial < 40; trial++ {
+		prime, err := hhash.GeneratePrimeKey(rng, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const now, window = model.Round(9), 4
+		store := NewStore()
+		var candidates []Update
+		for seq := uint64(0); seq < 60; seq++ {
+			u := mkUpdate(uint64(trial)<<16|seq, now+3)
+			if rng.Intn(2) == 0 { // the responder has it, inside the window or before
+				store.Add(u, now-model.Round(rng.Intn(2*window)), 1, true)
+			}
+			if rng.Intn(2) == 0 { // the requester forwards it
+				candidates = append(candidates, u)
+			}
+		}
+		owned := store.OwnedInWindow(now, window)
+		full := map[string]bool{}
+		tags := make([]uint64, len(owned))
+		for i, e := range owned {
+			v := lift(&e.Update, prime)
+			enc, err := params.EncodeValue(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full[string(enc)] = true
+			tags[i] = params.Tag(v)
+		}
+		bm := NewBufferMap(tags)
+		if len(bm) != len(owned) {
+			t.Fatalf("trial %d: %d tags for %d owned updates", trial, len(bm), len(owned))
+		}
+		matched := 0
+		for i := range candidates {
+			v := lift(&candidates[i], prime)
+			enc, _ := params.EncodeValue(v)
+			if bm.Contains(params.Tag(v)) != full[string(enc)] {
+				t.Fatalf("trial %d: update %v matches by tag %v, by value %v",
+					trial, candidates[i].ID, bm.Contains(params.Tag(v)), full[string(enc)])
+			}
+			if full[string(enc)] {
+				matched++
+			}
+		}
+		if trial == 0 && (matched == 0 || matched == len(candidates)) {
+			t.Fatalf("degenerate trial: %d of %d candidates matched", matched, len(candidates))
+		}
 	}
 }
 

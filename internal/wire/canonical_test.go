@@ -22,7 +22,7 @@ func sampleMessages() []BodyMessage {
 	return []BodyMessage{
 		&KeyRequest{Round: 3, From: 1, To: 2, Sig: sig},
 		&KeyResponse{Round: 3, From: 2, To: 1, Prime: []byte{0xAB, 0xCD},
-			BufferMap: [][]byte{{1, 2, 3}, {4, 5, 6}}, Sig: sig},
+			BufferMap: []uint64{0x010203, 0x0405060708090A0B}, Sig: sig},
 		&KeyResponse{Round: 3, From: 2, To: 1, Prime: []byte{7}, Sig: sig},
 		&Serve{Round: 4, From: 1, To: 2, KPrev: []byte{9, 9},
 			Full: []ServedUpdate{{Update: upd, Count: 2}, {Update: update.Update{ID: model.UpdateID{Seq: 8}}, Count: 1}},
@@ -107,11 +107,70 @@ func TestDecodeIsCanonical(t *testing.T) {
 	}
 }
 
+// keyResponseWith encodes a KeyResponse whose buffermap is the declared
+// count followed by tail, whatever those are.
+func keyResponseWith(count uint32, tail []byte) []byte {
+	w := NewWriter()
+	w.U8(KindKeyResponse)
+	w.U64(3)
+	w.U32(2)
+	w.U32(1)
+	w.Bytes([]byte{0xAB, 0xCD})
+	w.U32(count)
+	w.Raw(tail)
+	return w.Finish()
+}
+
+// nonCanonicalKeyResponses are buffermap encodings a decoder must refuse:
+// a set has one encoding, and a count is only believed if the bytes are
+// there.
+func nonCanonicalKeyResponses() map[string][]byte {
+	tags := func(ts ...uint64) []byte {
+		w := NewWriter()
+		for _, t := range ts {
+			w.U64(t)
+		}
+		w.Bytes(bytes.Repeat([]byte{0x5A}, 32)) // Sig
+		return w.Finish()
+	}
+	return map[string][]byte{
+		"unsorted":            keyResponseWith(3, tags(1, 9, 5)),
+		"duplicate tag":       keyResponseWith(3, tags(1, 5, 5)),
+		"short tail":          keyResponseWith(2, tags(1, 5)[:8+5]),
+		"count > remaining/8": keyResponseWith(7, tags(1, 5)), // 52 bytes follow
+		"count over the cap":  keyResponseWith(MaxListLen+1, tags(1, 5)),
+	}
+}
+
+func TestKeyResponseRejectsNonCanonicalBufferMap(t *testing.T) {
+	for name, enc := range nonCanonicalKeyResponses() {
+		if _, err := UnmarshalKeyResponse(enc); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if checkCanonical(t, enc) {
+			t.Errorf("%s: some decoder accepted it", name)
+		}
+	}
+	// The same bytes with the tags in order are a KeyResponse.
+	w := NewWriter()
+	w.U64(1)
+	w.U64(5)
+	w.U64(9)
+	w.Bytes([]byte{0x5A})
+	m, err := UnmarshalKeyResponse(keyResponseWith(3, w.Finish()))
+	if err != nil || len(m.BufferMap) != 3 || m.BufferMap[2] != 9 {
+		t.Fatalf("ascending buffermap: %v, %v", m, err)
+	}
+}
+
 // FuzzDecodeIsCanonical: any input any decoder accepts re-marshals to the
 // identical bytes.
 func FuzzDecodeIsCanonical(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(m.Marshal())
+	}
+	for _, enc := range nonCanonicalKeyResponses() {
+		f.Add(enc)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) { checkCanonical(t, b) })
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -176,16 +177,25 @@ func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
 // KeyResponse (Fig 5, msg 2): {⟨KeyResponse, R, B, A, p_j, H(u_{i∈S_B})⟩_B}_pk(A)
 // ---------------------------------------------------------------------------
 
-// KeyResponse carries the fresh prime and the buffermap: the homomorphic
-// hashes, under that prime, of the updates the responder owns in the
-// buffermap window (§V-D). It travels encrypted to the requester.
+// BufTagBytes is the width of one buffermap entry on the wire: the
+// low-order 64 bits of H(u)_(p_j,M) (hhash.Params.Tag). The requester only
+// tests entries for membership, so the full-width value buys nothing; two
+// distinct lifted hashes agreeing on 64 bits is the one way a tag can
+// mislead (DESIGN.md, "Bytes on the wire", gives the bound).
+const BufTagBytes = 8
+
+// KeyResponse carries the fresh prime and the buffermap: the tags of the
+// homomorphic hashes, under that prime, of the updates the responder owns
+// in the buffermap window (§V-D). It travels encrypted to the requester.
 type KeyResponse struct {
 	Round model.Round
 	From  model.NodeID // B
 	To    model.NodeID // A
 	Prime []byte       // p_j
-	// BufferMap holds fixed-width encoded hash values H(u)_(p_j,M).
-	BufferMap [][]byte
+	// BufferMap holds the tags of H(u)_(p_j,M), strictly ascending: a set,
+	// so entry position says nothing about update order, and the one
+	// encoding a decoder accepts.
+	BufferMap []uint64
 	Sig       []byte
 }
 
@@ -199,8 +209,8 @@ func (m *KeyResponse) body(w *Writer) {
 	w.U32(uint32(m.To))
 	w.Bytes(m.Prime)
 	w.U32(uint32(len(m.BufferMap)))
-	for _, h := range m.BufferMap {
-		w.Bytes(h)
+	for _, t := range m.BufferMap {
+		w.U64(t)
 	}
 }
 
@@ -219,10 +229,13 @@ func UnmarshalKeyResponse(b []byte) (*KeyResponse, error) {
 		To:    model.NodeID(r.U32()),
 		Prime: r.Bytes(),
 	}
-	if n := r.ListLen(4); n > 0 {
-		m.BufferMap = make([][]byte, n)
+	if n := r.ListLen(BufTagBytes); n > 0 {
+		m.BufferMap = make([]uint64, n)
 		for i := range m.BufferMap {
-			m.BufferMap[i] = r.Bytes()
+			m.BufferMap[i] = r.U64()
+			if i > 0 && m.BufferMap[i] <= m.BufferMap[i-1] {
+				r.fail(errors.New("wire: buffermap tags not strictly ascending"))
+			}
 		}
 	}
 	m.Sig = r.Bytes()

@@ -63,7 +63,7 @@ func TestKeyResponseRoundTrip(t *testing.T) {
 		From:      2,
 		To:        1,
 		Prime:     []byte{0xAB, 0xCD},
-		BufferMap: [][]byte{{1, 1}, {2, 2}, {3, 3}},
+		BufferMap: []uint64{1, 0x0202, 1 << 63},
 		Sig:       []byte("s"),
 	}
 	got, err := UnmarshalKeyResponse(m.Marshal())

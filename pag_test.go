@@ -206,3 +206,29 @@ func TestBuffermapAblationThroughFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSplitMatchesFullWidthBuffermap: matching on 64-bit tags makes
+// the payload/reference decision the full-width buffermap made. The values
+// are each node's PayloadsSent and RefsSent after 16 rounds of this
+// session as recorded at the last commit that shipped whole hash values
+// (5eabdd5), where two runs agreed on them exactly.
+func TestServeSplitMatchesFullWidthBuffermap(t *testing.T) {
+	atParent := [16][2]uint64{
+		{1065, 960}, {285, 930}, {420, 930}, {345, 1050}, {360, 1125}, {420, 1380},
+		{435, 1140}, {420, 975}, {330, 1245}, {150, 1065}, {480, 960}, {315, 990},
+		{525, 1005}, {465, 840}, {315, 1080}, {330, 1020},
+	}
+	s, err := NewSession(SessionConfig{Nodes: 16, StreamKbps: 16, UpdateBytes: 128, ModulusBits: 128, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(16)
+	stats := s.PAGNodeStats()
+	for i, want := range atParent {
+		st := stats[NodeID(i+1)]
+		if got := [2]uint64{st.PayloadsSent, st.RefsSent}; got != want {
+			t.Errorf("node %d sent %d payloads and %d refs, with the full-width buffermap %d and %d",
+				i+1, got[0], got[1], want[0], want[1])
+		}
+	}
+}

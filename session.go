@@ -77,6 +77,7 @@ func (s *Session) buildPAGNode(id model.NodeID, suite pki.Suite, identity pki.Id
 		Endpoint:  ep,
 		IsSource:  id == SourceID,
 		Behavior:  s.cfg.PAGBehaviors[id],
+		CoeffRand: core.SeededCoeffs(s.cfg.Seed, id),
 		Shared:    s.shared,
 		Verdicts:  func(v core.Verdict) { s.registry.Submit(v) },
 		OnDeliver: player.OnDeliver,
