@@ -23,7 +23,6 @@ import (
 
 	pag "repro"
 	"repro/internal/analytic"
-	"repro/internal/model"
 )
 
 const (
@@ -97,15 +96,13 @@ type scaleReport struct {
 }
 
 // scaleAnalytic evaluates the closed-form per-node prediction at the
-// session defaults for global size n.
-func scaleAnalytic(n, stream int) float64 {
+// session defaults (fanout, monitors, TTL) for global size n, with the
+// hash and prime widths of the measured run.
+func scaleAnalytic(n, stream, modBits int) float64 {
 	return analytic.PAGPerNodeKbps(analytic.Params{
 		PayloadKbps: stream,
-		UpdateBytes: model.UpdateBytes,
 		N:           n,
-		Fanout:      model.FanoutFor(n),
-		Monitors:    model.FanoutFor(n),
-		TTLRounds:   model.PlayoutDelayRounds,
+		Wire:        analytic.WireFor(modBits),
 	})
 }
 
@@ -148,7 +145,7 @@ func scaleFull(n, stream, modBits int, seed uint64, rounds int, disableFly bool)
 		PeakHeapAllocBytes: mem.peakAlloc,
 		PeakHeapInuseBytes: mem.peakInuse,
 		MeasuredKbps:       sum / float64(members),
-		AnalyticKbps:       scaleAnalytic(n, stream),
+		AnalyticKbps:       scaleAnalytic(n, stream, modBits),
 		Continuity:         s.MeanContinuity(),
 	}
 	runtime.KeepAlive(s)

@@ -314,8 +314,16 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 				return err
 			}
 		}
+		// The exchange quarter of the period, in ExchangeSlots equal parts:
+		// BeginRound opens slot 0, OpenSlot the others.
+		slots := d.node.ExchangeSlots()
+		slot := period / time.Duration(4*slots)
 		d.node.BeginRound(r)
-		time.Sleep(period / 4)
+		for k := 1; k < slots; k++ {
+			time.Sleep(slot)
+			d.node.OpenSlot(r, k)
+		}
+		time.Sleep(slot)
 		d.node.MidRound(r)
 		time.Sleep(period / 4)
 		d.node.EndRound(r)

@@ -130,6 +130,11 @@ func run(n, rounds, streamKbps int) error {
 		}
 		forAll(ids, func(id model.NodeID) { nodes[id].BeginRound(r) })
 		time.Sleep(settle)
+		// The exchange slots BeginRound did not open (slot 0 is its).
+		for k := 1; k < dir.Fanout(); k++ {
+			forAll(ids, func(id model.NodeID) { nodes[id].OpenSlot(r, k) })
+			time.Sleep(settle)
+		}
 		forAll(ids, func(id model.NodeID) { nodes[id].MidRound(r) })
 		time.Sleep(settle)
 		forAll(ids, func(id model.NodeID) { nodes[id].EndRound(r) })

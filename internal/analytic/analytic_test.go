@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -183,7 +184,7 @@ func TestDefaultsApplied(t *testing.T) {
 	p := Params{PayloadKbps: 300, N: 432}
 	d := p.withDefaults()
 	if d.UpdateBytes != model.UpdateBytes || d.Fanout != 3 ||
-		d.Monitors != 3 || d.BuffermapWindow != 4 || d.TTLRounds != 10 {
+		d.Monitors != 3 || d.TTLRounds != 7 {
 		t.Fatalf("defaults: %+v", d)
 	}
 	if d.Wire != DefaultWire() {
@@ -191,14 +192,25 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestRefRoundsBounds(t *testing.T) {
-	// Tiny systems or huge saturation times must not go negative.
-	p := Params{PayloadKbps: 300, N: 1, Fanout: 1}.withDefaults()
-	if p.refRounds() < 1 {
-		t.Fatal("refRounds below 1")
-	}
-	big := Params{PayloadKbps: 300, N: 1 << 30, Fanout: 2}.withDefaults()
-	if big.refRounds() < 1 {
-		t.Fatal("refRounds below 1 for huge N")
+// TestDisseminationBounds: tiny systems and huge saturation times keep the
+// dissemination terms finite and non-negative, every update is received
+// once, and the slots keep the extra copies to a few per cent.
+func TestDisseminationBounds(t *testing.T) {
+	for _, p := range []Params{
+		{PayloadKbps: 300, N: 1, Fanout: 1},
+		{PayloadKbps: 300, N: 1 << 30, Fanout: 2},
+		{PayloadKbps: 300, N: 12},
+		{PayloadKbps: 300, N: 432},
+		{PayloadKbps: 300, N: 1000000},
+	} {
+		d := p.withDefaults().disseminate()
+		for name, v := range map[string]float64{"payloads": d.payloads, "refs": d.refs, "tags": d.tags} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("%+v: %s = %v", p, name, v)
+			}
+		}
+		if p.N >= 12 && p.N <= 1000000 && (d.payloads < 0.9 || d.payloads > 1.08) {
+			t.Fatalf("%+v: %.3f payload copies per update, want one and a few per cent", p, d.payloads)
+		}
 	}
 }

@@ -21,9 +21,9 @@
 //     obligations, and raises verdicts when verification fails.
 //
 // The engine is round-phased: the simulation driver (internal/sim) calls
-// BeginRound, MidRound, EndRound and CloseRound in order, delivering
-// messages between phases; the TCP deployment drives the same methods from
-// a wall-clock ticker.
+// BeginRound, OpenSlot for each further exchange slot, MidRound, EndRound
+// and CloseRound in order, delivering messages after each; the TCP
+// deployment drives the same methods from a wall-clock ticker.
 package core
 
 import (
@@ -44,10 +44,6 @@ import (
 const (
 	// DefaultPrimeBits is the size of the per-exchange prime exponents.
 	DefaultPrimeBits = hhash.DefaultPrimeBits
-	// DefaultBuffermapWindow is the ownership window hashed into
-	// KeyResponses: "the best results ... were obtained when the updates
-	// of the last 4 rounds were hashed and transmitted" (§V-D).
-	DefaultBuffermapWindow = 4
 	// storeRetentionRounds is how long delivered updates stay available
 	// for buffermap matching and ref resolution before GC.
 	storeRetentionRounds = 24
@@ -224,8 +220,13 @@ type Config struct {
 	IsSource bool
 	// PrimeBits sizes the per-exchange primes (DefaultPrimeBits if 0).
 	PrimeBits int
-	// BuffermapWindow is the ownership window in rounds hashed into
-	// KeyResponses; negative disables buffermaps, 0 means default.
+	// BuffermapWindow bounds what a KeyResponse's buffermap covers. By
+	// default (0) it is the node's whole live set — every owned update that
+	// has not expired, the only ones a Serve may carry. A positive value
+	// additionally caps the reception age in rounds (4 is the paper's "the
+	// updates of the last 4 rounds were hashed and transmitted", §V-D, kept
+	// for before/after measurements); negative disables buffermaps (the
+	// ablation).
 	BuffermapWindow int
 	// Behavior optionally injects selfish deviations.
 	Behavior Behavior

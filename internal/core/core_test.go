@@ -149,17 +149,37 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.engine.OnRoundStart(func(r model.Round) {
-		if h.perRound == 0 {
-			return
-		}
-		us, err := h.gen.Emit(r, h.perRound)
-		if err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		h.nodes[h.source].InjectUpdates(us)
-	})
+	h.engine.OnRoundStart(h.inject)
 	return h
+}
+
+// inject hands round r's freshly minted updates to the source.
+func (h *harness) inject(r model.Round) {
+	if h.perRound == 0 {
+		return
+	}
+	us, err := h.gen.Emit(r, h.perRound)
+	if err != nil {
+		h.t.Fatalf("emit: %v", err)
+	}
+	h.nodes[h.source].InjectUpdates(us)
+}
+
+// runRound drives round r by hand through every step the engines run, in
+// their order: the source's injection, BeginRound, exchange slots 1 to f−1,
+// MidRound, EndRound, CloseRound. phase runs one step — it decides which
+// node takes it when, and when traffic is delivered. Tests that step nodes
+// themselves go through here, so there is one place to forget a step
+// (TestPhaseSkewTolerance fails with WrongForward when the slots are).
+func (h *harness) runRound(r model.Round, phase func(step func(*core.Node))) {
+	h.inject(r)
+	phase(func(n *core.Node) { n.BeginRound(r) })
+	for k := 1; k < h.dir.Fanout(); k++ {
+		phase(func(n *core.Node) { n.OpenSlot(r, k) })
+	}
+	phase(func(n *core.Node) { n.MidRound(r) })
+	phase(func(n *core.Node) { n.EndRound(r) })
+	phase(func(n *core.Node) { n.CloseRound(r) })
 }
 
 // verdictsAgainst filters verdicts by accused node.

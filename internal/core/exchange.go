@@ -65,9 +65,11 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 		To:    req.From,
 		Prime: ex.prime.Bytes(),
 	}
-	// Buffermap: tags of the last-window ownership hashed under the fresh
-	// prime (§V-D) — the requester matches without revealing identifiers.
-	if w := n.sh.BuffermapWindow; w > 0 {
+	// Buffermap: tags of what this node owns and could still be served, as
+	// of now — including what earlier slots of this round delivered —
+	// hashed under the fresh prime (§V-D): the requester matches without
+	// revealing identifiers.
+	if w := n.sh.BuffermapWindow; w >= 0 {
 		owned := n.store.OwnedInWindow(n.round, w)
 		tags := make([]uint64, len(owned))
 		for i, e := range owned {
@@ -299,9 +301,12 @@ func (n *Node) processServe(srv *wire.Serve) {
 
 	expProd := n.hasher.Identity()
 	fwdProd := n.hasher.Identity()
-	accept := func(u update.Update, count uint64) {
+	// accept books one served item and reports whether the update was new
+	// to this node.
+	accept := func(u update.Update, count uint64) bool {
 		fwd := !u.ExpiresNextRound(n.round)
-		if n.store.Add(u, n.round, count, fwd) {
+		fresh := n.store.Add(u, n.round, count, fwd)
+		if fresh {
 			n.stats.UpdatesReceived++
 		} else {
 			n.stats.DuplicateReceptions += count
@@ -327,6 +332,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 		} else {
 			expProd = n.hasher.Combine(expProd, v)
 		}
+		return fresh
 	}
 
 	for i := range srv.Full {
@@ -352,7 +358,10 @@ func (n *Node) processServe(srv *wire.Serve) {
 		// flyweight copy before storing, so N nodes hold one
 		// payload+signature allocation instead of N (a private clone when
 		// the interner is ablated away).
-		accept(n.sh.Intern.Canonical(su.Update), su.Count)
+		n.sh.servedPayloads.Inc()
+		if !accept(n.sh.Intern.Canonical(su.Update), su.Count) {
+			n.sh.duplicatePayloads.Inc()
+		}
 	}
 	for _, ref := range srv.Refs {
 		e := n.store.Get(ref.ID)
@@ -361,6 +370,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 				Accused: srv.From, Detail: fmt.Sprintf("ref to unowned update %v", ref.ID)})
 			return
 		}
+		n.sh.servedRefs.Inc()
 		accept(e.Update, ref.Count)
 	}
 

@@ -9,11 +9,11 @@ import (
 )
 
 // TestLiftTablesReleasedPastWindow: an update's comb table serves the
-// buffermap lifts of every round that can still name the update and is
-// gone at deadline + BuffermapWindow + 1 — whether the table is the
-// session's (interned content) or each node's own.
+// buffermap lifts of every round that can still name the update — those up
+// to its deadline, whatever the buffermap window — and is gone at deadline
+// + 1, whether the table is the session's (interned content) or each
+// node's own.
 func TestLiftTablesReleasedPastWindow(t *testing.T) {
-	const window = model.Round(core.DefaultBuffermapWindow)
 	for _, tc := range []struct {
 		name string
 		in   *update.Interner
@@ -25,13 +25,8 @@ func TestLiftTablesReleasedPastWindow(t *testing.T) {
 			h := newHarness(t, 8, 2, withTTL(3),
 				func(_ *harness, cfg *core.Config) { cfg.Intern = tc.in })
 			if tc.in != nil {
-				// The session's round-top hook (pag.go): the interner is
-				// collected with the buffermap window as slack.
-				h.engine.OnRoundStart(func(r model.Round) {
-					if r > window {
-						tc.in.DropExpired(r - window)
-					}
-				})
+				// The session's round-top hook (pag.go).
+				h.engine.OnRoundStart(func(r model.Round) { tc.in.DropExpired(r) })
 			}
 			live, released := 0, 0
 			for r := model.Round(1); r <= 14; r++ {
@@ -45,7 +40,7 @@ func TestLiftTablesReleasedPastWindow(t *testing.T) {
 							if e.Embed == nil {
 								t.Fatalf("node %v: stored update %v has no embedding", id, e.Update.ID)
 							}
-							switch past := e.Update.Deadline+window < r; {
+							switch past := e.Update.Expired(r); {
 							case past && e.Embed.HasTable():
 								t.Fatalf("round %d node %v: update %v (deadline %d) still has its table",
 									r, id, e.Update.ID, e.Update.Deadline)

@@ -92,6 +92,9 @@ type sendExchange struct {
 	attBytes    []byte
 	accused     bool
 	skipped     bool // behaviour-injected skip
+	// slot is the slot of the round in which this exchange opens
+	// (membership.Directory.ExchangeSlot).
+	slot int
 }
 
 // sendRound aggregates sender-side state for one round.
@@ -102,7 +105,10 @@ type sendRound struct {
 	// expectedAckH is H(∏ items u^c)_(kPrev,M); every honest successor's
 	// Ack must carry exactly this value.
 	expectedAckH *big.Int
-	perSucc      map[model.NodeID]*sendExchange
+	// succs is the round's successor list in directory order — the order
+	// KeyRequests go out in within a slot; perSucc is keyed by it.
+	succs   []model.NodeID
+	perSucc map[model.NodeID]*sendExchange
 }
 
 // Node is one PAG participant. All entry points are serialised by an
@@ -307,21 +313,19 @@ func (n *Node) report(v Verdict) {
 // Round phases
 // ---------------------------------------------------------------------------
 
-// BeginRound rotates the per-round state and opens the exchanges of round r
-// by sending a KeyRequest to every successor (Fig 5, message 1). A node
-// contacts all its successors every round — even with an empty forward set
-// — which is what makes R1/R2 verifiable.
+// BeginRound rotates the per-round state and opens the slot-0 exchanges of
+// round r by sending their KeyRequests (Fig 5, message 1); OpenSlot sends
+// the rest. A node contacts all its successors every round — even with an
+// empty forward set — which is what makes R1/R2 verifiable.
 func (n *Node) BeginRound(r model.Round) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.round = r
 
-	// Updates with deadline + window < r are in no forward set and no
-	// KeyResponse window from this round on: the lift tables this node
+	// Updates with deadline < r have expired: they are in no forward set
+	// and no buffermap from this round on, so the lift tables this node
 	// owns go (the session releases the interner's by the same rule).
-	if w := model.Round(n.sh.BuffermapWindow); r > w {
-		n.store.ReleaseLiftTables(r - w)
-	}
+	n.store.ReleaseLiftTables(r)
 
 	// Recycle the previous round's container shells into the node's
 	// free lists (see the Node field comment for the aliasing rules).
@@ -420,22 +424,19 @@ func (n *Node) BeginRound(r model.Round) {
 	dodge := n.cfg.Behavior.SkipServeOnRotation && r > 1 &&
 		n.sh.Directory.MonitorEpoch(r) != n.sh.Directory.MonitorEpoch(r-1)
 
-	// Open the exchange with every successor.
+	// Set up the exchange with every successor and open those of slot 0.
 	succs := n.sh.Directory.Successors(n.id, r)
+	send.succs = succs
 	for i, succ := range succs {
 		ex := n.newSendExchange()
 		send.perSucc[succ] = ex
-		if dodge {
-			ex.skipped = true
-			continue
-		}
+		ex.slot, _ = n.sh.Directory.ExchangeSlot(n.id, succ, r)
+		ex.skipped = dodge
 		if b := n.cfg.Behavior.SkipServeEvery; b > 0 && (int(r)+i)%b == 0 {
 			ex.skipped = true
-			continue
 		}
-		req := &wire.KeyRequest{Round: r, From: n.id, To: succ}
-		n.signAndSend(succ, req)
 	}
+	n.openSlot(0)
 	if n.trace != nil {
 		// One span per successor exchange, opened whether or not the
 		// behaviour skipped the serve — a skipped exchange still closes
@@ -454,6 +455,35 @@ func (n *Node) BeginRound(r model.Round) {
 	n.deferred = nil
 	for _, msg := range replay {
 		n.dispatch(msg)
+	}
+}
+
+// ExchangeSlots returns how many slots the exchange phase of a round has:
+// the fanout. BeginRound is slot 0; a driver calls OpenSlot for slots 1 to
+// ExchangeSlots()−1, letting each slot's traffic settle before the next.
+func (n *Node) ExchangeSlots() int { return n.sh.Directory.Fanout() }
+
+// OpenSlot opens the exchanges of slot k of round r (k ≥ 1; BeginRound
+// opened slot 0). A successor's predecessors contact it one slot after the
+// other, in the order of their ids, so the buffermap it answers each with
+// already covers what the earlier ones served (§V-D) and a payload reaches
+// it from one of them only. Nobody waits on anybody: a slot opens on the
+// driver's schedule whether or not the earlier exchanges completed.
+func (n *Node) OpenSlot(r model.Round, k int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if r == n.round && n.sendCur != nil {
+		n.openSlot(k)
+	}
+}
+
+// openSlot sends the KeyRequests of the current round's slot-k exchanges;
+// callers hold n.mu.
+func (n *Node) openSlot(k int) {
+	for _, succ := range n.sendCur.succs {
+		if ex := n.sendCur.perSucc[succ]; ex.slot == k && !ex.skipped {
+			n.signAndSend(succ, &wire.KeyRequest{Round: n.round, From: n.id, To: succ})
+		}
 	}
 }
 

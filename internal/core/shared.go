@@ -29,7 +29,8 @@ type Shared struct {
 	Sources []model.NodeID
 	// PrimeBits sizes the per-exchange primes (normalised, never 0).
 	PrimeBits int
-	// BuffermapWindow is the ownership window in rounds (0 = disabled).
+	// BuffermapWindow is Config.BuffermapWindow as given: negative disables
+	// buffermaps, 0 maps the whole live set, positive caps reception age.
 	BuffermapWindow int
 	// NoObligationHandover disables the rotation handover (ablation).
 	NoObligationHandover bool
@@ -51,6 +52,13 @@ type Shared struct {
 	// accounting charges), resolved once for the whole session (nil entries
 	// without a registry — Inc and Add no-op).
 	msgK, bytesK [maxWireKind + 1]*obs.Counter
+	// servedPayloads / servedRefs count the items of the Serves nodes
+	// accepted by form, duplicatePayloads the payloads among them for an
+	// update the receiver already held: payloads over payloads minus
+	// duplicates is how many copies of an update cross a link per first
+	// reception — one, if the buffermap did all it could (nil without a
+	// registry).
+	servedPayloads, servedRefs, duplicatePayloads *obs.Counter
 	// liftHist/verifyHist are the hhash timing histograms every node's
 	// hasher reports into.
 	liftHist, verifyHist *obs.Histogram
@@ -77,18 +85,15 @@ func NewShared(cfg Config) *Shared {
 	if sh.PrimeBits == 0 {
 		sh.PrimeBits = DefaultPrimeBits
 	}
-	switch {
-	case sh.BuffermapWindow == 0:
-		sh.BuffermapWindow = DefaultBuffermapWindow
-	case sh.BuffermapWindow < 0:
-		sh.BuffermapWindow = 0 // disabled (ablation)
-	}
 	if sh.Metrics != nil {
 		for k := uint8(1); k <= maxWireKind; k++ {
 			kind := obs.L("kind", wire.KindName(k))
 			sh.msgK[k] = sh.Metrics.Counter("pag_core_messages_total", kind)
 			sh.bytesK[k] = sh.Metrics.Counter("pag_core_bytes_total", kind)
 		}
+		sh.servedPayloads = sh.Metrics.Counter("pag_core_serve_items_total", obs.L("form", "payload"))
+		sh.servedRefs = sh.Metrics.Counter("pag_core_serve_items_total", obs.L("form", "ref"))
+		sh.duplicatePayloads = sh.Metrics.Counter("pag_core_duplicate_payloads_total")
 		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed, nil)
 		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed, nil)
 	}

@@ -14,48 +14,20 @@ import (
 func TestPhaseSkewTolerance(t *testing.T) {
 	h := newHarness(t, 12, 2)
 	// Drive rounds with a skewed schedule: node IDs 1..6 advance one
-	// phase before 7..12 in every phase (messages flow between the two
+	// step before 7..12 in every step (messages flow between the two
 	// halves in both directions at every boundary).
-	ids := make([]model.NodeID, 0, len(h.nodes))
-	for id := range h.nodes {
-		ids = append(ids, id)
-	}
-	// Deterministic split.
-	first, second := ids[:0:0], []model.NodeID(nil)
-	for id := model.NodeID(1); id <= 12; id++ {
-		if id <= 6 {
-			first = append(first, id)
-		} else {
-			second = append(second, id)
+	skewed := func(step func(*core.Node)) {
+		for id := model.NodeID(1); id <= 6; id++ {
+			step(h.nodes[id])
 		}
-	}
-
-	runSkewed := func(r model.Round) {
-		// Source injection (mirrors the engine hook).
-		us, err := h.gen.Emit(r, h.perRound)
-		if err != nil {
-			t.Fatal(err)
+		h.net.DeliverAll() // first half's traffic lands early
+		for id := model.NodeID(7); id <= 12; id++ {
+			step(h.nodes[id])
 		}
-		h.nodes[h.source].InjectUpdates(us)
-
-		phase := func(f func(id model.NodeID)) {
-			for _, id := range first {
-				f(id)
-			}
-			h.net.DeliverAll() // first half's traffic lands early
-			for _, id := range second {
-				f(id)
-			}
-			h.net.DeliverAll()
-		}
-		phase(func(id model.NodeID) { h.nodes[id].BeginRound(r) })
-		phase(func(id model.NodeID) { h.nodes[id].MidRound(r) })
-		phase(func(id model.NodeID) { h.nodes[id].EndRound(r) })
-		phase(func(id model.NodeID) { h.nodes[id].CloseRound(r) })
+		h.net.DeliverAll()
 	}
-
 	for r := model.Round(1); r <= 14; r++ {
-		runSkewed(r)
+		h.runRound(r, skewed)
 	}
 
 	h.requireNoVerdictsExcept()

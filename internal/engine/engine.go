@@ -209,9 +209,10 @@ func (e *Engine) deliverAll() int {
 	return total
 }
 
-// RunRound advances one round through the four phases. Events and hooks
-// run single-threaded at the round top; each phase then fans out across
-// the shards and merges at its barrier.
+// RunRound advances one round through the four phases, with the remaining
+// exchange slots of Slotted nodes after BeginRound. Events and hooks run
+// single-threaded at the round top; each phase and slot step then fans out
+// across the shards and merges at its barrier.
 func (e *Engine) RunRound() {
 	span := e.roundSpans.SpanStart()
 	r := e.round + 1
@@ -224,6 +225,10 @@ func (e *Engine) RunRound() {
 	delivered := 0
 	e.phase(shards, func(n sim.Protocol) { n.BeginRound(r) })
 	delivered += e.deliverAll()
+	for k := 1; k < e.Slots(); k++ {
+		e.phase(shards, func(n sim.Protocol) { sim.OpenSlot(n, r, k) })
+		delivered += e.deliverAll()
+	}
 	e.phase(shards, func(n sim.Protocol) { n.MidRound(r) })
 	delivered += e.deliverAll()
 	e.phase(shards, func(n sim.Protocol) { n.EndRound(r) })

@@ -99,10 +99,20 @@ func runSession(o Options, protocol pag.Protocol) (*pag.Session, error) {
 	return s, err
 }
 
+// received is what the PAG nodes of a session took in over its measured
+// rounds, read off the metrics registry.
+type received struct {
+	// byKind is bytes per node per round by wire kind.
+	byKind map[string]float64
+	// payloadCopies is payloads per first reception: 1 when every update
+	// crossed a link into each node once.
+	payloadCopies float64
+}
+
 // runSessionByKind is runSession with a metrics registry attached (when reg
 // is non-nil): it also returns what the PAG nodes received over the
-// measured rounds, in bytes per node per round by wire kind.
-func runSessionByKind(o Options, protocol pag.Protocol, reg *obs.Registry) (*pag.Session, map[string]float64, error) {
+// measured rounds.
+func runSessionByKind(o Options, protocol pag.Protocol, reg *obs.Registry) (*pag.Session, received, error) {
 	s, err := pag.NewSession(pag.SessionConfig{
 		Nodes:       o.Nodes,
 		Protocol:    protocol,
@@ -113,24 +123,33 @@ func runSessionByKind(o Options, protocol pag.Protocol, reg *obs.Registry) (*pag
 		Obs:         reg,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, received{}, err
 	}
 	s.Run(o.WarmupRounds)
 	s.StartMeasuring()
-	before := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
+	m0 := s.Metrics()
+	before := m0.ByLabel("pag_core_bytes_total", "kind")
 	s.Run(o.MeasureRounds)
-	byKind := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
+	m1 := s.Metrics()
+	byKind := m1.ByLabel("pag_core_bytes_total", "kind")
 	for kind, b := range byKind {
 		byKind[kind] = (b - before[kind]) / float64(o.Nodes*o.MeasureRounds)
 	}
-	return s, byKind, nil
+	payloads := m1.ByLabel("pag_core_serve_items_total", "form")["payload"] -
+		m0.ByLabel("pag_core_serve_items_total", "form")["payload"]
+	duplicates := m1.Total("pag_core_duplicate_payloads_total") - m0.Total("pag_core_duplicate_payloads_total")
+	got := received{byKind: byKind}
+	if payloads > duplicates {
+		got.payloadCopies = payloads / (payloads - duplicates)
+	}
+	return s, got, nil
 }
 
 // Fig7 regenerates the bandwidth-consumption CDF of PAG vs AcTinG
 // (300 kbps stream, 3 monitors).
 func Fig7(opt Options) (Result, error) {
 	o := opt.withDefaults()
-	pagSess, pagByKind, err := runSessionByKind(o, pag.ProtocolPAG, obs.NewRegistry())
+	pagSess, pagGot, err := runSessionByKind(o, pag.ProtocolPAG, obs.NewRegistry())
 	if err != nil {
 		return Result{}, fmt.Errorf("experiments: fig7 PAG: %w", err)
 	}
@@ -159,18 +178,19 @@ func Fig7(opt Options) (Result, error) {
 	// kind (pag_core_bytes_total), so a change to one message shows up in
 	// its own row.
 	total := 0.0
-	for _, v := range pagByKind {
+	for _, v := range pagGot.byKind {
 		total += v
 	}
 	fmt.Fprintf(&b, "\nPAG bytes received per node per round, by wire kind\n")
 	fmt.Fprintf(&b, "%-20s %-12s %-8s %-8s\n", "kind", "B/node/round", "kbps", "share(%)")
 	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
-		if v := pagByKind[wire.KindName(k)]; v > 0 {
+		if v := pagGot.byKind[wire.KindName(k)]; v > 0 {
 			fmt.Fprintf(&b, "%-20s %-12.0f %-8.1f %-8.1f\n", wire.KindName(k), v,
 				v*8/1000/model.RoundDurationSeconds, 100*v/total)
 		}
 	}
 	fmt.Fprintf(&b, "%-20s %-12.0f %-8.1f\n", "all kinds", total, total*8/1000/model.RoundDurationSeconds)
+	fmt.Fprintf(&b, "payload copies per first reception: %.3f\n", pagGot.payloadCopies)
 	return Result{ID: "fig7", Title: "Bandwidth consumption CDF (PAG vs AcTinG)", Text: b.String()}, nil
 }
 

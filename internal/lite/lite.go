@@ -36,8 +36,9 @@ type Config struct {
 	// StreamKbps / UpdateBytes describe the modelled stream.
 	StreamKbps  int
 	UpdateBytes int
-	// TTL is the playout deadline in rounds (model.PlayoutDelayRounds
-	// when zero).
+	// TTL is an update's lifetime in rounds, forwarding expiration and
+	// playout deadline alike (model.ForwardingTTL(GlobalN, Fanout) when
+	// zero, a session's default).
 	TTL int
 	// Wire overrides the analytic byte constants (DefaultWire when
 	// zero) — pass the session's actual encoding sizes so modelled
@@ -69,14 +70,10 @@ func New(cfg Config) *Plane {
 		cfg.Fanout = model.FanoutFor(cfg.GlobalN)
 	}
 	if cfg.TTL == 0 {
-		cfg.TTL = model.PlayoutDelayRounds
+		cfg.TTL = int(model.ForwardingTTL(cfg.GlobalN, cfg.Fanout))
 	}
 	if cfg.UpdateBytes == 0 {
 		cfg.UpdateBytes = model.UpdateBytes
-	}
-	sat := 0
-	for reach := 1; reach < cfg.GlobalN; reach *= cfg.Fanout + 1 {
-		sat++
 	}
 	kbps := analytic.PAGPerNodeKbps(analytic.Params{
 		PayloadKbps: cfg.StreamKbps,
@@ -92,7 +89,7 @@ func New(cfg Config) *Plane {
 	perRound := kbps * 1000 / 8 * model.RoundDurationSeconds
 	return &Plane{
 		cfg:            cfg,
-		satRounds:      sat,
+		satRounds:      model.SaturationRounds(cfg.GlobalN, cfg.Fanout),
 		chunksPerRound: float64(cfg.StreamKbps) * 1000 / 8 / float64(cfg.UpdateBytes),
 		upBytes:        perRound,
 		downBytes:      perRound,

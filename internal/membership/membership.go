@@ -20,6 +20,7 @@ package membership
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -492,6 +493,18 @@ func (d *Directory) Successors(x model.NodeID, r model.Round) []model.NodeID {
 // Predecessors returns x's predecessors in round r.
 func (d *Directory) Predecessors(x model.NodeID, r model.Round) []model.NodeID {
 	return d.View(r).Predecessors(x)
+}
+
+// ExchangeSlot returns the slot of round r in which pred opens its exchange
+// with succ: pred's rank in succ's predecessor list (ascending ids, the list
+// every member derives), capped at fanout−1 so a round has exactly fanout
+// slots whatever succ's in-degree — the predecessors ranked fanout−1 and
+// beyond share the last one. The successor answers a later slot's
+// KeyRequest knowing what the earlier slots served it (§V-D). ok is false
+// when succ is not one of pred's successors in round r.
+func (d *Directory) ExchangeSlot(pred, succ model.NodeID, r model.Round) (slot int, ok bool) {
+	rank, ok := slices.BinarySearch(d.View(r).pred[succ], pred)
+	return min(rank, d.cfg.Fanout-1), ok
 }
 
 // MonitorEpoch returns the monitor-assignment epoch of round r: the value

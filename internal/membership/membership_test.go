@@ -324,3 +324,60 @@ func BenchmarkView1000(b *testing.B) {
 		d.View(model.Round(i)) // always a cache miss
 	}
 }
+
+// TestSlotIsPredecessorRank: a predecessor's exchange slot is its rank in
+// the successor's ascending predecessor list, capped at fanout−1 — the
+// same answer on every call and from a directory any other member builds —
+// and it is defined from a joiner's first round, in both directions.
+func TestSlotIsPredecessorRank(t *testing.T) {
+	const fanout, join = 3, model.Round(6)
+	d := newDir(t, 40, Config{Seed: 11, Fanout: fanout})
+	peer := newDir(t, 40, Config{Seed: 11, Fanout: fanout})
+	const joiner = model.NodeID(41)
+	for _, dir := range []*Directory{d, peer} {
+		if err := dir.Join(joiner, join); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared, joinerSlots := 0, 0
+	for r := model.Round(1); r <= 12; r++ {
+		for _, b := range d.MembersAt(r) {
+			preds := d.Predecessors(b, r)
+			for rank, a := range preds {
+				if rank > 0 && preds[rank-1] >= a {
+					t.Fatalf("round %d: predecessors of %v not strictly ascending: %v", r, b, preds)
+				}
+				slot, ok := d.ExchangeSlot(a, b, r)
+				if !ok || slot != min(rank, fanout-1) {
+					t.Fatalf("round %d: %v→%v has rank %d of %d, slot %d (ok %v)", r, a, b, rank, len(preds), slot, ok)
+				}
+				if again, _ := d.ExchangeSlot(a, b, r); again != slot {
+					t.Fatalf("round %d: %v→%v slot moved %d → %d", r, a, b, slot, again)
+				}
+				if theirs, ok := peer.ExchangeSlot(a, b, r); !ok || theirs != slot {
+					t.Fatalf("round %d: %v→%v is slot %d here, %d in a peer's directory", r, a, b, slot, theirs)
+				}
+				if rank >= fanout {
+					shared++
+				}
+				if a == joiner || b == joiner {
+					if r < join {
+						t.Fatalf("round %d: %v exchanges before it joined", r, joiner)
+					}
+					if r == join {
+						joinerSlots++
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no successor had more than fanout predecessors: the cap was not exercised")
+	}
+	if joinerSlots < fanout {
+		t.Fatalf("the joiner had %d exchanges in its first round, want at least its own %d", joinerSlots, fanout)
+	}
+	if _, ok := d.ExchangeSlot(1, 1, 3); ok {
+		t.Fatal("a node is not its own predecessor")
+	}
+}

@@ -211,6 +211,26 @@ func FanoutFor(n int) int {
 	return f
 }
 
+// SaturationRounds returns the epidemic saturation time ⌈log_{f+1} n⌉: how
+// many rounds an update takes to reach all n nodes when every holder
+// serves fanout new ones per round.
+func SaturationRounds(n, fanout int) int {
+	sat := 0
+	for reach := 1; reach < n; reach *= fanout + 1 {
+		sat++
+	}
+	return sat
+}
+
+// ForwardingTTL returns the default forwarding expiration in rounds (§V-D:
+// "Determining this expiration delay is up to the system designer") for n
+// nodes at the given fanout: the saturation time plus two rounds of slack,
+// at least 4 and capped at the playout delay — forwarding past saturation
+// only re-circulates content everyone already has.
+func ForwardingTTL(n, fanout int) Round {
+	return Round(min(max(SaturationRounds(n, fanout)+2, 4), PlayoutDelayRounds))
+}
+
 // SplitMix64 is the reproduction's shared deterministic PRNG (splitmix64):
 // tiny, fast and platform-stable, so membership assignments, scenario
 // expansion and network fault decisions replay identically everywhere.

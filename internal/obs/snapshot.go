@@ -77,6 +77,18 @@ func (s Snapshot) ByLabel(name, key string) map[string]float64 {
 	return out
 }
 
+// Total returns the sum of the counter or gauge values of one metric
+// family over all its label sets — the value itself for an unlabelled one.
+func (s Snapshot) Total(name string) float64 {
+	total := 0.0
+	for _, p := range s.Points {
+		if p.Name == name {
+			total += p.Value
+		}
+	}
+	return total
+}
+
 // labelRender renders {k="v",...} for a sample line, with an optional
 // extra label appended (Prometheus histogram "le"). Empty labels render
 // as the empty string.

@@ -31,6 +31,19 @@ type Protocol interface {
 	CloseRound(r model.Round)
 }
 
+// Slotted is a Protocol whose exchange phase opens in several slots:
+// BeginRound is slot 0 and the engines call OpenSlot for slots 1 to
+// ExchangeSlots()−1, delivering to quiescence after each, before MidRound.
+// PAG nodes implement it; a round of protocols that do not runs exactly
+// the four phases.
+type Slotted interface {
+	Protocol
+	// ExchangeSlots returns the slot count of a round (at least 1).
+	ExchangeSlots() int
+	// OpenSlot opens the exchanges of slot k of round r.
+	OpenSlot(r model.Round, k int)
+}
+
 // RoundHook runs at the start of each round, before nodes act — the
 // source's injection point.
 type RoundHook func(r model.Round)
@@ -92,6 +105,9 @@ var _ Stepper = (*Engine)(nil)
 type Roster struct {
 	nodes []Protocol
 	hooks []RoundHook
+	// slots is the largest ExchangeSlots of any Slotted node ever added
+	// (1 when there is none: BeginRound alone).
+	slots int
 
 	// events holds scheduled actions keyed by the round they fire at.
 	events map[model.Round][]Event
@@ -99,7 +115,23 @@ type Roster struct {
 
 // Add registers a protocol node; nodes act in registration order, which
 // must therefore be deterministic for reproducible runs.
-func (ro *Roster) Add(p Protocol) { ro.nodes = append(ro.nodes, p) }
+func (ro *Roster) Add(p Protocol) {
+	ro.nodes = append(ro.nodes, p)
+	if s, ok := p.(Slotted); ok {
+		ro.slots = max(ro.slots, s.ExchangeSlots())
+	}
+}
+
+// Slots returns how many exchange slots a round of this roster has.
+func (ro *Roster) Slots() int { return max(ro.slots, 1) }
+
+// OpenSlot is the step of slot k for one member: OpenSlot on a Slotted
+// node, nothing on any other.
+func OpenSlot(p Protocol, r model.Round, k int) {
+	if s, ok := p.(Slotted); ok {
+		s.OpenSlot(r, k)
+	}
+}
 
 // Remove detaches a node immediately (it stops receiving phase calls);
 // it reports whether the node was present. Traffic counters survive in
@@ -277,8 +309,9 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 // Round returns the last completed round (0 before the first).
 func (e *Engine) Round() model.Round { return e.round }
 
-// RunRound advances one round through the four phases, delivering all
-// pending traffic between phases.
+// RunRound advances one round through the four phases (and, after
+// BeginRound, the remaining exchange slots of Slotted nodes), delivering
+// all pending traffic after each.
 func (e *Engine) RunRound() {
 	span := e.roundSpans.SpanStart()
 	r := e.round + 1
@@ -292,6 +325,12 @@ func (e *Engine) RunRound() {
 		n.BeginRound(r)
 	}
 	delivered += e.net.DeliverAll()
+	for k := 1; k < e.Slots(); k++ {
+		for _, n := range e.Members() {
+			OpenSlot(n, r, k)
+		}
+		delivered += e.net.DeliverAll()
+	}
 	for _, n := range e.Members() {
 		n.MidRound(r)
 	}

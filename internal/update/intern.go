@@ -124,12 +124,11 @@ func sameSlice(a, b []byte) bool {
 // DropExpired garbage-collects entries whose deadline is before the given
 // round, releasing the lift tables of their shared embeddings, and returns
 // how many were dropped. Sessions call it from a round-top hook with the
-// buffermap window as slack: an update past its deadline is in no forward
-// set, and one received at or before its deadline has left every
-// KeyResponse window `window` rounds later, so from then on no exchange
-// lifts it under a prime again (a straggler's lift still gets the same
-// value, from the generic ladder). The content itself lives on in the
-// store entries that alias it until each node's own retention GC.
+// round itself: an update past its deadline is in no forward set and in no
+// buffermap, so from then on no exchange lifts it under a prime again (a
+// straggler's lift still gets the same value, from the generic ladder). The
+// content itself lives on in the store entries that alias it until each
+// node's own retention GC.
 func (in *Interner) DropExpired(before model.Round) int {
 	if in == nil {
 		return 0

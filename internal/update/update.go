@@ -98,6 +98,10 @@ type Entry struct {
 type Store struct {
 	byID    map[model.UpdateID]*Entry
 	byRound map[model.Round][]model.UpdateID // reception round index
+	// maxLife is the longest any stored update had left to live when it was
+	// received (deadline − reception round): how far back OwnedInWindow must
+	// look for entries that have not expired.
+	maxLife model.Round
 	// liftTables indexes, by update deadline, the embeddings this store
 	// owns (SetOwnEmbed) and ReleaseLiftTables has not released yet. nil
 	// while every embedding is the interner's.
@@ -176,6 +180,9 @@ func (s *Store) Add(u Update, r model.Round, count uint64, forwardable bool) boo
 	s.byID[u.ID] = e
 	s.byRound[r] = append(s.byRound[r], u.ID)
 	s.pending = append(s.pending, e)
+	if u.Deadline > r && u.Deadline-r > s.maxLife {
+		s.maxLife = u.Deadline - r
+	}
 	return true
 }
 
@@ -193,18 +200,23 @@ func (s *Store) ReceivedIn(r model.Round) []*Entry {
 	return out
 }
 
-// OwnedInWindow returns entries received in rounds (r-window, r], in
-// canonical order: the buffermap source set. The paper found hashing "the
-// updates of the last 4 rounds" optimal (§V-D).
+// OwnedInWindow returns the buffermap source set at round r, in canonical
+// order: the entries a Serve may still carry — not expired at r, the only
+// ones a requester can be forwarding — received up to and including round
+// r itself. A positive window caps the reception age at rounds (r-window,
+// r], the paper's "updates of the last 4 rounds" (§V-D); zero or less means
+// no cap.
 func (s *Store) OwnedInWindow(r model.Round, window int) []*Entry {
+	// An update lives at most maxLife rounds past its reception, so older
+	// reception rounds hold nothing that is still live.
+	span := s.maxLife + 1
+	if window > 0 && model.Round(window) < span {
+		span = model.Round(window)
+	}
 	var out []*Entry
-	for back := 0; back < window; back++ {
-		if back > int(r) {
-			break
-		}
-		rr := r - model.Round(back)
-		for _, id := range s.byRound[rr] {
-			if e, ok := s.byID[id]; ok {
+	for back := model.Round(0); back < span && back <= r; back++ {
+		for _, id := range s.byRound[r-back] {
+			if e, ok := s.byID[id]; ok && !e.Update.Expired(r) {
 				out = append(out, e)
 			}
 		}

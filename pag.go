@@ -110,14 +110,14 @@ type SessionConfig struct {
 	// bandwidth numbers).
 	ModulusBits int
 	PrimeBits   int
-	// BuffermapWindow is the §V-D ownership window (default 4; negative
-	// disables buffermaps — an ablation).
+	// BuffermapWindow bounds the §V-D buffermap: by default (0) it covers
+	// every owned update that has not expired; a positive value also caps
+	// the reception age in rounds (4 is the paper's window); negative
+	// disables buffermaps — an ablation.
 	BuffermapWindow int
 	// TTL is the forwarding expiration in rounds (§V-D: "Determining
 	// this expiration delay is up to the system designer"). It defaults
-	// to the epidemic saturation time ⌈log_f N⌉ plus two rounds of
-	// slack, capped at the 10-round playout delay: forwarding past
-	// saturation only re-circulates content everyone already has.
+	// to model.ForwardingTTL: saturation time plus two rounds of slack.
 	TTL model.Round
 	// Seed drives the membership assignment.
 	Seed uint64
@@ -224,17 +224,7 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.PrimeBits = c.ModulusBits
 	}
 	if c.TTL == 0 {
-		sat := 0
-		for reach := 1; reach < c.Nodes; reach *= c.Fanout + 1 {
-			sat++
-		}
-		c.TTL = model.Round(sat + 2)
-		if c.TTL < 4 {
-			c.TTL = 4
-		}
-		if c.TTL > model.PlayoutDelayRounds {
-			c.TTL = model.PlayoutDelayRounds
-		}
+		c.TTL = model.ForwardingTTL(c.Nodes, c.Fanout)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -531,21 +521,12 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// landed, so concurrent node steps hit a read-only snapshot instead
 	// of racing to build it.
 	s.engine.OnRoundStart(func(r model.Round) { s.dir.View(r) })
-	// Expired content leaves the flyweight table at the round top (an
-	// expired update can never be served again, and store entries keep
-	// their aliases alive until each node's own retention GC) — in PAG
-	// once it has also left every buffermap window, which is when the
-	// lift table shared through the table can go with it.
+	// Expired content leaves the flyweight table at the round top: an
+	// expired update can never be served again nor named by a buffermap, so
+	// the lift table shared through the table goes with it (store entries
+	// keep their aliases alive until each node's own retention GC).
 	if s.intern != nil {
-		var window model.Round
-		if s.shared != nil {
-			window = model.Round(s.shared.BuffermapWindow)
-		}
-		s.engine.OnRoundStart(func(r model.Round) {
-			if r > window {
-				s.intern.DropExpired(r - window)
-			}
-		})
+		s.engine.OnRoundStart(func(r model.Round) { s.intern.DropExpired(r) })
 	}
 	// Live heap per member, sampled at each round top. ClassSched: the
 	// value is a host artifact (GC timing, allocator state), not a

@@ -29,7 +29,8 @@ type ScaleConfig struct {
 	// cohort is the rendezvous-lowest CohortNodes ids plus the source.
 	CohortNodes int
 	// StreamKbps / UpdateBytes / ModulusBits / Seed / Workers as in
-	// SessionConfig; the fanout is always FanoutFor(GlobalNodes), so
+	// SessionConfig; the fanout and the forwarding TTL are always the
+	// global system's (FanoutFor and ForwardingTTL of GlobalNodes), so
 	// per-cohort-node traffic matches a node's share of the global
 	// system.
 	StreamKbps  int
@@ -116,6 +117,7 @@ func NewScaleSession(cfg ScaleConfig) (*ScaleSession, error) {
 		MemberIDs:        cohort,
 		Fanout:           fanout,
 		Monitors:         fanout,
+		TTL:              model.ForwardingTTL(cfg.GlobalNodes, fanout),
 		StreamKbps:       cfg.StreamKbps,
 		UpdateBytes:      cfg.UpdateBytes,
 		ModulusBits:      cfg.ModulusBits,
@@ -139,6 +141,7 @@ func NewScaleSession(cfg ScaleConfig) (*ScaleSession, error) {
 		StreamKbps:  s.cfg.StreamKbps,
 		UpdateBytes: s.cfg.UpdateBytes,
 		TTL:         int(s.cfg.TTL),
+		Wire:        analytic.WireFor(s.cfg.ModulusBits),
 	})
 	for i := 1; i <= cfg.GlobalNodes; i++ {
 		id := model.NodeID(i)
@@ -200,5 +203,6 @@ func (ss *ScaleSession) AnalyticKbps() float64 {
 		Fanout:      ss.cfg.Fanout,
 		Monitors:    ss.cfg.Monitors,
 		TTLRounds:   int(ss.cfg.TTL),
+		Wire:        analytic.WireFor(ss.cfg.ModulusBits),
 	})
 }

@@ -91,21 +91,44 @@ func TestWireBudget(t *testing.T) {
 	}
 }
 
-// TestAnalyticKeyResponseMatchesCounter holds the model's message-2 term
-// to what the nodes count at paper sizes once the buffermap window is
-// full. The other terms are not held to anything yet: DESIGN.md, "Bytes on
-// the wire", itemises where they stand.
-func TestAnalyticKeyResponseMatchesCounter(t *testing.T) {
+// TestAnalyticMatchesCounters holds the model to what the nodes count at
+// paper sizes, kind by kind: every kind that carries at least 1 % of the
+// bytes, and their sum, within 3 %. The model is given the rate the source
+// emits — whole updates per round — and the session's TTL.
+func TestAnalyticMatchesCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 48-node session at 512 bits")
 	}
-	const nodes, kbps = 48, 300
-	got := kindBytesPerNodeRound(t, SessionConfig{
-		Nodes: nodes, StreamKbps: kbps, ModulusBits: 512, Seed: 22, Workers: -1,
-	}, 10, 3)["KeyResponse"]
-	want := analytic.KeyResponseBytes(analytic.Params{PayloadKbps: kbps, N: nodes})
-	if math.Abs(got/want-1) > 0.03 {
-		t.Fatalf("KeyResponse: %.0f B/node/round counted, %.0f modelled (%+.1f%%)", got, want, 100*(got/want-1))
+	cfg := SessionConfig{Nodes: 48, StreamKbps: 300, ModulusBits: 512, Seed: 22, Workers: -1}.withDefaults()
+	got := kindBytesPerNodeRound(t, cfg, 12, 8)
+	want := analytic.PAGKindBytes(analytic.Params{
+		PayloadKbps: cfg.StreamKbps * 1000 / 8 / cfg.UpdateBytes * cfg.UpdateBytes * 8 / 1000,
+		UpdateBytes: cfg.UpdateBytes,
+		N:           cfg.Nodes,
+		TTLRounds:   int(cfg.TTL),
+	})
+	var gotAll, wantAll float64
+	for _, b := range got {
+		gotAll += b
 	}
-	t.Logf("KeyResponse: %.0f B/node/round counted, %.0f modelled (%+.1f%%)", got, want, 100*(got/want-1))
+	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+		kind := wire.KindName(k)
+		wantAll += want[kind]
+		if got[kind] < 0.01*gotAll {
+			if want[kind] > 0.02*gotAll {
+				t.Errorf("%s: %.0f B/node/round counted, %.0f modelled", kind, got[kind], want[kind])
+			}
+			continue
+		}
+		dev := 100 * (want[kind]/got[kind] - 1)
+		t.Logf("%-12s %8.0f B/node/round counted, %8.0f modelled (%+.1f%%)", kind, got[kind], want[kind], dev)
+		if math.Abs(dev) > 3 {
+			t.Errorf("%s: model off by %+.1f%%", kind, dev)
+		}
+	}
+	dev := 100 * (wantAll/gotAll - 1)
+	t.Logf("%-12s %8.0f B/node/round counted, %8.0f modelled (%+.1f%%)", "all kinds", gotAll, wantAll, dev)
+	if math.Abs(dev) > 3 {
+		t.Errorf("all kinds: model off by %+.1f%%", dev)
+	}
 }
