@@ -48,6 +48,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -60,30 +61,38 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command with its arguments and output streams passed in, so
+// the golden test drives exactly what a shell does.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pag-scenario", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scName    = flag.String("scenario", "", "canned scenario name (see -list)")
-		name      = flag.String("name", "", "alias of -scenario (kept for compatibility)")
-		file      = flag.String("file", "", "scenario JSON file (overrides -scenario)")
-		netKind   = flag.String("net", "mem", "transport: mem (deterministic in-memory), tcp (loopback sockets) or udp (loss-tolerant datagrams)")
-		protocols = flag.String("protocol", "all", "pag|acting|rac|all")
-		nodes     = flag.Int("nodes", 16, "initial system size, including the source")
-		stream    = flag.Int("stream", 60, "stream bitrate in kbps")
-		modBits   = flag.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful sizes)")
-		seed      = flag.Uint64("seed", 7, "session seed; also drives a canned scenario's timeline (a -file scenario's own seed wins)")
-		threshold = flag.Int("threshold", 1, "verdict count that counts as a conviction")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0),
+		scName    = fs.String("scenario", "", "canned scenario name (see -list)")
+		name      = fs.String("name", "", "alias of -scenario (kept for compatibility)")
+		file      = fs.String("file", "", "scenario JSON file (overrides -scenario)")
+		netKind   = fs.String("net", "mem", "transport: mem (deterministic in-memory), tcp (loopback sockets) or udp (loss-tolerant datagrams)")
+		protocols = fs.String("protocol", "all", "pag|acting|rac|all")
+		nodes     = fs.Int("nodes", 16, "initial system size, including the source")
+		stream    = fs.Int("stream", 60, "stream bitrate in kbps")
+		modBits   = fs.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful sizes)")
+		seed      = fs.Uint64("seed", 7, "session seed; also drives a canned scenario's timeline (a -file scenario's own seed wins)")
+		threshold = fs.Int("threshold", 1, "verdict count that counts as a conviction")
+		workers   = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"round-engine workers (0 = serial engine; results are byte-identical either way; forced 0 with -net tcp)")
-		dump    = flag.Bool("dump", false, "print the scenario JSON instead of running it")
-		list    = flag.Bool("list", false, "list canned scenarios")
-		metrics = flag.String("metrics", "", "serve live metrics on this address (e.g. 127.0.0.1:9100; port 0 picks one): Prometheus text on /metrics, JSON on /metrics.json, pprof on /debug/pprof/")
-		trace   = flag.String("trace", "", "write the structured round-event trace (JSONL) to this file")
-		linger  = flag.Duration("linger", 0, "keep the -metrics endpoint up this long after the run (scrape window)")
+		dump    = fs.Bool("dump", false, "print the scenario JSON instead of running it")
+		list    = fs.Bool("list", false, "list canned scenarios")
+		metrics = fs.String("metrics", "", "serve live metrics on this address (e.g. 127.0.0.1:9100; port 0 picks one): Prometheus text on /metrics, JSON on /metrics.json, pprof on /debug/pprof/")
+		trace   = fs.String("trace", "", "write the structured round-event trace (JSONL) to this file")
+		linger  = fs.Duration("linger", 0, "keep the -metrics endpoint up this long after the run (scrape window)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *scName == "" {
 		*scName = *name
 	}
@@ -91,7 +100,7 @@ func run() int {
 	if *list {
 		for _, n := range scenario.Names() {
 			sc, _ := scenario.ByName(n, *nodes, *stream)
-			fmt.Printf("%-22s %s\n", n, sc.Description)
+			fmt.Fprintf(stdout, "%-22s %s\n", n, sc.Description)
 		}
 		return 0
 	}
@@ -103,14 +112,14 @@ func run() int {
 	// record and keeps its own seed.
 	sc, err := loadScenario(*file, *scName, *nodes, *stream)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pag-scenario:", err)
+		fmt.Fprintln(stderr, "pag-scenario:", err)
 		return 1
 	}
 	if *file == "" {
 		sc.Seed = *seed
 	}
 	if *dump {
-		fmt.Printf("%s\n", sc.JSON())
+		fmt.Fprintf(stdout, "%s\n", sc.JSON())
 		return 0
 	}
 
@@ -125,7 +134,7 @@ func run() int {
 	case "rac":
 		ps = []pag.Protocol{pag.ProtocolRAC}
 	default:
-		fmt.Fprintf(os.Stderr, "pag-scenario: unknown protocol %q\n", *protocols)
+		fmt.Fprintf(stderr, "pag-scenario: unknown protocol %q\n", *protocols)
 		return 2
 	}
 
@@ -141,18 +150,18 @@ func run() int {
 		cfg.Obs = reg
 		srv, err := obs.Serve(*metrics, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pag-scenario: metrics:", err)
+			fmt.Fprintln(stderr, "pag-scenario: metrics:", err)
 			return 1
 		}
 		defer srv.Close()
 		// The bound address goes to stderr (the report owns stdout) so
 		// `-metrics 127.0.0.1:0` callers learn the picked port.
-		fmt.Fprintf(os.Stderr, "pag-scenario: metrics on http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stderr, "pag-scenario: metrics on http://%s/metrics\n", srv.Addr())
 	}
 	if *trace != "" {
 		f, err := os.Create(*trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pag-scenario: trace:", err)
+			fmt.Fprintln(stderr, "pag-scenario: trace:", err)
 			return 1
 		}
 		defer f.Close()
@@ -187,22 +196,22 @@ func run() int {
 			return un
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "pag-scenario: unknown transport %q (mem|tcp|udp)\n", *netKind)
+		fmt.Fprintf(stderr, "pag-scenario: unknown transport %q (mem|tcp|udp)\n", *netKind)
 		return 2
 	}
 
 	report, err := pag.RunScenarioReport(cfg, sc, ps, *threshold)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pag-scenario:", err)
+		fmt.Fprintln(stderr, "pag-scenario:", err)
 		return 1
 	}
 	// A latched tracer write error means the journal is truncated — worth
 	// a failing exit even though the report itself is sound.
 	if err := cfg.Trace.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "pag-scenario: trace: journal truncated:", err)
+		fmt.Fprintln(stderr, "pag-scenario: trace: journal truncated:", err)
 		return 1
 	}
-	os.Stdout.Write(report.JSON())
+	stdout.Write(report.JSON())
 	if *metrics != "" && *linger > 0 {
 		time.Sleep(*linger)
 	}

@@ -17,6 +17,13 @@
 // logged to every successor of every round), serve compliance (every
 // logged request answered with data the same round) and complaints filed
 // by peers whose requests went unanswered.
+//
+// A node keeps only the part of its log that some current monitor has yet
+// to verify: an audit request names the last seq its sender verified, and
+// the node drops the prefix every one of its current monitors has verified
+// (Node.retain). A monitor seated after such a truncation asks from below
+// the log's base and is answered with the retained suffix and the base it
+// chains from, which it adopts as it would have adopted the genesis chain.
 package acting
 
 import (
@@ -43,6 +50,9 @@ const (
 	kindComplaint    uint8 = 104
 	kindAuditRequest uint8 = 105
 	kindAuditReply   uint8 = 106
+	// kindAuditBaseReply answers a request from below the log's base: the
+	// retained suffix plus the base it chains from.
+	kindAuditBaseReply uint8 = 107
 )
 
 // VerdictKind classifies audit findings.
@@ -172,6 +182,10 @@ type Node struct {
 	monEpoch  model.Round
 	audits    map[model.NodeID]*auditState
 
+	// verified[m] is the highest SinceSeq monitor m's audit requests have
+	// carried: the prefix of this node's log m has verified (see retain).
+	verified map[model.NodeID]uint64
+
 	injected []update.Update
 	stats    Stats
 }
@@ -205,6 +219,7 @@ func NewNode(cfg Config) (*Node, error) {
 		requestedFrom: make(map[model.NodeID][]model.UpdateID),
 		servedTo:      make(map[model.NodeID]map[model.UpdateID]bool),
 		audits:        make(map[model.NodeID]*auditState),
+		verified:      make(map[model.NodeID]uint64),
 	}, nil
 }
 

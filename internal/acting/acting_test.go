@@ -196,7 +196,7 @@ func TestActingLogsLeakInterests(t *testing.T) {
 	h.engine.Run(6)
 	leaky := 0
 	for _, n := range h.nodes {
-		for _, e := range n.Log().Since(0) {
+		for _, e := range n.Log().Since(n.Log().Base()) {
 			if len(e.Content) > 0 {
 				leaky++
 				break

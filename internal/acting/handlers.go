@@ -2,6 +2,7 @@ package acting
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -23,7 +24,7 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		n.onComplaint(msg)
 	case kindAuditRequest:
 		n.onAuditRequest(msg)
-	case kindAuditReply:
+	case kindAuditReply, kindAuditBaseReply:
 		n.onAuditReply(msg)
 	}
 }
@@ -162,8 +163,10 @@ func (n *Node) onComplaint(msg transport.Message) {
 	st.complaints = append(st.complaints, complaint{round: c.Round, from: c.From, ids: c.IDs})
 }
 
-// onAuditRequest answers with the log suffix (unless refusing). A
-// log-tampering node rewrites one entry of the suffix first — which the
+// onAuditRequest drops the log prefix every current monitor has verified,
+// then answers with the suffix past the requested seq (unless refusing) —
+// or, to a request from below the base, with the retained suffix and the
+// base. A log-tampering node rewrites the first entry it sends — which the
 // chain verification will expose.
 func (n *Node) onAuditRequest(msg transport.Message) {
 	req, err := unmarshalAuditReq(msg.Payload)
@@ -173,21 +176,49 @@ func (n *Node) onAuditRequest(msg transport.Message) {
 	if !n.verifySigned(req.From, msg.Payload, req.Sig) {
 		return
 	}
-	if !n.cfg.Directory.IsMonitorOf(req.From, n.id, n.round) {
+	monitors := n.cfg.Directory.Monitors(n.id, n.round)
+	if !slices.Contains(monitors, req.From) {
 		return
 	}
+	n.retain(req.From, req.SinceSeq, monitors)
 	if n.cfg.Behavior.RefuseAudit {
 		return
 	}
-	if n.cfg.Behavior.TamperLog && n.log.HeadSeq() > req.SinceSeq {
-		n.log.Tamper(req.SinceSeq+1, []byte("rewritten history"))
+	from := max(req.SinceSeq, n.log.Base())
+	if n.cfg.Behavior.TamperLog && n.log.HeadSeq() > from {
+		n.log.Tamper(from+1, []byte("rewritten history"))
 	}
 	reply := &auditReplyMsg{
 		Round:   n.round,
 		From:    n.id,
-		Entries: n.log.Suffix(req.SinceSeq), // encoded straight from the log
+		Entries: n.log.Suffix(from), // encoded straight from the log
 	}
-	n.signAndSend(req.From, kindAuditReply, reply)
+	if req.SinceSeq < from {
+		reply.Base = &logBase{Seq: from, Round: n.log.BaseRound(), Hash: n.log.BaseHash()}
+	}
+	n.signAndSend(req.From, reply.kind(), reply)
+}
+
+// retain records that monitor m has verified this node's log through since
+// (capped at the head: a monitor cannot have verified what was never
+// written) and drops the prefix that every current monitor has verified.
+// A monitor's lastSeq only advances on a chain-verified audit, so since is
+// exactly what it verified. Nothing is dropped while a current monitor has
+// yet to audit, so a crashed or failing monitor stalls truncation but never
+// loses an entry another monitor still needs; records of monitors that are
+// no longer current are forgotten.
+func (n *Node) retain(m model.NodeID, since uint64, monitors []model.NodeID) {
+	n.verified[m] = max(n.verified[m], min(since, n.log.HeadSeq()))
+	through := n.log.HeadSeq()
+	for _, mon := range monitors {
+		through = min(through, n.verified[mon])
+	}
+	n.log.TruncateThrough(through)
+	for mon := range n.verified {
+		if !slices.Contains(monitors, mon) {
+			delete(n.verified, mon)
+		}
+	}
 }
 
 // onAuditReply verifies the fetched log suffix: chain integrity, proposal
@@ -209,7 +240,20 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	y := reply.From
 	r := reply.Round
 
-	if err := securelog.VerifyChain(st.lastSeq, st.lastHead, reply.Entries); err != nil {
+	// The chain runs on from what this monitor last verified — or, when y
+	// has since dropped that prefix, from y's base, which the monitor
+	// adopts the way a first audit adopts the genesis chain. A base at or
+	// below the verified seq would let y rewrite audited history.
+	seq, head, lastRound := st.lastSeq, st.lastHead, st.lastRound
+	if b := reply.Base; b != nil {
+		if b.Seq <= seq {
+			n.report(Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
+				Detail: fmt.Sprintf("log base %d not past audited seq %d", b.Seq, seq)})
+			return
+		}
+		seq, head, lastRound = b.Seq, b.Hash, b.Round
+	}
+	if err := securelog.VerifyChain(seq, head, reply.Entries); err != nil {
 		n.report(Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
 			Detail: err.Error()})
 		return
@@ -251,8 +295,8 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	}
 
 	// Proposal coverage: a proposal logged to every successor of every
-	// audited round.
-	for rr := st.lastRound + 1; rr <= r; rr++ {
+	// audited round — those after the base's on a first audit from it.
+	for rr := lastRound + 1; rr <= r; rr++ {
 		for _, succ := range n.cfg.Directory.Successors(y, rr) {
 			if !proposed[rr][succ] {
 				n.report(Verdict{Round: r, Kind: VerdictMissingPropose, Accused: y,
@@ -287,8 +331,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 
 	if len(reply.Entries) > 0 {
 		last := reply.Entries[len(reply.Entries)-1]
-		st.lastSeq = last.Seq
-		st.lastHead = last.Hash
+		seq, head = last.Seq, last.Hash
 	}
-	st.lastRound = r
+	st.lastSeq, st.lastHead, st.lastRound = seq, head, r
 }

@@ -254,21 +254,45 @@ func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
 }
 
 // auditReplyMsg carries a log suffix. Decoded, the entries' contents are
-// views into the delivered message.
+// views into the delivered message. A reply whose suffix starts right
+// after the requested seq has no Base; one to a request below the owner's
+// base (a monitor seated after the log was truncated) carries it, under its
+// own kind, and is otherwise encoded the same.
 type auditReplyMsg struct {
 	Round   model.Round
 	From    model.NodeID
+	Base    *logBase
 	Entries []securelog.Entry
 	Sig     []byte
+}
+
+// logBase is the last entry a log dropped: where its retained suffix chains
+// from, and the round that entry was logged in.
+type logBase struct {
+	Seq   uint64
+	Round model.Round
+	Hash  [securelog.HashSize]byte
 }
 
 // minEntryLen is the encoding of a log entry with empty content.
 const minEntryLen = 8 + 8 + 1 + 4 + 4 + securelog.HashSize
 
+func (m *auditReplyMsg) kind() uint8 {
+	if m.Base != nil {
+		return kindAuditBaseReply
+	}
+	return kindAuditReply
+}
+
 func (m *auditReplyMsg) body(w *wire.Writer) {
-	w.U8(kindAuditReply)
+	w.U8(m.kind())
 	w.U64(uint64(m.Round))
 	w.U32(uint32(m.From))
+	if b := m.Base; b != nil {
+		w.U64(b.Seq)
+		w.U64(uint64(b.Round))
+		w.Raw(b.Hash[:])
+	}
 	w.U32(uint32(len(m.Entries)))
 	for i := range m.Entries {
 		e := &m.Entries[i]
@@ -283,12 +307,17 @@ func (m *auditReplyMsg) body(w *wire.Writer) {
 
 func unmarshalAuditReply(b []byte) (*auditReplyMsg, error) {
 	r := wire.NewReader(b)
-	if k := r.U8(); k != kindAuditReply && r.Err() == nil {
+	k := r.U8()
+	if k != kindAuditReply && k != kindAuditBaseReply && r.Err() == nil {
 		return nil, fmt.Errorf("acting: kind %d is not audit reply", k)
 	}
 	m := &auditReplyMsg{
 		Round: model.Round(r.U64()),
 		From:  model.NodeID(r.U32()),
+	}
+	if k == kindAuditBaseReply {
+		m.Base = &logBase{Seq: r.U64(), Round: model.Round(r.U64())}
+		copy(m.Base.Hash[:], r.Raw(securelog.HashSize))
 	}
 	m.Entries = make([]securelog.Entry, r.ListLen(minEntryLen))
 	for i := range m.Entries {

@@ -335,19 +335,30 @@ func TestServeEndpoints(t *testing.T) {
 		}
 		return string(body)
 	}
+	runtimeNames := []string{"pag_runtime_gc_cycles_total", "pag_runtime_heap_alloc_bytes", "pag_runtime_heap_inuse_bytes"}
 	if body := get("/metrics"); !strings.Contains(body, "pag_x_total 1") {
 		t.Errorf("/metrics missing counter:\n%s", body)
 	} else if err := ValidateExposition([]byte(body)); err != nil {
 		t.Errorf("/metrics exposition invalid: %v", err)
+	} else {
+		for _, name := range runtimeNames {
+			if !strings.Contains(body, "\n"+name+" ") {
+				t.Errorf("/metrics missing %s:\n%s", name, body)
+			}
+		}
 	}
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
 		t.Errorf("/metrics.json not a snapshot: %v", err)
-	} else if len(snap.Points) != 1 {
-		t.Errorf("/metrics.json has %d points, want 1", len(snap.Points))
+	} else if len(snap.Points) != 1+len(runtimeNames) {
+		t.Errorf("/metrics.json has %d points, want 1 + %d runtime", len(snap.Points), len(runtimeNames))
+	} else if alloc, inuse := snap.Total("pag_runtime_heap_alloc_bytes"), snap.Total("pag_runtime_heap_inuse_bytes"); alloc <= 0 || inuse < alloc {
+		t.Errorf("runtime heap alloc %v, inuse %v", alloc, inuse)
 	}
 	if body := get("/metrics.det"); !strings.Contains(body, "pag_x_total 1") {
 		t.Errorf("/metrics.det missing counter:\n%s", body)
+	} else if strings.Contains(body, "pag_runtime_") {
+		t.Errorf("/metrics.det carries process readings:\n%s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index unexpected:\n%s", body)

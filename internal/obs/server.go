@@ -15,21 +15,22 @@ import (
 
 // Handler serves a registry:
 //
-//	/metrics        Prometheus text exposition (everything)
-//	/metrics.json   the JSON Snapshot
+//	/metrics        Prometheus text exposition (everything, plus the Go
+//	                runtime's heap and GC readings — Snapshot.WithRuntime)
+//	/metrics.json   the JSON Snapshot, with the same runtime readings
 //	/metrics.det    DeterministicText (the determinism-checked subset)
 //	/debug/pprof/*  the standard pprof handlers
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte(r.Snapshot().PrometheusText()))
+		_, _ = w.Write([]byte(r.Snapshot().WithRuntime().PrometheusText()))
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot())
+		_ = enc.Encode(r.Snapshot().WithRuntime())
 	})
 	mux.HandleFunc("/metrics.det", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -78,9 +78,17 @@ func chainHash(prev [HashSize]byte, e *Entry) [HashSize]byte {
 }
 
 // Log is one node's secure log. Zero value is not usable; call New.
+//
+// A log keeps a suffix of its history: TruncateThrough drops a verified
+// prefix, and the base — seq, hash and round of the last dropped entry —
+// stands in for it, so the chain still runs unbroken from the base to the
+// head. Entry i of the retained suffix carries Seq base+i+1.
 type Log struct {
-	owner   model.NodeID
-	entries []Entry
+	owner     model.NodeID
+	base      uint64
+	baseHash  [HashSize]byte
+	baseRound model.Round
+	entries   []Entry
 }
 
 // New creates an empty log owned by a node.
@@ -91,24 +99,34 @@ func New(owner model.NodeID) *Log {
 // Owner returns the logging node.
 func (l *Log) Owner() model.NodeID { return l.owner }
 
-// Len returns the number of entries.
+// Len returns the number of retained entries.
 func (l *Log) Len() int { return len(l.entries) }
 
-// Head returns the hash of the latest entry (zero hash when empty).
+// Base returns the sequence number of the last dropped entry (0 when
+// nothing was dropped): the retained suffix starts at Base()+1.
+func (l *Log) Base() uint64 { return l.base }
+
+// BaseHash returns the chain hash of the last dropped entry (zero hash when
+// nothing was dropped) — the hash the retained suffix chains from.
+func (l *Log) BaseHash() [HashSize]byte { return l.baseHash }
+
+// BaseRound returns the round of the last dropped entry (0 when nothing
+// was dropped).
+func (l *Log) BaseRound() model.Round { return l.baseRound }
+
+// Head returns the hash of the latest entry (the base hash when no entry is
+// retained).
 func (l *Log) Head() [HashSize]byte {
 	if len(l.entries) == 0 {
-		return [HashSize]byte{}
+		return l.baseHash
 	}
 	return l.entries[len(l.entries)-1].Hash
 }
 
-// HeadSeq returns the sequence number of the latest entry (0 when empty;
-// sequence numbers start at 1).
+// HeadSeq returns the sequence number of the latest entry (the base when no
+// entry is retained; sequence numbers start at 1).
 func (l *Log) HeadSeq() uint64 {
-	if len(l.entries) == 0 {
-		return 0
-	}
-	return l.entries[len(l.entries)-1].Seq
+	return l.base + uint64(len(l.entries))
 }
 
 // Append adds a record and returns a copy of the sealed entry.
@@ -125,18 +143,21 @@ func (l *Log) Append(r model.Round, t EntryType, peer model.NodeID, content []by
 	return e
 }
 
-// Suffix returns the entries with Seq > seq, in order, as a read-only view
-// of the log itself — what the owner encodes into an audit reply. Entry i
-// carries Seq i+1, so the suffix is a tail slice, not a scan.
+// Suffix returns the retained entries with Seq > seq, in order, as a
+// read-only view of the log itself — what the owner encodes into an audit
+// reply. A seq below the base yields the whole retained suffix. Entries
+// are consecutive from the base, so the suffix is a tail slice, not a
+// scan; the view is only valid until the next TruncateThrough.
 func (l *Log) Suffix(seq uint64) []Entry {
-	if seq >= uint64(len(l.entries)) {
+	i := max(seq, l.base) - l.base
+	if i >= uint64(len(l.entries)) {
 		return nil
 	}
-	return l.entries[seq:]
+	return l.entries[i:]
 }
 
-// Since returns copies of the entries with Seq > seq, in order — the suffix
-// an auditor fetches.
+// Since returns copies of the retained entries with Seq > seq, in order —
+// the suffix an auditor fetches.
 func (l *Log) Since(seq uint64) []Entry {
 	var out []Entry
 	for _, e := range l.Suffix(seq) {
@@ -146,25 +167,54 @@ func (l *Log) Since(seq uint64) []Entry {
 	return out
 }
 
-// EntryAt returns a copy of the entry with the given sequence number.
+// entry returns the retained entry with the given sequence number.
+func (l *Log) entry(seq uint64) *Entry {
+	if seq <= l.base || seq > l.HeadSeq() {
+		return nil
+	}
+	return &l.entries[seq-l.base-1]
+}
+
+// EntryAt returns a copy of the retained entry with the given sequence
+// number; false at or below the base.
 func (l *Log) EntryAt(seq uint64) (Entry, bool) {
-	if seq == 0 || seq > uint64(len(l.entries)) {
+	p := l.entry(seq)
+	if p == nil {
 		return Entry{}, false
 	}
-	e := l.entries[seq-1]
-	e.Content = append([]byte(nil), l.entries[seq-1].Content...)
+	e := *p
+	e.Content = append([]byte(nil), p.Content...)
 	return e, true
 }
 
 // Tamper overwrites the content of entry seq in place *without* re-chaining
 // — a fault-injection helper for tests and experiments. It returns false if
-// the entry does not exist.
+// the entry is not retained.
 func (l *Log) Tamper(seq uint64, content []byte) bool {
-	if seq == 0 || seq > uint64(len(l.entries)) {
+	p := l.entry(seq)
+	if p == nil {
 		return false
 	}
-	l.entries[seq-1].Content = append([]byte(nil), content...)
+	p.Content = append([]byte(nil), content...)
 	return true
+}
+
+// TruncateThrough drops every entry with Seq ≤ seq (capped at the head) and
+// makes the last of them the base. It works in place — the retained suffix
+// is copied down and the vacated tail cleared — so it allocates nothing and
+// a log truncated as fast as it grows stops regrowing its backing array. A
+// seq at or below the base is a no-op.
+func (l *Log) TruncateThrough(seq uint64) {
+	seq = min(seq, l.HeadSeq())
+	if seq <= l.base {
+		return
+	}
+	k := seq - l.base
+	last := &l.entries[k-1]
+	l.base, l.baseHash, l.baseRound = seq, last.Hash, last.Round
+	n := copy(l.entries, l.entries[k:])
+	clear(l.entries[n:])
+	l.entries = l.entries[:n]
 }
 
 // VerifyChain checks a fetched suffix: that it starts from baseHash at

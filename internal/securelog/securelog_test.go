@@ -200,3 +200,134 @@ func TestEntryTypeString(t *testing.T) {
 		t.Fatal("unknown type should still print")
 	}
 }
+
+// appendN appends n entries whose content is their index.
+func appendN(l *Log, from, n int) {
+	for i := from; i < from+n; i++ {
+		l.Append(model.Round(i/4+1), EntryType(i%2+1), model.NodeID(i%5+2), []byte{byte(i), byte(i >> 8)})
+	}
+}
+
+func TestTruncateKeepsHeadAndChain(t *testing.T) {
+	l := New(1)
+	appendN(l, 0, 20)
+	head, headSeq := l.Head(), l.HeadSeq()
+	base, _ := l.EntryAt(7)
+
+	l.TruncateThrough(7)
+	if l.Head() != head || l.HeadSeq() != headSeq {
+		t.Fatal("truncation moved the head")
+	}
+	if l.Base() != 7 || l.BaseHash() != base.Hash || l.BaseRound() != base.Round || l.Len() != 13 {
+		t.Fatalf("base %d %x round %v, %d retained", l.Base(), l.BaseHash(), l.BaseRound(), l.Len())
+	}
+	if err := VerifyChain(l.Base(), l.BaseHash(), l.Since(l.Base())); err != nil {
+		t.Fatalf("retained suffix does not chain from the base: %v", err)
+	}
+	if got := l.Since(0); len(got) != 13 || got[0].Seq != 8 {
+		t.Fatalf("Since below the base returned %d entries", len(got))
+	}
+
+	// Appends continue the chain from the head, and a truncation through
+	// the head leaves an empty log whose head is the base.
+	appendN(l, 20, 3)
+	if err := VerifyChain(7, base.Hash, l.Since(0)); err != nil {
+		t.Fatalf("appends after truncation: %v", err)
+	}
+	head, headSeq = l.Head(), l.HeadSeq()
+	l.TruncateThrough(headSeq + 10) // capped at the head
+	if l.Len() != 0 || l.Base() != headSeq || l.Head() != head || l.HeadSeq() != headSeq {
+		t.Fatalf("truncating through the head: base %d, %d retained", l.Base(), l.Len())
+	}
+	e := l.Append(9, EntrySend, 3, []byte("next"))
+	if e.Seq != headSeq+1 || VerifyChain(headSeq, head, l.Since(0)) != nil {
+		t.Fatal("append to an emptied log does not chain from the base")
+	}
+}
+
+func TestBelowBaseIsGone(t *testing.T) {
+	l := New(1)
+	appendN(l, 0, 10)
+	l.TruncateThrough(4)
+	l.TruncateThrough(2) // at or below the base: a no-op
+	if l.Base() != 4 || l.Len() != 6 {
+		t.Fatalf("base %d, %d retained", l.Base(), l.Len())
+	}
+	for seq := uint64(0); seq <= 4; seq++ {
+		if _, ok := l.EntryAt(seq); ok {
+			t.Fatalf("EntryAt(%d) below the base", seq)
+		}
+		if l.Tamper(seq, []byte("x")) {
+			t.Fatalf("Tamper(%d) below the base", seq)
+		}
+	}
+	if _, ok := l.EntryAt(5); !ok || !l.Tamper(5, []byte("x")) {
+		t.Fatal("first retained entry unreachable")
+	}
+	if VerifyChain(l.Base(), l.BaseHash(), l.Since(l.Base())) == nil {
+		t.Fatal("tampering the first retained entry went undetected")
+	}
+}
+
+func TestTruncateAllocatesNothing(t *testing.T) {
+	l := New(1)
+	appendN(l, 0, 400)
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seq += 3
+		l.TruncateThrough(seq)
+	})
+	if allocs != 0 {
+		t.Fatalf("TruncateThrough allocated %.1f times per call", allocs)
+	}
+
+	// A log truncated as fast as it grows stops regrowing its array.
+	l = New(1)
+	var capAt100 int
+	for i := 0; i < 1000; i++ {
+		appendN(l, 10*i, 10)
+		l.TruncateThrough(l.HeadSeq() - 20)
+		if i == 100 {
+			capAt100 = cap(l.entries)
+		}
+	}
+	if cap(l.entries) != capAt100 {
+		t.Fatalf("steady-state log regrew its array: cap %d at step 100, %d at 1000", capAt100, cap(l.entries))
+	}
+}
+
+// TestTruncateInterleavingMatchesFullLog: whatever a seeded random mix of
+// appends and truncations leaves is entry for entry the same suffix of a
+// log that was never truncated.
+func TestTruncateInterleavingMatchesFullLog(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := &model.SplitMix64{State: seed}
+		l, full := New(1), New(1)
+		next := 0
+		for step := 0; step < 300; step++ {
+			if rng.Next()%3 == 0 {
+				l.TruncateThrough(l.Base() + rng.Next()%uint64(l.Len()+2))
+				continue
+			}
+			k := int(rng.Next()%4) + 1
+			appendN(l, next, k)
+			appendN(full, next, k)
+			next += k
+		}
+		if l.Head() != full.Head() || l.HeadSeq() != full.HeadSeq() {
+			t.Fatalf("seed %d: heads diverge", seed)
+		}
+		got, want := l.Since(0), full.Since(l.Base())
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d retained, full log has %d past the base", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Seq != want[i].Seq || got[i].Hash != want[i].Hash || string(got[i].Content) != string(want[i].Content) {
+				t.Fatalf("seed %d: entry %d differs", seed, got[i].Seq)
+			}
+		}
+		if b, ok := full.EntryAt(l.Base()); l.Base() > 0 && (!ok || b.Hash != l.BaseHash() || b.Round != l.BaseRound()) {
+			t.Fatalf("seed %d: base %d does not match the full log's entry", seed, l.Base())
+		}
+	}
+}
