@@ -46,8 +46,7 @@ func runCliff(t *testing.T, workers int) ScenarioReport {
 
 // TestCapacityCliffDeterministicAcrossWorkers: a run with live queue
 // pressure — deferrals, carryover merges and deadline expiry every round
-// — produces byte-identical reports on the serial engine and the parallel
-// engine at 1, 4 and 16 workers. This is the property test behind the
+// — produces byte-identical reports at workers 0, 1, 4 and 16. This is the property test behind the
 // link model's merge-point design: queue release happens in canonical
 // order at the round top, so worker scheduling cannot reach it.
 func TestCapacityCliffDeterministicAcrossWorkers(t *testing.T) {
@@ -67,7 +66,7 @@ func TestCapacityCliffDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range workerCounts {
 		parallel := runCliff(t, w)
 		if got := strippedJSON(parallel); !bytes.Equal(want, got) {
-			t.Errorf("capped report at workers=%d differs from the serial engine's\nserial:   %.400s\nparallel: %.400s",
+			t.Errorf("capped report at workers=%d differs from the workers=0 one\nwant: %.400s\ngot:  %.400s",
 				w, want, got)
 		}
 	}

@@ -1,107 +1,21 @@
-// Command pag-bench times the serial round engine against the sharded
-// parallel engine on identical sessions and records the result as
-// BENCH_engine.json, so the repository's performance trajectory is
-// measured, not remembered.
+// Command pag-bench records the two measurement artifacts the benchmark
+// (`go run ./bench`) does not cover: the crypto microbenchmarks
+// (BENCH_hhash.json) and the Fig 9 scaling run (BENCH_scale.json).
 //
 // Usage:
 //
-//	pag-bench                      # N=144 and N=432, defaults
-//	pag-bench -sizes 432 -rounds 12 -workers 8
-//	pag-bench -out BENCH_engine.json
-//
-// By default pag-bench guards the recorded artifact (-auto): on a host
-// with at least 4 effective cores it re-records BENCH_engine.json with
-// the speedup headline; on a smaller host it refuses to overwrite an
-// artifact that already carries multicore speedups with one that would
-// withhold them (run with -auto=false to force the overwrite).
-//
-// Both engines produce byte-identical runs (that is the parallel engine's
-// hard invariant — see internal/engine); pag-bench cross-checks it on
-// every measurement by fingerprinting the full per-node bandwidth
-// distribution and the playback continuity of each run, and refuses to
-// report a speedup for a run that diverged.
-//
-// Every size is also timed with a JSONL tracer attached (sink discarded):
-// the recorded trace_overhead_*_pct fields are the tracing tax on each
-// engine, and trace_byte_identical cross-checks that the traced runs'
-// measured outcomes match the untraced fingerprints.
+//	pag-bench -hhash BENCH_hhash.json
+//	pag-bench -scale                  # writes BENCH_scale.json
+//	pag-bench -scale -short           # CI smoke: checks, writes nothing
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
-
-	pag "repro"
-	"repro/internal/obs"
 )
-
-// sizeResult is one system size's measurement.
-type sizeResult struct {
-	Nodes           float64 `json:"nodes"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	// Speedup is omitted when the host cannot physically exhibit one — a
-	// single-core box times the worker pool's overhead, not its
-	// parallelism, and a recorded "1.0x" would misread as "the parallel
-	// engine gives no speedup". SpeedupWithheld marks that case machine-
-	// readably, and EffectiveCores records why (min of the report's
-	// num_cpu and gomaxprocs — how many node steps could actually run at
-	// once); SpeedupNote restates it for human readers.
-	Speedup         float64 `json:"speedup,omitempty"`
-	SpeedupWithheld bool    `json:"speedup_withheld,omitempty"`
-	EffectiveCores  int     `json:"effective_cores"`
-	SpeedupNote     string  `json:"speedup_note,omitempty"`
-	RoundsPerSecSer float64 `json:"serial_rounds_per_sec"`
-	RoundsPerSecPar float64 `json:"parallel_rounds_per_sec"`
-	// HashOpsPerSec is the Table I headline: logical homomorphic hash
-	// operations per second summed over all nodes during the serial run's
-	// measured window (the unit is execution-strategy independent — see
-	// hhash.Counter).
-	HashOpsPerSec float64 `json:"hash_ops_per_sec"`
-	Identical     bool    `json:"byte_identical"`
-	// The tracing tax: the same serial and parallel runs with a JSONL
-	// tracer attached (sink discarded, so the numbers time event
-	// serialization, not the disk). TraceIdentical cross-checks that the
-	// traced runs' measured outcomes match the untraced fingerprints —
-	// tracing must sit outside the determinism boundary.
-	RoundsPerSecSerTraced float64 `json:"serial_traced_rounds_per_sec"`
-	RoundsPerSecParTraced float64 `json:"parallel_traced_rounds_per_sec"`
-	TraceOverheadSerPct   float64 `json:"trace_overhead_serial_pct"`
-	TraceOverheadParPct   float64 `json:"trace_overhead_parallel_pct"`
-	TraceIdentical        bool    `json:"trace_byte_identical"`
-	// Memory footprint of the serial run (runtime.MemStats): the heap
-	// high-water observed right after the measured window (before GC) and
-	// the GC'd live set divided by the member count — the flyweight
-	// tracking number.
-	PeakHeapAllocBytes uint64  `json:"peak_heap_alloc_bytes"`
-	PeakHeapInuseBytes uint64  `json:"peak_heap_inuse_bytes"`
-	BytesPerNode       float64 `json:"bytes_per_node"`
-}
-
-// benchReport is the BENCH_engine.json schema.
-type benchReport struct {
-	Benchmark   string       `json:"benchmark"`
-	NumCPU      int          `json:"num_cpu"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	Workers     int          `json:"workers"`
-	Rounds      int          `json:"rounds"`
-	Warmup      int          `json:"warmup_rounds"`
-	StreamKbps  int          `json:"stream_kbps"`
-	ModulusBits int          `json:"modulus_bits"`
-	Seed        uint64       `json:"seed"`
-	GeneratedAt string       `json:"generated_at"`
-	Results     []sizeResult `json:"results"`
-}
 
 func main() {
 	os.Exit(run())
@@ -109,27 +23,23 @@ func main() {
 
 func run() int {
 	var (
-		sizes   = flag.String("sizes", "144,432", "comma-separated system sizes")
-		rounds  = flag.Int("rounds", 8, "measured rounds per engine")
-		warmup  = flag.Int("warmup", 2, "warm-up rounds before timing")
-		stream  = flag.Int("stream", 60, "stream bitrate in kbps")
-		modBits = flag.Int("modulus", 128, "homomorphic modulus bits")
-		seed    = flag.Uint64("seed", 1, "session seed")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel-engine worker count")
-		out     = flag.String("out", "BENCH_engine.json", "output path ('-' for stdout only)")
-		auto    = flag.Bool("auto", true,
-			"re-record the artifact only when this host can improve it: refuse to replace recorded multicore speedups with a single-core run")
-		hhashOut      = flag.String("hhash", "", "also record crypto microbenchmarks to this path (e.g. BENCH_hhash.json)")
-		engineOff     = flag.Bool("no-engine", false, "skip the engine timing (with -hhash: record only the crypto artifact)")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this path")
-		memprofile    = flag.String("memprofile", "", "write a heap profile (after the runs) to this path")
-		scaleMode     = flag.Bool("scale", false, "record the Fig 9 scaling artifact (BENCH_scale.json) instead of the engine comparison")
-		scaleOut      = flag.String("scaleout", "BENCH_scale.json", "output path for -scale ('-' for stdout only)")
-		transportMode = flag.Bool("transport", false, "record the wire-speed artifact (BENCH_transport.json): mem vs tcp vs udp rounds/s and bytes/syscall at N=144 and N=432")
-		transportOut  = flag.String("transportout", "BENCH_transport.json", "output path for -transport ('-' for stdout only)")
-		short         = flag.Bool("short", false, "CI smoke: with -scale, N=1296 budget + cohort identity; with -transport, batching invariants + artifact validation; writes no artifact")
+		stream     = flag.Int("stream", 60, "stream bitrate in kbps (-scale)")
+		modBits    = flag.Int("modulus", 128, "homomorphic modulus bits (-scale)")
+		seed       = flag.Uint64("seed", 1, "session seed (-scale)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "round-engine workers of the sampled-cohort cross-check (-scale; at least 2)")
+		hhashOut   = flag.String("hhash", "", "record crypto microbenchmarks to this path (e.g. BENCH_hhash.json)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the runs to this path")
+		memprofile = flag.String("memprofile", "", "write a heap profile (after the runs) to this path")
+		scaleMode  = flag.Bool("scale", false, "record the Fig 9 scaling artifact (BENCH_scale.json)")
+		scaleOut   = flag.String("scaleout", "BENCH_scale.json", "output path for -scale ('-' for stdout only)")
+		short      = flag.Bool("short", false, "CI smoke with -scale: N=1296 bytes/node budget + cohort identity; writes no artifact")
 	)
 	flag.Parse()
+	if *hhashOut == "" && !*scaleMode {
+		fmt.Fprintln(os.Stderr, "pag-bench: pass -hhash <path> and/or -scale")
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -168,89 +78,6 @@ func run() int {
 	if *scaleMode {
 		return runScaleBench(*scaleOut, *stream, *modBits, *workers, *seed, *short)
 	}
-	if *transportMode {
-		return runTransportBench(*transportOut, *stream, *modBits, *seed, *auto, *short)
-	}
-	if *engineOff {
-		return 0
-	}
-
-	// The auto guard: a 1-core box timing the worker pool's overhead must
-	// not clobber a multicore record — the artifact is the repository's
-	// performance memory, and "speedup withheld" would overwrite a real
-	// measurement. Hosts with >= 4 effective cores always re-record (the
-	// pending multicore re-record from the engine PR happens the first
-	// time one of them runs this).
-	if *auto && *out != "-" && effectiveParallelism() < 4 {
-		if prev, err := os.ReadFile(*out); err == nil {
-			var old benchReport
-			if json.Unmarshal(prev, &old) == nil && hasSpeedup(old) {
-				fmt.Fprintf(os.Stderr,
-					"pag-bench: %s already records multicore speedups and this host has only %d effective cores; keeping it (-auto=false to overwrite)\n",
-					*out, effectiveParallelism())
-				return 0
-			}
-		}
-	}
-
-	// Unlike the sibling CLIs, workers=0 cannot mean "serial" here: the
-	// whole point is serial vs parallel, and silently timing the serial
-	// engine against itself would record a fake 1.0x speedup.
-	if *workers <= 0 {
-		fmt.Fprintln(os.Stderr, "pag-bench: -workers must be >= 1 (the serial baseline always runs)")
-		return 2
-	}
-
-	report := benchReport{
-		Benchmark:   "engine",
-		NumCPU:      runtime.NumCPU(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Workers:     *workers,
-		Rounds:      *rounds,
-		Warmup:      *warmup,
-		StreamKbps:  *stream,
-		ModulusBits: *modBits,
-		Seed:        *seed,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-
-	for _, field := range strings.Split(*sizes, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pag-bench: bad size %q: %v\n", field, err)
-			return 2
-		}
-		res, err := benchSize(n, *rounds, *warmup, *stream, *modBits, *workers, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pag-bench: N=%d: %v\n", n, err)
-			return 1
-		}
-		report.Results = append(report.Results, res)
-		headline := fmt.Sprintf("speedup %.2fx", res.Speedup)
-		if res.SpeedupNote != "" {
-			headline = res.SpeedupNote
-		}
-		fmt.Fprintf(os.Stderr,
-			"pag-bench: N=%-4d serial %6.2fs  parallel(%d workers) %6.2fs  %s  identical=%v  trace +%.1f%%/+%.1f%%\n",
-			n, res.SerialSeconds, *workers, res.ParallelSeconds, headline, res.Identical,
-			res.TraceOverheadSerPct, res.TraceOverheadParPct)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pag-bench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		os.Stdout.Write(data)
-		return 0
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "pag-bench:", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "pag-bench: wrote %s\n", *out)
 	return 0
 }
 
@@ -270,123 +97,4 @@ func sampleMem() memSample {
 	runtime.ReadMemStats(&ms)
 	m.liveBytes = ms.HeapAlloc
 	return m
-}
-
-// timeRun builds one session and times `rounds` steady-state rounds,
-// returning the duration and a fingerprint of the run's full measured
-// outcome: every member's bandwidth (bit-exact, in id order) and the
-// playback continuity — the determinism cross-check value.
-func timeRun(nodes, rounds, warmup, stream, modBits, workers int, seed uint64, traced bool) (time.Duration, string, uint64, memSample, error) {
-	runtime.GC() // drop the previous run's garbage before measuring this one
-	cfg := pag.SessionConfig{
-		Nodes:       nodes,
-		StreamKbps:  stream,
-		ModulusBits: modBits,
-		Seed:        seed,
-		Workers:     workers,
-	}
-	if traced {
-		cfg.Trace = obs.NewTracer(io.Discard)
-	}
-	s, err := pag.NewSession(cfg)
-	if err != nil {
-		return 0, "", 0, memSample{}, err
-	}
-	s.Run(warmup)
-	s.StartMeasuring()
-	opsBefore := totalHashOps(s)
-	start := time.Now()
-	s.Run(rounds)
-	elapsed := time.Since(start)
-	hashOps := totalHashOps(s) - opsBefore
-	mem := sampleMem()
-
-	h := sha256.New()
-	for _, id := range s.Members() {
-		fmt.Fprintf(h, "%d:%x\n", id, math.Float64bits(s.NodeBandwidthKbps(id)))
-	}
-	fmt.Fprintf(h, "continuity:%x\n", math.Float64bits(s.MeanContinuity()))
-	return elapsed, fmt.Sprintf("%x", h.Sum(nil)), hashOps, mem, nil
-}
-
-// totalHashOps sums the logical homomorphic hash operations over every
-// PAG node (the Table I unit).
-func totalHashOps(s *pag.Session) uint64 {
-	var total uint64
-	for _, st := range s.PAGNodeStats() {
-		total += st.HashOps
-	}
-	return total
-}
-
-func benchSize(nodes, rounds, warmup, stream, modBits, workers int, seed uint64) (sizeResult, error) {
-	serial, serFP, serOps, serMem, err := timeRun(nodes, rounds, warmup, stream, modBits, 0, seed, false)
-	if err != nil {
-		return sizeResult{}, fmt.Errorf("serial engine: %w", err)
-	}
-	parallel, parFP, _, _, err := timeRun(nodes, rounds, warmup, stream, modBits, workers, seed, false)
-	if err != nil {
-		return sizeResult{}, fmt.Errorf("parallel engine: %w", err)
-	}
-	serialTr, serTrFP, _, _, err := timeRun(nodes, rounds, warmup, stream, modBits, 0, seed, true)
-	if err != nil {
-		return sizeResult{}, fmt.Errorf("serial engine traced: %w", err)
-	}
-	parallelTr, parTrFP, _, _, err := timeRun(nodes, rounds, warmup, stream, modBits, workers, seed, true)
-	if err != nil {
-		return sizeResult{}, fmt.Errorf("parallel engine traced: %w", err)
-	}
-	res := sizeResult{
-		Nodes:                 float64(nodes),
-		SerialSeconds:         serial.Seconds(),
-		ParallelSeconds:       parallel.Seconds(),
-		RoundsPerSecSer:       float64(rounds) / serial.Seconds(),
-		RoundsPerSecPar:       float64(rounds) / parallel.Seconds(),
-		HashOpsPerSec:         float64(serOps) / serial.Seconds(),
-		Identical:             serFP == parFP,
-		EffectiveCores:        effectiveParallelism(),
-		RoundsPerSecSerTraced: float64(rounds) / serialTr.Seconds(),
-		RoundsPerSecParTraced: float64(rounds) / parallelTr.Seconds(),
-		TraceOverheadSerPct:   100 * (serialTr.Seconds() - serial.Seconds()) / serial.Seconds(),
-		TraceOverheadParPct:   100 * (parallelTr.Seconds() - parallel.Seconds()) / parallel.Seconds(),
-		TraceIdentical:        serTrFP == serFP && parTrFP == parFP,
-		PeakHeapAllocBytes:    serMem.peakAlloc,
-		PeakHeapInuseBytes:    serMem.peakInuse,
-		BytesPerNode:          float64(serMem.liveBytes) / float64(nodes),
-	}
-	switch {
-	case !res.Identical:
-	case res.EffectiveCores < 4:
-		// Matches the -auto guard: only a host with >= 4 effective cores
-		// records the speedup headline, so a 2-3 core box's marginal
-		// ratio can never freeze itself into the artifact and block the
-		// real multicore re-record.
-		res.SpeedupWithheld = true
-		res.SpeedupNote = fmt.Sprintf(
-			"speedup withheld: %d effective cores cannot exhibit representative parallel speedup; re-record on a box with >= 4 cores",
-			res.EffectiveCores)
-	default:
-		res.Speedup = serial.Seconds() / parallel.Seconds()
-	}
-	return res, nil
-}
-
-// effectiveParallelism is how many node steps can actually run at once.
-func effectiveParallelism() int {
-	p := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < p {
-		p = n
-	}
-	return p
-}
-
-// hasSpeedup reports whether a recorded artifact carries at least one
-// measured (not withheld) speedup headline.
-func hasSpeedup(r benchReport) bool {
-	for _, res := range r.Results {
-		if res.Speedup > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -9,8 +9,8 @@ package main
 // fanout while the rest of the membership is the internal/lite traffic
 // model, which is how one box reaches N = 131072 with exact
 // accountability checks still running on real nodes. Cohort runs are
-// recorded with a worker-count byte-identity cross-check, the same
-// discipline the engine bench applies to serial-vs-parallel runs.
+// recorded with a worker-count byte-identity cross-check: inline against
+// sharded.
 
 import (
 	"crypto/sha256"
@@ -211,16 +211,15 @@ func scaleCohort(n, stream, modBits, workers int, seed uint64, rounds int) (scal
 	return res, fp, nil
 }
 
-// cohortPoint runs one sampled size serially, re-runs it at `workers`,
-// and records the byte-identity of the two cohort reports.
+// cohortPoint runs one sampled size inline, re-runs it sharded across
+// `workers` (at least 2), and records the byte-identity of the two cohort
+// reports.
 func cohortPoint(n, stream, modBits, workers int, seed uint64) (scaleRun, error) {
 	res, serFP, err := scaleCohort(n, stream, modBits, 0, seed, scaleCohortRounds)
 	if err != nil {
 		return scaleRun{}, err
 	}
-	if workers < 1 {
-		workers = 2
-	}
+	workers = max(workers, 2)
 	_, parFP, err := scaleCohort(n, stream, modBits, workers, seed, scaleCohortRounds)
 	if err != nil {
 		return scaleRun{}, err

@@ -40,7 +40,7 @@ func run() int {
 		quick   = flag.Bool("quick", false, "fast profile: small system, low rate, 128-bit modulus")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
-			"round-engine workers (0 = serial engine; results are byte-identical either way)")
+			"round-engine workers (0 or 1 steps inline, more shard the nodes; results are byte-identical either way)")
 	)
 	flag.Parse()
 

@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 7, "session seed; also drives a canned scenario's timeline (a -file scenario's own seed wins)")
 		threshold = fs.Int("threshold", 1, "verdict count that counts as a conviction")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0),
-			"round-engine workers (0 = serial engine; results are byte-identical either way; forced 0 with -net tcp)")
+			"round-engine workers (0 or 1 steps inline, more shard the nodes — in-memory transport only; results are byte-identical either way; forced 0 with -net tcp|udp)")
 		dump    = fs.Bool("dump", false, "print the scenario JSON instead of running it")
 		list    = fs.Bool("list", false, "list canned scenarios")
 		metrics = fs.String("metrics", "", "serve live metrics on this address (e.g. 127.0.0.1:9100; port 0 picks one): Prometheus text on /metrics, JSON on /metrics.json, pprof on /debug/pprof/")
@@ -175,8 +175,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "tcp":
 		// Real loopback sockets: every node listens on an ephemeral
 		// 127.0.0.1 port (dynamic roster — churn joins register live
-		// endpoints mid-run). The TCP transport needs the serial engine
-		// and stepped delivery; determinism becomes statistical.
+		// endpoints mid-run). Sockets need the inline engine and stepped
+		// delivery; determinism becomes statistical.
 		cfg.Workers = 0
 		cfg.NewNetwork = func() transport.FaultyNetwork {
 			tn := transport.NewTCPNet(nil)

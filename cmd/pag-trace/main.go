@@ -168,6 +168,7 @@ func runReplay(args []string) int {
 	switch transportKind {
 	case "mem", "":
 	case "tcp":
+		// Sockets step inline whatever worker count the recorded run used.
 		cfg.Workers = 0
 		cfg.NewNetwork = func() transport.FaultyNetwork {
 			tn := transport.NewTCPNet(nil)

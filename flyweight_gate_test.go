@@ -1,114 +1,6 @@
 package pag
 
-import (
-	"bytes"
-	"testing"
-
-	"repro/internal/obs"
-	"repro/internal/scenario"
-)
-
-// The memory flyweight's regression gate: the shared session plane, the
-// interned update content, the pooled round shells and the compact store
-// representation are pure representation changes — every observable
-// (report JSON, digest, deterministic obs snapshot) must be byte-identical
-// with the flyweight ablated, at every worker count. The interner aliases
-// only byte-equal content, the pools recycle only fully-reset shells, and
-// the monitor's lazy maps change allocation timing but never lookup
-// results, so ANY divergence here is a real regression.
-
-// runFlyweightGate runs one canned scenario with or without the flyweight
-// representation and returns the stripped report JSON, the digest and the
-// deterministic obs snapshot.
-func runFlyweightGate(t *testing.T, name string, workers int, disable bool) ([]byte, string, string) {
-	t.Helper()
-	const nodes = 10
-	sc, err := scenario.ByName(name, nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Seed = 7
-	cfg := equivalenceBase(nodes)
-	cfg.Workers = workers
-	cfg.Obs = obs.NewRegistry()
-	cfg.DisableFlyweight = disable
-	r, err := RunScenarioReport(cfg, sc, nil, 1)
-	if err != nil {
-		t.Fatalf("%s workers=%d flyweight=%v: %v", name, workers, !disable, err)
-	}
-	return strippedJSON(r), r.Digest(), cfg.Obs.Snapshot().DeterministicText()
-}
-
-// TestFlyweightAblationEquivalence: {flyweight, ablated} × workers
-// {0, 1, 4, 16} produce one report — every protocol's segment of it: PAG
-// and AcTinG both store through the session interner (RAC never does).
-// steady-churn exercises the interner and pools under joins/leaves;
-// rejoin-attack drives the accusation path whose monitor state now
-// allocates lazily and whose serve-ciphertext evidence is released at
-// round close.
-func TestFlyweightAblationEquivalence(t *testing.T) {
-	names := []string{"steady-churn", "rejoin-attack"}
-	workerCounts := []int{0, 1, 4, 16}
-	if testing.Short() {
-		names = names[:1]
-		workerCounts = []int{0, 4}
-	}
-	for _, name := range names {
-		wantJSON, wantDigest, wantObs := runFlyweightGate(t, name, 0, true)
-		for _, w := range workerCounts {
-			for _, disable := range []bool{false, true} {
-				tag := "flyweight"
-				if disable {
-					tag = "ablated"
-				}
-				gotJSON, gotDigest, gotObs := runFlyweightGate(t, name, w, disable)
-				if !bytes.Equal(gotJSON, wantJSON) {
-					t.Errorf("%s workers=%d %s: report JSON diverges from the ablated serial run\nwant: %.300s\ngot:  %.300s",
-						name, w, tag, wantJSON, gotJSON)
-					continue
-				}
-				if gotDigest != wantDigest {
-					t.Errorf("%s workers=%d %s: digest %s, want %s", name, w, tag, gotDigest, wantDigest)
-				}
-				if gotObs != wantObs {
-					t.Errorf("%s workers=%d %s: deterministic obs snapshot diverges\nwant:\n%s\ngot:\n%s",
-						name, w, tag, wantObs, gotObs)
-				}
-			}
-		}
-	}
-}
-
-// TestFlyweightAblationEquivalenceTCP: the representation must not leak
-// into a loopback-socket run's digest either, for PAG or for AcTinG (whose
-// stored updates would otherwise alias the socket's receive arenas).
-func TestFlyweightAblationEquivalenceTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp gate is covered by the full run")
-	}
-	const nodes = 10
-	sc, err := scenario.ByName("steady-churn", nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Seed = 7
-
-	for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG} {
-		run := func(disable bool) string {
-			cfg := tcpSessionConfig(nodes)
-			cfg.DisableFlyweight = disable
-			r, err := RunScenarioReport(cfg, sc, []Protocol{p}, 1)
-			if err != nil {
-				t.Fatalf("%v tcp flyweight=%v: %v", p, !disable, err)
-			}
-			return r.Digest()
-		}
-		want := run(true)
-		if got := run(false); got != want {
-			t.Errorf("%v: tcp digest with flyweight %s, want %s", p, got, want)
-		}
-	}
-}
+import "testing"
 
 // TestSteadyStateAllocations: the per-round allocation regression gate.
 // After warmup the pooled round shells, the interner and the shared plane

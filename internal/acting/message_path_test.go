@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -183,16 +182,15 @@ func TestHostileListCountRejected(t *testing.T) {
 type cluster struct {
 	suite    *pki.FastSuite
 	net      *transport.MemNet
-	engine   sim.Stepper
+	engine   *sim.Engine
 	nodes    map[model.NodeID]*Node
-	mu       sync.Mutex // the parallel engine's shards share the verdict sink
+	mu       sync.Mutex // the engine's shards share the verdict sink
 	verdicts []Verdict
 	// deliver replaces the plain handler call when set.
 	deliver func(n *Node, m transport.Message)
 }
 
-// newCluster builds the session on the serial engine, or on the parallel
-// one when workers > 0.
+// newCluster builds the session on an engine with the given worker count.
 func newCluster(t *testing.T, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
 	t.Helper()
 	return newClusterWith(t, membership.Config{Seed: 7, Fanout: 3, Monitors: 3}, size, workers, intern, behaviors)
@@ -210,10 +208,8 @@ func newClusterWith(t *testing.T, mcfg membership.Config, size, workers int, int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers > 0 {
-		c.engine = engine.New(c.net, workers)
-	} else {
-		c.engine = sim.NewEngine(c.net)
+	if c.engine, err = sim.NewEngine(c.net, workers); err != nil {
+		t.Fatal(err)
 	}
 	var source pki.Identity
 	for _, id := range ids {
@@ -322,8 +318,8 @@ func TestTamperedMessagesDropped(t *testing.T) {
 // each handler is handed a private copy that is overwritten as soon as it
 // returns, and wire poisons every pooled buffer on release (pooled bytes
 // handed to Endpoint.Send would arrive as garbage). Nothing may change:
-// same deliveries, clean audits, intact stores and log chains — on the
-// serial engine and on four workers.
+// same deliveries, clean audits, intact stores and log chains — inline
+// and on four workers.
 func TestRetainedStateSurvivesPayloadOverwrite(t *testing.T) {
 	for name, intern := range map[string]func() *update.Interner{
 		"private":  func() *update.Interner { return nil },

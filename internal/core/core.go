@@ -260,15 +260,6 @@ type Config struct {
 	// hashes whose errors cancel in the fold, so they must be as secret as
 	// a key; simulated sessions pass SeededCoeffs to stay replayable.
 	CoeffRand io.Reader
-	// DisablePrimePool generates exchange primes inline with
-	// crypto/rand.Prime's 20-round schedule instead of drawing from the
-	// node's pregeneration pool — the crypto-hot-path ablation used by the
-	// equivalence gate.
-	DisablePrimePool bool
-	// DisableBatchVerify checks each attestation hash with its own
-	// exponentiation instead of folding the exchange's checks into one
-	// coefficient-weighted equation — the batched-verification ablation.
-	DisableBatchVerify bool
 	// Intern optionally attaches the session-wide update-content flyweight
 	// table (see update.Interner); nil keeps per-node content copies — the
 	// pre-flyweight representation, and the DisableFlyweight ablation.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/hhash"
 	"repro/internal/membership"
 	"repro/internal/model"
@@ -24,13 +23,13 @@ type harness struct {
 	params     hhash.Params
 	dir        *membership.Directory
 	net        *transport.MemNet
-	engine     sim.Stepper
-	workers    int // > 0: the parallel engine with that many workers
+	engine     *sim.Engine
+	workers    int // > 1: the engine shards across that many workers
 	nodes      map[model.NodeID]*core.Node
 	identities map[model.NodeID]pki.Identity
 	gen        *update.Generator
 	source     model.NodeID
-	verdictMu  sync.Mutex // the parallel engine's shards share the sink
+	verdictMu  sync.Mutex // the engine's shards share the sink
 	verdicts   []core.Verdict
 	perRound   int // updates injected per round
 	ttl        model.Round
@@ -53,7 +52,7 @@ func withBuffermapWindow(w int) harnessOpt {
 	return func(_ *harness, cfg *core.Config) { cfg.BuffermapWindow = w }
 }
 
-// withWorkers runs the session on the parallel engine.
+// withWorkers shards the session's engine across k workers.
 func withWorkers(k int) harnessOpt {
 	return func(h *harness, _ *core.Config) { h.workers = k }
 }
@@ -93,10 +92,8 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 	for _, opt := range opts {
 		opt(h, &probe)
 	}
-	if h.workers > 0 {
-		h.engine = engine.New(h.net, h.workers)
-	} else {
-		h.engine = sim.NewEngine(h.net)
+	if h.engine, err = sim.NewEngine(h.net, h.workers); err != nil {
+		t.Fatal(err)
 	}
 
 	for _, id := range ids {
@@ -165,8 +162,8 @@ func (h *harness) inject(r model.Round) {
 	h.nodes[h.source].InjectUpdates(us)
 }
 
-// runRound drives round r by hand through every step the engines run, in
-// their order: the source's injection, BeginRound, exchange slots 1 to f−1,
+// runRound drives round r by hand through every step the engine runs, in
+// its order: the source's injection, BeginRound, exchange slots 1 to f−1,
 // MidRound, EndRound, CloseRound. phase runs one step — it decides which
 // node takes it when, and when traffic is delivered. Tests that step nodes
 // themselves go through here, so there is one place to forget a step

@@ -423,26 +423,17 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 		return
 	}
 	if !ex.prime.IsZero() {
-		gotExp, errE := n.sh.HashParams.DecodeValue(att.HExpiring)
-		gotFwd, errF := n.sh.HashParams.DecodeValue(att.HForwardable)
-		var ok bool
-		if n.sh.DisableBatchVerify {
-			wantExp := n.hasher.Lift(ex.expEmbed, ex.prime)
-			wantFwd := n.hasher.Lift(ex.fwdEmbed, ex.prime)
-			ok = errE == nil && errF == nil &&
-				wantExp.Cmp(gotExp) == 0 && wantFwd.Cmp(gotFwd) == 0
-		} else {
-			// Fold both attestation checks into one coefficient-weighted
-			// equation; on failure (or an undecodable value, which
-			// VerifyBatch treats as a failing check) it re-checks
-			// individually, so the verdict below is backed by a
-			// per-equation mismatch either way. Operation counts match
-			// the unbatched branch exactly on every path.
-			ok, _ = n.hasher.VerifyBatch(n.coeffs, []hhash.Check{
-				{Base: ex.expEmbed, Key: ex.prime, Want: gotExp},
-				{Base: ex.fwdEmbed, Key: ex.prime, Want: gotFwd},
-			})
-		}
+		// Fold both attestation checks into one coefficient-weighted
+		// equation; on failure (or an undecodable value: nil, which
+		// VerifyBatch treats as a failing check) it re-checks individually,
+		// so the verdict below is backed by a per-equation mismatch either
+		// way.
+		gotExp, _ := n.sh.HashParams.DecodeValue(att.HExpiring)
+		gotFwd, _ := n.sh.HashParams.DecodeValue(att.HForwardable)
+		ok, _ := n.hasher.VerifyBatch(n.coeffs, []hhash.Check{
+			{Base: ex.expEmbed, Key: ex.prime, Want: gotExp},
+			{Base: ex.fwdEmbed, Key: ex.prime, Want: gotFwd},
+		})
 		if !ok {
 			// A mis-attested: refusing to acknowledge routes the
 			// conflict through A's monitors, and the signed

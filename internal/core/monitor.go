@@ -591,7 +591,7 @@ func (m *monitorState) baseline(r model.Round, y model.NodeID, boundary bool) (p
 // below quorum the check is skipped, exactly the safe pre-handover
 // behaviour. The vote is order-independent (counts per encoded value,
 // ties broken on the smaller key), so the result never depends on
-// message arrival order — the parallel engine's byte-identity requires
+// message arrival order — byte-identity at any worker count requires
 // it.
 func (m *monitorState) handedBaseline(r model.Round, y model.NodeID) (*big.Int, bool, bool) {
 	recs := m.handovers[r][y]

@@ -38,7 +38,7 @@ func TestMultipleSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := transport.NewMemNet()
-	engine := sim.NewEngine(net)
+	engine, _ := sim.NewEngine(net, 0)
 
 	var verdicts []core.Verdict
 	nodes := make(map[model.NodeID]*core.Node, nNodes)

@@ -126,13 +126,12 @@ type Node struct {
 	hops   hhash.Counter
 	rnd    io.Reader
 	// pool pregenerates exchange primes off the critical path; nil when
-	// the ablation (DisablePrimePool) or a construction failure routed
-	// prime generation back inline.
+	// its construction failed and prime generation runs inline.
 	pool *hhash.PrimePool
 	// coeffs feeds batched-verification coefficients (Config.CoeffRand).
 	// It is deliberately NOT n.rnd: coefficients never reach the wire, and
 	// drawing them from the prime stream would shift the prime sequence
-	// relative to the unbatched ablation.
+	// with every verification.
 	coeffs io.Reader
 
 	store *update.Store
@@ -210,10 +209,8 @@ func NewNode(cfg Config) (*Node, error) {
 		kPrev:       hhash.OneKey(),
 	}
 	n.hasher = hhash.NewHasher(sh.HashParams, &n.hops)
-	if !sh.DisablePrimePool {
-		if pool, err := hhash.NewPrimePool(rnd, sh.PrimeBits, hhash.DefaultPrimePoolTarget); err == nil {
-			n.pool = pool
-		}
+	if pool, err := hhash.NewPrimePool(rnd, sh.PrimeBits, hhash.DefaultPrimePoolTarget); err == nil {
+		n.pool = pool
 	}
 	if n.coeffs = cfg.CoeffRand; n.coeffs == nil {
 		n.coeffs = rand.Reader
@@ -750,8 +747,8 @@ func (n *Node) encryptTo(to model.NodeID, plaintext []byte) ([]byte, error) {
 	return pki.EncryptCounted(n.sh.Suite, n.cfg.Identity.Counter(), to, plaintext)
 }
 
-// drawPrime issues the next exchange prime: from the pregeneration pool
-// when one is attached, inline otherwise. Both paths run the same search
+// drawPrime issues the next exchange prime from the pregeneration pool, or
+// inline when the pool could not be built. Both paths run the same search
 // (hhash.GeneratePrimeKey is the pool's generator) over the node's entropy
 // stream in issuance order, so which one runs never changes the sequence
 // of primes an exchange observes.

@@ -17,7 +17,7 @@ import (
 // message counters, two histogram lookups, its own defaults normalisation —
 // which at 10⁵ nodes is real memory and real construction time. A Shared is
 // immutable after NewShared; nodes only ever read it, so it is free to
-// share across the parallel engine's shards.
+// share across the round engine's shards.
 type Shared struct {
 	// Suite provides signature/encryption for all session members.
 	Suite pki.Suite
@@ -34,10 +34,6 @@ type Shared struct {
 	BuffermapWindow int
 	// NoObligationHandover disables the rotation handover (ablation).
 	NoObligationHandover bool
-	// DisablePrimePool / DisableBatchVerify are the crypto-hot-path
-	// ablations (see Config).
-	DisablePrimePool   bool
-	DisableBatchVerify bool
 	// Metrics/Trace are the optional observability attachments.
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
@@ -76,8 +72,6 @@ func NewShared(cfg Config) *Shared {
 		PrimeBits:            cfg.PrimeBits,
 		BuffermapWindow:      cfg.BuffermapWindow,
 		NoObligationHandover: cfg.NoObligationHandover,
-		DisablePrimePool:     cfg.DisablePrimePool,
-		DisableBatchVerify:   cfg.DisableBatchVerify,
 		Metrics:              cfg.Metrics,
 		Trace:                cfg.Trace,
 		Intern:               cfg.Intern,

@@ -15,7 +15,7 @@ import (
 // crosses a link about once per first reception — what is left above one is
 // predecessors sharing the last slot — and never for an update the receiver
 // already held when it answered that exchange's KeyRequest. The 48-node
-// session runs on the parallel engine, so the slot steps and their barriers
+// session runs sharded on two workers, so the slot steps and their barriers
 // are under the race detector.
 func TestPayloadCopiesPerReception(t *testing.T) {
 	for _, tc := range []struct {

@@ -49,8 +49,8 @@ type Options struct {
 	Quick bool
 	// Seed fixes all randomness.
 	Seed uint64
-	// Workers selects the round engine (see pag.SessionConfig.Workers):
-	// 0 serial, n > 0 parallel with n workers, n < 0 parallel with
+	// Workers steps the round engine (see pag.SessionConfig.Workers): 0
+	// or 1 inline, n > 1 sharded across n workers, n < 0 across
 	// GOMAXPROCS. Results are byte-identical at every setting.
 	Workers int
 }

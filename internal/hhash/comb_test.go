@@ -185,7 +185,7 @@ func TestLiftFixedAllocations(t *testing.T) {
 	}
 }
 
-// TestFixedBaseSharedAcrossHashers is the parallel engine's first-publish
+// TestFixedBaseSharedAcrossHashers is the sharded engine's first-publish
 // race: N goroutines, each with its own Hasher over the same modulus,
 // lift the same fresh bases at once — some build, one publishes, all use —
 // while another goroutine releases them. Run under -race.

@@ -42,7 +42,7 @@ func (k Key) String() string {
 
 // less orders keys canonically: by round, accused, accuser, kind. Registry
 // views are sorted with it, so read order never depends on submission
-// order (which, under the parallel engine, is worker-schedule dependent).
+// order (which, on a sharded engine, is worker-schedule dependent).
 func (k Key) less(o Key) bool {
 	if k.Round != o.Round {
 		return k.Round < o.Round

@@ -64,7 +64,7 @@ type epoch struct {
 }
 
 // Directory is the full-membership view. It is safe for concurrent use,
-// and tuned for the round engines' access pattern: mutations (Join/Leave)
+// and tuned for the round engine's access pattern: mutations (Join/Leave)
 // only happen at round tops, single-threaded, while reads fan out across
 // worker goroutines during the phases. Reads therefore take a shared lock
 // and hit immutable per-round snapshots — the materialised RoundView and
@@ -433,7 +433,7 @@ func (v *RoundView) Predecessors(x model.NodeID) []model.NodeID {
 
 // View materialises (and caches) the assignment for round r. The fast
 // path is a shared-lock cache hit on an immutable snapshot, so concurrent
-// readers during a round never serialise; the round engines prewarm the
+// readers during a round never serialise; the round engine prewarms the
 // current round's view before fanning node steps out.
 func (d *Directory) View(r model.Round) *RoundView {
 	d.mu.RLock()

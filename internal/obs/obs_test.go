@@ -285,7 +285,7 @@ func TestTracerShardedFlush(t *testing.T) {
 // BenchmarkTracerEmit is the trace-overhead microbenchmark: sequential
 // and contended emission into a discarded sink. The per-shard buffers
 // move JSON encoding outside any lock and batch writer syscalls, which
-// is where the parallel engine's ~12% tracing tax went.
+// is where the sharded engine's ~12% tracing tax went.
 func BenchmarkTracerEmit(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		tr := NewTracer(io.Discard)

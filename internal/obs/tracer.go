@@ -30,7 +30,7 @@ import (
 // shards and the file interleaves, which is why trace.Parse re-sorts by
 // seq. Buffers drain to the writer when a shard passes its size
 // threshold and at every Flush — shards always in index order, a fixed
-// single-threaded point (the engines flush at round end), so the flush
+// single-threaded point (the round engine flushes at round end), so the flush
 // schedule is deterministic even though mid-round interleaving is not.
 type Tracer struct {
 	wmu    sync.Mutex // serializes writer access and the latched error
@@ -194,7 +194,7 @@ func (t *Tracer) appendLocked(sh *traceShard, line string) {
 }
 
 // Flush drains every shard buffer to the writer, in shard index order.
-// Call it from a single-threaded point (the engines flush at round end;
+// Call it from a single-threaded point (the round engine flushes at round end;
 // runs flush once more after the final event) — flushing concurrently
 // with Emit is safe but forfeits the deterministic drain order.
 func (t *Tracer) Flush() {

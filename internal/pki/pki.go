@@ -311,7 +311,7 @@ var _ Suite = (*FastSuite)(nil)
 type fastKey struct {
 	// macs pools HMAC-SHA256 states keyed with the node secret. An HMAC
 	// is Reset, not rebuilt, between messages; the pool (rather than one
-	// shared state) is what lets the parallel engine's shards sign and
+	// shared state) is what lets the round engine's shards sign and
 	// verify under the same identity at once.
 	macs sync.Pool
 	// aead is AES-GCM under the key the node receives ciphertexts with.

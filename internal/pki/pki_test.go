@@ -404,7 +404,7 @@ func TestFastSuiteAllocBudgets(t *testing.T) {
 	}
 }
 
-// One signer's keyed state serves the parallel engine's shards at once:
+// One signer's keyed state serves the round engine's shards at once:
 // concurrent Sign, Verify, Encrypt and Decrypt under one identity agree
 // with the serial results (run under -race).
 func TestFastSuiteConcurrentUse(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -102,15 +101,14 @@ func TestDecodeIsCanonical(t *testing.T) {
 type cluster struct {
 	suite    *pki.FastSuite
 	net      *transport.MemNet
-	engine   sim.Stepper
+	engine   *sim.Engine
 	nodes    map[model.NodeID]*Node
-	mu       sync.Mutex // the parallel engine's shards share the verdict sink
+	mu       sync.Mutex // the engine's shards share the verdict sink
 	verdicts []Verdict
 	deliver  func(n *Node, m transport.Message)
 }
 
-// newCluster builds the session on the serial engine, or on the parallel
-// one when workers > 0.
+// newCluster builds the session on an engine with the given worker count.
 func newCluster(t *testing.T, size, workers int) *cluster {
 	t.Helper()
 	c := &cluster{suite: pki.NewFastSuite(), net: transport.NewMemNet(), nodes: map[model.NodeID]*Node{}}
@@ -122,10 +120,8 @@ func newCluster(t *testing.T, size, workers int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers > 0 {
-		c.engine = engine.New(c.net, workers)
-	} else {
-		c.engine = sim.NewEngine(c.net)
+	if c.engine, err = sim.NewEngine(c.net, workers); err != nil {
+		t.Fatal(err)
 	}
 	var source pki.Identity
 	for _, id := range ids {
@@ -227,7 +223,7 @@ func TestTamperedSlotsDropped(t *testing.T) {
 // Each handler is handed a private copy of the (shared) payload that is
 // overwritten once it returns, and wire poisons every pooled buffer on
 // release; every stored update stays verifiable and the ring keeps
-// turning — on the serial engine and on four workers.
+// turning — inline and on four workers.
 func TestStoreSurvivesPayloadOverwrite(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		checkSurvivesOverwrite(t, workers)

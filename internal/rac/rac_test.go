@@ -39,7 +39,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]rac.Be
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.engine = sim.NewEngine(h.net)
+	h.engine, _ = sim.NewEngine(h.net, 0)
 
 	identities := make(map[model.NodeID]pki.Identity, n)
 	for _, id := range ids {

@@ -9,7 +9,7 @@ import (
 
 func TestScheduleAtRunsBeforeHooksAndPhases(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls []string
 	e.OnRoundStart(func(model.Round) { calls = append(calls, "hook") })
 	e.Add(&phaseRecorder{id: 1, calls: &calls})
@@ -31,7 +31,7 @@ func TestScheduleAtRunsBeforeHooksAndPhases(t *testing.T) {
 
 func TestAddAtRemoveAt(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls1, calls2 []string
 	e.Add(&phaseRecorder{id: 1, calls: &calls1})
 	e.AddAt(3, &phaseRecorder{id: 2, calls: &calls2})
@@ -55,7 +55,7 @@ func TestAddAtRemoveAt(t *testing.T) {
 }
 
 func TestRemoveUnknownNode(t *testing.T) {
-	e := NewEngine(transport.NewMemNet())
+	e, _ := NewEngine(transport.NewMemNet(), 0)
 	e.Add(&phaseRecorder{id: 1, calls: new([]string)})
 	if e.Remove(9) {
 		t.Fatal("removed a node that was never added")
@@ -67,7 +67,7 @@ func TestRemoveUnknownNode(t *testing.T) {
 
 func TestEngineResetsUploadBudgets(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	delivered := 0
 	if _, err := net.Register(2, func(transport.Message) { delivered++ }); err != nil {
 		t.Fatal(err)

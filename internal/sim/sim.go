@@ -1,13 +1,53 @@
-// Package sim drives round-phased protocol nodes over the in-memory
-// network: it is the reproduction's OMNeT++ analogue (§VII-A, "Simulations
-// settings"). The engine advances rounds in four phases with full message
-// delivery between them, keeping every run deterministic under a fixed
-// seed, and collects the per-node bandwidth statistics the paper plots.
+// Package sim drives round-phased protocol nodes: it is the reproduction's
+// OMNeT++ analogue (§VII-A, "Simulations settings"). The engine advances
+// rounds in four phases with full message delivery between them, keeping
+// every run deterministic under a fixed seed, and collects the per-node
+// bandwidth statistics the paper plots.
+//
+// # Inline and sharded stepping
+//
+// At one worker the engine steps nodes in registration order on the
+// calling goroutine and drains the network through its SteppedNetwork
+// interface, so it runs over any stepped transport: MemNet, or TCP/UDP
+// sockets in stepped mode. Above one worker it needs a MemNet: nodes are
+// assigned to shards by id (id mod workers), each phase step fans out one
+// goroutine per shard, and each delivery wave taken from the network is
+// partitioned by destination shard. A node's phase steps and its incoming
+// deliveries therefore always run on its own shard, and no node is touched
+// by two goroutines at once. Shard assignment affects scheduling only.
+//
+// # Determinism invariant
+//
+// A run is byte-identical at any worker count. The invariant is
+// structural, not best-effort, and rests on three properties:
+//
+//  1. Node steps within a phase are independent. Nodes interact only
+//     through messages, and messages are delivered exclusively at phase
+//     barriers; shared infrastructure reached during a step (membership
+//     directory, PKI suite, verdict sinks) is either immutable for the
+//     round or commutative (counters, set-like collections).
+//  2. Sends are buffered per sender and merged in canonical order —
+//     ascending sender id, then per-sender send sequence — with the
+//     network fault plane (seeded loss, partitions, upload caps) and all
+//     traffic accounting applied at the merge point (transport.MemNet).
+//     The canonical stream therefore depends only on what each node sent,
+//     never on which worker ran it first.
+//  3. Delivery preserves per-destination canonical order. A wave is
+//     partitioned by destination shard; each worker replays its
+//     destinations' subsequences in canonical order, and a node's state
+//     (and its replies) depend only on its own subsequence.
+//
+// Anything that would break property 1 — a node reading another node's
+// state mid-phase, a non-commutative shared sink — is a bug in the node,
+// and the CI race job (`go test -race`) is the tripwire for it.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -32,7 +72,7 @@ type Protocol interface {
 }
 
 // Slotted is a Protocol whose exchange phase opens in several slots:
-// BeginRound is slot 0 and the engines call OpenSlot for slots 1 to
+// BeginRound is slot 0 and the engine calls OpenSlot for slots 1 to
 // ExchangeSlots()−1, delivering to quiescence after each, before MidRound.
 // PAG nodes implement it; a round of protocols that do not runs exactly
 // the four phases.
@@ -52,94 +92,97 @@ type RoundHook func(r model.Round)
 // hooks and node phases run — the scenario engine's injection point.
 type Event func(r model.Round)
 
-// Stepper is the round-driving abstraction a session runs on: the serial
-// Engine below and the sharded parallel engine (internal/engine) both
-// implement it, and — because MemNet merges sends at phase barriers in a
-// canonical order — both produce byte-identical runs from the same seed.
+// Engine coordinates nodes and the network.
 //
 // Mutating calls (Add, Remove, ScheduleAt, OnRoundStart, StartMeasuring)
-// are only legal between rounds or from round-top events/hooks, which
-// every implementation runs single-threaded.
-type Stepper interface {
-	// Add registers a protocol node.
-	Add(p Protocol)
-	// Remove detaches a node immediately; it reports whether the node was
-	// present.
-	Remove(id model.NodeID) bool
-	// Has reports whether a node is currently attached.
-	Has(id model.NodeID) bool
-	// ScheduleAt queues fn to run at the top of round r.
-	ScheduleAt(r model.Round, fn Event)
-	// AddAt schedules a node to join at the top of round r.
-	AddAt(r model.Round, p Protocol)
-	// RemoveAt schedules a node's detachment at the top of round r.
-	RemoveAt(r model.Round, id model.NodeID)
-	// Nodes returns the registered node count.
-	Nodes() int
-	// Round returns the last completed round (0 before the first).
-	Round() model.Round
-	// OnRoundStart registers a hook invoked at the top of every round.
-	OnRoundStart(h RoundHook)
-	// RunRound advances one round through the four phases.
-	RunRound()
-	// Run advances n rounds.
-	Run(n int)
-	// StartMeasuring snapshots traffic counters to open the bandwidth
-	// measurement window.
-	StartMeasuring()
-	// NodeBandwidthKbps returns one node's average bandwidth over the
-	// measured window in kbps.
-	NodeBandwidthKbps(id model.NodeID) float64
-	// BandwidthSample returns the per-node bandwidth distribution over
-	// the measured window, excluding the listed nodes.
-	BandwidthSample(exclude ...model.NodeID) stats.Sample
-}
+// are only legal between rounds or from round-top events and hooks, which
+// run single-threaded before any phase fans out.
+type Engine struct {
+	net transport.SteppedNetwork
+	// mem is the network of a sharded engine (workers > 1); nil inline.
+	mem     *transport.MemNet
+	workers int
+	round   model.Round
 
-var _ Stepper = (*Engine)(nil)
-
-// Roster is the node, hook and event bookkeeping shared by the round
-// engines. It implements the non-stepping half of Stepper; the serial
-// engine below and the parallel engine (internal/engine) both embed it,
-// so registration and scheduling semantics cannot drift apart between
-// them — which the byte-identical guarantee depends on.
-type Roster struct {
 	nodes []Protocol
 	hooks []RoundHook
 	// slots is the largest ExchangeSlots of any Slotted node ever added
-	// (1 when there is none: BeginRound alone).
+	// (0 when there is none: BeginRound alone).
 	slots int
-
 	// events holds scheduled actions keyed by the round they fire at.
 	events map[model.Round][]Event
+
+	// The steady-state bandwidth window: traffic counters snapshotted at
+	// StartMeasuring, so warm-up rounds are excluded, as in the paper's
+	// steady-state numbers.
+	baseline map[model.NodeID]transport.Traffic
+	measured model.Round // rounds measured so far
+
+	// Observability (nil without a registry). Rounds and deliveries are
+	// deterministic counts; round durations are ClassTimed (deterministic
+	// count, wall-clock buckets); shard durations and merge-barrier stalls
+	// are ClassSched — their very observation count depends on the worker
+	// count, so they are excluded from deterministic snapshots entirely.
+	roundsC     *obs.Counter
+	deliveriesC *obs.Counter
+	roundSpans  *obs.Histogram
+	shardSpans  *obs.Histogram
+	stallSpans  *obs.Histogram
+	trace       *obs.Tracer
+}
+
+// NewEngine creates an engine over a stepped network. At 0 or 1 worker it
+// steps inline on the calling goroutine over any SteppedNetwork, and never
+// fails; above one it shards node steps and deliveries across that many
+// goroutines and requires a *transport.MemNet (the merge point it shards
+// around). A negative count selects GOMAXPROCS.
+func NewEngine(net transport.SteppedNetwork, workers int) (*Engine, error) {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	e := &Engine{net: net, workers: max(workers, 1)}
+	if e.workers > 1 {
+		mem, ok := net.(*transport.MemNet)
+		if !ok {
+			return nil, fmt.Errorf("sim: %d workers need the in-memory transport; %T runs with 0 or 1 worker", e.workers, net)
+		}
+		e.mem = mem
+	}
+	return e, nil
+}
+
+// Workers returns the effective worker count (1 when stepping inline).
+func (e *Engine) Workers() int { return e.workers }
+
+// Instrument attaches the observability registry and tracer (either may
+// be nil): counters plus round_begin/round_end trace events bracketing
+// every round, emitted single-threaded (round top / after the last
+// barrier), so they are part of the deterministic event class.
+func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
+	e.roundsC = reg.Counter("pag_engine_rounds_total")
+	e.deliveriesC = reg.Counter("pag_engine_deliveries_total")
+	e.roundSpans = reg.Histogram("pag_engine_round_seconds", obs.ClassTimed, nil)
+	e.shardSpans = reg.Histogram("pag_engine_shard_seconds", obs.ClassSched, nil)
+	e.stallSpans = reg.Histogram("pag_engine_barrier_stall_seconds", obs.ClassSched, nil)
+	e.trace = tr
 }
 
 // Add registers a protocol node; nodes act in registration order, which
 // must therefore be deterministic for reproducible runs.
-func (ro *Roster) Add(p Protocol) {
-	ro.nodes = append(ro.nodes, p)
+func (e *Engine) Add(p Protocol) {
+	e.nodes = append(e.nodes, p)
 	if s, ok := p.(Slotted); ok {
-		ro.slots = max(ro.slots, s.ExchangeSlots())
-	}
-}
-
-// Slots returns how many exchange slots a round of this roster has.
-func (ro *Roster) Slots() int { return max(ro.slots, 1) }
-
-// OpenSlot is the step of slot k for one member: OpenSlot on a Slotted
-// node, nothing on any other.
-func OpenSlot(p Protocol, r model.Round, k int) {
-	if s, ok := p.(Slotted); ok {
-		s.OpenSlot(r, k)
+		e.slots = max(e.slots, s.ExchangeSlots())
 	}
 }
 
 // Remove detaches a node immediately (it stops receiving phase calls);
 // it reports whether the node was present. Traffic counters survive in
 // the network layer.
-func (ro *Roster) Remove(id model.NodeID) bool {
-	for i, n := range ro.nodes {
+func (e *Engine) Remove(id model.NodeID) bool {
+	for i, n := range e.nodes {
 		if n.ID() == id {
-			ro.nodes = append(ro.nodes[:i], ro.nodes[i+1:]...)
+			e.nodes = append(e.nodes[:i], e.nodes[i+1:]...)
 			return true
 		}
 	}
@@ -147,8 +190,8 @@ func (ro *Roster) Remove(id model.NodeID) bool {
 }
 
 // Has reports whether a node is currently attached.
-func (ro *Roster) Has(id model.NodeID) bool {
-	for _, n := range ro.nodes {
+func (e *Engine) Has(id model.NodeID) bool {
+	for _, n := range e.nodes {
 		if n.ID() == id {
 			return true
 		}
@@ -158,198 +201,81 @@ func (ro *Roster) Has(id model.NodeID) bool {
 
 // ScheduleAt queues fn to run at the top of round r, before hooks and node
 // phases. Events scheduled for rounds that already completed never fire.
-func (ro *Roster) ScheduleAt(r model.Round, fn Event) {
-	if ro.events == nil {
-		ro.events = make(map[model.Round][]Event)
+func (e *Engine) ScheduleAt(r model.Round, fn Event) {
+	if e.events == nil {
+		e.events = make(map[model.Round][]Event)
 	}
-	ro.events[r] = append(ro.events[r], fn)
+	e.events[r] = append(e.events[r], fn)
 }
 
 // AddAt schedules a node to join the simulation at the top of round r.
-func (ro *Roster) AddAt(r model.Round, p Protocol) {
-	ro.ScheduleAt(r, func(model.Round) { ro.Add(p) })
+func (e *Engine) AddAt(r model.Round, p Protocol) {
+	e.ScheduleAt(r, func(model.Round) { e.Add(p) })
 }
 
 // RemoveAt schedules a node's detachment at the top of round r.
-func (ro *Roster) RemoveAt(r model.Round, id model.NodeID) {
-	ro.ScheduleAt(r, func(model.Round) { ro.Remove(id) })
+func (e *Engine) RemoveAt(r model.Round, id model.NodeID) {
+	e.ScheduleAt(r, func(model.Round) { e.Remove(id) })
 }
 
 // Nodes returns the registered node count.
-func (ro *Roster) Nodes() int { return len(ro.nodes) }
+func (e *Engine) Nodes() int { return len(e.nodes) }
 
 // OnRoundStart registers a hook invoked at the top of every round.
-func (ro *Roster) OnRoundStart(h RoundHook) { ro.hooks = append(ro.hooks, h) }
-
-// Members returns the attached nodes in registration order. The slice is
-// shared with the roster: callers iterate it, they do not mutate it.
-func (ro *Roster) Members() []Protocol { return ro.nodes }
-
-// OpenRound fires round r's due events and then every hook, in
-// registration order — the single-threaded round-top sequence both
-// engines run before any node acts.
-func (ro *Roster) OpenRound(r model.Round) {
-	if evs, ok := ro.events[r]; ok {
-		delete(ro.events, r)
-		for _, ev := range evs {
-			ev(r)
-		}
-	}
-	for _, h := range ro.hooks {
-		h(r)
-	}
-}
-
-// Meter is the steady-state bandwidth measurement shared by the round
-// engines: a snapshot of traffic counters at StartMeasuring, so warm-up
-// rounds are excluded, as in the paper's steady-state numbers.
-type Meter struct {
-	net      transport.SteppedNetwork
-	baseline map[model.NodeID]transport.Traffic
-	measured model.Round // rounds measured so far
-}
-
-// NewMeter creates a meter over the network the engine runs on.
-func NewMeter(net transport.SteppedNetwork) Meter { return Meter{net: net} }
-
-// Start snapshots the members' traffic counters; bandwidth statistics
-// cover the rounds run afterwards.
-func (m *Meter) Start(members []Protocol) {
-	m.baseline = make(map[model.NodeID]transport.Traffic, len(members))
-	for _, n := range members {
-		m.baseline[n.ID()] = m.net.TrafficOf(n.ID())
-	}
-	m.measured = 0
-}
-
-// RoundDone counts one completed round into the measured window (a no-op
-// before Start).
-func (m *Meter) RoundDone() {
-	if m.baseline != nil {
-		m.measured++
-	}
-}
-
-// NodeBandwidthKbps returns one node's average bandwidth over the measured
-// window in kbps. Each round is one second (§VII-A), and the per-node
-// consumption is the mean of upload and download (dissemination traffic is
-// symmetric in aggregate).
-func (m *Meter) NodeBandwidthKbps(id model.NodeID) float64 {
-	if m.measured == 0 {
-		return 0
-	}
-	tr := m.net.TrafficOf(id)
-	if base, ok := m.baseline[id]; ok {
-		tr = tr.Sub(base)
-	}
-	bytes := float64(tr.BytesIn+tr.BytesOut) / 2
-	seconds := float64(m.measured) * model.RoundDurationSeconds
-	return bytes * 8 / 1000 / seconds
-}
-
-// Sample returns the members' bandwidth distribution over the measured
-// window in ascending id order, excluding the listed nodes (the source is
-// conventionally excluded, as its upload profile is not a client's).
-func (m *Meter) Sample(members []Protocol, exclude ...model.NodeID) stats.Sample {
-	skip := make(map[model.NodeID]bool, len(exclude))
-	for _, id := range exclude {
-		skip[id] = true
-	}
-	ids := make([]model.NodeID, 0, len(members))
-	for _, n := range members {
-		ids = append(ids, n.ID())
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	xs := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		if skip[id] {
-			continue
-		}
-		xs = append(xs, m.NodeBandwidthKbps(id))
-	}
-	return stats.NewSample(xs)
-}
-
-// Engine coordinates nodes and the network, stepping every node in one
-// goroutine. It runs over any SteppedNetwork: MemNet (deterministic
-// simulation) or TCPNet in stepped mode (real sockets, quiescence-based
-// phase barriers).
-type Engine struct {
-	Roster
-	meter Meter
-	net   transport.SteppedNetwork
-	round model.Round
-
-	// Observability (nil without a registry): completed rounds and
-	// handler deliveries are deterministic counts shared by both round
-	// engines under the same metric names, so serial and parallel runs
-	// of the same seed snapshot identically; the round-duration
-	// histogram is wall-clock (ClassTimed).
-	roundsC     *obs.Counter
-	deliveriesC *obs.Counter
-	roundSpans  *obs.Histogram
-	trace       *obs.Tracer
-}
-
-// NewEngine creates an engine over a stepped network.
-func NewEngine(net transport.SteppedNetwork) *Engine {
-	return &Engine{net: net, meter: NewMeter(net)}
-}
-
-// Instrument attaches the observability registry and tracer (either may
-// be nil): counters plus round_begin/round_end trace events bracketing
-// every round, identical in form to the parallel engine's.
-func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	e.roundsC = reg.Counter("pag_engine_rounds_total")
-	e.deliveriesC = reg.Counter("pag_engine_deliveries_total")
-	e.roundSpans = reg.Histogram("pag_engine_round_seconds", obs.ClassTimed, nil)
-	e.trace = tr
-}
+func (e *Engine) OnRoundStart(h RoundHook) { e.hooks = append(e.hooks, h) }
 
 // Round returns the last completed round (0 before the first).
 func (e *Engine) Round() model.Round { return e.round }
 
 // RunRound advances one round through the four phases (and, after
 // BeginRound, the remaining exchange slots of Slotted nodes), delivering
-// all pending traffic after each.
+// all pending traffic after each. Events and hooks run single-threaded at
+// the round top, before any node acts.
 func (e *Engine) RunRound() {
 	span := e.roundSpans.SpanStart()
 	r := e.round + 1
 	e.net.BeginRound()
-	e.OpenRound(r)
+	if evs, ok := e.events[r]; ok {
+		delete(e.events, r)
+		for _, ev := range evs {
+			ev(r)
+		}
+	}
+	for _, h := range e.hooks {
+		h(r)
+	}
 	if e.trace != nil {
 		e.trace.Emit("round_begin", obs.F("round", r), obs.F("nodes", e.Nodes()))
 	}
+	shards := e.shardNodes()
 	delivered := 0
-	for _, n := range e.Members() {
-		n.BeginRound(r)
+	step := func(f func(Protocol)) {
+		e.phase(shards, f)
+		delivered += e.deliverAll()
 	}
-	delivered += e.net.DeliverAll()
-	for k := 1; k < e.Slots(); k++ {
-		for _, n := range e.Members() {
-			OpenSlot(n, r, k)
-		}
-		delivered += e.net.DeliverAll()
+	step(func(n Protocol) { n.BeginRound(r) })
+	for k := 1; k < e.slots; k++ {
+		step(func(n Protocol) {
+			if s, ok := n.(Slotted); ok {
+				s.OpenSlot(r, k)
+			}
+		})
 	}
-	for _, n := range e.Members() {
-		n.MidRound(r)
-	}
-	delivered += e.net.DeliverAll()
-	for _, n := range e.Members() {
-		n.EndRound(r)
-	}
-	delivered += e.net.DeliverAll()
-	for _, n := range e.Members() {
-		n.CloseRound(r)
-	}
-	delivered += e.net.DeliverAll()
+	step(func(n Protocol) { n.MidRound(r) })
+	step(func(n Protocol) { n.EndRound(r) })
+	step(func(n Protocol) { n.CloseRound(r) })
 	e.round = r
-	e.meter.RoundDone()
+	if e.baseline != nil {
+		e.measured++
+	}
 	e.roundsC.Inc()
 	e.deliveriesC.Add(uint64(delivered))
 	if e.trace != nil {
 		e.trace.Emit("round_end", obs.F("round", r), obs.F("delivered", delivered))
-		e.trace.Flush() // single-threaded point: deterministic drain order
+		// Every worker is parked at the last barrier: drain the tracer's
+		// shard buffers here, so the round's events hit the journal before
+		// the next round opens, in deterministic shard order.
+		e.trace.Flush()
 	}
 	e.roundSpans.SpanEnd(span)
 }
@@ -361,23 +287,167 @@ func (e *Engine) Run(n int) {
 	}
 }
 
-// StartMeasuring opens the steady-state measurement window (warm-up
-// rounds before it are excluded, as in the paper's measurements).
-func (e *Engine) StartMeasuring() { e.meter.Start(e.Members()) }
-
-// NodeBandwidthKbps returns one node's average bandwidth over the
-// measured window in kbps.
-func (e *Engine) NodeBandwidthKbps(id model.NodeID) float64 {
-	return e.meter.NodeBandwidthKbps(id)
+// shardNodes partitions the current node set by id mod workers, keeping
+// registration order within each shard; nil when stepping inline.
+func (e *Engine) shardNodes() [][]Protocol {
+	if e.mem == nil {
+		return nil
+	}
+	shards := make([][]Protocol, e.workers)
+	for _, n := range e.nodes {
+		i := e.shardOf(n.ID())
+		shards[i] = append(shards[i], n)
+	}
+	return shards
 }
 
-// BandwidthSample returns the per-node bandwidth distribution over the
-// measured window, excluding the listed nodes.
+func (e *Engine) shardOf(id model.NodeID) int { return int(uint64(id) % uint64(e.workers)) }
+
+// phase runs one step on every node: inline in registration order, or
+// fanned out across the shards with a barrier on completion. A sharded
+// phase, when instrumented, records each shard's step duration and its
+// stall — the time the shard then spent parked at the barrier waiting for
+// the slowest sibling. Timing is recorded after the barrier, off the
+// workers' critical path.
+func (e *Engine) phase(shards [][]Protocol, step func(Protocol)) {
+	if shards == nil {
+		for _, n := range e.nodes {
+			step(n)
+		}
+		return
+	}
+	timed := e.shardSpans != nil
+	var phaseStart time.Time
+	var durs []time.Duration
+	if timed {
+		phaseStart = time.Now()
+		durs = make([]time.Duration, len(shards))
+	}
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		if len(shard) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, ns []Protocol) {
+			defer wg.Done()
+			var start time.Time
+			if timed {
+				start = time.Now()
+			}
+			for _, n := range ns {
+				step(n)
+			}
+			if timed {
+				durs[i] = time.Since(start)
+			}
+		}(i, shard)
+	}
+	wg.Wait()
+	if timed {
+		total := time.Since(phaseStart)
+		for _, d := range durs {
+			if d > 0 {
+				e.shardSpans.Observe(d.Seconds())
+				e.stallSpans.Observe((total - d).Seconds())
+			}
+		}
+	}
+}
+
+// deliverAll drains delivery waves until quiescence and returns how many
+// messages it delivered. Inline it is the network's own DeliverAll.
+// Sharded, each wave is taken from the MemNet in canonical merged order,
+// partitioned by destination shard and replayed concurrently; messages
+// sent during a wave form the next one, up to the same
+// transport.MaxDeliveryWaves cap MemNet.DeliverAll applies.
+func (e *Engine) deliverAll() int {
+	if e.mem == nil {
+		return e.net.DeliverAll()
+	}
+	total := 0
+	for wave := 0; wave < transport.MaxDeliveryWaves; wave++ {
+		ds := e.mem.TakeWave()
+		if len(ds) == 0 {
+			return total
+		}
+		total += len(ds)
+		buckets := make([][]transport.Delivery, e.workers)
+		for _, d := range ds {
+			i := e.shardOf(d.Msg.To)
+			buckets[i] = append(buckets[i], d)
+		}
+		var wg sync.WaitGroup
+		for _, b := range buckets {
+			if len(b) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(sub []transport.Delivery) {
+				defer wg.Done()
+				for _, d := range sub {
+					d.Handler(d.Msg)
+				}
+			}(b)
+		}
+		wg.Wait()
+	}
+	return total
+}
+
+// StartMeasuring snapshots the members' traffic counters to open the
+// steady-state measurement window: bandwidth statistics cover the rounds
+// run afterwards.
+func (e *Engine) StartMeasuring() {
+	e.baseline = make(map[model.NodeID]transport.Traffic, len(e.nodes))
+	for _, n := range e.nodes {
+		e.baseline[n.ID()] = e.net.TrafficOf(n.ID())
+	}
+	e.measured = 0
+}
+
+// NodeBandwidthKbps returns one node's average bandwidth over the measured
+// window in kbps. Each round is one second (§VII-A), and the per-node
+// consumption is the mean of upload and download (dissemination traffic is
+// symmetric in aggregate).
+func (e *Engine) NodeBandwidthKbps(id model.NodeID) float64 {
+	if e.measured == 0 {
+		return 0
+	}
+	tr := e.net.TrafficOf(id)
+	if base, ok := e.baseline[id]; ok {
+		tr = tr.Sub(base)
+	}
+	bytes := float64(tr.BytesIn+tr.BytesOut) / 2
+	seconds := float64(e.measured) * model.RoundDurationSeconds
+	return bytes * 8 / 1000 / seconds
+}
+
+// BandwidthSample returns the members' bandwidth distribution over the
+// measured window in ascending id order, excluding the listed nodes (the
+// source is conventionally excluded, as its upload profile is not a
+// client's).
 func (e *Engine) BandwidthSample(exclude ...model.NodeID) stats.Sample {
-	return e.meter.Sample(e.Members(), exclude...)
+	skip := make(map[model.NodeID]bool, len(exclude))
+	for _, id := range exclude {
+		skip[id] = true
+	}
+	ids := make([]model.NodeID, 0, len(e.nodes))
+	for _, n := range e.nodes {
+		ids = append(ids, n.ID())
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	xs := make([]float64, 0, len(ids))
+	for _, id := range ids {
+		if skip[id] {
+			continue
+		}
+		xs = append(xs, e.NodeBandwidthKbps(id))
+	}
+	return stats.NewSample(xs)
 }
 
 // String summarises engine state.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{nodes: %d, round: %v}", e.Nodes(), e.round)
+	return fmt.Sprintf("sim.Engine{workers: %d, nodes: %d, round: %v}", e.workers, e.Nodes(), e.round)
 }

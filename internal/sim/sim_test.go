@@ -29,7 +29,7 @@ func (p *phaseRecorder) CloseRound(r model.Round) { *p.calls = append(*p.calls, 
 
 func TestEnginePhaseOrder(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls []string
 	n1 := &phaseRecorder{id: 1, calls: &calls}
 	e.Add(n1)
@@ -53,7 +53,7 @@ func TestEnginePhaseOrder(t *testing.T) {
 
 func TestEngineHooksRunFirst(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls []string
 	e.OnRoundStart(func(r model.Round) { calls = append(calls, "hook") })
 	e.Add(&phaseRecorder{id: 1, calls: &calls})
@@ -68,7 +68,7 @@ func TestEngineHooksRunFirst(t *testing.T) {
 
 func TestEngineDeliversBetweenPhases(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls []string
 	received := 0
 	if _, err := net.Register(2, func(transport.Message) { received++ }); err != nil {
@@ -87,7 +87,7 @@ func TestEngineDeliversBetweenPhases(t *testing.T) {
 
 func TestBandwidthMeasurement(t *testing.T) {
 	net := transport.NewMemNet()
-	e := NewEngine(net)
+	e, _ := NewEngine(net, 0)
 	var calls []string
 	if _, err := net.Register(2, func(transport.Message) {}); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestBandwidthMeasurement(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	e := NewEngine(transport.NewMemNet())
+	e, _ := NewEngine(transport.NewMemNet(), 0)
 	if e.String() == "" || e.Nodes() != 0 {
 		t.Fatal("String/Nodes wrong")
 	}

@@ -24,7 +24,6 @@ type ReplaySpec struct {
 	ModulusBits int               `json:"modulus_bits"`
 	Threshold   int               `json:"threshold"`
 	Workers     int               `json:"workers"`
-	Engine      string            `json:"engine"`
 	Transport   string            `json:"transport"`
 	// Digest is the recorded report digest the replay must reproduce
 	// ("" when the journal ended before the report was written).
@@ -75,7 +74,6 @@ func (j *Journal) Replay() (*ReplaySpec, error) {
 				spec.ModulusBits = int(e.Num("modulus_bits"))
 				spec.Threshold = int(e.Num("threshold"))
 				spec.Workers = int(e.Num("workers"))
-				spec.Engine = e.Str("engine")
 				spec.Transport = e.Str("transport")
 			}
 			spec.Protocols = append(spec.Protocols, e.Str("protocol"))

@@ -13,8 +13,8 @@ import (
 // pending frames are wrapped into a single jumbo frame (kindJumbo) whose
 // payload is the back-to-back pending buffer — no re-copy, the jumbo
 // header is reserved up front — and the receive side unpacks it
-// transparently. The round engines flush at the phase barriers they
-// already own (BeginRound's backlog drain, every DeliverAll pass), which
+// transparently. The round engine flushes at the phase barriers it
+// already owns (BeginRound's backlog drain, every DeliverAll pass), which
 // is what makes "≤ 1 flush per connection per engine phase" hold; direct
 // (wall-clock) mode flushes every Send, preserving the live deployment's
 // latency profile.

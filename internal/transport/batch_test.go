@@ -25,9 +25,9 @@ func newSteppedTCP(t *testing.T) *TCPNet {
 
 // TestTCPFlushPerPhase is the syscall-economy gate: in stepped mode a
 // whole engine phase's frames leave in at most one write syscall per
-// active connection per phase — the invariant BENCH_transport.json's
-// bytes-per-syscall numbers rest on — measured by IOStats deltas, not
-// asserted by construction.
+// active connection per phase — the invariant the benchmark ledger's
+// transport.frames_per_write and transport.bytes_per_write rows rest on —
+// measured by IOStats deltas, not asserted by construction.
 func TestTCPFlushPerPhase(t *testing.T) {
 	tn := newSteppedTCP(t)
 

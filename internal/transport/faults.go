@@ -13,7 +13,7 @@ import (
 // partitions that open and heal, per-node down flags and per-round upload
 // caps — factored out of MemNet so that every Network implementation can
 // apply the same surface. MemNet consults it at its canonical merge point
-// (preserving the parallel engine's byte-identical guarantee); TCPNet
+// (preserving sharded rounds' byte-identical guarantee); TCPNet
 // consults it on the wire path, at send and receive.
 //
 // # The link model

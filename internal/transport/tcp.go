@@ -201,7 +201,7 @@ func (t *TCPNet) SetDynamic(host string) {
 	t.dynHost = host
 }
 
-// SetStepped switches delivery into the round engines' stepped contract:
+// SetStepped switches delivery into the round engine's stepped contract:
 // inbound messages queue until DeliverAll drains them on the calling
 // goroutine, and outbound frames coalesce until the next phase flush.
 // maxWait bounds one DeliverAll's quiescence wait (0 picks a default).
@@ -409,7 +409,7 @@ func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, si
 }
 
 // FlushAll pushes every connection's pending frames onto the wire — one
-// syscall per destination. The round engines reach it through BeginRound
+// syscall per destination. The round engine reaches it through BeginRound
 // and DeliverAll; a direct-mode driver with its own batching window may
 // call it explicitly.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }

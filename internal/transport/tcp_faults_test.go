@@ -205,7 +205,7 @@ func TestUDPFaultCountersMatchMemNet(t *testing.T) {
 
 // TestTCPSteppedDeliveryFollowsCascade: in stepped mode DeliverAll must
 // run handlers on the calling goroutine and follow send cascades to
-// quiescence — the round engines' delivery contract.
+// quiescence — the round engine's delivery contract.
 func TestTCPSteppedDeliveryFollowsCascade(t *testing.T) {
 	tn := NewTCPNet(nil)
 	tn.SetDynamic("127.0.0.1")

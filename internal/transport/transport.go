@@ -140,7 +140,7 @@ type MemNet struct {
 
 	// mu guards the traffic accounts and the carryover buffer. They are
 	// touched only at merge/delivery points and round boundaries, which
-	// are single-threaded even under the parallel engine.
+	// are single-threaded even on a sharded engine.
 	mu      sync.Mutex
 	traffic map[model.NodeID]*Traffic
 
@@ -361,8 +361,8 @@ type Delivery struct {
 // boundary's link-queue carryover prepended in release order, ahead of
 // every fresh send — applies the fault plane and all traffic charging,
 // and drains the resulting wave. The caller is responsible for invoking
-// each Delivery's handler — in slice order for a serial run, or
-// partitioned by destination for a sharded run (per-destination
+// each Delivery's handler — in slice order (DeliverPending), or
+// partitioned by destination for a sharded round (sim.Engine) (per-destination
 // subsequences preserve the canonical order either way).
 //
 // TakeWave is the merge point and has one caller at a time. The returned
@@ -475,9 +475,10 @@ func (n *MemNet) DeliverPending() int {
 
 // MaxDeliveryWaves caps how many delivery waves a round engine drains at
 // one phase barrier — a generous safety net against protocol livelock.
-// The serial and parallel engines must share this cap: if a run ever hit
-// a smaller cap on one engine only, the two would deliver different
-// message sets and break the byte-identical invariant.
+// DeliverAll (inline rounds) and sim.Engine's sharded rounds must share
+// this cap: if a run ever hit a smaller cap on one path only, the two
+// would deliver different message sets and break the byte-identical
+// invariant.
 const MaxDeliveryWaves = 64
 
 // DeliverAll delivers waves until the queue drains, capped at

@@ -109,7 +109,7 @@ func (u *UDPNet) SetDynamic(host string) {
 	u.dynHost = host
 }
 
-// SetStepped switches delivery into the round engines' stepped contract
+// SetStepped switches delivery into the round engine's stepped contract
 // (see TCPNet.SetStepped).
 func (u *UDPNet) SetStepped(maxWait time.Duration) {
 	u.mu.Lock()

@@ -29,10 +29,10 @@ import (
 //
 // Determinism: all successfully interned values for an id are byte-equal,
 // and embeddings are pure functions of the canonical bytes, so which node
-// wins the first-publish race under the parallel engine is unobservable —
+// wins the first-publish race on a sharded engine is unobservable —
 // report JSON, digests and obs snapshots are byte-identical with the
 // interner attached, detached (DisableFlyweight) and at any worker count
-// (flyweight_gate_test.go holds the matrix).
+// (determinism_test.go holds the matrix).
 type Interner struct {
 	mu sync.RWMutex
 	m  map[model.UpdateID]*interned

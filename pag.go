@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/acting"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/hhash"
 	"repro/internal/judicial"
 	"repro/internal/membership"
@@ -131,19 +130,11 @@ type SessionConfig struct {
 	// handover off — the pre-handover protocol, kept as an ablation so
 	// the rotation-gap exploit stays demonstrable in tests.
 	DisableObligationHandover bool
-	// DisablePrimePool generates exchange primes inline with the full
-	// 20-round Miller-Rabin schedule instead of each node's background
-	// pregeneration pool — the crypto-hot-path ablation the equivalence
-	// gate runs against.
-	DisablePrimePool bool
-	// DisableBatchVerify verifies each attestation hash with its own
-	// exponentiation instead of one coefficient-weighted folded equation.
-	DisableBatchVerify bool
 	// DisableFlyweight detaches the session-wide update-content interner:
 	// every node keeps its own payload/signature copies — the pre-flyweight
 	// memory representation, kept as an ablation so the bytes/node claim
-	// stays measurable and the equivalence gate can prove the flyweight
-	// changes no observable (flyweight_gate_test.go).
+	// stays measurable and the determinism harness can prove the flyweight
+	// changes no observable (determinism_test.go).
 	DisableFlyweight bool
 	// Judicial arms the accountability plane's punishment loop: nodes
 	// reaching the conviction threshold are evicted from the membership
@@ -163,27 +154,26 @@ type SessionConfig struct {
 	// round (see internal/scenario). Nil runs the static, fault-free
 	// population of the paper's baseline measurements.
 	Scenario *scenario.Scenario
-	// Workers selects the round engine: 0 runs the serial engine
-	// (internal/sim), n > 0 the sharded parallel engine (internal/engine)
-	// with n workers, and n < 0 the parallel engine with GOMAXPROCS
-	// workers. Every setting produces byte-identical runs from the same
-	// seed — the engines merge traffic in a canonical order at phase
-	// barriers — so Workers is purely a wall-clock knob. The parallel
-	// engine requires the in-memory transport; combined with NewNetwork
-	// it is an error.
+	// Workers sets how many goroutines step the round engine: 0 or 1 steps
+	// every node inline on the calling goroutine, n > 1 shards nodes across
+	// n workers and n < 0 across GOMAXPROCS. Every setting produces
+	// byte-identical runs from the same seed — the in-memory transport
+	// merges traffic in a canonical order at phase barriers — so Workers
+	// is purely a wall-clock knob. Sharding needs the in-memory transport:
+	// Workers > 1 combined with a NewNetwork that returns anything else is
+	// an error.
 	Workers int
 	// NewNetwork optionally supplies the session's transport (called once
 	// per session, so one config can build several sessions on fresh
-	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet in
-	// stepped mode (SetStepped — required, NewSession rejects a direct-
-	// delivery TCPNet) runs the same session over real sockets. The
-	// parallel engine (Workers != 0) works only on a MemNet, supplied or
-	// default; other transports need the serial engine and trade
-	// byte-identical replay for statistical equivalence: the fault plane
-	// is consulted in wall-clock send order, not canonical merge order.
+	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet or
+	// UDPNet in stepped mode (SetStepped — required, NewSession rejects a
+	// direct-delivery one) runs the same session over real sockets with
+	// Workers 0 or 1. Socket runs trade byte-identical replay for
+	// statistical equivalence: the fault plane is consulted in wall-clock
+	// send order, not canonical merge order.
 	NewNetwork func() transport.FaultyNetwork
 	// Obs optionally attaches an observability metrics registry (see
-	// internal/obs): the engines, the fault plane, the membership
+	// internal/obs): the engine, the fault plane, the membership
 	// directory, the judicial registry and every PAG node register their
 	// instruments into it. Deterministic-class metrics snapshot
 	// byte-identically at any worker count; wall-clock durations are
@@ -236,17 +226,12 @@ func (c SessionConfig) withDefaults() SessionConfig {
 type Session struct {
 	cfg    SessionConfig
 	net    transport.FaultyNetwork
-	engine sim.Stepper
+	engine *sim.Engine
 	source *streaming.Source
-
-	// engineKind / engineWorkers describe the selected round engine
-	// ("serial" or "parallel"; effective worker count) for run metadata.
-	engineKind    string
-	engineWorkers int
 
 	// registry is the accountability plane's unified verdict pipeline:
 	// every protocol's verdict sink submits into it (it is safe for the
-	// parallel engine's worker goroutines), duplicates collapse by
+	// engine's worker goroutines), duplicates collapse by
 	// (accused, accuser, round, kind), and every consumer — views,
 	// conviction tallies, per-epoch metrics — reads the deduplicated
 	// fact set in canonical order, so nothing depends on append order.
@@ -341,26 +326,15 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// A transport that delivers on its own goroutines (a direct-mode
 	// TCPNet) would run handlers concurrently with node steps — AcTinG
 	// and RAC nodes carry no locks, so that is a race, not a slow path.
-	// The engines' contract is stepped delivery; refuse anything else.
+	// The engine's contract is stepped delivery; refuse anything else.
 	if sm, hasMode := s.net.(interface{ SteppedMode() bool }); hasMode && !sm.SteppedMode() {
 		return nil, fmt.Errorf("pag: %s transport must be in stepped delivery mode for a session (call SetStepped before NewSession)", s.net.Name())
 	}
-	if c.Workers == 0 {
-		se := sim.NewEngine(s.net)
-		se.Instrument(c.Obs, c.Trace)
-		s.engine = se
-		s.engineKind, s.engineWorkers = "serial", 1
-	} else {
-		mn, isMem := s.net.(*transport.MemNet)
-		if !isMem {
-			return nil, fmt.Errorf("pag: the parallel engine (Workers=%d) requires the in-memory transport; run %s with Workers 0",
-				c.Workers, s.net.Name())
-		}
-		pe := engine.New(mn, c.Workers)
-		pe.Instrument(c.Obs, c.Trace)
-		s.engine = pe
-		s.engineKind, s.engineWorkers = "parallel", pe.Workers()
+	var err error
+	if s.engine, err = sim.NewEngine(s.net, c.Workers); err != nil {
+		return nil, fmt.Errorf("pag: %w", err)
 	}
+	s.engine.Instrument(c.Obs, c.Trace)
 	s.net.Faults().SetSeed(c.Seed)
 	s.net.Faults().Instrument(c.Obs, c.Trace)
 	s.registry.Instrument(c.Obs, c.Trace)
@@ -433,8 +407,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 			PrimeBits:            c.PrimeBits,
 			BuffermapWindow:      c.BuffermapWindow,
 			NoObligationHandover: c.DisableObligationHandover,
-			DisablePrimePool:     c.DisablePrimePool,
-			DisableBatchVerify:   c.DisableBatchVerify,
 			Metrics:              c.Obs,
 			Trace:                c.Trace,
 			Intern:               s.intern,
@@ -548,9 +520,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // metadata, not part of the measured results: byte-identical runs are
 // produced at every worker count.
 type EngineInfo struct {
-	// Kind is "serial" (internal/sim) or "parallel" (internal/engine).
-	Kind string `json:"kind"`
-	// Workers is the effective worker count (1 for the serial engine).
+	// Workers is the effective worker count (1 when stepping inline).
 	Workers int `json:"workers"`
 	// Transport is the network the run used ("mem" or "tcp"). Like the
 	// rest of this block it is metadata: "mem" runs are byte-identical
@@ -564,7 +534,7 @@ type EngineInfo struct {
 
 // EngineInfo returns the session's engine metadata.
 func (s *Session) EngineInfo() EngineInfo {
-	return EngineInfo{Kind: s.engineKind, Workers: s.engineWorkers, Transport: s.net.Name()}
+	return EngineInfo{Workers: s.engine.Workers(), Transport: s.net.Name()}
 }
 
 // Close releases the session's transport (listeners and connections for a

@@ -19,8 +19,8 @@ type ScenarioReport struct {
 	Nodes     int               `json:"nodes"`
 	Seed      uint64            `json:"seed"`
 	Protocols []ProtocolRun     `json:"protocols"`
-	// Engine records how the run was executed (engine kind, worker
-	// count) plus the digest of everything else. Like the Scenario block
+	// Engine records how the run was executed (worker count, transport)
+	// plus the digest of everything else. Like the Scenario block
 	// it is excluded from Digest(), so reports taken on different
 	// machines or at different worker counts stay byte-comparable: strip
 	// Engine, or compare Digest().
@@ -30,7 +30,7 @@ type ScenarioReport struct {
 // Digest returns the SHA-256 (hex) of the report's measured portion: the
 // JSON rendering with the Engine metadata and the Scenario script
 // stripped. Two runs of the same scenario and seed have equal digests
-// regardless of engine kind, worker count or host — and a run of a
+// regardless of worker count or host — and a run of a
 // *different* script that fires the identical resolved timeline (what
 // `pag-trace replay` reconstructs: churn-generated events pinned to their
 // resolved targets) digests equally too, which is exactly the equivalence
@@ -157,7 +157,6 @@ func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
 				obs.F("modulus_bits", def.ModulusBits),
 				obs.F("threshold", convictionThreshold),
 				obs.F("workers", info.Workers),
-				obs.F("engine", info.Kind),
 				obs.F("transport", info.Transport))
 		}
 		if sc.WarmupRounds > 0 {

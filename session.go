@@ -19,7 +19,7 @@ import (
 
 // The nodes' verdict sinks all submit into the judicial registry — the
 // accountability plane's single pipeline. The registry is safe for the
-// parallel engine's worker goroutines, dedupes repeated reports of the
+// engine's worker goroutines, dedupes repeated reports of the
 // same fact, and serves every consumer in canonical order, which keeps
 // reports byte-identical at any worker count.
 

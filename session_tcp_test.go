@@ -9,9 +9,9 @@ import (
 	"repro/internal/transport"
 )
 
-// tcpSessionConfig is the loopback-socket analogue of the equivalence
-// tests' base config: every node of the session listens on an ephemeral
-// 127.0.0.1 port, stepped delivery, serial engine.
+// tcpSessionConfig is the loopback-socket analogue of the determinism
+// harness's base config: every node of the session listens on an ephemeral
+// 127.0.0.1 port, stepped delivery, inline engine.
 func tcpSessionConfig(nodes int) SessionConfig {
 	return SessionConfig{
 		Nodes: nodes, StreamKbps: 2, UpdateBytes: 64, ModulusBits: 128, Seed: 7,
@@ -25,9 +25,11 @@ func tcpSessionConfig(nodes int) SessionConfig {
 }
 
 // TestTCPSessionScenarioReport: the acceptance path — a scripted scenario
-// session runs entirely over loopback sockets and produces a report with
-// populated continuity/verdict metrics, structurally comparable to the
-// MemNet report of the same script.
+// session runs entirely over loopback sockets, TCP and UDP, and produces a
+// report with populated continuity/verdict metrics, structurally comparable
+// to the MemNet report of the same script: same journal length (the
+// timeline is seed-driven and transport-independent), same final
+// membership, continuity in the same regime.
 func TestTCPSessionScenarioReport(t *testing.T) {
 	const nodes = 10
 	sc, err := scenario.ByName("steady-churn", nodes, 2)
@@ -35,35 +37,6 @@ func TestTCPSessionScenarioReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Seed = 7
-
-	report, err := RunScenarioReport(tcpSessionConfig(nodes), sc,
-		[]Protocol{ProtocolPAG}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Engine == nil || report.Engine.Transport != "tcp" || report.Engine.Kind != "serial" {
-		t.Fatalf("engine metadata %+v, want serial over tcp", report.Engine)
-	}
-	run := report.Protocols[0]
-	if run.MeanContinuity <= 0.5 {
-		t.Errorf("continuity %v over loopback; the stream did not flow", run.MeanContinuity)
-	}
-	if run.MeanBandwidthKbps <= 0 {
-		t.Errorf("bandwidth %v; traffic accounting did not reach the report", run.MeanBandwidthKbps)
-	}
-	if len(run.Epochs) == 0 {
-		t.Error("no epochs recorded under churn")
-	}
-	if len(run.Journal) == 0 {
-		t.Error("empty scenario journal")
-	}
-	if run.FinalMembers <= 0 {
-		t.Errorf("final members %d", run.FinalMembers)
-	}
-
-	// The MemNet run of the same script is the comparison baseline: same
-	// report shape, same journal length (the timeline is seed-driven and
-	// transport-independent), metrics in the same regime.
 	memReport, err := RunScenarioReport(SessionConfig{
 		Nodes: nodes, StreamKbps: 2, UpdateBytes: 64, ModulusBits: 128, Seed: 7,
 	}, sc, []Protocol{ProtocolPAG}, 1)
@@ -71,30 +44,64 @@ func TestTCPSessionScenarioReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	memRun := memReport.Protocols[0]
-	if len(memRun.Journal) != len(run.Journal) {
-		t.Errorf("journal lengths diverge: mem=%d tcp=%d", len(memRun.Journal), len(run.Journal))
-	}
-	if memRun.FinalMembers != run.FinalMembers {
-		t.Errorf("final members diverge: mem=%d tcp=%d", memRun.FinalMembers, run.FinalMembers)
-	}
-	diff := memRun.MeanContinuity - run.MeanContinuity
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 0.3 {
-		t.Errorf("continuity regimes diverge: mem=%v tcp=%v", memRun.MeanContinuity, run.MeanContinuity)
+
+	for _, network := range []string{"tcp", "udp"} {
+		t.Run(network, func(t *testing.T) {
+			cfg := tcpSessionConfig(nodes)
+			if network == "udp" {
+				cfg.NewNetwork = func() transport.FaultyNetwork {
+					un := transport.NewUDPNet(nil)
+					un.SetDynamic("127.0.0.1")
+					un.SetStepped(5 * time.Second)
+					return un
+				}
+			}
+			report, err := RunScenarioReport(cfg, sc, []Protocol{ProtocolPAG}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Engine == nil || report.Engine.Transport != network || report.Engine.Workers != 1 {
+				t.Fatalf("engine metadata %+v, want one worker over %s", report.Engine, network)
+			}
+			run := report.Protocols[0]
+			if run.MeanContinuity <= 0.5 {
+				t.Errorf("continuity %v over loopback; the stream did not flow", run.MeanContinuity)
+			}
+			if run.MeanBandwidthKbps <= 0 {
+				t.Errorf("bandwidth %v; traffic accounting did not reach the report", run.MeanBandwidthKbps)
+			}
+			if len(run.Epochs) == 0 {
+				t.Error("no epochs recorded under churn")
+			}
+			if len(run.Journal) == 0 || len(run.Journal) != len(memRun.Journal) {
+				t.Errorf("journal lengths: mem=%d %s=%d", len(memRun.Journal), network, len(run.Journal))
+			}
+			if run.FinalMembers != memRun.FinalMembers {
+				t.Errorf("final members diverge: mem=%d %s=%d", memRun.FinalMembers, network, run.FinalMembers)
+			}
+			if diff := memRun.MeanContinuity - run.MeanContinuity; diff > 0.3 || diff < -0.3 {
+				t.Errorf("continuity regimes diverge: mem=%v %s=%v", memRun.MeanContinuity, network, run.MeanContinuity)
+			}
+		})
 	}
 }
 
-// TestTCPSessionRejectsParallelEngine: the parallel engine's byte-identical
-// contract rests on MemNet's canonical merge; combining it with a TCP
-// transport must fail loudly, not silently degrade.
+// TestTCPSessionRejectsParallelEngine: the sharded engine's byte-identical
+// contract rests on MemNet's canonical merge; more than one worker over a
+// TCP transport must fail loudly, not silently degrade. One worker steps
+// inline and is accepted.
 func TestTCPSessionRejectsParallelEngine(t *testing.T) {
 	cfg := tcpSessionConfig(8)
 	cfg.Workers = 4
 	if _, err := NewSession(cfg); err == nil {
-		t.Fatal("parallel engine over TCP accepted")
+		t.Fatal("sharded engine over TCP accepted")
 	}
+	cfg.Workers = 1
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("one worker over TCP refused: %v", err)
+	}
+	s.Close()
 }
 
 // TestTCPSessionRejectsDirectDelivery: a TCPNet left in direct-delivery

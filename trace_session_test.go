@@ -42,7 +42,7 @@ func traceScenario(t *testing.T, name string, nodes, workers int) (*trace.Journa
 }
 
 // TestTraceSpansWellFormed: every exchange in a traced run — here the
-// accountability-heavy rejoin-attack, parallel engine — has a well-formed
+// accountability-heavy rejoin-attack, four workers — has a well-formed
 // span (exactly one open, one close, a terminal outcome, a parseable id),
 // and the monitoring/accusation path events all carry exchange ids.
 func TestTraceSpansWellFormed(t *testing.T) {
@@ -120,9 +120,9 @@ func TestTraceSeqMonotonicUnderParallelEngine(t *testing.T) {
 
 // TestTraceDeterministicAcrossWorkers: the deterministic event class is
 // byte-identical — as a canonical multiset, emission order being the only
-// scheduling freedom — between the serial engine and the parallel engine
-// at 1, 4 and 16 workers. run_config is the one record that legitimately
-// differs (it states the worker count and engine kind).
+// scheduling freedom — between workers 0 and workers 1, 4 and 16.
+// run_config is the one record that legitimately differs (it states the
+// worker count).
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	canonical := func(j *trace.Journal) []string {
 		var evs []trace.Event
