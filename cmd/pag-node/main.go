@@ -38,6 +38,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -57,39 +58,46 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command with its arguments and output streams passed in, so
+// tests drive exactly what a shell does.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pag-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		id      = flag.Uint("id", 0, "this node's id (from the roster)")
-		roster  = flag.String("roster", "", "path to the roster file: lines of '<id> <host:port>'")
-		rounds  = flag.Int("rounds", 30, "rounds to run before exiting")
-		stream  = flag.Int("stream", 300, "source bitrate in kbps (node 1 only)")
-		period  = flag.Duration("period", time.Second, "gossip period (round duration)")
-		seed    = flag.Uint64("seed", 1, "shared membership seed")
-		modBits = flag.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful)")
-		netKind = flag.String("net", "tcp", "transport: tcp (reliable streams) or udp (loss-tolerant datagrams; the exchange and judicial traffic ride an ack/retransmit layer)")
-		scFlag  = flag.String("scenario", "", "scripted timeline: canned scenario name or JSON file (all processes must pass the same value)")
-		members = flag.Int("members", 0, "founding member count: the lowest ids of the roster (0 = all; the rest are standby joiners for the scenario)")
-		metrics = flag.String("metrics", "", "serve this process's live metrics on this address (Prometheus /metrics, JSON /metrics.json, pprof /debug/pprof/; port 0 picks one)")
-		traceF  = flag.String("trace", "", "write this process's structured round-event trace (JSONL) to this file; journals from several processes merge in pag-trace by exchange id")
+		id      = fs.Uint("id", 0, "this node's id (from the roster)")
+		roster  = fs.String("roster", "", "path to the roster file: lines of '<id> <host:port>'")
+		rounds  = fs.Int("rounds", 30, "rounds to run before exiting")
+		stream  = fs.Int("stream", 300, "source bitrate in kbps (node 1 only)")
+		period  = fs.Duration("period", time.Second, "gossip period (round duration)")
+		seed    = fs.Uint64("seed", 1, "shared membership seed")
+		modBits = fs.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful)")
+		scFlag  = fs.String("scenario", "", "scripted timeline: canned scenario name or JSON file (all processes must pass the same value)")
+		members = fs.Int("members", 0, "founding member count: the lowest ids of the roster (0 = all; the rest are standby joiners for the scenario)")
+		metrics = fs.String("metrics", "", "serve this process's live metrics on this address (Prometheus /metrics, JSON /metrics.json, pprof /debug/pprof/; port 0 picks one)")
+		traceF  = fs.String("trace", "", "write this process's structured round-event trace (JSONL) to this file; journals from several processes merge in pag-trace by exchange id")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *id == 0 || *roster == "" {
-		fmt.Fprintln(os.Stderr, "pag-node: -id and -roster are required")
-		flag.Usage()
+		fmt.Fprintln(stderr, "pag-node: -id and -roster are required")
+		fs.Usage()
 		return 2
 	}
 
 	book, err := readRoster(*roster)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pag-node:", err)
+		fmt.Fprintln(stderr, "pag-node:", err)
 		return 1
 	}
 	self := model.NodeID(*id)
 	if _, ok := book[self]; !ok {
-		fmt.Fprintf(os.Stderr, "pag-node: id %d not in roster\n", *id)
+		fmt.Fprintf(stderr, "pag-node: id %d not in roster\n", *id)
 		return 1
 	}
 
@@ -98,7 +106,7 @@ func run() int {
 	// the roster is a misconfiguration (likely a truncated roster file),
 	// not a default to silently fall back from.
 	if *members > len(book) {
-		fmt.Fprintf(os.Stderr, "pag-node: -members %d exceeds the %d-node roster\n", *members, len(book))
+		fmt.Fprintf(stderr, "pag-node: -members %d exceeds the %d-node roster\n", *members, len(book))
 		return 2
 	}
 	founding := *members
@@ -114,7 +122,7 @@ func run() int {
 		// the roster is standby capacity for its join events.
 		loaded, err := loadScenario(*scFlag, founding, *stream, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pag-node:", err)
+			fmt.Fprintln(stderr, "pag-node:", err)
 			return 1
 		}
 		sc = &loaded
@@ -123,8 +131,8 @@ func run() int {
 		}
 	}
 
-	if err := runNode(self, book, *rounds, *stream, *period, *seed, *modBits, sc, founding, *metrics, *traceF, *netKind); err != nil {
-		fmt.Fprintln(os.Stderr, "pag-node:", err)
+	if err := runNode(stdout, self, book, *rounds, *stream, *period, *seed, *modBits, sc, founding, *metrics, *traceF); err != nil {
+		fmt.Fprintln(stderr, "pag-node:", err)
 		return 1
 	}
 	return 0
@@ -153,10 +161,11 @@ func loadScenario(nameOrPath string, rosterSize, streamKbps int, seed uint64) (s
 	return sc, nil
 }
 
-// runNode assembles and drives one socket node to completion.
-func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps int,
+// runNode assembles and drives one socket node to completion, printing
+// its progress to out.
+func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rounds, streamKbps int,
 	period time.Duration, seed uint64, modBits int, sc *scenario.Scenario, founding int,
-	metricsAddr, traceFile, netKind string) error {
+	metricsAddr, traceFile string) error {
 	ids := make([]model.NodeID, 0, len(book))
 	for id := range book {
 		ids = append(ids, id)
@@ -174,7 +183,7 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 			return fmt.Errorf("metrics: %w", err)
 		}
 		defer func() { _ = srv.Close() }()
-		fmt.Printf("[%v] metrics on http://%s/metrics\n", self, srv.Addr())
+		fmt.Fprintf(out, "[%v] metrics on http://%s/metrics\n", self, srv.Addr())
 	}
 
 	// The trace journal is per-process too: each node writes its own
@@ -225,15 +234,7 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 		return err
 	}
 
-	var net transport.FaultyNetwork
-	switch netKind {
-	case "tcp", "":
-		net = transport.NewTCPNet(book)
-	case "udp":
-		net = transport.NewUDPNet(book)
-	default:
-		return fmt.Errorf("unknown transport %q (tcp|udp)", netKind)
-	}
+	net := transport.NewTCPNet(book)
 	net.Faults().Instrument(reg, tr)
 	// The link queues' expiry deadline follows the deployment's playout
 	// window — the TTL its source streams with (NewSource defaults to
@@ -244,6 +245,7 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 	defer func() { _ = net.Close() }()
 
 	d := &deployment{
+		out:        out,
 		self:       self,
 		net:        net,
 		reg:        reg,
@@ -286,11 +288,11 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 			return err
 		}
 		timeline.Instrument(tr)
-		fmt.Printf("[%v] scenario %q: %d rounds, %d founding members, %d standby\n",
+		fmt.Fprintf(out, "[%v] scenario %q: %d rounds, %d founding members, %d standby\n",
 			self, sc.Name, sc.Rounds, len(foundingIDs), len(standby))
 	}
 
-	fmt.Printf("[%v] joined %d-node deployment, %d rounds at %v\n",
+	fmt.Fprintf(out, "[%v] joined %d-node deployment, %d rounds at %v\n",
 		self, len(ids), rounds, period)
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
@@ -344,15 +346,15 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 				failed++
 			}
 		}
-		fmt.Printf("[%v] scenario journal: %d events (%d failed), dropped %d on the wire (%d deferred by caps, %d expired queued)\n",
+		fmt.Fprintf(out, "[%v] scenario journal: %d events (%d failed), dropped %d on the wire (%d deferred by caps, %d expired queued)\n",
 			self, applied, failed, net.Dropped(), net.Faults().Deferred(), net.Faults().CapExpired())
 	}
 	if d.node != nil {
 		st := d.node.Stats()
-		fmt.Printf("[%v] done: delivered %d updates, %d hash ops, %d signatures\n",
+		fmt.Fprintf(out, "[%v] done: delivered %d updates, %d hash ops, %d signatures\n",
 			self, st.UpdatesDelivered, st.HashOps, st.SigOps)
 	} else {
-		fmt.Printf("[%v] done: departed or never joined; delivered %d updates before leaving\n",
+		fmt.Fprintf(out, "[%v] done: departed or never joined; delivered %d updates before leaving\n",
 			self, d.player.Delivered())
 	}
 	return nil
@@ -364,8 +366,9 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 // applies the identical event stream; only the self-targeted effects
 // (activation, deregistration, behavior flips) differ per process.
 type deployment struct {
+	out        io.Writer // progress and verdict lines
 	self       model.NodeID
-	net        transport.FaultyNetwork
+	net        *transport.TCPNet
 	reg        *obs.Registry // nil without -metrics
 	tr         *obs.Tracer   // nil without -trace
 	dir        *membership.Directory
@@ -416,7 +419,7 @@ func (d *deployment) activate() error {
 		Trace:      d.tr,
 		OnDeliver:  d.player.OnDeliver,
 		Verdicts: func(v core.Verdict) {
-			fmt.Printf("[%v] VERDICT %v\n", d.self, v)
+			fmt.Fprintf(d.out, "[%v] VERDICT %v\n", d.self, v)
 		},
 	})
 	if err != nil {
@@ -463,7 +466,7 @@ func (d *deployment) Join(r model.Round, id model.NodeID) (model.NodeID, error) 
 		if err := d.activate(); err != nil {
 			return model.NoNode, err
 		}
-		fmt.Printf("[%v] joined the deployment at round %v\n", d.self, r)
+		fmt.Fprintf(d.out, "[%v] joined the deployment at round %v\n", d.self, r)
 	}
 	return id, nil
 }
@@ -520,7 +523,7 @@ func (d *deployment) depart(id model.NodeID, r model.Round) {
 	if id == d.self {
 		d.net.Unregister(d.self)
 		d.node = nil
-		fmt.Printf("[%v] departed at round %v\n", d.self, r)
+		fmt.Fprintf(d.out, "[%v] departed at round %v\n", d.self, r)
 	}
 }
 

@@ -71,9 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		scName    = fs.String("scenario", "", "canned scenario name (see -list)")
-		name      = fs.String("name", "", "alias of -scenario (kept for compatibility)")
 		file      = fs.String("file", "", "scenario JSON file (overrides -scenario)")
-		netKind   = fs.String("net", "mem", "transport: mem (deterministic in-memory), tcp (loopback sockets) or udp (loss-tolerant datagrams)")
+		netKind   = fs.String("net", "mem", "transport: mem (deterministic in-memory) or tcp (loopback sockets)")
 		protocols = fs.String("protocol", "all", "pag|acting|rac|all")
 		nodes     = fs.Int("nodes", 16, "initial system size, including the source")
 		stream    = fs.Int("stream", 60, "stream bitrate in kbps")
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 7, "session seed; also drives a canned scenario's timeline (a -file scenario's own seed wins)")
 		threshold = fs.Int("threshold", 1, "verdict count that counts as a conviction")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0),
-			"round-engine workers (0 or 1 steps inline, more shard the nodes — in-memory transport only; results are byte-identical either way; forced 0 with -net tcp|udp)")
+			"round-engine workers (0 or 1 steps inline, more shard the nodes — in-memory transport only; results are byte-identical either way; forced 0 with -net tcp)")
 		dump    = fs.Bool("dump", false, "print the scenario JSON instead of running it")
 		list    = fs.Bool("list", false, "list canned scenarios")
 		metrics = fs.String("metrics", "", "serve live metrics on this address (e.g. 127.0.0.1:9100; port 0 picks one): Prometheus text on /metrics, JSON on /metrics.json, pprof on /debug/pprof/")
@@ -93,10 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
-	if *scName == "" {
-		*scName = *name
-	}
-
 	if *list {
 		for _, n := range scenario.Names() {
 			sc, _ := scenario.ByName(n, *nodes, *stream)
@@ -184,19 +179,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tn.SetStepped(2 * time.Second)
 			return tn
 		}
-	case "udp":
-		// Loopback datagrams: the loss-tolerant stream path. Monitoring
-		// traffic is fire-and-forget; the 5-message exchange and the
-		// judicial chain ride the ack/retransmit layer.
-		cfg.Workers = 0
-		cfg.NewNetwork = func() transport.FaultyNetwork {
-			un := transport.NewUDPNet(nil)
-			un.SetDynamic("127.0.0.1")
-			un.SetStepped(2 * time.Second)
-			return un
-		}
 	default:
-		fmt.Fprintf(stderr, "pag-scenario: unknown transport %q (mem|tcp|udp)\n", *netKind)
+		fmt.Fprintf(stderr, "pag-scenario: unknown transport %q (mem|tcp)\n", *netKind)
 		return 2
 	}
 
@@ -229,6 +213,6 @@ func loadScenario(file, name string, nodes, streamKbps int) (scenario.Scenario, 
 	case name != "":
 		return scenario.ByName(name, nodes, streamKbps)
 	default:
-		return scenario.Scenario{}, fmt.Errorf("pass -name or -file (or -list)")
+		return scenario.Scenario{}, fmt.Errorf("pass -scenario or -file (or -list)")
 	}
 }

@@ -30,12 +30,11 @@ const maxBatchBytes = 256 << 10
 type IOStats struct {
 	FramesOut uint64 // logical frames enqueued for the wire
 	FramesIn  uint64 // logical frames decoded off the wire
-	Writes    uint64 // socket write syscalls (flushes with data / datagrams)
+	Writes    uint64 // socket write syscalls (flushes with data)
 	Reads     uint64 // socket read syscalls that returned data
 	BytesOut  uint64 // bytes handed to write syscalls
 	BytesIn   uint64 // bytes returned by read syscalls
-	Jumbo     uint64 // aggregate frames written (TCP) / container datagrams holding >1 frame (UDP)
-	Retrans   uint64 // UDP reliable-frame retransmissions
+	Jumbo     uint64 // aggregate frames written (flushes of more than one frame)
 }
 
 // ioCounters is the atomic accumulator behind IOStats.
@@ -43,7 +42,7 @@ type ioCounters struct {
 	framesOut, framesIn atomic.Uint64
 	writes, reads       atomic.Uint64
 	bytesOut, bytesIn   atomic.Uint64
-	jumbo, retrans      atomic.Uint64
+	jumbo               atomic.Uint64
 }
 
 func (c *ioCounters) snapshot() IOStats {
@@ -55,7 +54,6 @@ func (c *ioCounters) snapshot() IOStats {
 		BytesOut:  c.bytesOut.Load(),
 		BytesIn:   c.bytesIn.Load(),
 		Jumbo:     c.jumbo.Load(),
-		Retrans:   c.retrans.Load(),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,7 +111,6 @@ func ioDelta(before, after IOStats) IOStats {
 		BytesOut:  after.BytesOut - before.BytesOut,
 		BytesIn:   after.BytesIn - before.BytesIn,
 		Jumbo:     after.Jumbo - before.Jumbo,
-		Retrans:   after.Retrans - before.Retrans,
 	}
 }
 
@@ -265,17 +263,18 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 	if len(arenas) < 2 { // a pooled arena may be up to 256 KB
 		t.Fatalf("320 KB of queued payloads sat in %d arena", len(arenas))
 	}
-	var delivered atomic.Uint64
+	tn := newSteppedTCP(t)
 	handled := 0
-	drainQueued(queued, func(model.NodeID) Handler {
-		return func(m Message) {
-			if !bytes.Equal(m.Payload, body(handled)) {
-				t.Errorf("payload %d changed under its handler", handled)
-			}
-			handled++
+	if _, err := tn.Register(2, func(m Message) {
+		if !bytes.Equal(m.Payload, body(handled)) {
+			t.Errorf("payload %d changed under its handler", handled)
 		}
-	}, &delivered)
-	if handled != frames || delivered.Load() != frames {
+		handled++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tn.inbox = queued
+	if !tn.drainInbox() || handled != frames || tn.delivered.Load() != frames {
 		t.Fatalf("handled %d of %d", handled, frames)
 	}
 	for a := range arenas {

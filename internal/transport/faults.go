@@ -731,8 +731,7 @@ type FaultyNetwork interface {
 	Dropped() uint64
 	// TotalTraffic sums all per-node traffic counters.
 	TotalTraffic() Traffic
-	// Name identifies the transport ("mem", "tcp" or "udp") for run
-	// metadata.
+	// Name identifies the transport ("mem" or "tcp") for run metadata.
 	Name() string
 	// Close releases the transport's resources (no-op for MemNet).
 	Close() error
@@ -741,5 +740,4 @@ type FaultyNetwork interface {
 var (
 	_ FaultyNetwork = (*MemNet)(nil)
 	_ FaultyNetwork = (*TCPNet)(nil)
-	_ FaultyNetwork = (*UDPNet)(nil)
 )

@@ -10,11 +10,10 @@ import (
 	"repro/internal/model"
 )
 
-// Fuzz coverage for the three wire decoders — the TCP stream framer, the
-// jumbo aggregate codec and the UDP container codec. The contract under
-// fuzzing: arbitrary input may error, but must never panic, over-read
-// (every yielded body stays inside the input), or fabricate lengths that
-// disagree with the header.
+// Fuzz coverage for the two wire decoders — the TCP stream framer and the
+// jumbo aggregate codec. The contract under fuzzing: arbitrary input may
+// error, but must never panic, over-read (every yielded body stays inside
+// the input), or fabricate lengths that disagree with the header.
 
 // buildFrame encodes one ordinary frame.
 func buildFrame(from, to model.NodeID, kind uint8, payload []byte) []byte {
@@ -115,58 +114,6 @@ func FuzzJumboDecode(f *testing.F) {
 	})
 }
 
-// udpCorpus seeds the container decoder with valid datagrams and every
-// header-level lie.
-func udpCorpus() [][]byte {
-	sub := func(to model.NodeID, kind, flags uint8, seq uint32, body []byte) []byte {
-		b := make([]byte, udpSubHeader+len(body))
-		binary.BigEndian.PutUint32(b[0:], uint32(to))
-		b[4], b[5] = kind, flags
-		binary.BigEndian.PutUint32(b[6:], seq)
-		binary.BigEndian.PutUint32(b[10:], uint32(len(body)))
-		copy(b[udpSubHeader:], body)
-		return b
-	}
-	container := func(from model.NodeID, subs ...[]byte) []byte {
-		b := make([]byte, udpContainerHeader)
-		binary.BigEndian.PutUint32(b[0:], uint32(from))
-		binary.BigEndian.PutUint16(b[4:], uint16(len(subs)))
-		for _, s := range subs {
-			b = append(b, s...)
-		}
-		return b
-	}
-	liar := sub(2, 1, udpFlagReliable, 7, []byte("body"))
-	binary.BigEndian.PutUint32(liar[10:], 4000) // length past the datagram
-	return [][]byte{
-		{},
-		{0x01, 0x02, 0x03},
-		container(1),
-		container(1, sub(2, 1, udpFlagReliable, 1, []byte("hi"))),
-		container(1, sub(2, 6, 0, 0, nil), sub(2, 11, udpFlagReliable, 2, []byte("x"))),
-		container(1, sub(2, 0, udpFlagAck, 0, []byte{0, 0, 0, 9})),
-		container(9, liar),
-		append(container(1, sub(2, 1, 0, 1, []byte("t"))), 0xFF), // trailing byte
-		container(3)[:5], // truncated container header
-	}
-}
-
-// FuzzUDPContainerDecode: arbitrary datagrams may error but never panic
-// or yield a body outside the input.
-func FuzzUDPContainerDecode(f *testing.F) {
-	for _, seed := range udpCorpus() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = decodeUDPContainer(data, func(from model.NodeID, s udpSub) error {
-			if len(s.body) > len(data) {
-				t.Fatalf("body of %d bytes out of a %d-byte datagram", len(s.body), len(data))
-			}
-			return nil
-		})
-	})
-}
-
 // TestFrameDecoderRejections pins the decoders' verdicts on the corpus's
 // canonical violations — the deterministic core the fuzzers explore
 // around.
@@ -196,14 +143,6 @@ func TestFrameDecoderRejections(t *testing.T) {
 	for name, payload := range jumboCases {
 		if err := decodeJumbo(payload, 2, func(frameHeader, []byte) error { return nil }); !errors.Is(err, errBadFrame) {
 			t.Errorf("jumbo %s: got %v, want errBadFrame", name, err)
-		}
-	}
-
-	// A sub-frame length past the datagram and trailing garbage both fail
-	// the container decoder.
-	for _, bad := range [][]byte{udpCorpus()[6], udpCorpus()[7], udpCorpus()[8]} {
-		if err := decodeUDPContainer(bad, func(model.NodeID, udpSub) error { return nil }); !errors.Is(err, errBadFrame) {
-			t.Errorf("container %x: got %v, want errBadFrame", bad, err)
 		}
 	}
 }

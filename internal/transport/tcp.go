@@ -496,31 +496,26 @@ type queuedDelivery struct {
 	arena *wire.Arena
 }
 
-// drainQueued hands a wave of queued messages to their handlers on the
+// drainInbox hands the currently queued messages to their handlers on the
 // calling goroutine, giving each arena reference back as its handler
-// returns, and clears the wave. Handler resolution happens per message,
-// so a destination unregistered while queued is silently discarded (its
-// receive was already charged — same contract as MemNet).
-func drainQueued(wave []queuedDelivery, handlerOf func(model.NodeID) Handler, delivered *atomic.Uint64) {
-	for _, q := range wave {
-		if h := handlerOf(q.msg.To); h != nil {
-			h(q.msg)
-			delivered.Add(1)
-		}
-		q.arena.Release()
-	}
-	clear(wave)
-}
-
-// drainInbox delivers the currently queued messages and reports whether
-// it delivered any. DeliverAll is its only caller, one goroutine at a
-// time, which is what lets the two inbox arrays swap without allocating.
+// returns, and reports whether it drained any. Handler resolution happens
+// per message, so a destination unregistered while queued is silently
+// discarded (its receive was already charged — same contract as MemNet).
+// DeliverAll is its only caller, one goroutine at a time, which is what
+// lets the two inbox arrays swap without allocating.
 func (t *TCPNet) drainInbox() bool {
 	t.inboxMu.Lock()
 	wave := t.inbox
 	t.inbox = t.spare[:0]
 	t.inboxMu.Unlock()
-	drainQueued(wave, t.handlerOf, &t.delivered)
+	for _, q := range wave {
+		if h := t.handlerOf(q.msg.To); h != nil {
+			h(q.msg)
+			t.delivered.Add(1)
+		}
+		q.arena.Release()
+	}
+	clear(wave)
 	t.spare = wave
 	return len(wave) > 0
 }

@@ -156,53 +156,6 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	}
 }
 
-// TestUDPFaultCountersMatchMemNet runs the identical scripted timeline
-// over loopback datagrams: the deterministic queue machinery (deferral,
-// expiry) must agree exactly with MemNet under container batching and
-// the ack/retransmit layer, loss statistically.
-func TestUDPFaultCountersMatchMemNet(t *testing.T) {
-	const msgsPerPair = 10
-
-	mem := NewMemNet()
-	memGot := faultScript(t, mem, msgsPerPair)
-
-	un := NewUDPNet(nil)
-	un.SetDynamic("127.0.0.1")
-	un.SetStepped(5 * time.Second)
-	defer func() { _ = un.Close() }()
-	udpGot := faultScript(t, un, msgsPerPair)
-
-	lossSends := 12 * msgsPerPair * 4
-	tolerance := uint64(float64(lossSends) * 0.15)
-	memDrops, udpDrops := mem.Dropped(), un.Dropped()
-	diff := memDrops - udpDrops
-	if udpDrops > memDrops {
-		diff = udpDrops - memDrops
-	}
-	if diff > tolerance {
-		t.Errorf("drop counters diverge beyond tolerance: mem=%d udp=%d (tolerance %d)",
-			memDrops, udpDrops, tolerance)
-	}
-	if mem.Deferred() != un.Deferred() {
-		t.Errorf("deferral counters diverge: mem=%d udp=%d", mem.Deferred(), un.Deferred())
-	}
-	if mem.CapExpired() != un.CapExpired() {
-		t.Errorf("expiry counters diverge: mem=%d udp=%d", mem.CapExpired(), un.CapExpired())
-	}
-	if d := un.Faults().QueueDepth(); d != 0 {
-		t.Errorf("udp queue depth %d after the uncapped drain, want 0", d)
-	}
-	for i := 1; i < len(memGot); i++ {
-		d := memGot[i] - udpGot[i]
-		if d < 0 {
-			d = -d
-		}
-		if uint64(d) > tolerance {
-			t.Errorf("node %d deliveries diverge: mem=%d udp=%d", i, memGot[i], udpGot[i])
-		}
-	}
-}
-
 // TestTCPSteppedDeliveryFollowsCascade: in stepped mode DeliverAll must
 // run handlers on the calling goroutine and follow send cascades to
 // quiescence — the round engine's delivery contract.

@@ -75,16 +75,3 @@ func (a *Arena) Release() {
 		arenaPool.Put(a)
 	}
 }
-
-// LossTolerant reports whether frames of the given wire kind may ride a
-// fire-and-forget transport. Per §V the live stream itself tolerates
-// loss: the monitoring-plane traffic (ack copies, attestation forwards,
-// hash shares, ack forwards, self-check digests — kinds 6..10) is sent
-// every round and is self-healing across rounds. Everything else — the
-// 5-message exchange that carries actual stream content and keys, the
-// judicial/accusation chain whose absence forges evidence of silence,
-// and any kind this package does not know (other protocol planes) —
-// must be retransmitted until acknowledged.
-func LossTolerant(kind uint8) bool {
-	return kind >= KindAckCopy && kind <= KindNodeDigest
-}

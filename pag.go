@@ -165,8 +165,8 @@ type SessionConfig struct {
 	Workers int
 	// NewNetwork optionally supplies the session's transport (called once
 	// per session, so one config can build several sessions on fresh
-	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet or
-	// UDPNet in stepped mode (SetStepped — required, NewSession rejects a
+	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet in
+	// stepped mode (SetStepped — required, NewSession rejects a
 	// direct-delivery one) runs the same session over real sockets with
 	// Workers 0 or 1. Socket runs trade byte-identical replay for
 	// statistical equivalence: the fault plane is consulted in wall-clock

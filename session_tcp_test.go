@@ -25,7 +25,7 @@ func tcpSessionConfig(nodes int) SessionConfig {
 }
 
 // TestTCPSessionScenarioReport: the acceptance path — a scripted scenario
-// session runs entirely over loopback sockets, TCP and UDP, and produces a
+// session runs entirely over loopback TCP sockets and produces a
 // report with populated continuity/verdict metrics, structurally comparable
 // to the MemNet report of the same script: same journal length (the
 // timeline is seed-driven and transport-independent), same final
@@ -45,45 +45,34 @@ func TestTCPSessionScenarioReport(t *testing.T) {
 	}
 	memRun := memReport.Protocols[0]
 
-	for _, network := range []string{"tcp", "udp"} {
-		t.Run(network, func(t *testing.T) {
-			cfg := tcpSessionConfig(nodes)
-			if network == "udp" {
-				cfg.NewNetwork = func() transport.FaultyNetwork {
-					un := transport.NewUDPNet(nil)
-					un.SetDynamic("127.0.0.1")
-					un.SetStepped(5 * time.Second)
-					return un
-				}
-			}
-			report, err := RunScenarioReport(cfg, sc, []Protocol{ProtocolPAG}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if report.Engine == nil || report.Engine.Transport != network || report.Engine.Workers != 1 {
-				t.Fatalf("engine metadata %+v, want one worker over %s", report.Engine, network)
-			}
-			run := report.Protocols[0]
-			if run.MeanContinuity <= 0.5 {
-				t.Errorf("continuity %v over loopback; the stream did not flow", run.MeanContinuity)
-			}
-			if run.MeanBandwidthKbps <= 0 {
-				t.Errorf("bandwidth %v; traffic accounting did not reach the report", run.MeanBandwidthKbps)
-			}
-			if len(run.Epochs) == 0 {
-				t.Error("no epochs recorded under churn")
-			}
-			if len(run.Journal) == 0 || len(run.Journal) != len(memRun.Journal) {
-				t.Errorf("journal lengths: mem=%d %s=%d", len(memRun.Journal), network, len(run.Journal))
-			}
-			if run.FinalMembers != memRun.FinalMembers {
-				t.Errorf("final members diverge: mem=%d %s=%d", memRun.FinalMembers, network, run.FinalMembers)
-			}
-			if diff := memRun.MeanContinuity - run.MeanContinuity; diff > 0.3 || diff < -0.3 {
-				t.Errorf("continuity regimes diverge: mem=%v %s=%v", memRun.MeanContinuity, network, run.MeanContinuity)
-			}
-		})
-	}
+	t.Run("tcp", func(t *testing.T) {
+		report, err := RunScenarioReport(tcpSessionConfig(nodes), sc, []Protocol{ProtocolPAG}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Engine == nil || report.Engine.Transport != "tcp" || report.Engine.Workers != 1 {
+			t.Fatalf("engine metadata %+v, want one worker over tcp", report.Engine)
+		}
+		run := report.Protocols[0]
+		if run.MeanContinuity <= 0.5 {
+			t.Errorf("continuity %v over loopback; the stream did not flow", run.MeanContinuity)
+		}
+		if run.MeanBandwidthKbps <= 0 {
+			t.Errorf("bandwidth %v; traffic accounting did not reach the report", run.MeanBandwidthKbps)
+		}
+		if len(run.Epochs) == 0 {
+			t.Error("no epochs recorded under churn")
+		}
+		if len(run.Journal) == 0 || len(run.Journal) != len(memRun.Journal) {
+			t.Errorf("journal lengths: mem=%d tcp=%d", len(memRun.Journal), len(run.Journal))
+		}
+		if run.FinalMembers != memRun.FinalMembers {
+			t.Errorf("final members diverge: mem=%d tcp=%d", memRun.FinalMembers, run.FinalMembers)
+		}
+		if diff := memRun.MeanContinuity - run.MeanContinuity; diff > 0.3 || diff < -0.3 {
+			t.Errorf("continuity regimes diverge: mem=%v tcp=%v", memRun.MeanContinuity, run.MeanContinuity)
+		}
+	})
 }
 
 // TestTCPSessionRejectsParallelEngine: the sharded engine's byte-identical
