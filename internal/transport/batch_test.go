@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,6 +101,139 @@ func TestTCPFlushPerPhase(t *testing.T) {
 	}
 	if d.Jumbo != d.Writes {
 		t.Fatalf("every multi-frame flush should be a jumbo: %d jumbo vs %d writes", d.Jumbo, d.Writes)
+	}
+}
+
+// TestTCPFlushAllocatesNothing: once a connection is up, a stepped phase —
+// frames enqueued to one destination, then FlushAll — allocates nothing:
+// the writer keeps the payloads it was given instead of copying them, its
+// header slab, frame list and write vector keep their capacity, and the
+// mux swaps its pending list with a spare.
+func TestTCPFlushAllocatesNothing(t *testing.T) {
+	tn, ep := tapNode(t, func([]byte) {})
+	payload := bytes.Repeat([]byte{0x5A}, 700)
+	phase := func() {
+		for k := 0; k < 8; k++ {
+			if err := ep.Send(tapID, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tn.FlushAll()
+	}
+	phase() // dial, and grow every array to the phase's size
+	before := tn.IOStats()
+	if allocs := testing.AllocsPerRun(50, phase); allocs != 0 {
+		t.Fatalf("a steady-state phase allocated %.1f times", allocs)
+	}
+	if d := ioDelta(before, tn.IOStats()); d.Writes != 51 || d.Jumbo != 51 {
+		t.Fatalf("51 phases made %d writes, %d jumbo", d.Writes, d.Jumbo)
+	}
+}
+
+// TestTCPFlushAllConcurrentSenders: writers join the mux's pending list
+// from many sending goroutines while two others run FlushAll passes; every
+// frame is written exactly once and arrives.
+func TestTCPFlushAllConcurrentSenders(t *testing.T) {
+	tn := newSteppedTCP(t)
+	const senders, dests, frames = 4, 3, 200
+	var mu sync.Mutex
+	got := 0
+	eps := make([]Endpoint, senders)
+	for i := range eps {
+		ep, err := tn.Register(model.NodeID(i+1), func(Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep
+	}
+	for d := 0; d < dests; d++ {
+		if _, err := tn.Register(model.NodeID(100+d), func(Message) {
+			mu.Lock()
+			got++
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sending, flushing sync.WaitGroup
+	stop := make(chan struct{})
+	for f := 0; f < 2; f++ {
+		flushing.Add(1)
+		go func() {
+			defer flushing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tn.FlushAll()
+				}
+			}
+		}()
+	}
+	for _, ep := range eps {
+		sending.Add(1)
+		go func() {
+			defer sending.Done()
+			for k := 0; k < frames; k++ {
+				if err := ep.Send(model.NodeID(100+k%dests), 1, []byte{byte(k)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	sending.Wait()
+	close(stop)
+	flushing.Wait()
+	tn.DeliverAll()
+	mu.Lock()
+	defer mu.Unlock()
+	if want := senders * frames; got != want || tn.IOStats().FramesOut != uint64(want) {
+		t.Fatalf("delivered %d of %d frames (%d enqueued)", got, want, tn.IOStats().FramesOut)
+	}
+}
+
+// TestTCPFlushLeavesDeadIdleWriterToEnqueue: FlushAll passes skip a cached
+// writer with nothing pending even when its connection is dead; the next
+// Send through it meets the sticky error, is refunded, and drops the
+// writer, so the Send after that re-dials and is delivered.
+func TestTCPFlushLeavesDeadIdleWriterToEnqueue(t *testing.T) {
+	tn := newSteppedTCP(t)
+	var got atomic.Int64
+	ep1, err := tn.Register(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Register(2, func(Message) { got.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep1.Send(2, 1, []byte("up")); err != nil {
+		t.Fatal(err)
+	}
+	tn.DeliverAll()
+	w, err := tn.mux.get(tn.book[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.fail(errors.New("connection died while idle"))
+	tn.FlushAll()
+	sent := tn.TrafficOf(1)
+	if err := ep1.Send(2, 1, []byte("lost")); err == nil {
+		t.Fatal("a send through a dead writer succeeded")
+	}
+	if tr := tn.TrafficOf(1); tr != sent {
+		t.Fatalf("the failed send stayed charged: %+v, was %+v", tr, sent)
+	}
+	if next, err := tn.mux.get(tn.book[2]); err != nil || next == w {
+		t.Fatalf("the dead writer is still cached (%v)", err)
+	}
+	if err := ep1.Send(2, 1, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	tn.DeliverAll()
+	if got.Load() != 2 {
+		t.Fatalf("node 2 got %d messages, want 2", got.Load())
 	}
 }
 
@@ -220,7 +356,9 @@ func TestTCPBatchOverflowFlushesMidPhase(t *testing.T) {
 // TestFrameReaderArenaOwnership: the reader recycles its arena in place
 // while no payload of it is queued, moves to a fresh one — leaving the
 // queued payloads intact — while one is, and the arena left behind is free
-// again once those payloads have been handled.
+// again once those payloads have been handled. An arena of a larger size
+// class serves a large frame and is given up as soon as the reader is idle;
+// releasing it never hands a default-size request a large buffer.
 func TestFrameReaderArenaOwnership(t *testing.T) {
 	const frames = 80
 	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 4000) }
@@ -260,7 +398,7 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 			t.Fatalf("queued payload %d was overwritten before it was handled", i)
 		}
 	}
-	if len(arenas) < 2 { // a pooled arena may be up to 256 KB
+	if len(arenas) < 2 {
 		t.Fatalf("320 KB of queued payloads sat in %d arena", len(arenas))
 	}
 	tn := newSteppedTCP(t)
@@ -282,4 +420,50 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 			t.Fatal("an arena is still referenced after its wave was handled")
 		}
 	}
+
+	// A frame larger than the default arena moves the reader up a size
+	// class; once it has consumed what it read it is back on a default
+	// arena, while the large one waits for its queued payload.
+	large := bytes.Repeat([]byte{0x4C}, wire.ArenaSize+wire.ArenaSize/4)
+	fr = newFrameReader(&chunkReader{chunks: [][]byte{buildFrame(1, 2, 7, large), buildFrame(1, 2, 7, body(0))}})
+	defer fr.close()
+	_, payload, err := fr.next()
+	if err != nil || !bytes.Equal(payload, large) {
+		t.Fatalf("large frame: %v", err)
+	}
+	big := fr.arena
+	if len(big.Bytes()) <= wire.ArenaSize {
+		t.Fatalf("a %d-byte frame was read into a %d-byte arena", len(large), len(big.Bytes()))
+	}
+	big.Retain() // queued, as stepped delivery queues it
+	if _, small, err := fr.next(); err != nil || !bytes.Equal(small, body(0)) {
+		t.Fatalf("frame after the large one: %v", err)
+	}
+	if len(fr.arena.Bytes()) != wire.ArenaSize {
+		t.Fatalf("an idle reader holds a %d-byte arena, want the default %d", len(fr.arena.Bytes()), wire.ArenaSize)
+	}
+	if !bytes.Equal(payload, large) {
+		t.Fatal("the queued large payload was overwritten")
+	}
+	big.Release() // its handler returned: the large arena goes back to its pool
+	if a := wire.GetArena(wire.ArenaSize); len(a.Bytes()) != wire.ArenaSize {
+		t.Fatalf("a default request got a %d-byte arena", len(a.Bytes()))
+	} else {
+		a.Release()
+	}
+}
+
+// chunkReader returns its chunks one per Read, the way a socket returns
+// what one flush wrote.
+type chunkReader struct{ chunks [][]byte }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
 }

@@ -103,7 +103,10 @@ func decodeJumbo(payload []byte, to model.NodeID, fn func(frameHeader, []byte) e
 // fill read drains everything the kernel has buffered — many frames per
 // syscall, the portable batch-receive path. A consumer that queues a
 // payload retains the arena for it; the arena is recycled when the reader
-// has moved on and the last such payload has been handled.
+// has moved on and the last such payload has been handled. A frame too
+// large for the default arena moves the reader to a larger size class;
+// once the reader has consumed everything it read, it trades that arena
+// back for a default one, so an idle reader holds ArenaSize bytes.
 type frameReader struct {
 	src   io.Reader
 	arena *wire.Arena
@@ -146,6 +149,13 @@ func (fr *frameReader) next() (frameHeader, []byte, error) {
 // carrying the unconsumed tail over; the old arena returns to the pool
 // once its queued payloads have been handled.
 func (fr *frameReader) ensure(n int) error {
+	if fr.r == fr.w && len(fr.buf) > wire.ArenaSize {
+		// Nothing left unread on an arena sized for an earlier large
+		// frame: go back to the default class before the next read.
+		fr.arena.Release()
+		fr.arena = wire.GetArena(wire.ArenaSize)
+		fr.buf, fr.r, fr.w = fr.arena.Bytes(), 0, 0
+	}
 	for fr.w-fr.r < n {
 		if fr.r+n > len(fr.buf) {
 			fr.switchArena(n)
@@ -169,7 +179,7 @@ func (fr *frameReader) switchArena(n int) {
 		fr.r, fr.w = 0, pending
 		return
 	}
-	next := wire.GetArena(max(n, wire.ArenaSize))
+	next := wire.GetArena(n)
 	nb := next.Bytes()
 	copy(nb, fr.buf[fr.r:fr.w])
 	fr.arena.Release()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // Fuzz coverage for the two wire decoders — the TCP stream framer and the
@@ -64,6 +65,15 @@ func FuzzTCPFrameReader(f *testing.F) {
 	for _, seed := range frameCorpus() {
 		f.Add(seed)
 	}
+	// Payloads whose frames sit at each arena size class's boundary
+	// (header included, exactly, one over) and one past the largest class.
+	for k := 0; k < 4; k++ {
+		class := wire.ArenaSize << k
+		for _, n := range []int{class - _tcpFrameHeader, class, class + 1} {
+			f.Add(buildFrame(1, 2, 3, bytes.Repeat([]byte{byte(k)}, n)))
+		}
+	}
+	f.Add(buildFrame(1, 2, 3, make([]byte, 256<<10+1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := newFrameReader(bytes.NewReader(data))
 		defer fr.close()

@@ -17,17 +17,11 @@ import (
 // with singleflight per address — concurrent senders to a cold
 // destination wait on one dial instead of racing their own.
 
-// muxConn is one shared outbound connection and its batching writer.
-type muxConn struct {
-	conn net.Conn
-	w    *connWriter
-}
-
 // dialCall is a singleflight slot: the first caller dials, later callers
 // wait on done.
 type dialCall struct {
 	done chan struct{}
-	mc   *muxConn
+	w    *connWriter
 	err  error
 }
 
@@ -36,32 +30,38 @@ type connMux struct {
 	net *TCPNet
 
 	mu    sync.Mutex
-	conns map[string]*muxConn
+	conns map[string]*connWriter
 	dials map[string]*dialCall
+	// pending lists the writers that enqueued a frame since the last
+	// flushAll, each once (connWriter.queued): the only ones it visits.
+	pending []*connWriter
+
+	flushMu sync.Mutex    // one flushAll at a time
+	spare   []*connWriter // the previous pass's list, emptied; under flushMu
 }
 
 func newConnMux(t *TCPNet) *connMux {
 	return &connMux{
 		net:   t,
-		conns: make(map[string]*muxConn),
+		conns: make(map[string]*connWriter),
 		dials: make(map[string]*dialCall),
 	}
 }
 
-// get returns the shared connection to addr, dialing it if needed. The
-// dial happens outside cm.mu (and outside every endpoint lock — the
-// satellite fix): other senders to the same cold address join the
-// in-flight dial, senders to other addresses are never blocked.
-func (cm *connMux) get(addr string) (*muxConn, error) {
+// get returns the shared connection writer for addr, dialing it if
+// needed. The dial happens outside cm.mu (and outside every endpoint
+// lock): other senders to the same cold address join the in-flight dial,
+// senders to other addresses are never blocked.
+func (cm *connMux) get(addr string) (*connWriter, error) {
 	cm.mu.Lock()
-	if mc, ok := cm.conns[addr]; ok {
+	if w, ok := cm.conns[addr]; ok {
 		cm.mu.Unlock()
-		return mc, nil
+		return w, nil
 	}
 	if call, ok := cm.dials[addr]; ok {
 		cm.mu.Unlock()
 		<-call.done
-		return call.mc, call.err
+		return call.w, call.err
 	}
 	call := &dialCall{done: make(chan struct{})}
 	cm.dials[addr] = call
@@ -73,24 +73,32 @@ func (cm *connMux) get(addr string) (*muxConn, error) {
 	if err != nil {
 		call.err = fmt.Errorf("transport: dial %s: %w", addr, err)
 	} else {
-		call.mc = &muxConn{conn: conn, w: newConnWriter(cm.net, conn)}
-		cm.conns[addr] = call.mc
+		call.w = newConnWriter(cm, addr, conn)
+		cm.conns[addr] = call.w
 	}
 	cm.mu.Unlock()
 	close(call.done)
-	return call.mc, call.err
+	return call.w, call.err
+}
+
+// markPending puts a writer on the next flushAll's list; the writer calls
+// it with its own lock held, on its first enqueue since that pass.
+func (cm *connMux) markPending(w *connWriter) {
+	cm.mu.Lock()
+	cm.pending = append(cm.pending, w)
+	cm.mu.Unlock()
 }
 
 // drop removes a dead connection from the cache (the next sender
 // re-dials) and unwinds anything still pending on its writer.
-func (cm *connMux) drop(addr string, mc *muxConn) {
+func (cm *connMux) drop(w *connWriter) {
 	cm.mu.Lock()
-	if cm.conns[addr] == mc {
-		delete(cm.conns, addr)
+	if cm.conns[w.addr] == w {
+		delete(cm.conns, w.addr)
 	}
 	cm.mu.Unlock()
-	mc.w.fail(fmt.Errorf("transport: connection to %s dropped", addr))
-	_ = mc.conn.Close()
+	w.fail(fmt.Errorf("transport: connection to %s dropped", w.addr))
+	_ = w.conn.Close()
 }
 
 // dropAddr closes and forgets the connection to addr, if any — the
@@ -98,43 +106,44 @@ func (cm *connMux) drop(addr string, mc *muxConn) {
 // connection die.
 func (cm *connMux) dropAddr(addr string) {
 	cm.mu.Lock()
-	mc := cm.conns[addr]
+	w := cm.conns[addr]
 	delete(cm.conns, addr)
 	cm.mu.Unlock()
-	if mc != nil {
-		mc.w.fail(fmt.Errorf("transport: destination %s unregistered", addr))
-		_ = mc.conn.Close()
+	if w != nil {
+		w.fail(fmt.Errorf("transport: destination %s unregistered", addr))
+		_ = w.conn.Close()
 	}
 }
 
-// flushAll flushes every cached connection's writer once; dead
-// connections are dropped so their next use re-dials.
+// flushAll flushes every writer that enqueued since the last pass, once;
+// dead connections are dropped so their next use re-dials. The pending
+// list and its spare swap, so a pass allocates nothing. A dead writer with
+// nothing pending is not visited: its sticky error drops it on its next
+// enqueue.
 func (cm *connMux) flushAll() {
+	cm.flushMu.Lock()
+	defer cm.flushMu.Unlock()
 	cm.mu.Lock()
-	type entry struct {
-		addr string
-		mc   *muxConn
-	}
-	all := make([]entry, 0, len(cm.conns))
-	for addr, mc := range cm.conns {
-		all = append(all, entry{addr, mc})
-	}
+	batch := cm.pending
+	cm.pending = cm.spare[:0]
 	cm.mu.Unlock()
-	for _, e := range all {
-		if err := e.mc.w.flush(); err != nil {
-			cm.drop(e.addr, e.mc)
+	for _, w := range batch {
+		if err := w.flushQueued(); err != nil {
+			cm.drop(w)
 		}
 	}
+	clear(batch)
+	cm.spare = batch
 }
 
 // closeAll tears down every cached connection.
 func (cm *connMux) closeAll() {
 	cm.mu.Lock()
 	conns := cm.conns
-	cm.conns = make(map[string]*muxConn)
+	cm.conns = make(map[string]*connWriter)
 	cm.mu.Unlock()
-	for addr, mc := range conns {
-		mc.w.fail(fmt.Errorf("transport: network closed (%s)", addr))
-		_ = mc.conn.Close()
+	for addr, w := range conns {
+		w.fail(fmt.Errorf("transport: network closed (%s)", addr))
+		_ = w.conn.Close()
 	}
 }

@@ -45,14 +45,15 @@ import (
 // # Batched I/O
 //
 // In stepped mode outbound frames coalesce in per-connection writers
-// (batch.go) and leave in one syscall per destination per engine phase:
-// BeginRound flushes after the backlog drain, DeliverAll flushes at the
-// top of every pass. Multiple pending frames travel as a single jumbo
-// frame the receiver unpacks transparently. In direct (wall-clock) mode
-// every Send flushes immediately — the live deployment keeps per-message
-// latency. The receive side slices payloads zero-copy out of pooled
-// ref-counted arenas (wire.Arena, frame.go): one read syscall drains
-// everything the kernel buffered, and an arena is recycled once the
+// (batch.go) and leave in one vectored write per destination per engine
+// phase: BeginRound flushes after the backlog drain, DeliverAll flushes at
+// the top of every pass. A writer holds the payload slices Send was given
+// until then, copying none. Multiple pending frames travel as a single
+// jumbo frame the receiver unpacks transparently. In direct (wall-clock)
+// mode every Send flushes immediately — the live deployment keeps
+// per-message latency. The receive side slices payloads zero-copy out of
+// pooled ref-counted arenas (wire.Arena, frame.go): one read syscall
+// drains everything the kernel buffered, and an arena is recycled once the
 // delivery wave has handled the last payload read into it.
 //
 // # Dynamic roster
@@ -377,9 +378,10 @@ func (t *TCPNet) TotalTraffic() Traffic {
 }
 
 // sendFrame enqueues an already-admitted, already-charged frame onto the
-// shared connection to its destination; flushNow forces an immediate
-// syscall (direct mode). On dial or write failure the charge and the
-// round budget are refunded (the bytes never left the NIC).
+// shared connection to its destination, which keeps payload until its
+// flush; flushNow forces an immediate write (direct mode). On dial or
+// write failure the charge and the round budget are refunded (the bytes
+// never left the NIC).
 func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, size uint64, flushNow bool) error {
 	t.mu.Lock()
 	addr, ok := t.book[to]
@@ -388,20 +390,20 @@ func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, si
 		t.unchargeSend(from, size)
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
-	mc, err := t.mux.get(addr)
+	w, err := t.mux.get(addr)
 	if err != nil {
 		t.unchargeSend(from, size)
 		return err
 	}
 	t.inflight.Add(1)
-	if err := mc.w.enqueue(from, to, kind, payload, size); err != nil {
+	if err := w.enqueue(from, to, kind, payload, size); err != nil {
 		// enqueue already unwound the charge and inflight slot.
-		t.mux.drop(addr, mc)
+		t.mux.drop(w)
 		return fmt.Errorf("transport: write to %v: %w", to, err)
 	}
 	if flushNow {
-		if err := mc.w.flush(); err != nil {
-			t.mux.drop(addr, mc)
+		if err := w.flush(); err != nil {
+			t.mux.drop(w)
 			return fmt.Errorf("transport: write to %v: %w", to, err)
 		}
 	}
@@ -409,9 +411,10 @@ func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, si
 }
 
 // FlushAll pushes every connection's pending frames onto the wire — one
-// syscall per destination. The round engine reaches it through BeginRound
-// and DeliverAll; a direct-mode driver with its own batching window may
-// call it explicitly.
+// vectored write per destination with frames pending; idle connections
+// are not touched. The round engine reaches it through BeginRound and
+// DeliverAll; a direct-mode driver with its own batching window may call
+// it explicitly.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }
 
 // defaultQuiesce bounds one DeliverAll wait when SetStepped was not given

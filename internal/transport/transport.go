@@ -53,9 +53,11 @@ type Endpoint interface {
 	// NodeID returns the attached node.
 	NodeID() model.NodeID
 	// Send transmits a message and takes ownership of payload: the network
-	// may deliver that very slice, so the caller may keep reading it — and
-	// send it again — but nobody may write to it from here on. A caller
-	// encoding into a reused buffer hands over a copy.
+	// may deliver that very slice, or hold it until a later flush writes it
+	// to a socket, so the caller may keep reading it — and send it again —
+	// but nobody may write to it from here on. A caller encoding into a
+	// reused buffer hands over a copy, and so does a relay whose payload
+	// was lent to its handler.
 	Send(to model.NodeID, kind uint8, payload []byte) error
 }
 

@@ -7,28 +7,46 @@ package wire
 // it back once its handler has returned (Release): handlers keep no view
 // of what they were delivered (the transport.Handler contract, proved by
 // the *SurvivesPayloadOverwrite tests), so an arena whose last payload
-// has been handled goes back to the pool instead of to the garbage
+// has been handled goes back to its pool instead of to the garbage
 // collector. Arenas whose frames were all dropped before delivery
 // (fault-plane rechecks, departed destinations, protocol violations)
 // never leave the read loop's hands and recycle the same way.
+//
+// Arenas come in size classes, ArenaSize << k up to maxPooledArena, one
+// pool per class: a read loop asking for the default size never gets a
+// buffer that was sized for some earlier large frame.
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// ArenaSize is the default capacity of a pooled receive arena: large
-// enough that one socket read drains many queued frames (the batch-
-// receive path — one syscall, many frames), small enough that an arena
-// waiting on one undelivered payload does not anchor much dead memory.
-const ArenaSize = 64 << 10
+// ArenaSize is the default capacity of a pooled receive arena and the
+// smallest size class: large enough that one socket read drains many
+// queued frames (the batch-receive path — one syscall, many frames), small
+// enough that every idle read loop holding one, and an arena waiting on
+// one undelivered payload, anchor little memory.
+const ArenaSize = 32 << 10
 
-// maxPooledArena caps what the pool keeps; oversized one-off arenas
-// (a single frame larger than ArenaSize) are always left to the GC.
+// maxPooledArena is the largest size class; an arena for a single frame
+// larger than that is built to measure and left to the GC.
 const maxPooledArena = 256 << 10
 
-var arenaPool = sync.Pool{
-	New: func() any { return &Arena{buf: make([]byte, ArenaSize)} },
+// arenaClasses counts the size classes ArenaSize << k up to
+// maxPooledArena: 32, 64, 128 and 256 KB.
+const arenaClasses = 4
+
+var arenaPools [arenaClasses]sync.Pool
+
+// arenaClass returns the smallest size class that holds n bytes, or -1
+// when n is larger than every class.
+func arenaClass(n int) int {
+	for k := 0; k < arenaClasses; k++ {
+		if n <= ArenaSize<<k {
+			return k
+		}
+	}
+	return -1
 }
 
 // Arena is a ref-counted pooled byte buffer for zero-copy receive paths.
@@ -37,21 +55,22 @@ var arenaPool = sync.Pool{
 // handed on owns one more. Whoever drops the last reference recycles the
 // buffer.
 type Arena struct {
-	buf  []byte
-	refs atomic.Int32
+	buf   []byte
+	refs  atomic.Int32
+	class int // index into arenaPools; -1 for an unpooled one-off
 }
 
-// GetArena returns an arena with capacity at least n (at least ArenaSize)
-// holding one reference for the caller.
+// GetArena returns an arena of the smallest size class that holds n
+// bytes (at least ArenaSize), or one of exactly n bytes past the largest
+// class, holding one reference for the caller.
 func GetArena(n int) *Arena {
-	a := arenaPool.Get().(*Arena)
-	if cap(a.buf) < n {
-		// Too small for this frame: put the pooled one back untouched and
-		// build a dedicated arena (never pooled — see Release).
-		arenaPool.Put(a)
-		a = &Arena{buf: make([]byte, n)}
+	k := arenaClass(n)
+	var a *Arena
+	if k < 0 {
+		a = &Arena{buf: make([]byte, n), class: -1}
+	} else if a, _ = arenaPools[k].Get().(*Arena); a == nil {
+		a = &Arena{buf: make([]byte, ArenaSize<<k), class: k}
 	}
-	a.buf = a.buf[:cap(a.buf)]
 	a.refs.Store(1)
 	return a
 }
@@ -68,10 +87,16 @@ func (a *Arena) Retain() { a.refs.Add(1) }
 // arena is live and it may overwrite the buffer.
 func (a *Arena) Shared() bool { return a.refs.Load() > 1 }
 
-// Release drops one reference. At zero the arena returns to the pool for
-// the next read loop.
+// Release drops one reference. At zero the arena returns to its class's
+// pool for the next read loop (poisoned first under PoisonReleased).
 func (a *Arena) Release() {
-	if a.refs.Add(-1) == 0 && cap(a.buf) <= maxPooledArena {
-		arenaPool.Put(a)
+	if a.refs.Add(-1) != 0 {
+		return
+	}
+	if poisonReleased.Load() {
+		poison(a.buf)
+	}
+	if a.class >= 0 {
+		arenaPools[a.class].Put(a)
 	}
 }

@@ -43,10 +43,7 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // Seal/Open/Finish alias its buffer and must not be used afterwards.
 func (w *Writer) Release() {
 	if poisonReleased.Load() {
-		buf := w.buf[:cap(w.buf)]
-		for i := range buf {
-			buf[i] = 0xDB
-		}
+		poison(w.buf[:cap(w.buf)])
 	}
 	if cap(w.buf) <= maxPooledWriter {
 		writerPool.Put(w)
@@ -56,14 +53,23 @@ func (w *Writer) Release() {
 // poisonReleased is the test hook behind PoisonReleased.
 var poisonReleased atomic.Bool
 
-// PoisonReleased makes Release overwrite a Writer's buffer before pooling
-// it, so that a view kept past Release — a decoded field of an opened
-// message, pooled bytes handed to a transport — reads garbage at once
-// instead of whenever the pool happens to reuse the buffer. For tests
-// only; it returns the function that restores the previous setting.
+// PoisonReleased makes Writer.Release overwrite a Writer's buffer before
+// pooling it, and Arena.Release an arena's buffer when its last reference
+// goes, so that a view kept past Release — a decoded field of an opened
+// message, pooled or arena bytes handed to a transport that holds them
+// until its flush — reads garbage at once instead of whenever the pool
+// happens to reuse the buffer. For tests only; it returns the function
+// that restores the previous setting.
 func PoisonReleased() (restore func()) {
 	prev := poisonReleased.Swap(true)
 	return func() { poisonReleased.Store(prev) }
+}
+
+// poison overwrites a released buffer.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // Signer signs in place: it appends the signature over msg to dst and

@@ -241,9 +241,9 @@ func TestWriterOpen(t *testing.T) {
 	}
 }
 
-// TestPoisonReleased: with the hook on, a view kept past Release reads
-// poison whether or not the pool has reused the buffer; restoring turns it
-// off again.
+// TestPoisonReleased: with the hook on, a view kept past Release — of a
+// Writer, or of an arena past its last reference — reads poison whether or
+// not the pool has reused the buffer; restoring turns it off again.
 func TestPoisonReleased(t *testing.T) {
 	restore := PoisonReleased()
 	w := GetWriter()
@@ -251,6 +251,19 @@ func TestPoisonReleased(t *testing.T) {
 	w.Release()
 	if !bytes.Equal(view, bytes.Repeat([]byte{0xDB}, 64)) {
 		t.Fatalf("released buffer not poisoned: %x", view[:8])
+	}
+	// An arena is poisoned when its last reference goes, not before.
+	a := GetArena(ArenaSize)
+	payload := a.Bytes()[:64]
+	copy(payload, bytes.Repeat([]byte{1}, 64))
+	a.Retain()
+	a.Release()
+	if payload[0] != 1 {
+		t.Fatal("arena poisoned while a payload still held it")
+	}
+	a.Release()
+	if !bytes.Equal(payload, bytes.Repeat([]byte{0xDB}, 64)) {
+		t.Fatalf("released arena not poisoned: %x", payload[:8])
 	}
 	restore()
 	w = GetWriter()
@@ -282,7 +295,10 @@ func TestArenaOwnership(t *testing.T) {
 		t.Fatal("arena still shared after the last payload was handled")
 	}
 	a.Release()
-	if big := GetArena(maxPooledArena + 1); len(big.Bytes()) != maxPooledArena+1 {
-		t.Fatalf("oversized arena has %d bytes", len(big.Bytes()))
+	for n, want := range map[int]int{1: ArenaSize, ArenaSize + 1: 2 * ArenaSize,
+		maxPooledArena: maxPooledArena, maxPooledArena + 1: maxPooledArena + 1} {
+		if got := GetArena(n); len(got.Bytes()) != want {
+			t.Errorf("GetArena(%d) has %d bytes, want %d", n, len(got.Bytes()), want)
+		}
 	}
 }

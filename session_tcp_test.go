@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // tcpSessionConfig is the loopback-socket analogue of the determinism
@@ -73,6 +74,60 @@ func TestTCPSessionScenarioReport(t *testing.T) {
 			t.Errorf("continuity regimes diverge: mem=%v tcp=%v", memRun.MeanContinuity, run.MeanContinuity)
 		}
 	})
+}
+
+// TestTCPSendOwnership: a TCP connection writer keeps the payload slices
+// Send was handed until its phase flush, copying none, so a sender that
+// handed it pooled Writer bytes, or a relay that passed on a slice of its
+// receive arena, would put whatever the pool wrote there since on the
+// wire. With wire.PoisonReleased every such buffer is overwritten the
+// moment it is released; a PAG and an AcTinG session over stepped sockets
+// must still reach the report and move the bytes per node of the run
+// without it.
+func TestTCPSendOwnership(t *testing.T) {
+	const nodes, rounds = 24, 20
+	sc := scenario.Scenario{Name: "send-ownership", Seed: 7, Rounds: rounds}
+	type outcome struct {
+		digest  string
+		traffic []transport.Traffic
+	}
+	run := func(t *testing.T, p Protocol, poison bool) outcome {
+		if poison {
+			defer wire.PoisonReleased()()
+		}
+		var tn *transport.TCPNet
+		cfg := tcpSessionConfig(nodes)
+		cfg.StreamKbps, cfg.UpdateBytes = 16, 128
+		cfg.NewNetwork = func() transport.FaultyNetwork {
+			tn = transport.NewTCPNet(nil)
+			tn.SetDynamic("127.0.0.1")
+			tn.SetStepped(5 * time.Second)
+			return tn
+		}
+		rep, err := RunScenarioReport(cfg, sc, []Protocol{p}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{digest: rep.Digest()}
+		for id := NodeID(1); id <= nodes; id++ {
+			o.traffic = append(o.traffic, tn.TrafficOf(id))
+		}
+		return o
+	}
+	for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG} {
+		t.Run(p.String(), func(t *testing.T) {
+			want := run(t, p, false)
+			got := run(t, p, true)
+			if got.digest != want.digest {
+				t.Errorf("report digest %s with released buffers poisoned, %s without", got.digest, want.digest)
+			}
+			for i := range want.traffic {
+				if got.traffic[i] != want.traffic[i] {
+					t.Errorf("node %d traffic %+v with released buffers poisoned, %+v without", i+1, got.traffic[i], want.traffic[i])
+				}
+			}
+		})
+	}
 }
 
 // TestTCPSessionRejectsParallelEngine: the sharded engine's byte-identical
