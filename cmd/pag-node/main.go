@@ -43,7 +43,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -294,9 +293,17 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 
 	fmt.Fprintf(out, "[%v] joined %d-node deployment, %d rounds at %v\n",
 		self, len(ids), rounds, period)
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
+	// Between phases the process drains its inbox until the next phase's
+	// wall-clock start: every handler runs here, between node steps. Round
+	// 1 starts a period after the listener came up, so that peers started
+	// within a period of this process are listening before anyone sends
+	// (a KeyRequest to a peer not yet listening is lost with its
+	// exchange).
+	start := time.Now().Add(period)
+	net.DeliverUntil(start)
 	for r := model.Round(1); r <= model.Round(rounds); r++ {
+		at := start.Add(time.Duration(r-1) * period)
+		end := at.Add(period)
 		net.BeginRound()
 		tr.Emit("round_begin", obs.F("round", r), obs.F("nodes", len(d.members)))
 		for _, fn := range d.pending[r] {
@@ -308,7 +315,7 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 		}
 		if d.node == nil {
 			tr.Emit("round_end", obs.F("round", r), obs.F("idle", true))
-			<-ticker.C // standby or departed: stay in wall-clock lockstep
+			net.DeliverUntil(end) // standby or departed: stay in wall-clock lockstep
 			continue
 		}
 		if source != nil {
@@ -322,17 +329,20 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 		slot := period / time.Duration(4*slots)
 		d.node.BeginRound(r)
 		for k := 1; k < slots; k++ {
-			time.Sleep(slot)
+			at = at.Add(slot)
+			net.DeliverUntil(at)
 			d.node.OpenSlot(r, k)
 		}
-		time.Sleep(slot)
+		at = at.Add(slot)
+		net.DeliverUntil(at)
 		d.node.MidRound(r)
-		time.Sleep(period / 4)
+		at = at.Add(period / 4)
+		net.DeliverUntil(at)
 		d.node.EndRound(r)
-		time.Sleep(period / 4)
+		net.DeliverUntil(at.Add(period / 4))
 		d.node.CloseRound(r)
 		tr.Emit("round_end", obs.F("round", r))
-		<-ticker.C
+		net.DeliverUntil(end)
 	}
 	if err := tr.Err(); err != nil {
 		return fmt.Errorf("trace: journal truncated: %w", err)
@@ -390,22 +400,16 @@ var _ scenario.Applier = (*deployment)(nil)
 
 // activate constructs and registers the local protocol node (at startup
 // for founding members, at the scripted join round for standby ones — a
-// real mid-run listen). The listener accepts before core.NewNode
-// finishes, and peers may already be gossiping at this id (their round
-// top ran a beat earlier), so the handler loads the node atomically and
-// drops frames that arrive before construction completes — gossip
-// redundancy recovers them.
+// real mid-run listen). Frames that reach the listener before
+// core.NewNode returns wait in the net's inbox: handlers only run inside
+// the round loop's DeliverUntil, on this goroutine.
 func (d *deployment) activate() error {
-	var node atomic.Pointer[core.Node]
-	ep, err := d.net.Register(d.self, func(m transport.Message) {
-		if n := node.Load(); n != nil {
-			n.HandleMessage(m)
-		}
-	})
+	var n *core.Node
+	ep, err := d.net.Register(d.self, func(m transport.Message) { n.HandleMessage(m) })
 	if err != nil {
 		return err
 	}
-	n, err := core.NewNode(core.Config{
+	n, err = core.NewNode(core.Config{
 		ID:         d.self,
 		Suite:      d.suite,
 		Identity:   d.identities[d.self],
@@ -426,7 +430,6 @@ func (d *deployment) activate() error {
 		d.net.Unregister(d.self)
 		return err
 	}
-	node.Store(n)
 	d.node = n
 	return nil
 }

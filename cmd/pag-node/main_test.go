@@ -2,11 +2,69 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// TestTCPClusterPaced runs five honest nodes the way five processes would —
+// each its own run call with its own TCPNet, sharing only a loopback roster
+// and the seed — through the paced round loop. None may convict anyone, and
+// every node plays out something: chunks of rounds 1–2 reach their 10-round
+// playout deadline by round 12.
+func TestTCPClusterPaced(t *testing.T) {
+	const nodes = 5
+	var roster strings.Builder
+	for id := 1; id <= nodes; id++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&roster, "%d %s\n", id, ln.Addr())
+		_ = ln.Close()
+	}
+	path := filepath.Join(t.TempDir(), "roster.txt")
+	if err := os.WriteFile(path, []byte(roster.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	codes := make([]int, nodes)
+	outs := make([]bytes.Buffer, nodes)
+	errs := make([]bytes.Buffer, nodes)
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = run([]string{"-id", strconv.Itoa(i + 1), "-roster", path,
+				"-period", "400ms", "-rounds", "12", "-stream", "20"}, &outs[i], &errs[i])
+		}()
+	}
+	wg.Wait()
+
+	delivered := regexp.MustCompile(`done: delivered (\d+) updates`)
+	for i := range codes {
+		out := outs[i].String()
+		if codes[i] != 0 {
+			t.Errorf("node %d exited %d: %s", i+1, codes[i], errs[i].String())
+		}
+		if strings.Contains(out, "VERDICT") {
+			t.Errorf("node %d convicted a correct node:\n%s", i+1, out)
+		}
+		m := delivered.FindStringSubmatch(out)
+		if m == nil {
+			t.Errorf("node %d printed no delivery summary:\n%s", i+1, out)
+		} else if n, _ := strconv.Atoi(m[1]); n < 1 {
+			t.Errorf("node %d delivered nothing:\n%s", i+1, out)
+		}
+	}
+}
 
 // TestUsage drives the command's argument checks. Every case returns
 // before the node opens a socket, so the roster's addresses are never

@@ -170,8 +170,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "tcp":
 		// Real loopback sockets: every node listens on an ephemeral
 		// 127.0.0.1 port (dynamic roster — churn joins register live
-		// endpoints mid-run). Sockets need the inline engine and stepped
-		// delivery; determinism becomes statistical.
+		// endpoints mid-run). Sockets need the inline engine;
+		// determinism becomes statistical.
 		cfg.Workers = 0
 		cfg.NewNetwork = func() transport.FaultyNetwork {
 			tn := transport.NewTCPNet(nil)

@@ -4,8 +4,6 @@ package core
 // on the free list, or in the stale tail of the forward set's backing
 // array — still references an update's payload, signature or embedding.
 func (n *Node) ParkedShellsHoldContent() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	held := func(it *pendingItem) bool {
 		return it.upd.Payload != nil || it.upd.SrcSig != nil || it.embed != nil
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/big"
 	"sort"
-	"sync"
 
 	"repro/internal/hhash"
 	"repro/internal/model"
@@ -111,11 +110,10 @@ type sendRound struct {
 	perSucc map[model.NodeID]*sendExchange
 }
 
-// Node is one PAG participant. All entry points are serialised by an
-// internal mutex: the simulation engine is single-threaded, but the TCP
-// deployment delivers messages from reader goroutines.
+// Node is one PAG participant. It is not safe for concurrent use: its
+// driver steps it and delivers its messages from one goroutine at a time
+// (every transport delivers on the goroutine that drains it).
 type Node struct {
-	mu sync.Mutex
 	// cfg keeps only the per-node dependencies (identity, endpoint,
 	// behaviour, callbacks); everything session-wide lives once in sh —
 	// the flyweight split that lets 10⁵ nodes share one config plane.
@@ -228,15 +226,11 @@ func (n *Node) ID() model.NodeID { return n.id }
 
 // Round returns the node's current round.
 func (n *Node) Round() model.Round {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.round
 }
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := n.stats
 	s.HashOps = n.hops.HashOps()
 	s.SigOps = n.cfg.Identity.Counter().Signs()
@@ -249,8 +243,6 @@ func (n *Node) Stats() Stats {
 // still read from a departed node: its counters and its behaviour. A
 // retired node is not stepped and receives nothing.
 func (n *Node) Retire() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.store = update.NewStore()
 	n.pendingNext = make(map[model.UpdateID]*pendingItem)
 	n.recvCur = newRecvRound()
@@ -270,23 +262,17 @@ func (n *Node) Store() *update.Store { return n.store }
 // boundary — it is the scenario engine's adversary-activation hook (a node
 // that "tampers with its software" mid-session, §II-A).
 func (n *Node) SetBehavior(b Behavior) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.cfg.Behavior = b
 }
 
 // Behavior returns the node's current deviation profile.
 func (n *Node) Behavior() Behavior {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.cfg.Behavior
 }
 
 // InjectUpdates queues source-minted updates for dissemination at the next
 // BeginRound. Only meaningful on source nodes.
 func (n *Node) InjectUpdates(us []update.Update) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.injected = append(n.injected, us...)
 }
 
@@ -315,8 +301,6 @@ func (n *Node) report(v Verdict) {
 // the rest. A node contacts all its successors every round — even with an
 // empty forward set — which is what makes R1/R2 verifiable.
 func (n *Node) BeginRound(r model.Round) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.round = r
 
 	// Updates with deadline < r have expired: they are in no forward set
@@ -467,15 +451,12 @@ func (n *Node) ExchangeSlots() int { return n.sh.Directory.Fanout() }
 // it from one of them only. Nobody waits on anybody: a slot opens on the
 // driver's schedule whether or not the earlier exchanges completed.
 func (n *Node) OpenSlot(r model.Round, k int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if r == n.round && n.sendCur != nil {
 		n.openSlot(k)
 	}
 }
 
-// openSlot sends the KeyRequests of the current round's slot-k exchanges;
-// callers hold n.mu.
+// openSlot sends the KeyRequests of the current round's slot-k exchanges.
 func (n *Node) openSlot(k int) {
 	for _, succ := range n.sendCur.succs {
 		if ex := n.sendCur.perSucc[succ]; ex.slot == k && !ex.skipped {
@@ -490,8 +471,6 @@ func (n *Node) openSlot(k int) {
 // accusations for missing acknowledgements (§IV-A), and the monitor role
 // finalises nothing yet.
 func (n *Node) MidRound(r model.Round) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.flushMonitorReports(r)
 	n.raiseAccusations(r)
 }
@@ -502,8 +481,6 @@ func (n *Node) MidRound(r model.Round) {
 // against round r-1 obligations, digest cross-checks, and investigation
 // requests for missing acknowledgements.
 func (n *Node) EndRound(r model.Round) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.flushMonitorReports(r)
 	n.publishDigest(r)
 	if !n.cfg.Behavior.SilentMonitor {
@@ -514,8 +491,6 @@ func (n *Node) EndRound(r model.Round) {
 // CloseRound judges pending investigations, delivers playback-ready
 // updates, promotes K(R) → kPrev and garbage-collects.
 func (n *Node) CloseRound(r model.Round) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.cfg.Behavior.SilentMonitor {
 		n.mon.judge(r)
 		// Judgement settled the round's suspect flags; if the monitor
@@ -592,8 +567,6 @@ func (n *Node) CloseRound(r model.Round) {
 // next round arriving early (phase skew over a real network) are buffered
 // and replayed at BeginRound; stale-round messages are dropped.
 func (n *Node) HandleMessage(msg transport.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if msg.Kind <= maxWireKind {
 		n.sh.msgK[msg.Kind].Inc()
 		n.sh.bytesK[msg.Kind].Add(uint64(msg.WireSize()))
@@ -629,7 +602,7 @@ func peekRound(payload []byte) (model.Round, bool) {
 	return model.Round(binary.BigEndian.Uint64(payload[1:9])), true
 }
 
-// dispatch routes a message to its handler; callers hold n.mu.
+// dispatch routes a message to its handler.
 func (n *Node) dispatch(msg transport.Message) {
 	switch msg.Kind {
 	case wire.KindKeyRequest:

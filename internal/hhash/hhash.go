@@ -50,9 +50,13 @@ type Params struct {
 	m *big.Int
 }
 
-// GenerateParams creates a fresh modulus M = p·q of the given bit size from
-// two random primes and discards the factors. rnd may be nil to use
-// crypto/rand.Reader.
+// GenerateParams creates a fresh modulus M = p·q of exactly the given bit
+// size from two random primes and discards the factors. rnd may be nil to
+// use crypto/rand.Reader. The factors come from pregenPrime, which reads a
+// fixed number of bytes per candidate, so identically seeded readers yield
+// the same modulus — what lets separate processes share one.
+// (crypto/rand.Prime reads one extra byte on a coin flip, so its primes
+// depend on more than the stream.)
 func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 	if rnd == nil {
 		rnd = rand.Reader
@@ -61,15 +65,15 @@ func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 		return Params{}, fmt.Errorf("hhash: modulus size %d too small", bits)
 	}
 	half := bits / 2
-	p, err := rand.Prime(rnd, half)
+	p, err := pregenPrime(rnd, half)
 	if err != nil {
 		return Params{}, fmt.Errorf("hhash: generating modulus factor: %w", err)
 	}
-	q, err := rand.Prime(rnd, bits-half)
+	q, err := pregenPrime(rnd, bits-half)
 	if err != nil {
 		return Params{}, fmt.Errorf("hhash: generating modulus factor: %w", err)
 	}
-	return Params{m: new(big.Int).Mul(p, q)}, nil
+	return Params{m: new(big.Int).Mul(p.e, q.e)}, nil
 }
 
 // ParamsFromModulus builds Params from an existing modulus, validating it.

@@ -28,15 +28,26 @@ func testKey(t testing.TB, seed int64) Key {
 	return k
 }
 
+// TestGenerateParamsSize: the modulus has exactly the bits asked for, and
+// two identically seeded generations agree — processes that share a seed
+// must share a modulus.
 func TestGenerateParamsSize(t *testing.T) {
 	for _, bits := range []int{64, 128, 256, 512} {
-		p, err := GenerateParams(rand.New(rand.NewSource(1)), bits)
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		got := p.Modulus().BitLen()
-		if got < bits-2 || got > bits {
-			t.Errorf("bits=%d: modulus has %d bits", bits, got)
+		for seed := int64(1); seed <= 20; seed++ {
+			a, err := GenerateParams(rand.New(rand.NewSource(seed)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := GenerateParams(rand.New(rand.NewSource(seed)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Modulus().Cmp(b.Modulus()) != 0 {
+				t.Fatalf("bits=%d seed=%d: two seeded generations disagree", bits, seed)
+			}
+			if got := a.Modulus().BitLen(); got != bits {
+				t.Fatalf("bits=%d seed=%d: modulus has %d bits", bits, seed, got)
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // At one worker the engine steps nodes in registration order on the
 // calling goroutine and drains the network through its SteppedNetwork
 // interface, so it runs over any stepped transport: MemNet, or TCP
-// sockets in stepped mode. Above one worker it needs a MemNet: nodes are
+// sockets. Above one worker it needs a MemNet: nodes are
 // assigned to shards by id (id mod workers), each phase step fans out one
 // goroutine per shard, and each delivery wave taken from the network is
 // partitioned by destination shard. A node's phase steps and its incoming

@@ -16,11 +16,9 @@ import (
 // Endpoint.Send was handed (the network owns those; see DESIGN.md "Who
 // owns a byte") and writes headers and payloads interleaved with writev,
 // jumbo header first, dropping every payload reference once the flush is
-// done. The round engine flushes at the phase barriers it already owns
-// (BeginRound's backlog drain, every DeliverAll pass), which is what makes
-// "≤ 1 flush per connection per engine phase" hold; direct (wall-clock)
-// mode flushes every Send, preserving the live deployment's latency
-// profile.
+// done. The net flushes at the phase boundaries its driver already calls
+// (BeginRound's backlog drain, every DeliverAll or DeliverUntil pass),
+// which is what makes "≤ 1 flush per connection per engine phase" hold.
 
 // maxBatchBytes bounds a writer's pending bytes; a phase that queues more
 // than this to one destination flushes mid-phase rather than grow without
@@ -137,16 +135,9 @@ func (w *connWriter) enqueue(from, to model.NodeID, kind uint8, payload []byte, 
 	return nil
 }
 
-// flush writes the pending frames in one vectored write and returns the
-// sticky connection error, if any.
-func (w *connWriter) flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushLocked()
-}
-
-// flushQueued is flush for the mux's FlushAll pass, which has taken the
-// writer off its pending list.
+// flushQueued writes the pending frames in one vectored write for the
+// mux's FlushAll pass, which has taken the writer off its pending list,
+// and returns the sticky connection error, if any.
 func (w *connWriter) flushQueued() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -44,17 +44,16 @@ import (
 //
 // # Batched I/O
 //
-// In stepped mode outbound frames coalesce in per-connection writers
-// (batch.go) and leave in one vectored write per destination per engine
-// phase: BeginRound flushes after the backlog drain, DeliverAll flushes at
-// the top of every pass. A writer holds the payload slices Send was given
-// until then, copying none. Multiple pending frames travel as a single
-// jumbo frame the receiver unpacks transparently. In direct (wall-clock)
-// mode every Send flushes immediately — the live deployment keeps
-// per-message latency. The receive side slices payloads zero-copy out of
-// pooled ref-counted arenas (wire.Arena, frame.go): one read syscall
-// drains everything the kernel buffered, and an arena is recycled once the
-// delivery wave has handled the last payload read into it.
+// Outbound frames coalesce in per-connection writers (batch.go) and leave
+// in one vectored write per destination per phase: BeginRound flushes
+// after the backlog drain, DeliverAll and DeliverUntil flush at the top of
+// every pass. A writer holds the payload slices Send was given until then,
+// copying none. Multiple pending frames travel as a single jumbo frame the
+// receiver unpacks transparently. The receive side slices payloads
+// zero-copy out of pooled ref-counted arenas (wire.Arena, frame.go): one
+// read syscall drains everything the kernel buffered, and an arena is
+// recycled once the delivery wave has handled the last payload read into
+// it.
 //
 // # Dynamic roster
 //
@@ -66,14 +65,14 @@ import (
 //
 // # Stepped delivery
 //
-// By default inbound frames are handed to handlers on the reader
-// goroutines (the live-deployment mode cmd/pag-node uses; handlers must
-// be internally synchronised). SetStepped switches the net into the round
-// engines' delivery contract instead: frames are queued on arrival and
-// DeliverAll drains the queue on the calling goroutine until the wire is
-// quiescent, so unsynchronised protocol nodes are never touched
-// concurrently — the same single-threaded-per-node guarantee MemNet's
-// merge gives.
+// Handlers never run on the socket reader goroutines: a decoded frame is
+// queued in the net's inbox, and the driving goroutine drains the inbox
+// and runs the handlers itself, so unsynchronised protocol nodes are never
+// touched concurrently — the same single-threaded-per-node guarantee
+// MemNet's merge gives. There are two ways to drain: DeliverAll follows
+// the wire until it is quiescent (the round engine's barrier), and
+// DeliverUntil keeps draining until a wall-clock deadline (a paced
+// deployment's phase).
 type TCPNet struct {
 	mu      sync.Mutex
 	book    map[model.NodeID]string
@@ -88,16 +87,16 @@ type TCPNet struct {
 	mux    *connMux
 	io     ioCounters
 
-	// stepped-mode state: inbox holds arrived-but-undelivered messages
-	// (spare is the drained array of the previous wave, swapped back in);
-	// inflight counts frames enqueued for the wire and not yet enqueued
-	// (stepped) or handled (direct) at the receiver. delivered counts
-	// handler invocations.
-	stepped   bool
+	// Delivery state: inbox holds arrived-but-undelivered messages (spare
+	// is the drained array of the previous wave, swapped back in), and
+	// arrived carries one token when the inbox turns non-empty; inflight
+	// counts frames enqueued for the wire and not yet in the receiver's
+	// inbox. delivered counts handler invocations.
 	quiesce   time.Duration // max DeliverAll wait; 0 = default
 	inboxMu   sync.Mutex
 	inbox     []queuedDelivery
 	spare     []queuedDelivery
+	arrived   chan struct{}
 	inflight  atomic.Int64
 	delivered atomic.Uint64
 }
@@ -118,6 +117,7 @@ func NewTCPNet(book map[model.NodeID]string) *TCPNet {
 		traffic: make(map[model.NodeID]*Traffic),
 		faults:  NewFaultPlane(),
 		done:    make(chan struct{}),
+		arrived: make(chan struct{}, 1),
 	}
 	t.mux = newConnMux(t)
 	return t
@@ -187,7 +187,7 @@ func (t *TCPNet) BeginRound() {
 		if outcome != OutcomePass {
 			continue
 		}
-		_ = t.sendFrame(msg.From, msg.To, msg.Kind, msg.Payload, size, false)
+		_ = t.sendFrame(msg.From, msg.To, msg.Kind, msg.Payload, size)
 	}
 	t.FlushAll()
 }
@@ -202,25 +202,13 @@ func (t *TCPNet) SetDynamic(host string) {
 	t.dynHost = host
 }
 
-// SetStepped switches delivery into the round engine's stepped contract:
-// inbound messages queue until DeliverAll drains them on the calling
-// goroutine, and outbound frames coalesce until the next phase flush.
-// maxWait bounds one DeliverAll's quiescence wait (0 picks a default).
-// Call before traffic flows.
+// SetStepped sets DeliverAll's quiescence budget: how long one call may
+// wait for in-flight frames (0 picks a default). It changes nothing else —
+// delivery is always stepped.
 func (t *TCPNet) SetStepped(maxWait time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stepped = true
 	t.quiesce = maxWait
-}
-
-// SteppedMode reports whether stepped delivery is enabled — the contract
-// a round-engine-driven session requires (NewSession checks it, since
-// direct-mode delivery would run handlers concurrently with node steps).
-func (t *TCPNet) SteppedMode() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stepped
 }
 
 // Register implements Network: it starts listening on the node's book
@@ -379,10 +367,9 @@ func (t *TCPNet) TotalTraffic() Traffic {
 
 // sendFrame enqueues an already-admitted, already-charged frame onto the
 // shared connection to its destination, which keeps payload until its
-// flush; flushNow forces an immediate write (direct mode). On dial or
-// write failure the charge and the round budget are refunded (the bytes
-// never left the NIC).
-func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, size uint64, flushNow bool) error {
+// flush. On dial or write failure the charge and the round budget are
+// refunded (the bytes never left the NIC).
+func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, size uint64) error {
 	t.mu.Lock()
 	addr, ok := t.book[to]
 	t.mu.Unlock()
@@ -401,20 +388,12 @@ func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, si
 		t.mux.drop(w)
 		return fmt.Errorf("transport: write to %v: %w", to, err)
 	}
-	if flushNow {
-		if err := w.flush(); err != nil {
-			t.mux.drop(w)
-			return fmt.Errorf("transport: write to %v: %w", to, err)
-		}
-	}
 	return nil
 }
 
 // FlushAll pushes every connection's pending frames onto the wire — one
 // vectored write per destination with frames pending; idle connections
-// are not touched. The round engine reaches it through BeginRound and
-// DeliverAll; a direct-mode driver with its own batching window may call
-// it explicitly.
+// are not touched. BeginRound, DeliverAll and DeliverUntil call it.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }
 
 // defaultQuiesce bounds one DeliverAll wait when SetStepped was not given
@@ -435,59 +414,87 @@ const defaultQuiesce = 2 * time.Second
 // barrier contract.
 const quiesceIdle = 150 * time.Millisecond
 
-// DeliverAll waits until the wire quiesces. In stepped mode it flushes
-// the batched writers and drains the inbox on the calling goroutine
-// (handlers may send more; the cascade is flushed and followed until
-// nothing is in flight), returning how many messages were handed to
-// handlers. In direct mode handlers already ran on the reader goroutines,
-// so it only waits for in-flight frames to settle.
+// DeliverAll drains the wire until it quiesces: it flushes the batched
+// writers and runs the handlers of queued messages on the calling
+// goroutine (handlers may send more; the cascade is flushed and followed
+// until nothing is in flight), returning how many messages were handed to
+// handlers.
 //
 // Quiescence is inflight == 0 (exact, the fast path) or no observable
-// progress for quiesceIdle (the leaked-frame fallback); the configured
-// budget remains the hard deadline. Note the inflight counter is only
-// meaningful when sender and receiver share this TCPNet (one process) —
-// a multi-process deployment ticks rounds on the wall clock instead of
-// calling DeliverAll, and the idle fallback would cover it regardless.
+// progress for quiesceIdle (the leaked-frame fallback); the SetStepped
+// budget remains the hard deadline. The inflight counter is only
+// meaningful when sender and receiver share this TCPNet (one process) — a
+// multi-process deployment paces its phases with DeliverUntil instead.
 func (t *TCPNet) DeliverAll() int {
 	t.mu.Lock()
-	stepped, budget := t.stepped, t.quiesce
+	budget := t.quiesce
 	t.mu.Unlock()
 	if budget <= 0 {
 		budget = defaultQuiesce
 	}
 	deadline := time.Now().Add(budget)
-	start := t.delivered.Load()
-	lastInflight := t.inflight.Load()
-	lastProgress := time.Now()
-	for {
-		// Push anything batched (the phase's sends, or a cascade's) onto
-		// the wire before judging quiescence: enqueued frames count as
-		// inflight, so an unflushed writer would otherwise stall the loop.
-		t.FlushAll()
-		if stepped && t.drainInbox() {
-			lastProgress = time.Now()
-			continue
+	lastInflight, lastProgress := t.inflight.Load(), time.Now()
+	return t.pump(func(drained bool) bool {
+		now := time.Now()
+		if drained {
+			lastProgress = now
 		}
 		inflight := t.inflight.Load()
 		if inflight == 0 {
-			// Enqueue happens-before the inflight decrement, so at
-			// zero everything already sent is visible to one final
-			// drain; anything handlers send in that drain re-raises
-			// inflight and keeps the loop going.
-			if !stepped || !t.drainInbox() {
-				return int(t.delivered.Load() - start)
-			}
-			lastProgress = time.Now()
-			continue
+			// Enqueue happens-before the inflight decrement, so at zero
+			// everything already sent is in the inbox: one more pass
+			// drains it, and whatever its handlers send re-raises inflight.
+			return t.inboxEmpty()
 		}
 		if inflight != lastInflight {
-			lastInflight, lastProgress = inflight, time.Now()
+			lastInflight, lastProgress = inflight, now
 		}
-		now := time.Now()
 		if now.Sub(lastProgress) > quiesceIdle || now.After(deadline) {
-			return int(t.delivered.Load() - start)
+			return true
 		}
 		time.Sleep(200 * time.Microsecond)
+		return false
+	})
+}
+
+// DeliverUntil drains the wire until a wall-clock deadline: it flushes the
+// batched writers, runs the handlers of queued messages on the calling
+// goroutine, then waits for the next arrival or the deadline, and goes
+// round again. It returns at the deadline (or once the net is closed) with
+// how many messages were handed to handlers. A paced deployment calls it
+// where it would otherwise sleep between phases.
+func (t *TCPNet) DeliverUntil(deadline time.Time) int {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	return t.pump(func(bool) bool {
+		select {
+		case <-t.arrived:
+			return false
+		case <-timer.C:
+		case <-t.done:
+		}
+		return true
+	})
+}
+
+// pump is the drain loop behind DeliverAll and DeliverUntil. Each pass
+// pushes anything batched (a phase's sends, or a cascade's) onto the wire
+// and drains the inbox; when a pass finds the inbox empty, idle decides
+// whether to stop — it may block until something can have changed — and
+// is told whether any pass since its last call drained messages.
+func (t *TCPNet) pump(idle func(drained bool) (stop bool)) int {
+	start := t.delivered.Load()
+	drained := false
+	for {
+		t.FlushAll()
+		if t.drainInbox() {
+			drained = true
+			continue
+		}
+		if idle(drained) {
+			return int(t.delivered.Load() - start)
+		}
+		drained = false
 	}
 }
 
@@ -504,8 +511,8 @@ type queuedDelivery struct {
 // returns, and reports whether it drained any. Handler resolution happens
 // per message, so a destination unregistered while queued is silently
 // discarded (its receive was already charged — same contract as MemNet).
-// DeliverAll is its only caller, one goroutine at a time, which is what
-// lets the two inbox arrays swap without allocating.
+// pump is its only caller, one goroutine at a time, which is what lets the
+// two inbox arrays swap without allocating.
 func (t *TCPNet) drainInbox() bool {
 	t.inboxMu.Lock()
 	wave := t.inbox
@@ -521,6 +528,13 @@ func (t *TCPNet) drainInbox() bool {
 	clear(wave)
 	t.spare = wave
 	return len(wave) > 0
+}
+
+// inboxEmpty reports whether no message is waiting for a drain.
+func (t *TCPNet) inboxEmpty() bool {
+	t.inboxMu.Lock()
+	defer t.inboxMu.Unlock()
+	return len(t.inbox) == 0
 }
 
 // Close shuts down all listeners and connections and waits for goroutines.
@@ -566,7 +580,6 @@ func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.mu.Lock()
 	_, known := e.net.book[to]
-	stepped := e.net.stepped
 	e.net.mu.Unlock()
 	if !known {
 		return fmt.Errorf("transport: unknown destination %v", to)
@@ -582,7 +595,7 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 		return nil
 	}
 	e.net.charge(e.id, false, size)
-	return e.net.sendFrame(e.id, to, kind, payload, size, !stepped)
+	return e.net.sendFrame(e.id, to, kind, payload, size)
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -654,10 +667,9 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 }
 
 // deliver runs one decoded frame through the receive-side pipeline —
-// fault recheck, download cap, charging, then inbox or handler. The
-// payload aliases arena: a queued message retains it until drainInbox has
-// handled the message, a direct-mode handler is done with the bytes when
-// it returns (the Handler contract).
+// fault recheck, download cap, charging, then the inbox. The payload
+// aliases arena, which the queued message retains until drainInbox has
+// handled it.
 func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
 	// Receive-side recheck: a frame that was in flight when its link
 	// partitioned or an end went down is lost here (counted once —
@@ -669,17 +681,19 @@ func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
 		return
 	}
 	e.net.charge(msg.To, true, uint64(msg.WireSize()))
-	e.net.mu.Lock()
-	stepped := e.net.stepped
-	e.net.mu.Unlock()
-	if stepped {
-		arena.Retain()
-		e.net.inboxMu.Lock()
-		e.net.inbox = append(e.net.inbox, queuedDelivery{msg: msg, arena: arena})
-		e.net.inboxMu.Unlock()
-	} else {
-		e.handler(msg)
-		e.net.delivered.Add(1)
+	arena.Retain()
+	e.net.inboxMu.Lock()
+	first := len(e.net.inbox) == 0
+	e.net.inbox = append(e.net.inbox, queuedDelivery{msg: msg, arena: arena})
+	e.net.inboxMu.Unlock()
+	if first {
+		// Only the empty → non-empty edge wakes a DeliverUntil, so a burst
+		// costs one token, and DeliverAll, which never waits on it, pays
+		// nothing per frame.
+		select {
+		case e.net.arrived <- struct{}{}:
+		default:
+		}
 	}
 	e.net.inflight.Add(-1)
 }

@@ -156,7 +156,7 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	}
 }
 
-// TestTCPSteppedDeliveryFollowsCascade: in stepped mode DeliverAll must
+// TestTCPSteppedDeliveryFollowsCascade: DeliverAll must
 // run handlers on the calling goroutine and follow send cascades to
 // quiescence — the round engine's delivery contract.
 func TestTCPSteppedDeliveryFollowsCascade(t *testing.T) {
@@ -249,7 +249,8 @@ func TestTCPDynamicRosterJoinLeave(t *testing.T) {
 }
 
 // TestTCPDynamicRosterRace hammers register/deregister concurrently with
-// senders — the -race tripwire for the dynamic roster path.
+// senders and a draining driver — the -race tripwire for the dynamic
+// roster path.
 func TestTCPDynamicRosterRace(t *testing.T) {
 	tn := NewTCPNet(nil)
 	tn.SetDynamic("127.0.0.1")
@@ -267,6 +268,19 @@ func TestTCPDynamicRosterRace(t *testing.T) {
 	}
 	var senders, flappers sync.WaitGroup
 	stop := make(chan struct{})
+	// The driver flushes and drains in short paced slices throughout.
+	senders.Add(1)
+	go func() {
+		defer senders.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tn.DeliverUntil(time.Now().Add(time.Millisecond))
+		}
+	}()
 	// Senders blast at ids that flap in and out of the roster.
 	for s := 0; s < 2; s++ {
 		senders.Add(1)

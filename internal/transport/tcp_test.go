@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,43 +29,13 @@ func freeAddrs(t *testing.T, n int) map[model.NodeID]string {
 	return book
 }
 
-// collector gathers messages thread-safely.
-type collector struct {
-	mu   sync.Mutex
-	msgs []Message
-	cond *sync.Cond
-}
-
-func newCollector() *collector {
-	c := &collector{}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
+// collector keeps what its handler is given. Handlers run on the
+// goroutine that drains the net, so it needs no lock.
+type collector struct{ msgs []Message }
 
 func (c *collector) handle(m Message) {
 	m.Payload = bytes.Clone(m.Payload) // a handler keeps no view of its payload
-	c.mu.Lock()
 	c.msgs = append(c.msgs, m)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *collector) waitFor(t *testing.T, n int) []Message {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.msgs) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: have %d messages, want %d", len(c.msgs), n)
-		}
-		c.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
-		c.mu.Lock()
-	}
-	out := make([]Message, len(c.msgs))
-	copy(out, c.msgs)
-	return out
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -74,7 +43,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	tn := NewTCPNet(book)
 	defer func() { _ = tn.Close() }()
 
-	col := newCollector()
+	var col collector
 	if _, err := tn.Register(2, col.handle); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +55,10 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err := ep1.Send(2, 5, []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
-	msgs := col.waitFor(t, 1)
-	m := msgs[0]
+	if got := tn.DeliverAll(); got != 1 {
+		t.Fatalf("DeliverAll delivered %d, want 1", got)
+	}
+	m := col.msgs[0]
 	if m.From != 1 || m.To != 2 || m.Kind != 5 || string(m.Payload) != "over tcp" {
 		t.Fatalf("got %+v", m)
 	}
@@ -98,7 +69,7 @@ func TestTCPMultipleMessagesOneConn(t *testing.T) {
 	tn := NewTCPNet(book)
 	defer func() { _ = tn.Close() }()
 
-	col := newCollector()
+	var col collector
 	_, _ = tn.Register(2, col.handle)
 	ep1, _ := tn.Register(1, func(Message) {})
 
@@ -108,8 +79,10 @@ func TestTCPMultipleMessagesOneConn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	msgs := col.waitFor(t, n)
-	for i, m := range msgs {
+	if got := tn.DeliverAll(); got != n {
+		t.Fatalf("DeliverAll delivered %d, want %d", got, n)
+	}
+	for i, m := range col.msgs {
 		if int(m.Kind) != i {
 			t.Fatalf("out of order at %d: kind %d", i, m.Kind)
 		}
@@ -121,16 +94,77 @@ func TestTCPBidirectional(t *testing.T) {
 	tn := NewTCPNet(book)
 	defer func() { _ = tn.Close() }()
 
-	col1, col2 := newCollector(), newCollector()
+	var col1, col2 collector
 	ep1, _ := tn.Register(1, col1.handle)
 	ep2, _ := tn.Register(2, col2.handle)
 
 	_ = ep1.Send(2, 1, []byte("ping"))
-	col2.waitFor(t, 1)
+	tn.DeliverAll()
+	if len(col2.msgs) != 1 {
+		t.Fatal("ping lost")
+	}
 	_ = ep2.Send(1, 2, []byte("pong"))
-	msgs := col1.waitFor(t, 1)
-	if string(msgs[0].Payload) != "pong" {
+	tn.DeliverAll()
+	if len(col1.msgs) != 1 || string(col1.msgs[0].Payload) != "pong" {
 		t.Fatal("pong lost")
+	}
+}
+
+// TestTCPDeliverUntil: a paced driver's delivery. A frame another TCPNet —
+// another process — sends while the call waits is handled on the calling
+// goroutine before the deadline, and with nothing in flight the call
+// sleeps to its deadline and no further.
+func TestTCPDeliverUntil(t *testing.T) {
+	book := freeAddrs(t, 2)
+	local, remote := NewTCPNet(book), NewTCPNet(book)
+	defer func() { _ = local.Close(); _ = remote.Close() }()
+
+	// draining is written and read on this goroutine only: a handler run
+	// anywhere else is a data race under -race, and one run outside the
+	// call sees false.
+	draining := false
+	var got []byte
+	var handled time.Time
+	if _, err := local.Register(2, func(m Message) {
+		if !draining {
+			t.Error("handler ran outside DeliverUntil")
+		}
+		got, handled = bytes.Clone(m.Payload), time.Now()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := remote.Register(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		if err := ep1.Send(2, 1, []byte("paced")); err != nil {
+			t.Error(err)
+		}
+		remote.FlushAll()
+	}()
+
+	deadline := time.Now().Add(500 * time.Millisecond)
+	draining = true
+	n := local.DeliverUntil(deadline)
+	draining = false
+	if n != 1 || string(got) != "paced" {
+		t.Fatalf("DeliverUntil delivered %d (%q), want the one frame", n, got)
+	}
+	if !handled.Before(deadline) {
+		t.Errorf("frame handled %v after the deadline", handled.Sub(deadline))
+	}
+	if time.Now().Before(deadline) {
+		t.Error("DeliverUntil returned before its deadline")
+	}
+
+	deadline = time.Now().Add(100 * time.Millisecond)
+	if n := local.DeliverUntil(deadline); n != 0 {
+		t.Fatalf("idle DeliverUntil delivered %d", n)
+	}
+	if late := time.Since(deadline); late < 0 || late > 25*time.Millisecond {
+		t.Errorf("idle DeliverUntil returned %v after its deadline", late)
 	}
 }
 
@@ -168,10 +202,9 @@ func TestTCPManyNodes(t *testing.T) {
 	tn := NewTCPNet(book)
 	defer func() { _ = tn.Close() }()
 
-	cols := make([]*collector, n)
+	cols := make([]collector, n)
 	eps := make([]Endpoint, n)
 	for i := 0; i < n; i++ {
-		cols[i] = newCollector()
 		ep, err := tn.Register(model.NodeID(i+1), cols[i].handle)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +222,12 @@ func TestTCPManyNodes(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		cols[i].waitFor(t, n-1)
+	if got := tn.DeliverAll(); got != n*(n-1) {
+		t.Fatalf("DeliverAll delivered %d, want %d", got, n*(n-1))
+	}
+	for i := range cols {
+		if len(cols[i].msgs) != n-1 {
+			t.Errorf("node %d got %d messages, want %d", i+1, len(cols[i].msgs), n-1)
+		}
 	}
 }

@@ -165,10 +165,10 @@ type SessionConfig struct {
 	Workers int
 	// NewNetwork optionally supplies the session's transport (called once
 	// per session, so one config can build several sessions on fresh
-	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet in
-	// stepped mode (SetStepped — required, NewSession rejects a
-	// direct-delivery one) runs the same session over real sockets with
-	// Workers 0 or 1. Socket runs trade byte-identical replay for
+	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet
+	// runs the same session over real sockets with Workers 0 or 1 (its
+	// handlers run inside the engine's DeliverAll, on the engine's
+	// goroutine). Socket runs trade byte-identical replay for
 	// statistical equivalence: the fault plane is consulted in wall-clock
 	// send order, not canonical merge order.
 	NewNetwork func() transport.FaultyNetwork
@@ -322,13 +322,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		joinedChunk: make(map[model.NodeID]uint64),
 		departed:    make(map[model.NodeID]model.Round),
 		evicted:     make(map[model.NodeID]bool),
-	}
-	// A transport that delivers on its own goroutines (a direct-mode
-	// TCPNet) would run handlers concurrently with node steps — AcTinG
-	// and RAC nodes carry no locks, so that is a race, not a slow path.
-	// The engine's contract is stepped delivery; refuse anything else.
-	if sm, hasMode := s.net.(interface{ SteppedMode() bool }); hasMode && !sm.SteppedMode() {
-		return nil, fmt.Errorf("pag: %s transport must be in stepped delivery mode for a session (call SetStepped before NewSession)", s.net.Name())
 	}
 	var err error
 	if s.engine, err = sim.NewEngine(s.net, c.Workers); err != nil {

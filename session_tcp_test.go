@@ -1,7 +1,6 @@
 package pag
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -146,20 +145,4 @@ func TestTCPSessionRejectsParallelEngine(t *testing.T) {
 		t.Fatalf("one worker over TCP refused: %v", err)
 	}
 	s.Close()
-}
-
-// TestTCPSessionRejectsDirectDelivery: a TCPNet left in direct-delivery
-// mode would run handlers on reader goroutines concurrently with node
-// steps (AcTinG/RAC nodes carry no locks) — NewSession must refuse it.
-func TestTCPSessionRejectsDirectDelivery(t *testing.T) {
-	cfg := tcpSessionConfig(8)
-	cfg.NewNetwork = func() transport.FaultyNetwork {
-		tn := transport.NewTCPNet(nil)
-		tn.SetDynamic("127.0.0.1")
-		return tn // SetStepped deliberately omitted
-	}
-	_, err := NewSession(cfg)
-	if err == nil || !strings.Contains(err.Error(), "stepped") {
-		t.Fatalf("direct-mode TCPNet accepted: %v", err)
-	}
 }
