@@ -24,6 +24,7 @@ type detRow struct {
 	scenario    string
 	protocol    Protocol // 0: all three protocols in one report
 	tcp         bool     // over loopback TCP, compared by digest only
+	paper       bool     // 512-bit hash and a stream whose buffermaps split
 	workers     int
 	noFlyweight bool
 	short       bool // part of the -short subset the race job runs
@@ -33,6 +34,9 @@ func (r detRow) String() string {
 	s := r.scenario
 	if r.tcp {
 		s += "/tcp/" + r.protocol.String()
+	}
+	if r.paper {
+		s += "/512-bit"
 	}
 	if r.noFlyweight {
 		s += "/no-flyweight"
@@ -66,6 +70,17 @@ func flyweightRows() []detRow {
 			rows = append(rows, detRow{scenario: name, workers: w, noFlyweight: true,
 				short: name == "steady-churn" && w%4 == 0})
 		}
+	}
+	return rows
+}
+
+// paperRows: PAG at the paper's 512-bit width, where hhash.Hasher.Tags
+// splits a buffermap across goroutines — inside a node step, and inside
+// each shard's node steps on the sharded engine.
+func paperRows() []detRow {
+	var rows []detRow
+	for _, w := range []int{0, 1, 4} {
+		rows = append(rows, detRow{scenario: "steady-churn", protocol: ProtocolPAG, paper: true, workers: w})
 	}
 	return rows
 }
@@ -108,6 +123,9 @@ func runDeterminism(t *testing.T, r detRow) detRun {
 	if r.tcp {
 		cfg = tcpSessionConfig(nodes)
 	}
+	if r.paper {
+		cfg.StreamKbps, cfg.ModulusBits = 4, 512
+	}
 	cfg.Workers, cfg.DisableFlyweight, cfg.Obs = r.workers, r.noFlyweight, obs.NewRegistry()
 	var ps []Protocol
 	if r.protocol != 0 {
@@ -129,6 +147,15 @@ func TestFlyweightAblationEquivalenceTCP(t *testing.T) {
 	checkDeterminism(t, flyweightTCPRows())
 }
 
+// TestPaperWidthEquivalence runs paperRows with at least two Ps, the
+// fewest at which a batch splits.
+func TestPaperWidthEquivalence(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	checkDeterminism(t, paperRows())
+}
+
 // checkDeterminism runs each row (the -short subset under -short) and
 // compares it with its reference run.
 func checkDeterminism(t *testing.T, rows []detRow) {
@@ -138,7 +165,7 @@ func checkDeterminism(t *testing.T, rows []detRow) {
 			continue
 		}
 		t.Run(row.String(), func(t *testing.T) {
-			key := detRow{scenario: row.scenario, protocol: row.protocol, tcp: row.tcp}
+			key := detRow{scenario: row.scenario, protocol: row.protocol, tcp: row.tcp, paper: row.paper}
 			want, ok := refs[key]
 			if !ok {
 				want = runDeterminism(t, key)

@@ -68,14 +68,16 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	// Buffermap: tags of what this node owns and could still be served, as
 	// of now — including what earlier slots of this round delivered —
 	// hashed under the fresh prime (§V-D): the requester matches without
-	// revealing identifiers.
+	// revealing identifiers. The embeddings are gathered here, on the
+	// node's goroutine (embedOf fills the store and the interner); only the
+	// lifts may run on other cores.
 	if w := n.sh.BuffermapWindow; w >= 0 {
-		owned := n.store.OwnedInWindow(n.round, w)
-		tags := make([]uint64, len(owned))
-		for i, e := range owned {
-			tags[i] = n.sh.HashParams.Tag(n.hasher.LiftFixed(n.embedOf(e), ex.prime))
+		s := getTagScratch()
+		defer s.release() // resp.BufferMap is s.tags until the send
+		for _, e := range n.store.OwnedInWindow(n.round, w) {
+			s.bases = append(s.bases, n.embedOf(e))
 		}
-		resp.BufferMap = update.NewBufferMap(tags)
+		resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
 	}
 	n.signEncryptSend(req.From, resp, wire.KindKeyResponse)
 	if n.trace != nil {
@@ -167,25 +169,33 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		To:    succ,
 		KPrev: n.sendCur.kPrev.Bytes(),
 	}
-	// Partition into payloads vs refs via the buffermap, and accumulate
-	// the attestation products split by expiration (§V-D).
-	expProd := n.hasher.Identity()
-	fwdProd := n.hasher.Identity()
+	s := getTagScratch()
 	for _, it := range items {
 		ve := it.embed
 		if ve == nil {
 			ve = n.embed(&it.upd)
 		}
-		// No map, no lift: against an empty buffermap (the ablation, or a
-		// successor that owns nothing yet) matching costs no hash operation.
-		if len(bm) > 0 && bm.Contains(n.sh.HashParams.Tag(n.hasher.LiftFixed(ve, prime))) {
+		s.bases = append(s.bases, ve)
+	}
+	// No map, no lift: against an empty buffermap (the ablation, or a
+	// successor that owns nothing yet) matching costs no hash operation.
+	var tags []uint64
+	if len(bm) > 0 {
+		tags = n.tagsOf(s, prime)
+	}
+	// Partition into payloads vs refs via the buffermap, and accumulate
+	// the attestation products split by expiration (§V-D).
+	expProd := n.hasher.Identity()
+	fwdProd := n.hasher.Identity()
+	for i, it := range items {
+		if tags != nil && bm.Contains(tags[i]) {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
 			n.stats.RefsSent++
 		} else {
 			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 			n.stats.PayloadsSent++
 		}
-		v := ve.Value()
+		v := s.bases[i].Value()
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}
@@ -195,6 +205,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 			fwdProd = n.hasher.Combine(fwdProd, v)
 		}
 	}
+	s.release()
 
 	att := &wire.Attestation{Round: n.round, From: n.id, To: succ}
 	hExp := n.hasher.Lift(expProd, prime)

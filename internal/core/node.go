@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/hhash"
 	"repro/internal/model"
@@ -761,6 +763,36 @@ func (n *Node) embedOf(e *update.Entry) *hhash.FixedBase {
 		}
 	}
 	return e.Embed
+}
+
+// tagScratch is one exchange's buffermap batch: the bases onKeyRequest or
+// serve gathers on the node's goroutine and the tags hhash.Hasher.Tags
+// writes for them. Scratch is pooled across nodes, not kept per node: a
+// node holds one only while it tags, where a buffer per node cost ~1 % of
+// the live heap at N=432.
+type tagScratch struct {
+	bases []*hhash.FixedBase
+	tags  []uint64
+}
+
+var tagScratchPool = sync.Pool{New: func() any { return new(tagScratch) }}
+
+func getTagScratch() *tagScratch { return tagScratchPool.Get().(*tagScratch) }
+
+// release returns the scratch to the pool, its bases cleared so it pins no
+// embedding; nothing may read the tags afterwards.
+func (s *tagScratch) release() {
+	clear(s.bases)
+	s.bases = s.bases[:0]
+	tagScratchPool.Put(s)
+}
+
+// tagsOf returns the buffermap tags of s.bases under prime — one
+// hhash.Hasher.Tags batch, which may spread its lifts over idle cores.
+func (n *Node) tagsOf(s *tagScratch, prime hhash.Key) []uint64 {
+	s.tags = slices.Grow(s.tags[:0], len(s.bases))[:len(s.bases)]
+	n.hasher.Tags(s.tags, s.bases, prime)
+	return s.tags
 }
 
 // newRecvExchange, newSendExchange and newPendingItem draw round-scoped

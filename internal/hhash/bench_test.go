@@ -168,6 +168,40 @@ func BenchmarkVerifyBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkTags times one exchange's buffermap batch per op, reported per
+// tag: 128- and 512-bit moduli, batches of 1, 16 and 200 fresh bases with
+// tables built. Run with -cpu 1,2 to compare the inline batch with the
+// split one: a batch splits only above tagSplitWork and GOMAXPROCS ≥ 2.
+func BenchmarkTags(b *testing.B) {
+	for _, bits := range []int{128, 512} {
+		rnd := rand.New(rand.NewSource(42))
+		params, err := GenerateParams(rnd, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := NewHasher(params, nil)
+		key, err := GeneratePrimeKey(rnd, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []int{1, 16, 200} {
+			bases := make([]*FixedBase, n)
+			for i := range bases {
+				bases[i] = NewFixedBase(new(big.Int).Rand(rnd, params.m), bits)
+			}
+			dst := make([]uint64, n)
+			h.Tags(dst, bases, key) // builds the tables
+			b.Run(fmt.Sprintf("bits=%d/n=%d", bits, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					h.Tags(dst, bases, key)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tag")
+			})
+		}
+	}
+}
+
 func BenchmarkProductEmbed(b *testing.B) {
 	for _, items := range []int{8, 32} {
 		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestLiftFixedMatchesBig is the comb's differential test, over the same
@@ -252,6 +255,219 @@ func TestFixedBaseSharedAcrossHashers(t *testing.T) {
 	}
 }
 
+// withProcs runs f at GOMAXPROCS procs, so a batch above tagSplitWork
+// splits even on a one-core machine.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// splitSize is the smallest batch of bases of expBits bits that Tags splits
+// under m at procs > 1, and the tags one claim takes then.
+func splitSize(m *big.Int, expBits int) (n, chunk int) {
+	limbs := len(m.Bits())
+	perTag := combColumns(expBits) * limbs * limbs
+	n = (tagSplitWork + perTag - 1) / perTag
+	chunk, _ = tagPlan(n, expBits, limbs, 2)
+	return n, chunk
+}
+
+// TestTagsMatchLiftFixed is the batched kernel's differential test, over
+// TestLiftFixedMatchesBig's grid plus 1088 bits (past expStackLimbs):
+// every tag equals Params.Tag of big.Int.Exp and of LiftFixed, for batches
+// of 0, 1, one chunk and many chunks (split, at widths where a split fits
+// in a test), with released tables, a base of another declared width and
+// bases the comb must leave mixed into one batch, under a prime, an
+// exponent one bit too wide and a product key. dst past the batch is left
+// alone.
+func TestTagsMatchLiftFixed(t *testing.T) {
+	withProcs(4, func() {
+		rnd := mrand.New(mrand.NewSource(27))
+		for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 255, 256, 512, 513, 576, 1024, 1088} {
+			for _, odd := range []bool{true, false} {
+				m := testModulus(rnd, bits, odd)
+				h := hasherFor(t, m)
+				p1, err := pregenPrime(rnd, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p2, err := pregenPrime(rnd, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := []Key{p1, {e: new(big.Int).Lsh(_one, uint(bits))}, p1.Mul(p2)}
+
+				split, chunk := splitSize(m, bits)
+				sizes := []int{0, 1, chunk}
+				if many := split + 2*chunk; many <= 100 {
+					sizes = append(sizes, many)
+				}
+				for _, n := range sizes {
+					bases := make([]*FixedBase, n)
+					for i := range bases {
+						v := new(big.Int).Rand(rnd, m)
+						switch i % 7 {
+						case 1:
+							v = big.NewInt(-3)
+						case 2:
+							v = new(big.Int).Add(m, _two)
+						}
+						expBits := bits
+						if i%5 == 3 {
+							expBits = bits + 7 // a table of another width
+						}
+						bases[i] = NewFixedBase(v, expBits)
+					}
+					for _, key := range keys {
+						for pass := 0; pass < 2; pass++ { // builds, then reuses
+							if pass == 1 {
+								for i := 2; i < n; i += 3 {
+									bases[i].Release()
+								}
+							}
+							dst := make([]uint64, n+1)
+							dst[n] = 0xfeed
+							h.Tags(dst, bases, key)
+							for i, fb := range bases {
+								want := h.params.Tag(new(big.Int).Exp(fb.v, key.e, m))
+								if dst[i] != want {
+									t.Fatalf("bits=%d odd=%v n=%d pass %d: tag %d = %#x, want %#x", bits, odd, n, pass, i, dst[i], want)
+								}
+								if got := h.params.Tag(h.LiftFixed(fb, key)); got != want {
+									t.Fatalf("bits=%d odd=%v: LiftFixed tag %#x, want %#x", bits, odd, got, want)
+								}
+							}
+							if dst[n] != 0xfeed {
+								t.Fatalf("bits=%d n=%d: Tags wrote past the batch", bits, n)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestTagsAccounting: a batch counts what the lifts it replaces counted —
+// one hash-op and one lift span per tag — inline and split alike.
+func TestTagsAccounting(t *testing.T) {
+	withProcs(4, func() {
+		rnd := mrand.New(mrand.NewSource(28))
+		m := testModulus(rnd, 512, true)
+		p, err := ParamsFromModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := pregenPrime(rnd, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, _ := splitSize(m, 512)
+		for _, n := range []int{0, 1, split - 1, split, 4 * split} {
+			var ops Counter
+			h := NewHasher(p, &ops)
+			spans := obs.NewRegistry().Histogram("lift_seconds", obs.ClassTimed, nil)
+			h.Instrument(spans, nil)
+			bases := make([]*FixedBase, n)
+			for i := range bases {
+				bases[i] = NewFixedBase(new(big.Int).Rand(rnd, m), 512)
+			}
+			if n > 0 {
+				bases[0].Release() // one generic lift in the batch
+			}
+			h.Tags(make([]uint64, n), bases, key)
+			if ops.HashOps() != uint64(n) || spans.Count() != uint64(n) {
+				t.Errorf("%d tags counted as %d hash-ops and %d lift spans", n, ops.HashOps(), spans.Count())
+			}
+		}
+	})
+}
+
+// TestTagsAllocations: below the split threshold a batch allocates
+// nothing once its tables exist, at every kernel width.
+func TestTagsAllocations(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(29))
+	for _, bits := range []int{128, 256, 512} {
+		m := testModulus(rnd, bits, true)
+		h := hasherFor(t, m)
+		key, err := pregenPrime(rnd, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, _ := splitSize(m, bits)
+		bases := make([]*FixedBase, min(split-1, 64))
+		for i := range bases {
+			bases[i] = NewFixedBase(new(big.Int).Rand(rnd, m), bits)
+		}
+		dst := make([]uint64, len(bases))
+		h.Tags(dst, bases, key) // builds the engine and the tables
+		if n := testing.AllocsPerRun(50, func() { h.Tags(dst, bases, key) }); n != 0 {
+			t.Errorf("bits=%d: a batch of %d tags allocates %.0f objects, want 0", bits, len(bases), n)
+		}
+	}
+}
+
+// TestTagsSharedAcrossHashers is TestFixedBaseSharedAcrossHashers for
+// batches that split: two hashers tag the same fresh bases at once, each
+// on helpers of its own, while a third goroutine releases half of them.
+// Run under -race.
+func TestTagsSharedAcrossHashers(t *testing.T) {
+	withProcs(4, func() {
+		rnd := mrand.New(mrand.NewSource(30))
+		m := testModulus(rnd, 512, true)
+		params, err := ParamsFromModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, _ := splitSize(m, 512)
+		bases := make([]*FixedBase, 3*split)
+		for i := range bases {
+			bases[i] = NewFixedBase(new(big.Int).Rand(rnd, m), 512)
+		}
+		const hashers = 2
+		keys := make([]Key, hashers)
+		want := make([][]uint64, hashers)
+		for w := range keys {
+			if keys[w], err = pregenPrime(rnd, 512); err != nil {
+				t.Fatal(err)
+			}
+			for _, fb := range bases {
+				want[w] = append(want[w], params.Tag(new(big.Int).Exp(fb.v, keys[w].e, m)))
+			}
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < hashers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := NewHasher(params, nil)
+				dst := make([]uint64, len(bases))
+				<-start
+				for pass := 0; pass < 3; pass++ {
+					h.Tags(dst, bases, keys[w])
+					for i := range dst {
+						if dst[i] != want[w][i] {
+							t.Errorf("hasher %d pass %d: tag %d wrong", w, pass, i)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, fb := range bases[:len(bases)/2] {
+				fb.Release()
+			}
+		}()
+		close(start)
+		wg.Wait()
+	})
+}
+
 func FuzzLiftFixedMatchesBig(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff}, []byte{0x01}, uint16(128))
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x01}, []byte{0x02}, []byte{0x01, 0x00, 0x01}, uint16(17))
@@ -275,11 +491,15 @@ func FuzzLiftFixedMatchesBig(f *testing.F) {
 		fb := NewFixedBase(b, int(expBits))
 		want := new(big.Int).Exp(b, e, m)
 		// Twice: the first call builds the table, the second reuses it
-		// and the cached digits.
+		// and the cached digits. Then as a one-tag batch.
 		for pass := 0; pass < 2; pass++ {
 			if got := h.LiftFixed(fb, Key{e: e}); got.Cmp(want) != 0 {
 				t.Fatalf("pass %d: %x^%x mod %x (expBits %d) = %x, want %x", pass, b, e, m, expBits, got, want)
 			}
+		}
+		var tag [1]uint64
+		if h.Tags(tag[:], []*FixedBase{fb}, Key{e: e}); tag[0] != h.params.Tag(want) {
+			t.Fatalf("Tags: %x^%x mod %x (expBits %d) tagged %#x, want %#x", b, e, m, expBits, tag[0], h.params.Tag(want))
 		}
 	})
 }

@@ -123,7 +123,8 @@ func (p Params) ValueLen() int {
 // compares tags — both through this one function. It reads the low limb:
 // big.Int.Uint64 is undefined for values wider than 64 bits, and the
 // high-order bytes are biased by the modulus' top limb where the low ones
-// are as good as uniform.
+// are as good as uniform. Hasher.Tags computes the same value from the
+// limbs of a lift it never turns into a big.Int (limbsTag).
 func (p Params) Tag(v *big.Int) uint64 {
 	w := v.Bits()
 	if len(w) == 0 {
@@ -157,10 +158,13 @@ func GeneratePrimeKey(rnd io.Reader, bits int) (Key, error) {
 	return pregenPrime(rnd, bits)
 }
 
-// KeyFromInt builds a key from an explicit positive exponent.
+var errKeyNotPositive = errors.New("hhash: key exponent must be positive")
+
+// KeyFromInt builds a key from an explicit positive exponent. The key keeps
+// a copy: the caller may still hold e.
 func KeyFromInt(e *big.Int) (Key, error) {
 	if e == nil || e.Sign() <= 0 {
-		return Key{}, errors.New("hhash: key exponent must be positive")
+		return Key{}, errKeyNotPositive
 	}
 	return Key{e: new(big.Int).Set(e)}, nil
 }
@@ -207,12 +211,18 @@ func (k Key) Bytes() []byte {
 	return k.e.Bytes()
 }
 
-// KeyFromBytes decodes a key encoded with Bytes.
+// KeyFromBytes decodes a key encoded with Bytes. The decoded exponent is
+// the key's own, so nothing is copied: every received Serve, KeyResponse
+// and AttForward decodes one.
 func KeyFromBytes(b []byte) (Key, error) {
 	if len(b) == 0 {
 		return Key{}, errors.New("hhash: empty key encoding")
 	}
-	return KeyFromInt(new(big.Int).SetBytes(b))
+	e := new(big.Int).SetBytes(b)
+	if e.Sign() == 0 {
+		return Key{}, errKeyNotPositive
+	}
+	return Key{e: e}, nil
 }
 
 // Counter tallies the modular-exponentiation operations a party performs.
@@ -258,10 +268,12 @@ func (c *Counter) Reset() {
 // Hasher evaluates the hash under fixed Params, attributing operation
 // counts to an optional per-node Counter.
 //
-// A Hasher is NOT safe for concurrent use: it carries per-instance
-// scratch state (the Embed buffer and the Montgomery context of Lift and
-// MultiExp). Protocol nodes serialise all entry points under their own
-// mutex, which covers the monitor role sharing the node's hasher.
+// A Hasher serves one caller at a time: it carries per-instance scratch
+// state (the Embed buffer, the cached comb recoding, the lazily built
+// engine), and a protocol node's driver calls it — monitor role included —
+// from one goroutine at a time. Tags may run lifts on helper goroutines
+// inside the call; it returns only once every lift is done. The Montgomery
+// context (montCtx) those helpers share is immutable once built.
 type Hasher struct {
 	params Params
 	ops    *Counter
@@ -290,10 +302,10 @@ type Hasher struct {
 	multi      multiExper
 	multiBuilt bool
 
-	// combExp / combDigits cache the comb recoding of the last exponent
-	// LiftFixed ran under (comb.go).
-	combExp    *big.Int
-	combDigits []uint8
+	// combDigits caches the comb recoding of combDigitsE, the last
+	// exponent LiftFixed or Tags ran under (comb.go).
+	combDigitsE *big.Int
+	combDigits  []uint8
 }
 
 // NewHasher builds a Hasher; ops may be nil if counting is not needed.

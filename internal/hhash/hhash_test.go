@@ -94,6 +94,14 @@ func TestKeyRoundTrip(t *testing.T) {
 	if _, err := KeyFromBytes(nil); err == nil {
 		t.Fatal("expected error for empty key")
 	}
+	if _, err := KeyFromBytes([]byte{0, 0}); err == nil {
+		t.Fatal("expected error for a zero exponent")
+	}
+	// One big.Int and its limbs: the decoded exponent is not copied again.
+	enc := k.Bytes()
+	if n := testing.AllocsPerRun(100, func() { KeyFromBytes(enc) }); n > 2 {
+		t.Fatalf("KeyFromBytes allocates %.0f objects, want <= 2", n)
+	}
 }
 
 func TestKeyFromIntRejectsNonPositive(t *testing.T) {

@@ -24,6 +24,9 @@ import (
 	"math/bits"
 )
 
+// montCtx is immutable once built: every method reads it and keeps its
+// working state on the caller's stack, so one context serves any number of
+// goroutines at once (Hasher.Tags lifts on helpers).
 type montCtx struct {
 	mod   *big.Int
 	m     []uint // modulus limbs, little-endian, len k
@@ -31,7 +34,7 @@ type montCtx struct {
 	n0inv uint   // -m⁻¹ mod 2^W
 	one   []uint // R mod m (Montgomery 1)
 	rr    []uint // R² mod m (to-Montgomery factor)
-	t     []uint // generic-path accumulator, len k+1
+	unit  []uint // plain 1: multiplying by it is the R⁻¹ step out of the domain
 }
 
 // newMontCtx builds the context; nil when the modulus is even or trivial
@@ -46,7 +49,8 @@ func newMontCtx(mod *big.Int) *montCtx {
 	for i, w := range words {
 		m[i] = uint(w)
 	}
-	c := &montCtx{mod: mod, m: m, k: k, n0inv: -invWord(m[0]), t: make([]uint, k+1)}
+	c := &montCtx{mod: mod, m: m, k: k, n0inv: -invWord(m[0]), unit: make([]uint, k)}
+	c.unit[0] = 1
 	r := new(big.Int).Lsh(_one, uint(k)*_W)
 	c.one = c.limbsOf(new(big.Int).Mod(r, mod))
 	c.rr = c.limbsOf(new(big.Int).Mod(new(big.Int).Mul(r, r), mod))
@@ -70,6 +74,15 @@ func (c *montCtx) limbsOf(v *big.Int) []uint {
 		out[i] = uint(w)
 	}
 	return out
+}
+
+// limbs returns k limbs of buf for a working value, or fresh ones when the
+// modulus is wider than buf.
+func (c *montCtx) limbs(buf []uint) []uint {
+	if c.k > len(buf) {
+		return make([]uint, c.k)
+	}
+	return buf[:c.k]
 }
 
 // toInt converts k limbs back to a big.Int.
@@ -103,16 +116,8 @@ func (c *montCtx) toMont(dst []uint, v *big.Int) {
 // fromMont converts a Montgomery-form value back to a plain residue.
 func (c *montCtx) fromMont(a []uint) *big.Int {
 	out := make([]uint, c.k)
-	c.mul(out, a, c.one4())
+	c.mul(out, a, c.unit)
 	return c.toInt(out)
-}
-
-// one4 returns the plain-domain 1-vector (multiplying by it performs the
-// R⁻¹ Montgomery step that leaves the plain residue).
-func (c *montCtx) one4() []uint {
-	v := make([]uint, c.k)
-	v[0] = 1
-	return v
 }
 
 // useADX selects the MULX/ADCX/ADOX kernels (mont_amd64.s) for the 512-
@@ -167,10 +172,14 @@ func (c *montCtx) mulPortable(dst, a, b []uint) {
 	}
 	k := c.k
 	m := c.m
-	t := c.t[:k+1]
-	for i := range t {
-		t[i] = 0
+	// The accumulator is the caller's, never the context's: wider moduli
+	// than exp keeps on the stack take it from the heap, per call.
+	var stack [expStackLimbs + 1]uint
+	t := stack[:]
+	if k > expStackLimbs {
+		t = make([]uint, k+1)
 	}
+	t = t[:k+1]
 	for i := 0; i < k; i++ {
 		bi := b[i]
 		hiA, loA := bits.Mul(a[0], bi)
@@ -536,11 +545,6 @@ func (c *montCtx) exp(z, base, e *big.Int) *big.Int {
 		}
 	}
 
-	// Leave the Montgomery domain: multiplying by plain 1 is the R⁻¹ step.
-	for i := range tmp {
-		tmp[i] = 0
-	}
-	tmp[0] = 1
-	c.mul(acc, acc, tmp)
+	c.mul(acc, acc, c.unit) // leave the Montgomery domain
 	return limbsToInt(z, acc)
 }

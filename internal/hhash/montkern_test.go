@@ -210,6 +210,8 @@ func TestPortableKernels(t *testing.T) {
 		{"LiftFixedMatchesBig", TestLiftFixedMatchesBig},
 		{"LiftFixedFallbacks", TestLiftFixedFallbacks},
 		{"LiftFixedAllocations", TestLiftFixedAllocations},
+		{"TagsMatchLiftFixed", TestTagsMatchLiftFixed},
+		{"TagsAllocations", TestTagsAllocations},
 		{"MultiExpMatchesNaive", TestMultiExpMatchesNaive},
 		{"VerifyForwardingMatchesNaive", TestVerifyForwardingMatchesNaive},
 		{"VerifyBatchAcceptIffEachAccepts", TestVerifyBatchAcceptIffEachAccepts},

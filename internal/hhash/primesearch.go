@@ -91,15 +91,15 @@ type primeSearch struct {
 
 func newPrimeSearch(bitLen int) *primeSearch {
 	k := (bitLen + _W - 1) / _W
-	arena := make([]uint, 8*k+1)
-	part := func(i int) []uint { return arena[i*k+1 : (i+1)*k+1] }
+	arena := make([]uint, 7*k)
+	part := func(i int) []uint { return arena[i*k : (i+1)*k] }
 	return &primeSearch{
-		mc:       montCtx{k: k, m: arena[:k], one: arena[k : 2*k], t: arena[2*k : 3*k+1]},
-		minusOne: part(3),
-		acc:      part(4),
-		vk1:      part(5),
-		pm:       part(6),
-		two:      part(7),
+		mc:       montCtx{k: k, m: part(0), one: part(1)},
+		minusOne: part(2),
+		acc:      part(3),
+		vk1:      part(4),
+		pm:       part(5),
+		two:      part(6),
 	}
 }
 
