@@ -356,8 +356,8 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 				failed++
 			}
 		}
-		fmt.Fprintf(out, "[%v] scenario journal: %d events (%d failed), dropped %d on the wire (%d deferred by caps, %d expired queued)\n",
-			self, applied, failed, net.Dropped(), net.Faults().Deferred(), net.Faults().CapExpired())
+		fmt.Fprintf(out, "[%v] scenario journal: %d events (%d failed), dropped %d on the wire, %d retransmitted (%d deferred by caps, %d expired queued)\n",
+			self, applied, failed, net.Dropped(), net.Faults().Retransmitted(), net.Faults().Deferred(), net.Faults().CapExpired())
 	}
 	if d.node != nil {
 		st := d.node.Stats()
@@ -532,11 +532,6 @@ func (d *deployment) depart(id model.NodeID, r model.Round) {
 
 // SetLossRate implements scenario.Applier.
 func (d *deployment) SetLossRate(rate float64) { d.net.Faults().SetLossRate(rate) }
-
-// SetLinkLoss implements scenario.Applier.
-func (d *deployment) SetLinkLoss(from, to model.NodeID, rate float64) {
-	d.net.Faults().SetLinkLoss(from, to, rate)
-}
 
 // Partition implements scenario.Applier.
 func (d *deployment) Partition(groups [][]model.NodeID) { d.net.Faults().SetPartition(groups...) }

@@ -24,8 +24,9 @@
 // model: over-budget messages carry over to later rounds, paced by the
 // cap, and expire past the playout deadline. The report separates the
 // resulting queue pressure (messages_deferred, messages_expired, and the
-// per-epoch deferred/expired/queue_depth fields) from loss drops
-// (messages_dropped); capacity-cliff sweeps a population-wide cap toward
+// per-epoch deferred/expired/queue_depth fields) from dead-link drops
+// (messages_dropped; scripted "set_loss" is retransmitted, not dropped);
+// capacity-cliff sweeps a population-wide cap toward
 // the stream rate — caps sized as multiples of the default -stream 60 —
 // and slices one measurement epoch per capacity level.
 //
@@ -77,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodes     = fs.Int("nodes", 16, "initial system size, including the source")
 		stream    = fs.Int("stream", 60, "stream bitrate in kbps")
 		modBits   = fs.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful sizes)")
-		seed      = fs.Uint64("seed", 7, "session seed; also drives a canned scenario's timeline (a -file scenario's own seed wins)")
+		seed      = fs.Uint64("seed", 7, "session seed: keys, membership draws and the network fault plane; also a canned scenario's timeline seed (a -file scenario keeps its own timeline seed)")
 		threshold = fs.Int("threshold", 1, "verdict count that counts as a conviction")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"round-engine workers (0 or 1 steps inline, more shard the nodes — in-memory transport only; results are byte-identical either way; forced 0 with -net tcp)")
@@ -104,7 +105,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (capacity-cliff's caps are multiples of the stream rate — a 60 kbps
 	// sweep against a 300 kbps stream would silently start past the
 	// cliff) and follow the -seed sweep; a scenario file is the script of
-	// record and keeps its own seed.
+	// record and keeps its own timeline seed. The session, and with it the
+	// network fault plane, follows -seed either way.
 	sc, err := loadScenario(*file, *scName, *nodes, *stream)
 	if err != nil {
 		fmt.Fprintln(stderr, "pag-scenario:", err)

@@ -61,13 +61,8 @@ func randomScenario(rng *model.SplitMix64, i int) Scenario {
 				Round: pick(), Action: ActionCrash, Node: node(),
 				LingerRounds: int(rng.Next() % 4),
 			})
-		case 3:
+		case 3, 4:
 			s.Events = append(s.Events, Event{Round: pick(), Action: ActionSetLoss, Rate: rng.Float()})
-		case 4:
-			s.Events = append(s.Events, Event{
-				Round: pick(), Action: ActionSetLinkLoss,
-				Node: node(), Peer: node(), Rate: rng.Float(),
-			})
 		case 5:
 			s.Events = append(s.Events, Event{
 				Round: pick(), Action: ActionPartition,

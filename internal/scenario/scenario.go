@@ -44,10 +44,11 @@ const (
 	// monitors see an unresponsive node (and may well convict it: a
 	// crash is observationally a refusal to participate).
 	ActionCrash Action = "crash"
-	// ActionSetLoss sets the uniform message-loss probability.
+	// ActionSetLoss sets the per-attempt message-loss probability, in
+	// [0, 1). Lost attempts are retransmitted on the reliable channel, so
+	// loss costs bytes, not messages; a link that never delivers is a
+	// partition.
 	ActionSetLoss Action = "set_loss"
-	// ActionSetLinkLoss sets one directed link's loss probability.
-	ActionSetLinkLoss Action = "set_link_loss"
 	// ActionPartition splits the network into Groups (nodes listed in no
 	// group form one implicit extra group).
 	ActionPartition Action = "partition"
@@ -100,9 +101,7 @@ type Event struct {
 	// means "auto": a fresh id for joins, a seed-picked victim for
 	// leaves and crashes.
 	Node model.NodeID `json:"node,omitempty"`
-	// Peer is the destination of a set_link_loss event.
-	Peer model.NodeID `json:"peer,omitempty"`
-	// Rate is the loss probability of set_loss / set_link_loss.
+	// Rate is the loss probability of set_loss.
 	Rate float64 `json:"rate,omitempty"`
 	// Groups lists the partition's explicit groups.
 	Groups [][]model.NodeID `json:"groups,omitempty"`
@@ -156,8 +155,8 @@ type Churn struct {
 type Scenario struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Seed drives churn expansion, auto-victim picks and the network
-	// fault plane. Zero defaults to 1.
+	// Seed drives churn expansion and auto-victim picks. Zero defaults to
+	// 1. The network fault plane is seeded from the session seed instead.
 	Seed uint64 `json:"seed,omitempty"`
 	// Rounds is the total session length.
 	Rounds int `json:"rounds"`
@@ -260,15 +259,8 @@ func (e Event) validate() error {
 	switch e.Action {
 	case ActionJoin, ActionLeave, ActionCrash, ActionHeal:
 	case ActionSetLoss:
-		if e.Rate < 0 || e.Rate > 1 {
-			return fmt.Errorf("loss rate %v outside [0, 1]", e.Rate)
-		}
-	case ActionSetLinkLoss:
-		if e.Rate < 0 || e.Rate > 1 {
-			return fmt.Errorf("loss rate %v outside [0, 1]", e.Rate)
-		}
-		if e.Node == model.NoNode || e.Peer == model.NoNode {
-			return fmt.Errorf("set_link_loss needs node and peer")
+		if e.Rate < 0 || e.Rate >= 1 {
+			return fmt.Errorf("loss rate %v outside [0, 1) (a link that never delivers is a partition)", e.Rate)
 		}
 	case ActionPartition:
 		if len(e.Groups) == 0 {
@@ -333,7 +325,6 @@ type ChurnApplier interface {
 // knobs.
 type FaultApplier interface {
 	SetLossRate(rate float64)
-	SetLinkLoss(from, to model.NodeID, rate float64)
 	Partition(groups [][]model.NodeID)
 	Heal()
 	SetUploadCap(id model.NodeID, kbps int)
@@ -470,9 +461,6 @@ func (t *Timeline) fire(r model.Round, e Event, a Applier) {
 	case ActionSetLoss:
 		a.SetLossRate(e.Rate)
 		entry.Detail = fmt.Sprintf("rate=%g", e.Rate)
-	case ActionSetLinkLoss:
-		a.SetLinkLoss(e.Node, e.Peer, e.Rate)
-		entry.Detail = fmt.Sprintf("to=%v rate=%g", e.Peer, e.Rate)
 	case ActionPartition:
 		a.Partition(e.Groups)
 		entry.Detail = fmt.Sprintf("groups=%d", len(e.Groups))

@@ -65,10 +65,7 @@ func (a *fakeApplier) Crash(r model.Round, id model.NodeID, linger int) error {
 	return nil
 }
 
-func (a *fakeApplier) SetLossRate(rate float64) { a.log("loss %g", rate) }
-func (a *fakeApplier) SetLinkLoss(from, to model.NodeID, rate float64) {
-	a.log("linkloss %v->%v %g", from, to, rate)
-}
+func (a *fakeApplier) SetLossRate(rate float64)          { a.log("loss %g", rate) }
 func (a *fakeApplier) Partition(groups [][]model.NodeID) { a.log("partition %v", groups) }
 func (a *fakeApplier) Heal()                             { a.log("heal") }
 func (a *fakeApplier) SetUploadCap(id model.NodeID, kbps int) {
@@ -95,8 +92,8 @@ func TestValidateRejectsBadScripts(t *testing.T) {
 			Events: []Event{{Round: 1, Action: "explode"}}},
 		{Name: "bad-loss", Rounds: 5,
 			Events: []Event{{Round: 1, Action: ActionSetLoss, Rate: 1.5}}},
-		{Name: "linkloss-no-peer", Rounds: 5,
-			Events: []Event{{Round: 1, Action: ActionSetLinkLoss, Node: 2, Rate: 0.5}}},
+		{Name: "certain-loss", Rounds: 5,
+			Events: []Event{{Round: 1, Action: ActionSetLoss, Rate: 1}}},
 		{Name: "empty-partition", Rounds: 5,
 			Events: []Event{{Round: 1, Action: ActionPartition}}},
 		{Name: "behavior-no-node", Rounds: 5,

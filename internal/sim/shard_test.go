@@ -46,11 +46,13 @@ func (c *chatter) handle(m transport.Message) {
 }
 
 // chatterRun is what a run leaves behind: every node's reception log and
-// traffic counters, and the network's drop count.
+// traffic counters (retransmitted attempts included), and the network's
+// drop and retransmit counts.
 type chatterRun struct {
-	logs    map[model.NodeID][]string
-	traffic map[model.NodeID]transport.Traffic
-	dropped uint64
+	logs          map[model.NodeID][]string
+	traffic       map[model.NodeID]transport.Traffic
+	dropped       uint64
+	retransmitted uint64
 }
 
 // runChatter runs n chatter nodes over a MemNet with 10 % loss and an
@@ -76,7 +78,8 @@ func runChatter(t *testing.T, n, rounds, workers int, seed uint64) chatterRun {
 	}
 	net.Faults().SetUploadCap(2, 3*uint64(transport.HeaderBytes+20))
 	eng.Run(rounds)
-	res := chatterRun{logs: map[model.NodeID][]string{}, traffic: map[model.NodeID]transport.Traffic{}, dropped: net.Dropped()}
+	res := chatterRun{logs: map[model.NodeID][]string{}, traffic: map[model.NodeID]transport.Traffic{},
+		dropped: net.Dropped(), retransmitted: net.Faults().Retransmitted()}
 	for _, c := range nodes {
 		res.logs[c.id], res.traffic[c.id] = c.log, net.TrafficOf(c.id)
 	}

@@ -9,12 +9,24 @@ import (
 )
 
 // This file is the transport-agnostic fault plane: the schedulable network
-// conditions a scenario drives — uniform and per-link message loss,
-// partitions that open and heal, per-node down flags and per-round upload
-// caps — factored out of MemNet so that every Network implementation can
-// apply the same surface. MemNet consults it at its canonical merge point
-// (preserving sharded rounds' byte-identical guarantee); TCPNet
-// consults it on the wire path, at send and receive.
+// conditions a scenario drives — message loss, partitions that open and
+// heal, per-node down flags and per-round upload caps — factored out of
+// MemNet so that every Network implementation can apply the same surface.
+// MemNet consults it at its canonical merge point (preserving sharded
+// rounds' byte-identical guarantee); TCPNet consults it on the wire path,
+// at send and receive.
+//
+// # The failure model
+//
+// PAG assumes reliable authenticated channels between correct nodes
+// (§III), so the plane loses a message only where no reliable channel
+// could deliver it: its link is dead (an end is down, or a partition
+// separates the ends), it expired in a capped upload queue, or a test's
+// DropFunc discarded it. Scripted loss is not one of them: a lost attempt
+// is retransmitted within the same phase, like a TCP segment, and every
+// attempt is charged to the sender's traffic and upload budget while the
+// receiver is charged once. Only a message lost maxAttempts times in a
+// row is dropped.
 //
 // # The link model
 //
@@ -27,8 +39,8 @@ import (
 // rate, by the drain step the transports run at every round boundary
 // (BeginRound). A queued message whose age exceeds the configured
 // deadline (the §V-D playout window: content this stale is useless to the
-// receiver) is expired — dropped and counted separately from loss drops,
-// so reports can tell queue pressure from a lossy network.
+// receiver) is expired — dropped and counted separately from dead-link
+// drops, so reports can tell queue pressure from a broken network.
 
 // Outcome is a FaultPlane admission decision for one message.
 type Outcome int
@@ -49,6 +61,10 @@ const (
 	OutcomeQueued
 )
 
+// maxAttempts bounds how often the plane sends one message over a lossy
+// link: the first attempt plus TCP's default of 15 retransmissions.
+const maxAttempts = 16
+
 // DefaultQueueDeadlineRounds is the queue-expiry default: the paper's
 // 10-round playout window (§V-D) — bytes still queued when their content's
 // playback deadline passes can no longer be useful to the receiver.
@@ -68,7 +84,8 @@ type queuedMsg struct {
 // is statistically equivalent instead. The queue machinery itself never
 // touches the PRNG: deferral and expiry are pure functions of byte
 // budgets and round ages, so the Deferred/CapExpired counters agree
-// exactly across transports for the same per-sender send sequence.
+// exactly across transports for the same per-sender send sequence (while
+// no loss is scripted — retransmissions spend budget too).
 //
 // A FaultPlane is safe for concurrent use; each Network owns exactly one
 // (shared access via Faults()).
@@ -77,7 +94,6 @@ type FaultPlane struct {
 	rng       model.SplitMix64
 	drop      DropFunc
 	lossRate  float64
-	linkLoss  map[[2]model.NodeID]float64
 	partition map[model.NodeID]int // node → group; nil when healed
 	down      map[model.NodeID]bool
 	caps      map[model.NodeID]uint64 // bytes per round; 0 = unlimited
@@ -86,27 +102,15 @@ type FaultPlane struct {
 	// queues holds each capped sender's deferred messages in FIFO order;
 	// round counts BeginRound calls and prices queue ages, and deadline
 	// is the age (in rounds spent waiting) beyond which a queued message
-	// expires; <= 0 disables expiry. deadlines holds per-node overrides
-	// (a node serving latecomers may tolerate staler queued bytes than
-	// the global playout window).
-	queues    map[model.NodeID][]queuedMsg
-	round     uint64
-	deadline  int
-	deadlines map[model.NodeID]int
+	// expires; <= 0 disables expiry.
+	queues   map[model.NodeID][]queuedMsg
+	round    uint64
+	deadline int
 
-	// dlCaps/dlSpent are the download-side mirror of the upload model: a
-	// per-round inbound byte budget applied at delivery. Unlike uploads
-	// there is no queue — a receiver's NIC has nowhere to push back, so
-	// over-budget arrivals are discarded (dlDropped). The check never
-	// rolls the PRNG, so with uniform message sizes the per-script drop
-	// count is arrival-order independent and agrees across transports.
-	dlCaps    map[model.NodeID]uint64
-	dlSpent   map[model.NodeID]uint64
-	dlDropped uint64
-
-	dropped  uint64
-	deferred uint64
-	expired  uint64
+	dropped       uint64
+	deferred      uint64
+	expired       uint64
+	retransmitted uint64
 
 	// o mirrors the counters above into the observability plane (nil
 	// instruments when no registry is attached — every call no-ops).
@@ -121,14 +125,14 @@ type FaultPlane struct {
 // ClassDet: admission outcomes are pure functions of budgets, ages and
 // the seeded PRNG, never of scheduling.
 type planeObs struct {
-	admitted  *obs.Counter
-	dropped   *obs.Counter
-	deferred  *obs.Counter
-	released  *obs.Counter
-	expired   *obs.Counter
-	dlDropped *obs.Counter
-	depth     *obs.Gauge
-	trace     *obs.Tracer
+	admitted      *obs.Counter
+	dropped       *obs.Counter
+	deferred      *obs.Counter
+	released      *obs.Counter
+	expired       *obs.Counter
+	retransmitted *obs.Counter
+	depth         *obs.Gauge
+	trace         *obs.Tracer
 }
 
 // faultSeedMix is the PRNG whitening constant shared by seeded and default
@@ -138,15 +142,12 @@ const faultSeedMix = 0x9E3779B97F4A7C15
 // NewFaultPlane creates a fault plane describing a perfect network.
 func NewFaultPlane() *FaultPlane {
 	return &FaultPlane{
-		rng:       model.SplitMix64{State: faultSeedMix},
-		down:      make(map[model.NodeID]bool),
-		caps:      make(map[model.NodeID]uint64),
-		spent:     make(map[model.NodeID]uint64),
-		queues:    make(map[model.NodeID][]queuedMsg),
-		deadline:  DefaultQueueDeadlineRounds,
-		deadlines: make(map[model.NodeID]int),
-		dlCaps:    make(map[model.NodeID]uint64),
-		dlSpent:   make(map[model.NodeID]uint64),
+		rng:      model.SplitMix64{State: faultSeedMix},
+		down:     make(map[model.NodeID]bool),
+		caps:     make(map[model.NodeID]uint64),
+		spent:    make(map[model.NodeID]uint64),
+		queues:   make(map[model.NodeID][]queuedMsg),
+		deadline: DefaultQueueDeadlineRounds,
 	}
 }
 
@@ -159,14 +160,14 @@ func (p *FaultPlane) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.o = planeObs{
-		admitted:  reg.Counter("pag_net_admitted_total"),
-		dropped:   reg.Counter("pag_net_dropped_total"),
-		deferred:  reg.Counter("pag_net_deferred_total"),
-		released:  reg.Counter("pag_net_released_total"),
-		expired:   reg.Counter("pag_net_expired_total"),
-		dlDropped: reg.Counter("pag_net_dl_dropped_total"),
-		depth:     reg.Gauge("pag_net_queue_depth"),
-		trace:     tr,
+		admitted:      reg.Counter("pag_net_admitted_total"),
+		dropped:       reg.Counter("pag_net_dropped_total"),
+		deferred:      reg.Counter("pag_net_deferred_total"),
+		released:      reg.Counter("pag_net_released_total"),
+		expired:       reg.Counter("pag_net_expired_total"),
+		retransmitted: reg.Counter("pag_net_retransmitted_total"),
+		depth:         reg.Gauge("pag_net_queue_depth"),
+		trace:         tr,
 	}
 }
 
@@ -187,27 +188,13 @@ func (p *FaultPlane) SetDropFunc(f DropFunc) {
 	p.drop = f
 }
 
-// SetLossRate sets the uniform message-loss probability in [0, 1].
+// SetLossRate sets the per-attempt message-loss probability in [0, 1]. A
+// lost attempt is retransmitted, not discarded (see the failure model
+// above).
 func (p *FaultPlane) SetLossRate(rate float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.lossRate = clampProb(rate)
-}
-
-// SetLinkLoss sets the loss probability of the directed link from → to
-// (applied on top of the uniform rate; 0 removes the entry).
-func (p *FaultPlane) SetLinkLoss(from, to model.NodeID, rate float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rate = clampProb(rate)
-	if rate == 0 {
-		delete(p.linkLoss, [2]model.NodeID{from, to})
-		return
-	}
-	if p.linkLoss == nil {
-		p.linkLoss = make(map[[2]model.NodeID]float64)
-	}
-	p.linkLoss[[2]model.NodeID{from, to}] = rate
 }
 
 // SetPartition splits the network: messages crossing group boundaries are
@@ -289,96 +276,6 @@ func (p *FaultPlane) SetQueueDeadline(rounds int) {
 	p.deadline = rounds
 }
 
-// SetQueueDeadlineFor overrides the queue deadline of one node (a slow
-// uplink serving latecomers may tolerate staler bytes than the global
-// playout window, or expire sooner). rounds == 0 removes the override —
-// the node falls back to the global deadline — and rounds < 0 disables
-// expiry for the node entirely.
-func (p *FaultPlane) SetQueueDeadlineFor(id model.NodeID, rounds int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if rounds == 0 {
-		delete(p.deadlines, id)
-		return
-	}
-	p.deadlines[id] = rounds
-}
-
-// deadlineFor resolves a node's effective queue deadline, with p.mu held.
-func (p *FaultPlane) deadlineFor(id model.NodeID) int {
-	if d, ok := p.deadlines[id]; ok {
-		return d
-	}
-	return p.deadline
-}
-
-// SetDownloadCap bounds a node's inbound bytes per round (0 removes the
-// cap) — the download side of the paper's asymmetric-link model (§V-C
-// pairs constrained uplinks with ADSL-style downlinks). There is no
-// inbound queue: a receiver cannot defer what peers already sent, so
-// over-budget arrivals are discarded and counted in DownloadDropped.
-func (p *FaultPlane) SetDownloadCap(id model.NodeID, bytesPerRound uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if bytesPerRound == 0 {
-		delete(p.dlCaps, id)
-		return
-	}
-	p.dlCaps[id] = bytesPerRound
-}
-
-// SetDownloadCapKbps sets a node's download cap from a link rate in kbps
-// (<= 0 removes the cap), sharing the upload side's kbps→bytes-per-round
-// conversion so the two directions cannot drift.
-func (p *FaultPlane) SetDownloadCapKbps(id model.NodeID, kbps int) {
-	if kbps <= 0 {
-		p.SetDownloadCap(id, 0)
-		return
-	}
-	p.SetDownloadCap(id, uint64(kbps)*1000/8*model.RoundDurationSeconds)
-}
-
-// AdmitInbound applies the receiver's download cap to one message that
-// already survived the send-side plane, reporting whether it is
-// delivered. The sender is charged either way (the bytes crossed the
-// wire); a false return means the receiver's NIC discarded the message —
-// the caller must not deliver or charge the receiver. Like the upload
-// rule, an oversized message passes on an untouched round rather than
-// wedging forever. No PRNG is consulted, so for uniform message sizes the
-// drop count is independent of arrival order and agrees across
-// transports.
-func (p *FaultPlane) AdmitInbound(msg Message) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	limit, ok := p.dlCaps[msg.To]
-	if !ok {
-		return true
-	}
-	size := uint64(msg.WireSize())
-	if p.dlSpent[msg.To] > 0 && p.dlSpent[msg.To]+size > limit {
-		p.dlDropped++
-		p.dropped++
-		p.o.dlDropped.Inc()
-		p.o.dropped.Inc()
-		if p.o.trace != nil {
-			p.o.trace.Emit("net_dl_drop", obs.F("round", p.round),
-				obs.F("from", msg.From), obs.F("to", msg.To),
-				obs.F("kind", msg.Kind), obs.F("size", msg.WireSize()))
-		}
-		return false
-	}
-	p.dlSpent[msg.To] += size
-	return true
-}
-
-// DownloadDropped returns how many messages receivers' download caps
-// discarded (a subset of Dropped).
-func (p *FaultPlane) DownloadDropped() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dlDropped
-}
-
 // BeginRound opens a round at the link model: it expires over-age queued
 // messages, resets the per-round upload budgets, and releases as much of
 // each node's backlog as the fresh budget allows — in deterministic order
@@ -392,9 +289,6 @@ func (p *FaultPlane) BeginRound() (released []Message) {
 	defer p.mu.Unlock()
 	p.round++
 	p.spent = make(map[model.NodeID]uint64, len(p.spent))
-	if len(p.dlSpent) > 0 {
-		p.dlSpent = make(map[model.NodeID]uint64, len(p.dlSpent))
-	}
 	if len(p.queues) == 0 {
 		p.o.depth.Set(0)
 		return nil
@@ -411,12 +305,9 @@ func (p *FaultPlane) BeginRound() (released []Message) {
 		// during round r has age (round − r); it expires once the age
 		// exceeds the deadline — i.e. it survived `deadline` full rounds
 		// of release opportunities.
-		// Per-node overrides resolve here, so a node's effective playout
-		// window prices its own queue.
-		deadline := p.deadlineFor(id)
 		i := 0
 		for ; i < len(q); i++ {
-			if deadline <= 0 || p.round-q[i].round <= uint64(deadline) {
+			if p.deadline <= 0 || p.round-q[i].round <= uint64(p.deadline) {
 				break
 			}
 			p.expired++
@@ -467,9 +358,10 @@ func (p *FaultPlane) BeginRound() (released []Message) {
 	return released
 }
 
-// Dropped returns how many messages the fault plane (drop predicate, loss,
-// partitions, down nodes and queue expiry combined) discarded. Deferred
-// messages are not drops — they may still be delivered.
+// Dropped returns how many messages the fault plane (drop predicate,
+// partitions, down nodes, queue expiry and the rare message lost on every
+// attempt, combined) discarded. Deferred and retransmitted messages are not
+// drops — they may still be delivered.
 func (p *FaultPlane) Dropped() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -485,9 +377,17 @@ func (p *FaultPlane) Deferred() uint64 {
 	return p.deferred
 }
 
+// Retransmitted returns how many extra attempts scripted loss cost: every
+// lost attempt of a message that was sent again counts once.
+func (p *FaultPlane) Retransmitted() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.retransmitted
+}
+
 // CapExpired returns how many queued messages were dropped because they
 // out-aged the queue deadline before the cap released them — the
-// bandwidth plane's starvation signal, disjoint from loss drops.
+// bandwidth plane's starvation signal, disjoint from dead-link drops.
 func (p *FaultPlane) CapExpired() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -541,60 +441,36 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 }
 
 // Admit runs one outbound message through the plane — upload cap/queue,
-// drop predicate, down nodes, partition, uniform and per-link loss, in
-// that fixed order (the order every PRNG draw depends on) — updates the
-// counters and the sender's round budget, and returns the outcome. The
-// caller charges traffic according to the outcome: sender on anything but
-// OutcomeQueued, receiver only on OutcomePass. The plane takes the
-// ownership Endpoint.Send was given: a queued message is retained as it is,
-// payload and all, until a later BeginRound releases or expires it.
-func (p *FaultPlane) Admit(msg Message) Outcome {
+// then the post-cap half (admitPostCap) — updates the counters and the
+// sender's round budget, and returns the outcome with the number of copies
+// that left the sender's NIC: 0 when the message queued, else the first
+// attempt plus its retransmissions. The caller charges the sender
+// copies × WireSize and the receiver once, on OutcomePass only. The plane
+// takes the ownership Endpoint.Send was given: a queued message is retained
+// as it is, payload and all, until a later BeginRound releases or expires
+// it.
+func (p *FaultPlane) Admit(msg Message) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	size := uint64(msg.WireSize())
-	// A down sender drops before the queue gates: its NIC is dead, so
-	// nothing defers on its behalf — the same instant-drop (charged, no
-	// PRNG draw) its in-budget sends have always received. The drop
-	// predicate still observes the message (test taps count on seeing
-	// every non-deferred send, and its verdict cannot change a drop).
-	if p.down[msg.From] {
-		p.spent[msg.From] += size
-		if p.drop != nil {
-			_ = p.drop(msg)
-		}
-		p.dropped++
-		p.o.dropped.Inc()
-		return OutcomeDropped
-	}
 	// FIFO pacing: while anything is queued, later messages wait behind
 	// it even if they would fit the remaining budget — or even if the cap
 	// was just removed mid-round (the backlog still flushes first, at the
 	// next round boundary). A frame larger than the whole budget passes
 	// only on an untouched round (spent 0) and then consumes it all — the
 	// same oversized-frame rule the release loop applies, so a message
-	// can never be too big to ever leave the NIC.
-	if len(p.queues[msg.From]) > 0 {
+	// can never be too big to ever leave the NIC. A down sender skips
+	// these gates: its NIC is dead, so nothing defers on its behalf, and
+	// the post-cap half drops the message as a dead link (charged, no PRNG
+	// draw).
+	limit, capped := p.caps[msg.From]
+	if !p.down[msg.From] && (len(p.queues[msg.From]) > 0 ||
+		capped && p.spent[msg.From] > 0 && p.spent[msg.From]+size > limit) {
 		p.enqueue(msg)
-		return OutcomeQueued
-	}
-	if limit, ok := p.caps[msg.From]; ok &&
-		p.spent[msg.From] > 0 && p.spent[msg.From]+size > limit {
-		p.enqueue(msg)
-		return OutcomeQueued
+		return OutcomeQueued, 0
 	}
 	p.spent[msg.From] += size
-	if p.drop != nil && p.drop(msg) {
-		p.dropped++
-		p.o.dropped.Inc()
-		return OutcomeDropped
-	}
-	if p.faultDrop(msg) {
-		p.dropped++
-		p.o.dropped.Inc()
-		return OutcomeDropped
-	}
-	p.o.admitted.Inc()
-	return OutcomePass
+	return p.admitPostCap(msg, size)
 }
 
 // enqueue defers msg on its sender's queue, with p.mu held.
@@ -611,44 +487,49 @@ func (p *FaultPlane) enqueue(msg Message) {
 }
 
 // AdmitReleased runs a queue-released message through the post-cap half of
-// the plane — drop predicate, down nodes, partition, loss — and returns
-// OutcomePass or OutcomeDropped. BeginRound already charged the budget;
-// the caller charges traffic exactly as for Admit. Transports must call
-// it in the release order BeginRound returned, so the PRNG draws stay in
-// the deterministic sequence MemNet's byte-identity requires.
-func (p *FaultPlane) AdmitReleased(msg Message) Outcome {
+// the plane and returns what Admit returns, never OutcomeQueued. BeginRound
+// already charged the first attempt's budget; the caller charges traffic
+// exactly as for Admit. Transports must call it in the release order
+// BeginRound returned, so the PRNG draws stay in the deterministic
+// sequence MemNet's byte-identity requires.
+func (p *FaultPlane) AdmitReleased(msg Message) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.drop != nil && p.drop(msg) {
-		p.dropped++
-		p.o.dropped.Inc()
-		return OutcomeDropped
-	}
-	if p.faultDrop(msg) {
-		p.dropped++
-		p.o.dropped.Inc()
-		return OutcomeDropped
-	}
-	p.o.admitted.Inc()
-	return OutcomePass
+	return p.admitPostCap(msg, uint64(msg.WireSize()))
 }
 
-// faultDrop decides, with p.mu held, whether the scripted conditions
-// discard msg after the sender was charged.
-func (p *FaultPlane) faultDrop(msg Message) bool {
-	if p.down[msg.From] || p.down[msg.To] {
-		return true
+// admitPostCap is the post-cap half of the plane, with p.mu held and the
+// first attempt already charged to the sender's budget: the drop
+// predicate, then dead links, in that fixed order, then scripted loss —
+// the order every PRNG draw depends on. Each lost attempt is charged to
+// the budget and retried, up to maxAttempts in all.
+func (p *FaultPlane) admitPostCap(msg Message, size uint64) (Outcome, int) {
+	if (p.drop != nil && p.drop(msg)) || p.linkDead(msg) {
+		p.dropped++
+		p.o.dropped.Inc()
+		return OutcomeDropped, 1
 	}
-	if p.partition != nil && p.partition[msg.From] != p.partition[msg.To] {
-		return true
+	copies := 1
+	for p.lossRate > 0 && p.rng.Float() < p.lossRate {
+		if copies == maxAttempts {
+			p.dropped++
+			p.o.dropped.Inc()
+			return OutcomeDropped, copies
+		}
+		copies++
+		p.spent[msg.From] += size
+		p.retransmitted++
+		p.o.retransmitted.Inc()
 	}
-	if r := p.lossRate; r > 0 && p.rng.Float() < r {
-		return true
-	}
-	if r := p.linkLoss[[2]model.NodeID{msg.From, msg.To}]; r > 0 && p.rng.Float() < r {
-		return true
-	}
-	return false
+	p.o.admitted.Inc()
+	return OutcomePass, copies
+}
+
+// linkDead reports, with p.mu held, whether msg's link cannot carry it: an
+// end is down, or a partition separates the ends.
+func (p *FaultPlane) linkDead(msg Message) bool {
+	return p.down[msg.From] || p.down[msg.To] ||
+		(p.partition != nil && p.partition[msg.From] != p.partition[msg.To])
 }
 
 // ReceiveBlocked is the receive-side recheck for transports with real
@@ -660,8 +541,7 @@ func (p *FaultPlane) faultDrop(msg Message) bool {
 func (p *FaultPlane) ReceiveBlocked(msg Message) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down[msg.From] || p.down[msg.To] ||
-		(p.partition != nil && p.partition[msg.From] != p.partition[msg.To]) {
+	if p.linkDead(msg) {
 		p.dropped++
 		p.o.dropped.Inc()
 		return true
@@ -691,7 +571,7 @@ func (p *FaultPlane) resetCounters() {
 	p.dropped = 0
 	p.deferred = 0
 	p.expired = 0
-	p.dlDropped = 0
+	p.retransmitted = 0
 }
 
 // ---------------------------------------------------------------------------

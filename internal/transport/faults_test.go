@@ -24,49 +24,38 @@ func faultNet(t *testing.T, n int) (*MemNet, []Endpoint, []int) {
 	return net, eps, got
 }
 
+// TestLossRateDeterministic: scripted loss is retransmitted, never a drop.
+// Every message arrives, each lost attempt is charged to the sender, the
+// receiver is charged once, and the same seed loses the same attempts.
 func TestLossRateDeterministic(t *testing.T) {
-	run := func() (delivered int, dropped uint64) {
+	const msgs = 200
+	size := uint64(Message{Payload: []byte("x")}.WireSize())
+	run := func() uint64 {
 		net, eps, got := faultNet(t, 2)
 		net.Faults().SetSeed(42)
 		net.Faults().SetLossRate(0.5)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < msgs; i++ {
 			_ = eps[1].Send(2, 1, []byte("x"))
 		}
 		net.DeliverAll()
-		return got[2], net.Dropped()
+		if got[2] != msgs || net.Dropped() != 0 {
+			t.Fatalf("50%% loss delivered %d/%d and dropped %d, want all delivered", got[2], msgs, net.Dropped())
+		}
+		re := net.Faults().Retransmitted()
+		if out := net.TrafficOf(1).BytesOut; out != (msgs+re)*size {
+			t.Fatalf("sender charged %d B, want (%d + %d retransmits) × %d", out, msgs, re, size)
+		}
+		if in := net.TrafficOf(2).BytesIn; in != msgs*size {
+			t.Fatalf("receiver charged %d B, want %d × %d", in, msgs, size)
+		}
+		return re
 	}
-	d1, x1 := run()
-	d2, x2 := run()
-	if d1 != d2 || x1 != x2 {
-		t.Fatalf("same seed diverged: %d/%d vs %d/%d", d1, x1, d2, x2)
+	r1, r2 := run(), run()
+	if r1 != r2 {
+		t.Fatalf("same seed diverged: %d vs %d retransmits", r1, r2)
 	}
-	if d1 == 0 || d1 == 200 {
-		t.Fatalf("50%% loss delivered %d/200", d1)
-	}
-	if x1 != 200-uint64(d1) {
-		t.Fatalf("drop accounting off: %d dropped, %d delivered", x1, d1)
-	}
-}
-
-func TestLinkLossIsDirectional(t *testing.T) {
-	net, eps, got := faultNet(t, 2)
-	net.Faults().SetLinkLoss(1, 2, 1)
-	for i := 0; i < 10; i++ {
-		_ = eps[1].Send(2, 1, nil)
-		_ = eps[2].Send(1, 1, nil)
-	}
-	net.DeliverAll()
-	if got[2] != 0 {
-		t.Fatalf("1→2 fully lossy but %d delivered", got[2])
-	}
-	if got[1] != 10 {
-		t.Fatalf("2→1 clean but %d/10 delivered", got[1])
-	}
-	net.Faults().SetLinkLoss(1, 2, 0)
-	_ = eps[1].Send(2, 1, nil)
-	net.DeliverAll()
-	if got[2] != 1 {
-		t.Fatal("clearing the link loss did not restore delivery")
+	if r1 == 0 {
+		t.Fatal("50% loss retransmitted nothing")
 	}
 }
 
@@ -344,10 +333,11 @@ func TestQueueDeadlineExpires(t *testing.T) {
 }
 
 func TestQueuedRunDeterministic(t *testing.T) {
-	// A capped, lossy run replays its deferral/expiry/drop counters and
-	// deliveries exactly under the same seed — the queue machinery never
-	// consumes PRNG draws, and the release order is canonical.
-	run := func() (delivered int, deferred, expired, dropped uint64) {
+	// A capped, lossy run replays its deferral/expiry/drop/retransmit
+	// counters and deliveries exactly under the same seed — the queue
+	// machinery never consumes PRNG draws, and the release order is
+	// canonical.
+	run := func() (delivered int, deferred, expired, dropped, retransmitted uint64) {
 		net, eps, got := faultNet(t, 3)
 		net.Faults().SetSeed(77)
 		net.Faults().SetLossRate(0.3)
@@ -362,15 +352,15 @@ func TestQueuedRunDeterministic(t *testing.T) {
 			}
 			net.DeliverAll()
 		}
-		return got[2] + got[3], net.Deferred(), net.CapExpired(), net.Dropped()
+		return got[2] + got[3], net.Deferred(), net.CapExpired(), net.Dropped(), net.Faults().Retransmitted()
 	}
-	d1, q1, x1, l1 := run()
-	d2, q2, x2, l2 := run()
-	if d1 != d2 || q1 != q2 || x1 != x2 || l1 != l2 {
-		t.Fatalf("same seed diverged: %d/%d/%d/%d vs %d/%d/%d/%d",
-			d1, q1, x1, l1, d2, q2, x2, l2)
+	d1, q1, x1, l1, r1 := run()
+	d2, q2, x2, l2, r2 := run()
+	if d1 != d2 || q1 != q2 || x1 != x2 || l1 != l2 || r1 != r2 {
+		t.Fatalf("same seed diverged: %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d",
+			d1, q1, x1, l1, r1, d2, q2, x2, l2, r2)
 	}
-	if q1 == 0 || x1 == 0 {
-		t.Fatalf("scenario exercised no queue pressure: deferred=%d expired=%d", q1, x1)
+	if q1 == 0 || x1 == 0 || r1 == 0 {
+		t.Fatalf("scenario exercised no queue pressure or loss: deferred=%d expired=%d retransmitted=%d", q1, x1, r1)
 	}
 }

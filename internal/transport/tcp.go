@@ -174,20 +174,15 @@ func (t *TCPNet) BeginRound() {
 		// pass but whose NIC is gone is the one case the wire cannot
 		// mirror MemNet's surviving-endpoint delivery: it is treated as
 		// a write failure — budget refunded, nothing charged.
-		outcome := t.faults.AdmitReleased(msg)
-		if !senders[msg.From] {
-			if outcome == OutcomePass {
-				t.faults.refundSpent(msg.From, size)
-			} else {
-				t.charge(msg.From, false, size)
-			}
+		outcome, copies := t.faults.AdmitReleased(msg)
+		if outcome == OutcomePass && !senders[msg.From] {
+			t.faults.refundSpent(msg.From, uint64(copies)*size)
 			continue
 		}
-		t.charge(msg.From, false, size)
-		if outcome != OutcomePass {
-			continue
+		t.charge(msg.From, false, copies, size)
+		if outcome == OutcomePass {
+			_ = t.sendFrame(msg.From, msg.To, msg.Kind, msg.Payload, size)
 		}
-		_ = t.sendFrame(msg.From, msg.To, msg.Kind, msg.Payload, size)
 	}
 	t.FlushAll()
 }
@@ -312,8 +307,9 @@ func (t *TCPNet) handlerOf(id model.NodeID) Handler {
 	return nil
 }
 
-// charge adds a delta to a node's traffic account.
-func (t *TCPNet) charge(id model.NodeID, in bool, size uint64) {
+// charge adds copies messages of size bytes each to a node's traffic
+// account.
+func (t *TCPNet) charge(id model.NodeID, in bool, copies int, size uint64) {
 	t.mu.Lock()
 	tr := t.traffic[id]
 	if tr == nil {
@@ -321,11 +317,11 @@ func (t *TCPNet) charge(id model.NodeID, in bool, size uint64) {
 		t.traffic[id] = tr
 	}
 	if in {
-		tr.BytesIn += size
-		tr.MsgsIn++
+		tr.BytesIn += uint64(copies) * size
+		tr.MsgsIn += uint64(copies)
 	} else {
-		tr.BytesOut += size
-		tr.MsgsOut++
+		tr.BytesOut += uint64(copies) * size
+		tr.MsgsOut += uint64(copies)
 	}
 	t.mu.Unlock()
 }
@@ -573,10 +569,11 @@ func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 // Send implements Endpoint. The fault plane admits, queues or drops the
 // message before it touches a socket: a message beyond the upload budget
 // waits in the link queue uncharged (it is charged when a later round's
-// budget releases it onto the wire), a lost one is charged to the sender
-// only — exactly MemNet's accounting, applied at the NIC instead of the
-// merge point. Admission runs here, in send order, regardless of when the
-// batched frame's syscall happens.
+// budget releases it onto the wire), a dropped one is charged to the
+// sender only, and every retransmission of a lost attempt is charged to
+// the sender too — exactly MemNet's accounting, applied at the NIC instead
+// of the merge point. Admission runs here, in send order, regardless of
+// when the batched frame's syscall happens.
 func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.mu.Lock()
 	_, known := e.net.book[to]
@@ -587,14 +584,13 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 
 	msg := Message{From: e.id, To: to, Kind: kind, Payload: payload}
 	size := uint64(msg.WireSize())
-	switch e.net.faults.Admit(msg) {
-	case OutcomeQueued:
-		return nil
-	case OutcomeDropped:
-		e.net.charge(e.id, false, size)
+	outcome, copies := e.net.faults.Admit(msg)
+	if copies > 0 {
+		e.net.charge(e.id, false, copies, size)
+	}
+	if outcome != OutcomePass {
 		return nil
 	}
-	e.net.charge(e.id, false, size)
 	return e.net.sendFrame(e.id, to, kind, payload, size)
 }
 
@@ -667,20 +663,17 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 }
 
 // deliver runs one decoded frame through the receive-side pipeline —
-// fault recheck, download cap, charging, then the inbox. The payload
-// aliases arena, which the queued message retains until drainInbox has
-// handled it.
+// fault recheck, charging, then the inbox. The payload aliases arena,
+// which the queued message retains until drainInbox has handled it.
 func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
 	// Receive-side recheck: a frame that was in flight when its link
 	// partitioned or an end went down is lost here (counted once —
-	// admission passed it, so no PRNG double-roll). Then the download-side
-	// cap: the receiver's NIC discards what exceeds its per-round inbound
-	// budget.
-	if e.net.faults.ReceiveBlocked(msg) || !e.net.faults.AdmitInbound(msg) {
+	// admission passed it, so no PRNG draw).
+	if e.net.faults.ReceiveBlocked(msg) {
 		e.net.inflight.Add(-1)
 		return
 	}
-	e.net.charge(msg.To, true, uint64(msg.WireSize()))
+	e.net.charge(msg.To, true, 1, uint64(msg.WireSize()))
 	arena.Retain()
 	e.net.inboxMu.Lock()
 	first := len(e.net.inbox) == 0

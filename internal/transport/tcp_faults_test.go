@@ -16,7 +16,8 @@ import (
 // application) and TCPNet (wire-path application) must produce matching
 // drop/cap counters — exactly matching where the script is deterministic
 // (partitions, caps, down nodes), within statistical tolerance where the
-// PRNG is involved (loss) — plus race coverage for the dynamic roster.
+// PRNG is involved (retransmitted loss) — plus race coverage for the
+// dynamic roster.
 
 // faultScript drives one scripted fault timeline over any FaultyNetwork:
 // four nodes, clean rounds, a lossy phase, a partition phase, a capped
@@ -109,19 +110,26 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	tcpGot := faultScript(t, tn, msgsPerPair)
 
 	// The lossy phase is the only PRNG-driven part: 12 pairs × 10 msgs ×
-	// 4 rounds = 480 coin flips at p=0.4 (σ≈10.7). Identical send order
-	// means identical flips in practice, but the assertion only demands
+	// 4 rounds = 480 messages at p=0.4, each retransmitted until an
+	// attempt gets through (≈ 320 retransmits, σ≈23). Identical send order
+	// means identical draws in practice, but the assertion only demands
 	// statistical agreement, which holds for any interleaving.
 	lossSends := 12 * msgsPerPair * 4
 	tolerance := uint64(float64(lossSends) * 0.15)
-	memDrops, tcpDrops := mem.Dropped(), tn.Dropped()
-	diff := memDrops - tcpDrops
-	if tcpDrops > memDrops {
-		diff = tcpDrops - memDrops
+	memRe, tcpRe := mem.Faults().Retransmitted(), tn.Faults().Retransmitted()
+	diff := memRe - tcpRe
+	if tcpRe > memRe {
+		diff = tcpRe - memRe
 	}
 	if diff > tolerance {
-		t.Errorf("drop counters diverge beyond tolerance: mem=%d tcp=%d (tolerance %d)",
-			memDrops, tcpDrops, tolerance)
+		t.Errorf("retransmit counters diverge beyond tolerance: mem=%d tcp=%d (tolerance %d)",
+			memRe, tcpRe, tolerance)
+	}
+	// Every drop is a dead link or an expiry, and neither draws from the
+	// PRNG, so the drop counters agree exactly.
+	memDrops, tcpDrops := mem.Dropped(), tn.Dropped()
+	if memDrops != tcpDrops {
+		t.Errorf("drop counters diverge: mem=%d tcp=%d", memDrops, tcpDrops)
 	}
 	// The link queue is deterministic: deferral and expiry never touch
 	// the PRNG, so for the same per-sender send sequence both transports
@@ -150,9 +158,9 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 			t.Errorf("node %d deliveries diverge: mem=%d tcp=%d", i, memGot[i], tcpGot[i])
 		}
 	}
-	if memDrops == 0 || mem.Deferred() == 0 || mem.CapExpired() == 0 {
-		t.Fatalf("script exercised no faults: dropped=%d deferred=%d expired=%d",
-			memDrops, mem.Deferred(), mem.CapExpired())
+	if memRe == 0 || memDrops == 0 || mem.Deferred() == 0 || mem.CapExpired() == 0 {
+		t.Fatalf("script exercised no faults: retransmitted=%d dropped=%d deferred=%d expired=%d",
+			memRe, memDrops, mem.Deferred(), mem.CapExpired())
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package transport provides the network substrates of the reproduction:
 //
 //   - MemNet: a deterministic in-memory network with per-node byte
-//     accounting, message loss and partitions. It plays the role of the
-//     paper's OMNeT++ simulation fabric: the measured quantity (per-node
-//     bandwidth in kbps) is derived from exact encoded wire sizes.
+//     accounting, retransmitted message loss and partitions. It plays the
+//     role of the paper's OMNeT++ simulation fabric: the measured quantity
+//     (per-node bandwidth in kbps) is derived from exact encoded wire
+//     sizes.
 //   - TCPNet (tcp.go): a real TCP transport used by the cluster-deployment
 //     analogue (cmd/pag-node, examples/tcp-cluster).
 //
@@ -115,10 +116,11 @@ type DropFunc func(Message) bool
 // the same canonical message stream.
 //
 // Beyond the raw DropFunc hook, MemNet carries the schedulable FaultPlane
-// (faults.go) — uniform and per-link loss rates, partitions that open and
-// heal, per-node down flags and per-round upload caps modelled as queued
-// links (over-budget messages defer and carry over, paced by the cap,
-// expiring past the queue deadline) — all loss driven by a seeded PRNG.
+// (faults.go) — a loss rate that costs retransmissions, partitions that
+// open and heal, per-node down flags and per-round upload caps modelled as
+// queued links (over-budget messages defer and carry over, paced by the
+// cap, expiring past the queue deadline) — all loss driven by a seeded
+// PRNG.
 // Because MemNet consults the plane only at the canonical merge point —
 // round-boundary carryover prepended in the plane's deterministic release
 // order, then fresh sends in merge order — a faulty run replays
@@ -247,7 +249,7 @@ func (n *MemNet) Unregister(id model.NodeID) bool {
 	return true
 }
 
-// Dropped returns how many messages the fault plane (drop predicate, loss,
+// Dropped returns how many messages the fault plane (drop predicate,
 // partitions, down nodes and queue expiry combined) discarded.
 func (n *MemNet) Dropped() uint64 { return n.faults.Dropped() }
 
@@ -312,36 +314,25 @@ func (n *MemNet) PendingCount() int {
 	return total
 }
 
-// admit runs one merged message through the fault plane and reports
-// whether it survives; callers hold n.mu. The sender is charged here
-// (unless its upload cap queued the message — deferred bytes have not
-// left the NIC yet; they are charged at release) — at the merge point, in
-// canonical order, so the charge sequence and every PRNG consultation are
-// independent of how the sends were scheduled.
-func (n *MemNet) admit(msg Message) bool {
-	outcome := n.faults.Admit(msg)
-	if outcome == OutcomeQueued {
+// chargeLocked charges one admitted message — its sender for every copy
+// that left the NIC (none when its upload cap queued it: deferred bytes
+// are charged at release), its receiver once if it passed — and reports
+// whether it is delivered; callers hold n.mu. Charging happens at the
+// merge point, in canonical order, so the charge sequence and every PRNG
+// consultation are independent of how the sends were scheduled.
+func (n *MemNet) chargeLocked(msg Message, outcome Outcome, copies int) bool {
+	if copies > 0 {
+		tr := n.traffic[msg.From]
+		if tr == nil {
+			tr = &Traffic{}
+			n.traffic[msg.From] = tr
+		}
+		tr.BytesOut += uint64(copies * msg.WireSize())
+		tr.MsgsOut += uint64(copies)
+	}
+	if outcome != OutcomePass {
 		return false
 	}
-	n.chargeSendLocked(msg)
-	return outcome == OutcomePass
-}
-
-// chargeSendLocked charges msg to its sender's traffic account; callers
-// hold n.mu.
-func (n *MemNet) chargeSendLocked(msg Message) {
-	tr := n.traffic[msg.From]
-	if tr == nil {
-		tr = &Traffic{}
-		n.traffic[msg.From] = tr
-	}
-	tr.BytesOut += uint64(msg.WireSize())
-	tr.MsgsOut++
-}
-
-// chargeRecvLocked charges msg to its receiver's traffic account; callers
-// hold n.mu.
-func (n *MemNet) chargeRecvLocked(msg Message) {
 	tr := n.traffic[msg.To]
 	if tr == nil {
 		tr = &Traffic{}
@@ -349,6 +340,7 @@ func (n *MemNet) chargeRecvLocked(msg Message) {
 	}
 	tr.BytesIn += uint64(msg.WireSize())
 	tr.MsgsIn++
+	return true
 }
 
 // Delivery is one deliverable message paired with its destination's
@@ -393,37 +385,22 @@ func (n *MemNet) TakeWave() []Delivery {
 	out := n.wave[:0]
 	for _, msg := range carried {
 		// Carryover already passed the cap (BeginRound charged its
-		// budget); only the post-cap plane applies. The sender is charged
-		// either way — released bytes left the NIC — the receiver only on
-		// delivery. Release order is BeginRound's deterministic order, so
-		// the PRNG consultations stay canonical.
-		outcome := n.faults.AdmitReleased(msg)
-		n.chargeSendLocked(msg)
-		if outcome != OutcomePass {
-			continue
+		// budget); only the post-cap plane applies. Release order is
+		// BeginRound's deterministic order, so the PRNG consultations stay
+		// canonical.
+		outcome, copies := n.faults.AdmitReleased(msg)
+		if n.chargeLocked(msg, outcome, copies) {
+			out = append(out, Delivery{Msg: msg})
 		}
-		if !n.faults.AdmitInbound(msg) {
-			continue
-		}
-		n.chargeRecvLocked(msg)
-		out = append(out, Delivery{Msg: msg})
 	}
 	for _, msg := range inflow {
 		// The fault plane (including down senders/receivers) filters at
-		// admission; survivors are charged to the receiver immediately —
-		// only cap-deferred messages stay queued between rounds, inside
-		// the fault plane.
-		if !n.admit(msg) {
-			continue
+		// admission; only cap-deferred messages stay queued between
+		// rounds, inside the fault plane.
+		outcome, copies := n.faults.Admit(msg)
+		if n.chargeLocked(msg, outcome, copies) {
+			out = append(out, Delivery{Msg: msg})
 		}
-		// The download-side cap applies at delivery, after the sender was
-		// charged: the bytes crossed the wire, the receiver's NIC is what
-		// discards them.
-		if !n.faults.AdmitInbound(msg) {
-			continue
-		}
-		n.chargeRecvLocked(msg)
-		out = append(out, Delivery{Msg: msg})
 	}
 	n.mu.Unlock()
 	clear(inflow)

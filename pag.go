@@ -627,9 +627,6 @@ type QueueStats struct {
 	// Expired counts queued messages dropped because they out-aged the
 	// queue deadline before their cap released them.
 	Expired uint64 `json:"expired"`
-	// DownloadDropped counts arrivals discarded by receivers' download
-	// caps (zero unless a download cap is set).
-	DownloadDropped uint64 `json:"download_dropped"`
 	// Depth is the backlog currently waiting across all nodes.
 	Depth int `json:"depth"`
 }
@@ -641,10 +638,9 @@ type QueueStats struct {
 func (s *Session) QueueStats() QueueStats {
 	f := s.net.Faults()
 	return QueueStats{
-		Deferred:        f.Deferred(),
-		Expired:         f.CapExpired(),
-		DownloadDropped: f.DownloadDropped(),
-		Depth:           f.QueueDepth(),
+		Deferred: f.Deferred(),
+		Expired:  f.CapExpired(),
+		Depth:    f.QueueDepth(),
 	}
 }
 

@@ -56,9 +56,9 @@ type ProtocolRun struct {
 	// drop departed nodes and dilute late joiners over the full window).
 	MeanBandwidthKbps float64 `json:"mean_bandwidth_kbps"`
 	// MessagesDropped is the fault plane's combined discard counter:
-	// scripted loss, partitions, down nodes and queue expiry. Expiry is
-	// also broken out below so queue pressure and lossy links stay
-	// distinguishable.
+	// partitions, down nodes and queue expiry (scripted loss is
+	// retransmitted, not dropped). Expiry is also broken out below so
+	// queue pressure and dead links stay distinguishable.
 	MessagesDropped uint64 `json:"messages_dropped"`
 	// MessagesDeferred counts sends the queued link model (upload caps)
 	// carried over to a later round instead of dropping — delayed, not

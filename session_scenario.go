@@ -34,7 +34,6 @@ type epochMark struct {
 	traffic     transport.Traffic
 	deferred    uint64
 	expired     uint64
-	dlDropped   uint64
 	queueDepth  int
 	queueByNode []transport.QueueBacklog
 }
@@ -65,7 +64,6 @@ func (s *Session) markAt(r model.Round) epochMark {
 		traffic:     s.clientTraffic(),
 		deferred:    f.Deferred(),
 		expired:     f.CapExpired(),
-		dlDropped:   f.DownloadDropped(),
 		queueDepth:  f.QueueDepth(),
 		queueByNode: f.QueueBacklogs(),
 	}
@@ -228,11 +226,6 @@ func (s *Session) Crash(r model.Round, id model.NodeID, lingerRounds int) error 
 // so the same scripted timeline runs over MemNet or TCPNet unchanged.
 func (s *Session) SetLossRate(rate float64) { s.net.Faults().SetLossRate(rate) }
 
-// SetLinkLoss implements scenario.Applier.
-func (s *Session) SetLinkLoss(from, to model.NodeID, rate float64) {
-	s.net.Faults().SetLinkLoss(from, to, rate)
-}
-
 // Partition implements scenario.Applier.
 func (s *Session) Partition(groups [][]model.NodeID) { s.net.Faults().SetPartition(groups...) }
 
@@ -381,7 +374,7 @@ type EpochStat struct {
 	// round, and queued messages dropped because they out-aged the
 	// playout deadline before their cap released them. QueueDepth is the
 	// backlog still waiting at the epoch's end. Under an upload cap these
-	// three separate queue pressure (late bytes) from loss (gone bytes):
+	// three separate queue pressure (late bytes) from drops (gone bytes):
 	// a healthy capped epoch defers little and expires nothing; past the
 	// continuity cliff deferral explodes and expiry follows. One boundary
 	// caveat: an interior epoch's Expired includes the round-boundary
@@ -391,10 +384,6 @@ type EpochStat struct {
 	Deferred   uint64 `json:"deferred"`
 	Expired    uint64 `json:"expired"`
 	QueueDepth int    `json:"queue_depth"`
-	// DownloadDropped counts arrivals the receivers' download caps
-	// discarded during the epoch — the inbound half of the asymmetric
-	// link model; always zero unless a download cap is set.
-	DownloadDropped uint64 `json:"download_dropped,omitempty"`
 	// QueueDepthByNode breaks the epoch-end backlog down per capped
 	// sender, ascending id, zero-depth nodes omitted (empty/nil when no
 	// queue holds anything) — which link is drowning, not just that one
@@ -479,7 +468,6 @@ func (s *Session) EpochStats() []EpochStat {
 		// Bandwidth-plane activity over the same window.
 		st.Deferred = endMark.deferred - mark.deferred
 		st.Expired = endMark.expired - mark.expired
-		st.DownloadDropped = endMark.dlDropped - mark.dlDropped
 		st.QueueDepth = endMark.queueDepth
 		st.QueueDepthByNode = endMark.queueByNode
 

@@ -128,6 +128,44 @@ func TestPartitionContinuityDropsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestLossConvictsNoCorrectNode: §III's channels are reliable, so scripted
+// loss costs retransmissions, never messages, and the accountability plane
+// must not convict a correct node for it — on mem at any worker count
+// (with byte-identical reports) and over TCP.
+func TestLossConvictsNoCorrectNode(t *testing.T) {
+	sc := scenario.Scenario{
+		Name: "loss", Rounds: 24, WarmupRounds: 6,
+		Events: []scenario.Event{{Round: 8, Action: scenario.ActionSetLoss, Rate: 0.02}},
+	}
+	check := func(t *testing.T, cfg SessionConfig) ScenarioReport {
+		t.Helper()
+		report, err := RunScenarioReport(cfg, sc, []Protocol{ProtocolPAG}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := report.Protocols[0]
+		verdicts := 0
+		for _, e := range run.Epochs {
+			verdicts += e.Verdicts
+		}
+		if verdicts != 0 || len(run.Convictions) != 0 {
+			t.Errorf("%d verdicts, convictions %v under 2%% loss; want none", verdicts, run.Convictions)
+		}
+		if run.MessagesDropped != 0 {
+			t.Errorf("%d messages dropped under loss alone; want all retransmitted", run.MessagesDropped)
+		}
+		return report
+	}
+	mem := tcpSessionConfig(32)
+	mem.NewNetwork = nil
+	inline := check(t, mem)
+	mem.Workers = 4
+	if sharded := check(t, mem); sharded.Digest() != inline.Digest() {
+		t.Error("workers=4 report digest differs from the inline run's")
+	}
+	t.Run("tcp", func(t *testing.T) { check(t, tcpSessionConfig(32)) })
+}
+
 // TestDelayedFreeRiderConvicted: an adversary that plays honestly through
 // the warm-up and flips to free-riding at round 9 is convicted from its
 // post-activation deviations — and the verdicts land in the epoch the
