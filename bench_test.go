@@ -4,7 +4,7 @@ package pag
 // plus micro- and ablation benchmarks for the design choices DESIGN.md
 // calls out. The figures' quantities are attached as custom benchmark
 // metrics (kbps/node, hashes/s, ...), so `go test -bench=. -benchmem`
-// regenerates the numbers EXPERIMENTS.md records; cmd/pag-experiments
+// regenerates the numbers PAPER.md's section map cites; cmd/pag-experiments
 // prints the full tables.
 
 import (

@@ -13,7 +13,10 @@
 // Experiments: fig7, fig8, fig9, fig10, table1, table2, churn, cliff,
 // proverif, all. table2 appends a measured continuity sweep (the queued
 // link model under the capacity-cliff scenario) to the paper's analytic
-// table; cliff is the full measured sweep across protocols.
+// table; cliff is the full measured sweep across protocols. fig9 appends
+// the curve measured on one box (full sessions to N=16384, a sampled
+// cohort at N=131072), always at 60 kbps and 128 bits; the -nodes,
+// -stream, -rounds and -modulus flags do not reach those rows.
 // -quick shrinks system sizes and rates for a fast pass.
 package main
 

@@ -126,7 +126,7 @@ func runDeterminism(t *testing.T, r detRow) detRun {
 	if r.paper {
 		cfg.StreamKbps, cfg.ModulusBits = 4, 512
 	}
-	cfg.Workers, cfg.DisableFlyweight, cfg.Obs = r.workers, r.noFlyweight, obs.NewRegistry()
+	cfg.Workers, cfg.noIntern, cfg.Obs = r.workers, r.noFlyweight, obs.NewRegistry()
 	var ps []Protocol
 	if r.protocol != 0 {
 		ps = []Protocol{r.protocol}

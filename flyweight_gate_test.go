@@ -1,6 +1,9 @@
 package pag
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSteadyStateAllocations: the per-round allocation regression gate.
 // After warmup the pooled round shells, the interner and the shared plane
@@ -37,5 +40,40 @@ func TestSteadyStateAllocations(t *testing.T) {
 	t.Logf("steady state: %.0f allocs/node/round", perNode)
 	if perNode > budget {
 		t.Errorf("steady-state allocations: %.0f allocs/node/round, budget %d", perNode, budget)
+	}
+}
+
+// TestLiveBytesPerNode: the per-node memory gate behind Fig 9's measured
+// sweep. A full-fidelity session at N=1296 (60 kbps, 128-bit hash) holds
+// its live heap — the post-GC heap it added over its lifetime — under
+// 100,000 bytes per node after the 12-round warm-up plus 2 measured
+// rounds: ~2x headroom over the flyweight steady state (54,364 measured),
+// well under sessions without the update-content interner (186 KB/node at
+// N=4096). A regression to eager per-node state trips it. ~17 s on 2
+// cores.
+func TestLiveBytesPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 1296-node session")
+	}
+	const nodes, budget = 1296, 100_000
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := liveHeap()
+	s, err := NewSession(SessionConfig{Nodes: nodes, StreamKbps: 60, ModulusBits: 128, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Run(12)
+	s.StartMeasuring()
+	s.Run(2)
+	perNode := float64(liveHeap()-base) / nodes
+	t.Logf("live heap: %.0f B/node at N=%d (budget %d)", perNode, nodes, budget)
+	if perNode > budget {
+		t.Errorf("live heap %.0f B/node at N=%d exceeds the %d budget", perNode, nodes, budget)
 	}
 }

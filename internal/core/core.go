@@ -261,8 +261,8 @@ type Config struct {
 	// a key; simulated sessions pass SeededCoeffs to stay replayable.
 	CoeffRand io.Reader
 	// Intern optionally attaches the session-wide update-content flyweight
-	// table (see update.Interner); nil keeps per-node content copies — the
-	// pre-flyweight representation, and the DisableFlyweight ablation.
+	// table (see update.Interner); nil keeps per-node content copies, as
+	// pag-node does.
 	Intern *update.Interner
 	// Shared optionally provides the pre-assembled session plane. Sessions
 	// build one Shared and hand it to every node; when nil, NewNode builds

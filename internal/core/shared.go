@@ -38,9 +38,8 @@ type Shared struct {
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
 	// Intern is the session-wide update-content flyweight table; nil
-	// disables interning (the DisableFlyweight ablation) and every node
-	// keeps private payload/signature copies, the pre-flyweight
-	// representation.
+	// disables interning and every node keeps private payload/signature
+	// copies, as pag-node does.
 	Intern *update.Interner
 
 	// msgK / bytesK hold the per-kind received-message and received-byte

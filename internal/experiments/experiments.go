@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VII). Each runner returns a Result whose Text holds the
 // same rows/series the paper reports; cmd/pag-experiments prints them and
-// EXPERIMENTS.md records paper-vs-measured.
+// PAPER.md's section map records paper-vs-measured.
 //
 // Simulated numbers come from full protocol runs over the in-memory
 // network (byte-exact wire accounting); where the paper itself computed
@@ -11,7 +11,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/coalition"
@@ -239,7 +241,9 @@ func Fig8(opt Options) (Result, error) {
 }
 
 // Fig9 regenerates the scalability curve: simulation at feasible sizes,
-// the analytic model up to a million nodes (as the paper did).
+// the analytic model up to a million nodes (as the paper did), then the
+// curve measured on one box — full-fidelity sessions to N=16384 and a
+// sampled cohort inside a modelled population of 131072.
 func Fig9(opt Options) (Result, error) {
 	o := opt.withDefaults()
 	var b strings.Builder
@@ -277,7 +281,89 @@ func Fig9(opt Options) (Result, error) {
 			"-",
 			analytic.ActingPerNodeKbps(analytic.Params{PayloadKbps: o.StreamKbps, N: n}))
 	}
+
+	fmt.Fprintf(&b, "\nmeasured on one box, PAG at %d kbps with a %d-bit hash (fixed: the only setting\n"+
+		"ever measured; 512 bits at N=16384 does not fit one box); cohort rows run %d real\n"+
+		"nodes at the modelled N's fanout among lite stand-ins; B/node is post-GC live heap\n",
+		fig9Kbps, fig9ModulusBits, fig9CohortNodes)
+	fmt.Fprintf(&b, "%-8s %-10s %-14s %-14s %-10s %-10s %s\n",
+		"nodes", "mode", "measured kbps", "analytic kbps", "B/node", "rounds/s", "continuity")
+	points := []struct{ n, cohort int }{{1296, 0}, {4096, 0}, {16384, 0}, {131072, fig9CohortNodes}}
+	if o.Quick {
+		points = []struct{ n, cohort int }{{128, 0}, {1296, fig9CohortNodes}}
+	}
+	for _, pt := range points {
+		if err := fig9Measured(&b, o, pt.n, pt.cohort); err != nil {
+			return Result{}, fmt.Errorf("experiments: fig9 measured N=%d: %w", pt.n, err)
+		}
+	}
 	return Result{ID: "fig9", Title: "Scalability (bandwidth vs N)", Text: b.String()}, nil
+}
+
+// The measured Fig 9 sweep's settings. The warm-up clears the playout
+// delay (model.PlayoutDelayRounds = 10) before the window opens. A full
+// round at N=16384 costs tens of seconds, so the full window is short; a
+// cohort round is cheap, so its window is wider.
+const (
+	fig9Kbps         = 60
+	fig9ModulusBits  = 128
+	fig9CohortNodes  = 64
+	fig9Warmup       = 12
+	fig9FullRounds   = 3
+	fig9CohortRounds = 6
+)
+
+// fig9Measured runs one measured row of Fig 9 — a full-fidelity session
+// of n nodes, or with cohort > 0 a ScaleSession of that many real nodes
+// modelling n — and prints it: the measured per-node bandwidth (source
+// excluded) against the analytic prediction for n, the live heap the
+// session holds per modelled node, the measured rounds/s and continuity.
+func fig9Measured(b *strings.Builder, o Options, n, cohort int) error {
+	base := liveHeap()
+	var (
+		s              *pag.Session
+		startMeasuring func()
+		measured       func() float64
+		predicted      float64
+		mode, rounds   = "full", fig9FullRounds
+	)
+	if cohort == 0 {
+		var err error
+		s, err = pag.NewSession(pag.SessionConfig{Nodes: n, StreamKbps: fig9Kbps,
+			ModulusBits: fig9ModulusBits, Seed: o.Seed, Workers: o.Workers})
+		if err != nil {
+			return err
+		}
+		startMeasuring = s.StartMeasuring
+		measured = func() float64 { return s.BandwidthSample().Mean() }
+		predicted = analytic.PAGPerNodeKbps(analytic.Params{PayloadKbps: fig9Kbps, N: n,
+			Wire: analytic.WireFor(fig9ModulusBits)})
+	} else {
+		ss, err := pag.NewScaleSession(pag.ScaleConfig{GlobalNodes: n, CohortNodes: cohort,
+			StreamKbps: fig9Kbps, ModulusBits: fig9ModulusBits, Seed: o.Seed, Workers: o.Workers})
+		if err != nil {
+			return err
+		}
+		s, startMeasuring, measured, predicted = ss.Session, ss.StartMeasuring, ss.CohortMeanKbps, ss.AnalyticKbps()
+		mode, rounds = fmt.Sprintf("cohort %d", cohort), fig9CohortRounds
+	}
+	s.Run(fig9Warmup)
+	startMeasuring()
+	start := time.Now()
+	s.Run(rounds)
+	perSec := float64(rounds) / time.Since(start).Seconds()
+	perNode := float64(liveHeap()-base) / float64(n)
+	fmt.Fprintf(b, "%-8d %-10s %-14.1f %-14.1f %-10.0f %-10.3f %.4f\n",
+		n, mode, measured(), predicted, perNode, perSec, s.MeanContinuity())
+	return nil
+}
+
+// liveHeap returns the heap that survives a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // Fig10 regenerates the coalition study: proportion of interactions

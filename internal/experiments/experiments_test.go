@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -36,6 +38,27 @@ func TestFig9Smoke(t *testing.T) {
 	}
 	if !strings.Contains(r.Text, "1000000") {
 		t.Fatalf("fig9 output must reach 10^6 nodes:\n%s", r.Text)
+	}
+	// The quick profile's measured rows: one full session and one cohort.
+	// The cohort's measured mean stays within 5 % of the analytic column
+	// (345.8 vs 353.3 kbps at seed 3, 347.6 vs 353.3 at seed 1).
+	var full, cohort []string
+	for _, line := range strings.Split(r.Text, "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) == 7 && f[0] == "128" && f[1] == "full":
+			full = f
+		case len(f) == 8 && f[0] == "1296" && f[1] == "cohort" && f[2] == "64":
+			cohort = f
+		}
+	}
+	if full == nil || cohort == nil {
+		t.Fatalf("fig9 output lacks its measured rows:\n%s", r.Text)
+	}
+	measured, err1 := strconv.ParseFloat(cohort[3], 64)
+	predicted, err2 := strconv.ParseFloat(cohort[4], 64)
+	if err1 != nil || err2 != nil || math.Abs(measured/predicted-1) > 0.05 {
+		t.Fatalf("cohort row measured %s kbps against analytic %s: want within 5 %%\n%s",
+			cohort[3], cohort[4], r.Text)
 	}
 }
 

@@ -225,6 +225,37 @@ func BenchmarkProductEmbed(b *testing.B) {
 	}
 }
 
+// BenchmarkPrimeFinalCheck times the prime search's last word on a
+// candidate, on an accepted prime (every stage runs): the search's own
+// Baillie-PSW test, scratch arena included, against the math/big call it
+// replaced.
+func BenchmarkPrimeFinalCheck(b *testing.B) {
+	for _, bits := range []int{128, 512} {
+		p, err := GeneratePrimeKey(rand.New(rand.NewSource(43)), bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := p.Exponent()
+		be := n.Bytes()
+		for _, check := range []struct {
+			name string
+			fn   func() bool
+		}{
+			{"mathbig", func() bool { return n.ProbablyPrime(1) }},
+			{"search", func() bool { return newPrimeSearch(bits).accepts(be) }},
+		} {
+			b.Run(fmt.Sprintf("%s/bits=%d", check.name, bits), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !check.fn() {
+						b.Fatal("accepted prime rejected")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGeneratePrime compares the prime search against the bare loop
 // it must agree with (every candidate straight to ProbablyPrime(1)) —
 // the dominant per-exchange cost off the driver thread.

@@ -19,7 +19,6 @@ package hhash
 // the oracle those kernels are tested against.
 
 import (
-	"errors"
 	"math/big"
 	"math/bits"
 )
@@ -229,23 +228,6 @@ func (c *montCtx) sqrPortable(dst, a []uint) {
 	default:
 		c.mulPortable(dst, a, a)
 	}
-}
-
-// MontgomeryOps returns one Montgomery multiplication and one squaring
-// modulo the odd m as closures over fixed operands: on the kernels this
-// machine dispatches to or, with portable set, on the pure-Go kernels that
-// every machine without ADX runs. It is a probe for cmd/pag-bench's
-// mont_mul and mont_sqr rows and selects nothing for the engine.
-func MontgomeryOps(m *big.Int, portable bool) (mul, sqr func(), err error) {
-	c := newMontCtx(m)
-	if c == nil {
-		return nil, nil, errors.New("hhash: Montgomery arithmetic needs an odd modulus > 1")
-	}
-	a, b, dst := c.limbsOf(new(big.Int).Rsh(m, 1)), c.limbsOf(new(big.Int).Rsh(m, 2)), make([]uint, c.k)
-	if portable {
-		return func() { c.mulPortable(dst, a, b) }, func() { c.sqrPortable(dst, a) }, nil
-	}
-	return func() { c.mul(dst, a, b) }, func() { c.sqr(dst, a) }, nil
 }
 
 // mul8 is the 512-bit (k=8) specialization: the outer loop is written

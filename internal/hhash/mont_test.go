@@ -240,21 +240,30 @@ func FuzzLiftMatchesBig(f *testing.F) {
 	})
 }
 
+// BenchmarkMontKernels times one Montgomery multiplication and squaring
+// on the kernels this machine dispatches to and, under portable/, on the
+// pure-Go kernels every machine without ADX runs (the two are the same
+// code off amd64, without ADX, and at k=2 everywhere).
 func BenchmarkMontKernels(b *testing.B) {
 	rnd := mrand.New(mrand.NewSource(18))
 	for _, k := range []int{2, 4, 8} {
 		c := newMontCtx(testModulus(rnd, k*_W, true))
 		a := c.limbsOf(new(big.Int).Rand(rnd, c.mod))
 		dst := make([]uint, k)
-		b.Run(fmt.Sprintf("mul/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.mul(dst, a, a)
-			}
-		})
-		b.Run(fmt.Sprintf("sqr/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.sqr(dst, a)
-			}
-		})
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"mul", func() { c.mul(dst, a, a) }},
+			{"sqr", func() { c.sqr(dst, a) }},
+			{"portable/mul", func() { c.mulPortable(dst, a, a) }},
+			{"portable/sqr", func() { c.sqrPortable(dst, a) }},
+		} {
+			b.Run(fmt.Sprintf("%s/k=%d", op.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.fn()
+				}
+			})
+		}
 	}
 }

@@ -67,16 +67,6 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 	}
 }
 
-// IsProbablePrime reports whether n passes the acceptance test of
-// GeneratePrimeKey: n >= 3, odd, and a Baillie-PSW probable prime
-// (primesearch.go). It is exact below 2⁶⁴.
-func IsProbablePrime(n *big.Int) bool {
-	if n.Cmp(_two) <= 0 || n.Bit(0) == 0 {
-		return false
-	}
-	return newPrimeSearch(n.BitLen()).accepts(n.Bytes())
-}
-
 // PrimePool pregenerates prime exponents from a single entropy stream.
 //
 // Ordering is the pool's contract: the i-th Get always returns the i-th

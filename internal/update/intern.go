@@ -31,8 +31,8 @@ import (
 // and embeddings are pure functions of the canonical bytes, so which node
 // wins the first-publish race on a sharded engine is unobservable —
 // report JSON, digests and obs snapshots are byte-identical with the
-// interner attached, detached (DisableFlyweight) and at any worker count
-// (determinism_test.go holds the matrix).
+// interner attached, detached and at any worker count (determinism_test.go
+// holds the matrix).
 type Interner struct {
 	mu sync.RWMutex
 	m  map[model.UpdateID]*interned

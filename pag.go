@@ -130,12 +130,6 @@ type SessionConfig struct {
 	// handover off — the pre-handover protocol, kept as an ablation so
 	// the rotation-gap exploit stays demonstrable in tests.
 	DisableObligationHandover bool
-	// DisableFlyweight detaches the session-wide update-content interner:
-	// every node keeps its own payload/signature copies — the pre-flyweight
-	// memory representation, kept as an ablation so the bytes/node claim
-	// stays measurable and the determinism harness can prove the flyweight
-	// changes no observable (determinism_test.go).
-	DisableFlyweight bool
 	// Judicial arms the accountability plane's punishment loop: nodes
 	// reaching the conviction threshold are evicted from the membership
 	// and quarantined. The zero value is reporting-only. A scenario with
@@ -186,6 +180,13 @@ type SessionConfig struct {
 	// activity). Tracing is outside the determinism boundary — event
 	// ordering follows wall-clock submission order. Nil disables.
 	Trace *obs.Tracer
+
+	// noIntern detaches the session-wide update-content interner, so every
+	// node keeps private payload/signature copies, as a pag-node process
+	// does.
+	// Only the determinism harness sets it, to prove the interner changes
+	// no observable (determinism_test.go).
+	noIntern bool
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
@@ -249,7 +250,7 @@ type Session struct {
 	// shared is the flyweight session plane every PAG node references
 	// (one immutable config/roster instead of per-node copies); intern is
 	// the session-wide update-content table PAG and AcTinG nodes store
-	// through (nil under the DisableFlyweight ablation and for RAC).
+	// through (nil under SessionConfig.noIntern and for RAC).
 	shared *core.Shared
 	intern *update.Interner
 
@@ -388,7 +389,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// PAG and AcTinG nodes store full update content; one session-wide
 	// interner shares it between them (RAC's ring stores too little for it
 	// to matter).
-	if !c.DisableFlyweight && c.Protocol != ProtocolRAC {
+	if !c.noIntern && c.Protocol != ProtocolRAC {
 		s.intern = update.NewInterner()
 	}
 	if c.Protocol == ProtocolPAG {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/lite"
 	"repro/internal/model"
-	"repro/internal/obs"
 )
 
 // This file is the sampled-cohort scaling mode: Fig 9 at sizes where full
@@ -38,12 +37,6 @@ type ScaleConfig struct {
 	ModulusBits int
 	Seed        uint64
 	Workers     int
-	// DisableFlyweight runs the cohort in the pre-flyweight memory
-	// representation (the measurement ablation).
-	DisableFlyweight bool
-	// Obs / Trace attach observability, as in SessionConfig.
-	Obs   *obs.Registry
-	Trace *obs.Tracer
 }
 
 // ScaleSession wraps a cohort Session plus the lite plane modelling the
@@ -114,18 +107,15 @@ func NewScaleSession(cfg ScaleConfig) (*ScaleSession, error) {
 	}
 	cohort := CohortIDs(cfg.GlobalNodes, cfg.CohortNodes, cfg.Seed)
 	s, err := NewSession(SessionConfig{
-		MemberIDs:        cohort,
-		Fanout:           fanout,
-		Monitors:         fanout,
-		TTL:              model.ForwardingTTL(cfg.GlobalNodes, fanout),
-		StreamKbps:       cfg.StreamKbps,
-		UpdateBytes:      cfg.UpdateBytes,
-		ModulusBits:      cfg.ModulusBits,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		DisableFlyweight: cfg.DisableFlyweight,
-		Obs:              cfg.Obs,
-		Trace:            cfg.Trace,
+		MemberIDs:   cohort,
+		Fanout:      fanout,
+		Monitors:    fanout,
+		TTL:         model.ForwardingTTL(cfg.GlobalNodes, fanout),
+		StreamKbps:  cfg.StreamKbps,
+		UpdateBytes: cfg.UpdateBytes,
+		ModulusBits: cfg.ModulusBits,
+		Seed:        cfg.Seed,
+		Workers:     cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -164,8 +154,8 @@ func (ss *ScaleSession) StartMeasuring() {
 }
 
 // CohortBandwidthKbps returns the cohort's measured per-node bandwidths
-// in cohort order — real protocol traffic, the values the scale bench
-// fingerprints for worker-count byte-identity.
+// in cohort order — real protocol traffic, the values
+// TestScaleCohortByteIdentity fingerprints for worker-count identity.
 func (ss *ScaleSession) CohortBandwidthKbps() []float64 {
 	out := make([]float64, len(ss.Cohort))
 	for i, id := range ss.Cohort {
@@ -193,8 +183,8 @@ func (ss *ScaleSession) CohortMeanKbps() float64 {
 }
 
 // AnalyticKbps returns the closed-form per-node prediction for the
-// modelled global size — the value BENCH_scale.json records alongside
-// each measurement.
+// modelled global size — the analytic column beside each cohort row of
+// experiments.Fig9.
 func (ss *ScaleSession) AnalyticKbps() float64 {
 	return analytic.PAGPerNodeKbps(analytic.Params{
 		PayloadKbps: ss.cfg.StreamKbps,

@@ -63,7 +63,7 @@ func TestCohortIDsAgainstReference(t *testing.T) {
 
 // scaleFingerprint reduces a scale run's cohort observables to one hash:
 // the full per-cohort-node bandwidth distribution (exact float bits) plus
-// the cohort continuity. This is the identity pag-bench also checks.
+// the cohort continuity.
 func scaleFingerprint(ss *ScaleSession) string {
 	h := sha256.New()
 	for _, bw := range ss.CohortBandwidthKbps() {
@@ -80,44 +80,57 @@ func scaleFingerprint(ss *ScaleSession) string {
 // runScale builds a sampled-cohort session, runs warmup + a measured
 // window, and returns the cohort fingerprint and the lite plane's mean
 // modelled bandwidth.
-func runScale(t *testing.T, globalN, cohortN, workers int) (string, float64) {
+func runScale(t *testing.T, cfg ScaleConfig, warmup, rounds int) (string, float64) {
 	t.Helper()
-	ss, err := NewScaleSession(ScaleConfig{
-		GlobalNodes: globalN, CohortNodes: cohortN,
-		StreamKbps: 2, UpdateBytes: 64, ModulusBits: 128, Seed: 7,
-		Workers: workers,
-	})
+	ss, err := NewScaleSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Run(4)
+	ss.Run(warmup)
 	ss.StartMeasuring()
-	ss.Run(4)
+	ss.Run(rounds)
 	return scaleFingerprint(ss), ss.Lite.MeanBandwidthKbps()
 }
 
 // TestScaleCohortByteIdentity: the sampled-cohort mode's core promise —
 // lite nodes exchange no messages and share no mutable state with the
 // cohort, so the cohort's measured report is byte-identical at any
-// worker count.
+// worker count. The second row is Fig 9's measured setting (60 kbps,
+// 128-bit hash, 12 + 6 rounds, cohort 64) at its smallest N.
 func TestScaleCohortByteIdentity(t *testing.T) {
-	const globalN, cohortN = 256, 16
-	wantFp, wantLite := runScale(t, globalN, cohortN, 0)
-	if wantLite <= 0 {
-		t.Fatalf("lite plane modelled %v kbps, want > 0", wantLite)
+	rows := []struct {
+		cfg            ScaleConfig
+		warmup, rounds int
+		long           bool // skipped under -short
+	}{
+		{ScaleConfig{GlobalNodes: 256, CohortNodes: 16, StreamKbps: 2, UpdateBytes: 64, ModulusBits: 128, Seed: 7}, 4, 4, false},
+		{ScaleConfig{GlobalNodes: 1296, CohortNodes: 64, StreamKbps: 60, ModulusBits: 128, Seed: 1}, 12, 6, true},
 	}
 	workerCounts := []int{1, 4}
 	if testing.Short() {
 		workerCounts = []int{4}
 	}
-	for _, w := range workerCounts {
-		fp, lite := runScale(t, globalN, cohortN, w)
-		if fp != wantFp {
-			t.Errorf("workers=%d: cohort fingerprint %s, want %s (serial)", w, fp, wantFp)
-		}
-		if lite != wantLite {
-			t.Errorf("workers=%d: lite mean %v kbps, want %v", w, lite, wantLite)
-		}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("N=%d/cohort=%d", r.cfg.GlobalNodes, r.cfg.CohortNodes), func(t *testing.T) {
+			if r.long && testing.Short() {
+				t.Skip("a 64-node cohort at 60 kbps")
+			}
+			wantFp, wantLite := runScale(t, r.cfg, r.warmup, r.rounds)
+			if wantLite <= 0 {
+				t.Fatalf("lite plane modelled %v kbps, want > 0", wantLite)
+			}
+			for _, w := range workerCounts {
+				cfg := r.cfg
+				cfg.Workers = w
+				fp, lite := runScale(t, cfg, r.warmup, r.rounds)
+				if fp != wantFp {
+					t.Errorf("workers=%d: cohort fingerprint %s, want %s (serial)", w, fp, wantFp)
+				}
+				if lite != wantLite {
+					t.Errorf("workers=%d: lite mean %v kbps, want %v", w, lite, wantLite)
+				}
+			}
+		})
 	}
 }
 
