@@ -36,8 +36,8 @@ func TestActingAuditRetentionUnderRotationAndChurn(t *testing.T) {
 		}
 	}
 	truncated := 0
-	for _, n := range s.actingNodes {
-		if n.Log().Base() > 0 {
+	for _, m := range s.members {
+		if m.(*acting.Node).Log().Base() > 0 {
 			truncated++
 		}
 	}

@@ -209,33 +209,6 @@ func BenchmarkPAGRound(b *testing.B) {
 	s.Run(b.N)
 }
 
-// BenchmarkAblationBuffermap quantifies §V-D's buffermap: bandwidth with
-// and without the ownership hints.
-func BenchmarkAblationBuffermap(b *testing.B) {
-	run := func(window int) float64 {
-		cfg := SessionConfig{
-			Nodes: 16, Protocol: ProtocolPAG, StreamKbps: 120,
-			UpdateBytes: 938, ModulusBits: 128, Seed: 9,
-			BuffermapWindow: window,
-		}
-		s, err := NewSession(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Run(3)
-		s.StartMeasuring()
-		s.Run(6)
-		return s.BandwidthSample().Mean()
-	}
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		with = run(0)     // default window
-		without = run(-1) // disabled
-	}
-	b.ReportMetric(with, "with-kbps/node")
-	b.ReportMetric(without, "without-kbps/node")
-}
-
 // BenchmarkAblationMonitors quantifies the monitor-count knob of Fig 10's
 // bandwidth remark ("Increasing the number of monitors does not
 // significantly increase the bandwidth cost").

@@ -232,6 +232,14 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 	if err != nil {
 		return err
 	}
+	shared := core.NewShared(core.Shared{
+		Suite:      suite,
+		HashParams: params,
+		Directory:  dir,
+		Sources:    []model.NodeID{1},
+		Metrics:    reg,
+		Trace:      tr,
+	})
 
 	net := transport.NewTCPNet(book)
 	net.Faults().Instrument(reg, tr)
@@ -247,13 +255,9 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 		out:        out,
 		self:       self,
 		net:        net,
-		reg:        reg,
-		tr:         tr,
 		dir:        dir,
-		suite:      suite,
+		shared:     shared,
 		identities: identities,
-		params:     params,
-		modBits:    modBits,
 		members:    make(map[model.NodeID]bool, len(foundingIDs)),
 		departed:   make(map[model.NodeID]model.Round),
 		standby:    append([]model.NodeID(nil), standby...),
@@ -379,13 +383,9 @@ type deployment struct {
 	out        io.Writer // progress and verdict lines
 	self       model.NodeID
 	net        *transport.TCPNet
-	reg        *obs.Registry // nil without -metrics
-	tr         *obs.Tracer   // nil without -trace
 	dir        *membership.Directory
-	suite      pki.Suite
+	shared     *core.Shared // the session plane; no interner, as in any one process
 	identities map[model.NodeID]pki.Identity
-	params     hhash.Params
-	modBits    int
 
 	node   *core.Node // nil while standby or after departure
 	player *streaming.Player
@@ -410,18 +410,12 @@ func (d *deployment) activate() error {
 		return err
 	}
 	n, err = core.NewNode(core.Config{
-		ID:         d.self,
-		Suite:      d.suite,
-		Identity:   d.identities[d.self],
-		HashParams: d.params,
-		Directory:  d.dir,
-		Endpoint:   ep,
-		Sources:    []model.NodeID{1},
-		IsSource:   d.self == 1,
-		PrimeBits:  d.modBits,
-		Metrics:    d.reg,
-		Trace:      d.tr,
-		OnDeliver:  d.player.OnDeliver,
+		ID:        d.self,
+		Identity:  d.identities[d.self],
+		Endpoint:  ep,
+		IsSource:  d.self == 1,
+		Shared:    d.shared,
+		OnDeliver: d.player.OnDeliver,
 		Verdicts: func(v core.Verdict) {
 			fmt.Fprintf(d.out, "[%v] VERDICT %v\n", d.self, v)
 		},

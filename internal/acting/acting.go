@@ -124,6 +124,23 @@ type Behavior struct {
 	RefuseAudit bool
 }
 
+// BehaviorForProfile maps a protocol-agnostic deviation profile name (the
+// scenario vocabulary, see core.BehaviorForProfile) onto AcTinG's
+// deviation knobs; ok is false for unknown profiles. AcTinG has no monitor
+// rotation, so a rotation-dodger degenerates to the plain free-rider.
+func BehaviorForProfile(profile string) (b Behavior, ok bool) {
+	switch profile {
+	case "correct":
+		return Behavior{}, true
+	case "free-rider", "rotation-dodger":
+		return Behavior{SkipPropose: true}, true
+	case "colluder":
+		return Behavior{RefuseAudit: true}, true
+	default:
+		return Behavior{}, false
+	}
+}
+
 // Config assembles an AcTinG node.
 type Config struct {
 	ID        model.NodeID
@@ -243,6 +260,9 @@ func (n *Node) InjectUpdates(us []update.Update) {
 // SetBehavior swaps the node's deviation profile at a round boundary —
 // the scenario engine's adversary-activation hook.
 func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
+
+// Behavior returns the node's current deviation profile.
+func (n *Node) Behavior() Behavior { return n.cfg.Behavior }
 
 func (n *Node) report(v Verdict) {
 	if n.cfg.Verdicts != nil {

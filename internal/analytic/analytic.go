@@ -48,8 +48,8 @@ func DefaultWire() Wire {
 }
 
 // WireFor is DefaultWire with the hash values and prime exponents of a
-// session run at the given modulus width (PrimeBits = ModulusBits, a
-// session's default): what simulations at 128 or 256 bits put on the wire.
+// session run at the given modulus width (primes are as wide as the
+// modulus): what simulations at 128 or 256 bits put on the wire.
 func WireFor(modulusBits int) Wire {
 	w := DefaultWire()
 	w.HashBytes = modulusBits/8 + lenPrefix

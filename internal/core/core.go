@@ -30,11 +30,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/hhash"
 	"repro/internal/judicial"
-	"repro/internal/membership"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/pki"
 	"repro/internal/transport"
 	"repro/internal/update"
@@ -42,8 +39,6 @@ import (
 
 // Default protocol parameters (§VII-A).
 const (
-	// DefaultPrimeBits is the size of the per-exchange prime exponents.
-	DefaultPrimeBits = hhash.DefaultPrimeBits
 	// storeRetentionRounds is how long delivered updates stay available
 	// for buffermap matching and ref resolution before GC.
 	storeRetentionRounds = 24
@@ -198,56 +193,21 @@ func BehaviorForProfile(profile string) (b Behavior, ok bool) {
 	}
 }
 
-// Config assembles a Node's dependencies.
+// Config assembles a Node's dependencies: the per-node ones, plus the
+// session plane every node of the session shares. Everything identical
+// across a session's nodes — suite, hash parameters, directory, sources,
+// observability and the content interner — is declared once, in Shared.
 type Config struct {
 	// ID is this node's identity in the membership.
 	ID model.NodeID
-	// Suite provides signature/encryption; Identity is this node's key
-	// material created from the same suite.
-	Suite    pki.Suite
+	// Identity is this node's key material, created from Shared.Suite.
 	Identity pki.Identity
-	// HashParams are the session-wide homomorphic hash parameters.
-	HashParams hhash.Params
-	// Directory is the shared membership substrate.
-	Directory *membership.Directory
 	// Endpoint is the node's network attachment.
 	Endpoint transport.Endpoint
-	// Sources lists the session source nodes, which are assumed correct
-	// (§III) and exempt from forwarding verification. The slice index is
-	// the StreamID: Sources[s] is the signer of stream s's updates.
-	Sources []model.NodeID
 	// IsSource marks this node as a content source.
 	IsSource bool
-	// PrimeBits sizes the per-exchange primes (DefaultPrimeBits if 0).
-	PrimeBits int
-	// BuffermapWindow bounds what a KeyResponse's buffermap covers. By
-	// default (0) it is the node's whole live set — every owned update that
-	// has not expired, the only ones a Serve may carry. A positive value
-	// additionally caps the reception age in rounds (4 is the paper's "the
-	// updates of the last 4 rounds were hashed and transmitted", §V-D, kept
-	// for before/after measurements); negative disables buffermaps (the
-	// ablation).
-	BuffermapWindow int
 	// Behavior optionally injects selfish deviations.
 	Behavior Behavior
-	// NoObligationHandover disables the monitor-rotation obligation
-	// handover (the pre-handover protocol) — an ablation that re-opens
-	// the rotation-round forwarding-check gap, kept for regression tests
-	// that document the exploit.
-	NoObligationHandover bool
-	// Metrics optionally attaches the observability registry: received
-	// wire-message counters per kind (the §V-A exchange and Fig 6
-	// monitoring phases) and the hhash timing histograms (the Fig 9
-	// profiling hook). Counters are session-wide aggregates — nodes
-	// share the registry's instruments, and commutative atomic adds keep
-	// the totals deterministic at any worker count.
-	Metrics *obs.Registry
-	// Trace optionally attaches the round-event tracer: every §V-A
-	// exchange becomes a span (open at BeginRound, close at CloseRound
-	// with a terminal outcome) and every exchange, monitoring and
-	// accusation event carries the exchange's model.ExchangeID; may be
-	// nil.
-	Trace *obs.Tracer
 	// Verdicts receives proofs of misbehaviour; may be nil.
 	Verdicts func(Verdict)
 	// OnDeliver receives playback-ready updates; may be nil.
@@ -260,21 +220,18 @@ type Config struct {
 	// hashes whose errors cancel in the fold, so they must be as secret as
 	// a key; simulated sessions pass SeededCoeffs to stay replayable.
 	CoeffRand io.Reader
-	// Intern optionally attaches the session-wide update-content flyweight
-	// table (see update.Interner); nil keeps per-node content copies, as
-	// pag-node does.
-	Intern *update.Interner
-	// Shared optionally provides the pre-assembled session plane. Sessions
-	// build one Shared and hand it to every node; when nil, NewNode builds
-	// a private plane from the session-wide fields above (single-node
-	// construction, used throughout the tests). When non-nil it is
-	// authoritative: the session-wide fields of this Config are ignored.
+	// Shared is the session plane (see NewShared); required. A session
+	// builds one and hands it to every node.
 	Shared *Shared
 }
 
-func (c *Config) validate(sh *Shared) error {
+func (c *Config) validate() error {
 	if c.ID == model.NoNode {
 		return fmt.Errorf("core: node id must not be NoNode")
+	}
+	sh := c.Shared
+	if sh == nil {
+		return fmt.Errorf("core: node %v needs a session plane (Shared)", c.ID)
 	}
 	if sh.Suite == nil || c.Identity == nil {
 		return fmt.Errorf("core: node %v needs a suite and identity", c.ID)

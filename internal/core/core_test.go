@@ -27,6 +27,7 @@ type harness struct {
 	workers    int // > 1: the engine shards across that many workers
 	nodes      map[model.NodeID]*core.Node
 	identities map[model.NodeID]pki.Identity
+	intern     *update.Interner // the session plane's, nil by default
 	gen        *update.Generator
 	source     model.NodeID
 	verdictMu  sync.Mutex // the engine's shards share the sink
@@ -48,8 +49,9 @@ func withBehavior(id model.NodeID, b core.Behavior) harnessOpt {
 	}
 }
 
-func withBuffermapWindow(w int) harnessOpt {
-	return func(_ *harness, cfg *core.Config) { cfg.BuffermapWindow = w }
+// withIntern attaches a session-wide content interner to the session plane.
+func withIntern(in *update.Interner) harnessOpt {
+	return func(h *harness, _ *core.Config) { h.intern = in }
 }
 
 // withWorkers shards the session's engine across k workers.
@@ -86,8 +88,8 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Apply harness-level options (TTL, workers) before the engine and the
-	// generator are built.
+	// Apply harness-level options (TTL, workers, interner) before the
+	// engine, the session plane and the generator are built.
 	probe := core.Config{}
 	for _, opt := range opts {
 		opt(h, &probe)
@@ -95,6 +97,13 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 	if h.engine, err = sim.NewEngine(h.net, h.workers); err != nil {
 		t.Fatal(err)
 	}
+	shared := core.NewShared(core.Shared{
+		Suite:      h.suite,
+		HashParams: h.params,
+		Directory:  h.dir,
+		Sources:    []model.NodeID{h.source},
+		Intern:     h.intern,
+	})
 
 	for _, id := range ids {
 		identity, err := h.suite.NewIdentity(id)
@@ -104,14 +113,10 @@ func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
 		h.identities[id] = identity
 
 		cfg := core.Config{
-			ID:         id,
-			Suite:      h.suite,
-			Identity:   identity,
-			HashParams: h.params,
-			Directory:  h.dir,
-			Sources:    []model.NodeID{h.source},
-			IsSource:   id == h.source,
-			PrimeBits:  128,
+			ID:       id,
+			Identity: identity,
+			IsSource: id == h.source,
+			Shared:   shared,
 			Verdicts: func(v core.Verdict) {
 				h.verdictMu.Lock()
 				h.verdicts = append(h.verdicts, v)

@@ -71,14 +71,12 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	// revealing identifiers. The embeddings are gathered here, on the
 	// node's goroutine (embedOf fills the store and the interner); only the
 	// lifts may run on other cores.
-	if w := n.sh.BuffermapWindow; w >= 0 {
-		s := getTagScratch()
-		defer s.release() // resp.BufferMap is s.tags until the send
-		for _, e := range n.store.OwnedInWindow(n.round, w) {
-			s.bases = append(s.bases, n.embedOf(e))
-		}
-		resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
+	s := getTagScratch()
+	defer s.release() // resp.BufferMap is s.tags until the send
+	for _, e := range n.store.OwnedInWindow(n.round, 0) {
+		s.bases = append(s.bases, n.embedOf(e))
 	}
+	resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
 	n.signEncryptSend(req.From, resp, wire.KindKeyResponse)
 	if n.trace != nil {
 		n.trace.Emit("key_response",
@@ -177,8 +175,8 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		}
 		s.bases = append(s.bases, ve)
 	}
-	// No map, no lift: against an empty buffermap (the ablation, or a
-	// successor that owns nothing yet) matching costs no hash operation.
+	// No map, no lift: against an empty buffermap (a successor that owns
+	// nothing yet) matching costs no hash operation.
 	var tags []uint64
 	if len(bm) > 0 {
 		tags = n.tagsOf(s, prime)

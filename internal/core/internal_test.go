@@ -102,8 +102,47 @@ func TestMustCountKey(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewNode(Config{}); err == nil {
-		t.Fatal("empty config accepted")
+	suite := pki.NewFastSuite()
+	identity, err := suite.NewIdentity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := hhash.GenerateParams(rand.New(rand.NewSource(3)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := membership.New([]model.NodeID{1, 2, 3, 4, 5}, membership.Config{Seed: 1, Fanout: 3, Monitors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := transport.NewMemNet().Register(1, func(transport.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := Shared{Suite: suite, HashParams: params, Directory: dir, Sources: []model.NodeID{1}}
+	valid := func() Config {
+		return Config{ID: 1, Identity: identity, Endpoint: ep, Shared: NewShared(shared)}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"valid", func(*Config) {}, true},
+		{"empty", func(c *Config) { *c = Config{} }, false},
+		{"nil Shared", func(c *Config) { c.Shared = nil }, false},
+		{"no identity", func(c *Config) { c.Identity = nil }, false},
+		{"foreign identity", func(c *Config) { c.ID = 2 }, false},
+		{"no endpoint", func(c *Config) { c.Endpoint = nil }, false},
+		{"no suite", func(c *Config) { sh := shared; sh.Suite = nil; c.Shared = NewShared(sh) }, false},
+		{"no directory", func(c *Config) { sh := shared; sh.Directory = nil; c.Shared = NewShared(sh) }, false},
+		{"no hash parameters", func(c *Config) { sh := shared; sh.HashParams = hhash.Params{}; c.Shared = NewShared(sh) }, false},
+	} {
+		cfg := valid()
+		tc.edit(&cfg)
+		if _, err := NewNode(cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: NewNode error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -155,8 +194,8 @@ func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *at
 		t.Fatal(err)
 	}
 	c.node, err = NewNode(Config{
-		ID: id, Suite: suite, Identity: identity, HashParams: params, Directory: dir,
-		Endpoint: ep, Sources: []model.NodeID{1}, PrimeBits: 128, CoeffRand: coeffRand,
+		ID: id, Identity: identity, Endpoint: ep, CoeffRand: coeffRand,
+		Shared:   NewShared(Shared{Suite: suite, HashParams: params, Directory: dir, Sources: []model.NodeID{1}}),
 		Verdicts: func(v Verdict) { c.verdicts = append(c.verdicts, v) },
 	})
 	if err != nil {

@@ -3,16 +3,14 @@ package core_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/update"
 )
 
 // TestLiftTablesReleasedPastWindow: an update's comb table serves the
 // buffermap lifts of every round that can still name the update — those up
-// to its deadline, whatever the buffermap window — and is gone at deadline
-// + 1, whether the table is the session's (interned content) or each
-// node's own.
+// to its deadline — and is gone at deadline + 1, whether the table is the
+// session's (interned content) or each node's own.
 func TestLiftTablesReleasedPastWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -22,8 +20,7 @@ func TestLiftTablesReleasedPastWindow(t *testing.T) {
 		{"private", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 8, 2, withTTL(3),
-				func(_ *harness, cfg *core.Config) { cfg.Intern = tc.in })
+			h := newHarness(t, 8, 2, withTTL(3), withIntern(tc.in))
 			if tc.in != nil {
 				// The session's round-top hook (pag.go).
 				h.engine.OnRoundStart(func(r model.Round) { tc.in.DropExpired(r) })

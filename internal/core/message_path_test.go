@@ -183,7 +183,7 @@ func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 	run := func(perturb bool, workers int, intern *update.Interner) ([]string, []uint64) {
 		opts := []harnessOpt{withBehavior(lazy, core.Behavior{NoAck: true}),
 			withBehavior(sneak, core.Behavior{SkipMonitorReport: true}),
-			func(_ *harness, cfg *core.Config) { cfg.Intern = intern }}
+			withIntern(intern)}
 		if workers > 0 {
 			opts = append(opts, withWorkers(workers))
 		}

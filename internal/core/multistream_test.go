@@ -39,6 +39,13 @@ func TestMultipleSessions(t *testing.T) {
 	}
 	net := transport.NewMemNet()
 	engine, _ := sim.NewEngine(net, 0)
+	shared := core.NewShared(core.Shared{
+		Suite:      suite,
+		HashParams: params,
+		Directory:  dir,
+		// Stream 0 → sourceA, stream 1 → sourceB.
+		Sources: []model.NodeID{sourceA, sourceB},
+	})
 
 	var verdicts []core.Verdict
 	nodes := make(map[model.NodeID]*core.Node, nNodes)
@@ -61,16 +68,11 @@ func TestMultipleSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		node, err = core.NewNode(core.Config{
-			ID:         id,
-			Suite:      suite,
-			Identity:   identity,
-			HashParams: params,
-			Directory:  dir,
-			Endpoint:   ep,
-			// Stream 0 → sourceA, stream 1 → sourceB.
-			Sources:   []model.NodeID{sourceA, sourceB},
+			ID:        id,
+			Identity:  identity,
+			Endpoint:  ep,
 			IsSource:  id == sourceA || id == sourceB,
-			PrimeBits: 128,
+			Shared:    shared,
 			Verdicts:  func(v core.Verdict) { verdicts = append(verdicts, v) },
 			OnDeliver: func(u update.Update) { perStream[u.ID.Stream]++ },
 		})

@@ -116,8 +116,8 @@ type sendRound struct {
 // driver steps it and delivers its messages from one goroutine at a time
 // (every transport delivers on the goroutine that drains it).
 type Node struct {
-	// cfg keeps only the per-node dependencies (identity, endpoint,
-	// behaviour, callbacks); everything session-wide lives once in sh —
+	// cfg holds the per-node dependencies (identity, endpoint, behaviour,
+	// callbacks); everything session-wide lives once in sh (cfg.Shared) —
 	// the flyweight split that lets 10⁵ nodes share one config plane.
 	cfg    Config
 	sh     *Shared
@@ -178,27 +178,16 @@ type Node struct {
 // and dense).
 const maxWireKind = wire.KindObligationHandover
 
-// NewNode builds a PAG node from a validated Config. Sessions pass the
-// pre-assembled session plane in cfg.Shared; without one, a private plane
-// is built from the Config's session-wide fields.
+// NewNode builds a PAG node from a validated Config.
 func NewNode(cfg Config) (*Node, error) {
-	sh := cfg.Shared
-	if sh == nil {
-		sh = NewShared(cfg)
-	}
-	if err := cfg.validate(sh); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	sh := cfg.Shared
 	rnd := cfg.Rand
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	// The stored Config keeps only per-node state: session-wide fields are
-	// read through sh exclusively (a missed access would nil-panic, which
-	// the test suite turns into an immediate regression signal).
-	cfg.Suite, cfg.Directory, cfg.Sources = nil, nil, nil
-	cfg.HashParams = hhash.Params{}
-	cfg.Metrics, cfg.Trace, cfg.Intern, cfg.Shared = nil, nil, nil, nil
 	n := &Node{
 		cfg:         cfg,
 		sh:          sh,
@@ -209,7 +198,7 @@ func NewNode(cfg Config) (*Node, error) {
 		kPrev:       hhash.OneKey(),
 	}
 	n.hasher = hhash.NewHasher(sh.HashParams, &n.hops)
-	if pool, err := hhash.NewPrimePool(rnd, sh.PrimeBits, hhash.DefaultPrimePoolTarget); err == nil {
+	if pool, err := hhash.NewPrimePool(rnd, sh.primeBits, hhash.DefaultPrimePoolTarget); err == nil {
 		n.pool = pool
 	}
 	if n.coeffs = cfg.CoeffRand; n.coeffs == nil {
@@ -498,9 +487,7 @@ func (n *Node) CloseRound(r model.Round) {
 		// Judgement settled the round's suspect flags; if the monitor
 		// epoch rotates at r+1, hand the accumulated obligations to the
 		// incoming monitors before they are needed.
-		if !n.sh.NoObligationHandover {
-			n.mon.handover(r)
-		}
+		n.mon.handover(r)
 	}
 
 	// Deliver everything whose playback deadline has arrived.
@@ -731,7 +718,7 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 	if n.pool != nil {
 		return n.pool.Get()
 	}
-	return hhash.GeneratePrimeKey(n.rnd, n.sh.PrimeBits)
+	return hhash.GeneratePrimeKey(n.rnd, n.sh.primeBits)
 }
 
 // embed computes an update's embedding from its canonical bytes, encoded
@@ -740,7 +727,7 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 func (n *Node) embed(u *update.Update) *hhash.FixedBase {
 	w := wire.GetWriter()
 	defer w.Release()
-	return hhash.NewFixedBase(n.hasher.Embed(w.Canonical(u)), n.sh.PrimeBits)
+	return hhash.NewFixedBase(n.hasher.Embed(w.Canonical(u)), n.sh.primeBits)
 }
 
 // embedOf returns the entry's cached embedding, computing and caching it

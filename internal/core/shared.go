@@ -11,13 +11,13 @@ import (
 )
 
 // Shared is the flyweight session plane: everything about a session that is
-// identical across its nodes, assembled exactly once and referenced by
-// every Node. Before it existed each node carried its own Config copy and
-// rebuilt the same derived state — 17 registry lookups for the per-kind
-// message counters, two histogram lookups, its own defaults normalisation —
-// which at 10⁵ nodes is real memory and real construction time. A Shared is
-// immutable after NewShared; nodes only ever read it, so it is free to
-// share across the round engine's shards.
+// identical across its nodes, declared here and nowhere else, assembled
+// exactly once by NewShared and referenced by every Node (Config.Shared).
+// Assembling it once spares each node its own copy and its own derived
+// state — 17 registry lookups for the per-kind message counters, two
+// histogram lookups — which at 10⁵ nodes is real memory and real
+// construction time. A Shared is immutable after NewShared; nodes only ever
+// read it, so it is free to share across the round engine's shards.
 type Shared struct {
 	// Suite provides signature/encryption for all session members.
 	Suite pki.Suite
@@ -25,23 +25,31 @@ type Shared struct {
 	HashParams hhash.Params
 	// Directory is the shared membership substrate.
 	Directory *membership.Directory
-	// Sources lists the session source nodes (index = StreamID).
+	// Sources lists the session source nodes, which are assumed correct
+	// (§III) and exempt from forwarding verification. The slice index is
+	// the StreamID: Sources[s] is the signer of stream s's updates.
 	Sources []model.NodeID
-	// PrimeBits sizes the per-exchange primes (normalised, never 0).
-	PrimeBits int
-	// BuffermapWindow is Config.BuffermapWindow as given: negative disables
-	// buffermaps, 0 maps the whole live set, positive caps reception age.
-	BuffermapWindow int
-	// NoObligationHandover disables the rotation handover (ablation).
-	NoObligationHandover bool
-	// Metrics/Trace are the optional observability attachments.
+	// Metrics optionally attaches the observability registry: received
+	// wire-message counters per kind (the §V-A exchange and Fig 6
+	// monitoring phases) and the hhash timing histograms (the Fig 9
+	// profiling hook). Counters are session-wide aggregates — nodes
+	// share the registry's instruments, and commutative atomic adds keep
+	// the totals deterministic at any worker count.
 	Metrics *obs.Registry
-	Trace   *obs.Tracer
+	// Trace optionally attaches the round-event tracer: every §V-A
+	// exchange becomes a span (open at BeginRound, close at CloseRound
+	// with a terminal outcome) and every exchange, monitoring and
+	// accusation event carries the exchange's model.ExchangeID; may be
+	// nil.
+	Trace *obs.Tracer
 	// Intern is the session-wide update-content flyweight table; nil
 	// disables interning and every node keeps private payload/signature
 	// copies, as pag-node does.
 	Intern *update.Interner
 
+	// primeBits sizes the per-exchange primes: the modulus width, as §VII-A
+	// sizes both.
+	primeBits int
 	// msgK / bytesK hold the per-kind received-message and received-byte
 	// counters (payload plus transport.HeaderBytes, what the bandwidth
 	// accounting charges), resolved once for the whole session (nil entries
@@ -59,24 +67,12 @@ type Shared struct {
 	liftHist, verifyHist *obs.Histogram
 }
 
-// NewShared builds the session plane from the session-wide fields of a
-// Config, normalising defaults. Per-node fields of cfg (ID, Identity,
-// Endpoint, Behavior, ...) are ignored.
-func NewShared(cfg Config) *Shared {
-	sh := &Shared{
-		Suite:                cfg.Suite,
-		HashParams:           cfg.HashParams,
-		Directory:            cfg.Directory,
-		Sources:              cfg.Sources,
-		PrimeBits:            cfg.PrimeBits,
-		BuffermapWindow:      cfg.BuffermapWindow,
-		NoObligationHandover: cfg.NoObligationHandover,
-		Metrics:              cfg.Metrics,
-		Trace:                cfg.Trace,
-		Intern:               cfg.Intern,
-	}
-	if sh.PrimeBits == 0 {
-		sh.PrimeBits = DefaultPrimeBits
+// NewShared builds the session plane from the exported fields of sh, taken
+// as given, and resolves the state derived from them once for the whole
+// session: the prime width and the metric instruments.
+func NewShared(sh Shared) *Shared {
+	if m := sh.HashParams.Modulus(); m != nil {
+		sh.primeBits = m.BitLen()
 	}
 	if sh.Metrics != nil {
 		for k := uint8(1); k <= maxWireKind; k++ {
@@ -90,5 +86,5 @@ func NewShared(cfg Config) *Shared {
 		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed, nil)
 		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed, nil)
 	}
-	return sh
+	return &sh
 }

@@ -31,11 +31,10 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultModulusBits is the paper's modulus size (§VII-A).
+// DefaultModulusBits is the paper's modulus size (§VII-A), which is also
+// the size of its prime exponents: sessions draw primes as wide as the
+// modulus.
 const DefaultModulusBits = 512
-
-// DefaultPrimeBits is the paper's prime-exponent size (§VII-A).
-const DefaultPrimeBits = 512
 
 var (
 	_one = big.NewInt(1)

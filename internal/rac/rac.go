@@ -91,6 +91,23 @@ type Behavior struct {
 	NoCover bool
 }
 
+// BehaviorForProfile maps a protocol-agnostic deviation profile name (the
+// scenario vocabulary, see core.BehaviorForProfile) onto RAC's deviation
+// knobs; ok is false for unknown profiles. RAC has no monitor rotation, so
+// a rotation-dodger degenerates to the plain free-rider.
+func BehaviorForProfile(profile string) (b Behavior, ok bool) {
+	switch profile {
+	case "correct":
+		return Behavior{}, true
+	case "free-rider", "rotation-dodger":
+		return Behavior{DropRelays: true}, true
+	case "colluder":
+		return Behavior{NoCover: true}, true
+	default:
+		return Behavior{}, false
+	}
+}
+
 // Config assembles a RAC node.
 type Config struct {
 	ID        model.NodeID
@@ -283,6 +300,9 @@ func (n *Node) refreshRing(r model.Round) {
 // SetBehavior swaps the node's deviation profile at a round boundary —
 // the scenario engine's adversary-activation hook.
 func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
+
+// Behavior returns the node's current deviation profile.
+func (n *Node) Behavior() Behavior { return n.cfg.Behavior }
 
 // BeginRound emits this node's slots: real ones for pending content,
 // padded cover slots otherwise.

@@ -29,13 +29,15 @@ func TestScheduleAtRunsBeforeHooksAndPhases(t *testing.T) {
 	}
 }
 
-func TestAddAtRemoveAt(t *testing.T) {
+// TestScheduledAddRemove: a node added by a round-r event steps from round
+// r on, and one removed by a round-r event no longer steps in round r.
+func TestScheduledAddRemove(t *testing.T) {
 	net := transport.NewMemNet()
 	e, _ := NewEngine(net, 0)
 	var calls1, calls2 []string
 	e.Add(&phaseRecorder{id: 1, calls: &calls1})
-	e.AddAt(3, &phaseRecorder{id: 2, calls: &calls2})
-	e.RemoveAt(4, 1)
+	e.ScheduleAt(3, func(model.Round) { e.Add(&phaseRecorder{id: 2, calls: &calls2}) })
+	e.ScheduleAt(4, func(model.Round) { e.Remove(1) })
 
 	e.Run(2)
 	if e.Nodes() != 1 || len(calls2) != 0 {
@@ -47,7 +49,7 @@ func TestAddAtRemoveAt(t *testing.T) {
 	}
 	e.RunRound() // round 4: node 1 removed before phases
 	if e.Nodes() != 1 || e.Has(1) || !e.Has(2) {
-		t.Fatalf("node 1 still attached after RemoveAt")
+		t.Fatalf("node 1 still attached after its scheduled removal")
 	}
 	if len(calls1) != 3*4 {
 		t.Fatalf("node 1 ran %d phase calls, want 12 (3 rounds)", len(calls1))

@@ -208,16 +208,6 @@ func (e *Engine) ScheduleAt(r model.Round, fn Event) {
 	e.events[r] = append(e.events[r], fn)
 }
 
-// AddAt schedules a node to join the simulation at the top of round r.
-func (e *Engine) AddAt(r model.Round, p Protocol) {
-	e.ScheduleAt(r, func(model.Round) { e.Add(p) })
-}
-
-// RemoveAt schedules a node's detachment at the top of round r.
-func (e *Engine) RemoveAt(r model.Round, id model.NodeID) {
-	e.ScheduleAt(r, func(model.Round) { e.Remove(id) })
-}
-
 // Nodes returns the registered node count.
 func (e *Engine) Nodes() int { return len(e.nodes) }
 

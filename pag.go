@@ -103,17 +103,11 @@ type SessionConfig struct {
 	// floor of 3.
 	Fanout   int
 	Monitors int
-	// ModulusBits / PrimeBits size the homomorphic hash (default 512 as
-	// in the paper; simulations commonly use 128 for speed — the wire
-	// sizes shrink accordingly, so pass 512 for paper-faithful
-	// bandwidth numbers).
+	// ModulusBits sizes the homomorphic hash modulus and, as in §VII-A,
+	// the per-exchange primes (default 512 as in the paper; simulations
+	// commonly use 128 for speed — the wire sizes shrink accordingly, so
+	// pass 512 for paper-faithful bandwidth numbers).
 	ModulusBits int
-	PrimeBits   int
-	// BuffermapWindow bounds the §V-D buffermap: by default (0) it covers
-	// every owned update that has not expired; a positive value also caps
-	// the reception age in rounds (4 is the paper's window); negative
-	// disables buffermaps — an ablation.
-	BuffermapWindow int
 	// TTL is the forwarding expiration in rounds (§V-D: "Determining
 	// this expiration delay is up to the system designer"). It defaults
 	// to model.ForwardingTTL: saturation time plus two rounds of slack.
@@ -126,10 +120,6 @@ type SessionConfig struct {
 	// forwarding-check gap it used to open is closed by the obligation
 	// handover (see internal/core).
 	MonitorRotationRounds int
-	// DisableObligationHandover turns the monitor-rotation obligation
-	// handover off — the pre-handover protocol, kept as an ablation so
-	// the rotation-gap exploit stays demonstrable in tests.
-	DisableObligationHandover bool
 	// Judicial arms the accountability plane's punishment loop: nodes
 	// reaching the conviction threshold are evicted from the membership
 	// and quarantined. The zero value is reporting-only. A scenario with
@@ -211,9 +201,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.ModulusBits == 0 {
 		c.ModulusBits = hhash.DefaultModulusBits
 	}
-	if c.PrimeBits == 0 {
-		c.PrimeBits = c.ModulusBits
-	}
 	if c.TTL == 0 {
 		c.TTL = model.ForwardingTTL(c.Nodes, c.Fanout)
 	}
@@ -241,23 +228,23 @@ type Session struct {
 	// configured policy is armed.
 	bench *judicial.Bench
 
-	// suite / params / dir are kept for mid-run node construction
-	// (scenario joins mint fresh identities against the same PKI and
-	// hash parameters).
-	suite  pki.Suite
-	params hhash.Params
-	dir    *membership.Directory
+	// suite / dir are kept for mid-run node construction (scenario joins
+	// mint fresh identities against the same PKI).
+	suite pki.Suite
+	dir   *membership.Directory
 	// shared is the flyweight session plane every PAG node references
-	// (one immutable config/roster instead of per-node copies); intern is
-	// the session-wide update-content table PAG and AcTinG nodes store
-	// through (nil under SessionConfig.noIntern and for RAC).
+	// (one immutable config/roster instead of per-node copies; nil for
+	// the baselines); intern is the session-wide update-content table PAG
+	// and AcTinG nodes store through (nil under SessionConfig.noIntern and
+	// for RAC).
 	shared *core.Shared
 	intern *update.Interner
 
-	pagNodes    map[model.NodeID]*core.Node
-	actingNodes map[model.NodeID]*acting.Node
-	racNodes    map[model.NodeID]*rac.Node
-	players     map[model.NodeID]*streaming.Player
+	// members holds every node the session ever attached, departed ones
+	// included (their counters and behaviour stay readable); players
+	// their playback metrics. addMember fills both.
+	members map[model.NodeID]member
+	players map[model.NodeID]*streaming.Player
 
 	// Scenario state: the driving timeline (nil without a scenario),
 	// join/departure bookkeeping and the epoch marks metrics are sliced
@@ -315,9 +302,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		net:         netw,
 		registry:    judicial.NewRegistry(),
 		bench:       judicial.NewBench(policy),
-		pagNodes:    make(map[model.NodeID]*core.Node),
-		actingNodes: make(map[model.NodeID]*acting.Node),
-		racNodes:    make(map[model.NodeID]*rac.Node),
+		members:     make(map[model.NodeID]member),
 		players:     make(map[model.NodeID]*streaming.Player),
 		nextID:      model.NodeID(c.Nodes + 1),
 		joinedChunk: make(map[model.NodeID]uint64),
@@ -375,17 +360,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	s.dir = dir
 
-	suite := pki.NewFastSuite()
-	var params hhash.Params
-	if c.Protocol == ProtocolPAG {
-		params, err = hhash.GenerateParams(nil, c.ModulusBits)
-		if err != nil {
-			return nil, fmt.Errorf("pag: hash parameters: %w", err)
-		}
-	}
-	s.suite = suite
-	s.params = params
-
+	s.suite = pki.NewFastSuite()
 	// PAG and AcTinG nodes store full update content; one session-wide
 	// interner shares it between them (RAC's ring stores too little for it
 	// to matter).
@@ -393,71 +368,36 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		s.intern = update.NewInterner()
 	}
 	if c.Protocol == ProtocolPAG {
-		s.shared = core.NewShared(core.Config{
-			Suite:                suite,
-			HashParams:           params,
-			Directory:            dir,
-			Sources:              []model.NodeID{SourceID},
-			PrimeBits:            c.PrimeBits,
-			BuffermapWindow:      c.BuffermapWindow,
-			NoObligationHandover: c.DisableObligationHandover,
-			Metrics:              c.Obs,
-			Trace:                c.Trace,
-			Intern:               s.intern,
+		params, err := hhash.GenerateParams(nil, c.ModulusBits)
+		if err != nil {
+			return nil, fmt.Errorf("pag: hash parameters: %w", err)
+		}
+		s.shared = core.NewShared(core.Shared{
+			Suite:      s.suite,
+			HashParams: params,
+			Directory:  dir,
+			Sources:    []model.NodeID{SourceID},
+			Metrics:    c.Obs,
+			Trace:      c.Trace,
+			Intern:     s.intern,
 		})
 	}
 
 	identities := make(map[model.NodeID]pki.Identity, c.Nodes)
 	for _, id := range ids {
-		identity, err := suite.NewIdentity(id)
+		identity, err := s.suite.NewIdentity(id)
 		if err != nil {
 			return nil, fmt.Errorf("pag: identity for %v: %w", id, err)
 		}
 		identities[id] = identity
 	}
-
-	var sourceInjector streaming.Injector
 	for _, id := range ids {
-		player := streaming.NewPlayer(0)
-		s.players[id] = player
-
-		switch c.Protocol {
-		case ProtocolPAG:
-			n, err := s.buildPAGNode(id, suite, identities[id], params, dir, player)
-			if err != nil {
-				return nil, err
-			}
-			s.pagNodes[id] = n
-			s.engine.Add(n)
-			if id == SourceID {
-				sourceInjector = n
-			}
-		case ProtocolAcTinG:
-			n, err := s.buildActingNode(id, suite, identities[id], dir, player)
-			if err != nil {
-				return nil, err
-			}
-			s.actingNodes[id] = n
-			s.engine.Add(n)
-			if id == SourceID {
-				sourceInjector = n
-			}
-		case ProtocolRAC:
-			n, err := s.buildRACNode(id, suite, identities[id], dir, player)
-			if err != nil {
-				return nil, err
-			}
-			s.racNodes[id] = n
-			s.engine.Add(n)
-			if id == SourceID {
-				sourceInjector = n
-			}
-		default:
-			return nil, fmt.Errorf("pag: unknown protocol %v", c.Protocol)
+		if err := s.addMember(id, identities[id]); err != nil {
+			return nil, err
 		}
 	}
 
-	s.source, err = streaming.NewSource(0, identities[SourceID], sourceInjector,
+	s.source, err = streaming.NewSource(0, identities[SourceID], s.members[SourceID].(streaming.Injector),
 		c.StreamKbps, c.UpdateBytes, c.TTL)
 	if err != nil {
 		return nil, fmt.Errorf("pag: source: %w", err)
@@ -659,9 +599,11 @@ func (s *Session) ConvictedNodes(threshold int) map[model.NodeID]int {
 
 // PAGNodeStats returns the per-node PAG counters (Table I inputs).
 func (s *Session) PAGNodeStats() map[model.NodeID]core.Stats {
-	out := make(map[model.NodeID]core.Stats, len(s.pagNodes))
-	for id, n := range s.pagNodes {
-		out[id] = n.Stats()
+	out := make(map[model.NodeID]core.Stats)
+	for id, m := range s.members {
+		if n, ok := m.(*core.Node); ok {
+			out[id] = n.Stats()
+		}
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func TestSessionDefaults(t *testing.T) {
 	c := SessionConfig{Nodes: 432}.withDefaults()
 	if c.Protocol != ProtocolPAG || c.StreamKbps != 300 ||
 		c.UpdateBytes != model.UpdateBytes || c.Fanout != 3 ||
-		c.Monitors != 3 || c.ModulusBits != 512 || c.PrimeBits != 512 ||
+		c.Monitors != 3 || c.ModulusBits != 512 ||
 		c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
@@ -189,21 +189,6 @@ func TestConvictedNodes(t *testing.T) {
 	// A high threshold filters everything.
 	if len(s.ConvictedNodes(1<<20)) != 0 {
 		t.Fatal("threshold filter broken")
-	}
-}
-
-func TestBuffermapAblationThroughFacade(t *testing.T) {
-	cfg := testConfig(ProtocolPAG, 12, 2)
-	cfg.BuffermapWindow = -1
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(8)
-	for _, st := range s.PAGNodeStats() {
-		if st.RefsSent != 0 {
-			t.Fatal("refs sent with buffermap disabled")
-		}
 	}
 }
 

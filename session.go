@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/acting"
 	"repro/internal/core"
-	"repro/internal/hhash"
 	"repro/internal/judicial"
-	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
 	"repro/internal/rac"
+	"repro/internal/sim"
 	"repro/internal/streaming"
 	"repro/internal/transport"
 )
@@ -30,111 +29,96 @@ func (s *Session) Judicial() *judicial.Registry { return s.registry }
 // PAGVerdicts returns the deduplicated PAG proofs of misbehaviour in
 // canonical (round, accused, accuser, kind) order — a view over the
 // judicial registry.
-func (s *Session) PAGVerdicts() []core.Verdict {
-	var out []core.Verdict
-	for _, rec := range s.registry.Records() {
-		if v, ok := rec.Evidence.(core.Verdict); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (s *Session) PAGVerdicts() []core.Verdict { return verdictsOf[core.Verdict](s.registry) }
 
 // ActingVerdicts returns the deduplicated AcTinG audit findings in
 // canonical order — a view over the judicial registry.
-func (s *Session) ActingVerdicts() []acting.Verdict {
-	var out []acting.Verdict
-	for _, rec := range s.registry.Records() {
-		if v, ok := rec.Evidence.(acting.Verdict); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (s *Session) ActingVerdicts() []acting.Verdict { return verdictsOf[acting.Verdict](s.registry) }
 
 // RACVerdicts returns the deduplicated RAC accountability findings in
 // canonical order — a view over the judicial registry.
-func (s *Session) RACVerdicts() []rac.Verdict {
-	var out []rac.Verdict
-	for _, rec := range s.registry.Records() {
-		if v, ok := rec.Evidence.(rac.Verdict); ok {
+func (s *Session) RACVerdicts() []rac.Verdict { return verdictsOf[rac.Verdict](s.registry) }
+
+// verdictsOf returns the registry's facts whose evidence is a V, in the
+// registry's canonical order.
+func verdictsOf[V judicial.Evidence](r *judicial.Registry) []V {
+	var out []V
+	for _, rec := range r.Records() {
+		if v, ok := rec.Evidence.(V); ok {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-func (s *Session) buildPAGNode(id model.NodeID, suite pki.Suite, identity pki.Identity,
-	params hhash.Params, dir *membership.Directory, player *streaming.Player) (*core.Node, error) {
-	var node *core.Node
-	ep, err := s.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
-	if err != nil {
-		return nil, fmt.Errorf("pag: registering %v: %w", id, err)
-	}
-	node, err = core.NewNode(core.Config{
-		ID:        id,
-		Identity:  identity,
-		Endpoint:  ep,
-		IsSource:  id == SourceID,
-		Behavior:  s.cfg.PAGBehaviors[id],
-		CoeffRand: core.SeededCoeffs(s.cfg.Seed, id),
-		Shared:    s.shared,
-		Verdicts:  func(v core.Verdict) { s.registry.Submit(v) },
-		OnDeliver: player.OnDeliver,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pag: node %v: %w", id, err)
-	}
-	return node, nil
+// member is a session node of any protocol: what the engine steps and the
+// transport delivers to. Code that needs a protocol's own methods gets the
+// concrete node by type assertion.
+type member interface {
+	sim.Protocol
+	HandleMessage(transport.Message)
 }
 
-func (s *Session) buildActingNode(id model.NodeID, suite pki.Suite, identity pki.Identity,
-	dir *membership.Directory, player *streaming.Player) (*acting.Node, error) {
-	var node *acting.Node
-	ep, err := s.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
+// addMember attaches node id of the session's protocol, with the given
+// identity: it registers the endpoint, builds the node, adds it to the
+// engine and gives it a player. Founding members and scenario joiners
+// both come through here.
+func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
+	var m member
+	ep, err := s.net.Register(id, func(msg transport.Message) { m.HandleMessage(msg) })
 	if err != nil {
-		return nil, fmt.Errorf("pag: registering %v: %w", id, err)
+		return fmt.Errorf("pag: registering %v: %w", id, err)
 	}
-	node, err = acting.NewNode(acting.Config{
-		ID:          id,
-		Suite:       suite,
-		Identity:    identity,
-		Directory:   dir,
-		Endpoint:    ep,
-		Sources:     []model.NodeID{SourceID},
-		Intern:      s.intern,
-		AuditPeriod: s.cfg.AuditPeriod,
-		Behavior:    s.cfg.ActingBehaviors[id],
-		Verdicts:    func(v acting.Verdict) { s.registry.Submit(v) },
-		OnDeliver:   player.OnDeliver,
-	})
+	player := streaming.NewPlayer(0)
+	sources := []model.NodeID{SourceID}
+	switch s.cfg.Protocol {
+	case ProtocolPAG:
+		m, err = core.NewNode(core.Config{
+			ID:        id,
+			Identity:  identity,
+			Endpoint:  ep,
+			IsSource:  id == SourceID,
+			Behavior:  s.cfg.PAGBehaviors[id],
+			CoeffRand: core.SeededCoeffs(s.cfg.Seed, id),
+			Shared:    s.shared,
+			Verdicts:  func(v core.Verdict) { s.registry.Submit(v) },
+			OnDeliver: player.OnDeliver,
+		})
+	case ProtocolAcTinG:
+		m, err = acting.NewNode(acting.Config{
+			ID:          id,
+			Suite:       s.suite,
+			Identity:    identity,
+			Directory:   s.dir,
+			Endpoint:    ep,
+			Sources:     sources,
+			Intern:      s.intern,
+			AuditPeriod: s.cfg.AuditPeriod,
+			Behavior:    s.cfg.ActingBehaviors[id],
+			Verdicts:    func(v acting.Verdict) { s.registry.Submit(v) },
+			OnDeliver:   player.OnDeliver,
+		})
+	case ProtocolRAC:
+		m, err = rac.NewNode(rac.Config{
+			ID:        id,
+			Suite:     s.suite,
+			Identity:  identity,
+			Directory: s.dir,
+			Endpoint:  ep,
+			Sources:   sources,
+			SlotBytes: s.cfg.UpdateBytes,
+			Behavior:  s.cfg.RACBehaviors[id],
+			Verdicts:  func(v rac.Verdict) { s.registry.Submit(v) },
+			OnDeliver: player.OnDeliver,
+		})
+	default:
+		return fmt.Errorf("pag: unknown protocol %v", s.cfg.Protocol)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("pag: acting node %v: %w", id, err)
+		return fmt.Errorf("pag: %v node %v: %w", s.cfg.Protocol, id, err)
 	}
-	return node, nil
-}
-
-func (s *Session) buildRACNode(id model.NodeID, suite pki.Suite, identity pki.Identity,
-	dir *membership.Directory, player *streaming.Player) (*rac.Node, error) {
-	var node *rac.Node
-	ep, err := s.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
-	if err != nil {
-		return nil, fmt.Errorf("pag: registering %v: %w", id, err)
-	}
-	node, err = rac.NewNode(rac.Config{
-		ID:        id,
-		Suite:     suite,
-		Identity:  identity,
-		Directory: dir,
-		Endpoint:  ep,
-		Sources:   []model.NodeID{SourceID},
-		SlotBytes: s.cfg.UpdateBytes,
-		Behavior:  s.cfg.RACBehaviors[id],
-		Verdicts:  func(v rac.Verdict) { s.registry.Submit(v) },
-		OnDeliver: player.OnDeliver,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pag: rac node %v: %w", id, err)
-	}
-	return node, nil
+	s.members[id] = m
+	s.players[id] = player
+	s.engine.Add(m)
+	return nil
 }

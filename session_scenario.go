@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/rac"
 	"repro/internal/scenario"
-	"repro/internal/streaming"
 	"repro/internal/transport"
 )
 
@@ -94,7 +93,6 @@ func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 	if err != nil {
 		return model.NoNode, fmt.Errorf("pag: identity for joiner %v: %w", id, err)
 	}
-	player := streaming.NewPlayer(0)
 
 	// Membership first: node construction reads the directory (RAC seats
 	// itself on the ring of current members), and the directory owns the
@@ -112,35 +110,11 @@ func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 	if s.evicted[id] {
 		s.net.Faults().SetNodeDown(id, false)
 	}
-	rollback := func(err error) (model.NodeID, error) {
+	if err := s.addMember(id, identity); err != nil {
 		_ = s.dir.DropLastEpoch()
 		s.net.Unregister(id)
 		return model.NoNode, err
 	}
-	switch s.cfg.Protocol {
-	case ProtocolPAG:
-		n, err := s.buildPAGNode(id, s.suite, identity, s.params, s.dir, player)
-		if err != nil {
-			return rollback(err)
-		}
-		s.pagNodes[id] = n
-		s.engine.Add(n)
-	case ProtocolAcTinG:
-		n, err := s.buildActingNode(id, s.suite, identity, s.dir, player)
-		if err != nil {
-			return rollback(err)
-		}
-		s.actingNodes[id] = n
-		s.engine.Add(n)
-	case ProtocolRAC:
-		n, err := s.buildRACNode(id, s.suite, identity, s.dir, player)
-		if err != nil {
-			return rollback(err)
-		}
-		s.racNodes[id] = n
-		s.engine.Add(n)
-	}
-	s.players[id] = player
 	s.joinedChunk[id] = s.source.Emitted()
 	// A re-admitted evictee is live again — and its one-time re-join
 	// credential is spent: if it departs again without a fresh eviction,
@@ -186,7 +160,7 @@ func (s *Session) depart(id model.NodeID, r model.Round) {
 	s.net.Faults().SetNodeDown(id, true)
 	s.net.Unregister(id)
 	s.departed[id] = r
-	if n := s.pagNodes[id]; n != nil {
+	if n, ok := s.members[id].(*core.Node); ok {
 		n.Retire()
 	}
 }
@@ -262,53 +236,33 @@ func (s *Session) SetBehavior(id model.NodeID, profile scenario.BehaviorProfile)
 	if id == SourceID {
 		return fmt.Errorf("pag: the source is assumed correct (§III)")
 	}
-	switch s.cfg.Protocol {
-	case ProtocolPAG:
-		n, ok := s.pagNodes[id]
-		if !ok {
-			return fmt.Errorf("pag: no PAG node %v", id)
-		}
-		b, known := core.BehaviorForProfile(string(profile))
-		if !known {
-			return fmt.Errorf("pag: unknown behavior profile %q", profile)
-		}
-		n.SetBehavior(b)
-	case ProtocolAcTinG:
-		n, ok := s.actingNodes[id]
-		if !ok {
-			return fmt.Errorf("pag: no AcTinG node %v", id)
-		}
-		switch profile {
-		case scenario.ProfileCorrect:
-			n.SetBehavior(acting.Behavior{})
-		case scenario.ProfileFreeRider, scenario.ProfileRotationDodger:
-			// AcTinG has no monitor rotation; the dodger degenerates to
-			// the plain free-rider.
-			n.SetBehavior(acting.Behavior{SkipPropose: true})
-		case scenario.ProfileColluder:
-			n.SetBehavior(acting.Behavior{RefuseAudit: true})
-		default:
-			return fmt.Errorf("pag: unknown behavior profile %q", profile)
-		}
-	case ProtocolRAC:
-		n, ok := s.racNodes[id]
-		if !ok {
-			return fmt.Errorf("pag: no RAC node %v", id)
-		}
-		switch profile {
-		case scenario.ProfileCorrect:
-			n.SetBehavior(rac.Behavior{})
-		case scenario.ProfileFreeRider, scenario.ProfileRotationDodger:
-			// RAC has no monitor rotation; the dodger degenerates to the
-			// plain free-rider.
-			n.SetBehavior(rac.Behavior{DropRelays: true})
-		case scenario.ProfileColluder:
-			n.SetBehavior(rac.Behavior{NoCover: true})
-		default:
-			return fmt.Errorf("pag: unknown behavior profile %q", profile)
-		}
+	m, ok := s.members[id]
+	if !ok {
+		return fmt.Errorf("pag: no %v node %v", s.cfg.Protocol, id)
+	}
+	known := false
+	switch n := m.(type) {
+	case *core.Node:
+		known = setProfile(n.SetBehavior, core.BehaviorForProfile, profile)
+	case *acting.Node:
+		known = setProfile(n.SetBehavior, acting.BehaviorForProfile, profile)
+	case *rac.Node:
+		known = setProfile(n.SetBehavior, rac.BehaviorForProfile, profile)
+	}
+	if !known {
+		return fmt.Errorf("pag: unknown behavior profile %q", profile)
 	}
 	return nil
+}
+
+// setProfile applies the protocol's behaviour for profile through set and
+// reports whether the protocol knows the profile.
+func setProfile[B any](set func(B), forProfile func(string) (B, bool), profile scenario.BehaviorProfile) bool {
+	b, ok := forProfile(string(profile))
+	if ok {
+		set(b)
+	}
+	return ok
 }
 
 // ChurnTargets implements scenario.Applier: every current member except

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/acting"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/rac"
 	"repro/internal/scenario"
 )
 
@@ -87,13 +89,13 @@ func TestLeaveRedrawsMembership(t *testing.T) {
 		t.Fatalf("mean continuity %v after the leave", c)
 	}
 	// The departed node let go of its state and kept its counters.
-	if got := s.pagNodes[9].Store().Len(); got != 0 {
+	if got := s.members[9].(*core.Node).Store().Len(); got != 0 {
 		t.Fatalf("departed node still stores %d updates", got)
 	}
 	if got := s.PAGNodeStats()[9]; got.UpdatesReceived == 0 || got.RoundsRun != 6 {
 		t.Fatalf("departed node's counters: %+v", got)
 	}
-	if s.pagNodes[3].Store().Len() == 0 {
+	if s.members[3].(*core.Node).Store().Len() == 0 {
 		t.Fatal("a member's store is empty")
 	}
 }
@@ -328,4 +330,92 @@ func TestScenarioRejectedAtSessionBuild(t *testing.T) {
 	if _, err := NewSession(scenarioConfig(ProtocolPAG, 8, &sc)); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
+}
+
+// TestSetBehaviorEveryProtocol: every profile scenario validation accepts
+// reaches a node of each protocol through Session.SetBehavior as that
+// protocol's documented deviation — a rotation-dodger is the plain
+// free-rider where there is no monitor rotation — while an unknown profile,
+// the source and a non-member are refused and change nothing.
+func TestSetBehaviorEveryProtocol(t *testing.T) {
+	const target = NodeID(4)
+	for _, tc := range []struct {
+		protocol Protocol
+		behavior func(member) any
+		want     map[scenario.BehaviorProfile]any
+	}{
+		{ProtocolPAG, func(m member) any { return m.(*core.Node).Behavior() }, map[scenario.BehaviorProfile]any{
+			scenario.ProfileFreeRider:      core.Behavior{SkipServeEvery: 1},
+			scenario.ProfileColluder:       core.Behavior{SilentMonitor: true, SkipMonitorReport: true},
+			scenario.ProfileRotationDodger: core.Behavior{SkipServeOnRotation: true},
+			scenario.ProfileCorrect:        core.Behavior{},
+		}},
+		{ProtocolAcTinG, func(m member) any { return m.(*acting.Node).Behavior() }, map[scenario.BehaviorProfile]any{
+			scenario.ProfileFreeRider:      acting.Behavior{SkipPropose: true},
+			scenario.ProfileColluder:       acting.Behavior{RefuseAudit: true},
+			scenario.ProfileRotationDodger: acting.Behavior{SkipPropose: true},
+			scenario.ProfileCorrect:        acting.Behavior{},
+		}},
+		{ProtocolRAC, func(m member) any { return m.(*rac.Node).Behavior() }, map[scenario.BehaviorProfile]any{
+			scenario.ProfileFreeRider:      rac.Behavior{DropRelays: true},
+			scenario.ProfileColluder:       rac.Behavior{NoCover: true},
+			scenario.ProfileRotationDodger: rac.Behavior{DropRelays: true},
+			scenario.ProfileCorrect:        rac.Behavior{},
+		}},
+	} {
+		t.Run(tc.protocol.String(), func(t *testing.T) {
+			s, err := NewSession(testConfig(tc.protocol, 8, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// Correct last, so it is seen to undo a deviation.
+			profiles := []scenario.BehaviorProfile{scenario.ProfileFreeRider, scenario.ProfileColluder,
+				scenario.ProfileRotationDodger, scenario.ProfileCorrect}
+			if len(tc.want) != len(profiles) {
+				t.Fatalf("%d profiles in the table, %d exercised", len(tc.want), len(profiles))
+			}
+			for _, p := range profiles {
+				if err := setBehaviorScript(p).Validate(); err != nil {
+					t.Fatalf("profile %q rejected by scenario validation: %v", p, err)
+				}
+				if err := s.SetBehavior(target, p); err != nil {
+					t.Fatalf("SetBehavior(%v, %q): %v", target, p, err)
+				}
+				if got := tc.behavior(s.members[target]); got != tc.want[p] {
+					t.Errorf("profile %q: behaviour %+v, want %+v", p, got, tc.want[p])
+				}
+			}
+
+			const unknown = scenario.BehaviorProfile("saboteur")
+			if setBehaviorScript(unknown).Validate() == nil {
+				t.Fatalf("scenario validation accepts %q", unknown)
+			}
+			if err := s.SetBehavior(target, scenario.ProfileFreeRider); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []struct {
+				id      NodeID
+				profile scenario.BehaviorProfile
+			}{{target, unknown}, {SourceID, scenario.ProfileFreeRider}, {99, scenario.ProfileFreeRider}} {
+				if err := s.SetBehavior(bad.id, bad.profile); err == nil {
+					t.Errorf("SetBehavior(%v, %q) accepted", bad.id, bad.profile)
+				}
+			}
+			want := tc.want[scenario.ProfileFreeRider]
+			if got := tc.behavior(s.members[target]); got != want {
+				t.Errorf("a refused SetBehavior changed node %v to %+v, want %+v", target, got, want)
+			}
+			if got := tc.behavior(s.members[SourceID]); got != tc.want[scenario.ProfileCorrect] {
+				t.Errorf("the source's behaviour became %+v", got)
+			}
+		})
+	}
+}
+
+// setBehaviorScript is a one-event scenario flipping node 2 to profile.
+func setBehaviorScript(profile scenario.BehaviorProfile) scenario.Scenario {
+	return scenario.Scenario{Name: "set-behavior", Rounds: 1, Events: []scenario.Event{
+		{Round: 1, Action: scenario.ActionSetBehavior, Node: 2, Behavior: profile},
+	}}
 }
