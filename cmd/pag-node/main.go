@@ -360,8 +360,9 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 				failed++
 			}
 		}
+		f := net.Faults()
 		fmt.Fprintf(out, "[%v] scenario journal: %d events (%d failed), dropped %d on the wire, %d retransmitted (%d deferred by caps, %d expired queued)\n",
-			self, applied, failed, net.Dropped(), net.Faults().Retransmitted(), net.Faults().Deferred(), net.Faults().CapExpired())
+			self, applied, failed, f.Dropped(), f.Retransmitted(), f.Deferred(), f.CapExpired())
 	}
 	if d.node != nil {
 		st := d.node.Stats()

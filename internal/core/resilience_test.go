@@ -29,7 +29,7 @@ func TestExchangeOmissionsRecovered(t *testing.T) {
 	})
 	h.engine.Run(16)
 
-	if h.net.Dropped() == 0 {
+	if h.net.Faults().Dropped() == 0 {
 		t.Fatal("drop injection did not fire")
 	}
 	// Omissions must not convict anyone: the accusation/probe flow

@@ -17,8 +17,8 @@ package hhash
 // multiplications, against the generic ladder's expBits squarings,
 // expBits/4 multiplications and 14-entry per-call table (montCtx.exp,
 // which stays the oracle and the path for everything the table cannot
-// serve: exponents wider than the width the base was declared for, even
-// moduli, released tables).
+// serve: exponents wider than the width the base was declared for,
+// released tables).
 //
 // An exchange tags a whole buffermap under one prime (Tags): the prime is
 // recoded once, each tag is read from the limbs of its lift, and a batch
@@ -97,9 +97,8 @@ func (b *FixedBase) HasTable() bool {
 }
 
 // LiftFixed is Lift(b.Value(), key) — same value, same accounting (one
-// hash-op, one lift span) — evaluated on b's comb table when the modulus
-// is odd, the key is no wider than b was declared for and the table has
-// not been released.
+// hash-op, one lift span) — evaluated on b's comb table when the key is no
+// wider than b was declared for and the table has not been released.
 func (h *Hasher) LiftFixed(b *FixedBase, key Key) *big.Int {
 	return h.lift(b.v, b, key)
 }
@@ -107,23 +106,22 @@ func (h *Hasher) LiftFixed(b *FixedBase, key Key) *big.Int {
 // liftComb returns b.v^e mod M from b's table; nil when the comb cannot
 // serve the call.
 func (h *Hasher) liftComb(b *FixedBase, e *big.Int) *big.Int {
-	mc := h.montEngine()
-	t := b.tableFor(mc, e)
+	t := b.tableFor(h.mc, e)
 	if t == nil {
 		return nil
 	}
 	var stack [expStackLimbs]uint
-	acc := mc.limbs(stack[:])
-	mc.combEval(acc, t, h.combDigitsOf(e, t.a))
-	return mc.toInt(acc)
+	acc := h.mc.limbs(stack[:])
+	h.mc.combEval(acc, t, h.combDigitsOf(e, t.a))
+	return h.mc.toInt(acc)
 }
 
 // tableFor returns b's table for an exponent e on mc, building and
 // publishing it first if b has none; nil when the comb cannot serve the
-// lift (no Montgomery engine, e wider than declared, a released table, a
-// table of another modulus). Safe on any number of goroutines at once.
+// lift (e wider than declared, a released table, a table of another
+// modulus). Safe on any number of goroutines at once.
 func (b *FixedBase) tableFor(mc *montCtx, e *big.Int) *combTable {
-	if mc == nil || e.BitLen() > b.expBits {
+	if e.BitLen() > b.expBits {
 		return nil
 	}
 	t := b.comb.Load()
@@ -254,10 +252,8 @@ func (h *Hasher) Tags(dst []uint64, bases []*FixedBase, key Key) {
 	if h.ops != nil {
 		h.ops.hashOps.Add(uint64(n))
 	}
-	tb := tagBatch{mc: h.montEngine(), params: h.params, e: key.e, bases: bases, dst: dst, spans: h.liftSpans}
-	if tb.mc != nil {
-		tb.digits = h.combDigitsOf(key.e, combColumns(bases[0].expBits))
-	}
+	tb := tagBatch{mc: h.mc, params: h.params, e: key.e, bases: bases, dst: dst, spans: h.liftSpans,
+		digits: h.combDigitsOf(key.e, combColumns(bases[0].expBits))}
 	chunk, helpers := tagPlan(n, bases[0].expBits, len(h.params.m.Bits()), runtime.GOMAXPROCS(0))
 	if helpers == 0 {
 		tb.run(0, n)
@@ -305,7 +301,7 @@ func tagPlan(n, expBits, limbs, procs int) (chunk, helpers int) {
 // engine is immutable, the digits are written before any worker starts,
 // and each worker writes only the dst indices it claimed.
 type tagBatch struct {
-	mc     *montCtx // nil for an even modulus: every tag takes big.Int.Exp
+	mc     *montCtx
 	params Params
 	e      *big.Int
 	digits []uint8 // e recoded for tables of bases[0]'s width
@@ -318,10 +314,7 @@ type tagBatch struct {
 // stack.
 func (b *tagBatch) run(lo, hi int) {
 	var stack [expStackLimbs]uint
-	var acc []uint
-	if b.mc != nil {
-		acc = b.mc.limbs(stack[:])
-	}
+	acc := b.mc.limbs(stack[:])
 	var own []uint8 // e recoded for a table of another width
 	for i := lo; i < hi; i++ {
 		span := b.spans.SpanStart()
@@ -335,19 +328,10 @@ func (b *tagBatch) run(lo, hi int) {
 			b.mc.combEval(acc, t, digits)
 			b.dst[i] = limbsTag(acc)
 		} else {
-			b.dst[i] = b.params.Tag(b.genericLift(fb.v))
+			b.dst[i] = b.params.Tag(b.mc.exp(new(big.Int), fb.v, b.e))
 		}
 		b.spans.SpanEnd(span)
 	}
-}
-
-// genericLift is the ladder every base the comb cannot serve takes —
-// Hasher.modExp without the hasher.
-func (b *tagBatch) genericLift(v *big.Int) *big.Int {
-	if b.mc != nil {
-		return b.mc.exp(new(big.Int), v, b.e)
-	}
-	return new(big.Int).Exp(v, b.e, b.params.m)
 }
 
 // tagSplit is a batch split across goroutines: each worker claims chunk

@@ -13,59 +13,56 @@ import (
 )
 
 // TestLiftFixedMatchesBig is the comb's differential test, over the same
-// grid as TestLiftMatchesBig: limb counts 1, 2, 3, 4, 8, 9 and 16, odd moduli
-// (the comb) and even ones (the fallback), the edge bases, and exponents
-// of 1, below one window, prime-sized with the top bit set, exactly at the
+// grid as TestLiftMatchesBig: limb counts 1, 2, 3, 4, 8, 9 and 16, the edge
+// bases, and exponents of 1, below one window, prime-sized with the top bit set, exactly at the
 // declared width, and wider than it (the fallback). Every value is checked
 // against big.Int.Exp and against the generic Lift.
 func TestLiftFixedMatchesBig(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(21))
 	for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 255, 256, 512, 513, 576, 1024} {
-		for _, odd := range []bool{true, false} {
-			m := testModulus(rnd, bits, odd)
-			h := hasherFor(t, m)
-			p1, err := pregenPrime(rnd, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p2, err := pregenPrime(rnd, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allOnes := new(big.Int).Sub(new(big.Int).Lsh(_one, uint(bits)), _one)
-			exps := []*big.Int{
-				big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16),
-				p1.e, p2.e, allOnes,
-				new(big.Int).Lsh(_one, uint(bits-1)), // only the top bit
-				new(big.Int).Lsh(_one, uint(bits)),   // one bit too wide
-				new(big.Int).Mul(p1.e, p2.e),         // a product key
-			}
-			mMinus1 := new(big.Int).Sub(m, _one)
-			bases := []*big.Int{
-				new(big.Int), big.NewInt(1), big.NewInt(2), mMinus1,
-				new(big.Int).Set(m), new(big.Int).Add(m, _two),
-				new(big.Int).Lsh(mMinus1, 70), big.NewInt(-3),
-				new(big.Int).Rand(rnd, m), new(big.Int).Rand(rnd, m),
-			}
-			for _, b := range bases {
-				in := new(big.Int).Set(b)
-				fb := NewFixedBase(b, bits)
-				for _, e := range exps {
-					want := new(big.Int).Exp(b, e, m)
-					key := Key{e: e}
-					if got := h.LiftFixed(fb, key); got.Cmp(want) != 0 {
-						t.Fatalf("bits=%d odd=%v: fixed %v^%v = %v, want %v", bits, odd, b, e, got, want)
-					}
-					if got := h.Lift(b, key); got.Cmp(want) != 0 {
-						t.Fatalf("bits=%d odd=%v: generic %v^%v = %v, want %v", bits, odd, b, e, got, want)
-					}
+		m := testModulus(rnd, bits)
+		h := hasherFor(t, m)
+		p1, err := pregenPrime(rnd, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := pregenPrime(rnd, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allOnes := new(big.Int).Sub(new(big.Int).Lsh(_one, uint(bits)), _one)
+		exps := []*big.Int{
+			big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16),
+			p1.e, p2.e, allOnes,
+			new(big.Int).Lsh(_one, uint(bits-1)), // only the top bit
+			new(big.Int).Lsh(_one, uint(bits)),   // one bit too wide
+			new(big.Int).Mul(p1.e, p2.e),         // a product key
+		}
+		mMinus1 := new(big.Int).Sub(m, _one)
+		bases := []*big.Int{
+			new(big.Int), big.NewInt(1), big.NewInt(2), mMinus1,
+			new(big.Int).Set(m), new(big.Int).Add(m, _two),
+			new(big.Int).Lsh(mMinus1, 70), big.NewInt(-3),
+			new(big.Int).Rand(rnd, m), new(big.Int).Rand(rnd, m),
+		}
+		for _, b := range bases {
+			in := new(big.Int).Set(b)
+			fb := NewFixedBase(b, bits)
+			for _, e := range exps {
+				want := new(big.Int).Exp(b, e, m)
+				key := Key{e: e}
+				if got := h.LiftFixed(fb, key); got.Cmp(want) != 0 {
+					t.Fatalf("bits=%d: fixed %v^%v = %v, want %v", bits, b, e, got, want)
 				}
-				if b.Cmp(in) != 0 {
-					t.Fatal("LiftFixed mutated its base")
+				if got := h.Lift(b, key); got.Cmp(want) != 0 {
+					t.Fatalf("bits=%d: generic %v^%v = %v, want %v", bits, b, e, got, want)
 				}
-				if fb.HasTable() != odd {
-					t.Fatalf("bits=%d odd=%v: table attached = %v", bits, odd, fb.HasTable())
-				}
+			}
+			if b.Cmp(in) != 0 {
+				t.Fatal("LiftFixed mutated its base")
+			}
+			if !fb.HasTable() {
+				t.Fatalf("bits=%d: no table attached", bits)
 			}
 		}
 	}
@@ -76,7 +73,7 @@ func TestLiftFixedMatchesBig(t *testing.T) {
 // base must neither use nor rebuild one — with the same value either way.
 func TestLiftFixedFallbacks(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(22))
-	h := hasherFor(t, testModulus(rnd, 512, true))
+	h := hasherFor(t, testModulus(rnd, 512))
 	p, err := pregenPrime(rnd, 512)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +102,7 @@ func TestLiftFixedFallbacks(t *testing.T) {
 
 	// A base tabulated under one modulus and lifted under another is a
 	// caller bug; it must still produce the right residue.
-	other := hasherFor(t, testModulus(rnd, 512, true))
+	other := hasherFor(t, testModulus(rnd, 512))
 	fb = NewFixedBase(v, 512)
 	h.LiftFixed(fb, p)
 	if got := other.LiftFixed(fb, p); got.Cmp(other.Lift(v, p)) != 0 {
@@ -117,7 +114,7 @@ func TestLiftFixedFallbacks(t *testing.T) {
 // what is counted — one hash-op per call on every path.
 func TestLiftFixedAccounting(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(23))
-	p, err := ParamsFromModulus(testModulus(rnd, 128, true))
+	p, err := ParamsFromModulus(testModulus(rnd, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +139,7 @@ func TestLiftFixedAccounting(t *testing.T) {
 // hasher: the cached recoding must never be served for another exponent.
 func TestCombDigitCache(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(24))
-	m := testModulus(rnd, 512, true)
+	m := testModulus(rnd, 512)
 	h := hasherFor(t, m)
 	p1, _ := pregenPrime(rnd, 512)
 	p2, _ := pregenPrime(rnd, 512)
@@ -175,7 +172,7 @@ func TestCombDigitCache(t *testing.T) {
 func TestLiftFixedAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(25))
 	for _, bits := range []int{128, 256, 512} {
-		h := hasherFor(t, testModulus(rnd, bits, true))
+		h := hasherFor(t, testModulus(rnd, bits))
 		key, err := pregenPrime(rnd, bits)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +191,7 @@ func TestLiftFixedAllocations(t *testing.T) {
 // while another goroutine releases them. Run under -race.
 func TestFixedBaseSharedAcrossHashers(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(26))
-	m := testModulus(rnd, 128, true)
+	m := testModulus(rnd, 128)
 	params, err := ParamsFromModulus(m)
 	if err != nil {
 		t.Fatal(err)
@@ -284,62 +281,60 @@ func TestTagsMatchLiftFixed(t *testing.T) {
 	withProcs(4, func() {
 		rnd := mrand.New(mrand.NewSource(27))
 		for _, bits := range []int{16, 48, 64, 65, 127, 128, 129, 192, 255, 256, 512, 513, 576, 1024, 1088} {
-			for _, odd := range []bool{true, false} {
-				m := testModulus(rnd, bits, odd)
-				h := hasherFor(t, m)
-				p1, err := pregenPrime(rnd, bits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p2, err := pregenPrime(rnd, bits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys := []Key{p1, {e: new(big.Int).Lsh(_one, uint(bits))}, p1.Mul(p2)}
+			m := testModulus(rnd, bits)
+			h := hasherFor(t, m)
+			p1, err := pregenPrime(rnd, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := pregenPrime(rnd, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := []Key{p1, {e: new(big.Int).Lsh(_one, uint(bits))}, p1.Mul(p2)}
 
-				split, chunk := splitSize(m, bits)
-				sizes := []int{0, 1, chunk}
-				if many := split + 2*chunk; many <= 100 {
-					sizes = append(sizes, many)
-				}
-				for _, n := range sizes {
-					bases := make([]*FixedBase, n)
-					for i := range bases {
-						v := new(big.Int).Rand(rnd, m)
-						switch i % 7 {
-						case 1:
-							v = big.NewInt(-3)
-						case 2:
-							v = new(big.Int).Add(m, _two)
-						}
-						expBits := bits
-						if i%5 == 3 {
-							expBits = bits + 7 // a table of another width
-						}
-						bases[i] = NewFixedBase(v, expBits)
+			split, chunk := splitSize(m, bits)
+			sizes := []int{0, 1, chunk}
+			if many := split + 2*chunk; many <= 100 {
+				sizes = append(sizes, many)
+			}
+			for _, n := range sizes {
+				bases := make([]*FixedBase, n)
+				for i := range bases {
+					v := new(big.Int).Rand(rnd, m)
+					switch i % 7 {
+					case 1:
+						v = big.NewInt(-3)
+					case 2:
+						v = new(big.Int).Add(m, _two)
 					}
-					for _, key := range keys {
-						for pass := 0; pass < 2; pass++ { // builds, then reuses
-							if pass == 1 {
-								for i := 2; i < n; i += 3 {
-									bases[i].Release()
-								}
+					expBits := bits
+					if i%5 == 3 {
+						expBits = bits + 7 // a table of another width
+					}
+					bases[i] = NewFixedBase(v, expBits)
+				}
+				for _, key := range keys {
+					for pass := 0; pass < 2; pass++ { // builds, then reuses
+						if pass == 1 {
+							for i := 2; i < n; i += 3 {
+								bases[i].Release()
 							}
-							dst := make([]uint64, n+1)
-							dst[n] = 0xfeed
-							h.Tags(dst, bases, key)
-							for i, fb := range bases {
-								want := h.params.Tag(new(big.Int).Exp(fb.v, key.e, m))
-								if dst[i] != want {
-									t.Fatalf("bits=%d odd=%v n=%d pass %d: tag %d = %#x, want %#x", bits, odd, n, pass, i, dst[i], want)
-								}
-								if got := h.params.Tag(h.LiftFixed(fb, key)); got != want {
-									t.Fatalf("bits=%d odd=%v: LiftFixed tag %#x, want %#x", bits, odd, got, want)
-								}
+						}
+						dst := make([]uint64, n+1)
+						dst[n] = 0xfeed
+						h.Tags(dst, bases, key)
+						for i, fb := range bases {
+							want := h.params.Tag(new(big.Int).Exp(fb.v, key.e, m))
+							if dst[i] != want {
+								t.Fatalf("bits=%d n=%d pass %d: tag %d = %#x, want %#x", bits, n, pass, i, dst[i], want)
 							}
-							if dst[n] != 0xfeed {
-								t.Fatalf("bits=%d n=%d: Tags wrote past the batch", bits, n)
+							if got := h.params.Tag(h.LiftFixed(fb, key)); got != want {
+								t.Fatalf("bits=%d: LiftFixed tag %#x, want %#x", bits, got, want)
 							}
+						}
+						if dst[n] != 0xfeed {
+							t.Fatalf("bits=%d n=%d: Tags wrote past the batch", bits, n)
 						}
 					}
 				}
@@ -353,7 +348,7 @@ func TestTagsMatchLiftFixed(t *testing.T) {
 func TestTagsAccounting(t *testing.T) {
 	withProcs(4, func() {
 		rnd := mrand.New(mrand.NewSource(28))
-		m := testModulus(rnd, 512, true)
+		m := testModulus(rnd, 512)
 		p, err := ParamsFromModulus(m)
 		if err != nil {
 			t.Fatal(err)
@@ -388,7 +383,7 @@ func TestTagsAccounting(t *testing.T) {
 func TestTagsAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(29))
 	for _, bits := range []int{128, 256, 512} {
-		m := testModulus(rnd, bits, true)
+		m := testModulus(rnd, bits)
 		h := hasherFor(t, m)
 		key, err := pregenPrime(rnd, bits)
 		if err != nil {
@@ -414,7 +409,7 @@ func TestTagsAllocations(t *testing.T) {
 func TestTagsSharedAcrossHashers(t *testing.T) {
 	withProcs(4, func() {
 		rnd := mrand.New(mrand.NewSource(30))
-		m := testModulus(rnd, 512, true)
+		m := testModulus(rnd, 512)
 		params, err := ParamsFromModulus(m)
 		if err != nil {
 			t.Fatal(err)
@@ -473,7 +468,7 @@ func FuzzLiftFixedMatchesBig(f *testing.F) {
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x01}, []byte{0x02}, []byte{0x01, 0x00, 0x01}, uint16(17))
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, []byte{0x00}, []byte{0xff, 0xff}, uint16(16))
 	f.Add([]byte{0xc5}, []byte{0xc4}, []byte{0x07}, uint16(3))
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xee}, []byte{0xde, 0xad, 0xbe, 0xef, 0x01}, []byte{0x10}, uint16(4))                                     // even modulus
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, []byte{0xde, 0xad, 0xbe, 0xef, 0x01}, []byte{0x10}, uint16(4))                                     // base >= M
 	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xfe}, 64), bytes.Repeat([]byte{0xff}, 64), uint16(512))                       // k=8, every digit 31
 	f.Add(bytes.Repeat([]byte{0x9d}, 65), bytes.Repeat([]byte{0x77}, 70), append([]byte{0x80}, bytes.Repeat([]byte{0}, 63)...), uint16(512)) // k=9, base >= M, top bit only
 	f.Add(bytes.Repeat([]byte{0xab}, 16), bytes.Repeat([]byte{0x11}, 16), bytes.Repeat([]byte{0xab}, 24), uint16(128))                       // wider than declared
@@ -483,8 +478,8 @@ func FuzzLiftFixedMatchesBig(f *testing.F) {
 		}
 		m := new(big.Int).SetBytes(mod)
 		e := new(big.Int).SetBytes(exp)
-		if m.Cmp(_two) <= 0 || e.Sign() == 0 {
-			t.Skip()
+		if m.Cmp(_two) <= 0 || m.Bit(0) == 0 || e.Sign() == 0 {
+			t.Skip() // Params admits odd moduli above 2 only
 		}
 		b := new(big.Int).SetBytes(base)
 		h := hasherFor(t, m)
@@ -527,10 +522,9 @@ func BenchmarkLiftFixed(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("build/bits=%d", bits), func(b *testing.B) {
-			mc := h.montEngine()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mc.buildComb(v, bits)
+				h.mc.buildComb(v, bits)
 			}
 		})
 	}

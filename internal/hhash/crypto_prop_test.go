@@ -17,8 +17,7 @@ import (
 
 // TestMultiExpMatchesNaive checks the interleaved windowed ladder against a
 // plain per-base Exp loop across modulus widths spanning all window sizes,
-// both parities (odd → Montgomery engine, even → Barrett engine), zero
-// exponents, and varying base counts.
+// zero exponents, and varying base counts.
 func TestMultiExpMatchesNaive(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(9))
 	for _, bits := range []int{16, 64, 128, 200, 256, 512, 600, 1024} {
@@ -27,7 +26,7 @@ func TestMultiExpMatchesNaive(t *testing.T) {
 			if m.BitLen() < 2 {
 				continue
 			}
-			m.SetBit(m, 0, uint(trial%2)) // alternate even/odd modulus
+			m.SetBit(m, 0, 1)
 			params, err := ParamsFromModulus(m)
 			if err != nil {
 				continue
@@ -53,8 +52,7 @@ func TestMultiExpMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Cmp(want) != 0 {
-				t.Fatalf("bits=%d trial=%d odd=%v: MultiExp diverges from naive product",
-					bits, trial, m.Bit(0) == 1)
+				t.Fatalf("bits=%d trial=%d: MultiExp diverges from naive product", bits, trial)
 			}
 		}
 	}

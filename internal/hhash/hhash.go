@@ -75,10 +75,15 @@ func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 	return Params{m: new(big.Int).Mul(p.e, q.e)}, nil
 }
 
-// ParamsFromModulus builds Params from an existing modulus, validating it.
+// ParamsFromModulus builds Params from an existing modulus, validating it:
+// an odd number above 2, like every product GenerateParams draws, which is
+// what the Montgomery engine every exponentiation runs on needs.
 func ParamsFromModulus(m *big.Int) (Params, error) {
 	if m == nil || m.Cmp(_two) <= 0 {
 		return Params{}, errors.New("hhash: modulus must be > 2")
+	}
+	if m.Bit(0) == 0 {
+		return Params{}, errors.New("hhash: modulus must be odd")
 	}
 	return Params{m: new(big.Int).Set(m)}, nil
 }
@@ -268,14 +273,17 @@ func (c *Counter) Reset() {
 // counts to an optional per-node Counter.
 //
 // A Hasher serves one caller at a time: it carries per-instance scratch
-// state (the Embed buffer, the cached comb recoding, the lazily built
-// engine), and a protocol node's driver calls it — monitor role included —
-// from one goroutine at a time. Tags may run lifts on helper goroutines
+// state (the Embed buffer, the cached comb recoding), and a protocol
+// node's driver calls it — monitor role included — from one goroutine at
+// a time. Tags may run lifts on helper goroutines
 // inside the call; it returns only once every lift is done. The Montgomery
 // context (montCtx) those helpers share is immutable once built.
 type Hasher struct {
 	params Params
 	ops    *Counter
+	// mc is the Montgomery context of the modulus: every exponentiation
+	// and multiplication mod M runs on it.
+	mc *montCtx
 
 	// liftSpans / verifySpans optionally time the two hot operations —
 	// the Fig 9 profiling hook (lifted-hash modexp dominates PAG's CPU
@@ -294,13 +302,6 @@ type Hasher struct {
 	// hands out a modulus-sized copy and lets the big array go.
 	embedScratch big.Int
 
-	// multi is the lazily-built fixed-modulus engine of MultiExp (nil for
-	// degenerate moduli — multiBuilt distinguishes "not yet built" from
-	// "unbuildable"). For an odd modulus it is the Montgomery context, and
-	// every single-base exponentiation runs on it too (montEngine).
-	multi      multiExper
-	multiBuilt bool
-
 	// combDigits caches the comb recoding of combDigitsE, the last
 	// exponent LiftFixed or Tags ran under (comb.go).
 	combDigitsE *big.Int
@@ -309,7 +310,7 @@ type Hasher struct {
 
 // NewHasher builds a Hasher; ops may be nil if counting is not needed.
 func NewHasher(params Params, ops *Counter) *Hasher {
-	return &Hasher{params: params, ops: ops}
+	return &Hasher{params: params, ops: ops, mc: newMontCtx(params.m)}
 }
 
 // Instrument attaches timing histograms to the lifted-hash and
@@ -365,34 +366,19 @@ func (h *Hasher) lift(v *big.Int, fixed *FixedBase, key Key) *big.Int {
 		out = h.liftComb(fixed, key.e)
 	}
 	if out == nil {
-		out = h.modExp(new(big.Int), v, key.e)
+		out = h.mc.exp(new(big.Int), v, key.e)
 	}
 	h.liftSpans.SpanEnd(span)
 	return out
 }
 
-// modExp sets z = v^e mod M (e >= 0) on the hasher's Montgomery engine —
-// the one MultiExp runs on — and returns z. An even modulus, which
-// Montgomery reduction cannot serve, falls back to math/big.
-func (h *Hasher) modExp(z, v, e *big.Int) *big.Int {
-	if mc := h.montEngine(); mc != nil {
-		return mc.exp(z, v, e)
-	}
-	return z.Exp(v, e, h.params.m)
-}
-
 // Combine multiplies two hash values mod M — the homomorphic combination of
-// §V-C: H(S_A ∪ S_F)_K = H(S_A)_K × H(S_F)_K — on the engine modExp runs
-// on, with the same math/big fallback for an even modulus.
+// §V-C: H(S_A ∪ S_F)_K = H(S_A)_K × H(S_F)_K — on the Montgomery engine.
 func (h *Hasher) Combine(a, b *big.Int) *big.Int {
 	if h.ops != nil {
 		h.ops.mulOps.Add(1)
 	}
-	if mc := h.montEngine(); mc != nil {
-		return mc.mulMod(new(big.Int), a, b)
-	}
-	v := new(big.Int).Mul(a, b)
-	return v.Mod(v, h.params.m)
+	return h.mc.mulMod(new(big.Int), a, b)
 }
 
 // Identity returns the hash of the empty set: 1. A node that received
@@ -423,7 +409,7 @@ func (h *Hasher) ProductEmbed(items [][]byte, counts []uint64) *big.Int {
 			if h.ops != nil {
 				h.ops.hashOps.Add(1)
 			}
-			h.modExp(v, v, c)
+			h.mc.exp(v, v, c)
 		}
 		if h.ops != nil {
 			h.ops.mulOps.Add(1)

@@ -80,6 +80,9 @@ func TestParamsFromModulusRejectsBad(t *testing.T) {
 	if _, err := ParamsFromModulus(big.NewInt(2)); err == nil {
 		t.Fatal("modulus 2 accepted")
 	}
+	if _, err := ParamsFromModulus(big.NewInt(65521 * 65518)); err == nil {
+		t.Fatal("even modulus accepted")
+	}
 }
 
 func TestKeyRoundTrip(t *testing.T) {
@@ -543,7 +546,7 @@ func BenchmarkHash256(b *testing.B) {
 func TestEmbedResidueIsModulusSized(t *testing.T) {
 	rnd := rand.New(rand.NewSource(31))
 	for _, bits := range []int{128, 512} {
-		m := testModulus(rnd, bits, true)
+		m := testModulus(rnd, bits)
 		h := hasherFor(t, m)
 		data := make([]byte, 938+24) // a paper-sized update's canonical bytes
 		rnd.Read(data)

@@ -1,10 +1,10 @@
 package hhash
 
-// Word-level Montgomery multiplication for odd moduli: the engine of every
-// exponentiation in the package — the multi-exponentiation ladder
-// (multiExp), the single-base ladder of Lift (exp) and, on a throwaway
-// per-candidate context, the prime search's base-2 test (primesearch.go).
-// The loop is the fused CIOS variant (FIOS):
+// Word-level Montgomery multiplication for odd moduli — every modulus
+// Params admits: the engine of every exponentiation in the package — the
+// multi-exponentiation ladder (multiExp), the single-base ladder of Lift
+// (exp) and, on a throwaway per-candidate context, the prime search's
+// base-2 test (primesearch.go). The loop is the fused CIOS variant (FIOS):
 // the a·b[i] accumulation and the u·m reduction run in ONE pass over the
 // accumulator per outer word, so t is loaded and stored once per step
 // instead of twice. math/big's assembly kernels are not reachable from

@@ -28,10 +28,10 @@ func kernelModuli(rnd *mrand.Rand, k int) []*big.Int {
 		allOnes,
 		new(big.Int).Add(new(big.Int).Lsh(_one, full-1), _one),
 		topOnes,
-		testModulus(rnd, k*_W-_W+1, true),
+		testModulus(rnd, k*_W-_W+1),
 	}
 	for i := 0; i < 6; i++ {
-		ms = append(ms, testModulus(rnd, k*_W-i%3, true))
+		ms = append(ms, testModulus(rnd, k*_W-i%3))
 	}
 	return ms
 }
@@ -149,7 +149,7 @@ func FuzzKernels(f *testing.F) {
 func TestKernelAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(28))
 	for _, k := range []int{2, 4, 8} {
-		c := newMontCtx(testModulus(rnd, k*_W, true))
+		c := newMontCtx(testModulus(rnd, k*_W))
 		a := c.limbsOf(new(big.Int).Rand(rnd, c.mod))
 		if n := testing.AllocsPerRun(100, func() {
 			var dst [8]uint // stays on the stack only if the kernels do not leak it

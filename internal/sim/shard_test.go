@@ -79,7 +79,7 @@ func runChatter(t *testing.T, n, rounds, workers int, seed uint64) chatterRun {
 	net.Faults().SetUploadCap(2, 3*uint64(transport.HeaderBytes+20))
 	eng.Run(rounds)
 	res := chatterRun{logs: map[model.NodeID][]string{}, traffic: map[model.NodeID]transport.Traffic{},
-		dropped: net.Dropped(), retransmitted: net.Faults().Retransmitted()}
+		dropped: net.Faults().Dropped(), retransmitted: net.Faults().Retransmitted()}
 	for _, c := range nodes {
 		res.logs[c.id], res.traffic[c.id] = c.log, net.TrafficOf(c.id)
 	}

@@ -59,11 +59,14 @@ func (c *ioCounters) snapshot() IOStats {
 }
 
 // pendingFrame is one frame waiting for the flush: the caller's payload,
-// held as given, and what a failed write must unwind — who to uncharge and
-// by how much, and the inflight slot to return.
+// held as given, and what a failed write must unwind — who to refund, for
+// how many copies of what size, and the inflight slot to return. copies
+// shares from's word, so a writer's retained frames array stays 40 bytes
+// an entry.
 type pendingFrame struct {
 	payload []byte
 	from    model.NodeID
+	copies  uint32
 	size    uint64
 }
 
@@ -104,16 +107,17 @@ func (w *connWriter) reset() {
 	w.batch = _tcpFrameHeader
 }
 
-// enqueue appends one admitted, charged frame; payload is kept, not
-// copied, until the flush. The caller has already raised inflight; on a
-// sticky-dead connection (or a mid-phase overflow flush failure) the frame
-// is unwound here and the error returned.
-func (w *connWriter) enqueue(from, to model.NodeID, kind uint8, payload []byte, size uint64) error {
+// enqueue appends one admitted frame, whose copies admission charged; the
+// payload is kept, not copied, until the flush. The caller has already
+// raised inflight; on a sticky-dead connection (or a mid-phase overflow
+// flush failure) the frame is unwound here and the error returned.
+func (w *connWriter) enqueue(msg Message, copies int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	size := uint64(msg.WireSize())
 	if w.err != nil {
 		w.net.inflight.Add(-1)
-		w.net.unchargeSend(from, size)
+		w.net.faults.refund(msg.From, copies, size)
 		return w.err
 	}
 	if !w.queued {
@@ -121,11 +125,11 @@ func (w *connWriter) enqueue(from, to model.NodeID, kind uint8, payload []byte, 
 		w.mux.markPending(w)
 	}
 	var hdr [_tcpFrameHeader]byte
-	putFrameHeader(hdr[:], from, to, kind, len(payload))
+	putFrameHeader(hdr[:], msg.From, msg.To, msg.Kind, len(msg.Payload))
 	w.hdrs = append(w.hdrs, hdr[:]...)
-	w.frames = append(w.frames, pendingFrame{payload: payload, from: from, size: size})
-	w.batch += _tcpFrameHeader + len(payload)
-	w.to = to
+	w.frames = append(w.frames, pendingFrame{payload: msg.Payload, from: msg.From, copies: uint32(copies), size: size})
+	w.batch += _tcpFrameHeader + len(msg.Payload)
+	w.to = msg.To
 	w.net.io.framesOut.Add(1)
 	if w.batch >= maxBatchBytes {
 		if err := w.flushLocked(); err != nil {
@@ -181,12 +185,12 @@ func (w *connWriter) flushLocked() error {
 	return nil
 }
 
-// unwind returns every pending frame's charge, budget and inflight slot
-// and empties the writer.
+// unwind returns every pending frame's charge and budget, all copies of
+// it, and its inflight slot, and empties the writer.
 func (w *connWriter) unwind() {
 	for _, f := range w.frames {
 		w.net.inflight.Add(-1)
-		w.net.unchargeSend(f.from, f.size)
+		w.net.faults.refund(f.from, int(f.copies), f.size)
 	}
 	w.reset()
 }

@@ -237,6 +237,49 @@ func TestTCPFlushLeavesDeadIdleWriterToEnqueue(t *testing.T) {
 	}
 }
 
+// TestTCPLossyWriteFailureRefundsEveryCopy: under scripted loss admission
+// charges a send for every retransmitted copy, so a send whose socket
+// write then fails must give all of them back — traffic and upload budget
+// alike — not just the first.
+func TestTCPLossyWriteFailureRefundsEveryCopy(t *testing.T) {
+	tn := newSteppedTCP(t)
+	ep1, err := tn.Register(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Register(2, func(Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep1.Send(2, 1, []byte("up")); err != nil {
+		t.Fatal(err)
+	}
+	tn.DeliverAll()
+	w, err := tn.mux.get(tn.book[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.fail(errors.New("connection died while idle"))
+	tn.BeginRound()
+	tn.Faults().SetSeed(3)
+	tn.Faults().SetLossRate(0.9)
+	sent, retransmitted := tn.TrafficOf(1), tn.Faults().Retransmitted()
+	if err := ep1.Send(2, 1, []byte("lost")); err == nil {
+		t.Fatal("a send through a dead writer succeeded")
+	}
+	if tn.Faults().Retransmitted() == retransmitted {
+		t.Fatal("the failed send was admitted on its first attempt; the seed no longer exercises retransmission")
+	}
+	if tr := tn.TrafficOf(1); tr != sent {
+		t.Fatalf("the failed send stayed charged: %+v, was %+v", tr, sent)
+	}
+	tn.faults.mu.Lock()
+	spent := tn.faults.spent[1]
+	tn.faults.mu.Unlock()
+	if spent != 0 {
+		t.Fatalf("the failed send kept %d bytes of round budget", spent)
+	}
+}
+
 // ioDelta subtracts two IOStats snapshots field-wise.
 func ioDelta(before, after IOStats) IOStats {
 	return IOStats{

@@ -16,6 +16,12 @@ import (
 // rounds' byte-identical guarantee); TCPNet consults it on the wire path,
 // at send and receive.
 //
+// The plane also keeps the one per-node traffic ledger every bandwidth
+// number is read from. It charges beside the decision that sets the
+// charge: the sender for every copy admission lets leave the NIC, the
+// receiver once when the message arrives (Arrive), and a refund returns
+// what a failed socket write never sent. The networks keep no counters.
+//
 // # The failure model
 //
 // PAG assumes reliable authenticated channels between correct nodes
@@ -47,11 +53,11 @@ type Outcome int
 
 // The three admission outcomes.
 const (
-	// OutcomePass admits the message: the sender is charged and the
-	// message proceeds toward delivery.
+	// OutcomePass admits the message: the plane has charged the sender
+	// and the message proceeds toward delivery (Arrive).
 	OutcomePass Outcome = iota
 	// OutcomeDropped discards the message after it left the sender's NIC:
-	// the sender is charged, the receiver is not.
+	// the plane has charged the sender; nobody charges the receiver.
 	OutcomeDropped
 	// OutcomeQueued defers the message: the sender's per-round upload
 	// budget is exhausted (or earlier messages are already waiting), so
@@ -76,7 +82,8 @@ type queuedMsg struct {
 	round uint64
 }
 
-// FaultPlane owns the scripted network conditions and their accounting.
+// FaultPlane owns the scripted network conditions, their accounting and
+// the per-node traffic ledger.
 // All zero-valued knobs describe a perfect network. Every draw comes from
 // one seeded PRNG, so a run that consults the plane in a deterministic
 // message order (MemNet's canonical merge) replays byte-identically under
@@ -98,6 +105,12 @@ type FaultPlane struct {
 	down      map[model.NodeID]bool
 	caps      map[model.NodeID]uint64 // bytes per round; 0 = unlimited
 	spent     map[model.NodeID]uint64 // bytes sent this round
+
+	// traffic is the cumulative per-node ledger. An id's account outlives
+	// its registration (an evicted node re-joining under its old id keeps
+	// it): totals must stay monotonic or epoch bandwidth deltas would
+	// underflow.
+	traffic map[model.NodeID]*Traffic
 
 	// queues holds each capped sender's deferred messages in FIFO order;
 	// round counts BeginRound calls and prices queue ages, and deadline
@@ -146,14 +159,15 @@ func NewFaultPlane() *FaultPlane {
 		down:     make(map[model.NodeID]bool),
 		caps:     make(map[model.NodeID]uint64),
 		spent:    make(map[model.NodeID]uint64),
+		traffic:  make(map[model.NodeID]*Traffic),
 		queues:   make(map[model.NodeID][]queuedMsg),
 		deadline: DefaultQueueDeadlineRounds,
 	}
 }
 
 // Instrument attaches the observability plane: registry counters
-// mirroring every admission outcome (unlike the resettable legacy
-// counters they are cumulative for the plane's lifetime), a
+// mirroring every admission outcome (cumulative for the plane's lifetime,
+// like the plane's own counters), a
 // current-backlog gauge updated at each BeginRound, and per-message
 // defer/expire trace events. Either argument may be nil.
 func (p *FaultPlane) Instrument(reg *obs.Registry, tr *obs.Tracer) {
@@ -441,14 +455,13 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 }
 
 // Admit runs one outbound message through the plane — upload cap/queue,
-// then the post-cap half (admitPostCap) — updates the counters and the
-// sender's round budget, and returns the outcome with the number of copies
-// that left the sender's NIC: 0 when the message queued, else the first
-// attempt plus its retransmissions. The caller charges the sender
-// copies × WireSize and the receiver once, on OutcomePass only. The plane
-// takes the ownership Endpoint.Send was given: a queued message is retained
-// as it is, payload and all, until a later BeginRound releases or expires
-// it.
+// then the post-cap half (admitPostCap), which charges the sender — and
+// returns the outcome with the number of copies that left the sender's
+// NIC: 0 when the message queued, else the first attempt plus its
+// retransmissions. A transport needs the count only to refund a send
+// whose socket write failed. The plane takes the ownership Endpoint.Send
+// was given: a queued message is retained as it is, payload and all,
+// until a later BeginRound releases or expires it.
 func (p *FaultPlane) Admit(msg Message) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -488,10 +501,10 @@ func (p *FaultPlane) enqueue(msg Message) {
 
 // AdmitReleased runs a queue-released message through the post-cap half of
 // the plane and returns what Admit returns, never OutcomeQueued. BeginRound
-// already charged the first attempt's budget; the caller charges traffic
-// exactly as for Admit. Transports must call it in the release order
-// BeginRound returned, so the PRNG draws stay in the deterministic
-// sequence MemNet's byte-identity requires.
+// already spent the first attempt's budget; the traffic is charged here,
+// the round the bytes leave the NIC. Transports must call it in the
+// release order BeginRound returned, so the PRNG draws stay in the
+// deterministic sequence MemNet's byte-identity requires.
 func (p *FaultPlane) AdmitReleased(msg Message) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -499,30 +512,47 @@ func (p *FaultPlane) AdmitReleased(msg Message) (Outcome, int) {
 }
 
 // admitPostCap is the post-cap half of the plane, with p.mu held and the
-// first attempt already charged to the sender's budget: the drop
+// first attempt already spent from the sender's budget: the drop
 // predicate, then dead links, in that fixed order, then scripted loss —
-// the order every PRNG draw depends on. Each lost attempt is charged to
-// the budget and retried, up to maxAttempts in all.
+// the order every PRNG draw depends on. Each lost attempt is spent from
+// the budget and retried, up to maxAttempts in all. Every outcome it
+// returns left the NIC, so the sender is charged copies × size on each.
 func (p *FaultPlane) admitPostCap(msg Message, size uint64) (Outcome, int) {
+	outcome, copies := OutcomePass, 1
 	if (p.drop != nil && p.drop(msg)) || p.linkDead(msg) {
+		outcome = OutcomeDropped
+	} else {
+		for p.lossRate > 0 && p.rng.Float() < p.lossRate {
+			if copies == maxAttempts {
+				outcome = OutcomeDropped
+				break
+			}
+			copies++
+			p.spent[msg.From] += size
+			p.retransmitted++
+			p.o.retransmitted.Inc()
+		}
+	}
+	out := p.account(msg.From)
+	out.BytesOut += uint64(copies) * size
+	out.MsgsOut += uint64(copies)
+	if outcome == OutcomeDropped {
 		p.dropped++
 		p.o.dropped.Inc()
-		return OutcomeDropped, 1
+	} else {
+		p.o.admitted.Inc()
 	}
-	copies := 1
-	for p.lossRate > 0 && p.rng.Float() < p.lossRate {
-		if copies == maxAttempts {
-			p.dropped++
-			p.o.dropped.Inc()
-			return OutcomeDropped, copies
-		}
-		copies++
-		p.spent[msg.From] += size
-		p.retransmitted++
-		p.o.retransmitted.Inc()
+	return outcome, copies
+}
+
+// account returns id's ledger entry, creating it, with p.mu held.
+func (p *FaultPlane) account(id model.NodeID) *Traffic {
+	tr := p.traffic[id]
+	if tr == nil {
+		tr = &Traffic{}
+		p.traffic[id] = tr
 	}
-	p.o.admitted.Inc()
-	return OutcomePass, copies
+	return tr
 }
 
 // linkDead reports, with p.mu held, whether msg's link cannot carry it: an
@@ -532,46 +562,65 @@ func (p *FaultPlane) linkDead(msg Message) bool {
 		(p.partition != nil && p.partition[msg.From] != p.partition[msg.To])
 }
 
-// ReceiveBlocked is the receive-side recheck for transports with real
-// propagation delay: a message admitted at send time but arriving after
-// its link partitioned or either end went down is discarded (and counted)
-// here. It never consults the PRNG — loss is decided exactly once, at
-// admission — so send-side and receive-side application cannot double-roll
-// a message.
-func (p *FaultPlane) ReceiveBlocked(msg Message) bool {
+// Arrive is the receive side of an admitted message: it rechecks the link
+// — a message admitted at send time but arriving after its link
+// partitioned or either end went down is discarded and counted here — and
+// otherwise charges the receiver once and reports true. It never consults
+// the PRNG — loss is decided exactly once, at admission — so send-side and
+// receive-side application cannot double-roll a message. A destination
+// that unregistered while the message travelled is still charged: the
+// bytes reached its NIC.
+func (p *FaultPlane) Arrive(msg Message) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.linkDead(msg) {
 		p.dropped++
 		p.o.dropped.Inc()
-		return true
+		return false
 	}
-	return false
+	in := p.account(msg.To)
+	in.BytesIn += uint64(msg.WireSize())
+	in.MsgsIn++
+	return true
 }
 
-// refundSpent returns an admitted message's bytes to the sender's round
-// budget — for transports where a send can fail after admission (a TCP
-// write error): the bytes never left the NIC, so they must not count
-// against the cap. The PRNG draw is not (and cannot be) undone; faulty
-// TCP runs are statistical, never byte-replayed.
-func (p *FaultPlane) refundSpent(id model.NodeID, size uint64) {
+// refund returns an admitted send that never left the NIC — a TCP dial or
+// write failure after admission — to the sender: copies × size bytes of
+// traffic and of round budget, every copy admission charged. The PRNG
+// draw is not (and cannot be) undone; faulty TCP runs are statistical,
+// never byte-replayed.
+func (p *FaultPlane) refund(id model.NodeID, copies int, size uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.spent[id] >= size {
-		p.spent[id] -= size
+	bytes := uint64(copies) * size
+	if tr := p.traffic[id]; tr != nil && tr.BytesOut >= bytes && tr.MsgsOut >= uint64(copies) {
+		tr.BytesOut -= bytes
+		tr.MsgsOut -= uint64(copies)
+	}
+	if p.spent[id] >= bytes {
+		p.spent[id] -= bytes
 	}
 }
 
-// resetCounters zeroes the drop, deferral and expiry counters
-// (MemNet.ResetTraffic contract). Queued messages are in-flight state,
-// not statistics: the backlog survives a counter reset.
-func (p *FaultPlane) resetCounters() {
+// TrafficOf returns the cumulative traffic snapshot of a node.
+func (p *FaultPlane) TrafficOf(id model.NodeID) Traffic {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.dropped = 0
-	p.deferred = 0
-	p.expired = 0
-	p.retransmitted = 0
+	if tr, ok := p.traffic[id]; ok {
+		return *tr
+	}
+	return Traffic{}
+}
+
+// TotalTraffic sums every node's ledger entry.
+func (p *FaultPlane) TotalTraffic() Traffic {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var total Traffic
+	for _, tr := range p.traffic {
+		total.Add(*tr)
+	}
+	return total
 }
 
 // ---------------------------------------------------------------------------
@@ -605,10 +654,9 @@ type FaultyNetwork interface {
 	// Unregister detaches a node's handler mid-run (a leave); it reports
 	// whether the node was registered.
 	Unregister(id model.NodeID) bool
-	// Faults returns the network's fault plane.
+	// Faults returns the network's fault plane, which keeps its counters
+	// and traffic ledger.
 	Faults() *FaultPlane
-	// Dropped returns the fault plane's combined drop counter.
-	Dropped() uint64
 	// TotalTraffic sums all per-node traffic counters.
 	TotalTraffic() Traffic
 	// Name identifies the transport ("mem" or "tcp") for run metadata.

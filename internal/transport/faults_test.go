@@ -38,8 +38,8 @@ func TestLossRateDeterministic(t *testing.T) {
 			_ = eps[1].Send(2, 1, []byte("x"))
 		}
 		net.DeliverAll()
-		if got[2] != msgs || net.Dropped() != 0 {
-			t.Fatalf("50%% loss delivered %d/%d and dropped %d, want all delivered", got[2], msgs, net.Dropped())
+		if got[2] != msgs || net.Faults().Dropped() != 0 {
+			t.Fatalf("50%% loss delivered %d/%d and dropped %d, want all delivered", got[2], msgs, net.Faults().Dropped())
 		}
 		re := net.Faults().Retransmitted()
 		if out := net.TrafficOf(1).BytesOut; out != (msgs+re)*size {
@@ -119,11 +119,11 @@ func TestUploadCapQueuesAndCarriesOver(t *testing.T) {
 	if got[2] != 3 {
 		t.Fatalf("cap of 3 messages delivered %d this round", got[2])
 	}
-	if net.Deferred() != 2 {
-		t.Fatalf("Deferred = %d, want 2 (over-budget messages queue, not drop)", net.Deferred())
+	if net.Faults().Deferred() != 2 {
+		t.Fatalf("Deferred = %d, want 2 (over-budget messages queue, not drop)", net.Faults().Deferred())
 	}
-	if net.CapExpired() != 0 || net.Dropped() != 0 {
-		t.Fatalf("deferral counted as a drop: expired=%d dropped=%d", net.CapExpired(), net.Dropped())
+	if net.Faults().CapExpired() != 0 || net.Faults().Dropped() != 0 {
+		t.Fatalf("deferral counted as a drop: expired=%d dropped=%d", net.Faults().CapExpired(), net.Faults().Dropped())
 	}
 	if d := net.Faults().QueueDepth(); d != 2 {
 		t.Fatalf("QueueDepth = %d, want 2", d)
@@ -246,9 +246,9 @@ func TestOversizedMessageStillPaces(t *testing.T) {
 	if d := net.Faults().QueueDepth(); d != 0 {
 		t.Fatalf("queue depth %d after drain, want 0 — oversized frame wedged the uplink", d)
 	}
-	if net.CapExpired() != 0 || net.Dropped() != 0 {
+	if net.Faults().CapExpired() != 0 || net.Faults().Dropped() != 0 {
 		t.Fatalf("oversized pacing dropped traffic: expired=%d dropped=%d",
-			net.CapExpired(), net.Dropped())
+			net.Faults().CapExpired(), net.Faults().Dropped())
 	}
 }
 
@@ -272,8 +272,8 @@ func TestDownNodeLosesItsQueue(t *testing.T) {
 	if d := net.Faults().QueueDepthOf(1); d != 0 {
 		t.Fatalf("crashed node kept %d queued messages", d)
 	}
-	if net.Dropped() != 3 {
-		t.Fatalf("crash-lost backlog not counted: dropped=%d, want 3", net.Dropped())
+	if net.Faults().Dropped() != 3 {
+		t.Fatalf("crash-lost backlog not counted: dropped=%d, want 3", net.Faults().Dropped())
 	}
 	// While down, nothing defers on the dead NIC's behalf — over-budget
 	// or not, sends drop immediately.
@@ -302,15 +302,15 @@ func TestQueueDeadlineExpires(t *testing.T) {
 		_ = eps[1].Send(2, 1, make([]byte, 10))
 	}
 	net.DeliverAll()
-	if got[2] != 1 || net.Deferred() != 3 {
-		t.Fatalf("round 1: delivered=%d deferred=%d, want 1/3", got[2], net.Deferred())
+	if got[2] != 1 || net.Faults().Deferred() != 3 {
+		t.Fatalf("round 1: delivered=%d deferred=%d, want 1/3", got[2], net.Faults().Deferred())
 	}
 	// Round 2: the 3 queued messages are age 1 (within deadline); one is
 	// released, two stay.
 	net.BeginRound()
 	net.DeliverAll()
-	if got[2] != 2 || net.CapExpired() != 0 {
-		t.Fatalf("round 2: delivered=%d expired=%d, want 2/0", got[2], net.CapExpired())
+	if got[2] != 2 || net.Faults().CapExpired() != 0 {
+		t.Fatalf("round 2: delivered=%d expired=%d, want 2/0", got[2], net.Faults().CapExpired())
 	}
 	// Round 3: the remaining two are age 2 > deadline 1 — both expire;
 	// nothing is left to release.
@@ -319,11 +319,11 @@ func TestQueueDeadlineExpires(t *testing.T) {
 	if got[2] != 2 {
 		t.Fatalf("round 3 delivered expired content: %d", got[2])
 	}
-	if net.CapExpired() != 2 {
-		t.Fatalf("CapExpired = %d, want 2", net.CapExpired())
+	if net.Faults().CapExpired() != 2 {
+		t.Fatalf("CapExpired = %d, want 2", net.Faults().CapExpired())
 	}
-	if net.Dropped() != 2 {
-		t.Fatalf("expiry missing from the combined drop counter: %d", net.Dropped())
+	if net.Faults().Dropped() != 2 {
+		t.Fatalf("expiry missing from the combined drop counter: %d", net.Faults().Dropped())
 	}
 	// Expired bytes never left the NIC: the sender was charged only for
 	// the two messages actually released.
@@ -352,7 +352,7 @@ func TestQueuedRunDeterministic(t *testing.T) {
 			}
 			net.DeliverAll()
 		}
-		return got[2] + got[3], net.Deferred(), net.CapExpired(), net.Dropped(), net.Faults().Retransmitted()
+		return got[2] + got[3], net.Faults().Deferred(), net.Faults().CapExpired(), net.Faults().Dropped(), net.Faults().Retransmitted()
 	}
 	d1, q1, x1, l1, r1 := run()
 	d2, q2, x2, l2, r2 := run()

@@ -13,8 +13,8 @@ import (
 // are deterministic-class, so for a fault script that never consults the
 // PRNG (partitions, caps, queue expiry, down nodes — no loss) the
 // deterministic snapshot must match byte-for-byte between MemNet (merge-
-// point admission) and TCPNet (wire-path admission). This extends the
-// PR 3 fault-parity gate from legacy counters to the obs plane.
+// point admission) and TCPNet (wire-path admission), and so must every
+// node's traffic ledger.
 
 // deterministicFaultScript is faultScript without its lossy phase: every
 // admission decision is a pure function of the send sequence, so both
@@ -101,11 +101,21 @@ func TestObsFaultCountersMatchAcrossTransports(t *testing.T) {
 	if memText != tcpText {
 		t.Errorf("deterministic obs snapshots diverge across transports\nmem:\n%s\ntcp:\n%s", memText, tcpText)
 	}
-	// The obs counters mirror the legacy fault-plane counters they ride
-	// beside (obs is cumulative; the legacy ones reset per measurement
-	// window, but this script never resets them).
-	if mem.Deferred() != tn.Deferred() || mem.CapExpired() != tn.CapExpired() {
-		t.Errorf("legacy counters diverge: deferred mem=%d tcp=%d, expired mem=%d tcp=%d",
-			mem.Deferred(), tn.Deferred(), mem.CapExpired(), tn.CapExpired())
+	// The obs counters mirror the fault plane's own counters they ride
+	// beside.
+	if mem.Faults().Deferred() != tn.Faults().Deferred() || mem.Faults().CapExpired() != tn.Faults().CapExpired() {
+		t.Errorf("plane counters diverge: deferred mem=%d tcp=%d, expired mem=%d tcp=%d",
+			mem.Faults().Deferred(), tn.Faults().Deferred(), mem.Faults().CapExpired(), tn.Faults().CapExpired())
+	}
+	// Both transports charge through the same plane, so the per-node
+	// ledgers every bandwidth number is read from agree too.
+	for i := range memGot {
+		id := model.NodeID(i)
+		if m, c := mem.TrafficOf(id), tn.TrafficOf(id); m != c {
+			t.Errorf("node %d traffic diverges: mem=%+v tcp=%+v", i, m, c)
+		}
+	}
+	if m, c := mem.TotalTraffic(), tn.TotalTraffic(); m != c {
+		t.Errorf("total traffic diverges: mem=%+v tcp=%+v", m, c)
 	}
 }

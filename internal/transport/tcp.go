@@ -36,10 +36,10 @@ import (
 // does not move the admission point: Admit still runs inside Send, in
 // send order — only the syscall is deferred to the phase flush.
 //
-// Traffic accounting mirrors MemNet: every message is charged
-// Message.WireSize() (HeaderBytes framing, not the raw 13-byte TCP frame
-// header), so per-node bandwidth numbers are comparable across
-// transports. The wire-level truth — syscalls, frames, bytes — is
+// Traffic accounting is MemNet's, kept by the same fault plane: every
+// message is charged Message.WireSize() (HeaderBytes framing, not the raw
+// 13-byte TCP frame header), so per-node bandwidth numbers are comparable
+// across transports. The wire-level truth — syscalls, frames, bytes — is
 // tracked separately in IOStats.
 //
 // # Batched I/O
@@ -78,7 +78,6 @@ type TCPNet struct {
 	book    map[model.NodeID]string
 	dynIDs  map[model.NodeID]bool // book entries published by dynamic Registers
 	nodes   map[model.NodeID]*tcpEndpoint
-	traffic map[model.NodeID]*Traffic
 	dynHost string // "" = static roster only
 	wg      sync.WaitGroup
 	done    chan struct{}
@@ -114,7 +113,6 @@ func NewTCPNet(book map[model.NodeID]string) *TCPNet {
 		book:    cp,
 		dynIDs:  make(map[model.NodeID]bool),
 		nodes:   make(map[model.NodeID]*tcpEndpoint),
-		traffic: make(map[model.NodeID]*Traffic),
 		faults:  NewFaultPlane(),
 		done:    make(chan struct{}),
 		arrived: make(chan struct{}, 1),
@@ -132,16 +130,6 @@ func (t *TCPNet) Name() string { return "tcp" }
 // IOStats returns a snapshot of the wire-level operation counters:
 // frames, syscalls, raw bytes and jumbo aggregates.
 func (t *TCPNet) IOStats() IOStats { return t.io.snapshot() }
-
-// Dropped returns the fault plane's combined drop counter.
-func (t *TCPNet) Dropped() uint64 { return t.faults.Dropped() }
-
-// Deferred returns how many messages upload caps queued for later rounds.
-func (t *TCPNet) Deferred() uint64 { return t.faults.Deferred() }
-
-// CapExpired returns how many queued messages expired before the cap
-// released them.
-func (t *TCPNet) CapExpired() uint64 { return t.faults.CapExpired() }
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
@@ -164,7 +152,6 @@ func (t *TCPNet) BeginRound() {
 	}
 	t.mu.Unlock()
 	for _, msg := range released {
-		size := uint64(msg.WireSize())
 		// Post-cap admission runs in release order — the same
 		// deterministic sequence MemNet replays at its merge — and it
 		// runs even for a sender that deregistered while its backlog
@@ -173,16 +160,16 @@ func (t *TCPNet) BeginRound() {
 		// which is a plane drop on both). A message that would still
 		// pass but whose NIC is gone is the one case the wire cannot
 		// mirror MemNet's surviving-endpoint delivery: it is treated as
-		// a write failure — budget refunded, nothing charged.
+		// a write failure — budget and charge refunded.
 		outcome, copies := t.faults.AdmitReleased(msg)
-		if outcome == OutcomePass && !senders[msg.From] {
-			t.faults.refundSpent(msg.From, uint64(copies)*size)
+		if outcome != OutcomePass {
 			continue
 		}
-		t.charge(msg.From, false, copies, size)
-		if outcome == OutcomePass {
-			_ = t.sendFrame(msg.From, msg.To, msg.Kind, msg.Payload, size)
+		if !senders[msg.From] {
+			t.faults.refund(msg.From, copies, uint64(msg.WireSize()))
+			continue
 		}
+		_ = t.sendFrame(msg, copies)
 	}
 	t.FlushAll()
 }
@@ -251,9 +238,6 @@ func (t *TCPNet) Register(id model.NodeID, h Handler) (Endpoint, error) {
 		t.book[id] = ln.Addr().String()
 		t.dynIDs[id] = true
 	}
-	if t.traffic[id] == nil {
-		t.traffic[id] = &Traffic{}
-	}
 	t.mu.Unlock()
 
 	t.wg.Add(1)
@@ -307,82 +291,34 @@ func (t *TCPNet) handlerOf(id model.NodeID) Handler {
 	return nil
 }
 
-// charge adds copies messages of size bytes each to a node's traffic
-// account.
-func (t *TCPNet) charge(id model.NodeID, in bool, copies int, size uint64) {
-	t.mu.Lock()
-	tr := t.traffic[id]
-	if tr == nil {
-		tr = &Traffic{}
-		t.traffic[id] = tr
-	}
-	if in {
-		tr.BytesIn += uint64(copies) * size
-		tr.MsgsIn += uint64(copies)
-	} else {
-		tr.BytesOut += uint64(copies) * size
-		tr.MsgsOut += uint64(copies)
-	}
-	t.mu.Unlock()
-}
-
-// unchargeSend reverses a send charge whose frame never reached the wire
-// (dial or write failure after admission), keeping the counters honest
-// about bytes that actually left the NIC — MemNet's charged ⇒
-// delivered-or-fault-dropped invariant.
-func (t *TCPNet) unchargeSend(id model.NodeID, size uint64) {
-	t.mu.Lock()
-	if tr := t.traffic[id]; tr != nil && tr.BytesOut >= size && tr.MsgsOut > 0 {
-		tr.BytesOut -= size
-		tr.MsgsOut--
-	}
-	t.mu.Unlock()
-	t.faults.refundSpent(id, size)
-}
-
 // TrafficOf returns the cumulative traffic snapshot of a node.
-func (t *TCPNet) TrafficOf(id model.NodeID) Traffic {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tr, ok := t.traffic[id]; ok {
-		return *tr
-	}
-	return Traffic{}
-}
+func (t *TCPNet) TrafficOf(id model.NodeID) Traffic { return t.faults.TrafficOf(id) }
 
 // TotalTraffic sums all per-node counters.
-func (t *TCPNet) TotalTraffic() Traffic {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total Traffic
-	for _, tr := range t.traffic {
-		total.Add(*tr)
-	}
-	return total
-}
+func (t *TCPNet) TotalTraffic() Traffic { return t.faults.TotalTraffic() }
 
-// sendFrame enqueues an already-admitted, already-charged frame onto the
-// shared connection to its destination, which keeps payload until its
-// flush. On dial or write failure the charge and the round budget are
-// refunded (the bytes never left the NIC).
-func (t *TCPNet) sendFrame(from, to model.NodeID, kind uint8, payload []byte, size uint64) error {
+// sendFrame enqueues an admitted frame, whose copies admission charged,
+// onto the shared connection to its destination, which keeps the payload
+// until its flush. On dial or write failure every copy's charge and round
+// budget are refunded (the bytes never left the NIC).
+func (t *TCPNet) sendFrame(msg Message, copies int) error {
 	t.mu.Lock()
-	addr, ok := t.book[to]
+	addr, ok := t.book[msg.To]
 	t.mu.Unlock()
 	if !ok {
-		t.unchargeSend(from, size)
-		return fmt.Errorf("transport: unknown destination %v", to)
+		t.faults.refund(msg.From, copies, uint64(msg.WireSize()))
+		return fmt.Errorf("transport: unknown destination %v", msg.To)
 	}
 	w, err := t.mux.get(addr)
 	if err != nil {
-		t.unchargeSend(from, size)
+		t.faults.refund(msg.From, copies, uint64(msg.WireSize()))
 		return err
 	}
 	t.inflight.Add(1)
-	if err := w.enqueue(from, to, kind, payload, size); err != nil {
+	if err := w.enqueue(msg, copies); err != nil {
 		// enqueue already unwound the charge and inflight slot.
 		t.mux.drop(w)
-		return fmt.Errorf("transport: write to %v: %w", to, err)
+		return fmt.Errorf("transport: write to %v: %w", msg.To, err)
 	}
 	return nil
 }
@@ -567,13 +503,13 @@ type tcpEndpoint struct {
 func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 
 // Send implements Endpoint. The fault plane admits, queues or drops the
-// message before it touches a socket: a message beyond the upload budget
-// waits in the link queue uncharged (it is charged when a later round's
-// budget releases it onto the wire), a dropped one is charged to the
-// sender only, and every retransmission of a lost attempt is charged to
-// the sender too — exactly MemNet's accounting, applied at the NIC instead
-// of the merge point. Admission runs here, in send order, regardless of
-// when the batched frame's syscall happens.
+// message, and charges it, before it touches a socket: a message beyond
+// the upload budget waits in the link queue uncharged (it is charged when
+// a later round's budget releases it onto the wire), a dropped one is
+// charged to the sender only, and every retransmission of a lost attempt
+// is charged to the sender too — exactly MemNet's accounting, applied at
+// the NIC instead of the merge point. Admission runs here, in send order,
+// regardless of when the batched frame's syscall happens.
 func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.mu.Lock()
 	_, known := e.net.book[to]
@@ -583,15 +519,11 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	}
 
 	msg := Message{From: e.id, To: to, Kind: kind, Payload: payload}
-	size := uint64(msg.WireSize())
 	outcome, copies := e.net.faults.Admit(msg)
-	if copies > 0 {
-		e.net.charge(e.id, false, copies, size)
-	}
 	if outcome != OutcomePass {
 		return nil
 	}
-	return e.net.sendFrame(e.id, to, kind, payload, size)
+	return e.net.sendFrame(msg, copies)
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -663,17 +595,16 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 }
 
 // deliver runs one decoded frame through the receive-side pipeline —
-// fault recheck, charging, then the inbox. The payload aliases arena,
-// which the queued message retains until drainInbox has handled it.
+// the plane's Arrive, then the inbox. The payload aliases arena, which the
+// queued message retains until drainInbox has handled it.
 func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
-	// Receive-side recheck: a frame that was in flight when its link
-	// partitioned or an end went down is lost here (counted once —
-	// admission passed it, so no PRNG draw).
-	if e.net.faults.ReceiveBlocked(msg) {
+	// A frame that was in flight when its link partitioned or an end went
+	// down is lost here (counted once — admission passed it, so no PRNG
+	// draw); any other is charged to its receiver.
+	if !e.net.faults.Arrive(msg) {
 		e.net.inflight.Add(-1)
 		return
 	}
-	e.net.charge(msg.To, true, 1, uint64(msg.WireSize()))
 	arena.Retain()
 	e.net.inboxMu.Lock()
 	first := len(e.net.inbox) == 0

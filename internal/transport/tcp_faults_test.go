@@ -127,18 +127,18 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	}
 	// Every drop is a dead link or an expiry, and neither draws from the
 	// PRNG, so the drop counters agree exactly.
-	memDrops, tcpDrops := mem.Dropped(), tn.Dropped()
+	memDrops, tcpDrops := mem.Faults().Dropped(), tn.Faults().Dropped()
 	if memDrops != tcpDrops {
 		t.Errorf("drop counters diverge: mem=%d tcp=%d", memDrops, tcpDrops)
 	}
 	// The link queue is deterministic: deferral and expiry never touch
 	// the PRNG, so for the same per-sender send sequence both transports
 	// must agree exactly — queue pressure is a measurement, not noise.
-	if mem.Deferred() != tn.Deferred() {
-		t.Errorf("deferral counters diverge: mem=%d tcp=%d", mem.Deferred(), tn.Deferred())
+	if mem.Faults().Deferred() != tn.Faults().Deferred() {
+		t.Errorf("deferral counters diverge: mem=%d tcp=%d", mem.Faults().Deferred(), tn.Faults().Deferred())
 	}
-	if mem.CapExpired() != tn.CapExpired() {
-		t.Errorf("expiry counters diverge: mem=%d tcp=%d", mem.CapExpired(), tn.CapExpired())
+	if mem.Faults().CapExpired() != tn.Faults().CapExpired() {
+		t.Errorf("expiry counters diverge: mem=%d tcp=%d", mem.Faults().CapExpired(), tn.Faults().CapExpired())
 	}
 	// Everything queued was eventually released or expired: the backlog
 	// fully drains once the cap lifts.
@@ -158,9 +158,9 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 			t.Errorf("node %d deliveries diverge: mem=%d tcp=%d", i, memGot[i], tcpGot[i])
 		}
 	}
-	if memRe == 0 || memDrops == 0 || mem.Deferred() == 0 || mem.CapExpired() == 0 {
+	if memRe == 0 || memDrops == 0 || mem.Faults().Deferred() == 0 || mem.Faults().CapExpired() == 0 {
 		t.Fatalf("script exercised no faults: retransmitted=%d dropped=%d deferred=%d expired=%d",
-			memRe, memDrops, mem.Deferred(), mem.CapExpired())
+			memRe, memDrops, mem.Faults().Deferred(), mem.Faults().CapExpired())
 	}
 }
 
@@ -334,5 +334,5 @@ func TestTCPDynamicRosterRace(t *testing.T) {
 	}
 	close(stop)
 	senders.Wait()
-	_ = fmt.Sprintf("%d", tn.Dropped()) // counters remain readable under churn
+	_ = fmt.Sprintf("%d", tn.Faults().Dropped()) // counters remain readable under churn
 }

@@ -1,7 +1,8 @@
 // Package transport provides the network substrates of the reproduction:
 //
 //   - MemNet: a deterministic in-memory network with per-node byte
-//     accounting, retransmitted message loss and partitions. It plays the
+//     accounting (kept by the fault plane, faults.go), retransmitted
+//     message loss and partitions. It plays the
 //     role of the paper's OMNeT++ simulation fabric: the measured quantity
 //     (per-node bandwidth in kbps) is derived from exact encoded wire
 //     sizes.
@@ -107,8 +108,8 @@ type DropFunc func(Message) bool
 // Sends never touch shared delivery state directly: each endpoint buffers
 // its outbound messages locally (per-sender FIFO), and the buffers are
 // merged at the next delivery point in canonical order — ascending sender
-// id, then send sequence. The fault plane (loss, partitions, caps)
-// and all traffic charging are applied during that merge, so the outcome
+// id, then send sequence. The fault plane (loss, partitions, caps, and
+// with them all traffic charging) is applied during that merge, so the outcome
 // of a seeded run depends only on what each node sent, never on the
 // goroutine or engine interleaving that produced the sends. This is the
 // invariant the parallel round engine's byte-identical guarantee rests on:
@@ -142,11 +143,10 @@ type MemNet struct {
 	endpoints map[model.NodeID]*memEndpoint
 	active    map[model.NodeID]*memEndpoint
 
-	// mu guards the traffic accounts and the carryover buffer. They are
-	// touched only at merge/delivery points and round boundaries, which
-	// are single-threaded even on a sharded engine.
-	mu      sync.Mutex
-	traffic map[model.NodeID]*Traffic
+	// mu guards the carryover buffer. It is touched only at merge points
+	// and round boundaries, which are single-threaded even on a sharded
+	// engine.
+	mu sync.Mutex
 
 	// carryover holds the messages the link model released at the last
 	// round boundary (BeginRound): bytes that waited in a capped node's
@@ -177,7 +177,6 @@ func NewMemNet() *MemNet {
 		handlers:  make(map[model.NodeID]Handler),
 		endpoints: make(map[model.NodeID]*memEndpoint),
 		active:    make(map[model.NodeID]*memEndpoint),
-		traffic:   make(map[model.NodeID]*Traffic),
 		faults:    NewFaultPlane(),
 	}
 }
@@ -212,16 +211,6 @@ func (n *MemNet) Register(id model.NodeID, h Handler) (Endpoint, error) {
 	}
 	n.active[id] = ep
 	n.regMu.Unlock()
-	// regMu and mu are never nested (lock-order hygiene): the traffic
-	// account is initialised in a separate critical section. A re-register
-	// after Unregister (an evicted node re-joining under its old id) keeps
-	// the id's counters: totals must stay monotonic or epoch bandwidth
-	// deltas would underflow.
-	n.mu.Lock()
-	if _, ok := n.traffic[id]; !ok {
-		n.traffic[id] = &Traffic{}
-	}
-	n.mu.Unlock()
 	return ep, nil
 }
 
@@ -248,17 +237,6 @@ func (n *MemNet) Unregister(id model.NodeID) bool {
 	}
 	return true
 }
-
-// Dropped returns how many messages the fault plane (drop predicate,
-// partitions, down nodes and queue expiry combined) discarded.
-func (n *MemNet) Dropped() uint64 { return n.faults.Dropped() }
-
-// Deferred returns how many messages upload caps queued for later rounds.
-func (n *MemNet) Deferred() uint64 { return n.faults.Deferred() }
-
-// CapExpired returns how many queued messages expired before the cap
-// released them.
-func (n *MemNet) CapExpired() uint64 { return n.faults.CapExpired() }
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
@@ -314,35 +292,6 @@ func (n *MemNet) PendingCount() int {
 	return total
 }
 
-// chargeLocked charges one admitted message — its sender for every copy
-// that left the NIC (none when its upload cap queued it: deferred bytes
-// are charged at release), its receiver once if it passed — and reports
-// whether it is delivered; callers hold n.mu. Charging happens at the
-// merge point, in canonical order, so the charge sequence and every PRNG
-// consultation are independent of how the sends were scheduled.
-func (n *MemNet) chargeLocked(msg Message, outcome Outcome, copies int) bool {
-	if copies > 0 {
-		tr := n.traffic[msg.From]
-		if tr == nil {
-			tr = &Traffic{}
-			n.traffic[msg.From] = tr
-		}
-		tr.BytesOut += uint64(copies * msg.WireSize())
-		tr.MsgsOut += uint64(copies)
-	}
-	if outcome != OutcomePass {
-		return false
-	}
-	tr := n.traffic[msg.To]
-	if tr == nil {
-		tr = &Traffic{}
-		n.traffic[msg.To] = tr
-	}
-	tr.BytesIn += uint64(msg.WireSize())
-	tr.MsgsIn++
-	return true
-}
-
 // Delivery is one deliverable message paired with its destination's
 // handler, as returned by TakeWave. The receiver has already been charged.
 type Delivery struct {
@@ -354,7 +303,9 @@ type Delivery struct {
 // order (ascending sender id, per-sender send sequence) — with the round
 // boundary's link-queue carryover prepended in release order, ahead of
 // every fresh send — applies the fault plane and all traffic charging,
-// and drains the resulting wave. The caller is responsible for invoking
+// and drains the resulting wave. Admission and arrival run at the merge
+// point, in canonical order, so the charge sequence and every PRNG
+// consultation are independent of how the sends were scheduled. The caller is responsible for invoking
 // each Delivery's handler — in slice order (DeliverPending), or
 // partitioned by destination for a sharded round (sim.Engine) (per-destination
 // subsequences preserve the canonical order either way).
@@ -382,14 +333,13 @@ func (n *MemNet) TakeWave() []Delivery {
 	n.mu.Lock()
 	carried := n.carryover
 	n.carryover = nil
+	n.mu.Unlock()
 	out := n.wave[:0]
 	for _, msg := range carried {
-		// Carryover already passed the cap (BeginRound charged its
-		// budget); only the post-cap plane applies. Release order is
-		// BeginRound's deterministic order, so the PRNG consultations stay
-		// canonical.
-		outcome, copies := n.faults.AdmitReleased(msg)
-		if n.chargeLocked(msg, outcome, copies) {
+		// Carryover already passed the cap (BeginRound spent its budget);
+		// only the post-cap plane applies. Release order is BeginRound's
+		// deterministic order, so the PRNG consultations stay canonical.
+		if o, _ := n.faults.AdmitReleased(msg); o == OutcomePass && n.faults.Arrive(msg) {
 			out = append(out, Delivery{Msg: msg})
 		}
 	}
@@ -397,18 +347,15 @@ func (n *MemNet) TakeWave() []Delivery {
 		// The fault plane (including down senders/receivers) filters at
 		// admission; only cap-deferred messages stay queued between
 		// rounds, inside the fault plane.
-		outcome, copies := n.faults.Admit(msg)
-		if n.chargeLocked(msg, outcome, copies) {
+		if o, _ := n.faults.Admit(msg); o == OutcomePass && n.faults.Arrive(msg) {
 			out = append(out, Delivery{Msg: msg})
 		}
 	}
-	n.mu.Unlock()
 	clear(inflow)
 	n.inflow, n.wave = inflow, out
 
-	// Resolve handlers outside n.mu (regMu and mu are never nested). A
-	// destination unregistered while the message was queued was charged
-	// above but is silently discarded, as before.
+	// Resolve handlers. A destination unregistered while the message was
+	// queued was charged above but is silently discarded.
 	n.regMu.RLock()
 	kept := out[:0]
 	for _, d := range out {
@@ -475,36 +422,10 @@ func (n *MemNet) DeliverAll() int {
 }
 
 // TrafficOf returns the cumulative traffic snapshot of a node.
-func (n *MemNet) TrafficOf(id model.NodeID) Traffic {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if t, ok := n.traffic[id]; ok {
-		return *t
-	}
-	return Traffic{}
-}
+func (n *MemNet) TrafficOf(id model.NodeID) Traffic { return n.faults.TrafficOf(id) }
 
 // TotalTraffic sums all per-node counters.
-func (n *MemNet) TotalTraffic() Traffic {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var total Traffic
-	for _, t := range n.traffic {
-		total.Add(*t)
-	}
-	return total
-}
-
-// ResetTraffic zeroes all counters, including the fault plane's drop
-// counters (e.g. after a warm-up phase).
-func (n *MemNet) ResetTraffic() {
-	n.mu.Lock()
-	for id := range n.traffic {
-		n.traffic[id] = &Traffic{}
-	}
-	n.mu.Unlock()
-	n.faults.resetCounters()
-}
+func (n *MemNet) TotalTraffic() Traffic { return n.faults.TotalTraffic() }
 
 // memEndpoint buffers a node's outbound messages until the next merge
 // point: the payloads themselves, which Send was given to own. During a

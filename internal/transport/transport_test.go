@@ -197,8 +197,8 @@ func TestMemNetDrop(t *testing.T) {
 	if received != 1 {
 		t.Fatalf("received %d, want 1", received)
 	}
-	if n.Dropped() != 1 {
-		t.Fatalf("Dropped = %d", n.Dropped())
+	if n.Faults().Dropped() != 1 {
+		t.Fatalf("Dropped = %d", n.Faults().Dropped())
 	}
 	// Sender is charged for dropped bytes; receiver is not.
 	if n.TrafficOf(1).MsgsOut != 2 || n.TrafficOf(2).MsgsIn != 1 {
@@ -209,18 +209,6 @@ func TestMemNetDrop(t *testing.T) {
 	n.DeliverAll()
 	if received != 2 {
 		t.Fatal("clearing drop func failed")
-	}
-}
-
-func TestMemNetResetTraffic(t *testing.T) {
-	n := NewMemNet()
-	_, _ = n.Register(2, func(Message) {})
-	ep1, _ := n.Register(1, func(Message) {})
-	_ = ep1.Send(2, 0, []byte("x"))
-	n.DeliverAll()
-	n.ResetTraffic()
-	if n.TrafficOf(1) != (Traffic{}) || n.TrafficOf(2) != (Traffic{}) {
-		t.Fatal("ResetTraffic failed")
 	}
 }
 

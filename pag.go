@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/acting"
 	"repro/internal/core"
 	"repro/internal/hhash"
 	"repro/internal/judicial"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pki"
-	"repro/internal/rac"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -120,17 +118,9 @@ type SessionConfig struct {
 	// forwarding-check gap it used to open is closed by the obligation
 	// handover (see internal/core).
 	MonitorRotationRounds int
-	// Judicial arms the accountability plane's punishment loop: nodes
-	// reaching the conviction threshold are evicted from the membership
-	// and quarantined. The zero value is reporting-only. A scenario with
-	// an Eviction block arms the loop too; an explicitly set Judicial
-	// wins.
-	Judicial judicial.Policy
-	// PAGBehaviors / ActingBehaviors / RACBehaviors inject selfish
-	// deviations per node for the respective protocol.
-	PAGBehaviors    map[model.NodeID]core.Behavior
-	ActingBehaviors map[model.NodeID]acting.Behavior
-	RACBehaviors    map[model.NodeID]rac.Behavior
+	// PAGBehaviors injects selfish PAG deviations per node (any protocol's
+	// node takes one later through Session.SetBehavior).
+	PAGBehaviors map[model.NodeID]core.Behavior
 	// AuditPeriod tunes the AcTinG baseline (default 5 rounds).
 	AuditPeriod int
 	// Scenario optionally scripts the session: churn, network faults and
@@ -288,10 +278,10 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 			_ = netw.Close()
 		}
 	}()
-	// The punishment loop's policy: an explicit Judicial wins, otherwise
-	// a scenario's scripted Eviction block arms it.
-	policy := c.Judicial
-	if !policy.Enabled() && c.Scenario != nil && c.Scenario.Eviction != nil {
+	// The punishment loop's policy: a scenario's scripted Eviction block
+	// arms it; without one the session only reports.
+	var policy judicial.Policy
+	if c.Scenario != nil && c.Scenario.Eviction != nil {
 		policy = judicial.Policy{
 			ConvictionThreshold: c.Scenario.Eviction.ConvictionThreshold,
 			QuarantineRounds:    c.Scenario.Eviction.QuarantineRounds,
@@ -590,9 +580,9 @@ func (s *Session) QueueStats() QueueStats {
 // monitors generate a proof of misbehaviour and the misbehaving nodes get
 // punished"). Counts are deduplicated facts: identical verdicts (same
 // accused, accuser, round and kind) reported several times — monitor
-// retries, re-raised findings — count once. Arm SessionConfig.Judicial
-// (or a scenario Eviction block) to turn these tallies into actual
-// evictions instead of just surfacing the evidence.
+// retries, re-raised findings — count once. Arm a scenario Eviction block
+// to turn these tallies into actual evictions instead of just surfacing
+// the evidence.
 func (s *Session) ConvictedNodes(threshold int) map[model.NodeID]int {
 	return s.registry.Convicted(threshold)
 }

@@ -73,7 +73,7 @@ type ProtocolRun struct {
 	// deduplicated verdicts, ascending by node id.
 	Convictions []Conviction `json:"convictions"`
 	// Evictions is the punishment loop's judgment log (empty unless the
-	// scenario's eviction policy — or SessionConfig.Judicial — is armed).
+	// scenario's eviction policy is armed).
 	Evictions []Eviction `json:"evictions"`
 	// RejoinRejections lists the Join attempts bounced by quarantines.
 	RejoinRejections []RejoinRejection `json:"rejoin_rejections"`
@@ -173,7 +173,7 @@ func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
 			FinalMembers:      len(s.Members()),
 			MeanContinuity:    s.MeanContinuity(),
 			MeanBandwidthKbps: weightedBandwidth(epochs),
-			MessagesDropped:   s.net.Dropped(),
+			MessagesDropped:   s.net.Faults().Dropped(),
 			MessagesDeferred:  queue.Deferred,
 			MessagesExpired:   queue.Expired,
 			Epochs:            epochs,

@@ -94,7 +94,6 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Sources:     sources,
 			Intern:      s.intern,
 			AuditPeriod: s.cfg.AuditPeriod,
-			Behavior:    s.cfg.ActingBehaviors[id],
 			Verdicts:    func(v acting.Verdict) { s.registry.Submit(v) },
 			OnDeliver:   player.OnDeliver,
 		})
@@ -107,7 +106,6 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Endpoint:  ep,
 			Sources:   sources,
 			SlotBytes: s.cfg.UpdateBytes,
-			Behavior:  s.cfg.RACBehaviors[id],
 			Verdicts:  func(v rac.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/scenario"
 )
@@ -230,12 +229,13 @@ func TestConvictedNodesDedupesRetriedVerdicts(t *testing.T) {
 	}
 }
 
-// TestJudicialPolicyFromSessionConfig: an explicitly armed
-// SessionConfig.Judicial drives evictions without any scenario.
+// TestJudicialPolicyFromSessionConfig: a scenario carrying nothing but an
+// Eviction block — no events, no churn — drives evictions.
 func TestJudicialPolicyFromSessionConfig(t *testing.T) {
 	const cheat = NodeID(9)
 	cfg := testConfig(ProtocolPAG, 12, 2)
-	cfg.Judicial = judicial.Policy{ConvictionThreshold: 3, QuarantineRounds: 6}
+	cfg.Scenario = &scenario.Scenario{Name: "eviction-only", Rounds: 10,
+		Eviction: &scenario.Eviction{ConvictionThreshold: 3, QuarantineRounds: 6}}
 	cfg.PAGBehaviors = map[model.NodeID]core.Behavior{cheat: {SkipServeEvery: 1}}
 	s, err := NewSession(cfg)
 	if err != nil {
