@@ -11,9 +11,9 @@ import (
 // prefix their current monitors verified, and a monitor seated afterwards —
 // by a rotation or by a churn epoch re-drawing the sets — audits from the
 // log's base. Under steady churn with monitors re-drawn every 4 rounds and
-// audits every 3 (so some logs are truncated under one set and first
-// audited by the next), no correct node is convicted of a chain, proposal
-// or serve fault. Crashed nodes may still draw RefusedAudit, as before.
+// audits every 5 (the default; the two interleave, so some logs are
+// truncated under one set and first audited by the next), no correct node
+// is convicted of a chain, proposal or serve fault. Crashed nodes may still draw RefusedAudit, as before.
 func TestActingAuditRetentionUnderRotationAndChurn(t *testing.T) {
 	sc, err := scenario.ByName("steady-churn", 24, 60)
 	if err != nil {
@@ -21,7 +21,6 @@ func TestActingAuditRetentionUnderRotationAndChurn(t *testing.T) {
 	}
 	cfg := scenarioConfig(ProtocolAcTinG, 24, &sc)
 	cfg.MonitorRotationRounds = 4
-	cfg.AuditPeriod = 3
 	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)

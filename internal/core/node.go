@@ -426,7 +426,9 @@ func (n *Node) BeginRound(r model.Round) {
 	replay := n.deferred
 	n.deferred = nil
 	for _, msg := range replay {
-		n.dispatch(msg)
+		if mr, _ := peekRound(msg.Payload); mr == r {
+			n.dispatch(msg)
+		}
 	}
 }
 
@@ -554,7 +556,10 @@ func (n *Node) CloseRound(r model.Round) {
 // Malformed or mis-signed messages raise BadMessage verdicts and are
 // dropped — a Byzantine sender cannot stall the round. Messages of the
 // next round arriving early (phase skew over a real network) are buffered
-// and replayed at BeginRound; stale-round messages are dropped.
+// and replayed at BeginRound, and so is whatever reaches a node before its
+// first round (a joiner whose peers reached its join round first); a
+// buffered message of another round than the one begun is dropped then,
+// as stale-round messages are now.
 func (n *Node) HandleMessage(msg transport.Message) {
 	if msg.Kind <= maxWireKind {
 		n.sh.msgK[msg.Kind].Inc()
@@ -569,7 +574,7 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		wire.KindProbe, wire.KindAckRequest:
 		if r, ok := peekRound(msg.Payload); ok {
 			switch {
-			case r == n.round+1:
+			case r == n.round+1, n.round == 0:
 				// Kept past the handler's return: own the bytes.
 				msg.Payload = bytes.Clone(msg.Payload)
 				n.deferred = append(n.deferred, msg)

@@ -44,7 +44,7 @@ type Shared struct {
 	Trace *obs.Tracer
 	// Intern is the session-wide update-content flyweight table; nil
 	// disables interning and every node keeps private payload/signature
-	// copies, as pag-node does.
+	// copies.
 	Intern *update.Interner
 
 	// primeBits sizes the per-exchange primes: the modulus width, as §VII-A

@@ -247,6 +247,16 @@ func (s *SplitMix64) Float() float64 {
 	return float64(s.Next()>>11) / float64(1<<53)
 }
 
+// Read implements io.Reader: each byte is the low byte of the next value,
+// so a stream seeded alike yields the same bytes in every process — what a
+// session derives its hash modulus from.
+func (s *SplitMix64) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(s.Next())
+	}
+	return len(p), nil
+}
+
 // Hash64 is the splitmix64 scrambling step on its own — a stateless
 // 64-bit mixer for rendezvous scores and seed derivation.
 func Hash64(z uint64) uint64 {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,5 +167,30 @@ func TestFanoutMonotonic(t *testing.T) {
 			t.Fatalf("FanoutFor not monotonic at n=%d", n)
 		}
 		prev = f
+	}
+}
+
+// TestSplitMix64Read: the byte stream is the low byte of each successive
+// value, so readers seeded alike agree byte for byte — the property a hash
+// modulus derived from the session seed rests on.
+func TestSplitMix64Read(t *testing.T) {
+	ref := SplitMix64{State: 42}
+	want := make([]byte, 37)
+	for i := range want {
+		want[i] = byte(ref.Next())
+	}
+	r := SplitMix64{State: 42}
+	got := make([]byte, 37)
+	if n, err := r.Read(got[:20]); n != 20 || err != nil {
+		t.Fatalf("Read = %d, %v", n, err)
+	}
+	if _, err := r.Read(got[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Read bytes %x, want %x", got, want)
+	}
+	if want[0] != 0x95 {
+		t.Fatalf("first byte %#x: the stream changed", want[0])
 	}
 }

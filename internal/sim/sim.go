@@ -2,7 +2,9 @@
 // OMNeT++ analogue (§VII-A, "Simulations settings"). The engine advances
 // rounds in four phases with full message delivery between them, keeping
 // every run deterministic under a fixed seed, and collects the per-node
-// bandwidth statistics the paper plots.
+// bandwidth statistics the paper plots. The same phases also run paced
+// on a wall clock (RunPaced), which is how a deployment's processes keep
+// in step.
 //
 // # Inline and sharded stepping
 //
@@ -221,7 +223,43 @@ func (e *Engine) Round() model.Round { return e.round }
 // BeginRound, the remaining exchange slots of Slotted nodes), delivering
 // all pending traffic after each. Events and hooks run single-threaded at
 // the round top, before any node acts.
-func (e *Engine) RunRound() {
+func (e *Engine) RunRound() { e.runRound(func(int, int) int { return e.deliverAll() }) }
+
+// RunPaced advances one round through the same phase sequence as
+// RunRound, on a wall-clock schedule: round r begins at start + (r−1)·
+// period, and each barrier drains the network until its phase's deadline
+// instead of to quiescence. The exchange slots split the first quarter of
+// the period evenly; MidRound, EndRound and CloseRound are given a quarter
+// each. The network is the clock: one with DeliverUntil (TCPNet) waits for
+// each deadline, while one without (MemNet) has no clock and is drained as
+// RunRound drains it — so a paced run on MemNet is the stepped run, byte
+// for byte.
+func (e *Engine) RunPaced(start time.Time, period time.Duration) {
+	c, ok := e.net.(interface{ DeliverUntil(time.Time) int })
+	if !ok { // MemNet: no clock
+		e.RunRound()
+		return
+	}
+	at := start.Add(time.Duration(e.round) * period)
+	quarter := period / 4
+	e.runRound(func(k, slots int) int {
+		slot := quarter / time.Duration(slots)
+		deadline := at.Add(period) // CloseRound's barrier ends the round
+		if k <= slots {
+			deadline = at.Add(time.Duration(k) * slot)
+		} else if k < slots+3 {
+			deadline = at.Add(time.Duration(slots)*slot + time.Duration(k-slots)*quarter)
+		}
+		return c.DeliverUntil(deadline)
+	})
+}
+
+// runRound is the one phase sequence behind RunRound and RunPaced. After
+// step k of the round (k = 1 … slots+3, where slots = max(1, the exchange
+// slot count): the exchange slots, then MidRound, EndRound and CloseRound)
+// barrier(k, slots) drains the network and returns how many messages it
+// delivered.
+func (e *Engine) runRound(barrier func(k, slots int) int) {
 	span := e.roundSpans.SpanStart()
 	r := e.round + 1
 	e.net.BeginRound()
@@ -238,16 +276,18 @@ func (e *Engine) RunRound() {
 		e.trace.Emit("round_begin", obs.F("round", r), obs.F("nodes", e.Nodes()))
 	}
 	shards := e.shardNodes()
-	delivered := 0
+	slots := max(e.slots, 1)
+	delivered, k := 0, 0
 	step := func(f func(Protocol)) {
 		e.phase(shards, f)
-		delivered += e.deliverAll()
+		k++
+		delivered += barrier(k, slots)
 	}
 	step(func(n Protocol) { n.BeginRound(r) })
-	for k := 1; k < e.slots; k++ {
+	for s := 1; s < slots; s++ {
 		step(func(n Protocol) {
-			if s, ok := n.(Slotted); ok {
-				s.OpenSlot(r, k)
+			if sl, ok := n.(Slotted); ok {
+				sl.OpenSlot(r, s)
 			}
 		})
 	}

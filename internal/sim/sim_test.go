@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/transport"
@@ -132,5 +134,60 @@ func TestEngineString(t *testing.T) {
 	e, _ := NewEngine(transport.NewMemNet(), 0)
 	if e.String() == "" || e.Nodes() != 0 {
 		t.Fatal("String/Nodes wrong")
+	}
+}
+
+// pacedRecorder is a SteppedNetwork stub that records every paced barrier's
+// deadline and delivers nothing.
+type pacedRecorder struct {
+	transport.SteppedNetwork
+	deadlines []time.Time
+}
+
+func (p *pacedRecorder) BeginRound() {}
+func (p *pacedRecorder) DeliverUntil(t time.Time) int {
+	p.deadlines = append(p.deadlines, t)
+	return 0
+}
+
+// slottedStub is a Slotted node with a fixed slot count.
+type slottedStub struct {
+	phaseRecorder
+	slots int
+}
+
+func (s *slottedStub) ExchangeSlots() int            { return s.slots }
+func (s *slottedStub) OpenSlot(r model.Round, k int) {}
+
+// TestRunPacedDeadlines: a paced round drains the network until each
+// phase's wall-clock deadline — the S exchange slots split the first
+// quarter of the period, MidRound, EndRound and CloseRound get a quarter
+// each — and round r is laid out from start + (r−1)·period.
+func TestRunPacedDeadlines(t *testing.T) {
+	start := time.Unix(1000, 0)
+	const period = 1200 * time.Millisecond
+	ms := func(n int) time.Time { return start.Add(time.Duration(n) * time.Millisecond) }
+	for _, c := range []struct {
+		slots int
+		want  []time.Time // round 2's barriers
+	}{
+		{1, []time.Time{ms(1500), ms(1800), ms(2100), ms(2400)}},
+		{3, []time.Time{ms(1300), ms(1400), ms(1500), ms(1800), ms(2100), ms(2400)}},
+	} {
+		net := &pacedRecorder{}
+		e, err := NewEngine(net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []string
+		e.Add(&slottedStub{phaseRecorder: phaseRecorder{id: 1, calls: &calls}, slots: c.slots})
+		e.RunPaced(start, period)
+		e.RunPaced(start, period)
+		if got := net.deadlines[len(net.deadlines)/2:]; !slices.Equal(got, c.want) {
+			t.Errorf("S=%d: round 2 deadlines %v, want %v", c.slots, got, c.want)
+		}
+		if e.Round() != 2 || len(calls) != 8 {
+			t.Errorf("S=%d: round %v after %v", c.slots, e.Round(), calls)
+		}
 	}
 }

@@ -24,7 +24,6 @@ type Source struct {
 	gen      *update.Generator
 	target   Injector
 	perRound int
-	emitted  uint64
 }
 
 // NewSource builds a source for the given bitrate. updateBytes and ttl
@@ -47,18 +46,14 @@ func NewSource(stream model.StreamID, signer update.Signer, target Injector,
 	if err != nil {
 		return nil, err
 	}
-	perRound := bitrateKbps * 1000 / 8 / updateBytes * model.RoundDurationSeconds
-	if perRound < 1 {
-		perRound = 1
-	}
-	return &Source{gen: gen, target: target, perRound: perRound}, nil
+	return &Source{gen: gen, target: target, perRound: PerRound(bitrateKbps, updateBytes)}, nil
 }
 
-// PerRound returns how many updates the source releases each round.
-func (s *Source) PerRound() int { return s.perRound }
-
-// Emitted returns the total updates released so far.
-func (s *Source) Emitted() uint64 { return s.emitted }
+// PerRound returns how many updateBytes-sized updates a source streaming at
+// bitrateKbps releases each round (at least one).
+func PerRound(bitrateKbps, updateBytes int) int {
+	return max(bitrateKbps*1000/8/updateBytes*model.RoundDurationSeconds, 1)
+}
 
 // Tick releases one round's worth of stream into the target node; wire it
 // to the engine's OnRoundStart hook.
@@ -68,7 +63,6 @@ func (s *Source) Tick(r model.Round) error {
 		return fmt.Errorf("streaming: emitting round %v: %w", r, err)
 	}
 	s.target.InjectUpdates(us)
-	s.emitted += uint64(len(us))
 	return nil
 }
 

@@ -23,14 +23,14 @@ func TestSourceRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PerRound() != 39 {
-		t.Fatalf("PerRound = %d, want 39", s.PerRound())
+	if got := PerRound(300, model.UpdateBytes); got != 39 {
+		t.Fatalf("PerRound = %d, want 39", got)
 	}
 	if err := s.Tick(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(inj.got) != 39 || s.Emitted() != 39 {
-		t.Fatalf("injected %d, emitted %d", len(inj.got), s.Emitted())
+	if len(inj.got) != 39 {
+		t.Fatalf("injected %d", len(inj.got))
 	}
 	if len(inj.got[0].Payload) != model.UpdateBytes {
 		t.Fatalf("payload %d bytes", len(inj.got[0].Payload))
@@ -46,8 +46,11 @@ func TestSourceTinyBitrateStillEmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PerRound() != 1 {
-		t.Fatalf("PerRound = %d", s.PerRound())
+	if err := s.Tick(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(inj.got) != 1 {
+		t.Fatalf("injected %d", len(inj.got))
 	}
 }
 

@@ -654,6 +654,9 @@ type FaultyNetwork interface {
 	// Unregister detaches a node's handler mid-run (a leave); it reports
 	// whether the node was registered.
 	Unregister(id model.NodeID) bool
+	// Addressable reports whether id could be registered and reached: a
+	// node whose id has no address would be a member nobody can send to.
+	Addressable(id model.NodeID) bool
 	// Faults returns the network's fault plane, which keeps its counters
 	// and traffic ledger.
 	Faults() *FaultPlane

@@ -248,6 +248,15 @@ func (t *TCPNet) Register(id model.NodeID, h Handler) (Endpoint, error) {
 	return ep, nil
 }
 
+// Addressable implements FaultyNetwork: an id on the address book, or any
+// id under SetDynamic, which publishes an address at Register.
+func (t *TCPNet) Addressable(id model.NodeID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, static := t.book[id]
+	return static || (id != model.NoNode && t.dynHost != "")
+}
+
 // Unregister detaches a node mid-run: its listener and inbound
 // connections close, and the mux drops the shared outbound connection to
 // it, so the id really leaves the wire (peers' next write to a stale

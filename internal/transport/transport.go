@@ -187,6 +187,10 @@ func (n *MemNet) Faults() *FaultPlane { return n.faults }
 // Name identifies the transport for run metadata.
 func (n *MemNet) Name() string { return "mem" }
 
+// Addressable implements FaultyNetwork: a simulated network can register
+// any id.
+func (n *MemNet) Addressable(id model.NodeID) bool { return id != model.NoNode }
+
 // Close implements FaultyNetwork; an in-memory network holds no resources.
 func (n *MemNet) Close() error { return nil }
 

@@ -23,6 +23,7 @@ package pag
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hhash"
@@ -121,8 +122,6 @@ type SessionConfig struct {
 	// PAGBehaviors injects selfish PAG deviations per node (any protocol's
 	// node takes one later through Session.SetBehavior).
 	PAGBehaviors map[model.NodeID]core.Behavior
-	// AuditPeriod tunes the AcTinG baseline (default 5 rounds).
-	AuditPeriod int
 	// Scenario optionally scripts the session: churn, network faults and
 	// adversary activation fire from its timeline at the top of each
 	// round (see internal/scenario). Nil runs the static, fault-free
@@ -160,12 +159,19 @@ type SessionConfig struct {
 	// activity). Tracing is outside the determinism boundary — event
 	// ordering follows wall-clock submission order. Nil disables.
 	Trace *obs.Tracer
+	// Hosted names the nodes this session builds and steps (nil = all):
+	// founding members or future joiners. Every other id is
+	// directory-only — it joins, leaves and crashes in the membership,
+	// and a scenario's events against it are validated, but its node runs
+	// elsewhere, in another session over the same roster (one process of
+	// a multi-process deployment each). Key material and the hash modulus
+	// are pure functions of Seed, so such sessions agree on both.
+	Hosted []model.NodeID
 
 	// noIntern detaches the session-wide update-content interner, so every
-	// node keeps private payload/signature copies, as a pag-node process
-	// does.
-	// Only the determinism harness sets it, to prove the interner changes
-	// no observable (determinism_test.go).
+	// node keeps private payload/signature copies. Only the determinism
+	// harness sets it, to prove the interner changes no observable
+	// (determinism_test.go).
 	noIntern bool
 }
 
@@ -205,7 +211,10 @@ type Session struct {
 	cfg    SessionConfig
 	net    transport.FaultyNetwork
 	engine *sim.Engine
-	source *streaming.Source
+	// hosted is the set of ids this session builds nodes for (nil: all);
+	// perRound the chunks the source releases each round, hosted or not.
+	hosted   map[model.NodeID]bool
+	perRound int
 
 	// registry is the accountability plane's unified verdict pipeline:
 	// every protocol's verdict sink submits into it (it is safe for the
@@ -218,9 +227,10 @@ type Session struct {
 	// configured policy is armed.
 	bench *judicial.Bench
 
-	// suite / dir are kept for mid-run node construction (scenario joins
-	// mint fresh identities against the same PKI).
-	suite pki.Suite
+	// suite / dir are kept for mid-run node construction. Every member's
+	// key material derives from the session seed and its id, hosted or
+	// not, so sessions sharing a seed verify each other's nodes.
+	suite *pki.FastSuite
 	dir   *membership.Directory
 	// shared is the flyweight session plane every PAG node references
 	// (one immutable config/roster instead of per-node copies; nil for
@@ -230,11 +240,13 @@ type Session struct {
 	shared *core.Shared
 	intern *update.Interner
 
-	// members holds every node the session ever attached, departed ones
-	// included (their counters and behaviour stay readable); players
+	// members holds every hosted node the session ever attached, departed
+	// ones included (their counters and behaviour stay readable); players
 	// their playback metrics. addMember fills both.
 	members map[model.NodeID]member
 	players map[model.NodeID]*streaming.Player
+	// standby holds the endpoints of hosted joiners not yet joined.
+	standby map[model.NodeID]*standby
 
 	// Scenario state: the driving timeline (nil without a scenario),
 	// join/departure bookkeeping and the epoch marks metrics are sliced
@@ -294,10 +306,18 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		bench:       judicial.NewBench(policy),
 		members:     make(map[model.NodeID]member),
 		players:     make(map[model.NodeID]*streaming.Player),
+		standby:     make(map[model.NodeID]*standby),
 		nextID:      model.NodeID(c.Nodes + 1),
 		joinedChunk: make(map[model.NodeID]uint64),
 		departed:    make(map[model.NodeID]model.Round),
 		evicted:     make(map[model.NodeID]bool),
+		perRound:    streaming.PerRound(c.StreamKbps, c.UpdateBytes),
+	}
+	if c.Hosted != nil {
+		s.hosted = make(map[model.NodeID]bool, len(c.Hosted))
+		for _, id := range c.Hosted {
+			s.hosted[id] = true
+		}
 	}
 	var err error
 	if s.engine, err = sim.NewEngine(s.net, c.Workers); err != nil {
@@ -358,7 +378,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		s.intern = update.NewInterner()
 	}
 	if c.Protocol == ProtocolPAG {
-		params, err := hhash.GenerateParams(nil, c.ModulusBits)
+		params, err := hhash.GenerateParams(&model.SplitMix64{State: c.Seed}, c.ModulusBits)
 		if err != nil {
 			return nil, fmt.Errorf("pag: hash parameters: %w", err)
 		}
@@ -375,22 +395,25 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 
 	identities := make(map[model.NodeID]pki.Identity, c.Nodes)
 	for _, id := range ids {
-		identity, err := s.suite.NewIdentity(id)
-		if err != nil {
+		if identities[id], err = s.suite.NewDeterministicIdentity(id, c.Seed); err != nil {
 			return nil, fmt.Errorf("pag: identity for %v: %w", id, err)
 		}
-		identities[id] = identity
 	}
 	for _, id := range ids {
-		if err := s.addMember(id, identities[id]); err != nil {
-			return nil, err
+		if s.hosts(id) {
+			if err := s.addMember(id, identities[id]); err != nil {
+				return nil, err
+			}
 		}
 	}
-
-	s.source, err = streaming.NewSource(0, identities[SourceID], s.members[SourceID].(streaming.Injector),
-		c.StreamKbps, c.UpdateBytes, c.TTL)
-	if err != nil {
-		return nil, fmt.Errorf("pag: source: %w", err)
+	for _, id := range c.Hosted {
+		if _, founder := identities[id]; !founder && s.standby[id] == nil {
+			b := &standby{}
+			if b.ep, err = s.net.Register(id, b.handle); err != nil {
+				return nil, fmt.Errorf("pag: registering %v: %w", id, err)
+			}
+			s.standby[id] = b
+		}
 	}
 	s.epochMarks = []epochMark{{start: 1}}
 
@@ -412,7 +435,14 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		tl.Instrument(c.Trace)
 		s.engine.OnRoundStart(func(r model.Round) { tl.Apply(r, s) })
 	}
-	s.engine.OnRoundStart(func(r model.Round) { _ = s.source.Tick(r) })
+	if s.hosts(SourceID) {
+		source, err := streaming.NewSource(0, identities[SourceID], s.members[SourceID].(streaming.Injector),
+			c.StreamKbps, c.UpdateBytes, c.TTL)
+		if err != nil {
+			return nil, fmt.Errorf("pag: source: %w", err)
+		}
+		s.engine.OnRoundStart(func(r model.Round) { _ = source.Tick(r) })
+	}
 	// Prewarm the round's membership view after any scheduled churn has
 	// landed, so concurrent node steps hit a read-only snapshot instead
 	// of racing to build it.
@@ -430,6 +460,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if c.Obs != nil {
 		memGauge := c.Obs.GaugeClass("pag_mem_bytes_per_node", obs.ClassSched)
 		members := c.Nodes
+		if s.hosted != nil {
+			members = max(len(s.hosted), 1)
+		}
 		s.engine.OnRoundStart(func(model.Round) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
@@ -439,6 +472,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	ok = true
 	return s, nil
 }
+
+// hosts reports whether this session builds and steps node id.
+func (s *Session) hosts(id model.NodeID) bool { return s.hosted == nil || s.hosted[id] }
 
 // EngineInfo describes the round engine a run executed on. It is run
 // metadata, not part of the measured results: byte-identical runs are
@@ -480,6 +516,16 @@ func (s *Session) Close() error {
 // Run advances the session by n rounds.
 func (s *Session) Run(n int) { s.engine.Run(n) }
 
+// RunPaced advances the session by n rounds on a wall-clock schedule —
+// round r begins at start + (r−1)·period — through the same phases as Run
+// (see sim.Engine.RunPaced): how the sessions of a multi-process
+// deployment keep in step. On the in-memory network it runs as Run.
+func (s *Session) RunPaced(n int, start time.Time, period time.Duration) {
+	for i := 0; i < n; i++ {
+		s.engine.RunPaced(start, period)
+	}
+}
+
 // StartMeasuring begins the steady-state bandwidth window (call after the
 // warm-up rounds).
 func (s *Session) StartMeasuring() { s.engine.StartMeasuring() }
@@ -503,8 +549,9 @@ func (s *Session) NodeBandwidthKbps(id model.NodeID) float64 {
 // Player returns a node's playback metrics.
 func (s *Session) Player(id model.NodeID) *streaming.Player { return s.players[id] }
 
-// Emitted returns how many updates the source has released.
-func (s *Session) Emitted() uint64 { return s.source.Emitted() }
+// Emitted returns how many updates the source has released: its
+// per-round count over the completed rounds, wherever the source runs.
+func (s *Session) Emitted() uint64 { return uint64(s.perRound) * uint64(s.engine.Round()) }
 
 // MeanContinuity returns the average playback continuity across current
 // clients for the chunks whose playout deadline has passed. Departed nodes
@@ -545,7 +592,7 @@ func (s *Session) dueThrough(r model.Round) uint64 {
 	if uint64(r) <= ttl {
 		return 0
 	}
-	return (uint64(r) - ttl) * uint64(s.source.PerRound())
+	return (uint64(r) - ttl) * uint64(s.perRound)
 }
 
 // QueueStats is a snapshot of the bandwidth plane's link-queue activity:

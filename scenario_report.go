@@ -118,6 +118,13 @@ func weightedBandwidth(epochs []EpochStat) float64 {
 // (ConvictedNodes); 0 defaults to 1.
 func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
 	protocols []Protocol, convictionThreshold int) (ScenarioReport, error) {
+	return runScenarioReport(base, sc, protocols, convictionThreshold, (*Session).Run)
+}
+
+// runScenarioReport is RunScenarioReport with the round driver passed in:
+// advance runs a session n rounds further.
+func runScenarioReport(base SessionConfig, sc scenario.Scenario, protocols []Protocol,
+	convictionThreshold int, advance func(s *Session, n int)) (ScenarioReport, error) {
 	if err := sc.Validate(); err != nil {
 		return ScenarioReport{}, err
 	}
@@ -160,10 +167,10 @@ func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
 				obs.F("transport", info.Transport))
 		}
 		if sc.WarmupRounds > 0 {
-			s.Run(sc.WarmupRounds)
+			advance(s, sc.WarmupRounds)
 		}
 		s.StartMeasuring()
-		s.Run(sc.Rounds - sc.WarmupRounds)
+		advance(s, sc.Rounds-sc.WarmupRounds)
 
 		epochs := s.EpochStats()
 		queue := s.QueueStats()

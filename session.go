@@ -1,7 +1,9 @@
 package pag
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 
 	"repro/internal/acting"
 	"repro/internal/core"
@@ -59,43 +61,75 @@ type member interface {
 	HandleMessage(transport.Message)
 }
 
-// addMember attaches node id of the session's protocol, with the given
-// identity: it registers the endpoint, builds the node, adds it to the
-// engine and gives it a player. Founding members and scenario joiners
-// both come through here.
+// standby is the endpoint of a hosted joiner, registered when the session
+// starts rather than at the join round. Sessions in separate processes
+// reach a round milliseconds apart: a joiner that only began to listen at
+// its own join round had the first requests of peers that got there first
+// refused on the wire, and each ended in a probe and a wrong conviction.
+// Until the node exists, what arrives waits in early.
+type standby struct {
+	ep    transport.Endpoint
+	node  member
+	early []transport.Message
+}
+
+func (b *standby) handle(msg transport.Message) {
+	if b.node != nil {
+		b.node.HandleMessage(msg)
+		return
+	}
+	msg.Payload = bytes.Clone(msg.Payload) // the transport reuses it once the handler returns
+	b.early = append(b.early, msg)
+}
+
+// addMember attaches hosted node id of the session's protocol, with the
+// given identity: it registers the endpoint (unless it is a standby's),
+// builds the node, adds it to the engine and gives it a player. Founding
+// members and scenario joiners both come through here.
 func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 	var m member
-	ep, err := s.net.Register(id, func(msg transport.Message) { m.HandleMessage(msg) })
-	if err != nil {
+	var ep transport.Endpoint
+	var err error
+	b := s.standby[id]
+	if b != nil {
+		ep = b.ep
+	} else if ep, err = s.net.Register(id, func(msg transport.Message) { m.HandleMessage(msg) }); err != nil {
 		return fmt.Errorf("pag: registering %v: %w", id, err)
 	}
 	player := streaming.NewPlayer(0)
 	sources := []model.NodeID{SourceID}
 	switch s.cfg.Protocol {
 	case ProtocolPAG:
+		// Seeded verification coefficients keep a whole simulated session
+		// replayable. A session hosting a subset shares its seed with the
+		// other processes of the deployment, so there they must stay
+		// secret: crypto/rand.
+		var coeffs io.Reader
+		if s.hosted == nil {
+			coeffs = core.SeededCoeffs(s.cfg.Seed, id)
+		}
 		m, err = core.NewNode(core.Config{
 			ID:        id,
 			Identity:  identity,
 			Endpoint:  ep,
 			IsSource:  id == SourceID,
 			Behavior:  s.cfg.PAGBehaviors[id],
-			CoeffRand: core.SeededCoeffs(s.cfg.Seed, id),
+			CoeffRand: coeffs,
 			Shared:    s.shared,
 			Verdicts:  func(v core.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})
 	case ProtocolAcTinG:
 		m, err = acting.NewNode(acting.Config{
-			ID:          id,
-			Suite:       s.suite,
-			Identity:    identity,
-			Directory:   s.dir,
-			Endpoint:    ep,
-			Sources:     sources,
-			Intern:      s.intern,
-			AuditPeriod: s.cfg.AuditPeriod,
-			Verdicts:    func(v acting.Verdict) { s.registry.Submit(v) },
-			OnDeliver:   player.OnDeliver,
+			ID:        id,
+			Suite:     s.suite,
+			Identity:  identity,
+			Directory: s.dir,
+			Endpoint:  ep,
+			Sources:   sources,
+			Intern:    s.intern,
+			Verdicts:  func(v acting.Verdict) { s.registry.Submit(v) },
+			OnDeliver: player.OnDeliver,
 		})
 	case ProtocolRAC:
 		m, err = rac.NewNode(rac.Config{
@@ -118,5 +152,13 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 	s.members[id] = m
 	s.players[id] = player
 	s.engine.Add(m)
+	if b != nil {
+		delete(s.standby, id)
+		b.node = m
+		for _, msg := range b.early {
+			m.HandleMessage(msg)
+		}
+		b.early = nil
+	}
 	return nil
 }

@@ -68,20 +68,25 @@ func (s *Session) markAt(r model.Round) epochMark {
 	}
 }
 
-// Join implements scenario.Applier: it mints an identity for the new
-// member (a fresh session-assigned id when id is NoNode), attaches a node
-// of the session's protocol, and opens a membership epoch at round r.
+// Join implements scenario.Applier: it derives the new member's identity
+// (a fresh session-assigned id when id is NoNode), attaches a node of the
+// session's protocol if this session hosts it, and opens a membership
+// epoch at round r.
 //
-// An id the punishment loop evicted may re-join — with a fresh identity,
-// like any joiner — once its quarantine expires; mid-quarantine attempts
-// are rejected (and counted as rejoin rejections). Other past members
-// stay barred for good: their keys left with them, so they re-enter under
-// a fresh id.
+// An id the punishment loop evicted may re-join once its quarantine
+// expires; mid-quarantine attempts are rejected (and counted as rejoin
+// rejections). Other past members stay barred for good: they re-enter
+// under a fresh id.
 func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 	if id == model.NoNode {
 		id = s.nextID
 	}
-	if _, was := s.players[id]; was {
+	// A joiner with no address would be a member nobody can reach; every
+	// process of a deployment shares the address book, so all refuse it.
+	if !s.net.Addressable(id) {
+		return model.NoNode, fmt.Errorf("pag: node %v has no address on the %s network", id, s.net.Name())
+	}
+	if s.everJoined(id) {
 		if !s.evicted[id] {
 			return model.NoNode, fmt.Errorf("pag: node %v was already a session member (rejoin under a fresh id instead)", id)
 		}
@@ -89,7 +94,7 @@ func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 			return model.NoNode, fmt.Errorf("pag: node %v is already a member", id)
 		}
 	}
-	identity, err := s.suite.NewIdentity(id)
+	identity, err := s.suite.NewDeterministicIdentity(id, s.cfg.Seed)
 	if err != nil {
 		return model.NoNode, fmt.Errorf("pag: identity for joiner %v: %w", id, err)
 	}
@@ -110,12 +115,14 @@ func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 	if s.evicted[id] {
 		s.net.Faults().SetNodeDown(id, false)
 	}
-	if err := s.addMember(id, identity); err != nil {
-		_ = s.dir.DropLastEpoch()
-		s.net.Unregister(id)
-		return model.NoNode, err
+	if s.hosts(id) {
+		if err := s.addMember(id, identity); err != nil {
+			_ = s.dir.DropLastEpoch()
+			s.net.Unregister(id)
+			return model.NoNode, err
+		}
 	}
-	s.joinedChunk[id] = s.source.Emitted()
+	s.joinedChunk[id] = s.Emitted()
 	// A re-admitted evictee is live again — and its one-time re-join
 	// credential is spent: if it departs again without a fresh eviction,
 	// it is barred for good like any other past member.
@@ -145,13 +152,20 @@ func (s *Session) Leave(r model.Round, id model.NodeID) error {
 	return nil
 }
 
+// everJoined reports whether id has been a member at any point of the run,
+// hosted here or not: a current member, or a departed one.
+func (s *Session) everJoined(id model.NodeID) bool {
+	_, gone := s.departed[id]
+	return gone || s.dir.Contains(id)
+}
+
 // depart takes a node out of the running session at round r, for every
-// way of leaving (graceful, crash, eviction). The engine stops stepping
-// it; the down flag drops anything already heading its way and
-// deregistering releases its endpoint — on a TCP transport that is a real
-// listener-and-connection teardown, on MemNet it makes later sends to the
-// id fail fast instead of being charged and fault-dropped. Traffic
-// counters survive either way. A PAG node, which carries a 24-round update
+// way of leaving (graceful, crash, eviction), hosted here or not. The
+// engine stops stepping it; the down flag drops anything already heading
+// its way and deregistering releases its endpoint — on a TCP transport
+// that is a real listener-and-connection teardown, on MemNet it makes
+// later sends to the id fail fast instead of being charged and
+// fault-dropped. Traffic counters survive either way. A PAG node, which carries a 24-round update
 // store and its monitors' bookkeeping, lets go of them: the session reads
 // nothing but counters from a departed node, and a long churn script
 // would otherwise keep the state of everyone who ever left.
@@ -231,23 +245,25 @@ func (s *Session) SetQueueCap(id model.NodeID, kbps, deadlineRounds int) {
 }
 
 // SetBehavior implements scenario.Applier: it maps the protocol-agnostic
-// profile onto the session protocol's deviation knobs.
+// profile onto the session protocol's deviation knobs. A node hosted
+// elsewhere is validated alike, so every session of a deployment journals
+// the same outcome, and only its own session flips it.
 func (s *Session) SetBehavior(id model.NodeID, profile scenario.BehaviorProfile) error {
 	if id == SourceID {
 		return fmt.Errorf("pag: the source is assumed correct (§III)")
 	}
-	m, ok := s.members[id]
-	if !ok {
+	if !s.everJoined(id) {
 		return fmt.Errorf("pag: no %v node %v", s.cfg.Protocol, id)
 	}
+	m := s.members[id] // nil when hosted elsewhere
 	known := false
-	switch n := m.(type) {
-	case *core.Node:
-		known = setProfile(n.SetBehavior, core.BehaviorForProfile, profile)
-	case *acting.Node:
-		known = setProfile(n.SetBehavior, acting.BehaviorForProfile, profile)
-	case *rac.Node:
-		known = setProfile(n.SetBehavior, rac.BehaviorForProfile, profile)
+	switch s.cfg.Protocol {
+	case ProtocolPAG:
+		known = setProfile(m, (*core.Node).SetBehavior, core.BehaviorForProfile, profile)
+	case ProtocolAcTinG:
+		known = setProfile(m, (*acting.Node).SetBehavior, acting.BehaviorForProfile, profile)
+	case ProtocolRAC:
+		known = setProfile(m, (*rac.Node).SetBehavior, rac.BehaviorForProfile, profile)
 	}
 	if !known {
 		return fmt.Errorf("pag: unknown behavior profile %q", profile)
@@ -255,12 +271,12 @@ func (s *Session) SetBehavior(id model.NodeID, profile scenario.BehaviorProfile)
 	return nil
 }
 
-// setProfile applies the protocol's behaviour for profile through set and
-// reports whether the protocol knows the profile.
-func setProfile[B any](set func(B), forProfile func(string) (B, bool), profile scenario.BehaviorProfile) bool {
+// setProfile applies the protocol's behaviour for profile to m when m is
+// one of its nodes, and reports whether the protocol knows the profile.
+func setProfile[N member, B any](m member, set func(N, B), forProfile func(string) (B, bool), profile scenario.BehaviorProfile) bool {
 	b, ok := forProfile(string(profile))
-	if ok {
-		set(b)
+	if n, hosted := m.(N); ok && hosted {
+		set(n, b)
 	}
 	return ok
 }
