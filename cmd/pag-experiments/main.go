@@ -14,9 +14,10 @@
 // proverif, all. table2 appends a measured continuity sweep (the queued
 // link model under the capacity-cliff scenario) to the paper's analytic
 // table; cliff is the full measured sweep across protocols. fig9 appends
-// the curve measured on one box (full sessions to N=16384, a sampled
-// cohort at N=131072), always at 60 kbps and 128 bits; the -nodes,
-// -stream, -rounds and -modulus flags do not reach those rows.
+// the curve measured on one box (full sessions to N=16384, then 64-node
+// sessions forced to the fanout and forwarding TTL of N=10^3…10^6),
+// always at 60 kbps and 128 bits; the -nodes, -stream, -rounds and
+// -modulus flags do not reach those rows.
 // -quick shrinks system sizes and rates for a fast pass.
 package main
 

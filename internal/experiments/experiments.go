@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -234,6 +235,7 @@ func Fig8(opt Options) (Result, error) {
 			PayloadKbps: o.StreamKbps,
 			UpdateBytes: size,
 			N:           1000,
+			Wire:        analytic.WireFor(o.ModulusBits),
 		})
 		fmt.Fprintf(&b, "%-16d %-16s %-16.0f\n", size, simVal, m)
 	}
@@ -242,8 +244,9 @@ func Fig8(opt Options) (Result, error) {
 
 // Fig9 regenerates the scalability curve: simulation at feasible sizes,
 // the analytic model up to a million nodes (as the paper did), then the
-// curve measured on one box — full-fidelity sessions to N=16384 and a
-// sampled cohort inside a modelled population of 131072.
+// curve measured on one box: full-fidelity sessions to N=16384, and the
+// per-node cost at the fanouts of N=10^3…10^6 from small sessions forced
+// to that fanout and forwarding TTL.
 func Fig9(opt Options) (Result, error) {
 	o := opt.withDefaults()
 	var b strings.Builder
@@ -270,7 +273,8 @@ func Fig9(opt Options) (Result, error) {
 		fmt.Fprintf(&b, "%-12d %-10d %-16.0f %-16.0f %-16.0f %-16.0f\n",
 			n, model.FanoutFor(n),
 			pagSess.BandwidthSample().Mean(),
-			analytic.PAGPerNodeKbps(analytic.Params{PayloadKbps: o.StreamKbps, N: n}),
+			analytic.PAGPerNodeKbps(analytic.Params{PayloadKbps: o.StreamKbps, N: n,
+				Wire: analytic.WireFor(o.ModulusBits)}),
 			actSess.BandwidthSample().Mean(),
 			analytic.ActingPerNodeKbps(analytic.Params{PayloadKbps: o.StreamKbps, N: n}))
 	}
@@ -283,19 +287,35 @@ func Fig9(opt Options) (Result, error) {
 	}
 
 	fmt.Fprintf(&b, "\nmeasured on one box, PAG at %d kbps with a %d-bit hash (fixed: the only setting\n"+
-		"ever measured; 512 bits at N=16384 does not fit one box); cohort rows run %d real\n"+
-		"nodes at the modelled N's fanout among lite stand-ins; B/node is post-GC live heap\n",
-		fig9Kbps, fig9ModulusBits, fig9CohortNodes)
+		"ever measured; 512 bits at N=16384 does not fit one box); B/node is post-GC live\n"+
+		"heap over the session's nodes\n", fig9Kbps, fig9ModulusBits)
 	fmt.Fprintf(&b, "%-8s %-10s %-14s %-14s %-10s %-10s %s\n",
 		"nodes", "mode", "measured kbps", "analytic kbps", "B/node", "rounds/s", "continuity")
-	points := []struct{ n, cohort int }{{1296, 0}, {4096, 0}, {16384, 0}, {131072, fig9CohortNodes}}
+	full, forced := []int{1296, 4096, 16384}, []int{3, 4, 5, 6}
 	if o.Quick {
-		points = []struct{ n, cohort int }{{128, 0}, {1296, fig9CohortNodes}}
+		full, forced = []int{128}, []int{3, 4}
 	}
-	for _, pt := range points {
-		if err := fig9Measured(&b, o, pt.n, pt.cohort); err != nil {
-			return Result{}, fmt.Errorf("experiments: fig9 measured N=%d: %w", pt.n, err)
+	for _, n := range full {
+		row, err := fig9Measured(o, n, n, model.FanoutFor(n))
+		if err != nil {
+			return Result{}, fmt.Errorf("experiments: fig9 measured N=%d: %w", n, err)
 		}
+		fmt.Fprintf(&b, "%-8d %-10s %s\n", n, "full", row)
+	}
+	// A node's cost depends on N only through f, f_m and the forwarding
+	// TTL, so a small session forced to the fanout and TTL of N prices a
+	// node of N (TestForcedFanoutPricesLargeN checks the premise).
+	fmt.Fprintf(&b, "\nper-node cost at fanout f (N = 10^k): %d-node sessions with Fanout = Monitors = f\n"+
+		"and TTL = ForwardingTTL(N, f), priced against the model at N\n", fig9ForcedNodes)
+	fmt.Fprintf(&b, "%-8s %-10s %-14s %-14s %-10s %-10s %s\n",
+		"fanout", "N", "measured kbps", "analytic kbps", "B/node", "rounds/s", "continuity")
+	for _, f := range forced {
+		n := int(math.Pow10(f))
+		row, err := fig9Measured(o, fig9ForcedNodes, n, f)
+		if err != nil {
+			return Result{}, fmt.Errorf("experiments: fig9 measured f=%d: %w", f, err)
+		}
+		fmt.Fprintf(&b, "%-8d 10^%-7d %s\n", f, f, row)
 	}
 	return Result{ID: "fig9", Title: "Scalability (bandwidth vs N)", Text: b.String()}, nil
 }
@@ -303,59 +323,44 @@ func Fig9(opt Options) (Result, error) {
 // The measured Fig 9 sweep's settings. The warm-up clears the playout
 // delay (model.PlayoutDelayRounds = 10) before the window opens. A full
 // round at N=16384 costs tens of seconds, so the full window is short; a
-// cohort round is cheap, so its window is wider.
+// forced row's round is cheap, so its window is wider.
 const (
 	fig9Kbps         = 60
 	fig9ModulusBits  = 128
-	fig9CohortNodes  = 64
+	fig9ForcedNodes  = 64
 	fig9Warmup       = 12
 	fig9FullRounds   = 3
-	fig9CohortRounds = 6
+	fig9ForcedRounds = 6
 )
 
-// fig9Measured runs one measured row of Fig 9 — a full-fidelity session
-// of n nodes, or with cohort > 0 a ScaleSession of that many real nodes
-// modelling n — and prints it: the measured per-node bandwidth (source
-// excluded) against the analytic prediction for n, the live heap the
-// session holds per modelled node, the measured rounds/s and continuity.
-func fig9Measured(b *strings.Builder, o Options, n, cohort int) error {
+// fig9Measured runs one measured row of Fig 9, a session of nodes members at
+// fanout f and the forwarding TTL of an n-node system (a forced row when
+// nodes < n, measured over the wider window), and formats it: the measured
+// per-node bandwidth (source excluded) against the analytic prediction for
+// n at f, the live heap per session node, the measured rounds/s and
+// continuity.
+func fig9Measured(o Options, nodes, n, f int) (string, error) {
+	ttl := model.ForwardingTTL(n, f)
+	rounds := fig9FullRounds
+	if nodes < n {
+		rounds = fig9ForcedRounds
+	}
 	base := liveHeap()
-	var (
-		s              *pag.Session
-		startMeasuring func()
-		measured       func() float64
-		predicted      float64
-		mode, rounds   = "full", fig9FullRounds
-	)
-	if cohort == 0 {
-		var err error
-		s, err = pag.NewSession(pag.SessionConfig{Nodes: n, StreamKbps: fig9Kbps,
-			ModulusBits: fig9ModulusBits, Seed: o.Seed, Workers: o.Workers})
-		if err != nil {
-			return err
-		}
-		startMeasuring = s.StartMeasuring
-		measured = func() float64 { return s.BandwidthSample().Mean() }
-		predicted = analytic.PAGPerNodeKbps(analytic.Params{PayloadKbps: fig9Kbps, N: n,
-			Wire: analytic.WireFor(fig9ModulusBits)})
-	} else {
-		ss, err := pag.NewScaleSession(pag.ScaleConfig{GlobalNodes: n, CohortNodes: cohort,
-			StreamKbps: fig9Kbps, ModulusBits: fig9ModulusBits, Seed: o.Seed, Workers: o.Workers})
-		if err != nil {
-			return err
-		}
-		s, startMeasuring, measured, predicted = ss.Session, ss.StartMeasuring, ss.CohortMeanKbps, ss.AnalyticKbps()
-		mode, rounds = fmt.Sprintf("cohort %d", cohort), fig9CohortRounds
+	s, err := pag.NewSession(pag.SessionConfig{Nodes: nodes, Fanout: f, Monitors: f, TTL: ttl,
+		StreamKbps: fig9Kbps, ModulusBits: fig9ModulusBits, Seed: o.Seed, Workers: o.Workers})
+	if err != nil {
+		return "", err
 	}
 	s.Run(fig9Warmup)
-	startMeasuring()
+	s.StartMeasuring()
 	start := time.Now()
 	s.Run(rounds)
 	perSec := float64(rounds) / time.Since(start).Seconds()
-	perNode := float64(liveHeap()-base) / float64(n)
-	fmt.Fprintf(b, "%-8d %-10s %-14.1f %-14.1f %-10.0f %-10.3f %.4f\n",
-		n, mode, measured(), predicted, perNode, perSec, s.MeanContinuity())
-	return nil
+	perNode := float64(liveHeap()-base) / float64(nodes)
+	predicted := analytic.PAGPerNodeKbps(analytic.Params{PayloadKbps: fig9Kbps, N: n, Fanout: f,
+		Monitors: f, TTLRounds: int(ttl), Wire: analytic.WireFor(fig9ModulusBits)})
+	return fmt.Sprintf("%-14.1f %-14.1f %-10.0f %-10.3f %.4f",
+		s.BandwidthSample().Mean(), predicted, perNode, perSec, s.MeanContinuity()), nil
 }
 
 // liveHeap returns the heap that survives a full collection.

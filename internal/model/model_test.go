@@ -148,6 +148,8 @@ func TestFanoutFor(t *testing.T) {
 		{10, 3},      // floor
 		{432, 3},     // deployment size, paper uses 3
 		{1000, 3},    // "3 when the system contains 1000 nodes"
+		{1999, 3},    // 1999 → 199 → 19 → 1: three divisions
+		{2000, 4},    // the smallest system at f = 4
 		{10000, 4},   // log10
 		{100000, 5},  // log10
 		{1000000, 6}, // log10: 2.5 Mbps point of Fig 9
@@ -167,6 +169,30 @@ func TestFanoutMonotonic(t *testing.T) {
 			t.Fatalf("FanoutFor not monotonic at n=%d", n)
 		}
 		prev = f
+	}
+}
+
+// TestSaturationRounds: the epidemic saturation depth is ⌈log_{f+1} N⌉, and
+// the forwarding TTL adds two rounds of slack, at least 4 and at most the
+// playout delay. The rows are Fig 9's full sessions, its forced-fanout
+// rows (N = 10^f) and the 64- and 432-node sessions of
+// TestForcedFanoutPricesLargeN.
+func TestSaturationRounds(t *testing.T) {
+	for _, tc := range []struct {
+		n, fanout, sat int
+		ttl            Round
+	}{
+		{64, 3, 3, 5}, {64, 4, 3, 5}, {432, 3, 5, 7}, {432, 4, 4, 6},
+		{1296, 3, 6, 8}, {4096, 4, 6, 8}, {16384, 4, 7, 9},
+		{1000, 3, 5, 7}, {10000, 4, 6, 8}, {100000, 5, 7, 9}, {1000000, 6, 8, 10},
+		{5, 3, 2, 4}, {1 << 30, 3, 15, PlayoutDelayRounds},
+	} {
+		if got := SaturationRounds(tc.n, tc.fanout); got != tc.sat {
+			t.Errorf("SaturationRounds(%d, %d) = %d, want %d", tc.n, tc.fanout, got, tc.sat)
+		}
+		if got := ForwardingTTL(tc.n, tc.fanout); got != tc.ttl {
+			t.Errorf("ForwardingTTL(%d, %d) = %d, want %d", tc.n, tc.fanout, got, tc.ttl)
+		}
 	}
 }
 

@@ -85,13 +85,6 @@ type QueueBacklog = transport.QueueBacklog
 type SessionConfig struct {
 	// Nodes is the system size, including the source (node 1).
 	Nodes int
-	// MemberIDs optionally names the members explicitly instead of the
-	// dense 1..Nodes numbering — the sampled-cohort scaling mode passes
-	// the rendezvous-selected cohort here so full-fidelity nodes keep
-	// their global identities. Must include SourceID (1) and, when
-	// Nodes is also set, agree with it on the count. Mid-run joiners
-	// are numbered from max(MemberIDs)+1.
-	MemberIDs []model.NodeID
 	// Protocol selects PAG (default), AcTinG or RAC.
 	Protocol Protocol
 	// StreamKbps is the source bitrate (default 300, the paper's Fig 7).
@@ -111,7 +104,10 @@ type SessionConfig struct {
 	// this expiration delay is up to the system designer"). It defaults
 	// to model.ForwardingTTL: saturation time plus two rounds of slack.
 	TTL model.Round
-	// Seed drives the membership assignment.
+	// Seed drives the membership assignment, every node's identity keys,
+	// the homomorphic hash modulus and the fault plane's decisions, so
+	// sessions over one roster with one seed agree on all of them; with
+	// every node hosted it also seeds the batch-verification coefficients.
 	Seed uint64
 	// MonitorRotationRounds re-draws every monitor set after this many
 	// rounds (0 keeps monitors static, the paper's setting). Rotation
@@ -178,9 +174,6 @@ type SessionConfig struct {
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Protocol == 0 {
 		c.Protocol = ProtocolPAG
-	}
-	if len(c.MemberIDs) > 0 && c.Nodes == 0 {
-		c.Nodes = len(c.MemberIDs)
 	}
 	if c.StreamKbps == 0 {
 		c.StreamKbps = 300
@@ -336,26 +329,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	ids := make([]model.NodeID, c.Nodes)
 	for i := range ids {
 		ids[i] = model.NodeID(i + 1)
-	}
-	if len(c.MemberIDs) > 0 {
-		if len(c.MemberIDs) != c.Nodes {
-			return nil, fmt.Errorf("pag: %d explicit member ids but Nodes=%d", len(c.MemberIDs), c.Nodes)
-		}
-		copy(ids, c.MemberIDs)
-		hasSource := false
-		var maxID model.NodeID
-		for _, id := range ids {
-			if id == SourceID {
-				hasSource = true
-			}
-			if id > maxID {
-				maxID = id
-			}
-		}
-		if !hasSource {
-			return nil, fmt.Errorf("pag: explicit member ids must include the source %v", SourceID)
-		}
-		s.nextID = maxID + 1
 	}
 	dir, err := membership.New(ids, membership.Config{
 		Seed:                  c.Seed,

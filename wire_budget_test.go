@@ -26,27 +26,29 @@ const wireBudgetFile = "testdata/wire_budget.txt"
 
 // kindBytesPerNodeRound runs a PAG session through warmup rounds and
 // returns what its nodes received over the next measure rounds, in bytes
-// per node per round by wire kind.
-func kindBytesPerNodeRound(t *testing.T, cfg SessionConfig, warmup, measure int) map[string]float64 {
+// per node per round by wire kind, and the session, measured over the same
+// window and closed when the test ends.
+func kindBytesPerNodeRound(t *testing.T, cfg SessionConfig, warmup, measure int) (map[string]float64, *Session) {
 	t.Helper()
 	cfg.Obs = obs.NewRegistry()
 	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	s.Run(warmup)
+	s.StartMeasuring()
 	before := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
 	s.Run(measure)
 	out := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
 	for kind, b := range out {
 		out[kind] = (b - before[kind]) / float64(cfg.Nodes*measure)
 	}
-	return out
+	return out, s
 }
 
 func TestWireBudget(t *testing.T) {
-	got := kindBytesPerNodeRound(t, SessionConfig{
+	got, _ := kindBytesPerNodeRound(t, SessionConfig{
 		Nodes: 16, StreamKbps: 60, ModulusBits: 256, Seed: 22,
 	}, 12, 8)
 	var b strings.Builder
@@ -100,7 +102,7 @@ func TestAnalyticMatchesCounters(t *testing.T) {
 		t.Skip("a 48-node session at 512 bits")
 	}
 	cfg := SessionConfig{Nodes: 48, StreamKbps: 300, ModulusBits: 512, Seed: 22, Workers: -1}.withDefaults()
-	got := kindBytesPerNodeRound(t, cfg, 12, 8)
+	got, _ := kindBytesPerNodeRound(t, cfg, 12, 8)
 	want := analytic.PAGKindBytes(analytic.Params{
 		PayloadKbps: cfg.StreamKbps * 1000 / 8 / cfg.UpdateBytes * cfg.UpdateBytes * 8 / 1000,
 		UpdateBytes: cfg.UpdateBytes,
