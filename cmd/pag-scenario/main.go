@@ -31,10 +31,12 @@
 // and slices one measurement epoch per capacity level.
 //
 // -net selects the transport: "mem" (default) runs the deterministic
-// in-memory network — byte-identical reports under a seed — while "tcp"
-// runs every node of the session over real loopback sockets with the same
-// fault plane applied on the wire path (statistically equivalent, not
-// byte-identical; the report's engine metadata records the transport).
+// in-memory network, while "tcp" runs every node of the session over real
+// loopback sockets with the same fault plane applied on the wire path.
+// Either gives the same report under a seed, scripted loss included (the
+// report's engine metadata records the transport); only wall-clock timing
+// differs, and under upload caps a queue may see a sender's sends in
+// wall-clock delivery order.
 //
 // -metrics serves the observability plane live while the run executes:
 // Prometheus text exposition on /metrics, a JSON snapshot on
@@ -172,8 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "tcp":
 		// Real loopback sockets: every node listens on an ephemeral
 		// 127.0.0.1 port (dynamic roster — churn joins register live
-		// endpoints mid-run). Sockets need the inline engine;
-		// determinism becomes statistical.
+		// endpoints mid-run). Sockets need the inline engine.
 		cfg.Workers = 0
 		cfg.NewNetwork = func() transport.FaultyNetwork {
 			tn := transport.NewTCPNet(nil)

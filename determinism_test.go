@@ -15,15 +15,17 @@ import (
 // its reference run — the same scenario and protocols at workers 0 with
 // the flyweight on — byte for byte: the stripped report JSON, Digest(), the
 // recorded report_digest and the deterministic obs snapshot. Neither the
-// worker count nor the flyweight representation may change an observable.
-// Loopback-socket rows are statistically, not byte-, equivalent to MemNet;
-// they compare against a socket reference, and by digest only.
+// worker count, the flyweight representation nor the transport may change
+// an observable: a loopback-socket row compares against the MemNet run,
+// scripted loss included, since the fault plane decides loss by the
+// message, not by the order in which a transport admits it.
 
 // detRow is one run of the harness.
 type detRow struct {
 	scenario    string
 	protocol    Protocol // 0: all three protocols in one report
-	tcp         bool     // over loopback TCP, compared by digest only
+	tcp         bool     // over loopback TCP
+	lossy       bool     // 5 % scripted loss from round 3
 	paper       bool     // 512-bit hash and a stream whose buffermaps split
 	workers     int
 	noFlyweight bool
@@ -34,6 +36,9 @@ func (r detRow) String() string {
 	s := r.scenario
 	if r.tcp {
 		s += "/tcp/" + r.protocol.String()
+	}
+	if r.lossy {
+		s += "/lossy"
 	}
 	if r.paper {
 		s += "/512-bit"
@@ -93,11 +98,26 @@ func flyweightTCPRows() []detRow {
 	return rows
 }
 
+// lossyTCPRows: every protocol over loopback TCP under scripted loss, on
+// a churning roster and across a partition, each against the MemNet run
+// of the same script — every lost attempt the plane retransmits must be
+// the one MemNet's canonical merge retransmits.
+func lossyTCPRows() []detRow {
+	var rows []detRow
+	for _, name := range []string{"steady-churn", "transient-partition"} {
+		for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG, ProtocolRAC} {
+			rows = append(rows, detRow{scenario: name, protocol: p, tcp: true, lossy: true, short: true})
+		}
+	}
+	return rows
+}
+
 // detRun is what the harness compares of one run.
 type detRun struct {
-	report ScenarioReport
-	json   []byte // the report without its engine metadata
-	obs    string // the deterministic obs snapshot
+	report        ScenarioReport
+	json          []byte // the report without its engine metadata
+	obs           string // the deterministic obs snapshot
+	retransmitted float64
 }
 
 // strippedJSON renders a report without its engine metadata — the
@@ -119,6 +139,9 @@ func runDeterminism(t *testing.T, r detRow) detRun {
 		t.Fatal(err)
 	}
 	sc.Seed = 7
+	if r.lossy {
+		sc.Events = append(sc.Events, scenario.Event{Round: 3, Action: scenario.ActionSetLoss, Rate: 0.05})
+	}
 	cfg := SessionConfig{Nodes: nodes, StreamKbps: 2, UpdateBytes: 64, ModulusBits: 128, Seed: 7}
 	if r.tcp {
 		cfg = tcpSessionConfig(nodes)
@@ -138,7 +161,9 @@ func runDeterminism(t *testing.T, r detRow) detRun {
 	if rep.Engine == nil || rep.Engine.Workers != max(r.workers, 1) {
 		t.Fatalf("%v: engine metadata %+v", r, rep.Engine)
 	}
-	return detRun{report: rep, json: strippedJSON(rep), obs: cfg.Obs.Snapshot().DeterministicText()}
+	snap := cfg.Obs.Snapshot()
+	return detRun{report: rep, json: strippedJSON(rep), obs: snap.DeterministicText(),
+		retransmitted: snap.Total("pag_net_retransmitted_total")}
 }
 
 func TestEngineEquivalenceAllScenarios(t *testing.T) { checkDeterminism(t, engineRows()) }
@@ -146,6 +171,7 @@ func TestFlyweightAblationEquivalence(t *testing.T)  { checkDeterminism(t, flywe
 func TestFlyweightAblationEquivalenceTCP(t *testing.T) {
 	checkDeterminism(t, flyweightTCPRows())
 }
+func TestTCPLossyRunsMatchMemNet(t *testing.T) { checkDeterminism(t, lossyTCPRows()) }
 
 // TestPaperWidthEquivalence runs paperRows with at least two Ps, the
 // fewest at which a batch splits.
@@ -165,18 +191,18 @@ func checkDeterminism(t *testing.T, rows []detRow) {
 			continue
 		}
 		t.Run(row.String(), func(t *testing.T) {
-			key := detRow{scenario: row.scenario, protocol: row.protocol, tcp: row.tcp, paper: row.paper}
+			key := detRow{scenario: row.scenario, protocol: row.protocol, lossy: row.lossy, paper: row.paper}
 			want, ok := refs[key]
 			if !ok {
 				want = runDeterminism(t, key)
 				refs[key] = want
 			}
+			if row.lossy && want.retransmitted == 0 {
+				t.Fatal("the reference run retransmitted nothing; the lossy row would be vacuous")
+			}
 			got := runDeterminism(t, row)
 			if got.report.Digest() != want.report.Digest() {
 				t.Errorf("digest %s, want %s", got.report.Digest(), want.report.Digest())
-			}
-			if row.tcp {
-				return
 			}
 			if !bytes.Equal(got.json, want.json) {
 				t.Errorf("report differs from the reference run\nwant: %.400s\ngot:  %.400s", want.json, got.json)

@@ -232,8 +232,8 @@ func ForwardingTTL(n, fanout int) Round {
 }
 
 // SplitMix64 is the reproduction's shared deterministic PRNG (splitmix64):
-// tiny, fast and platform-stable, so membership assignments, scenario
-// expansion and network fault decisions replay identically everywhere.
+// tiny, fast and platform-stable, so membership assignments and scenario
+// expansion replay identically everywhere.
 type SplitMix64 struct{ State uint64 }
 
 // Next returns the next value of the stream.
@@ -258,7 +258,8 @@ func (s *SplitMix64) Read(p []byte) (int, error) {
 }
 
 // Hash64 is the splitmix64 scrambling step on its own — a stateless
-// 64-bit mixer for rendezvous scores and seed derivation.
+// 64-bit mixer for rendezvous scores, seed derivation and the fault
+// plane's per-message loss decisions.
 func Hash64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB

@@ -12,9 +12,10 @@ import (
 // conditions a scenario drives — message loss, partitions that open and
 // heal, per-node down flags and per-round upload caps — factored out of
 // MemNet so that every Network implementation can apply the same surface.
-// MemNet consults it at its canonical merge point (preserving sharded
-// rounds' byte-identical guarantee); TCPNet consults it on the wire path,
-// at send and receive.
+// MemNet consults it at its merge point, TCPNet on the wire path, at send
+// and receive; every decision it makes is a function of the message and the
+// round, never of the order in which the transport admits messages, so one
+// scripted run gives one report on either network.
 //
 // The plane also keeps the one per-node traffic ledger every bandwidth
 // number is read from. It charges beside the decision that sets the
@@ -34,6 +35,14 @@ import (
 // receiver is charged once. Only a message lost maxAttempts times in a
 // row is dropped.
 //
+// Attempt k of a message is lost iff a hash of (seed, plane round, from,
+// to, kind, wire size, nth, k) falls below the loss rate, where nth counts
+// the round's earlier messages with the same (from, to, kind, size).
+// Messages sharing a key share a size, and loss only changes how many
+// copies are charged, so a round's charges depend on the set of messages
+// it admitted, not their order. The payload stays out of the key: runs of
+// one session over sockets may carry different bytes of equal length.
+//
 // # The link model
 //
 // Upload caps are a queued link model, not a drop filter: a constrained
@@ -43,7 +52,8 @@ import (
 // still queued — FIFO pacing admits nothing out of order) is deferred: it
 // waits in the queue and is released in subsequent rounds at the cap
 // rate, by the drain step the transports run at every round boundary
-// (BeginRound). A queued message whose age exceeds the configured
+// (BeginRound), and leave ahead of the round's fresh sends. A queued
+// message whose age exceeds the configured
 // deadline (the §V-D playout window: content this stale is useless to the
 // receiver) is expired — dropped and counted separately from dead-link
 // drops, so reports can tell queue pressure from a broken network.
@@ -84,21 +94,16 @@ type queuedMsg struct {
 
 // FaultPlane owns the scripted network conditions, their accounting and
 // the per-node traffic ledger.
-// All zero-valued knobs describe a perfect network. Every draw comes from
-// one seeded PRNG, so a run that consults the plane in a deterministic
-// message order (MemNet's canonical merge) replays byte-identically under
-// the same seed; a transport that consults it in wall-clock order (TCPNet)
-// is statistically equivalent instead. The queue machinery itself never
-// touches the PRNG: deferral and expiry are pure functions of byte
-// budgets and round ages, so the Deferred/CapExpired counters agree
-// exactly across transports for the same per-sender send sequence (while
-// no loss is scripted — retransmissions spend budget too).
+// All zero-valued knobs describe a perfect network. Loss is a function of
+// the message and the seed, deferral and expiry of byte budgets and round
+// ages, so for the same per-sender send sequences every transport gets the
+// same counters and ledger.
 //
 // A FaultPlane is safe for concurrent use; each Network owns exactly one
 // (shared access via Faults()).
 type FaultPlane struct {
 	mu        sync.Mutex
-	rng       model.SplitMix64
+	seed      uint64
 	drop      DropFunc
 	lossRate  float64
 	partition map[model.NodeID]int // node → group; nil when healed
@@ -120,6 +125,14 @@ type FaultPlane struct {
 	round    uint64
 	deadline int
 
+	// released holds the backlog BeginRound released until a transport
+	// takes it (takeReleased).
+	released []Message
+
+	// nth counts this round's messages per loss key, while loss is
+	// scripted: a message's count when it is admitted is its nth.
+	nth map[lossKey]uint64
+
 	dropped       uint64
 	deferred      uint64
 	expired       uint64
@@ -134,9 +147,17 @@ type FaultPlane struct {
 	o planeObs
 }
 
+// lossKey is the part of a message its loss decision reads; the seed, the
+// round, the message's nth and the attempt make up the rest.
+type lossKey struct {
+	from, to model.NodeID
+	kind     uint8
+	size     uint64
+}
+
 // planeObs holds the fault plane's observability instruments. All are
 // ClassDet: admission outcomes are pure functions of budgets, ages and
-// the seeded PRNG, never of scheduling.
+// the messages themselves, never of scheduling.
 type planeObs struct {
 	admitted      *obs.Counter
 	dropped       *obs.Counter
@@ -148,19 +169,19 @@ type planeObs struct {
 	trace         *obs.Tracer
 }
 
-// faultSeedMix is the PRNG whitening constant shared by seeded and default
-// initialisation, so SetSeed(0) reproduces the default plane.
-const faultSeedMix = 0x9E3779B97F4A7C15
+// lossHashMix is the golden-ratio increment of the loss hash, splitmix64's,
+// added at every mixing step so an all-zero key does not hash to zero.
+const lossHashMix = 0x9E3779B97F4A7C15
 
 // NewFaultPlane creates a fault plane describing a perfect network.
 func NewFaultPlane() *FaultPlane {
 	return &FaultPlane{
-		rng:      model.SplitMix64{State: faultSeedMix},
 		down:     make(map[model.NodeID]bool),
 		caps:     make(map[model.NodeID]uint64),
 		spent:    make(map[model.NodeID]uint64),
 		traffic:  make(map[model.NodeID]*Traffic),
 		queues:   make(map[model.NodeID][]queuedMsg),
+		nth:      make(map[lossKey]uint64),
 		deadline: DefaultQueueDeadlineRounds,
 	}
 }
@@ -185,12 +206,12 @@ func (p *FaultPlane) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// SetSeed re-seeds the plane's PRNG; runs with the same seed and the same
-// admission sequence replay identically.
+// SetSeed sets the seed of the loss hash; runs with the same seed lose the
+// same attempts of the same messages.
 func (p *FaultPlane) SetSeed(seed uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rng = model.SplitMix64{State: seed ^ faultSeedMix}
+	p.seed = seed
 }
 
 // SetDropFunc installs a fault-injection predicate (nil to clear). Dropped
@@ -291,22 +312,23 @@ func (p *FaultPlane) SetQueueDeadline(rounds int) {
 }
 
 // BeginRound opens a round at the link model: it expires over-age queued
-// messages, resets the per-round upload budgets, and releases as much of
-// each node's backlog as the fresh budget allows — in deterministic order
-// (ascending node id, FIFO within a node), so the release sequence is
-// independent of scheduling. The round driver calls it at the top of
-// every round and must hand the returned messages to its delivery path:
-// they have passed the cap (their budget is charged) but not the rest of
-// the plane — run each through AdmitReleased before delivering.
-func (p *FaultPlane) BeginRound() (released []Message) {
+// messages, resets the per-round upload budgets and loss counts, and
+// releases as much of each node's backlog as the fresh budget allows, in
+// ascending node id order, FIFO within a node. The released messages have
+// passed the cap (their first attempt's budget is spent) but not the rest
+// of the plane: the plane holds them until a transport takes them
+// (takeReleased).
+func (p *FaultPlane) BeginRound() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.round++
 	p.spent = make(map[model.NodeID]uint64, len(p.spent))
+	clear(p.nth)
 	if len(p.queues) == 0 {
 		p.o.depth.Set(0)
-		return nil
+		return
 	}
+	released := 0
 	ids := make([]model.NodeID, 0, len(p.queues))
 	for id := range p.queues {
 		ids = append(ids, id)
@@ -351,7 +373,8 @@ func (p *FaultPlane) BeginRound() (released []Message) {
 				break
 			}
 			p.spent[id] += size
-			released = append(released, q[i].msg)
+			p.released = append(p.released, q[i].msg)
+			released++
 		}
 		if rest := q[i:]; len(rest) == 0 {
 			delete(p.queues, id)
@@ -359,17 +382,41 @@ func (p *FaultPlane) BeginRound() (released []Message) {
 			p.queues[id] = rest
 		}
 	}
-	p.o.released.Add(uint64(len(released)))
+	p.o.released.Add(uint64(released))
 	depth := 0
 	for _, q := range p.queues {
 		depth += len(q)
 	}
 	p.o.depth.Set(int64(depth))
-	if p.o.trace != nil && (len(released) > 0 || depth > 0) {
+	if p.o.trace != nil && (released > 0 || depth > 0) {
 		p.o.trace.Emit("net_release", obs.F("round", p.round),
-			obs.F("released", len(released)), obs.F("backlog", depth))
+			obs.F("released", released), obs.F("backlog", depth))
 	}
-	return released
+}
+
+// admission is a message that passed the plane, with the copies it charged.
+type admission struct {
+	msg    Message
+	copies int
+}
+
+// takeReleased hands over the backlog BeginRound released, once — MemNet
+// takes it at its next merge, TCPNet at the round's first Send or drain,
+// so both charge it after the round-top hooks. It runs each message
+// through the post-cap half of the plane and returns those that passed,
+// in release order, to be sent ahead of the round's fresh traffic.
+func (p *FaultPlane) takeReleased() []admission {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var passed []admission
+	for _, msg := range p.released {
+		if o, copies := p.admitPostCap(msg, uint64(msg.WireSize())); o == OutcomePass {
+			passed = append(passed, admission{msg, copies})
+		}
+	}
+	clear(p.released)
+	p.released = p.released[:0]
+	return passed
 }
 
 // Dropped returns how many messages the fault plane (drop predicate,
@@ -474,8 +521,7 @@ func (p *FaultPlane) Admit(msg Message) (Outcome, int) {
 	// same oversized-frame rule the release loop applies, so a message
 	// can never be too big to ever leave the NIC. A down sender skips
 	// these gates: its NIC is dead, so nothing defers on its behalf, and
-	// the post-cap half drops the message as a dead link (charged, no PRNG
-	// draw).
+	// the post-cap half drops the message as a dead link (charged).
 	limit, capped := p.caps[msg.From]
 	if !p.down[msg.From] && (len(p.queues[msg.From]) > 0 ||
 		capped && p.spent[msg.From] > 0 && p.spent[msg.From]+size > limit) {
@@ -499,30 +545,21 @@ func (p *FaultPlane) enqueue(msg Message) {
 	}
 }
 
-// AdmitReleased runs a queue-released message through the post-cap half of
-// the plane and returns what Admit returns, never OutcomeQueued. BeginRound
-// already spent the first attempt's budget; the traffic is charged here,
-// the round the bytes leave the NIC. Transports must call it in the
-// release order BeginRound returned, so the PRNG draws stay in the
-// deterministic sequence MemNet's byte-identity requires.
-func (p *FaultPlane) AdmitReleased(msg Message) (Outcome, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.admitPostCap(msg, uint64(msg.WireSize()))
-}
-
 // admitPostCap is the post-cap half of the plane, with p.mu held and the
 // first attempt already spent from the sender's budget: the drop
-// predicate, then dead links, in that fixed order, then scripted loss —
-// the order every PRNG draw depends on. Each lost attempt is spent from
-// the budget and retried, up to maxAttempts in all. Every outcome it
-// returns left the NIC, so the sender is charged copies × size on each.
+// predicate, then dead links, then scripted loss. Each lost attempt is
+// spent from the budget and retried, up to maxAttempts in all. Every
+// outcome it returns left the NIC, so the sender is charged copies × size
+// on each.
 func (p *FaultPlane) admitPostCap(msg Message, size uint64) (Outcome, int) {
 	outcome, copies := OutcomePass, 1
 	if (p.drop != nil && p.drop(msg)) || p.linkDead(msg) {
 		outcome = OutcomeDropped
-	} else {
-		for p.lossRate > 0 && p.rng.Float() < p.lossRate {
+	} else if p.lossRate > 0 {
+		key := lossKey{msg.From, msg.To, msg.Kind, size}
+		nth := p.nth[key]
+		p.nth[key]++
+		for p.lost(key, nth, copies) {
 			if copies == maxAttempts {
 				outcome = OutcomeDropped
 				break
@@ -545,6 +582,17 @@ func (p *FaultPlane) admitPostCap(msg Message, size uint64) (Outcome, int) {
 	return outcome, copies
 }
 
+// lost reports, with p.mu held, whether attempt k (from 1) of the round's
+// nth message with this loss key is lost: whether the seed, the plane
+// round, the key, nth and k hash below the loss rate.
+func (p *FaultPlane) lost(key lossKey, nth uint64, k int) bool {
+	h := p.seed
+	for _, v := range [...]uint64{p.round, uint64(key.from), uint64(key.to), uint64(key.kind), key.size, nth, uint64(k)} {
+		h = model.Hash64((h ^ v) + lossHashMix)
+	}
+	return float64(h>>11)/(1<<53) < p.lossRate
+}
+
 // account returns id's ledger entry, creating it, with p.mu held.
 func (p *FaultPlane) account(id model.NodeID) *Traffic {
 	tr := p.traffic[id]
@@ -565,9 +613,9 @@ func (p *FaultPlane) linkDead(msg Message) bool {
 // Arrive is the receive side of an admitted message: it rechecks the link
 // — a message admitted at send time but arriving after its link
 // partitioned or either end went down is discarded and counted here — and
-// otherwise charges the receiver once and reports true. It never consults
-// the PRNG — loss is decided exactly once, at admission — so send-side and
-// receive-side application cannot double-roll a message. A destination
+// otherwise charges the receiver once and reports true. It never decides
+// loss — that happens exactly once, at admission — so send-side and
+// receive-side application cannot lose a message twice. A destination
 // that unregistered while the message travelled is still charged: the
 // bytes reached its NIC.
 func (p *FaultPlane) Arrive(msg Message) bool {
@@ -586,9 +634,7 @@ func (p *FaultPlane) Arrive(msg Message) bool {
 
 // refund returns an admitted send that never left the NIC — a TCP dial or
 // write failure after admission — to the sender: copies × size bytes of
-// traffic and of round budget, every copy admission charged. The PRNG
-// draw is not (and cannot be) undone; faulty TCP runs are statistical,
-// never byte-replayed.
+// traffic and of round budget, every copy admission charged.
 func (p *FaultPlane) refund(id model.NodeID, copies int, size uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -59,6 +59,60 @@ func TestLossRateDeterministic(t *testing.T) {
 	}
 }
 
+// TestLossIndependentOfAdmissionOrder: loss is decided by the message, so
+// one round's messages admitted in two different sender orders — what two
+// transports, or two runs over sockets, may do — cost the same
+// retransmissions and leave the same ledger. The set repeats messages
+// with equal (from, to, kind, size), whose fates are told apart only by
+// how many of them came first.
+func TestLossIndependentOfAdmissionOrder(t *testing.T) {
+	const nodes = 5
+	// bySender[i] is node i+1's send sequence.
+	bySender := make([][]Message, nodes)
+	for from := model.NodeID(1); from <= nodes; from++ {
+		for to := model.NodeID(1); to <= nodes; to++ {
+			if from == to {
+				continue
+			}
+			for k := 0; k < 12; k++ {
+				bySender[from-1] = append(bySender[from-1], Message{From: from, To: to,
+					Kind: uint8(1 + k%3), Payload: make([]byte, 8*(k%4))})
+			}
+		}
+	}
+	admit := func(descending bool) *FaultPlane {
+		p := NewFaultPlane()
+		p.SetSeed(11)
+		p.SetLossRate(0.3)
+		for round := 0; round < 3; round++ {
+			p.BeginRound()
+			for i := range bySender {
+				if descending {
+					i = nodes - 1 - i
+				}
+				for _, m := range bySender[i] {
+					if o, _ := p.Admit(m); o == OutcomePass {
+						p.Arrive(m)
+					}
+				}
+			}
+		}
+		return p
+	}
+	up, down := admit(false), admit(true)
+	if up.Retransmitted() == 0 {
+		t.Fatal("30% loss retransmitted nothing")
+	}
+	if up.Retransmitted() != down.Retransmitted() {
+		t.Errorf("retransmitted %d in ascending sender order, %d in descending", up.Retransmitted(), down.Retransmitted())
+	}
+	for id := model.NodeID(1); id <= nodes; id++ {
+		if a, b := up.TrafficOf(id), down.TrafficOf(id); a != b {
+			t.Errorf("node %v: ledger %+v in ascending sender order, %+v in descending", id, a, b)
+		}
+	}
+}
+
 func TestPartitionAndHeal(t *testing.T) {
 	net, eps, got := faultNet(t, 4)
 	// {1,2} vs implicit {3,4}.
@@ -334,9 +388,8 @@ func TestQueueDeadlineExpires(t *testing.T) {
 
 func TestQueuedRunDeterministic(t *testing.T) {
 	// A capped, lossy run replays its deferral/expiry/drop/retransmit
-	// counters and deliveries exactly under the same seed — the queue
-	// machinery never consumes PRNG draws, and the release order is
-	// canonical.
+	// counters and deliveries exactly under the same seed — loss is a
+	// function of the message, and the release order is canonical.
 	run := func() (delivered int, deferred, expired, dropped, retransmitted uint64) {
 		net, eps, got := faultNet(t, 3)
 		net.Faults().SetSeed(77)

@@ -19,22 +19,22 @@ import (
 // and kept open. It backs the cluster-deployment analogue of the paper's
 // Grid'5000 experiment (48 machines × 9 instances, §VII-A).
 //
-// Since the fault-plane extraction, TCPNet carries the same scripted
-// fault surface as MemNet — loss, partitions, down nodes, queued upload
-// caps — applied on the wire path: the full admission pipeline runs at
+// TCPNet carries the same scripted fault surface as MemNet — loss,
+// partitions, down nodes, queued upload caps — through the same
+// FaultPlane, applied on the wire path: the full admission pipeline runs at
 // send time (a dropped message never reaches the socket; an over-budget
-// one waits in the plane's link queue instead), the round-boundary drain
-// (BeginRound) writes released backlog to the sockets before the round's
-// fresh traffic, and a stateless down/partition recheck runs at receive
-// time for messages that were in flight when the condition changed. The
-// PRNG is consulted once per message, at admission, in wall-clock send
-// order — so a faulty TCP run is statistically equivalent to the MemNet
-// run of the same script, not byte-identical (MemNet's canonical merge
-// order is what buys bytes). The queue machinery never rolls the PRNG,
-// which is why the Deferred/CapExpired counters agree exactly across the
-// two transports for the same per-sender send sequence. Write batching
-// does not move the admission point: Admit still runs inside Send, in
-// send order — only the syscall is deferred to the phase flush.
+// one waits in the plane's link queue instead), the backlog the plane
+// released at the round top is written at the round's first Send or
+// drain, ahead of the round's fresh traffic, and a stateless
+// down/partition recheck runs at receive time for messages that were in
+// flight when the condition changed. Every plane decision is a function of
+// the message, not of the wall-clock order in which TCPNet admits it, so a
+// scripted TCP run — lossy or not — reports what the MemNet run of the
+// same script reports. What stays outside that contract is timing:
+// wall-clock fields, and the per-sender send order a capped queue sees
+// when deliveries inside a phase arrive in a different order. Write
+// batching does not move the admission point: Admit still runs inside
+// Send — only the syscall is deferred to the phase flush.
 //
 // Traffic accounting is MemNet's, kept by the same fault plane: every
 // message is charged Message.WireSize() (HeaderBytes framing, not the raw
@@ -45,11 +45,10 @@ import (
 // # Batched I/O
 //
 // Outbound frames coalesce in per-connection writers (batch.go) and leave
-// in one vectored write per destination per phase: BeginRound flushes
-// after the backlog drain, DeliverAll and DeliverUntil flush at the top of
-// every pass. A writer holds the payload slices Send was given until then,
-// copying none. Multiple pending frames travel as a single jumbo frame the
-// receiver unpacks transparently. The receive side slices payloads
+// in one vectored write per destination per phase: DeliverAll and
+// DeliverUntil flush at the top of every pass. A writer holds the payload
+// slices Send was given until then, copying none. Multiple pending frames
+// travel as a single jumbo frame the receiver unpacks transparently. The receive side slices payloads
 // zero-copy out of pooled ref-counted arenas (wire.Arena, frame.go): one
 // read syscall drains everything the kernel buffered, and an arena is
 // recycled once the delivery wave has handled the last payload read into
@@ -133,45 +132,27 @@ func (t *TCPNet) IOStats() IOStats { return t.io.snapshot() }
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
-// and releases the backlog the fresh budgets allow; the released messages
-// are enqueued to the sockets here, ahead of the round's fresh traffic
-// (FIFO pacing at the NIC), and flushed once per destination at the end
-// of the drain.
-func (t *TCPNet) BeginRound() {
-	released := t.faults.BeginRound()
-	if len(released) == 0 {
-		return
-	}
-	// One roster snapshot serves the whole drain: the stepped contract
-	// runs BeginRound between rounds, so registrations cannot legitimately
-	// move under it, and a pressured release is hundreds of messages.
-	t.mu.Lock()
-	senders := make(map[model.NodeID]bool, len(t.nodes))
-	for id := range t.nodes {
-		senders[id] = true
-	}
-	t.mu.Unlock()
-	for _, msg := range released {
-		// Post-cap admission runs in release order — the same
-		// deterministic sequence MemNet replays at its merge — and it
-		// runs even for a sender that deregistered while its backlog
-		// waited, so the two transports' drop accounting stays aligned
-		// (a session takes a node off the wire by also marking it down,
-		// which is a plane drop on both). A message that would still
-		// pass but whose NIC is gone is the one case the wire cannot
-		// mirror MemNet's surviving-endpoint delivery: it is treated as
-		// a write failure — budget and charge refunded.
-		outcome, copies := t.faults.AdmitReleased(msg)
-		if outcome != OutcomePass {
+// and releases the backlog the fresh budgets allow, which the round's
+// first Send or drain writes (sendReleased).
+func (t *TCPNet) BeginRound() { t.faults.BeginRound() }
+
+// sendReleased enqueues the backlog the plane released at the round top,
+// ahead of whatever the caller sends next; it is a no-op once the round's
+// burst has been taken. A passed message whose sender has deregistered
+// meanwhile is the one case the wire cannot mirror MemNet's
+// surviving-endpoint delivery: it is treated as a write failure — budget
+// and charge refunded.
+func (t *TCPNet) sendReleased() {
+	for _, a := range t.faults.takeReleased() {
+		t.mu.Lock()
+		_, up := t.nodes[a.msg.From]
+		t.mu.Unlock()
+		if !up {
+			t.faults.refund(a.msg.From, a.copies, uint64(a.msg.WireSize()))
 			continue
 		}
-		if !senders[msg.From] {
-			t.faults.refund(msg.From, copies, uint64(msg.WireSize()))
-			continue
-		}
-		_ = t.sendFrame(msg, copies)
+		_ = t.sendFrame(a.msg, a.copies)
 	}
-	t.FlushAll()
 }
 
 // SetDynamic enables the dynamic roster: Register for an id with no book
@@ -334,7 +315,7 @@ func (t *TCPNet) sendFrame(msg Message, copies int) error {
 
 // FlushAll pushes every connection's pending frames onto the wire — one
 // vectored write per destination with frames pending; idle connections
-// are not touched. BeginRound, DeliverAll and DeliverUntil call it.
+// are not touched. DeliverAll and DeliverUntil call it.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }
 
 // defaultQuiesce bounds one DeliverAll wait when SetStepped was not given
@@ -419,14 +400,16 @@ func (t *TCPNet) DeliverUntil(deadline time.Time) int {
 }
 
 // pump is the drain loop behind DeliverAll and DeliverUntil. Each pass
-// pushes anything batched (a phase's sends, or a cascade's) onto the wire
-// and drains the inbox; when a pass finds the inbox empty, idle decides
-// whether to stop — it may block until something can have changed — and
-// is told whether any pass since its last call drained messages.
+// pushes anything batched (a released backlog, a phase's sends, or a
+// cascade's) onto the wire and drains the inbox; when a pass finds the
+// inbox empty, idle decides whether to stop — it may block until something
+// can have changed — and is told whether any pass since its last call
+// drained messages.
 func (t *TCPNet) pump(idle func(drained bool) (stop bool)) int {
 	start := t.delivered.Load()
 	drained := false
 	for {
+		t.sendReleased()
 		t.FlushAll()
 		if t.drainInbox() {
 			drained = true
@@ -517,8 +500,9 @@ func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 // a later round's budget releases it onto the wire), a dropped one is
 // charged to the sender only, and every retransmission of a lost attempt
 // is charged to the sender too — exactly MemNet's accounting, applied at
-// the NIC instead of the merge point. Admission runs here, in send order,
-// regardless of when the batched frame's syscall happens.
+// the NIC instead of the merge point. Admission runs here, regardless of
+// when the batched frame's syscall happens, behind the round's released
+// backlog.
 func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.mu.Lock()
 	_, known := e.net.book[to]
@@ -527,6 +511,7 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
 
+	e.net.sendReleased()
 	msg := Message{From: e.id, To: to, Kind: kind, Payload: payload}
 	outcome, copies := e.net.faults.Admit(msg)
 	if outcome != OutcomePass {
@@ -608,8 +593,8 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 // queued message retains until drainInbox has handled it.
 func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
 	// A frame that was in flight when its link partitioned or an end went
-	// down is lost here (counted once — admission passed it, so no PRNG
-	// draw); any other is charged to its receiver.
+	// down is lost here (counted once — admission passed it); any other is
+	// charged to its receiver.
 	if !e.net.faults.Arrive(msg) {
 		e.net.inflight.Add(-1)
 		return

@@ -9,26 +9,26 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
-// These tests are the fault-parity gate for the extracted fault plane:
-// the same scripted timeline driven through MemNet (merge-point
-// application) and TCPNet (wire-path application) must produce matching
-// drop/cap counters — exactly matching where the script is deterministic
-// (partitions, caps, down nodes), within statistical tolerance where the
-// PRNG is involved (retransmitted loss) — plus race coverage for the
-// dynamic roster.
+// These tests are the fault-parity gate for the fault plane: the same
+// scripted timeline driven through MemNet (merge-point application) and
+// TCPNet (wire-path application) must produce exactly the same
+// retransmit, drop and cap counters, deterministic obs snapshot, traffic
+// ledger and deliveries — loss included, since it is decided by the
+// message — plus race coverage for the dynamic roster.
 
 // faultScript drives one scripted fault timeline over any FaultyNetwork:
-// four nodes, clean rounds, a lossy phase, a partition phase, a capped
-// phase (link queue builds up), a queue-expiry phase and a down phase
-// that also drains the backlog, sending a fixed pattern in ascending
-// sender order (so a transport that admits at send time consults the PRNG
-// in the same order as MemNet's canonical merge). It returns per-node
+// four nodes, clean rounds, a lossy phase at lossRate (skipped at 0), a
+// partition phase, a capped phase (link queue builds up), a queue-expiry
+// phase and a down phase that also drains the backlog, sending a fixed
+// pattern, with the plane instrumented into reg. It returns per-node
 // delivery counts.
-func faultScript(t *testing.T, nw FaultyNetwork, msgsPerPair int) []int {
+func faultScript(t *testing.T, nw FaultyNetwork, reg *obs.Registry, msgsPerPair int, lossRate float64) []int {
 	t.Helper()
 	const nodes = 4
+	nw.Faults().Instrument(reg, nil)
 	got := make([]int, nodes+1)
 	var mu sync.Mutex
 	eps := make([]Endpoint, nodes+1)
@@ -70,11 +70,13 @@ func faultScript(t *testing.T, nw FaultyNetwork, msgsPerPair int) []int {
 	round()
 	round()
 	// Lossy phase.
-	nw.Faults().SetLossRate(0.4)
-	for i := 0; i < 4; i++ {
-		round()
+	if lossRate > 0 {
+		nw.Faults().SetLossRate(lossRate)
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		nw.Faults().SetLossRate(0)
 	}
-	nw.Faults().SetLossRate(0)
 	// Partition phase: {1,2} vs implicit {3,4}.
 	nw.Faults().SetPartition([]model.NodeID{1, 2})
 	round()
@@ -97,43 +99,38 @@ func faultScript(t *testing.T, nw FaultyNetwork, msgsPerPair int) []int {
 	return got
 }
 
-func TestTCPFaultCountersMatchMemNet(t *testing.T) {
-	const msgsPerPair = 10
+// runFaultScript runs faultScript once on a MemNet and once on a stepped
+// dynamic-roster TCPNet and returns both networks, their obs registries and
+// their per-node delivery counts.
+func runFaultScript(t *testing.T, msgsPerPair int, lossRate float64) (mem *MemNet, tn *TCPNet, memReg, tcpReg *obs.Registry, memGot, tcpGot []int) {
+	t.Helper()
+	memReg = obs.NewRegistry()
+	mem = NewMemNet()
+	memGot = faultScript(t, mem, memReg, msgsPerPair, lossRate)
 
-	mem := NewMemNet()
-	memGot := faultScript(t, mem, msgsPerPair)
-
-	tn := NewTCPNet(nil)
+	tcpReg = obs.NewRegistry()
+	tn = NewTCPNet(nil)
 	tn.SetDynamic("127.0.0.1")
 	tn.SetStepped(5 * time.Second)
-	defer func() { _ = tn.Close() }()
-	tcpGot := faultScript(t, tn, msgsPerPair)
+	t.Cleanup(func() { _ = tn.Close() })
+	tcpGot = faultScript(t, tn, tcpReg, msgsPerPair, lossRate)
+	return mem, tn, memReg, tcpReg, memGot, tcpGot
+}
 
-	// The lossy phase is the only PRNG-driven part: 12 pairs × 10 msgs ×
-	// 4 rounds = 480 messages at p=0.4, each retransmitted until an
-	// attempt gets through (≈ 320 retransmits, σ≈23). Identical send order
-	// means identical draws in practice, but the assertion only demands
-	// statistical agreement, which holds for any interleaving.
-	lossSends := 12 * msgsPerPair * 4
-	tolerance := uint64(float64(lossSends) * 0.15)
-	memRe, tcpRe := mem.Faults().Retransmitted(), tn.Faults().Retransmitted()
-	diff := memRe - tcpRe
-	if tcpRe > memRe {
-		diff = tcpRe - memRe
+// assertFaultParity checks that both transports agree exactly on every
+// fault-plane counter, per-node deliveries, per-node and total traffic
+// ledgers, and the plane's deterministic-class obs snapshot.
+func assertFaultParity(t *testing.T, mem *MemNet, tn *TCPNet, memReg, tcpReg *obs.Registry, memGot, tcpGot []int) {
+	t.Helper()
+	if m, c := mem.Faults().Retransmitted(), tn.Faults().Retransmitted(); m != c {
+		t.Errorf("retransmit counters diverge: mem=%d tcp=%d", m, c)
 	}
-	if diff > tolerance {
-		t.Errorf("retransmit counters diverge beyond tolerance: mem=%d tcp=%d (tolerance %d)",
-			memRe, tcpRe, tolerance)
+	if m, c := mem.Faults().Dropped(), tn.Faults().Dropped(); m != c {
+		t.Errorf("drop counters diverge: mem=%d tcp=%d", m, c)
 	}
-	// Every drop is a dead link or an expiry, and neither draws from the
-	// PRNG, so the drop counters agree exactly.
-	memDrops, tcpDrops := mem.Faults().Dropped(), tn.Faults().Dropped()
-	if memDrops != tcpDrops {
-		t.Errorf("drop counters diverge: mem=%d tcp=%d", memDrops, tcpDrops)
-	}
-	// The link queue is deterministic: deferral and expiry never touch
-	// the PRNG, so for the same per-sender send sequence both transports
-	// must agree exactly — queue pressure is a measurement, not noise.
+	// The link queue is deterministic: for the same per-sender send
+	// sequence both transports must agree exactly — queue pressure is a
+	// measurement, not noise.
 	if mem.Faults().Deferred() != tn.Faults().Deferred() {
 		t.Errorf("deferral counters diverge: mem=%d tcp=%d", mem.Faults().Deferred(), tn.Faults().Deferred())
 	}
@@ -148,19 +145,93 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	if d := tn.Faults().QueueDepth(); d != 0 {
 		t.Errorf("tcp queue depth %d after the uncapped drain, want 0", d)
 	}
-	// Per-node deliveries within the same tolerance.
 	for i := 1; i < len(memGot); i++ {
-		d := memGot[i] - tcpGot[i]
-		if d < 0 {
-			d = -d
-		}
-		if uint64(d) > tolerance {
+		if memGot[i] != tcpGot[i] {
 			t.Errorf("node %d deliveries diverge: mem=%d tcp=%d", i, memGot[i], tcpGot[i])
 		}
 	}
-	if memRe == 0 || memDrops == 0 || mem.Faults().Deferred() == 0 || mem.Faults().CapExpired() == 0 {
+	// Both transports charge through the same plane, so the per-node
+	// ledgers every bandwidth number is read from agree too, and so do the
+	// plane's deterministic-class obs counters.
+	for id := model.NodeID(1); id < model.NodeID(len(memGot)); id++ {
+		if m, c := mem.TrafficOf(id), tn.TrafficOf(id); m != c {
+			t.Errorf("node %v ledger diverges: mem=%+v tcp=%+v", id, m, c)
+		}
+	}
+	if m, c := mem.TotalTraffic(), tn.TotalTraffic(); m != c {
+		t.Errorf("total traffic diverges: mem=%+v tcp=%+v", m, c)
+	}
+	if m, c := memReg.Snapshot().DeterministicText(), tcpReg.Snapshot().DeterministicText(); m != c {
+		t.Errorf("deterministic obs snapshots diverge across transports\nmem:\n%s\ntcp:\n%s", m, c)
+	}
+}
+
+func TestTCPFaultCountersMatchMemNet(t *testing.T) {
+	mem, tn, memReg, tcpReg, memGot, tcpGot := runFaultScript(t, 10, 0.4)
+	assertFaultParity(t, mem, tn, memReg, tcpReg, memGot, tcpGot)
+	f := mem.Faults()
+	if f.Retransmitted() == 0 || f.Dropped() == 0 || f.Deferred() == 0 || f.CapExpired() == 0 {
 		t.Fatalf("script exercised no faults: retransmitted=%d dropped=%d deferred=%d expired=%d",
-			memRe, memDrops, mem.Faults().Deferred(), mem.Faults().CapExpired())
+			f.Retransmitted(), f.Dropped(), f.Deferred(), f.CapExpired())
+	}
+}
+
+// TestObsFaultCountersMatchAcrossTransports: the same script with the
+// lossy phase left out — partitions, caps, queue expiry and a down node
+// only — keeps the obs snapshot, ledgers and deliveries identical across
+// transports, and retransmits nothing on either.
+func TestObsFaultCountersMatchAcrossTransports(t *testing.T) {
+	mem, tn, memReg, tcpReg, memGot, tcpGot := runFaultScript(t, 10, 0)
+	assertFaultParity(t, mem, tn, memReg, tcpReg, memGot, tcpGot)
+	f := mem.Faults()
+	if f.Retransmitted() != 0 || tn.Faults().Retransmitted() != 0 {
+		t.Errorf("loss-free script retransmitted: mem=%d tcp=%d", f.Retransmitted(), tn.Faults().Retransmitted())
+	}
+	if f.Dropped() == 0 || f.Deferred() == 0 || f.CapExpired() == 0 {
+		t.Fatalf("script exercised no faults: dropped=%d deferred=%d expired=%d",
+			f.Dropped(), f.Deferred(), f.CapExpired())
+	}
+}
+
+// TestTCPReleasedBacklogChargedAfterRoundTop: on both transports the
+// backlog a round boundary releases is charged when the round's traffic
+// starts — MemNet's next merge, TCPNet's first Send or drain — not inside
+// BeginRound, so a hook that reads the ledger at the round top (an epoch
+// mark) sees the previous round's bytes only; and it leaves ahead of the
+// round's fresh send.
+func TestTCPReleasedBacklogChargedAfterRoundTop(t *testing.T) {
+	tn := NewTCPNet(nil)
+	tn.SetDynamic("127.0.0.1")
+	tn.SetStepped(5 * time.Second)
+	defer func() { _ = tn.Close() }()
+	for _, nw := range []FaultyNetwork{NewMemNet(), tn} {
+		var order []byte
+		ep1, err := nw.Register(1, func(Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.Register(2, func(m Message) { order = append(order, m.Payload[0]) }); err != nil {
+			t.Fatal(err)
+		}
+		size := uint64(Message{Payload: []byte{0}}.WireSize())
+		nw.Faults().SetUploadCap(1, size)
+		nw.BeginRound()
+		_ = ep1.Send(2, 1, []byte{1})
+		_ = ep1.Send(2, 1, []byte{2}) // over budget: queued
+		nw.DeliverAll()
+		nw.BeginRound()
+		if out := nw.TrafficOf(1).BytesOut; out != size {
+			t.Errorf("%s: %d B charged at the round top, want %d (the released message not yet)", nw.Name(), out, size)
+		}
+		nw.Faults().SetUploadCap(1, 0)
+		_ = ep1.Send(2, 1, []byte{3})
+		nw.DeliverAll()
+		if out := nw.TrafficOf(1).BytesOut; out != 3*size {
+			t.Errorf("%s: %d B charged after the round's traffic, want %d", nw.Name(), out, 3*size)
+		}
+		if string(order) != "\x01\x02\x03" {
+			t.Errorf("%s: delivery order %v, want the released message ahead of the fresh one", nw.Name(), order)
+		}
 	}
 }
 

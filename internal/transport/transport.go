@@ -10,7 +10,9 @@
 //     analogue (cmd/pag-node, examples/tcp-cluster).
 //
 // Both implement the same Network interface, so protocol nodes are
-// transport-agnostic.
+// transport-agnostic, and both route every message through one FaultPlane,
+// whose decisions are functions of the message, not of the order in which
+// a transport admits it: a scripted run gives the same report on either.
 package transport
 
 import (
@@ -120,11 +122,9 @@ type DropFunc func(Message) bool
 // (faults.go) — a loss rate that costs retransmissions, partitions that
 // open and heal, per-node down flags and per-round upload caps modelled as
 // queued links (over-budget messages defer and carry over, paced by the
-// cap, expiring past the queue deadline) — all loss driven by a seeded
-// PRNG.
-// Because MemNet consults the plane only at the canonical merge point —
-// round-boundary carryover prepended in the plane's deterministic release
-// order, then fresh sends in merge order — a faulty run replays
+// cap, expiring past the queue deadline). MemNet consults the plane only
+// at the merge point — the backlog the plane released at the round top
+// first, then fresh sends in merge order — so a faulty run replays
 // byte-identically under the same seed and at any worker count.
 type MemNet struct {
 	// regMu guards the endpoint/handler registry. During a simulation
@@ -143,20 +143,6 @@ type MemNet struct {
 	endpoints map[model.NodeID]*memEndpoint
 	active    map[model.NodeID]*memEndpoint
 
-	// mu guards the carryover buffer. It is touched only at merge points
-	// and round boundaries, which are single-threaded even on a sharded
-	// engine.
-	mu sync.Mutex
-
-	// carryover holds the messages the link model released at the last
-	// round boundary (BeginRound): bytes that waited in a capped node's
-	// queue and now fit the fresh budget. The next TakeWave prepends them
-	// to the canonical stream — queued bytes leave the NIC before the
-	// round's new sends, exactly like a real FIFO uplink — and runs them
-	// through the post-cap fault plane (AdmitReleased) in release order,
-	// so every PRNG draw stays canonical.
-	carryover []Message
-
 	// Merge-point scratch, kept across waves so a steady-state TakeWave
 	// allocates nothing: the merge set, the merged inflow and the wave
 	// handed to the caller.
@@ -165,7 +151,7 @@ type MemNet struct {
 	wave     []Delivery
 
 	// faults is the transport-agnostic fault plane, consulted exclusively
-	// at the merge point so every PRNG draw happens in canonical order.
+	// at the merge point.
 	faults *FaultPlane
 }
 
@@ -244,18 +230,9 @@ func (n *MemNet) Unregister(id model.NodeID) bool {
 
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
-// and releases the backlog the fresh budgets allow; the released messages
-// carry over into the next merge. The simulation engine calls it at the
-// top of every round.
-func (n *MemNet) BeginRound() {
-	released := n.faults.BeginRound()
-	if len(released) == 0 {
-		return
-	}
-	n.mu.Lock()
-	n.carryover = append(n.carryover, released...)
-	n.mu.Unlock()
-}
+// and releases the backlog the fresh budgets allow, which the next merge
+// takes. The simulation engine calls it at the top of every round.
+func (n *MemNet) BeginRound() { n.faults.BeginRound() }
 
 func clampProb(p float64) float64 {
 	switch {
@@ -281,13 +258,11 @@ func (n *MemNet) mergeSet(buf []*memEndpoint) []*memEndpoint {
 	return eps
 }
 
-// PendingCount returns the number of undelivered messages: the endpoints'
-// unflushed outboxes plus any round-boundary carryover awaiting its merge
-// (nothing else is queued between waves).
+// PendingCount returns the number of messages in the endpoints' unflushed
+// outboxes; what the fault plane holds (its upload queues and a released
+// backlog awaiting the next merge) is not counted.
 func (n *MemNet) PendingCount() int {
-	n.mu.Lock()
-	total := len(n.carryover)
-	n.mu.Unlock()
+	total := 0
 	for _, ep := range n.mergeSet(nil) {
 		ep.mu.Lock()
 		total += len(ep.outbox)
@@ -304,12 +279,12 @@ type Delivery struct {
 }
 
 // TakeWave merges every endpoint's outbox into the queue in canonical
-// order (ascending sender id, per-sender send sequence) — with the round
-// boundary's link-queue carryover prepended in release order, ahead of
-// every fresh send — applies the fault plane and all traffic charging,
-// and drains the resulting wave. Admission and arrival run at the merge
-// point, in canonical order, so the charge sequence and every PRNG
-// consultation are independent of how the sends were scheduled. The caller is responsible for invoking
+// order (ascending sender id, per-sender send sequence) — with the backlog
+// the fault plane released at the round top ahead of every fresh send —
+// applies the fault plane and all traffic charging, and drains the
+// resulting wave. Admission and arrival run at the merge point, in
+// canonical order, so the charge sequence is independent of how the sends
+// were scheduled. The caller is responsible for invoking
 // each Delivery's handler — in slice order (DeliverPending), or
 // partitioned by destination for a sharded round (sim.Engine) (per-destination
 // subsequences preserve the canonical order either way).
@@ -334,17 +309,10 @@ func (n *MemNet) TakeWave() []Delivery {
 	n.pruneDeparted(eps)
 	n.mergeBuf = eps
 
-	n.mu.Lock()
-	carried := n.carryover
-	n.carryover = nil
-	n.mu.Unlock()
 	out := n.wave[:0]
-	for _, msg := range carried {
-		// Carryover already passed the cap (BeginRound spent its budget);
-		// only the post-cap plane applies. Release order is BeginRound's
-		// deterministic order, so the PRNG consultations stay canonical.
-		if o, _ := n.faults.AdmitReleased(msg); o == OutcomePass && n.faults.Arrive(msg) {
-			out = append(out, Delivery{Msg: msg})
+	for _, a := range n.faults.takeReleased() {
+		if n.faults.Arrive(a.msg) {
+			out = append(out, Delivery{Msg: a.msg})
 		}
 	}
 	for _, msg := range inflow {

@@ -137,9 +137,9 @@ type SessionConfig struct {
 	// networks). Nil runs the deterministic in-memory MemNet; a TCPNet
 	// runs the same session over real sockets with Workers 0 or 1 (its
 	// handlers run inside the engine's DeliverAll, on the engine's
-	// goroutine). Socket runs trade byte-identical replay for
-	// statistical equivalence: the fault plane is consulted in wall-clock
-	// send order, not canonical merge order.
+	// goroutine). A socket run reports what the MemNet run reports, scripted
+	// loss included: the fault plane decides by the message, not by the
+	// wall-clock order in which the sockets admit it.
 	NewNetwork func() transport.FaultyNetwork
 	// Obs optionally attaches an observability metrics registry (see
 	// internal/obs): the engine, the fault plane, the membership
@@ -456,8 +456,8 @@ type EngineInfo struct {
 	// Workers is the effective worker count (1 when stepping inline).
 	Workers int `json:"workers"`
 	// Transport is the network the run used ("mem" or "tcp"). Like the
-	// rest of this block it is metadata: "mem" runs are byte-identical
-	// under a seed, "tcp" runs are statistically equivalent.
+	// rest of this block it is metadata: a run gives the same report on
+	// either.
 	Transport string `json:"transport,omitempty"`
 	// ReportDigest, when set by a report writer, is the SHA-256 of the
 	// report's deterministic portion (everything except this field's

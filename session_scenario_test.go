@@ -165,7 +165,11 @@ func TestLossConvictsNoCorrectNode(t *testing.T) {
 	if sharded := check(t, mem); sharded.Digest() != inline.Digest() {
 		t.Error("workers=4 report digest differs from the inline run's")
 	}
-	t.Run("tcp", func(t *testing.T) { check(t, tcpSessionConfig(32)) })
+	t.Run("tcp", func(t *testing.T) {
+		if d := check(t, tcpSessionConfig(32)).Digest(); d != inline.Digest() {
+			t.Errorf("tcp report digest %s differs from the inline MemNet run's %s", d, inline.Digest())
+		}
+	})
 }
 
 // TestDelayedFreeRiderConvicted: an adversary that plays honestly through

@@ -208,18 +208,18 @@ func TestTraceReplayDigest(t *testing.T) {
 
 // TestTraceReplayDigestTCP: the same reconstruction loop with both the
 // original and the replay run over real loopback sockets. rejoin-attack
-// carries no probabilistic loss, so the TCP runs land on the same digest
-// in the common case — but the transport is documented as statistically,
-// not byte-, equivalent (a loaded scheduler can push a message past its
-// stepped delivery window), so one transient divergence is retried
-// rather than failed.
+// carries no loss, so the TCP runs land on the same digest in the common
+// case — but timing stays outside the socket transport's determinism
+// contract (a loaded scheduler can push a message past its stepped
+// delivery window), so one transient divergence is retried rather than
+// failed.
 func TestTraceReplayDigestTCP(t *testing.T) {
 	if testing.Short() {
 		// The race jobs run -short on loaded boxes, where a descheduled
 		// reader goroutine can push a frame past the stepped quiescence
 		// window and move the digest; exact-digest TCP comparison needs
 		// the full (unraced) run.
-		t.Skip("tcp digest stability is statistical; skipped under -short")
+		t.Skip("tcp digest stability depends on timing; skipped under -short")
 	}
 	sc, err := scenario.ByName("rejoin-attack", 10, 2)
 	if err != nil {
