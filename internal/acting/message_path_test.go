@@ -65,7 +65,7 @@ func sigOf(m message) []byte {
 // remarshal re-encodes a decoded message: body plus signature field.
 func remarshal(m message) []byte {
 	w := wire.NewWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	w.Bytes(sigOf(m))
 	return w.Finish()
 }
@@ -79,7 +79,7 @@ var decoders = map[string]func([]byte) (message, error){
 	"auditReply": func(b []byte) (message, error) { return unmarshalAuditReply(b) },
 }
 
-func goldenIdentity(t *testing.T) pki.Identity {
+func goldenIdentity(t testing.TB) pki.Identity {
 	t.Helper()
 	id, err := pki.NewFastSuite().NewDeterministicIdentity(7, 2016)
 	if err != nil {
@@ -89,10 +89,10 @@ func goldenIdentity(t *testing.T) pki.Identity {
 }
 
 // seal is signAndSend's encoding without the send.
-func seal(t *testing.T, m message, id pki.Identity) []byte {
+func seal(t testing.TB, m message, id pki.Identity) []byte {
 	t.Helper()
 	w := wire.NewWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	if err := w.Sign(id); err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,31 @@ func TestDecodeIsCanonical(t *testing.T) {
 	}
 }
 
+// FuzzDecodeIsCanonical: any input an AcTinG decoder accepts re-marshals
+// to the identical bytes, starting from the signed sample messages and an
+// audit reply from a log base.
+func FuzzDecodeIsCanonical(f *testing.F) {
+	id := goldenIdentity(f)
+	baseReply := &auditReplyMsg{Round: 9, From: 1, Base: &logBase{Seq: 17, Round: 5, Hash: [32]byte{9, 8, 7}}}
+	for _, m := range append(sampleMessages(), baseReply) {
+		f.Add(seal(f, m, id))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for name, dec := range decoders {
+			if got, err := dec(b); err == nil {
+				if re := remarshal(got); !bytes.Equal(re, b) {
+					t.Fatalf("%s accepted %x but re-marshals it as %x", name, b, re)
+				}
+			}
+		}
+	})
+}
+
 // A list count the message cannot hold is rejected before any list is
 // sized from it: a 30-byte propose claiming 2²⁰ identifiers costs nothing.
 func TestHostileListCountRejected(t *testing.T) {
 	w := wire.NewWriter()
-	(&proposeMsg{Round: 1, From: 1, To: 2}).body(w)
+	(&proposeMsg{Round: 1, From: 1, To: 2}).layout(w.Codec())
 	enc := w.Finish()
 	enc = append(enc[:len(enc)-4], 0x00, 0x10, 0x00, 0x00) // count = 2^20
 	enc = append(enc, 0, 0, 0, 0)                          // empty signature

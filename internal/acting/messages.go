@@ -2,7 +2,6 @@ package acting
 
 import (
 	"bytes"
-	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/securelog"
@@ -10,15 +9,16 @@ import (
 	"repro/internal/wire"
 )
 
-// AcTinG's wire messages, encoded with the shared deterministic codec and
-// sent and checked on the shared message path (internal/wire/pool.go):
-// every message is its body followed by the signature as a trailing
+// AcTinG's wire messages, sent and checked on the shared message path
+// (internal/wire/pool.go): each type states its fields once, in wire order,
+// in a layout that one wire.Codec walks to encode it and to decode it;
+// every message is that body followed by the signature as a trailing
 // length-prefixed field, decoders return views into the delivered payload,
 // and signatures are verified over the received prefix.
 
-// message is an AcTinG message's deterministic body encoder.
+// message is an AcTinG message's layout.
 type message interface {
-	body(w *wire.Writer)
+	layout(c wire.Codec)
 }
 
 // signAndSend encodes m once into a pooled buffer, signs it in place and
@@ -26,25 +26,32 @@ type message interface {
 func (n *Node) signAndSend(to model.NodeID, kind uint8, m message) {
 	w := wire.GetWriter()
 	defer w.Release()
-	m.body(w)
+	m.layout(w.Codec())
 	if w.Sign(n.cfg.Identity) == nil {
 		_ = n.cfg.Endpoint.Send(to, kind, bytes.Clone(w.Finish()))
 	}
 }
 
-func putIDs(w *wire.Writer, ids []model.UpdateID) {
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.UpdateID(id)
+// updateIDs carries an identifier list.
+func updateIDs(c wire.Codec, ids *[]model.UpdateID) {
+	n := c.ListLen(len(*ids), wire.UpdateIDLen)
+	if c.Decoding() {
+		*ids = make([]model.UpdateID, n)
+	}
+	for i := range n {
+		c.UpdateID(&(*ids)[i])
 	}
 }
 
-func getIDs(r *wire.Reader) []model.UpdateID {
-	out := make([]model.UpdateID, r.ListLen(wire.UpdateIDLen))
-	for i := range out {
-		out[i] = r.UpdateID()
-	}
-	return out
+// idList is the content of a tagged identifier-list log entry.
+type idList struct {
+	Tag []byte
+	IDs []model.UpdateID
+}
+
+func (l *idList) layout(c wire.Codec) {
+	c.Bytes(&l.Tag)
+	updateIDs(c, &l.IDs)
 }
 
 // logIDs appends a tagged identifier list to the node's secure log.
@@ -54,20 +61,20 @@ func getIDs(r *wire.Reader) []model.UpdateID {
 func (n *Node) logIDs(t securelog.EntryType, peer model.NodeID, tag string, ids []model.UpdateID) {
 	w := wire.GetWriter()
 	defer w.Release()
-	w.Bytes([]byte(tag))
-	putIDs(w, ids)
+	l := idList{Tag: []byte(tag), IDs: ids}
+	l.layout(w.Codec())
 	n.log.Append(n.round, t, peer, w.Finish())
 }
 
 // decodeIDList parses a tagged identifier list from log content.
 func decodeIDList(b []byte) (string, []model.UpdateID, error) {
+	var l idList
 	r := wire.NewReader(b)
-	tag := string(r.Bytes())
-	ids := getIDs(r)
+	l.layout(r.Codec())
 	if err := r.Done(); err != nil {
 		return "", nil, err
 	}
-	return tag, ids, nil
+	return string(l.Tag), l.IDs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -82,27 +89,18 @@ type proposeMsg struct {
 	Sig   []byte
 }
 
-func (m *proposeMsg) body(w *wire.Writer) {
-	w.U8(kindPropose)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	putIDs(w, m.IDs)
+func (m *proposeMsg) layout(c wire.Codec) {
+	c.Kind(kindPropose)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	updateIDs(c, &m.IDs)
 }
 
 func unmarshalPropose(b []byte) (*proposeMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindPropose && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not propose", k)
-	}
-	m := &proposeMsg{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-		IDs:   getIDs(r),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(proposeMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -116,27 +114,18 @@ type requestMsg struct {
 	Sig   []byte
 }
 
-func (m *requestMsg) body(w *wire.Writer) {
-	w.U8(kindRequest)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	putIDs(w, m.IDs)
+func (m *requestMsg) layout(c wire.Codec) {
+	c.Kind(kindRequest)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	updateIDs(c, &m.IDs)
 }
 
 func unmarshalRequest(b []byte) (*requestMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindRequest && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not request", k)
-	}
-	m := &requestMsg{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-		IDs:   getIDs(r),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(requestMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -152,33 +141,24 @@ type dataMsg struct {
 	Sig     []byte
 }
 
-func (m *dataMsg) body(w *wire.Writer) {
-	w.U8(kindData)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	w.U32(uint32(len(m.Updates)))
-	for i := range m.Updates {
-		w.Update(&m.Updates[i])
+func (m *dataMsg) layout(c wire.Codec) {
+	c.Kind(kindData)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	n := c.ListLen(len(m.Updates), wire.MinUpdateLen)
+	if c.Decoding() {
+		m.Updates = make([]update.Update, n)
+	}
+	for i := range n {
+		c.Update(&m.Updates[i])
 	}
 }
 
 func unmarshalData(b []byte) (*dataMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindData && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not data", k)
-	}
-	m := &dataMsg{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-	}
-	m.Updates = make([]update.Update, r.ListLen(wire.MinUpdateLen))
-	for i := range m.Updates {
-		m.Updates[i] = r.Update()
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(dataMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -192,27 +172,18 @@ type complaintMsg struct {
 	Sig     []byte
 }
 
-func (m *complaintMsg) body(w *wire.Writer) {
-	w.U8(kindComplaint)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Against))
-	putIDs(w, m.IDs)
+func (m *complaintMsg) layout(c wire.Codec) {
+	c.Kind(kindComplaint)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Against)
+	updateIDs(c, &m.IDs)
 }
 
 func unmarshalComplaint(b []byte) (*complaintMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindComplaint && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not complaint", k)
-	}
-	m := &complaintMsg{
-		Round:   model.Round(r.U64()),
-		From:    model.NodeID(r.U32()),
-		Against: model.NodeID(r.U32()),
-		IDs:     getIDs(r),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(complaintMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -229,25 +200,17 @@ type auditReqMsg struct {
 	Sig      []byte
 }
 
-func (m *auditReqMsg) body(w *wire.Writer) {
-	w.U8(kindAuditRequest)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U64(m.SinceSeq)
+func (m *auditReqMsg) layout(c wire.Codec) {
+	c.Kind(kindAuditRequest)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.U64(&m.SinceSeq)
 }
 
 func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindAuditRequest && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not audit request", k)
-	}
-	m := &auditReqMsg{
-		Round:    model.Round(r.U64()),
-		From:     model.NodeID(r.U32()),
-		SinceSeq: r.U64(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(auditReqMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -284,53 +247,38 @@ func (m *auditReplyMsg) kind() uint8 {
 	return kindAuditReply
 }
 
-func (m *auditReplyMsg) body(w *wire.Writer) {
-	w.U8(m.kind())
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	if b := m.Base; b != nil {
-		w.U64(b.Seq)
-		w.U64(uint64(b.Round))
-		w.Raw(b.Hash[:])
+func (m *auditReplyMsg) layout(c wire.Codec) {
+	k := m.kind()
+	c.KindOf(&k, kindAuditReply, kindAuditBaseReply)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	if k == kindAuditBaseReply {
+		if m.Base == nil {
+			m.Base = new(logBase)
+		}
+		c.U64(&m.Base.Seq)
+		c.Round(&m.Base.Round)
+		c.Raw(m.Base.Hash[:])
 	}
-	w.U32(uint32(len(m.Entries)))
-	for i := range m.Entries {
+	n := c.ListLen(len(m.Entries), minEntryLen)
+	if c.Decoding() {
+		m.Entries = make([]securelog.Entry, n)
+	}
+	for i := range n {
 		e := &m.Entries[i]
-		w.U64(e.Seq)
-		w.U64(uint64(e.Round))
-		w.U8(uint8(e.Type))
-		w.U32(uint32(e.Peer))
-		w.Bytes(e.Content)
-		w.Raw(e.Hash[:])
+		c.U64(&e.Seq)
+		c.Round(&e.Round)
+		c.U8((*uint8)(&e.Type))
+		c.Node(&e.Peer)
+		c.Bytes(&e.Content)
+		c.Raw(e.Hash[:])
 	}
 }
 
 func unmarshalAuditReply(b []byte) (*auditReplyMsg, error) {
-	r := wire.NewReader(b)
-	k := r.U8()
-	if k != kindAuditReply && k != kindAuditBaseReply && r.Err() == nil {
-		return nil, fmt.Errorf("acting: kind %d is not audit reply", k)
-	}
-	m := &auditReplyMsg{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-	}
-	if k == kindAuditBaseReply {
-		m.Base = &logBase{Seq: r.U64(), Round: model.Round(r.U64())}
-		copy(m.Base.Hash[:], r.Raw(securelog.HashSize))
-	}
-	m.Entries = make([]securelog.Entry, r.ListLen(minEntryLen))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		e.Seq = r.U64()
-		e.Round = model.Round(r.U64())
-		e.Type = securelog.EntryType(r.U8())
-		e.Peer = model.NodeID(r.U32())
-		e.Content = r.Bytes()
-		copy(e.Hash[:], r.Raw(securelog.HashSize))
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(auditReplyMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil

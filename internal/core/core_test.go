@@ -18,7 +18,7 @@ import (
 // small crypto parameters (128-bit modulus/primes) for test speed; the
 // protocol logic is identical to the paper's 512-bit setting.
 type harness struct {
-	t          *testing.T
+	t          testing.TB
 	suite      *pki.FastSuite
 	params     hhash.Params
 	dir        *membership.Directory
@@ -63,7 +63,7 @@ func withTTL(ttl model.Round) harnessOpt {
 	return func(h *harness, _ *core.Config) { h.ttl = ttl }
 }
 
-func newHarness(t *testing.T, n, perRound int, opts ...harnessOpt) *harness {
+func newHarness(t testing.TB, n, perRound int, opts ...harnessOpt) *harness {
 	t.Helper()
 	h := &harness{
 		t:          t,

@@ -17,7 +17,7 @@ import (
 )
 
 // sealMsg is the sender's path: one encoding, signed in place.
-func sealMsg(t *testing.T, id pki.Identity, m wire.BodyMessage) []byte {
+func sealMsg(t testing.TB, id pki.Identity, m wire.BodyMessage) []byte {
 	t.Helper()
 	w := wire.GetWriter()
 	defer w.Release()
@@ -28,22 +28,30 @@ func sealMsg(t *testing.T, id pki.Identity, m wire.BodyMessage) []byte {
 	return bytes.Clone(b)
 }
 
-// TestTamperSweepVerdicts delivers one correctly signed message of every
-// wire kind to a node, then the same message with each single byte of body
-// or signature flipped (for the encrypted kinds: each byte of the signed
-// plaintext, re-encrypted, and each byte of the sealed ciphertext). No
-// corrupted message may make the node send anything, and the verdicts it
-// raises — tallied per kind — are those recorded from the commit that
-// verified signatures over a re-encoding of the decoded message.
-func TestTamperSweepVerdicts(t *testing.T) {
-	h := newHarness(t, 8, 2)
-	h.engine.Run(3)
+// The tamper sweep's exchange: tamperSigner signs every message and sends
+// it to tamperReceiver in round tamperRound.
+const (
+	tamperRound    = 3
+	tamperSigner   = model.NodeID(2)
+	tamperReceiver = model.NodeID(3)
+)
+
+// tamperCase is one message of the tamper sweep, unsigned, under the
+// envelope kind it is delivered with; encrypted ones travel sealed to the
+// receiver.
+type tamperCase struct {
+	kind      uint8
+	m         wire.BodyMessage
+	encrypted bool
+}
+
+// tamperCases returns one well-formed message of every wire kind, from
+// tamperSigner to tamperReceiver, for a harness that has run tamperRound
+// rounds.
+func tamperCases(t testing.TB, h *harness) []tamperCase {
 	const (
-		round = 3
-		a     = model.NodeID(2) // claimed sender and signer
-		b     = model.NodeID(3) // receiver
-		x     = model.NodeID(4)
-		y     = model.NodeID(5)
+		round, a, b = tamperRound, tamperSigner, tamperReceiver
+		x, y        = model.NodeID(4), model.NodeID(5) // other members
 	)
 	ida := h.identities[a]
 	us, err := h.gen.Emit(round, 1)
@@ -59,11 +67,7 @@ func TestTamperSweepVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		kind      uint8
-		m         wire.BodyMessage
-		encrypted bool
-	}{
+	return []tamperCase{
 		{wire.KindKeyRequest, &wire.KeyRequest{Round: round, From: a, To: b}, false},
 		{wire.KindKeyResponse, &wire.KeyResponse{Round: round, From: a, To: b, Prime: []byte{0x0B}, BufferMap: []uint64{0x0707070707070706, 0x0707070707070707}}, true},
 		{wire.KindServe, srv, true},
@@ -82,6 +86,22 @@ func TestTamperSweepVerdicts(t *testing.T) {
 		{wire.KindAckExhibit, &wire.AckExhibit{Round: round, From: a, Succ: y, AckBytes: ack}, false},
 		{wire.KindObligationHandover, &wire.ObligationHandover{Round: round, From: a, Monitored: y, Obligation: hv}, false},
 	}
+}
+
+// TestTamperSweepVerdicts delivers one correctly signed message of every
+// wire kind to a node, then the same message with each single byte of body
+// or signature flipped (for the encrypted kinds: each byte of the signed
+// plaintext, re-encrypted, and each byte of the sealed ciphertext). No
+// corrupted message may make the node send anything, and the verdicts it
+// raises — tallied per kind — are those recorded from the commit that
+// verified signatures over a re-encoding of the decoded message.
+func TestTamperSweepVerdicts(t *testing.T) {
+	h := newHarness(t, 8, 2)
+	h.engine.Run(tamperRound)
+	const a, b = tamperSigner, tamperReceiver
+	ida := h.identities[a]
+	cases := tamperCases(t, h)
+	var err error
 
 	node := h.nodes[b]
 	// deliver hands one payload to b and returns the verdicts it raised.
@@ -162,6 +182,56 @@ func TestTamperSweepVerdicts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// plaintextDecoders are the decoders of the kinds a node reads as
+// delivered, keyed by envelope kind (an AckCopy is an Ack).
+var plaintextDecoders = map[uint8]func([]byte) error{
+	wire.KindKeyRequest:         func(b []byte) error { _, err := wire.UnmarshalKeyRequest(b); return err },
+	wire.KindAttestation:        func(b []byte) error { _, err := wire.UnmarshalAttestation(b); return err },
+	wire.KindAck:                func(b []byte) error { _, err := wire.UnmarshalAck(b); return err },
+	wire.KindAckCopy:            func(b []byte) error { _, err := wire.UnmarshalAck(b); return err },
+	wire.KindHashShare:          func(b []byte) error { _, err := wire.UnmarshalHashShare(b); return err },
+	wire.KindAckForward:         func(b []byte) error { _, err := wire.UnmarshalAckRelay(b); return err },
+	wire.KindNodeDigest:         func(b []byte) error { _, err := wire.UnmarshalNodeDigest(b); return err },
+	wire.KindAccusation:         func(b []byte) error { _, err := wire.UnmarshalAccusation(b); return err },
+	wire.KindProbe:              func(b []byte) error { _, err := wire.UnmarshalProbe(b); return err },
+	wire.KindConfirm:            func(b []byte) error { _, err := wire.UnmarshalAckRelay(b); return err },
+	wire.KindNack:               func(b []byte) error { _, err := wire.UnmarshalNack(b); return err },
+	wire.KindAckRequest:         func(b []byte) error { _, err := wire.UnmarshalAckRequest(b); return err },
+	wire.KindAckExhibit:         func(b []byte) error { _, err := wire.UnmarshalAckExhibit(b); return err },
+	wire.KindObligationHandover: func(b []byte) error { _, err := wire.UnmarshalObligationHandover(b); return err },
+}
+
+// FuzzHandleMessage feeds hostile (kind, payload) pairs to one node of a
+// session that has run tamperRound rounds, starting from the tamper
+// sweep's correctly signed message of every kind. HandleMessage never
+// panics, and a plaintext payload its kind's decoder rejects makes the node
+// send nothing. One session serves every input, so state a valid input
+// leaves behind is the state the next one meets.
+func FuzzHandleMessage(f *testing.F) {
+	h := newHarness(f, 8, 2)
+	h.engine.Run(tamperRound)
+	for _, c := range tamperCases(f, h) {
+		payload := sealMsg(f, h.identities[tamperSigner], c.m)
+		if c.encrypted {
+			var err error
+			if payload, err = h.suite.Encrypt(tamperReceiver, payload); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(c.kind, payload)
+	}
+	node := h.nodes[tamperReceiver]
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		dec := plaintextDecoders[kind]
+		malformed := dec != nil && dec(payload) != nil
+		pending := h.net.PendingCount()
+		node.HandleMessage(transport.Message{From: tamperSigner, To: tamperReceiver, Kind: kind, Payload: payload})
+		if malformed && h.net.PendingCount() != pending {
+			t.Fatalf("%s: a payload its decoder rejects made the node send", wire.KindName(kind))
+		}
+	})
 }
 
 // TestEvidenceSurvivesPayloadOverwrite: a handler is lent its payload and,

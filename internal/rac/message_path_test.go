@@ -29,10 +29,10 @@ func sampleSlots() []*slotMsg {
 	}
 }
 
-func seal(t *testing.T, m *slotMsg, id pki.Identity) []byte {
+func seal(t testing.TB, m *slotMsg, id pki.Identity) []byte {
 	t.Helper()
 	w := wire.NewWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	if err := w.Sign(id); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func seal(t *testing.T, m *slotMsg, id pki.Identity) []byte {
 
 func remarshal(m *slotMsg) []byte {
 	w := wire.NewWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	w.Bytes(m.Sig)
 	return w.Finish()
 }
@@ -96,6 +96,36 @@ func TestDecodeIsCanonical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeIsCanonical: any input the slot decoder or the update decoder
+// accepts re-marshals to the identical bytes, and so does any update a
+// decoded slot carries, starting from the signed sample slots.
+func FuzzDecodeIsCanonical(f *testing.F) {
+	id, err := pki.NewFastSuite().NewDeterministicIdentity(7, 2016)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range sampleSlots() {
+		f.Add(seal(f, m, id))
+	}
+	f.Add(sampleSlots()[0].Content)
+	canonicalUpdate := func(t *testing.T, b []byte) {
+		if u, err := decodeUpdate(b); err == nil && !bytes.Equal(encodeUpdate(&u), b) {
+			t.Fatalf("update decoder accepted %x non-canonically", b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		canonicalUpdate(t, b)
+		got, err := unmarshalSlot(b)
+		if err != nil {
+			return
+		}
+		if re := remarshal(got); !bytes.Equal(re, b) {
+			t.Fatalf("slot decoder accepted %x but re-marshals it as %x", b, re)
+		}
+		canonicalUpdate(t, got.Content)
+	})
 }
 
 type cluster struct {

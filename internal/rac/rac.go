@@ -212,30 +212,20 @@ type slotMsg struct {
 	Sig     []byte // origin's signature
 }
 
-func (m *slotMsg) body(w *wire.Writer) {
-	w.U8(kindSlot)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.Origin))
-	w.U32(m.Seq)
-	w.Bool(m.Real)
-	w.Bytes(m.Content)
+func (m *slotMsg) layout(c wire.Codec) {
+	c.Kind(kindSlot)
+	c.Round(&m.Round)
+	c.Node(&m.Origin)
+	c.U32(&m.Seq)
+	c.Bool(&m.Real)
+	c.Bytes(&m.Content)
 }
 
 // unmarshalSlot decodes a slot; Content and Sig are views into b.
 func unmarshalSlot(b []byte) (*slotMsg, error) {
-	r := wire.NewReader(b)
-	if k := r.U8(); k != kindSlot && r.Err() == nil {
-		return nil, fmt.Errorf("rac: kind %d is not slot", k)
-	}
-	m := &slotMsg{
-		Round:  model.Round(r.U64()),
-		Origin: model.NodeID(r.U32()),
-		Seq:    r.U32(),
-	}
-	m.Real = r.Bool()
-	m.Content = r.Bytes()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(slotMsg), wire.NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -245,13 +235,14 @@ func unmarshalSlot(b []byte) (*slotMsg, error) {
 // decoded update aliases b.
 func encodeUpdate(u *update.Update) []byte {
 	w := wire.NewWriter()
-	w.Update(u)
+	w.Codec().Update(u)
 	return w.Finish()
 }
 
 func decodeUpdate(b []byte) (update.Update, error) {
+	var u update.Update
 	r := wire.NewReader(b)
-	u := r.Update()
+	r.Codec().Update(&u)
 	if err := r.Done(); err != nil {
 		return update.Update{}, err
 	}
@@ -328,7 +319,7 @@ func (n *Node) BeginRound(r model.Round) {
 		// One encoding in a pooled buffer, signed in place; the Endpoint
 		// owns what it is sent, so it gets an exact-size copy.
 		w := wire.GetWriter()
-		slot.body(w)
+		slot.layout(w.Codec())
 		if w.Sign(n.cfg.Identity) == nil {
 			n.stats.SlotsEmitted++
 			_ = n.cfg.Endpoint.Send(n.succ, kindSlot, bytes.Clone(w.Finish()))

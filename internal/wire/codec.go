@@ -6,13 +6,19 @@
 //
 // Encoding is a deterministic hand-rolled binary format: deterministic
 // bytes make signatures well-defined and make bandwidth accounting — the
-// paper's headline metric — byte-exact.
+// paper's headline metric — byte-exact. Every message type states its
+// fields once, in wire order, in a layout method; a Codec walks that one
+// layout to encode the message or to decode it, so a decoder accepts
+// exactly the bytes its encoder writes.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/model"
+	"repro/internal/update"
 )
 
 // Limits guarding decoders against hostile inputs.
@@ -203,4 +209,159 @@ func (r *Reader) Done() error {
 		return ErrTrailing
 	}
 	return nil
+}
+
+// Codec walks a layout in one direction: it writes each field into a
+// Writer, or reads it in place from a Reader. A layout passes every field
+// by pointer, so one walk both encodes the message and fills it from the
+// input; decoding errors are the Reader's, sticky, and an encoder writes
+// whatever it is given.
+//
+// A Codec is passed by value, lists are plain loops, and decoders call
+// their concrete layout directly: a decode path that calls through an
+// interface, a type parameter's method or a func value can move the Reader
+// to the heap, one more allocation per message (DESIGN.md, "Message path").
+type Codec struct {
+	w *Writer
+	r *Reader
+}
+
+// Codec returns the Codec that encodes into w.
+func (w *Writer) Codec() Codec { return Codec{w: w} }
+
+// Codec returns the Codec that decodes from r.
+func (r *Reader) Codec() Codec { return Codec{r: r} }
+
+// Decoding reports whether c reads: a layout allocates a decoded list
+// only then.
+func (c Codec) Decoding() bool { return c.r != nil }
+
+// Kind carries a message's leading kind byte: decoding fails unless it is
+// want.
+func (c Codec) Kind(want uint8) { c.KindOf(&want, want, want) }
+
+// KindOf carries the kind byte of a message that has two, a and b, in *k:
+// decoding fails on any other.
+func (c Codec) KindOf(k *uint8, a, b uint8) {
+	if c.r == nil {
+		c.w.U8(*k)
+		return
+	}
+	*k = c.r.U8()
+	if *k != a && *k != b && c.r.err == nil {
+		c.r.fail(fmt.Errorf("wire: unexpected kind %d", *k))
+	}
+}
+
+// Reject fails decoding with err, for a rule a layout states beside its
+// fields; an encoder writes what it is given.
+func (c Codec) Reject(err error) {
+	if c.r != nil {
+		c.r.fail(err)
+	}
+}
+
+// U8 carries one byte.
+func (c Codec) U8(v *uint8) {
+	if c.r == nil {
+		c.w.U8(*v)
+	} else {
+		*v = c.r.U8()
+	}
+}
+
+// Bool carries a boolean byte; decoding rejects values other than 0/1.
+func (c Codec) Bool(v *bool) {
+	if c.r == nil {
+		c.w.Bool(*v)
+	} else {
+		*v = c.r.Bool()
+	}
+}
+
+// U32 carries a big-endian uint32.
+func (c Codec) U32(v *uint32) {
+	if c.r == nil {
+		c.w.U32(*v)
+	} else {
+		*v = c.r.U32()
+	}
+}
+
+// U64 carries a big-endian uint64.
+func (c Codec) U64(v *uint64) {
+	if c.r == nil {
+		c.w.U64(*v)
+	} else {
+		*v = c.r.U64()
+	}
+}
+
+// Round carries a round number.
+func (c Codec) Round(v *model.Round) { c.U64((*uint64)(v)) }
+
+// Node carries a node id.
+func (c Codec) Node(v *model.NodeID) { c.U32((*uint32)(v)) }
+
+// Bytes carries a length-prefixed byte string; decoded, it is a view into
+// the input (nil when empty).
+func (c Codec) Bytes(v *[]byte) {
+	if c.r == nil {
+		c.w.Bytes(*v)
+	} else {
+		*v = c.r.Bytes()
+	}
+}
+
+// Raw carries a fixed-width field with no prefix: decoding copies
+// len(b) input bytes into b.
+func (c Codec) Raw(b []byte) {
+	if c.r == nil {
+		c.w.Raw(b)
+	} else {
+		copy(b, c.r.Raw(len(b)))
+	}
+}
+
+// ListLen carries a list's length: it writes n, or reads a length bounded
+// by the remaining input (Reader.ListLen, minElem being the smallest
+// encoding of one element), and returns the length to loop over.
+func (c Codec) ListLen(n, minElem int) int {
+	if c.r == nil {
+		c.w.U32(uint32(n))
+		return n
+	}
+	return c.r.ListLen(minElem)
+}
+
+// Encoded sizes the list decoders bound their counts with (ListLen).
+const (
+	// UpdateIDLen is the encoding of one update identifier.
+	UpdateIDLen = 4 + 8
+	// MinUpdateLen is the encoding of an update with empty payload and
+	// source signature.
+	MinUpdateLen = UpdateIDLen + 8 + 4 + 4
+)
+
+// UpdateID carries an update identifier: stream, then sequence number.
+func (c Codec) UpdateID(id *model.UpdateID) {
+	c.U32((*uint32)(&id.Stream))
+	c.U64(&id.Seq)
+}
+
+// Update carries a full update: identifier, deadline, payload, source
+// signature. Decoded, Payload and SrcSig are views into the input;
+// update.Update.Clone (or the session interner) detaches them.
+func (c Codec) Update(u *update.Update) {
+	c.UpdateID(&u.ID)
+	c.Round(&u.Deadline)
+	c.Bytes(&u.Payload)
+	c.Bytes(&u.SrcSig)
+}
+
+// Signature reads the trailing signature field into *sig and reports
+// whether the message decoded and nothing follows it (Done).
+func (r *Reader) Signature(sig *[]byte) error {
+	*sig = r.Bytes()
+	return r.Done()
 }

@@ -87,50 +87,6 @@ type Message interface {
 }
 
 // ---------------------------------------------------------------------------
-// Shared sub-encodings
-// ---------------------------------------------------------------------------
-
-// Encoded sizes the list decoders bound their counts with (Reader.ListLen).
-const (
-	// UpdateIDLen is the encoding of one update identifier.
-	UpdateIDLen = 4 + 8
-	// MinUpdateLen is the encoding of an update with empty payload and
-	// source signature.
-	MinUpdateLen = UpdateIDLen + 8 + 4 + 4
-)
-
-// UpdateID appends an update identifier.
-func (w *Writer) UpdateID(id model.UpdateID) {
-	w.U32(uint32(id.Stream))
-	w.U64(id.Seq)
-}
-
-// UpdateID reads an update identifier.
-func (r *Reader) UpdateID() model.UpdateID {
-	return model.UpdateID{Stream: model.StreamID(r.U32()), Seq: r.U64()}
-}
-
-// Update appends a full update: identifier, deadline, payload, source
-// signature.
-func (w *Writer) Update(u *update.Update) {
-	w.UpdateID(u.ID)
-	w.U64(uint64(u.Deadline))
-	w.Bytes(u.Payload)
-	w.Bytes(u.SrcSig)
-}
-
-// Update reads a full update. Payload and SrcSig are views into the
-// input; update.Update.Clone (or the session interner) detaches them.
-func (r *Reader) Update() update.Update {
-	return update.Update{
-		ID:       r.UpdateID(),
-		Deadline: model.Round(r.U64()),
-		Payload:  r.Bytes(),
-		SrcSig:   r.Bytes(),
-	}
-}
-
-// ---------------------------------------------------------------------------
 // KeyRequest (Fig 5, msg 1): ⟨KeyRequest, R, A, B⟩_A
 // ---------------------------------------------------------------------------
 
@@ -145,11 +101,11 @@ type KeyRequest struct {
 // Kind implements Message.
 func (m *KeyRequest) Kind() uint8 { return KindKeyRequest }
 
-func (m *KeyRequest) body(w *Writer) {
-	w.U8(KindKeyRequest)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
+func (m *KeyRequest) layout(c Codec) {
+	c.Kind(KindKeyRequest)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
 }
 
 // Marshal implements Message.
@@ -157,17 +113,9 @@ func (m *KeyRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalKeyRequest decodes a KeyRequest.
 func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindKeyRequest && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not KeyRequest", k)
-	}
-	m := &KeyRequest{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(KeyRequest), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -183,6 +131,10 @@ func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
 // distinct lifted hashes agreeing on 64 bits is the one way a tag can
 // mislead (DESIGN.md, "Bytes on the wire", gives the bound).
 const BufTagBytes = 8
+
+// errUnsortedBufferMap rejects a buffermap whose tags are not strictly
+// ascending: a set has one encoding.
+var errUnsortedBufferMap = errors.New("wire: buffermap tags not strictly ascending")
 
 // KeyResponse carries the fresh prime and the buffermap: the tags of the
 // homomorphic hashes, under that prime, of the updates the responder owns
@@ -202,15 +154,21 @@ type KeyResponse struct {
 // Kind implements Message.
 func (m *KeyResponse) Kind() uint8 { return KindKeyResponse }
 
-func (m *KeyResponse) body(w *Writer) {
-	w.U8(KindKeyResponse)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	w.Bytes(m.Prime)
-	w.U32(uint32(len(m.BufferMap)))
-	for _, t := range m.BufferMap {
-		w.U64(t)
+func (m *KeyResponse) layout(c Codec) {
+	c.Kind(KindKeyResponse)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	c.Bytes(&m.Prime)
+	n := c.ListLen(len(m.BufferMap), BufTagBytes)
+	if c.Decoding() && n > 0 {
+		m.BufferMap = make([]uint64, n)
+	}
+	for i := range n {
+		c.U64(&m.BufferMap[i])
+		if i > 0 && m.BufferMap[i] <= m.BufferMap[i-1] {
+			c.Reject(errUnsortedBufferMap)
+		}
 	}
 }
 
@@ -219,27 +177,9 @@ func (m *KeyResponse) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalKeyResponse decodes a KeyResponse.
 func UnmarshalKeyResponse(b []byte) (*KeyResponse, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindKeyResponse && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not KeyResponse", k)
-	}
-	m := &KeyResponse{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-		Prime: r.Bytes(),
-	}
-	if n := r.ListLen(BufTagBytes); n > 0 {
-		m.BufferMap = make([]uint64, n)
-		for i := range m.BufferMap {
-			m.BufferMap[i] = r.U64()
-			if i > 0 && m.BufferMap[i] <= m.BufferMap[i-1] {
-				r.fail(errors.New("wire: buffermap tags not strictly ascending"))
-			}
-		}
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(KeyResponse), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -282,21 +222,27 @@ type Serve struct {
 // Kind implements Message.
 func (m *Serve) Kind() uint8 { return KindServe }
 
-func (m *Serve) body(w *Writer) {
-	w.U8(KindServe)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	w.Bytes(m.KPrev)
-	w.U32(uint32(len(m.Full)))
-	for i := range m.Full {
-		w.Update(&m.Full[i].Update)
-		w.U64(m.Full[i].Count)
+func (m *Serve) layout(c Codec) {
+	c.Kind(KindServe)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	c.Bytes(&m.KPrev)
+	n := c.ListLen(len(m.Full), MinUpdateLen+8)
+	if c.Decoding() && n > 0 {
+		m.Full = make([]ServedUpdate, n)
 	}
-	w.U32(uint32(len(m.Refs)))
-	for i := range m.Refs {
-		w.UpdateID(m.Refs[i].ID)
-		w.U64(m.Refs[i].Count)
+	for i := range n {
+		c.Update(&m.Full[i].Update)
+		c.U64(&m.Full[i].Count)
+	}
+	n = c.ListLen(len(m.Refs), UpdateIDLen+8)
+	if c.Decoding() && n > 0 {
+		m.Refs = make([]ServedRef, n)
+	}
+	for i := range n {
+		c.UpdateID(&m.Refs[i].ID)
+		c.U64(&m.Refs[i].Count)
 	}
 }
 
@@ -305,30 +251,9 @@ func (m *Serve) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalServe decodes a Serve.
 func UnmarshalServe(b []byte) (*Serve, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindServe && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Serve", k)
-	}
-	m := &Serve{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-		KPrev: r.Bytes(),
-	}
-	if n := r.ListLen(MinUpdateLen + 8); n > 0 {
-		m.Full = make([]ServedUpdate, n)
-		for i := range m.Full {
-			m.Full[i] = ServedUpdate{Update: r.Update(), Count: r.U64()}
-		}
-	}
-	if n := r.ListLen(UpdateIDLen + 8); n > 0 {
-		m.Refs = make([]ServedRef, n)
-		for i := range m.Refs {
-			m.Refs[i] = ServedRef{ID: r.UpdateID(), Count: r.U64()}
-		}
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Serve), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -355,13 +280,13 @@ type Attestation struct {
 // Kind implements Message.
 func (m *Attestation) Kind() uint8 { return KindAttestation }
 
-func (m *Attestation) body(w *Writer) {
-	w.U8(KindAttestation)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	w.Bytes(m.HExpiring)
-	w.Bytes(m.HForwardable)
+func (m *Attestation) layout(c Codec) {
+	c.Kind(KindAttestation)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	c.Bytes(&m.HExpiring)
+	c.Bytes(&m.HForwardable)
 }
 
 // Marshal implements Message.
@@ -369,19 +294,9 @@ func (m *Attestation) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAttestation decodes an Attestation.
 func UnmarshalAttestation(b []byte) (*Attestation, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAttestation && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Attestation", k)
-	}
-	m := &Attestation{
-		Round:        model.Round(r.U64()),
-		From:         model.NodeID(r.U32()),
-		To:           model.NodeID(r.U32()),
-		HExpiring:    r.Bytes(),
-		HForwardable: r.Bytes(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Attestation), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -405,12 +320,12 @@ type Ack struct {
 // Kind implements Message.
 func (m *Ack) Kind() uint8 { return KindAck }
 
-func (m *Ack) body(w *Writer) {
-	w.U8(KindAck)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.To))
-	w.Bytes(m.H)
+func (m *Ack) layout(c Codec) {
+	c.Kind(KindAck)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.To)
+	c.Bytes(&m.H)
 }
 
 // Marshal implements Message.
@@ -418,18 +333,9 @@ func (m *Ack) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAck decodes an Ack.
 func UnmarshalAck(b []byte) (*Ack, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAck && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Ack", k)
-	}
-	m := &Ack{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		To:    model.NodeID(r.U32()),
-		H:     r.Bytes(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Ack), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -457,12 +363,12 @@ type AttForward struct {
 // Kind implements Message.
 func (m *AttForward) Kind() uint8 { return KindAttForward }
 
-func (m *AttForward) body(w *Writer) {
-	w.U8(KindAttForward)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.Bytes(m.AttBytes)
-	w.Bytes(m.Remainder)
+func (m *AttForward) layout(c Codec) {
+	c.Kind(KindAttForward)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Bytes(&m.AttBytes)
+	c.Bytes(&m.Remainder)
 }
 
 // Marshal implements Message.
@@ -470,18 +376,9 @@ func (m *AttForward) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAttForward decodes an AttForward.
 func UnmarshalAttForward(b []byte) (*AttForward, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAttForward && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not AttForward", k)
-	}
-	m := &AttForward{
-		Round:     model.Round(r.U64()),
-		From:      model.NodeID(r.U32()),
-		AttBytes:  r.Bytes(),
-		Remainder: r.Bytes(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(AttForward), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -510,15 +407,15 @@ type HashShare struct {
 // Kind implements Message.
 func (m *HashShare) Kind() uint8 { return KindHashShare }
 
-func (m *HashShare) body(w *Writer) {
-	w.U8(KindHashShare)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Monitored))
-	w.U32(uint32(m.Pred))
-	w.Bytes(m.HExpLifted)
-	w.Bytes(m.HFwdLifted)
-	w.Bytes(m.AckBytes)
+func (m *HashShare) layout(c Codec) {
+	c.Kind(KindHashShare)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Monitored)
+	c.Node(&m.Pred)
+	c.Bytes(&m.HExpLifted)
+	c.Bytes(&m.HFwdLifted)
+	c.Bytes(&m.AckBytes)
 }
 
 // Marshal implements Message.
@@ -526,21 +423,9 @@ func (m *HashShare) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalHashShare decodes a HashShare.
 func UnmarshalHashShare(b []byte) (*HashShare, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindHashShare && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not HashShare", k)
-	}
-	m := &HashShare{
-		Round:      model.Round(r.U64()),
-		From:       model.NodeID(r.U32()),
-		Monitored:  model.NodeID(r.U32()),
-		Pred:       model.NodeID(r.U32()),
-		HExpLifted: r.Bytes(),
-		HFwdLifted: r.Bytes(),
-		AckBytes:   r.Bytes(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(HashShare), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -575,11 +460,11 @@ func NewConfirm(round model.Round, from model.NodeID, ackBytes []byte) *AckRelay
 // Kind implements Message.
 func (m *AckRelay) Kind() uint8 { return m.kind }
 
-func (m *AckRelay) body(w *Writer) {
-	w.U8(m.kind)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.Bytes(m.AckBytes)
+func (m *AckRelay) layout(c Codec) {
+	c.KindOf(&m.kind, KindAckForward, KindConfirm)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Bytes(&m.AckBytes)
 }
 
 // Marshal implements Message.
@@ -587,19 +472,9 @@ func (m *AckRelay) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckRelay decodes an AckRelay of either kind.
 func UnmarshalAckRelay(b []byte) (*AckRelay, error) {
-	r := NewReader(b)
-	k := r.U8()
-	if r.Err() == nil && k != KindAckForward && k != KindConfirm {
-		return nil, fmt.Errorf("wire: kind %d is not AckForward/Confirm", k)
-	}
-	m := &AckRelay{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		kind:  k,
-	}
-	m.AckBytes = r.Bytes()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(AckRelay), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -624,11 +499,11 @@ type NodeDigest struct {
 // Kind implements Message.
 func (m *NodeDigest) Kind() uint8 { return KindNodeDigest }
 
-func (m *NodeDigest) body(w *Writer) {
-	w.U8(KindNodeDigest)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.Bytes(m.HFwd)
+func (m *NodeDigest) layout(c Codec) {
+	c.Kind(KindNodeDigest)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Bytes(&m.HFwd)
 }
 
 // Marshal implements Message.
@@ -636,17 +511,9 @@ func (m *NodeDigest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalNodeDigest decodes a NodeDigest.
 func UnmarshalNodeDigest(b []byte) (*NodeDigest, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindNodeDigest && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not NodeDigest", k)
-	}
-	m := &NodeDigest{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		HFwd:  r.Bytes(),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(NodeDigest), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -673,13 +540,13 @@ type Accusation struct {
 // Kind implements Message.
 func (m *Accusation) Kind() uint8 { return KindAccusation }
 
-func (m *Accusation) body(w *Writer) {
-	w.U8(KindAccusation)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Against))
-	w.Bytes(m.ServeCipher)
-	w.Bytes(m.AttBytes)
+func (m *Accusation) layout(c Codec) {
+	c.Kind(KindAccusation)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Against)
+	c.Bytes(&m.ServeCipher)
+	c.Bytes(&m.AttBytes)
 }
 
 // Marshal implements Message.
@@ -687,19 +554,9 @@ func (m *Accusation) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAccusation decodes an Accusation.
 func UnmarshalAccusation(b []byte) (*Accusation, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAccusation && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Accusation", k)
-	}
-	m := &Accusation{
-		Round:   model.Round(r.U64()),
-		From:    model.NodeID(r.U32()),
-		Against: model.NodeID(r.U32()),
-	}
-	m.ServeCipher = r.Bytes()
-	m.AttBytes = r.Bytes()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Accusation), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -719,13 +576,13 @@ type Probe struct {
 // Kind implements Message.
 func (m *Probe) Kind() uint8 { return KindProbe }
 
-func (m *Probe) body(w *Writer) {
-	w.U8(KindProbe)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Origin))
-	w.Bytes(m.ServeCipher)
-	w.Bytes(m.AttBytes)
+func (m *Probe) layout(c Codec) {
+	c.Kind(KindProbe)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Origin)
+	c.Bytes(&m.ServeCipher)
+	c.Bytes(&m.AttBytes)
 }
 
 // Marshal implements Message.
@@ -733,19 +590,9 @@ func (m *Probe) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalProbe decodes a Probe.
 func UnmarshalProbe(b []byte) (*Probe, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindProbe && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Probe", k)
-	}
-	m := &Probe{
-		Round:  model.Round(r.U64()),
-		From:   model.NodeID(r.U32()),
-		Origin: model.NodeID(r.U32()),
-	}
-	m.ServeCipher = r.Bytes()
-	m.AttBytes = r.Bytes()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Probe), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -764,12 +611,12 @@ type Nack struct {
 // Kind implements Message.
 func (m *Nack) Kind() uint8 { return KindNack }
 
-func (m *Nack) body(w *Writer) {
-	w.U8(KindNack)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Accuser))
-	w.U32(uint32(m.Against))
+func (m *Nack) layout(c Codec) {
+	c.Kind(KindNack)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Accuser)
+	c.Node(&m.Against)
 }
 
 // Marshal implements Message.
@@ -777,18 +624,9 @@ func (m *Nack) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalNack decodes a Nack.
 func UnmarshalNack(b []byte) (*Nack, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindNack && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not Nack", k)
-	}
-	m := &Nack{
-		Round:   model.Round(r.U64()),
-		From:    model.NodeID(r.U32()),
-		Accuser: model.NodeID(r.U32()),
-		Against: model.NodeID(r.U32()),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(Nack), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -807,11 +645,11 @@ type AckRequest struct {
 // Kind implements Message.
 func (m *AckRequest) Kind() uint8 { return KindAckRequest }
 
-func (m *AckRequest) body(w *Writer) {
-	w.U8(KindAckRequest)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Succ))
+func (m *AckRequest) layout(c Codec) {
+	c.Kind(KindAckRequest)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Succ)
 }
 
 // Marshal implements Message.
@@ -819,17 +657,9 @@ func (m *AckRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckRequest decodes an AckRequest.
 func UnmarshalAckRequest(b []byte) (*AckRequest, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAckRequest && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not AckRequest", k)
-	}
-	m := &AckRequest{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		Succ:  model.NodeID(r.U32()),
-	}
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(AckRequest), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -853,13 +683,13 @@ type AckExhibit struct {
 // Kind implements Message.
 func (m *AckExhibit) Kind() uint8 { return KindAckExhibit }
 
-func (m *AckExhibit) body(w *Writer) {
-	w.U8(KindAckExhibit)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Succ))
-	w.Bytes(m.AckBytes)
-	w.Bool(m.Accused)
+func (m *AckExhibit) layout(c Codec) {
+	c.Kind(KindAckExhibit)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Succ)
+	c.Bytes(&m.AckBytes)
+	c.Bool(&m.Accused)
 }
 
 // Marshal implements Message.
@@ -867,19 +697,9 @@ func (m *AckExhibit) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalAckExhibit decodes an AckExhibit.
 func UnmarshalAckExhibit(b []byte) (*AckExhibit, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindAckExhibit && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not AckExhibit", k)
-	}
-	m := &AckExhibit{
-		Round: model.Round(r.U64()),
-		From:  model.NodeID(r.U32()),
-		Succ:  model.NodeID(r.U32()),
-	}
-	m.AckBytes = r.Bytes()
-	m.Accused = r.Bool()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(AckExhibit), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -906,13 +726,13 @@ type ObligationHandover struct {
 // Kind implements Message.
 func (m *ObligationHandover) Kind() uint8 { return KindObligationHandover }
 
-func (m *ObligationHandover) body(w *Writer) {
-	w.U8(KindObligationHandover)
-	w.U64(uint64(m.Round))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Monitored))
-	w.Bytes(m.Obligation)
-	w.Bool(m.Suspect)
+func (m *ObligationHandover) layout(c Codec) {
+	c.Kind(KindObligationHandover)
+	c.Round(&m.Round)
+	c.Node(&m.From)
+	c.Node(&m.Monitored)
+	c.Bytes(&m.Obligation)
+	c.Bool(&m.Suspect)
 }
 
 // Marshal implements Message.
@@ -920,19 +740,9 @@ func (m *ObligationHandover) Marshal() []byte { return marshal(m, m.Sig) }
 
 // UnmarshalObligationHandover decodes an ObligationHandover.
 func UnmarshalObligationHandover(b []byte) (*ObligationHandover, error) {
-	r := NewReader(b)
-	if k := r.U8(); k != KindObligationHandover && r.Err() == nil {
-		return nil, fmt.Errorf("wire: kind %d is not ObligationHandover", k)
-	}
-	m := &ObligationHandover{
-		Round:     model.Round(r.U64()),
-		From:      model.NodeID(r.U32()),
-		Monitored: model.NodeID(r.U32()),
-	}
-	m.Obligation = r.Bytes()
-	m.Suspect = r.Bool()
-	m.Sig = r.Bytes()
-	if err := r.Done(); err != nil {
+	m, r := new(ObligationHandover), NewReader(b)
+	m.layout(r.Codec())
+	if err := r.Signature(&m.Sig); err != nil {
 		return nil, err
 	}
 	return m, nil

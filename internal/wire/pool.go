@@ -1,15 +1,16 @@
 package wire
 
 // The message path every protocol in this repository shares (PAG's core,
-// the AcTinG and RAC baselines): a sender encodes a message body once into
-// a pooled Writer, signs those bytes in place (Writer.Sign) and hands the
-// transport one exact-size copy — Endpoint.Send owns what it is given, and
-// every recipient of a fan-out is delivered that one slice. A receiver
-// decodes views into the payload it was delivered — or, for the encrypted
-// kinds, into the pooled Writer it opened the payload into (Writer.Open) —
-// and checks the signature over the prefix of those same bytes
-// (SignedPrefix), never over a re-encoding. Views die with the handler:
-// the payload goes back to its owner and the Writer to the pool.
+// the AcTinG and RAC baselines): a sender walks a message's layout once
+// into a pooled Writer, signs those bytes in place (Writer.Sign) and hands
+// the transport one exact-size copy — Endpoint.Send owns what it is given,
+// and every recipient of a fan-out is delivered that one slice. A receiver
+// walks the same layout over the payload it was delivered — or, for the
+// encrypted kinds, over the pooled Writer it opened the payload into
+// (Writer.Open) — decoding views into those bytes, and checks the
+// signature over their prefix (SignedPrefix), never over a re-encoding.
+// Views die with the handler: the payload goes back to its owner and the
+// Writer to the pool.
 
 import (
 	"bytes"
@@ -121,19 +122,19 @@ func (w *Writer) Sign(s Signer) error {
 // SignedPrefix returns the part of an encoded message its signature
 // covers: everything before the trailing signature field. encoded must
 // have decoded successfully with sig as its last field; because decoding
-// is canonical (a decoder accepts only the bytes Marshal would produce for
-// the decoded value), verifying over this prefix is verifying over the
-// re-encoded body.
+// is canonical (a decoder walks the same layout as the encoder, so it
+// accepts only the bytes Marshal would produce for the decoded value),
+// verifying over this prefix is verifying over the re-encoded body.
 func SignedPrefix(encoded, sig []byte) []byte {
 	return encoded[:len(encoded)-sigPrefixLen-len(sig)]
 }
 
 // BodyMessage is the encoding surface shared by every wire message: the
-// Message interface plus the unexported deterministic body encoder, which
-// keeps the set closed over this package's types.
+// Message interface plus the unexported layout its body is encoded and
+// decoded by, which keeps the set closed over this package's types.
 type BodyMessage interface {
 	Message
-	body(w *Writer)
+	layout(c Codec)
 }
 
 // Seal encodes m's body into w, signs it in place and returns the full
@@ -142,7 +143,7 @@ type BodyMessage interface {
 // is valid until the next Reset, Seal, Open or Release.
 func Seal(w *Writer, m BodyMessage, s Signer) ([]byte, error) {
 	w.Reset()
-	m.body(w)
+	m.layout(w.Codec())
 	if err := w.Sign(s); err != nil {
 		return nil, err
 	}
@@ -161,7 +162,7 @@ func (w *Writer) Canonical(u *update.Update) []byte {
 // encoded through a pooled Writer into one exact-size slice.
 func marshal(m BodyMessage, sig []byte) []byte {
 	w := GetWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	w.Bytes(sig)
 	out := bytes.Clone(w.buf)
 	w.Release()

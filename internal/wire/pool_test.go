@@ -50,7 +50,7 @@ func randBytes(rnd *rand.Rand, n int) []byte {
 // way (fresh writer) as the reference for the pooled path.
 func signingBytes(m BodyMessage) []byte {
 	w := NewWriter()
-	m.body(w)
+	m.layout(w.Codec())
 	return w.Finish()
 }
 

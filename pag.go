@@ -263,7 +263,10 @@ type Session struct {
 // SourceID is the session's source node.
 const SourceID = model.NodeID(1)
 
-// NewSession assembles a session over the in-memory network.
+// NewSession assembles a session of cfg.Protocol over the transport
+// cfg.NewNetwork supplies — a MemNet when it is nil; a TCPNet runs the same
+// session over real sockets — and builds the nodes it hosts (all of them
+// unless cfg.Hosted names some).
 func NewSession(cfg SessionConfig) (*Session, error) {
 	c := cfg.withDefaults()
 	if c.Nodes < c.Fanout+2 {
