@@ -21,8 +21,8 @@ import (
 // which is what makes "≤ 1 flush per connection per engine phase" hold.
 
 // maxBatchBytes bounds a writer's pending bytes; a phase that queues more
-// than this to one destination flushes mid-phase rather than grow without
-// bound.
+// than this to one destination address flushes mid-phase rather than grow
+// without bound.
 const maxBatchBytes = 256 << 10
 
 // IOStats counts the transport's actual wire operations — syscalls and
@@ -84,7 +84,7 @@ type connWriter struct {
 	frames []pendingFrame
 	hdrs   []byte       // jumbo header slot, then one frame header per pending frame
 	batch  int          // what a jumbo flush writes: its header plus every frame
-	to     model.NodeID // common destination of the pending frames
+	to     model.NodeID // destination of the last pending frame, the jumbo's to
 	err    error        // sticky: the connection is dead
 	queued bool         // on the mux's pending list since the last FlushAll
 	vec    net.Buffers  // the flush's header/payload vector, rebuilt per flush

@@ -410,7 +410,7 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 		stream.Write(buildFrame(1, 2, 7, body(i)))
 	}
 	// Nothing queued: 320 KB of frames pass through one arena.
-	fr := newFrameReader(bytes.NewReader(stream.Bytes()))
+	fr := newFrameReader(bytes.NewReader(stream.Bytes()), hostsOf(2))
 	first := fr.arena
 	for i := 0; i < frames; i++ {
 		if _, payload, err := fr.next(); err != nil || !bytes.Equal(payload, body(i)) {
@@ -423,7 +423,7 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 	fr.close()
 
 	// Every payload queued, the way stepped delivery queues them.
-	fr = newFrameReader(bytes.NewReader(stream.Bytes()))
+	fr = newFrameReader(bytes.NewReader(stream.Bytes()), hostsOf(2))
 	var queued []queuedDelivery
 	for i := 0; i < frames; i++ {
 		_, payload, err := fr.next()
@@ -468,7 +468,7 @@ func TestFrameReaderArenaOwnership(t *testing.T) {
 	// class; once it has consumed what it read it is back on a default
 	// arena, while the large one waits for its queued payload.
 	large := bytes.Repeat([]byte{0x4C}, wire.ArenaSize+wire.ArenaSize/4)
-	fr = newFrameReader(&chunkReader{chunks: [][]byte{buildFrame(1, 2, 7, large), buildFrame(1, 2, 7, body(0))}})
+	fr = newFrameReader(&chunkReader{chunks: [][]byte{buildFrame(1, 2, 7, large), buildFrame(1, 2, 7, body(0))}}, hostsOf(2))
 	defer fr.close()
 	_, payload, err := fr.next()
 	if err != nil || !bytes.Equal(payload, large) {

@@ -467,13 +467,6 @@ func (p *FaultPlane) QueueDepth() int {
 	return n
 }
 
-// QueueDepthOf returns how many messages one node's upload queue holds.
-func (p *FaultPlane) QueueDepthOf(id model.NodeID) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queues[id])
-}
-
 // QueueBacklog is one node's current upload-queue depth — the per-node
 // resolution of QueueDepth, so reports can name the hotspot instead of
 // only sizing the aggregate backlog.

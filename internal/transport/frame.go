@@ -28,9 +28,11 @@ const MaxTCPPayload = 16 << 20
 // ordinary frames, written as one buffer by a connection writer's flush
 // and unpacked transparently on the receive side. The kind value lives in
 // a transport-reserved band (>= 240) that no protocol plane uses (PAG
-// owns 1..17, AcTinG 101..106, RAC 120); a jumbo's from field is the
-// batching sender, its to field the common destination every sub-frame
-// must repeat. Jumbos never nest.
+// owns 1..17, AcTinG 101..106, RAC 120); a jumbo's from field is 0 and
+// its to field the destination of its last sub-frame. The sub-frames may
+// be addressed to any ids the receiving listener hosts, since every id at
+// one address shares the listener and the connections dialed to it.
+// Jumbos never nest.
 const kindJumbo uint8 = 255
 
 // frameHeader is one decoded 13-byte prefix.
@@ -65,39 +67,6 @@ func parseFrameHeader(b []byte) frameHeader {
 // produced it is dropped.
 var errBadFrame = errors.New("transport: malformed frame")
 
-// decodeJumbo walks the sub-frames packed inside a jumbo payload and
-// hands each header+body to fn, zero-copy (bodies alias payload). Every
-// structural violation — truncated header, truncated body, oversized
-// length, a nested jumbo, trailing garbage — is an error, never a panic
-// or an over-read; to is the connection's owner and every sub-frame must
-// be addressed to it.
-func decodeJumbo(payload []byte, to model.NodeID, fn func(frameHeader, []byte) error) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty jumbo", errBadFrame)
-	}
-	for off := 0; off < len(payload); {
-		if len(payload)-off < _tcpFrameHeader {
-			return fmt.Errorf("%w: truncated sub-frame header", errBadFrame)
-		}
-		h := parseFrameHeader(payload[off:])
-		off += _tcpFrameHeader
-		if h.kind == kindJumbo {
-			return fmt.Errorf("%w: nested jumbo", errBadFrame)
-		}
-		if h.to != to {
-			return fmt.Errorf("%w: sub-frame for %v on %v's connection", errBadFrame, h.to, to)
-		}
-		if h.n < 0 || h.n > MaxTCPPayload || h.n > len(payload)-off {
-			return fmt.Errorf("%w: sub-frame length %d exceeds container", errBadFrame, h.n)
-		}
-		if err := fn(h, payload[off:off+h.n]); err != nil {
-			return err
-		}
-		off += h.n
-	}
-	return nil
-}
-
 // frameReader decodes length-prefixed frames from a stream with payloads
 // sliced zero-copy out of pooled ref-counted arenas (wire.Arena). One
 // fill read drains everything the kernel has buffered — many frames per
@@ -107,41 +76,85 @@ func decodeJumbo(payload []byte, to model.NodeID, fn func(frameHeader, []byte) e
 // large for the default arena moves the reader to a larger size class;
 // once the reader has consumed everything it read, it trades that arena
 // back for a default one, so an idle reader holds ArenaSize bytes.
+//
+// A jumbo is unpacked in the stream, one sub-frame at a time: the reader
+// consumes the jumbo's header and then yields its sub-frames as if they
+// were ordinary frames, so only a sub-frame, never the whole jumbo, has
+// to sit contiguously in an arena. A connection that carries a whole
+// process's phase (one listener per address, tcp.go) writes jumbos of up
+// to maxBatchBytes and beyond; they pass through default-size arenas.
 type frameReader struct {
 	src   io.Reader
+	hosts func(model.NodeID) bool // the ids a frame may be addressed to
 	arena *wire.Arena
 	buf   []byte
 	r, w  int // unconsumed bytes live in buf[r:w]
+	jumbo int // bytes of the current jumbo's body not yet unpacked
 }
 
-func newFrameReader(src io.Reader) *frameReader {
+func newFrameReader(src io.Reader, hosts func(model.NodeID) bool) *frameReader {
 	a := wire.GetArena(wire.ArenaSize)
-	return &frameReader{src: src, arena: a, buf: a.Bytes()}
+	return &frameReader{src: src, hosts: hosts, arena: a, buf: a.Bytes()}
 }
 
 // next returns the next frame's header and its payload, which aliases the
 // reader's current arena (fr.arena) and is valid until the following call
-// unless the consumer retains that arena. Length and addressing validation
-// is the caller's: next only bounds n against MaxTCPPayload.
+// unless the consumer retains that arena. Inside a jumbo the frame is the
+// next sub-frame; the jumbo itself is never returned. Every structural
+// violation is an errBadFrame, never a panic or an over-read: a length
+// past MaxTCPPayload, a frame or jumbo addressed to an id hosts refuses,
+// an empty or nested jumbo, and a sub-frame whose header or body overruns
+// its jumbo. A stream that ends inside a frame or a jumbo is
+// io.ErrUnexpectedEOF, between frames io.EOF.
 func (fr *frameReader) next() (frameHeader, []byte, error) {
-	if err := fr.ensure(_tcpFrameHeader); err != nil {
-		return frameHeader{}, nil, err
-	}
-	h := parseFrameHeader(fr.buf[fr.r:])
-	if h.n < 0 || h.n > MaxTCPPayload {
-		return frameHeader{}, nil, fmt.Errorf("%w: frame length %d", errBadFrame, h.n)
-	}
-	if err := fr.ensure(_tcpFrameHeader + h.n); err != nil {
-		// A stream that ends mid-frame is a truncation, not a clean EOF.
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for {
+		if fr.jumbo > 0 && fr.jumbo < _tcpFrameHeader {
+			return frameHeader{}, nil, fmt.Errorf("%w: truncated sub-frame header", errBadFrame)
 		}
-		return frameHeader{}, nil, err
+		if err := fr.ensure(_tcpFrameHeader); err != nil {
+			if err == io.EOF && fr.jumbo > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return frameHeader{}, nil, err
+		}
+		h := parseFrameHeader(fr.buf[fr.r:])
+		if fr.jumbo > 0 {
+			if h.kind == kindJumbo {
+				return frameHeader{}, nil, fmt.Errorf("%w: nested jumbo", errBadFrame)
+			}
+			if h.n < 0 || h.n > fr.jumbo-_tcpFrameHeader {
+				return frameHeader{}, nil, fmt.Errorf("%w: sub-frame length %d exceeds container", errBadFrame, h.n)
+			}
+		}
+		if h.n < 0 || h.n > MaxTCPPayload {
+			return frameHeader{}, nil, fmt.Errorf("%w: frame length %d", errBadFrame, h.n)
+		}
+		if !fr.hosts(h.to) {
+			return frameHeader{}, nil, fmt.Errorf("%w: frame for %v, which this listener does not host", errBadFrame, h.to)
+		}
+		if h.kind == kindJumbo {
+			if h.n == 0 {
+				return frameHeader{}, nil, fmt.Errorf("%w: empty jumbo", errBadFrame)
+			}
+			fr.r += _tcpFrameHeader
+			fr.jumbo = h.n
+			continue
+		}
+		if err := fr.ensure(_tcpFrameHeader + h.n); err != nil {
+			// A stream that ends mid-frame is a truncation, not a clean EOF.
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return frameHeader{}, nil, err
+		}
+		fr.r += _tcpFrameHeader
+		payload := fr.buf[fr.r : fr.r+h.n]
+		fr.r += h.n
+		if fr.jumbo > 0 {
+			fr.jumbo -= _tcpFrameHeader + h.n
+		}
+		return h, payload, nil
 	}
-	fr.r += _tcpFrameHeader
-	payload := fr.buf[fr.r : fr.r+h.n]
-	fr.r += h.n
-	return h, payload, nil
 }
 
 // ensure makes buf[r:r+n] valid, filling from src. When the current

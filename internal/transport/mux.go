@@ -6,16 +6,16 @@ import (
 	"sync"
 )
 
-// Connection multiplexing. Before the mux every endpoint owned a private
-// dial cache, so a loopback session of N nodes opened O(N²) sockets —
-// and tcpEndpoint.conn dialed while holding the endpoint lock, letting
-// one slow peer stall every unrelated send from that node. The mux keys
-// outbound connections by destination address and shares them across all
-// endpoints of the process (each destination address is one listener, so
-// frames from different local senders interleave safely on one stream:
-// every frame carries its own from field). Dials run outside all locks
-// with singleflight per address — concurrent senders to a cold
-// destination wait on one dial instead of racing their own.
+// Connection multiplexing. The mux keys outbound connections by
+// destination address and shares them across all endpoints of the
+// process: one socket per destination address. An address is one
+// listener however many ids it hosts (tcp.go), so frames from different
+// local senders to different ids there interleave safely on one stream —
+// every frame carries its own from and to fields. An in-process session
+// on the dynamic roster therefore runs over one loopback connection, and
+// a deployment over one per ordered pair of processes. Dials run
+// outside all locks with singleflight per address — concurrent senders to
+// a cold destination wait on one dial instead of racing their own.
 
 // dialCall is a singleflight slot: the first caller dials, later callers
 // wait on done.
@@ -102,8 +102,8 @@ func (cm *connMux) drop(w *connWriter) {
 }
 
 // dropAddr closes and forgets the connection to addr, if any — the
-// Unregister path: a departed id's peers must see their cached
-// connection die.
+// Unregister path once an address's last id has left: its peers must see
+// their cached connection die.
 func (cm *connMux) dropAddr(addr string) {
 	cm.mu.Lock()
 	w := cm.conns[addr]

@@ -12,12 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// TCPNet is a real TCP transport implementing FaultyNetwork. Each
-// registered node listens on its address from the address book; outgoing
-// connections are dialed lazily through a process-wide mux (one shared
-// connection per destination address, singleflight dial — see mux.go)
-// and kept open. It backs the cluster-deployment analogue of the paper's
-// Grid'5000 experiment (48 machines × 9 instances, §VII-A).
+// TCPNet is a real TCP transport implementing FaultyNetwork. It listens
+// once per distinct local address: every id the address book (or
+// SetDynamic) places at one address shares that listener, its accept loop
+// and one read loop per inbound connection, and a frame names the id it is
+// for. Outgoing connections are dialed lazily through a process-wide mux
+// (one shared connection per destination address, singleflight dial — see
+// mux.go) and kept open, so an in-process session on the dynamic roster
+// runs over a single loopback connection, and a deployment over one per
+// ordered pair of processes. It backs the cluster-deployment analogue of the
+// paper's Grid'5000 experiment (48 machines × 9 instances, §VII-A).
 //
 // TCPNet carries the same scripted fault surface as MemNet — loss,
 // partitions, down nodes, queued upload caps — through the same
@@ -32,9 +36,13 @@ import (
 // scripted TCP run — lossy or not — reports what the MemNet run of the
 // same script reports. What stays outside that contract is timing:
 // wall-clock fields, and the per-sender send order a capped queue sees
-// when deliveries inside a phase arrive in a different order. Write
-// batching does not move the admission point: Admit still runs inside
-// Send — only the syscall is deferred to the phase flush.
+// when deliveries inside a phase arrive in an order other than MemNet's
+// canonical one. Where every id shares one address, as in an in-process
+// session's dynamic roster, every frame crosses one connection, so that
+// order is the order of the sends and repeats from run to run; over
+// several connections it follows the wall clock. Write batching does not
+// move the admission point: Admit still runs inside Send — only the
+// syscall is deferred to the phase flush.
 //
 // Traffic accounting is MemNet's, kept by the same fault plane: every
 // message is charged Message.WireSize() (HeaderBytes framing, not the raw
@@ -45,22 +53,25 @@ import (
 // # Batched I/O
 //
 // Outbound frames coalesce in per-connection writers (batch.go) and leave
-// in one vectored write per destination per phase: DeliverAll and
+// in one vectored write per destination address per phase: DeliverAll and
 // DeliverUntil flush at the top of every pass. A writer holds the payload
 // slices Send was given until then, copying none. Multiple pending frames
-// travel as a single jumbo frame the receiver unpacks transparently. The receive side slices payloads
-// zero-copy out of pooled ref-counted arenas (wire.Arena, frame.go): one
-// read syscall drains everything the kernel buffered, and an arena is
-// recycled once the delivery wave has handled the last payload read into
-// it.
+// travel as a single jumbo frame, whose sub-frames may be for different
+// ids at that address; the receiver unpacks it one sub-frame at a time.
+// The receive side slices payloads zero-copy out of pooled ref-counted
+// arenas (wire.Arena, frame.go): one read syscall drains everything the
+// kernel buffered, and an arena is recycled once the delivery wave has
+// handled the last payload read into it.
 //
 // # Dynamic roster
 //
 // SetDynamic enables mid-run membership: Register for an id missing from
-// the address book listens on an ephemeral port and publishes the
-// resolved address to the shared book, and Unregister closes a node's
-// listener and connections so its id really leaves the wire. This is what
-// scenario churn maps onto when a session runs over sockets.
+// the address book joins the net's one ephemeral listener (opened at the
+// first such Register) and publishes its address to the shared book, and
+// Unregister retracts the id from the book, so it leaves the roster
+// without a listener or connection being torn down. This is what scenario
+// churn maps onto when a session runs over sockets. A listener closes
+// only when the last id it hosts leaves.
 //
 // # Stepped delivery
 //
@@ -80,6 +91,12 @@ type TCPNet struct {
 	dynHost string // "" = static roster only
 	wg      sync.WaitGroup
 	done    chan struct{}
+
+	// regMu serialises Register, Unregister and Close, which open and
+	// close the listeners; listeners maps a book address, or "" for the
+	// dynamic listener, to the listener serving it.
+	regMu     sync.Mutex
+	listeners map[string]*tcpListener
 
 	faults *FaultPlane
 	mux    *connMux
@@ -109,12 +126,13 @@ func NewTCPNet(book map[model.NodeID]string) *TCPNet {
 		cp[id] = addr
 	}
 	t := &TCPNet{
-		book:    cp,
-		dynIDs:  make(map[model.NodeID]bool),
-		nodes:   make(map[model.NodeID]*tcpEndpoint),
-		faults:  NewFaultPlane(),
-		done:    make(chan struct{}),
-		arrived: make(chan struct{}, 1),
+		book:      cp,
+		dynIDs:    make(map[model.NodeID]bool),
+		nodes:     make(map[model.NodeID]*tcpEndpoint),
+		listeners: make(map[string]*tcpListener),
+		faults:    NewFaultPlane(),
+		done:      make(chan struct{}),
+		arrived:   make(chan struct{}, 1),
 	}
 	t.mux = newConnMux(t)
 	return t
@@ -156,9 +174,9 @@ func (t *TCPNet) sendReleased() {
 }
 
 // SetDynamic enables the dynamic roster: Register for an id with no book
-// entry listens on host:0 (an ephemeral port) and records the resolved
-// address, so later dials to that id work. host is typically "127.0.0.1"
-// for single-process loopback deployments.
+// entry joins a listener on host:0 (an ephemeral port, opened once) and
+// records its resolved address, so later dials to that id work. host is
+// typically "127.0.0.1" for single-process loopback deployments.
 func (t *TCPNet) SetDynamic(host string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -174,9 +192,10 @@ func (t *TCPNet) SetStepped(maxWait time.Duration) {
 	t.quiesce = maxWait
 }
 
-// Register implements Network: it starts listening on the node's book
-// address (or an ephemeral one under SetDynamic) and serves inbound
-// frames to the handler.
+// Register implements Network: it adds the node to the listener at its
+// book address (or, under SetDynamic, to the net's ephemeral listener),
+// opening that listener if no id registered there yet, and serves inbound
+// frames addressed to the node to the handler.
 func (t *TCPNet) Register(id model.NodeID, h Handler) (Endpoint, error) {
 	if id == model.NoNode {
 		return nil, errors.New("transport: cannot register NoNode")
@@ -184,49 +203,87 @@ func (t *TCPNet) Register(id model.NodeID, h Handler) (Endpoint, error) {
 	if h == nil {
 		return nil, errors.New("transport: nil handler")
 	}
+	t.regMu.Lock()
+	defer t.regMu.Unlock()
 	t.mu.Lock()
+	_, dup := t.nodes[id]
 	addr, static := t.book[id]
 	dynamic := !static && t.dynHost != ""
-	if dynamic {
-		addr = net.JoinHostPort(t.dynHost, "0")
-	}
+	dynHost := t.dynHost
 	t.mu.Unlock()
+	if dup {
+		return nil, fmt.Errorf("transport: node %v already registered", id)
+	}
 	if !static && !dynamic {
 		return nil, fmt.Errorf("transport: node %v not in address book", id)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	key := addr
+	if dynamic {
+		key = ""
 	}
-	ep := &tcpEndpoint{
-		net:      t,
-		id:       id,
-		handler:  h,
-		ln:       ln,
-		accepted: make(map[net.Conn]struct{}),
+	lis := t.listeners[key]
+	if lis == nil {
+		var err error
+		if lis, err = t.listen(key, dynHost); err != nil {
+			return nil, err
+		}
 	}
+	lis.live++
+	lis.host(id)
+	ep := &tcpEndpoint{net: t, id: id, handler: h, lis: lis}
 	t.mu.Lock()
-	if _, dup := t.nodes[id]; dup {
-		t.mu.Unlock()
-		_ = ln.Close()
-		return nil, fmt.Errorf("transport: node %v already registered", id)
-	}
 	t.nodes[id] = ep
 	if dynamic {
-		// Publish the resolved ephemeral address so peers sharing this
+		// Publish the listener's resolved address so peers sharing this
 		// TCPNet can dial the newcomer. Static entries are left alone
 		// (the configured name may resolve differently than ln.Addr).
-		t.book[id] = ln.Addr().String()
+		t.book[id] = lis.addr
 		t.dynIDs[id] = true
 	}
 	t.mu.Unlock()
+	return ep, nil
+}
 
+// listen opens the listener for key — a book address, or "" for the
+// dynamic listener on dynHost:0 — and starts its accept loop. A static
+// listener hosts from the start every id the book places at its address,
+// so a peer that sends to one of them before it registered is not taken
+// for a protocol violation. The caller holds regMu.
+func (t *TCPNet) listen(key, dynHost string) (*tcpListener, error) {
+	at := key
+	if key == "" {
+		at = net.JoinHostPort(dynHost, "0")
+	}
+	ln, err := net.Listen("tcp", at)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", at, err)
+	}
+	lis := &tcpListener{
+		net:      t,
+		key:      key,
+		addr:     key,
+		ln:       ln,
+		hosted:   make(map[model.NodeID]struct{}),
+		accepted: make(map[net.Conn]struct{}),
+	}
+	if key == "" {
+		lis.addr = ln.Addr().String()
+	} else {
+		t.mu.Lock()
+		for id, a := range t.book {
+			if a == key {
+				lis.hosted[id] = struct{}{}
+			}
+		}
+		t.mu.Unlock()
+	}
+	t.listeners[key] = lis
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		ep.acceptLoop()
+		lis.acceptLoop()
 	}()
-	return ep, nil
+	return lis, nil
 }
 
 // Addressable implements FaultyNetwork: an id on the address book, or any
@@ -238,20 +295,25 @@ func (t *TCPNet) Addressable(id model.NodeID) bool {
 	return static || (id != model.NoNode && t.dynHost != "")
 }
 
-// Unregister detaches a node mid-run: its listener and inbound
-// connections close, and the mux drops the shared outbound connection to
-// it, so the id really leaves the wire (peers' next write to a stale
-// handle fails and the re-dial is refused by the dead listener). A
-// dynamically published address is retracted, so later sends fail with
-// "unknown destination" before touching the fault plane (MemNet's
-// accounting for departed destinations) and a re-registered id gets a
-// fresh ephemeral port; static roster entries stay (the deployment's
-// address book is configuration, not state). Traffic counters survive for
-// post-mortem accounting. It reports whether the node was registered.
+// Unregister detaches a node mid-run. Its handler is gone at once: a frame
+// to it that is queued, in flight or in the inbox is charged on arrival
+// and discarded at drain (MemNet's contract for a destination that left
+// while its message was queued), and the connection that carried it stays
+// up for the other ids at the address. A dynamically published address is
+// retracted, so later sends fail with "unknown destination" before
+// touching the fault plane (MemNet's accounting for departed
+// destinations); static roster entries stay (the deployment's address
+// book is configuration, not state). When the node was the last one its
+// listener hosted, the listener and its inbound connections close and the
+// mux drops the shared outbound connection to the address, so the address
+// really leaves the wire (peers' next write to a stale handle fails and
+// the re-dial is refused). Traffic counters survive for post-mortem
+// accounting. It reports whether the node was registered.
 func (t *TCPNet) Unregister(id model.NodeID) bool {
+	t.regMu.Lock()
+	defer t.regMu.Unlock()
 	t.mu.Lock()
 	ep, ok := t.nodes[id]
-	addr := t.book[id]
 	if ok {
 		delete(t.nodes, id)
 		if t.dynIDs[id] {
@@ -263,10 +325,12 @@ func (t *TCPNet) Unregister(id model.NodeID) bool {
 	if !ok {
 		return false
 	}
-	if addr != "" {
-		t.mux.dropAddr(addr)
+	lis := ep.lis
+	if lis.live--; lis.live == 0 {
+		delete(t.listeners, lis.key)
+		t.mux.dropAddr(lis.addr)
+		lis.close()
 	}
-	ep.close()
 	return true
 }
 
@@ -314,8 +378,8 @@ func (t *TCPNet) sendFrame(msg Message, copies int) error {
 }
 
 // FlushAll pushes every connection's pending frames onto the wire — one
-// vectored write per destination with frames pending; idle connections
-// are not touched. DeliverAll and DeliverUntil call it.
+// vectored write per destination address with frames pending; idle
+// connections are not touched. DeliverAll and DeliverUntil call it.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }
 
 // defaultQuiesce bounds one DeliverAll wait when SetStepped was not given
@@ -326,14 +390,16 @@ const defaultQuiesce = 2 * time.Second
 // quiesceIdle is how long DeliverAll tolerates zero progress (no drains,
 // no inflight movement) before declaring the wire quiescent even though
 // the inflight counter is nonzero. A frame written to a connection that
-// died before reading it (a departed peer) is never decremented; without
-// this idle cut-off one such frame would burn the full budget on every
-// subsequent DeliverAll. Loopback propagation is microseconds, so the
-// window is sized for scheduler noise, not the wire: it must outlast a
-// descheduled reader goroutine on a loaded (race-instrumented, shared-CI)
-// box, where 25 ms stalls are real — truncating a genuine in-flight frame
-// would leak its delivery into the next phase and break the stepped
-// barrier contract.
+// died before reading it is never decremented — which happens when the
+// last id of a listener leaves with frames to it in flight; an id leaving
+// a listener others still use leaves none, since its frames are read and
+// discarded at drain. Without this idle cut-off one such frame would burn
+// the full budget on every subsequent DeliverAll. Loopback propagation is
+// microseconds, so the window is sized for scheduler noise, not the wire:
+// it must outlast a descheduled reader goroutine on a loaded
+// (race-instrumented, shared-CI) box, where 25 ms stalls are real —
+// truncating a genuine in-flight frame would leak its delivery into the
+// next phase and break the stepped barrier contract.
 const quiesceIdle = 150 * time.Millisecond
 
 // DeliverAll drains the wire until it quiesces: it flushes the batched
@@ -463,21 +529,20 @@ func (t *TCPNet) inboxEmpty() bool {
 
 // Close shuts down all listeners and connections and waits for goroutines.
 func (t *TCPNet) Close() error {
+	t.regMu.Lock()
 	t.mu.Lock()
 	select {
 	case <-t.done:
 	default:
 		close(t.done)
 	}
-	eps := make([]*tcpEndpoint, 0, len(t.nodes))
-	for _, ep := range t.nodes {
-		eps = append(eps, ep)
-	}
 	t.mu.Unlock()
 	t.mux.closeAll()
-	for _, ep := range eps {
-		ep.close()
+	for key, lis := range t.listeners {
+		lis.close()
+		delete(t.listeners, key)
 	}
+	t.regMu.Unlock()
 	t.wg.Wait()
 	return nil
 }
@@ -486,10 +551,7 @@ type tcpEndpoint struct {
 	net     *TCPNet
 	id      model.NodeID
 	handler Handler
-	ln      net.Listener
-
-	mu       sync.Mutex
-	accepted map[net.Conn]struct{} // inbound, closed on teardown
+	lis     *tcpListener
 }
 
 func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
@@ -520,22 +582,58 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	return e.net.sendFrame(msg, copies)
 }
 
-func (e *tcpEndpoint) acceptLoop() {
+// tcpListener is one listening address of a TCPNet and the ids it hosts:
+// one accept loop, and one read loop per inbound connection, whatever the
+// number of ids registered at the address.
+type tcpListener struct {
+	net  *TCPNet
+	key  string // its TCPNet.listeners key
+	addr string // the address peers dial: the book's, or the resolved ephemeral one
+	ln   net.Listener
+	live int // ids registered here now; under TCPNet.regMu
+
+	mu sync.Mutex
+	// hosted holds every id registered here since the listener opened
+	// (and, for a static address, every id the book places at it). A frame
+	// for an id outside it is a protocol violation that drops the
+	// connection; one for an id that has left is read and then discarded
+	// at drain, so the connection stays up for the other ids.
+	hosted   map[model.NodeID]struct{}
+	accepted map[net.Conn]struct{} // inbound, closed on teardown
+}
+
+// host lets the listener's connections carry frames for id.
+func (l *tcpListener) host(id model.NodeID) {
+	l.mu.Lock()
+	l.hosted[id] = struct{}{}
+	l.mu.Unlock()
+}
+
+// hosts reports whether a frame may be addressed to id on this listener's
+// connections.
+func (l *tcpListener) hosts(id model.NodeID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, ok := l.hosted[id]
+	return ok
+}
+
+func (l *tcpListener) acceptLoop() {
 	for {
-		conn, err := e.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		e.mu.Lock()
-		e.accepted[conn] = struct{}{}
-		e.mu.Unlock()
-		e.net.wg.Add(1)
+		l.mu.Lock()
+		l.accepted[conn] = struct{}{}
+		l.mu.Unlock()
+		l.net.wg.Add(1)
 		go func() {
-			defer e.net.wg.Done()
-			e.readLoop(conn)
-			e.mu.Lock()
-			delete(e.accepted, conn)
-			e.mu.Unlock()
+			defer l.net.wg.Done()
+			l.readLoop(conn)
+			l.mu.Lock()
+			delete(l.accepted, conn)
+			l.mu.Unlock()
 		}()
 	}
 }
@@ -555,78 +653,67 @@ func (r countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (e *tcpEndpoint) readLoop(conn net.Conn) {
+// readLoop decodes one inbound connection's frames, jumbos unpacked, and
+// delivers each. A framing violation, including a frame for an id the
+// listener never hosted, drops the connection.
+func (l *tcpListener) readLoop(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	fr := newFrameReader(countingReader{c: conn, io: &e.net.io})
+	fr := newFrameReader(countingReader{c: conn, io: &l.net.io}, l.hosts)
 	defer fr.close()
 	for {
 		h, payload, err := fr.next()
 		if err != nil {
 			return
 		}
-		if h.to != e.id {
-			return // protocol violation: drop the connection
-		}
 		select {
-		case <-e.net.done:
+		case <-l.net.done:
 			return
 		default:
 		}
-		if h.kind == kindJumbo {
-			err := decodeJumbo(payload, e.id, func(sh frameHeader, body []byte) error {
-				e.net.io.framesIn.Add(1)
-				e.deliver(Message{From: sh.from, To: sh.to, Kind: sh.kind, Payload: body}, fr.arena)
-				return nil
-			})
-			if err != nil {
-				return // malformed jumbo: drop the connection
-			}
-			continue
-		}
-		e.net.io.framesIn.Add(1)
-		e.deliver(Message{From: h.from, To: h.to, Kind: h.kind, Payload: payload}, fr.arena)
+		l.net.io.framesIn.Add(1)
+		l.net.deliver(Message{From: h.from, To: h.to, Kind: h.kind, Payload: payload}, fr.arena)
 	}
 }
 
 // deliver runs one decoded frame through the receive-side pipeline —
 // the plane's Arrive, then the inbox. The payload aliases arena, which the
 // queued message retains until drainInbox has handled it.
-func (e *tcpEndpoint) deliver(msg Message, arena *wire.Arena) {
+func (t *TCPNet) deliver(msg Message, arena *wire.Arena) {
 	// A frame that was in flight when its link partitioned or an end went
 	// down is lost here (counted once — admission passed it); any other is
 	// charged to its receiver.
-	if !e.net.faults.Arrive(msg) {
-		e.net.inflight.Add(-1)
+	if !t.faults.Arrive(msg) {
+		t.inflight.Add(-1)
 		return
 	}
 	arena.Retain()
-	e.net.inboxMu.Lock()
-	first := len(e.net.inbox) == 0
-	e.net.inbox = append(e.net.inbox, queuedDelivery{msg: msg, arena: arena})
-	e.net.inboxMu.Unlock()
+	t.inboxMu.Lock()
+	first := len(t.inbox) == 0
+	t.inbox = append(t.inbox, queuedDelivery{msg: msg, arena: arena})
+	t.inboxMu.Unlock()
 	if first {
 		// Only the empty → non-empty edge wakes a DeliverUntil, so a burst
 		// costs one token, and DeliverAll, which never waits on it, pays
 		// nothing per frame.
 		select {
-		case e.net.arrived <- struct{}{}:
+		case t.arrived <- struct{}{}:
 		default:
 		}
 	}
-	e.net.inflight.Add(-1)
+	t.inflight.Add(-1)
 }
 
-// close tears the endpoint off the accept side of the wire: the listener
-// and the inbound connections peers dialed to it (their next write fails,
-// forcing a re-dial that the dead listener rejects) — so a deregistered
-// id stops receiving, not just accepting. Outbound connections live in
-// the shared mux and are dropped by Unregister/Close.
-func (e *tcpEndpoint) close() {
-	_ = e.ln.Close()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for c := range e.accepted {
+// close tears the listener off the wire: the listener and the inbound
+// connections peers dialed to it (their next write fails, forcing a
+// re-dial that the closed listener rejects) — so the address stops
+// receiving, not just accepting. Outbound connections live in the shared
+// mux and are dropped by Unregister/Close.
+func (l *tcpListener) close() {
+	_ = l.ln.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for c := range l.accepted {
 		_ = c.Close()
-		delete(e.accepted, c)
+		delete(l.accepted, c)
 	}
 }

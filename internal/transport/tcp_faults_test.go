@@ -306,9 +306,13 @@ func TestTCPDynamicRosterJoinLeave(t *testing.T) {
 	if tn.Unregister(2) {
 		t.Fatal("second Unregister(2) reported registered")
 	}
-	// The departed node's listener is gone: a fresh dial must fail, and
-	// queued deliveries to it are discarded (handler resolution at drain).
-	_ = ep1.Send(2, 1, []byte("after"))
+	// The departed id is retracted from the book, so a send to it fails
+	// before it reaches the fault plane; the listener it shared with node 1
+	// stays up, and a frame to it still queued or in flight would be
+	// discarded at drain (handler resolution).
+	if err := ep1.Send(2, 1, []byte("after")); err == nil {
+		t.Fatal("a send to the departed id was accepted")
+	}
 	tn.DeliverAll()
 	if got.Load() != 1 {
 		t.Fatalf("departed endpoint received traffic: %d", got.Load())
