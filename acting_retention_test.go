@@ -28,7 +28,7 @@ func TestActingAuditRetentionUnderRotationAndChurn(t *testing.T) {
 	defer s.Close()
 	s.Run(sc.Rounds)
 
-	for _, v := range s.ActingVerdicts() {
+	for _, v := range s.Verdicts() {
 		switch v.Kind {
 		case acting.VerdictTamperedLog, acting.VerdictMissingPropose, acting.VerdictUnservedRequest:
 			t.Errorf("correct node convicted: %v", v)

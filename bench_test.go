@@ -254,7 +254,7 @@ func BenchmarkSelfishDetectionLatency(b *testing.B) {
 		latency = 0
 		for r := 1; r <= 12 && latency == 0; r++ {
 			s.Run(1)
-			for _, v := range s.PAGVerdicts() {
+			for _, v := range s.Verdicts() {
 				if v.Accused == 5 {
 					latency = float64(r)
 					break

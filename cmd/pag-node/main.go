@@ -258,7 +258,7 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 		for _, rec := range s.Judicial().Records() {
 			if !printed[rec.Key] {
 				printed[rec.Key] = true
-				fmt.Fprintf(out, "[%v] VERDICT %v\n", self, rec.Evidence)
+				fmt.Fprintf(out, "[%v] VERDICT %v\n", self, rec.Verdict)
 			}
 		}
 	}

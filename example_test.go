@@ -24,7 +24,7 @@ func Example() {
 	session.Run(14)
 
 	fmt.Printf("continuous: %v\n", session.MeanContinuity() > 0.99)
-	fmt.Printf("verdicts: %d\n", len(session.PAGVerdicts()))
+	fmt.Printf("verdicts: %d\n", len(session.Verdicts()))
 	// Output:
 	// continuous: true
 	// verdicts: 0
@@ -51,7 +51,7 @@ func Example_selfish() {
 	session.Run(10)
 
 	convicted := false
-	for _, v := range session.PAGVerdicts() {
+	for _, v := range session.Verdicts() {
 		if v.Accused == 7 {
 			convicted = true
 			break

@@ -7,10 +7,13 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	pag "repro"
 	"repro/internal/core"
+	"repro/internal/judicial"
 	"repro/internal/model"
 )
 
@@ -49,15 +52,15 @@ func run() error {
 	fmt.Println("  n17 hides exchanges from monitors   (obligation dodging)")
 	fmt.Println()
 
-	convicted := map[model.NodeID]map[core.VerdictKind]int{}
+	convicted := map[model.NodeID]map[judicial.Kind]int{}
 	falsePositives := 0
-	for _, v := range session.PAGVerdicts() {
+	for _, v := range session.Verdicts() {
 		if _, isCheat := cheats[v.Accused]; !isCheat {
 			falsePositives++
 			continue
 		}
 		if convicted[v.Accused] == nil {
-			convicted[v.Accused] = map[core.VerdictKind]int{}
+			convicted[v.Accused] = map[judicial.Kind]int{}
 		}
 		convicted[v.Accused][v.Kind]++
 	}
@@ -67,14 +70,14 @@ func run() error {
 			return fmt.Errorf("cheat %v escaped detection", id)
 		}
 		fmt.Printf("node %-4v convicted:", id)
-		for kind, count := range convicted[id] {
-			fmt.Printf(" %v×%d", kind, count)
+		for _, kind := range slices.Sorted(maps.Keys(convicted[id])) {
+			fmt.Printf(" %v×%d", kind, convicted[id][kind])
 		}
 		fmt.Println()
 	}
 	fmt.Printf("\nfalse positives against honest nodes: %d\n", falsePositives)
 	fmt.Printf("total verdicts: %d — every deviation detected, honest nodes untouched\n",
-		len(session.PAGVerdicts()))
+		len(session.Verdicts()))
 	if falsePositives > 0 {
 		return fmt.Errorf("honest nodes were wrongly convicted")
 	}

@@ -44,7 +44,7 @@ func run() error {
 	fmt.Printf("  per-node bandwidth    mean %.0f kbps, p50 %.0f, p99 %.0f\n",
 		bw.Mean(), bw.Percentile(50), bw.Percentile(99))
 	fmt.Printf("  verdicts raised       %d (all nodes are honest)\n",
-		len(session.PAGVerdicts()))
+		len(session.Verdicts()))
 
 	if session.MeanContinuity() < 0.99 {
 		return fmt.Errorf("stream was not continuously delivered")

@@ -56,7 +56,7 @@ func run(nodes, rounds, streamKbps int) error {
 		nodes, rounds, streamKbps)
 	fmt.Printf("  source emitted %d updates; clients delivered %d in total\n",
 		session.Emitted(), delivered)
-	fmt.Printf("  verdicts: %d\n", len(session.PAGVerdicts()))
+	fmt.Printf("  verdicts: %d\n", len(session.Verdicts()))
 	if delivered == 0 {
 		return fmt.Errorf("nothing was delivered over TCP")
 	}

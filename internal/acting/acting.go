@@ -28,6 +28,8 @@ package acting
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/judicial"
@@ -55,62 +57,19 @@ const (
 	kindAuditBaseReply uint8 = 107
 )
 
-// VerdictKind classifies audit findings.
-type VerdictKind int
-
 // Audit verdict kinds.
 const (
 	// VerdictTamperedLog: the fetched suffix fails chain verification
 	// (including rewrites of already-audited history).
-	VerdictTamperedLog VerdictKind = iota + 1
+	VerdictTamperedLog judicial.Kind = "TamperedLog"
 	// VerdictMissingPropose: no proposal logged for a successor slot.
-	VerdictMissingPropose
+	VerdictMissingPropose judicial.Kind = "MissingPropose"
 	// VerdictUnservedRequest: a logged (or complained-about) request was
 	// not answered with data in the same round.
-	VerdictUnservedRequest
+	VerdictUnservedRequest judicial.Kind = "UnservedRequest"
 	// VerdictRefusedAudit: the node did not answer the audit request.
-	VerdictRefusedAudit
+	VerdictRefusedAudit judicial.Kind = "RefusedAudit"
 )
-
-// String implements fmt.Stringer.
-func (k VerdictKind) String() string {
-	switch k {
-	case VerdictTamperedLog:
-		return "TamperedLog"
-	case VerdictMissingPropose:
-		return "MissingPropose"
-	case VerdictUnservedRequest:
-		return "UnservedRequest"
-	case VerdictRefusedAudit:
-		return "RefusedAudit"
-	default:
-		return fmt.Sprintf("VerdictKind(%d)", int(k))
-	}
-}
-
-// Verdict is one audit finding.
-type Verdict struct {
-	Round    model.Round
-	Kind     VerdictKind
-	Accused  model.NodeID
-	Reporter model.NodeID
-	Detail   string
-}
-
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	return fmt.Sprintf("%v %v against %v by %v: %s",
-		v.Round, v.Kind, v.Accused, v.Reporter, v.Detail)
-}
-
-// EvidenceKey implements judicial.Evidence: audit retries for the same
-// (accused, auditor, round, kind) collapse into one fact.
-func (v Verdict) EvidenceKey() judicial.Key {
-	return judicial.Key{Accused: v.Accused, Accuser: v.Reporter, Round: v.Round, Kind: v.Kind.String()}
-}
-
-// Proof implements judicial.Evidence.
-func (v Verdict) Proof() []byte { return []byte(v.String()) }
 
 // Behavior injects selfish deviations.
 type Behavior struct {
@@ -155,7 +114,7 @@ type Config struct {
 	Intern      *update.Interner
 	AuditPeriod int // DefaultAuditPeriod if 0
 	Behavior    Behavior
-	Verdicts    func(Verdict)
+	Verdicts    func(judicial.Verdict)
 	OnDeliver   func(update.Update)
 }
 
@@ -264,7 +223,7 @@ func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
 // Behavior returns the node's current deviation profile.
 func (n *Node) Behavior() Behavior { return n.cfg.Behavior }
 
-func (n *Node) report(v Verdict) {
+func (n *Node) report(v judicial.Verdict) {
 	if n.cfg.Verdicts != nil {
 		v.Reporter = n.id
 		n.cfg.Verdicts(v)
@@ -321,9 +280,11 @@ func (n *Node) BeginRound(r model.Round) {
 	}
 }
 
-// MidRound files complaints for requests that data never answered.
+// MidRound files complaints for requests that data never answered, in
+// peer order, so the complaints leave in the same order every run.
 func (n *Node) MidRound(r model.Round) {
-	for peer, ids := range n.requestedFrom {
+	for _, peer := range slices.Sorted(maps.Keys(n.requestedFrom)) {
+		ids := n.requestedFrom[peer]
 		missing := ids[:0]
 		for _, id := range ids {
 			if !n.store.Has(id) {
@@ -362,7 +323,7 @@ func (n *Node) CloseRound(r model.Round) {
 			st := n.audits[y]
 			if st.waiting && st.pending == r {
 				st.waiting = false
-				n.report(Verdict{Round: r, Kind: VerdictRefusedAudit, Accused: y,
+				n.report(judicial.Verdict{Round: r, Kind: VerdictRefusedAudit, Accused: y,
 					Detail: "no reply to audit request"})
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/acting"
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -21,7 +22,7 @@ type harness struct {
 	engine   *sim.Engine
 	nodes    map[model.NodeID]*acting.Node
 	source   model.NodeID
-	verdicts []acting.Verdict
+	verdicts []judicial.Verdict
 	perRound int
 }
 
@@ -61,7 +62,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]acting
 			Sources:     []model.NodeID{h.source},
 			AuditPeriod: 3,
 			Behavior:    behaviors[id],
-			Verdicts:    func(v acting.Verdict) { h.verdicts = append(h.verdicts, v) },
+			Verdicts:    func(v judicial.Verdict) { h.verdicts = append(h.verdicts, v) },
 		}
 		var node *acting.Node
 		ep, err := h.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
@@ -94,7 +95,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]acting
 	return h
 }
 
-func (h *harness) hasVerdict(id model.NodeID, kind acting.VerdictKind) bool {
+func (h *harness) hasVerdict(id model.NodeID, kind judicial.Kind) bool {
 	for _, v := range h.verdicts {
 		if v.Accused == id && v.Kind == kind {
 			return true
@@ -215,13 +216,13 @@ func TestActingNodeValidation(t *testing.T) {
 }
 
 func TestActingVerdictStrings(t *testing.T) {
-	kinds := []acting.VerdictKind{
+	kinds := []judicial.Kind{
 		acting.VerdictTamperedLog, acting.VerdictMissingPropose,
 		acting.VerdictUnservedRequest, acting.VerdictRefusedAudit,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
-		if s := k.String(); s == "" || seen[s] {
+		if s := string(k); s == "" || seen[s] {
 			t.Fatalf("bad kind string %q", s)
 		} else {
 			seen[s] = true

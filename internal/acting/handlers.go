@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/pki"
 	"repro/internal/securelog"
@@ -247,14 +248,14 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	seq, head, lastRound := st.lastSeq, st.lastHead, st.lastRound
 	if b := reply.Base; b != nil {
 		if b.Seq <= seq {
-			n.report(Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
+			n.report(judicial.Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
 				Detail: fmt.Sprintf("log base %d not past audited seq %d", b.Seq, seq)})
 			return
 		}
 		seq, head, lastRound = b.Seq, b.Hash, b.Round
 	}
 	if err := securelog.VerifyChain(seq, head, reply.Entries); err != nil {
-		n.report(Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
+		n.report(judicial.Verdict{Round: r, Kind: VerdictTamperedLog, Accused: y,
 			Detail: err.Error()})
 		return
 	}
@@ -299,7 +300,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	for rr := lastRound + 1; rr <= r; rr++ {
 		for _, succ := range n.cfg.Directory.Successors(y, rr) {
 			if !proposed[rr][succ] {
-				n.report(Verdict{Round: r, Kind: VerdictMissingPropose, Accused: y,
+				n.report(judicial.Verdict{Round: r, Kind: VerdictMissingPropose, Accused: y,
 					Detail: fmt.Sprintf("no proposal to %v at %v", succ, rr)})
 			}
 		}
@@ -309,7 +310,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	for _, req := range requestsIn {
 		for _, id := range req.ids {
 			if !served[req.round][req.peer][id] {
-				n.report(Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
+				n.report(judicial.Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
 					Detail: fmt.Sprintf("request for %v from %v unanswered at %v",
 						id, req.peer, req.round)})
 			}
@@ -321,7 +322,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 	for _, c := range st.complaints {
 		for _, id := range c.ids {
 			if !served[c.round][c.from][id] {
-				n.report(Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
+				n.report(judicial.Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
 					Detail: fmt.Sprintf("complaint by %v for %v at %v unrefuted",
 						c.from, id, c.round)})
 			}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -205,7 +206,7 @@ type cluster struct {
 	engine   *sim.Engine
 	nodes    map[model.NodeID]*Node
 	mu       sync.Mutex // the engine's shards share the verdict sink
-	verdicts []Verdict
+	verdicts []judicial.Verdict
 	// deliver replaces the plain handler call when set.
 	deliver func(n *Node, m transport.Message)
 }
@@ -254,7 +255,7 @@ func newClusterWith(t *testing.T, mcfg membership.Config, size, workers int, int
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
 			Sources: []model.NodeID{1}, Intern: intern, AuditPeriod: 3, Behavior: behaviors[id],
-			Verdicts: func(v Verdict) {
+			Verdicts: func(v judicial.Verdict) {
 				c.mu.Lock()
 				c.verdicts = append(c.verdicts, v)
 				c.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -161,7 +162,7 @@ func (m *monitorState) onAccusation(msg transport.Message) {
 	}
 	// Only a legitimate predecessor of the accused may accuse.
 	if !contains(m.n.sh.Directory.Predecessors(acc.Against, acc.Round), acc.From) {
-		m.n.report(Verdict{Round: acc.Round, Kind: VerdictBadMessage,
+		m.n.report(judicial.Verdict{Round: acc.Round, Kind: VerdictBadMessage,
 			Accused: acc.From, Detail: "accusation from a non-predecessor"})
 		return
 	}

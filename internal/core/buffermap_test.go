@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/transport"
 	"repro/internal/update"
@@ -64,7 +65,7 @@ func TestBuffermapTagCollisionOutcome(t *testing.T) {
 	if victim == model.NoNode {
 		t.Fatal("no KeyResponse reached the source in the collision round")
 	}
-	seen := map[core.VerdictKind]int{}
+	seen := map[judicial.Kind]int{}
 	for _, v := range h.verdicts {
 		switch {
 		case v.Kind == core.VerdictBadMessage && v.Accused == src && v.Reporter == victim && v.Round == collideAt &&

@@ -44,96 +44,34 @@ const (
 	storeRetentionRounds = 24
 )
 
-// VerdictKind classifies proofs of misbehaviour.
-type VerdictKind int
-
 // Verdict kinds, mapped to the deviations of §IV-A/§VI-B.
 const (
 	// VerdictWrongForward: a successor acknowledged a set that differs
 	// from the node's obligation — R2 violated (partial or altered
 	// forwarding).
-	VerdictWrongForward VerdictKind = iota + 1
+	VerdictWrongForward judicial.Kind = "WrongForward"
 	// VerdictNoForward: no acknowledgement, no accusation, and the node
 	// could not exhibit one when challenged — "it is considered guilty
 	// because it did not accuse node B".
-	VerdictNoForward
+	VerdictNoForward judicial.Kind = "NoForward"
 	// VerdictUnresponsive: the node ignored a monitor probe — R1
 	// violated (refusal to receive / acknowledge).
-	VerdictUnresponsive
+	VerdictUnresponsive judicial.Kind = "Unresponsive"
 	// VerdictBadAttestation: an attestation does not match the served
 	// content (receiver-side detection).
-	VerdictBadAttestation
+	VerdictBadAttestation judicial.Kind = "BadAttestation"
 	// VerdictDigestMismatch: the node's self-digest disagrees with the
 	// monitors' accumulated obligation (§V-B cross-check).
-	VerdictDigestMismatch
+	VerdictDigestMismatch judicial.Kind = "DigestMismatch"
 	// VerdictUnreportedExchange: the node acknowledged an exchange but
 	// never reported it to its monitors (obligation evasion).
-	VerdictUnreportedExchange
+	VerdictUnreportedExchange judicial.Kind = "UnreportedExchange"
 	// VerdictMonitorSilent: a designated monitor failed to broadcast the
 	// hash share for an exchange it provably received.
-	VerdictMonitorSilent
+	VerdictMonitorSilent judicial.Kind = "MonitorSilent"
 	// VerdictBadMessage: a malformed or wrongly-signed protocol message.
-	VerdictBadMessage
+	VerdictBadMessage judicial.Kind = "BadMessage"
 )
-
-// String implements fmt.Stringer.
-func (k VerdictKind) String() string {
-	switch k {
-	case VerdictWrongForward:
-		return "WrongForward"
-	case VerdictNoForward:
-		return "NoForward"
-	case VerdictUnresponsive:
-		return "Unresponsive"
-	case VerdictBadAttestation:
-		return "BadAttestation"
-	case VerdictDigestMismatch:
-		return "DigestMismatch"
-	case VerdictUnreportedExchange:
-		return "UnreportedExchange"
-	case VerdictMonitorSilent:
-		return "MonitorSilent"
-	case VerdictBadMessage:
-		return "BadMessage"
-	default:
-		return fmt.Sprintf("VerdictKind(%d)", int(k))
-	}
-}
-
-// Verdict is a proof-of-misbehaviour report raised by a node.
-type Verdict struct {
-	Round    model.Round
-	Kind     VerdictKind
-	Accused  model.NodeID
-	Reporter model.NodeID
-	Detail   string
-	// Exchange is the model.ExchangeID of the §V-A exchange the verdict
-	// judges, when one is identifiable (empty otherwise, e.g. a digest
-	// mismatch spans a whole round). It is trace correlation only:
-	// excluded from EvidenceKey, String and Proof so the judicial
-	// dedupe keys and proof bytes are unchanged by tracing.
-	Exchange string
-}
-
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	return fmt.Sprintf("%v %v against %v by %v: %s",
-		v.Round, v.Kind, v.Accused, v.Reporter, v.Detail)
-}
-
-// EvidenceKey implements judicial.Evidence: monitor retries and re-raised
-// findings for the same (accused, accuser, round, kind) collapse into one
-// fact in the accountability plane.
-func (v Verdict) EvidenceKey() judicial.Key {
-	return judicial.Key{Accused: v.Accused, Accuser: v.Reporter, Round: v.Round, Kind: v.Kind.String()}
-}
-
-// Proof implements judicial.Evidence.
-func (v Verdict) Proof() []byte { return []byte(v.String()) }
-
-// TraceExchange exposes the exchange correlation id to the judicial
-// registry's tracer (see judicial.Submit).
-func (v Verdict) TraceExchange() string { return v.Exchange }
 
 // Behavior configures selfish deviations for fault-injection experiments
 // (§II-A: nodes "tamper with their software ... to maximise their benefit
@@ -209,7 +147,7 @@ type Config struct {
 	// Behavior optionally injects selfish deviations.
 	Behavior Behavior
 	// Verdicts receives proofs of misbehaviour; may be nil.
-	Verdicts func(Verdict)
+	Verdicts func(judicial.Verdict)
 	// OnDeliver receives playback-ready updates; may be nil.
 	OnDeliver func(update.Update)
 	// Rand is the entropy source for primes (crypto/rand if nil).

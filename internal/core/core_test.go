@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -31,7 +32,7 @@ type harness struct {
 	gen        *update.Generator
 	source     model.NodeID
 	verdictMu  sync.Mutex // the engine's shards share the sink
-	verdicts   []core.Verdict
+	verdicts   []judicial.Verdict
 	perRound   int // updates injected per round
 	ttl        model.Round
 	// deliver, when set, replaces the plain handler call for every
@@ -117,7 +118,7 @@ func newHarness(t testing.TB, n, perRound int, opts ...harnessOpt) *harness {
 			Identity: identity,
 			IsSource: id == h.source,
 			Shared:   shared,
-			Verdicts: func(v core.Verdict) {
+			Verdicts: func(v judicial.Verdict) {
 				h.verdictMu.Lock()
 				h.verdicts = append(h.verdicts, v)
 				h.verdictMu.Unlock()
@@ -185,8 +186,8 @@ func (h *harness) runRound(r model.Round, phase func(step func(*core.Node))) {
 }
 
 // verdictsAgainst filters verdicts by accused node.
-func (h *harness) verdictsAgainst(id model.NodeID) []core.Verdict {
-	var out []core.Verdict
+func (h *harness) verdictsAgainst(id model.NodeID) []judicial.Verdict {
+	var out []judicial.Verdict
 	for _, v := range h.verdicts {
 		if v.Accused == id {
 			out = append(out, v)
@@ -195,7 +196,7 @@ func (h *harness) verdictsAgainst(id model.NodeID) []core.Verdict {
 	return out
 }
 
-func (h *harness) hasVerdict(id model.NodeID, kind core.VerdictKind) bool {
+func (h *harness) hasVerdict(id model.NodeID, kind judicial.Kind) bool {
 	for _, v := range h.verdictsAgainst(id) {
 		if v.Kind == kind {
 			return true

@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -27,7 +28,7 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	}
 	req, err := wire.UnmarshalKeyRequest(msg.Payload)
 	if err != nil || req.From != msg.From || req.To != n.id {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "malformed KeyRequest"})
 		return
 	}
@@ -115,13 +116,13 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 	defer w.Release() // resp aliases the opened plaintext until here
 	plain, err := w.Open(n.cfg.Identity, msg.Payload)
 	if err != nil {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "undecryptable KeyResponse"})
 		return
 	}
 	resp, err := wire.UnmarshalKeyResponse(plain)
 	if err != nil || resp.From != msg.From || resp.To != n.id {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "malformed KeyResponse"})
 		return
 	}
@@ -137,7 +138,7 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 	}
 	prime, err := hhash.KeyFromBytes(resp.Prime)
 	if err != nil {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "invalid prime in KeyResponse"})
 		return
 	}
@@ -247,13 +248,13 @@ func (n *Node) onServe(msg transport.Message) {
 	defer w.Release() // srv aliases the opened plaintext until here
 	plain, err := w.Open(n.cfg.Identity, msg.Payload)
 	if err != nil {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "undecryptable Serve"})
 		return
 	}
 	srv, err := wire.UnmarshalServe(plain)
 	if err != nil || srv.From != msg.From || srv.To != n.id {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "malformed Serve"})
 		return
 	}
@@ -273,7 +274,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 	// usable: a zero one has no key (mustCountKey), and an absurd one could
 	// wrap the sums the node keeps back to zero. Nothing is stored yet.
 	reject := func(count uint64, id model.UpdateID) {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: srv.From, Detail: fmt.Sprintf("multiplicity %d served for update %v", count, id)})
 	}
 	for i := range srv.Full {
@@ -303,7 +304,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 
 	kPrevA, err := hhash.KeyFromBytes(srv.KPrev)
 	if err != nil {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: srv.From, Detail: "invalid K(R-1) in Serve"})
 		return
 	}
@@ -347,7 +348,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 	for i := range srv.Full {
 		su := &srv.Full[i]
 		if su.Update.Expired(n.round) {
-			n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 				Accused: srv.From, Detail: fmt.Sprintf("expired update %v served", su.Update.ID)})
 			return
 		}
@@ -355,7 +356,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 		// they can be verified by the nodes upon reception" (§III).
 		src, ok := n.streamSource(su.Update.ID.Stream)
 		if !ok {
-			n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 				Accused: srv.From, Detail: "update for unknown stream"})
 			return
 		}
@@ -375,7 +376,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 	for _, ref := range srv.Refs {
 		e := n.store.Get(ref.ID)
 		if e == nil {
-			n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 				Accused: srv.From, Detail: fmt.Sprintf("ref to unowned update %v", ref.ID)})
 			return
 		}
@@ -401,7 +402,7 @@ func (n *Node) onAttestation(msg transport.Message) {
 	}
 	att, err := wire.UnmarshalAttestation(msg.Payload)
 	if err != nil || att.From != msg.From || att.To != n.id {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "malformed Attestation"})
 		return
 	}
@@ -447,7 +448,7 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 			// A mis-attested: refusing to acknowledge routes the
 			// conflict through A's monitors, and the signed
 			// attestation is the proof.
-			n.report(Verdict{Round: n.round, Kind: VerdictBadAttestation,
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadAttestation,
 				Accused: pred, Detail: "attestation does not match served content",
 				Exchange: model.ExchangeID(n.round, pred, n.id)})
 			return
@@ -486,7 +487,7 @@ func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
 func (n *Node) onAck(msg transport.Message) {
 	ack, err := wire.UnmarshalAck(msg.Payload)
 	if err != nil || ack.From != msg.From || ack.To != n.id {
-		n.report(Verdict{Round: n.round, Kind: VerdictBadMessage,
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "malformed Ack"})
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -178,7 +179,7 @@ func TestBehaviorZeroValueCorrect(t *testing.T) {
 type attestationCheck struct {
 	node     *Node
 	hasher   *hhash.Hasher
-	verdicts []Verdict
+	verdicts []judicial.Verdict
 	exp, fwd *big.Int // the served content's embedded products
 	prime    hhash.Key
 }
@@ -206,7 +207,7 @@ func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *at
 	c.node, err = NewNode(Config{
 		ID: id, Identity: identity, Endpoint: ep, CoeffRand: coeffRand,
 		Shared:   NewShared(Shared{Suite: suite, HashParams: params, Directory: dir, Sources: []model.NodeID{1}}),
-		Verdicts: func(v Verdict) { c.verdicts = append(c.verdicts, v) },
+		Verdicts: func(v judicial.Verdict) { c.verdicts = append(c.verdicts, v) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -235,7 +239,7 @@ func (m *monitorState) onAttForward(msg transport.Message) {
 	}
 	att, err := wire.UnmarshalAttestation(fwd.AttBytes)
 	if err != nil || att.To != fwd.From || att.Round != fwd.Round {
-		m.n.report(Verdict{Round: fwd.Round, Kind: VerdictBadMessage,
+		m.n.report(judicial.Verdict{Round: fwd.Round, Kind: VerdictBadMessage,
 			Accused: fwd.From, Detail: "AttForward with inconsistent attestation"})
 		return
 	}
@@ -350,7 +354,7 @@ func (m *monitorState) onHashShare(msg transport.Message) {
 	}
 	monitors := m.n.sh.Directory.Monitors(share.Monitored, share.Round)
 	if designatedMonitor(monitors, share.Pred, share.Round) != share.From {
-		m.n.report(Verdict{Round: share.Round, Kind: VerdictBadMessage,
+		m.n.report(judicial.Verdict{Round: share.Round, Kind: VerdictBadMessage,
 			Accused: share.From, Detail: "hash share from non-designated monitor"})
 		return
 	}
@@ -481,13 +485,21 @@ func (m *monitorState) onNodeDigest(msg transport.Message) {
 // digests.
 func (m *monitorState) verify(r model.Round) {
 	// Unresolved probes: the accused ignored the monitors — R1 verdict
-	// and a Nack towards the accuser's monitors (§IV-A).
+	// and a Nack towards the accuser's monitors (§IV-A). They are judged
+	// in (accuser, accused) order, so which exchange a verdict's first
+	// report names, and the order the Nacks leave in, repeat per seed.
+	var due []probeKey
 	for key, resolved := range m.probes {
-		if key.round != r || resolved {
-			continue
+		if key.round == r && !resolved {
+			due = append(due, key)
 		}
+	}
+	slices.SortFunc(due, func(a, b probeKey) int {
+		return cmp.Or(cmp.Compare(a.accuser, b.accuser), cmp.Compare(a.accused, b.accused))
+	})
+	for _, key := range due {
 		m.probes[key] = true
-		m.n.report(Verdict{Round: r, Kind: VerdictUnresponsive,
+		m.n.report(judicial.Verdict{Round: r, Kind: VerdictUnresponsive,
 			Accused: key.accused, Detail: "ignored monitor probe",
 			Exchange: model.ExchangeID(r, key.accuser, key.accused)})
 		nack := &wire.Nack{Round: r, From: m.n.id, Accuser: key.accuser, Against: key.accused}
@@ -530,7 +542,7 @@ func (m *monitorState) verify(r model.Round) {
 			ack, ok := st.succAcks[succ]
 			switch {
 			case ok && ack.Cmp(prev) != 0:
-				m.n.report(Verdict{Round: r, Kind: VerdictWrongForward,
+				m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("ack from %v does not match obligation", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
@@ -712,7 +724,7 @@ func (m *monitorState) blameDigestMismatch(r model.Round, y model.NodeID, st *mo
 		}
 		d := designatedMonitor(monitors, pred, r)
 		if d != model.NoNode && d != m.n.id {
-			m.n.report(Verdict{Round: r, Kind: VerdictMonitorSilent,
+			m.n.report(judicial.Verdict{Round: r, Kind: VerdictMonitorSilent,
 				Accused:  d,
 				Detail:   fmt.Sprintf("no hash share for exchange %v→%v", pred, y),
 				Exchange: model.ExchangeID(r, pred, y)})
@@ -720,7 +732,7 @@ func (m *monitorState) blameDigestMismatch(r model.Round, y model.NodeID, st *mo
 		}
 	}
 	if !blamedMonitor {
-		m.n.report(Verdict{Round: r, Kind: VerdictDigestMismatch,
+		m.n.report(judicial.Verdict{Round: r, Kind: VerdictDigestMismatch,
 			Accused: y, Detail: "self-digest disagrees with accumulated obligation"})
 	}
 }
@@ -756,11 +768,13 @@ func (m *monitorState) judge(r model.Round) {
 		if !okBase {
 			prev = big.NewInt(1)
 		}
-		for succ := range st.requested {
+		// In successor order: the first of several same-key reports is
+		// the one the registry keeps.
+		for _, succ := range slices.Sorted(maps.Keys(st.requested)) {
 			if ack, ok := st.succAcks[succ]; ok {
 				// A Confirm arrived during the investigation window.
 				if ack.Cmp(prev) != 0 {
-					m.n.report(Verdict{Round: r, Kind: VerdictWrongForward,
+					m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 						Accused:  y,
 						Detail:   fmt.Sprintf("confirmed ack from %v mismatches obligation", succ),
 						Exchange: model.ExchangeID(r, y, succ)})
@@ -773,7 +787,7 @@ func (m *monitorState) judge(r model.Round) {
 			ex := st.exhibits[succ]
 			switch {
 			case ex == nil:
-				m.n.report(Verdict{Round: r, Kind: VerdictNoForward,
+				m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("no answer to AckRequest for successor %v", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
@@ -784,7 +798,7 @@ func (m *monitorState) judge(r model.Round) {
 				// accusation flow owns the outcome (Confirm or
 				// Nack); nothing further to judge here.
 			default:
-				m.n.report(Verdict{Round: r, Kind: VerdictNoForward,
+				m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("cannot exhibit ack of %v and did not accuse", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
@@ -797,18 +811,18 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 	xid := model.ExchangeID(r, y, succ)
 	ack, err := wire.UnmarshalAck(ackBytes)
 	if err != nil || ack.From != succ || ack.To != y || ack.Round != r {
-		m.n.report(Verdict{Round: r, Kind: VerdictNoForward,
+		m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 			Accused: y, Detail: "exhibited ack is inconsistent", Exchange: xid})
 		return
 	}
 	if m.n.suiteVerifySigned(succ, ackBytes, ack.Sig) != nil {
-		m.n.report(Verdict{Round: r, Kind: VerdictNoForward,
+		m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 			Accused: y, Detail: "exhibited ack has a bad signature", Exchange: xid})
 		return
 	}
 	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
 	if err != nil || h.Cmp(prev) != 0 {
-		m.n.report(Verdict{Round: r, Kind: VerdictWrongForward,
+		m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 			Accused: y, Detail: fmt.Sprintf("exhibited ack of %v mismatches obligation", succ),
 			Exchange: xid})
 		return
@@ -817,7 +831,7 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 	// acknowledge — yet its monitors never relayed the acknowledgement:
 	// the successor withheld its monitor report. "Otherwise node B is
 	// considered guilty" (§IV-A).
-	m.n.report(Verdict{Round: r, Kind: VerdictUnreportedExchange,
+	m.n.report(judicial.Verdict{Round: r, Kind: VerdictUnreportedExchange,
 		Accused:  succ,
 		Detail:   fmt.Sprintf("acknowledged %v's exchange but never reported it", y),
 		Exchange: xid})

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -47,7 +48,7 @@ func TestMultipleSessions(t *testing.T) {
 		Sources: []model.NodeID{sourceA, sourceB},
 	})
 
-	var verdicts []core.Verdict
+	var verdicts []judicial.Verdict
 	nodes := make(map[model.NodeID]*core.Node, nNodes)
 	identities := make(map[model.NodeID]pki.Identity, nNodes)
 	// deliveries[node][stream] counts per-stream deliveries.
@@ -73,7 +74,7 @@ func TestMultipleSessions(t *testing.T) {
 			Endpoint:  ep,
 			IsSource:  id == sourceA || id == sourceB,
 			Shared:    shared,
-			Verdicts:  func(v core.Verdict) { verdicts = append(verdicts, v) },
+			Verdicts:  func(v judicial.Verdict) { verdicts = append(verdicts, v) },
 			OnDeliver: func(u update.Update) { perStream[u.ID.Stream]++ },
 		})
 		if err != nil {

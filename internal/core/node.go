@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pki"
@@ -276,7 +277,7 @@ func (n *Node) isSource(id model.NodeID) bool {
 	return false
 }
 
-func (n *Node) report(v Verdict) {
+func (n *Node) report(v judicial.Verdict) {
 	if n.cfg.Verdicts != nil {
 		v.Reporter = n.id
 		n.cfg.Verdicts(v)
@@ -632,7 +633,7 @@ func (n *Node) dispatch(msg transport.Message) {
 	case wire.KindObligationHandover:
 		n.mon.onObligationHandover(msg)
 	default:
-		n.report(Verdict{
+		n.report(judicial.Verdict{
 			Round: n.round, Kind: VerdictBadMessage, Accused: msg.From,
 			Detail: fmt.Sprintf("unknown kind %d", msg.Kind),
 		})
@@ -700,7 +701,7 @@ func (n *Node) verifyUpdate(src model.NodeID, u *update.Update) bool {
 func (n *Node) verify(signer model.NodeID, body, sig []byte, what string) bool {
 	err := pki.VerifyCounted(n.sh.Suite, n.cfg.Identity.Counter(), signer, body, sig)
 	if err != nil {
-		n.report(Verdict{
+		n.report(judicial.Verdict{
 			Round: n.round, Kind: VerdictBadMessage, Accused: signer,
 			Detail: fmt.Sprintf("bad signature on %s", what),
 		})

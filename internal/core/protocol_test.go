@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/judicial"
 	"repro/internal/model"
 )
 
@@ -279,7 +280,7 @@ func TestBandwidthOverheadShape(t *testing.T) {
 
 // TestVerdictStringFormats exercises the human-readable forms.
 func TestVerdictStringFormats(t *testing.T) {
-	kinds := []core.VerdictKind{
+	kinds := []judicial.Kind{
 		core.VerdictWrongForward, core.VerdictNoForward,
 		core.VerdictUnresponsive, core.VerdictBadAttestation,
 		core.VerdictDigestMismatch, core.VerdictUnreportedExchange,
@@ -287,13 +288,13 @@ func TestVerdictStringFormats(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
-		s := k.String()
+		s := string(k)
 		if s == "" || seen[s] {
 			t.Fatalf("bad verdict kind string %q", s)
 		}
 		seen[s] = true
 	}
-	v := core.Verdict{Round: 3, Kind: core.VerdictNoForward, Accused: 2, Reporter: 9, Detail: "x"}
+	v := judicial.Verdict{Round: 3, Kind: core.VerdictNoForward, Accused: 2, Reporter: 9, Detail: "x"}
 	if v.String() == "" {
 		t.Fatal("empty verdict string")
 	}

@@ -24,15 +24,51 @@ import (
 	"repro/internal/obs"
 )
 
-// Key is the dedupe identity of one piece of evidence. Repeated reports of
-// the same (accused, accuser, round, kind) — monitor retries, the same
-// finding re-raised on both the verify and judge passes, duplicate relays —
-// are one fact about one deviation, not mounting proof of several.
+// Kind names a deviation. Each protocol declares its kinds as Kind
+// constants; the value is the name verdict text, dedupe keys and trace
+// events carry.
+type Kind string
+
+// Verdict is one proof of misbehaviour, whichever protocol raised it.
+type Verdict struct {
+	Round    model.Round
+	Kind     Kind
+	Accused  model.NodeID
+	Reporter model.NodeID
+	Detail   string
+	// Exchange is the model.ExchangeID of the §V-A exchange the verdict
+	// judges, when one is identifiable (empty otherwise, e.g. a digest
+	// mismatch spans a whole round). It is trace correlation only:
+	// excluded from Key, String and Proof so the dedupe keys and proof
+	// bytes are unchanged by tracing.
+	Exchange string
+}
+
+// String implements fmt.Stringer.
+func (v Verdict) String() string {
+	return fmt.Sprintf("%v %s against %v by %v: %s",
+		v.Round, v.Kind, v.Accused, v.Reporter, v.Detail)
+}
+
+// Key returns the verdict's dedupe identity.
+func (v Verdict) Key() Key {
+	return Key{Accused: v.Accused, Accuser: v.Reporter, Round: v.Round, Kind: v.Kind}
+}
+
+// Proof returns the canonical proof bytes the registry records the
+// SHA-256 of: for the reproduction the verdict's text — a deployment
+// would put the signed misbehaviour proof here.
+func (v Verdict) Proof() []byte { return []byte(v.String()) }
+
+// Key is the dedupe identity of one verdict. Repeated reports of the same
+// (accused, accuser, round, kind) — monitor retries, the same finding
+// re-raised on both the verify and judge passes, duplicate relays — are
+// one fact about one deviation, not mounting proof of several.
 type Key struct {
 	Accused model.NodeID
 	Accuser model.NodeID
 	Round   model.Round
-	Kind    string
+	Kind    Kind
 }
 
 // String implements fmt.Stringer.
@@ -56,25 +92,12 @@ func (k Key) less(o Key) bool {
 	return k.Kind < o.Kind
 }
 
-// Evidence is the common surface a protocol verdict adapts into to enter
-// the registry. core.Verdict, acting.Verdict and rac.Verdict all
-// implement it.
-type Evidence interface {
-	// EvidenceKey returns the dedupe identity.
-	EvidenceKey() Key
-	// Proof returns the canonical proof bytes (the registry records their
-	// SHA-256; for the reproduction these are the verdict's rendering —
-	// a deployment would put the signed misbehaviour proof here).
-	Proof() []byte
-}
-
-// Record is one registered fact: the first-reported evidence for its key.
+// Record is one registered fact: the first-reported verdict for its key.
 type Record struct {
 	Key Key
 	// Digest is the SHA-256 of the first report's proof bytes.
-	Digest [sha256.Size]byte
-	// Evidence is the original verdict (protocol views type-assert it).
-	Evidence Evidence
+	Digest  [sha256.Size]byte
+	Verdict Verdict
 }
 
 // Registry is the unified verdict sink. It is safe for concurrent use:
@@ -116,10 +139,10 @@ func (reg *Registry) Instrument(m *obs.Registry, tr *obs.Tracer) {
 	reg.trace = tr
 }
 
-// Submit registers one piece of evidence, reporting whether it was a new
-// fact (false: a duplicate of an already-registered key, dropped).
-func (reg *Registry) Submit(e Evidence) bool {
-	k := e.EvidenceKey()
+// Submit registers one verdict, reporting whether it was a new fact
+// (false: a duplicate of an already-registered key, dropped).
+func (reg *Registry) Submit(v Verdict) bool {
+	k := v.Key()
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if _, dup := reg.seen[k]; dup {
@@ -129,9 +152,9 @@ func (reg *Registry) Submit(e Evidence) bool {
 	}
 	reg.seen[k] = struct{}{}
 	reg.records = append(reg.records, Record{
-		Key:      k,
-		Digest:   sha256.Sum256(e.Proof()),
-		Evidence: e,
+		Key:     k,
+		Digest:  sha256.Sum256(v.Proof()),
+		Verdict: v,
 	})
 	reg.counts[k.Accused]++
 	reg.factsC.Inc()
@@ -139,13 +162,10 @@ func (reg *Registry) Submit(e Evidence) bool {
 		fields := []obs.Field{obs.F("round", k.Round),
 			obs.F("accused", k.Accused), obs.F("accuser", k.Accuser),
 			obs.F("kind", k.Kind)}
-		// Evidence that knows which §V-A exchange it judges (core.Verdict
-		// does) contributes the trace correlation id, tying the judicial
-		// fact into the exchange's span.
-		if x, ok := e.(interface{ TraceExchange() string }); ok {
-			if xid := x.TraceExchange(); xid != "" {
-				fields = append(fields, obs.XID(xid))
-			}
+		// A verdict that knows which §V-A exchange it judges carries the
+		// trace correlation id, tying the fact into the exchange's span.
+		if v.Exchange != "" {
+			fields = append(fields, obs.XID(v.Exchange))
 		}
 		reg.trace.Emit("verdict", fields...)
 	}

@@ -8,17 +8,8 @@ import (
 	"repro/internal/model"
 )
 
-// ev is a minimal Evidence for registry tests.
-type ev struct {
-	key    Key
-	detail string
-}
-
-func (e ev) EvidenceKey() Key { return e.key }
-func (e ev) Proof() []byte    { return []byte(e.detail) }
-
-func fact(accused, accuser model.NodeID, r model.Round, kind string) ev {
-	return ev{key: Key{Accused: accused, Accuser: accuser, Round: r, Kind: kind}}
+func fact(accused, accuser model.NodeID, r model.Round, kind Kind) Verdict {
+	return Verdict{Round: r, Kind: kind, Accused: accused, Reporter: accuser}
 }
 
 func TestRegistryDedupe(t *testing.T) {
@@ -31,7 +22,7 @@ func TestRegistryDedupe(t *testing.T) {
 	if reg.Submit(fact(7, 3, 4, "NoForward")) {
 		t.Fatal("identical retry accepted as a new fact")
 	}
-	if reg.Submit(ev{key: Key{Accused: 7, Accuser: 3, Round: 4, Kind: "NoForward"}, detail: "other"}) {
+	if reg.Submit(Verdict{Round: 4, Kind: "NoForward", Accused: 7, Reporter: 3, Detail: "other"}) {
 		t.Fatal("same-key report accepted as a new fact")
 	}
 	if got := reg.Count(7); got != 1 {
@@ -50,7 +41,7 @@ func TestRegistryDedupe(t *testing.T) {
 }
 
 func TestRegistryCanonicalOrderIndependentOfSubmission(t *testing.T) {
-	facts := []ev{
+	facts := []Verdict{
 		fact(9, 2, 3, "B"), fact(1, 1, 1, "A"), fact(9, 1, 3, "B"),
 		fact(9, 2, 3, "A"), fact(2, 8, 2, "C"),
 	}

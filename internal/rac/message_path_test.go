@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -134,7 +135,7 @@ type cluster struct {
 	engine   *sim.Engine
 	nodes    map[model.NodeID]*Node
 	mu       sync.Mutex // the engine's shards share the verdict sink
-	verdicts []Verdict
+	verdicts []judicial.Verdict
 	deliver  func(n *Node, m transport.Message)
 }
 
@@ -176,7 +177,7 @@ func newCluster(t *testing.T, size, workers int) *cluster {
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
 			Sources: []model.NodeID{1}, SlotBytes: 64,
-			Verdicts: func(v Verdict) {
+			Verdicts: func(v judicial.Verdict) {
 				c.mu.Lock()
 				c.verdicts = append(c.verdicts, v)
 				c.mu.Unlock()

@@ -39,47 +39,9 @@ import (
 
 const kindSlot uint8 = 120
 
-// VerdictKind classifies RAC accountability findings.
-type VerdictKind int
-
-// Verdict kinds.
-const (
-	// VerdictDroppedSlots: the ring predecessor relayed fewer slots than
-	// the round's expectation.
-	VerdictDroppedSlots VerdictKind = iota + 1
-)
-
-// String implements fmt.Stringer.
-func (k VerdictKind) String() string {
-	if k == VerdictDroppedSlots {
-		return "DroppedSlots"
-	}
-	return fmt.Sprintf("VerdictKind(%d)", int(k))
-}
-
-// Verdict is one accountability finding.
-type Verdict struct {
-	Round    model.Round
-	Kind     VerdictKind
-	Accused  model.NodeID
-	Reporter model.NodeID
-	Detail   string
-}
-
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	return fmt.Sprintf("%v %v against %v by %v: %s",
-		v.Round, v.Kind, v.Accused, v.Reporter, v.Detail)
-}
-
-// EvidenceKey implements judicial.Evidence: repeated reports of the same
-// (accused, accuser, round, kind) collapse into one fact.
-func (v Verdict) EvidenceKey() judicial.Key {
-	return judicial.Key{Accused: v.Accused, Accuser: v.Reporter, Round: v.Round, Kind: v.Kind.String()}
-}
-
-// Proof implements judicial.Evidence.
-func (v Verdict) Proof() []byte { return []byte(v.String()) }
+// VerdictDroppedSlots: the ring predecessor relayed fewer slots than the
+// round's expectation.
+const VerdictDroppedSlots judicial.Kind = "DroppedSlots"
 
 // Behavior injects selfish deviations.
 type Behavior struct {
@@ -121,7 +83,7 @@ type Config struct {
 	// to it). Defaults to model.UpdateBytes.
 	SlotBytes int
 	Behavior  Behavior
-	Verdicts  func(Verdict)
+	Verdicts  func(judicial.Verdict)
 	OnDeliver func(update.Update)
 }
 
@@ -368,17 +330,17 @@ func (n *Node) EndRound(r model.Round) {
 			// other members' observations, which the shared verdict
 			// registry aggregates; a lone mistaken accusation stays
 			// below any sane conviction threshold.)
-			n.report(Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: at(start),
+			n.report(judicial.Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: at(start),
 				Detail: "no cover slot emitted"})
 		case k == size:
 			// The run reaches the predecessor: nothing at all came in.
-			n.report(Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: n.pred,
+			n.report(judicial.Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: n.pred,
 				Detail: fmt.Sprintf("%d origins missing: predecessor relayed nothing",
 					k-start)})
 		default:
 			// The first member downstream of the run received nothing
 			// from it yet arrived itself: the relay chain broke there.
-			n.report(Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: at(k),
+			n.report(judicial.Verdict{Round: r, Kind: VerdictDroppedSlots, Accused: at(k),
 				Detail: fmt.Sprintf("%d origins missing: relay chain broken at %v",
 					k-start, at(k))})
 		}
@@ -451,7 +413,7 @@ func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {
 	return n.cfg.Sources[idx], true
 }
 
-func (n *Node) report(v Verdict) {
+func (n *Node) report(v judicial.Verdict) {
 	if n.cfg.Verdicts != nil {
 		v.Reporter = n.id
 		n.cfg.Verdicts(v)

@@ -3,6 +3,7 @@ package rac_test
 import (
 	"testing"
 
+	"repro/internal/judicial"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/pki"
@@ -19,7 +20,7 @@ type harness struct {
 	engine   *sim.Engine
 	nodes    map[model.NodeID]*rac.Node
 	source   model.NodeID
-	verdicts []rac.Verdict
+	verdicts []judicial.Verdict
 }
 
 func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]rac.Behavior) *harness {
@@ -56,7 +57,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]rac.Be
 			Sources:   []model.NodeID{h.source},
 			SlotBytes: 64,
 			Behavior:  behaviors[id],
-			Verdicts:  func(v rac.Verdict) { h.verdicts = append(h.verdicts, v) },
+			Verdicts:  func(v judicial.Verdict) { h.verdicts = append(h.verdicts, v) },
 		}
 		var node *rac.Node
 		ep, err := h.net.Register(id, func(m transport.Message) { node.HandleMessage(m) })
@@ -179,10 +180,7 @@ func TestRACNodeValidation(t *testing.T) {
 }
 
 func TestRACVerdictString(t *testing.T) {
-	if rac.VerdictDroppedSlots.String() != "DroppedSlots" {
+	if rac.VerdictDroppedSlots != "DroppedSlots" {
 		t.Fatal("kind string")
-	}
-	if rac.VerdictKind(9).String() == "" {
-		t.Fatal("unknown kind string empty")
 	}
 }

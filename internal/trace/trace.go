@@ -278,10 +278,10 @@ func (j *Journal) exchangeIndex() map[string]*Exchange {
 // count (event *content* is deterministic on the in-memory transport;
 // emission *order* is worker-schedule dependent). Stripped: seq and
 // ts_ns everywhere, and the xid of verdict events — a verdict's xid
-// attributes the first proof that registered under its evidence key,
-// and when several monitors hold independent proofs of the same fact,
-// which one wins the dedup race is worker-schedule dependent (any
-// correct monitor's proof convicts; the fact itself is deterministic).
+// attributes the first report that registered under its dedupe key.
+// Only the reporter raises reports under its key, in id order, so the
+// xid repeats per seed too (pag.TestVerdictAttributionRepeats); the
+// strip is conservative.
 func CanonicalLines(events []Event) []string {
 	out := make([]string, 0, len(events))
 	for _, e := range events {

@@ -88,7 +88,7 @@ func runPacedSessions(t *testing.T, base SessionConfig, sc scenario.Scenario, ro
 	}
 	wg.Wait()
 	for i, s := range sessions {
-		for _, v := range s.PAGVerdicts() {
+		for _, v := range s.Verdicts() {
 			t.Errorf("session %d convicted a correct node: %v", i, v)
 		}
 	}

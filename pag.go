@@ -74,8 +74,8 @@ type NodeID = model.NodeID
 // Behavior re-exports the PAG selfish-deviation knobs.
 type Behavior = core.Behavior
 
-// Verdict re-exports PAG's proof-of-misbehaviour type.
-type Verdict = core.Verdict
+// Verdict re-exports the proof-of-misbehaviour type every protocol raises.
+type Verdict = judicial.Verdict
 
 // QueueBacklog re-exports the bandwidth plane's per-node backlog entry
 // (EpochStat.QueueDepthByNode elements).

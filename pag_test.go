@@ -68,8 +68,8 @@ func TestPAGSessionEndToEnd(t *testing.T) {
 	if got := s.Round(); got != 16 {
 		t.Fatalf("Round = %v", got)
 	}
-	if len(s.PAGVerdicts()) != 0 {
-		t.Fatalf("verdicts in an honest run: %v", s.PAGVerdicts())
+	if len(s.Verdicts()) != 0 {
+		t.Fatalf("verdicts in an honest run: %v", s.Verdicts())
 	}
 	if bw := s.BandwidthSample(); bw.Len() != 15 || bw.Mean() <= 0 {
 		t.Fatalf("bandwidth sample: len %d mean %v", bw.Len(), bw.Mean())
@@ -103,8 +103,8 @@ func TestActingSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(16)
-	if len(s.ActingVerdicts()) != 0 {
-		t.Fatalf("verdicts in an honest run: %v", s.ActingVerdicts())
+	if len(s.Verdicts()) != 0 {
+		t.Fatalf("verdicts in an honest run: %v", s.Verdicts())
 	}
 	if c := s.MeanContinuity(); c < 0.9 {
 		t.Fatalf("mean continuity %v", c)
@@ -117,8 +117,8 @@ func TestRACSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(16)
-	if len(s.RACVerdicts()) != 0 {
-		t.Fatalf("verdicts in an honest run: %v", s.RACVerdicts())
+	if len(s.Verdicts()) != 0 {
+		t.Fatalf("verdicts in an honest run: %v", s.Verdicts())
 	}
 	if c := s.MeanContinuity(); c < 0.5 {
 		t.Fatalf("mean continuity %v", c)
@@ -157,13 +157,13 @@ func TestSelfishInjectionThroughFacade(t *testing.T) {
 	}
 	s.Run(10)
 	found := false
-	for _, v := range s.PAGVerdicts() {
+	for _, v := range s.Verdicts() {
 		if v.Accused == 5 && v.Kind == core.VerdictWrongForward {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("injected cheat not convicted: %v", s.PAGVerdicts())
+		t.Fatalf("injected cheat not convicted: %v", s.Verdicts())
 	}
 }
 

@@ -51,7 +51,7 @@ func paperRun(t *testing.T) []string {
 	}
 	// A verdict is its judicial key: which skipped successor the
 	// free-rider's monitor names in the detail depends on map order.
-	for _, v := range s.PAGVerdicts() {
+	for _, v := range s.Verdicts() {
 		lines = append(lines, fmt.Sprintf("verdict %v %v against %v by %v", v.Round, v.Kind, v.Accused, v.Reporter))
 	}
 	return lines

@@ -28,27 +28,14 @@ import (
 // evidence every conviction tally is computed from.
 func (s *Session) Judicial() *judicial.Registry { return s.registry }
 
-// PAGVerdicts returns the deduplicated PAG proofs of misbehaviour in
-// canonical (round, accused, accuser, kind) order — a view over the
-// judicial registry.
-func (s *Session) PAGVerdicts() []core.Verdict { return verdictsOf[core.Verdict](s.registry) }
-
-// ActingVerdicts returns the deduplicated AcTinG audit findings in
-// canonical order — a view over the judicial registry.
-func (s *Session) ActingVerdicts() []acting.Verdict { return verdictsOf[acting.Verdict](s.registry) }
-
-// RACVerdicts returns the deduplicated RAC accountability findings in
-// canonical order — a view over the judicial registry.
-func (s *Session) RACVerdicts() []rac.Verdict { return verdictsOf[rac.Verdict](s.registry) }
-
-// verdictsOf returns the registry's facts whose evidence is a V, in the
-// registry's canonical order.
-func verdictsOf[V judicial.Evidence](r *judicial.Registry) []V {
-	var out []V
-	for _, rec := range r.Records() {
-		if v, ok := rec.Evidence.(V); ok {
-			out = append(out, v)
-		}
+// Verdicts returns the deduplicated proofs of misbehaviour, whichever
+// protocol raised them, in canonical (round, accused, accuser, kind) order
+// — a view over the judicial registry.
+func (s *Session) Verdicts() []Verdict {
+	recs := s.registry.Records()
+	out := make([]Verdict, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.Verdict
 	}
 	return out
 }
@@ -116,7 +103,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Behavior:  s.cfg.PAGBehaviors[id],
 			CoeffRand: coeffs,
 			Shared:    s.shared,
-			Verdicts:  func(v core.Verdict) { s.registry.Submit(v) },
+			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})
 	case ProtocolAcTinG:
@@ -128,7 +115,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Endpoint:  ep,
 			Sources:   sources,
 			Intern:    s.intern,
-			Verdicts:  func(v acting.Verdict) { s.registry.Submit(v) },
+			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})
 	case ProtocolRAC:
@@ -140,7 +127,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Endpoint:  ep,
 			Sources:   sources,
 			SlotBytes: s.cfg.UpdateBytes,
-			Verdicts:  func(v rac.Verdict) { s.registry.Submit(v) },
+			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})
 	default:

@@ -30,7 +30,7 @@ func rotationConfig(cheat NodeID) SessionConfig {
 // a rotation.
 func incomingConvictions(s *Session, cheat NodeID) int {
 	incoming := 0
-	for _, v := range s.PAGVerdicts() {
+	for _, v := range s.Verdicts() {
 		if v.Accused == cheat && v.Round > 0 && !s.dir.IsMonitorOf(v.Reporter, cheat, v.Round-1) {
 			incoming++
 		}
@@ -73,7 +73,7 @@ func TestRotationHonestRunCleanWithHandover(t *testing.T) {
 	}
 	s.Run(16)
 	if got := s.Judicial().Len(); got != 0 {
-		t.Fatalf("honest rotation run raised %d verdicts: %v", got, s.PAGVerdicts())
+		t.Fatalf("honest rotation run raised %d verdicts: %v", got, s.Verdicts())
 	}
 }
 
@@ -205,7 +205,7 @@ func TestConvictedNodesDedupesRetriedVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := core.Verdict{Round: 4, Kind: core.VerdictNoForward, Accused: 7, Reporter: 3,
+	v := Verdict{Round: 4, Kind: core.VerdictNoForward, Accused: 7, Reporter: 3,
 		Detail: "no answer to AckRequest for successor n5"}
 	s.Judicial().Submit(v)
 	s.Judicial().Submit(v) // a monitor retry
@@ -222,7 +222,7 @@ func TestConvictedNodesDedupesRetriedVerdicts(t *testing.T) {
 		t.Fatalf("duplicate count %d, want 2", got)
 	}
 	// Distinct accusers remain independent evidence.
-	s.Judicial().Submit(core.Verdict{Round: 4, Kind: core.VerdictNoForward,
+	s.Judicial().Submit(Verdict{Round: 4, Kind: core.VerdictNoForward,
 		Accused: 7, Reporter: 5})
 	if got := s.ConvictedNodes(2)[7]; got != 2 {
 		t.Fatalf("independent accuser lost: %v", s.ConvictedNodes(1))

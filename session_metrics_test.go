@@ -50,7 +50,7 @@ func TestConvictedNodesThresholdBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []core.Verdict{
+	for _, v := range []Verdict{
 		{Round: 1, Accused: 4}, {Round: 2, Accused: 4}, {Round: 3, Accused: 5},
 	} {
 		s.Judicial().Submit(v)
@@ -74,10 +74,10 @@ func TestConvictedNodesMixedProtocolLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Judicial().Submit(core.Verdict{Round: 1, Accused: 7})
-	s.Judicial().Submit(acting.Verdict{Round: 2, Accused: 7})
-	s.Judicial().Submit(acting.Verdict{Round: 2, Accused: 8})
-	s.Judicial().Submit(rac.Verdict{Round: 3, Accused: 7})
+	s.Judicial().Submit(Verdict{Round: 1, Kind: core.VerdictNoForward, Accused: 7})
+	s.Judicial().Submit(Verdict{Round: 2, Kind: acting.VerdictRefusedAudit, Accused: 7})
+	s.Judicial().Submit(Verdict{Round: 2, Kind: acting.VerdictRefusedAudit, Accused: 8})
+	s.Judicial().Submit(Verdict{Round: 3, Kind: rac.VerdictDroppedSlots, Accused: 7})
 	got := s.ConvictedNodes(3)
 	if len(got) != 1 || got[7] != 3 {
 		t.Fatalf("mixed lists: %v, want node 7 with 3 verdicts", got)

@@ -49,8 +49,8 @@ func TestFlashCrowdJoinsOpenEpochs(t *testing.T) {
 		}
 	}
 	// Accountability must not misfire on churn: everyone is honest.
-	if len(s.PAGVerdicts()) != 0 {
-		t.Fatalf("honest flash-crowd run raised verdicts: %v", s.PAGVerdicts())
+	if len(s.Verdicts()) != 0 {
+		t.Fatalf("honest flash-crowd run raised verdicts: %v", s.Verdicts())
 	}
 	if c := s.MeanContinuity(); c < 0.9 {
 		t.Fatalf("mean continuity %v after the flash crowd", c)
@@ -82,8 +82,8 @@ func TestLeaveRedrawsMembership(t *testing.T) {
 	if len(epochs) != 2 || epochs[1].StartRound != 7 {
 		t.Fatalf("epochs = %+v", epochs)
 	}
-	if len(s.PAGVerdicts()) != 0 {
-		t.Fatalf("graceful leave raised verdicts: %v", s.PAGVerdicts())
+	if len(s.Verdicts()) != 0 {
+		t.Fatalf("graceful leave raised verdicts: %v", s.Verdicts())
 	}
 	if c := s.MeanContinuity(); c < 0.9 {
 		t.Fatalf("mean continuity %v after the leave", c)
@@ -279,7 +279,7 @@ func TestCrashLingerConvictsThenRemoves(t *testing.T) {
 	// cross a linger-scaled punishment threshold, which the crashed node
 	// (every monitor × every violated obligation kind × every linger
 	// round) sails past.
-	for _, v := range s.PAGVerdicts() {
+	for _, v := range s.Verdicts() {
 		if v.Accused != victim && v.Kind == core.VerdictWrongForward {
 			t.Errorf("honest live node framed for wrong forwarding: %v", v)
 		}

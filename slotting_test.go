@@ -49,7 +49,7 @@ func slottingRun(t *testing.T) []string {
 	// A verdict is its judicial key. The detail of the free-rider's is
 	// whichever skipped successor its monitor looked at first, and that
 	// order is the slots'.
-	for _, v := range s.PAGVerdicts() {
+	for _, v := range s.Verdicts() {
 		lines = append(lines, fmt.Sprintf("verdict %v %v against %v by %v", v.Round, v.Kind, v.Accused, v.Reporter))
 	}
 	bytes := s.Metrics().ByLabel("pag_core_bytes_total", "kind")

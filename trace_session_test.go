@@ -2,6 +2,8 @@ package pag
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,4 +290,30 @@ func protocolsByName(t *testing.T, names []string) []Protocol {
 		}
 	}
 	return ps
+}
+
+// TestVerdictAttributionRepeats: when a node raises several reports under
+// one dedupe key, the one the registry keeps — named by the verdict
+// event's xid — is the same at any worker count and in every run.
+func TestVerdictAttributionRepeats(t *testing.T) {
+	verdicts := func(j *trace.Journal) []string {
+		var out []string
+		for _, e := range j.Events {
+			if e.Name == "verdict" {
+				out = append(out, fmt.Sprintf("r%d %s against n%d by n%d xid=%s",
+					e.Num("round"), e.Str("kind"), e.Num("accused"), e.Num("accuser"), e.XID()))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	serial, _ := traceScenario(t, "delayed-coalition", 10, 0)
+	want := verdicts(serial)
+	if len(want) == 0 {
+		t.Fatal("the coalition drew no verdicts")
+	}
+	parallel, _ := traceScenario(t, "delayed-coalition", 10, 4)
+	if got := verdicts(parallel); !slices.Equal(got, want) {
+		t.Fatalf("verdict attribution differs between workers 0 and 4:\n%v\n%v", want, got)
+	}
 }
