@@ -28,7 +28,8 @@ import (
 //
 // The heap is read after two collections, so what sync.Pool caches hold
 // (victims included) does not count: the test is about growth, not pool
-// residency.
+// residency. The idle receive arenas do count (a bounded free list, not a
+// sync.Pool); by round 80 they hold what the run's largest phase left.
 func TestSessionHeapIsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundreds of rounds")

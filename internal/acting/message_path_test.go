@@ -3,6 +3,8 @@ package acting
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -390,10 +392,13 @@ func checkSurvivesOverwrite(t *testing.T, workers int, intern *update.Interner) 
 }
 
 // TestSignAndSendAllocations: one encoding in a pooled buffer, signed in
-// place — sending a 40-update data message allocates only the exact-size
-// copy the transport is handed (plus amortised queue growth), not three
-// encodings of it. (The race detector bypasses sync.Pool; the race job
-// runs -short.)
+// place — sending a 40-update data message to a MemNet endpoint, whose
+// Send keeps what it is given, allocates only the exact-size copy it is
+// handed (plus amortised queue growth), not three encodings of it. A TCP
+// endpoint copies the frame into its connection's batch buffer, so there
+// the pooled buffer is lent as it is and, once the connection is up and
+// the buffer has grown, sending allocates nothing. (The race detector
+// bypasses sync.Pool; the race job runs -short.)
 func TestSignAndSendAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts need the pool")
@@ -408,6 +413,42 @@ func TestSignAndSendAllocations(t *testing.T) {
 		})
 	}
 	if got := testing.AllocsPerRun(100, func() { n.signAndSend(3, kindData, msg) }); got > 3 {
-		t.Fatalf("sign-and-send of a 40-update data message: %.1f allocs, budget 3", got)
+		t.Fatalf("MemNet: sign-and-send of a 40-update data message: %.1f allocs, budget 3", got)
 	}
+
+	t.Run("TCP", func(t *testing.T) {
+		// Node 3 is a plain listener that reads and discards, so the
+		// count is the sender's alone.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_, _ = io.Copy(io.Discard, conn)
+		}()
+		tn := transport.NewTCPNet(map[model.NodeID]string{3: ln.Addr().String()})
+		tn.SetDynamic("127.0.0.1")
+		defer tn.Close()
+		ep, err := tn.Register(2, func(transport.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := n.cfg.Endpoint
+		n.cfg.Endpoint = ep
+		defer func() { n.cfg.Endpoint = saved }()
+		send := func() { n.signAndSend(3, kindData, msg) }
+		for range 16 { // dial, and grow the batch buffer past an overflow flush
+			send()
+		}
+		tn.FlushAll()
+		if got := testing.AllocsPerRun(100, send); got != 0 {
+			t.Fatalf("TCP: sign-and-send of a 40-update data message: %.1f allocs, want 0", got)
+		}
+	})
 }

@@ -1,10 +1,9 @@
 package acting
 
 import (
-	"bytes"
-
 	"repro/internal/model"
 	"repro/internal/securelog"
+	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
 )
@@ -22,13 +21,14 @@ type message interface {
 }
 
 // signAndSend encodes m once into a pooled buffer, signs it in place and
-// transmits an exact-size copy: the Endpoint owns what it is sent.
+// lends it to the send (transport.SendLent: an exact-size copy where the
+// Endpoint keeps what it is sent, none where it copies).
 func (n *Node) signAndSend(to model.NodeID, kind uint8, m message) {
 	w := wire.GetWriter()
 	defer w.Release()
 	m.layout(w.Codec())
 	if w.Sign(n.cfg.Identity) == nil {
-		_ = n.cfg.Endpoint.Send(to, kind, bytes.Clone(w.Finish()))
+		_ = transport.SendLent(n.cfg.Endpoint, kind, w.Finish(), to)
 	}
 }
 

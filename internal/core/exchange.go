@@ -89,7 +89,8 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 
 // signEncrypt builds {⟨m⟩_X}_pk(to), the paper's construction for
 // messages 2, 3 and 7: m is encoded and signed in a pooled buffer and
-// sealed straight from it into one exact-size ciphertext.
+// sealed straight from it into one exact-size ciphertext, which the sender
+// owns — the form of a Serve it keeps as evidence.
 func (n *Node) signEncrypt(to model.NodeID, m wire.BodyMessage) ([]byte, error) {
 	w := wire.GetWriter()
 	defer w.Release()
@@ -97,13 +98,22 @@ func (n *Node) signEncrypt(to model.NodeID, m wire.BodyMessage) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return n.encryptTo(to, plain)
+	return n.encryptTo(nil, to, plain)
 }
 
-// signEncryptSend transmits signEncrypt's ciphertext under the given kind.
+// signEncryptSend sends {⟨m⟩_X}_pk(to) under the given kind, keeping
+// nothing: m is sealed in one pooled buffer, encrypted into another and
+// lent to the send.
 func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) {
-	if cipher, err := n.signEncrypt(to, m); err == nil {
-		_ = n.cfg.Endpoint.Send(to, kind, cipher)
+	pw, cw := wire.GetWriter(), wire.GetWriter()
+	defer pw.Release()
+	defer cw.Release()
+	plain, err := wire.Seal(pw, m, n.cfg.Identity)
+	if err != nil {
+		return
+	}
+	if cipher, err := cw.Encrypt(encrypter{n}, to, plain); err == nil {
+		_ = transport.SendLent(n.cfg.Endpoint, kind, cipher, to)
 	}
 }
 

@@ -649,23 +649,21 @@ func (n *Node) signAndSend(to model.NodeID, m wire.BodyMessage) {
 	n.signAndSendAll([]model.NodeID{to}, m)
 }
 
-// signAndSendAll encodes and signs m once and transmits those bytes to
-// every peer: the Endpoint owns what it is sent, so the recipients of a
-// fan-out share one slice.
+// signAndSendAll encodes and signs m once, in a pooled buffer, and lends
+// those bytes to every peer (transport.SendLent: one copy shared by the
+// whole fan-out where the Endpoint keeps what it is sent, none where it
+// copies).
 func (n *Node) signAndSendAll(peers []model.NodeID, m wire.BodyMessage) {
-	payload, err := n.signOwned(m)
-	if err != nil {
-		return
-	}
-	for _, peer := range peers {
-		_ = n.cfg.Endpoint.Send(peer, m.Kind(), payload)
+	w := wire.GetWriter()
+	defer w.Release()
+	if payload, err := wire.Seal(w, m, n.cfg.Identity); err == nil {
+		_ = transport.SendLent(n.cfg.Endpoint, m.Kind(), payload, peers...)
 	}
 }
 
 // signOwned is Seal into one exact-size heap slice: the form a signed
-// message takes when it leaves the pooled buffer it was encoded in — handed
-// to Endpoint.Send, kept as evidence (attestations, acknowledgements), or
-// both.
+// message takes when the sender keeps it as evidence (attestations,
+// acknowledgements) and sends those very bytes.
 func (n *Node) signOwned(m wire.BodyMessage) ([]byte, error) {
 	w := wire.GetWriter()
 	defer w.Release()
@@ -710,9 +708,16 @@ func (n *Node) verify(signer model.NodeID, body, sig []byte, what string) bool {
 	return true
 }
 
-// encryptTo produces {m}_pk(to) with op accounting.
-func (n *Node) encryptTo(to model.NodeID, plaintext []byte) ([]byte, error) {
-	return pki.EncryptCounted(n.sh.Suite, n.cfg.Identity.Counter(), to, plaintext)
+// encryptTo appends {m}_pk(to) to dst with op accounting.
+func (n *Node) encryptTo(dst []byte, to model.NodeID, plaintext []byte) ([]byte, error) {
+	return pki.EncryptCounted(n.sh.Suite, n.cfg.Identity.Counter(), dst, to, plaintext)
+}
+
+// encrypter is a node's wire.Encrypter: encryptTo.
+type encrypter struct{ n *Node }
+
+func (e encrypter) EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byte, error) {
+	return e.n.encryptTo(dst, to, msg)
 }
 
 // drawPrime issues the next exchange prime from the pregeneration pool, or

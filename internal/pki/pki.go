@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -132,8 +133,13 @@ type Suite interface {
 	NewIdentity(id model.NodeID) (Identity, error)
 	// Verify checks a signature allegedly produced by signer over msg.
 	Verify(signer model.NodeID, msg, sig []byte) error
-	// Encrypt produces {msg}_pk(to).
+	// Encrypt produces {msg}_pk(to) in a fresh slice:
+	// EncryptAppend(nil, to, msg).
 	Encrypt(to model.NodeID, msg []byte) ([]byte, error)
+	// EncryptAppend appends {msg}_pk(to) to dst and returns the extended
+	// slice. It is how a message is sealed into a buffer the sender
+	// already has; dst's spare capacity must not overlap msg.
+	EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byte, error)
 	// SignatureSize returns the fixed signature length in bytes.
 	SignatureSize() int
 	// CiphertextOverhead returns len(Encrypt(m)) - len(m).
@@ -219,8 +225,14 @@ func (s *RSASuite) Verify(signer model.NodeID, msg, sig []byte) error {
 	return nil
 }
 
-// Encrypt implements Suite: hybrid RSA-OAEP(AES key) || nonce || GCM(msg).
+// Encrypt implements Suite.
 func (s *RSASuite) Encrypt(to model.NodeID, msg []byte) ([]byte, error) {
+	return s.EncryptAppend(nil, to, msg)
+}
+
+// EncryptAppend implements Suite: hybrid RSA-OAEP(AES key) || nonce ||
+// GCM(msg).
+func (s *RSASuite) EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byte, error) {
 	pub, err := s.publicKey(to)
 	if err != nil {
 		return nil, err
@@ -233,15 +245,23 @@ func (s *RSASuite) Encrypt(to model.NodeID, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: wrapping session key: %w", err)
 	}
-	sealed, nonce, err := gcmSeal(aesKey, msg)
+	block, err := aes.NewCipher(aesKey)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pki: aes: %w", err)
 	}
-	out := make([]byte, 0, len(wrapped)+len(nonce)+len(sealed))
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("pki: gcm: %w", err)
+	}
+	out := slices.Grow(dst, len(wrapped)+_gcmNonceLen+len(msg)+_gcmTagLen)
 	out = append(out, wrapped...)
-	out = append(out, nonce...)
-	out = append(out, sealed...)
-	return out, nil
+	head := len(out)
+	out = out[:head+_gcmNonceLen]
+	nonce := out[head:]
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("pki: drawing nonce: %w", err)
+	}
+	return gcm.Seal(out, nonce, msg, nil), nil
 }
 
 type rsaIdentity struct {
@@ -451,17 +471,24 @@ func (s *FastSuite) Verify(signer model.NodeID, msg, sig []byte) error {
 	return nil
 }
 
-// Encrypt implements Suite: zero-filled fake key-wrap block (size parity
-// with RSA) || nonce || GCM(msg) under the recipient's derived key, sealed
-// into one exact-size allocation.
+// Encrypt implements Suite.
 func (s *FastSuite) Encrypt(to model.NodeID, msg []byte) ([]byte, error) {
+	return s.EncryptAppend(nil, to, msg)
+}
+
+// EncryptAppend implements Suite: zero-filled fake key-wrap block (size
+// parity with RSA) || nonce || GCM(msg) under the recipient's derived key,
+// sealed straight into dst, which grows only when it lacks the room.
+func (s *FastSuite) EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byte, error) {
 	key, err := s.key(to)
 	if err != nil {
 		return nil, err
 	}
-	head := s.wrapSize + _gcmNonceLen
-	out := make([]byte, head, head+len(msg)+_gcmTagLen)
-	nonce := out[s.wrapSize:head]
+	out := slices.Grow(dst, s.wrapSize+_gcmNonceLen+len(msg)+_gcmTagLen)
+	start := len(out)
+	out = out[:start+s.wrapSize+_gcmNonceLen]
+	clear(out[start : start+s.wrapSize])
+	nonce := out[start+s.wrapSize:]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("pki: drawing nonce: %w", err)
 	}
@@ -524,28 +551,13 @@ func VerifyCounted(suite Suite, ops *Counter, signer model.NodeID, msg, sig []by
 	return suite.Verify(signer, msg, sig)
 }
 
-// EncryptCounted wraps suite.Encrypt, attributing the encryption to ops.
-func EncryptCounted(suite Suite, ops *Counter, to model.NodeID, msg []byte) ([]byte, error) {
+// EncryptCounted wraps suite.EncryptAppend, attributing the encryption to
+// ops.
+func EncryptCounted(suite Suite, ops *Counter, dst []byte, to model.NodeID, msg []byte) ([]byte, error) {
 	if ops != nil {
 		ops.encrypts.Add(1)
 	}
-	return suite.Encrypt(to, msg)
-}
-
-func gcmSeal(key, msg []byte) (sealed, nonce []byte, err error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pki: aes: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pki: gcm: %w", err)
-	}
-	nonce = make([]byte, _gcmNonceLen)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, fmt.Errorf("pki: drawing nonce: %w", err)
-	}
-	return gcm.Seal(nil, nonce, msg, nil), nonce, nil
+	return suite.EncryptAppend(dst, to, msg)
 }
 
 func gcmOpen(dst, key, nonce, sealed []byte) ([]byte, error) {

@@ -154,6 +154,49 @@ func TestDecryptAppend(t *testing.T) {
 	}
 }
 
+// TestEncryptAppend: the ciphertext is appended to what dst already
+// holds, inside dst's storage when it has room, CiphertextOverhead still
+// sizes it, and it opens to the message.
+func TestEncryptAppend(t *testing.T) {
+	for name, s := range suites(t) {
+		t.Run(name, func(t *testing.T) {
+			id, _ := s.NewIdentity(1)
+			msg := bytes.Repeat([]byte{0xAB}, model.UpdateBytes)
+			head := []byte("head")
+			dst := append(make([]byte, 0, len(head)+len(msg)+s.CiphertextOverhead()), head...)
+			got, err := s.EncryptAppend(dst, 1, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:len(head)], head) {
+				t.Fatal("EncryptAppend overwrote what dst held")
+			}
+			if &got[0] != &dst[0] {
+				t.Fatal("EncryptAppend left dst's storage although it had room")
+			}
+			ct := got[len(head):]
+			if n, want := len(ct)-len(msg), s.CiphertextOverhead(); n != want {
+				t.Fatalf("ciphertext overhead %d, want %d", n, want)
+			}
+			if pt, err := id.Decrypt(ct); err != nil || !bytes.Equal(pt, msg) {
+				t.Fatalf("appended ciphertext opens to %d bytes, err = %v", len(pt), err)
+			}
+
+			// No room: dst's contents move to a grown buffer.
+			got, err = s.EncryptAppend(head, 1, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:len(head)], head) {
+				t.Fatalf("grown EncryptAppend: prefix %q", got[:len(head)])
+			}
+			if pt, err := id.Decrypt(got[len(head):]); err != nil || !bytes.Equal(pt, msg) {
+				t.Fatalf("grown ciphertext opens to %d bytes, err = %v", len(pt), err)
+			}
+		})
+	}
+}
+
 func TestDecryptRejectsTampering(t *testing.T) {
 	for name, s := range suites(t) {
 		t.Run(name, func(t *testing.T) {
@@ -243,7 +286,7 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("Verifies = %d, want 1", got)
 	}
 
-	ct, err := EncryptCounted(s, ops, 1, []byte("m3"))
+	ct, err := EncryptCounted(s, ops, nil, 1, []byte("m3"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@
 package rac
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -278,13 +277,13 @@ func (n *Node) BeginRound(r model.Round) {
 		} else {
 			slot.Content = make([]byte, n.cfg.SlotBytes)
 		}
-		// One encoding in a pooled buffer, signed in place; the Endpoint
-		// owns what it is sent, so it gets an exact-size copy.
+		// One encoding in a pooled buffer, signed in place and lent to
+		// the send.
 		w := wire.GetWriter()
 		slot.layout(w.Codec())
 		if w.Sign(n.cfg.Identity) == nil {
 			n.stats.SlotsEmitted++
-			_ = n.cfg.Endpoint.Send(n.succ, kindSlot, bytes.Clone(w.Finish()))
+			_ = transport.SendLent(n.cfg.Endpoint, kindSlot, w.Finish(), n.succ)
 		}
 		w.Release()
 	}
@@ -400,9 +399,10 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		return
 	}
 	n.stats.SlotsRelayed++
-	// The delivered payload is only lent to this handler; the relay is a
-	// message of its own.
-	_ = n.cfg.Endpoint.Send(n.succ, kindSlot, bytes.Clone(msg.Payload))
+	// The delivered payload is only lent to this handler, and the handler
+	// lends it on: a socket copies it before the arena can be reused, and
+	// MemNet, which keeps what it is sent, gets a copy of its own.
+	_ = transport.SendLent(n.cfg.Endpoint, kindSlot, msg.Payload, n.succ)
 }
 
 func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {

@@ -9,20 +9,25 @@ import (
 )
 
 // Per-connection write batching. Frames enqueue into a connection's
-// writer and leave the process in one vectored write per flush: two or
-// more pending frames are wrapped into a single jumbo frame (kindJumbo)
-// and the receive side unpacks it transparently. The writer copies no
-// payload: it keeps a slab of 13-byte headers beside the payload slices
-// Endpoint.Send was handed (the network owns those; see DESIGN.md "Who
-// owns a byte") and writes headers and payloads interleaved with writev,
-// jumbo header first, dropping every payload reference once the flush is
-// done. The net flushes at the phase boundaries its driver already calls
-// (BeginRound's backlog drain, every DeliverAll or DeliverUntil pass),
-// which is what makes "≤ 1 flush per connection per engine phase" hold.
+// writer and leave the process in one write per flush: two or more
+// pending frames are wrapped into a single jumbo frame (kindJumbo) and the
+// receive side unpacks it transparently. The writer copies each frame,
+// header and payload, into one contiguous batch buffer at enqueue, behind
+// a reserved jumbo header slot, so Endpoint.Send keeps nothing its caller
+// handed it (see DESIGN.md "Who owns a byte") and a sender may lend a
+// pooled buffer. A flush is a single Write of that buffer: the jumbo
+// header slot first, or the lone frame without it. The buffer keeps its
+// capacity across flushes, so a steady phase allocates nothing. The net
+// flushes at the phase boundaries its driver already calls (BeginRound's
+// backlog drain, every DeliverAll or DeliverUntil pass), which is what
+// makes "≤ 1 flush per connection per engine phase" hold.
 
 // maxBatchBytes bounds a writer's pending bytes; a phase that queues more
 // than this to one destination address flushes mid-phase rather than grow
-// without bound.
+// without bound. A frame larger than the bound never enters the buffer: it
+// is written through from the caller's slice, behind what was pending. The
+// buffer therefore holds less than maxBatchBytes plus one frame of at most
+// maxBatchBytes, whatever a caller sends.
 const maxBatchBytes = 256 << 10
 
 // IOStats counts the transport's actual wire operations — syscalls and
@@ -31,7 +36,7 @@ const maxBatchBytes = 256 << 10
 type IOStats struct {
 	FramesOut uint64 // logical frames enqueued for the wire
 	FramesIn  uint64 // logical frames decoded off the wire
-	Writes    uint64 // vectored write calls, one per flush with data
+	Writes    uint64 // write calls: one per flush with data, two per written-through frame
 	Reads     uint64 // socket read syscalls that returned data
 	BytesOut  uint64 // bytes handed to write calls
 	BytesIn   uint64 // bytes returned by read syscalls
@@ -58,16 +63,13 @@ func (c *ioCounters) snapshot() IOStats {
 	}
 }
 
-// pendingFrame is one frame waiting for the flush: the caller's payload,
-// held as given, and what a failed write must unwind — who to refund, for
-// how many copies of what size, and the inflight slot to return. copies
-// shares from's word, so a writer's retained frames array stays 40 bytes
-// an entry.
+// pendingFrame is what a failed write must unwind for one frame in the
+// batch buffer: who to refund, for how many copies of what size (the
+// inflight slot to return is one per frame). copies shares from's word.
 type pendingFrame struct {
-	payload []byte
-	from    model.NodeID
-	copies  uint32
-	size    uint64
+	from   model.NodeID
+	copies uint32
+	size   uint64
 }
 
 // connWriter coalesces outbound frames for one connection of the mux. All
@@ -81,36 +83,35 @@ type connWriter struct {
 	conn net.Conn
 
 	mu     sync.Mutex
-	frames []pendingFrame
-	hdrs   []byte       // jumbo header slot, then one frame header per pending frame
-	batch  int          // what a jumbo flush writes: its header plus every frame
-	to     model.NodeID // destination of the last pending frame, the jumbo's to
-	err    error        // sticky: the connection is dead
-	queued bool         // on the mux's pending list since the last FlushAll
-	vec    net.Buffers  // the flush's header/payload vector, rebuilt per flush
+	buf    []byte         // jumbo header slot, then every pending frame, header and payload
+	frames []pendingFrame // one per frame in buf
+	to     model.NodeID   // destination of the last pending frame, the jumbo's to
+	err    error          // sticky: the connection is dead
+	queued bool           // on the mux's pending list since the last FlushAll
 }
 
 func newConnWriter(cm *connMux, addr string, conn net.Conn) *connWriter {
-	w := &connWriter{net: cm.net, mux: cm, addr: addr, conn: conn}
-	w.reset()
-	return w
+	return &connWriter{net: cm.net, mux: cm, addr: addr, conn: conn, buf: make([]byte, _tcpFrameHeader)}
 }
 
-// reset empties the pending frames, keeping the jumbo header slot and the
-// arrays' capacity but no payload reference.
+// reset empties the batch, keeping the jumbo header slot and the capacity.
 func (w *connWriter) reset() {
-	clear(w.frames)
+	w.buf = w.buf[:_tcpFrameHeader]
 	w.frames = w.frames[:0]
-	clear(w.vec)
-	w.vec = w.vec[:0]
-	w.hdrs = append(w.hdrs[:0], make([]byte, _tcpFrameHeader)...)
-	w.batch = _tcpFrameHeader
 }
 
-// enqueue appends one admitted frame, whose copies admission charged; the
-// payload is kept, not copied, until the flush. The caller has already
-// raised inflight; on a sticky-dead connection (or a mid-phase overflow
-// flush failure) the frame is unwound here and the error returned.
+// appendHeader appends one frame header to the batch buffer.
+func (w *connWriter) appendHeader(msg Message) {
+	n := len(w.buf)
+	w.buf = append(w.buf, make([]byte, _tcpFrameHeader)...)
+	putFrameHeader(w.buf[n:], msg.From, msg.To, msg.Kind, len(msg.Payload))
+}
+
+// enqueue copies one admitted frame, whose copies admission charged, into
+// the batch buffer; the writer keeps no reference to msg.Payload once it
+// returns. The caller has already raised inflight; on a sticky-dead
+// connection (or a failed mid-phase flush) the frame is unwound here and
+// the error returned.
 func (w *connWriter) enqueue(msg Message, copies int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -120,28 +121,53 @@ func (w *connWriter) enqueue(msg Message, copies int) error {
 		w.net.faults.refund(msg.From, copies, size)
 		return w.err
 	}
+	w.net.io.framesOut.Add(1)
+	if _tcpFrameHeader+len(msg.Payload) > maxBatchBytes {
+		return w.writeThrough(msg, copies, size)
+	}
 	if !w.queued {
 		w.queued = true
 		w.mux.markPending(w)
 	}
-	var hdr [_tcpFrameHeader]byte
-	putFrameHeader(hdr[:], msg.From, msg.To, msg.Kind, len(msg.Payload))
-	w.hdrs = append(w.hdrs, hdr[:]...)
-	w.frames = append(w.frames, pendingFrame{payload: msg.Payload, from: msg.From, copies: uint32(copies), size: size})
-	w.batch += _tcpFrameHeader + len(msg.Payload)
+	w.appendHeader(msg)
+	w.buf = append(w.buf, msg.Payload...)
+	w.frames = append(w.frames, pendingFrame{from: msg.From, copies: uint32(copies), size: size})
 	w.to = msg.To
-	w.net.io.framesOut.Add(1)
-	if w.batch >= maxBatchBytes {
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
+	if len(w.buf) >= maxBatchBytes {
+		return w.flushLocked()
 	}
 	return nil
 }
 
-// flushQueued writes the pending frames in one vectored write for the
-// mux's FlushAll pass, which has taken the writer off its pending list,
-// and returns the sticky connection error, if any.
+// writeThrough puts a frame too large to batch on the wire before enqueue
+// returns: it flushes what is pending, then writes the frame's header and
+// its payload from the caller's slice. On failure the frame is unwound
+// with the rest of the batch.
+func (w *connWriter) writeThrough(msg Message, copies int, size uint64) error {
+	err := w.flushLocked()
+	if err == nil {
+		w.appendHeader(msg)
+		if _, err = w.conn.Write(w.buf[_tcpFrameHeader:]); err == nil {
+			_, err = w.conn.Write(msg.Payload)
+		}
+		w.reset()
+		if err != nil {
+			w.die(err)
+		}
+	}
+	if err != nil {
+		w.net.inflight.Add(-1)
+		w.net.faults.refund(msg.From, copies, size)
+		return err
+	}
+	w.net.io.writes.Add(2)
+	w.net.io.bytesOut.Add(uint64(_tcpFrameHeader + len(msg.Payload)))
+	return nil
+}
+
+// flushQueued writes the pending frames in one write for the mux's
+// FlushAll pass, which has taken the writer off its pending list, and
+// returns the sticky connection error, if any.
 func (w *connWriter) flushQueued() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -153,36 +179,33 @@ func (w *connWriter) flushLocked() error {
 	if len(w.frames) == 0 {
 		return w.err
 	}
-	n := w.batch
+	out := w.buf
 	if len(w.frames) == 1 {
-		n -= _tcpFrameHeader // a single frame goes out as itself
+		out = out[_tcpFrameHeader:] // a single frame goes out as itself
 	} else {
-		putFrameHeader(w.hdrs, 0, w.to, kindJumbo, n-_tcpFrameHeader)
-		w.vec = append(w.vec, w.hdrs[:_tcpFrameHeader])
+		putFrameHeader(out, 0, w.to, kindJumbo, len(out)-_tcpFrameHeader)
 		w.net.io.jumbo.Add(1)
 	}
-	for i, f := range w.frames {
-		off := (i + 1) * _tcpFrameHeader
-		w.vec = append(w.vec, w.hdrs[off:off+_tcpFrameHeader], f.payload)
-	}
-	// WriteTo advances the vector it is called on past what it wrote; the
-	// array is kept for the next flush. (Called on the field, not a local,
-	// so that nothing escapes per flush.)
-	vec := w.vec
-	_, err := w.vec.WriteTo(w.conn)
-	w.vec = vec
-	if err != nil {
+	if _, err := w.conn.Write(out); err != nil {
 		// The whole batch is lost: the bytes never left the NIC, so every
 		// pending frame's charge, budget and inflight slot come back.
-		w.unwind()
-		w.err = err
-		_ = w.conn.Close()
+		w.die(err)
 		return err
 	}
 	w.net.io.writes.Add(1)
-	w.net.io.bytesOut.Add(uint64(n))
+	w.net.io.bytesOut.Add(uint64(len(out)))
 	w.reset()
 	return nil
+}
+
+// die unwinds the batch after a failed write, records the sticky error
+// and closes the connection.
+func (w *connWriter) die(err error) {
+	w.unwind()
+	if w.err == nil {
+		w.err = err
+	}
+	_ = w.conn.Close()
 }
 
 // unwind returns every pending frame's charge and budget, all copies of

@@ -106,8 +106,8 @@ func TestTCPFlushPerPhase(t *testing.T) {
 
 // TestTCPFlushAllocatesNothing: once a connection is up, a stepped phase —
 // frames enqueued to one destination, then FlushAll — allocates nothing:
-// the writer keeps the payloads it was given instead of copying them, its
-// header slab, frame list and write vector keep their capacity, and the
+// the writer copies each frame into a batch buffer that, like its frame
+// list, keeps its capacity across flushes, and the
 // mux swaps its pending list with a spare.
 func TestTCPFlushAllocatesNothing(t *testing.T) {
 	tn, ep := tapNode(t, func([]byte) {})
@@ -509,4 +509,105 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 		c.chunks = c.chunks[1:]
 	}
 	return n, nil
+}
+
+// TestTCPLargeFrameWritesThrough: a frame larger than maxBatchBytes never
+// enters the batch buffer. Send flushes what is pending and writes the
+// frame from the caller's slice before it returns, so the caller may
+// overwrite it at once; the pending frames arrive ahead of it, and the
+// writer keeps the capacity its batches needed, not the frame's.
+func TestTCPLargeFrameWritesThrough(t *testing.T) {
+	tn := newSteppedTCP(t)
+	var got [][]byte
+	if _, err := tn.Register(2, func(m Message) { got = append(got, bytes.Clone(m.Payload)) }); err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := tn.Register(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six 64 KB frames: the batch overflows mid-phase, growing the buffer
+	// to its largest.
+	for k := 0; k < 6; k++ {
+		if err := ep1.Send(2, 1, bytes.Repeat([]byte{byte(k)}, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.DeliverAll()
+	tn.mux.mu.Lock()
+	w := tn.mux.conns[tn.book[2]]
+	tn.mux.mu.Unlock()
+	w.mu.Lock()
+	grown := cap(w.buf)
+	w.mu.Unlock()
+
+	small := []byte("pending ahead of the large frame")
+	if err := ep1.Send(2, 1, small); err != nil {
+		t.Fatal(err)
+	}
+	large := bytes.Repeat([]byte{0x5C}, 1<<20)
+	before := tn.IOStats()
+	if err := ep1.Send(2, 1, large); err != nil {
+		t.Fatal(err)
+	}
+	d := ioDelta(before, tn.IOStats())
+	if d.Writes != 3 || d.BytesOut != uint64(2*_tcpFrameHeader+len(small)+len(large)) {
+		t.Fatalf("large Send made %d writes of %d bytes; want the pending frame flushed, then header and payload written", d.Writes, d.BytesOut)
+	}
+	want := bytes.Clone(large)
+	clear(large) // the caller reuses its buffer as soon as Send returns
+	w.mu.Lock()
+	after, pending := cap(w.buf), len(w.frames)
+	w.mu.Unlock()
+	if pending != 0 || after != grown || after >= 2*maxBatchBytes {
+		t.Fatalf("writer after a 1 MB frame: %d pending, buffer capacity %d (was %d, bound %d)", pending, after, grown, 2*maxBatchBytes)
+	}
+	got = got[:0]
+	tn.DeliverAll()
+	if len(got) != 2 || !bytes.Equal(got[0], small) || !bytes.Equal(got[1], want) {
+		t.Fatalf("delivered %d frames; want the pending one, then the 1 MB frame byte-exact", len(got))
+	}
+}
+
+// TestTCPCappedLentSendOwnership: a capped TCP sender lends Send a pooled
+// buffer and releases it at once. The frame that passes is copied into
+// the batch buffer; the one the cap defers is cloned into the link queue —
+// the one copy the fault plane makes — so with released buffers poisoned
+// it still arrives byte-exact in the next round.
+func TestTCPCappedLentSendOwnership(t *testing.T) {
+	defer wire.PoisonReleased()()
+	tn := newSteppedTCP(t)
+	var got [][]byte
+	if _, err := tn.Register(2, func(m Message) { got = append(got, bytes.Clone(m.Payload)) }); err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := tn.Register(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{bytes.Repeat([]byte{0x11}, 100), bytes.Repeat([]byte{0x22}, 100)}
+	tn.Faults().SetUploadCap(1, uint64(HeaderBytes+100))
+	tn.BeginRound()
+	for _, p := range want {
+		w := wire.GetWriter()
+		w.Raw(p)
+		if err := SendLent(ep1, 1, w.Finish(), 2); err != nil {
+			t.Fatal(err)
+		}
+		w.Release()
+	}
+	tn.DeliverAll()
+	if len(got) != 1 || tn.Faults().QueueDepth() != 1 {
+		t.Fatalf("round 1: %d delivered, %d queued; want 1 and 1", len(got), tn.Faults().QueueDepth())
+	}
+	tn.BeginRound()
+	tn.DeliverAll()
+	if len(got) != 2 {
+		t.Fatalf("the deferred frame did not arrive in the next round: %d delivered", len(got))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("frame %d arrived as %x..., want %x...", i, got[i][:4], want[i][:4])
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 
@@ -499,10 +500,17 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 // returns the outcome with the number of copies that left the sender's
 // NIC: 0 when the message queued, else the first attempt plus its
 // retransmissions. A transport needs the count only to refund a send
-// whose socket write failed. The plane takes the ownership Endpoint.Send
-// was given: a queued message is retained as it is, payload and all,
-// until a later BeginRound releases or expires it.
-func (p *FaultPlane) Admit(msg Message) (Outcome, int) {
+// whose socket write failed. The plane shares the ownership of a keeping
+// Endpoint.Send (MemNet's): a queued message is retained as it is,
+// payload and all, until a later BeginRound releases or expires it.
+func (p *FaultPlane) Admit(msg Message) (Outcome, int) { return p.admit(msg, false) }
+
+// admitLent is Admit for a payload lent only for the call, a copying
+// Endpoint.Send's (TCPNet's): a message the cap queues is cloned into the
+// link queue, the one copy the plane makes.
+func (p *FaultPlane) admitLent(msg Message) (Outcome, int) { return p.admit(msg, true) }
+
+func (p *FaultPlane) admit(msg Message, lent bool) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	size := uint64(msg.WireSize())
@@ -518,6 +526,9 @@ func (p *FaultPlane) Admit(msg Message) (Outcome, int) {
 	limit, capped := p.caps[msg.From]
 	if !p.down[msg.From] && (len(p.queues[msg.From]) > 0 ||
 		capped && p.spent[msg.From] > 0 && p.spent[msg.From]+size > limit) {
+		if lent {
+			msg.Payload = bytes.Clone(msg.Payload)
+		}
 		p.enqueue(msg)
 		return OutcomeQueued, 0
 	}

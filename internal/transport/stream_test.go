@@ -16,9 +16,8 @@ import (
 )
 
 // The fixture below is the byte stream a stepped TCPNet wrote for a fixed
-// script at the last commit whose connection writer copied every payload
-// into one contiguous batch buffer (3ff43f8). The vectored writer must put
-// the same bytes on the wire, flush for flush. To rebuild it, copy this
+// script at commit 3ff43f8. The connection writer must still put the same
+// bytes on the wire, flush for flush. To rebuild it, copy this
 // file into a checkout of that commit and run
 //
 //	go test ./internal/transport -run TestTCPStreamMatchesParent -record-stream-fixture

@@ -53,9 +53,12 @@ import (
 // # Batched I/O
 //
 // Outbound frames coalesce in per-connection writers (batch.go) and leave
-// in one vectored write per destination address per phase: DeliverAll and
-// DeliverUntil flush at the top of every pass. A writer holds the payload
-// slices Send was given until then, copying none. Multiple pending frames
+// in one write per destination address per phase: DeliverAll and
+// DeliverUntil flush at the top of every pass. Send copies each frame into
+// its writer's batch buffer, so it keeps no payload it was given
+// (KeepsPayload is false) and a sender may lend it a pooled buffer; a
+// message an upload cap defers is cloned into the link queue instead.
+// Multiple pending frames
 // travel as a single jumbo frame, whose sub-frames may be for different
 // ids at that address; the receiver unpacks it one sub-frame at a time.
 // The receive side slices payloads zero-copy out of pooled ref-counted
@@ -352,9 +355,10 @@ func (t *TCPNet) TrafficOf(id model.NodeID) Traffic { return t.faults.TrafficOf(
 func (t *TCPNet) TotalTraffic() Traffic { return t.faults.TotalTraffic() }
 
 // sendFrame enqueues an admitted frame, whose copies admission charged,
-// onto the shared connection to its destination, which keeps the payload
-// until its flush. On dial or write failure every copy's charge and round
-// budget are refunded (the bytes never left the NIC).
+// onto the shared connection to its destination, whose writer copies it
+// into the batch buffer for the next flush. On dial or write failure
+// every copy's charge and round budget are refunded (the bytes never left
+// the NIC).
 func (t *TCPNet) sendFrame(msg Message, copies int) error {
 	t.mu.Lock()
 	addr, ok := t.book[msg.To]
@@ -378,7 +382,7 @@ func (t *TCPNet) sendFrame(msg Message, copies int) error {
 }
 
 // FlushAll pushes every connection's pending frames onto the wire — one
-// vectored write per destination address with frames pending; idle
+// write per destination address with frames pending; idle
 // connections are not touched. DeliverAll and DeliverUntil call it.
 func (t *TCPNet) FlushAll() { t.mux.flushAll() }
 
@@ -556,6 +560,11 @@ type tcpEndpoint struct {
 
 func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 
+// KeepsPayload implements Endpoint: Send copies the payload into the
+// connection's batch buffer (or, capped, into the link queue) or writes
+// it through before it returns.
+func (e *tcpEndpoint) KeepsPayload() bool { return false }
+
 // Send implements Endpoint. The fault plane admits, queues or drops the
 // message, and charges it, before it touches a socket: a message beyond
 // the upload budget waits in the link queue uncharged (it is charged when
@@ -575,7 +584,7 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 
 	e.net.sendReleased()
 	msg := Message{From: e.id, To: to, Kind: kind, Payload: payload}
-	outcome, copies := e.net.faults.Admit(msg)
+	outcome, copies := e.net.faults.admitLent(msg)
 	if outcome != OutcomePass {
 		return nil
 	}

@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -56,13 +57,36 @@ type Handler func(Message)
 type Endpoint interface {
 	// NodeID returns the attached node.
 	NodeID() model.NodeID
-	// Send transmits a message and takes ownership of payload: the network
-	// may deliver that very slice, or hold it until a later flush writes it
-	// to a socket, so the caller may keep reading it — and send it again —
-	// but nobody may write to it from here on. A caller encoding into a
-	// reused buffer hands over a copy, and so does a relay whose payload
-	// was lent to its handler.
+	// Send transmits a message. Whether it keeps payload depends on the
+	// network, and KeepsPayload says which: MemNet keeps it — it may
+	// deliver that very slice, or hold it in the link queue for a later
+	// round — so the caller may keep reading it, and send it again, but
+	// nobody may write to it from here on; TCPNet copies it into the
+	// connection's batch buffer before Send returns, so the caller may
+	// reuse it at once. A caller that will reuse its buffer sends it with
+	// SendLent, which copies only where Send keeps.
 	Send(to model.NodeID, kind uint8, payload []byte) error
+	// KeepsPayload reports whether Send keeps the payload it is given
+	// (true) or is done with it when Send returns (false).
+	KeepsPayload() bool
+}
+
+// SendLent sends payload, a buffer the caller will reuse once SendLent
+// returns (a pooled wire.Writer, or a payload its handler was lent), to
+// every destination in to. Where Send copies, payload goes as it is;
+// where Send keeps, every destination is sent one exact-size clone. It
+// returns the first send error; the other destinations are still sent.
+func SendLent(ep Endpoint, kind uint8, payload []byte, to ...model.NodeID) error {
+	if ep.KeepsPayload() {
+		payload = bytes.Clone(payload)
+	}
+	var first error
+	for _, id := range to {
+		if err := ep.Send(id, kind, payload); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Network registers endpoints.
@@ -400,7 +424,7 @@ func (n *MemNet) TrafficOf(id model.NodeID) Traffic { return n.faults.TrafficOf(
 func (n *MemNet) TotalTraffic() Traffic { return n.faults.TotalTraffic() }
 
 // memEndpoint buffers a node's outbound messages until the next merge
-// point: the payloads themselves, which Send was given to own. During a
+// point: the payloads themselves, which Send keeps (KeepsPayload). During a
 // simulation phase an endpoint is driven by exactly one goroutine (its
 // node's), so the mutex is uncontended; it exists for users that share an
 // endpoint across goroutines.
@@ -413,6 +437,10 @@ type memEndpoint struct {
 }
 
 func (e *memEndpoint) NodeID() model.NodeID { return e.id }
+
+// KeepsPayload implements Endpoint: the outbox, the wave and the link
+// queue hold the very slice Send was given.
+func (e *memEndpoint) KeepsPayload() bool { return true }
 
 func (e *memEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.regMu.RLock()

@@ -81,6 +81,39 @@ func TestMemNetSendOwnership(t *testing.T) {
 	}
 }
 
+// TestSendLent: a lent buffer goes to a keeping endpoint as one clone
+// that every destination shares, and to a copying endpoint as it is; on
+// either, the caller may overwrite it as soon as SendLent returns.
+func TestSendLent(t *testing.T) {
+	mem := NewMemNet()
+	tn := NewTCPNet(nil)
+	tn.SetDynamic("127.0.0.1")
+	defer func() { _ = tn.Close() }()
+	for _, nw := range []FaultyNetwork{mem, tn} {
+		var got []Message
+		record := func(m Message) { got = append(got, Message{To: m.To, Payload: append([]byte(nil), m.Payload...)}) }
+		ep1, _ := nw.Register(1, func(Message) {})
+		_, _ = nw.Register(2, record)
+		_, _ = nw.Register(3, record)
+		buf := []byte("lent")
+		if err := SendLent(ep1, 0, buf, 2, 3); err != nil {
+			t.Fatal(err)
+		}
+		if nw == mem {
+			ep := ep1.(*memEndpoint)
+			a, b := ep.outbox[0].Payload, ep.outbox[1].Payload
+			if &a[0] == &buf[0] || &a[0] != &b[0] {
+				t.Fatal("MemNet: want one clone shared by both destinations")
+			}
+		}
+		copy(buf, "XXXX")
+		nw.DeliverAll()
+		if len(got) != 2 || string(got[0].Payload) != "lent" || string(got[1].Payload) != "lent" {
+			t.Fatalf("%s: delivered %+v", nw.Name(), got)
+		}
+	}
+}
+
 // TestMemNetSteadyStateAllocations: once the outboxes and the merge
 // scratch have grown to a wave's size, sending and merging allocate
 // nothing.

@@ -14,7 +14,10 @@ package wire
 //
 // Arenas come in size classes, ArenaSize << k up to maxPooledArena, one
 // pool per class: a read loop asking for the default size never gets a
-// buffer that was sized for some earlier large frame.
+// buffer that was sized for some earlier large frame. The pools are plain
+// free lists bounded by maxIdleArenaBytes, not sync.Pools: what they hold
+// is decided by what the read loops released, never by when the garbage
+// collector last ran.
 
 import (
 	"sync"
@@ -36,7 +39,20 @@ const maxPooledArena = 256 << 10
 // maxPooledArena: 32, 64, 128 and 256 KB.
 const arenaClasses = 4
 
-var arenaPools [arenaClasses]sync.Pool
+// maxIdleArenaBytes bounds the idle arenas kept for reuse, every class
+// together; an arena released past it is left to the GC. It is more than
+// a steady phase of a 432-node AcTinG session over one connection takes
+// in at once (≈ 140 default arenas, 4.5 MB), so such phases allocate no
+// arena, and less than its audit phase every fifth round (≈ 330 arenas),
+// whose surplus is allocated and collected each time rather than kept.
+const maxIdleArenaBytes = 8 << 20
+
+// arenaPools holds the idle arenas, one stack per size class.
+var arenaPools struct {
+	mu    sync.Mutex
+	free  [arenaClasses][]*Arena
+	bytes int // capacity of every arena in free
+}
 
 // arenaClass returns the smallest size class that holds n bytes, or -1
 // when n is larger than every class.
@@ -68,7 +84,7 @@ func GetArena(n int) *Arena {
 	var a *Arena
 	if k < 0 {
 		a = &Arena{buf: make([]byte, n), class: -1}
-	} else if a, _ = arenaPools[k].Get().(*Arena); a == nil {
+	} else if a = takeIdle(k); a == nil {
 		a = &Arena{buf: make([]byte, ArenaSize<<k), class: k}
 	}
 	a.refs.Store(1)
@@ -88,7 +104,8 @@ func (a *Arena) Retain() { a.refs.Add(1) }
 func (a *Arena) Shared() bool { return a.refs.Load() > 1 }
 
 // Release drops one reference. At zero the arena returns to its class's
-// pool for the next read loop (poisoned first under PoisonReleased).
+// pool for the next read loop (poisoned first under PoisonReleased), or
+// to the GC once the pools hold maxIdleArenaBytes.
 func (a *Arena) Release() {
 	if a.refs.Add(-1) != 0 {
 		return
@@ -97,6 +114,35 @@ func (a *Arena) Release() {
 		poison(a.buf)
 	}
 	if a.class >= 0 {
-		arenaPools[a.class].Put(a)
+		putIdle(a)
 	}
+}
+
+// takeIdle pops an idle arena of class k, or returns nil.
+func takeIdle(k int) *Arena {
+	p := &arenaPools
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free[k])
+	if n == 0 {
+		return nil
+	}
+	a := p.free[k][n-1]
+	p.free[k][n-1] = nil
+	p.free[k] = p.free[k][:n-1]
+	p.bytes -= len(a.buf)
+	return a
+}
+
+// putIdle keeps a released arena for reuse while the idle arenas stay
+// within maxIdleArenaBytes.
+func putIdle(a *Arena) {
+	p := &arenaPools
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.bytes+len(a.buf) > maxIdleArenaBytes {
+		return
+	}
+	p.free[a.class] = append(p.free[a.class], a)
+	p.bytes += len(a.buf)
 }

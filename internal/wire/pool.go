@@ -2,9 +2,12 @@ package wire
 
 // The message path every protocol in this repository shares (PAG's core,
 // the AcTinG and RAC baselines): a sender walks a message's layout once
-// into a pooled Writer, signs those bytes in place (Writer.Sign) and hands
-// the transport one exact-size copy — Endpoint.Send owns what it is given,
-// and every recipient of a fan-out is delivered that one slice. A receiver
+// into a pooled Writer, signs those bytes in place (Writer.Sign) — and,
+// for the encrypted kinds, seals them into a second pooled Writer
+// (Writer.Encrypt) — and lends the result to transport.SendLent: a socket
+// copies it into its batch buffer, while MemNet, whose Send keeps what it
+// is given, is handed one exact-size copy that every recipient of a
+// fan-out is delivered. A receiver
 // walks the same layout over the payload it was delivered — or, for the
 // encrypted kinds, over the pooled Writer it opened the payload into
 // (Writer.Open) — decoding views into those bytes, and checks the
@@ -18,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/model"
 	"repro/internal/update"
 )
 
@@ -57,8 +61,8 @@ var poisonReleased atomic.Bool
 // PoisonReleased makes Writer.Release overwrite a Writer's buffer before
 // pooling it, and Arena.Release an arena's buffer when its last reference
 // goes, so that a view kept past Release — a decoded field of an opened
-// message, pooled or arena bytes handed to a transport that holds them
-// until its flush — reads garbage at once instead of whenever the pool
+// message, pooled or arena bytes handed to a transport that keeps them —
+// reads garbage at once instead of whenever the pool
 // happens to reuse the buffer. For tests only; it returns the function
 // that restores the previous setting.
 func PoisonReleased() (restore func()) {
@@ -87,9 +91,30 @@ type Opener interface {
 	DecryptAppend(dst, ciphertext []byte) ([]byte, error)
 }
 
+// Encrypter seals into a buffer it is given: it appends the ciphertext of
+// msg for to to dst and returns the extended slice (pki suites implement
+// it). dst's spare capacity must not overlap msg.
+type Encrypter interface {
+	EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byte, error)
+}
+
+// Encrypt resets w to the ciphertext of plain for to and returns it, the
+// sending counterpart of Open: a message Sealed in one pooled Writer is
+// encrypted into another, and the ciphertext lent to a send. plain must
+// not alias w. The returned slice aliases w's buffer: it is valid until
+// the next Reset, Seal, Open, Encrypt or Release.
+func (w *Writer) Encrypt(e Encrypter, to model.NodeID, plain []byte) ([]byte, error) {
+	buf, err := e.EncryptAppend(w.buf[:0], to, plain)
+	if err != nil {
+		return nil, err
+	}
+	w.buf = buf
+	return buf, nil
+}
+
 // Open resets w to the plaintext of ciphertext and returns it, the
 // receiving counterpart of Seal. The returned slice aliases w's buffer: it
-// is valid until the next Reset, Seal, Open or Release.
+// is valid until the next Reset, Seal, Open, Encrypt or Release.
 func (w *Writer) Open(o Opener, ciphertext []byte) ([]byte, error) {
 	buf, err := o.DecryptAppend(w.buf[:0], ciphertext)
 	if err != nil {
@@ -140,7 +165,7 @@ type BodyMessage interface {
 // Seal encodes m's body into w, signs it in place and returns the full
 // wire form — byte for byte what Marshal produces once m's signature
 // field holds that signature. The returned slice aliases w's buffer: it
-// is valid until the next Reset, Seal, Open or Release.
+// is valid until the next Reset, Seal, Open, Encrypt or Release.
 func Seal(w *Writer, m BodyMessage, s Signer) ([]byte, error) {
 	w.Reset()
 	m.layout(w.Codec())

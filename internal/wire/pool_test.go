@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -300,5 +301,45 @@ func TestArenaOwnership(t *testing.T) {
 		if got := GetArena(n); len(got.Bytes()) != want {
 			t.Errorf("GetArena(%d) has %d bytes, want %d", n, len(got.Bytes()), want)
 		}
+	}
+}
+
+// TestIdleArenasBounded: released arenas are kept for reuse up to
+// maxIdleArenaBytes, every class together, past which they go to the GC;
+// and a collection does not empty the pools, so what they hold depends
+// only on what was released.
+func TestIdleArenasBounded(t *testing.T) {
+	idle := func() (bytes, small, large int) {
+		arenaPools.mu.Lock()
+		defer arenaPools.mu.Unlock()
+		return arenaPools.bytes, len(arenaPools.free[0]), len(arenaPools.free[arenaClasses-1])
+	}
+	arenaPools.mu.Lock()
+	arenaPools.free, arenaPools.bytes = [arenaClasses][]*Arena{}, 0
+	arenaPools.mu.Unlock()
+
+	fit := maxIdleArenaBytes / ArenaSize
+	held := make([]*Arena, fit+8)
+	for i := range held {
+		held[i] = GetArena(ArenaSize)
+	}
+	large := GetArena(maxPooledArena)
+	for _, a := range held {
+		a.Release()
+	}
+	large.Release()
+	runtime.GC()
+	runtime.GC()
+	if b, small, big := idle(); b != maxIdleArenaBytes || small != fit || big != 0 {
+		t.Fatalf("idle after releasing %d default arenas and one large: %d bytes, %d default, %d large; want %d bytes, %d default, 0 large",
+			len(held), b, small, big, maxIdleArenaBytes, fit)
+	}
+	a := GetArena(ArenaSize)
+	if b, _, _ := idle(); b != maxIdleArenaBytes-ArenaSize {
+		t.Fatalf("a default request left %d idle bytes, want %d: it did not reuse an idle arena", b, maxIdleArenaBytes-ArenaSize)
+	}
+	a.Release()
+	if b, _, _ := idle(); b != maxIdleArenaBytes {
+		t.Fatalf("released arena not kept: %d idle bytes, want %d", b, maxIdleArenaBytes)
 	}
 }
