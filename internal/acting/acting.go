@@ -107,8 +107,8 @@ type Config struct {
 	Identity  pki.Identity
 	Directory *membership.Directory
 	Endpoint  transport.Endpoint
-	// Sources[s] is the source (and update signer) of stream s.
-	Sources []model.NodeID
+	// Source is the session's one source and the signer of every update.
+	Source model.NodeID
 	// Intern is the session-wide update-content flyweight table; nil keeps
 	// a private copy of every stored update per node.
 	Intern      *update.Interner
@@ -248,7 +248,7 @@ func (n *Node) BeginRound(r model.Round) {
 	n.servedTo = make(map[model.NodeID]map[model.UpdateID]bool)
 
 	for _, u := range n.injected {
-		if n.store.Add(n.cfg.Intern.Canonical(u), r, 1, true) {
+		if n.store.Add(n.cfg.Intern.Canonical(u), r, 1) {
 			n.fresh = append(n.fresh, u.ID)
 		}
 	}

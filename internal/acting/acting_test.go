@@ -59,7 +59,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]acting
 			Suite:       h.suite,
 			Identity:    identity,
 			Directory:   h.dir,
-			Sources:     []model.NodeID{h.source},
+			Source:      h.source,
 			AuditPeriod: 3,
 			Behavior:    behaviors[id],
 			Verdicts:    func(v judicial.Verdict) { h.verdicts = append(h.verdicts, v) },
@@ -78,7 +78,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]acting
 		h.engine.Add(node)
 	}
 
-	gen, err := update.NewGenerator(0, identities[h.source], 64, model.PlayoutDelayRounds)
+	gen, err := update.NewGenerator(identities[h.source], 64, model.PlayoutDelayRounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,27 +125,18 @@ func (n *Node) onData(msg transport.Message) {
 	defer w.Release()
 	for i := range d.Updates {
 		u := &d.Updates[i]
-		src, ok := n.streamSource(u.ID.Stream)
-		if !ok || !n.verifySig(src, w.Canonical(u), u.SrcSig) {
+		if u.ID.Stream != 0 || !n.verifySig(n.cfg.Source, w.Canonical(u), u.SrcSig) {
 			return
 		}
 		// u aliases the delivered payload: the store keeps the session's
 		// shared copy (or a private clone without an interner).
-		if n.store.Add(n.cfg.Intern.Canonical(*u), n.round, 1, true) {
+		if n.store.Add(n.cfg.Intern.Canonical(*u), n.round, 1) {
 			n.stats.UpdatesReceived++
 			n.freshNext[u.ID] = true
 		}
 		got = append(got, u.ID)
 	}
 	n.logIDs(securelog.EntryRecv, d.From, "DATA", got)
-}
-
-func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {
-	idx := int(s)
-	if idx < 0 || idx >= len(n.cfg.Sources) {
-		return model.NoNode, false
-	}
-	return n.cfg.Sources[idx], true
 }
 
 // onComplaint stores a peer complaint for the next audit of the accused.

@@ -256,7 +256,7 @@ func newClusterWith(t *testing.T, mcfg membership.Config, size, workers int, int
 		}
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
-			Sources: []model.NodeID{1}, Intern: intern, AuditPeriod: 3, Behavior: behaviors[id],
+			Source: 1, Intern: intern, AuditPeriod: 3, Behavior: behaviors[id],
 			Verdicts: func(v judicial.Verdict) {
 				c.mu.Lock()
 				c.verdicts = append(c.verdicts, v)
@@ -269,7 +269,7 @@ func newClusterWith(t *testing.T, mcfg membership.Config, size, workers int, int
 		c.nodes[id] = node
 		c.engine.Add(node)
 	}
-	gen, err := update.NewGenerator(0, source, 64, model.PlayoutDelayRounds)
+	gen, err := update.NewGenerator(source, 64, model.PlayoutDelayRounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,3 +178,48 @@ func TestServeBadMultiplicityRejected(t *testing.T) {
 		t.Fatal("receiver stopped receiving")
 	}
 }
+
+// TestServeUnknownStreamRejected: a session carries stream 0 alone. A
+// Serve correctly signed by a Byzantine predecessor that carries an update
+// of any other stream costs the sender one BadMessage verdict and stores
+// nothing.
+func TestServeUnknownStreamRejected(t *testing.T) {
+	h := newHarness(t, 8, 2)
+	h.engine.Run(3)
+	const b = model.NodeID(3)
+	node := h.nodes[b]
+	round := node.Round()
+	a := model.NoNode
+	preds := h.dir.Predecessors(b, round)
+	for _, id := range h.dir.MembersAt(round) {
+		if id != b && id != h.source && !slices.Contains(preds, id) {
+			a = id
+			break
+		}
+	}
+	if a == model.NoNode {
+		t.Fatal("every member is a predecessor of the receiver")
+	}
+	fresh, err := h.gen.Emit(round, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := fresh[0]
+	u.ID.Stream = 1
+	srv := &wire.Serve{Round: round, From: a, To: b, KPrev: hhash.OneKey().Bytes(),
+		Full: []wire.ServedUpdate{{Update: u, Count: 1}}}
+	cipher, err := h.suite.Encrypt(b, sealMsg(t, h.identities[a], srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(h.verdicts)
+	node.HandleMessage(transport.Message{From: a, To: b, Kind: wire.KindServe, Payload: cipher})
+	got := h.verdicts[before:]
+	if len(got) != 1 || got[0].Kind != core.VerdictBadMessage || got[0].Accused != a ||
+		got[0].Detail != "update for unknown stream" {
+		t.Fatalf("verdicts %v, want one BadMessage %q against %v", got, "update for unknown stream", a)
+	}
+	if node.Store().Has(u.ID) || node.Store().Has(fresh[0].ID) {
+		t.Fatal("the served update was stored")
+	}
+}

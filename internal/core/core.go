@@ -108,9 +108,6 @@ type Behavior struct {
 	SkipMonitorReport bool
 }
 
-// IsCorrect reports whether the behaviour is fully protocol-compliant.
-func (b Behavior) IsCorrect() bool { return b == Behavior{} }
-
 // BehaviorForProfile maps a protocol-agnostic deviation profile name (the
 // scenario vocabulary: "correct", "free-rider", "colluder") onto PAG's
 // deviation knobs. It is the single definition shared by the simulated
@@ -133,7 +130,7 @@ func BehaviorForProfile(profile string) (b Behavior, ok bool) {
 
 // Config assembles a Node's dependencies: the per-node ones, plus the
 // session plane every node of the session shares. Everything identical
-// across a session's nodes — suite, hash parameters, directory, sources,
+// across a session's nodes — suite, hash parameters, directory, source,
 // observability and the content interner — is declared once, in Shared.
 type Config struct {
 	// ID is this node's identity in the membership.
@@ -142,8 +139,6 @@ type Config struct {
 	Identity pki.Identity
 	// Endpoint is the node's network attachment.
 	Endpoint transport.Endpoint
-	// IsSource marks this node as a content source.
-	IsSource bool
 	// Behavior optionally injects selfish deviations.
 	Behavior Behavior
 	// Verdicts receives proofs of misbehaviour; may be nil.

@@ -102,7 +102,7 @@ func newHarness(t testing.TB, n, perRound int, opts ...harnessOpt) *harness {
 		Suite:      h.suite,
 		HashParams: h.params,
 		Directory:  h.dir,
-		Sources:    []model.NodeID{h.source},
+		Source:     h.source,
 		Intern:     h.intern,
 	})
 
@@ -116,7 +116,6 @@ func newHarness(t testing.TB, n, perRound int, opts ...harnessOpt) *harness {
 		cfg := core.Config{
 			ID:       id,
 			Identity: identity,
-			IsSource: id == h.source,
 			Shared:   shared,
 			Verdicts: func(v judicial.Verdict) {
 				h.verdictMu.Lock()
@@ -148,7 +147,7 @@ func newHarness(t testing.TB, n, perRound int, opts ...harnessOpt) *harness {
 		h.engine.Add(node)
 	}
 
-	h.gen, err = update.NewGenerator(0, h.identities[h.source], 64, h.ttl)
+	h.gen, err = update.NewGenerator(h.identities[h.source], 64, h.ttl)
 	if err != nil {
 		t.Fatal(err)
 	}

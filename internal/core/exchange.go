@@ -324,8 +324,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 	// accept books one served item and reports whether the update was new
 	// to this node.
 	accept := func(u update.Update, count uint64) bool {
-		fwd := !u.ExpiresNextRound(n.round)
-		fresh := n.store.Add(u, n.round, count, fwd)
+		fresh := n.store.Add(u, n.round, count)
 		if fresh {
 			n.stats.UpdatesReceived++
 		} else {
@@ -341,7 +340,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 		if count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(count))
 		}
-		if fwd {
+		if !u.ExpiresNextRound(n.round) {
 			fwdProd = n.hasher.Combine(fwdProd, v)
 			it, ok := n.pendingNext[u.ID]
 			if !ok {
@@ -364,13 +363,12 @@ func (n *Node) processServe(srv *wire.Serve) {
 		}
 		// "Updates are propagated along with their signature so that
 		// they can be verified by the nodes upon reception" (§III).
-		src, ok := n.streamSource(su.Update.ID.Stream)
-		if !ok {
+		if su.Update.ID.Stream != 0 {
 			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 				Accused: srv.From, Detail: "update for unknown stream"})
 			return
 		}
-		if !n.verifyUpdate(src, &su.Update) {
+		if !n.verifyUpdate(n.sh.Source, &su.Update) {
 			return
 		}
 		// Content verified against the source signature. The served update
@@ -555,13 +553,4 @@ func (n *Node) expectedAckFor(ex *sendExchange) *big.Int {
 		prod = n.hasher.Combine(prod, v)
 	}
 	return n.hasher.Lift(prod, n.sendCur.kPrev)
-}
-
-// streamSource maps a stream to its source node.
-func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {
-	idx := int(s)
-	if idx < 0 || idx >= len(n.sh.Sources) {
-		return model.NoNode, false
-	}
-	return n.sh.Sources[idx], true
 }

@@ -130,7 +130,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := Shared{Suite: suite, HashParams: params, Directory: dir, Sources: []model.NodeID{1}}
+	shared := Shared{Suite: suite, HashParams: params, Directory: dir, Source: 1}
 	valid := func() Config {
 		return Config{ID: 1, Identity: identity, Endpoint: ep, Shared: NewShared(shared)}
 	}
@@ -157,18 +157,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBehaviorZeroValueCorrect: the "correct" profile is the zero
+// Behavior, whose every deviation knob is off, and every deviant profile
+// turns at least one on.
 func TestBehaviorZeroValueCorrect(t *testing.T) {
-	if !(Behavior{}).IsCorrect() {
-		t.Fatal("zero behavior should be correct")
+	if b, ok := BehaviorForProfile("correct"); !ok || b != (Behavior{}) {
+		t.Fatalf("correct profile = %+v, %v; want the zero Behavior", b, ok)
 	}
-	deviants := []Behavior{
-		{SkipServeEvery: 2}, {DropUpdates: 1}, {NoAck: true},
-		{IgnoreProbes: true}, {RefuseReceive: true},
-		{SilentMonitor: true}, {SkipMonitorReport: true},
-	}
-	for i, b := range deviants {
-		if b.IsCorrect() {
-			t.Fatalf("deviant %d reported correct", i)
+	for _, p := range []string{"free-rider", "colluder", "rotation-dodger"} {
+		if b, ok := BehaviorForProfile(p); !ok || b == (Behavior{}) {
+			t.Errorf("%s profile = %+v, %v; want a deviation", p, b, ok)
 		}
 	}
 }
@@ -206,7 +204,7 @@ func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *at
 	}
 	c.node, err = NewNode(Config{
 		ID: id, Identity: identity, Endpoint: ep, CoeffRand: coeffRand,
-		Shared:   NewShared(Shared{Suite: suite, HashParams: params, Directory: dir, Sources: []model.NodeID{1}}),
+		Shared:   NewShared(Shared{Suite: suite, HashParams: params, Directory: dir, Source: 1}),
 		Verdicts: func(v judicial.Verdict) { c.verdicts = append(c.verdicts, v) },
 	})
 	if err != nil {

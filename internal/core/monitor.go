@@ -524,7 +524,7 @@ func (m *monitorState) verify(r model.Round) {
 		// Forwarding check: every round-r successor must have
 		// acknowledged exactly the round-(r-1) obligation. Sources are
 		// assumed correct and emit fresh content (§III).
-		if m.n.isSource(y) {
+		if y == m.n.sh.Source {
 			continue
 		}
 		// Baseline resolution: a monitor's own accumulation, or — when it
@@ -646,7 +646,7 @@ func (m *monitorState) handover(r model.Round) {
 		return
 	}
 	for _, y := range m.monitored {
-		if m.n.isSource(y) {
+		if y == m.n.sh.Source {
 			continue
 		}
 		st := m.state(r, y)

@@ -268,15 +268,6 @@ func (n *Node) InjectUpdates(us []update.Update) {
 	n.injected = append(n.injected, us...)
 }
 
-func (n *Node) isSource(id model.NodeID) bool {
-	for _, s := range n.sh.Sources {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (n *Node) report(v judicial.Verdict) {
 	if n.cfg.Verdicts != nil {
 		v.Reporter = n.id
@@ -347,7 +338,7 @@ func (n *Node) BeginRound(r model.Round) {
 			// every receiver's store aliases one session-wide copy.
 			u = n.sh.Intern.Canonical(u)
 			it := pendingItem{upd: u, count: 1}
-			n.store.Add(u, r, 1, true)
+			n.store.Add(u, r, 1)
 			if e := n.store.Get(u.ID); e != nil {
 				it.embed = n.embedOf(e)
 			}

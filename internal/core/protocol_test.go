@@ -298,10 +298,4 @@ func TestVerdictStringFormats(t *testing.T) {
 	if v.String() == "" {
 		t.Fatal("empty verdict string")
 	}
-	if (core.Behavior{}).IsCorrect() != true {
-		t.Fatal("zero behavior should be correct")
-	}
-	if (core.Behavior{NoAck: true}).IsCorrect() {
-		t.Fatal("NoAck behavior should not be correct")
-	}
 }

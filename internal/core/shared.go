@@ -25,10 +25,10 @@ type Shared struct {
 	HashParams hhash.Params
 	// Directory is the shared membership substrate.
 	Directory *membership.Directory
-	// Sources lists the session source nodes, which are assumed correct
-	// (§III) and exempt from forwarding verification. The slice index is
-	// the StreamID: Sources[s] is the signer of stream s's updates.
-	Sources []model.NodeID
+	// Source is the session's one source node: the signer of every
+	// update, assumed correct (§III) and exempt from forwarding
+	// verification.
+	Source model.NodeID
 	// Metrics optionally attaches the observability registry: received
 	// wire-message counters per kind (the §V-A exchange and Fig 6
 	// monitoring phases) and the hhash timing histograms (the Fig 9

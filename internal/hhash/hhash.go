@@ -96,22 +96,6 @@ func (p Params) Modulus() *big.Int {
 	return new(big.Int).Set(p.m)
 }
 
-// Bytes encodes the modulus as a big-endian byte string.
-func (p Params) Bytes() []byte {
-	if p.m == nil {
-		return nil
-	}
-	return p.m.Bytes()
-}
-
-// ParamsFromBytes decodes Params previously encoded with Bytes.
-func ParamsFromBytes(b []byte) (Params, error) {
-	if len(b) == 0 {
-		return Params{}, errors.New("hhash: empty modulus encoding")
-	}
-	return ParamsFromModulus(new(big.Int).SetBytes(b))
-}
-
 // ValueLen returns the fixed byte length of an encoded hash value
 // (the width of M). Wire encodings use it for deterministic sizing.
 func (p Params) ValueLen() int {
@@ -241,7 +225,6 @@ func KeyFromBytes(b []byte) (Key, error) {
 // comparable before and after the multi-exp optimisation.
 type Counter struct {
 	hashOps atomic.Uint64 // modexps: Hash + Lift
-	mulOps  atomic.Uint64 // modular multiplications: Combine
 }
 
 // HashOps returns the number of modular exponentiations performed.
@@ -252,21 +235,12 @@ func (c *Counter) HashOps() uint64 {
 	return c.hashOps.Load()
 }
 
-// MulOps returns the number of modular multiplications performed.
-func (c *Counter) MulOps() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.mulOps.Load()
-}
-
 // Reset zeroes the counter.
 func (c *Counter) Reset() {
 	if c == nil {
 		return
 	}
 	c.hashOps.Store(0)
-	c.mulOps.Store(0)
 }
 
 // Hasher evaluates the hash under fixed Params, attributing operation
@@ -375,9 +349,6 @@ func (h *Hasher) lift(v *big.Int, fixed *FixedBase, key Key) *big.Int {
 // Combine multiplies two hash values mod M — the homomorphic combination of
 // §V-C: H(S_A ∪ S_F)_K = H(S_A)_K × H(S_F)_K — on the Montgomery engine.
 func (h *Hasher) Combine(a, b *big.Int) *big.Int {
-	if h.ops != nil {
-		h.ops.mulOps.Add(1)
-	}
 	return h.mc.mulMod(new(big.Int), a, b)
 }
 
@@ -411,9 +382,6 @@ func (h *Hasher) ProductEmbed(items [][]byte, counts []uint64) *big.Int {
 			}
 			h.mc.exp(v, v, c)
 		}
-		if h.ops != nil {
-			h.ops.mulOps.Add(1)
-		}
 		prod.Mul(prod, v)
 		prod.Mod(prod, h.params.m)
 	}
@@ -430,9 +398,8 @@ func (h *Hasher) ProductEmbed(items [][]byte, counts []uint64) *big.Int {
 // The product is evaluated by simultaneous multi-exponentiation
 // (MultiExp) — one shared squaring chain instead of one full modexp per
 // predecessor. Counter semantics are unchanged from the per-attestation
-// loop it replaced: one logical hash-op and one modular multiplication
-// per attestation, so Table I accounting stays comparable across the
-// optimisation.
+// loop it replaced: one logical hash-op per attestation, so Table I
+// accounting stays comparable across the optimisation.
 func (h *Hasher) VerifyForwarding(attestations []*big.Int, remainders []Key, ackHash *big.Int) (bool, error) {
 	if len(attestations) != len(remainders) {
 		return false, fmt.Errorf("hhash: %d attestations but %d remainders",
@@ -441,7 +408,6 @@ func (h *Hasher) VerifyForwarding(attestations []*big.Int, remainders []Key, ack
 	span := h.verifySpans.SpanStart()
 	if h.ops != nil {
 		h.ops.hashOps.Add(uint64(len(attestations)))
-		h.ops.mulOps.Add(uint64(len(attestations)))
 	}
 	exps := make([]*big.Int, len(remainders))
 	for j, k := range remainders {

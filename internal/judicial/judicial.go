@@ -109,7 +109,6 @@ type Registry struct {
 	seen    map[Key]struct{}
 	records []Record
 	counts  map[model.NodeID]int
-	dupes   uint64
 
 	// Observability (nil without a registry). Fact and duplicate totals
 	// are deterministic — the deduplicated fact set is submission-order
@@ -146,7 +145,6 @@ func (reg *Registry) Submit(v Verdict) bool {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if _, dup := reg.seen[k]; dup {
-		reg.dupes++
 		reg.dupesC.Inc()
 		return false
 	}
@@ -187,13 +185,6 @@ func (reg *Registry) Len() int {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	return len(reg.records)
-}
-
-// Duplicates returns how many submissions were dropped as duplicates.
-func (reg *Registry) Duplicates() uint64 {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.dupes
 }
 
 // Count returns the deduplicated evidence count against one node.
@@ -297,7 +288,7 @@ func (b *Bench) Policy() Policy { return b.policy }
 
 // Judge compares the registry's tallies against the threshold and returns
 // the new judgments of round r in ascending node order. The skip set lists
-// nodes never to judge (the session's sources and already-departed nodes).
+// nodes never to judge (the session's source and already-departed nodes).
 func (b *Bench) Judge(r model.Round, reg *Registry, skip func(model.NodeID) bool) []Judgment {
 	if !b.policy.Enabled() {
 		return nil

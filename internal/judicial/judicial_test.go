@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func fact(accused, accuser model.NodeID, r model.Round, kind Kind) Verdict {
@@ -14,6 +15,8 @@ func fact(accused, accuser model.NodeID, r model.Round, kind Kind) Verdict {
 
 func TestRegistryDedupe(t *testing.T) {
 	reg := NewRegistry()
+	m := obs.NewRegistry()
+	reg.Instrument(m, nil)
 	if !reg.Submit(fact(7, 3, 4, "NoForward")) {
 		t.Fatal("first submission rejected")
 	}
@@ -28,7 +31,7 @@ func TestRegistryDedupe(t *testing.T) {
 	if got := reg.Count(7); got != 1 {
 		t.Fatalf("count %d, want 1", got)
 	}
-	if got := reg.Duplicates(); got != 2 {
+	if got := m.Counter("pag_judicial_duplicates_total").Value(); got != 2 {
 		t.Fatalf("duplicates %d, want 2", got)
 	}
 	// A different accuser, round or kind is fresh evidence.

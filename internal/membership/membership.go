@@ -378,9 +378,6 @@ func (d *Directory) N() int {
 // Fanout returns the configured fanout.
 func (d *Directory) Fanout() int { return d.cfg.Fanout }
 
-// MonitorCount returns the configured monitors per node.
-func (d *Directory) MonitorCount() int { return d.cfg.Monitors }
-
 // Nodes returns the current member list in ascending order (a copy).
 func (d *Directory) Nodes() []model.NodeID {
 	d.mu.RLock()

@@ -56,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestBasicProperties(t *testing.T) {
 	d := newDir(t, 20, Config{Seed: 7})
-	if d.N() != 20 || d.Fanout() != 3 || d.MonitorCount() != 3 {
+	if d.N() != 20 || d.Fanout() != 3 {
 		t.Fatal("accessors wrong")
 	}
 	if !d.Contains(5) || d.Contains(99) {

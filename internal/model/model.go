@@ -86,7 +86,9 @@ func (r Round) String() string { return "r" + strconv.FormatUint(uint64(r), 10) 
 
 // StreamID identifies a gossip session (one disseminated content). The
 // paper allows "several gossip sessions disseminating different contents"
-// to hold simultaneously (§III).
+// to hold simultaneously (§III); a Session here disseminates one, stream
+// 0, from one source. The field stays on the wire, and every protocol
+// rejects an update of any other stream.
 type StreamID uint32
 
 // UpdateID identifies one update (data chunk) of a stream.
@@ -159,12 +161,6 @@ func (q Quality) PayloadKbps() int {
 	return _qualities[q].payload
 }
 
-// Valid reports whether q is one of the ladder rungs.
-func (q Quality) Valid() bool {
-	_, ok := _qualities[q]
-	return ok
-}
-
 // Paper-wide workload constants (§VII-A, "Real deployment settings").
 const (
 	// UpdateBytes is the size of one update: "updates of 938B are
@@ -182,18 +178,6 @@ const (
 	// RoundDuration is the gossip period in seconds.
 	RoundDurationSeconds = 1
 )
-
-// UpdatesPerSecond returns how many 938-byte updates per second a stream of
-// the given bitrate (Kbps) produces. This is the quantity that drives the
-// homomorphic-hash counts of Table I.
-func UpdatesPerSecond(payloadKbps int) int {
-	bytesPerSecond := payloadKbps * 1000 / 8
-	n := bytesPerSecond / UpdateBytes
-	if n < 1 && payloadKbps > 0 {
-		n = 1
-	}
-	return n
-}
 
 // FanoutFor returns the dissemination fanout (= number of successors,
 // predecessors and monitors per node) the paper uses for a system of n

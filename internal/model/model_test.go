@@ -90,9 +90,6 @@ func TestQualityLadder(t *testing.T) {
 		if got := q.PayloadKbps(); got != kbps {
 			t.Errorf("%v.PayloadKbps() = %d, want %d", q, got, kbps)
 		}
-		if !q.Valid() {
-			t.Errorf("%v not Valid()", q)
-		}
 	}
 	// Ladder is strictly ascending in bitrate.
 	for i := 1; i < len(qs); i++ {
@@ -104,39 +101,11 @@ func TestQualityLadder(t *testing.T) {
 
 func TestQualityUnknown(t *testing.T) {
 	q := Quality(99)
-	if q.Valid() {
-		t.Fatal("Quality(99) should not be valid")
-	}
 	if q.PayloadKbps() != 0 {
 		t.Fatal("unknown quality should have zero payload")
 	}
 	if got := q.String(); got != "q?99" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestUpdatesPerSecond(t *testing.T) {
-	// 300 Kbps = 37500 B/s = 39 updates of 938 B (floor).
-	if got := UpdatesPerSecond(300); got != 39 {
-		t.Fatalf("UpdatesPerSecond(300) = %d, want 39", got)
-	}
-	if got := UpdatesPerSecond(0); got != 0 {
-		t.Fatalf("UpdatesPerSecond(0) = %d, want 0", got)
-	}
-	// Tiny but non-zero bitrates still emit at least one update.
-	if got := UpdatesPerSecond(1); got != 1 {
-		t.Fatalf("UpdatesPerSecond(1) = %d, want 1", got)
-	}
-}
-
-func TestUpdatesPerSecondMonotonic(t *testing.T) {
-	prev := 0
-	for kbps := 0; kbps <= 5000; kbps += 50 {
-		n := UpdatesPerSecond(kbps)
-		if n < prev {
-			t.Fatalf("UpdatesPerSecond not monotonic at %d: %d < %d", kbps, n, prev)
-		}
-		prev = n
 	}
 }
 

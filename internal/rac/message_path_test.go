@@ -176,7 +176,7 @@ func newCluster(t *testing.T, size, workers int) *cluster {
 		}
 		node, err = NewNode(Config{
 			ID: id, Suite: c.suite, Identity: identity, Directory: dir, Endpoint: ep,
-			Sources: []model.NodeID{1}, SlotBytes: 64,
+			Source: 1, SlotBytes: 64,
 			Verdicts: func(v judicial.Verdict) {
 				c.mu.Lock()
 				c.verdicts = append(c.verdicts, v)
@@ -189,7 +189,7 @@ func newCluster(t *testing.T, size, workers int) *cluster {
 		c.nodes[id] = node
 		c.engine.Add(node)
 	}
-	gen, err := update.NewGenerator(0, source, 48, model.PlayoutDelayRounds)
+	gen, err := update.NewGenerator(source, 48, model.PlayoutDelayRounds)
 	if err != nil {
 		t.Fatal(err)
 	}

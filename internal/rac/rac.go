@@ -76,8 +76,8 @@ type Config struct {
 	Identity  pki.Identity
 	Directory *membership.Directory
 	Endpoint  transport.Endpoint
-	// Sources[s] signs stream s (content verification at delivery).
-	Sources []model.NodeID
+	// Source signs every update (content verification at delivery).
+	Source model.NodeID
 	// SlotBytes is the fixed slot payload size (cover slots are padded
 	// to it). Defaults to model.UpdateBytes.
 	SlotBytes int
@@ -273,7 +273,7 @@ func (n *Node) BeginRound(r model.Round) {
 			n.injected = n.injected[1:]
 			slot.Real = true
 			slot.Content = encodeUpdate(&u)
-			n.store.Add(u, r, 1, true)
+			n.store.Add(u, r, 1)
 		} else {
 			slot.Content = make([]byte, n.cfg.SlotBytes)
 		}
@@ -379,11 +379,11 @@ func (n *Node) HandleMessage(msg transport.Message) {
 
 	if slot.Real {
 		if u, err := decodeUpdate(slot.Content); err == nil {
-			if src, ok := n.streamSource(u.ID.Stream); ok {
+			if u.ID.Stream == 0 {
 				w := wire.GetWriter()
-				if n.cfg.Suite.Verify(src, w.Canonical(&u), u.SrcSig) == nil {
+				if n.cfg.Suite.Verify(n.cfg.Source, w.Canonical(&u), u.SrcSig) == nil {
 					// u aliases the delivered slot: the store keeps a copy.
-					n.store.Add(u.Clone(), n.round, 1, true)
+					n.store.Add(u.Clone(), n.round, 1)
 				}
 				w.Release()
 			}
@@ -403,14 +403,6 @@ func (n *Node) HandleMessage(msg transport.Message) {
 	// lends it on: a socket copies it before the arena can be reused, and
 	// MemNet, which keeps what it is sent, gets a copy of its own.
 	_ = transport.SendLent(n.cfg.Endpoint, kindSlot, msg.Payload, n.succ)
-}
-
-func (n *Node) streamSource(s model.StreamID) (model.NodeID, bool) {
-	idx := int(s)
-	if idx < 0 || idx >= len(n.cfg.Sources) {
-		return model.NoNode, false
-	}
-	return n.cfg.Sources[idx], true
 }
 
 func (n *Node) report(v judicial.Verdict) {

@@ -54,7 +54,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]rac.Be
 			Suite:     h.suite,
 			Identity:  identity,
 			Directory: dir,
-			Sources:   []model.NodeID{h.source},
+			Source:    h.source,
 			SlotBytes: 64,
 			Behavior:  behaviors[id],
 			Verdicts:  func(v judicial.Verdict) { h.verdicts = append(h.verdicts, v) },
@@ -73,7 +73,7 @@ func newHarness(t *testing.T, n, perRound int, behaviors map[model.NodeID]rac.Be
 		h.engine.Add(node)
 	}
 
-	gen, err := update.NewGenerator(0, identities[h.source], 64, model.PlayoutDelayRounds)
+	gen, err := update.NewGenerator(identities[h.source], 64, model.PlayoutDelayRounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ type ChurnApplier interface {
 	// given number of rounds before removal.
 	Crash(r model.Round, id model.NodeID, lingerRounds int) error
 	// ChurnTargets returns the members eligible for auto-picked leaves
-	// and crashes (ascending; the session excludes sources).
+	// and crashes (ascending; the session excludes the source).
 	ChurnTargets() []model.NodeID
 }
 

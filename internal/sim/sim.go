@@ -387,42 +387,38 @@ func (e *Engine) phase(shards [][]Protocol, step func(Protocol)) {
 
 // deliverAll drains delivery waves until quiescence and returns how many
 // messages it delivered. Inline it is the network's own DeliverAll.
-// Sharded, each wave is taken from the MemNet in canonical merged order,
-// partitioned by destination shard and replayed concurrently; messages
-// sent during a wave form the next one, up to the same
-// transport.MaxDeliveryWaves cap MemNet.DeliverAll applies.
+// Sharded, the MemNet's DeliverWaves hands over each wave in canonical
+// merged order, and it is partitioned by destination shard and replayed
+// concurrently; one wave loop, one cap.
 func (e *Engine) deliverAll() int {
 	if e.mem == nil {
 		return e.net.DeliverAll()
 	}
-	total := 0
-	for wave := 0; wave < transport.MaxDeliveryWaves; wave++ {
-		ds := e.mem.TakeWave()
-		if len(ds) == 0 {
-			return total
-		}
-		total += len(ds)
-		buckets := make([][]transport.Delivery, e.workers)
-		for _, d := range ds {
-			i := e.shardOf(d.Msg.To)
-			buckets[i] = append(buckets[i], d)
-		}
-		var wg sync.WaitGroup
-		for _, b := range buckets {
-			if len(b) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(sub []transport.Delivery) {
-				defer wg.Done()
-				for _, d := range sub {
-					d.Handler(d.Msg)
-				}
-			}(b)
-		}
-		wg.Wait()
+	return e.mem.DeliverWaves(e.runSharded)
+}
+
+// runSharded replays one delivery wave with each destination shard's
+// subsequence on its own goroutine.
+func (e *Engine) runSharded(ds []transport.Delivery) {
+	buckets := make([][]transport.Delivery, e.workers)
+	for _, d := range ds {
+		i := e.shardOf(d.Msg.To)
+		buckets[i] = append(buckets[i], d)
 	}
-	return total
+	var wg sync.WaitGroup
+	for _, b := range buckets {
+		if len(b) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(sub []transport.Delivery) {
+			defer wg.Done()
+			for _, d := range sub {
+				d.Handler(d.Msg)
+			}
+		}(b)
+	}
+	wg.Wait()
 }
 
 // StartMeasuring snapshots the members' traffic counters to open the

@@ -1,14 +1,11 @@
 // Package stats provides the small statistics toolkit used by the
-// evaluation harness: means, percentiles, and cumulative distribution
-// functions in the form the paper plots (Fig 7 plots the CDF of per-node
-// bandwidth consumption).
+// evaluation harness: means and percentiles (Fig 7 plots per-node
+// bandwidth consumption at percentiles of its CDF).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample is an immutable collection of float64 observations.
@@ -55,21 +52,6 @@ func (s Sample) Max() float64 {
 	return s.sorted[len(s.sorted)-1]
 }
 
-// StdDev returns the population standard deviation.
-func (s Sample) StdDev() float64 {
-	n := len(s.sorted)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var acc float64
-	for _, x := range s.sorted {
-		d := x - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. An empty sample yields 0.
 func (s Sample) Percentile(p float64) float64 {
@@ -95,58 +77,6 @@ func (s Sample) Percentile(p float64) float64 {
 
 // Median is Percentile(50).
 func (s Sample) Median() float64 { return s.Percentile(50) }
-
-// CDFAt returns the empirical CDF evaluated at x: the fraction of
-// observations <= x, in [0, 1].
-func (s Sample) CDFAt(x float64) float64 {
-	n := len(s.sorted)
-	if n == 0 {
-		return 0
-	}
-	// First index with value > x.
-	idx := sort.Search(n, func(i int) bool { return s.sorted[i] > x })
-	return float64(idx) / float64(n)
-}
-
-// CDFPoint is one (x, F(x)) point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // observation value
-	F float64 // cumulative fraction in [0, 1]
-}
-
-// CDF returns the empirical CDF sampled at up to points evenly spaced
-// positions across the observation range, always including the extremes.
-// This is the series Fig 7 plots.
-func (s Sample) CDF(points int) []CDFPoint {
-	n := len(s.sorted)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	if points == 1 || s.Min() == s.Max() {
-		return []CDFPoint{{X: s.Max(), F: 1}}
-	}
-	out := make([]CDFPoint, 0, points)
-	lo, hi := s.Min(), s.Max()
-	step := (hi - lo) / float64(points-1)
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		out = append(out, CDFPoint{X: x, F: s.CDFAt(x)})
-	}
-	// Guard against floating error on the last point.
-	out[len(out)-1].F = 1
-	return out
-}
-
-// FormatCDF renders a CDF as "x\tF%" rows, the textual analogue of a
-// gnuplot CDF figure.
-func FormatCDF(points []CDFPoint, xLabel string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s CDF(%%)\n", xLabel)
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-14.1f %6.1f\n", p.X, p.F*100)
-	}
-	return b.String()
-}
 
 // ChiSquareUniform returns the chi-square statistic of observed bucket
 // counts against a uniform expectation. It is used by membership tests to

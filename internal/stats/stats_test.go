@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,11 +12,8 @@ func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 func TestEmptySample(t *testing.T) {
 	s := NewSample(nil)
 	if s.Len() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
-		s.StdDev() != 0 || s.Median() != 0 || s.CDFAt(5) != 0 {
+		s.Median() != 0 || s.Percentile(90) != 0 {
 		t.Fatal("empty sample should return zeros everywhere")
-	}
-	if s.CDF(10) != nil {
-		t.Fatal("empty sample CDF should be nil")
 	}
 }
 
@@ -37,13 +33,6 @@ func TestSampleDoesNotAliasInput(t *testing.T) {
 	xs[0] = 100
 	if s.Max() == 100 {
 		t.Fatal("NewSample must copy its input")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	s := NewSample([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got := s.StdDev(); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -70,74 +59,6 @@ func TestPercentileSingleElement(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	s := NewSample([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := s.CDFAt(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestCDFSeries(t *testing.T) {
-	s := NewSample([]float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90})
-	pts := s.CDF(11)
-	if len(pts) != 11 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[len(pts)-1].X != 90 {
-		t.Fatalf("extremes wrong: %+v .. %+v", pts[0], pts[len(pts)-1])
-	}
-	if pts[len(pts)-1].F != 1 {
-		t.Fatal("last CDF point must be 1")
-	}
-	// Monotone non-decreasing.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].F < pts[i-1].F {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-}
-
-func TestCDFDegenerate(t *testing.T) {
-	s := NewSample([]float64{5, 5, 5})
-	pts := s.CDF(10)
-	if len(pts) != 1 || pts[0].X != 5 || pts[0].F != 1 {
-		t.Fatalf("degenerate CDF = %+v", pts)
-	}
-	if got := s.CDF(0); got != nil {
-		t.Fatal("CDF(0) should be nil")
-	}
-}
-
-func TestCDFPropertyMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		s := NewSample(xs)
-		pts := s.CDF(16)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].F < pts[i-1].F || pts[i].X < pts[i-1].X {
-				return false
-			}
-		}
-		return pts[len(pts)-1].F == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPercentileBetweenMinMax(t *testing.T) {
 	f := func(raw []float64, p uint8) bool {
 		xs := make([]float64, 0, len(raw))
@@ -155,14 +76,6 @@ func TestPercentileBetweenMinMax(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFormatCDF(t *testing.T) {
-	out := FormatCDF([]CDFPoint{{X: 100, F: 0.5}, {X: 200, F: 1}}, "kbps")
-	if !strings.Contains(out, "kbps") || !strings.Contains(out, "50.0") ||
-		!strings.Contains(out, "100.0") {
-		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
 

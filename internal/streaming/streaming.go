@@ -28,7 +28,7 @@ type Source struct {
 
 // NewSource builds a source for the given bitrate. updateBytes and ttl
 // default to the paper's settings when zero (938 bytes, 10 rounds).
-func NewSource(stream model.StreamID, signer update.Signer, target Injector,
+func NewSource(signer update.Signer, target Injector,
 	bitrateKbps, updateBytes int, ttl model.Round) (*Source, error) {
 	if target == nil {
 		return nil, fmt.Errorf("streaming: source needs a target node")
@@ -42,7 +42,7 @@ func NewSource(stream model.StreamID, signer update.Signer, target Injector,
 	if ttl == 0 {
 		ttl = model.PlayoutDelayRounds
 	}
-	gen, err := update.NewGenerator(stream, signer, updateBytes, ttl)
+	gen, err := update.NewGenerator(signer, updateBytes, ttl)
 	if err != nil {
 		return nil, err
 	}
@@ -67,26 +67,23 @@ func (s *Source) Tick(r model.Round) error {
 }
 
 // Player consumes deliveries on one node and computes playback metrics.
-// It is safe for concurrent use (the TCP deployment delivers from reader
-// goroutines).
+// It is safe for concurrent use: OnDeliver runs on whichever goroutine
+// delivers to the node (a round-engine shard worker, or the one draining
+// a TCPNet's inbox), and the session reads the player from another.
 //
 // The delivered set is a dense bitset indexed by sequence number, plus a
-// count: a stream's sequence numbers are 0, 1, 2, … from its one signed
+// count: the stream's sequence numbers are 0, 1, 2, … from its one signed
 // source, so the set costs a bit per chunk emitted for as long as the
 // player lives, where a map cost tens of bytes per chunk.
 type Player struct {
-	stream model.StreamID
-
 	mu        sync.Mutex
 	delivered []uint64 // bit seq%64 of word seq/64
 	count     uint64
 	dupes     uint64
 }
 
-// NewPlayer builds a player for one stream.
-func NewPlayer(stream model.StreamID) *Player {
-	return &Player{stream: stream}
-}
+// NewPlayer builds an empty player.
+func NewPlayer() *Player { return &Player{} }
 
 // has reports whether seq was delivered. Callers hold p.mu.
 func (p *Player) has(seq uint64) bool {
@@ -94,11 +91,9 @@ func (p *Player) has(seq uint64) bool {
 	return w < uint64(len(p.delivered)) && p.delivered[w]>>(seq%64)&1 != 0
 }
 
-// OnDeliver is the node-config callback.
+// OnDeliver is the node-config callback. The protocols store only
+// stream 0, so every delivered update is the session's stream.
 func (p *Player) OnDeliver(u update.Update) {
-	if u.ID.Stream != p.stream {
-		return
-	}
 	seq := u.ID.Seq
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -132,27 +127,10 @@ func (p *Player) Duplicates() uint64 {
 	return p.dupes
 }
 
-// ContinuityRatio returns the fraction of chunks [0, emittedThrough)
-// delivered — the stream quality a viewer experienced.
-func (p *Player) ContinuityRatio(emittedThrough uint64) float64 {
-	if emittedThrough == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	got := 0
-	for seq := uint64(0); seq < emittedThrough; seq++ {
-		if p.has(seq) {
-			got++
-		}
-	}
-	return float64(got) / float64(emittedThrough)
-}
-
-// DeliveredInRange counts the distinct chunks of [from, to) delivered —
-// the windowed form of ContinuityRatio, used for per-epoch continuity and
-// for nodes that joined mid-stream (whose fair denominator starts at their
-// join point).
+// DeliveredInRange counts the distinct chunks of [from, to) delivered:
+// continuity over a window, used for per-epoch continuity and for nodes
+// that joined mid-stream (whose fair denominator starts at their join
+// point).
 func (p *Player) DeliveredInRange(from, to uint64) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -163,30 +141,4 @@ func (p *Player) DeliveredInRange(from, to uint64) uint64 {
 		}
 	}
 	return got
-}
-
-// CompleteWindows counts fully-delivered windows of the given size among
-// the first emittedThrough chunks — the paper's source "groups packets in
-// windows of 40 packets" (§VII-A), and a window with a gap shows as a
-// playback glitch.
-func (p *Player) CompleteWindows(windowSize int, emittedThrough uint64) (complete, total int) {
-	if windowSize <= 0 {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for start := uint64(0); start+uint64(windowSize) <= emittedThrough; start += uint64(windowSize) {
-		total++
-		ok := true
-		for s := start; s < start+uint64(windowSize); s++ {
-			if !p.has(s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			complete++
-		}
-	}
-	return complete, total
 }

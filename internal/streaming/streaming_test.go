@@ -19,7 +19,7 @@ func (f *fakeInjector) InjectUpdates(us []update.Update) { f.got = append(f.got,
 func TestSourceRate(t *testing.T) {
 	inj := &fakeInjector{}
 	// 300 kbps at 938 B/update → 39 updates/round (the paper's 240p).
-	s, err := NewSource(0, fakeSigner{}, inj, 300, 0, 0)
+	s, err := NewSource(fakeSigner{}, inj, 300, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSourceRate(t *testing.T) {
 
 func TestSourceTinyBitrateStillEmits(t *testing.T) {
 	inj := &fakeInjector{}
-	s, err := NewSource(0, fakeSigner{}, inj, 1, 0, 0)
+	s, err := NewSource(fakeSigner{}, inj, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestSourceTinyBitrateStillEmits(t *testing.T) {
 }
 
 func TestSourceValidation(t *testing.T) {
-	if _, err := NewSource(0, fakeSigner{}, nil, 300, 0, 0); err == nil {
+	if _, err := NewSource(fakeSigner{}, nil, 300, 0, 0); err == nil {
 		t.Fatal("nil target accepted")
 	}
-	if _, err := NewSource(0, fakeSigner{}, &fakeInjector{}, 0, 0, 0); err == nil {
+	if _, err := NewSource(fakeSigner{}, &fakeInjector{}, 0, 0, 0); err == nil {
 		t.Fatal("zero bitrate accepted")
 	}
 }
@@ -68,52 +68,27 @@ func mkU(seq uint64) update.Update {
 }
 
 func TestPlayerContinuity(t *testing.T) {
-	p := NewPlayer(0)
+	p := NewPlayer()
 	for _, seq := range []uint64{0, 1, 2, 4} { // gap at 3
 		p.OnDeliver(mkU(seq))
 	}
 	if p.Delivered() != 4 {
 		t.Fatalf("Delivered = %d", p.Delivered())
 	}
-	if got := p.ContinuityRatio(5); got != 0.8 {
-		t.Fatalf("ContinuityRatio = %v", got)
+	if got := p.DeliveredInRange(0, 5); got != 4 {
+		t.Fatalf("DeliveredInRange(0, 5) = %d, want 4", got)
 	}
-	if got := p.ContinuityRatio(0); got != 0 {
-		t.Fatalf("empty ratio = %v", got)
-	}
-}
-
-func TestPlayerIgnoresOtherStreams(t *testing.T) {
-	p := NewPlayer(0)
-	p.OnDeliver(update.Update{ID: model.UpdateID{Stream: 9, Seq: 0}})
-	if p.Delivered() != 0 {
-		t.Fatal("other stream delivered")
+	if got := p.DeliveredInRange(3, 3); got != 0 {
+		t.Fatalf("empty range = %d", got)
 	}
 }
 
 func TestPlayerDuplicates(t *testing.T) {
-	p := NewPlayer(0)
+	p := NewPlayer()
 	p.OnDeliver(mkU(1))
 	p.OnDeliver(mkU(1))
 	if p.Duplicates() != 1 || p.Delivered() != 1 {
 		t.Fatalf("dupes %d delivered %d", p.Duplicates(), p.Delivered())
-	}
-}
-
-func TestCompleteWindows(t *testing.T) {
-	p := NewPlayer(0)
-	// Deliver chunks 0..7 except 5: window [0,4) complete, [4,8) not.
-	for seq := uint64(0); seq < 8; seq++ {
-		if seq != 5 {
-			p.OnDeliver(mkU(seq))
-		}
-	}
-	complete, total := p.CompleteWindows(4, 8)
-	if total != 2 || complete != 1 {
-		t.Fatalf("windows %d/%d, want 1/2", complete, total)
-	}
-	if c, tot := p.CompleteWindows(0, 8); c != 0 || tot != 0 {
-		t.Fatal("zero window size should be empty")
 	}
 }
 
@@ -141,16 +116,6 @@ func (p *mapPlayer) inRange(from, to uint64) (got uint64) {
 	return got
 }
 
-func (p *mapPlayer) completeWindows(size int, through uint64) (complete, total int) {
-	for start := uint64(0); start+uint64(size) <= through; start += uint64(size) {
-		total++
-		if p.inRange(start, start+uint64(size)) == uint64(size) {
-			complete++
-		}
-	}
-	return complete, total
-}
-
 // TestPlayerBitsetMatchesMap: 10 000 deliveries, in order and shuffled
 // with gaps and repeats, answer every query as the map version does, and
 // the set retains a bit per sequence number plus a constant.
@@ -167,7 +132,7 @@ func TestPlayerBitsetMatchesMap(t *testing.T) {
 		shuffled[i] = uint64(rnd.Intn(n * 9 / 8))
 	}
 	for name, seqs := range map[string][]uint64{"in-order": inOrder, "out-of-order": shuffled} {
-		p, ref := NewPlayer(0), &mapPlayer{delivered: make(map[uint64]bool)}
+		p, ref := NewPlayer(), &mapPlayer{delivered: make(map[uint64]bool)}
 		var maxSeq uint64
 		for i, seq := range seqs {
 			p.OnDeliver(mkU(seq))
@@ -187,14 +152,6 @@ func TestPlayerBitsetMatchesMap(t *testing.T) {
 				if got, want := p.DeliveredInRange(r[0], r[1]), ref.inRange(r[0], r[1]); got != want {
 					t.Fatalf("%s after %d: DeliveredInRange%v %d, want %d", name, i, r, got, want)
 				}
-			}
-			if got, want := p.ContinuityRatio(through), float64(ref.inRange(0, through))/float64(through); got != want {
-				t.Fatalf("%s after %d: ContinuityRatio %v, want %v", name, i, got, want)
-			}
-			gc, gt := p.CompleteWindows(40, through)
-			wc, wt := ref.completeWindows(40, through)
-			if gc != wc || gt != wt {
-				t.Fatalf("%s after %d: CompleteWindows %d/%d, want %d/%d", name, i, gc, gt, wc, wt)
 			}
 		}
 		if retained, bound := uint64(cap(p.delivered))*8, maxSeq/8+64; retained > bound {

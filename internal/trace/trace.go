@@ -277,19 +277,14 @@ func (j *Journal) exchangeIndex() map[string]*Exchange {
 // which two traced runs of the same seed compare equal at any worker
 // count (event *content* is deterministic on the in-memory transport;
 // emission *order* is worker-schedule dependent). Stripped: seq and
-// ts_ns everywhere, and the xid of verdict events — a verdict's xid
-// attributes the first report that registered under its dedupe key.
-// Only the reporter raises reports under its key, in id order, so the
-// xid repeats per seed too (pag.TestVerdictAttributionRepeats); the
-// strip is conservative.
+// ts_ns. A verdict's xid stays: it names the first report registered
+// under the verdict's dedupe key, and reports register in id order, so
+// it repeats per seed (pag.TestVerdictAttributionRepeats).
 func CanonicalLines(events []Event) []string {
 	out := make([]string, 0, len(events))
 	for _, e := range events {
 		keys := make([]string, 0, len(e.Fields))
 		for k := range e.Fields {
-			if k == "xid" && e.Name == "verdict" {
-				continue
-			}
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)

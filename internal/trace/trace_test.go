@@ -108,14 +108,14 @@ func TestLatencyNeedsBothStamps(t *testing.T) {
 }
 
 func TestCanonicalLinesStripSchedulingKeys(t *testing.T) {
-	// The two journals differ only in seq, ts_ns, emission order and the
-	// verdict's proof-attribution xid — the scheduling-dependent class.
+	// The two journals differ only in seq, ts_ns and emission order —
+	// the scheduling-dependent class.
 	a := journalFrom(t,
 		`{"seq":1,"ts_ns":10,"event":"verdict","kind":"NoForward","round":3,"xid":"r3:5>6"}`+"\n"+
 			`{"seq":2,"ts_ns":20,"event":"round_end","round":3}`+"\n")
 	b := journalFrom(t,
 		`{"seq":7,"event":"round_end","round":3}`+"\n"+
-			`{"seq":9,"ts_ns":999,"event":"verdict","round":3,"kind":"NoForward","xid":"r3:5>9"}`+"\n")
+			`{"seq":9,"ts_ns":999,"event":"verdict","round":3,"kind":"NoForward","xid":"r3:5>6"}`+"\n")
 	la, lb := CanonicalLines(a.Events), CanonicalLines(b.Events)
 	if len(la) != 2 || len(la) != len(lb) {
 		t.Fatalf("lines %v / %v", la, lb)
@@ -125,10 +125,13 @@ func TestCanonicalLinesStripSchedulingKeys(t *testing.T) {
 			t.Fatalf("canonical divergence on scheduling-class-only changes:\n%s\n%s", la[i], lb[i])
 		}
 	}
-	// A span event's xid is content, not attribution: it must survive.
+	// An xid is content, on a span event and on a verdict alike.
 	spans := journalFrom(t, `{"event":"exchange","xid":"r1:2>3","span":"open"}`+"\n")
 	if !strings.Contains(CanonicalLines(spans.Events)[0], `"xid"`) {
 		t.Fatal("exchange xid stripped from canonical form")
+	}
+	if !strings.Contains(CanonicalLines(a.Events)[1], `"xid"`) {
+		t.Fatal("verdict xid stripped from canonical form")
 	}
 }
 

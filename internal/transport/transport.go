@@ -50,7 +50,7 @@ func (m Message) WireSize() int { return HeaderBytes + len(m.Payload) }
 // what it needs later it copies. The same bytes may be the sender's
 // retained evidence and the payload of every other recipient of a fan-out
 // (MemNet), or a slice of a receive arena that is recycled when the
-// delivery wave has been handled (the socket transports).
+// delivery wave has been handled (TCPNet).
 type Handler func(Message)
 
 // Endpoint is a node's attachment to a network.
@@ -129,7 +129,7 @@ type DropFunc func(Message) bool
 
 // MemNet is the in-memory simulated network. Delivery is explicit: queued
 // messages are handed to handlers when the simulation engine calls
-// DeliverPending/DeliverAll, which keeps rounds deterministic.
+// DeliverAll/DeliverWaves, which keeps rounds deterministic.
 //
 // Sends never touch shared delivery state directly: each endpoint buffers
 // its outbound messages locally (per-sender FIFO), and the buffers are
@@ -159,7 +159,7 @@ type MemNet struct {
 	// endpoints is an identity map: an id's endpoint is created once and
 	// survives Unregister/Register cycles, so every handle ever returned
 	// for an id stays usable. active is the merge set — the endpoints
-	// TakeWave drains — pruned when an unregistered sender's outbox runs
+	// takeWave drains — pruned when an unregistered sender's outbox runs
 	// dry and re-attached by its next Send, which keeps merge cost
 	// proportional to live senders, not to every id ever seen.
 	regMu     sync.RWMutex
@@ -167,7 +167,7 @@ type MemNet struct {
 	endpoints map[model.NodeID]*memEndpoint
 	active    map[model.NodeID]*memEndpoint
 
-	// Merge-point scratch, kept across waves so a steady-state TakeWave
+	// Merge-point scratch, kept across waves so a steady-state takeWave
 	// allocates nothing: the merge set, the merged inflow and the wave
 	// handed to the caller.
 	mergeBuf []*memEndpoint
@@ -296,26 +296,23 @@ func (n *MemNet) PendingCount() int {
 }
 
 // Delivery is one deliverable message paired with its destination's
-// handler, as returned by TakeWave. The receiver has already been charged.
+// handler, as DeliverWaves hands it over. The receiver has already been charged.
 type Delivery struct {
 	Msg     Message
 	Handler Handler
 }
 
-// TakeWave merges every endpoint's outbox into the queue in canonical
+// takeWave merges every endpoint's outbox into the queue in canonical
 // order (ascending sender id, per-sender send sequence) — with the backlog
 // the fault plane released at the round top ahead of every fresh send —
 // applies the fault plane and all traffic charging, and drains the
 // resulting wave. Admission and arrival run at the merge point, in
 // canonical order, so the charge sequence is independent of how the sends
-// were scheduled. The caller is responsible for invoking
-// each Delivery's handler — in slice order (DeliverPending), or
-// partitioned by destination for a sharded round (sim.Engine) (per-destination
-// subsequences preserve the canonical order either way).
+// were scheduled. The caller invokes each Delivery's handler (DeliverWaves).
 //
-// TakeWave is the merge point and has one caller at a time. The returned
-// slice is that caller's until its next TakeWave, which reuses the storage.
-func (n *MemNet) TakeWave() []Delivery {
+// takeWave is the merge point and has one caller at a time. The returned
+// slice is that caller's until its next takeWave, which reuses the storage.
+func (n *MemNet) takeWave() []Delivery {
 	// Drain the outboxes sender by sender in canonical order. Drained
 	// endpoints whose id is no longer registered fall out of the merge
 	// set (their next Send re-attaches them). Outboxes and the scratch
@@ -384,38 +381,40 @@ func (n *MemNet) pruneDeparted(eps []*memEndpoint) {
 	n.regMu.Unlock()
 }
 
-// DeliverPending delivers the currently pending messages (a snapshot —
-// messages sent by handlers during delivery are buffered for the next
-// wave) and returns how many were delivered.
-func (n *MemNet) DeliverPending() int {
-	wave := n.TakeWave()
+// runWave calls each delivery's handler in slice order.
+func runWave(wave []Delivery) {
 	for _, d := range wave {
 		d.Handler(d.Msg)
 	}
-	return len(wave)
 }
 
-// MaxDeliveryWaves caps how many delivery waves a round engine drains at
-// one phase barrier — a generous safety net against protocol livelock.
-// DeliverAll (inline rounds) and sim.Engine's sharded rounds must share
-// this cap: if a run ever hit a smaller cap on one path only, the two
-// would deliver different message sets and break the byte-identical
-// invariant.
-const MaxDeliveryWaves = 64
+// maxDeliveryWaves caps how many delivery waves one DeliverWaves drains —
+// a generous safety net against protocol livelock.
+const maxDeliveryWaves = 64
 
-// DeliverAll delivers waves until the queue drains, capped at
-// MaxDeliveryWaves. It returns the total delivered.
-func (n *MemNet) DeliverAll() int {
+// DeliverWaves drains the queue wave by wave, capped at maxDeliveryWaves,
+// and returns the total delivered. Each wave is a snapshot of the pending
+// messages in canonical merged order, handed to run, which must call
+// every delivery's handler before it returns; what those handlers send
+// forms the next wave. run may partition a wave by destination and call
+// the handlers concurrently (sim.Engine's sharded rounds): the
+// per-destination order is canonical either way.
+func (n *MemNet) DeliverWaves(run func([]Delivery)) int {
 	total := 0
-	for wave := 0; wave < MaxDeliveryWaves; wave++ {
-		d := n.DeliverPending()
-		total += d
-		if d == 0 {
-			return total
+	for range maxDeliveryWaves {
+		wave := n.takeWave()
+		if len(wave) == 0 {
+			break
 		}
+		total += len(wave)
+		run(wave)
 	}
 	return total
 }
+
+// DeliverAll delivers waves until the queue drains, each in slice order,
+// capped at maxDeliveryWaves. It returns the total delivered.
+func (n *MemNet) DeliverAll() int { return n.DeliverWaves(runWave) }
 
 // TrafficOf returns the cumulative traffic snapshot of a node.
 func (n *MemNet) TrafficOf(id model.NodeID) Traffic { return n.faults.TrafficOf(id) }

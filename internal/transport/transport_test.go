@@ -39,12 +39,12 @@ func TestMemNetDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
-		t.Fatal("message delivered before DeliverPending")
+		t.Fatal("message delivered before deliverPending")
 	}
 	if n.PendingCount() != 1 {
 		t.Fatalf("PendingCount = %d", n.PendingCount())
 	}
-	if d := n.DeliverPending(); d != 1 {
+	if d := n.deliverPending(); d != 1 {
 		t.Fatalf("delivered %d", d)
 	}
 	if len(got) != 1 || got[0].From != 1 || got[0].To != 2 ||
@@ -182,7 +182,7 @@ func TestMemNetTrafficAccounting(t *testing.T) {
 
 	payload := make([]byte, 100)
 	_ = ep1.Send(2, 0, payload)
-	n.DeliverPending()
+	n.deliverPending()
 
 	want := uint64(HeaderBytes + 100)
 	t1 := n.TrafficOf(1)
@@ -253,7 +253,7 @@ func TestMemNetFIFOOrder(t *testing.T) {
 	for k := uint8(0); k < 10; k++ {
 		_ = ep1.Send(2, k, nil)
 	}
-	n.DeliverPending()
+	n.deliverPending()
 	for i, k := range order {
 		if int(k) != i {
 			t.Fatalf("order[%d] = %d", i, k)

@@ -71,9 +71,6 @@ type Entry struct {
 	// multiplicity integers joined to every Serve that carried the
 	// update (§V-D). The obligation hash uses u^Count.
 	Count uint64
-	// Forwardable records whether the update arrived on the forwardable
-	// list (it must be re-forwarded) or the expiring list.
-	Forwardable bool
 	// Delivered marks handoff to the application (media player).
 	Delivered bool
 	// Embed caches the protocol layer's homomorphic-hash embedding of the
@@ -157,26 +154,21 @@ func (s *Store) Has(id model.UpdateID) bool {
 func (s *Store) Get(id model.UpdateID) *Entry { return s.byID[id] }
 
 // Add records the reception of u at round r with multiplicity count.
-// If the update is already stored only the multiplicity is accumulated
-// (and Forwardable widened), matching the paper's accounting: the node
-// still owes u^count to its monitors even for duplicates. It returns true
-// when the update was new.
-func (s *Store) Add(u Update, r model.Round, count uint64, forwardable bool) bool {
+// If the update is already stored only the multiplicity is accumulated,
+// matching the paper's accounting: the node still owes u^count to its
+// monitors even for duplicates. It returns true when the update was new.
+func (s *Store) Add(u Update, r model.Round, count uint64) bool {
 	if count == 0 {
 		count = 1
 	}
 	if e, ok := s.byID[u.ID]; ok {
 		e.Count += count
-		if forwardable {
-			e.Forwardable = true
-		}
 		return false
 	}
 	e := s.alloc()
 	e.Update = u
 	e.Received = r
 	e.Count = count
-	e.Forwardable = forwardable
 	s.byID[u.ID] = e
 	s.byRound[r] = append(s.byRound[r], u.ID)
 	s.pending = append(s.pending, e)
@@ -331,27 +323,6 @@ func (b BufferMap) Contains(tag uint64) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Forwarding split (§V-D, expiration)
-// ---------------------------------------------------------------------------
-
-// ForwardSplit partitions the entries a node must forward at round r into
-// the expiring list (acknowledged but not re-forwarded by the receiver)
-// and the forwardable list.
-func ForwardSplit(entries []*Entry, r model.Round) (expiring, forwardable []*Entry) {
-	for _, e := range entries {
-		if e.Update.Expired(r) {
-			continue // already past deadline: not even served
-		}
-		if e.Update.ExpiresNextRound(r) {
-			expiring = append(expiring, e)
-		} else {
-			forwardable = append(forwardable, e)
-		}
-	}
-	return expiring, forwardable
-}
-
-// ---------------------------------------------------------------------------
 // Source-side generation
 // ---------------------------------------------------------------------------
 
@@ -360,9 +331,9 @@ type Signer interface {
 	Sign(msg []byte) ([]byte, error)
 }
 
-// Generator mints the updates of one stream at the source.
+// Generator mints the session's updates at the source. Every update is
+// of stream 0, the one stream a session carries.
 type Generator struct {
-	stream  model.StreamID
 	signer  Signer
 	payload int
 	ttl     model.Round
@@ -371,7 +342,7 @@ type Generator struct {
 
 // NewGenerator creates a source-side generator: payloadBytes per update
 // (938 in the paper) and ttl rounds of life (the 10 s playout delay).
-func NewGenerator(stream model.StreamID, signer Signer, payloadBytes int, ttl model.Round) (*Generator, error) {
+func NewGenerator(signer Signer, payloadBytes int, ttl model.Round) (*Generator, error) {
 	if signer == nil {
 		return nil, errors.New("update: generator needs a signer")
 	}
@@ -382,7 +353,6 @@ func NewGenerator(stream model.StreamID, signer Signer, payloadBytes int, ttl mo
 		return nil, errors.New("update: ttl must be at least one round")
 	}
 	return &Generator{
-		stream:  stream,
 		signer:  signer,
 		payload: payloadBytes,
 		ttl:     ttl,
@@ -396,9 +366,9 @@ func (g *Generator) Emit(r model.Round, n int) ([]Update, error) {
 	out := make([]Update, 0, n)
 	for i := 0; i < n; i++ {
 		u := Update{
-			ID:       model.UpdateID{Stream: g.stream, Seq: g.nextSeq},
+			ID:       model.UpdateID{Seq: g.nextSeq},
 			Deadline: r + g.ttl,
-			Payload:  syntheticPayload(g.stream, g.nextSeq, g.payload),
+			Payload:  syntheticPayload(g.nextSeq, g.payload),
 		}
 		sig, err := g.signer.Sign(u.CanonicalBytes())
 		if err != nil {
@@ -411,13 +381,11 @@ func (g *Generator) Emit(r model.Round, n int) ([]Update, error) {
 	return out, nil
 }
 
-// NextSeq returns the sequence number the next emitted update will carry.
-func (g *Generator) NextSeq() uint64 { return g.nextSeq }
-
-// syntheticPayload fills a buffer with a cheap deterministic byte pattern.
-func syntheticPayload(stream model.StreamID, seq uint64, n int) []byte {
+// syntheticPayload fills a buffer with a cheap deterministic byte pattern,
+// seeded as stream<<32 ^ seq ^ constant with the stream, 0, dropping out.
+func syntheticPayload(seq uint64, n int) []byte {
 	buf := make([]byte, n)
-	state := uint64(stream)<<32 ^ seq ^ 0x9E3779B97F4A7C15
+	state := seq ^ 0x9E3779B97F4A7C15
 	for i := range buf {
 		state ^= state << 13
 		state ^= state >> 7

@@ -2,6 +2,7 @@ package update
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -82,10 +83,10 @@ func TestStoreAddAndMultiplicity(t *testing.T) {
 	s := NewStore()
 	u := mkUpdate(1, 20)
 
-	if !s.Add(u, 5, 1, true) {
+	if !s.Add(u, 5, 1) {
 		t.Fatal("first Add should report new")
 	}
-	if s.Add(u, 6, 3, false) {
+	if s.Add(u, 6, 3) {
 		t.Fatal("second Add should report duplicate")
 	}
 	e := s.Get(u.ID)
@@ -98,9 +99,6 @@ func TestStoreAddAndMultiplicity(t *testing.T) {
 	if e.Received != 5 {
 		t.Fatalf("Received = %v, want 5 (first reception)", e.Received)
 	}
-	if !e.Forwardable {
-		t.Fatal("Forwardable must not be narrowed by a later expiring copy")
-	}
 	if s.Len() != 1 || !s.Has(u.ID) {
 		t.Fatal("store bookkeeping wrong")
 	}
@@ -108,30 +106,36 @@ func TestStoreAddAndMultiplicity(t *testing.T) {
 
 func TestStoreZeroCountBecomesOne(t *testing.T) {
 	s := NewStore()
-	s.Add(mkUpdate(1, 20), 1, 0, true)
+	s.Add(mkUpdate(1, 20), 1, 0)
 	if got := s.Get(model.UpdateID{Stream: 1, Seq: 1}).Count; got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
 	}
 }
 
+// TestStoreForwardableWidening: a copy served on the expiring list and one
+// served on the forwardable list in the same round are one entry owing
+// both counts. Which list a copy came on is its caller's to act on (core
+// folds it into the expiring or the forwarding product); the store keeps
+// no flag for it.
 func TestStoreForwardableWidening(t *testing.T) {
 	s := NewStore()
 	u := mkUpdate(2, 20)
-	s.Add(u, 1, 1, false)
-	if s.Get(u.ID).Forwardable {
-		t.Fatal("expiring copy should not be forwardable")
+	if !s.Add(u, 1, 1) {
+		t.Fatal("expiring copy not stored")
 	}
-	s.Add(u, 1, 1, true)
-	if !s.Get(u.ID).Forwardable {
-		t.Fatal("forwardable copy should widen")
+	if s.Add(u, 1, 2) {
+		t.Fatal("forwardable copy reported new")
+	}
+	if e := s.Get(u.ID); s.Len() != 1 || e.Count != 3 || e.Received != 1 {
+		t.Fatalf("one entry with Count 3 received at 1 expected, got %d entries, %+v", s.Len(), e)
 	}
 }
 
 func TestReceivedInOrdering(t *testing.T) {
 	s := NewStore()
-	s.Add(mkUpdate(9, 20), 3, 1, true)
-	s.Add(mkUpdate(2, 20), 3, 1, true)
-	s.Add(mkUpdate(5, 20), 4, 1, true) // other round
+	s.Add(mkUpdate(9, 20), 3, 1)
+	s.Add(mkUpdate(2, 20), 3, 1)
+	s.Add(mkUpdate(5, 20), 4, 1) // other round
 	got := s.ReceivedIn(3)
 	if len(got) != 2 {
 		t.Fatalf("len = %d, want 2", len(got))
@@ -147,7 +151,7 @@ func TestReceivedInOrdering(t *testing.T) {
 func TestOwnedInWindow(t *testing.T) {
 	s := NewStore()
 	for seq, round := range map[uint64]model.Round{1: 1, 2: 2, 3: 3, 4: 4, 5: 5} {
-		s.Add(mkUpdate(seq, 50), round, 1, true)
+		s.Add(mkUpdate(seq, 50), round, 1)
 	}
 	got := s.OwnedInWindow(5, 4) // rounds 2..5
 	if len(got) != 4 {
@@ -167,8 +171,8 @@ func TestOwnedInWindow(t *testing.T) {
 
 func TestUndelivered(t *testing.T) {
 	s := NewStore()
-	s.Add(mkUpdate(1, 5), 1, 1, true)
-	s.Add(mkUpdate(2, 9), 1, 1, true)
+	s.Add(mkUpdate(1, 5), 1, 1)
+	s.Add(mkUpdate(2, 9), 1, 1)
 	got := s.Undelivered(5)
 	if len(got) != 1 || got[0].Update.ID.Seq != 1 {
 		t.Fatalf("Undelivered(5) = %v entries", len(got))
@@ -214,7 +218,7 @@ func TestUndeliveredMatchesWalk(t *testing.T) {
 					seq++
 				}
 				deadline := r + model.Round(rnd.Intn(12)) - 2 // some arrive already due
-				s.Add(mkUpdate(id, deadline), r, 1, rnd.Intn(2) == 0)
+				s.Add(mkUpdate(id, deadline), r, 1)
 			}
 			if rnd.Intn(5) == 0 && seq > 0 {
 				if e := s.Get(model.UpdateID{Stream: 1, Seq: uint64(rnd.Int63n(int64(seq)))}); e != nil {
@@ -247,9 +251,9 @@ func TestUndeliveredMatchesWalk(t *testing.T) {
 
 func TestDropBefore(t *testing.T) {
 	s := NewStore()
-	s.Add(mkUpdate(1, 50), 1, 1, true)
-	s.Add(mkUpdate(2, 50), 2, 1, true)
-	s.Add(mkUpdate(3, 50), 3, 1, true)
+	s.Add(mkUpdate(1, 50), 1, 1)
+	s.Add(mkUpdate(2, 50), 2, 1)
+	s.Add(mkUpdate(3, 50), 3, 1)
 	if got := s.DropBefore(3); got != 2 {
 		t.Fatalf("dropped %d, want 2", got)
 	}
@@ -269,7 +273,7 @@ func TestDropBeforeClearsRetiredEntries(t *testing.T) {
 	for seq := uint64(1); seq <= 5; seq++ {
 		u := mkUpdate(seq, 50)
 		u.SrcSig = []byte{0x51, byte(seq)}
-		s.Add(u, model.Round(seq), 1, true)
+		s.Add(u, model.Round(seq), 1)
 		s.Get(u.ID).Embed = hhash.NewFixedBase(big.NewInt(int64(seq)), 64)
 	}
 	if got := s.DropBefore(4); got != 3 {
@@ -285,7 +289,7 @@ func TestDropBeforeClearsRetiredEntries(t *testing.T) {
 		}
 	}
 	// A recycled slot starts from the zero Entry.
-	s.Add(mkUpdate(9, 60), 9, 1, false)
+	s.Add(mkUpdate(9, 60), 9, 1)
 	if e := s.Get(model.UpdateID{Stream: 1, Seq: 9}); e.Embed != nil || e.Delivered || e.Count != 1 {
 		t.Fatalf("recycled entry not clean: %+v", e)
 	}
@@ -306,7 +310,7 @@ func TestReleaseLiftTables(t *testing.T) {
 	s := NewStore()
 	for seq, deadline := range []model.Round{5, 6, 6, 7, 9} {
 		u := mkUpdate(uint64(seq), deadline)
-		s.Add(u, 2, 1, true)
+		s.Add(u, 2, 1)
 		e := s.Get(u.ID)
 		s.SetOwnEmbed(e, hhash.NewFixedBase(big.NewInt(int64(seq)+2), 8))
 		h.LiftFixed(e.Embed, key)
@@ -314,7 +318,7 @@ func TestReleaseLiftTables(t *testing.T) {
 			t.Fatal("lift built no table")
 		}
 	}
-	s.Add(mkUpdate(99, 5), 2, 1, true) // no embedding yet: nothing to release
+	s.Add(mkUpdate(99, 5), 2, 1) // no embedding yet: nothing to release
 	tabled := func() (n int) {
 		for _, e := range s.ReceivedIn(2) {
 			if e.Embed != nil && e.Embed.HasTable() {
@@ -434,7 +438,7 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 		for seq := uint64(0); seq < 60; seq++ {
 			u := mkUpdate(uint64(trial)<<16|seq, now+3)
 			if rng.Intn(2) == 0 { // the responder has it, inside the window or before
-				store.Add(u, now-model.Round(rng.Intn(2*window)), 1, true)
+				store.Add(u, now-model.Round(rng.Intn(2*window)), 1)
 			}
 			if rng.Intn(2) == 0 { // the requester forwards it
 				candidates = append(candidates, u)
@@ -474,24 +478,9 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 	}
 }
 
-func TestForwardSplit(t *testing.T) {
-	r := model.Round(10)
-	expired := &Entry{Update: mkUpdate(1, 9)}      // already dead
-	expiring := &Entry{Update: mkUpdate(2, 10)}    // dies next round
-	forwardable := &Entry{Update: mkUpdate(3, 15)} // lives on
-
-	exp, fwd := ForwardSplit([]*Entry{expired, expiring, forwardable}, r)
-	if len(exp) != 1 || exp[0].Update.ID.Seq != 2 {
-		t.Fatalf("expiring = %v", exp)
-	}
-	if len(fwd) != 1 || fwd[0].Update.ID.Seq != 3 {
-		t.Fatalf("forwardable = %v", fwd)
-	}
-}
-
 func TestGeneratorEmit(t *testing.T) {
 	signer := &fakeSigner{}
-	g, err := NewGenerator(1, signer, 32, 10)
+	g, err := NewGenerator(signer, 32, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,9 +505,6 @@ func TestGeneratorEmit(t *testing.T) {
 			t.Fatal("missing source signature")
 		}
 	}
-	if g.NextSeq() != 3 {
-		t.Fatalf("NextSeq = %d", g.NextSeq())
-	}
 	// Sequence numbers continue across Emit calls.
 	more, _ := g.Emit(6, 1)
 	if more[0].ID.Seq != 3 {
@@ -527,29 +513,31 @@ func TestGeneratorEmit(t *testing.T) {
 }
 
 func TestGeneratorPayloadDeterministic(t *testing.T) {
-	g1, _ := NewGenerator(1, &fakeSigner{}, 64, 10)
-	g2, _ := NewGenerator(1, &fakeSigner{}, 64, 10)
-	u1, _ := g1.Emit(1, 1)
-	u2, _ := g2.Emit(1, 1)
+	g1, _ := NewGenerator(&fakeSigner{}, 64, 10)
+	g2, _ := NewGenerator(&fakeSigner{}, 64, 10)
+	u1, _ := g1.Emit(1, 2)
+	u2, _ := g2.Emit(1, 2)
 	if !bytes.Equal(u1[0].Payload, u2[0].Payload) {
 		t.Fatal("payloads not deterministic")
 	}
-	// Different streams produce different payloads.
-	g3, _ := NewGenerator(2, &fakeSigner{}, 64, 10)
-	u3, _ := g3.Emit(1, 1)
-	if bytes.Equal(u1[0].Payload, u3[0].Payload) {
-		t.Fatal("different streams share payloads")
+	// Different sequence numbers produce different payloads.
+	if bytes.Equal(u1[0].Payload, u1[1].Payload) {
+		t.Fatal("consecutive updates share payloads")
+	}
+	// The bytes are pinned: every recorded session hashes them.
+	if got := fmt.Sprintf("%x", u1[0].Payload[:8]); got != "ad763674ec79cfea" {
+		t.Fatalf("update 0's payload starts %s, want ad763674ec79cfea", got)
 	}
 }
 
 func TestGeneratorValidation(t *testing.T) {
-	if _, err := NewGenerator(1, nil, 10, 10); err == nil {
+	if _, err := NewGenerator(nil, 10, 10); err == nil {
 		t.Fatal("nil signer accepted")
 	}
-	if _, err := NewGenerator(1, &fakeSigner{}, 0, 10); err == nil {
+	if _, err := NewGenerator(&fakeSigner{}, 0, 10); err == nil {
 		t.Fatal("zero payload accepted")
 	}
-	if _, err := NewGenerator(1, &fakeSigner{}, 10, 0); err == nil {
+	if _, err := NewGenerator(&fakeSigner{}, 10, 0); err == nil {
 		t.Fatal("zero ttl accepted")
 	}
 }

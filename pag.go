@@ -362,7 +362,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 			Suite:      s.suite,
 			HashParams: params,
 			Directory:  dir,
-			Sources:    []model.NodeID{SourceID},
+			Source:     SourceID,
 			Metrics:    c.Obs,
 			Trace:      c.Trace,
 			Intern:     s.intern,
@@ -412,7 +412,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		s.engine.OnRoundStart(func(r model.Round) { tl.Apply(r, s) })
 	}
 	if s.hosts(SourceID) {
-		source, err := streaming.NewSource(0, identities[SourceID], s.members[SourceID].(streaming.Injector),
+		source, err := streaming.NewSource(identities[SourceID], s.members[SourceID].(streaming.Injector),
 			c.StreamKbps, c.UpdateBytes, c.TTL)
 		if err != nil {
 			return nil, fmt.Errorf("pag: source: %w", err)
@@ -548,17 +548,29 @@ func (s *Session) MeanContinuity() float64 {
 		if _, gone := s.departed[id]; gone {
 			continue
 		}
-		lo := s.joinedChunk[id] // 0 for founding members
-		if lo >= due {
-			continue // joined too recently for any fair deadline
+		if c, ok := s.continuity(id, 0, due); ok {
+			total += c
+			count++
 		}
-		total += float64(s.players[id].DeliveredInRange(lo, due)) / float64(due-lo)
-		count++
 	}
 	if count == 0 {
 		return 0
 	}
 	return total / float64(count)
+}
+
+// continuity returns a node's delivered ratio over the chunks [lo, hi),
+// counted from no earlier than the chunk it joined at (0 for founding
+// members: a joiner could never have received what expired before it
+// arrived). ok is false when that window is empty or the node has no
+// player.
+func (s *Session) continuity(id model.NodeID, lo, hi uint64) (float64, bool) {
+	p := s.players[id]
+	lo = max(lo, s.joinedChunk[id])
+	if p == nil || hi <= lo {
+		return 0, false
+	}
+	return float64(p.DeliveredInRange(lo, hi)) / float64(hi-lo), true
 }
 
 // dueThrough returns how many chunks have passed their playout deadline by

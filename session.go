@@ -83,8 +83,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 	} else if ep, err = s.net.Register(id, func(msg transport.Message) { m.HandleMessage(msg) }); err != nil {
 		return fmt.Errorf("pag: registering %v: %w", id, err)
 	}
-	player := streaming.NewPlayer(0)
-	sources := []model.NodeID{SourceID}
+	player := streaming.NewPlayer()
 	switch s.cfg.Protocol {
 	case ProtocolPAG:
 		// Seeded verification coefficients keep a whole simulated session
@@ -99,7 +98,6 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			ID:        id,
 			Identity:  identity,
 			Endpoint:  ep,
-			IsSource:  id == SourceID,
 			Behavior:  s.cfg.PAGBehaviors[id],
 			CoeffRand: coeffs,
 			Shared:    s.shared,
@@ -113,7 +111,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Identity:  identity,
 			Directory: s.dir,
 			Endpoint:  ep,
-			Sources:   sources,
+			Source:    SourceID,
 			Intern:    s.intern,
 			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
@@ -125,7 +123,7 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Identity:  identity,
 			Directory: s.dir,
 			Endpoint:  ep,
-			Sources:   sources,
+			Source:    SourceID,
 			SlotBytes: s.cfg.UpdateBytes,
 			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,

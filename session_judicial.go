@@ -45,7 +45,7 @@ type RejoinRejection struct {
 func (s *Session) applyJudgments(r model.Round) {
 	judgments := s.bench.Judge(r, s.registry, func(id model.NodeID) bool {
 		if id == SourceID {
-			return true // sources are assumed correct (§III)
+			return true // the source is assumed correct (§III)
 		}
 		_, gone := s.departed[id]
 		return gone // already left, crashed or evicted

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -54,7 +55,7 @@ func TestRotationGapClosedByHandover(t *testing.T) {
 	}
 	// The handover must not create false convictions: every verdict in
 	// the run names the dodger.
-	for id, n := range s.VerdictsAgainst(1, 16) {
+	for id, n := range s.Judicial().CountsInWindow(1, 16) {
 		if id != cheat {
 			t.Errorf("honest node %v accused %d times under rotation+handover", id, n)
 		}
@@ -201,7 +202,9 @@ func TestEvictedExcludedFromSessionAssignments(t *testing.T) {
 // the pre-registry double-counting: identical verdicts reported via
 // retries must count as one piece of evidence.
 func TestConvictedNodesDedupesRetriedVerdicts(t *testing.T) {
-	s, err := NewSession(testConfig(ProtocolPAG, 12, 2))
+	cfg := testConfig(ProtocolPAG, 12, 2)
+	cfg.Obs = obs.NewRegistry()
+	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +221,7 @@ func TestConvictedNodesDedupesRetriedVerdicts(t *testing.T) {
 	if got := len(s.ConvictedNodes(2)); got != 0 {
 		t.Fatalf("retries inflated the conviction tally: %v", s.ConvictedNodes(2))
 	}
-	if got := s.Judicial().Duplicates(); got != 2 {
+	if got := cfg.Obs.Counter("pag_judicial_duplicates_total").Value(); got != 2 {
 		t.Fatalf("duplicate count %d, want 2", got)
 	}
 	// Distinct accusers remain independent evidence.

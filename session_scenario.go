@@ -400,29 +400,18 @@ func (s *Session) EpochStats() []EpochStat {
 
 		// Continuity over the chunk deadlines of [start, end].
 		lo, hi := s.dueThrough(mark.start-1), s.dueThrough(end)
-		if hi > lo {
-			total, count := 0.0, 0
-			for _, id := range members {
-				if id == SourceID {
-					continue
-				}
-				p := s.players[id]
-				if p == nil {
-					continue
-				}
-				from := lo
-				if jc := s.joinedChunk[id]; jc > from {
-					from = jc
-				}
-				if from >= hi {
-					continue
-				}
-				total += float64(p.DeliveredInRange(from, hi)) / float64(hi-from)
+		total, count := 0.0, 0
+		for _, id := range members {
+			if id == SourceID {
+				continue
+			}
+			if c, ok := s.continuity(id, lo, hi); ok {
+				total += c
 				count++
 			}
-			if count > 0 {
-				st.MeanContinuity = total / float64(count)
-			}
+		}
+		if count > 0 {
+			st.MeanContinuity = total / float64(count)
 		}
 
 		// Bandwidth: traffic delta over the epoch, averaged per client
@@ -465,32 +454,6 @@ func (s *Session) EpochStats() []EpochStat {
 // verdictRounds returns the rounds of the registry's deduplicated facts.
 func (s *Session) verdictRounds() []model.Round {
 	return s.registry.Rounds()
-}
-
-// ContinuityInWindow returns one node's delivery ratio for the chunks
-// whose playout deadline fell within rounds [from, to] — how the stream
-// looked to that viewer during that window (a partition shows as a dip
-// here, and the post-heal window shows the recovery).
-func (s *Session) ContinuityInWindow(id model.NodeID, from, to model.Round) float64 {
-	p := s.players[id]
-	if p == nil || to < from {
-		return 0
-	}
-	lo, hi := s.dueThrough(from-1), s.dueThrough(to)
-	if jc := s.joinedChunk[id]; jc > lo {
-		lo = jc
-	}
-	if hi <= lo {
-		return 0
-	}
-	return float64(p.DeliveredInRange(lo, hi)) / float64(hi-lo)
-}
-
-// VerdictsAgainst counts, per accused node, the deduplicated verdicts
-// raised in rounds [from, to] across all protocols — the windowed form of
-// ConvictedNodes used to attribute convictions to scenario phases.
-func (s *Session) VerdictsAgainst(from, to model.Round) map[model.NodeID]int {
-	return s.registry.CountsInWindow(from, to)
 }
 
 // sortedIDs returns the map's keys in ascending order (deterministic

@@ -2,6 +2,7 @@ package pag
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/acting"
@@ -44,7 +45,7 @@ func TestFlashCrowdJoinsOpenEpochs(t *testing.T) {
 	}
 	// The four joiners took fresh ids 17..20 and reached the stream.
 	for id := model.NodeID(17); id <= 20; id++ {
-		if c := s.ContinuityInWindow(id, 12, 16); c < 0.9 {
+		if c := windowContinuity(s, id, 12, 16); c < 0.9 {
 			t.Errorf("joiner %v continuity %v in the settled window, want ≈ 1", id, c)
 		}
 	}
@@ -100,6 +101,44 @@ func TestLeaveRedrawsMembership(t *testing.T) {
 	}
 }
 
+// windowContinuity is a node's continuity over the chunks whose playout
+// deadline fell within rounds [from, to]: how the stream looked to that
+// viewer during that window.
+func windowContinuity(s *Session, id model.NodeID, from, to model.Round) float64 {
+	c, _ := s.continuity(id, s.dueThrough(from-1), s.dueThrough(to))
+	return c
+}
+
+// TestEpochContinuityIsMeanContinuity: continuity has one definition. A
+// static session is one epoch covering every due chunk of every member,
+// so the epoch's continuity is MeanContinuity to the bit, at any worker
+// count. A PAG node that refuses to receive keeps the mean below 1.
+func TestEpochContinuityIsMeanContinuity(t *testing.T) {
+	for _, proto := range []Protocol{ProtocolPAG, ProtocolAcTinG} {
+		for _, workers := range []int{0, 4} {
+			cfg := testConfig(proto, 12, 4)
+			cfg.Workers = workers
+			if proto == ProtocolPAG {
+				cfg.PAGBehaviors = map[model.NodeID]core.Behavior{5: {RefuseReceive: true}}
+			}
+			s, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(12)
+			epochs := s.EpochStats()
+			if len(epochs) != 1 {
+				t.Fatalf("%v workers=%d: %d epochs in a static run, want 1", proto, workers, len(epochs))
+			}
+			got, want := epochs[0].MeanContinuity, s.MeanContinuity()
+			if math.Float64bits(got) != math.Float64bits(want) || want == 0 || want == 1 {
+				t.Errorf("%v workers=%d: epoch continuity %v, MeanContinuity %v; want equal bits strictly inside (0, 1)",
+					proto, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestPartitionContinuityDropsAndRecovers: a node cut off from the rest of
 // the network misses the chunks that expired during the cut, and returns
 // to full continuity once healed — while unpartitioned nodes never notice.
@@ -115,17 +154,17 @@ func TestPartitionContinuityDropsAndRecovers(t *testing.T) {
 	// Chunks emitted early in the cut (rounds 8-9) expired strictly
 	// before the heal: their deadlines (TTL = 4 rounds later) fall in
 	// rounds 12-13, so the victim can never play them.
-	dip := s.ContinuityInWindow(victim, 12, 13)
+	dip := windowContinuity(s, victim, 12, 13)
 	if dip > 0.1 {
 		t.Fatalf("victim continuity %v during the partition, want ≈ 0", dip)
 	}
 	// Well after the heal the victim is back to full quality.
-	recovered := s.ContinuityInWindow(victim, 20, 26)
+	recovered := windowContinuity(s, victim, 20, 26)
 	if recovered < 0.95 {
 		t.Fatalf("victim continuity %v after the heal, want ≈ 1", recovered)
 	}
 	// A node on the majority side streams through unaffected.
-	if c := s.ContinuityInWindow(2, 12, 14); c < 0.95 {
+	if c := windowContinuity(s, 2, 12, 14); c < 0.95 {
 		t.Fatalf("majority-side continuity %v during the partition", c)
 	}
 }
@@ -194,10 +233,10 @@ func TestDelayedFreeRiderConvicted(t *testing.T) {
 	}
 	s.Run(20)
 
-	if pre := s.VerdictsAgainst(1, 8)[adversary]; pre != 0 {
+	if pre := s.Judicial().CountsInWindow(1, 8)[adversary]; pre != 0 {
 		t.Fatalf("%d verdicts against the adversary before activation", pre)
 	}
-	post := s.VerdictsAgainst(9, 20)[adversary]
+	post := s.Judicial().CountsInWindow(9, 20)[adversary]
 	if post == 0 {
 		t.Fatal("free-rider never convicted after activation")
 	}
@@ -233,10 +272,10 @@ func TestDelayedFreeRiderConvictedActing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(16)
-	if pre := s.VerdictsAgainst(1, 5)[adversary]; pre != 0 {
+	if pre := s.Judicial().CountsInWindow(1, 5)[adversary]; pre != 0 {
 		t.Fatalf("%d verdicts before activation", pre)
 	}
-	if post := s.VerdictsAgainst(6, 16)[adversary]; post == 0 {
+	if post := s.Judicial().CountsInWindow(6, 16)[adversary]; post == 0 {
 		t.Fatal("AcTinG never convicted the delayed free-rider")
 	}
 }
@@ -264,11 +303,11 @@ func TestCrashLingerConvictsThenRemoves(t *testing.T) {
 	if len(epochs) != 2 || epochs[1].StartRound != 11 {
 		t.Fatalf("detection epoch wrong: %+v", epochs)
 	}
-	if s.VerdictsAgainst(8, 11)[victim] == 0 {
+	if s.Judicial().CountsInWindow(8, 11)[victim] == 0 {
 		t.Fatal("lingering crashed node never accused")
 	}
 	// Post-detection, the accusations stop: nobody expects the node.
-	if late := s.VerdictsAgainst(13, 16)[victim]; late != 0 {
+	if late := s.Judicial().CountsInWindow(13, 16)[victim]; late != 0 {
 		t.Fatalf("%d verdicts against the node after the membership dropped it", late)
 	}
 	// The dead node's monitoring duties break the report chain for the
@@ -286,12 +325,12 @@ func TestCrashLingerConvictsThenRemoves(t *testing.T) {
 	}
 	const linger = 3
 	threshold := 2 * s.Config().Fanout * linger
-	for id, n := range s.VerdictsAgainst(1, 16) {
+	for id, n := range s.Judicial().CountsInWindow(1, 16) {
 		if id != victim && n >= threshold {
 			t.Errorf("honest live node %v crossed the conviction threshold with %d verdicts", id, n)
 		}
 	}
-	if s.VerdictsAgainst(1, 16)[victim] < threshold {
+	if s.Judicial().CountsInWindow(1, 16)[victim] < threshold {
 		t.Error("crashed node stayed below the conviction threshold")
 	}
 }
