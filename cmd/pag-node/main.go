@@ -15,7 +15,9 @@
 // and hash modulus from the shared seed and steps the same phases as a
 // simulated one, paced on a wall-clock period (1 s by default, §VII-A) by
 // Session.RunPaced. The process prints the verdicts its node raises after
-// each round, and its delivery summary at the end.
+// each round, and at the end how many paced phase steps overran their
+// deadline (verdicts in such rounds may blame a slow host) and its
+// delivery summary.
 //
 // # Scenarios over real sockets
 //
@@ -268,6 +270,7 @@ func runNode(out io.Writer, self model.NodeID, book map[model.NodeID]string, rou
 		fmt.Fprintf(out, "[%v] scenario journal: %d events (%d failed), dropped %d on the wire, %d retransmitted (%d deferred by caps, %d expired queued)\n",
 			self, applied, failed, f.Dropped(), f.Retransmitted(), f.Deferred(), f.CapExpired())
 	}
+	fmt.Fprintf(out, "[%v] paced: %d phase steps overran their deadline\n", self, s.PacedOverruns())
 	if live {
 		st := s.PAGNodeStats()[self]
 		fmt.Fprintf(out, "[%v] done: delivered %d updates, %d hash ops, %d signatures\n",

@@ -149,9 +149,10 @@ type Node struct {
 	freshNext map[model.UpdateID]bool
 
 	// requestedFrom tracks ids requested from a peer this round, to
-	// detect unserved requests and file complaints.
+	// detect unserved requests and file complaints; requested is the set
+	// of all of them, so each id is requested from one proposer a round.
 	requestedFrom map[model.NodeID][]model.UpdateID
-	servedTo      map[model.NodeID]map[model.UpdateID]bool
+	requested     map[model.UpdateID]bool
 
 	monitored []model.NodeID
 	monValid  bool
@@ -193,7 +194,7 @@ func NewNode(cfg Config) (*Node, error) {
 		store:         update.NewStore(),
 		freshNext:     make(map[model.UpdateID]bool),
 		requestedFrom: make(map[model.NodeID][]model.UpdateID),
-		servedTo:      make(map[model.NodeID]map[model.UpdateID]bool),
+		requested:     make(map[model.UpdateID]bool),
 		audits:        make(map[model.NodeID]*auditState),
 		verified:      make(map[model.NodeID]uint64),
 	}, nil
@@ -245,7 +246,7 @@ func (n *Node) BeginRound(r model.Round) {
 	sort.Slice(n.fresh, func(i, j int) bool { return n.fresh[i].Less(n.fresh[j]) })
 	n.freshNext = make(map[model.UpdateID]bool)
 	n.requestedFrom = make(map[model.NodeID][]model.UpdateID)
-	n.servedTo = make(map[model.NodeID]map[model.UpdateID]bool)
+	clear(n.requested)
 
 	for _, u := range n.injected {
 		if n.store.Add(n.cfg.Intern.Canonical(u), r, 1) {

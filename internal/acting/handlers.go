@@ -9,6 +9,7 @@ import (
 	"repro/internal/pki"
 	"repro/internal/securelog"
 	"repro/internal/transport"
+	"repro/internal/update"
 	"repro/internal/wire"
 )
 
@@ -53,20 +54,17 @@ func (n *Node) onPropose(msg transport.Message) {
 	}
 	n.logIDs(securelog.EntryRecv, p.From, "PROPOSE", p.IDs)
 
-	already := make(map[model.UpdateID]bool)
-	for _, ids := range n.requestedFrom {
-		for _, id := range ids {
-			already[id] = true
-		}
-	}
 	var want []model.UpdateID
 	for _, id := range p.IDs {
-		if !n.store.Has(id) && !already[id] {
+		if !n.store.Has(id) && !n.requested[id] {
 			want = append(want, id)
 		}
 	}
 	if len(want) == 0 {
 		return
+	}
+	for _, id := range want {
+		n.requested[id] = true
 	}
 	n.requestedFrom[p.From] = append(n.requestedFrom[p.From], want...)
 	req := &requestMsg{Round: n.round, From: n.id, To: p.From, IDs: want}
@@ -89,8 +87,9 @@ func (n *Node) onRequest(msg transport.Message) {
 	if n.cfg.Behavior.FreeRide {
 		return // save the upload; the audit or a complaint will tell
 	}
-	data := &dataMsg{Round: n.round, From: n.id, To: req.From}
-	var served []model.UpdateID
+	data := &dataMsg{Round: n.round, From: n.id, To: req.From,
+		Updates: make([]update.Update, 0, len(req.IDs))}
+	served := make([]model.UpdateID, 0, len(req.IDs))
 	for _, id := range req.IDs {
 		if e := n.store.Get(id); e != nil {
 			data.Updates = append(data.Updates, e.Update)
@@ -102,12 +101,6 @@ func (n *Node) onRequest(msg transport.Message) {
 	}
 	n.signAndSend(req.From, kindData, data)
 	n.logIDs(securelog.EntrySend, req.From, "DATA", served)
-	if n.servedTo[req.From] == nil {
-		n.servedTo[req.From] = make(map[model.UpdateID]bool)
-	}
-	for _, id := range served {
-		n.servedTo[req.From][id] = true
-	}
 }
 
 // onData stores verified updates and schedules them for next round's
@@ -216,8 +209,10 @@ func (n *Node) retain(m model.NodeID, since uint64, monitors []model.NodeID) {
 // onAuditReply verifies the fetched log suffix: chain integrity, proposal
 // coverage, serve compliance and outstanding complaints.
 func (n *Node) onAuditReply(msg transport.Message) {
-	reply, err := unmarshalAuditReply(msg.Payload)
-	if err != nil || reply.From != msg.From {
+	s := auditScratches.Get().(*auditScratch)
+	defer s.release()
+	reply := &s.reply
+	if err := reply.unmarshal(msg.Payload); err != nil || reply.From != msg.From {
 		return
 	}
 	if !n.verifySigned(reply.From, msg.Payload, reply.Sig) {
@@ -251,74 +246,7 @@ func (n *Node) onAuditReply(msg transport.Message) {
 		return
 	}
 
-	// Index the suffix: proposals and served data per (round, peer).
-	proposed := make(map[model.Round]map[model.NodeID]bool)
-	served := make(map[model.Round]map[model.NodeID]map[model.UpdateID]bool)
-	type reqEntry struct {
-		round model.Round
-		peer  model.NodeID
-		ids   []model.UpdateID
-	}
-	var requestsIn []reqEntry
-	for _, e := range reply.Entries {
-		tag, ids, err := decodeIDList(e.Content)
-		if err != nil {
-			continue
-		}
-		switch {
-		case e.Type == securelog.EntrySend && tag == "PROPOSE":
-			if proposed[e.Round] == nil {
-				proposed[e.Round] = make(map[model.NodeID]bool)
-			}
-			proposed[e.Round][e.Peer] = true
-		case e.Type == securelog.EntrySend && tag == "DATA":
-			if served[e.Round] == nil {
-				served[e.Round] = make(map[model.NodeID]map[model.UpdateID]bool)
-			}
-			if served[e.Round][e.Peer] == nil {
-				served[e.Round][e.Peer] = make(map[model.UpdateID]bool)
-			}
-			for _, id := range ids {
-				served[e.Round][e.Peer][id] = true
-			}
-		case e.Type == securelog.EntryRecv && tag == "REQ":
-			requestsIn = append(requestsIn, reqEntry{round: e.Round, peer: e.Peer, ids: ids})
-		}
-	}
-
-	// Proposal coverage: a proposal logged to every successor of every
-	// audited round — those after the base's on a first audit from it.
-	for rr := lastRound + 1; rr <= r; rr++ {
-		for _, succ := range n.cfg.Directory.Successors(y, rr) {
-			if !proposed[rr][succ] {
-				n.report(judicial.Verdict{Round: r, Kind: VerdictMissingPropose, Accused: y,
-					Detail: fmt.Sprintf("no proposal to %v at %v", succ, rr)})
-			}
-		}
-	}
-
-	// Serve compliance: every logged incoming request answered in-round.
-	for _, req := range requestsIn {
-		for _, id := range req.ids {
-			if !served[req.round][req.peer][id] {
-				n.report(judicial.Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
-					Detail: fmt.Sprintf("request for %v from %v unanswered at %v",
-						id, req.peer, req.round)})
-			}
-		}
-	}
-
-	// Complaints: even if the node omitted the request from its log, the
-	// peer's signed complaint demands proof of service.
-	for _, c := range st.complaints {
-		for _, id := range c.ids {
-			if !served[c.round][c.from][id] {
-				n.report(judicial.Verdict{Round: r, Kind: VerdictUnservedRequest, Accused: y,
-					Detail: fmt.Sprintf("complaint by %v for %v at %v unrefuted",
-						c.from, id, c.round)})
-			}
-		}
-	}
+	n.judge(s, y, lastRound, r, reply.Entries, st.complaints)
 	st.complaints = nil
 
 	if len(reply.Entries) > 0 {

@@ -79,7 +79,7 @@ var decoders = map[string]func([]byte) (message, error){
 	"data":       func(b []byte) (message, error) { return unmarshalData(b) },
 	"complaint":  func(b []byte) (message, error) { return unmarshalComplaint(b) },
 	"auditReq":   func(b []byte) (message, error) { return unmarshalAuditReq(b) },
-	"auditReply": func(b []byte) (message, error) { return unmarshalAuditReply(b) },
+	"auditReply": func(b []byte) (message, error) { m := new(auditReplyMsg); return m, m.unmarshal(b) },
 }
 
 func goldenIdentity(t testing.TB) pki.Identity {
@@ -293,7 +293,7 @@ func (c *cluster) footprint(n *Node) string {
 		}
 	}
 	return fmt.Sprint(n.log.Len(), n.store.Len(), len(n.freshNext), len(n.requestedFrom),
-		len(n.servedTo), n.stats, complaints, waiting, len(c.verdicts), c.net.PendingCount())
+		n.stats, complaints, waiting, len(c.verdicts), c.net.PendingCount())
 }
 
 // TestTamperedMessagesDropped: for the first message of every kind seen in

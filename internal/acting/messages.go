@@ -32,11 +32,12 @@ func (n *Node) signAndSend(to model.NodeID, kind uint8, m message) {
 	}
 }
 
-// updateIDs carries an identifier list.
+// updateIDs carries an identifier list. Decoded, it fills the caller's
+// storage in *ids when that has room for the list.
 func updateIDs(c wire.Codec, ids *[]model.UpdateID) {
 	n := c.ListLen(len(*ids), wire.UpdateIDLen)
 	if c.Decoding() {
-		*ids = make([]model.UpdateID, n)
+		*ids = resize(*ids, n)
 	}
 	for i := range n {
 		c.UpdateID(&(*ids)[i])
@@ -66,15 +67,22 @@ func (n *Node) logIDs(t securelog.EntryType, peer model.NodeID, tag string, ids 
 	n.log.Append(n.round, t, peer, w.Finish())
 }
 
-// decodeIDList parses a tagged identifier list from log content.
-func decodeIDList(b []byte) (string, []model.UpdateID, error) {
-	var l idList
+// resize returns s at length n: s itself when it has the room, otherwise
+// fresh storage.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// decodeIDList parses a tagged identifier list from log content into ids'
+// storage. The tag is a view into b.
+func decodeIDList(b []byte, ids []model.UpdateID) ([]byte, []model.UpdateID, error) {
+	l := idList{IDs: ids}
 	r := wire.NewReader(b)
 	l.layout(r.Codec())
-	if err := r.Done(); err != nil {
-		return "", nil, err
-	}
-	return string(l.Tag), l.IDs, nil
+	return l.Tag, l.IDs, r.Done()
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +225,8 @@ func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
 }
 
 // auditReplyMsg carries a log suffix. Decoded, the entries' contents are
-// views into the delivered message. A reply whose suffix starts right
+// views into the delivered message, and the entries fill the storage
+// Entries already has when it has room. A reply whose suffix starts right
 // after the requested seq has no Base; one to a request below the owner's
 // base (a monitor seated after the log was truncated) carries it, under its
 // own kind, and is otherwise encoded the same.
@@ -262,7 +271,7 @@ func (m *auditReplyMsg) layout(c wire.Codec) {
 	}
 	n := c.ListLen(len(m.Entries), minEntryLen)
 	if c.Decoding() {
-		m.Entries = make([]securelog.Entry, n)
+		m.Entries = resize(m.Entries, n)
 	}
 	for i := range n {
 		e := &m.Entries[i]
@@ -275,11 +284,9 @@ func (m *auditReplyMsg) layout(c wire.Codec) {
 	}
 }
 
-func unmarshalAuditReply(b []byte) (*auditReplyMsg, error) {
-	m, r := new(auditReplyMsg), wire.NewReader(b)
+// unmarshal decodes b into m, reusing m's Entries storage.
+func (m *auditReplyMsg) unmarshal(b []byte) error {
+	r := wire.NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"repro/internal/model"
 )
@@ -56,25 +57,37 @@ type Entry struct {
 	Hash [HashSize]byte
 }
 
-// encodeHeader returns the fixed-size header bytes that are hashed.
-func (e *Entry) encodeHeader() []byte {
-	var buf [8 + 8 + 1 + 4 + 4]byte
-	binary.BigEndian.PutUint64(buf[0:], e.Seq)
-	binary.BigEndian.PutUint64(buf[8:], uint64(e.Round))
-	buf[16] = byte(e.Type)
-	binary.BigEndian.PutUint32(buf[17:], uint32(e.Peer))
-	binary.BigEndian.PutUint32(buf[21:], uint32(len(e.Content)))
-	return buf[:]
+// headerLen is the byte length of an entry's hashed header: seq, round,
+// type, peer and content length.
+const headerLen = 8 + 8 + 1 + 4 + 4
+
+// chainer hashes entries onto a chain with one reused digest. Everything
+// it hands the digest lives in the chainer itself, so hashing an entry
+// allocates nothing: a hash.Hash is an interface, and a stack array
+// passed to its Write or Sum would escape to the heap once per entry.
+type chainer struct {
+	h    hash.Hash
+	prev [HashSize]byte
+	hdr  [headerLen]byte
+	sum  [HashSize]byte
 }
 
-func chainHash(prev [HashSize]byte, e *Entry) [HashSize]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	h.Write(e.encodeHeader())
-	h.Write(e.Content)
-	var out [HashSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+func newChainer() *chainer { return &chainer{h: sha256.New()} }
+
+// hash returns SHA-256(prev ‖ header ‖ content) of e: its chain hash.
+func (c *chainer) hash(prev [HashSize]byte, e *Entry) [HashSize]byte {
+	c.prev = prev
+	binary.BigEndian.PutUint64(c.hdr[0:], e.Seq)
+	binary.BigEndian.PutUint64(c.hdr[8:], uint64(e.Round))
+	c.hdr[16] = byte(e.Type)
+	binary.BigEndian.PutUint32(c.hdr[17:], uint32(e.Peer))
+	binary.BigEndian.PutUint32(c.hdr[21:], uint32(len(e.Content)))
+	c.h.Reset()
+	c.h.Write(c.prev[:])
+	c.h.Write(c.hdr[:])
+	c.h.Write(e.Content)
+	c.h.Sum(c.sum[:0])
+	return c.sum
 }
 
 // Log is one node's secure log. Zero value is not usable; call New.
@@ -89,11 +102,12 @@ type Log struct {
 	baseHash  [HashSize]byte
 	baseRound model.Round
 	entries   []Entry
+	chain     *chainer
 }
 
 // New creates an empty log owned by a node.
 func New(owner model.NodeID) *Log {
-	return &Log{owner: owner}
+	return &Log{owner: owner, chain: newChainer()}
 }
 
 // Owner returns the logging node.
@@ -138,7 +152,7 @@ func (l *Log) Append(r model.Round, t EntryType, peer model.NodeID, content []by
 		Peer:    peer,
 		Content: append([]byte(nil), content...),
 	}
-	e.Hash = chainHash(l.Head(), &e)
+	e.Hash = l.chain.hash(l.Head(), &e)
 	l.entries = append(l.entries, e)
 	return e
 }
@@ -219,8 +233,10 @@ func (l *Log) TruncateThrough(seq uint64) {
 
 // VerifyChain checks a fetched suffix: that it starts from baseHash at
 // baseSeq, sequence numbers are consecutive and every chain hash is
-// correct. It returns the first inconsistency found.
+// correct. It returns the first inconsistency found. One digest hashes the
+// whole suffix, so a check allocates the same whatever its length.
 func VerifyChain(baseSeq uint64, baseHash [HashSize]byte, entries []Entry) error {
+	c := newChainer()
 	prevHash := baseHash
 	prevSeq := baseSeq
 	for i := range entries {
@@ -229,8 +245,7 @@ func VerifyChain(baseSeq uint64, baseHash [HashSize]byte, entries []Entry) error
 			return fmt.Errorf("securelog: entry %d has seq %d, want %d",
 				i, e.Seq, prevSeq+1)
 		}
-		want := chainHash(prevHash, e)
-		if !bytes.Equal(want[:], e.Hash[:]) {
+		if c.hash(prevHash, e) != e.Hash {
 			return fmt.Errorf("securelog: entry seq %d fails chain hash", e.Seq)
 		}
 		prevHash = e.Hash

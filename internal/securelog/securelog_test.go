@@ -1,6 +1,8 @@
 package securelog
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -329,5 +331,64 @@ func TestTruncateInterleavingMatchesFullLog(t *testing.T) {
 		if b, ok := full.EntryAt(l.Base()); l.Base() > 0 && (!ok || b.Hash != l.BaseHash() || b.Round != l.BaseRound()) {
 			t.Fatalf("seed %d: base %d does not match the full log's entry", seed, l.Base())
 		}
+	}
+}
+
+// TestChainHashMatchesReference: each appended entry's hash is
+// SHA-256(prev ‖ seq ‖ round ‖ type ‖ peer ‖ len(content) ‖ content),
+// big-endian, computed here in one call over the concatenation.
+func TestChainHashMatchesReference(t *testing.T) {
+	l := New(1)
+	var prev [HashSize]byte
+	for i, content := range []string{"", "u1", "a longer content of several words"} {
+		e := l.Append(model.Round(i+3), EntrySend, model.NodeID(9-i), []byte(content))
+		pre := append([]byte(nil), prev[:]...)
+		pre = binary.BigEndian.AppendUint64(pre, e.Seq)
+		pre = binary.BigEndian.AppendUint64(pre, uint64(e.Round))
+		pre = append(pre, byte(e.Type))
+		pre = binary.BigEndian.AppendUint32(pre, uint32(e.Peer))
+		pre = binary.BigEndian.AppendUint32(pre, uint32(len(content)))
+		pre = append(pre, content...)
+		if want := sha256.Sum256(pre); e.Hash != want {
+			t.Fatalf("entry %d: hash %x, want %x", e.Seq, e.Hash, want)
+		}
+		prev = e.Hash
+	}
+}
+
+// TestVerifyChainAllocationsFlat: one digest hashes the whole suffix, so
+// checking 100 entries allocates what checking one does.
+func TestVerifyChainAllocationsFlat(t *testing.T) {
+	l := New(1)
+	appendN(l, 0, 100)
+	all := l.Since(0)
+	one := testing.AllocsPerRun(50, func() {
+		if VerifyChain(0, [HashSize]byte{}, all[:1]) != nil {
+			t.Fatal("honest chain rejected")
+		}
+	})
+	hundred := testing.AllocsPerRun(50, func() {
+		if VerifyChain(0, [HashSize]byte{}, all) != nil {
+			t.Fatal("honest chain rejected")
+		}
+	})
+	if one != hundred {
+		t.Fatalf("VerifyChain allocates %.1f times for 1 entry, %.1f for 100", one, hundred)
+	}
+}
+
+// TestAppendAllocatesOnlyContent: once the log's array has room, an append
+// allocates its content copy and nothing else — not a digest, a header or
+// a sum per entry.
+func TestAppendAllocatesOnlyContent(t *testing.T) {
+	l := New(1)
+	appendN(l, 0, 400)
+	l.TruncateThrough(l.HeadSeq()) // keep the array's room
+	content := []byte("content")
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Append(7, EntrySend, 2, content)
+	})
+	if allocs != 1 {
+		t.Fatalf("Append allocated %.1f times per call, want 1 (the content copy)", allocs)
 	}
 }

@@ -119,6 +119,8 @@ type Engine struct {
 	// steady-state numbers.
 	baseline map[model.NodeID]transport.Traffic
 	measured model.Round // rounds measured so far
+	// overruns counts the paced steps that finished past their deadline.
+	overruns int
 
 	// Observability (nil without a registry). Rounds and deliveries are
 	// deterministic counts; round durations are ClassTimed (deterministic
@@ -219,6 +221,10 @@ func (e *Engine) OnRoundStart(h RoundHook) { e.hooks = append(e.hooks, h) }
 // Round returns the last completed round (0 before the first).
 func (e *Engine) Round() model.Round { return e.round }
 
+// PacedOverruns returns how many steps of paced rounds finished past their
+// phase's deadline (always 0 on a network without a clock).
+func (e *Engine) PacedOverruns() int { return e.overruns }
+
 // RunRound advances one round through the four phases (and, after
 // BeginRound, the remaining exchange slots of Slotted nodes), delivering
 // all pending traffic after each. Events and hooks run single-threaded at
@@ -249,6 +255,9 @@ func (e *Engine) RunPaced(start time.Time, period time.Duration) {
 			deadline = at.Add(time.Duration(k) * slot)
 		} else if k < slots+3 {
 			deadline = at.Add(time.Duration(slots)*slot + time.Duration(k-slots)*quarter)
+		}
+		if time.Now().After(deadline) {
+			e.overruns++
 		}
 		return c.DeliverUntil(deadline)
 	})

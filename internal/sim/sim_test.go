@@ -191,3 +191,33 @@ func TestRunPacedDeadlines(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPacedCountsOverruns: a step that finishes past its phase's
+// deadline is counted — every step of a round laid out in the past, none
+// of one laid out ahead — and a network without a clock counts none.
+func TestRunPacedCountsOverruns(t *testing.T) {
+	for _, c := range []struct {
+		start time.Time
+		want  int
+	}{
+		{time.Unix(1000, 0), 2 * 6}, // 3 slots + MidRound, EndRound, CloseRound
+		{time.Now().Add(time.Hour), 0},
+	} {
+		e, err := NewEngine(&pacedRecorder{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []string
+		e.Add(&slottedStub{phaseRecorder: phaseRecorder{id: 1, calls: &calls}, slots: 3})
+		e.RunPaced(c.start, time.Second)
+		e.RunPaced(c.start, time.Second)
+		if got := e.PacedOverruns(); got != c.want {
+			t.Errorf("start %v: %d overruns, want %d", c.start, got, c.want)
+		}
+	}
+	e, _ := NewEngine(transport.NewMemNet(), 1)
+	e.RunPaced(time.Unix(1000, 0), time.Second)
+	if got := e.PacedOverruns(); got != 0 {
+		t.Errorf("MemNet: %d overruns, want 0", got)
+	}
+}

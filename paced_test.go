@@ -89,7 +89,8 @@ func runPacedSessions(t *testing.T, base SessionConfig, sc scenario.Scenario, ro
 	wg.Wait()
 	for i, s := range sessions {
 		for _, v := range s.Verdicts() {
-			t.Errorf("session %d convicted a correct node: %v", i, v)
+			t.Errorf("session %d convicted a correct node: %v (%d paced steps overran their deadline)",
+				i, v, s.PacedOverruns())
 		}
 	}
 	return sessions
@@ -114,7 +115,8 @@ func TestTCPSessionsPacedHostHalves(t *testing.T) {
 	for i, s := range sessions {
 		for _, id := range halves[i] {
 			if id != SourceID && s.Player(id).Delivered() == 0 {
-				t.Errorf("hosted client %v delivered nothing", id)
+				t.Errorf("hosted client %v delivered nothing (%d paced steps overran their deadline)",
+					id, s.PacedOverruns())
 			}
 		}
 		if s.Player(halves[1-i][0]) != nil {
@@ -136,6 +138,7 @@ func TestTCPLateJoinerPaced(t *testing.T) {
 	sessions := runPacedSessions(t, SessionConfig{Nodes: 5, StreamKbps: 60, ModulusBits: 128, Seed: 1},
 		sc, 6, [][]model.NodeID{{1, 2, 3, 4, 5}, {6}}, 300*time.Millisecond, 10*time.Millisecond)
 	if sessions[1].Player(6).Delivered() == 0 {
-		t.Error("the joiner delivered nothing")
+		t.Errorf("the joiner delivered nothing (%d paced steps overran their deadline)",
+			sessions[1].PacedOverruns())
 	}
 }

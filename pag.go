@@ -502,6 +502,12 @@ func (s *Session) RunPaced(n int, start time.Time, period time.Duration) {
 	}
 }
 
+// PacedOverruns returns how many phase steps of the session's paced rounds
+// finished past their deadline. An overrun delays the messages of the
+// phase that follows, so verdicts raised in an overrunning round may judge
+// a slow host rather than a deviant node.
+func (s *Session) PacedOverruns() int { return s.engine.PacedOverruns() }
+
 // StartMeasuring begins the steady-state bandwidth window (call after the
 // warm-up rounds).
 func (s *Session) StartMeasuring() { s.engine.StartMeasuring() }
