@@ -1,5 +1,5 @@
 // Command pag-scenario runs a scripted scenario — churn, network faults,
-// adversary schedules — against the three compared protocols and emits a
+// adversary schedules — against PAG and AcTinG and emits a
 // deterministic JSON report (same scenario + same seed ⇒ byte-identical
 // output).
 //
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scName    = fs.String("scenario", "", "canned scenario name (see -list)")
 		file      = fs.String("file", "", "scenario JSON file (overrides -scenario)")
 		netKind   = fs.String("net", "mem", "transport: mem (deterministic in-memory) or tcp (loopback sockets)")
-		protocols = fs.String("protocol", "all", "pag|acting|rac|all")
+		protocols = fs.String("protocol", "all", "pag|acting|all")
 		nodes     = fs.Int("nodes", 16, "initial system size, including the source")
 		stream    = fs.Int("stream", 60, "stream bitrate in kbps")
 		modBits   = fs.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful sizes)")
@@ -122,19 +122,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var ps []pag.Protocol
-	switch strings.ToLower(*protocols) {
-	case "all":
-		ps = []pag.Protocol{pag.ProtocolPAG, pag.ProtocolAcTinG, pag.ProtocolRAC}
-	case "pag":
-		ps = []pag.Protocol{pag.ProtocolPAG}
-	case "acting":
-		ps = []pag.Protocol{pag.ProtocolAcTinG}
-	case "rac":
-		ps = []pag.Protocol{pag.ProtocolRAC}
-	default:
-		fmt.Fprintf(stderr, "pag-scenario: unknown protocol %q\n", *protocols)
-		return 2
+	var ps []pag.Protocol // nil: RunScenarioReport runs every protocol
+	if !strings.EqualFold(*protocols, "all") {
+		p, err := pag.ParseProtocol(*protocols)
+		if err != nil {
+			fmt.Fprintln(stderr, "pag-scenario:", err)
+			return 2
+		}
+		ps = []pag.Protocol{p}
 	}
 
 	cfg := pag.SessionConfig{

@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	pag "repro"
@@ -182,17 +181,12 @@ func runReplay(args []string) int {
 	}
 	var protocols []pag.Protocol
 	for _, name := range spec.Protocols {
-		switch strings.ToLower(name) {
-		case "pag":
-			protocols = append(protocols, pag.ProtocolPAG)
-		case "acting":
-			protocols = append(protocols, pag.ProtocolAcTinG)
-		case "rac":
-			protocols = append(protocols, pag.ProtocolRAC)
-		default:
-			fmt.Fprintf(os.Stderr, "pag-trace: unknown protocol %q in journal\n", name)
+		p, err := pag.ParseProtocol(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pag-trace: journal:", err)
 			return 1
 		}
+		protocols = append(protocols, p)
 	}
 
 	report, err := pag.RunScenarioReport(cfg, spec.Scenario, protocols, spec.Threshold)

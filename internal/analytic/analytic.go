@@ -313,8 +313,8 @@ func ActingPerNodeKbps(in Params) float64 {
 // size N: every member's cover-traffic slots circulate through every node
 // (Θ(N)), across the protocol's redundant accountable broadcast phases.
 // The phase constant is calibrated to the RAC paper's reported maximum
-// throughput (63 kbps on 10 Gbps links with 1000 nodes, §VII-B); the ring
-// implementation in internal/rac realises the Θ(N) structure.
+// throughput (63 kbps on 10 Gbps links with 1000 nodes, §VII-B). RAC is
+// not run here: like the paper, Table II takes RAC's cost from this model.
 const racPhaseFactor = 120
 
 // RACPerNodeKbps models RAC's per-node bandwidth.

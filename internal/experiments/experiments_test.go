@@ -99,8 +99,17 @@ func TestTable2Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.Text, "∅") {
-		t.Fatalf("table2 must show RAC's empty cells:\n%s", r.Text)
+	if !strings.Contains(r.Text, racModelLabel) {
+		t.Fatalf("table2 must label its RAC column as the model:\n%s", r.Text)
+	}
+	empty := 0
+	for _, line := range strings.Split(r.Text, "\n") {
+		if strings.HasSuffix(strings.TrimSpace(line), "∅") {
+			empty++
+		}
+	}
+	if empty != 5 {
+		t.Fatalf("table2 must show RAC's empty cell on all 5 links, got %d:\n%s", empty, r.Text)
 	}
 	if !strings.Contains(r.Text, "1080p") {
 		t.Fatalf("table2 must reach 1080p:\n%s", r.Text)

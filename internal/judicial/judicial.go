@@ -1,8 +1,8 @@
 // Package judicial is the accountability plane's verdict pipeline: every
 // proof of misbehaviour a protocol raises — PAG monitor verdicts, AcTinG
-// audit findings, RAC relay accounting — flows through one Registry, is
-// deduplicated into *facts*, counted into conviction tallies, and (when a
-// Policy is armed) turned into eviction judgments the membership executes.
+// audit findings — flows through one Registry, is deduplicated into
+// *facts*, counted into conviction tallies, and (when a Policy is armed)
+// turned into eviction judgments the membership executes.
 //
 // The paper stops at the punishment hook (§II-B: "the monitors generate a
 // proof of misbehaviour and the misbehaving nodes get punished") and

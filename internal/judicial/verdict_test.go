@@ -8,7 +8,6 @@ import (
 	"repro/internal/acting"
 	"repro/internal/core"
 	"repro/internal/judicial"
-	"repro/internal/rac"
 )
 
 // verdictPins holds one verdict of each protocol's kinds with its text,
@@ -69,10 +68,6 @@ var verdictPins = []struct {
 		"r3 RefusedAudit against n4 by n9: no audit reply",
 		"r3 RefusedAudit against n4 by n9",
 		"75b08c9b4639e5160fc99ee1b6bee6b2239c3d24b75cf34de646885025e63eb5"},
-	{judicial.Verdict{Round: 4, Kind: rac.VerdictDroppedSlots, Accused: 3, Reporter: 4, Detail: "relayed 2 of 5 slots"},
-		"r4 DroppedSlots against n3 by n4: relayed 2 of 5 slots",
-		"r4 DroppedSlots against n3 by n4",
-		"4c9dd4568717f1ef381eb772ecf872ef63d22dfe6156d492d352a7ed5cfe4b85"},
 }
 
 func TestVerdictTextKeyAndProofPinned(t *testing.T) {
@@ -105,7 +100,6 @@ func TestRegistryOrdersMixedProtocols(t *testing.T) {
 		"r3 Unresponsive against n13 by n4",
 		"r3 DigestMismatch against n17 by n3",
 		"r3 UnreportedExchange against n17 by n3",
-		"r4 DroppedSlots against n3 by n4",
 		"r4 NoForward against n5 by n2",
 		"r4 TamperedLog against n5 by n2",
 		"r4 WrongForward against n5 by n2",

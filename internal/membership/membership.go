@@ -361,13 +361,6 @@ func (d *Directory) Epochs() int {
 	return len(d.epochs)
 }
 
-// EpochIndex returns the 0-based membership epoch in effect at round r.
-func (d *Directory) EpochIndex(r model.Round) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.epochFor(r).seq
-}
-
 // N returns the current system size.
 func (d *Directory) N() int {
 	d.mu.RLock()

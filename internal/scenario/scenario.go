@@ -79,16 +79,16 @@ const (
 	// ProfileCorrect restores full protocol compliance.
 	ProfileCorrect BehaviorProfile = "correct"
 	// ProfileFreeRider consumes the stream but shirks upload work
-	// (PAG: skip serves; AcTinG: never propose; RAC: drop relays).
+	// (PAG: skip serves; AcTinG: never propose).
 	ProfileFreeRider BehaviorProfile = "free-rider"
 	// ProfileColluder keeps forwarding data but sabotages the
 	// accountability infrastructure (PAG: silent monitor + no reports;
-	// AcTinG: refuse audits; RAC: no cover traffic).
+	// AcTinG: refuse audits).
 	ProfileColluder BehaviorProfile = "colluder"
 	// ProfileRotationDodger free-rides only in the rounds where the
 	// pre-handover accountability was blind (PAG: skip serves exactly on
-	// monitor-rotation rounds; AcTinG/RAC have no rotation concept and
-	// map it to their plain free-rider knobs).
+	// monitor-rotation rounds; AcTinG has no rotation concept and maps
+	// it to its plain free-rider knob).
 	ProfileRotationDodger BehaviorProfile = "rotation-dodger"
 )
 

@@ -57,8 +57,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Protocol is a round-phased protocol node. PAG nodes, AcTinG nodes and
-// RAC nodes all implement it.
+// Protocol is a round-phased protocol node. PAG nodes and AcTinG nodes
+// both implement it.
 type Protocol interface {
 	// ID returns the node's identifier.
 	ID() model.NodeID
@@ -127,11 +127,13 @@ type Engine struct {
 	// count, wall-clock buckets); shard durations and merge-barrier stalls
 	// are ClassSched — their very observation count depends on the worker
 	// count, so they are excluded from deterministic snapshots entirely.
+	// The paced-overrun gauge is ClassSched too: the wall clock drives it.
 	roundsC     *obs.Counter
 	deliveriesC *obs.Counter
 	roundSpans  *obs.Histogram
 	shardSpans  *obs.Histogram
 	stallSpans  *obs.Histogram
+	overrunsG   *obs.Gauge
 	trace       *obs.Tracer
 }
 
@@ -168,6 +170,7 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	e.roundSpans = reg.Histogram("pag_engine_round_seconds", obs.ClassTimed, nil)
 	e.shardSpans = reg.Histogram("pag_engine_shard_seconds", obs.ClassSched, nil)
 	e.stallSpans = reg.Histogram("pag_engine_barrier_stall_seconds", obs.ClassSched, nil)
+	e.overrunsG = reg.GaugeClass("pag_engine_paced_overruns", obs.ClassSched)
 	e.trace = tr
 }
 
@@ -258,6 +261,7 @@ func (e *Engine) RunPaced(start time.Time, period time.Duration) {
 		}
 		if time.Now().After(deadline) {
 			e.overruns++
+			e.overrunsG.Set(int64(e.overruns))
 		}
 		return c.DeliverUntil(deadline)
 	})

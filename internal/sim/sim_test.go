@@ -2,10 +2,12 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -207,12 +209,21 @@ func TestRunPacedCountsOverruns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		e.Instrument(reg, nil)
 		var calls []string
 		e.Add(&slottedStub{phaseRecorder: phaseRecorder{id: 1, calls: &calls}, slots: 3})
 		e.RunPaced(c.start, time.Second)
 		e.RunPaced(c.start, time.Second)
 		if got := e.PacedOverruns(); got != c.want {
 			t.Errorf("start %v: %d overruns, want %d", c.start, got, c.want)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Total("pag_engine_paced_overruns"); got != float64(e.PacedOverruns()) {
+			t.Errorf("start %v: gauge pag_engine_paced_overruns = %v, PacedOverruns() = %d", c.start, got, e.PacedOverruns())
+		}
+		if strings.Contains(snap.DeterministicText(), "pag_engine_paced_overruns") {
+			t.Errorf("start %v: the wall-clock overrun gauge is in the deterministic snapshot", c.start)
 		}
 	}
 	e, _ := NewEngine(transport.NewMemNet(), 1)

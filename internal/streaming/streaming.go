@@ -13,8 +13,8 @@ import (
 	"repro/internal/update"
 )
 
-// Injector is the protocol-node surface a source feeds (PAG, AcTinG and
-// RAC nodes all provide it).
+// Injector is the protocol-node surface a source feeds (PAG and AcTinG
+// nodes both provide it).
 type Injector interface {
 	InjectUpdates(us []update.Update)
 }

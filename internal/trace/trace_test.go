@@ -187,7 +187,7 @@ func TestStatsTimelineAndWindowRate(t *testing.T) {
 func TestBlameChainOrdering(t *testing.T) {
 	j := journalFrom(t, strings.Join([]string{
 		`{"event":"verdict","round":5,"accused":16,"accuser":3,"kind":"NoForward","xid":"r5:16>3"}`,
-		`{"event":"verdict","round":4,"accused":16,"accuser":2,"kind":"DroppedSlots"}`,
+		`{"event":"verdict","round":4,"accused":16,"accuser":2,"kind":"MonitorSilent"}`,
 		`{"event":"verdict","round":5,"accused":9,"accuser":3,"kind":"NoForward"}`,
 		`{"event":"judgment","round":6,"node":16,"verdicts":2,"quarantine_until":20}`,
 		`{"event":"membership_eviction","round":6,"node":16,"quarantine_until":20}`,

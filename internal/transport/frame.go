@@ -28,7 +28,7 @@ const MaxTCPPayload = 16 << 20
 // ordinary frames, written as one buffer by a connection writer's flush
 // and unpacked transparently on the receive side. The kind value lives in
 // a transport-reserved band (>= 240) that no protocol plane uses (PAG
-// owns 1..17, AcTinG 101..106, RAC 120); a jumbo's from field is 0 and
+// owns 1..17, AcTinG 101..106); a jumbo's from field is 0 and
 // its to field the destination of its last sub-frame. The sub-frames may
 // be addressed to any ids the receiving listener hosts, since every id at
 // one address shares the listener and the connections dialed to it.

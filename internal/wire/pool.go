@@ -1,7 +1,7 @@
 package wire
 
-// The message path every protocol in this repository shares (PAG's core,
-// the AcTinG and RAC baselines): a sender walks a message's layout once
+// The message path every protocol in this repository shares (PAG's core
+// and the AcTinG baseline): a sender walks a message's layout once
 // into a pooled Writer, signs those bytes in place (Writer.Sign) — and,
 // for the encrypted kinds, seals them into a second pooled Writer
 // (Writer.Encrypt) — and lends the result to transport.SendLent: a socket

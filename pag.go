@@ -1,7 +1,7 @@
 // Package pag is the public face of the PAG reproduction (Decouchant, Ben
 // Mokhtar, Petit, Quéma — "PAG: Private and Accountable Gossip", ICDCS
 // 2016): an accountable and partially privacy-preserving gossip
-// dissemination protocol, its AcTinG and RAC baselines, a round-driven
+// dissemination protocol, its AcTinG baseline, a round-driven
 // simulation engine with byte-exact bandwidth accounting, and the
 // evaluation harness reproducing every table and figure of the paper.
 //
@@ -23,6 +23,7 @@ package pag
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -43,16 +44,18 @@ import (
 // Protocol selects which system a session runs.
 type Protocol int
 
-// The three compared systems (§VII).
+// The systems a session runs (§VII). The paper's third, RAC, is not run:
+// Table II prices it with the calibrated model analytic.RACPerNodeKbps.
 const (
 	// ProtocolPAG is the paper's contribution: accountable and
 	// privacy-preserving.
 	ProtocolPAG Protocol = iota + 1
 	// ProtocolAcTinG is the accountable, non-private baseline.
 	ProtocolAcTinG
-	// ProtocolRAC is the accountable anonymous-communication baseline.
-	ProtocolRAC
 )
+
+// allProtocols lists every Protocol, in report order.
+var allProtocols = []Protocol{ProtocolPAG, ProtocolAcTinG}
 
 // String implements fmt.Stringer.
 func (p Protocol) String() string {
@@ -61,11 +64,20 @@ func (p Protocol) String() string {
 		return "PAG"
 	case ProtocolAcTinG:
 		return "AcTinG"
-	case ProtocolRAC:
-		return "RAC"
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+}
+
+// ParseProtocol is the case-insensitive inverse of Protocol.String. It
+// knows no "all": RunScenarioReport runs every protocol when given none.
+func ParseProtocol(name string) (Protocol, error) {
+	for _, p := range allProtocols {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown protocol %q (pag|acting|all)", name)
 }
 
 // NodeID re-exports the node identifier type.
@@ -85,7 +97,7 @@ type QueueBacklog = transport.QueueBacklog
 type SessionConfig struct {
 	// Nodes is the system size, including the source (node 1).
 	Nodes int
-	// Protocol selects PAG (default), AcTinG or RAC.
+	// Protocol selects PAG (default) or AcTinG.
 	Protocol Protocol
 	// StreamKbps is the source bitrate (default 300, the paper's Fig 7).
 	StreamKbps int
@@ -227,9 +239,8 @@ type Session struct {
 	dir   *membership.Directory
 	// shared is the flyweight session plane every PAG node references
 	// (one immutable config/roster instead of per-node copies; nil for
-	// the baselines); intern is the session-wide update-content table PAG
-	// and AcTinG nodes store through (nil under SessionConfig.noIntern and
-	// for RAC).
+	// AcTinG); intern is the session-wide update-content table PAG and
+	// AcTinG nodes store through (nil under SessionConfig.noIntern).
 	shared *core.Shared
 	intern *update.Interner
 
@@ -348,9 +359,8 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 
 	s.suite = pki.NewFastSuite()
 	// PAG and AcTinG nodes store full update content; one session-wide
-	// interner shares it between them (RAC's ring stores too little for it
-	// to matter).
-	if !c.noIntern && c.Protocol != ProtocolRAC {
+	// interner shares it between them.
+	if !c.noIntern {
 		s.intern = update.NewInterner()
 	}
 	if c.Protocol == ProtocolPAG {

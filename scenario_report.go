@@ -112,8 +112,9 @@ func weightedBandwidth(epochs []EpochStat) float64 {
 	return kbpsRounds / rounds
 }
 
-// RunScenarioReport runs the scenario under each listed protocol on an
-// otherwise-identical configuration and gathers the comparison report.
+// RunScenarioReport runs the scenario under each listed protocol (every
+// protocol when none is listed) on an otherwise-identical configuration
+// and gathers the comparison report.
 // convictionThreshold is the verdict count that counts as a conviction
 // (ConvictedNodes); 0 defaults to 1.
 func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
@@ -129,7 +130,7 @@ func runScenarioReport(base SessionConfig, sc scenario.Scenario, protocols []Pro
 		return ScenarioReport{}, err
 	}
 	if len(protocols) == 0 {
-		protocols = []Protocol{ProtocolPAG, ProtocolAcTinG, ProtocolRAC}
+		protocols = allProtocols
 	}
 	if convictionThreshold <= 0 {
 		convictionThreshold = 1

@@ -10,13 +10,12 @@ import (
 	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/pki"
-	"repro/internal/rac"
 	"repro/internal/sim"
 	"repro/internal/streaming"
 	"repro/internal/transport"
 )
 
-// This file wires the three protocol node types into a Session.
+// This file wires the two protocol node types into a Session.
 
 // The nodes' verdict sinks all submit into the judicial registry — the
 // accountability plane's single pipeline. The registry is safe for the
@@ -113,18 +112,6 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 			Endpoint:  ep,
 			Source:    SourceID,
 			Intern:    s.intern,
-			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
-			OnDeliver: player.OnDeliver,
-		})
-	case ProtocolRAC:
-		m, err = rac.NewNode(rac.Config{
-			ID:        id,
-			Suite:     s.suite,
-			Identity:  identity,
-			Directory: s.dir,
-			Endpoint:  ep,
-			Source:    SourceID,
-			SlotBytes: s.cfg.UpdateBytes,
 			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
 		})

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/acting"
 	"repro/internal/core"
-	"repro/internal/rac"
 )
 
 // Edge-case coverage for the session metric accessors.
@@ -68,8 +67,9 @@ func TestConvictedNodesThresholdBoundaries(t *testing.T) {
 }
 
 func TestConvictedNodesMixedProtocolLists(t *testing.T) {
-	// A session only fills one verdict list, but ConvictedNodes merges
-	// all three — counts must aggregate across them per accused node.
+	// A session only raises one protocol's kinds, but ConvictedNodes
+	// counts every kind — counts must aggregate across them per accused
+	// node.
 	s, err := NewSession(testConfig(ProtocolPAG, 12, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestConvictedNodesMixedProtocolLists(t *testing.T) {
 	s.Judicial().Submit(Verdict{Round: 1, Kind: core.VerdictNoForward, Accused: 7})
 	s.Judicial().Submit(Verdict{Round: 2, Kind: acting.VerdictRefusedAudit, Accused: 7})
 	s.Judicial().Submit(Verdict{Round: 2, Kind: acting.VerdictRefusedAudit, Accused: 8})
-	s.Judicial().Submit(Verdict{Round: 3, Kind: rac.VerdictDroppedSlots, Accused: 7})
+	s.Judicial().Submit(Verdict{Round: 3, Kind: acting.VerdictTamperedLog, Accused: 7})
 	got := s.ConvictedNodes(3)
 	if len(got) != 1 || got[7] != 3 {
 		t.Fatalf("mixed lists: %v, want node 7 with 3 verdicts", got)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/model"
-	"repro/internal/rac"
 	"repro/internal/scenario"
 	"repro/internal/transport"
 )
@@ -99,9 +98,9 @@ func (s *Session) Join(r model.Round, id model.NodeID) (model.NodeID, error) {
 		return model.NoNode, fmt.Errorf("pag: identity for joiner %v: %w", id, err)
 	}
 
-	// Membership first: node construction reads the directory (RAC seats
-	// itself on the ring of current members), and the directory owns the
-	// quarantine verdict on evicted ids. Rolled back on failure.
+	// Membership first: node construction reads the directory, and the
+	// directory owns the quarantine verdict on evicted ids. Rolled back on
+	// failure.
 	if err := s.dir.Join(id, r); err != nil {
 		var q *membership.QuarantineError
 		if errors.As(err, &q) {
@@ -262,8 +261,6 @@ func (s *Session) SetBehavior(id model.NodeID, profile scenario.BehaviorProfile)
 		known = setProfile(m, (*core.Node).SetBehavior, core.BehaviorForProfile, profile)
 	case ProtocolAcTinG:
 		known = setProfile(m, (*acting.Node).SetBehavior, acting.BehaviorForProfile, profile)
-	case ProtocolRAC:
-		known = setProfile(m, (*rac.Node).SetBehavior, rac.BehaviorForProfile, profile)
 	}
 	if !known {
 		return fmt.Errorf("pag: unknown behavior profile %q", profile)

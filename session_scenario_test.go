@@ -8,7 +8,6 @@ import (
 	"repro/internal/acting"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/rac"
 	"repro/internal/scenario"
 )
 
@@ -336,7 +335,7 @@ func TestCrashLingerConvictsThenRemoves(t *testing.T) {
 }
 
 // TestScenarioReportDeterministic: the acceptance gate — the same scenario
-// and seed produce byte-identical reports across all three protocols, churn
+// and seed produce byte-identical reports across both protocols, churn
 // and crashes included.
 func TestScenarioReportDeterministic(t *testing.T) {
 	sc := scenario.SteadyChurn(0.3, 0.4, 4, 12)
@@ -354,8 +353,8 @@ func TestScenarioReportDeterministic(t *testing.T) {
 	if !bytes.Equal(r1.JSON(), r2.JSON()) {
 		t.Fatal("same seed produced different reports")
 	}
-	if len(r1.Protocols) != 3 {
-		t.Fatalf("%d protocol runs, want 3", len(r1.Protocols))
+	if len(r1.Protocols) != 2 {
+		t.Fatalf("%d protocol runs, want 2", len(r1.Protocols))
 	}
 	for _, p := range r1.Protocols {
 		if len(p.Journal) == 0 {
@@ -398,12 +397,6 @@ func TestSetBehaviorEveryProtocol(t *testing.T) {
 			scenario.ProfileColluder:       acting.Behavior{RefuseAudit: true},
 			scenario.ProfileRotationDodger: acting.Behavior{SkipPropose: true},
 			scenario.ProfileCorrect:        acting.Behavior{},
-		}},
-		{ProtocolRAC, func(m member) any { return m.(*rac.Node).Behavior() }, map[scenario.BehaviorProfile]any{
-			scenario.ProfileFreeRider:      rac.Behavior{DropRelays: true},
-			scenario.ProfileColluder:       rac.Behavior{NoCover: true},
-			scenario.ProfileRotationDodger: rac.Behavior{DropRelays: true},
-			scenario.ProfileCorrect:        rac.Behavior{},
 		}},
 	} {
 		t.Run(tc.protocol.String(), func(t *testing.T) {

@@ -66,15 +66,14 @@ func TestTCPSessionScenarioReport(t *testing.T) {
 	})
 }
 
-// TestTCPSendOwnership: senders lend TCP Send pooled Writer bytes, and a
-// RAC relay lends it the slice of its receive arena it was delivered, on
-// the promise that a socket copies each frame into its connection's batch
+// TestTCPSendOwnership: senders lend TCP Send pooled Writer bytes, on the
+// promise that a socket copies each frame into its connection's batch
 // buffer before Send returns. A writer that kept a caller's slice until
 // its phase flush would put whatever the pool wrote there since on the
 // wire. With wire.PoisonReleased every such buffer is overwritten the
-// moment it is released; a PAG, an AcTinG and a RAC session over stepped
-// sockets must still reach the report and move the bytes per node of the
-// run without it.
+// moment it is released; a PAG and an AcTinG session over stepped sockets
+// must still reach the report and move the bytes per node of the run
+// without it.
 func TestTCPSendOwnership(t *testing.T) {
 	const nodes, rounds = 24, 20
 	sc := scenario.Scenario{Name: "send-ownership", Seed: 7, Rounds: rounds}
@@ -105,7 +104,7 @@ func TestTCPSendOwnership(t *testing.T) {
 		}
 		return o
 	}
-	for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG, ProtocolRAC} {
+	for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG} {
 		t.Run(p.String(), func(t *testing.T) {
 			want := run(t, p, false)
 			got := run(t, p, true)

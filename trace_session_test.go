@@ -182,8 +182,8 @@ func TestTraceReplayDigest(t *testing.T) {
 	if spec.Digest != report.Digest() {
 		t.Fatalf("recorded digest %s != report digest %s", spec.Digest, report.Digest())
 	}
-	if len(spec.Protocols) != 3 {
-		t.Fatalf("protocols %v, want all three", spec.Protocols)
+	if len(spec.Protocols) != 2 {
+		t.Fatalf("protocols %v, want both", spec.Protocols)
 	}
 	if spec.Scenario.Churn != nil {
 		t.Fatal("replay script kept the churn generator; events would fire twice")
@@ -278,16 +278,11 @@ func protocolsByName(t *testing.T, names []string) []Protocol {
 	t.Helper()
 	var ps []Protocol
 	for _, n := range names {
-		switch strings.ToLower(n) {
-		case "pag":
-			ps = append(ps, ProtocolPAG)
-		case "acting":
-			ps = append(ps, ProtocolAcTinG)
-		case "rac":
-			ps = append(ps, ProtocolRAC)
-		default:
-			t.Fatalf("unknown protocol %q in replay spec", n)
+		p, err := ParseProtocol(n)
+		if err != nil {
+			t.Fatalf("replay spec: %v", err)
 		}
+		ps = append(ps, p)
 	}
 	return ps
 }
