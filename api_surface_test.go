@@ -18,8 +18,6 @@ import (
 var testOnlyExports = map[string]string{
 	// Oracles that tests hold the production path to.
 	"hhash.Hasher.HashSet":                  "oracle: the generic fold the buffermap and attestation paths must match",
-	"hhash.Hasher.LiftFixed":                "oracle: one comb lift as a big.Int, compared with Tags and Lift",
-	"hhash.FixedBase.HasTable":              "oracle: FuzzLiftFixedMatchesBig and the comb tests check when a table is built",
 	"coalition.ClosedFormPAG":               "oracle: the closed form the coalition model's PAG sweep is checked against",
 	"coalition.ClosedFormAcTinG":            "oracle: the closed form the coalition model's AcTinG sweep is checked against",
 	"wire.PoisonReleased":                   "hook: ownership tests in other packages poison pooled buffers on release",

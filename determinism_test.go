@@ -79,9 +79,8 @@ func flyweightRows() []detRow {
 	return rows
 }
 
-// paperRows: PAG at the paper's 512-bit width, where hhash.Hasher.Tags
-// splits a buffermap across goroutines — inside a node step, and inside
-// each shard's node steps on the sharded engine.
+// paperRows: PAG at the paper's 512-bit width, inline and on the sharded
+// engine.
 func paperRows() []detRow {
 	var rows []detRow
 	for _, w := range []int{0, 1, 4} {

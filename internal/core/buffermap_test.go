@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/big"
 	"testing"
 
 	"repro/internal/core"
@@ -13,18 +14,19 @@ import (
 )
 
 // TestBuffermapTagCollisionOutcome pins what a 64-bit tag collision does
-// (DESIGN.md, "Bytes on the wire"). A real one needs two distinct lifted
-// hashes agreeing on 64 bits, so the test builds its effect instead: the
-// KeyResponse one successor B sends the source in round 3 is re-sealed
-// with one extra tag — that of an update minted this round, which B cannot
-// own. The source then serves it as a reference, and the exchange fails the
-// way it does for any reference B cannot resolve: B refuses the whole Serve
-// ("ref to unowned update", against the sender) and does not acknowledge;
-// the accusation flow replays the Serve through B's monitors with the same
-// result, so they find B unresponsive; and next round B cannot forward
-// what the sender's attestation says it received, so they find its forward
-// wrong. Nobody else is touched, B gets the content from its other
-// predecessors, and every node plays the whole stream.
+// (DESIGN.md, "Bytes on the wire"). A real one needs two distinct updates
+// whose keyed tags agree on 64 bits, so the test builds its effect
+// instead: the KeyResponse one successor B sends the source in round 3 is
+// re-sealed with one extra tag — that of an update minted this round,
+// which B cannot own. The source then serves it as a reference, and the
+// exchange fails the way it does for any reference B cannot resolve: B
+// refuses the whole Serve ("ref to unowned update", against the sender)
+// and does not acknowledge; the accusation flow replays the Serve through
+// B's monitors with the same result, so they find B unresponsive; and
+// next round B cannot forward what the sender's attestation says it
+// received, so they find its forward wrong. Nobody else is touched, B gets
+// the content from its other predecessors, and every node plays the whole
+// stream.
 func TestBuffermapTagCollisionOutcome(t *testing.T) {
 	const src, collideAt = model.NodeID(1), model.Round(3)
 	h := newHarness(t, 16, 2)
@@ -51,8 +53,9 @@ func TestBuffermapTagCollisionOutcome(t *testing.T) {
 				t.Fatal("the source minted nothing this round")
 			}
 			collided = minted[0].Update.ID
-			tag := h.params.Tag(hasher.Lift(hasher.Embed(minted[0].Update.CanonicalBytes()), prime))
-			resp.BufferMap = update.NewBufferMap(append(resp.BufferMap, tag))
+			var tag [1]uint64
+			hasher.Tags(tag[:], []*big.Int{hasher.Embed(minted[0].Update.CanonicalBytes())}, prime)
+			resp.BufferMap = update.NewBufferMap(append(resp.BufferMap, tag[0]))
 			resp.Sig = nil
 			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[victim], resp)); err != nil {
 				t.Fatal(err)

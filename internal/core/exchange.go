@@ -68,14 +68,12 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	}
 	// Buffermap: tags of what this node owns and could still be served, as
 	// of now — including what earlier slots of this round delivered —
-	// hashed under the fresh prime (§V-D): the requester matches without
-	// revealing identifiers. The embeddings are gathered here, on the
-	// node's goroutine (embedOf fills the store and the interner); only the
-	// lifts may run on other cores.
+	// keyed by the fresh prime (§V-D): the requester matches without
+	// revealing identifiers.
 	s := getTagScratch()
 	defer s.release() // resp.BufferMap is s.tags until the send
 	for _, e := range n.store.OwnedInWindow(n.round, 0) {
-		s.bases = append(s.bases, n.embedOf(e))
+		s.embeds = append(s.embeds, n.embedOf(e))
 	}
 	resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
 	n.signEncryptSend(req.From, resp, wire.KindKeyResponse)
@@ -184,9 +182,9 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		if ve == nil {
 			ve = n.embed(&it.upd)
 		}
-		s.bases = append(s.bases, ve)
+		s.embeds = append(s.embeds, ve)
 	}
-	// No map, no lift: against an empty buffermap (a successor that owns
+	// No map, no tags: against an empty buffermap (a successor that owns
 	// nothing yet) matching costs no hash operation.
 	var tags []uint64
 	if len(bm) > 0 {
@@ -204,7 +202,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 			n.stats.PayloadsSent++
 		}
-		v := s.bases[i].Value()
+		v := s.embeds[i]
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}
@@ -330,15 +328,15 @@ func (n *Node) processServe(srv *wire.Serve) {
 		} else {
 			n.stats.DuplicateReceptions += count
 		}
-		var ve *hhash.FixedBase
+		var ve *big.Int
 		if e := n.store.Get(u.ID); e != nil {
 			ve = n.embedOf(e)
 		} else {
 			ve = n.embed(&u)
 		}
-		v := ve.Value()
+		v := ve
 		if count != 1 {
-			v = n.hasher.Lift(v, mustCountKey(count))
+			v = n.hasher.Lift(ve, mustCountKey(count))
 		}
 		if !u.ExpiresNextRound(n.round) {
 			fwdProd = n.hasher.Combine(fwdProd, v)
@@ -542,11 +540,10 @@ func (n *Node) expectedAckFor(ex *sendExchange) *big.Int {
 	}
 	prod := n.hasher.Identity()
 	for _, it := range items {
-		b := it.embed
-		if b == nil {
-			b = n.embed(&it.upd)
+		v := it.embed
+		if v == nil {
+			v = n.embed(&it.upd)
 		}
-		v := b.Value()
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}

@@ -301,3 +301,21 @@ func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 		})
 	}
 }
+
+// TestParkedShellsReleaseContent: the forward-set shells a node recycles
+// across rounds must not keep the previous round's updates alive — not on
+// the free list, and not in the tail of the reused items array once the
+// forward set shrinks.
+func TestParkedShellsReleaseContent(t *testing.T) {
+	h := newHarness(t, 8, 4)
+	h.engine.Run(4)
+	h.perRound = 0 // the forward sets drain: every reused array gets a stale tail
+	for r := 0; r < 6; r++ {
+		h.engine.Run(1)
+		for id, n := range h.nodes {
+			if n.ParkedShellsHoldContent() {
+				t.Fatalf("node %v: a parked pendingItem still references update content", id)
+			}
+		}
+	}
+}

@@ -29,10 +29,9 @@ type pendingItem struct {
 	count uint64
 	// embed caches hhash.Embed(upd.CanonicalBytes()) — the update-sized
 	// modular reduction every serve, buffermap and acknowledgement
-	// computation starts from — as the fixed base the buffermap match
-	// lifts. Shared read-only with the update store's entry; nil means
-	// "not computed yet".
-	embed *hhash.FixedBase
+	// computation starts from. Shared read-only with the update store's
+	// entry; nil means "not computed yet".
+	embed *big.Int
 }
 
 // recvExchange is the receiver-side state of one predecessor exchange
@@ -286,11 +285,6 @@ func (n *Node) report(v judicial.Verdict) {
 func (n *Node) BeginRound(r model.Round) {
 	n.round = r
 
-	// Updates with deadline < r have expired: they are in no forward set
-	// and no buffermap from this round on, so the lift tables this node
-	// owns go (the session releases the interner's by the same rule).
-	n.store.ReleaseLiftTables(r)
-
 	// Recycle the previous round's container shells into the node's
 	// free lists (see the Node field comment for the aliasing rules).
 	var items []pendingItem
@@ -361,11 +355,10 @@ func (n *Node) BeginRound(r model.Round) {
 	// Precompute the expected acknowledgement hash (one modexp).
 	prod := n.hasher.Identity()
 	for _, it := range items {
-		b := it.embed
-		if b == nil {
-			b = n.embed(&it.upd)
+		v := it.embed
+		if v == nil {
+			v = n.embed(&it.upd)
 		}
-		v := b.Value()
 		if it.count != 1 {
 			v = n.hasher.Lift(v, mustCountKey(it.count))
 		}
@@ -724,63 +717,56 @@ func (n *Node) drawPrime() (hhash.Key, error) {
 }
 
 // embed computes an update's embedding from its canonical bytes, encoded
-// into a pooled buffer (Embed only reads them), as a fixed base for lifts
-// under exchange primes.
-func (n *Node) embed(u *update.Update) *hhash.FixedBase {
+// into a pooled buffer (Embed only reads them).
+func (n *Node) embed(u *update.Update) *big.Int {
 	w := wire.GetWriter()
 	defer w.Release()
-	return hhash.NewFixedBase(n.hasher.Embed(w.Canonical(u)), n.sh.primeBits)
+	return n.hasher.Embed(w.Canonical(u))
 }
 
 // embedOf returns the entry's cached embedding, computing and caching it
 // on first use. Embeddings are pure functions of the update bytes and are
-// only ever read afterwards (Lift and Combine never mutate their
-// arguments), so one residue — and the one comb table the buffermap lifts
-// build on it — is safely shared across rounds, successors and the store
-// entry itself, and, through the interner, across every node of the
-// session. Embed carries no operation counters, which keeps the cache
-// invisible to Table I accounting.
-func (n *Node) embedOf(e *update.Entry) *hhash.FixedBase {
+// only ever read afterwards (Tags, Lift and Combine never mutate their
+// arguments), so one residue is safely shared across rounds, successors
+// and the store entry itself, and, through the interner, across every
+// node of the session. Embed carries no operation counters, which keeps
+// the cache invisible to Table I accounting.
+func (n *Node) embedOf(e *update.Entry) *big.Int {
 	if e.Embed == nil {
-		b, shared := n.sh.Intern.SharedEmbed(e.Update, func() *hhash.FixedBase {
+		e.Embed = n.sh.Intern.SharedEmbed(e.Update, func() *big.Int {
 			return n.embed(&e.Update)
 		})
-		if shared {
-			e.Embed = b
-		} else {
-			n.store.SetOwnEmbed(e, b)
-		}
 	}
 	return e.Embed
 }
 
-// tagScratch is one exchange's buffermap batch: the bases onKeyRequest or
-// serve gathers on the node's goroutine and the tags hhash.Hasher.Tags
-// writes for them. Scratch is pooled across nodes, not kept per node: a
-// node holds one only while it tags, where a buffer per node cost ~1 % of
-// the live heap at N=432.
+// tagScratch is one exchange's buffermap batch: the embeddings
+// onKeyRequest or serve gathers and the tags hhash.Hasher.Tags writes for
+// them. Scratch is pooled across nodes, not kept per node: a node holds
+// one only while it tags, where a buffer per node cost ~1 % of the live
+// heap at N=432.
 type tagScratch struct {
-	bases []*hhash.FixedBase
-	tags  []uint64
+	embeds []*big.Int
+	tags   []uint64
 }
 
 var tagScratchPool = sync.Pool{New: func() any { return new(tagScratch) }}
 
 func getTagScratch() *tagScratch { return tagScratchPool.Get().(*tagScratch) }
 
-// release returns the scratch to the pool, its bases cleared so it pins no
-// embedding; nothing may read the tags afterwards.
+// release returns the scratch to the pool, its embeddings cleared so it
+// pins none; nothing may read the tags afterwards.
 func (s *tagScratch) release() {
-	clear(s.bases)
-	s.bases = s.bases[:0]
+	clear(s.embeds)
+	s.embeds = s.embeds[:0]
 	tagScratchPool.Put(s)
 }
 
-// tagsOf returns the buffermap tags of s.bases under prime — one
-// hhash.Hasher.Tags batch, which may spread its lifts over idle cores.
+// tagsOf returns the buffermap tags of s.embeds under prime: one
+// hhash.Hasher.Tags batch.
 func (n *Node) tagsOf(s *tagScratch, prime hhash.Key) []uint64 {
-	s.tags = slices.Grow(s.tags[:0], len(s.bases))[:len(s.bases)]
-	n.hasher.Tags(s.tags, s.bases, prime)
+	s.tags = slices.Grow(s.tags[:0], len(s.embeds))[:len(s.embeds)]
+	n.hasher.Tags(s.tags, s.embeds, prime)
 	return s.tags
 }
 
@@ -805,7 +791,7 @@ func (n *Node) newSendExchange() *sendExchange {
 	return &sendExchange{}
 }
 
-func (n *Node) newPendingItem(u update.Update, count uint64, embed *hhash.FixedBase) *pendingItem {
+func (n *Node) newPendingItem(u update.Update, count uint64, embed *big.Int) *pendingItem {
 	if k := len(n.itemFree); k > 0 {
 		it := n.itemFree[k-1]
 		n.itemFree = n.itemFree[:k-1]

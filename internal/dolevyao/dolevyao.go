@@ -76,13 +76,25 @@ type Sig struct {
 
 func (s Sig) key() string { return "sig(" + s.By + "," + keyList(s.Body) + ")" }
 
-// Hash is H(U)_(Key,M): the homomorphic hash.
+// Hash is H(U)_(Key,M): the homomorphic hash. Anyone holding it can lift
+// it by an exponent it knows: H(U)_(K) becomes H(U)_(K·m).
 type Hash struct {
 	U   Term
 	Key Term
 }
 
 func (h Hash) key() string { return "hash(" + h.U.key() + "," + h.Key.key() + ")" }
+
+// Tag is a keyed hash of U under Key: the buffermap entry as this build
+// computes it (hhash.Hasher.Tags). It neither decomposes nor lifts. The
+// attacker holds one only by observing it, or by building it from U and
+// Key when it has both: the dictionary rule.
+type Tag struct {
+	U   Term
+	Key Term
+}
+
+func (t Tag) key() string { return "tag(" + t.U.key() + "," + t.Key.key() + ")" }
 
 // Prod is a commutative product of factors (prime products K and remainder
 // products, or products of updates).
@@ -206,20 +218,74 @@ func (s *System) step() bool {
 				add(v.Factors[unknown])
 			}
 		case Hash:
-			// Dictionary attack: with the key in hand, hash every
-			// candidate combination and compare (§VI-A). Modelled
-			// as: key derivable → the update factors drawn from the
-			// candidate universe become known.
-			if s.keyDerivable(v.Key) {
-				for _, u := range hashFactors(v.U) {
-					if a, ok := u.(Atom); ok && a.Kind == KUpdate && s.candidates[a.Name] {
-						add(a)
+			s.dictionary(v.U, v.Key, add)
+			// Lift: raise the hash by every exponent the attacker
+			// holds whose primes the key does not already carry
+			// (a repeated factor gives a key no one ever uses, and
+			// leaving it out keeps the closure finite).
+			for _, m := range snapshot {
+				if f, ok := exponentFactors(m); ok {
+					if k, ok := liftKey(v.Key, f); ok {
+						add(Hash{U: v.U, Key: k})
 					}
 				}
 			}
+		case Tag:
+			s.dictionary(v.U, v.Key, add)
 		}
 	}
 	return grew
+}
+
+// dictionary is the attack of §VI-A on a hash or tag of u under key: with
+// the key in hand, hash every candidate combination and compare. Modelled
+// as: key derivable → the update factors drawn from the candidate universe
+// become known.
+func (s *System) dictionary(u, key Term, add func(Term)) {
+	if !s.keyDerivable(key) {
+		return
+	}
+	for _, f := range hashFactors(u) {
+		if a, ok := f.(Atom); ok && a.Kind == KUpdate && s.candidates[a.Name] {
+			add(a)
+		}
+	}
+}
+
+// exponentFactors returns the primes of a known term usable as a lift
+// exponent: a prime, or a product of primes.
+func exponentFactors(t Term) ([]Term, bool) {
+	switch v := t.(type) {
+	case Atom:
+		return []Term{v}, v.Kind == KPrime
+	case Prod:
+		for _, f := range v.Factors {
+			if a, ok := f.(Atom); !ok || a.Kind != KPrime {
+				return nil, false
+			}
+		}
+		return v.Factors, true
+	}
+	return nil, false
+}
+
+// liftKey returns the key of a hash under key lifted by the primes m;
+// false when m shares a factor with key.
+func liftKey(key Term, m []Term) (Term, bool) {
+	factors := []Term{key}
+	if p, ok := key.(Prod); ok {
+		factors = p.Factors
+	}
+	out := append([]Term(nil), factors...)
+	for _, f := range m {
+		for _, g := range factors {
+			if f.key() == g.key() {
+				return nil, false
+			}
+		}
+		out = append(out, f)
+	}
+	return Prod{Factors: out}, true
 }
 
 // keyDerivable reports whether a hash key (atom or product) is fully known.

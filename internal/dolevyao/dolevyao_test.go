@@ -1,8 +1,61 @@
 package dolevyao
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
-// closeAndCheck builds, saturates and queries one scenario.
+// designateM0 sends every report to monitor 0: the worst case.
+func designateM0(int) int { return 0 }
+
+// roundScenarios is every Scenario the tests of this file build, by name.
+var roundScenarios = []struct {
+	name string
+	sc   Scenario
+}{
+	{"passive global attacker", Scenario{Preds: 3, Monitors: 3}},
+	{"one monitor alone", Scenario{Preds: 3, Monitors: 3, CorruptMons: []int{0}}},
+	{"all monitors alone", Scenario{Preds: 3, Monitors: 3, CorruptMons: []int{0, 1, 2}}},
+	{"one predecessor alone", Scenario{Preds: 3, Monitors: 3, CorruptPreds: []int{1}}},
+	{"all other predecessors, no monitor", Scenario{Preds: 3, Monitors: 3, CorruptPreds: []int{1, 2}}},
+	// f=3: target exchange 0 (honest A0). Pivot exchange 1: its
+	// designated monitor M0 is corrupted (remainder p0·p2), and A2 is
+	// corrupted (knows p2). Division yields p0; dictionary yields u0.
+	{"threshold", Scenario{Preds: 3, Monitors: 3, Designate: designateM0,
+		CorruptPreds: []int{2}, CorruptMons: []int{0}}},
+	// M0 is designated only for exchange 0 (the target's own): its
+	// remainder p1·p2 contains no p0. With A2 corrupted, division
+	// reveals p1 — exchange 1 leaks, exchange 0 stays private.
+	{"unhelpful designation", Scenario{Preds: 3, Monitors: 3,
+		Designate: func(pred int) int {
+			if pred == 0 {
+				return 0
+			}
+			return 1 // other exchanges reported to honest M1
+		},
+		CorruptPreds: []int{2}, CorruptMons: []int{0}}},
+	{"f=5, f=3-sized coalition", Scenario{Preds: 5, Monitors: 5, Designate: designateM0,
+		CorruptPreds: []int{4}, CorruptMons: []int{0}}},
+	// The attack returns once all predecessors outside {target, pivot}
+	// collude: preds {2,3,4} + monitor, pivot exchange 1.
+	{"f=5, full coalition", Scenario{Preds: 5, Monitors: 5, Designate: designateM0,
+		CorruptPreds: []int{2, 3, 4}, CorruptMons: []int{0}}},
+}
+
+// named returns the scenario of roundScenarios called name.
+func named(t *testing.T, name string) Scenario {
+	t.Helper()
+	for _, c := range roundScenarios {
+		if c.name == name {
+			return c.sc
+		}
+	}
+	t.Fatalf("no scenario %q", name)
+	return Scenario{}
+}
+
+// attack builds, saturates and queries one scenario.
 func attack(t *testing.T, sc Scenario, target int) bool {
 	t.Helper()
 	s := BuildPAGRound(sc)
@@ -15,7 +68,7 @@ func attack(t *testing.T, sc Scenario, target int) bool {
 // node. "ProVerif proves that no attack exists" — and neither does our
 // closure find one: no update and no prime is derivable.
 func TestCase1PassiveGlobalAttacker(t *testing.T) {
-	s := BuildPAGRound(Scenario{Preds: 3, Monitors: 3})
+	s := BuildPAGRound(named(t, "passive global attacker"))
 	s.Close()
 	for i := 0; i < 3; i++ {
 		if s.KnowsUpdate(UpdateName(i)) {
@@ -30,18 +83,14 @@ func TestCase1PassiveGlobalAttacker(t *testing.T) {
 // TestCase2BelowThreshold is case (2) below the threshold: coalitions of
 // fewer nodes than needed cannot break the honest exchange A0→B.
 func TestCase2BelowThreshold(t *testing.T) {
-	cases := []struct {
-		name string
-		sc   Scenario
-	}{
-		{"one monitor alone", Scenario{Preds: 3, Monitors: 3, CorruptMons: []int{0}}},
-		{"all monitors alone", Scenario{Preds: 3, Monitors: 3, CorruptMons: []int{0, 1, 2}}},
-		{"one predecessor alone", Scenario{Preds: 3, Monitors: 3, CorruptPreds: []int{1}}},
-		{"all other predecessors, no monitor", Scenario{Preds: 3, Monitors: 3, CorruptPreds: []int{1, 2}}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if attack(t, c.sc, 0) {
+	for _, name := range []string{
+		"one monitor alone",
+		"all monitors alone",
+		"one predecessor alone",
+		"all other predecessors, no monitor",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if attack(t, named(t, name), 0) {
 				t.Fatal("coalition below threshold broke P1")
 			}
 		})
@@ -54,17 +103,7 @@ func TestCase2BelowThreshold(t *testing.T) {
 // corrupted, reveals the honest exchange's prime and then — by the §VI-A
 // dictionary attack — the update itself.
 func TestCase2AttackAtThreshold(t *testing.T) {
-	// f=3: target exchange 0 (honest A0). Pivot exchange 1: its
-	// designated monitor M0 is corrupted (remainder p0·p2), and A2 is
-	// corrupted (knows p2). Division yields p0; dictionary yields u0.
-	sc := Scenario{
-		Preds:        3,
-		Monitors:     3,
-		Designate:    func(pred int) int { return 0 }, // M0 gets all reports
-		CorruptPreds: []int{2},
-		CorruptMons:  []int{0},
-	}
-	s := BuildPAGRound(sc)
+	s := BuildPAGRound(named(t, "threshold"))
 	s.Close()
 	if !s.KnowsPrime(PrimeName(0)) {
 		t.Fatal("threshold coalition failed to derive the prime")
@@ -78,22 +117,7 @@ func TestCase2AttackAtThreshold(t *testing.T) {
 // designation cannot reach the target exchange — but leaks the exchange
 // whose remainder it can fully divide.
 func TestDesignationMatters(t *testing.T) {
-	// M0 is designated only for exchange 0 (the target's own): its
-	// remainder p1·p2 contains no p0. With A2 corrupted, division
-	// reveals p1 — exchange 1 leaks, exchange 0 stays private.
-	sc := Scenario{
-		Preds:    3,
-		Monitors: 3,
-		Designate: func(pred int) int {
-			if pred == 0 {
-				return 0
-			}
-			return 1 // other exchanges reported to honest M1
-		},
-		CorruptPreds: []int{2},
-		CorruptMons:  []int{0},
-	}
-	s := BuildPAGRound(sc)
+	s := BuildPAGRound(named(t, "unhelpful designation"))
 	s.Close()
 	if s.KnowsUpdate(UpdateName(0)) {
 		t.Fatal("target exchange leaked despite unhelpful designation")
@@ -107,27 +131,137 @@ func TestDesignationMatters(t *testing.T) {
 // coalition is no longer sufficient ("Increasing the value of f
 // reinforces the security of the protocol", §VI-A).
 func TestLargerFanoutNeedsLargerCoalition(t *testing.T) {
-	small := Scenario{
-		Preds:        5,
-		Monitors:     5,
-		Designate:    func(pred int) int { return 0 },
-		CorruptPreds: []int{4},
-		CorruptMons:  []int{0},
-	}
-	if attack(t, small, 0) {
+	if attack(t, named(t, "f=5, f=3-sized coalition"), 0) {
 		t.Fatal("f=3-sized coalition broke an f=5 system")
 	}
-	// The attack returns once all predecessors outside {target, pivot}
-	// collude: preds {2,3,4} + monitor, pivot exchange 1.
-	big := Scenario{
-		Preds:        5,
-		Monitors:     5,
-		Designate:    func(pred int) int { return 0 },
-		CorruptPreds: []int{2, 3, 4},
-		CorruptMons:  []int{0},
-	}
-	if !attack(t, big, 0) {
+	if !attack(t, named(t, "f=5, full coalition"), 0) {
 		t.Fatal("full coalition failed against f=5")
+	}
+}
+
+// confirms reports whether the attacker can confirm the hash or tag t:
+// it holds t, and it can rebuild t from a derivable key and updates it
+// knows or has as candidates (§VI-A's dictionary). For a buffermap entry
+// that is a membership test: the attacker learns that the entry's owner
+// holds those updates. Call Close first.
+func (s *System) confirms(t Term) bool {
+	var u, key Term
+	switch v := t.(type) {
+	case Hash:
+		u, key = v.U, v.Key
+	case Tag:
+		u, key = v.U, v.Key
+	default:
+		return false
+	}
+	if !s.Knows(t) || !s.keyDerivable(key) {
+		return false
+	}
+	for _, f := range hashFactors(u) {
+		if a, ok := f.(Atom); !s.Knows(f) && !(ok && a.Kind == KUpdate && s.candidates[a.Name]) {
+			return false
+		}
+	}
+	return true
+}
+
+// learnsMember reports whether the closed attacker s of BuildPAGRound(sc)
+// learns that B's buffermap lists the update name: it can confirm the
+// entry for name in one of B's KeyResponses.
+func learnsMember(s *System, sc Scenario, name string) bool {
+	u := Atom{Kind: KUpdate, Name: name}
+	for i := 0; i < sc.Preds; i++ {
+		if e := sc.Tags.entry(u, Atom{Kind: KPrime, Name: primeName(i)}); e != nil && s.confirms(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBufferMapModels is the privacy check on the keyed buffermap tag:
+// every scenario above, with KeyResponses that carry no buffermap, the
+// paper's liftable H(u)_(p,M) entries, and this build's keyed tags.
+//   - P1 (which exchanged updates and primes the coalition derives) is
+//     the same under all three.
+//   - "The coalition learns u ∈ buffermap(B)" is the same under both tag
+//     models: true for every update B owns exactly when the coalition
+//     holds a predecessor's key or derives a prime, false otherwise.
+//     (Primes are only ever derived with a predecessor's key in hand.)
+//   - A candidate B does not own is never learnt as a member. (Under the
+//     lifted model, an exchanged u_i's entry under p_i is its attestation,
+//     so only a candidate that no message carries tests this.)
+func TestBufferMapModels(t *testing.T) {
+	for _, c := range roundScenarios {
+		t.Run(c.name, func(t *testing.T) {
+			p1 := map[TagModel]string{}
+			for _, m := range []TagModel{NoBufferMap, LiftedTags, KeyedTags} {
+				sc := c.sc
+				sc.Tags = m
+				s := BuildPAGRound(sc)
+				s.AddCandidate("unowned")
+				s.Close()
+				var b strings.Builder
+				derivesPrime := false
+				for i := 0; i < sc.Preds; i++ {
+					fmt.Fprintf(&b, "%s:%v %s:%v ", UpdateName(i), s.KnowsUpdate(UpdateName(i)),
+						PrimeName(i), s.KnowsPrime(PrimeName(i)))
+					derivesPrime = derivesPrime || s.KnowsPrime(PrimeName(i))
+				}
+				p1[m] = b.String()
+				if p1[m] != p1[NoBufferMap] {
+					t.Errorf("model %d: P1 answers %s, without a buffermap %s", m, p1[m], p1[NoBufferMap])
+				}
+				want := m != NoBufferMap && (len(sc.CorruptPreds) > 0 || derivesPrime)
+				for k := 0; k < ownedUpdates; k++ {
+					if got := learnsMember(s, sc, ownedName(k)); got != want {
+						t.Errorf("model %d: learns %s ∈ buffermap(B) = %v, want %v", m, ownedName(k), got, want)
+					}
+				}
+				if learnsMember(s, sc, "unowned") {
+					t.Errorf("model %d: learns a candidate B does not own is in its buffermap", m)
+				}
+			}
+		})
+	}
+}
+
+// TestLiftedHashes: a hash is raised by a prime or prime product the
+// attacker holds, never twice by one prime; a keyed tag never lifts.
+func TestLiftedHashes(t *testing.T) {
+	u := Atom{Kind: KUpdate, Name: "u"}
+	p := Atom{Kind: KPrime, Name: "p"}
+	q := Atom{Kind: KPrime, Name: "q"}
+	r := Atom{Kind: KPrime, Name: "r"}
+	s := NewAttacker()
+	s.Learn(Hash{U: u, Key: p})
+	s.Learn(Tag{U: u, Key: p})
+	s.Learn(q)
+	s.Learn(Prod{Factors: []Term{q, r}})
+	s.Close()
+	for _, want := range []Term{
+		Hash{U: u, Key: Prod{Factors: []Term{p, q}}},
+		Hash{U: u, Key: Prod{Factors: []Term{p, q, r}}},
+	} {
+		if !s.Knows(want) {
+			t.Errorf("did not lift to %s", want.key())
+		}
+	}
+	for _, never := range []Term{
+		Hash{U: u, Key: Prod{Factors: []Term{p, q, q}}},
+		Tag{U: u, Key: Prod{Factors: []Term{p, q}}},
+	} {
+		if s.Knows(never) {
+			t.Errorf("derived %s", never.key())
+		}
+	}
+	if s.confirms(Tag{U: u, Key: p}) {
+		t.Error("confirmed a tag without its key")
+	}
+	s.AddCandidate("u")
+	s.Learn(p)
+	s.Close()
+	if !s.confirms(Tag{U: u, Key: p}) || !s.Knows(u) {
+		t.Error("the dictionary did not confirm a candidate's tag under a known key")
 	}
 }
 

@@ -17,13 +17,46 @@ type Scenario struct {
 	// CorruptPreds / CorruptMons are coalition member indices.
 	CorruptPreds []int
 	CorruptMons  []int
+	// Tags is how B's KeyResponses carry its buffermap (§V-D).
+	Tags TagModel
 }
+
+// TagModel is the construction of a buffermap entry.
+type TagModel int
+
+const (
+	// KeyedTags lists each owned update u as Tag{u, p}: this build's
+	// keyed hash (hhash.Hasher.Tags).
+	KeyedTags TagModel = iota
+	// LiftedTags lists it as Hash{u, p}, the paper's H(u)_(p,M): a term
+	// the attacker may also lift, which is at least what 64 bits of it
+	// give away.
+	LiftedTags
+	// NoBufferMap sends the prime alone.
+	NoBufferMap
+)
+
+// entry is the buffermap entry of u under prime; nil under NoBufferMap.
+func (m TagModel) entry(u, prime Term) Term {
+	switch m {
+	case KeyedTags:
+		return Tag{U: u, Key: prime}
+	case LiftedTags:
+		return Hash{U: u, Key: prime}
+	}
+	return nil
+}
+
+// ownedUpdates is how many updates B owns from earlier rounds: what its
+// buffermaps list. They are dictionary candidates like the exchanged ones.
+const ownedUpdates = 2
 
 // Names used by the builder.
 func predName(i int) string   { return fmt.Sprintf("A%d", i) }
 func monName(i int) string    { return fmt.Sprintf("M%d", i) }
 func primeName(i int) string  { return fmt.Sprintf("p%d", i) }
 func updateName(i int) string { return fmt.Sprintf("u%d", i) }
+func ownedName(i int) string  { return fmt.Sprintf("b%d", i) }
 
 // UpdateName exposes the update naming for queries (exchange i carries
 // update u<i>).
@@ -35,7 +68,9 @@ func PrimeName(i int) string { return primeName(i) }
 // BuildPAGRound constructs the attacker knowledge for one PAG round under
 // the scenario: the full network traffic of Figs 5–6 (global attacker)
 // plus the coalition's private keys and secrets, plus the dictionary
-// universe of candidate updates (§VI-A's attack precondition).
+// universe of candidate updates (§VI-A's attack precondition). Each
+// KeyResponse carries B's buffermap: one entry per update B owns, built
+// as sc.Tags says.
 func BuildPAGRound(sc Scenario) *System {
 	if sc.Designate == nil {
 		sc.Designate = func(pred int) int { return pred % sc.Monitors }
@@ -47,6 +82,11 @@ func BuildPAGRound(sc Scenario) *System {
 		primes[i] = Atom{Kind: KPrime, Name: primeName(i)}
 	}
 	fullKey := Prod{Factors: primes}
+	owned := make([]Term, ownedUpdates)
+	for k := range owned {
+		owned[k] = Atom{Kind: KUpdate, Name: ownedName(k)}
+		s.AddCandidate(ownedName(k))
+	}
 
 	for i := 0; i < sc.Preds; i++ {
 		pred := predName(i)
@@ -59,8 +99,14 @@ func BuildPAGRound(sc Scenario) *System {
 
 		// Message 1: ⟨KeyRequest⟩_Ai (no secrets).
 		s.Learn(Sig{By: pred, Body: []Term{Atom{Kind: KData, Name: "keyreq_" + pred}}})
-		// Message 2: {⟨p_i⟩_B}_pk(Ai).
-		s.Learn(Enc{To: pred, Body: []Term{Sig{By: "B", Body: []Term{prime}}}})
+		// Message 2: {⟨p_i, buffermap⟩_B}_pk(Ai).
+		resp := []Term{prime}
+		for _, o := range owned {
+			if e := sc.Tags.entry(o, prime); e != nil {
+				resp = append(resp, e)
+			}
+		}
+		s.Learn(Enc{To: pred, Body: []Term{Sig{By: "B", Body: resp}}})
 		// Message 3: {⟨u_i, K(R-1,Ai)⟩_Ai}_pk(B).
 		s.Learn(Enc{To: "B", Body: []Term{Sig{By: pred, Body: []Term{u, kPrev}}}})
 		// Message 4: ⟨H(u_i)_(p_i)⟩_Ai — attestation, in clear.

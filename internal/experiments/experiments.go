@@ -431,6 +431,8 @@ func Table1(opt Options) (Result, error) {
 	}
 	fmt.Fprintf(&b, "\nmeasured in the %d kbps simulation: %.0f signatures/s, %.0f hashes/s per node\n",
 		o.StreamKbps, measuredSigs, measuredHashes)
+	b.WriteString("(buffermap hashes are counted as the paper counts them, one per entry, but this build\n" +
+		"computes them as keyed SHA-256 tags, not modular lifts)\n")
 	return Result{ID: "table1", Title: "Cryptographic costs per video quality", Text: b.String()}, nil
 }
 

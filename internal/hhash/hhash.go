@@ -14,6 +14,11 @@
 // exponents the node handed out during round R, and comparing against the
 // successors' acknowledgements.
 //
+// The §V-D buffermap is the one place the paper lifts that this package
+// does not: an entry is only tested for membership, by the node that
+// decrypted the prime, so Hasher.Tags keys a SHA-256 with the prime
+// instead of lifting.
+//
 // The paper uses a 512-bit modulus ("as recommended in [28]") and 512-bit
 // primes; both sizes are configurable here (§VII-C discusses a 256-bit
 // modulus as a cheaper option, which the ablation benchmarks cover).
@@ -21,11 +26,12 @@ package hhash
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -103,26 +109,6 @@ func (p Params) ValueLen() int {
 		return 0
 	}
 	return (p.m.BitLen() + 7) / 8
-}
-
-// Tag returns the §V-D buffermap tag of a reduced hash value: its
-// low-order 64 bits. A buffermap entry is only ever tested for membership,
-// so the responder ships the tag instead of the value and the requester
-// compares tags — both through this one function. It reads the low limb:
-// big.Int.Uint64 is undefined for values wider than 64 bits, and the
-// high-order bytes are biased by the modulus' top limb where the low ones
-// are as good as uniform. Hasher.Tags computes the same value from the
-// limbs of a lift it never turns into a big.Int (limbsTag).
-func (p Params) Tag(v *big.Int) uint64 {
-	w := v.Bits()
-	if len(w) == 0 {
-		return 0
-	}
-	t := uint64(w[0])
-	if bits.UintSize == 32 && len(w) > 1 {
-		t |= uint64(w[1]) << 32
-	}
-	return t
 }
 
 // Key is a hash exponent: a prime number chosen by a receiver, or a product
@@ -213,21 +199,22 @@ func KeyFromBytes(b []byte) (Key, error) {
 	return Key{e: e}, nil
 }
 
-// Counter tallies the modular-exponentiation operations a party performs.
-// Table I reports exactly this quantity ("we measured the number of ...
-// homomorphic hashes per second rather than the CPU load", §VII-C).
+// Counter tallies the hash operations a party performs. Table I reports
+// exactly this quantity ("we measured the number of ... homomorphic hashes
+// per second rather than the CPU load", §VII-C).
 //
 // The unit is LOGICAL: one hash-op per attestation lifted, whether the
 // lift ran as its own modexp, inside the simultaneous multi-
 // exponentiation of VerifyForwarding, or folded into a VerifyBatch
-// equation. Fast paths change how the work is executed, not how much
-// protocol work was accounted — which is what keeps Table I rates
-// comparable before and after the multi-exp optimisation.
+// equation, and one per buffermap tag, which the paper computes as a lift
+// and this build as a keyed hash (Tags). Fast paths change how the work
+// is executed, not how much protocol work was accounted — which is what
+// keeps Table I rates comparable across them.
 type Counter struct {
-	hashOps atomic.Uint64 // modexps: Hash + Lift
+	hashOps atomic.Uint64 // Hash + Lift + buffermap tags
 }
 
-// HashOps returns the number of modular exponentiations performed.
+// HashOps returns the number of hash operations performed.
 func (c *Counter) HashOps() uint64 {
 	if c == nil {
 		return 0
@@ -247,11 +234,8 @@ func (c *Counter) Reset() {
 // counts to an optional per-node Counter.
 //
 // A Hasher serves one caller at a time: it carries per-instance scratch
-// state (the Embed buffer, the cached comb recoding), and a protocol
-// node's driver calls it — monitor role included — from one goroutine at
-// a time. Tags may run lifts on helper goroutines
-// inside the call; it returns only once every lift is done. The Montgomery
-// context (montCtx) those helpers share is immutable once built.
+// state (the Embed and Tags buffers), and a protocol node's driver calls
+// it — monitor role included — from one goroutine at a time.
 type Hasher struct {
 	params Params
 	ops    *Counter
@@ -276,10 +260,8 @@ type Hasher struct {
 	// hands out a modulus-sized copy and lets the big array go.
 	embedScratch big.Int
 
-	// combDigits caches the comb recoding of combDigitsE, the last
-	// exponent LiftFixed or Tags ran under (comb.go).
-	combDigitsE *big.Int
-	combDigits  []uint8
+	// tagInput holds Tags' hash input across calls.
+	tagInput []byte
 }
 
 // NewHasher builds a Hasher; ops may be nil if counting is not needed.
@@ -321,13 +303,6 @@ func (h *Hasher) Hash(key Key, data []byte) *big.Int {
 // Lift(H(u)_(p1), p2) = H(u)_(p1·p2). This is the monitor-side operation of
 // §V-B (message 8): raising an attestation to the remainder product.
 func (h *Hasher) Lift(v *big.Int, key Key) *big.Int {
-	return h.lift(v, nil, key)
-}
-
-// lift is the one accounted lift: a hash-op and a span around v^key, taken
-// from fixed's comb table when the caller has one that serves the key
-// (LiftFixed, comb.go) and from the generic ladder otherwise.
-func (h *Hasher) lift(v *big.Int, fixed *FixedBase, key Key) *big.Int {
 	if key.e == nil {
 		panic("hhash: Lift with zero key")
 	}
@@ -335,15 +310,59 @@ func (h *Hasher) lift(v *big.Int, fixed *FixedBase, key Key) *big.Int {
 		h.ops.hashOps.Add(1)
 	}
 	span := h.liftSpans.SpanStart()
-	var out *big.Int
-	if fixed != nil {
-		out = h.liftComb(fixed, key.e)
-	}
-	if out == nil {
-		out = h.mc.exp(new(big.Int), v, key.e)
-	}
+	out := h.mc.exp(new(big.Int), v, key.e)
 	h.liftSpans.SpanEnd(span)
 	return out
+}
+
+// tagDomain opens every buffermap tag's hash input, so no other use of
+// SHA-256 over the same numbers can produce one.
+const tagDomain = "PAG buffermap tag v1"
+
+// Tags sets dst[i] to the §V-D buffermap tag of the update whose embedding
+// (Embed) is embeds[i], under the exchange's prime key, for every i; dst
+// must hold len(embeds) tags. A tag is the first 8 bytes, big-endian, of
+//
+//	SHA-256(tagDomain ‖ prime ‖ embedding)
+//
+// with both numbers big-endian at Params.ValueLen bytes (a key wider than
+// the modulus, which no honest node draws, at its own width). The
+// responder tags what it owns and the requester its candidates, both
+// through this one function, and they compare tags: equal embeddings give
+// equal tags, and a tag reveals nothing to whoever lacks the prime, which
+// travels encrypted to the requester alone. The paper lifts each entry,
+// H(u)_(p,M); only 64 bits of it ever travelled, and nobody combines or
+// lifts an entry, so a keyed hash gives the same membership test
+// (DESIGN.md "The buffermap is a set of 64-bit tags"). Each tag counts as
+// one hash-op, as the paper counts a buffermap lift; it is not a lift, so
+// it opens no lift span. Tags allocates nothing once the hasher's scratch
+// has grown to the modulus width.
+func (h *Hasher) Tags(dst []uint64, embeds []*big.Int, key Key) {
+	if key.e == nil {
+		panic("hhash: Tags with zero key")
+	}
+	if len(embeds) == 0 {
+		return
+	}
+	dst = dst[:len(embeds)]
+	if h.ops != nil {
+		h.ops.hashOps.Add(uint64(len(embeds)))
+	}
+	w := h.params.ValueLen()
+	pw := max(w, (key.e.BitLen()+7)/8)
+	n := len(tagDomain) + pw + w
+	if cap(h.tagInput) < n {
+		h.tagInput = make([]byte, n)
+	}
+	in := h.tagInput[:n]
+	copy(in, tagDomain)
+	key.e.FillBytes(in[len(tagDomain) : len(tagDomain)+pw])
+	embed := in[len(tagDomain)+pw:]
+	for i, v := range embeds {
+		v.FillBytes(embed)
+		sum := sha256.Sum256(in)
+		dst[i] = binary.BigEndian.Uint64(sum[:8])
+	}
 }
 
 // Combine multiplies two hash values mod M — the homomorphic combination of

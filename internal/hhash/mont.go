@@ -24,8 +24,7 @@ import (
 )
 
 // montCtx is immutable once built: every method reads it and keeps its
-// working state on the caller's stack, so one context serves any number of
-// goroutines at once (Hasher.Tags lifts on helpers).
+// working state on the caller's stack.
 type montCtx struct {
 	mod   *big.Int
 	m     []uint // modulus limbs, little-endian, len k
@@ -73,15 +72,6 @@ func (c *montCtx) limbsOf(v *big.Int) []uint {
 		out[i] = uint(w)
 	}
 	return out
-}
-
-// limbs returns k limbs of buf for a working value, or fresh ones when the
-// modulus is wider than buf.
-func (c *montCtx) limbs(buf []uint) []uint {
-	if c.k > len(buf) {
-		return make([]uint, c.k)
-	}
-	return buf[:c.k]
 }
 
 // toInt converts k limbs back to a big.Int.

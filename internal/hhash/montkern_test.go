@@ -189,7 +189,7 @@ func TestDispatchMatchesCPU(t *testing.T) {
 }
 
 // TestPortableKernels re-runs the engine's differential and allocation
-// tests — ladder, comb, multi-exponentiation, batch verification, prime
+// tests — ladder, multi-exponentiation, batch verification, prime
 // search — with the assembly kernels switched off. (The long final-check
 // sweep, TestFinalCheckMatchesProbablyPrime, takes both verdicts in its
 // one pass instead.)
@@ -207,11 +207,6 @@ func TestPortableKernels(t *testing.T) {
 		{"CombineMatchesBig", TestCombineMatchesBig},
 		{"ModExpInPlaceAndZero", TestModExpInPlaceAndZero},
 		{"LiftAllocations", TestLiftAllocations},
-		{"LiftFixedMatchesBig", TestLiftFixedMatchesBig},
-		{"LiftFixedFallbacks", TestLiftFixedFallbacks},
-		{"LiftFixedAllocations", TestLiftFixedAllocations},
-		{"TagsMatchLiftFixed", TestTagsMatchLiftFixed},
-		{"TagsAllocations", TestTagsAllocations},
 		{"MultiExpMatchesNaive", TestMultiExpMatchesNaive},
 		{"VerifyForwardingMatchesNaive", TestVerifyForwardingMatchesNaive},
 		{"VerifyBatchAcceptIffEachAccepts", TestVerifyBatchAcceptIffEachAccepts},

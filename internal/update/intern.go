@@ -2,10 +2,10 @@ package update
 
 import (
 	"bytes"
+	"math/big"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hhash"
 	"repro/internal/model"
 )
 
@@ -46,9 +46,8 @@ type interned struct {
 	// embed caches the homomorphic-hash embedding (u^1 mod M) of the
 	// canonical bytes, published on first computation. All racing writers
 	// compute the same value, so CompareAndSwap keeps one of N equal
-	// residues instead of N — and with it one comb table per update for
-	// the whole session instead of one per node.
-	embed atomic.Pointer[hhash.FixedBase]
+	// residues instead of N.
+	embed atomic.Pointer[big.Int]
 }
 
 // NewInterner creates an empty interner.
@@ -92,26 +91,24 @@ func (in *Interner) Canonical(u Update) Update {
 }
 
 // SharedEmbed returns the session-shared embedding of u when u carries the
-// interned content, computing and publishing it on first use, and reports
-// it as shared: the interner then owns the lift table that grows on it
-// (DropExpired releases it). For private (non-interned or divergent)
-// copies it just runs compute and the caller owns the result. compute must
-// be a pure function of u's canonical bytes.
-func (in *Interner) SharedEmbed(u Update, compute func() *hhash.FixedBase) (b *hhash.FixedBase, shared bool) {
+// interned content, computing and publishing it on first use. For private
+// (non-interned or divergent) copies it just runs compute. compute must be
+// a pure function of u's canonical bytes.
+func (in *Interner) SharedEmbed(u Update, compute func() *big.Int) *big.Int {
 	if in == nil {
-		return compute(), false
+		return compute()
 	}
 	in.mu.RLock()
 	e := in.m[u.ID]
 	in.mu.RUnlock()
 	if e == nil || !sameSlice(e.payload, u.Payload) {
-		return compute(), false
+		return compute()
 	}
 	if v := e.embed.Load(); v != nil {
-		return v, true
+		return v
 	}
 	e.embed.CompareAndSwap(nil, compute())
-	return e.embed.Load(), true
+	return e.embed.Load()
 }
 
 // sameSlice reports whether two byte slices are the same allocation (not
@@ -122,13 +119,10 @@ func sameSlice(a, b []byte) bool {
 }
 
 // DropExpired garbage-collects entries whose deadline is before the given
-// round, releasing the lift tables of their shared embeddings, and returns
-// how many were dropped. Sessions call it from a round-top hook with the
-// round itself: an update past its deadline is in no forward set and in no
-// buffermap, so from then on no exchange lifts it under a prime again (a
-// straggler's lift still gets the same value, from the generic ladder). The
-// content itself lives on in the store entries that alias it until each
-// node's own retention GC.
+// round and returns how many were dropped. Sessions call it from a
+// round-top hook with the round itself: an update past its deadline is in
+// no forward set and in no buffermap. The content itself lives on in the
+// store entries that alias it until each node's own retention GC.
 func (in *Interner) DropExpired(before model.Round) int {
 	if in == nil {
 		return 0
@@ -138,9 +132,6 @@ func (in *Interner) DropExpired(before model.Round) int {
 	dropped := 0
 	for id, e := range in.m {
 		if e.deadline < before {
-			if b := e.embed.Load(); b != nil {
-				b.Release()
-			}
 			delete(in.m, id)
 			dropped++
 		}

@@ -1,7 +1,9 @@
 // Package update models the disseminated data chunks ("updates") of a
 // gossip session and the per-node update store: reception multiplicities
-// (§V-D "Multiple receptions"), buffermap windows (§V-D "Buffermap
-// transmissions") and expiration (§V-D "Expiration of updates").
+// (§V-D "Multiple receptions"), buffermaps as sets of 64-bit tags keyed by
+// an exchange's prime (§V-D "Buffermap transmissions", hhash.Hasher.Tags)
+// and expiration (§V-D "Expiration of updates"). A store entry caches its
+// update's embedding, which the tags hash and the attestations lift.
 package update
 
 import (
@@ -9,10 +11,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/big"
 	"slices"
 	"sort"
 
-	"repro/internal/hhash"
 	"repro/internal/model"
 )
 
@@ -74,14 +76,11 @@ type Entry struct {
 	// Delivered marks handoff to the application (media player).
 	Delivered bool
 	// Embed caches the protocol layer's homomorphic-hash embedding of the
-	// update bytes (u^1 mod M): every buffermap hash, serve attestation
-	// and acknowledgement lifts this value, and it never changes once the
-	// update is stored. It is a fixed base: the buffermap lifts it under
-	// one fresh prime after another, so it also owns the comb table those
-	// lifts run on (the interner's object when the content is interned,
-	// this entry's own, attached with Store.SetOwnEmbed, otherwise). nil
-	// until first computed; the residue is read-only.
-	Embed *hhash.FixedBase
+	// update bytes (u^1 mod M): every buffermap tag hashes this value,
+	// every serve attestation and acknowledgement lifts it, and it never
+	// changes once the update is stored (the interner's object when the
+	// content is interned). nil until first computed; read-only.
+	Embed *big.Int
 }
 
 // Store is a single node's update store. It is not safe for concurrent use;
@@ -99,10 +98,6 @@ type Store struct {
 	// received (deadline − reception round): how far back OwnedInWindow must
 	// look for entries that have not expired.
 	maxLife model.Round
-	// liftTables indexes, by update deadline, the embeddings this store
-	// owns (SetOwnEmbed) and ReleaseLiftTables has not released yet. nil
-	// while every embedding is the interner's.
-	liftTables map[model.Round][]*hhash.FixedBase
 	// pending indexes the entries not yet handed to the application, in
 	// no particular order: Add appends, Undelivered drops what its caller
 	// marked Delivered since the last call, DropBefore what it retires.
@@ -263,35 +258,6 @@ func (s *Store) DropBefore(r model.Round) int {
 	return dropped
 }
 
-// SetOwnEmbed caches an embedding that belongs to this store alone (no
-// interner, or content the interner does not hold) and takes charge of the
-// lift table it will grow; the interner's shared embeddings are assigned to
-// Entry.Embed directly and released by Interner.DropExpired.
-func (s *Store) SetOwnEmbed(e *Entry, b *hhash.FixedBase) {
-	e.Embed = b
-	if s.liftTables == nil {
-		s.liftTables = make(map[model.Round][]*hhash.FixedBase)
-	}
-	d := e.Update.Deadline
-	s.liftTables[d] = append(s.liftTables[d], b)
-}
-
-// ReleaseLiftTables releases the lift tables of the store's own embeddings
-// whose update's deadline is strictly before the given round — the rule of
-// Interner.DropExpired, which nodes apply at the round top to what the
-// interner does not cover. The embedding itself stays with the entry.
-func (s *Store) ReleaseLiftTables(before model.Round) {
-	for d, bases := range s.liftTables {
-		if d >= before {
-			continue
-		}
-		for _, b := range bases {
-			b.Release()
-		}
-		delete(s.liftTables, d)
-	}
-}
-
 func sortEntries(es []*Entry) {
 	sort.Slice(es, func(i, j int) bool {
 		return es[i].Update.ID.Less(es[j].Update.ID)
@@ -303,11 +269,11 @@ func sortEntries(es []*Entry) {
 // ---------------------------------------------------------------------------
 
 // BufferMap is the privacy-preserving ownership hint of §V-D: the tags
-// (hhash.Params.Tag) of the homomorphic hashes, under the responder's fresh
-// prime, of the updates it owns in the window — a set, held strictly
-// ascending, which is also how it travels. The requester matches by tagging
-// its own candidates under the same prime — neither side reveals
-// identifiers in clear to the monitors.
+// (hhash.Hasher.Tags), keyed by the responder's fresh prime, of the
+// updates it owns in the window — a set, held strictly ascending, which is
+// also how it travels. The requester matches by tagging its own
+// candidates under the same prime — neither side reveals identifiers in
+// clear to the monitors.
 type BufferMap []uint64
 
 // NewBufferMap makes tags a BufferMap in place: sorted, duplicates dropped.

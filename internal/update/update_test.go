@@ -274,7 +274,7 @@ func TestDropBeforeClearsRetiredEntries(t *testing.T) {
 		u := mkUpdate(seq, 50)
 		u.SrcSig = []byte{0x51, byte(seq)}
 		s.Add(u, model.Round(seq), 1)
-		s.Get(u.ID).Embed = hhash.NewFixedBase(big.NewInt(int64(seq)), 64)
+		s.Get(u.ID).Embed = big.NewInt(int64(seq))
 	}
 	if got := s.DropBefore(4); got != 3 {
 		t.Fatalf("dropped %d, want 3", got)
@@ -295,100 +295,32 @@ func TestDropBeforeClearsRetiredEntries(t *testing.T) {
 	}
 }
 
-// TestReleaseLiftTables: the tables of exactly the updates whose deadline
-// is before the bound are released, once; embeddings stay.
-func TestReleaseLiftTables(t *testing.T) {
-	params, err := hhash.ParamsFromModulus(big.NewInt(0xfff1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hhash.NewHasher(params, nil)
-	key, err := hhash.KeyFromInt(big.NewInt(0x1d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore()
-	for seq, deadline := range []model.Round{5, 6, 6, 7, 9} {
-		u := mkUpdate(uint64(seq), deadline)
-		s.Add(u, 2, 1)
-		e := s.Get(u.ID)
-		s.SetOwnEmbed(e, hhash.NewFixedBase(big.NewInt(int64(seq)+2), 8))
-		h.LiftFixed(e.Embed, key)
-		if !e.Embed.HasTable() {
-			t.Fatal("lift built no table")
-		}
-	}
-	s.Add(mkUpdate(99, 5), 2, 1) // no embedding yet: nothing to release
-	tabled := func() (n int) {
-		for _, e := range s.ReceivedIn(2) {
-			if e.Embed != nil && e.Embed.HasTable() {
-				n++
-			}
-		}
-		return n
-	}
-	for _, step := range []struct {
-		before model.Round
-		want   int
-	}{{5, 5}, {6, 4}, {7, 2}, {7, 2}, {10, 0}} {
-		s.ReleaseLiftTables(step.before)
-		if got := tabled(); got != step.want {
-			t.Fatalf("after ReleaseLiftTables(%d): %d tables, want %d", step.before, got, step.want)
-		}
-	}
-	if len(s.liftTables) != 0 {
-		t.Fatalf("deadline index keeps %d released rounds", len(s.liftTables))
-	}
-	for _, e := range s.ReceivedIn(2) {
-		if e.Update.ID.Seq != 99 && (e.Embed == nil || e.Embed.Value() == nil) {
-			t.Fatal("release dropped an embedding")
-		}
-	}
-}
-
-// TestInternerReleasesSharedLiftTables: interned content gets one shared
-// embedding, reported as shared; divergent or unknown content gets the
-// caller's own; DropExpired releases the shared table with the entry.
-func TestInternerReleasesSharedLiftTables(t *testing.T) {
-	params, err := hhash.ParamsFromModulus(big.NewInt(0xfff1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hhash.NewHasher(params, nil)
-	key, err := hhash.KeyFromInt(big.NewInt(0x1d))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestInternerSharesEmbeddings: interned content gets one shared
+// embedding, computed once; content that did not go through Canonical, and
+// every lookup on a nil interner, gets the caller's own.
+func TestInternerSharesEmbeddings(t *testing.T) {
 	computed := 0
-	compute := func() *hhash.FixedBase {
+	compute := func() *big.Int {
 		computed++
-		return hhash.NewFixedBase(big.NewInt(int64(computed)+1), 8)
+		return big.NewInt(int64(computed) + 1)
 	}
-
 	in := NewInterner()
 	early, late := in.Canonical(mkUpdate(1, 5)), in.Canonical(mkUpdate(2, 9))
-	b1, shared := in.SharedEmbed(early, compute)
-	if !shared {
-		t.Fatal("interned content not reported as shared")
-	}
-	if again, _ := in.SharedEmbed(early, compute); again != b1 || computed != 1 {
+	b1 := in.SharedEmbed(early, compute)
+	if again := in.SharedEmbed(early, compute); again != b1 || computed != 1 {
 		t.Fatalf("second lookup recomputed (%d computes) or returned another object", computed)
 	}
-	b2, _ := in.SharedEmbed(late, compute)
-	if own, shared := in.SharedEmbed(mkUpdate(1, 5), compute); shared || own == b1 {
+	if b2 := in.SharedEmbed(late, compute); b2 == b1 {
+		t.Fatal("two updates share one embedding")
+	}
+	if own := in.SharedEmbed(mkUpdate(1, 5), compute); own == b1 {
 		t.Fatal("a copy that did not go through Canonical was given the shared embedding")
 	}
-	if _, shared := (*Interner)(nil).SharedEmbed(early, compute); shared {
-		t.Fatal("nil interner reported a shared embedding")
+	if own := (*Interner)(nil).SharedEmbed(early, compute); own == b1 {
+		t.Fatal("nil interner returned the shared embedding")
 	}
-
-	h.LiftFixed(b1, key)
-	h.LiftFixed(b2, key)
-	if in.DropExpired(5) != 0 || !b1.HasTable() {
-		t.Fatal("DropExpired(5) touched an update whose deadline is 5")
-	}
-	if in.DropExpired(6) != 1 || b1.HasTable() || !b2.HasTable() {
-		t.Fatalf("DropExpired(6): early table attached = %v, late = %v", b1.HasTable(), b2.HasTable())
+	if in.DropExpired(5) != 0 || in.DropExpired(6) != 1 || in.Len() != 1 {
+		t.Fatalf("DropExpired kept %d entries, want the late update's alone", in.Len())
 	}
 }
 
@@ -415,8 +347,9 @@ func TestBufferMap(t *testing.T) {
 
 // TestTagMatchSetEqualsFullWidthMatchSet: over random stores, windows and
 // forward sets, matching the requester's candidates against the
-// responder's 64-bit tags selects exactly the updates that matching the
-// full-width hash values selects.
+// responder's 64-bit keyed tags (hhash.Hasher.Tags) selects exactly the
+// updates that matching the paper's full-width entries, H(u)_(p,M),
+// selects.
 func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	params, err := hhash.GenerateParams(rng, 128)
@@ -426,6 +359,11 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 	h := hhash.NewHasher(params, nil)
 	lift := func(u *Update, prime hhash.Key) *big.Int {
 		return h.Lift(h.Embed(u.CanonicalBytes()), prime)
+	}
+	tag := func(u *Update, prime hhash.Key) uint64 {
+		var t [1]uint64
+		h.Tags(t[:], []*big.Int{h.Embed(u.CanonicalBytes())}, prime)
+		return t[0]
 	}
 	for trial := 0; trial < 40; trial++ {
 		prime, err := hhash.GeneratePrimeKey(rng, 128)
@@ -454,7 +392,7 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			full[string(enc)] = true
-			tags[i] = params.Tag(v)
+			tags[i] = tag(&e.Update, prime)
 		}
 		bm := NewBufferMap(tags)
 		if len(bm) != len(owned) {
@@ -464,9 +402,9 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 		for i := range candidates {
 			v := lift(&candidates[i], prime)
 			enc, _ := params.EncodeValue(v)
-			if bm.Contains(params.Tag(v)) != full[string(enc)] {
+			if byTag := bm.Contains(tag(&candidates[i], prime)); byTag != full[string(enc)] {
 				t.Fatalf("trial %d: update %v matches by tag %v, by value %v",
-					trial, candidates[i].ID, bm.Contains(params.Tag(v)), full[string(enc)])
+					trial, candidates[i].ID, byTag, full[string(enc)])
 			}
 			if full[string(enc)] {
 				matched++

@@ -125,20 +125,21 @@ func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
 // KeyResponse (Fig 5, msg 2): {⟨KeyResponse, R, B, A, p_j, H(u_{i∈S_B})⟩_B}_pk(A)
 // ---------------------------------------------------------------------------
 
-// BufTagBytes is the width of one buffermap entry on the wire: the
-// low-order 64 bits of H(u)_(p_j,M) (hhash.Params.Tag). The requester only
-// tests entries for membership, so the full-width value buys nothing; two
-// distinct lifted hashes agreeing on 64 bits is the one way a tag can
-// mislead (DESIGN.md, "Bytes on the wire", gives the bound).
+// BufTagBytes is the width of one buffermap entry on the wire: a 64-bit
+// tag of u keyed by p_j (hhash.Hasher.Tags) where the paper sends
+// H(u)_(p_j,M). The requester only tests entries for membership, so the
+// full-width value buys nothing; two distinct updates whose tags agree is
+// the one way a tag can mislead (DESIGN.md, "Bytes on the wire", gives the
+// bound).
 const BufTagBytes = 8
 
 // errUnsortedBufferMap rejects a buffermap whose tags are not strictly
 // ascending: a set has one encoding.
 var errUnsortedBufferMap = errors.New("wire: buffermap tags not strictly ascending")
 
-// KeyResponse carries the fresh prime and the buffermap: the tags of the
-// homomorphic hashes, under that prime, of the updates the responder owns
-// in the buffermap window (§V-D). It travels encrypted to the requester.
+// KeyResponse carries the fresh prime and the buffermap: the tags, keyed
+// by that prime, of the updates the responder owns in the buffermap
+// window (§V-D). It travels encrypted to the requester.
 type KeyResponse struct {
 	Round model.Round
 	From  model.NodeID // B

@@ -434,9 +434,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// of racing to build it.
 	s.engine.OnRoundStart(func(r model.Round) { s.dir.View(r) })
 	// Expired content leaves the flyweight table at the round top: an
-	// expired update can never be served again nor named by a buffermap, so
-	// the lift table shared through the table goes with it (store entries
-	// keep their aliases alive until each node's own retention GC).
+	// expired update can never be served again nor named by a buffermap
+	// (store entries keep their aliases alive until each node's own
+	// retention GC).
 	if s.intern != nil {
 		s.engine.OnRoundStart(func(r model.Round) { s.intern.DropExpired(r) })
 	}

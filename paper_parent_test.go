@@ -13,11 +13,11 @@ import (
 
 // The fixture below is this file's rendering of a session at the paper's
 // sizes (§VII-A: 512-bit modulus and primes, 300 kbps of 938-byte chunks)
-// as commit 1207557 ran it, the last one that lifted every buffermap tag
-// one at a time on the node's goroutine. Its buffermaps are wide enough for
-// hhash.Hasher.Tags to split them across cores, so this is the check that
-// splitting moved no counter and no verdict. To rebuild it, copy this file
-// into a checkout of that commit and run
+// as commit 1207557 ran it, when every buffermap tag was still the low 64
+// bits of a lift. Tags are keyed hashes now (hhash.Hasher.Tags), and the
+// same 512-bit buffermaps go through them, so this is the check that the
+// tag construction moved no counter and no verdict. To rebuild it, copy
+// this file into a checkout of that commit and run
 //
 //	go test -run TestPaperParentFixture -record-paper-fixture .
 var recordPaperFixture = flag.Bool("record-paper-fixture", false,
