@@ -130,7 +130,7 @@ func TestTCPCapacityCliffQueueParity(t *testing.T) {
 		t.Skip("loopback cliff sweep is seconds-long; covered by the full suite")
 	}
 	const nodes = 10
-	sc := scenario.CapacityCliff(30, 4, 4, nil)
+	sc := scenario.CapacityCliff(30, 4, 4)
 	sc.Seed = 7
 
 	base := SessionConfig{

@@ -20,7 +20,7 @@
 // membership eviction → id quarantine), and the report then carries the
 // eviction and rejoin-rejection logs per protocol and per epoch.
 //
-// Upload caps ("set_upload_cap"/"set_queue_cap" events) are a queued link
+// Upload caps ("set_queue_cap" events) are a queued link
 // model: over-budget messages carry over to later rounds, paced by the
 // cap, and expire past the playout deadline. The report separates the
 // resulting queue pressure (messages_deferred, messages_expired, and the
@@ -60,7 +60,6 @@ import (
 	pag "repro"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -164,21 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// they sit outside the determinism boundary like the trace itself.
 		cfg.Trace.SetClock(func() int64 { return time.Now().UnixNano() })
 	}
-	switch strings.ToLower(*netKind) {
-	case "mem", "":
-	case "tcp":
-		// Real loopback sockets: every node listens on an ephemeral
-		// 127.0.0.1 port (dynamic roster — churn joins register live
-		// endpoints mid-run). Sockets need the inline engine.
-		cfg.Workers = 0
-		cfg.NewNetwork = func() transport.FaultyNetwork {
-			tn := transport.NewTCPNet(nil)
-			tn.SetDynamic("127.0.0.1")
-			tn.SetStepped(2 * time.Second)
-			return tn
-		}
-	default:
-		fmt.Fprintf(stderr, "pag-scenario: unknown transport %q (mem|tcp)\n", *netKind)
+	if err := cfg.UseNetwork(*netKind); err != nil {
+		fmt.Fprintln(stderr, "pag-scenario:", err)
 		return 2
 	}
 

@@ -30,12 +30,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	pag "repro"
 	"repro/internal/model"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -164,19 +162,9 @@ func runReplay(args []string) int {
 	if *netKind != "" {
 		transportKind = *netKind
 	}
-	switch transportKind {
-	case "mem", "":
-	case "tcp":
-		// Sockets step inline whatever worker count the recorded run used.
-		cfg.Workers = 0
-		cfg.NewNetwork = func() transport.FaultyNetwork {
-			tn := transport.NewTCPNet(nil)
-			tn.SetDynamic("127.0.0.1")
-			tn.SetStepped(2 * time.Second)
-			return tn
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "pag-trace: unknown transport %q (mem|tcp)\n", transportKind)
+	// Sockets step inline whatever worker count the recorded run used.
+	if err := cfg.UseNetwork(transportKind); err != nil {
+		fmt.Fprintln(os.Stderr, "pag-trace:", err)
 		return 2
 	}
 	var protocols []pag.Protocol

@@ -355,17 +355,16 @@ func SignaturesPerSec(fanout, monitors int) float64 {
 	return 3*f + 3*f + 1 + f + fm*f
 }
 
-// HashesPerSec models Table I's homomorphic-hash row: dominated by the
-// buffermap (window × rate per predecessor) plus sender-side matching and
-// the per-exchange attestation/ack/lift operations.
-func HashesPerSec(payloadKbps, updateBytes, window, fanout int) float64 {
-	if updateBytes == 0 {
-		updateBytes = model.UpdateBytes
-	}
-	if window == 0 {
-		window = 4
-	}
-	u := float64(payloadKbps) * 1000 / 8 / float64(updateBytes)
+// paperBuffermapRounds is the paper's buffermap span: the updates of the
+// last 4 rounds (§V-D), the count Table I's hash row is priced on.
+const paperBuffermapRounds = 4
+
+// HashesPerSec models Table I's homomorphic-hash row at the paper's 938 B
+// updates: dominated by the buffermap (paperBuffermapRounds × rate per
+// predecessor) plus sender-side matching and the per-exchange
+// attestation/ack/lift operations.
+func HashesPerSec(payloadKbps, fanout int) float64 {
+	u := float64(payloadKbps) * 1000 / 8 / model.UpdateBytes
 	f := float64(fanout)
-	return u*float64(window)*f + u*f + 8*f
+	return u*paperBuffermapRounds*f + u*f + 8*f
 }

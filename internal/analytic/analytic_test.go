@@ -162,19 +162,19 @@ func TestTable1Shape(t *testing.T) {
 	}
 	prev := 0.0
 	for _, q := range model.Qualities() {
-		h := HashesPerSec(q.PayloadKbps(), 0, 0, 3)
+		h := HashesPerSec(q.PayloadKbps(), 3)
 		if h <= prev {
 			t.Fatalf("hashes/s not increasing at %v", q)
 		}
 		prev = h
 	}
 	// 240p (300 kbps): paper reports 475 hashes/s.
-	h240 := HashesPerSec(300, 0, 0, 3)
+	h240 := HashesPerSec(300, 3)
 	if h240 < 300 || h240 > 900 {
 		t.Fatalf("hashes/s at 240p = %v, paper = 475", h240)
 	}
 	// 1080p: paper reports 7200.
-	h1080 := HashesPerSec(4500, 0, 0, 3)
+	h1080 := HashesPerSec(4500, 3)
 	if h1080 < 4500 || h1080 > 14000 {
 		t.Fatalf("hashes/s at 1080p = %v, paper = 7200", h1080)
 	}

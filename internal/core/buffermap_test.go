@@ -48,7 +48,7 @@ func TestBuffermapTagCollisionOutcome(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			minted := n.Store().OwnedInWindow(collideAt, 1)
+			minted := n.Store().ReceivedIn(collideAt)
 			if len(minted) == 0 {
 				t.Fatal("the source minted nothing this round")
 			}

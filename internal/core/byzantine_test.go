@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hhash"
+	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -127,7 +128,7 @@ func TestServeBadMultiplicityRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned := node.Store().OwnedInWindow(round, 4)
+	owned := node.Store().Live(round)
 	if len(owned) == 0 {
 		t.Fatal("receiver owns nothing to reference")
 	}
@@ -221,5 +222,54 @@ func TestServeUnknownStreamRejected(t *testing.T) {
 	}
 	if node.Store().Has(u.ID) || node.Store().Has(fresh[0].ID) {
 		t.Fatal("the served update was stored")
+	}
+}
+
+// TestWidePrimeRejected: a KeyResponse correctly signed by a successor but
+// carrying a prime wider than the session's (here 128 KB, where an honest
+// one is 128 bits) costs the responder one BadMessage verdict from the
+// requester, raised before any lift: the requester sends that successor
+// no Serve in the round.
+func TestWidePrimeRejected(t *testing.T) {
+	const src, at = model.NodeID(1), model.Round(3)
+	h := newHarness(t, 16, 2)
+	wide := make([]byte, 128<<10)
+	wide[0], wide[len(wide)-1] = 0xC0, 1
+	var responder model.NodeID
+	served := false
+	h.deliver = func(n *core.Node, m transport.Message) {
+		if n.Round() == at && m.Kind == wire.KindKeyResponse && m.To == src && responder == model.NoNode {
+			responder = m.From
+			plain, err := h.identities[src].Decrypt(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := wire.UnmarshalKeyResponse(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Prime, resp.Sig = wide, nil
+			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[responder], resp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n.Round() == at && m.Kind == wire.KindServe && m.From == src && m.To == responder {
+			served = true
+		}
+		n.HandleMessage(m)
+	}
+	h.engine.Run(int(at) + 1)
+
+	if responder == model.NoNode {
+		t.Fatal("no KeyResponse reached the source in the tampered round")
+	}
+	if !slices.ContainsFunc(h.verdicts, func(v judicial.Verdict) bool {
+		return v.Kind == core.VerdictBadMessage && v.Accused == responder && v.Reporter == src &&
+			v.Round == at && v.Detail == "invalid prime in KeyResponse"
+	}) {
+		t.Fatalf("no BadMessage against %v for its wide prime; verdicts %v", responder, h.verdicts)
+	}
+	if served {
+		t.Fatalf("the source served %v under its wide prime", responder)
 	}
 }

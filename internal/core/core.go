@@ -145,8 +145,6 @@ type Config struct {
 	Verdicts func(judicial.Verdict)
 	// OnDeliver receives playback-ready updates; may be nil.
 	OnDeliver func(update.Update)
-	// Rand is the entropy source for primes (crypto/rand if nil).
-	Rand io.Reader
 	// CoeffRand is the entropy source for the small exponents that fold an
 	// exchange's attestation checks into one equation (crypto/rand if nil).
 	// A predecessor who can predict them can craft two wrong attestation

@@ -48,7 +48,7 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 		// feeds K(R,B), the monitor reports and the self-digest, and an
 		// exchange belongs there exactly when it has a prime (and never
 		// with a zero one, so a failed generation leaves no trace).
-		prime, err := n.drawPrime()
+		prime, err := n.pool.Get()
 		if err != nil {
 			return
 		}
@@ -72,7 +72,7 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	// revealing identifiers.
 	s := getTagScratch()
 	defer s.release() // resp.BufferMap is s.tags until the send
-	for _, e := range n.store.OwnedInWindow(n.round, 0) {
+	for _, e := range n.store.Live(n.round) {
 		s.embeds = append(s.embeds, n.embedOf(e))
 	}
 	resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
@@ -144,8 +144,11 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 	if ex == nil || ex.served || ex.skipped {
 		return
 	}
+	// Every honest prime has exactly the session's width (the generator
+	// forces its top bits); a wider one would make each lift under it
+	// cost time in proportion to its length, so it is refused before any.
 	prime, err := hhash.KeyFromBytes(resp.Prime)
-	if err != nil {
+	if err != nil || prime.BitLen() != n.sh.primeBits {
 		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
 			Accused: msg.From, Detail: "invalid prime in KeyResponse"})
 		return
@@ -157,18 +160,7 @@ func (n *Node) onKeyResponse(msg transport.Message) {
 // serve builds and sends messages 3 (Serve) and 4 (Attestation) for one
 // successor, honouring behaviour-injected deviations.
 func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm update.BufferMap) {
-	items := n.sendCur.items
-	// Selfish deviation: silently drop the tail of the forward set. The
-	// attestation is computed over what is actually sent, so the receiver
-	// verifies it fine — only the monitors' obligation check can catch
-	// the deviation (§VI-B).
-	if d := n.cfg.Behavior.DropUpdates; d > 0 {
-		if d >= len(items) {
-			items = nil
-		} else {
-			items = items[:len(items)-d]
-		}
-	}
+	items := n.servedItems()
 
 	srv := &wire.Serve{
 		Round: n.round,
@@ -178,11 +170,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	}
 	s := getTagScratch()
 	for _, it := range items {
-		ve := it.embed
-		if ve == nil {
-			ve = n.embed(&it.upd)
-		}
-		s.embeds = append(s.embeds, ve)
+		s.embeds = append(s.embeds, it.embed)
 	}
 	// No map, no tags: against an empty buffermap (a successor that owns
 	// nothing yet) matching costs no hash operation.
@@ -328,12 +316,7 @@ func (n *Node) processServe(srv *wire.Serve) {
 		} else {
 			n.stats.DuplicateReceptions += count
 		}
-		var ve *big.Int
-		if e := n.store.Get(u.ID); e != nil {
-			ve = n.embedOf(e)
-		} else {
-			ve = n.embed(&u)
-		}
+		ve := n.embedOf(n.store.Get(u.ID))
 		v := ve
 		if count != 1 {
 			v = n.hasher.Lift(ve, mustCountKey(count))
@@ -511,7 +494,7 @@ func (n *Node) onAck(msg transport.Message) {
 	if err != nil {
 		return
 	}
-	if n.expectedAckFor(ex).Cmp(h) != 0 {
+	if n.expectedAckFor().Cmp(h) != 0 {
 		// Treat a wrong acknowledgement as a missing one: the
 		// accusation path re-runs the exchange under monitor scrutiny.
 		return
@@ -525,29 +508,24 @@ func (n *Node) onAck(msg transport.Message) {
 	}
 }
 
+// servedItems is the round's forward set as this node serves it. A
+// selfish deviation silently drops its tail; the attestation is computed
+// over what is actually sent, so the receiver verifies it fine — only the
+// monitors' obligation check can catch the deviation (§VI-B).
+func (n *Node) servedItems() []pendingItem {
+	items := n.sendCur.items
+	if d := n.cfg.Behavior.DropUpdates; d > 0 {
+		items = items[:max(len(items)-d, 0)]
+	}
+	return items
+}
+
 // expectedAckFor returns the acknowledgement hash this node expects from a
 // successor — normally the round's precomputed value, recomputed only when
 // a deviation trimmed the served set.
-func (n *Node) expectedAckFor(ex *sendExchange) *big.Int {
+func (n *Node) expectedAckFor() *big.Int {
 	if n.cfg.Behavior.DropUpdates == 0 {
 		return n.sendCur.expectedAckH
 	}
-	items := n.sendCur.items
-	if d := n.cfg.Behavior.DropUpdates; d >= len(items) {
-		items = nil
-	} else {
-		items = items[:len(items)-d]
-	}
-	prod := n.hasher.Identity()
-	for _, it := range items {
-		v := it.embed
-		if v == nil {
-			v = n.embed(&it.upd)
-		}
-		if it.count != 1 {
-			v = n.hasher.Lift(v, mustCountKey(it.count))
-		}
-		prod = n.hasher.Combine(prod, v)
-	}
-	return n.hasher.Lift(prod, n.sendCur.kPrev)
+	return n.ackHash(n.servedItems(), n.sendCur.kPrev)
 }

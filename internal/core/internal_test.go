@@ -148,6 +148,15 @@ func TestConfigValidation(t *testing.T) {
 		{"no suite", func(c *Config) { sh := shared; sh.Suite = nil; c.Shared = NewShared(sh) }, false},
 		{"no directory", func(c *Config) { sh := shared; sh.Directory = nil; c.Shared = NewShared(sh) }, false},
 		{"no hash parameters", func(c *Config) { sh := shared; sh.HashParams = hhash.Params{}; c.Shared = NewShared(sh) }, false},
+		// A modulus under 8 bits leaves no prime width to draw from: the
+		// node fails at construction, not at its first exchange.
+		{"7-bit modulus", func(c *Config) {
+			sh := shared
+			if sh.HashParams, err = hhash.ParamsFromModulus(big.NewInt(127)); err != nil {
+				t.Fatal(err)
+			}
+			c.Shared = NewShared(sh)
+		}, false},
 	} {
 		cfg := valid()
 		tc.edit(&cfg)

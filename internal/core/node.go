@@ -30,7 +30,7 @@ type pendingItem struct {
 	// embed caches hhash.Embed(upd.CanonicalBytes()) — the update-sized
 	// modular reduction every serve, buffermap and acknowledgement
 	// computation starts from. Shared read-only with the update store's
-	// entry; nil means "not computed yet".
+	// entry.
 	embed *big.Int
 }
 
@@ -124,14 +124,13 @@ type Node struct {
 	id     model.NodeID
 	hasher *hhash.Hasher
 	hops   hhash.Counter
-	rnd    io.Reader
-	// pool pregenerates exchange primes off the critical path; nil when
-	// its construction failed and prime generation runs inline.
+	// pool issues exchange primes, drawn from crypto/rand and pregenerated
+	// off the critical path.
 	pool *hhash.PrimePool
 	// coeffs feeds batched-verification coefficients (Config.CoeffRand).
-	// It is deliberately NOT n.rnd: coefficients never reach the wire, and
-	// drawing them from the prime stream would shift the prime sequence
-	// with every verification.
+	// It is deliberately NOT the pool's stream: coefficients never reach
+	// the wire, and drawing them from the prime stream would shift the
+	// prime sequence with every verification.
 	coeffs io.Reader
 
 	store *update.Store
@@ -184,23 +183,20 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	sh := cfg.Shared
-	rnd := cfg.Rand
-	if rnd == nil {
-		rnd = rand.Reader
+	pool, err := hhash.NewPrimePool(rand.Reader, sh.primeBits)
+	if err != nil {
+		return nil, fmt.Errorf("core: node %v: %w", cfg.ID, err)
 	}
 	n := &Node{
 		cfg:         cfg,
 		sh:          sh,
 		id:          cfg.ID,
-		rnd:         rnd,
+		pool:        pool,
 		store:       update.NewStore(),
 		pendingNext: make(map[model.UpdateID]*pendingItem),
 		kPrev:       hhash.OneKey(),
 	}
 	n.hasher = hhash.NewHasher(sh.HashParams, &n.hops)
-	if pool, err := hhash.NewPrimePool(rnd, sh.primeBits, hhash.DefaultPrimePoolTarget); err == nil {
-		n.pool = pool
-	}
 	if n.coeffs = cfg.CoeffRand; n.coeffs == nil {
 		n.coeffs = rand.Reader
 	}
@@ -331,15 +327,11 @@ func (n *Node) BeginRound(r model.Round) {
 			// The source publishes its minted content to the interner, so
 			// every receiver's store aliases one session-wide copy.
 			u = n.sh.Intern.Canonical(u)
-			it := pendingItem{upd: u, count: 1}
 			n.store.Add(u, r, 1)
-			if e := n.store.Get(u.ID); e != nil {
-				it.embed = n.embedOf(e)
-			}
-			items = append(items, it)
+			items = append(items, pendingItem{upd: u, count: 1, embed: n.embedOf(n.store.Get(u.ID))})
 		}
 		n.injected = nil
-		if fresh, err := n.drawPrime(); err == nil {
+		if fresh, err := n.pool.Get(); err == nil {
 			n.kPrev = n.kPrev.Mul(fresh)
 		}
 	}
@@ -352,19 +344,7 @@ func (n *Node) BeginRound(r model.Round) {
 	}
 	send.items = items
 	send.kPrev = n.kPrev
-	// Precompute the expected acknowledgement hash (one modexp).
-	prod := n.hasher.Identity()
-	for _, it := range items {
-		v := it.embed
-		if v == nil {
-			v = n.embed(&it.upd)
-		}
-		if it.count != 1 {
-			v = n.hasher.Lift(v, mustCountKey(it.count))
-		}
-		prod = n.hasher.Combine(prod, v)
-	}
-	send.expectedAckH = n.hasher.Lift(prod, send.kPrev)
+	send.expectedAckH = n.ackHash(items, send.kPrev)
 	n.sendCur = send
 	if n.recvFree != nil {
 		n.recvCur = n.recvFree
@@ -704,16 +684,18 @@ func (e encrypter) EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byt
 	return e.n.encryptTo(dst, to, msg)
 }
 
-// drawPrime issues the next exchange prime from the pregeneration pool, or
-// inline when the pool could not be built. Both paths run the same search
-// (hhash.GeneratePrimeKey is the pool's generator) over the node's entropy
-// stream in issuance order, so which one runs never changes the sequence
-// of primes an exchange observes.
-func (n *Node) drawPrime() (hhash.Key, error) {
-	if n.pool != nil {
-		return n.pool.Get()
+// ackHash is the acknowledgement hash a successor that was served items
+// owes under kPrev: H(∏ items u^count)_(kPrev,M).
+func (n *Node) ackHash(items []pendingItem, kPrev hhash.Key) *big.Int {
+	prod := n.hasher.Identity()
+	for _, it := range items {
+		v := it.embed
+		if it.count != 1 {
+			v = n.hasher.Lift(v, mustCountKey(it.count))
+		}
+		prod = n.hasher.Combine(prod, v)
 	}
-	return hhash.GeneratePrimeKey(n.rnd, n.sh.primeBits)
+	return n.hasher.Lift(prod, kPrev)
 }
 
 // embed computes an update's embedding from its canonical bytes, encoded

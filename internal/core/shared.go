@@ -83,8 +83,8 @@ func NewShared(sh Shared) *Shared {
 		sh.servedPayloads = sh.Metrics.Counter("pag_core_serve_items_total", obs.L("form", "payload"))
 		sh.servedRefs = sh.Metrics.Counter("pag_core_serve_items_total", obs.L("form", "ref"))
 		sh.duplicatePayloads = sh.Metrics.Counter("pag_core_duplicate_payloads_total")
-		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed, nil)
-		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed, nil)
+		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed)
+		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed)
 	}
 	return &sh
 }

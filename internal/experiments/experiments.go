@@ -427,7 +427,7 @@ func Table1(opt Options) (Result, error) {
 		fmt.Fprintf(&b, "%-10s %-14d %-14.0f %-14.0f\n",
 			q.String(), q.PayloadKbps(),
 			analytic.SignaturesPerSec(3, 3),
-			analytic.HashesPerSec(q.PayloadKbps(), 0, 0, 3))
+			analytic.HashesPerSec(q.PayloadKbps(), 3))
 	}
 	fmt.Fprintf(&b, "\nmeasured in the %d kbps simulation: %.0f signatures/s, %.0f hashes/s per node\n",
 		o.StreamKbps, measuredSigs, measuredHashes)
@@ -440,11 +440,11 @@ func Table1(opt Options) (Result, error) {
 // population-wide queued upload caps stepping down across the Table II
 // regime, one measurement epoch per capacity level.
 func cliffScenario(o Options) scenario.Scenario {
-	phase := o.MeasureRounds / len(scenario.DefaultCliffRatios)
+	phase := o.MeasureRounds / len(scenario.CliffRatios)
 	if phase < 2 {
 		phase = 2
 	}
-	sc := scenario.CapacityCliff(o.StreamKbps, o.WarmupRounds, phase, nil)
+	sc := scenario.CapacityCliff(o.StreamKbps, o.WarmupRounds, phase)
 	sc.Seed = o.Seed
 	return sc
 }

@@ -206,8 +206,8 @@ func TestVerifyBatchCounterParity(t *testing.T) {
 	var batched, unbatched Counter
 	hB := NewHasher(params, &batched)
 	hU := NewHasher(params, &unbatched)
-	spanB := obs.NewRegistry().Histogram("lift", obs.ClassTimed, nil)
-	spanU := obs.NewRegistry().Histogram("lift", obs.ClassTimed, nil)
+	spanB := obs.NewRegistry().Histogram("lift", obs.ClassTimed)
+	spanU := obs.NewRegistry().Histogram("lift", obs.ClassTimed)
 	hB.Instrument(spanB, nil)
 	hU.Instrument(spanU, nil)
 	// Build the checks with an uncounted hasher so only the verification
@@ -272,7 +272,7 @@ func TestPrimePoolStreamOrder(t *testing.T) {
 		}
 		want[i] = k
 	}
-	pool, err := NewPrimePool(mrand.New(mrand.NewSource(71)), 48, 8)
+	pool, err := NewPrimePool(mrand.New(mrand.NewSource(71)), 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPrimePoolStreamOrder(t *testing.T) {
 // TestPrimePoolErrorSticky: a failing entropy source poisons the pool
 // permanently once its pregenerated queue is exhausted.
 func TestPrimePoolErrorSticky(t *testing.T) {
-	pool, err := NewPrimePool(failingReader{}, 48, 4)
+	pool, err := NewPrimePool(failingReader{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}

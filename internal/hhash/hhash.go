@@ -120,8 +120,7 @@ type Key struct {
 
 // GeneratePrimeKey draws a fresh prime exponent of the given bit size;
 // rnd may be nil to use crypto/rand.Reader. It is the generator PrimePool
-// runs (pregenPrime), so a node draws the same primes from its stream with
-// or without a pool. crypto/rand.Prime's 20-round Miller-Rabin schedule
+// runs (pregenPrime). crypto/rand.Prime's 20-round Miller-Rabin schedule
 // and its MaybeReadByte went with the switch, on the argument given at
 // pregenPrime: Baillie-PSW acceptance for an ephemeral exponent, and a
 // stream position that is a function of the stream alone.
@@ -149,6 +148,14 @@ func OneKey() Key { return Key{e: new(big.Int).Set(_one)} }
 
 // IsZero reports whether the key is the zero value (unusable).
 func (k Key) IsZero() bool { return k.e == nil }
+
+// BitLen returns the bit length of the key's exponent (0 for the zero key).
+func (k Key) BitLen() int {
+	if k.e == nil {
+		return 0
+	}
+	return k.e.BitLen()
+}
 
 // Mul returns the product key k·o — the K(R,X) construction of §V-A.
 func (k Key) Mul(o Key) Key {

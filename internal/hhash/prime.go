@@ -85,32 +85,27 @@ type PrimePool struct {
 	mu      sync.Mutex
 	rnd     io.Reader
 	bits    int
-	target  int
 	queue   []Key
 	head    int
 	filling bool
 	err     error
 }
 
-// DefaultPrimePoolTarget is the refill high-water mark: comfortably above
-// the per-round demand (one prime per predecessor; fan-out is log₁₀ n).
-const DefaultPrimePoolTarget = 8
+// primePoolTarget is the refill high-water mark: comfortably above the
+// per-round demand (one prime per predecessor; fan-out is log₁₀ n).
+const primePoolTarget = 8
 
-// NewPrimePool builds a pool drawing `bits`-bit primes from rnd. target
-// is the refill high-water mark (DefaultPrimePoolTarget if <= 0). The
+// NewPrimePool builds a pool drawing `bits`-bit primes from rnd. The
 // first refill is lazy: no entropy is consumed before the first Get, so
 // constructing a pool is free.
-func NewPrimePool(rnd io.Reader, bits, target int) (*PrimePool, error) {
+func NewPrimePool(rnd io.Reader, bits int) (*PrimePool, error) {
 	if rnd == nil {
 		return nil, errors.New("hhash: prime pool needs an entropy source")
 	}
 	if bits < 8 {
 		return nil, fmt.Errorf("hhash: prime size %d too small", bits)
 	}
-	if target <= 0 {
-		target = DefaultPrimePoolTarget
-	}
-	return &PrimePool{rnd: rnd, bits: bits, target: target}, nil
+	return &PrimePool{rnd: rnd, bits: bits}, nil
 }
 
 // Get pops the next pregenerated prime, generating inline (in stream
@@ -150,9 +145,9 @@ func (p *PrimePool) Len() int {
 }
 
 // maybeFillLocked starts the one-shot refill goroutine when the queue is
-// at or below half the target and no refill is in flight.
+// at or below half of primePoolTarget and no refill is in flight.
 func (p *PrimePool) maybeFillLocked() {
-	if p.filling || p.err != nil || len(p.queue)-p.head > p.target/2 {
+	if p.filling || p.err != nil || len(p.queue)-p.head > primePoolTarget/2 {
 		return
 	}
 	p.filling = true
@@ -162,7 +157,7 @@ func (p *PrimePool) maybeFillLocked() {
 func (p *PrimePool) fill() {
 	for {
 		p.mu.Lock()
-		if p.err != nil || len(p.queue)-p.head >= p.target {
+		if p.err != nil || len(p.queue)-p.head >= primePoolTarget {
 			p.filling = false
 			p.mu.Unlock()
 			return

@@ -99,7 +99,7 @@ func TestTagsAccounting(t *testing.T) {
 	for _, n := range []int{0, 1, 119} {
 		var ops Counter
 		h := NewHasher(p, &ops)
-		spans := obs.NewRegistry().Histogram("lift_seconds", obs.ClassTimed, nil)
+		spans := obs.NewRegistry().Histogram("lift_seconds", obs.ClassTimed)
 		h.Instrument(spans, nil)
 		h.Tags(make([]uint64, n), randomEmbeds(rnd, m, n), key)
 		if ops.HashOps() != uint64(n) || spans.Count() != 0 {

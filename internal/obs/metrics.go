@@ -70,32 +70,20 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefaultTimeBuckets are the upper bounds (seconds) timing histograms
-// default to: a decade ladder from a microsecond to ten seconds, wide
+// timeBuckets are every histogram's ascending upper bounds (seconds; +Inf
+// implicit): a decade ladder from a microsecond to ten seconds, wide
 // enough for a 128-bit test modexp and a 512-bit paper-faithful one.
-var DefaultTimeBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+var timeBuckets = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
 
-// Histogram is a fixed-bucket histogram: counts per upper bound plus an
-// implicit +Inf bucket, a total count and a sum. Which of those survive
-// into the deterministic snapshot depends on its Class (see the package
-// comment).
+// Histogram is a fixed-bucket histogram over timeBuckets: counts per upper
+// bound plus an implicit +Inf bucket, a total count and a sum. Which of
+// those survive into the deterministic snapshot depends on its Class (see
+// the package comment).
 type Histogram struct {
 	class   Class
-	bounds  []float64 // ascending upper bounds; +Inf implicit
-	buckets []atomic.Uint64
+	buckets [len(timeBuckets) + 1]atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
-}
-
-// newHistogram builds a histogram; nil bounds default to
-// DefaultTimeBuckets.
-func newHistogram(class Class, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultTimeBuckets
-	}
-	h := &Histogram{class: class, bounds: bounds}
-	h.buckets = make([]atomic.Uint64, len(bounds)+1)
-	return h
 }
 
 // Observe records one value.
@@ -104,8 +92,8 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	i := 0
-	for ; i < len(h.bounds); i++ {
-		if v <= h.bounds[i] {
+	for ; i < len(timeBuckets); i++ {
+		if v <= timeBuckets[i] {
 			break
 		}
 	}

@@ -153,9 +153,9 @@ func sortLabels(labels []Label) []Label {
 }
 
 // lookup gets-or-creates the metric for (name, labels), enforcing that a
-// name is never re-registered as a different kind, class or bucket layout
-// — that would make snapshots ambiguous, so it is a programming error.
-func (r *Registry) lookup(name string, labels []Label, k kind, c Class, bounds []float64) *metric {
+// name is never re-registered as a different kind or class — that would
+// make snapshots ambiguous, so it is a programming error.
+func (r *Registry) lookup(name string, labels []Label, k kind, c Class) *metric {
 	ls := sortLabels(labels)
 	key := metricKey(name, ls)
 	r.mu.Lock()
@@ -174,7 +174,7 @@ func (r *Registry) lookup(name string, labels []Label, k kind, c Class, bounds [
 	case kindGauge:
 		m.gauge = &Gauge{}
 	case kindHistogram:
-		m.hist = newHistogram(c, bounds)
+		m.hist = &Histogram{class: c}
 	}
 	r.metrics[key] = m
 	return m
@@ -187,7 +187,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, labels, kindCounter, ClassDet, nil).counter
+	return r.lookup(name, labels, kindCounter, ClassDet).counter
 }
 
 // Gauge returns the deterministic gauge for (name, labels). Determinism
@@ -198,7 +198,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, labels, kindGauge, ClassDet, nil).gauge
+	return r.lookup(name, labels, kindGauge, ClassDet).gauge
 }
 
 // GaugeClass returns the gauge for (name, labels) with an explicit class.
@@ -209,17 +209,16 @@ func (r *Registry) GaugeClass(name string, class Class, labels ...Label) *Gauge 
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, labels, kindGauge, class, nil).gauge
+	return r.lookup(name, labels, kindGauge, class).gauge
 }
 
-// Histogram returns the fixed-bucket histogram for (name, labels) with
-// the given class and ascending upper bounds (+Inf is implicit). Nil
-// receiver returns nil.
-func (r *Registry) Histogram(name string, class Class, bounds []float64, labels ...Label) *Histogram {
+// Histogram returns the timing histogram for (name, labels) with the
+// given class. Nil receiver returns nil.
+func (r *Registry) Histogram(name string, class Class, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, labels, kindHistogram, class, bounds).hist
+	return r.lookup(name, labels, kindHistogram, class).hist
 }
 
 // sortedMetrics returns the registered metrics in canonical order: by

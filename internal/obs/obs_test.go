@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total")
 	g := r.Gauge("x")
-	h := r.Histogram("x_seconds", ClassTimed, nil)
+	h := r.Histogram("x_seconds", ClassTimed)
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
@@ -65,19 +66,17 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge = %d, want 5", g.Value())
 	}
 
-	h := r.Histogram("size_bytes", ClassDet, []float64{10, 100})
-	for _, v := range []float64{1, 50, 5000} {
+	h := r.Histogram("step_seconds", ClassDet)
+	for _, v := range []float64{0.0625, 10, 64} { // sums exactly in binary
 		h.Observe(v)
 	}
-	if h.Count() != 3 || h.Sum() != 5051 {
+	if h.Count() != 3 || h.Sum() != 74.0625 {
 		t.Fatalf("histogram count=%d sum=%v", h.Count(), h.Sum())
 	}
 	got := h.snapshotBuckets()
-	want := []uint64{1, 1, 1} // <=10, <=100, +Inf
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
-		}
+	want := []uint64{0, 0, 0, 0, 0, 1, 0, 1, 1} // <=0.1, <=10 (inclusive), +Inf
+	if !slices.Equal(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
 }
 
@@ -122,15 +121,15 @@ func TestSnapshotStableOrder(t *testing.T) {
 func TestDeterministicTextClasses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("det_total").Inc()
-	r.Histogram("lift_seconds", ClassTimed, nil).Observe(0.5)
-	r.Histogram("stall_seconds", ClassSched, nil).Observe(0.1)
-	r.Histogram("size_bytes", ClassDet, []float64{8}).Observe(4)
+	r.Histogram("lift_seconds", ClassTimed).Observe(0.5)
+	r.Histogram("stall_seconds", ClassSched).Observe(0.1)
+	r.Histogram("step_seconds", ClassDet).Observe(4)
 	text := r.Snapshot().DeterministicText()
 	for _, want := range []string{
 		"det_total 1\n",
 		"lift_seconds_count 1\n",
-		`size_bytes_bucket{le="8"} 1` + "\n",
-		"size_bytes_count 1\n",
+		`step_seconds_bucket{le="10"} 1` + "\n",
+		"step_seconds_count 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("deterministic text missing %q:\n%s", want, text)
@@ -148,7 +147,7 @@ func TestDeterministicTextClasses(t *testing.T) {
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x_total")
-	h := r.Histogram("h_seconds", ClassTimed, nil)
+	h := r.Histogram("h_seconds", ClassTimed)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -172,7 +171,7 @@ func TestPrometheusTextValidates(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pag_msgs_total", L("kind", `with"quote`)).Inc()
 	r.Gauge("pag_depth").Set(-3)
-	r.Histogram("pag_lift_seconds", ClassTimed, nil).Observe(0.02)
+	r.Histogram("pag_lift_seconds", ClassTimed).Observe(0.02)
 	text := r.Snapshot().PrometheusText()
 	if err := ValidateExposition([]byte(text)); err != nil {
 		t.Fatalf("own exposition invalid: %v\n%s", err, text)

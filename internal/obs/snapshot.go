@@ -52,7 +52,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindHistogram:
 			p.Sum = m.hist.Sum()
 			p.Count = m.hist.Count()
-			p.Bounds = m.hist.bounds
+			p.Bounds = timeBuckets[:]
 			p.Buckets = m.hist.snapshotBuckets()
 		}
 		out.Points = append(out.Points, p)

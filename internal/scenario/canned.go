@@ -82,22 +82,22 @@ func TransientPartition(islanders []model.NodeID, from, to model.Round, rounds i
 
 // DelayedCoalition models adversaries that behave correctly through the
 // warm-up — building an honest-looking history — and activate together at
-// round `at`: the listed nodes flip to the given profile. Accountability
-// must still convict them from their post-activation deviations alone.
-func DelayedCoalition(adversaries []model.NodeID, profile BehaviorProfile, at model.Round, rounds int) Scenario {
+// round `at`: the listed nodes turn free-rider. Accountability must still
+// convict them from their post-activation deviations alone.
+func DelayedCoalition(adversaries []model.NodeID, at model.Round, rounds int) Scenario {
 	members := append([]model.NodeID(nil), adversaries...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	s := Scenario{
 		Name: "delayed-coalition",
 		Description: fmt.Sprintf(
-			"nodes %v turn %s at round %v after an honest warm-up", members, profile, at),
+			"nodes %v turn %s at round %v after an honest warm-up", members, ProfileFreeRider, at),
 		Seed:         1,
 		Rounds:       rounds,
 		WarmupRounds: int(at) - 1,
 	}
 	for _, id := range members {
 		s.Events = append(s.Events, Event{
-			Round: at, Action: ActionSetBehavior, Node: id, Behavior: profile,
+			Round: at, Action: ActionSetBehavior, Node: id, Behavior: ProfileFreeRider,
 		})
 	}
 	return s
@@ -137,18 +137,18 @@ func RejoinAttack(attacker model.NodeID, at model.Round, threshold, quarantine, 
 	}
 }
 
-// DefaultCliffRatios is CapacityCliff's default cap sweep, as multiples
-// of the stream rate: generous headroom down to parity, bracketing the
-// PAG/AcTinG overhead ratios the paper reports (≈3.5× and ≈1.5× at
-// 300 kbps). Exported so experiment runners can size their round budgets
-// to the sweep's length instead of hardcoding it.
-var DefaultCliffRatios = []float64{8, 4, 2, 1.5, 1}
+// CliffRatios is CapacityCliff's cap sweep, as multiples of the stream
+// rate: generous headroom down to parity, bracketing the PAG/AcTinG
+// overhead ratios the paper reports (≈3.5× and ≈1.5× at 300 kbps).
+// Exported so experiment runners can size their round budgets to the
+// sweep's length instead of hardcoding it.
+var CliffRatios = []float64{8, 4, 2, 1.5, 1}
 
 // CapacityCliff sweeps a population-wide queued upload cap downward
 // toward the stream rate — the in-simulation form of Table II's
 // sustainable-quality question. After `warmup` uncapped rounds, every
 // non-source member's uplink is capped for `phaseRounds` rounds at each
-// multiple in `ratios` (descending) of the `streamKbps` source rate.
+// multiple in CliffRatios of the `streamKbps` source rate.
 // While the cap comfortably exceeds the protocol's per-node demand the
 // link queue stays empty and continuity holds; as it crosses the
 // protocol's overhead ratio the queue model starts deferring (bytes
@@ -156,20 +156,17 @@ var DefaultCliffRatios = []float64{8, 4, 2, 1.5, 1}
 // window) — the continuity cliff. Each cap change opens a measurement
 // epoch, so the report slices continuity, deferral and expiry per
 // capacity level.
-func CapacityCliff(streamKbps, warmup, phaseRounds int, ratios []float64) Scenario {
-	if len(ratios) == 0 {
-		ratios = DefaultCliffRatios
-	}
+func CapacityCliff(streamKbps, warmup, phaseRounds int) Scenario {
 	s := Scenario{
 		Name: "capacity-cliff",
 		Description: fmt.Sprintf(
 			"per-node queued upload caps sweep %gx down to %gx the %d kbps stream rate (%d rounds per level) — the Table II continuity cliff, measured",
-			ratios[0], ratios[len(ratios)-1], streamKbps, phaseRounds),
+			CliffRatios[0], CliffRatios[len(CliffRatios)-1], streamKbps, phaseRounds),
 		Seed:         1,
-		Rounds:       warmup + phaseRounds*len(ratios),
+		Rounds:       warmup + phaseRounds*len(CliffRatios),
 		WarmupRounds: warmup,
 	}
-	for i, ratio := range ratios {
+	for i, ratio := range CliffRatios {
 		s.Events = append(s.Events, Event{
 			Round:   model.Round(warmup + i*phaseRounds + 1),
 			Action:  ActionSetQueueCap, // Node omitted: every non-source member
@@ -205,11 +202,11 @@ func ByName(name string, nodes, streamKbps int) (Scenario, error) {
 		return TransientPartition(island, 11, 19, 30), nil
 	case "delayed-coalition":
 		advs := []model.NodeID{model.NodeID(nodes - 1), model.NodeID(nodes)}
-		return DelayedCoalition(advs, ProfileFreeRider, 11, 30), nil
+		return DelayedCoalition(advs, 11, 30), nil
 	case "rejoin-attack":
 		return RejoinAttack(model.NodeID(nodes), 3, 6, 14, 30), nil
 	case "capacity-cliff":
-		return CapacityCliff(streamKbps, 4, 6, nil), nil
+		return CapacityCliff(streamKbps, 4, 6), nil
 	default:
 		return Scenario{}, fmt.Errorf("scenario: unknown canned scenario %q (have %v)", name, Names())
 	}

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -71,8 +74,9 @@ func randomScenario(rng *model.SplitMix64, i int) Scenario {
 		case 6:
 			s.Events = append(s.Events, Event{Round: pick(), Action: ActionHeal})
 		case 7:
+			// set_queue_cap on one node, deadline left as it is.
 			s.Events = append(s.Events, Event{
-				Round: pick(), Action: ActionSetUploadCap,
+				Round: pick(), Action: ActionSetQueueCap,
 				Node: node(), CapKbps: int(rng.Next() % 2000),
 			})
 		case 8:
@@ -138,6 +142,42 @@ func TestJSONRoundTripIsByteStable(t *testing.T) {
 		}
 		if string(back.JSON()) != string(first) {
 			t.Fatalf("case %d: re-rendered JSON differs", i)
+		}
+	}
+}
+
+// TestParseJSONIsStrict: a key the format does not define, a retired
+// action and data after the document are refused, each error naming what
+// it refused; the committed scenario documents still parse.
+func TestParseJSONIsStrict(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{`{"rounds":5,"ratios":[8,4]}`, `"ratios"`},
+		{`{"rounds":5,"events":[{"round":1,"action":"heal","cap":3}]}`, `"cap"`},
+		{`{"rounds":5,"churn":{"from_round":1,"to_round":5,"joins":1}}`, `"joins"`},
+		{`{"rounds":5,"events":[{"round":1,"action":"set_upload_cap","node":2,"cap_kbps":100}]}`, `"set_upload_cap"`},
+		{`{"rounds":5} {"rounds":6}`, "after the document"},
+	} {
+		_, err := ParseJSON([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.doc, err, tc.want)
+		}
+	}
+
+	docs := map[string][]byte{
+		"churn recipe": []byte(`{"seed":1,"rounds":60,"warmup_rounds":10,"churn":{"from_round":11,"to_round":60,"joins_per_round":0.5,"leaves_per_round":0.5,"crash_fraction":0.25,"crash_linger_rounds":2}}`),
+	}
+	files, err := filepath.Glob("../../cmd/pag-node/testdata/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed scenario files found (%v)", err)
+	}
+	for _, f := range files {
+		if docs[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, doc := range docs {
+		if _, err := ParseJSON(doc); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

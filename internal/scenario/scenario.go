@@ -19,8 +19,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -54,17 +56,14 @@ const (
 	ActionPartition Action = "partition"
 	// ActionHeal removes the partition.
 	ActionHeal Action = "heal"
-	// ActionSetUploadCap caps a node's upload at CapKbps (0 removes).
-	// Caps are the transport's queued link model: over-budget messages
-	// defer to later rounds, paced by the cap, and expire past the queue
-	// deadline.
-	ActionSetUploadCap Action = "set_upload_cap"
-	// ActionSetQueueCap is the link-model form of the upload cap: it caps
-	// Node at CapKbps (zero Node caps every current non-source member —
-	// the whole-population sweeps of the capacity-cliff scenario) and
-	// optionally retunes the queue deadline via DeadlineRounds. Sessions
-	// open a measurement epoch at each firing, so reports slice
-	// continuity and queue pressure per capacity level.
+	// ActionSetQueueCap caps Node's upload at CapKbps (0 removes; zero
+	// Node caps every current non-source member — the whole-population
+	// sweeps of the capacity-cliff scenario) and optionally retunes the
+	// queue deadline via DeadlineRounds. Caps are the transport's queued
+	// link model: over-budget messages defer to later rounds, paced by the
+	// cap, and expire past the queue deadline. Sessions open a measurement
+	// epoch at each firing, so reports slice continuity and queue pressure
+	// per capacity level.
 	ActionSetQueueCap Action = "set_queue_cap"
 	// ActionSetBehavior flips a node's deviation profile.
 	ActionSetBehavior Action = "set_behavior"
@@ -97,7 +96,7 @@ const (
 type Event struct {
 	Round  model.Round `json:"round"`
 	Action Action      `json:"action"`
-	// Node targets join/leave/crash/set_upload_cap/set_behavior; zero
+	// Node targets join/leave/crash/set_queue_cap/set_behavior; zero
 	// means "auto": a fresh id for joins, a seed-picked victim for
 	// leaves and crashes.
 	Node model.NodeID `json:"node,omitempty"`
@@ -105,7 +104,7 @@ type Event struct {
 	Rate float64 `json:"rate,omitempty"`
 	// Groups lists the partition's explicit groups.
 	Groups [][]model.NodeID `json:"groups,omitempty"`
-	// CapKbps is the upload cap of set_upload_cap / set_queue_cap.
+	// CapKbps is the upload cap of set_queue_cap.
 	CapKbps int `json:"cap_kbps,omitempty"`
 	// DeadlineRounds retunes the link queue's expiry deadline in a
 	// set_queue_cap event: how many rounds a deferred message may wait
@@ -187,11 +186,17 @@ type Eviction struct {
 	QuarantineRounds int `json:"quarantine_rounds"`
 }
 
-// ParseJSON decodes and validates a scenario document.
+// ParseJSON decodes and validates a scenario document. A key the format
+// does not define is an error, not a silently dropped setting.
 func ParseJSON(data []byte) (Scenario, error) {
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("scenario: parsing: %w", err)
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return Scenario{}, fmt.Errorf("scenario: parsing: data after the document")
 	}
 	if err := s.Validate(); err != nil {
 		return Scenario{}, err
@@ -266,13 +271,6 @@ func (e Event) validate() error {
 		if len(e.Groups) == 0 {
 			return fmt.Errorf("partition needs at least one group")
 		}
-	case ActionSetUploadCap:
-		if e.Node == model.NoNode {
-			return fmt.Errorf("set_upload_cap needs a node")
-		}
-		if e.CapKbps < 0 {
-			return fmt.Errorf("negative upload cap")
-		}
 	case ActionSetQueueCap:
 		// A zero Node is legal here: it caps every current non-source
 		// member (the population-wide capacity sweep).
@@ -327,7 +325,6 @@ type FaultApplier interface {
 	SetLossRate(rate float64)
 	Partition(groups [][]model.NodeID)
 	Heal()
-	SetUploadCap(id model.NodeID, kbps int)
 	// SetQueueCap caps one node's upload (the transport's queued link
 	// model) and, when deadlineRounds is nonzero, retunes the link
 	// queue's expiry deadline (negative disables expiry; 0 keeps the
@@ -466,9 +463,6 @@ func (t *Timeline) fire(r model.Round, e Event, a Applier) {
 		entry.Detail = fmt.Sprintf("groups=%d", len(e.Groups))
 	case ActionHeal:
 		a.Heal()
-	case ActionSetUploadCap:
-		a.SetUploadCap(e.Node, e.CapKbps)
-		entry.Detail = fmt.Sprintf("cap=%dkbps", e.CapKbps)
 	case ActionSetQueueCap:
 		if e.Node == model.NoNode {
 			// Population-wide sweep: every current non-source member, in

@@ -68,9 +68,6 @@ func (a *fakeApplier) Crash(r model.Round, id model.NodeID, linger int) error {
 func (a *fakeApplier) SetLossRate(rate float64)          { a.log("loss %g", rate) }
 func (a *fakeApplier) Partition(groups [][]model.NodeID) { a.log("partition %v", groups) }
 func (a *fakeApplier) Heal()                             { a.log("heal") }
-func (a *fakeApplier) SetUploadCap(id model.NodeID, kbps int) {
-	a.log("cap %v %dkbps", id, kbps)
-}
 func (a *fakeApplier) SetQueueCap(id model.NodeID, kbps, deadlineRounds int) {
 	a.log("qcap %v %dkbps d=%d", id, kbps, deadlineRounds)
 }

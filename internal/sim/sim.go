@@ -167,9 +167,9 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	e.roundsC = reg.Counter("pag_engine_rounds_total")
 	e.deliveriesC = reg.Counter("pag_engine_deliveries_total")
-	e.roundSpans = reg.Histogram("pag_engine_round_seconds", obs.ClassTimed, nil)
-	e.shardSpans = reg.Histogram("pag_engine_shard_seconds", obs.ClassSched, nil)
-	e.stallSpans = reg.Histogram("pag_engine_barrier_stall_seconds", obs.ClassSched, nil)
+	e.roundSpans = reg.Histogram("pag_engine_round_seconds", obs.ClassTimed)
+	e.shardSpans = reg.Histogram("pag_engine_shard_seconds", obs.ClassSched)
+	e.stallSpans = reg.Histogram("pag_engine_barrier_stall_seconds", obs.ClassSched)
 	e.overrunsG = reg.GaugeClass("pag_engine_paced_overruns", obs.ClassSched)
 	e.trace = tr
 }

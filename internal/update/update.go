@@ -95,7 +95,7 @@ type Store struct {
 	byID    map[model.UpdateID]*Entry
 	byRound map[model.Round][]model.UpdateID // reception round index
 	// maxLife is the longest any stored update had left to live when it was
-	// received (deadline − reception round): how far back OwnedInWindow must
+	// received (deadline − reception round): how far back Live must
 	// look for entries that have not expired.
 	maxLife model.Round
 	// pending indexes the entries not yet handed to the application, in
@@ -187,21 +187,15 @@ func (s *Store) ReceivedIn(r model.Round) []*Entry {
 	return out
 }
 
-// OwnedInWindow returns the buffermap source set at round r, in canonical
-// order: the entries a Serve may still carry — not expired at r, the only
-// ones a requester can be forwarding — received up to and including round
-// r itself. A positive window caps the reception age at rounds (r-window,
-// r], the paper's "updates of the last 4 rounds" (§V-D); zero or less means
-// no cap.
-func (s *Store) OwnedInWindow(r model.Round, window int) []*Entry {
+// Live returns the buffermap source set at round r, in canonical order:
+// the entries a Serve may still carry — not expired at r, the only ones a
+// requester can be forwarding — received up to and including round r
+// itself.
+func (s *Store) Live(r model.Round) []*Entry {
 	// An update lives at most maxLife rounds past its reception, so older
 	// reception rounds hold nothing that is still live.
-	span := s.maxLife + 1
-	if window > 0 && model.Round(window) < span {
-		span = model.Round(window)
-	}
 	var out []*Entry
-	for back := model.Round(0); back < span && back <= r; back++ {
+	for back := model.Round(0); back <= s.maxLife && back <= r; back++ {
 		for _, id := range s.byRound[r-back] {
 			if e, ok := s.byID[id]; ok && !e.Update.Expired(r) {
 				out = append(out, e)

@@ -148,24 +148,25 @@ func TestReceivedInOrdering(t *testing.T) {
 	}
 }
 
-func TestOwnedInWindow(t *testing.T) {
+func TestLive(t *testing.T) {
 	s := NewStore()
-	for seq, round := range map[uint64]model.Round{1: 1, 2: 2, 3: 3, 4: 4, 5: 5} {
+	s.Add(mkUpdate(1, 3), 1, 1) // expired by round 4
+	for seq, round := range map[uint64]model.Round{2: 2, 3: 3, 4: 4, 5: 5, 6: 6} {
 		s.Add(mkUpdate(seq, 50), round, 1)
 	}
-	got := s.OwnedInWindow(5, 4) // rounds 2..5
-	if len(got) != 4 {
-		t.Fatalf("len = %d, want 4", len(got))
+	got := s.Live(5) // seq 2..5: seq 1 has expired, seq 6 is not received yet
+	if len(got) != 4 || got[0].Update.ID.Seq != 2 {
+		t.Fatalf("Live(5) = %d entries from seq %d, want 4 from seq 2", len(got), got[0].Update.ID.Seq)
 	}
 	for i := 1; i < len(got); i++ {
 		if !got[i-1].Update.ID.Less(got[i].Update.ID) {
-			t.Fatal("window not in canonical order")
+			t.Fatal("live set not in canonical order")
 		}
 	}
-	// Window larger than history must not underflow.
-	got = s.OwnedInWindow(2, 10)
+	// An early round must not underflow, and an unexpired update is live.
+	got = s.Live(2)
 	if len(got) != 2 {
-		t.Fatalf("early-round window len = %d, want 2", len(got))
+		t.Fatalf("early-round live set len = %d, want 2", len(got))
 	}
 }
 
@@ -345,7 +346,7 @@ func TestBufferMap(t *testing.T) {
 	}
 }
 
-// TestTagMatchSetEqualsFullWidthMatchSet: over random stores, windows and
+// TestTagMatchSetEqualsFullWidthMatchSet: over random stores and
 // forward sets, matching the requester's candidates against the
 // responder's 64-bit keyed tags (hhash.Hasher.Tags) selects exactly the
 // updates that matching the paper's full-width entries, H(u)_(p,M),
@@ -370,19 +371,19 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const now, window = model.Round(9), 4
+		const now = model.Round(9)
 		store := NewStore()
 		var candidates []Update
 		for seq := uint64(0); seq < 60; seq++ {
 			u := mkUpdate(uint64(trial)<<16|seq, now+3)
-			if rng.Intn(2) == 0 { // the responder has it, inside the window or before
-				store.Add(u, now-model.Round(rng.Intn(2*window)), 1)
+			if rng.Intn(2) == 0 { // the responder has it
+				store.Add(u, now-model.Round(rng.Intn(8)), 1)
 			}
 			if rng.Intn(2) == 0 { // the requester forwards it
 				candidates = append(candidates, u)
 			}
 		}
-		owned := store.OwnedInWindow(now, window)
+		owned := store.Live(now)
 		full := map[string]bool{}
 		tags := make([]uint64, len(owned))
 		for i, e := range owned {

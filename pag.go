@@ -22,7 +22,6 @@ package pag
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -181,6 +180,28 @@ type SessionConfig struct {
 	// harness sets it, to prove the interner changes no observable
 	// (determinism_test.go).
 	noIntern bool
+}
+
+// UseNetwork points c at the transport a command names: "mem" (or "")
+// keeps the deterministic in-memory network, "tcp" runs every node over
+// real loopback sockets — each on an ephemeral 127.0.0.1 port, so churn
+// joins register live endpoints mid-run — stepped by the inline engine,
+// which sockets need. Either gives the same report under a seed.
+func (c *SessionConfig) UseNetwork(kind string) error {
+	switch strings.ToLower(kind) {
+	case "mem", "":
+	case "tcp":
+		c.Workers = 0
+		c.NewNetwork = func() transport.FaultyNetwork {
+			tn := transport.NewTCPNet(nil)
+			tn.SetDynamic("127.0.0.1")
+			tn.SetStepped(2 * time.Second)
+			return tn
+		}
+	default:
+		return fmt.Errorf("unknown transport %q (mem|tcp)", kind)
+	}
+	return nil
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
@@ -439,21 +460,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// retention GC).
 	if s.intern != nil {
 		s.engine.OnRoundStart(func(r model.Round) { s.intern.DropExpired(r) })
-	}
-	// Live heap per member, sampled at each round top. ClassSched: the
-	// value is a host artifact (GC timing, allocator state), not a
-	// protocol observable — it never enters deterministic snapshots.
-	if c.Obs != nil {
-		memGauge := c.Obs.GaugeClass("pag_mem_bytes_per_node", obs.ClassSched)
-		members := c.Nodes
-		if s.hosted != nil {
-			members = max(len(s.hosted), 1)
-		}
-		s.engine.OnRoundStart(func(model.Round) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			memGauge.Set(int64(ms.HeapAlloc) / int64(members))
-		})
 	}
 	ok = true
 	return s, nil

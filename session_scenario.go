@@ -219,13 +219,6 @@ func (s *Session) Partition(groups [][]model.NodeID) { s.net.Faults().SetPartiti
 // Heal implements scenario.Applier.
 func (s *Session) Heal() { s.net.Faults().Heal() }
 
-// SetUploadCap implements scenario.Applier (kbps of upload per node; the
-// transport's queued link model — over-budget messages defer rather than
-// drop).
-func (s *Session) SetUploadCap(id model.NodeID, kbps int) {
-	s.net.Faults().SetUploadCapKbps(id, kbps)
-}
-
 // SetQueueCap implements scenario.Applier: the link-model upload cap. It
 // caps the node (kbps; 0 removes), optionally retunes the queue-expiry
 // deadline (negative disables expiry, 0 keeps the current deadline), and

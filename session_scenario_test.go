@@ -265,7 +265,7 @@ func TestDelayedFreeRiderConvicted(t *testing.T) {
 // the AcTinG baseline (audits catch the missing proposals).
 func TestDelayedFreeRiderConvictedActing(t *testing.T) {
 	const adversary = model.NodeID(12)
-	sc := scenario.DelayedCoalition([]model.NodeID{adversary}, scenario.ProfileFreeRider, 6, 16)
+	sc := scenario.DelayedCoalition([]model.NodeID{adversary}, 6, 16)
 	s, err := NewSession(scenarioConfig(ProtocolAcTinG, 12, &sc))
 	if err != nil {
 		t.Fatal(err)
