@@ -273,3 +273,102 @@ func TestWidePrimeRejected(t *testing.T) {
 		t.Fatalf("the source served %v under its wide prime", responder)
 	}
 }
+
+// TestWideKPrevRejected: a Serve correctly signed by a predecessor but
+// carrying a K(R-1) wider than an honest one can be (here 128 KB, where an
+// honest one is a product of at most a few 128-bit primes) costs the
+// sender one BadMessage verdict from the receiver, raised before anything
+// is stored or lifted: the receiver sends it no Ack. (The sender's
+// monitors may still probe the receiver with the Serve the sender kept,
+// which was never tampered with; that one is acknowledged.)
+func TestWideKPrevRejected(t *testing.T) {
+	const at = model.Round(3)
+	h := newHarness(t, 16, 2)
+	wide := make([]byte, 128<<10)
+	wide[0], wide[len(wide)-1] = 0xC0, 1
+	var sender, receiver model.NodeID
+	probed, acked := false, false
+	h.deliver = func(n *core.Node, m transport.Message) {
+		if n.Round() == at && m.Kind == wire.KindServe && sender == model.NoNode {
+			sender, receiver = m.From, m.To
+			plain, err := h.identities[receiver].Decrypt(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := wire.UnmarshalServe(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.KPrev, srv.Sig = wide, nil
+			if m.Payload, err = h.suite.Encrypt(receiver, sealMsg(t, h.identities[sender], srv)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n.Round() == at && m.Kind == wire.KindProbe && m.To == receiver {
+			probed = true
+		}
+		if n.Round() == at && m.Kind == wire.KindAck && m.From == receiver && m.To == sender && !probed {
+			acked = true
+		}
+		n.HandleMessage(m)
+	}
+	h.engine.Run(int(at) + 1)
+
+	if sender == model.NoNode {
+		t.Fatal("no Serve was delivered in the tampered round")
+	}
+	if !slices.ContainsFunc(h.verdicts, func(v judicial.Verdict) bool {
+		return v.Kind == core.VerdictBadMessage && v.Accused == sender && v.Reporter == receiver &&
+			v.Round == at && v.Detail == "invalid K(R-1) in Serve"
+	}) {
+		t.Fatalf("no BadMessage against %v for its wide K(R-1); verdicts %v", sender, h.verdicts)
+	}
+	if acked {
+		t.Fatalf("%v acknowledged %v under its wide K(R-1)", receiver, sender)
+	}
+}
+
+// TestKeyRequestFromNonPredecessorRejected: a KeyRequest correctly signed
+// by a member that is not one of the receiver's predecessors this round
+// costs the requester one BadMessage verdict: the receiver issues it no
+// prime and sends it no KeyResponse.
+func TestKeyRequestFromNonPredecessorRejected(t *testing.T) {
+	const at = model.Round(3)
+	h := newHarness(t, 16, 2)
+	var outsider, target model.NodeID
+	responded := false
+	h.deliver = func(n *core.Node, m transport.Message) {
+		if n.Round() == at && m.Kind == wire.KindKeyRequest && target == model.NoNode {
+			target = m.To
+			preds := h.dir.Predecessors(target, at)
+			for _, id := range h.dir.MembersAt(at) {
+				if id != target && !slices.Contains(preds, id) {
+					outsider = id
+					break
+				}
+			}
+			req := &wire.KeyRequest{Round: at, From: outsider, To: target}
+			n.HandleMessage(transport.Message{From: outsider, To: target, Kind: wire.KindKeyRequest,
+				Payload: sealMsg(t, h.identities[outsider], req)})
+		}
+		if n.Round() == at && m.Kind == wire.KindKeyResponse && m.From == target && m.To == outsider {
+			responded = true
+			return
+		}
+		n.HandleMessage(m)
+	}
+	h.engine.Run(int(at) + 1)
+
+	if outsider == model.NoNode {
+		t.Fatal("no KeyRequest was delivered in the tampered round, or every member is a predecessor")
+	}
+	if !slices.ContainsFunc(h.verdicts, func(v judicial.Verdict) bool {
+		return v.Kind == core.VerdictBadMessage && v.Accused == outsider && v.Reporter == target &&
+			v.Round == at && v.Detail == "KeyRequest from a non-predecessor"
+	}) {
+		t.Fatalf("no BadMessage against %v for its KeyRequest; verdicts %v", outsider, h.verdicts)
+	}
+	if responded {
+		t.Fatalf("%v answered the KeyRequest of non-predecessor %v", target, outsider)
+	}
+}

@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/judicial"
 	"repro/internal/model"
@@ -145,12 +144,6 @@ type Config struct {
 	Verdicts func(judicial.Verdict)
 	// OnDeliver receives playback-ready updates; may be nil.
 	OnDeliver func(update.Update)
-	// CoeffRand is the entropy source for the small exponents that fold an
-	// exchange's attestation checks into one equation (crypto/rand if nil).
-	// A predecessor who can predict them can craft two wrong attestation
-	// hashes whose errors cancel in the fold, so they must be as secret as
-	// a key; simulated sessions pass SeededCoeffs to stay replayable.
-	CoeffRand io.Reader
 	// Shared is the session plane (see NewShared); required. A session
 	// builds one and hands it to every node.
 	Shared *Shared

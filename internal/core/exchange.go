@@ -38,6 +38,14 @@ func (n *Node) onKeyRequest(msg transport.Message) {
 	if !n.verifySigned(req.From, msg.Payload, req.Sig, "KeyRequest") {
 		return
 	}
+	// Only a predecessor of this round is owed a prime: each one issued
+	// drains the pool and widens K(R,B), the key this node's successors
+	// lift under next round.
+	if _, ok := n.sh.Directory.ExchangeSlot(req.From, n.id, n.round); !ok {
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
+			Accused: req.From, Detail: "KeyRequest from a non-predecessor"})
+		return
+	}
 
 	ex, ok := n.recvCur.exchanges[req.From]
 	if !ok || ex.prime.IsZero() {
@@ -285,6 +293,14 @@ func (n *Node) processServe(srv *wire.Serve) {
 			return
 		}
 	}
+	// The Ack is a lift under K(R-1), so its width is bounded before
+	// anything is stored or lifted.
+	kPrevA, err := hhash.KeyFromBytes(srv.KPrev)
+	if err != nil || kPrevA.BitLen() > n.kPrevBitsBound(srv.From) {
+		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
+			Accused: srv.From, Detail: "invalid K(R-1) in Serve"})
+		return
+	}
 	ex, ok := n.recvCur.exchanges[srv.From]
 	if !ok {
 		// A serve without a prior KeyRequest→KeyResponse handshake can
@@ -296,13 +312,6 @@ func (n *Node) processServe(srv *wire.Serve) {
 	}
 	if ex.expEmbed != nil {
 		return // duplicate serve for this exchange
-	}
-
-	kPrevA, err := hhash.KeyFromBytes(srv.KPrev)
-	if err != nil {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: srv.From, Detail: "invalid K(R-1) in Serve"})
-		return
 	}
 
 	expProd := n.hasher.Identity()
@@ -385,6 +394,21 @@ func (n *Node) processServe(srv *wire.Serve) {
 	n.maybeAck(srv.From, ex)
 }
 
+// kPrevBitsBound is the widest an honest K(R-1,A) can be: the product of
+// the primes A issued at R-1 — at most one per predecessor it had then,
+// plus a fresh one if A is the source — each exactly primeBits wide. At
+// round 1, or when A was not a member at R-1, it is 1.
+func (n *Node) kPrevBitsBound(a model.NodeID) int {
+	primes := 0
+	if n.round > 1 {
+		primes = len(n.sh.Directory.Predecessors(a, n.round-1))
+	}
+	if a == n.sh.Source {
+		primes++
+	}
+	return max(1, primes*n.sh.primeBits)
+}
+
 func (n *Node) onAttestation(msg transport.Message) {
 	if n.cfg.Behavior.RefuseReceive {
 		return
@@ -422,18 +446,16 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 		return
 	}
 	if !ex.prime.IsZero() {
-		// Fold both attestation checks into one coefficient-weighted
-		// equation; on failure (or an undecodable value: nil, which
-		// VerifyBatch treats as a failing check) it re-checks individually,
-		// so the verdict below is backed by a per-equation mismatch either
-		// way.
-		gotExp, _ := n.sh.HashParams.DecodeValue(att.HExpiring)
-		gotFwd, _ := n.sh.HashParams.DecodeValue(att.HForwardable)
-		ok, _ := n.hasher.VerifyBatch(n.coeffs, []hhash.Check{
-			{Base: ex.expEmbed, Key: ex.prime, Want: gotExp},
-			{Base: ex.fwdEmbed, Key: ex.prime, Want: gotFwd},
-		})
-		if !ok {
+		// This node issued the prime, so it recomputes both attested
+		// values and compares them exactly: the verdict is re-derivable by
+		// anyone holding the prime, and no secret randomness is involved.
+		// Both lifts run whatever the outcome, so every path counts two
+		// hash-ops; an undecodable value (nil) never matches.
+		wantExp := n.hasher.Lift(ex.expEmbed, ex.prime)
+		wantFwd := n.hasher.Lift(ex.fwdEmbed, ex.prime)
+		gotExp, errExp := n.sh.HashParams.DecodeValue(att.HExpiring)
+		gotFwd, errFwd := n.sh.HashParams.DecodeValue(att.HForwardable)
+		if errExp != nil || errFwd != nil || gotExp.Cmp(wantExp) != 0 || gotFwd.Cmp(wantFwd) != 0 {
 			// A mis-attested: refusing to acknowledge routes the
 			// conflict through A's monitors, and the signed
 			// attestation is the proof.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	crand "crypto/rand"
 	"encoding/binary"
 	"io"
 	"math/big"
@@ -180,18 +181,18 @@ func TestBehaviorZeroValueCorrect(t *testing.T) {
 	}
 }
 
-// attestationCheck builds a one-node PAG deployment whose batch verifier
-// draws its coefficients from coeffRand (nil: the Config default) and lets
-// the test play a predecessor's attestation against it.
+// attestationCheck builds a one-node PAG deployment and lets the test play
+// a predecessor's attestation against it.
 type attestationCheck struct {
 	node     *Node
 	hasher   *hhash.Hasher
 	verdicts []judicial.Verdict
 	exp, fwd *big.Int // the served content's embedded products
 	prime    hhash.Key
+	hashOps  uint64 // what the node's last check added to its counter
 }
 
-func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *attestationCheck {
+func newAttestationCheck(t *testing.T, id model.NodeID) *attestationCheck {
 	t.Helper()
 	c := &attestationCheck{}
 	suite := pki.NewFastSuite()
@@ -212,7 +213,7 @@ func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *at
 		t.Fatal(err)
 	}
 	c.node, err = NewNode(Config{
-		ID: id, Identity: identity, Endpoint: ep, CoeffRand: coeffRand,
+		ID: id, Identity: identity, Endpoint: ep,
 		Shared:   NewShared(Shared{Suite: suite, HashParams: params, Directory: dir, Source: 1}),
 		Verdicts: func(v judicial.Verdict) { c.verdicts = append(c.verdicts, v) },
 	})
@@ -229,20 +230,30 @@ func newAttestationCheck(t *testing.T, id model.NodeID, coeffRand io.Reader) *at
 // carried c.exp / c.fwd and whose Attestation claims hExp / hFwd.
 func (c *attestationCheck) accepts(t *testing.T, hExp, hFwd *big.Int) bool {
 	t.Helper()
-	const pred = model.NodeID(2)
 	params := c.hasher.Params()
-	att := &wire.Attestation{Round: 1, From: pred, To: c.node.id, Sig: []byte("s")}
-	var err error
-	if att.HExpiring, err = params.EncodeValue(hExp); err != nil {
+	encExp, err := params.EncodeValue(hExp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if att.HForwardable, err = params.EncodeValue(hFwd); err != nil {
+	encFwd, err := params.EncodeValue(hFwd)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return c.acceptsEncoded(t, encExp, encFwd)
+}
+
+// acceptsEncoded is accepts on the attestation's wire values as they are.
+func (c *attestationCheck) acceptsEncoded(t *testing.T, hExp, hFwd []byte) bool {
+	t.Helper()
+	const pred = model.NodeID(2)
+	att := &wire.Attestation{Round: 1, From: pred, To: c.node.id, Sig: []byte("s"),
+		HExpiring: hExp, HForwardable: hFwd}
 	ex := &recvExchange{prime: c.prime, expEmbed: c.exp, fwdEmbed: c.fwd,
 		kPrevA: hhash.OneKey(), attBytes: att.Marshal()}
 	c.verdicts = nil
+	before := c.node.hops.HashOps()
 	c.node.maybeAck(pred, ex)
+	c.hashOps = c.node.hops.HashOps() - before
 	for _, v := range c.verdicts {
 		if v.Kind != VerdictBadAttestation || v.Accused != pred {
 			t.Fatalf("unexpected verdict %v", v)
@@ -252,10 +263,11 @@ func (c *attestationCheck) accepts(t *testing.T, hExp, hFwd *big.Int) bool {
 }
 
 // cancellingForgery returns two attestation hashes that are both wrong yet
-// satisfy the folded equation ∏ vᵢ^(cᵢ·p) = ∏ aᵢ^(cᵢ) for the coefficients
-// (c₁, c₂) the next VerifyBatch call will read from coeffs: the honest
-// values times g^c₂ and g^(−c₁), whose errors multiply out to
-// g^(c₁c₂ − c₁c₂) = 1.
+// satisfy the small-exponent batch equation ∏ vᵢ^(cᵢ·p) = ∏ aᵢ^(cᵢ) for
+// the next two coefficients (c₁, c₂) of coeffs: the honest values times
+// g^c₂ and g^(−c₁), whose errors multiply out to g^(c₁c₂ − c₁c₂) = 1. A
+// verifier folding the two checks with those coefficients acknowledges
+// the pair.
 func (c *attestationCheck) cancellingForgery(t *testing.T, coeffs io.Reader) (hExp, hFwd *big.Int) {
 	t.Helper()
 	var buf [16]byte
@@ -277,44 +289,69 @@ func (c *attestationCheck) cancellingForgery(t *testing.T, coeffs io.Reader) (hE
 	return hExp, hFwd
 }
 
-// TestBatchCoefficientsAreSecret: a predecessor who knows the batch
-// verifier's next two coefficients gets a wrong attestation pair
-// acknowledged; the coefficients a node really uses — crypto/rand by
-// default, a session-seeded stream in simulations — are not the function of
-// its public id they used to be, and the same forgery is a BadAttestation.
-func TestBatchCoefficientsAreSecret(t *testing.T) {
+// TestAttestationCheckIsExact: the successor recomputes both attested
+// values under the prime it issued and compares them exactly. An honest
+// pair is acknowledged; a forged pair that a coefficient-weighted batch
+// check would pass for some known coefficient stream — or for any stream
+// at all — draws exactly one BadAttestation, and so does an undecodable
+// value. The check adds exactly two hash-ops on every path, the count
+// Table I charges; an acknowledged pair adds the Ack's lift on top.
+func TestAttestationCheckIsExact(t *testing.T) {
 	const id = model.NodeID(5)
-	// What the verifier seeded itself with before Config.CoeffRand existed.
-	fromPublicID := func() io.Reader { return newCoeffStream(uint64(id)) }
+	check := func(t *testing.T, c *attestationCheck, wantAck bool) {
+		t.Helper()
+		want := uint64(2)
+		if wantAck {
+			want++ // the Ack's lift under K(R-1)
+		}
+		if c.hashOps != want {
+			t.Errorf("the exchange added %d hash-ops, want %d", c.hashOps, want)
+		}
+		if wantAck {
+			if len(c.verdicts) != 0 {
+				t.Fatalf("honest attestation refused: %v", c.verdicts)
+			}
+			return
+		}
+		if len(c.verdicts) != 1 || c.verdicts[0].Detail != "attestation does not match served content" {
+			t.Fatalf("verdicts %v, want one BadAttestation", c.verdicts)
+		}
+	}
 
 	t.Run("honest pair accepted", func(t *testing.T) {
-		c := newAttestationCheck(t, id, nil)
+		c := newAttestationCheck(t, id)
 		if !c.accepts(t, c.hasher.Lift(c.exp, c.prime), c.hasher.Lift(c.fwd, c.prime)) {
 			t.Fatalf("honest attestation refused: %v", c.verdicts)
 		}
+		check(t, c, true)
 	})
-	t.Run("known coefficients: forgery accepted", func(t *testing.T) {
-		c := newAttestationCheck(t, id, fromPublicID())
-		hExp, hFwd := c.cancellingForgery(t, fromPublicID())
-		if hExp.Cmp(c.hasher.Lift(c.exp, c.prime)) == 0 || hFwd.Cmp(c.hasher.Lift(c.fwd, c.prime)) == 0 {
-			t.Fatal("the forged pair is not wrong")
-		}
-		if !c.accepts(t, hExp, hFwd) {
-			t.Fatal("the cancelling pair did not pass the folded equation it was built for")
-		}
-	})
-	for name, coeffRand := range map[string]io.Reader{
-		"default entropy": nil,
-		"session stream":  SeededCoeffs(1, id),
+	for name, coeffs := range map[string]io.Reader{
+		// A stream anyone can rebuild from the node's public id.
+		"known coefficients":  rand.New(rand.NewSource(int64(id))),
+		"random coefficients": crand.Reader,
+		"seeded coefficients": rand.New(rand.NewSource(1)),
 	} {
 		t.Run(name+": forgery rejected", func(t *testing.T) {
-			c := newAttestationCheck(t, id, coeffRand)
-			if hExp, hFwd := c.cancellingForgery(t, fromPublicID()); c.accepts(t, hExp, hFwd) {
-				t.Fatal("a forgery built from the node's public id was acknowledged")
+			c := newAttestationCheck(t, id)
+			hExp, hFwd := c.cancellingForgery(t, coeffs)
+			if hExp.Cmp(c.hasher.Lift(c.exp, c.prime)) == 0 || hFwd.Cmp(c.hasher.Lift(c.fwd, c.prime)) == 0 {
+				t.Fatal("the forged pair is not wrong")
 			}
-			if len(c.verdicts) != 1 {
-				t.Fatalf("verdicts %v, want one BadAttestation", c.verdicts)
+			if c.accepts(t, hExp, hFwd) {
+				t.Fatal("a cancelling forgery was acknowledged")
 			}
+			check(t, c, false)
 		})
 	}
+	t.Run("undecodable value rejected", func(t *testing.T) {
+		c := newAttestationCheck(t, id)
+		honest, err := c.hasher.Params().EncodeValue(c.hasher.Lift(c.fwd, c.prime))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.acceptsEncoded(t, []byte{1}, honest) {
+			t.Fatal("an undecodable attestation value was acknowledged")
+		}
+		check(t, c, false)
+	})
 }

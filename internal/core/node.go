@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/big"
 	"slices"
 	"sort"
@@ -127,11 +126,6 @@ type Node struct {
 	// pool issues exchange primes, drawn from crypto/rand and pregenerated
 	// off the critical path.
 	pool *hhash.PrimePool
-	// coeffs feeds batched-verification coefficients (Config.CoeffRand).
-	// It is deliberately NOT the pool's stream: coefficients never reach
-	// the wire, and drawing them from the prime stream would shift the
-	// prime sequence with every verification.
-	coeffs io.Reader
 
 	store *update.Store
 	round model.Round
@@ -197,11 +191,8 @@ func NewNode(cfg Config) (*Node, error) {
 		kPrev:       hhash.OneKey(),
 	}
 	n.hasher = hhash.NewHasher(sh.HashParams, &n.hops)
-	if n.coeffs = cfg.CoeffRand; n.coeffs == nil {
-		n.coeffs = rand.Reader
-	}
 	if sh.Metrics != nil {
-		n.hasher.Instrument(sh.liftHist, sh.verifyHist)
+		n.hasher.Instrument(sh.liftHist)
 	}
 	n.trace = sh.Trace
 	n.mon = newMonitorState(n)
@@ -781,40 +772,6 @@ func (n *Node) newPendingItem(u update.Update, count uint64, embed *big.Int) *pe
 		return it
 	}
 	return &pendingItem{upd: u, count: count, embed: embed}
-}
-
-// coeffStream is a splitmix64 byte stream of batched-verification
-// coefficients: eight bytes of state, so a simulated session can give each
-// of 10⁵ nodes its own and still replay byte for byte.
-type coeffStream struct{ state uint64 }
-
-func newCoeffStream(seed uint64) *coeffStream {
-	return &coeffStream{state: seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03}
-}
-
-// SeededCoeffs returns the Config.CoeffRand of a simulated node: a stream
-// keyed by the session seed and the node id. It is as secret as the seed —
-// enough where every node runs in one process and no peer computes
-// anything from it; a deployment leaves CoeffRand nil.
-func SeededCoeffs(seed uint64, id model.NodeID) io.Reader {
-	return newCoeffStream(newCoeffStream(seed).next() ^ uint64(id))
-}
-
-func (s *coeffStream) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-func (s *coeffStream) Read(p []byte) (int, error) {
-	for i := 0; i < len(p); i += 8 {
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], s.next())
-		copy(p[i:], buf[:])
-	}
-	return len(p), nil
 }
 
 // maxServedCount bounds one served multiplicity. An honest one is a sum

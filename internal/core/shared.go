@@ -62,9 +62,9 @@ type Shared struct {
 	// reception — one, if the buffermap did all it could (nil without a
 	// registry).
 	servedPayloads, servedRefs, duplicatePayloads *obs.Counter
-	// liftHist/verifyHist are the hhash timing histograms every node's
-	// hasher reports into.
-	liftHist, verifyHist *obs.Histogram
+	// liftHist is the hhash timing histogram every node's hasher reports
+	// into: every lift, attestation checks included.
+	liftHist *obs.Histogram
 }
 
 // NewShared builds the session plane from the exported fields of sh, taken
@@ -84,7 +84,6 @@ func NewShared(sh Shared) *Shared {
 		sh.servedRefs = sh.Metrics.Counter("pag_core_serve_items_total", obs.L("form", "ref"))
 		sh.duplicatePayloads = sh.Metrics.Counter("pag_core_duplicate_payloads_total")
 		sh.liftHist = sh.Metrics.Histogram("pag_hhash_lift_seconds", obs.ClassTimed)
-		sh.verifyHist = sh.Metrics.Histogram("pag_hhash_verify_seconds", obs.ClassTimed)
 	}
 	return &sh
 }

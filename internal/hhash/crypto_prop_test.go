@@ -208,8 +208,8 @@ func TestVerifyBatchCounterParity(t *testing.T) {
 	hU := NewHasher(params, &unbatched)
 	spanB := obs.NewRegistry().Histogram("lift", obs.ClassTimed)
 	spanU := obs.NewRegistry().Histogram("lift", obs.ClassTimed)
-	hB.Instrument(spanB, nil)
-	hU.Instrument(spanU, nil)
+	hB.Instrument(spanB)
+	hU.Instrument(spanU)
 	// Build the checks with an uncounted hasher so only the verification
 	// itself is attributed.
 	checks := randomChecks(t, NewHasher(params, nil), rnd, 4)

@@ -250,15 +250,13 @@ type Hasher struct {
 	// and multiplication mod M runs on it.
 	mc *montCtx
 
-	// liftSpans / verifySpans optionally time the two hot operations —
-	// the Fig 9 profiling hook (lifted-hash modexp dominates PAG's CPU
-	// cost). Nil histograms (the default) cost one branch per call. The
-	// span *counts* are deterministic — one observation per logical
-	// lifted hash and one per VerifyForwarding call — while the recorded
-	// durations are wall-clock, which is why the histograms are
+	// liftSpans optionally times the hot operation — the Fig 9 profiling
+	// hook (lifted-hash modexp dominates PAG's CPU cost). A nil histogram
+	// (the default) costs one branch per call. The span *count* is
+	// deterministic — one observation per logical lifted hash — while the
+	// recorded durations are wall-clock, which is why the histogram is
 	// registered as obs.ClassTimed.
-	liftSpans   *obs.Histogram
-	verifySpans *obs.Histogram
+	liftSpans *obs.Histogram
 
 	// embedScratch holds Embed's update-sized dividend across calls. The
 	// remainder is NOT what Embed returns: math/big sizes a remainder's
@@ -276,11 +274,10 @@ func NewHasher(params Params, ops *Counter) *Hasher {
 	return &Hasher{params: params, ops: ops, mc: newMontCtx(params.m)}
 }
 
-// Instrument attaches timing histograms to the lifted-hash and
-// forwarding-verification hot paths (either may be nil).
-func (h *Hasher) Instrument(lift, verify *obs.Histogram) {
+// Instrument attaches a timing histogram to the lifted-hash hot path
+// (nil detaches it).
+func (h *Hasher) Instrument(lift *obs.Histogram) {
 	h.liftSpans = lift
-	h.verifySpans = verify
 }
 
 // Params returns the hasher's parameters.
@@ -431,7 +428,6 @@ func (h *Hasher) VerifyForwarding(attestations []*big.Int, remainders []Key, ack
 		return false, fmt.Errorf("hhash: %d attestations but %d remainders",
 			len(attestations), len(remainders))
 	}
-	span := h.verifySpans.SpanStart()
 	if h.ops != nil {
 		h.ops.hashOps.Add(uint64(len(attestations)))
 	}
@@ -443,7 +439,6 @@ func (h *Hasher) VerifyForwarding(attestations []*big.Int, remainders []Key, ack
 		exps[j] = k.e
 	}
 	acc, err := h.MultiExp(attestations, exps)
-	h.verifySpans.SpanEnd(span)
 	if err != nil {
 		return false, err
 	}

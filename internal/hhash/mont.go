@@ -10,13 +10,13 @@ package hhash
 // instead of twice. math/big's assembly kernels are not reachable from
 // outside the standard library; a fused pure-Go loop over math/bits
 // intrinsics (one MUL + ADC chain per limb pair) is the portable
-// substitute, and for two widths — the 512-bit paper modulus (k=8, below)
-// and the 128-bit one sessions default to (k=2, montkern.go) — unrolled
-// kernels over named locals eliminate every bounds check on the hot path.
-// On amd64 CPUs with ADX and BMI2 the 512- and 256-bit widths run on
-// generated MULX/ADCX/ADOX kernels instead (mont_amd64.s, from
-// montasm_gen.go); the Go code stays as the path everywhere else and as
-// the oracle those kernels are tested against.
+// substitute. Each modulus width a session runs has one kernel: the
+// 128-bit one sessions default to (k=2) runs unrolled Go kernels over
+// named locals (montkern.go) on every host, and the 512-bit paper modulus
+// (k=8) runs generated MULX/ADCX/ADOX kernels (mont_amd64.s, from
+// montasm_gen.go) on amd64 CPUs with ADX and BMI2. Every other case — 512
+// bits off ADX included — runs the generic loop, which is also the oracle
+// the kernels are tested against.
 
 import (
 	"math/big"
@@ -109,8 +109,8 @@ func (c *montCtx) fromMont(a []uint) *big.Int {
 	return c.toInt(out)
 }
 
-// useADX selects the MULX/ADCX/ADOX kernels (mont_amd64.s) for the 512-
-// and 256-bit widths: read from CPUID once, false off amd64.
+// useADX selects the MULX/ADCX/ADOX kernels (mont_amd64.s) for the
+// 512-bit width: read from CPUID once, false off amd64.
 var useADX = hasADX()
 
 // mul sets dst = a·b·R⁻¹ mod m. dst, a, b are k-limb; dst may alias a
@@ -122,43 +122,29 @@ func (c *montCtx) mul(dst, a, b []uint) {
 		mul2(dst, a, b, c.m, c.n0inv)
 	case c.k == 8 && useADX:
 		mulADX8((*[8]uint)(dst), (*[8]uint)(a), (*[8]uint)(b), (*[8]uint)(c.m), c.n0inv)
-	case c.k == 4 && useADX:
-		mulADX4((*[4]uint)(dst), (*[4]uint)(a), (*[4]uint)(b), (*[4]uint)(c.m), c.n0inv)
 	default:
-		c.mulPortable(dst, a, b)
+		c.mulGeneric(dst, a, b)
 	}
 }
 
 // sqr sets dst = a²·R⁻¹ mod m; dst may alias a. At 512 bits the assembly
 // has a squaring of its own (17 % under mulADX8(a, a) in a ladder's
-// dependent chain); at 256 bits one measured 3 to 10 % and was left out, so
-// the multiply kernel squares there.
+// dependent chain).
 func (c *montCtx) sqr(dst, a []uint) {
 	switch {
 	case c.k == 2:
 		sqr2(dst, a, c.m, c.n0inv)
 	case c.k == 8 && useADX:
 		sqrADX8((*[8]uint)(dst), (*[8]uint)(a), (*[8]uint)(c.m), c.n0inv)
-	case c.k == 4 && useADX:
-		ap := (*[4]uint)(a)
-		mulADX4((*[4]uint)(dst), ap, ap, (*[4]uint)(c.m), c.n0inv)
 	default:
-		c.sqrPortable(dst, a)
+		c.mulGeneric(dst, a, a)
 	}
 }
 
-// mulPortable is mul on the pure-Go kernels alone: the only path off
-// amd64 and on CPUs without ADX, and the oracle the assembly kernels are
-// tested against.
-func (c *montCtx) mulPortable(dst, a, b []uint) {
-	switch c.k {
-	case 8:
-		mul8(dst, a, b, c.m, c.n0inv)
-		return
-	case 2:
-		mul2(dst, a, b, c.m, c.n0inv)
-		return
-	}
+// mulGeneric is the generic loop: mul and sqr at every width without a
+// kernel of its own (512 bits off ADX included), and the oracle the
+// kernels are tested against.
+func (c *montCtx) mulGeneric(dst, a, b []uint) {
 	k := c.k
 	m := c.m
 	// The accumulator is the caller's, never the context's: wider moduli
@@ -205,161 +191,6 @@ func (c *montCtx) mulPortable(dst, a, b []uint) {
 	} else {
 		copy(dst, t[:k])
 	}
-}
-
-// sqrPortable is sqr on the pure-Go kernels alone: dedicated squarings at
-// the two widths that have one, mulPortable elsewhere.
-func (c *montCtx) sqrPortable(dst, a []uint) {
-	switch c.k {
-	case 8:
-		sqr8(dst, a, c.m, c.n0inv)
-	case 2:
-		sqr2(dst, a, c.m, c.n0inv)
-	default:
-		c.mulPortable(dst, a, a)
-	}
-}
-
-// mul8 is the 512-bit (k=8) specialization: the outer loop is written
-// against named locals rather than a slice-indexed accumulator, so the
-// whole working set (a, m, t, carries) lives in registers or fixed stack
-// slots with no bounds checks in the inner chain.
-func mul8(dst, a, b, mod []uint, n0inv uint) {
-	ap := (*[8]uint)(a)
-	bp := (*[8]uint)(b)
-	mp := (*[8]uint)(mod)
-	a0, a1, a2, a3, a4, a5, a6, a7 := ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7]
-	m0, m1, m2, m3, m4, m5, m6, m7 := mp[0], mp[1], mp[2], mp[3], mp[4], mp[5], mp[6], mp[7]
-	var t0, t1, t2, t3, t4, t5, t6, t7, t8 uint
-	var hiA, loA, hiM, loM, v, cc uint
-	for i := 0; i < 8; i++ {
-		bi := bp[i]
-		hiA, loA = bits.Mul(a0, bi)
-		v, cc = bits.Add(t0, loA, 0)
-		carA := hiA + cc
-		u := v * n0inv
-		hiM, loM = bits.Mul(m0, u)
-		_, cc = bits.Add(v, loM, 0)
-		carM := hiM + cc
-		hiA, loA = bits.Mul(a1, bi)
-		v, cc = bits.Add(t1, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m1, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t0 = v
-		hiA, loA = bits.Mul(a2, bi)
-		v, cc = bits.Add(t2, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m2, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t1 = v
-		hiA, loA = bits.Mul(a3, bi)
-		v, cc = bits.Add(t3, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m3, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t2 = v
-		hiA, loA = bits.Mul(a4, bi)
-		v, cc = bits.Add(t4, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m4, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t3 = v
-		hiA, loA = bits.Mul(a5, bi)
-		v, cc = bits.Add(t5, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m5, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t4 = v
-		hiA, loA = bits.Mul(a6, bi)
-		v, cc = bits.Add(t6, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m6, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t5 = v
-		hiA, loA = bits.Mul(a7, bi)
-		v, cc = bits.Add(t7, loA, 0)
-		hiA += cc
-		v, cc = bits.Add(v, carA, 0)
-		carA = hiA + cc
-		hiM, loM = bits.Mul(m7, u)
-		v, cc = bits.Add(v, loM, 0)
-		hiM += cc
-		v, cc = bits.Add(v, carM, 0)
-		carM = hiM + cc
-		t6 = v
-		v, c1 := bits.Add(t8, carA, 0)
-		v, c2 := bits.Add(v, carM, 0)
-		t7 = v
-		t8 = c1 + c2
-	}
-	dp := (*[8]uint)(dst)
-	if t8 == 0 {
-		// t < 2^512: subtract m only when t >= m.
-		less := false
-		switch {
-		case t7 != m7:
-			less = t7 < m7
-		case t6 != m6:
-			less = t6 < m6
-		case t5 != m5:
-			less = t5 < m5
-		case t4 != m4:
-			less = t4 < m4
-		case t3 != m3:
-			less = t3 < m3
-		case t2 != m2:
-			less = t2 < m2
-		case t1 != m1:
-			less = t1 < m1
-		default:
-			less = t0 < m0
-		}
-		if less {
-			dp[0], dp[1], dp[2], dp[3] = t0, t1, t2, t3
-			dp[4], dp[5], dp[6], dp[7] = t4, t5, t6, t7
-			return
-		}
-	}
-	var borrow uint
-	dp[0], borrow = bits.Sub(t0, m0, borrow)
-	dp[1], borrow = bits.Sub(t1, m1, borrow)
-	dp[2], borrow = bits.Sub(t2, m2, borrow)
-	dp[3], borrow = bits.Sub(t3, m3, borrow)
-	dp[4], borrow = bits.Sub(t4, m4, borrow)
-	dp[5], borrow = bits.Sub(t5, m5, borrow)
-	dp[6], borrow = bits.Sub(t6, m6, borrow)
-	dp[7], borrow = bits.Sub(t7, m7, borrow)
 }
 
 // limbsLess reports a < b for equal-length limb slices.

@@ -2,15 +2,12 @@ package hhash
 
 //go:generate go run montasm_gen.go
 
-// mulADX8 and mulADX4 set dst = a·b·R⁻¹ mod m at 512 and 256 bits, and
-// sqrADX8 sets dst = a²·R⁻¹ mod m at 512 (mont_amd64.s, generated by
-// montasm_gen.go). dst may alias the operands.
+// mulADX8 sets dst = a·b·R⁻¹ mod m and sqrADX8 sets dst = a²·R⁻¹ mod m at
+// 512 bits (mont_amd64.s, generated by montasm_gen.go). dst may alias the
+// operands.
 //
 //go:noescape
 func mulADX8(dst, a, b, m *[8]uint, n0inv uint)
-
-//go:noescape
-func mulADX4(dst, a, b, m *[4]uint, n0inv uint)
 
 //go:noescape
 func sqrADX8(dst, a, m *[8]uint, n0inv uint)

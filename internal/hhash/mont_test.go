@@ -184,7 +184,8 @@ func TestSqrMatchesMul(t *testing.T) {
 }
 
 // TestLiftAllocations: a lift allocates its result (the big.Int and its
-// limbs) and nothing else, at every width with a kernel of its own.
+// limbs) and nothing else, at both kernel widths and at one the generic
+// loop serves.
 func TestLiftAllocations(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(17))
 	for _, bits := range []int{128, 256, 512} {
@@ -229,8 +230,8 @@ func FuzzLiftMatchesBig(f *testing.F) {
 
 // BenchmarkMontKernels times one Montgomery multiplication and squaring
 // on the kernels this machine dispatches to and, under portable/, on the
-// pure-Go kernels every machine without ADX runs (the two are the same
-// code off amd64, without ADX, and at k=2 everywhere).
+// Go code every machine without ADX runs (the two are the same code off
+// amd64, without ADX, and at every width but k=8).
 func BenchmarkMontKernels(b *testing.B) {
 	rnd := mrand.New(mrand.NewSource(18))
 	for _, k := range []int{2, 4, 8} {
@@ -243,14 +244,16 @@ func BenchmarkMontKernels(b *testing.B) {
 		}{
 			{"mul", func() { c.mul(dst, a, a) }},
 			{"sqr", func() { c.sqr(dst, a) }},
-			{"portable/mul", func() { c.mulPortable(dst, a, a) }},
-			{"portable/sqr", func() { c.sqrPortable(dst, a) }},
 		} {
-			b.Run(fmt.Sprintf("%s/k=%d", op.name, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					op.fn()
-				}
-			})
+			run := func(prefix string) {
+				b.Run(fmt.Sprintf("%s%s/k=%d", prefix, op.name, k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						op.fn()
+					}
+				})
+			}
+			run("")
+			portableKernels(func() { run("portable/") })
 		}
 	}
 }

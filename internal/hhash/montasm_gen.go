@@ -1,8 +1,8 @@
 //go:build ignore
 
-// montasm_gen writes mont_amd64.s: the Montgomery kernels on
-// MULX/ADCX/ADOX — multiplication at 256 bits (k=4 limbs) and 512 bits
-// (k=8), squaring at 512 — and the CPUID stub that gates them. Run by
+// montasm_gen writes mont_amd64.s: the 512-bit (k=8 limbs) Montgomery
+// multiplication and squaring on MULX/ADCX/ADOX, and the CPUID stub that
+// gates them. Run by
 // `go generate ./internal/hhash`; the output is committed and never edited
 // by hand.
 //
@@ -54,17 +54,16 @@ const (
 	mulReg = "DX" // MULX's implicit multiplicand: b[i], then u
 	loReg  = "AX"
 	hiReg  = "BX"
-	ptrReg = "CX" // a, then m, reloaded per pass when no register is spare
+	ptrReg = "CX" // a, then m, reloaded per pass: the accumulator takes the rest
 )
 
 var pool = []string{"SI", "DI", "R8", "R9", "R10", "R11", "R12", "R13", "R14", "R15"}
 
 type gen struct {
 	bytes.Buffer
-	k    int
-	t    []string          // the k+2 accumulator registers, before renaming
-	held map[string]string // argument -> register holding it for the whole call
-	off  map[string]int    // argument -> frame offset
+	k   int
+	t   []string       // the k+2 accumulator registers, before renaming
+	off map[string]int // argument -> frame offset
 }
 
 func (g *gen) ins(format string, args ...any) {
@@ -76,12 +75,9 @@ func (g *gen) ins(format string, args ...any) {
 // limb names the register holding t[j] during iteration i.
 func (g *gen) limb(i, j int) string { return g.t[(i+j)%len(g.t)] }
 
-// arg returns a register holding the pointer argument, loading it into
-// the shared pointer register when the width leaves none to spare.
+// arg loads the pointer argument into the shared pointer register and
+// returns that register.
 func (g *gen) arg(name string) string {
-	if r, ok := g.held[name]; ok {
-		return r
-	}
 	g.ins("MOVQ %s+%d(FP), %s", name, g.off[name], ptrReg)
 	return ptrReg
 }
@@ -101,20 +97,11 @@ func (g *gen) mul() {
 	fmt.Fprintf(g, "\n// func mulADX%d(dst, a, b, m *[%d]uint, n0inv uint)\n", k, k)
 	fmt.Fprintf(g, "// Requires: ADX, BMI2\n")
 	fmt.Fprintf(g, "TEXT ·mulADX%d(SB), NOSPLIT, $0-40\n", k)
-	for _, name := range []string{"a", "b", "m"} {
-		if r, ok := g.held[name]; ok {
-			g.ins("MOVQ %s+%d(FP), %s", name, g.off[name], r)
-		}
-	}
 	for i := 0; i < k; i++ {
 		top := g.limb(i, k+1)
 		fmt.Fprintf(g, "\n\t// b[%d]: t += a*b[%d]\n", i, i)
-		if r, ok := g.held["b"]; ok {
-			g.ins("MOVQ %d(%s), %s", 8*i, r, mulReg)
-		} else {
-			g.ins("MOVQ b+%d(FP), %s", g.off["b"], mulReg)
-			g.ins("MOVQ %d(%s), %s", 8*i, mulReg, mulReg)
-		}
+		g.ins("MOVQ b+%d(FP), %s", g.off["b"], mulReg)
+		g.ins("MOVQ %d(%s), %s", 8*i, mulReg, mulReg)
 		a := g.arg("a")
 		if i == 0 {
 			// t is zero: the products land in it directly, on one chain.
@@ -292,21 +279,12 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 func main() {
 	var out bytes.Buffer
 	out.WriteString(header)
-	for _, k := range []int{4, 8} {
-		g := &gen{k: k, t: pool[:k+2], held: map[string]string{},
-			off: map[string]int{"dst": 0, "a": 8, "b": 16, "m": 24, "n0inv": 32}}
-		// Registers the accumulator leaves over hold the pointers.
-		if spare := pool[k+2:]; len(spare) >= 3 {
-			g.held["a"], g.held["m"], g.held["b"] = spare[0], spare[1], spare[2]
-		}
-		g.mul()
-		out.Write(g.Bytes())
-
-	}
-	// A dedicated squaring is emitted where it measured at least 10 % under
-	// mul(a, a): 17 % at k=8 in a dependent chain, 3 to 10 % at k=4. The
-	// square in flight takes the whole pool, so pointers are reloaded.
-	g := &gen{k: 8, t: pool[:8+2], off: map[string]int{"dst": 0, "a": 8, "m": 16, "n0inv": 24}}
+	g := &gen{k: 8, t: pool[:8+2], off: map[string]int{"dst": 0, "a": 8, "b": 16, "m": 24, "n0inv": 32}}
+	g.mul()
+	out.Write(g.Bytes())
+	// The dedicated squaring measured 17 % under mul(a, a) in a dependent
+	// chain.
+	g = &gen{k: 8, t: pool[:8+2], off: map[string]int{"dst": 0, "a": 8, "m": 16, "n0inv": 24}}
 	g.sqr()
 	out.Write(g.Bytes())
 	if err := os.WriteFile("mont_amd64.s", out.Bytes(), 0o644); err != nil {

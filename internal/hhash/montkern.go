@@ -1,12 +1,12 @@
 package hhash
 
-// Unrolled Montgomery kernels beside mul8 (mont.go): the 128-bit (k=2)
-// multiply, and dedicated squarings for k=2 and k=8. A squaring computes
-// the k(k-1)/2 cross products once, doubles them, adds the k diagonal
-// squares and only then runs the k² reduction multiplies: 100 word
-// multiplies against mul8's 128, 7 against mul2's 8. The ladders spend
-// four squarings per table multiply, so that is where a lift's time is.
-// Everything lives in named locals: no bounds checks, no loop control.
+// The unrolled 128-bit (k=2) Montgomery kernels, the width sessions run
+// by default: a multiply and a dedicated squaring. The squaring computes
+// the cross product once, doubles it, adds the two diagonal squares and
+// only then runs the reduction multiplies: 7 word multiplies against
+// mul2's 8. The ladders spend four squarings per table multiply, so that
+// is where a lift's time is. Everything lives in named locals: no bounds
+// checks, no loop control.
 
 import "math/bits"
 
@@ -140,528 +140,4 @@ func sqr2(dst, a, mod []uint, n0inv uint) {
 	var borrow uint
 	dp[0], borrow = bits.Sub(t2, m0, borrow)
 	dp[1], borrow = bits.Sub(t3, m1, borrow)
-}
-
-func sqr8(dst, a, mod []uint, n0inv uint) {
-	ap := (*[8]uint)(a)
-	mp := (*[8]uint)(mod)
-	a0, a1, a2, a3, a4, a5, a6, a7 := ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7]
-	m0, m1, m2, m3, m4, m5, m6, m7 := mp[0], mp[1], mp[2], mp[3], mp[4], mp[5], mp[6], mp[7]
-	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 uint
-	var hi, lo, c, carry, u, e uint
-	hi, lo = bits.Mul(a0, a1)
-	t1 = lo
-	carry = hi
-	hi, lo = bits.Mul(a0, a2)
-	t2, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a0, a3)
-	t3, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a0, a4)
-	t4, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a0, a5)
-	t5, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a0, a6)
-	t6, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a0, a7)
-	t7, c = bits.Add(lo, carry, 0)
-	carry = hi + c
-	t8 = carry
-	hi, lo = bits.Mul(a1, a2)
-	t3, c = bits.Add(t3, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a1, a3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t4, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a1, a4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a1, a5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a1, a6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a1, a7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	t9 = carry
-	hi, lo = bits.Mul(a2, a3)
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a2, a4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a2, a5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a2, a6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a2, a7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	t10 = carry
-	hi, lo = bits.Mul(a3, a4)
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a3, a5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a3, a6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a3, a7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	t11 = carry
-	hi, lo = bits.Mul(a4, a5)
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a4, a6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a4, a7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	t12 = carry
-	hi, lo = bits.Mul(a5, a6)
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(a5, a7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t12, c = bits.Add(t12, lo, 0)
-	carry = hi + c
-	t13 = carry
-	hi, lo = bits.Mul(a6, a7)
-	t13, c = bits.Add(t13, lo, 0)
-	carry = hi + c
-	t14 = carry
-	t15 = t14 >> (_W - 1)
-	t14 = t14<<1 | t13>>(_W-1)
-	t13 = t13<<1 | t12>>(_W-1)
-	t12 = t12<<1 | t11>>(_W-1)
-	t11 = t11<<1 | t10>>(_W-1)
-	t10 = t10<<1 | t9>>(_W-1)
-	t9 = t9<<1 | t8>>(_W-1)
-	t8 = t8<<1 | t7>>(_W-1)
-	t7 = t7<<1 | t6>>(_W-1)
-	t6 = t6<<1 | t5>>(_W-1)
-	t5 = t5<<1 | t4>>(_W-1)
-	t4 = t4<<1 | t3>>(_W-1)
-	t3 = t3<<1 | t2>>(_W-1)
-	t2 = t2<<1 | t1>>(_W-1)
-	t1 <<= 1
-	hi, lo = bits.Mul(a0, a0)
-	t0 = lo
-	t1, c = bits.Add(t1, hi, 0)
-	hi, lo = bits.Mul(a1, a1)
-	t2, c = bits.Add(t2, lo, c)
-	t3, c = bits.Add(t3, hi, c)
-	hi, lo = bits.Mul(a2, a2)
-	t4, c = bits.Add(t4, lo, c)
-	t5, c = bits.Add(t5, hi, c)
-	hi, lo = bits.Mul(a3, a3)
-	t6, c = bits.Add(t6, lo, c)
-	t7, c = bits.Add(t7, hi, c)
-	hi, lo = bits.Mul(a4, a4)
-	t8, c = bits.Add(t8, lo, c)
-	t9, c = bits.Add(t9, hi, c)
-	hi, lo = bits.Mul(a5, a5)
-	t10, c = bits.Add(t10, lo, c)
-	t11, c = bits.Add(t11, hi, c)
-	hi, lo = bits.Mul(a6, a6)
-	t12, c = bits.Add(t12, lo, c)
-	t13, c = bits.Add(t13, hi, c)
-	hi, lo = bits.Mul(a7, a7)
-	t14, c = bits.Add(t14, lo, c)
-	t15, c = bits.Add(t15, hi, c)
-	u = t0 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t0, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t1, c = bits.Add(t1, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t2, c = bits.Add(t2, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t3, c = bits.Add(t3, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t4, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	t8, e = bits.Add(t8, carry, e)
-	u = t1 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t1, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t2, c = bits.Add(t2, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t3, c = bits.Add(t3, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t4, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	t9, e = bits.Add(t9, carry, e)
-	u = t2 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t2, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t3, c = bits.Add(t3, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t4, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	t10, e = bits.Add(t10, carry, e)
-	u = t3 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t3, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t4, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	t11, e = bits.Add(t11, carry, e)
-	u = t4 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t4, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t5, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	t12, e = bits.Add(t12, carry, e)
-	u = t5 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t5, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t6, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t12, c = bits.Add(t12, lo, 0)
-	carry = hi + c
-	t13, e = bits.Add(t13, carry, e)
-	u = t6 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t6, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t7, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t12, c = bits.Add(t12, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t13, c = bits.Add(t13, lo, 0)
-	carry = hi + c
-	t14, e = bits.Add(t14, carry, e)
-	u = t7 * n0inv
-	hi, lo = bits.Mul(u, m0)
-	_, c = bits.Add(t7, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m1)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t8, c = bits.Add(t8, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m2)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t9, c = bits.Add(t9, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m3)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t10, c = bits.Add(t10, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m4)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t11, c = bits.Add(t11, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m5)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t12, c = bits.Add(t12, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m6)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t13, c = bits.Add(t13, lo, 0)
-	carry = hi + c
-	hi, lo = bits.Mul(u, m7)
-	lo, c = bits.Add(lo, carry, 0)
-	hi += c
-	t14, c = bits.Add(t14, lo, 0)
-	carry = hi + c
-	t15, e = bits.Add(t15, carry, e)
-	dp := (*[8]uint)(dst)
-	if e == 0 {
-		less := false
-		switch {
-		case t15 != m7:
-			less = t15 < m7
-		case t14 != m6:
-			less = t14 < m6
-		case t13 != m5:
-			less = t13 < m5
-		case t12 != m4:
-			less = t12 < m4
-		case t11 != m3:
-			less = t11 < m3
-		case t10 != m2:
-			less = t10 < m2
-		case t9 != m1:
-			less = t9 < m1
-		default:
-			less = t8 < m0
-		}
-		if less {
-			dp[0], dp[1], dp[2], dp[3], dp[4], dp[5], dp[6], dp[7] = t8, t9, t10, t11, t12, t13, t14, t15
-			return
-		}
-	}
-	var borrow uint
-	dp[0], borrow = bits.Sub(t8, m0, borrow)
-	dp[1], borrow = bits.Sub(t9, m1, borrow)
-	dp[2], borrow = bits.Sub(t10, m2, borrow)
-	dp[3], borrow = bits.Sub(t11, m3, borrow)
-	dp[4], borrow = bits.Sub(t12, m4, borrow)
-	dp[5], borrow = bits.Sub(t13, m5, borrow)
-	dp[6], borrow = bits.Sub(t14, m6, borrow)
-	dp[7], borrow = bits.Sub(t15, m7, borrow)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // kernelWidths are the limb counts with an assembly kernel.
-var kernelWidths = []int{4, 8}
+var kernelWidths = []int{8}
 
 // kernelModuli returns the k-limb moduli the kernel tests run over: the
 // all-ones modulus (every reduction limb at its maximum, and the one that
@@ -36,8 +36,8 @@ func kernelModuli(rnd *mrand.Rand, k int) []*big.Int {
 	return ms
 }
 
-// checkKernel holds one product to its definition and to the portable
-// kernels, under every aliasing of dst, a and b the engine uses. The
+// checkKernel holds one product to its definition and to the generic
+// loop, under every aliasing of dst, a and b the engine uses. The
 // destination sits between two guard limbs.
 func checkKernel(t *testing.T, c *montCtx, rinv, a, b *big.Int) {
 	t.Helper()
@@ -63,14 +63,13 @@ func checkKernel(t *testing.T, c *montCtx, rinv, a, b *big.Int) {
 		}
 	}
 	al, bl := c.limbsOf(a), c.limbsOf(b)
-	run("portable", func(dst []uint) { c.mulPortable(dst, al, bl) })
+	run("generic", func(dst []uint) { c.mulGeneric(dst, al, bl) })
 	run("mul", func(dst []uint) { c.mul(dst, al, bl) })
 	run("dst==a", func(dst []uint) { copy(dst, al); c.mul(dst, dst, bl) })
 	run("dst==b", func(dst []uint) { copy(dst, bl); c.mul(dst, al, dst) })
 	if a.Cmp(b) == 0 {
 		run("a==b", func(dst []uint) { c.mul(dst, al, al) })
 		run("sqr", func(dst []uint) { c.sqr(dst, al) })
-		run("portable sqr", func(dst []uint) { c.sqrPortable(dst, al) })
 		run("dst==a==b", func(dst []uint) { copy(dst, al); c.mul(dst, dst, dst) })
 		run("sqr in place", func(dst []uint) { copy(dst, al); c.sqr(dst, dst) })
 	}
@@ -80,10 +79,9 @@ func checkKernel(t *testing.T, c *montCtx, rinv, a, b *big.Int) {
 }
 
 // TestKernelsMatchBig is the differential test of the assembly kernels:
-// a·b·R⁻¹ mod m against math/big and against the portable Go kernels
-// (mul8 at k=8, the generic loop at k=4), over the carry-heavy moduli and
-// operands and every aliasing. Without ADX it checks the portable kernels
-// against math/big alone.
+// a·b·R⁻¹ mod m against math/big and against the generic loop, over the
+// carry-heavy moduli and operands and every aliasing. Without ADX it
+// checks the generic loop against math/big alone.
 func TestKernelsMatchBig(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(27))
 	for _, k := range kernelWidths {

@@ -100,7 +100,7 @@ func TestTagsAccounting(t *testing.T) {
 		var ops Counter
 		h := NewHasher(p, &ops)
 		spans := obs.NewRegistry().Histogram("lift_seconds", obs.ClassTimed)
-		h.Instrument(spans, nil)
+		h.Instrument(spans)
 		h.Tags(make([]uint64, n), randomEmbeds(rnd, m, n), key)
 		if ops.HashOps() != uint64(n) || spans.Count() != 0 {
 			t.Errorf("%d tags counted as %d hash-ops and %d lift spans", n, ops.HashOps(), spans.Count())

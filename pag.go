@@ -117,8 +117,7 @@ type SessionConfig struct {
 	TTL model.Round
 	// Seed drives the membership assignment, every node's identity keys,
 	// the homomorphic hash modulus and the fault plane's decisions, so
-	// sessions over one roster with one seed agree on all of them; with
-	// every node hosted it also seeds the batch-verification coefficients.
+	// sessions over one roster with one seed agree on all of them.
 	Seed uint64
 	// MonitorRotationRounds re-draws every monitor set after this many
 	// rounds (0 keeps monitors static, the paper's setting). Rotation

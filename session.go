@@ -3,7 +3,6 @@ package pag
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/acting"
 	"repro/internal/core"
@@ -85,20 +84,11 @@ func (s *Session) addMember(id model.NodeID, identity pki.Identity) error {
 	player := streaming.NewPlayer()
 	switch s.cfg.Protocol {
 	case ProtocolPAG:
-		// Seeded verification coefficients keep a whole simulated session
-		// replayable. A session hosting a subset shares its seed with the
-		// other processes of the deployment, so there they must stay
-		// secret: crypto/rand.
-		var coeffs io.Reader
-		if s.hosted == nil {
-			coeffs = core.SeededCoeffs(s.cfg.Seed, id)
-		}
 		m, err = core.NewNode(core.Config{
 			ID:        id,
 			Identity:  identity,
 			Endpoint:  ep,
 			Behavior:  s.cfg.PAGBehaviors[id],
-			CoeffRand: coeffs,
 			Shared:    s.shared,
 			Verdicts:  func(v judicial.Verdict) { s.registry.Submit(v) },
 			OnDeliver: player.OnDeliver,
