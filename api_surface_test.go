@@ -45,7 +45,10 @@ var testOnlyExports = map[string]string{
 // TestNoUnexplainedTestOnlyExports fails on an exported function or method
 // of a non-main package whose name no non-test file mentions outside its
 // own declaration and that testOnlyExports does not explain, and on an
-// entry of testOnlyExports that no longer names such a function.
+// entry of testOnlyExports that no longer names such a function. It
+// matches bare names, so it misses a method no non-test file calls when
+// another type's method of that name is called: an uncalled Len, say,
+// passes because other types' Len methods are called.
 func TestNoUnexplainedTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key      string

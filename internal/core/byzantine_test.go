@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -190,17 +191,7 @@ func TestServeUnknownStreamRejected(t *testing.T) {
 	const b = model.NodeID(3)
 	node := h.nodes[b]
 	round := node.Round()
-	a := model.NoNode
-	preds := h.dir.Predecessors(b, round)
-	for _, id := range h.dir.MembersAt(round) {
-		if id != b && id != h.source && !slices.Contains(preds, id) {
-			a = id
-			break
-		}
-	}
-	if a == model.NoNode {
-		t.Fatal("every member is a predecessor of the receiver")
-	}
+	a := h.nonPredecessor(b, round)
 	fresh, err := h.gen.Emit(round, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +213,76 @@ func TestServeUnknownStreamRejected(t *testing.T) {
 	}
 	if node.Store().Has(u.ID) || node.Store().Has(fresh[0].ID) {
 		t.Fatal("the served update was stored")
+	}
+}
+
+// nonPredecessor returns a member other than the source that is neither b
+// nor one of b's predecessors in round r.
+func (h *harness) nonPredecessor(b model.NodeID, r model.Round) model.NodeID {
+	h.t.Helper()
+	preds := h.dir.Predecessors(b, r)
+	for _, id := range h.dir.MembersAt(r) {
+		if id != b && id != h.source && !slices.Contains(preds, id) {
+			return id
+		}
+	}
+	h.t.Fatal("every member is a predecessor of the receiver")
+	return model.NoNode
+}
+
+// TestServeFromNonPredecessorRejected: a well-formed Serve of a genuine
+// update, correctly signed by a member that is not the receiver's
+// predecessor this round and followed by its Attestation, costs the sender
+// one BadMessage verdict. The receiver stores nothing and acknowledges
+// nothing, so it owes no forward and draws no verdict next round.
+func TestServeFromNonPredecessorRejected(t *testing.T) {
+	h := newHarness(t, 8, 2)
+	h.engine.Run(3)
+	const b = model.NodeID(3)
+	node := h.nodes[b]
+	round := node.Round()
+	a := h.nonPredecessor(b, round)
+	fresh, err := h.gen.Emit(round, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := fresh[0]
+	srv := &wire.Serve{Round: round, From: a, To: b, KPrev: hhash.OneKey().Bytes(),
+		Full: []wire.ServedUpdate{{Update: u, Count: 1}}}
+	cipher, err := h.suite.Encrypt(b, sealMsg(t, h.identities[a], srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := h.params.EncodeValue(big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := sealMsg(t, h.identities[a], &wire.Attestation{Round: round, From: a, To: b,
+		HExpiring: one, HForwardable: one})
+	acked := false
+	h.deliver = func(n *core.Node, m transport.Message) {
+		acked = acked || (m.Kind == wire.KindAck && m.From == b && m.To == a)
+		n.HandleMessage(m)
+	}
+	before := len(h.verdicts)
+	node.HandleMessage(transport.Message{From: a, To: b, Kind: wire.KindServe, Payload: cipher})
+	node.HandleMessage(transport.Message{From: a, To: b, Kind: wire.KindAttestation, Payload: att})
+	got := h.verdicts[before:]
+	if len(got) != 1 || got[0].Kind != core.VerdictBadMessage || got[0].Accused != a ||
+		got[0].Detail != "Serve from a non-predecessor" {
+		t.Fatalf("verdicts %v, want one BadMessage %q against %v", got, "Serve from a non-predecessor", a)
+	}
+	if node.Store().Has(u.ID) {
+		t.Fatal("the served update was stored")
+	}
+	h.engine.Run(1)
+	if acked {
+		t.Fatal("the receiver acknowledged the Serve")
+	}
+	for _, v := range h.verdicts[before:] {
+		if v.Accused == b {
+			t.Fatalf("the receiver was convicted: %v", v)
+		}
 	}
 }
 

@@ -282,8 +282,15 @@ func (n *Node) processServe(srv *wire.Serve) {
 			Accused: srv.From, Detail: fmt.Sprintf("multiplicity %d served for update %v", count, id)})
 	}
 	for i := range srv.Full {
-		if su := &srv.Full[i]; !validServedCount(su.Count) {
+		su := &srv.Full[i]
+		if !validServedCount(su.Count) {
 			reject(su.Count, su.Update.ID)
+			return
+		}
+		// A session carries stream 0 alone.
+		if su.Update.ID.Stream != 0 {
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
+				Accused: srv.From, Detail: "update for unknown stream"})
 			return
 		}
 	}
@@ -303,10 +310,19 @@ func (n *Node) processServe(srv *wire.Serve) {
 	}
 	ex, ok := n.recvCur.exchanges[srv.From]
 	if !ok {
-		// A serve without a prior KeyRequest→KeyResponse handshake can
-		// only happen through the probe path; accept it with a zero
-		// prime (attestation verification is skipped, the exchange
-		// cannot enter the obligation).
+		// Only a predecessor of this round may serve this node: what it
+		// stores here it must forward next round, so a Serve from anyone
+		// else would make a correct node answer for an exchange that
+		// never was (WrongForward).
+		if _, pred := n.sh.Directory.ExchangeSlot(srv.From, n.id, n.round); !pred {
+			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
+				Accused: srv.From, Detail: "Serve from a non-predecessor"})
+			return
+		}
+		// A predecessor's serve without a prior KeyRequest→KeyResponse
+		// handshake can only happen through the probe path; accept it
+		// with a zero prime (attestation verification is skipped, the
+		// exchange cannot enter the obligation).
 		ex = n.newRecvExchange()
 		n.recvCur.exchanges[srv.From] = ex
 	}
@@ -353,11 +369,6 @@ func (n *Node) processServe(srv *wire.Serve) {
 		}
 		// "Updates are propagated along with their signature so that
 		// they can be verified by the nodes upon reception" (§III).
-		if su.Update.ID.Stream != 0 {
-			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-				Accused: srv.From, Detail: "update for unknown stream"})
-			return
-		}
 		if !n.verifyUpdate(n.sh.Source, &su.Update) {
 			return
 		}

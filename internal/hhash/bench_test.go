@@ -224,8 +224,8 @@ func BenchmarkProductEmbed(b *testing.B) {
 }
 
 // BenchmarkPrimeFinalCheck times the prime search's last word on a
-// candidate, on an accepted prime (every stage runs): the search's own
-// Baillie-PSW test, scratch arena included, against the math/big call it
+// candidate, on an accepted prime (both stages run): the search's own
+// Baillie-PSW test, scratch included, against the math/big call it
 // replaced.
 func BenchmarkPrimeFinalCheck(b *testing.B) {
 	for _, bits := range []int{128, 512} {
@@ -254,7 +254,7 @@ func BenchmarkPrimeFinalCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratePrime compares the prime search against the bare loop
+// BenchmarkGeneratePrime compares the prime search against the bare walk
 // it must agree with (every candidate straight to ProbablyPrime(1)) —
 // the dominant per-exchange cost off the driver thread.
 func BenchmarkGeneratePrime(b *testing.B) {

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/big"
 	mrand "math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -235,7 +237,7 @@ func TestVerifyBatchCounterParity(t *testing.T) {
 // depends on it), and passes a full-strength primality test.
 func TestPregenPrimeProperties(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(67))
-	for _, bits := range []int{8, 17, 48, 64, 127, 128} {
+	for _, bits := range []int{8, 9, 17, 48, 64, 127, 128, 256, 512} {
 		for trial := 0; trial < 8; trial++ {
 			k, err := pregenPrime(rnd, bits)
 			if err != nil {
@@ -300,6 +302,84 @@ func TestPrimePoolErrorSticky(t *testing.T) {
 	if _, err := pool.Get(); err == nil {
 		t.Fatal("pool error must be sticky")
 	}
+}
+
+// blockingReader reads from r until budget bytes are spent, then blocks
+// every Read until release is closed, closing entered as it first does.
+type blockingReader struct {
+	r                io.Reader
+	budget           int
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingReader) Read(p []byte) (int, error) {
+	if b.budget == 0 {
+		b.once.Do(func() { close(b.entered) })
+		<-b.release
+	} else {
+		b.budget -= len(p)
+	}
+	return b.r.Read(p)
+}
+
+// TestPrimePoolGetDoesNotWaitForRefill: with the refill blocked inside a
+// stream read, a Get on a non-empty queue returns at once, and once the
+// stream flows again the pool goes on in stream order.
+func TestPrimePoolGetDoesNotWaitForRefill(t *testing.T) {
+	const queued = 3 // primes the stream yields before it blocks
+	ref := &countingReader{r: mrand.New(mrand.NewSource(73)), budget: -1}
+	want := make([]Key, queued+1)
+	budget := 0
+	for i := range want {
+		k, err := pregenPrime(ref, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = k
+		if i == queued-1 {
+			budget = ref.n
+		}
+	}
+	rd := &blockingReader{r: mrand.New(mrand.NewSource(73)), budget: budget,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	pool, err := NewPrimePool(rd, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(rd.release)
+		}
+	}
+	defer release()
+	get := func(i int) {
+		t.Helper()
+		got, err := pool.Get()
+		if err != nil || got.e.Cmp(want[i].e) != 0 {
+			t.Fatalf("Get %d: %v, %v; want the stream's prime %v", i, got.e, err, want[i].e)
+		}
+	}
+	get(0)
+	<-rd.entered // the refill has queued primes 1 and 2 and waits for the stream
+	done := make(chan Key, 1)
+	go func() {
+		k, _ := pool.Get()
+		done <- k
+	}()
+	select {
+	case k := <-done:
+		if k.e == nil || k.e.Cmp(want[1].e) != 0 {
+			t.Fatalf("Get 1 beside the blocked refill: %v, want %v", k.e, want[1].e)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get on a non-empty queue waited for the refill's stream read")
+	}
+	release()
+	get(2)
+	get(3)
 }
 
 type failingReader struct{}

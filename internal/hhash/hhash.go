@@ -58,7 +58,7 @@ type Params struct {
 // GenerateParams creates a fresh modulus M = p·q of exactly the given bit
 // size from two random primes and discards the factors. rnd may be nil to
 // use crypto/rand.Reader. The factors come from pregenPrime, which reads a
-// fixed number of bytes per candidate, so identically seeded readers yield
+// fixed number of bytes per start, so identically seeded readers yield
 // the same modulus — what lets separate processes share one.
 // (crypto/rand.Prime reads one extra byte on a coin flip, so its primes
 // depend on more than the stream.)

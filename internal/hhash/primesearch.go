@@ -1,12 +1,21 @@
 package hhash
 
-// The acceptance test of the prime search. pregenPrime (prime.go) draws
-// candidates and returns the first one accepts says yes to; almost every
-// candidate is composite, so the test is three stages ordered by what they
-// cost, all of them on the raw limbs and none of them allocating:
+// The prime search: incremental search (Brandt and Damgård, "On generation
+// of probable primes by incremental search", CRYPTO '92). pregenPrime
+// (prime.go) draws one random odd start and walks start, start+2, …,
+// start+2(L-1) for L = searchWindow(bits), returning the first number on
+// the walk that passes the test below. A walk that leaves the width, or a
+// window without a prime, discards the start and draws a new one. Almost
+// every number on the walk is composite, so it is judged in three stages
+// ordered by what they cost, all on raw limbs and none allocating:
 //
-//  1. trial division by the small primes, packed into word-sized products
-//     so that one pass over the limbs tests a dozen primes;
+//  1. a sieve over the whole window at once: the start's residue modulo
+//     each odd prime below sieveBound marks every offset that prime
+//     divides, and a marked offset is never tested. The residues come
+//     from packed words, products of consecutive primes that fit a word:
+//     one division of the start per word, then one word-sized remainder
+//     per prime. Every sieve prime is below every candidate, so a mark is
+//     always a proper factor;
 //  2. a base-2 strong-probable-prime test on a Montgomery context built
 //     for the candidate alone. R mod n comes from a negation and a few
 //     doublings and multiplying by 2 is a modular doubling, so the context
@@ -16,45 +25,46 @@ package hhash
 // Stages 2 and 3 together are the Baillie-PSW test, and stage 3 is
 // math/big's probablyPrimeLucas move for move: the same parameter choice
 // (Baillie-OEIS method C), the same perfect-square guard, the same "almost
-// extra strong" conditions. big.Int.ProbablyPrime(1) — what the search
-// called until it got its own stage 3, and what the tests still compare it
-// against — is those two tests plus the trial division of stage 1 (up to
-// 53) and one Miller-Rabin round to a pseudo-random base. So the search
+// extra strong" conditions. big.Int.ProbablyPrime(1) — what the tests
+// compare the search against — is those two tests plus trial division (up
+// to 53) and one Miller-Rabin round to a pseudo-random base. So the search
 // accepts what ProbablyPrime(1) accepts unless a composite passes
 // Baillie-PSW and fails that extra round: a Baillie-PSW pseudoprime, of
-// which none is known and none exists below 2⁶⁴. The prime sequence of a
-// stream is what it was (referencePregenPrime in the tests is the oracle).
+// which none is known and none exists below 2⁶⁴. The sieve removes only
+// multiples of primes smaller than the candidate, so the prime a stream
+// yields is the one the bare walk (referencePregenPrime in the tests)
+// yields, at the same stream position.
 
 import (
+	"fmt"
+	"io"
 	"math/big"
 	"math/bits"
 )
 
-// smallPrimeLimit bounds the trial-division primes. At 512 bits a base-2
-// test costs ~500 squarings (~60 µs) and a packed word ~8 divisions, so
-// primes into the low thousands still pay for themselves; narrower
-// candidates use a prefix of the table (trialWords).
-const smallPrimeLimit = 2048
+// sieveLimit bounds the sieve primes of every width, so each fits in 16
+// bits.
+const sieveLimit = 1 << 16
 
-// primeWord is one packed trial divisor: the product of consecutive odd
-// primes that fits a word. spInv/spLim[first:first+n] test the remainder
-// for each of its primes without dividing (r is a multiple of odd p iff
-// r·p⁻¹ mod 2^W <= (2^W-1)/p).
+// primeWord is one packed sieve divisor: the product of the consecutive
+// odd primes sievePrimes[first:first+n], which fits a word.
 type primeWord struct {
 	prod     uint
 	first, n int
 }
 
-var spWords, spInv, spLim = buildSmallPrimes()
+// sievePrimes and sieveWords are read-only package state, shared by every
+// search.
+var sievePrimes, sieveWords = buildSievePrimes()
 
-func buildSmallPrimes() (words []primeWord, inv, lim []uint) {
-	composite := make([]bool, smallPrimeLimit)
+func buildSievePrimes() (primes []uint16, words []primeWord) {
+	composite := make([]bool, sieveLimit)
 	cur := primeWord{prod: 1}
-	for p := uint(3); p < smallPrimeLimit; p += 2 {
+	for p := uint(3); p < sieveLimit; p += 2 {
 		if composite[p] {
 			continue
 		}
-		for q := p * p; q < smallPrimeLimit; q += 2 * p {
+		for q := p * p; q < sieveLimit; q += 2 * p {
 			composite[q] = true
 		}
 		if hi, lo := bits.Mul(cur.prod, p); hi == 0 {
@@ -62,38 +72,63 @@ func buildSmallPrimes() (words []primeWord, inv, lim []uint) {
 			cur.n++
 		} else {
 			words = append(words, cur)
-			cur = primeWord{prod: p, first: len(inv), n: 1}
+			cur = primeWord{prod: p, first: len(primes), n: 1}
 		}
-		inv = append(inv, invWord(p))
-		lim = append(lim, ^uint(0)/p)
+		primes = append(primes, uint16(p))
 	}
-	return append(words, cur), inv, lim
+	return primes, append(words, cur)
 }
 
-// trialWords is how many packed words a k-limb candidate is divided by.
-// A word costs k divisions and the base-2 test it may save ~k³ word
-// multiplies, while the share of candidates a word removes falls with the
-// size of its primes: the useful prefix grows like k².
-func trialWords(k int) int {
-	return min(k*k, len(spWords))
+// sieveBound is how far a search of the given width sieves. A sieve prime
+// costs a share of one division of the start per drawn start, and the
+// base-2 tests it saves cost ~k³ word multiplies each at k 64-bit words,
+// so the bound grows like k³: 2¹⁶ at 512 bits, 2¹⁰ at 128. At one word it
+// is 128, below every candidate even at the 8-bit floor (3·2⁶), which is
+// what keeps a sieve prime from marking itself.
+func sieveBound(bits int) uint {
+	k := uint(bits+63) / 64
+	return min(128*k*k*k, sieveLimit)
 }
 
-// primeSearch is the scratch of one search: the candidate's limbs and its
-// throwaway Montgomery context. pregenPrime makes one per call, because it
-// runs on PrimePool's refill goroutine beside the node's Hasher.
+// searchWindow is how many odd offsets a start is walked over: whole words
+// of marks, about four times the width. A window of L odd offsets holds no
+// prime with probability ~exp(-2L/(bits·ln 2)), here ~e^-11.5.
+func searchWindow(bits int) int {
+	return 64 * ((bits + 15) / 16)
+}
+
+// primeSearch is the scratch of one search: the drawn start, the window's
+// marks, the candidate's limbs and its throwaway Montgomery context.
+// PrimePool keeps one for its stream, reused across primes; pregenPrime
+// makes one per call.
 type primeSearch struct {
-	mc       montCtx // m is the candidate; one = R mod m; no rr, no mod
-	minusOne []uint  // m - one: -1 in Montgomery form
-	acc      []uint  // the base-2 power; V(k) of the Lucas chain
-	vk1      []uint  // V(k+1)
-	pm, two  []uint  // the Lucas parameter P and 2, in Montgomery form
+	bits     int
+	words    []primeWord // the prefix of sieveWords below sieveBound(bits)
+	buf      []byte      // the drawn start, big-endian
+	start    []uint      // the drawn start's limbs
+	marks    []uint64    // bit i set: a sieve prime divides start+2i
+	mc       montCtx     // m is the candidate; one = R mod m; no rr, no mod
+	minusOne []uint      // m - one: -1 in Montgomery form
+	acc      []uint      // the base-2 power; V(k) of the Lucas chain
+	vk1      []uint      // V(k+1)
+	pm, two  []uint      // the Lucas parameter P and 2, in Montgomery form
 }
 
 func newPrimeSearch(bitLen int) *primeSearch {
 	k := (bitLen + _W - 1) / _W
-	arena := make([]uint, 7*k)
+	arena := make([]uint, 8*k)
 	part := func(i int) []uint { return arena[i*k : (i+1)*k] }
+	bound := sieveBound(bitLen)
+	n := 0
+	for n < len(sieveWords) && uint(sievePrimes[sieveWords[n].first+sieveWords[n].n-1]) < bound {
+		n++
+	}
 	return &primeSearch{
+		bits:     bitLen,
+		words:    sieveWords[:n],
+		buf:      make([]byte, (bitLen+7)/8),
+		start:    part(7),
+		marks:    make([]uint64, searchWindow(bitLen)/64),
 		mc:       montCtx{k: k, m: part(0), one: part(1)},
 		minusOne: part(2),
 		acc:      part(3),
@@ -103,50 +138,115 @@ func newPrimeSearch(bitLen int) *primeSearch {
 	}
 }
 
-// load sets the candidate from its big-endian encoding: odd, >= 3, and of
-// exactly the bit length the search was built for (a non-zero top limb).
-func (s *primeSearch) load(be []byte) {
-	n := s.mc.m
-	for i := range n {
-		n[i] = 0
+// next draws starts from rnd until one's window holds a prime, and returns
+// that prime. It consumes exactly one draw of the width's byte length per
+// start.
+func (s *primeSearch) next(rnd io.Reader) (Key, error) {
+	for {
+		if _, err := io.ReadFull(rnd, s.buf); err != nil {
+			return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
+		}
+		maskStart(s.buf, s.bits)
+		limbsFromBytes(s.start, s.buf)
+		s.sieve()
+		if s.walk() {
+			return Key{e: limbsToInt(new(big.Int), s.mc.m)}, nil
+		}
 	}
+}
+
+// maskStart forces the top two bits and the low bit of a drawn start, as
+// crypto/rand.Prime does: every prime, and every product of j primes, then
+// has a fixed encoded length, which the wire format depends on.
+func maskStart(buf []byte, bits int) {
+	b := uint(bits % 8)
+	if b == 0 {
+		b = 8
+	}
+	buf[0] &= uint8(int(1<<b) - 1)
+	if b >= 2 {
+		buf[0] |= 3 << (b - 2)
+	} else {
+		// b == 1: the second-highest bit lives in the next byte.
+		buf[0] |= 1
+		buf[1] |= 0x80
+	}
+	buf[len(buf)-1] |= 1
+}
+
+// limbsFromBytes sets the limbs dst from a big-endian encoding that fits.
+func limbsFromBytes(dst []uint, be []byte) {
+	clear(dst)
 	for i, b := range be {
 		pos := len(be) - 1 - i
-		n[pos/(_W/8)] |= uint(b) << (8 * uint(pos%(_W/8)))
+		dst[pos/(_W/8)] |= uint(b) << (8 * uint(pos%(_W/8)))
 	}
 }
 
-// accepts is the search's acceptance predicate for one candidate (the
-// big-endian bytes of an odd number >= 3 of the search's bit length).
-func (s *primeSearch) accepts(candidate []byte) bool {
-	s.load(candidate)
-	if s.hasSmallFactor() {
-		return false
-	}
-	s.setupMont()
-	return s.strongBase2() && s.strongLucas()
-}
-
-// hasSmallFactor reports whether a small prime properly divides the
-// candidate. Candidates inside the table's own range are left to the next
-// stage: they may BE one of its primes.
-func (s *primeSearch) hasSmallFactor() bool {
-	n := s.mc.m
-	if limbsBitLen(n) < bits.Len(smallPrimeLimit) {
-		return false // n < smallPrimeLimit
-	}
-	for _, w := range spWords[:trialWords(len(n))] {
+// sieve marks every offset i of the window at which a sieve prime divides
+// start+2i.
+func (s *primeSearch) sieve() {
+	clear(s.marks)
+	window := uint(64 * len(s.marks))
+	for _, w := range s.words {
 		var r uint
-		for i := len(n) - 1; i >= 0; i-- {
-			_, r = bits.Div(r, n[i], w.prod)
+		for i := len(s.start) - 1; i >= 0; i-- {
+			_, r = bits.Div(r, s.start[i], w.prod)
 		}
-		for j := w.first; j < w.first+w.n; j++ {
-			if r*spInv[j] <= spLim[j] {
+		for _, p := range sievePrimes[w.first : w.first+w.n] {
+			p := uint(p)
+			// The first i with 2i ≡ -start (mod p). p is odd, so one of
+			// t and t+p is even, and its half is start·2⁻¹ mod p. A mask
+			// picks it: t's parity is a coin flip, and a branch on it
+			// would be mispredicted half the time.
+			t := r % p
+			t += p & -(t & 1)
+			i := p - t/2
+			if i == p {
+				i = 0
+			}
+			for ; i < window; i += p {
+				s.marks[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+}
+
+// walk runs stages 2 and 3 on the unmarked offsets in order, and reports
+// whether one passed; that prime is then s.mc.m. It gives up at the end of
+// the window or at the first candidate past the width.
+func (s *primeSearch) walk() bool {
+	for wi, w := range s.marks {
+		for free := ^w; free != 0; free &= free - 1 {
+			if !s.setCandidate(uint(64*wi + bits.TrailingZeros64(free))) {
+				return false
+			}
+			if s.probablyPrime() {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// setCandidate sets s.mc.m to start+2i and reports whether it still has
+// the search's width. The start has its top two bits set, so the walk can
+// only leave the width by a carry out of the top bit.
+func (s *primeSearch) setCandidate(i uint) bool {
+	m := s.mc.m
+	var carry uint
+	m[0], carry = bits.Add(s.start[0], 2*i, 0)
+	for j := 1; j < len(m); j++ {
+		m[j], carry = bits.Add(s.start[j], 0, carry)
+	}
+	return carry == 0 && limbsBitLen(m) == s.bits
+}
+
+// probablyPrime runs stages 2 and 3 on the candidate in s.mc.m: an odd
+// number >= 3 with no more limbs than the search was built for.
+func (s *primeSearch) probablyPrime() bool {
+	s.setupMont()
+	return s.strongBase2() && s.strongLucas()
 }
 
 // setupMont completes the loaded candidate's Montgomery context: n0inv,

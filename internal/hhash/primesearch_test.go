@@ -1,6 +1,7 @@
 package hhash
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"errors"
 	"fmt"
@@ -10,10 +11,11 @@ import (
 	"testing"
 )
 
-// referencePregenPrime is pregenPrime as it was before it had a test of its
-// own: the same candidate construction, every candidate straight to
-// ProbablyPrime(1). It is the oracle for the search, which must return the
-// same prime at the same stream position.
+// referencePregenPrime is the bare incremental walk: pregenPrime's start
+// construction, then start, start+2, … each straight to ProbablyPrime(1),
+// and a new start at the width or after searchWindow(bits) candidates. It
+// is the oracle for the search, which must return the same prime at the
+// same stream position.
 func referencePregenPrime(rnd io.Reader, bits int) (Key, error) {
 	if bits < 8 {
 		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
@@ -23,7 +25,6 @@ func referencePregenPrime(rnd io.Reader, bits int) (Key, error) {
 		b = 8
 	}
 	buf := make([]byte, (bits+7)/8)
-	p := new(big.Int)
 	for {
 		if _, err := io.ReadFull(rnd, buf); err != nil {
 			return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
@@ -36,11 +37,20 @@ func referencePregenPrime(rnd io.Reader, bits int) (Key, error) {
 			buf[1] |= 0x80
 		}
 		buf[len(buf)-1] |= 1
-		p.SetBytes(buf)
-		if p.ProbablyPrime(1) {
-			return Key{e: p}, nil
+		p := new(big.Int).SetBytes(buf)
+		for i := 0; i < searchWindow(bits) && p.BitLen() == bits; i++ {
+			if p.ProbablyPrime(1) {
+				return Key{e: p}, nil
+			}
+			p.Add(p, _two)
 		}
 	}
+}
+
+// accepts runs stages 2 and 3 on the big-endian candidate.
+func (s *primeSearch) accepts(be []byte) bool {
+	limbsFromBytes(s.mc.m, be)
+	return s.probablyPrime()
 }
 
 // countingReader counts the bytes handed out and can fail after a budget.
@@ -127,7 +137,7 @@ func TestPrimeSearchReaderError(t *testing.T) {
 // searchFor loads n into a search sized for it, ready for stages 2 and 3.
 func searchFor(n *big.Int) *primeSearch {
 	s := newPrimeSearch(n.BitLen())
-	s.load(n.Bytes())
+	limbsFromBytes(s.mc.m, n.Bytes())
 	s.setupMont()
 	return s
 }
@@ -163,84 +173,109 @@ func TestStrongBase2Pseudoprimes(t *testing.T) {
 	}
 }
 
-// TestPrefilterNeverRejectsPrime: neither stage turns a prime away —
-// exhaustively below 2¹⁶ (which covers candidates that are themselves
-// trial-division primes) and on random primes from crypto/rand.Prime at
-// every width.
+// TestPrefilterNeverRejectsPrime: the sieve never drops a prime, nor does
+// the base-2 stage. Exhaustively at 8 to 20 bits: from every start
+// pregenPrime can draw, the search returns the first prime at or above it,
+// or draws again when its window holds none below 2^bits. On random primes
+// from crypto/rand.Prime at every width: from a start a random even
+// distance below each, the search returns the first prime the bare walk
+// finds. And the base-2 stage passes every prime below 2¹⁶.
 func TestPrefilterNeverRejectsPrime(t *testing.T) {
-	check := func(p *big.Int) {
-		t.Helper()
-		s := searchFor(p)
-		if s.hasSmallFactor() {
-			t.Fatalf("trial division rejects the prime %v", p)
-		}
-		if !s.strongBase2() {
-			t.Fatalf("base-2 stage rejects the prime %v", p)
-		}
-	}
-	composite := make([]bool, 1<<16)
-	for p := 3; p < 1<<16; p += 2 {
+	const limit = 1 << 20
+	composite := make([]bool, limit)
+	for p := 3; p < limit; p += 2 {
 		if composite[p] {
 			continue
 		}
-		for q := p * p; q < 1<<16; q += 2 * p {
+		for q := 3 * p; q < limit; q += 2 * p {
 			composite[q] = true
 		}
-		check(big.NewInt(int64(p)))
+		if p < 1<<16 && !searchFor(big.NewInt(int64(p))).strongBase2() {
+			t.Fatalf("base-2 stage rejects the prime %d", p)
+		}
 	}
+	for bits := 8; bits <= 20; bits++ {
+		s := newPrimeSearch(bits)
+		buf := make([]byte, (bits+7)/8)
+		for start := 3<<(bits-2) | 1; start < 1<<bits; start += 2 {
+			want := 0
+			for c := start; c < start+2*searchWindow(bits) && c < 1<<bits; c += 2 {
+				if !composite[c] {
+					want = c
+					break
+				}
+			}
+			big.NewInt(int64(start)).FillBytes(buf)
+			got, err := s.next(bytes.NewReader(buf))
+			switch {
+			case want == 0 && !errors.Is(err, io.EOF):
+				t.Fatalf("bits=%d start %d: no prime in the window, search gave %v, %v", bits, start, got.e, err)
+			case want != 0 && (err != nil || got.e.Int64() != int64(want)):
+				t.Fatalf("bits=%d start %d: search gave %v, %v; the first prime is %d", bits, start, got.e, err, want)
+			}
+		}
+	}
+	rnd := mrand.New(mrand.NewSource(29))
 	for _, bits := range searchWidths {
-		draws := 1000 // ~10 s in all, nearly all of it crypto/rand.Prime at 512 bits
+		draws := 1000 // ~20 s in all, most of it crypto/rand.Prime at 512 bits
 		if testing.Short() {
 			draws = 20
 		}
+		s := newPrimeSearch(bits)
+		low := new(big.Int).Lsh(big.NewInt(3), uint(bits-2))
 		for i := 0; i < draws; i++ {
 			p, err := crand.Prime(crand.Reader, bits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(p)
+			start := new(big.Int).Sub(p, big.NewInt(2*int64(rnd.Intn(min(64, searchWindow(bits))))))
+			if start.Cmp(low) <= 0 {
+				start.Set(p)
+			}
+			want := new(big.Int).Set(start)
+			for !want.ProbablyPrime(1) {
+				want.Add(want, _two)
+			}
+			got, err := s.next(bytes.NewReader(start.Bytes()))
+			if err != nil || got.e.Cmp(want) != 0 {
+				t.Fatalf("bits=%d: from %v the search gave %v, %v; the walk finds %v (below the prime %v)", bits, start, got.e, err, want, p)
+			}
 		}
 	}
 }
 
-// TestPrefilterAllocations: judging a candidate allocates nothing, whichever
-// stage turns it away — and nothing when it is accepted either (the key is
-// the caller's).
+// keySink keeps allocation tests' keys on the heap.
+var keySink Key
+
+// TestPrefilterAllocations: a search allocates only the key it returns —
+// the sieve, the walk and both stages run on its scratch — and so does a
+// warm pool's Get, the refill it kicks included.
 func TestPrefilterAllocations(t *testing.T) {
-	rnd := mrand.New(mrand.NewSource(19))
 	for _, bits := range []int{64, 128, 512} {
-		// Composites of each kind: a small factor, and none (a product of
-		// two primes of half the width reaches the base-2 stage).
-		a, _ := referencePregenPrime(rnd, bits/2)
-		b, _ := referencePregenPrime(rnd, bits/2)
-		semi := new(big.Int).Mul(a.e, b.e)
-		if semi.BitLen() != bits {
-			t.Fatalf("bits=%d: semiprime has %d bits", bits, semi.BitLen())
+		s := newPrimeSearch(bits)
+		rnd := mrand.New(mrand.NewSource(19))
+		if _, err := s.next(rnd); err != nil {
+			t.Fatal(err)
 		}
-		withFactor := new(big.Int).Lsh(_one, uint(bits-1))
-		withFactor.Add(withFactor, _one)
-		for new(big.Int).Mod(withFactor, big.NewInt(7)).Sign() != 0 {
-			withFactor.Add(withFactor, _two) // odd, bits wide, a multiple of 7
+		keyAllocs := testing.AllocsPerRun(50, func() { keySink = Key{e: limbsToInt(new(big.Int), s.mc.m)} })
+		if keyAllocs == 0 {
+			t.Fatalf("bits=%d: a key allocates nothing, so the check below checks nothing", bits)
 		}
-		prime, _ := referencePregenPrime(rnd, bits)
-		checkSearchAllocs(t, semi, false)
-		checkSearchAllocs(t, withFactor, false)
-		checkSearchAllocs(t, prime.e, true)
-	}
-	// A base-2 strong pseudoprime is turned away by the Lucas stage.
-	arnault, _ := new(big.Int).SetString("1195068768795265792518361315725116351898245581", 10)
-	checkSearchAllocs(t, arnault, false)
-}
-
-func checkSearchAllocs(t *testing.T, n *big.Int, want bool) {
-	t.Helper()
-	s := newPrimeSearch(n.BitLen())
-	enc := n.Bytes()
-	if got := s.accepts(enc); got != want {
-		t.Fatalf("accepts(%v) = %v, want %v", n, got, want)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { s.accepts(enc) }); allocs != 0 {
-		t.Errorf("judging %v allocates %.0f objects", n, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { keySink, _ = s.next(rnd) }); allocs != keyAllocs {
+			t.Errorf("bits=%d: a search allocates %.0f objects, its key %.0f", bits, allocs, keyAllocs)
+		}
+		pool, err := NewPrimePool(mrand.New(mrand.NewSource(23)), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 * primePoolTarget {
+			if keySink, err = pool.Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { keySink, _ = pool.Get() }); allocs > keyAllocs {
+			t.Errorf("bits=%d: a warm pool's Get allocates %.0f objects, its key %.0f", bits, allocs, keyAllocs)
+		}
 	}
 }
 
@@ -313,7 +348,7 @@ func sameVerdict(t *testing.T, s *primeSearch, n *big.Int) {
 	if got, want := s.accepts(enc), n.ProbablyPrime(1); got != want {
 		t.Fatalf("%v: search says %v, ProbablyPrime(1) %v", n, got, want)
 	}
-	s.load(enc)
+	limbsFromBytes(s.mc.m, enc)
 	s.setupMont()
 	if got, want := s.strongLucas(), referenceLucas(n); got != want {
 		t.Fatalf("%v: Lucas stage says %v, math/big's test %v", n, got, want)
@@ -395,13 +430,26 @@ func TestFinalCheckPseudoprimes(t *testing.T) {
 }
 
 // TestFinalCheckMatchesProbablyPrime: on seeded candidates built the way
-// pregenPrime builds them — and on unconstrained odd ones, which reach
-// narrower top limbs — the search, on the dispatched kernels and on the
-// portable ones, and ProbablyPrime(1) give one verdict.
+// pregenPrime builds its starts — and on unconstrained odd ones, which
+// reach narrower top limbs — stages 2 and 3, on the dispatched kernels and
+// on the portable ones, and ProbablyPrime(1) give one verdict. Candidates
+// with a prime factor up to 47 are left out: the sieve's first packed word
+// is those primes, every width sieves it, so the stages never see them.
 func TestFinalCheckMatchesProbablyPrime(t *testing.T) {
 	candidates := 200_000
 	if testing.Short() {
 		candidates = 10_000
+	}
+	first := sieveWords[0]
+	small := new(big.Int).SetUint64(uint64(first.prod))
+	sieved := func(n *big.Int) bool {
+		r := uint(new(big.Int).Rem(n, small).Uint64())
+		for _, p := range sievePrimes[first.first : first.first+first.n] {
+			if r%uint(p) == 0 {
+				return true
+			}
+		}
+		return false
 	}
 	for _, bits := range []int{64, 128, 256, 512} {
 		rnd := mrand.New(mrand.NewSource(int64(1000 + bits)))
@@ -416,7 +464,9 @@ func TestFinalCheckMatchesProbablyPrime(t *testing.T) {
 				buf[0] |= 0xC0
 			}
 			buf[len(buf)-1] |= 1
-			n.SetBytes(buf)
+			if n.SetBytes(buf); sieved(n) {
+				continue
+			}
 			got, want := s.accepts(buf), n.ProbablyPrime(1)
 			if got != want {
 				t.Fatalf("bits=%d: %v: search says %v, ProbablyPrime(1) %v", bits, n, got, want)
