@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 
-	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -146,26 +144,7 @@ func (n *Node) serveForAccusation(succ model.NodeID, ex *sendExchange) {
 // onAccusation handles an accusation as a monitor of the accused: it
 // relays the exchange to the accused as a Probe and opens a probe record
 // that verify() turns into a Nack + Unresponsive verdict if ignored.
-func (m *monitorState) onAccusation(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	acc, err := wire.UnmarshalAccusation(msg.Payload)
-	if err != nil || acc.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(acc.From, msg.Payload, acc.Sig, "Accusation") {
-		return
-	}
-	if !m.isMonitorOf(m.n.id, acc.Against, acc.Round) {
-		return
-	}
-	// Only a legitimate predecessor of the accused may accuse.
-	if !contains(m.n.sh.Directory.Predecessors(acc.Against, acc.Round), acc.From) {
-		m.n.report(judicial.Verdict{Round: acc.Round, Kind: VerdictBadMessage,
-			Accused: acc.From, Detail: "accusation from a non-predecessor"})
-		return
-	}
+func (m *monitorState) onAccusation(acc *wire.Accusation) {
 	key := probeKey{accuser: acc.From, accused: acc.Against, round: acc.Round}
 	if _, seen := m.probes[key]; seen {
 		return
@@ -198,44 +177,26 @@ func (m *monitorState) onAccusation(msg transport.Message) {
 // the relayed Serve and acknowledges both to the accuser and to the
 // probing monitor. A compliant-but-lazy node answers probes — ignoring
 // them converts a cheap deviation into an Unresponsive verdict.
-func (n *Node) onProbe(msg transport.Message) {
-	if n.cfg.Behavior.IgnoreProbes || n.cfg.Behavior.RefuseReceive {
-		return
-	}
-	probe, err := wire.UnmarshalProbe(msg.Payload)
-	if err != nil || probe.From != msg.From || probe.Round != n.round {
-		return
-	}
-	if !n.verifySigned(probe.From, msg.Payload, probe.Sig, "Probe") {
-		return
-	}
-	if !n.sh.Directory.IsMonitorOf(probe.From, n.id, probe.Round) {
-		return
-	}
-
+func (n *Node) onProbe(probe *wire.Probe) {
 	ex := n.recvCur.exchanges[probe.Origin]
 	if ex == nil || ex.ackBytes == nil {
 		// Process the relayed Serve (it is encrypted to this node) and
 		// attestation, then acknowledge.
-		w := wire.GetWriter()
-		defer w.Release() // srv aliases the opened plaintext until here
-		plain, err := w.Open(n.cfg.Identity, probe.ServeCipher)
-		if err != nil {
+		srv := carried(probe.Origin, n.round, probe.ServeCipher)
+		srv.w = wire.GetWriter()
+		defer srv.w.Release() // the Serve aliases the opened plaintext until here
+		if !n.accept(&probedServe, &srv) {
 			return
 		}
-		srv, err := wire.UnmarshalServe(plain)
-		if err != nil || srv.From != probe.Origin || srv.To != n.id || srv.Round != n.round {
-			return
+		// A Serve that fails its checks is not stored, but the probe is
+		// still answered for an exchange this node already holds.
+		if n.vet(probedServe.checks, &srv) {
+			n.processServe(srv.m.(*wire.Serve), srv.key)
 		}
-		if !n.verifySigned(srv.From, plain, srv.Sig, "probed Serve") {
-			return
-		}
-		n.processServe(srv)
 		ex = n.recvCur.exchanges[probe.Origin]
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
-			if att, err := wire.UnmarshalAttestation(probe.AttBytes); err == nil &&
-				att.From == probe.Origin && att.To == n.id && att.Round == n.round &&
-				n.suiteVerifySigned(att.From, probe.AttBytes, att.Sig) == nil {
+			att := carried(probe.Origin, n.round, probe.AttBytes)
+			if n.admit(&probedAttestation, &att) {
 				ex.attBytes = bytes.Clone(probe.AttBytes) // evidence: outlives the delivery
 				n.maybeAck(probe.Origin, ex)
 			}
@@ -262,17 +223,7 @@ func (n *Node) onProbe(msg transport.Message) {
 
 // onAckRequest answers a monitor's investigation (§IV-A): exhibit the
 // successor's acknowledgement, or the fact that an accusation was raised.
-func (n *Node) onAckRequest(msg transport.Message) {
-	req, err := wire.UnmarshalAckRequest(msg.Payload)
-	if err != nil || req.From != msg.From || req.Round != n.round {
-		return
-	}
-	if !n.verifySigned(req.From, msg.Payload, req.Sig, "AckRequest") {
-		return
-	}
-	if !n.sh.Directory.IsMonitorOf(req.From, n.id, req.Round) {
-		return
-	}
+func (n *Node) onAckRequest(req *wire.AckRequest) {
 	exhibit := &wire.AckExhibit{Round: req.Round, From: n.id, Succ: req.Succ}
 	if ex := n.sendCur.perSucc[req.Succ]; ex != nil {
 		exhibit.AckBytes = ex.ackBytes
@@ -282,33 +233,11 @@ func (n *Node) onAckRequest(msg transport.Message) {
 }
 
 // onAckExhibit stores the investigated node's answer for judgement.
-func (m *monitorState) onAckExhibit(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	ex, err := wire.UnmarshalAckExhibit(msg.Payload)
-	if err != nil || ex.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(ex.From, msg.Payload, ex.Sig, "AckExhibit") {
-		return
-	}
-	if !m.isMonitorOf(m.n.id, ex.From, ex.Round) {
-		return
-	}
+func (m *monitorState) onAckExhibit(ex *wire.AckExhibit) {
 	st := m.state(ex.Round, ex.From)
 	if st.requested[ex.Succ] && st.exhibits[ex.Succ] == nil {
 		// Kept until judgement: detach the evidence from the delivery.
 		ex.AckBytes, ex.Sig = bytes.Clone(ex.AckBytes), nil
 		st.putExhibit(ex.Succ, ex)
 	}
-}
-
-func contains(ids []model.NodeID, id model.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

@@ -22,31 +22,7 @@ import (
 // Receiver side: messages 1 → 2 (this node is B)
 // ---------------------------------------------------------------------------
 
-func (n *Node) onKeyRequest(msg transport.Message) {
-	if n.cfg.Behavior.RefuseReceive {
-		return
-	}
-	req, err := wire.UnmarshalKeyRequest(msg.Payload)
-	if err != nil || req.From != msg.From || req.To != n.id {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "malformed KeyRequest"})
-		return
-	}
-	if req.Round != n.round {
-		return // phase skew: dropped, the sender's monitors investigate
-	}
-	if !n.verifySigned(req.From, msg.Payload, req.Sig, "KeyRequest") {
-		return
-	}
-	// Only a predecessor of this round is owed a prime: each one issued
-	// drains the pool and widens K(R,B), the key this node's successors
-	// lift under next round.
-	if _, ok := n.sh.Directory.ExchangeSlot(req.From, n.id, n.round); !ok {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: req.From, Detail: "KeyRequest from a non-predecessor"})
-		return
-	}
-
+func (n *Node) onKeyRequest(req *wire.KeyRequest) {
 	ex, ok := n.recvCur.exchanges[req.From]
 	if !ok || ex.prime.IsZero() {
 		// The prime is generated on the first KeyRequest — which over a
@@ -127,44 +103,6 @@ func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) 
 // Sender side: messages 2 → 3 + 4 (this node is A)
 // ---------------------------------------------------------------------------
 
-func (n *Node) onKeyResponse(msg transport.Message) {
-	w := wire.GetWriter()
-	defer w.Release() // resp aliases the opened plaintext until here
-	plain, err := w.Open(n.cfg.Identity, msg.Payload)
-	if err != nil {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "undecryptable KeyResponse"})
-		return
-	}
-	resp, err := wire.UnmarshalKeyResponse(plain)
-	if err != nil || resp.From != msg.From || resp.To != n.id {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "malformed KeyResponse"})
-		return
-	}
-	if resp.Round != n.round {
-		return // stale response
-	}
-	if !n.verifySigned(resp.From, plain, resp.Sig, "KeyResponse") {
-		return
-	}
-	ex := n.sendCur.perSucc[resp.From]
-	if ex == nil || ex.served || ex.skipped {
-		return
-	}
-	// Every honest prime has exactly the session's width (the generator
-	// forces its top bits); a wider one would make each lift under it
-	// cost time in proportion to its length, so it is refused before any.
-	prime, err := hhash.KeyFromBytes(resp.Prime)
-	if err != nil || prime.BitLen() != n.sh.primeBits {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "invalid prime in KeyResponse"})
-		return
-	}
-	// Decoding proved the tags strictly ascending: they are a BufferMap.
-	n.serve(resp.From, ex, prime, update.BufferMap(resp.BufferMap))
-}
-
 // serve builds and sends messages 3 (Serve) and 4 (Attestation) for one
 // successor, honouring behaviour-injected deviations.
 func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm update.BufferMap) {
@@ -244,81 +182,12 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 // Receiver side: messages 3 + 4 → 5 (this node is B)
 // ---------------------------------------------------------------------------
 
-func (n *Node) onServe(msg transport.Message) {
-	if n.cfg.Behavior.RefuseReceive {
-		return
-	}
-	w := wire.GetWriter()
-	defer w.Release() // srv aliases the opened plaintext until here
-	plain, err := w.Open(n.cfg.Identity, msg.Payload)
-	if err != nil {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "undecryptable Serve"})
-		return
-	}
-	srv, err := wire.UnmarshalServe(plain)
-	if err != nil || srv.From != msg.From || srv.To != n.id {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "malformed Serve"})
-		return
-	}
-	if srv.Round != n.round {
-		return // stale serve
-	}
-	if !n.verifySigned(srv.From, plain, srv.Sig, "Serve") {
-		return
-	}
-	n.processServe(srv)
-}
-
-// processServe accepts a verified Serve (from the direct path or a monitor
-// probe) and, once the attestation is present, acknowledges.
-func (n *Node) processServe(srv *wire.Serve) {
-	// The signature proves who sent the multiplicities, not that they are
-	// usable: a zero one has no key (mustCountKey), and an absurd one could
-	// wrap the sums the node keeps back to zero. Nothing is stored yet.
-	reject := func(count uint64, id model.UpdateID) {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: srv.From, Detail: fmt.Sprintf("multiplicity %d served for update %v", count, id)})
-	}
-	for i := range srv.Full {
-		su := &srv.Full[i]
-		if !validServedCount(su.Count) {
-			reject(su.Count, su.Update.ID)
-			return
-		}
-		// A session carries stream 0 alone.
-		if su.Update.ID.Stream != 0 {
-			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-				Accused: srv.From, Detail: "update for unknown stream"})
-			return
-		}
-	}
-	for _, ref := range srv.Refs {
-		if !validServedCount(ref.Count) {
-			reject(ref.Count, ref.ID)
-			return
-		}
-	}
-	// The Ack is a lift under K(R-1), so its width is bounded before
-	// anything is stored or lifted.
-	kPrevA, err := hhash.KeyFromBytes(srv.KPrev)
-	if err != nil || kPrevA.BitLen() > n.kPrevBitsBound(srv.From) {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: srv.From, Detail: "invalid K(R-1) in Serve"})
-		return
-	}
+// processServe accepts an admitted Serve (delivered, or relayed by a
+// monitor probe) with its parsed K(R-1) and, once the attestation is
+// present, acknowledges.
+func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 	ex, ok := n.recvCur.exchanges[srv.From]
 	if !ok {
-		// Only a predecessor of this round may serve this node: what it
-		// stores here it must forward next round, so a Serve from anyone
-		// else would make a correct node answer for an exchange that
-		// never was (WrongForward).
-		if _, pred := n.sh.Directory.ExchangeSlot(srv.From, n.id, n.round); !pred {
-			n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-				Accused: srv.From, Detail: "Serve from a non-predecessor"})
-			return
-		}
 		// A predecessor's serve without a prior KeyRequest→KeyResponse
 		// handshake can only happen through the probe path; accept it
 		// with a zero prime (attestation verification is skipped, the
@@ -420,27 +289,12 @@ func (n *Node) kPrevBitsBound(a model.NodeID) int {
 	return max(1, primes*n.sh.primeBits)
 }
 
-func (n *Node) onAttestation(msg transport.Message) {
-	if n.cfg.Behavior.RefuseReceive {
-		return
-	}
-	att, err := wire.UnmarshalAttestation(msg.Payload)
-	if err != nil || att.From != msg.From || att.To != n.id {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "malformed Attestation"})
-		return
-	}
-	if att.Round != n.round {
-		return // stale attestation
-	}
-	if !n.verifySigned(att.From, msg.Payload, att.Sig, "Attestation") {
-		return
-	}
+func (n *Node) onAttestation(att *wire.Attestation, body []byte) {
 	ex, ok := n.recvCur.exchanges[att.From]
 	if !ok || ex.attBytes != nil {
 		return
 	}
-	ex.attBytes = bytes.Clone(msg.Payload) // evidence: outlives the delivery
+	ex.attBytes = bytes.Clone(body) // evidence: outlives the delivery
 	n.maybeAck(att.From, ex)
 }
 
@@ -506,19 +360,7 @@ func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
 // Sender side: message 5 (this node is A)
 // ---------------------------------------------------------------------------
 
-func (n *Node) onAck(msg transport.Message) {
-	ack, err := wire.UnmarshalAck(msg.Payload)
-	if err != nil || ack.From != msg.From || ack.To != n.id {
-		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage,
-			Accused: msg.From, Detail: "malformed Ack"})
-		return
-	}
-	if ack.Round != n.round {
-		return // stale ack
-	}
-	if !n.verifySigned(ack.From, msg.Payload, ack.Sig, "Ack") {
-		return
-	}
+func (n *Node) onAck(ack *wire.Ack, body []byte) {
 	ex := n.sendCur.perSucc[ack.From]
 	if ex == nil || !ex.served || ex.acked {
 		return
@@ -533,7 +375,7 @@ func (n *Node) onAck(msg transport.Message) {
 		return
 	}
 	ex.acked = true
-	ex.ackBytes = bytes.Clone(msg.Payload) // evidence: outlives the delivery
+	ex.ackBytes = bytes.Clone(body) // evidence: outlives the delivery
 	if n.trace != nil {
 		n.trace.Emit("ack_received",
 			obs.XID(model.ExchangeID(n.round, n.id, ack.From)),

@@ -79,27 +79,6 @@ func TestRecvRoundProductAndRemainder(t *testing.T) {
 	}
 }
 
-// HandleMessage gates the round-synchronous kinds on peekRound: a layout
-// that moved the round field would drop every message of that kind as
-// stale.
-func TestPeekRound(t *testing.T) {
-	const r = 42
-	for _, m := range []wire.Message{
-		&wire.KeyRequest{Round: r, From: 1, To: 2, Sig: []byte("s")},
-		&wire.Attestation{Round: r, From: 1, To: 2, HExpiring: []byte{1}, HForwardable: []byte{2}},
-		&wire.Ack{Round: r, From: 2, To: 1, H: []byte{3}},
-		&wire.Probe{Round: r, From: 5, Origin: 1, ServeCipher: []byte{4}, AttBytes: []byte{5}},
-		&wire.AckRequest{Round: r, From: 6, Succ: 2},
-	} {
-		if got, ok := peekRound(m.Marshal()); !ok || got != r {
-			t.Errorf("%s: peekRound = %v, %v; want %d", wire.KindName(m.Kind()), got, ok, r)
-		}
-	}
-	if _, ok := peekRound([]byte{1, 2}); ok {
-		t.Fatal("short payload peeked")
-	}
-}
-
 func TestMustCountKey(t *testing.T) {
 	k := mustCountKey(7)
 	if k.Exponent().Uint64() != 7 {

@@ -184,31 +184,16 @@ func TestTamperSweepVerdicts(t *testing.T) {
 	}
 }
 
-// plaintextDecoders are the decoders of the kinds a node reads as
-// delivered, keyed by envelope kind (an AckCopy is an Ack).
-var plaintextDecoders = map[uint8]func([]byte) error{
-	wire.KindKeyRequest:         func(b []byte) error { _, err := wire.UnmarshalKeyRequest(b); return err },
-	wire.KindAttestation:        func(b []byte) error { _, err := wire.UnmarshalAttestation(b); return err },
-	wire.KindAck:                func(b []byte) error { _, err := wire.UnmarshalAck(b); return err },
-	wire.KindAckCopy:            func(b []byte) error { _, err := wire.UnmarshalAck(b); return err },
-	wire.KindHashShare:          func(b []byte) error { _, err := wire.UnmarshalHashShare(b); return err },
-	wire.KindAckForward:         func(b []byte) error { _, err := wire.UnmarshalAckRelay(b); return err },
-	wire.KindNodeDigest:         func(b []byte) error { _, err := wire.UnmarshalNodeDigest(b); return err },
-	wire.KindAccusation:         func(b []byte) error { _, err := wire.UnmarshalAccusation(b); return err },
-	wire.KindProbe:              func(b []byte) error { _, err := wire.UnmarshalProbe(b); return err },
-	wire.KindConfirm:            func(b []byte) error { _, err := wire.UnmarshalAckRelay(b); return err },
-	wire.KindNack:               func(b []byte) error { _, err := wire.UnmarshalNack(b); return err },
-	wire.KindAckRequest:         func(b []byte) error { _, err := wire.UnmarshalAckRequest(b); return err },
-	wire.KindAckExhibit:         func(b []byte) error { _, err := wire.UnmarshalAckExhibit(b); return err },
-	wire.KindObligationHandover: func(b []byte) error { _, err := wire.UnmarshalObligationHandover(b); return err },
-}
-
 // FuzzHandleMessage feeds hostile (kind, payload) pairs to one node of a
 // session that has run tamperRound rounds, starting from the tamper
 // sweep's correctly signed message of every kind. HandleMessage never
-// panics, and a plaintext payload its kind's decoder rejects makes the node
-// send nothing. One session serves every input, so state a valid input
-// leaves behind is the state the next one meets.
+// panics; a payload its kind's admission rule cannot decode (a sealed one
+// after opening it), or of a kind the node does not admit, makes the node
+// send nothing; and whatever the input, the node's monitor keeps state
+// only for rounds of its window — MonitorKeep behind the round it has
+// begun (one more until CloseRound collects) to one ahead. One session
+// serves every input, so state a valid input leaves behind is the state
+// the next one meets.
 func FuzzHandleMessage(f *testing.F) {
 	h := newHarness(f, 8, 2)
 	h.engine.Run(tamperRound)
@@ -224,12 +209,17 @@ func FuzzHandleMessage(f *testing.F) {
 	}
 	node := h.nodes[tamperReceiver]
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		dec := plaintextDecoders[kind]
-		malformed := dec != nil && dec(payload) != nil
+		malformed := !node.Decodes(kind, payload)
 		pending := h.net.PendingCount()
 		node.HandleMessage(transport.Message{From: tamperSigner, To: tamperReceiver, Kind: kind, Payload: payload})
 		if malformed && h.net.PendingCount() != pending {
 			t.Fatalf("%s: a payload its decoder rejects made the node send", wire.KindName(kind))
+		}
+		r := node.Round()
+		for _, held := range node.MonitorRounds() {
+			if held+core.MonitorKeep+1 < r || held > r+1 {
+				t.Fatalf("%s: the monitor holds state for round %d at round %d", wire.KindName(kind), held, r)
+			}
 		}
 	})
 }

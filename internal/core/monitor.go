@@ -12,7 +12,6 @@ import (
 	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -172,35 +171,17 @@ func (m *monitorState) beginRound(r model.Round) {
 	}
 }
 
-// isMonitorOf answers whether from ∈ M(of) at round r.
-func (m *monitorState) isMonitorOf(from, of model.NodeID, r model.Round) bool {
-	return m.n.sh.Directory.IsMonitorOf(from, of, r)
-}
-
 // ---------------------------------------------------------------------------
 // Message 6: Ack copy from the monitored node
 // ---------------------------------------------------------------------------
 
-func (m *monitorState) onAckCopy(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	ack, err := wire.UnmarshalAck(msg.Payload)
-	if err != nil || ack.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(ack.From, msg.Payload, ack.Sig, "AckCopy") {
-		return
-	}
-	if !m.isMonitorOf(m.n.id, ack.From, ack.Round) {
-		return
-	}
+func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
 	per, ok := m.ackCopies[ack.Round]
 	if !ok {
 		per = make(map[[2]model.NodeID][]byte)
 		m.ackCopies[ack.Round] = per
 	}
-	ackBytes := bytes.Clone(msg.Payload) // evidence: outlives the delivery
+	ackBytes := bytes.Clone(body) // evidence: outlives the delivery
 	per[[2]model.NodeID{ack.From, ack.To}] = ackBytes
 
 	// A pending probe against ack.From for the exchange with ack.To is
@@ -217,35 +198,12 @@ func (m *monitorState) onAckCopy(msg transport.Message) {
 // Message 7 → 8: attestation forward and hash-share broadcast
 // ---------------------------------------------------------------------------
 
-func (m *monitorState) onAttForward(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
+func (m *monitorState) onAttForward(fwd *wire.AttForward) {
+	in := carried(fwd.From, fwd.Round, fwd.AttBytes)
+	if !m.n.admit(&forwardedAttestation, &in) {
 		return
 	}
-	w := wire.GetWriter()
-	defer w.Release() // fwd aliases the opened plaintext until here
-	plain, err := w.Open(m.n.cfg.Identity, msg.Payload)
-	if err != nil {
-		return
-	}
-	fwd, err := wire.UnmarshalAttForward(plain)
-	if err != nil || fwd.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(fwd.From, plain, fwd.Sig, "AttForward") {
-		return
-	}
-	if !m.isMonitorOf(m.n.id, fwd.From, fwd.Round) {
-		return
-	}
-	att, err := wire.UnmarshalAttestation(fwd.AttBytes)
-	if err != nil || att.To != fwd.From || att.Round != fwd.Round {
-		m.n.report(judicial.Verdict{Round: fwd.Round, Kind: VerdictBadMessage,
-			Accused: fwd.From, Detail: "AttForward with inconsistent attestation"})
-		return
-	}
-	if !m.n.verifySigned(att.From, fwd.AttBytes, att.Sig, "forwarded Attestation") {
-		return
-	}
+	att := in.m.(*wire.Attestation)
 	remainder, err := hhash.KeyFromBytes(fwd.Remainder)
 	if err != nil {
 		return
@@ -335,29 +293,7 @@ func (m *monitorState) relayAck(r model.Round, pred model.NodeID, ackBytes []byt
 	}
 }
 
-func (m *monitorState) onHashShare(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	share, err := wire.UnmarshalHashShare(msg.Payload)
-	if err != nil || share.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(share.From, msg.Payload, share.Sig, "HashShare") {
-		return
-	}
-	// Only the designated monitor for that exchange may originate it,
-	// and only monitors of the monitored node may consume it.
-	if !m.isMonitorOf(share.From, share.Monitored, share.Round) ||
-		!m.isMonitorOf(m.n.id, share.Monitored, share.Round) {
-		return
-	}
-	monitors := m.n.sh.Directory.Monitors(share.Monitored, share.Round)
-	if designatedMonitor(monitors, share.Pred, share.Round) != share.From {
-		m.n.report(judicial.Verdict{Round: share.Round, Kind: VerdictBadMessage,
-			Accused: share.From, Detail: "hash share from non-designated monitor"})
-		return
-	}
+func (m *monitorState) onHashShare(share *wire.HashShare) {
 	first := m.applyShare(share)
 	// Message 9 is sent by *all* of B's monitors ("the monitors of node B
 	// have to forward them the acknowledgement", §V-C), so a single
@@ -392,34 +328,14 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 // Message 9 / Confirm reception (this node monitors the predecessor)
 // ---------------------------------------------------------------------------
 
-func (m *monitorState) onAckRelay(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	relay, err := wire.UnmarshalAckRelay(msg.Payload)
-	if err != nil || relay.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(relay.From, msg.Payload, relay.Sig, "AckRelay") {
-		return
-	}
-	m.acceptRelayedAck(relay)
-}
-
+// acceptRelayedAck records the acknowledgement an AckRelay carries, for
+// the acknowledged node's forwarding check.
 func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
-	ack, err := wire.UnmarshalAck(relay.AckBytes)
-	if err != nil {
+	in := carried(relay.From, relay.Round, relay.AckBytes)
+	if !m.n.admit(&relayedAck, &in) {
 		return
 	}
-	// The relayer must monitor the acknowledging node; this node must
-	// monitor the predecessor the ack is addressed to.
-	if !m.isMonitorOf(relay.From, ack.From, ack.Round) ||
-		!m.isMonitorOf(m.n.id, ack.To, ack.Round) {
-		return
-	}
-	if !m.n.verifySigned(ack.From, relay.AckBytes, ack.Sig, "relayed Ack") {
-		return
-	}
+	ack := in.m.(*wire.Ack)
 	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
 	if err != nil {
 		return
@@ -432,23 +348,7 @@ func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
 
 // onNack excuses an investigated successor: its own monitors report it
 // stayed unresponsive, so the sender is not at fault (§IV-A).
-func (m *monitorState) onNack(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	nack, err := wire.UnmarshalNack(msg.Payload)
-	if err != nil || nack.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(nack.From, msg.Payload, nack.Sig, "Nack") {
-		return
-	}
-	// The nacker must monitor the accused; this node must monitor the
-	// accuser.
-	if !m.isMonitorOf(nack.From, nack.Against, nack.Round) ||
-		!m.isMonitorOf(m.n.id, nack.Accuser, nack.Round) {
-		return
-	}
+func (m *monitorState) onNack(nack *wire.Nack) {
 	m.state(nack.Round, nack.Accuser).markNacked(nack.Against)
 }
 
@@ -456,20 +356,7 @@ func (m *monitorState) onNack(msg transport.Message) {
 // NodeDigest (§V-B cross-check)
 // ---------------------------------------------------------------------------
 
-func (m *monitorState) onNodeDigest(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	d, err := wire.UnmarshalNodeDigest(msg.Payload)
-	if err != nil || d.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(d.From, msg.Payload, d.Sig, "NodeDigest") {
-		return
-	}
-	if !m.isMonitorOf(m.n.id, d.From, d.Round) {
-		return
-	}
+func (m *monitorState) onNodeDigest(d *wire.NodeDigest) {
 	if h, err := m.n.sh.HashParams.DecodeValue(d.HFwd); err == nil {
 		m.state(d.Round, d.From).digest = h
 	}
@@ -584,7 +471,7 @@ func (m *monitorState) baseline(r model.Round, y model.NodeID, boundary bool) (p
 	if boundary && !m.n.sh.Directory.ContainsAt(y, r-1) {
 		return nil, false, false // joined this round: no r-1 obligation at all
 	}
-	if !boundary || m.isMonitorOf(m.n.id, y, r-1) {
+	if !boundary || m.n.sh.Directory.IsMonitorOf(m.n.id, y, r-1) {
 		if per, ok := m.rounds[r-1]; ok {
 			if prevSt, ok := per[y]; ok {
 				suspect = prevSt.suspect
@@ -673,25 +560,7 @@ func (m *monitorState) handover(r model.Round) {
 }
 
 // onObligationHandover stores an outgoing monitor's obligation transfer.
-func (m *monitorState) onObligationHandover(msg transport.Message) {
-	if m.n.cfg.Behavior.SilentMonitor {
-		return
-	}
-	ho, err := wire.UnmarshalObligationHandover(msg.Payload)
-	if err != nil || ho.From != msg.From {
-		return
-	}
-	if !m.n.verifySigned(ho.From, msg.Payload, ho.Sig, "ObligationHandover") {
-		return
-	}
-	// Only an outgoing monitor of the node may originate the transfer,
-	// and only a monitor that takes over at the next round — without a
-	// baseline of its own — consumes it.
-	if !m.isMonitorOf(ho.From, ho.Monitored, ho.Round) ||
-		!m.isMonitorOf(m.n.id, ho.Monitored, ho.Round+1) ||
-		m.isMonitorOf(m.n.id, ho.Monitored, ho.Round) {
-		return
-	}
+func (m *monitorState) onObligationHandover(ho *wire.ObligationHandover) {
 	v, err := m.n.sh.HashParams.DecodeValue(ho.Obligation)
 	if err != nil {
 		return
@@ -815,7 +684,7 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 			Accused: y, Detail: "exhibited ack is inconsistent", Exchange: xid})
 		return
 	}
-	if m.n.suiteVerifySigned(succ, ackBytes, ack.Sig) != nil {
+	if m.n.sh.Suite.Verify(succ, wire.SignedPrefix(ackBytes, ack.Sig), ack.Sig) != nil {
 		m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 			Accused: y, Detail: "exhibited ack has a bad signature", Exchange: xid})
 		return
@@ -837,11 +706,11 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 		Exchange: xid})
 }
 
-// gc drops monitor state older than the investigation horizon.
+// gc drops monitor state older than the investigation horizon,
+// monitorKeep rounds (which bounds what admission lets in, too).
 func (m *monitorState) gc(r model.Round) {
-	const keep = 4
 	for rr := range m.rounds {
-		if rr+keep < r {
+		if rr+monitorKeep < r {
 			delete(m.rounds, rr)
 		}
 	}
@@ -856,12 +725,12 @@ func (m *monitorState) gc(r model.Round) {
 		}
 	}
 	for key := range m.probes {
-		if key.round+keep < r {
+		if key.round+monitorKeep < r {
 			delete(m.probes, key)
 		}
 	}
 	for rr := range m.handovers {
-		if rr+keep < r {
+		if rr+monitorKeep < r {
 			delete(m.handovers, rr)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"math/big"
 	"slices"
@@ -82,6 +81,12 @@ func (rr *recvRound) remainderFor(pred model.NodeID) hhash.Key {
 	return k
 }
 
+// early is a message of a round the node has not begun, kept with its round.
+type early struct {
+	round model.Round
+	msg   transport.Message
+}
+
 // sendExchange is the sender-side state of one successor exchange (this
 // node as A of Fig 5).
 type sendExchange struct {
@@ -144,7 +149,7 @@ type Node struct {
 
 	// deferred buffers next-round messages that arrived early (phase
 	// skew is normal over a real network) for replay at BeginRound.
-	deferred []transport.Message
+	deferred []early
 
 	mon *monitorState
 
@@ -381,9 +386,9 @@ func (n *Node) BeginRound(r model.Round) {
 	// (normal phase skew over a real network).
 	replay := n.deferred
 	n.deferred = nil
-	for _, msg := range replay {
-		if mr, _ := peekRound(msg.Payload); mr == r {
-			n.dispatch(msg)
+	for _, e := range replay {
+		if e.round == r {
+			n.handle(e.msg)
 		}
 	}
 }
@@ -508,91 +513,21 @@ func (n *Node) CloseRound(r model.Round) {
 // Message dispatch
 // ---------------------------------------------------------------------------
 
-// HandleMessage is the transport handler: it dispatches by envelope kind.
-// Malformed or mis-signed messages raise BadMessage verdicts and are
-// dropped — a Byzantine sender cannot stall the round. Messages of the
-// next round arriving early (phase skew over a real network) are buffered
-// and replayed at BeginRound, and so is whatever reaches a node before its
-// first round (a joiner whose peers reached its join round first); a
-// buffered message of another round than the one begun is dropped then,
-// as stale-round messages are now.
+// HandleMessage is the transport handler. It counts the message by kind and
+// admits it by its kind's rule (admit.go) before any handler runs: one that
+// fails admission is dropped, or raises BadMessage where its rule says so,
+// and a Byzantine sender cannot stall the round. An exchange message of the
+// next round (phase skew over a real network), or of any round while the
+// node has begun none (a joiner whose peers reached its join round first),
+// is kept and admitted again at BeginRound; one of another round than the
+// one begun then is dropped. A monitor message is admitted only about a
+// round at most monitorKeep behind the node's and one ahead of it.
 func (n *Node) HandleMessage(msg transport.Message) {
 	if msg.Kind <= maxWireKind {
 		n.sh.msgK[msg.Kind].Inc()
 		n.sh.bytesK[msg.Kind].Add(uint64(msg.WireSize()))
 	}
-
-	// Round gating only applies to the round-synchronous exchange
-	// messages; monitor messages carry their round in-band and are keyed
-	// by it.
-	switch msg.Kind {
-	case wire.KindKeyRequest, wire.KindAttestation, wire.KindAck,
-		wire.KindProbe, wire.KindAckRequest:
-		if r, ok := peekRound(msg.Payload); ok {
-			switch {
-			case r == n.round+1, n.round == 0:
-				// Kept past the handler's return: own the bytes.
-				msg.Payload = bytes.Clone(msg.Payload)
-				n.deferred = append(n.deferred, msg)
-				return
-			case r != n.round:
-				return // stale or far-future: drop
-			}
-		}
-	}
-	n.dispatch(msg)
-}
-
-// peekRound reads the round field of a plaintext message body
-// (kind byte followed by a big-endian round).
-func peekRound(payload []byte) (model.Round, bool) {
-	if len(payload) < 9 {
-		return 0, false
-	}
-	return model.Round(binary.BigEndian.Uint64(payload[1:9])), true
-}
-
-// dispatch routes a message to its handler.
-func (n *Node) dispatch(msg transport.Message) {
-	switch msg.Kind {
-	case wire.KindKeyRequest:
-		n.onKeyRequest(msg)
-	case wire.KindKeyResponse:
-		n.onKeyResponse(msg)
-	case wire.KindServe:
-		n.onServe(msg)
-	case wire.KindAttestation:
-		n.onAttestation(msg)
-	case wire.KindAck:
-		n.onAck(msg)
-	case wire.KindAckCopy:
-		n.mon.onAckCopy(msg)
-	case wire.KindAttForward:
-		n.mon.onAttForward(msg)
-	case wire.KindHashShare:
-		n.mon.onHashShare(msg)
-	case wire.KindAckForward, wire.KindConfirm:
-		n.mon.onAckRelay(msg)
-	case wire.KindNodeDigest:
-		n.mon.onNodeDigest(msg)
-	case wire.KindAccusation:
-		n.mon.onAccusation(msg)
-	case wire.KindProbe:
-		n.onProbe(msg)
-	case wire.KindNack:
-		n.mon.onNack(msg)
-	case wire.KindAckRequest:
-		n.onAckRequest(msg)
-	case wire.KindAckExhibit:
-		n.mon.onAckExhibit(msg)
-	case wire.KindObligationHandover:
-		n.mon.onObligationHandover(msg)
-	default:
-		n.report(judicial.Verdict{
-			Round: n.round, Kind: VerdictBadMessage, Accused: msg.From,
-			Detail: fmt.Sprintf("unknown kind %d", msg.Kind),
-		})
-	}
+	n.handle(msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -624,21 +559,6 @@ func (n *Node) signOwned(m wire.BodyMessage) ([]byte, error) {
 	defer w.Release()
 	payload, err := wire.Seal(w, m, n.cfg.Identity)
 	return bytes.Clone(payload), err
-}
-
-// verifySigned checks the trailing signature sig of a decoded message
-// over the prefix of the bytes it was decoded from (see
-// wire.SignedPrefix), with op accounting and a BadMessage verdict on
-// failure.
-func (n *Node) verifySigned(signer model.NodeID, encoded, sig []byte, what string) bool {
-	return n.verify(signer, wire.SignedPrefix(encoded, sig), sig, what)
-}
-
-// suiteVerifySigned is the uncounted raw suite check of verifySigned
-// (used where a failed signature is expected evidence handling, not an op
-// to account).
-func (n *Node) suiteVerifySigned(signer model.NodeID, encoded, sig []byte) error {
-	return n.sh.Suite.Verify(signer, wire.SignedPrefix(encoded, sig), sig)
 }
 
 // verifyUpdate checks an update's source signature, encoding the

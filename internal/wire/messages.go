@@ -748,3 +748,29 @@ func UnmarshalObligationHandover(b []byte) (*ObligationHandover, error) {
 	}
 	return m, nil
 }
+
+// Head is the part of a decoded message every receiver checks first: its
+// round, its sender, its receiver (NoNode where the kind names none) and
+// its signature.
+type Head struct {
+	Round    model.Round
+	From, To model.NodeID
+	Sig      []byte
+}
+
+// Head returns m's head; every message type has one.
+func (m *KeyRequest) Head() Head         { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *KeyResponse) Head() Head        { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Serve) Head() Head              { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Attestation) Head() Head        { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Ack) Head() Head                { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *AttForward) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *HashShare) Head() Head          { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckRelay) Head() Head           { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *NodeDigest) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Accusation) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Probe) Head() Head              { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Nack) Head() Head               { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckRequest) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckExhibit) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *ObligationHandover) Head() Head { return Head{m.Round, m.From, model.NoNode, m.Sig} }
