@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"repro/internal/hhash"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -64,15 +65,14 @@ func (n *Node) publishDigest(r model.Round) {
 	if len(monitors) == 0 {
 		return
 	}
-	digestProd := n.hasher.Identity()
+	var fwd hhash.Fold
 	for _, pred := range n.recvCur.order {
 		ex := n.recvCur.exchanges[pred]
-		if ex.reported && ex.fwdEmbed != nil {
-			digestProd = n.hasher.Combine(digestProd, ex.fwdEmbed)
+		if ex.reported && ex.served {
+			n.hasher.MulFold(&fwd, &ex.fwd)
 		}
 	}
-	digest := n.hasher.Lift(digestProd, n.recvCur.productKey())
-	enc, err := n.sh.HashParams.EncodeValue(digest)
+	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, n.recvCur.productKey(), &fwd))
 	if err != nil {
 		return
 	}
@@ -133,7 +133,7 @@ func (n *Node) serveForAccusation(succ model.NodeID, ex *sendExchange) {
 	for _, it := range n.sendCur.items {
 		srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 	}
-	cipher, err := n.signEncrypt(succ, srv)
+	cipher, err := n.sealServe(succ, srv)
 	if err != nil {
 		return
 	}
@@ -203,7 +203,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		}
 		// Even a NoAck deviant yields to a probe (the alternative is a
 		// guilty verdict, which a rational selfish node avoids).
-		if ex != nil && ex.ackBytes == nil && ex.expEmbed != nil {
+		if ex != nil && ex.ackBytes == nil && ex.served {
 			n.sendAck(probe.Origin, ex)
 		}
 	}

@@ -363,3 +363,117 @@ func TestSealedExchangeBeforeFirstRoundDropped(t *testing.T) {
 	h.engine.Run(4)
 	h.requireNoVerdictsExcept()
 }
+
+// attForwardCase is an exchange of round r reported by the monitored node y
+// to b, one of y's monitors: pred served y and signed the attestation.
+type attForwardCase struct {
+	h          *harness
+	r          model.Round
+	b, y, pred model.NodeID
+	ops0       uint64 // b's hash-ops before the AttForward
+	pending0   int    // the undelivered messages before it
+}
+
+// newAttForwardCase runs a 16-node session to round 8 and picks, among the
+// exchanges of that round, one whose designated monitor is b or is not,
+// as designated says.
+func newAttForwardCase(t *testing.T, designated bool) *attForwardCase {
+	t.Helper()
+	h := newHarness(t, 16, 2)
+	h.engine.Run(int(admissionRound))
+	r := admissionRound
+	for _, y := range h.dir.MembersAt(r) {
+		monitors := h.dir.Monitors(y, r)
+		for _, pred := range h.dir.Predecessors(y, r) {
+			d := core.DesignatedMonitor(monitors, pred, r)
+			for _, b := range monitors {
+				if (b == d) == designated {
+					return &attForwardCase{h: h, r: r, b: b, y: y, pred: pred,
+						ops0: h.nodes[b].Stats().HashOps, pending0: h.net.PendingCount()}
+				}
+			}
+		}
+	}
+	t.Fatal("no such exchange")
+	return nil
+}
+
+// send delivers to b an AttForward from y carrying pred's validly signed
+// attestation and the given remainder.
+func (c *attForwardCase) send(t *testing.T, remainder []byte) {
+	t.Helper()
+	hv := bytes.Repeat([]byte{7}, 16)
+	att := sealMsg(t, c.h.identities[c.pred], &wire.Attestation{Round: c.r, From: c.pred, To: c.y, HExpiring: hv, HForwardable: hv})
+	fwd := sealMsg(t, c.h.identities[c.y], &wire.AttForward{Round: c.r, From: c.y, AttBytes: att, Remainder: remainder})
+	cipher, err := c.h.suite.Encrypt(c.b, fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.h.nodes[c.b].HandleMessage(transport.Message{From: c.y, To: c.b, Kind: wire.KindAttForward, Payload: cipher})
+}
+
+// refused requires that b lifted nothing, sent nothing and raised exactly
+// one BadMessage, against y, with the given detail.
+func (c *attForwardCase) refused(t *testing.T, detail string) {
+	t.Helper()
+	if added := c.h.nodes[c.b].Stats().HashOps - c.ops0; added != 0 {
+		t.Errorf("the monitor added %d hash-ops", added)
+	}
+	if sent := c.h.net.PendingCount() - c.pending0; sent != 0 {
+		t.Errorf("the monitor sent %d messages", sent)
+	}
+	if len(c.h.verdicts) != 1 || c.h.verdicts[0].Accused != c.y || c.h.verdicts[0].Detail != detail {
+		t.Fatalf("verdicts %v, want one BadMessage %q against %v", c.h.verdicts, detail, c.y)
+	}
+}
+
+// TestAttForwardToNonDesignatedMonitorRefused: only the designated monitor
+// of an exchange lifts its attestation and shares the lift. A monitored
+// node that reports an exchange to another of its monitors draws a
+// BadMessage, and that monitor neither lifts nor broadcasts a HashShare
+// its co-monitors would answer with BadMessage against it.
+func TestAttForwardToNonDesignatedMonitorRefused(t *testing.T) {
+	c := newAttForwardCase(t, false)
+	c.send(t, hhash.OneKey().Bytes())
+	c.refused(t, "attestation forwarded to a non-designated monitor")
+	c.h.engine.Run(2)
+	c.h.requireNoVerdictsExcept(c.y)
+}
+
+// TestAttForwardRemainderWidthBounded: an AttForward's remainder is at most
+// as wide as the primes its sender issued its other predecessors. A 16 KB
+// one is refused before the monitor lifts anything; one of honest width is
+// lifted, twice, by the designated monitor.
+func TestAttForwardRemainderWidthBounded(t *testing.T) {
+	t.Run("16 KB refused", func(t *testing.T) {
+		c := newAttForwardCase(t, true)
+		wide := bytes.Repeat([]byte{0xA5}, 16<<10)
+		c.send(t, wide)
+		c.refused(t, "invalid remainder in AttForward")
+	})
+	t.Run("honest width lifted", func(t *testing.T) {
+		c := newAttForwardCase(t, true)
+		others := len(c.h.dir.Predecessors(c.y, c.r)) - 1
+		remainder := hhash.OneKey()
+		for i := range others {
+			remainder = remainder.Mul(testPrime(t, int64(i), c.h.nodes[c.b].PrimeBits()))
+		}
+		c.send(t, remainder.Bytes())
+		if added := c.h.nodes[c.b].Stats().HashOps - c.ops0; added != 2 {
+			t.Errorf("the monitor added %d hash-ops, want 2", added)
+		}
+		if len(c.h.verdicts) != 0 {
+			t.Fatalf("verdicts %v", c.h.verdicts)
+		}
+	})
+}
+
+// testPrime is a prime of exactly bits bits, drawn from a seeded stream.
+func testPrime(t *testing.T, seed int64, bits int) hhash.Key {
+	t.Helper()
+	k, err := hhash.GeneratePrimeKey(rand.New(rand.NewSource(seed)), bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}

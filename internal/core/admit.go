@@ -98,10 +98,12 @@ const (
 	primeWidth                     // the prime has exactly the session's width
 	servedItems                    // multiplicities in [1, maxServedCount], stream 0 only
 	kPrevWidth                     // K(R−1) no wider than the sender's primes of R−1
+	remainderWidth                 // the remainder no wider than the sender's other primes
 	fromMonitor                    // the sender monitors this node
 	fromMonitored                  // this node monitors the sender
 	fromCoMonitor                  // sender and this node both monitor the share's node
 	fromDesignated                 // the sender is the exchange's designated monitor
+	toDesignated                   // this node is the forwarded exchange's designated monitor
 	nackMonitors                   // the sender monitors the accused, this node the accuser
 	accusedMonitored               // this node monitors the accused
 	fromPredOfAccused              // the sender is a predecessor of the accused
@@ -127,7 +129,7 @@ var rules = [maxWireKind + 1]rule{
 	wire.KindAckCopy: {name: "AckCopy", decode: decoder(wire.UnmarshalAck),
 		window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
 	wire.KindAttForward: {name: "AttForward", decode: decoder(wire.UnmarshalAttForward),
-		sealed: true, window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
+		sealed: true, window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored, remainderWidth}},
 	wire.KindHashShare: {name: "HashShare", decode: decoder(wire.UnmarshalHashShare),
 		window: monitorRound, mute: silentMonitor, checks: []check{fromCoMonitor, fromDesignated}},
 	// An AckRelay's window is its Ack's (relayedAck).
@@ -158,7 +160,7 @@ var (
 		sealed: true, bind: toReceiver, window: thisRound, checks: serveChecks}
 	probedAttestation    = rule{decode: decoder(wire.UnmarshalAttestation), bind: toReceiver, window: thisRound}
 	forwardedAttestation = rule{name: "forwarded Attestation", malformed: "AttForward with inconsistent attestation",
-		decode: decoder(wire.UnmarshalAttestation), bind: toSender}
+		decode: decoder(wire.UnmarshalAttestation), bind: toSender, checks: []check{toDesignated}}
 	relayedAck = rule{name: "relayed Ack", decode: decoder(wire.UnmarshalAck), bind: relayMonitors, window: monitorRound}
 )
 
@@ -174,7 +176,7 @@ type inbound struct {
 	body  []byte       // the bytes the signature covers
 	m     headed
 	h     wire.Head
-	key   hhash.Key // the prime or K(R−1) a width check parsed
+	key   hhash.Key // the prime, K(R−1) or remainder a width check parsed
 }
 
 // carried is the inbound of a message nested in one from `from` of round r.
@@ -214,7 +216,7 @@ func (n *Node) handle(msg transport.Message) {
 	case wire.KindAckCopy:
 		n.mon.onAckCopy(in.m.(*wire.Ack), in.body)
 	case wire.KindAttForward:
-		n.mon.onAttForward(in.m.(*wire.AttForward))
+		n.mon.onAttForward(in.m.(*wire.AttForward), in.key)
 	case wire.KindHashShare:
 		n.mon.onHashShare(in.m.(*wire.HashShare))
 	case wire.KindAckForward, wire.KindConfirm:
@@ -313,13 +315,14 @@ func (n *Node) bound(b binding, in *inbound) bool {
 }
 
 // vet runs checks over an accepted message in order, stopping at the first
-// that fails.
+// that fails. A fault is the envelope sender's: for a nested message, the
+// node that sent the message carrying it.
 func (n *Node) vet(checks []check, in *inbound) bool {
 	for _, c := range checks {
 		if ok, fault := n.passes(c, in); !ok {
 			if fault != "" {
 				n.report(judicial.Verdict{Round: in.h.Round, Kind: VerdictBadMessage,
-					Accused: in.h.From, Detail: fault})
+					Accused: in.msg.From, Detail: fault})
 			}
 			return false
 		}
@@ -353,8 +356,9 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 		in.key = k
 	case servedItems:
 		// The signature proves who sent the multiplicities, not that they
-		// are usable: a zero one has no key (mustCountKey), and an absurd
-		// one could wrap the sums the node keeps back to zero.
+		// are usable: a zero one would drop the update from every product
+		// it is folded into, and an absurd one could wrap the sums the
+		// node keeps back to zero.
 		srv := in.m.(*wire.Serve)
 		for i := range srv.Full {
 			su := &srv.Full[i]
@@ -377,6 +381,16 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 			return false, "invalid K(R-1) in Serve"
 		}
 		in.key = k
+	case remainderWidth:
+		// The monitor lifts both forwarded attestation hashes by the
+		// remainder: the product of the primes the sender issued its other
+		// predecessors, each exactly primeBits wide.
+		others := len(d.Predecessors(h.From, h.Round)) - 1
+		k, err := hhash.KeyFromBytes(in.m.(*wire.AttForward).Remainder)
+		if err != nil || k.BitLen() > max(1, others*n.sh.primeBits) {
+			return false, "invalid remainder in AttForward"
+		}
+		in.key = k
 	case fromMonitor:
 		return d.IsMonitorOf(h.From, n.id, h.Round), ""
 	case fromMonitored:
@@ -388,6 +402,13 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 		s := in.m.(*wire.HashShare)
 		if designatedMonitor(d.Monitors(s.Monitored, h.Round), s.Pred, h.Round) != h.From {
 			return false, "hash share from non-designated monitor"
+		}
+	case toDesignated:
+		// Only the designated monitor lifts an exchange and shares it
+		// (HashShare's fromDesignated): the one the attestation's sender,
+		// in.msg.From, reports the exchange with h.From to.
+		if designatedMonitor(d.Monitors(in.msg.From, h.Round), h.From, h.Round) != n.id {
+			return false, "attestation forwarded to a non-designated monitor"
 		}
 	case nackMonitors:
 		k := in.m.(*wire.Nack)

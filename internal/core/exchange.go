@@ -69,14 +69,16 @@ func (n *Node) onKeyRequest(req *wire.KeyRequest) {
 	}
 }
 
-// signEncrypt builds {⟨m⟩_X}_pk(to), the paper's construction for
-// messages 2, 3 and 7: m is encoded and signed in a pooled buffer and
+// sealServe builds {⟨srv⟩_A}_pk(to), the paper's construction for message
+// 3: srv is encoded and signed in a buffer sized to its sealed length and
 // sealed straight from it into one exact-size ciphertext, which the sender
-// owns — the form of a Serve it keeps as evidence.
-func (n *Node) signEncrypt(to model.NodeID, m wire.BodyMessage) ([]byte, error) {
-	w := wire.GetWriter()
+// owns — the form of a Serve it keeps as evidence. The buffer is presized
+// because the largest Serves outgrow the writer pool's cap: grown by
+// appends, each would reallocate several times on its way there.
+func (n *Node) sealServe(to model.NodeID, srv *wire.Serve) ([]byte, error) {
+	w := wire.GetWriterSize(srv.SealedLen(n.sh.Suite.SignatureSize()))
 	defer w.Release()
-	plain, err := wire.Seal(w, m, n.cfg.Identity)
+	plain, err := wire.Seal(w, srv, n.cfg.Identity)
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +126,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	if len(bm) > 0 {
 		tags = n.tagsOf(s, prime)
 	}
-	// Partition into payloads vs refs via the buffermap, and accumulate
-	// the attestation products split by expiration (§V-D).
-	expProd := n.hasher.Identity()
-	fwdProd := n.hasher.Identity()
+	// Partition into payloads vs refs via the buffermap.
 	for i, it := range items {
 		if tags != nil && bm.Contains(tags[i]) {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
@@ -136,32 +135,27 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 			n.stats.PayloadsSent++
 		}
-		v := s.embeds[i]
-		if it.count != 1 {
-			v = n.hasher.Lift(v, mustCountKey(it.count))
-		}
-		if it.upd.ExpiresNextRound(n.round) {
-			expProd = n.hasher.Combine(expProd, v)
-		} else {
-			fwdProd = n.hasher.Combine(fwdProd, v)
-		}
 	}
 	s.release()
 
+	// Attest the round's served set, folded once at BeginRound, under
+	// this successor's prime (§V-D); each attestation still counts the
+	// set's count-powers (hhash.Counter).
+	sr := n.sendCur
+	n.hasher.Recharge(&sr.exp)
+	n.hasher.Recharge(&sr.fwd)
 	att := &wire.Attestation{Round: n.round, From: n.id, To: succ}
-	hExp := n.hasher.Lift(expProd, prime)
-	hFwd := n.hasher.Lift(fwdProd, prime)
 	var err error
-	if att.HExpiring, err = n.sh.HashParams.EncodeValue(hExp); err != nil {
+	if att.HExpiring, err = n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.exp)); err != nil {
 		return
 	}
-	if att.HForwardable, err = n.sh.HashParams.EncodeValue(hFwd); err != nil {
+	if att.HForwardable, err = n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.fwd)); err != nil {
 		return
 	}
 
 	// Send the Serve encrypted, then the Attestation in the clear (it is
 	// meaningless without the prime); record both for accusations.
-	cipher, err := n.signEncrypt(succ, srv)
+	cipher, err := n.sealServe(succ, srv)
 	if err != nil {
 		return
 	}
@@ -195,14 +189,15 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 		ex = n.newRecvExchange()
 		n.recvCur.exchanges[srv.From] = ex
 	}
-	if ex.expEmbed != nil {
+	if ex.served {
 		return // duplicate serve for this exchange
 	}
 
-	expProd := n.hasher.Identity()
-	fwdProd := n.hasher.Identity()
-	// accept books one served item and reports whether the update was new
-	// to this node.
+	// A Serve refused part-way left a partial product: start afresh.
+	ex.exp.Reset()
+	ex.fwd.Reset()
+	// accept books one served item, folding it into the exchange's
+	// products, and reports whether the update was new to this node.
 	accept := func(u update.Update, count uint64) bool {
 		fresh := n.store.Add(u, n.round, count)
 		if fresh {
@@ -211,12 +206,8 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 			n.stats.DuplicateReceptions += count
 		}
 		ve := n.embedOf(n.store.Get(u.ID))
-		v := ve
-		if count != 1 {
-			v = n.hasher.Lift(ve, mustCountKey(count))
-		}
 		if !u.ExpiresNextRound(n.round) {
-			fwdProd = n.hasher.Combine(fwdProd, v)
+			n.hasher.Mul(&ex.fwd, ve, count)
 			it, ok := n.pendingNext[u.ID]
 			if !ok {
 				n.pendingNext[u.ID] = n.newPendingItem(u, count, ve)
@@ -224,7 +215,7 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 				it.count += count
 			}
 		} else {
-			expProd = n.hasher.Combine(expProd, v)
+			n.hasher.Mul(&ex.exp, ve, count)
 		}
 		return fresh
 	}
@@ -262,8 +253,7 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 		accept(e.Update, ref.Count)
 	}
 
-	ex.expEmbed = expProd
-	ex.fwdEmbed = fwdProd
+	ex.served = true
 	ex.kPrevA = kPrevA
 	if n.trace != nil {
 		n.trace.Emit("serve",
@@ -303,7 +293,7 @@ func (n *Node) onAttestation(att *wire.Attestation, body []byte) {
 // ("The attestation that node A sends can be verified by node B", §VI-B)
 // and sends the acknowledgement under K(R-1,A).
 func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
-	if ex.expEmbed == nil || ex.attBytes == nil || ex.ackBytes != nil {
+	if !ex.served || ex.attBytes == nil || ex.ackBytes != nil {
 		return
 	}
 	att, err := wire.UnmarshalAttestation(ex.attBytes)
@@ -316,8 +306,8 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 		// anyone holding the prime, and no secret randomness is involved.
 		// Both lifts run whatever the outcome, so every path counts two
 		// hash-ops; an undecodable value (nil) never matches.
-		wantExp := n.hasher.Lift(ex.expEmbed, ex.prime)
-		wantFwd := n.hasher.Lift(ex.fwdEmbed, ex.prime)
+		wantExp := n.hasher.LiftFold(new(big.Int), ex.prime, &ex.exp)
+		wantFwd := n.hasher.LiftFold(&n.lifted, ex.prime, &ex.fwd)
 		gotExp, errExp := n.sh.HashParams.DecodeValue(att.HExpiring)
 		gotFwd, errFwd := n.sh.HashParams.DecodeValue(att.HForwardable)
 		if errExp != nil || errFwd != nil || gotExp.Cmp(wantExp) != 0 || gotFwd.Cmp(wantFwd) != 0 {
@@ -338,9 +328,7 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 
 // sendAck builds message 5 and remembers it for the monitor report.
 func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
-	full := n.hasher.Combine(ex.expEmbed, ex.fwdEmbed)
-	h := n.hasher.Lift(full, ex.kPrevA)
-	enc, err := n.sh.HashParams.EncodeValue(h)
+	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, ex.kPrevA, &ex.exp, &ex.fwd))
 	if err != nil {
 		return
 	}
@@ -395,12 +383,38 @@ func (n *Node) servedItems() []pendingItem {
 	return items
 }
 
-// expectedAckFor returns the acknowledgement hash this node expects from a
-// successor — normally the round's precomputed value, recomputed only when
-// a deviation trimmed the served set.
-func (n *Node) expectedAckFor() *big.Int {
-	if n.cfg.Behavior.DropUpdates == 0 {
-		return n.sendCur.expectedAckH
+// foldServed folds the round's served set once, split by expiry (§V-D):
+// serve lifts the two products by each successor's prime, and every
+// honest successor's Ack owes their product under K(R-1), expectedAckH.
+// The tail a DropUpdates deviator does not serve still enters
+// expectedAckH, the value an honest forwarder's successors would owe.
+func (n *Node) foldServed() {
+	sr := n.sendCur
+	served := n.servedItems()
+	for _, it := range served {
+		f := &sr.fwd
+		if it.upd.ExpiresNextRound(n.round) {
+			f = &sr.exp
+		}
+		n.hasher.Mul(f, it.embed, it.count)
 	}
-	return n.ackHash(n.servedItems(), n.sendCur.kPrev)
+	var dropped hhash.Fold
+	for _, it := range sr.items[len(served):] {
+		n.hasher.Mul(&dropped, it.embed, it.count)
+	}
+	sr.expectedAckH = n.hasher.LiftFold(new(big.Int), sr.kPrev, &sr.exp, &sr.fwd, &dropped)
+}
+
+// expectedAckFor returns the acknowledgement hash this node expects from a
+// successor: the round's precomputed value, or, when a deviation trimmed
+// the served set, a hash of the trimmed set, computed per acknowledgement
+// and charged as if that set were folded afresh for it.
+func (n *Node) expectedAckFor() *big.Int {
+	sr := n.sendCur
+	if n.cfg.Behavior.DropUpdates == 0 {
+		return sr.expectedAckH
+	}
+	n.hasher.Recharge(&sr.exp)
+	n.hasher.Recharge(&sr.fwd)
+	return n.hasher.LiftFold(&n.lifted, sr.kPrev, &sr.exp, &sr.fwd)
 }

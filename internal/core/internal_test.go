@@ -79,19 +79,6 @@ func TestRecvRoundProductAndRemainder(t *testing.T) {
 	}
 }
 
-func TestMustCountKey(t *testing.T) {
-	k := mustCountKey(7)
-	if k.Exponent().Uint64() != 7 {
-		t.Fatal("count key exponent wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for count 0")
-		}
-	}()
-	mustCountKey(0)
-}
-
 func TestConfigValidation(t *testing.T) {
 	suite := pki.NewFastSuite()
 	identity, err := suite.NewIdentity(1)
@@ -227,8 +214,9 @@ func (c *attestationCheck) acceptsEncoded(t *testing.T, hExp, hFwd []byte) bool 
 	const pred = model.NodeID(2)
 	att := &wire.Attestation{Round: 1, From: pred, To: c.node.id, Sig: []byte("s"),
 		HExpiring: hExp, HForwardable: hFwd}
-	ex := &recvExchange{prime: c.prime, expEmbed: c.exp, fwdEmbed: c.fwd,
-		kPrevA: hhash.OneKey(), attBytes: att.Marshal()}
+	ex := &recvExchange{prime: c.prime, served: true, kPrevA: hhash.OneKey(), attBytes: att.Marshal()}
+	c.node.hasher.Mul(&ex.exp, c.exp, 1)
+	c.node.hasher.Mul(&ex.fwd, c.fwd, 1)
 	c.verdicts = nil
 	before := c.node.hops.HashOps()
 	c.node.maybeAck(pred, ex)

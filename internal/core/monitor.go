@@ -23,8 +23,9 @@ import (
 // monNodeRound is a monitor's per-(monitored node, round) state.
 type monNodeRound struct {
 	// obligation accumulates ∏ lifted forwardable attestation hashes:
-	// at round end it equals H(∏ received u^c)_(K(R,Y),M) (§V-C).
-	obligation *big.Int
+	// at round end it equals H(∏ received u^c)_(K(R,Y),M) (§V-C). Its
+	// value leaves it only as a copy (obligationOf).
+	obligation hhash.Fold
 	// sharesSeen marks which predecessors' exchanges have been folded in.
 	sharesSeen map[model.NodeID]bool
 	// digest is Y's self-reported value (§V-B), nil until received.
@@ -52,7 +53,6 @@ type monNodeRound struct {
 // memory (watched × retained rounds × three map headers per node).
 func newMonNodeRound() *monNodeRound {
 	return &monNodeRound{
-		obligation: big.NewInt(1),
 		sharesSeen: make(map[model.NodeID]bool),
 		succAcks:   make(map[model.NodeID]*big.Int),
 	}
@@ -198,16 +198,14 @@ func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
 // Message 7 → 8: attestation forward and hash-share broadcast
 // ---------------------------------------------------------------------------
 
-func (m *monitorState) onAttForward(fwd *wire.AttForward) {
+// onAttForward lifts an admitted AttForward's attestation by its parsed
+// remainder and shares the result with the monitored node's other monitors.
+func (m *monitorState) onAttForward(fwd *wire.AttForward, remainder hhash.Key) {
 	in := carried(fwd.From, fwd.Round, fwd.AttBytes)
 	if !m.n.admit(&forwardedAttestation, &in) {
 		return
 	}
 	att := in.m.(*wire.Attestation)
-	remainder, err := hhash.KeyFromBytes(fwd.Remainder)
-	if err != nil {
-		return
-	}
 	hExp, errE := m.n.sh.HashParams.DecodeValue(att.HExpiring)
 	hFwd, errF := m.n.sh.HashParams.DecodeValue(att.HForwardable)
 	if errE != nil || errF != nil {
@@ -312,7 +310,7 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 	}
 	st.sharesSeen[share.Pred] = true
 	if hFwd, err := m.n.sh.HashParams.DecodeValue(share.HFwdLifted); err == nil {
-		st.obligation = m.n.hasher.Combine(st.obligation, hFwd)
+		m.n.hasher.Mul(&st.obligation, hFwd, 1)
 	}
 	if m.n.trace != nil {
 		m.n.trace.Emit("monitor_share",
@@ -455,7 +453,7 @@ func (m *monitorState) verify(r model.Round) {
 func (m *monitorState) obligationOf(r model.Round, y model.NodeID) *big.Int {
 	if per, ok := m.rounds[r]; ok {
 		if st, ok := per[y]; ok {
-			return st.obligation
+			return m.n.hasher.FoldValue(new(big.Int), &st.obligation)
 		}
 	}
 	return big.NewInt(1)
@@ -537,7 +535,7 @@ func (m *monitorState) handover(r model.Round) {
 			continue
 		}
 		st := m.state(r, y)
-		enc, err := m.n.sh.HashParams.EncodeValue(st.obligation)
+		enc, err := m.n.sh.HashParams.EncodeValue(m.obligationOf(r, y))
 		if err != nil {
 			continue
 		}
@@ -625,7 +623,7 @@ func (m *monitorState) judge(r model.Round) {
 		// round have settled, so the node's self-digest must match the
 		// accumulated obligation. A mismatch also poisons the round's
 		// obligation as a forwarding baseline (see verify).
-		if st.digest != nil && st.digest.Cmp(st.obligation) != 0 {
+		if st.digest != nil && st.digest.Cmp(m.obligationOf(r, y)) != 0 {
 			m.blameDigestMismatch(r, y, st)
 			st.suspect = true
 		}

@@ -36,10 +36,11 @@ type pendingItem struct {
 // during the current round (this node as B of Fig 5).
 type recvExchange struct {
 	prime hhash.Key
-	// expEmbed/fwdEmbed are the embedded products (u^c mod M) of the
-	// expiring and forwardable served lists; nil until the Serve arrives.
-	expEmbed *big.Int
-	fwdEmbed *big.Int
+	// served marks that the predecessor's Serve has been accepted; exp
+	// and fwd then hold the embedded products (∏ u^c mod M) of its
+	// expiring and forwardable lists.
+	served   bool
+	exp, fwd hhash.Fold
 	// kPrevA is K(R-1,A) from the Serve: the acknowledgement key.
 	kPrevA hhash.Key
 	// attBytes is the predecessor's marshalled signed Attestation.
@@ -107,6 +108,9 @@ type sendRound struct {
 	items []pendingItem
 	// kPrev is K(R-1, self), the key successors acknowledge under.
 	kPrev hhash.Key
+	// exp and fwd are the round's served set folded once (foldServed):
+	// the embedded products of its expiring and forwardable items.
+	exp, fwd hhash.Fold
 	// expectedAckH is H(∏ items u^c)_(kPrev,M); every honest successor's
 	// Ack must carry exactly this value.
 	expectedAckH *big.Int
@@ -170,6 +174,9 @@ type Node struct {
 	rexFree  []*recvExchange
 	sexFree  []*sendExchange
 	itemFree []*pendingItem
+
+	// lifted receives the lifts whose value is encoded at once.
+	lifted big.Int
 }
 
 // maxWireKind bounds the per-kind counter table (wire kinds are 1-based
@@ -292,13 +299,17 @@ func (n *Node) BeginRound(r model.Round) {
 			n.sexFree = append(n.sexFree, ex)
 		}
 		clear(prev.perSucc)
-		*prev = sendRound{perSucc: prev.perSucc}
+		prev.exp.Reset()
+		prev.fwd.Reset()
+		*prev = sendRound{perSucc: prev.perSucc, exp: prev.exp, fwd: prev.fwd}
 		n.sendFree = prev
 		n.sendCur = nil
 	}
 	if prev := n.recvCur; prev != nil {
 		for _, ex := range prev.exchanges {
-			*ex = recvExchange{}
+			ex.exp.Reset()
+			ex.fwd.Reset()
+			*ex = recvExchange{exp: ex.exp, fwd: ex.fwd}
 			n.rexFree = append(n.rexFree, ex)
 		}
 		clear(prev.exchanges)
@@ -340,8 +351,8 @@ func (n *Node) BeginRound(r model.Round) {
 	}
 	send.items = items
 	send.kPrev = n.kPrev
-	send.expectedAckH = n.ackHash(items, send.kPrev)
 	n.sendCur = send
+	n.foldServed()
 	if n.recvFree != nil {
 		n.recvCur = n.recvFree
 		n.recvFree = nil
@@ -595,20 +606,6 @@ func (e encrypter) EncryptAppend(dst []byte, to model.NodeID, msg []byte) ([]byt
 	return e.n.encryptTo(dst, to, msg)
 }
 
-// ackHash is the acknowledgement hash a successor that was served items
-// owes under kPrev: H(∏ items u^count)_(kPrev,M).
-func (n *Node) ackHash(items []pendingItem, kPrev hhash.Key) *big.Int {
-	prod := n.hasher.Identity()
-	for _, it := range items {
-		v := it.embed
-		if it.count != 1 {
-			v = n.hasher.Lift(v, mustCountKey(it.count))
-		}
-		prod = n.hasher.Combine(prod, v)
-	}
-	return n.hasher.Lift(prod, kPrev)
-}
-
 // embed computes an update's embedding from its canonical bytes, encoded
 // into a pooled buffer (Embed only reads them).
 func (n *Node) embed(u *update.Update) *big.Int {
@@ -703,17 +700,6 @@ const maxServedCount = 1 << 32
 // validServedCount reports whether a multiplicity read off the wire may
 // enter the node's accounting.
 func validServedCount(c uint64) bool { return c >= 1 && c <= maxServedCount }
-
-// mustCountKey converts a multiplicity into a hash key exponent.
-func mustCountKey(c uint64) hhash.Key {
-	k, err := hhash.KeyFromInt(new(big.Int).SetUint64(c))
-	if err != nil {
-		// Counts are >= 1 by construction: a node mints 1 and otherwise
-		// sums what processServe let in (validServedCount).
-		panic(fmt.Sprintf("core: invalid count %d: %v", c, err))
-	}
-	return k
-}
 
 // designatedMonitor picks which of B's monitors receives messages 6–7 for
 // the exchange with predecessor pred during round r. The choice rotates

@@ -102,18 +102,6 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeyFromIntRejectsNonPositive(t *testing.T) {
-	if _, err := KeyFromInt(nil); err == nil {
-		t.Fatal("nil exponent accepted")
-	}
-	if _, err := KeyFromInt(big.NewInt(0)); err == nil {
-		t.Fatal("zero exponent accepted")
-	}
-	if _, err := KeyFromInt(big.NewInt(-3)); err == nil {
-		t.Fatal("negative exponent accepted")
-	}
-}
-
 func TestKeyMul(t *testing.T) {
 	k1, k2 := testKey(t, 1), testKey(t, 2)
 	prod := k1.Mul(k2)

@@ -306,21 +306,33 @@ const expStackLimbs = 16
 // room), so a lift costs the caller's result and nothing else. z may
 // alias base.
 func (c *montCtx) exp(z, base, e *big.Int) *big.Int {
+	var stack [expStackLimbs]uint
+	x := stack[:]
+	if c.k > expStackLimbs {
+		x = make([]uint, c.k)
+	}
+	x = x[:c.k]
+	c.residue(x, base)
+	c.mul(x, x, c.rr)
+	return c.expMont(z, x, e)
+}
+
+// expMont is exp from a base already in Montgomery form (k limbs, left
+// untouched): what lifting a Fold starts from.
+func (c *montCtx) expMont(z *big.Int, base []uint, e *big.Int) *big.Int {
 	if e.Sign() == 0 {
 		return z.Set(_one)
 	}
 	k := c.k
-	var stack [17 * expStackLimbs]uint
+	var stack [16 * expStackLimbs]uint
 	buf := stack[:]
 	if k > expStackLimbs {
-		buf = make([]uint, 17*k)
+		buf = make([]uint, 16*k)
 	}
 	tbl := func(d uint) []uint { return buf[(d-1)*uint(k) : d*uint(k)] } // base^d, d = 1..15
 	acc := buf[15*k : 16*k]
-	tmp := buf[16*k : 17*k]
 
-	c.residue(tmp, base)
-	c.mul(tbl(1), tmp, c.rr)
+	copy(tbl(1), base)
 
 	words := e.Bits()
 	ebits := e.BitLen()
@@ -350,4 +362,32 @@ func (c *montCtx) exp(z, base, e *big.Int) *big.Int {
 
 	c.mul(acc, acc, c.unit) // leave the Montgomery domain
 	return limbsToInt(z, acc)
+}
+
+// mulPow sets acc = acc·v^e mod m, acc and the result in Montgomery form
+// and v a plain value: v enters the domain (one multiplication by R²), is
+// raised by square-and-multiply over e's bits — a reception count, a few
+// bits wide — and multiplies into acc. Its working set stays on the stack
+// up to expStackLimbs; acc is updated in place.
+func (c *montCtx) mulPow(acc []uint, v *big.Int, e uint64) {
+	k := c.k
+	var stack [2 * expStackLimbs]uint
+	buf := stack[:]
+	if k > expStackLimbs {
+		buf = make([]uint, 2*k)
+	}
+	x, p := buf[:k], buf[k:2*k]
+	c.residue(x, v)
+	c.mul(x, x, c.rr)
+	if e != 1 {
+		copy(p, x)
+		for i := bits.Len64(e) - 2; i >= 0; i-- {
+			c.sqr(p, p)
+			if e>>uint(i)&1 == 1 {
+				c.mul(p, p, x)
+			}
+		}
+		x = p
+	}
+	c.mul(acc, acc, x)
 }

@@ -247,6 +247,17 @@ func (m *Serve) layout(c Codec) {
 	}
 }
 
+// SealedLen returns the length Seal gives m under a signature of sigSize
+// bytes, so a sender can size the buffer before encoding.
+func (m *Serve) SealedLen(sigSize int) int {
+	n := 1 + 8 + 4 + 4 + 4 + len(m.KPrev) + 4 + 4 + sigPrefixLen + sigSize
+	for i := range m.Full {
+		u := &m.Full[i].Update
+		n += UpdateIDLen + 8 + 4 + len(u.Payload) + 4 + len(u.SrcSig) + 8
+	}
+	return n + len(m.Refs)*(UpdateIDLen+8)
+}
+
 // Marshal implements Message.
 func (m *Serve) Marshal() []byte { return marshal(m, m.Sig) }
 

@@ -18,6 +18,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,6 +39,20 @@ var writerPool = sync.Pool{
 func GetWriter() *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
+	return w
+}
+
+// GetWriterSize returns an empty Writer with room for n bytes: a pooled
+// one grown to n when n fits the pool's cap (maxPooledWriter), otherwise
+// a fresh one of exactly n, which Release lets go. A message sized in
+// advance is then encoded without regrowing through appends, and one past
+// the cap does not evict a pooled buffer.
+func GetWriterSize(n int) *Writer {
+	if n > maxPooledWriter {
+		return &Writer{buf: make([]byte, 0, n)}
+	}
+	w := GetWriter()
+	w.buf = slices.Grow(w.buf, n)
 	return w
 }
 

@@ -343,3 +343,33 @@ func TestIdleArenasBounded(t *testing.T) {
 		t.Fatalf("released arena not kept: %d idle bytes, want %d", b, maxIdleArenaBytes)
 	}
 }
+
+// SealedLen is the length Seal gives a Serve, so a writer from
+// GetWriterSize holds it without growing: a pooled one under the pool's
+// cap, a fresh one of exactly that size above it.
+func TestServeSealedLenPresizes(t *testing.T) {
+	rnd := rand.New(rand.NewSource(43))
+	for i := range 200 {
+		m := randomServe(rnd)
+		if i%20 == 0 { // past maxPooledWriter
+			m.Full = append(m.Full, ServedUpdate{Update: update.Update{Payload: randBytes(rnd, maxPooledWriter)}, Count: 1})
+		}
+		n := m.SealedLen(sha256.Size)
+		w := GetWriterSize(n)
+		before := cap(w.buf)
+		got, err := Seal(w, m, tagSigner{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("serve %d: sealed %d bytes, SealedLen says %d", i, len(got), n)
+		}
+		if cap(w.buf) != before {
+			t.Fatalf("serve %d: the writer grew from %d to %d", i, before, cap(w.buf))
+		}
+		if n > maxPooledWriter && before != n {
+			t.Fatalf("serve %d: a %d-byte Serve got a %d-byte writer", i, n, before)
+		}
+		w.Release()
+	}
+}
