@@ -9,19 +9,18 @@ import (
 
 // TestActingAuditRetentionUnderRotationAndChurn: AcTinG nodes drop the log
 // prefix their current monitors verified, and a monitor seated afterwards —
-// by a rotation or by a churn epoch re-drawing the sets — audits from the
-// log's base. Under steady churn with monitors re-drawn every 4 rounds and
-// audits every 5 (the default; the two interleave, so some logs are
-// truncated under one set and first audited by the next), no correct node
-// is convicted of a chain, proposal or serve fault. Crashed nodes may still draw RefusedAudit, as before.
+// by a churn epoch re-seating the sets it belonged to — audits from the
+// log's base. Under steady churn with audits every 5 rounds (the default;
+// epochs open between audits, so some logs are truncated under one set and
+// first audited by the next), no correct node is convicted of a chain,
+// proposal or serve fault. Crashed nodes may still draw RefusedAudit, as
+// before.
 func TestActingAuditRetentionUnderRotationAndChurn(t *testing.T) {
 	sc, err := scenario.ByName("steady-churn", 24, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := scenarioConfig(ProtocolAcTinG, 24, &sc)
-	cfg.MonitorRotationRounds = 4
-	s, err := NewSession(cfg)
+	s, err := NewSession(scenarioConfig(ProtocolAcTinG, 24, &sc))
 	if err != nil {
 		t.Fatal(err)
 	}

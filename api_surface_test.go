@@ -150,3 +150,151 @@ func receiverType(e ast.Expr) string {
 		}
 	}
 }
+
+// testOnlySettings names the exported fields of the settings structs in
+// settingsTypes that no non-test file writes, each with the reason it
+// stays. Keys are "package.Type.Field".
+var testOnlySettings = map[string]string{}
+
+// settingsTypes are the structs a caller configures a session or a node
+// through. The scenario types are not among them: the JSON decoder writes
+// their fields from scenario files, which no syntactic search can see.
+var settingsTypes = map[string]bool{
+	"pag.SessionConfig": true,
+	"core.Config":       true,
+	"core.Shared":       true,
+	"membership.Config": true,
+}
+
+// TestNoTestOnlySettings fails on an exported field of a settingsTypes
+// struct that no non-test file writes and testOnlySettings does not
+// explain, and on an entry of testOnlySettings that names no such field. A
+// write is a key of a composite literal of the struct's type, or an
+// assignment, increment or address-of of a selector naming the field.
+// Copying the same-named field of another value (Seed: c.Seed) is not a
+// write: it only forwards a setting someone else must write. Without type
+// information the test matches names: an assignment to a same-named field
+// of another type counts as a write, and so does a same-named selector
+// wherever a method of that name exists (OnDeliver: player.OnDeliver is a
+// method value). It can miss a test-only field, never flag a written one.
+func TestNoTestOnlySettings(t *testing.T) {
+	fset := token.NewFileSet()
+	fields := map[string]token.Position{} // "package.Type.Field"
+	written := map[string]bool{}          // "package.Type.Field", or ".Field" for a selector write
+	copied := map[string]bool{}           // the same, where the value is a same-named selector
+	methods := map[string]bool{}
+	// write records a write of key, or a copy when v selects the field's
+	// own name.
+	write := func(key, field string, v ast.Expr) {
+		if sel, ok := v.(*ast.SelectorExpr); ok && sel.Sel.Name == field {
+			copied[key] = true
+		} else {
+			written[key] = true
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					methods[n.Name.Name] = true
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !settingsTypes[pkg+"."+n.Name.Name] {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							fields[pkg+"."+n.Name.Name+"."+name.Name] = fset.Position(name.Pos())
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				var typ string
+				switch x := n.Type.(type) {
+				case *ast.Ident:
+					typ = pkg + "." + x.Name
+				case *ast.SelectorExpr:
+					if p, ok := x.X.(*ast.Ident); ok {
+						typ = p.Name + "." + x.Sel.Name
+					}
+				}
+				if !settingsTypes[typ] {
+					return true
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							write(typ+"."+key.Name, key.Name, kv.Value)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						var v ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							v = n.Rhs[i]
+						}
+						write("."+sel.Sel.Name, sel.Sel.Name, v)
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					written["."+sel.Sel.Name] = true
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					written["."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isWritten := func(key string) bool {
+		field := key[strings.LastIndexByte(key, '.'):]
+		return written[key] || written[field] ||
+			methods[field[1:]] && (copied[key] || copied[field])
+	}
+	var unexplained []string
+	for key, pos := range fields {
+		if isWritten(key) {
+			continue
+		}
+		if testOnlySettings[key] == "" {
+			unexplained = append(unexplained, key+" ("+pos.String()+")")
+		}
+	}
+	sort.Strings(unexplained)
+	for _, u := range unexplained {
+		t.Errorf("%s is a setting no non-test file writes: delete it, give it a writer, or add it to testOnlySettings with the reason it stays", u)
+	}
+	for key := range testOnlySettings {
+		if _, ok := fields[key]; !ok || isWritten(key) {
+			t.Errorf("testOnlySettings lists %s, which is no longer a setting without a non-test writer", key)
+		}
+	}
+}

@@ -115,7 +115,7 @@ func TestForcedFanoutPricesLargeN(t *testing.T) {
 			if g := gap(s64.BandwidthSample().Mean(), s432.BandwidthSample().Mean()); math.Abs(g) > 0.02 {
 				t.Errorf("mean kbps: 64 nodes %+.2f%% off 432", 100*g)
 			}
-			for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+			for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 				kind := wire.KindName(k)
 				if small[kind] == 0 && large[kind] == 0 {
 					continue

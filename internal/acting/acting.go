@@ -85,8 +85,9 @@ type Behavior struct {
 
 // BehaviorForProfile maps a protocol-agnostic deviation profile name (the
 // scenario vocabulary, see core.BehaviorForProfile) onto AcTinG's
-// deviation knobs; ok is false for unknown profiles. AcTinG has no monitor
-// rotation, so a rotation-dodger degenerates to the plain free-rider.
+// deviation knobs; ok is false for unknown profiles. AcTinG's audits have
+// no blind round at a membership transition to dodge into, so a
+// rotation-dodger degenerates to the plain free-rider.
 func BehaviorForProfile(profile string) (b Behavior, ok bool) {
 	switch profile {
 	case "correct":
@@ -156,7 +157,7 @@ type Node struct {
 
 	monitored []model.NodeID
 	monValid  bool
-	monEpoch  model.Round
+	monEpoch  int
 	audits    map[model.NodeID]*auditState
 
 	// verified[m] is the highest SinceSeq monitor m's audit requests have
@@ -255,8 +256,8 @@ func (n *Node) BeginRound(r model.Round) {
 	}
 	n.injected = nil
 
-	// Refresh the inverse monitor index whenever the assignment epoch
-	// moves (monitor rotation or a membership transition).
+	// Refresh the inverse monitor index whenever a membership transition
+	// may have re-drawn the monitor sets.
 	if epoch := n.cfg.Directory.MonitorEpoch(r); !n.monValid || epoch != n.monEpoch {
 		n.monValid = true
 		n.monEpoch = epoch

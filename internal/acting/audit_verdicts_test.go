@@ -8,18 +8,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/membership"
 	"repro/internal/model"
 )
 
-// testdata/audit_verdicts.txt was recorded by the commit before the log
-// truncation (PR 25's parent, with this file and newClusterWith added) and
-// lists every judicial fact — (round, kind, accused, accuser), the key the
-// registry deduplicates on — that each scripted deviation draws over 24
-// rounds, under static monitors and under monitors re-drawn every 4 rounds.
-// Under rotation most audits are first audits by newly seated monitors,
-// which now start from the audited node's log base instead of its genesis:
-// the facts must not move. Re-record (from the parent, not the tree under
+// testdata/audit_verdicts.txt lists every judicial fact — (round, kind,
+// accused, accuser), the key the registry deduplicates on — that each
+// scripted deviation draws over 24 rounds: under static monitors
+// ("rotation=0", recorded by the commit before the log truncation) and
+// under churnSchedule's membership transitions ("churn", recorded by the
+// last commit that still had monitor rotation). Under churn the
+// audits after a transition include first audits by newly seated monitors,
+// which start from the audited node's log base instead of its genesis: the
+// facts must not move. Re-record (from the parent, not the tree under
 // test, unless a verdict is changed on purpose) with
 //
 //	go test ./internal/acting -run TestAuditVerdictsMatchParent -record-audit-verdicts
@@ -39,14 +39,19 @@ func TestAuditVerdictsMatchParent(t *testing.T) {
 		{"tamper-log", 4, Behavior{TamperLog: true}, 1},
 		{"refuse-audit", 6, Behavior{RefuseAudit: true}, 1},
 		// Turns to tampering after its log was first truncated: under
-		// rotation its next audits are by monitors seated since.
+		// churn its audit at 18 is by a monitor seated at 17.
 		{"late-tamper", 4, Behavior{TamperLog: true}, 16},
 	}
 	var lines []string
-	for _, rotation := range []int{0, 4} {
+	for _, half := range []struct {
+		label string
+		churn bool
+	}{{"rotation=0", false}, {"churn", true}} {
 		for _, tc := range cases {
-			mcfg := membership.Config{Seed: 7, Fanout: 3, Monitors: 3, MonitorRotationRounds: rotation}
-			c := newClusterWith(t, mcfg, 16, 0, nil, nil)
+			c := newCluster(t, 16, 0, nil, nil)
+			if half.churn {
+				withChurn(t, c)
+			}
 			c.engine.Run(int(tc.from) - 1)
 			if tc.node != model.NoNode {
 				c.nodes[tc.node].SetBehavior(tc.b)
@@ -54,11 +59,11 @@ func TestAuditVerdictsMatchParent(t *testing.T) {
 			c.engine.Run(rounds - int(tc.from) + 1)
 			facts := map[string]bool{}
 			for _, v := range c.verdicts {
-				facts[fmt.Sprintf("rotation=%d %s r%d %v accused=%v accuser=%v",
-					rotation, tc.name, v.Round, v.Kind, v.Accused, v.Reporter)] = true
+				facts[fmt.Sprintf("%s %s r%d %v accused=%v accuser=%v",
+					half.label, tc.name, v.Round, v.Kind, v.Accused, v.Reporter)] = true
 			}
 			if len(facts) == 0 {
-				facts[fmt.Sprintf("rotation=%d %s none", rotation, tc.name)] = true
+				facts[fmt.Sprintf("%s %s none", half.label, tc.name)] = true
 			}
 			for f := range facts {
 				lines = append(lines, f)

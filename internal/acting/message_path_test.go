@@ -216,18 +216,12 @@ type cluster struct {
 // newCluster builds the session on an engine with the given worker count.
 func newCluster(t *testing.T, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
 	t.Helper()
-	return newClusterWith(t, membership.Config{Seed: 7, Fanout: 3, Monitors: 3}, size, workers, intern, behaviors)
-}
-
-// newClusterWith is newCluster over a directory built from mcfg.
-func newClusterWith(t *testing.T, mcfg membership.Config, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
-	t.Helper()
 	c := &cluster{suite: pki.NewFastSuite(), net: transport.NewMemNet(), nodes: map[model.NodeID]*Node{}}
 	ids := make([]model.NodeID, size)
 	for i := range ids {
 		ids[i] = model.NodeID(i + 1)
 	}
-	dir, err := membership.New(ids, mcfg)
+	dir, err := membership.New(ids, membership.Config{Seed: 7, Fanout: 3, Monitors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

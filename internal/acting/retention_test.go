@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/securelog"
 	"repro/internal/transport"
@@ -70,15 +69,51 @@ func TestRetentionStaticMonitors(t *testing.T) {
 	}
 }
 
-// TestAuditFromBaseUnderRotation: monitors re-drawn every 4 rounds audit
-// every 3, so logs are truncated under one set and first audited from
-// their base by the next. No correct node draws a verdict — serially and on
-// four workers.
+// churnSchedule seats new monitors the way a session's churn does: one
+// membership transition at the top of every fourth round from 5 to 25.
+// Node 3 is one of node 4's monitors, so node 4's set changes at 17 and
+// nowhere before.
+var churnSchedule = []struct {
+	round model.Round
+	node  model.NodeID
+	join  bool
+}{
+	{5, 13, false}, {9, 13, true}, {13, 11, false},
+	{17, 3, false}, {21, 11, true}, {25, 3, true},
+}
+
+// withChurn applies churnSchedule to c's directory at round tops. A node
+// that left stays on the engine, idle: it has no successors and monitors
+// nobody until it rejoins.
+func withChurn(t *testing.T, c *cluster) {
+	dir := c.nodes[1].cfg.Directory
+	c.engine.OnRoundStart(func(r model.Round) {
+		for _, ev := range churnSchedule {
+			if ev.round != r {
+				continue
+			}
+			var err error
+			if ev.join {
+				err = dir.Join(ev.node, r)
+			} else {
+				err = dir.Leave(ev.node, r)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestAuditFromBaseUnderRotation: membership transitions every 4 rounds
+// re-seat monitors while audits run every 3, so logs are truncated under
+// one set and first audited from their base by the next. No correct node
+// draws a verdict — serially and on four workers.
 func TestAuditFromBaseUnderRotation(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			mcfg := membership.Config{Seed: 7, Fanout: 3, Monitors: 3, MonitorRotationRounds: 4}
-			c := newClusterWith(t, mcfg, 16, workers, nil, nil)
+			c := newCluster(t, 16, workers, nil, nil)
+			withChurn(t, c)
 			baseReplies := countBaseReplies(c)
 			c.engine.Run(48)
 			if len(c.verdicts) != 0 {
@@ -101,18 +136,18 @@ func TestAuditFromBaseUnderRotation(t *testing.T) {
 // monitor, whose chain check from that base convicts it.
 func TestAuditTamperFromBase(t *testing.T) {
 	const cheat = model.NodeID(4)
-	mcfg := membership.Config{Seed: 7, Fanout: 3, Monitors: 3, MonitorRotationRounds: 4}
-	c := newClusterWith(t, mcfg, 16, 0, nil, nil)
+	c := newCluster(t, 16, 0, nil, nil)
+	withChurn(t, c)
 	dir := c.nodes[cheat].cfg.Directory
-	c.engine.Run(15) // audits at 12 and 15 share rotation epoch 3: truncated at 15
+	c.engine.Run(15) // audits at 12 and 15 under one monitor set: truncated at 15
 	base := c.nodes[cheat].log.Base()
+	c.nodes[cheat].SetBehavior(Behavior{TamperLog: true})
+	c.engine.Run(3) // node 3 leaves at 17: its successor in the set audits at 18
 	before, after := dir.Monitors(cheat, 15), dir.Monitors(cheat, 18)
 	seated := slices.DeleteFunc(slices.Clone(after), func(m model.NodeID) bool { return slices.Contains(before, m) })
 	if base == 0 || len(seated) == 0 {
 		t.Fatalf("setup: base %d, monitors %v at round 15 and %v at 18", base, before, after)
 	}
-	c.nodes[cheat].SetBehavior(Behavior{TamperLog: true})
-	c.engine.Run(3)
 
 	want := fmt.Sprintf("seq %d fails", base+1)
 	for _, v := range c.verdicts {

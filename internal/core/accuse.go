@@ -130,8 +130,11 @@ func (n *Node) serveForAccusation(succ model.NodeID, ex *sendExchange) {
 		To:    succ,
 		KPrev: n.sendCur.kPrev.Bytes(),
 	}
-	for _, it := range n.sendCur.items {
-		srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
+	if items := n.sendCur.items; len(items) > 0 {
+		srv.Full = make([]wire.ServedUpdate, len(items))
+		for i, it := range items {
+			srv.Full[i] = wire.ServedUpdate{Update: it.upd, Count: it.count}
+		}
 	}
 	cipher, err := n.sealServe(succ, srv)
 	if err != nil {

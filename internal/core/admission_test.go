@@ -30,7 +30,6 @@ var admissionKinds = []uint8{
 	wire.KindAck, wire.KindAckCopy, wire.KindAttForward, wire.KindHashShare,
 	wire.KindAckForward, wire.KindNodeDigest, wire.KindAccusation, wire.KindProbe,
 	wire.KindConfirm, wire.KindNack, wire.KindAckRequest, wire.KindAckExhibit,
-	wire.KindObligationHandover,
 }
 
 // monitorKind reports whether kind is one a node receives as a monitor.
@@ -166,8 +165,6 @@ func admissionMessage(t testing.TB, h *harness, c admissionCast, kind uint8, s m
 		m = &wire.AckRequest{Round: r, From: s, Succ: c.x}
 	case wire.KindAckExhibit:
 		m = &wire.AckExhibit{Round: r, From: s, Succ: c.x}
-	case wire.KindObligationHandover:
-		m = &wire.ObligationHandover{Round: r, From: s, Monitored: c.y, Obligation: hv}
 	default:
 		t.Fatalf("no message for kind %d", kind)
 	}
@@ -337,6 +334,33 @@ func TestOutOfWindowMonitorMessagesLeaveNoState(t *testing.T) {
 			h.engine.Run(3)
 			h.requireNoVerdictsExcept()
 		})
+	}
+}
+
+// TestRetiredKindIsUnknown: a correctly signed frame of the retired kind
+// 17, from a monitor of a node the receiver monitors — the sender an
+// obligation transfer between monitors once came from — is an unknown kind
+// like any other: one BadMessage verdict against its sender, nothing sent
+// and no monitor state kept.
+func TestRetiredKindIsUnknown(t *testing.T) {
+	const b = model.NodeID(3)
+	h := newHarness(t, 16, 2)
+	h.engine.Run(int(admissionRound))
+	node := h.nodes[b]
+	c := newAdmissionCast(t, h, b, admissionRound)
+	from := slices.DeleteFunc(h.dir.Monitors(c.y, admissionRound), func(z model.NodeID) bool { return z == b })[0]
+	rounds, pending := node.MonitorRounds(), h.net.PendingCount()
+	node.HandleMessage(transport.Message{From: from, To: b, Kind: wire.KindObligationHandover,
+		Payload: retiredFrame(t, h.identities[from], admissionRound, from, c.y)})
+	if len(h.verdicts) != 1 || h.verdicts[0].Kind != core.VerdictBadMessage ||
+		h.verdicts[0].Detail != "unknown kind 17" || h.verdicts[0].Accused != from {
+		t.Fatalf("verdicts %v, want one BadMessage \"unknown kind 17\" against %v", h.verdicts, from)
+	}
+	if sent := h.net.PendingCount() - pending; sent != 0 {
+		t.Errorf("the node sent %d messages", sent)
+	}
+	if after := node.MonitorRounds(); !slices.Equal(after, rounds) {
+		t.Errorf("monitor state went from rounds %v to %v", rounds, after)
 	}
 }
 

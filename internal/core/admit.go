@@ -107,7 +107,6 @@ const (
 	nackMonitors                   // the sender monitors the accused, this node the accuser
 	accusedMonitored               // this node monitors the accused
 	fromPredOfAccused              // the sender is a predecessor of the accused
-	handoverMonitors               // the sender monitored the node; this node takes it over
 )
 
 // serveChecks bound a Serve's items and K(R−1) before asking who sent it.
@@ -147,8 +146,6 @@ var rules = [maxWireKind + 1]rule{
 		window: exchangeRound, checks: []check{fromMonitor}},
 	wire.KindAckExhibit: {name: "AckExhibit", decode: decoder(wire.UnmarshalAckExhibit),
 		window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
-	wire.KindObligationHandover: {name: "ObligationHandover", decode: decoder(wire.UnmarshalObligationHandover),
-		window: monitorRound, mute: silentMonitor, checks: []check{handoverMonitors}},
 }
 
 // The messages that arrive inside another are admitted when they arrive,
@@ -233,8 +230,6 @@ func (n *Node) handle(msg transport.Message) {
 		n.onAckRequest(in.m.(*wire.AckRequest))
 	case wire.KindAckExhibit:
 		n.mon.onAckExhibit(in.m.(*wire.AckExhibit))
-	case wire.KindObligationHandover:
-		n.mon.onObligationHandover(in.m.(*wire.ObligationHandover))
 	}
 }
 
@@ -419,12 +414,6 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 		if !slices.Contains(d.Predecessors(in.m.(*wire.Accusation).Against, h.Round), h.From) {
 			return false, "accusation from a non-predecessor"
 		}
-	case handoverMonitors:
-		// Only an outgoing monitor may hand over, and only to one without
-		// a baseline of its own.
-		y := in.m.(*wire.ObligationHandover).Monitored
-		return d.IsMonitorOf(h.From, y, h.Round) && d.IsMonitorOf(n.id, y, h.Round+1) &&
-			!d.IsMonitorOf(n.id, y, h.Round), ""
 	}
 	return true, ""
 }

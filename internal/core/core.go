@@ -81,10 +81,10 @@ type Behavior struct {
 	// bandwidth. 0 disables.
 	SkipServeEvery int
 	// SkipServeOnRotation makes the node skip every serve, but only in
-	// rounds whose monitor epoch just changed — the publicly computable
-	// rounds where, without obligation handover, the forwarding check is
-	// suspended system-wide. A strategic free-rider: behaves perfectly
-	// except exactly where the pre-handover accountability was blind.
+	// rounds whose membership epoch just opened — the publicly computable
+	// rounds where a monitor newly seated at the transition has no
+	// baseline and skips its forwarding check. A strategic free-rider:
+	// the monitors that stay across the boundary still convict it.
 	SkipServeOnRotation bool
 	// DropUpdates makes the node silently drop this many updates from
 	// every Serve while attesting only what it sends — saving payload

@@ -126,7 +126,20 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	if len(bm) > 0 {
 		tags = n.tagsOf(s, prime)
 	}
-	// Partition into payloads vs refs via the buffermap.
+	// Partition into payloads vs refs via the buffermap, each list
+	// allocated once at its length.
+	refs := 0
+	for _, tag := range tags {
+		if bm.Contains(tag) {
+			refs++
+		}
+	}
+	if refs > 0 {
+		srv.Refs = make([]wire.ServedRef, 0, refs)
+	}
+	if full := len(items) - refs; full > 0 {
+		srv.Full = make([]wire.ServedUpdate, 0, full)
+	}
 	for i, it := range items {
 		if tags != nil && bm.Contains(tags[i]) {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})

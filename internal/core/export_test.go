@@ -32,8 +32,8 @@ func (n *Node) ParkedShellsHoldContent() bool {
 }
 
 // MonitorRounds returns every round the node's monitor role holds state
-// for — in its per-round records, ack copies, probes or handovers — in
-// ascending order.
+// for — in its per-round records, ack copies or probes — in ascending
+// order.
 func (n *Node) MonitorRounds() []model.Round {
 	var rs []model.Round
 	for r := range n.mon.rounds {
@@ -44,9 +44,6 @@ func (n *Node) MonitorRounds() []model.Round {
 	}
 	for k := range n.mon.probes {
 		rs = append(rs, k.round)
-	}
-	for r := range n.mon.handovers {
-		rs = append(rs, r)
 	}
 	slices.Sort(rs)
 	return slices.Compact(rs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hhash"
@@ -142,6 +143,48 @@ func TestServedFoldAllocations(t *testing.T) {
 	}
 	if small, large := allocs(20), allocs(200); small != large {
 		t.Fatalf("a fold of 20 items allocates %.0f objects, of 200 %.0f", small, large)
+	}
+}
+
+// TestServeAllocations: serving a successor whose buffermap holds every
+// other item costs the same allocations for 20 items as for 200 — the
+// Serve's payload and reference lists are each allocated once — and so
+// does the full Serve an accusation records.
+func TestServeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const succ = model.NodeID(7)
+	allocs := func(size int) (serve, accusation float64) {
+		c := newAttestationCheck(t, 5)
+		servedRound(t, c, size, 3)
+		n := c.node
+		if _, err := n.sh.Suite.(*pki.FastSuite).NewIdentity(succ); err != nil {
+			t.Fatal(err)
+		}
+		s := getTagScratch()
+		for _, it := range n.sendCur.items {
+			s.embeds = append(s.embeds, it.embed)
+		}
+		var bm update.BufferMap
+		for i, tag := range n.tagsOf(s, c.prime) {
+			if i%2 == 0 {
+				bm = append(bm, tag)
+			}
+		}
+		s.release()
+		slices.Sort(bm)
+		serve = testing.AllocsPerRun(20, func() { n.serve(succ, &sendExchange{}, c.prime, bm) })
+		accusation = testing.AllocsPerRun(20, func() { n.serveForAccusation(succ, &sendExchange{}) })
+		return serve, accusation
+	}
+	smallServe, smallAcc := allocs(20)
+	largeServe, largeAcc := allocs(200)
+	if smallServe != largeServe {
+		t.Errorf("serving 20 items allocates %.0f objects, 200 items %.0f", smallServe, largeServe)
+	}
+	if smallAcc != largeAcc {
+		t.Errorf("an accusation's Serve of 20 items allocates %.0f objects, of 200 %.0f", smallAcc, largeAcc)
 	}
 }
 

@@ -84,8 +84,26 @@ func tamperCases(t testing.TB, h *harness) []tamperCase {
 		{wire.KindNack, &wire.Nack{Round: round, From: a, Accuser: x, Against: y}, false},
 		{wire.KindAckRequest, &wire.AckRequest{Round: round, From: a, Succ: y}, false},
 		{wire.KindAckExhibit, &wire.AckExhibit{Round: round, From: a, Succ: y, AckBytes: ack}, false},
-		{wire.KindObligationHandover, &wire.ObligationHandover{Round: round, From: a, Monitored: y, Obligation: hv}, false},
 	}
+}
+
+// retiredFrame is a frame of the retired kind 17 signed by id: the layout
+// its message had (round, sender, monitored node, obligation, suspect flag),
+// which no node decodes any more.
+func retiredFrame(t testing.TB, id pki.Identity, r model.Round, from, y model.NodeID) []byte {
+	t.Helper()
+	w := wire.GetWriter()
+	defer w.Release()
+	w.U8(wire.KindObligationHandover)
+	w.U64(uint64(r))
+	w.U32(uint32(from))
+	w.U32(uint32(y))
+	w.Bytes(bytes.Repeat([]byte{7}, 16))
+	w.Bool(false)
+	if err := w.Sign(id); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(w.Finish())
 }
 
 // TestTamperSweepVerdicts delivers one correctly signed message of every
@@ -207,6 +225,7 @@ func FuzzHandleMessage(f *testing.F) {
 		}
 		f.Add(c.kind, payload)
 	}
+	f.Add(wire.KindObligationHandover, retiredFrame(f, h.identities[tamperSigner], tamperRound, tamperSigner, 5))
 	node := h.nodes[tamperReceiver]
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		malformed := !node.Decodes(kind, payload)

@@ -89,24 +89,6 @@ type probeKey struct {
 	round   model.Round
 }
 
-// handoverRec is one outgoing monitor's obligation transfer for a
-// monitored node, received at a monitor-rotation boundary.
-type handoverRec struct {
-	from    model.NodeID
-	value   *big.Int
-	suspect bool
-	// enc is the wire encoding of value — the deterministic vote key.
-	enc []byte
-}
-
-// voteKey collapses identical (value, suspect) transfers into one ballot.
-func (h handoverRec) voteKey() string {
-	if h.suspect {
-		return "s" + string(h.enc)
-	}
-	return "o" + string(h.enc)
-}
-
 // monitorState is the monitor-role state of a node.
 type monitorState struct {
 	n *Node
@@ -114,17 +96,13 @@ type monitorState struct {
 	// monitored caches the inverse monitor relation for the current
 	// epoch: the nodes this node is responsible for.
 	monitored      []model.NodeID
-	monitoredEpoch model.Round
+	monitoredEpoch int
 	monitoredValid bool
 
 	rounds map[model.Round]map[model.NodeID]*monNodeRound
 	// ackCopies holds message-6 payloads keyed by (monitored, pred).
 	ackCopies map[model.Round]map[[2]model.NodeID][]byte
 	probes    map[probeKey]bool // true = resolved
-	// handovers holds obligation transfers from outgoing monitors, keyed
-	// by (obligation round, monitored node) — the forwarding-check
-	// baseline for nodes this monitor took over at a rotation boundary.
-	handovers map[model.Round]map[model.NodeID][]handoverRec
 }
 
 func newMonitorState(n *Node) *monitorState {
@@ -133,7 +111,6 @@ func newMonitorState(n *Node) *monitorState {
 		rounds:    make(map[model.Round]map[model.NodeID]*monNodeRound),
 		ackCopies: make(map[model.Round]map[[2]model.NodeID][]byte),
 		probes:    make(map[probeKey]bool),
-		handovers: make(map[model.Round]map[model.NodeID][]handoverRec),
 	}
 }
 
@@ -151,8 +128,8 @@ func (m *monitorState) state(r model.Round, y model.NodeID) *monNodeRound {
 	return st
 }
 
-// beginRound refreshes the inverse monitor index when the monitor epoch
-// changes (with static monitors the scan happens exactly once).
+// beginRound refreshes the inverse monitor index when the membership epoch
+// changes (without churn the scan happens exactly once).
 func (m *monitorState) beginRound(r model.Round) {
 	epoch := m.n.sh.Directory.MonitorEpoch(r)
 	if m.monitoredValid && m.monitoredEpoch == epoch {
@@ -395,11 +372,10 @@ func (m *monitorState) verify(r model.Round) {
 		}
 	}
 
-	// Monitor-epoch boundary check, hoisted: when the monitor epoch did
-	// not move between r-1 and r (the overwhelmingly common case),
-	// membership and monitor assignments are identical in both rounds and
-	// the baseline resolution below always takes the own-accumulation
-	// fast path — skip its O(N) recomputations.
+	// Epoch boundary check, hoisted: when the membership epoch did not
+	// move between r-1 and r (the overwhelmingly common case), monitor
+	// assignments are identical in both rounds and the baseline is always
+	// the own accumulation — skip baseline's O(N) recomputations.
 	boundary := r > 0 &&
 		m.n.sh.Directory.MonitorEpoch(r) != m.n.sh.Directory.MonitorEpoch(r-1)
 
@@ -412,13 +388,11 @@ func (m *monitorState) verify(r model.Round) {
 		if y == m.n.sh.Source {
 			continue
 		}
-		// Baseline resolution: a monitor's own accumulation, or — when it
-		// took over y at this round's epoch boundary — the obligation the
-		// outgoing monitors handed over. A suspect baseline (the digest
-		// cross-check proved it incomplete) must not convict: it would
-		// frame an honest forwarder. No baseline at all (y joined this
-		// round, or no handover arrived after churn re-seating) skips the
-		// check, exactly as before the handover protocol.
+		// The baseline is the monitor's own round-(r-1) accumulation. A
+		// suspect one (the digest cross-check proved it incomplete) must
+		// not convict: it would frame an honest forwarder. None at all (y
+		// joined this round, or this monitor was seated at this round's
+		// epoch boundary) skips the check; y's staying monitors make it.
 		prev, suspect, ok := m.baseline(r, y, boundary)
 		if !ok || suspect {
 			continue
@@ -461,121 +435,20 @@ func (m *monitorState) obligationOf(r model.Round, y model.NodeID) *big.Int {
 
 // baseline resolves the round-(r-1) obligation that y's round-r forwarding
 // is verified against, with its suspect flag; ok=false means no baseline
-// exists and the check must be skipped. Off an epoch boundary (or when
-// this monitor already monitored y at r-1) it is the monitor's own
-// accumulation; on a boundary where this monitor took over, it is the
-// majority of the outgoing monitors' handovers.
+// exists and the check must be skipped. Off an epoch boundary, or when
+// this monitor already monitored y at r-1, it is the monitor's own
+// accumulation. A monitor seated at the boundary, or one whose y joined
+// there, has none.
 func (m *monitorState) baseline(r model.Round, y model.NodeID, boundary bool) (prev *big.Int, suspect, ok bool) {
-	if boundary && !m.n.sh.Directory.ContainsAt(y, r-1) {
-		return nil, false, false // joined this round: no r-1 obligation at all
-	}
-	if !boundary || m.n.sh.Directory.IsMonitorOf(m.n.id, y, r-1) {
-		if per, ok := m.rounds[r-1]; ok {
-			if prevSt, ok := per[y]; ok {
-				suspect = prevSt.suspect
-			}
-		}
-		return m.obligationOf(r-1, y), suspect, true
-	}
-	return m.handedBaseline(r-1, y)
-}
-
-// handedBaseline returns the quorum obligation among the handover
-// transfers received for (r, y): the winning (value, suspect) ballot
-// must be backed by a majority of y's round-r monitor set, so one
-// malicious — or merely the only one whose transfer survived a lossy
-// path — outgoing monitor can never dictate a conviction baseline;
-// below quorum the check is skipped, exactly the safe pre-handover
-// behaviour. The vote is order-independent (counts per encoded value,
-// ties broken on the smaller key), so the result never depends on
-// message arrival order — byte-identity at any worker count requires
-// it.
-func (m *monitorState) handedBaseline(r model.Round, y model.NodeID) (*big.Int, bool, bool) {
-	recs := m.handovers[r][y]
-	if len(recs) == 0 {
+	if boundary && (!m.n.sh.Directory.ContainsAt(y, r-1) || !m.n.sh.Directory.IsMonitorOf(m.n.id, y, r-1)) {
 		return nil, false, false
 	}
-	votes := make(map[string]int, len(recs))
-	byKey := make(map[string]handoverRec, len(recs))
-	for _, rec := range recs {
-		k := rec.voteKey()
-		votes[k]++
-		byKey[k] = rec
-	}
-	var bestKey string
-	best := -1
-	for k, n := range votes {
-		if n > best || (n == best && k < bestKey) {
-			best, bestKey = n, k
+	if per, ok := m.rounds[r-1]; ok {
+		if prevSt, ok := per[y]; ok {
+			suspect = prevSt.suspect
 		}
 	}
-	if quorum := len(m.n.sh.Directory.Monitors(y, r)) / 2; best <= quorum {
-		return nil, false, false
-	}
-	win := byKey[bestKey]
-	return win.value, win.suspect, true
-}
-
-// handover runs at CloseRound(r): when the monitor epoch rotates at r+1,
-// every outgoing monitor transfers its accumulated round-r obligations to
-// the monitors taking over, so the rotation round stays covered by the
-// forwarding check instead of opening the pre-handover gap (a free-rider
-// could skip serves exactly on rotation rounds and never be convicted).
-// Membership churn landing at r+1 is not yet visible here — handover
-// targets are computed from the current epoch — but churn re-seats
-// monitors one node at a time (rendezvous stickiness), so the system-wide
-// blind round only ever came from rotation.
-func (m *monitorState) handover(r model.Round) {
-	d := m.n.sh.Directory
-	if d.MonitorEpoch(r+1) == d.MonitorEpoch(r) {
-		return
-	}
-	for _, y := range m.monitored {
-		if y == m.n.sh.Source {
-			continue
-		}
-		st := m.state(r, y)
-		enc, err := m.n.sh.HashParams.EncodeValue(m.obligationOf(r, y))
-		if err != nil {
-			continue
-		}
-		ho := &wire.ObligationHandover{
-			Round:      r,
-			From:       m.n.id,
-			Monitored:  y,
-			Obligation: enc,
-			Suspect:    st.suspect,
-		}
-		var incoming []model.NodeID
-		for _, peer := range d.Monitors(y, r+1) {
-			if peer == m.n.id || d.IsMonitorOf(peer, y, r) {
-				continue // staying monitors keep their own accumulation
-			}
-			incoming = append(incoming, peer)
-		}
-		m.n.signAndSendAll(incoming, ho)
-	}
-}
-
-// onObligationHandover stores an outgoing monitor's obligation transfer.
-func (m *monitorState) onObligationHandover(ho *wire.ObligationHandover) {
-	v, err := m.n.sh.HashParams.DecodeValue(ho.Obligation)
-	if err != nil {
-		return
-	}
-	per, ok := m.handovers[ho.Round]
-	if !ok {
-		per = make(map[model.NodeID][]handoverRec)
-		m.handovers[ho.Round] = per
-	}
-	for _, rec := range per[ho.Monitored] {
-		if rec.from == ho.From {
-			return // duplicate transfer
-		}
-	}
-	per[ho.Monitored] = append(per[ho.Monitored], handoverRec{
-		from: ho.From, value: v, suspect: ho.Suspect, enc: bytes.Clone(ho.Obligation),
-	})
+	return m.obligationOf(r-1, y), suspect, true
 }
 
 // blameDigestMismatch attributes a digest/obligation conflict: if the
@@ -629,8 +502,7 @@ func (m *monitorState) judge(r model.Round) {
 		}
 
 		// Investigations exist only where verify resolved a baseline; the
-		// same resolution (own accumulation or handover majority) applies
-		// at judgement.
+		// same resolution applies at judgement.
 		prev, _, okBase := m.baseline(r, y, boundary)
 		if !okBase {
 			prev = big.NewInt(1)
@@ -725,11 +597,6 @@ func (m *monitorState) gc(r model.Round) {
 	for key := range m.probes {
 		if key.round+monitorKeep < r {
 			delete(m.probes, key)
-		}
-	}
-	for rr := range m.handovers {
-		if rr+monitorKeep < r {
-			delete(m.handovers, rr)
 		}
 	}
 }

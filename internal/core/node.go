@@ -181,7 +181,7 @@ type Node struct {
 
 // maxWireKind bounds the per-kind counter table (wire kinds are 1-based
 // and dense).
-const maxWireKind = wire.KindObligationHandover
+const maxWireKind = wire.KindAckExhibit
 
 // NewNode builds a PAG node from a validated Config.
 func NewNode(cfg Config) (*Node, error) {
@@ -363,8 +363,8 @@ func (n *Node) BeginRound(r model.Round) {
 	n.mon.beginRound(r)
 
 	// A rotation dodger skips all serves exactly in the rounds whose
-	// monitor epoch moved — the rounds the pre-handover forwarding check
-	// could not cover.
+	// membership epoch moved, where a newly seated monitor of it has no
+	// baseline to check them against.
 	dodge := n.cfg.Behavior.SkipServeOnRotation && r > 1 &&
 		n.sh.Directory.MonitorEpoch(r) != n.sh.Directory.MonitorEpoch(r-1)
 
@@ -393,7 +393,7 @@ func (n *Node) BeginRound(r model.Round) {
 		}
 	}
 
-	// Replay messages of this round that arrived before the rotation
+	// Replay messages of this round that arrived before it began
 	// (normal phase skew over a real network).
 	replay := n.deferred
 	n.deferred = nil
@@ -458,10 +458,6 @@ func (n *Node) EndRound(r model.Round) {
 func (n *Node) CloseRound(r model.Round) {
 	if !n.cfg.Behavior.SilentMonitor {
 		n.mon.judge(r)
-		// Judgement settled the round's suspect flags; if the monitor
-		// epoch rotates at r+1, hand the accumulated obligations to the
-		// incoming monitors before they are needed.
-		n.mon.handover(r)
 	}
 
 	// Deliver everything whose playback deadline has arrived.

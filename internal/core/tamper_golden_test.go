@@ -75,10 +75,6 @@ var tamperVerdictsAtParent = map[string]map[string]int{
 		"BadMessage/bad signature on NodeDigest/n2": 280,
 		"dropped silently":                          13,
 	},
-	"ObligationHandover": {
-		"BadMessage/bad signature on ObligationHandover/n2": 285,
-		"dropped silently": 13,
-	},
 	"Probe": {
 		"BadMessage/bad signature on Probe/n2": 1507,
 		"dropped silently":                     25,

@@ -186,7 +186,7 @@ func Fig7(opt Options) (Result, error) {
 	}
 	fmt.Fprintf(&b, "\nPAG bytes received per node per round, by wire kind\n")
 	fmt.Fprintf(&b, "%-20s %-12s %-8s %-8s\n", "kind", "B/node/round", "kbps", "share(%)")
-	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+	for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 		if v := pagGot.byKind[wire.KindName(k)]; v > 0 {
 			fmt.Fprintf(&b, "%-20s %-12.0f %-8.1f %-8.1f\n", wire.KindName(k), v,
 				v*8/1000/model.RoundDurationSeconds, 100*v/total)

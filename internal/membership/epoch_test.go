@@ -9,22 +9,7 @@ import (
 func TestMonitorEpochStatic(t *testing.T) {
 	d := newDir(t, 20, Config{Seed: 1})
 	if d.MonitorEpoch(1) != 0 || d.MonitorEpoch(999) != 0 {
-		t.Fatal("static monitors should have a constant epoch")
-	}
-}
-
-func TestMonitorEpochRotating(t *testing.T) {
-	d := newDir(t, 20, Config{Seed: 1, MonitorRotationRounds: 10})
-	cases := []struct {
-		r    model.Round
-		want model.Round
-	}{
-		{0, 0}, {9, 0}, {10, 1}, {19, 1}, {20, 2},
-	}
-	for _, c := range cases {
-		if got := d.MonitorEpoch(c.r); got != c.want {
-			t.Errorf("MonitorEpoch(%v) = %v, want %v", c.r, got, c.want)
-		}
+		t.Fatal("without churn the epoch should be constant")
 	}
 }
 
@@ -123,7 +108,7 @@ func TestMembershipMutationValidation(t *testing.T) {
 
 // TestMonitorEpochChangesOnMembership: MonitorEpoch is the cache key
 // protocol nodes use to refresh their inverse monitor index; it must move
-// at membership transitions even with static monitor rotation.
+// at membership transitions.
 func TestMonitorEpochChangesOnMembership(t *testing.T) {
 	d := newDir(t, 20, Config{Seed: 9})
 	e0 := d.MonitorEpoch(4)

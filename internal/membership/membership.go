@@ -28,10 +28,6 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMonitorRotationRounds is how often monitor sets are re-drawn.
-// Zero means static monitors for the whole session.
-const DefaultMonitorRotationRounds = 0
-
 // Config parameterises a Directory.
 type Config struct {
 	// Seed is the shared randomness all nodes derive assignments from.
@@ -41,9 +37,6 @@ type Config struct {
 	// Monitors is the number of monitors per node (f_m; the paper uses
 	// the same value as the fanout, §VII-A).
 	Monitors int
-	// MonitorRotationRounds re-draws monitor sets every given number of
-	// rounds; 0 keeps them static.
-	MonitorRotationRounds int
 	// Metrics optionally attaches the observability registry: epoch
 	// transitions, joins, leaves, evictions and quarantine rejections
 	// are counted, and the current member count is a gauge (membership
@@ -77,8 +70,8 @@ type Directory struct {
 	epochs []*epoch                   // append-only, non-decreasing starts
 	views  map[model.Round]*RoundView // small LRU by round
 
-	// monitors memoises Monitors() per (membership epoch, rotation epoch,
-	// node): the rendezvous scan is O(N) per call and monitor lookups are
+	// monitors memoises Monitors() per (membership epoch, node): the
+	// rendezvous scan is O(N) per call and monitor lookups are
 	// the hottest directory read the accountability checks make.
 	monitors map[monKey][]model.NodeID
 
@@ -114,7 +107,6 @@ func (e *QuarantineError) Error() string {
 // monKey identifies one memoised monitor set.
 type monKey struct {
 	epoch int
-	rot   model.Round
 	node  model.NodeID
 }
 
@@ -497,27 +489,18 @@ func (d *Directory) ExchangeSlot(pred, succ model.NodeID, r model.Round) (slot i
 	return min(rank, d.cfg.Fanout-1), ok
 }
 
-// MonitorEpoch returns the monitor-assignment epoch of round r: the value
-// that changes exactly when monitor sets are re-drawn — every
-// MonitorRotationRounds rounds, and at every membership transition.
-func (d *Directory) MonitorEpoch(r model.Round) model.Round {
+// MonitorEpoch returns the membership epoch of round r. Monitor sets are
+// drawn per membership epoch, so they can change only where it does: at a
+// join, leave or eviction, which all take effect at a round top.
+func (d *Directory) MonitorEpoch(r model.Round) int {
 	d.mu.RLock()
-	membership := d.epochFor(r).seq
-	d.mu.RUnlock()
-	return d.rotationEpoch(r) + model.Round(membership)<<32
-}
-
-func (d *Directory) rotationEpoch(r model.Round) model.Round {
-	if p := d.cfg.MonitorRotationRounds; p > 0 {
-		return r / model.Round(p)
-	}
-	return 0
+	defer d.mu.RUnlock()
+	return d.epochFor(r).seq
 }
 
 // Monitors returns the monitor set M(x) in effect at round r: the
 // MonitorCount members with the lowest deterministic rendezvous scores for
-// (x, rotation epoch). Rendezvous hashing keeps assignments sticky under
-// churn — a membership transition only changes M(x) when one of x's
+// x. Rendezvous hashing keeps assignments sticky under churn — a membership transition only changes M(x) when one of x's
 // monitors actually left (the next-ranked member takes over) or a joiner
 // ranks into the set — which is what lets monitors carry their accumulated
 // obligations across epoch boundaries instead of re-drawing wholesale
@@ -525,16 +508,15 @@ func (d *Directory) rotationEpoch(r model.Round) model.Round {
 func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 	d.mu.RLock()
 	ep := d.epochFor(r)
-	key := monKey{epoch: ep.seq, rot: d.rotationEpoch(r), node: x}
+	key := monKey{epoch: ep.seq, node: x}
 	memo, hit := d.monitors[key]
 	d.mu.RUnlock()
 	if hit {
 		return copyIDs(memo)
 	}
-	rot := uint64(key.rot)
 	k := d.cfg.Monitors
 
-	base := d.cfg.Seed ^ uint64(x)*0x9E3779B97F4A7C15 ^ rot*0xBF58476D1CE4E5B9 ^ 0x300717035
+	base := d.cfg.Seed ^ uint64(x)*0x9E3779B97F4A7C15 ^ 0x300717035
 	type scored struct {
 		id    model.NodeID
 		score uint64
@@ -568,14 +550,14 @@ func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 
 	d.mu.Lock()
-	// Keep the memo bounded by evicting entries from other membership or
-	// rotation epochs — long-gone ones are never asked for again, and
+	// Keep the memo bounded by evicting entries from other membership
+	// epochs — long-gone ones are never asked for again, and
 	// the handful of boundary queries (a monitor checking round r−1 just
 	// after a transition) rebuild cheaply. The current epoch's hot
 	// entries survive, so steady state never rescans.
 	if len(d.monitors) > 8*len(ep.nodes)+64 {
 		for k := range d.monitors {
-			if k.epoch != key.epoch || k.rot != key.rot {
+			if k.epoch != key.epoch {
 				delete(d.monitors, k)
 			}
 		}

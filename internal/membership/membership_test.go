@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -250,27 +251,52 @@ func TestMonitorsStaticByDefault(t *testing.T) {
 	}
 }
 
-func TestMonitorRotation(t *testing.T) {
-	d := newDir(t, 30, Config{Seed: 17, MonitorRotationRounds: 10})
-	m1 := d.Monitors(4, 1)
-	m2 := d.Monitors(4, 5) // same epoch
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatal("monitors changed within an epoch")
-		}
-	}
-	changed := false
-	for e := 1; e <= 5 && !changed; e++ {
-		m3 := d.Monitors(4, model.Round(10*e+1))
-		for i := range m1 {
-			if m1[i] != m3[i] {
-				changed = true
-				break
+// monitorsAtSeed17 is Monitors(x, r) for x = 1…30 over 30 members at seed
+// 17, as recorded before monitor rotation was removed: dropping rotation
+// must move no monitor set.
+var monitorsAtSeed17 = map[model.NodeID][]model.NodeID{
+	1:  {9, 11, 27},
+	2:  {18, 23, 27},
+	3:  {1, 23, 26},
+	4:  {9, 10, 25},
+	5:  {7, 15, 18},
+	6:  {14, 29, 30},
+	7:  {2, 17, 30},
+	8:  {2, 7, 20},
+	9:  {6, 19, 20},
+	10: {4, 7, 16},
+	11: {5, 6, 12},
+	12: {4, 23, 28},
+	13: {1, 9, 30},
+	14: {3, 12, 27},
+	15: {6, 7, 30},
+	16: {12, 17, 20},
+	17: {3, 8, 12},
+	18: {8, 11, 27},
+	19: {8, 18, 23},
+	20: {1, 10, 12},
+	21: {5, 12, 24},
+	22: {2, 4, 28},
+	23: {1, 9, 15},
+	24: {5, 8, 17},
+	25: {15, 26, 29},
+	26: {12, 20, 23},
+	27: {3, 4, 21},
+	28: {2, 6, 29},
+	29: {1, 4, 23},
+	30: {5, 10, 28},
+}
+
+// TestMonitorsPinned: with membership fixed, every monitor set is the same
+// at every round and equal to the recorded one.
+func TestMonitorsPinned(t *testing.T) {
+	d := newDir(t, 30, Config{Seed: 17})
+	for _, r := range []model.Round{1, 50, 1_000_000} {
+		for x := model.NodeID(1); x <= 30; x++ {
+			if got := d.Monitors(x, r); !slices.Equal(got, monitorsAtSeed17[x]) {
+				t.Errorf("Monitors(%v, %v) = %v, recorded %v", x, r, got, monitorsAtSeed17[x])
 			}
 		}
-	}
-	if !changed {
-		t.Fatal("monitors never rotated across epochs")
 	}
 }
 

@@ -84,10 +84,11 @@ const (
 	// accountability infrastructure (PAG: silent monitor + no reports;
 	// AcTinG: refuse audits).
 	ProfileColluder BehaviorProfile = "colluder"
-	// ProfileRotationDodger free-rides only in the rounds where the
-	// pre-handover accountability was blind (PAG: skip serves exactly on
-	// monitor-rotation rounds; AcTinG has no rotation concept and maps
-	// it to its plain free-rider knob).
+	// ProfileRotationDodger free-rides only in the rounds where a
+	// membership transition re-seats monitors (PAG: skip serves exactly
+	// in the rounds a membership epoch opens, where a newly seated
+	// monitor has no baseline; the staying monitors still check. AcTinG
+	// maps it to its plain free-rider knob).
 	ProfileRotationDodger BehaviorProfile = "rotation-dodger"
 )
 

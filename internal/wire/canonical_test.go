@@ -42,7 +42,6 @@ func sampleMessages() []BodyMessage {
 		&AckRequest{Round: 4, From: 6, Succ: 2, Sig: sig},
 		&AckExhibit{Round: 4, From: 1, Succ: 2, AckBytes: []byte("ack"), Sig: sig},
 		&AckExhibit{Round: 4, From: 1, Succ: 2, Accused: true, Sig: sig},
-		&ObligationHandover{Round: 4, From: 5, Monitored: 2, Obligation: []byte{3, 1, 4}, Suspect: true, Sig: sig},
 	}
 }
 
@@ -99,13 +98,24 @@ func TestDecodeIsCanonical(t *testing.T) {
 			}
 		}
 	}
-	for k := KindKeyRequest; k <= KindObligationHandover; k++ {
+	for k := KindKeyRequest; k <= KindAckExhibit; k++ {
 		// An AckCopy is an Ack under another envelope kind.
 		if k != KindAckCopy && !covered[KindName(k)] {
 			t.Errorf("no sample message of kind %s", KindName(k))
 		}
 	}
+	if checkCanonical(t, retiredFrame) {
+		t.Error("a decoder accepts a frame of the retired kind 17")
+	}
 }
+
+// retiredFrame is a frame of the retired kind 17: round 4, sender 5,
+// monitored node 2, an obligation and a suspect flag, signed like the
+// samples — the encoding its message had before the kind was retired.
+var retiredFrame = append([]byte{
+	KindObligationHandover, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 2, 0, 0, 0,
+	3, 3, 1, 4, 1, 0, 0, 0, 32,
+}, bytes.Repeat([]byte{0x5A}, 32)...)
 
 // keyResponseWith encodes a KeyResponse whose buffermap is the declared
 // count followed by tail, whatever those are.
@@ -172,6 +182,7 @@ func FuzzDecodeIsCanonical(f *testing.F) {
 	for _, enc := range nonCanonicalKeyResponses() {
 		f.Add(enc)
 	}
+	f.Add(retiredFrame)
 	f.Fuzz(func(t *testing.T, b []byte) { checkCanonical(t, b) })
 }
 

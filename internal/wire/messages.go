@@ -27,11 +27,11 @@ const (
 	KindNack        uint8 = 14 // §IV-A: M(B) → M(A), B unresponsive
 	KindAckRequest  uint8 = 15 // §IV-A: M(A) demands the Ack from A
 	KindAckExhibit  uint8 = 16 // §IV-A: A's reply
-	// KindObligationHandover is beyond the paper: at a monitor-rotation
-	// boundary, an outgoing monitor transfers its accumulated obligation
-	// for a monitored node to the incoming monitors, closing the
-	// rotation-round gap in the forwarding check (see ROADMAP "Monitor
-	// obligation handover").
+	// KindObligationHandover is retired: it numbered an obligation
+	// transfer between monitors at a monitor-rotation boundary, and
+	// monitor rotation is gone. No message has this kind, and a node
+	// reports a frame of it as an unknown kind. The number stays reserved
+	// so it is never reused for a different message.
 	KindObligationHandover uint8 = 17
 )
 
@@ -70,8 +70,6 @@ func KindName(k uint8) string {
 		return "AckRequest"
 	case KindAckExhibit:
 		return "AckExhibit"
-	case KindObligationHandover:
-		return "ObligationHandover"
 	default:
 		return fmt.Sprintf("Kind(%d)", k)
 	}
@@ -717,49 +715,6 @@ func UnmarshalAckExhibit(b []byte) (*AckExhibit, error) {
 	return m, nil
 }
 
-// ObligationHandover transfers an outgoing monitor's accumulated
-// round-`Round` obligation for `Monitored` to a monitor that takes over at
-// round Round+1. The obligation is a product of lifted hashes the monitors
-// of Monitored already jointly compute (§V-B), so the transfer leaks
-// nothing new; the signature pins it to the outgoing monitor, and the
-// incoming monitors take a majority over the copies they receive.
-type ObligationHandover struct {
-	Round     model.Round  // the round the obligation accumulates
-	From      model.NodeID // outgoing monitor
-	Monitored model.NodeID
-	// Obligation is the encoded accumulated hash product.
-	Obligation []byte
-	// Suspect marks an obligation the digest cross-check proved
-	// incomplete — not usable as a conviction baseline.
-	Suspect bool
-	Sig     []byte
-}
-
-// Kind implements Message.
-func (m *ObligationHandover) Kind() uint8 { return KindObligationHandover }
-
-func (m *ObligationHandover) layout(c Codec) {
-	c.Kind(KindObligationHandover)
-	c.Round(&m.Round)
-	c.Node(&m.From)
-	c.Node(&m.Monitored)
-	c.Bytes(&m.Obligation)
-	c.Bool(&m.Suspect)
-}
-
-// Marshal implements Message.
-func (m *ObligationHandover) Marshal() []byte { return marshal(m, m.Sig) }
-
-// UnmarshalObligationHandover decodes an ObligationHandover.
-func UnmarshalObligationHandover(b []byte) (*ObligationHandover, error) {
-	m, r := new(ObligationHandover), NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Head is the part of a decoded message every receiver checks first: its
 // round, its sender, its receiver (NoNode where the kind names none) and
 // its signature.
@@ -770,18 +725,17 @@ type Head struct {
 }
 
 // Head returns m's head; every message type has one.
-func (m *KeyRequest) Head() Head         { return Head{m.Round, m.From, m.To, m.Sig} }
-func (m *KeyResponse) Head() Head        { return Head{m.Round, m.From, m.To, m.Sig} }
-func (m *Serve) Head() Head              { return Head{m.Round, m.From, m.To, m.Sig} }
-func (m *Attestation) Head() Head        { return Head{m.Round, m.From, m.To, m.Sig} }
-func (m *Ack) Head() Head                { return Head{m.Round, m.From, m.To, m.Sig} }
-func (m *AttForward) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *HashShare) Head() Head          { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *AckRelay) Head() Head           { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *NodeDigest) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *Accusation) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *Probe) Head() Head              { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *Nack) Head() Head               { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *AckRequest) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *AckExhibit) Head() Head         { return Head{m.Round, m.From, model.NoNode, m.Sig} }
-func (m *ObligationHandover) Head() Head { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *KeyRequest) Head() Head  { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *KeyResponse) Head() Head { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Serve) Head() Head       { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Attestation) Head() Head { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *Ack) Head() Head         { return Head{m.Round, m.From, m.To, m.Sig} }
+func (m *AttForward) Head() Head  { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *HashShare) Head() Head   { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckRelay) Head() Head    { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *NodeDigest) Head() Head  { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Accusation) Head() Head  { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Probe) Head() Head       { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *Nack) Head() Head        { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckRequest) Head() Head  { return Head{m.Round, m.From, model.NoNode, m.Sig} }
+func (m *AckExhibit) Head() Head  { return Head{m.Round, m.From, model.NoNode, m.Sig} }

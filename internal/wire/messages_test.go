@@ -15,7 +15,6 @@ func TestKindNames(t *testing.T) {
 		KindAck, KindAckCopy, KindAttForward, KindHashShare,
 		KindAckForward, KindNodeDigest, KindAccusation, KindProbe,
 		KindConfirm, KindNack, KindAckRequest, KindAckExhibit,
-		KindObligationHandover,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -24,6 +23,9 @@ func TestKindNames(t *testing.T) {
 			t.Fatalf("kind %d has bad/duplicate name %q", k, name)
 		}
 		seen[name] = true
+	}
+	if KindName(KindObligationHandover) != "Kind(17)" {
+		t.Fatal("the retired kind has a name")
 	}
 	if KindName(200) != "Kind(200)" {
 		t.Fatal("unknown kind name")
@@ -270,24 +272,6 @@ func TestNackRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Fatal("mismatch")
-	}
-}
-
-func TestObligationHandoverRoundTrip(t *testing.T) {
-	for _, m := range []*ObligationHandover{
-		{Round: 7, From: 9, Monitored: 2, Obligation: []byte("ob"), Sig: []byte("s")},
-		{Round: 8, From: 3, Monitored: 5, Obligation: []byte{1}, Suspect: true, Sig: []byte("s")},
-	} {
-		got, err := UnmarshalObligationHandover(m.Marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Fatalf("mismatch: %+v vs %+v", m, got)
-		}
-	}
-	if _, err := UnmarshalObligationHandover([]byte{KindNack, 0}); err == nil {
-		t.Fatal("wrong kind accepted")
 	}
 }
 

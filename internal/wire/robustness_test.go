@@ -21,9 +21,6 @@ var decoders = map[string]func([]byte) (Message, error){
 	"Nack":        func(b []byte) (Message, error) { return UnmarshalNack(b) },
 	"AckRequest":  func(b []byte) (Message, error) { return UnmarshalAckRequest(b) },
 	"AckExhibit":  func(b []byte) (Message, error) { return UnmarshalAckExhibit(b) },
-	"ObligationHandover": func(b []byte) (Message, error) {
-		return UnmarshalObligationHandover(b)
-	},
 }
 
 // TestDecodersSurviveRandomBytes throws random garbage at every decoder:

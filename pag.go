@@ -119,12 +119,6 @@ type SessionConfig struct {
 	// the homomorphic hash modulus and the fault plane's decisions, so
 	// sessions over one roster with one seed agree on all of them.
 	Seed uint64
-	// MonitorRotationRounds re-draws every monitor set after this many
-	// rounds (0 keeps monitors static, the paper's setting). Rotation
-	// bounds how long one monitor watches one node; the rotation-round
-	// forwarding-check gap it used to open is closed by the obligation
-	// handover (see internal/core).
-	MonitorRotationRounds int
 	// PAGBehaviors injects selfish PAG deviations per node (any protocol's
 	// node takes one later through Session.SetBehavior).
 	PAGBehaviors map[model.NodeID]core.Behavior
@@ -365,12 +359,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		ids[i] = model.NodeID(i + 1)
 	}
 	dir, err := membership.New(ids, membership.Config{
-		Seed:                  c.Seed,
-		Fanout:                c.Fanout,
-		Monitors:              c.Monitors,
-		MonitorRotationRounds: c.MonitorRotationRounds,
-		Metrics:               c.Obs,
-		Trace:                 c.Trace,
+		Seed:     c.Seed,
+		Fanout:   c.Fanout,
+		Monitors: c.Monitors,
+		Metrics:  c.Obs,
+		Trace:    c.Trace,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pag: membership: %w", err)

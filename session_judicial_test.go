@@ -1,6 +1,8 @@
 package pag
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,71 +12,72 @@ import (
 	"repro/internal/scenario"
 )
 
-// Tests for the accountability plane: the rotation-gap regression, the
+// Tests for the accountability plane: the churn-boundary dodger, the
 // punishment loop (eviction, quarantine, re-join) and the registry's
 // dedupe surfacing.
 
-// rotationConfig runs PAG with monitor rotation enabled and one
-// rotation-dodger: a node that skips serves exactly on rotation-boundary
-// rounds.
-func rotationConfig(cheat NodeID) SessionConfig {
-	cfg := testConfig(ProtocolPAG, 12, 2)
-	cfg.MonitorRotationRounds = 4
-	cfg.PAGBehaviors = map[model.NodeID]core.Behavior{
-		cheat: {SkipServeOnRotation: true},
-	}
-	return cfg
+// churnDodgerScenario opens a membership epoch at the top of rounds 5, 9,
+// 13 and 17: three joins of fresh ids, then node 12 leaves.
+func churnDodgerScenario() *scenario.Scenario {
+	return &scenario.Scenario{Name: "churn-dodger", Rounds: 20, Events: []scenario.Event{
+		{Round: 5, Action: scenario.ActionJoin},
+		{Round: 9, Action: scenario.ActionJoin},
+		{Round: 13, Action: scenario.ActionJoin},
+		{Round: 17, Action: scenario.ActionLeave, Node: 12},
+	}}
 }
 
-// incomingConvictions counts the verdicts against cheat whose reporting
-// monitor did not monitor it in the previous round: one that took over at
-// a rotation.
-func incomingConvictions(s *Session, cheat NodeID) int {
-	incoming := 0
-	for _, v := range s.Verdicts() {
-		if v.Accused == cheat && v.Round > 0 && !s.dir.IsMonitorOf(v.Reporter, cheat, v.Round-1) {
-			incoming++
-		}
-	}
-	return incoming
-}
-
-// TestRotationGapClosedByHandover: incoming monitors convict a
-// rotation-round free-rider too — the outgoing monitors handed over the
-// obligations the forwarding check verifies against — so conviction
-// coverage does not depend on rendezvous overlap luck.
-func TestRotationGapClosedByHandover(t *testing.T) {
+// TestChurnDodgerConvictedByStayingMonitors: a node that skips every serve
+// in exactly the rounds a membership epoch opens is convicted by the
+// monitors that watched it across the boundary — one newly seated there
+// has no round-(r−1) baseline and skips that check, the staying ones do
+// not — and nobody else is accused. Its honest twin raises no verdict at
+// all. Seeds 1–5, serially and on four workers; in most of them a
+// boundary re-seats one of the dodger's monitors.
+func TestChurnDodgerConvictedByStayingMonitors(t *testing.T) {
 	const cheat = NodeID(9)
-	s, err := NewSession(rotationConfig(cheat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(16)
-	if incomingConvictions(s, cheat) == 0 {
-		t.Fatal("no incoming-monitor conviction despite obligation handover")
-	}
-	// The handover must not create false convictions: every verdict in
-	// the run names the dodger.
-	for id, n := range s.Judicial().CountsInWindow(1, 16) {
-		if id != cheat {
-			t.Errorf("honest node %v accused %d times under rotation+handover", id, n)
+	reseated := 0
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, workers := range []int{0, 4} {
+			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+				run := func(b map[model.NodeID]core.Behavior) *Session {
+					cfg := scenarioConfig(ProtocolPAG, 12, churnDodgerScenario())
+					cfg.Seed, cfg.Workers, cfg.PAGBehaviors = seed, workers, b
+					s, err := NewSession(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { s.Close() })
+					s.Run(20)
+					return s
+				}
+				s := run(map[model.NodeID]core.Behavior{cheat: {SkipServeOnRotation: true}})
+				if len(s.EpochStats()) != 5 {
+					t.Fatalf("%d membership epochs, want 5", len(s.EpochStats()))
+				}
+				for _, r := range []model.Round{5, 9, 13, 17} {
+					if !slices.Equal(s.dir.Monitors(cheat, r-1), s.dir.Monitors(cheat, r)) {
+						reseated++
+					}
+				}
+				if len(s.Verdicts()) == 0 {
+					t.Fatal("the dodger was never convicted")
+				}
+				for _, v := range s.Verdicts() {
+					if v.Accused != cheat {
+						t.Errorf("correct node accused: %v", v)
+					} else if !s.dir.IsMonitorOf(v.Reporter, cheat, v.Round-1) {
+						t.Errorf("convicted by a monitor seated at round %v: %v", v.Round, v)
+					}
+				}
+				if twin := run(nil); twin.Judicial().Len() != 0 {
+					t.Fatalf("the honest twin raised %d verdicts: %v", twin.Judicial().Len(), twin.Verdicts())
+				}
+			})
 		}
 	}
-}
-
-// TestRotationHonestRunCleanWithHandover: an all-honest run under monitor
-// rotation raises no verdicts at all — the handover baseline agrees with
-// what the successors acknowledge.
-func TestRotationHonestRunCleanWithHandover(t *testing.T) {
-	cfg := testConfig(ProtocolPAG, 12, 2)
-	cfg.MonitorRotationRounds = 4
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(16)
-	if got := s.Judicial().Len(); got != 0 {
-		t.Fatalf("honest rotation run raised %d verdicts: %v", got, s.Verdicts())
+	if reseated == 0 {
+		t.Fatal("no boundary re-seated a monitor of the dodger: no check was ever skipped")
 	}
 }
 

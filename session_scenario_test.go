@@ -376,8 +376,8 @@ func TestScenarioRejectedAtSessionBuild(t *testing.T) {
 
 // TestSetBehaviorEveryProtocol: every profile scenario validation accepts
 // reaches a node of each protocol through Session.SetBehavior as that
-// protocol's documented deviation — a rotation-dodger is the plain
-// free-rider where there is no monitor rotation — while an unknown profile,
+// protocol's documented deviation — a rotation-dodger is AcTinG's plain
+// free-rider — while an unknown profile,
 // the source and a non-member are refused and change nothing.
 func TestSetBehaviorEveryProtocol(t *testing.T) {
 	const target = NodeID(4)

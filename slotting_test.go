@@ -53,7 +53,7 @@ func slottingRun(t *testing.T) []string {
 		lines = append(lines, fmt.Sprintf("verdict %v %v against %v by %v", v.Round, v.Kind, v.Accused, v.Reporter))
 	}
 	bytes := s.Metrics().ByLabel("pag_core_bytes_total", "kind")
-	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+	for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 		lines = append(lines, fmt.Sprintf("bytes %s %.0f", wire.KindName(k), bytes[wire.KindName(k)]))
 	}
 	return lines

@@ -54,7 +54,7 @@ func TestWireBudget(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# PAG bytes received per node per round by wire kind: 16 nodes, 60 kbps, 256-bit, seed 22, rounds 13-20.\n")
 	b.WriteString("# Re-record: go test -run TestWireBudget -record-wire-budget .\n")
-	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+	for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 		fmt.Fprintf(&b, "%s %.1f\n", wire.KindName(k), got[wire.KindName(k)])
 	}
 	if *recordWireBudget {
@@ -82,7 +82,7 @@ func TestWireBudget(t *testing.T) {
 	if len(budget) != len(got) {
 		t.Fatalf("%s has %d kinds, the session reports %d", wireBudgetFile, len(budget), len(got))
 	}
-	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+	for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 		kind := wire.KindName(k)
 		if want, ok := budget[kind]; !ok {
 			t.Errorf("%s: no budget line", kind)
@@ -113,7 +113,7 @@ func TestAnalyticMatchesCounters(t *testing.T) {
 	for _, b := range got {
 		gotAll += b
 	}
-	for k := wire.KindKeyRequest; k <= wire.KindObligationHandover; k++ {
+	for k := wire.KindKeyRequest; k <= wire.KindAckExhibit; k++ {
 		kind := wire.KindName(k)
 		wantAll += want[kind]
 		if got[kind] < 0.01*gotAll {
