@@ -387,8 +387,9 @@ func checkSurvivesOverwrite(t *testing.T, workers int, intern *update.Interner) 
 
 // TestSignAndSendAllocations: one encoding in a pooled buffer, signed in
 // place — sending a 40-update data message to a MemNet endpoint, whose
-// Send keeps what it is given, allocates only the exact-size copy it is
-// handed (plus amortised queue growth), not three encodings of it. A TCP
+// Send keeps what it is given, allocates at most the send-arena chunk its
+// one copy goes into (here, where nothing is delivered, no chunk is ever
+// recycled) plus amortised queue growth, not three encodings of it. A TCP
 // endpoint copies the frame into its connection's batch buffer, so there
 // the pooled buffer is lent as it is and, once the connection is up and
 // the buffer has grown, sending allocates nothing. (The race detector

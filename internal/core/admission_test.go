@@ -70,7 +70,7 @@ func newAdmissionCast(t testing.TB, h *harness, b model.NodeID, r model.Round) a
 		d.Successors(b, r),
 		d.Monitors(b, r),
 		monitored,
-		slices.DeleteFunc(d.Monitors(c.y, r), func(z model.NodeID) bool { return z == b }),
+		slices.DeleteFunc(slices.Clone(d.Monitors(c.y, r)), func(z model.NodeID) bool { return z == b }),
 	}
 	inOther := func(z model.NodeID, own int) bool {
 		for i, s := range sets {
@@ -299,7 +299,7 @@ func TestOutOfWindowMonitorMessagesLeaveNoState(t *testing.T) {
 			// harness's monitors are static): y is monitored by b and
 			// monY monitors y; an Accusation comes from a predecessor of
 			// y in the message's round, where y has one.
-			monY := slices.DeleteFunc(h.dir.Monitors(c.y, admissionRound), func(z model.NodeID) bool { return z == b })[0]
+			monY := slices.DeleteFunc(slices.Clone(h.dir.Monitors(c.y, admissionRound)), func(z model.NodeID) bool { return z == b })[0]
 			sender := func(r model.Round) model.NodeID {
 				switch kind {
 				case wire.KindNodeDigest, wire.KindAckCopy, wire.KindAttForward, wire.KindAckExhibit:
@@ -348,7 +348,7 @@ func TestRetiredKindIsUnknown(t *testing.T) {
 	h.engine.Run(int(admissionRound))
 	node := h.nodes[b]
 	c := newAdmissionCast(t, h, b, admissionRound)
-	from := slices.DeleteFunc(h.dir.Monitors(c.y, admissionRound), func(z model.NodeID) bool { return z == b })[0]
+	from := slices.DeleteFunc(slices.Clone(h.dir.Monitors(c.y, admissionRound)), func(z model.NodeID) bool { return z == b })[0]
 	rounds, pending := node.MonitorRounds(), h.net.PendingCount()
 	node.HandleMessage(transport.Message{From: from, To: b, Kind: wire.KindObligationHandover,
 		Payload: retiredFrame(t, h.identities[from], admissionRound, from, c.y)})

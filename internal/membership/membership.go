@@ -505,6 +505,9 @@ func (d *Directory) MonitorEpoch(r model.Round) int {
 // ranks into the set — which is what lets monitors carry their accumulated
 // obligations across epoch boundaries instead of re-drawing wholesale
 // every time anyone joins or leaves.
+//
+// The result is the directory's memo, shared by every caller: read it,
+// never write to it or append to it in place (slices.Clone first).
 func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 	d.mu.RLock()
 	ep := d.epochFor(r)
@@ -512,7 +515,7 @@ func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 	memo, hit := d.monitors[key]
 	d.mu.RUnlock()
 	if hit {
-		return copyIDs(memo)
+		return memo
 	}
 	k := d.cfg.Monitors
 
@@ -562,7 +565,7 @@ func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 			}
 		}
 	}
-	d.monitors[key] = copyIDs(out)
+	d.monitors[key] = out
 	d.mu.Unlock()
 	return out
 }

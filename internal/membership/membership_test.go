@@ -300,6 +300,15 @@ func TestMonitorsPinned(t *testing.T) {
 	}
 }
 
+// TestMonitorsHitAllocatesNothing: a memo hit returns the memo itself,
+// which every caller only reads.
+func TestMonitorsHitAllocatesNothing(t *testing.T) {
+	d := newDir(t, 30, Config{Seed: 17})
+	if got := testing.AllocsPerRun(100, func() { d.Monitors(4, 1) }); got != 0 {
+		t.Errorf("a memoised Monitors call allocates %.1f objects", got)
+	}
+}
+
 func TestIsMonitorOf(t *testing.T) {
 	d := newDir(t, 30, Config{Seed: 17})
 	ms := d.Monitors(9, 1)

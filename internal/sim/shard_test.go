@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -123,5 +124,33 @@ func TestEngineWorkers(t *testing.T) {
 	}
 	if _, err := NewEngine(wrapped, 2); err == nil {
 		t.Error("sharded engine over a non-MemNet network accepted")
+	}
+}
+
+// TestRunShardedAllocationsFlat: the shard buckets keep their arrays
+// across waves, so replaying a wave allocates as much for 1,000
+// deliveries as for 10 — the goroutines and the barrier, not the buckets.
+func TestRunShardedAllocationsFlat(t *testing.T) {
+	e, err := NewEngine(transport.NewMemNet(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wave := func(n int) []transport.Delivery {
+		ds := make([]transport.Delivery, n)
+		for i := range ds {
+			ds[i] = transport.Delivery{Msg: transport.Message{To: model.NodeID(i%17 + 1)}, Handler: func(transport.Message) {}}
+		}
+		return ds
+	}
+	small, large := wave(10), wave(1000)
+	perSmall := testing.AllocsPerRun(50, func() { e.runSharded(small) })
+	perLarge := testing.AllocsPerRun(50, func() { e.runSharded(large) })
+	if perSmall != perLarge {
+		t.Errorf("runSharded allocates %.1f objects for a wave of 10 and %.1f for one of 1,000", perSmall, perLarge)
+	}
+	for i, b := range e.buckets {
+		if len(b) != 0 || slices.ContainsFunc(b[:cap(b)], func(d transport.Delivery) bool { return d.Handler != nil }) {
+			t.Errorf("bucket %d holds deliveries after its wave", i)
+		}
 	}
 }

@@ -108,6 +108,8 @@ type Engine struct {
 
 	nodes []Protocol
 	hooks []RoundHook
+	// buckets is runSharded's per-shard scratch, one per worker.
+	buckets [][]transport.Delivery
 	// slots is the largest ExchangeSlots of any Slotted node ever added
 	// (0 when there is none: BeginRound alone).
 	slots int
@@ -411,15 +413,18 @@ func (e *Engine) deliverAll() int {
 }
 
 // runSharded replays one delivery wave with each destination shard's
-// subsequence on its own goroutine.
+// subsequence on its own goroutine. The buckets keep their arrays across
+// waves, cleared once the wave is handled so no payload outlives it.
 func (e *Engine) runSharded(ds []transport.Delivery) {
-	buckets := make([][]transport.Delivery, e.workers)
+	if e.buckets == nil {
+		e.buckets = make([][]transport.Delivery, e.workers)
+	}
 	for _, d := range ds {
 		i := e.shardOf(d.Msg.To)
-		buckets[i] = append(buckets[i], d)
+		e.buckets[i] = append(e.buckets[i], d)
 	}
 	var wg sync.WaitGroup
-	for _, b := range buckets {
+	for _, b := range e.buckets {
 		if len(b) == 0 {
 			continue
 		}
@@ -432,6 +437,10 @@ func (e *Engine) runSharded(ds []transport.Delivery) {
 		}(b)
 	}
 	wg.Wait()
+	for i, b := range e.buckets {
+		clear(b)
+		e.buckets[i] = b[:0]
+	}
 }
 
 // StartMeasuring snapshots the members' traffic counters to open the

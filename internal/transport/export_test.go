@@ -15,5 +15,6 @@ func (p *FaultPlane) QueueDepthOf(id model.NodeID) int {
 func (n *MemNet) deliverPending() int {
 	wave := n.takeWave()
 	runWave(wave)
+	n.handled(wave)
 	return len(wave)
 }

@@ -495,21 +495,19 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 	return out
 }
 
-// Admit runs one outbound message through the plane — upload cap/queue,
-// then the post-cap half (admitPostCap), which charges the sender — and
-// returns the outcome with the number of copies that left the sender's
-// NIC: 0 when the message queued, else the first attempt plus its
-// retransmissions. A transport needs the count only to refund a send
-// whose socket write failed. The plane shares the ownership of a keeping
-// Endpoint.Send (MemNet's): a queued message is retained as it is,
-// payload and all, until a later BeginRound releases or expires it.
-func (p *FaultPlane) Admit(msg Message) (Outcome, int) { return p.admit(msg, false) }
-
-// admitLent is Admit for a payload lent only for the call, a copying
-// Endpoint.Send's (TCPNet's): a message the cap queues is cloned into the
-// link queue, the one copy the plane makes.
-func (p *FaultPlane) admitLent(msg Message) (Outcome, int) { return p.admit(msg, true) }
-
+// admit is the plane's one admission entry point: it runs one outbound
+// message through the upload cap/queue, then the post-cap half
+// (admitPostCap), which charges the sender, and returns the outcome with
+// the number of copies that left the sender's NIC: 0 when the message
+// queued, else the first attempt plus its retransmissions. A transport
+// needs the count only to refund a send whose socket write failed.
+//
+// lent says whose the payload is. An owned one (lent false: what MemNet's
+// Send was given as it is) is retained in the link queue as it is until a
+// later BeginRound releases or expires it. A lent one — TCPNet's, lent
+// only for its Send, or MemNet's send-arena view, which its chunk
+// outlives only until the wave is handled — is cloned into the link queue
+// when the cap parks it, the one copy the plane makes.
 func (p *FaultPlane) admit(msg Message, lent bool) (Outcome, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

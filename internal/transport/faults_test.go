@@ -91,7 +91,7 @@ func TestLossIndependentOfAdmissionOrder(t *testing.T) {
 					i = nodes - 1 - i
 				}
 				for _, m := range bySender[i] {
-					if o, _ := p.Admit(m); o == OutcomePass {
+					if o, _ := p.admit(m, false); o == OutcomePass {
 						p.Arrive(m)
 					}
 				}

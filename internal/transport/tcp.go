@@ -41,7 +41,7 @@ import (
 // session's dynamic roster, every frame crosses one connection, so that
 // order is the order of the sends and repeats from run to run; over
 // several connections it follows the wall clock. Write batching does not
-// move the admission point: Admit still runs inside Send — only the
+// move the admission point: admission still runs inside Send — only the
 // syscall is deferred to the phase flush.
 //
 // Traffic accounting is MemNet's, kept by the same fault plane: every
@@ -55,9 +55,9 @@ import (
 // Outbound frames coalesce in per-connection writers (batch.go) and leave
 // in one write per destination address per phase: DeliverAll and
 // DeliverUntil flush at the top of every pass. Send copies each frame into
-// its writer's batch buffer, so it keeps no payload it was given
-// (KeepsPayload is false) and a sender may lend it a pooled buffer; a
-// message an upload cap defers is cloned into the link queue instead.
+// its writer's batch buffer, so it keeps no payload it was given (Lend
+// returns the payload as it is) and a sender may lend it a pooled buffer;
+// a message an upload cap defers is cloned into the link queue instead.
 // Multiple pending frames
 // travel as a single jumbo frame, whose sub-frames may be for different
 // ids at that address; the receiver unpacks it one sub-frame at a time.
@@ -560,10 +560,10 @@ type tcpEndpoint struct {
 
 func (e *tcpEndpoint) NodeID() model.NodeID { return e.id }
 
-// KeepsPayload implements Endpoint: Send copies the payload into the
+// Lend implements Endpoint: Send copies the payload into the
 // connection's batch buffer (or, capped, into the link queue) or writes
-// it through before it returns.
-func (e *tcpEndpoint) KeepsPayload() bool { return false }
+// it through before it returns, so a lent payload is sent as it is.
+func (e *tcpEndpoint) Lend(payload []byte) []byte { return payload }
 
 // Send implements Endpoint. The fault plane admits, queues or drops the
 // message, and charges it, before it touches a socket: a message beyond
@@ -584,7 +584,7 @@ func (e *tcpEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 
 	e.net.sendReleased()
 	msg := Message{From: e.id, To: to, Kind: kind, Payload: payload}
-	outcome, copies := e.net.faults.admitLent(msg)
+	outcome, copies := e.net.faults.admit(msg, true)
 	if outcome != OutcomePass {
 		return nil
 	}

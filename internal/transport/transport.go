@@ -16,7 +16,6 @@
 package transport
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -48,9 +47,10 @@ func (m Message) WireSize() int { return HeaderBytes + len(m.Payload) }
 // The payload is lent for the duration of the call: a handler must not
 // write to it and must not keep it, or any slice of it, once it returns —
 // what it needs later it copies. The same bytes may be the sender's
-// retained evidence and the payload of every other recipient of a fan-out
-// (MemNet), or a slice of a receive arena that is recycled when the
-// delivery wave has been handled (TCPNet).
+// retained evidence and the payload of every other recipient of a fan-out,
+// or a slice of MemNet's send arena (a lent send) or of a TCPNet receive
+// arena, either of which is recycled once the delivery wave has been
+// handled.
 type Handler func(Message)
 
 // Endpoint is a node's attachment to a network.
@@ -58,28 +58,31 @@ type Endpoint interface {
 	// NodeID returns the attached node.
 	NodeID() model.NodeID
 	// Send transmits a message. Whether it keeps payload depends on the
-	// network, and KeepsPayload says which: MemNet keeps it — it may
-	// deliver that very slice, or hold it in the link queue for a later
-	// round — so the caller may keep reading it, and send it again, but
-	// nobody may write to it from here on; TCPNet copies it into the
-	// connection's batch buffer before Send returns, so the caller may
-	// reuse it at once. A caller that will reuse its buffer sends it with
-	// SendLent, which copies only where Send keeps.
+	// network: MemNet keeps it — it may deliver that very slice, or hold
+	// it in the link queue for a later round — so the caller may keep
+	// reading it, and send it again, but nobody may write to it from here
+	// on; TCPNet copies it into the connection's batch buffer before Send
+	// returns, so the caller may reuse it at once. A caller that will
+	// reuse its buffer sends it with SendLent, which sends what Lend
+	// returns.
 	Send(to model.NodeID, kind uint8, payload []byte) error
-	// KeepsPayload reports whether Send keeps the payload it is given
-	// (true) or is done with it when Send returns (false).
-	KeepsPayload() bool
+	// Lend returns the bytes to send in place of payload, a buffer the
+	// caller will reuse once its sends return: payload itself where Send
+	// copies (TCPNet), and where Send keeps (MemNet) a copy in the
+	// network's recycled send arena, which stays valid for Send until the
+	// network next delivers and then for as long as the messages sent from
+	// it are in flight.
+	Lend(payload []byte) []byte
 }
 
 // SendLent sends payload, a buffer the caller will reuse once SendLent
 // returns (a pooled wire.Writer, or a payload its handler was lent), to
-// every destination in to. Where Send copies, payload goes as it is;
-// where Send keeps, every destination is sent one exact-size clone. It
-// returns the first send error; the other destinations are still sent.
+// every destination in to. It sends what the endpoint's Lend returns:
+// payload as it is where Send copies; where Send keeps, one copy in the
+// network's send arena that every destination shares. It returns the
+// first send error; the other destinations are still sent.
 func SendLent(ep Endpoint, kind uint8, payload []byte, to ...model.NodeID) error {
-	if ep.KeepsPayload() {
-		payload = bytes.Clone(payload)
-	}
+	payload = ep.Lend(payload)
 	var first error
 	for _, id := range to {
 		if err := ep.Send(id, kind, payload); err != nil && first == nil {
@@ -171,8 +174,11 @@ type MemNet struct {
 	// allocates nothing: the merge set, the merged inflow and the wave
 	// handed to the caller.
 	mergeBuf []*memEndpoint
-	inflow   []Message
+	inflow   []queued
 	wave     []Delivery
+
+	// arena holds the copies Lend makes (sendarena.go).
+	arena sendArena
 
 	// faults is the transport-agnostic fault plane, consulted exclusively
 	// at the merge point.
@@ -300,6 +306,16 @@ func (n *MemNet) PendingCount() int {
 type Delivery struct {
 	Msg     Message
 	Handler Handler
+	// chunk is the send-arena chunk a lent payload holds a reference to
+	// until the wave has been handled; nil for an owned payload.
+	chunk *sendChunk
+}
+
+// queued is a message in an outbox or the merged inflow, with the
+// send-arena chunk its payload holds a reference to (nil when owned).
+type queued struct {
+	Message
+	chunk *sendChunk
 }
 
 // takeWave merges every endpoint's outbox into the queue in canonical
@@ -325,8 +341,11 @@ func (n *MemNet) takeWave() []Delivery {
 		inflow = append(inflow, ep.outbox...)
 		clear(ep.outbox)
 		ep.outbox = ep.outbox[:0]
+		ep.lentAt, ep.lentChunk = nil, nil
 		ep.mu.Unlock()
 	}
+	// Every lent view that was sent is held by its messages now.
+	n.arena.endLends()
 	n.pruneDeparted(eps)
 	n.mergeBuf = eps
 
@@ -336,12 +355,15 @@ func (n *MemNet) takeWave() []Delivery {
 			out = append(out, Delivery{Msg: a.msg})
 		}
 	}
-	for _, msg := range inflow {
+	for _, q := range inflow {
 		// The fault plane (including down senders/receivers) filters at
 		// admission; only cap-deferred messages stay queued between
-		// rounds, inside the fault plane.
-		if o, _ := n.faults.Admit(msg); o == OutcomePass && n.faults.Arrive(msg) {
-			out = append(out, Delivery{Msg: msg})
+		// rounds, inside the fault plane, which parks a lent payload as a
+		// clone of its own.
+		if o, _ := n.faults.admit(q.Message, q.chunk != nil); o == OutcomePass && n.faults.Arrive(q.Message) {
+			out = append(out, Delivery{Msg: q.Message, chunk: q.chunk})
+		} else {
+			n.arena.release(q.chunk)
 		}
 	}
 	clear(inflow)
@@ -355,10 +377,20 @@ func (n *MemNet) takeWave() []Delivery {
 		if h := n.handlers[d.Msg.To]; h != nil {
 			d.Handler = h
 			kept = append(kept, d)
+		} else {
+			n.arena.release(d.chunk)
 		}
 	}
 	n.regMu.RUnlock()
 	return kept
+}
+
+// handled releases the send-arena references of a wave whose handlers
+// have all returned.
+func (n *MemNet) handled(wave []Delivery) {
+	for _, d := range wave {
+		n.arena.release(d.chunk)
+	}
 }
 
 // pruneDeparted drops endpoints from the merge set when their sender is
@@ -408,6 +440,7 @@ func (n *MemNet) DeliverWaves(run func([]Delivery)) int {
 		}
 		total += len(wave)
 		run(wave)
+		n.handled(wave)
 	}
 	return total
 }
@@ -423,7 +456,7 @@ func (n *MemNet) TrafficOf(id model.NodeID) Traffic { return n.faults.TrafficOf(
 func (n *MemNet) TotalTraffic() Traffic { return n.faults.TotalTraffic() }
 
 // memEndpoint buffers a node's outbound messages until the next merge
-// point: the payloads themselves, which Send keeps (KeepsPayload). During a
+// point: the payloads themselves, which Send keeps. During a
 // simulation phase an endpoint is driven by exactly one goroutine (its
 // node's), so the mutex is uncontended; it exists for users that share an
 // endpoint across goroutines.
@@ -432,14 +465,30 @@ type memEndpoint struct {
 	id  model.NodeID
 
 	mu     sync.Mutex
-	outbox []Message
+	outbox []queued
+	// lentAt and lentChunk are the first byte and the chunk of the view
+	// the latest Lend returned, by which Send tells a lent view from an
+	// owned payload until the next merge.
+	lentAt    *byte
+	lentChunk *sendChunk
 }
 
 func (e *memEndpoint) NodeID() model.NodeID { return e.id }
 
-// KeepsPayload implements Endpoint: the outbox, the wave and the link
-// queue hold the very slice Send was given.
-func (e *memEndpoint) KeepsPayload() bool { return true }
+// Lend implements Endpoint: the outbox, the wave and the link queue would
+// hold the very slice Send was given, so a lent payload is copied into the
+// net's send arena. Every message Send queues from the copy holds a
+// reference to its chunk.
+func (e *memEndpoint) Lend(payload []byte) []byte {
+	if len(payload) == 0 {
+		return payload
+	}
+	view, c := e.net.arena.lend(payload)
+	e.mu.Lock()
+	e.lentAt, e.lentChunk = &view[0], c
+	e.mu.Unlock()
+	return view
+}
 
 func (e *memEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	e.net.regMu.RLock()
@@ -449,8 +498,13 @@ func (e *memEndpoint) Send(to model.NodeID, kind uint8, payload []byte) error {
 	if !known {
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
+	q := queued{Message: Message{From: e.id, To: to, Kind: kind, Payload: payload}}
 	e.mu.Lock()
-	e.outbox = append(e.outbox, Message{From: e.id, To: to, Kind: kind, Payload: payload})
+	if len(payload) > 0 && &payload[0] == e.lentAt {
+		q.chunk = e.lentChunk
+		q.chunk.refs.Add(1)
+	}
+	e.outbox = append(e.outbox, q)
 	e.mu.Unlock()
 	if !attached {
 		// A sender pruned after its id departed rejoins the merge set.

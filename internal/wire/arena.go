@@ -110,9 +110,7 @@ func (a *Arena) Release() {
 	if a.refs.Add(-1) != 0 {
 		return
 	}
-	if poisonReleased.Load() {
-		poison(a.buf)
-	}
+	PoisonOnRelease(a.buf)
 	if a.class >= 0 {
 		putIdle(a)
 	}

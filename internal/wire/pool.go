@@ -6,8 +6,8 @@ package wire
 // for the encrypted kinds, seals them into a second pooled Writer
 // (Writer.Encrypt) — and lends the result to transport.SendLent: a socket
 // copies it into its batch buffer, while MemNet, whose Send keeps what it
-// is given, is handed one exact-size copy that every recipient of a
-// fan-out is delivered. A receiver
+// is given, copies it once into its own recycled send arena, and every
+// recipient of a fan-out is delivered that one copy. A receiver
 // walks the same layout over the payload it was delivered — or, for the
 // encrypted kinds, over the pooled Writer it opened the payload into
 // (Writer.Open) — decoding views into those bytes, and checks the
@@ -62,9 +62,7 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // Release returns the Writer to the pool. Slices previously returned by
 // Seal/Open/Finish alias its buffer and must not be used afterwards.
 func (w *Writer) Release() {
-	if poisonReleased.Load() {
-		poison(w.buf[:cap(w.buf)])
-	}
+	PoisonOnRelease(w.buf[:cap(w.buf)])
 	if cap(w.buf) <= maxPooledWriter {
 		writerPool.Put(w)
 	}
@@ -74,9 +72,10 @@ func (w *Writer) Release() {
 var poisonReleased atomic.Bool
 
 // PoisonReleased makes Writer.Release overwrite a Writer's buffer before
-// pooling it, and Arena.Release an arena's buffer when its last reference
-// goes, so that a view kept past Release — a decoded field of an opened
-// message, pooled or arena bytes handed to a transport that keeps them —
+// pooling it, and Arena.Release an arena's buffer — and MemNet a chunk of
+// its send arena (PoisonOnRelease) — when its last reference goes, so
+// that a view kept past Release — a decoded field of an opened message,
+// pooled or arena bytes handed to a transport that keeps them —
 // reads garbage at once instead of whenever the pool
 // happens to reuse the buffer. For tests only; it returns the function
 // that restores the previous setting.
@@ -85,10 +84,14 @@ func PoisonReleased() (restore func()) {
 	return func() { poisonReleased.Store(prev) }
 }
 
-// poison overwrites a released buffer.
-func poison(b []byte) {
-	for i := range b {
-		b[i] = 0xDB
+// PoisonOnRelease overwrites b, a buffer its owner is recycling, when
+// PoisonReleased is on: Writer.Release, Arena.Release and MemNet's send
+// arena call it.
+func PoisonOnRelease(b []byte) {
+	if poisonReleased.Load() {
+		for i := range b {
+			b[i] = 0xDB
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pag
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -117,6 +118,63 @@ func TestTCPSendOwnership(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemNetLentOwnership is TestTCPSendOwnership's MemNet twin. MemNet
+// keeps what Send is given, so a lent buffer is copied into its send
+// arena, whose chunks are recycled once the messages sent from them have
+// been handled. With wire.PoisonReleased every recycled chunk is
+// overwritten: a handler that kept a payload, or a chunk recycled under
+// a view still in flight — on the sharded engine, another shard's lends
+// retire chunks too — would change the run. A PAG and an AcTinG session,
+// inline and on four workers, must reach the report and move the bytes
+// per node of the run without it.
+func TestMemNetLentOwnership(t *testing.T) {
+	const nodes, rounds = 24, 20
+	sc := scenario.Scenario{Name: "lent-ownership", Seed: 7, Rounds: rounds}
+	type outcome struct {
+		digest  string
+		traffic []transport.Traffic
+	}
+	run := func(t *testing.T, p Protocol, workers int, poison bool) outcome {
+		if poison {
+			defer wire.PoisonReleased()()
+		}
+		var mem *transport.MemNet
+		cfg := SessionConfig{
+			Nodes: nodes, StreamKbps: 16, UpdateBytes: 128, ModulusBits: 128, Seed: 7,
+			Workers: workers,
+			NewNetwork: func() transport.FaultyNetwork {
+				mem = transport.NewMemNet()
+				return mem
+			},
+		}
+		rep, err := RunScenarioReport(cfg, sc, []Protocol{p}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{digest: rep.Digest()}
+		for id := NodeID(1); id <= nodes; id++ {
+			o.traffic = append(o.traffic, mem.TrafficOf(id))
+		}
+		return o
+	}
+	for _, p := range []Protocol{ProtocolPAG, ProtocolAcTinG} {
+		for _, workers := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", p, workers), func(t *testing.T) {
+				want := run(t, p, workers, false)
+				got := run(t, p, workers, true)
+				if got.digest != want.digest {
+					t.Errorf("report digest %s with recycled chunks poisoned, %s without", got.digest, want.digest)
+				}
+				for i := range want.traffic {
+					if got.traffic[i] != want.traffic[i] {
+						t.Errorf("node %d traffic %+v with recycled chunks poisoned, %+v without", i+1, got.traffic[i], want.traffic[i])
+					}
+				}
+			})
+		}
 	}
 }
 
