@@ -204,9 +204,6 @@ func NewNode(cfg Config) (*Node, error) {
 // ID implements sim.Protocol.
 func (n *Node) ID() model.NodeID { return n.id }
 
-// Round returns the current round.
-func (n *Node) Round() model.Round { return n.round }
-
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
@@ -232,10 +229,6 @@ func (n *Node) report(v judicial.Verdict) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Round phases (sim.Protocol)
-// ---------------------------------------------------------------------------
-
 // BeginRound promotes last round's receptions into the proposal set and
 // proposes to all successors.
 func (n *Node) BeginRound(r model.Round) {
@@ -259,8 +252,7 @@ func (n *Node) BeginRound(r model.Round) {
 	// Refresh the inverse monitor index whenever a membership transition
 	// may have re-drawn the monitor sets.
 	if epoch := n.cfg.Directory.MonitorEpoch(r); !n.monValid || epoch != n.monEpoch {
-		n.monValid = true
-		n.monEpoch = epoch
+		n.monValid, n.monEpoch = true, epoch
 		n.monitored = n.monitored[:0]
 		for _, y := range n.cfg.Directory.MembersAt(r) {
 			if y != n.id && n.cfg.Directory.IsMonitorOf(n.id, y, r) {
@@ -311,8 +303,7 @@ func (n *Node) EndRound(r model.Round) {
 	}
 	for _, y := range n.monitored {
 		st := n.audits[y]
-		st.waiting = true
-		st.pending = r
+		st.waiting, st.pending = true, r
 		req := &auditReqMsg{Round: r, From: n.id, SinceSeq: st.lastSeq}
 		n.signAndSend(y, kindAuditRequest, req)
 	}
@@ -337,8 +328,8 @@ func (n *Node) CloseRound(r model.Round) {
 			n.cfg.OnDeliver(e.Update)
 		}
 	}
-	if r > 24 {
-		n.store.DropBefore(r - 24)
+	if r > update.RetentionRounds {
+		n.store.DropBefore(r - update.RetentionRounds)
 	}
 	n.stats.RoundsRun++
 }

@@ -9,13 +9,15 @@ import (
 	"repro/internal/judicial"
 	"repro/internal/model"
 	"repro/internal/securelog"
+	"repro/internal/wire"
 )
 
-// auditScratch is the working storage of one audit: the decoded reply, one
-// entry's identifier list and a flat index of the suffix. Audits borrow it
-// from auditScratches, so an audit allocates the same whatever the number
-// of entries it replays.
+// auditScratch is what admission borrows for a message: the reader it
+// decodes through (off the heap) and, for an audit, the decoded reply, one
+// entry's identifier list and a flat index of the suffix, so an audit
+// allocates the same whatever the number of entries it replays.
 type auditScratch struct {
+	r     wire.Reader
 	reply auditReplyMsg
 	ids   []model.UpdateID // the entry being indexed
 	// proposed lists the PROPOSE sends, sorted; served lists every id of
@@ -29,11 +31,11 @@ type auditScratch struct {
 
 var auditScratches = sync.Pool{New: func() any { return new(auditScratch) }}
 
-// release returns s to the pool. The reply's entries and signature are
-// views into the payload the handler was lent, so they are cleared first.
+// release returns s to the pool, cleared of its views into the payload the
+// handler was lent: the reader, the reply's entries and signature.
 func (s *auditScratch) release() {
 	clear(s.reply.Entries)
-	s.reply = auditReplyMsg{Entries: s.reply.Entries[:0]}
+	s.r, s.reply = wire.Reader{}, auditReplyMsg{Entries: s.reply.Entries[:0]}
 	auditScratches.Put(s)
 }
 

@@ -210,9 +210,9 @@ func TestAuditReplyAllocationsFlat(t *testing.T) {
 		reply := &auditReplyMsg{Round: round, From: y, Entries: l.Since(0)}
 		msg := transport.Message{From: y, To: n.id, Kind: kindAuditReply, Payload: seal(t, reply, yID)}
 		st := &auditState{}
-		n.audits[y] = st
+		n.audits[y], n.round = st, round
 		got := testing.AllocsPerRun(50, func() {
-			*st = auditState{waiting: true, lastRound: round}
+			*st = auditState{waiting: true, pending: round, lastRound: round}
 			n.HandleMessage(msg)
 		})
 		if st.lastSeq != uint64(entries) || len(c.verdicts) != 0 {

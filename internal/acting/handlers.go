@@ -6,65 +6,26 @@ import (
 
 	"repro/internal/judicial"
 	"repro/internal/model"
-	"repro/internal/pki"
 	"repro/internal/securelog"
-	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
 )
 
-// HandleMessage is the transport handler.
-func (n *Node) HandleMessage(msg transport.Message) {
-	switch msg.Kind {
-	case kindPropose:
-		n.onPropose(msg)
-	case kindRequest:
-		n.onRequest(msg)
-	case kindData:
-		n.onData(msg)
-	case kindComplaint:
-		n.onComplaint(msg)
-	case kindAuditRequest:
-		n.onAuditRequest(msg)
-	case kindAuditReply, kindAuditBaseReply:
-		n.onAuditReply(msg)
-	}
-}
-
-func (n *Node) verifySig(signer model.NodeID, body, sig []byte) bool {
-	return pki.VerifyCounted(n.cfg.Suite, n.cfg.Identity.Counter(), signer, body, sig) == nil
-}
-
-// verifySigned checks a decoded message's trailing signature over the
-// prefix of the payload it was decoded from (see wire.SignedPrefix).
-func (n *Node) verifySigned(signer model.NodeID, payload, sig []byte) bool {
-	return n.verifySig(signer, wire.SignedPrefix(payload, sig), sig)
-}
-
 // onPropose requests the updates this node misses. Each identifier is
 // requested from at most one proposer per round (this single-transfer
 // discipline is why AcTinG stays near the stream rate, §VII-B).
-func (n *Node) onPropose(msg transport.Message) {
-	p, err := unmarshalPropose(msg.Payload)
-	if err != nil || p.From != msg.From || p.To != n.id || p.Round != n.round {
-		return
-	}
-	if !n.verifySigned(p.From, msg.Payload, p.Sig) {
-		return
-	}
+func (n *Node) onPropose(p *proposeMsg) {
 	n.logIDs(securelog.EntryRecv, p.From, "PROPOSE", p.IDs)
 
 	var want []model.UpdateID
 	for _, id := range p.IDs {
 		if !n.store.Has(id) && !n.requested[id] {
+			n.requested[id] = true
 			want = append(want, id)
 		}
 	}
 	if len(want) == 0 {
 		return
-	}
-	for _, id := range want {
-		n.requested[id] = true
 	}
 	n.requestedFrom[p.From] = append(n.requestedFrom[p.From], want...)
 	req := &requestMsg{Round: n.round, From: n.id, To: p.From, IDs: want}
@@ -74,14 +35,7 @@ func (n *Node) onPropose(msg transport.Message) {
 
 // onRequest serves the requested updates (unless free-riding) and logs both
 // sides of the interaction.
-func (n *Node) onRequest(msg transport.Message) {
-	req, err := unmarshalRequest(msg.Payload)
-	if err != nil || req.From != msg.From || req.To != n.id || req.Round != n.round {
-		return
-	}
-	if !n.verifySigned(req.From, msg.Payload, req.Sig) {
-		return
-	}
+func (n *Node) onRequest(req *requestMsg) {
 	n.logIDs(securelog.EntryRecv, req.From, "REQ", req.IDs)
 
 	if n.cfg.Behavior.FreeRide {
@@ -105,14 +59,7 @@ func (n *Node) onRequest(msg transport.Message) {
 
 // onData stores verified updates and schedules them for next round's
 // proposal.
-func (n *Node) onData(msg transport.Message) {
-	d, err := unmarshalData(msg.Payload)
-	if err != nil || d.From != msg.From || d.To != n.id || d.Round != n.round {
-		return
-	}
-	if !n.verifySigned(d.From, msg.Payload, d.Sig) {
-		return
-	}
+func (n *Node) onData(d *dataMsg) {
 	got := make([]model.UpdateID, 0, len(d.Updates))
 	w := wire.GetWriter()
 	defer w.Release()
@@ -132,20 +79,14 @@ func (n *Node) onData(msg transport.Message) {
 	n.logIDs(securelog.EntryRecv, d.From, "DATA", got)
 }
 
-// onComplaint stores a peer complaint for the next audit of the accused.
-func (n *Node) onComplaint(msg transport.Message) {
-	c, err := unmarshalComplaint(msg.Payload)
-	if err != nil || c.From != msg.From {
-		return
+// onComplaint stores a peer complaint for the next audit of the accused,
+// at most one per round and complainer: the backlog holds what the
+// accused's successors filed since its last audit, however often they send.
+func (n *Node) onComplaint(c *complaintMsg) {
+	dup := func(k complaint) bool { return k.round == c.Round && k.from == c.From }
+	if st := n.audits[c.Against]; !slices.ContainsFunc(st.complaints, dup) {
+		st.complaints = append(st.complaints, complaint{round: c.Round, from: c.From, ids: c.IDs})
 	}
-	if !n.verifySigned(c.From, msg.Payload, c.Sig) {
-		return
-	}
-	st, ok := n.audits[c.Against]
-	if !ok {
-		return // not a node we monitor
-	}
-	st.complaints = append(st.complaints, complaint{round: c.Round, from: c.From, ids: c.IDs})
 }
 
 // onAuditRequest drops the log prefix every current monitor has verified,
@@ -153,19 +94,8 @@ func (n *Node) onComplaint(msg transport.Message) {
 // or, to a request from below the base, with the retained suffix and the
 // base. A log-tampering node rewrites the first entry it sends — which the
 // chain verification will expose.
-func (n *Node) onAuditRequest(msg transport.Message) {
-	req, err := unmarshalAuditReq(msg.Payload)
-	if err != nil || req.From != msg.From {
-		return
-	}
-	if !n.verifySigned(req.From, msg.Payload, req.Sig) {
-		return
-	}
-	monitors := n.cfg.Directory.Monitors(n.id, n.round)
-	if !slices.Contains(monitors, req.From) {
-		return
-	}
-	n.retain(req.From, req.SinceSeq, monitors)
+func (n *Node) onAuditRequest(req *auditReqMsg) {
+	n.retain(req.From, req.SinceSeq, n.cfg.Directory.Monitors(n.id, n.round))
 	if n.cfg.Behavior.RefuseAudit {
 		return
 	}
@@ -173,11 +103,8 @@ func (n *Node) onAuditRequest(msg transport.Message) {
 	if n.cfg.Behavior.TamperLog && n.log.HeadSeq() > from {
 		n.log.Tamper(from+1, []byte("rewritten history"))
 	}
-	reply := &auditReplyMsg{
-		Round:   n.round,
-		From:    n.id,
-		Entries: n.log.Suffix(from), // encoded straight from the log
-	}
+	// The entries are encoded straight from the log.
+	reply := &auditReplyMsg{Round: n.round, From: n.id, Entries: n.log.Suffix(from)}
 	if req.SinceSeq < from {
 		reply.Base = &logBase{Seq: from, Round: n.log.BaseRound(), Hash: n.log.BaseHash()}
 	}
@@ -206,26 +133,14 @@ func (n *Node) retain(m model.NodeID, since uint64, monitors []model.NodeID) {
 	}
 }
 
-// onAuditReply verifies the fetched log suffix: chain integrity, proposal
-// coverage, serve compliance and outstanding complaints.
-func (n *Node) onAuditReply(msg transport.Message) {
-	s := auditScratches.Get().(*auditScratch)
-	defer s.release()
-	reply := &s.reply
-	if err := reply.unmarshal(msg.Payload); err != nil || reply.From != msg.From {
-		return
-	}
-	if !n.verifySigned(reply.From, msg.Payload, reply.Sig) {
-		return
-	}
-	st, ok := n.audits[reply.From]
-	if !ok || !st.waiting {
-		return
-	}
+// onAuditReply verifies the fetched log suffix, decoded into s:
+// chain integrity, proposal coverage, serve compliance and outstanding
+// complaints.
+func (n *Node) onAuditReply(s *auditScratch) {
+	reply, y, r := &s.reply, s.reply.From, s.reply.Round
+	st := n.audits[y]
 	st.waiting = false
 	n.stats.AuditsPerformed++
-	y := reply.From
-	r := reply.Round
 
 	// The chain runs on from what this monitor last verified — or, when y
 	// has since dropped that prefix, from y's base, which the monitor

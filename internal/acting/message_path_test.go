@@ -46,24 +46,8 @@ func sampleMessages() []message {
 	}
 }
 
-// sigOf points at a decoded message's signature field.
-func sigOf(m message) []byte {
-	switch v := m.(type) {
-	case *proposeMsg:
-		return v.Sig
-	case *requestMsg:
-		return v.Sig
-	case *dataMsg:
-		return v.Sig
-	case *complaintMsg:
-		return v.Sig
-	case *auditReqMsg:
-		return v.Sig
-	case *auditReplyMsg:
-		return v.Sig
-	}
-	panic("unknown message")
-}
+// sigOf is a decoded message's signature.
+func sigOf(m message) []byte { return *m.head().sig }
 
 // remarshal re-encodes a decoded message: body plus signature field.
 func remarshal(m message) []byte {
@@ -74,12 +58,12 @@ func remarshal(m message) []byte {
 }
 
 var decoders = map[string]func([]byte) (message, error){
-	"propose":    func(b []byte) (message, error) { return unmarshalPropose(b) },
-	"request":    func(b []byte) (message, error) { return unmarshalRequest(b) },
-	"data":       func(b []byte) (message, error) { return unmarshalData(b) },
-	"complaint":  func(b []byte) (message, error) { return unmarshalComplaint(b) },
-	"auditReq":   func(b []byte) (message, error) { return unmarshalAuditReq(b) },
-	"auditReply": func(b []byte) (message, error) { m := new(auditReplyMsg); return m, m.unmarshal(b) },
+	"propose":    func(b []byte) (message, error) { return decode[proposeMsg](b, new(auditScratch)) },
+	"request":    func(b []byte) (message, error) { return decode[requestMsg](b, new(auditScratch)) },
+	"data":       func(b []byte) (message, error) { return decode[dataMsg](b, new(auditScratch)) },
+	"complaint":  func(b []byte) (message, error) { return decode[complaintMsg](b, new(auditScratch)) },
+	"auditReq":   func(b []byte) (message, error) { return decode[auditReqMsg](b, new(auditScratch)) },
+	"auditReply": func(b []byte) (message, error) { return decodeReply(b, new(auditScratch)) },
 }
 
 func goldenIdentity(t testing.TB) pki.Identity {
@@ -190,8 +174,9 @@ func TestHostileListCountRejected(t *testing.T) {
 	enc := w.Finish()
 	enc = append(enc[:len(enc)-4], 0x00, 0x10, 0x00, 0x00) // count = 2^20
 	enc = append(enc, 0, 0, 0, 0)                          // empty signature
+	s := new(auditScratch)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := unmarshalPropose(enc); err == nil {
+		if _, err := decode[proposeMsg](enc, s); err == nil {
 			t.Fatal("hostile count accepted")
 		}
 	})
@@ -214,7 +199,7 @@ type cluster struct {
 }
 
 // newCluster builds the session on an engine with the given worker count.
-func newCluster(t *testing.T, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
+func newCluster(t testing.TB, size, workers int, intern *update.Interner, behaviors map[model.NodeID]Behavior) *cluster {
 	t.Helper()
 	c := &cluster{suite: pki.NewFastSuite(), net: transport.NewMemNet(), nodes: map[model.NodeID]*Node{}}
 	ids := make([]model.NodeID, size)

@@ -15,10 +15,26 @@ import (
 // length-prefixed field, decoders return views into the delivered payload,
 // and signatures are verified over the received prefix.
 
-// message is an AcTinG message's layout.
+// message is an AcTinG message: its layout and its header.
 type message interface {
 	layout(c wire.Codec)
+	head() header
 }
+
+// header is what admission reads of a message: its round, sender, receiver
+// (NoNode where it names none) and signature field.
+type header struct {
+	round    model.Round
+	from, to model.NodeID
+	sig      *[]byte
+}
+
+func (m *proposeMsg) head() header    { return header{m.Round, m.From, m.To, &m.Sig} }
+func (m *requestMsg) head() header    { return header{m.Round, m.From, m.To, &m.Sig} }
+func (m *dataMsg) head() header       { return header{m.Round, m.From, m.To, &m.Sig} }
+func (m *complaintMsg) head() header  { return header{m.Round, m.From, model.NoNode, &m.Sig} }
+func (m *auditReqMsg) head() header   { return header{m.Round, m.From, model.NoNode, &m.Sig} }
+func (m *auditReplyMsg) head() header { return header{m.Round, m.From, model.NoNode, &m.Sig} }
 
 // signAndSend encodes m once into a pooled buffer, signs it in place and
 // lends it to the send (transport.SendLent: an exact-size copy where the
@@ -85,10 +101,8 @@ func decodeIDList(b []byte, ids []model.UpdateID) ([]byte, []model.UpdateID, err
 	return l.Tag, l.IDs, r.Done()
 }
 
-// ---------------------------------------------------------------------------
-// propose / request / data / complaint
-// ---------------------------------------------------------------------------
-
+// proposeMsg offers identifiers; a requestMsg, laid out the same under its
+// own kind, asks the proposer for those it misses.
 type proposeMsg struct {
 	Round model.Round
 	From  model.NodeID
@@ -97,46 +111,17 @@ type proposeMsg struct {
 	Sig   []byte
 }
 
-func (m *proposeMsg) layout(c wire.Codec) {
-	c.Kind(kindPropose)
+type requestMsg proposeMsg
+
+func (m *proposeMsg) layout(c wire.Codec) { m.idsLayout(c, kindPropose) }
+func (m *requestMsg) layout(c wire.Codec) { (*proposeMsg)(m).idsLayout(c, kindRequest) }
+
+func (m *proposeMsg) idsLayout(c wire.Codec, kind uint8) {
+	c.Kind(kind)
 	c.Round(&m.Round)
 	c.Node(&m.From)
 	c.Node(&m.To)
 	updateIDs(c, &m.IDs)
-}
-
-func unmarshalPropose(b []byte) (*proposeMsg, error) {
-	m, r := new(proposeMsg), wire.NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-type requestMsg struct {
-	Round model.Round
-	From  model.NodeID
-	To    model.NodeID
-	IDs   []model.UpdateID
-	Sig   []byte
-}
-
-func (m *requestMsg) layout(c wire.Codec) {
-	c.Kind(kindRequest)
-	c.Round(&m.Round)
-	c.Node(&m.From)
-	c.Node(&m.To)
-	updateIDs(c, &m.IDs)
-}
-
-func unmarshalRequest(b []byte) (*requestMsg, error) {
-	m, r := new(requestMsg), wire.NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // dataMsg carries full updates. Decoded, their payloads and source
@@ -163,15 +148,6 @@ func (m *dataMsg) layout(c wire.Codec) {
 	}
 }
 
-func unmarshalData(b []byte) (*dataMsg, error) {
-	m, r := new(dataMsg), wire.NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 type complaintMsg struct {
 	Round   model.Round
 	From    model.NodeID
@@ -188,19 +164,6 @@ func (m *complaintMsg) layout(c wire.Codec) {
 	updateIDs(c, &m.IDs)
 }
 
-func unmarshalComplaint(b []byte) (*complaintMsg, error) {
-	m, r := new(complaintMsg), wire.NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ---------------------------------------------------------------------------
-// audit request / reply
-// ---------------------------------------------------------------------------
-
 type auditReqMsg struct {
 	Round    model.Round
 	From     model.NodeID
@@ -213,15 +176,6 @@ func (m *auditReqMsg) layout(c wire.Codec) {
 	c.Round(&m.Round)
 	c.Node(&m.From)
 	c.U64(&m.SinceSeq)
-}
-
-func unmarshalAuditReq(b []byte) (*auditReqMsg, error) {
-	m, r := new(auditReqMsg), wire.NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // auditReplyMsg carries a log suffix. Decoded, the entries' contents are
@@ -282,11 +236,4 @@ func (m *auditReplyMsg) layout(c wire.Codec) {
 		c.Bytes(&e.Content)
 		c.Raw(e.Hash[:])
 	}
-}
-
-// unmarshal decodes b into m, reusing m's Entries storage.
-func (m *auditReplyMsg) unmarshal(b []byte) error {
-	r := wire.NewReader(b)
-	m.layout(r.Codec())
-	return r.Signature(&m.Sig)
 }

@@ -170,7 +170,8 @@ func TestAuditBaseNotPastVerifiedRejected(t *testing.T) {
 	const y = model.NodeID(2)
 	m := c.nodes[y].cfg.Directory.Monitors(y, 1)[0]
 	monitor := c.nodes[m]
-	monitor.audits[y] = &auditState{lastSeq: 10, lastRound: 3, waiting: true}
+	monitor.audits[y] = &auditState{lastSeq: 10, lastRound: 3, waiting: true, pending: 6}
+	monitor.round = 6
 	reply := &auditReplyMsg{Round: 6, From: y, Base: &logBase{Seq: 10, Round: 3}}
 	monitor.HandleMessage(transport.Message{From: y, To: m, Kind: kindAuditBaseReply,
 		Payload: seal(t, reply, c.nodes[y].cfg.Identity)})

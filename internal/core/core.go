@@ -36,13 +36,6 @@ import (
 	"repro/internal/update"
 )
 
-// Default protocol parameters (§VII-A).
-const (
-	// storeRetentionRounds is how long delivered updates stay available
-	// for buffermap matching and ref resolution before GC.
-	storeRetentionRounds = 24
-)
-
 // Verdict kinds, mapped to the deviations of §IV-A/§VI-B.
 const (
 	// VerdictWrongForward: a successor acknowledged a set that differs

@@ -472,8 +472,8 @@ func (n *Node) CloseRound(r model.Round) {
 	// K(R, self) becomes the serving key of round r+1.
 	n.kPrev = n.recvCur.productKey()
 
-	if r > storeRetentionRounds {
-		n.store.DropBefore(r - storeRetentionRounds)
+	if r > update.RetentionRounds {
+		n.store.DropBefore(r - update.RetentionRounds)
 	}
 	n.mon.gc(r)
 	// Serve ciphertexts are accusation evidence with a MidRound horizon

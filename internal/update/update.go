@@ -221,6 +221,11 @@ func (s *Store) Undelivered(r model.Round) []*Entry {
 	return out
 }
 
+// RetentionRounds is how many rounds PAG and AcTinG nodes keep a received
+// update (buffermap matching, ref resolution, duplicate-request
+// suppression) before DropBefore retires it.
+const RetentionRounds = 24
+
 // DropBefore removes updates received strictly before round r, returning
 // how many were dropped. Callers garbage-collect with a retention of a few
 // playout windows.
