@@ -6,6 +6,7 @@ import (
 	"repro/internal/hhash"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -34,7 +35,7 @@ func (n *Node) flushMonitorReports(r model.Round) {
 		d := designatedMonitor(monitors, pred, r)
 
 		// Message 6: the raw signed Ack.
-		_ = n.cfg.Endpoint.Send(d, wire.KindAckCopy, ex.ackBytes)
+		_ = transport.SendLent(n.cfg.Endpoint, wire.KindAckCopy, ex.ackBytes, d)
 
 		// Message 7: attestation + remainder, encrypted to the monitor
 		// so eavesdroppers never see prime products.
@@ -83,7 +84,9 @@ func (n *Node) publishDigest(r model.Round) {
 // unacknowledged successor is reported to its monitors with the encrypted
 // Serve and the attestation, so the monitors can replay the exchange
 // ("sending to nodes in M(B) the update u, and making them forward it to
-// node B and ask for an acknowledgement", §IV-A).
+// node B and ask for an acknowledgement", §IV-A). The Serve is sealed
+// again from what the exchange recorded: the same plaintext as the one
+// served, under a fresh encryption nonce.
 func (n *Node) raiseAccusations(r model.Round) {
 	for _, succ := range n.sh.Directory.Successors(n.id, r) {
 		ex := n.sendCur.perSucc[succ]
@@ -92,24 +95,27 @@ func (n *Node) raiseAccusations(r model.Round) {
 		}
 		if !ex.served {
 			// The successor never answered the KeyRequest, so the
-			// exchange could not even start: build the Serve now
-			// (all payloads, no buffermap, no attestation — there is
-			// no prime) so the monitors can deliver it (§IV-A).
-			n.serveForAccusation(succ, ex)
-			if !ex.served {
-				continue
-			}
+			// exchange could not even start: the Serve goes to the
+			// monitors only, so they can deliver it (§IV-A). It
+			// carries every item of the forward set in full: without
+			// a KeyResponse there is no buffermap to deduplicate
+			// against and no prime to attest under.
+			ex.served, ex.nServed, ex.refs = true, len(n.sendCur.items), ex.refs[:0]
+		}
+		acc := &wire.Accusation{
+			Round:    r,
+			From:     n.id,
+			Against:  succ,
+			AttBytes: ex.attBytes,
+		}
+		if err := n.sealServe(n.serveOf(succ, ex), func(cipher []byte) {
+			acc.ServeCipher = cipher
+			n.signAndSendAll(n.sh.Directory.Monitors(succ, r), acc)
+		}); err != nil {
+			continue
 		}
 		ex.accused = true
 		n.stats.AccusationsSent++
-		acc := &wire.Accusation{
-			Round:       r,
-			From:        n.id,
-			Against:     succ,
-			ServeCipher: ex.serveCipher,
-			AttBytes:    ex.attBytes,
-		}
-		n.signAndSendAll(n.sh.Directory.Monitors(succ, r), acc)
 		if n.trace != nil {
 			n.trace.Emit("accusation",
 				obs.XID(model.ExchangeID(r, n.id, succ)),
@@ -117,31 +123,6 @@ func (n *Node) raiseAccusations(r model.Round) {
 				obs.F("accused", succ))
 		}
 	}
-}
-
-// serveForAccusation builds and records (but does not send) the Serve for
-// a successor that never opened the exchange. Everything travels as full
-// payloads: without a KeyResponse there is no buffermap to deduplicate
-// against and no prime to attest under.
-func (n *Node) serveForAccusation(succ model.NodeID, ex *sendExchange) {
-	srv := &wire.Serve{
-		Round: n.round,
-		From:  n.id,
-		To:    succ,
-		KPrev: n.sendCur.kPrev.Bytes(),
-	}
-	if items := n.sendCur.items; len(items) > 0 {
-		srv.Full = make([]wire.ServedUpdate, len(items))
-		for i, it := range items {
-			srv.Full[i] = wire.ServedUpdate{Update: it.upd, Count: it.count}
-		}
-	}
-	cipher, err := n.sealServe(succ, srv)
-	if err != nil {
-		return
-	}
-	ex.served = true
-	ex.serveCipher = cipher
 }
 
 // onAccusation handles an accusation as a monitor of the accused: it
@@ -200,7 +181,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
 			att := carried(probe.Origin, n.round, probe.AttBytes)
 			if n.admit(&probedAttestation, &att) {
-				ex.attBytes = bytes.Clone(probe.AttBytes) // evidence: outlives the delivery
+				ex.attBytes = n.keep(probe.AttBytes) // evidence: outlives the delivery
 				n.maybeAck(probe.Origin, ex)
 			}
 		}
@@ -214,8 +195,8 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		return
 	}
 	// Answer the accuser and hand the monitor its copy.
-	_ = n.cfg.Endpoint.Send(probe.Origin, wire.KindAck, ex.ackBytes)
-	_ = n.cfg.Endpoint.Send(probe.From, wire.KindAckCopy, ex.ackBytes)
+	_ = transport.SendLent(n.cfg.Endpoint, wire.KindAck, ex.ackBytes, probe.Origin)
+	_ = transport.SendLent(n.cfg.Endpoint, wire.KindAckCopy, ex.ackBytes, probe.From)
 	if n.trace != nil {
 		n.trace.Emit("probe_answer",
 			obs.XID(model.ExchangeID(n.round, probe.Origin, n.id)),

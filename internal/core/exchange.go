@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/big"
 
@@ -69,20 +68,29 @@ func (n *Node) onKeyRequest(req *wire.KeyRequest) {
 	}
 }
 
-// sealServe builds {⟨srv⟩_A}_pk(to), the paper's construction for message
-// 3: srv is encoded and signed in a buffer sized to its sealed length and
-// sealed straight from it into one exact-size ciphertext, which the sender
-// owns — the form of a Serve it keeps as evidence. The buffer is presized
-// because the largest Serves outgrow the writer pool's cap: grown by
-// appends, each would reallocate several times on its way there.
-func (n *Node) sealServe(to model.NodeID, srv *wire.Serve) ([]byte, error) {
-	w := wire.GetWriterSize(srv.SealedLen(n.sh.Suite.SignatureSize()))
-	defer w.Release()
-	plain, err := wire.Seal(w, srv, n.cfg.Identity)
+// sealServe builds {⟨srv⟩_A}_pk(srv.To), the paper's construction for
+// message 3, and hands the ciphertext to use: srv is encoded and signed
+// into one pooled buffer presized to its sealed length and encrypted into
+// a second presized to the ciphertext's, so even a Serve past the writer
+// pool's cap is written once into each, never regrown through appends.
+// Both return to the pool when use returns: nothing is kept. A Serve is
+// sealed when it is served and sealed again, from what its exchange
+// recorded (serveOf), only when it has to go into an accusation.
+func (n *Node) sealServe(srv *wire.Serve, use func(cipher []byte)) error {
+	pw := wire.GetWriterSize(srv.SealedLen(n.sh.Suite.SignatureSize()))
+	defer pw.Release()
+	plain, err := wire.Seal(pw, srv, n.cfg.Identity)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return n.encryptTo(nil, to, plain)
+	cw := wire.GetWriterSize(len(plain) + n.sh.Suite.CiphertextOverhead())
+	defer cw.Release()
+	cipher, err := cw.Encrypt(encrypter{n}, srv.To, plain)
+	if err != nil {
+		return err
+	}
+	use(cipher)
+	return nil
 }
 
 // signEncryptSend sends {⟨m⟩_X}_pk(to) under the given kind, keeping
@@ -106,50 +114,28 @@ func (n *Node) signEncryptSend(to model.NodeID, m wire.BodyMessage, kind uint8) 
 // ---------------------------------------------------------------------------
 
 // serve builds and sends messages 3 (Serve) and 4 (Attestation) for one
-// successor, honouring behaviour-injected deviations.
+// successor, honouring behaviour-injected deviations, and records in ex
+// what the Serve carried.
 func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm update.BufferMap) {
 	items := n.servedItems()
-
-	srv := &wire.Serve{
-		Round: n.round,
-		From:  n.id,
-		To:    succ,
-		KPrev: n.sendCur.kPrev.Bytes(),
-	}
-	s := getTagScratch()
-	for _, it := range items {
-		s.embeds = append(s.embeds, it.embed)
-	}
+	ex.nServed = len(items)
+	ex.refs = ex.refs[:0]
 	// No map, no tags: against an empty buffermap (a successor that owns
-	// nothing yet) matching costs no hash operation.
-	var tags []uint64
+	// nothing yet) matching costs no hash operation, and every item goes
+	// in full.
 	if len(bm) > 0 {
-		tags = n.tagsOf(s, prime)
-	}
-	// Partition into payloads vs refs via the buffermap, each list
-	// allocated once at its length.
-	refs := 0
-	for _, tag := range tags {
-		if bm.Contains(tag) {
-			refs++
+		s := getTagScratch()
+		for _, it := range items {
+			s.embeds = append(s.embeds, it.embed)
 		}
-	}
-	if refs > 0 {
-		srv.Refs = make([]wire.ServedRef, 0, refs)
-	}
-	if full := len(items) - refs; full > 0 {
-		srv.Full = make([]wire.ServedUpdate, 0, full)
-	}
-	for i, it := range items {
-		if tags != nil && bm.Contains(tags[i]) {
-			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
-			n.stats.RefsSent++
-		} else {
-			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
-			n.stats.PayloadsSent++
+		for _, tag := range n.tagsOf(s, prime) {
+			ex.refs = append(ex.refs, bm.Contains(tag))
 		}
+		s.release()
 	}
-	s.release()
+	srv := n.serveOf(succ, ex)
+	n.stats.RefsSent += uint64(len(srv.Refs))
+	n.stats.PayloadsSent += uint64(len(srv.Full))
 
 	// Attest the round's served set, folded once at BeginRound, under
 	// this successor's prime (§V-D); each attestation still counts the
@@ -167,22 +153,50 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	}
 
 	// Send the Serve encrypted, then the Attestation in the clear (it is
-	// meaningless without the prime); record both for accusations.
-	cipher, err := n.sealServe(succ, srv)
-	if err != nil {
+	// meaningless without the prime); keep the Attestation for an
+	// accusation.
+	if err := n.sealServe(srv, func(cipher []byte) {
+		_ = transport.SendLent(n.cfg.Endpoint, wire.KindServe, cipher, succ)
+	}); err != nil {
 		return
 	}
-	attBytes, err := n.signOwned(att)
-	if err != nil {
+	if ex.attBytes, err = n.signKept(att); err != nil {
 		return
 	}
-
-	_ = n.cfg.Endpoint.Send(succ, wire.KindServe, cipher)
-	_ = n.cfg.Endpoint.Send(succ, wire.KindAttestation, attBytes)
-
+	_ = transport.SendLent(n.cfg.Endpoint, wire.KindAttestation, ex.attBytes, succ)
 	ex.served = true
-	ex.serveCipher = cipher
-	ex.attBytes = attBytes
+}
+
+// serveOf builds the Serve that ex records for succ: the first ex.nServed
+// items of the round's forward set, each as a ref where ex.refs marks it
+// and in full otherwise, every list allocated once at its length.
+func (n *Node) serveOf(succ model.NodeID, ex *sendExchange) *wire.Serve {
+	srv := &wire.Serve{
+		Round: n.round,
+		From:  n.id,
+		To:    succ,
+		KPrev: n.sendCur.kPrev.Bytes(),
+	}
+	refs := 0
+	for _, ref := range ex.refs {
+		if ref {
+			refs++
+		}
+	}
+	if refs > 0 {
+		srv.Refs = make([]wire.ServedRef, 0, refs)
+	}
+	if full := ex.nServed - refs; full > 0 {
+		srv.Full = make([]wire.ServedUpdate, 0, full)
+	}
+	for i, it := range n.sendCur.items[:ex.nServed] {
+		if i < len(ex.refs) && ex.refs[i] {
+			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
+		} else {
+			srv.Full = append(srv.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
+		}
+	}
+	return srv
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +311,7 @@ func (n *Node) onAttestation(att *wire.Attestation, body []byte) {
 	if !ok || ex.attBytes != nil {
 		return
 	}
-	ex.attBytes = bytes.Clone(body) // evidence: outlives the delivery
+	ex.attBytes = n.keep(body) // evidence: outlives the delivery
 	n.maybeAck(att.From, ex)
 }
 
@@ -346,10 +360,10 @@ func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
 		return
 	}
 	ack := &wire.Ack{Round: n.round, From: n.id, To: pred, H: enc}
-	if ex.ackBytes, err = n.signOwned(ack); err != nil {
+	if ex.ackBytes, err = n.signKept(ack); err != nil {
 		return
 	}
-	_ = n.cfg.Endpoint.Send(pred, wire.KindAck, ex.ackBytes)
+	_ = transport.SendLent(n.cfg.Endpoint, wire.KindAck, ex.ackBytes, pred)
 	if n.trace != nil {
 		n.trace.Emit("ack_sent",
 			obs.XID(model.ExchangeID(n.round, pred, n.id)),
@@ -376,7 +390,7 @@ func (n *Node) onAck(ack *wire.Ack, body []byte) {
 		return
 	}
 	ex.acked = true
-	ex.ackBytes = bytes.Clone(body) // evidence: outlives the delivery
+	ex.ackBytes = n.keep(body) // evidence: outlives the delivery
 	if n.trace != nil {
 		n.trace.Emit("ack_received",
 			obs.XID(model.ExchangeID(n.round, n.id, ack.From)),

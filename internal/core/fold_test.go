@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/hhash"
 	"repro/internal/model"
 	"repro/internal/pki"
+	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
 )
@@ -146,45 +148,207 @@ func TestServedFoldAllocations(t *testing.T) {
 	}
 }
 
+// everyOtherTag is a buffermap holding every other item of c's forward set
+// under c's prime: a successor that owns half of what it is served.
+func everyOtherTag(c *attestationCheck) update.BufferMap {
+	s := getTagScratch()
+	defer s.release()
+	for _, it := range c.node.sendCur.items {
+		s.embeds = append(s.embeds, it.embed)
+	}
+	var bm update.BufferMap
+	for i, tag := range c.node.tagsOf(s, c.prime) {
+		if i%2 == 0 {
+			bm = append(bm, tag)
+		}
+	}
+	slices.Sort(bm)
+	return bm
+}
+
 // TestServeAllocations: serving a successor whose buffermap holds every
 // other item costs the same allocations for 20 items as for 200 — the
-// Serve's payload and reference lists are each allocated once — and so
-// does the full Serve an accusation records.
+// Serve's payload and reference lists are each allocated once, it is
+// sealed and encrypted in pooled buffers and lent to the send — and
+// fewer than the 15 objects a serve cost while the node kept every
+// Serve's ciphertext and a heap copy of its Attestation. Accusing the
+// unacknowledged successor, which seals the Serve again, is flat in the
+// items too. One exchange shell is reused, as BeginRound reuses them, and
+// each call ends as a round does: the evidence buffer rewound, the net
+// drained (which recycles its send arena).
 func TestServeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const succ = model.NodeID(7)
+	const keptServeAllocs = 15
 	allocs := func(size int) (serve, accusation float64) {
 		c := newAttestationCheck(t, 5)
 		servedRound(t, c, size, 3)
 		n := c.node
+		succ := n.sh.Directory.Successors(n.id, n.round)[0]
 		if _, err := n.sh.Suite.(*pki.FastSuite).NewIdentity(succ); err != nil {
 			t.Fatal(err)
 		}
-		s := getTagScratch()
-		for _, it := range n.sendCur.items {
-			s.embeds = append(s.embeds, it.embed)
+		bm := everyOtherTag(c)
+		ex := &sendExchange{}
+		n.sendCur.perSucc[succ] = ex
+		serve = testing.AllocsPerRun(20, func() {
+			*ex = sendExchange{refs: ex.refs[:0]}
+			n.evidence = n.evidence[:0]
+			n.serve(succ, ex, c.prime, bm)
+			c.net.DeliverAll()
+		})
+		if !ex.served || ex.nServed != size {
+			t.Fatalf("served %v, %d items recorded, want %d", ex.served, ex.nServed, size)
 		}
-		var bm update.BufferMap
-		for i, tag := range n.tagsOf(s, c.prime) {
-			if i%2 == 0 {
-				bm = append(bm, tag)
-			}
+		accusation = testing.AllocsPerRun(20, func() {
+			ex.accused = false
+			n.raiseAccusations(n.round)
+			c.net.DeliverAll()
+		})
+		if !ex.accused {
+			t.Fatal("the unacknowledged successor was not accused")
 		}
-		s.release()
-		slices.Sort(bm)
-		serve = testing.AllocsPerRun(20, func() { n.serve(succ, &sendExchange{}, c.prime, bm) })
-		accusation = testing.AllocsPerRun(20, func() { n.serveForAccusation(succ, &sendExchange{}) })
 		return serve, accusation
 	}
 	smallServe, smallAcc := allocs(20)
 	largeServe, largeAcc := allocs(200)
+	t.Logf("serve: %.0f objects; accusation: %.0f", smallServe, smallAcc)
 	if smallServe != largeServe {
 		t.Errorf("serving 20 items allocates %.0f objects, 200 items %.0f", smallServe, largeServe)
 	}
+	if smallServe > keptServeAllocs-1 {
+		t.Errorf("serving allocates %.0f objects, want fewer than the %d of a kept ciphertext", smallServe, keptServeAllocs)
+	}
 	if smallAcc != largeAcc {
 		t.Errorf("an accusation's Serve of 20 items allocates %.0f objects, of 200 %.0f", smallAcc, largeAcc)
+	}
+}
+
+// TestAccusationServeMatchesServed: the Serve an accusation carries is
+// sealed again from what its exchange recorded, so opened by the
+// successor it is the very plaintext that was served — payloads and refs
+// as they went, a DropUpdates deviator's trimmed tail left out — or, for a
+// successor that never answered its KeyRequest, every item of the round's
+// forward set in full, at the length of the ciphertext that went out.
+func TestAccusationServeMatchesServed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		drop   int
+		opened []bool // per successor, in directory order: served, or never answered
+	}{
+		{"half as refs", 0, []bool{true}},
+		{"never answered", 0, []bool{false}},
+		{"DropUpdates=5", 5, []bool{true, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newAttestationCheck(t, 5)
+			n := c.node
+			n.cfg.Behavior.DropUpdates = tc.drop
+			servedRound(t, c, 24, 2)
+			suite := n.sh.Suite.(*pki.FastSuite)
+
+			// Every other id listens, keeping its Serves and Accusations.
+			got := map[model.NodeID][][]byte{}
+			for id := model.NodeID(1); id <= 8; id++ {
+				if id == n.id {
+					continue
+				}
+				if _, err := c.net.Register(id, func(m transport.Message) {
+					if m.Kind == wire.KindServe || m.Kind == wire.KindAccusation {
+						got[m.To] = append(got[m.To], bytes.Clone(m.Payload))
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			type want struct {
+				succ  model.NodeID
+				id    pki.Identity
+				plain []byte
+				size  int // of the ciphertext
+			}
+			var wants []want
+			for i, opened := range tc.opened {
+				succ := n.sh.Directory.Successors(n.id, n.round)[i]
+				id, err := suite.NewIdentity(succ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := &sendExchange{}
+				n.sendCur.perSucc[succ] = ex
+				w := want{succ: succ, id: id}
+				if opened {
+					n.serve(succ, ex, c.prime, everyOtherTag(c))
+					c.net.DeliverAll()
+					if len(got[succ]) != 1 {
+						t.Fatalf("successor %v received %d Serves, want 1", succ, len(got[succ]))
+					}
+					cipher := got[succ][0]
+					if w.plain, err = id.DecryptAppend(nil, cipher); err != nil {
+						t.Fatal(err)
+					}
+					srv, err := wire.UnmarshalServe(w.plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if served := len(n.sendCur.items) - tc.drop; len(srv.Refs) == 0 || len(srv.Full)+len(srv.Refs) != served {
+						t.Fatalf("served %d payloads and %d refs, want %d items, some as refs", len(srv.Full), len(srv.Refs), served)
+					}
+					w.size = len(cipher)
+				} else {
+					full := &wire.Serve{Round: n.round, From: n.id, To: succ, KPrev: n.sendCur.kPrev.Bytes()}
+					for _, it := range n.sendCur.items {
+						full.Full = append(full.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
+					}
+					pw := wire.GetWriter()
+					sealed, err := wire.Seal(pw, full, n.cfg.Identity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.plain = bytes.Clone(sealed)
+					pw.Release()
+					w.size = len(w.plain) + suite.CiphertextOverhead()
+				}
+				wants = append(wants, w)
+			}
+
+			clear(got)
+			n.raiseAccusations(n.round)
+			c.net.DeliverAll()
+			for _, w := range wants {
+				accused := 0
+				for _, copies := range got {
+					for _, b := range copies {
+						acc, err := wire.UnmarshalAccusation(b)
+						if err != nil || acc.Against != w.succ {
+							continue
+						}
+						accused++
+						plain, err := w.id.DecryptAppend(nil, acc.ServeCipher)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(plain, w.plain) {
+							t.Errorf("successor %v: the accusation's Serve is not the one sealed for it", w.succ)
+						}
+						if len(acc.ServeCipher) != w.size {
+							t.Errorf("successor %v: the accusation's ciphertext is %d bytes, the Serve's %d", w.succ, len(acc.ServeCipher), w.size)
+						}
+					}
+				}
+				want := 0 // the monitors that listen: every one but the accuser
+				for _, m := range n.sh.Directory.Monitors(w.succ, n.round) {
+					if m != n.id {
+						want++
+					}
+				}
+				if accused == 0 || accused != want {
+					t.Errorf("successor %v: accused to %d monitors, want %d", w.succ, accused, want)
+				}
+			}
+		})
 	}
 }
 

@@ -151,6 +151,7 @@ func TestBehaviorZeroValueCorrect(t *testing.T) {
 // a predecessor's attestation against it.
 type attestationCheck struct {
 	node     *Node
+	net      *transport.MemNet // the node's network; no other id is registered
 	hasher   *hhash.Hasher
 	verdicts []judicial.Verdict
 	exp, fwd *big.Int // the served content's embedded products
@@ -174,7 +175,8 @@ func newAttestationCheck(t *testing.T, id model.NodeID) *attestationCheck {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := transport.NewMemNet().Register(id, func(transport.Message) {})
+	c.net = transport.NewMemNet()
+	ep, err := c.net.Register(id, func(transport.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}

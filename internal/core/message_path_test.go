@@ -247,16 +247,17 @@ func FuzzHandleMessage(f *testing.F) {
 // for the encrypted kinds, the pooled buffer it opened the payload into;
 // decoded messages alias one or the other, so every blob a node keeps —
 // stored updates, attestations and acknowledgements held as evidence,
-// monitors' ack copies, exhibits, deferred messages — must be cloned where
-// it is kept. Delivered payloads are shared (with the sender's evidence and
-// with the other recipients of a fan-out), so the perturbed session hands
-// each handler a private copy and overwrites that the moment the handler
-// returns, and has wire poison every pooled buffer on release — which also
-// catches pooled bytes handed to Endpoint.Send. It must end exactly like
-// its undisturbed twin — through the accusation and probe flow a NoAck node
-// forces and the AckRequest/AckExhibit investigation a node withholding its
-// monitor reports forces — with and without the interner, on the serial
-// engine and on four workers.
+// monitors' ack copies, exhibits, deferred messages — must be copied where
+// it is kept. Delivered payloads are shared with the other recipients of
+// a fan-out, so the perturbed session hands each handler a private copy
+// and overwrites that the moment the handler returns, and has wire poison
+// every pooled buffer on release — which also catches pooled bytes handed
+// to Endpoint.Send — and each node's evidence buffer when BeginRound
+// rewinds it, which catches evidence read past its round. It must end
+// exactly like its undisturbed twin — through the accusation and probe
+// flow a NoAck node forces and the AckRequest/AckExhibit investigation a
+// node withholding its monitor reports forces — with and without the
+// interner, on the serial engine and on four workers.
 func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 	const lazy, sneak = 6, 9
 	run := func(perturb bool, workers int, intern *update.Interner) ([]string, []uint64) {

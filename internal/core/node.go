@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/rand"
 	"fmt"
 	"math/big"
@@ -43,9 +42,10 @@ type recvExchange struct {
 	exp, fwd hhash.Fold
 	// kPrevA is K(R-1,A) from the Serve: the acknowledgement key.
 	kPrevA hhash.Key
-	// attBytes is the predecessor's marshalled signed Attestation.
+	// attBytes is the predecessor's marshalled signed Attestation and
+	// ackBytes this node's marshalled signed Ack (message 5 / copy 6),
+	// both in the node's evidence buffer (Node.keep).
 	attBytes []byte
-	// ackBytes is this node's marshalled signed Ack (message 5 / copy 6).
 	ackBytes []byte
 	// reported marks that messages 6–7 went to the designated monitor.
 	reported bool
@@ -89,15 +89,23 @@ type early struct {
 }
 
 // sendExchange is the sender-side state of one successor exchange (this
-// node as A of Fig 5).
+// node as A of Fig 5). Its byte slices are views of the node's evidence
+// buffer (Node.keep). The Serve itself is not kept: nServed and refs
+// record what it carried, and serveOf rebuilds it byte for byte from
+// them, the round's items and kPrev when it has to go into an accusation.
 type sendExchange struct {
-	served      bool
-	acked       bool
-	ackBytes    []byte
-	serveCipher []byte
-	attBytes    []byte
-	accused     bool
-	skipped     bool // behaviour-injected skip
+	served   bool
+	acked    bool
+	ackBytes []byte
+	attBytes []byte
+	accused  bool
+	skipped  bool // behaviour-injected skip
+	// nServed is how many of sendRound.items the Serve carried — fewer
+	// for a DropUpdates deviator — and refs[i] whether item i went as a
+	// ref; a refs shorter than nServed leaves the rest full. refs keeps
+	// its array across rounds with the recycled shell.
+	nServed int
+	refs    []bool
 	// slot is the slot of the round in which this exchange opens
 	// (membership.Directory.ExchangeSlot).
 	slot int
@@ -163,12 +171,16 @@ type Node struct {
 	// hot-path nil check).
 	trace *obs.Tracer
 
+	// evidence holds the round's signed exchange messages that the node
+	// keeps (keep): its own and its peers' Attestations and Acks. Nothing
+	// else holds a view of it — every send of those bytes is lent, and a
+	// monitor keeps a copy of its own — so BeginRound rewrites it from the
+	// start, as it recycles the exchange shells that point into it.
+	evidence []byte
+
 	// Round-scoped state is pooled across rounds (the flyweight arena):
 	// at BeginRound the previous round's containers are cleared and kept
-	// for reuse instead of reallocating. Only the container shells are
-	// recycled — byte slices they referenced (acks, attestations, serve
-	// ciphers) may still be in flight or held by monitors and are simply
-	// re-pointed, never overwritten.
+	// for reuse instead of reallocating.
 	recvFree *recvRound
 	sendFree *sendRound
 	rexFree  []*recvExchange
@@ -240,6 +252,7 @@ func (n *Node) Retire() {
 	n.injected, n.deferred = nil, nil
 	n.mon = newMonitorState(n)
 	n.pool = nil
+	n.evidence = nil
 	n.recvFree, n.sendFree = nil, nil
 	n.rexFree, n.sexFree, n.itemFree = nil, nil, nil
 }
@@ -285,7 +298,7 @@ func (n *Node) BeginRound(r model.Round) {
 	n.round = r
 
 	// Recycle the previous round's container shells into the node's
-	// free lists (see the Node field comment for the aliasing rules).
+	// free lists, and with them the evidence buffer they point into.
 	var items []pendingItem
 	if prev := n.sendCur; prev != nil {
 		// Recycled shells are zeroed as they are parked, here and for
@@ -295,7 +308,7 @@ func (n *Node) BeginRound(r model.Round) {
 		clear(prev.items)
 		items = prev.items[:0]
 		for _, ex := range prev.perSucc {
-			*ex = sendExchange{}
+			*ex = sendExchange{refs: ex.refs[:0]}
 			n.sexFree = append(n.sexFree, ex)
 		}
 		clear(prev.perSucc)
@@ -317,6 +330,9 @@ func (n *Node) BeginRound(r model.Round) {
 		n.recvFree = prev
 		n.recvCur = nil
 	}
+	// No shell points into the evidence buffer any more.
+	wire.PoisonOnRelease(n.evidence)
+	n.evidence = n.evidence[:0]
 
 	// Promote last round's receptions into this round's forward set.
 	for _, it := range n.pendingNext {
@@ -476,15 +492,6 @@ func (n *Node) CloseRound(r model.Round) {
 		n.store.DropBefore(r - update.RetentionRounds)
 	}
 	n.mon.gc(r)
-	// Serve ciphertexts are accusation evidence with a MidRound horizon
-	// (raiseAccusations is their only reader); release them at round
-	// close instead of letting the round's heaviest buffers idle until
-	// the next BeginRound recycles the exchange shells.
-	if sr := n.sendCur; sr != nil {
-		for _, ex := range sr.perSucc {
-			ex.serveCipher = nil
-		}
-	}
 	n.stats.RoundsRun++
 
 	if n.trace != nil && n.sendCur != nil {
@@ -558,14 +565,27 @@ func (n *Node) signAndSendAll(peers []model.NodeID, m wire.BodyMessage) {
 	}
 }
 
-// signOwned is Seal into one exact-size heap slice: the form a signed
-// message takes when the sender keeps it as evidence (attestations,
-// acknowledgements) and sends those very bytes.
-func (n *Node) signOwned(m wire.BodyMessage) ([]byte, error) {
+// signKept seals m in a pooled buffer and keeps the signed bytes in the
+// round's evidence buffer (keep): the form of a message the node sends
+// and keeps as evidence (its Attestations and Acks). Every send of them
+// is lent.
+func (n *Node) signKept(m wire.BodyMessage) ([]byte, error) {
 	w := wire.GetWriter()
 	defer w.Release()
 	payload, err := wire.Seal(w, m, n.cfg.Identity)
-	return bytes.Clone(payload), err
+	if err != nil {
+		return nil, err
+	}
+	return n.keep(payload), nil
+}
+
+// keep copies b into the node's evidence buffer and returns the copy,
+// which is valid until the next BeginRound. The copy is capped at its
+// length, so an append to it cannot run into the next one.
+func (n *Node) keep(b []byte) []byte {
+	start := len(n.evidence)
+	n.evidence = append(n.evidence, b...)
+	return n.evidence[start:len(n.evidence):len(n.evidence)]
 }
 
 // verifyUpdate checks an update's source signature, encoding the

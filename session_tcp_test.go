@@ -125,9 +125,11 @@ func TestTCPSendOwnership(t *testing.T) {
 // keeps what Send is given, so a lent buffer is copied into its send
 // arena, whose chunks are recycled once the messages sent from them have
 // been handled. With wire.PoisonReleased every recycled chunk is
-// overwritten: a handler that kept a payload, or a chunk recycled under
-// a view still in flight — on the sharded engine, another shard's lends
-// retire chunks too — would change the run. A PAG and an AcTinG session,
+// overwritten, and so is each PAG node's evidence buffer when BeginRound
+// rewinds it: a handler that kept a payload, a chunk recycled under a
+// view still in flight — on the sharded engine, another shard's lends
+// retire chunks too — or evidence still read after its round would change
+// the run. A PAG and an AcTinG session,
 // inline and on four workers, must reach the report and move the bytes
 // per node of the run without it.
 func TestMemNetLentOwnership(t *testing.T) {
