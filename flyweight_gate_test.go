@@ -6,10 +6,11 @@ import (
 )
 
 // TestSteadyStateAllocations: the per-round allocation regression gate.
-// After warmup the pooled round shells, the interner and the shared plane
-// hold steady-state allocations per node per round under a fixed budget;
-// a representation regression (a pool stops recycling, a map turns eager,
-// a buffer loses its reuse path) shows up here as a step change.
+// After warmup the round records reset in place, the interner and the
+// shared plane hold steady-state allocations per node per round under a
+// fixed budget; a representation regression (a pool stops recycling, a map
+// turns eager, a buffer loses its reuse path) shows up here as a step
+// change.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation statistics need the full run")
@@ -26,7 +27,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	perRound := testing.AllocsPerRun(5, func() { s.Run(1) })
 	perNode := perRound / nodes
 
-	// Measured steady state is 469 allocs/node/round at these parameters.
+	// Measured steady state is 436 allocs/node/round at these parameters.
 	// Hash values dominate — decoded into and encoded out of math/big
 	// (hhash.Params.DecodeValue, EncodeValue, Key.Mul) — then the structs
 	// decoded for Acks, AckRelays and Attestations, and per-round monitor
@@ -34,7 +35,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 	// lent (MemNet copies it into its recycled send arena), what a node
 	// keeps of an exchange goes into its recycled evidence buffer, and a
 	// memoised monitor set is returned as it is, so none of them
-	// allocates. It was 484 while each Serve's ciphertext and the kept
+	// allocates. It was 469 while a node kept its round state in maps fed
+	// by free lists (value records reset in place now), 484 while each Serve's
+	// ciphertext and the kept
 	// Attestations and Acks were heap copies, 1580-1680 while ciphertexts
 	// and transport payload copies dominated, ~3050 while every message
 	// was encoded three times and decoded into copies, ~5500 while every

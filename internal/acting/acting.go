@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/judicial"
 	"repro/internal/membership"
@@ -237,7 +236,7 @@ func (n *Node) BeginRound(r model.Round) {
 	for id := range n.freshNext {
 		n.fresh = append(n.fresh, id)
 	}
-	sort.Slice(n.fresh, func(i, j int) bool { return n.fresh[i].Less(n.fresh[j]) })
+	slices.SortFunc(n.fresh, model.UpdateID.Compare)
 	n.freshNext = make(map[model.UpdateID]bool)
 	n.requestedFrom = make(map[model.NodeID][]model.UpdateID)
 	clear(n.requested)

@@ -26,12 +26,13 @@ func (n *Node) flushMonitorReports(r model.Round) {
 	if len(monitors) == 0 {
 		return
 	}
-	for _, pred := range n.recvCur.order {
-		ex := n.recvCur.exchanges[pred]
-		if ex.ackBytes == nil || ex.attBytes == nil || ex.reported {
+	for i := range n.recv.preds {
+		ex := &n.recv.preds[i]
+		if ex.prime.IsZero() || ex.ackBytes == nil || ex.attBytes == nil || ex.reported {
 			continue
 		}
 		ex.reported = true
+		pred := ex.pred
 		d := designatedMonitor(monitors, pred, r)
 
 		// Message 6: the raw signed Ack.
@@ -43,7 +44,7 @@ func (n *Node) flushMonitorReports(r model.Round) {
 			Round:     r,
 			From:      n.id,
 			AttBytes:  ex.attBytes,
-			Remainder: n.recvCur.remainderFor(pred).Bytes(),
+			Remainder: n.recv.remainderFor(pred).Bytes(),
 		}
 		n.signEncryptSend(d, fwd, wire.KindAttForward)
 		if n.trace != nil {
@@ -67,13 +68,13 @@ func (n *Node) publishDigest(r model.Round) {
 		return
 	}
 	var fwd hhash.Fold
-	for _, pred := range n.recvCur.order {
-		ex := n.recvCur.exchanges[pred]
-		if ex.reported && ex.served {
+	for i := range n.recv.preds {
+		// Only an exchange with a prime is ever reported.
+		if ex := &n.recv.preds[i]; ex.reported && ex.served {
 			n.hasher.MulFold(&fwd, &ex.fwd)
 		}
 	}
-	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, n.recvCur.productKey(), &fwd))
+	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, n.recv.productKey(), &fwd))
 	if err != nil {
 		return
 	}
@@ -88,11 +89,12 @@ func (n *Node) publishDigest(r model.Round) {
 // again from what the exchange recorded: the same plaintext as the one
 // served, under a fresh encryption nonce.
 func (n *Node) raiseAccusations(r model.Round) {
-	for _, succ := range n.sh.Directory.Successors(n.id, r) {
-		ex := n.sendCur.perSucc[succ]
-		if ex == nil || ex.skipped || ex.acked || ex.accused {
+	for i := range n.send.succs {
+		ex := &n.send.succs[i]
+		if ex.skipped || ex.acked || ex.accused {
 			continue
 		}
+		succ := ex.succ
 		if !ex.served {
 			// The successor never answered the KeyRequest, so the
 			// exchange could not even start: the Serve goes to the
@@ -100,7 +102,7 @@ func (n *Node) raiseAccusations(r model.Round) {
 			// carries every item of the forward set in full: without
 			// a KeyResponse there is no buffermap to deduplicate
 			// against and no prime to attest under.
-			ex.served, ex.nServed, ex.refs = true, len(n.sendCur.items), ex.refs[:0]
+			ex.served, ex.nServed, ex.refs = true, len(n.send.items), ex.refs[:0]
 		}
 		acc := &wire.Accusation{
 			Round:    r,
@@ -162,7 +164,7 @@ func (m *monitorState) onAccusation(acc *wire.Accusation) {
 // probing monitor. A compliant-but-lazy node answers probes — ignoring
 // them converts a cheap deviation into an Unresponsive verdict.
 func (n *Node) onProbe(probe *wire.Probe) {
-	ex := n.recvCur.exchanges[probe.Origin]
+	ex := n.recv.exchange(probe.Origin)
 	if ex == nil || ex.ackBytes == nil {
 		// Process the relayed Serve (it is encrypted to this node) and
 		// attestation, then acknowledge.
@@ -177,7 +179,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		if n.vet(probedServe.checks, &srv) {
 			n.processServe(srv.m.(*wire.Serve), srv.key)
 		}
-		ex = n.recvCur.exchanges[probe.Origin]
+		ex = n.recv.exchange(probe.Origin)
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
 			att := carried(probe.Origin, n.round, probe.AttBytes)
 			if n.admit(&probedAttestation, &att) {
@@ -209,7 +211,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 // successor's acknowledgement, or the fact that an accusation was raised.
 func (n *Node) onAckRequest(req *wire.AckRequest) {
 	exhibit := &wire.AckExhibit{Round: req.Round, From: n.id, Succ: req.Succ}
-	if ex := n.sendCur.perSucc[req.Succ]; ex != nil {
+	if ex := n.send.exchange(req.Succ); ex != nil {
 		exhibit.AckBytes = ex.ackBytes
 		exhibit.Accused = ex.accused
 	}
@@ -218,10 +220,9 @@ func (n *Node) onAckRequest(req *wire.AckRequest) {
 
 // onAckExhibit stores the investigated node's answer for judgement.
 func (m *monitorState) onAckExhibit(ex *wire.AckExhibit) {
-	st := m.state(ex.Round, ex.From)
-	if st.requested[ex.Succ] && st.exhibits[ex.Succ] == nil {
+	if p := m.state(ex.Round, ex.From).find(ex.Succ); p != nil && p.requested && p.exhibit == nil {
 		// Kept until judgement: detach the evidence from the delivery.
 		ex.AckBytes, ex.Sig = bytes.Clone(ex.AckBytes), nil
-		st.putExhibit(ex.Succ, ex)
+		p.exhibit = ex
 	}
 }

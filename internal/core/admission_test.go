@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"os"
 	"runtime"
@@ -139,16 +140,7 @@ func admissionMessage(t testing.TB, h *harness, c admissionCast, kind uint8, s m
 		att := seal(c.x, &wire.Attestation{Round: r, From: c.x, To: s, HExpiring: hv, HForwardable: hv})
 		m, sealed = &wire.AttForward{Round: r, From: s, AttBytes: att, Remainder: hhash.OneKey().Bytes()}, true
 	case wire.KindHashShare:
-		monitors, pred := h.dir.Monitors(c.y, r), c.x
-		if slices.Contains(monitors, s) {
-			for _, p := range h.dir.MembersAt(r) {
-				if core.DesignatedMonitor(monitors, p, r) == s {
-					pred = p
-					break
-				}
-			}
-		}
-		m = &wire.HashShare{Round: r, From: s, Monitored: c.y, Pred: pred, HExpLifted: hv, HFwdLifted: hv}
+		m = &wire.HashShare{Round: r, From: s, Monitored: c.y, Pred: sharePred(h, c, s, r), HExpLifted: hv, HFwdLifted: hv}
 	case wire.KindAckForward:
 		m = wire.NewAckForward(r, s, seal(c.y, &wire.Ack{Round: r, From: c.y, To: c.y2, H: hv}))
 	case wire.KindConfirm:
@@ -178,17 +170,36 @@ func admissionMessage(t testing.TB, h *harness, c admissionCast, kind uint8, s m
 	return transport.Message{From: s, To: c.b, Kind: kind, Payload: payload}
 }
 
+// sharePred is the predecessor a HashShare from s about c.y in round r
+// names: for a monitor of c.y, the first predecessor of c.y whose exchange
+// s is designated to, or, where there is none, the first member it would
+// be designated to; for anyone else, the stranger.
+func sharePred(h *harness, c admissionCast, s model.NodeID, r model.Round) model.NodeID {
+	monitors := h.dir.Monitors(c.y, r)
+	if !slices.Contains(monitors, s) {
+		return c.x
+	}
+	designated := func(p model.NodeID) bool { return core.DesignatedMonitor(monitors, p, r) == s }
+	for _, candidates := range [][]model.NodeID{h.dir.Predecessors(c.y, r), h.dir.MembersAt(r)} {
+		if i := slices.IndexFunc(candidates, designated); i >= 0 {
+			return candidates[i]
+		}
+	}
+	return c.x
+}
+
 // admissionOutcomes runs the golden's every cell — kind × sender role ×
 // round offset — through the receiver's admission and no further, one line
-// per cell: handled, deferred, dropped, or the verdict it raised.
-func admissionOutcomes(t testing.TB) []string {
+// per cell: handled, deferred, dropped, or the verdict it raised. For each
+// cell it also reports whether the cell's message is a HashShare naming an
+// exchange its round does not hold.
+func admissionOutcomes(t testing.TB) (out []string, noExchange []bool) {
 	h := newHarness(t, 16, 2)
 	h.engine.Run(int(admissionRound) - 1)
 	const b = model.NodeID(3)
 	node := h.nodes[b]
 	node.BeginRound(admissionRound) // its exchanges now await their primes
 	c := newAdmissionCast(t, h, b, admissionRound)
-	var out []string
 	for _, kind := range admissionKinds {
 		for i, role := range c.roles {
 			for _, off := range admissionOffsets {
@@ -210,29 +221,33 @@ func admissionOutcomes(t testing.TB) []string {
 					outcome = "handled"
 				}
 				out = append(out, fmt.Sprintf("%s %s %+d: %s", wire.KindName(kind), role, off, outcome))
+				_, real := h.dir.ExchangeSlot(sharePred(h, c, c.senders[i], r), c.y, r)
+				noExchange = append(noExchange, kind == wire.KindHashShare && !real)
 			}
 		}
 	}
-	return out
+	return out, noExchange
 }
 
 // TestAdmissionMatchesParent holds every cell of the admission golden to
 // the outcome recorded at the parent of the admission table (commit
 // 252a276, testdata/admission_parent.txt; not re-recordable from the tree),
-// where each handler ran its own checks. The one change allowed is the
-// monitor kinds' round window: a monitor message more than MonitorKeep
-// rounds behind the receiver, or more than one ahead, is now dropped.
+// where each handler ran its own checks. Two changes are allowed. One is
+// the monitor kinds' round window: a monitor message more than MonitorKeep
+// rounds behind the receiver, or more than one ahead, is now dropped. The
+// other is that a HashShare must name an exchange of its round: one whose
+// predecessor is no predecessor of the monitored node is now dropped.
 func TestAdmissionMatchesParent(t *testing.T) {
 	raw, err := os.ReadFile("testdata/admission_parent.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	parent := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	got := admissionOutcomes(t)
+	got, noExchange := admissionOutcomes(t)
 	if len(got) != len(parent) {
 		t.Fatalf("%d cells, the parent recorded %d", len(got), len(parent))
 	}
-	changed := 0
+	changed, unreal := 0, 0
 	for i, line := range got {
 		want := parent[i]
 		cell, outcome, _ := strings.Cut(want, ": ")
@@ -243,12 +258,18 @@ func TestAdmissionMatchesParent(t *testing.T) {
 		if monitorKind(kindNamed(t, kind)) && (off < -core.MonitorKeep || off > 1) && outcome != "dropped" {
 			want, changed = cell+": dropped", changed+1
 		}
+		if noExchange[i] && outcome != "dropped" {
+			want, unreal = cell+": dropped", unreal+1
+		}
 		if line != want {
 			t.Errorf("got  %s\nwant %s", line, want)
 		}
 	}
 	if changed == 0 {
 		t.Fatal("no out-of-window monitor cell was admitted at the parent: the golden shows no window")
+	}
+	if unreal == 0 {
+		t.Fatal("no HashShare naming an exchange its round does not hold was admitted at the parent: the golden shows no check")
 	}
 }
 
@@ -500,4 +521,40 @@ func testPrime(t *testing.T, seed int64, bits int) hhash.Key {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// TestHashShareNamesRealExchange: a HashShare folds a predecessor's
+// exchange into the monitored node's obligation, so it must name one its
+// round holds. In round 6 of the 16-node session, n4, a monitor of n2 and
+// the designated monitor of an exchange n3→n2 that the directory does not
+// hold, sends n2's other monitors a validly signed share of it. They drop
+// it, and n2, which is correct, draws no verdict: folded in, the share
+// would make its honest self-digest disagree with their obligation.
+func TestHashShareNamesRealExchange(t *testing.T) {
+	const (
+		r              = model.Round(6)
+		y, pred, liar  = model.NodeID(2), model.NodeID(3), model.NodeID(4)
+		roundsAfterLie = 2 // the lie's round, and the next, whose forwarding check it is the baseline of
+	)
+	h := newHarness(t, 16, 2)
+	monitors := h.dir.Monitors(y, r)
+	if !slices.Contains(monitors, liar) || core.DesignatedMonitor(monitors, pred, r) != liar {
+		t.Fatalf("n%v is not the designated monitor of n%v→n%v among %v", liar, pred, y, monitors)
+	}
+	if _, ok := h.dir.ExchangeSlot(pred, y, r); ok {
+		t.Fatalf("n%v→n%v is an exchange of round %v", pred, y, r)
+	}
+	h.engine.Run(int(r) - 1)
+	hv, err := h.params.EncodeValue(big.NewInt(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := sealMsg(t, h.identities[liar], &wire.HashShare{Round: r, From: liar, Monitored: y, Pred: pred, HExpLifted: hv, HFwdLifted: hv})
+	for _, m := range monitors {
+		if m != liar {
+			h.nodes[m].HandleMessage(transport.Message{From: liar, To: m, Kind: wire.KindHashShare, Payload: share})
+		}
+	}
+	h.engine.Run(roundsAfterLie)
+	h.requireNoVerdictsExcept()
 }

@@ -103,6 +103,7 @@ const (
 	fromMonitored                  // this node monitors the sender
 	fromCoMonitor                  // sender and this node both monitor the share's node
 	fromDesignated                 // the sender is the exchange's designated monitor
+	realExchange                   // the exchange a share or forwarded attestation names is one of its round
 	toDesignated                   // this node is the forwarded exchange's designated monitor
 	nackMonitors                   // the sender monitors the accused, this node the accuser
 	accusedMonitored               // this node monitors the accused
@@ -130,7 +131,7 @@ var rules = [maxWireKind + 1]rule{
 	wire.KindAttForward: {name: "AttForward", decode: decoder(wire.UnmarshalAttForward),
 		sealed: true, window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored, remainderWidth}},
 	wire.KindHashShare: {name: "HashShare", decode: decoder(wire.UnmarshalHashShare),
-		window: monitorRound, mute: silentMonitor, checks: []check{fromCoMonitor, fromDesignated}},
+		window: monitorRound, mute: silentMonitor, checks: []check{fromCoMonitor, fromDesignated, realExchange}},
 	// An AckRelay's window is its Ack's (relayedAck).
 	wire.KindAckForward: {name: "AckRelay", decode: decoder(wire.UnmarshalAckRelay), mute: silentMonitor},
 	wire.KindConfirm:    {name: "AckRelay", decode: decoder(wire.UnmarshalAckRelay), mute: silentMonitor},
@@ -157,7 +158,7 @@ var (
 		sealed: true, bind: toReceiver, window: thisRound, checks: serveChecks}
 	probedAttestation    = rule{decode: decoder(wire.UnmarshalAttestation), bind: toReceiver, window: thisRound}
 	forwardedAttestation = rule{name: "forwarded Attestation", malformed: "AttForward with inconsistent attestation",
-		decode: decoder(wire.UnmarshalAttestation), bind: toSender, checks: []check{toDesignated}}
+		decode: decoder(wire.UnmarshalAttestation), bind: toSender, checks: []check{toDesignated, realExchange}}
 	relayedAck = rule{name: "relayed Ack", decode: decoder(wire.UnmarshalAck), bind: relayMonitors, window: monitorRound}
 )
 
@@ -203,7 +204,7 @@ func (n *Node) handle(msg transport.Message) {
 	case wire.KindKeyResponse:
 		// Decoding proved the tags strictly ascending: they are a BufferMap.
 		resp := in.m.(*wire.KeyResponse)
-		n.serve(resp.From, n.sendCur.perSucc[resp.From], in.key, update.BufferMap(resp.BufferMap))
+		n.serve(resp.From, n.send.exchange(resp.From), in.key, update.BufferMap(resp.BufferMap))
 	case wire.KindServe:
 		n.processServe(in.m.(*wire.Serve), in.key)
 	case wire.KindAttestation:
@@ -338,7 +339,7 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 			return false, wire.KindName(in.m.Kind()) + " from a non-predecessor"
 		}
 	case fromAsked:
-		ex := n.sendCur.perSucc[h.From]
+		ex := n.send.exchange(h.From)
 		return ex != nil && !ex.served && !ex.skipped, ""
 	case primeWidth:
 		// Every honest prime has exactly the session's width (the generator
@@ -398,6 +399,17 @@ func (n *Node) passes(c check, in *inbound) (ok bool, fault string) {
 		if designatedMonitor(d.Monitors(s.Monitored, h.Round), s.Pred, h.Round) != h.From {
 			return false, "hash share from non-designated monitor"
 		}
+	case realExchange:
+		// A share, or the attestation its designated monitor lifts into
+		// one, folds an exchange into the obligation of its successor:
+		// one the directory does not hold would make that node's honest
+		// self-digest disagree with every monitor that folded it.
+		pred, succ := h.From, h.To
+		if s, ok := in.m.(*wire.HashShare); ok {
+			pred, succ = s.Pred, s.Monitored
+		}
+		_, ok := d.ExchangeSlot(pred, succ, h.Round)
+		return ok, ""
 	case toDesignated:
 		// Only the designated monitor lifts an exchange and shares it
 		// (HashShare's fromDesignated): the one the attestation's sender,

@@ -22,25 +22,26 @@ import (
 // ---------------------------------------------------------------------------
 
 func (n *Node) onKeyRequest(req *wire.KeyRequest) {
-	ex, ok := n.recvCur.exchanges[req.From]
-	if !ok || ex.prime.IsZero() {
+	ex := n.recv.exchange(req.From)
+	if ex == nil || ex.prime.IsZero() {
 		// The prime is generated on the first KeyRequest — which over a
 		// real transport may arrive after a reordered Serve already
 		// opened the exchange with a zero prime (processServe). Issuing
-		// a prime and entering recvCur.order are one step: order is what
-		// feeds K(R,B), the monitor reports and the self-digest, and an
-		// exchange belongs there exactly when it has a prime (and never
-		// with a zero one, so a failed generation leaves no trace).
+		// a prime and taking the last place in recv.preds are one step:
+		// that order is what feeds K(R,B), the monitor reports and the
+		// self-digest, and an exchange enters them exactly when it has a
+		// prime (never with a zero one, so a failed generation leaves no
+		// trace).
 		prime, err := n.pool.Get()
 		if err != nil {
 			return
 		}
-		if !ok {
-			ex = n.newRecvExchange()
-			n.recvCur.exchanges[req.From] = ex
+		if ex == nil {
+			ex = n.recv.open(req.From)
+		} else {
+			ex = n.recv.moveLast(ex)
 		}
 		ex.prime = prime
-		n.recvCur.order = append(n.recvCur.order, req.From)
 	}
 
 	resp := &wire.KeyResponse{
@@ -140,7 +141,7 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	// Attest the round's served set, folded once at BeginRound, under
 	// this successor's prime (§V-D); each attestation still counts the
 	// set's count-powers (hhash.Counter).
-	sr := n.sendCur
+	sr := &n.send
 	n.hasher.Recharge(&sr.exp)
 	n.hasher.Recharge(&sr.fwd)
 	att := &wire.Attestation{Round: n.round, From: n.id, To: succ}
@@ -175,7 +176,7 @@ func (n *Node) serveOf(succ model.NodeID, ex *sendExchange) *wire.Serve {
 		Round: n.round,
 		From:  n.id,
 		To:    succ,
-		KPrev: n.sendCur.kPrev.Bytes(),
+		KPrev: n.send.kPrev.Bytes(),
 	}
 	refs := 0
 	for _, ref := range ex.refs {
@@ -189,7 +190,7 @@ func (n *Node) serveOf(succ model.NodeID, ex *sendExchange) *wire.Serve {
 	if full := ex.nServed - refs; full > 0 {
 		srv.Full = make([]wire.ServedUpdate, 0, full)
 	}
-	for i, it := range n.sendCur.items[:ex.nServed] {
+	for i, it := range n.send.items[:ex.nServed] {
 		if i < len(ex.refs) && ex.refs[i] {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
 		} else {
@@ -207,14 +208,13 @@ func (n *Node) serveOf(succ model.NodeID, ex *sendExchange) *wire.Serve {
 // monitor probe) with its parsed K(R-1) and, once the attestation is
 // present, acknowledges.
 func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
-	ex, ok := n.recvCur.exchanges[srv.From]
-	if !ok {
+	ex := n.recv.exchange(srv.From)
+	if ex == nil {
 		// A predecessor's serve without a prior KeyRequest→KeyResponse
 		// handshake can only happen through the probe path; accept it
 		// with a zero prime (attestation verification is skipped, the
 		// exchange cannot enter the obligation).
-		ex = n.newRecvExchange()
-		n.recvCur.exchanges[srv.From] = ex
+		ex = n.recv.open(srv.From)
 	}
 	if ex.served {
 		return // duplicate serve for this exchange
@@ -235,11 +235,11 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 		ve := n.embedOf(n.store.Get(u.ID))
 		if !u.ExpiresNextRound(n.round) {
 			n.hasher.Mul(&ex.fwd, ve, count)
-			it, ok := n.pendingNext[u.ID]
-			if !ok {
-				n.pendingNext[u.ID] = n.newPendingItem(u, count, ve)
+			if i, ok := n.nextAt[u.ID]; ok {
+				n.next[i].count += count
 			} else {
-				it.count += count
+				n.nextAt[u.ID] = len(n.next)
+				n.next = append(n.next, pendingItem{upd: u, count: count, embed: ve})
 			}
 		} else {
 			n.hasher.Mul(&ex.exp, ve, count)
@@ -307,8 +307,8 @@ func (n *Node) kPrevBitsBound(a model.NodeID) int {
 }
 
 func (n *Node) onAttestation(att *wire.Attestation, body []byte) {
-	ex, ok := n.recvCur.exchanges[att.From]
-	if !ok || ex.attBytes != nil {
+	ex := n.recv.exchange(att.From)
+	if ex == nil || ex.attBytes != nil {
 		return
 	}
 	ex.attBytes = n.keep(body) // evidence: outlives the delivery
@@ -376,7 +376,7 @@ func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
 // ---------------------------------------------------------------------------
 
 func (n *Node) onAck(ack *wire.Ack, body []byte) {
-	ex := n.sendCur.perSucc[ack.From]
+	ex := n.send.exchange(ack.From)
 	if ex == nil || !ex.served || ex.acked {
 		return
 	}
@@ -403,7 +403,7 @@ func (n *Node) onAck(ack *wire.Ack, body []byte) {
 // over what is actually sent, so the receiver verifies it fine — only the
 // monitors' obligation check can catch the deviation (§VI-B).
 func (n *Node) servedItems() []pendingItem {
-	items := n.sendCur.items
+	items := n.send.items
 	if d := n.cfg.Behavior.DropUpdates; d > 0 {
 		items = items[:max(len(items)-d, 0)]
 	}
@@ -416,7 +416,7 @@ func (n *Node) servedItems() []pendingItem {
 // The tail a DropUpdates deviator does not serve still enters
 // expectedAckH, the value an honest forwarder's successors would owe.
 func (n *Node) foldServed() {
-	sr := n.sendCur
+	sr := &n.send
 	served := n.servedItems()
 	for _, it := range served {
 		f := &sr.fwd
@@ -437,7 +437,7 @@ func (n *Node) foldServed() {
 // the served set, a hash of the trimmed set, computed per acknowledgement
 // and charged as if that set were folded afresh for it.
 func (n *Node) expectedAckFor() *big.Int {
-	sr := n.sendCur
+	sr := &n.send
 	if n.cfg.Behavior.DropUpdates == 0 {
 		return sr.expectedAckH
 	}

@@ -8,24 +8,33 @@ import (
 	"repro/internal/wire"
 )
 
-// ParkedShellsHoldContent reports whether a recycled pendingItem shell —
-// on the free list, or in the stale tail of the forward set's backing
-// array — still references an update's payload, signature or embedding.
-func (n *Node) ParkedShellsHoldContent() bool {
-	held := func(it *pendingItem) bool {
-		return it.upd.Payload != nil || it.upd.SrcSig != nil || it.embed != nil
+// StaleSlotsHoldContent reports whether any slot past the length of one of
+// the node's round lists — the forward set, next round's, the exchange
+// records and the monitor's peer records — still references an update's
+// payload, signature or embedding, or a signed message.
+func (n *Node) StaleSlotsHoldContent() bool {
+	item := func(it *pendingItem) bool { return it.upd.Payload != nil || it.upd.SrcSig != nil || it.embed != nil }
+	if staleHolds(n.send.items, item) || staleHolds(n.next, item) ||
+		staleHolds(n.send.succs, func(ex *sendExchange) bool { return ex.attBytes != nil || ex.ackBytes != nil }) ||
+		staleHolds(n.recv.preds, func(ex *recvExchange) bool { return ex.attBytes != nil || ex.ackBytes != nil }) {
+		return true
 	}
-	for _, it := range n.itemFree {
-		if held(it) {
-			return true
-		}
-	}
-	if n.sendCur != nil {
-		all := n.sendCur.items[:cap(n.sendCur.items)]
-		for i := len(n.sendCur.items); i < len(all); i++ {
-			if held(&all[i]) {
+	for _, per := range n.mon.rounds {
+		for _, st := range per {
+			if staleHolds(st.peers, func(p *monPeer) bool { return p.ack != nil || p.exhibit != nil }) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// staleHolds reports whether holds is true of a slot of s past its length.
+func staleHolds[T any](s []T, holds func(*T) bool) bool {
+	all := s[:cap(s)]
+	for i := len(s); i < len(all); i++ {
+		if holds(&all[i]) {
+			return true
 		}
 	}
 	return false

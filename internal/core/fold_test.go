@@ -31,7 +31,7 @@ func servedRound(t *testing.T, c *attestationCheck, size int, seed int64) uint64
 		rng.Read(u.Payload)
 		items[i] = pendingItem{upd: u, count: 1 + uint64(rng.Intn(15)), embed: n.embed(&u)}
 	}
-	n.sendCur = &sendRound{items: items, kPrev: testKey(t, seed), perSucc: make(map[model.NodeID]*sendExchange)}
+	n.send = sendRound{items: items, kPrev: testKey(t, seed)}
 	before := n.hops.HashOps()
 	n.foldServed()
 	return n.hops.HashOps() - before
@@ -70,7 +70,7 @@ func TestServedFoldMatchesHashSet(t *testing.T) {
 				var ops hhash.Counter
 				oracle := hhash.NewHasher(n.sh.HashParams, &ops)
 				folded := servedRound(t, c, 10*int(seed), seed)
-				sr := n.sendCur
+				sr := &n.send
 
 				want, wantOps := hashSet(t, oracle, &ops, sr.kPrev, sr.items)
 				if sr.expectedAckH.Cmp(want) != 0 || folded != wantOps {
@@ -136,7 +136,7 @@ func TestServedFoldAllocations(t *testing.T) {
 	allocs := func(size int) float64 {
 		c := newAttestationCheck(t, 5)
 		servedRound(t, c, size, 3)
-		sr := c.node.sendCur
+		sr := &c.node.send
 		return testing.AllocsPerRun(20, func() {
 			sr.exp.Reset()
 			sr.fwd.Reset()
@@ -148,12 +148,19 @@ func TestServedFoldAllocations(t *testing.T) {
 	}
 }
 
+// openExchange gives n's round a record for succ, as BeginRound does. The
+// pointer is valid until the next one is opened.
+func openExchange(n *Node, succ model.NodeID) *sendExchange {
+	n.send.succs = append(n.send.succs, sendExchange{succ: succ})
+	return &n.send.succs[len(n.send.succs)-1]
+}
+
 // everyOtherTag is a buffermap holding every other item of c's forward set
 // under c's prime: a successor that owns half of what it is served.
 func everyOtherTag(c *attestationCheck) update.BufferMap {
 	s := getTagScratch()
 	defer s.release()
-	for _, it := range c.node.sendCur.items {
+	for _, it := range c.node.send.items {
 		s.embeds = append(s.embeds, it.embed)
 	}
 	var bm update.BufferMap
@@ -190,10 +197,9 @@ func TestServeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		bm := everyOtherTag(c)
-		ex := &sendExchange{}
-		n.sendCur.perSucc[succ] = ex
+		ex := openExchange(n, succ)
 		serve = testing.AllocsPerRun(20, func() {
-			*ex = sendExchange{refs: ex.refs[:0]}
+			*ex = sendExchange{succ: succ, refs: ex.refs[:0]}
 			n.evidence = n.evidence[:0]
 			n.serve(succ, ex, c.prime, bm)
 			c.net.DeliverAll()
@@ -276,8 +282,7 @@ func TestAccusationServeMatchesServed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex := &sendExchange{}
-				n.sendCur.perSucc[succ] = ex
+				ex := openExchange(n, succ)
 				w := want{succ: succ, id: id}
 				if opened {
 					n.serve(succ, ex, c.prime, everyOtherTag(c))
@@ -293,13 +298,13 @@ func TestAccusationServeMatchesServed(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if served := len(n.sendCur.items) - tc.drop; len(srv.Refs) == 0 || len(srv.Full)+len(srv.Refs) != served {
+					if served := len(n.send.items) - tc.drop; len(srv.Refs) == 0 || len(srv.Full)+len(srv.Refs) != served {
 						t.Fatalf("served %d payloads and %d refs, want %d items, some as refs", len(srv.Full), len(srv.Refs), served)
 					}
 					w.size = len(cipher)
 				} else {
-					full := &wire.Serve{Round: n.round, From: n.id, To: succ, KPrev: n.sendCur.kPrev.Bytes()}
-					for _, it := range n.sendCur.items {
+					full := &wire.Serve{Round: n.round, From: n.id, To: succ, KPrev: n.send.kPrev.Bytes()}
+					for _, it := range n.send.items {
 						full.Full = append(full.Full, wire.ServedUpdate{Update: it.upd, Count: it.count})
 					}
 					pw := wire.GetWriter()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hhash"
@@ -58,22 +59,42 @@ func TestDesignatedMonitorDeterministicAndInRange(t *testing.T) {
 }
 
 func TestRecvRoundProductAndRemainder(t *testing.T) {
-	rr := newRecvRound()
+	var rr recvRound
+	rr.open(8) // a probed Serve's exchange: no prime, in no product
 	k1, k2, k3 := testKey(t, 1), testKey(t, 2), testKey(t, 3)
-	for pred, k := range map[model.NodeID]hhash.Key{5: k1, 6: k2, 7: k3} {
-		rr.exchanges[pred] = &recvExchange{prime: k}
-		rr.order = append(rr.order, pred)
+	for i, k := range []hhash.Key{k1, k2, k3} {
+		rr.open(model.NodeID(5 + i)).prime = k
 	}
 	full := rr.productKey()
-	for _, pred := range rr.order {
-		rem := rr.remainderFor(pred)
+	if !full.Equal(k1.Mul(k2).Mul(k3)) {
+		t.Fatal("product key is not the product of the issued primes")
+	}
+	for _, ex := range rr.preds {
+		rem := rr.remainderFor(ex.pred)
+		if ex.prime.IsZero() {
+			if !rem.Equal(full) {
+				t.Fatalf("remainder for the primeless %v is not the product", ex.pred)
+			}
+			continue
+		}
 		// rem × p_pred == K.
-		if !rem.Mul(rr.exchanges[pred].prime).Equal(full) {
-			t.Fatalf("remainder × prime != product for %v", pred)
+		if !rem.Mul(ex.prime).Equal(full) {
+			t.Fatalf("remainder × prime != product for %v", ex.pred)
 		}
 	}
+	// A prime issued to the primeless record moves it behind every prime
+	// issued before it.
+	k4 := testKey(t, 4)
+	rr.moveLast(rr.exchange(8)).prime = k4
+	var order []model.NodeID
+	for _, ex := range rr.preds {
+		order = append(order, ex.pred)
+	}
+	if !slices.Equal(order, []model.NodeID{5, 6, 7, 8}) || !rr.productKey().Equal(full.Mul(k4)) {
+		t.Fatalf("records %v after the late prime, want 5 6 7 8 under every prime", order)
+	}
 	// Empty round: both are the identity.
-	empty := newRecvRound()
+	var empty recvRound
 	if !empty.productKey().Equal(hhash.OneKey()) {
 		t.Fatal("empty product key not 1")
 	}

@@ -312,20 +312,25 @@ func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 	}
 }
 
-// TestParkedShellsReleaseContent: the forward-set shells a node recycles
-// across rounds must not keep the previous round's updates alive — not on
-// the free list, and not in the tail of the reused items array once the
-// forward set shrinks.
-func TestParkedShellsReleaseContent(t *testing.T) {
-	h := newHarness(t, 8, 4)
-	h.engine.Run(4)
-	h.perRound = 0 // the forward sets drain: every reused array gets a stale tail
-	for r := 0; r < 6; r++ {
-		h.engine.Run(1)
-		for id, n := range h.nodes {
-			if n.ParkedShellsHoldContent() {
-				t.Fatalf("node %v: a parked pendingItem still references update content", id)
+// TestRoundResetOwnership: the round lists a node resets in place at
+// every BeginRound must not keep an earlier round's content alive past
+// their length — not in the tail of a forward set that shrank, not in the
+// exchange records of a round with fewer predecessors — serially and on
+// four workers.
+func TestRoundResetOwnership(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			h := newHarness(t, 8, 4, withWorkers(workers))
+			h.engine.Run(4)
+			h.perRound = 0 // the forward sets drain: every reused array gets a stale tail
+			for r := 0; r < 6; r++ {
+				h.engine.Run(1)
+				for id, n := range h.nodes {
+					if n.StaleSlotsHoldContent() {
+						t.Fatalf("node %v: a slot past a round list's length still references content", id)
+					}
+				}
 			}
-		}
+		})
 	}
 }

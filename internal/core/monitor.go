@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"maps"
 	"math/big"
 	"slices"
 
@@ -26,19 +25,16 @@ type monNodeRound struct {
 	// at round end it equals H(∏ received u^c)_(K(R,Y),M) (§V-C). Its
 	// value leaves it only as a copy (obligationOf).
 	obligation hhash.Fold
-	// sharesSeen marks which predecessors' exchanges have been folded in.
-	sharesSeen map[model.NodeID]bool
 	// digest is Y's self-reported value (§V-B), nil until received.
 	digest *big.Int
-	// succAcks collects, for Y as *sender*, the acknowledgement hashes of
-	// Y's round-R successors (relayed via message 9 or Confirm).
-	succAcks map[model.NodeID]*big.Int
-	// succNacked marks successors excused by a Nack from their monitors.
-	succNacked map[model.NodeID]bool
-	// requested marks successors under AckRequest investigation.
-	requested map[model.NodeID]bool
-	// exhibits stores Y's AckExhibit answers.
-	exhibits map[model.NodeID]*wire.AckExhibit
+	// peers holds what the monitor learned about Y's neighbours of the
+	// round, one record each, appended as admitted messages name them:
+	// predecessors whose exchange a share folded in and successors an
+	// acknowledgement, Nack or investigation is about, so at most Y's
+	// in-degree plus the fanout. It is never drawn from the directory up
+	// front: a message about round r+1 can arrive before r+1's epoch
+	// exists.
+	peers []monPeer
 	// suspect marks the obligation provably incomplete: the digest
 	// cross-check failed with missing shares (a designated monitor went
 	// silent — e.g. crashed undetected), so this round's obligation must
@@ -46,40 +42,42 @@ type monNodeRound struct {
 	suspect bool
 }
 
-// newMonNodeRound allocates the per-(node, round) shell. Only the two
-// maps every round exercises are eager; succNacked, requested and
-// exhibits exist solely during investigations (rare), so they allocate
-// lazily — at scale the empty maps were a measurable share of monitor
-// memory (watched × retained rounds × three map headers per node).
-func newMonNodeRound() *monNodeRound {
-	return &monNodeRound{
-		sharesSeen: make(map[model.NodeID]bool),
-		succAcks:   make(map[model.NodeID]*big.Int),
-	}
+// monPeer is what a monitor knows about one neighbour of a monitored node
+// Y in one round.
+type monPeer struct {
+	id model.NodeID
+	// shared marks that the exchange of Y's predecessor id has been folded
+	// into the obligation.
+	shared bool
+	// ack is the acknowledgement hash of Y's successor id, relayed via
+	// message 9 or Confirm; nil until one arrives.
+	ack *big.Int
+	// nacked marks the successor excused by a Nack from its monitors,
+	// requested that it is under AckRequest investigation, and exhibit
+	// holds Y's AckExhibit answer for it.
+	nacked    bool
+	requested bool
+	exhibit   *wire.AckExhibit
 }
 
-// markNacked lazily records an excused successor.
-func (st *monNodeRound) markNacked(succ model.NodeID) {
-	if st.succNacked == nil {
-		st.succNacked = make(map[model.NodeID]bool)
+// find returns id's record, or nil.
+func (st *monNodeRound) find(id model.NodeID) *monPeer {
+	for i := range st.peers {
+		if st.peers[i].id == id {
+			return &st.peers[i]
+		}
 	}
-	st.succNacked[succ] = true
+	return nil
 }
 
-// markRequested lazily records a successor under AckRequest investigation.
-func (st *monNodeRound) markRequested(succ model.NodeID) {
-	if st.requested == nil {
-		st.requested = make(map[model.NodeID]bool)
+// peer returns id's record, appending one if there is none. The pointer is
+// valid until the next append to the list.
+func (st *monNodeRound) peer(id model.NodeID) *monPeer {
+	if p := st.find(id); p != nil {
+		return p
 	}
-	st.requested[succ] = true
-}
-
-// putExhibit lazily stores an AckExhibit answer.
-func (st *monNodeRound) putExhibit(succ model.NodeID, ex *wire.AckExhibit) {
-	if st.exhibits == nil {
-		st.exhibits = make(map[model.NodeID]*wire.AckExhibit)
-	}
-	st.exhibits[succ] = ex
+	st.peers = append(st.peers, monPeer{id: id})
+	return &st.peers[len(st.peers)-1]
 }
 
 // probeKey identifies one accusation probe.
@@ -122,7 +120,8 @@ func (m *monitorState) state(r model.Round, y model.NodeID) *monNodeRound {
 	}
 	st, ok := per[y]
 	if !ok {
-		st = newMonNodeRound()
+		// A record each for Y's usual in-degree and fanout.
+		st = &monNodeRound{peers: make([]monPeer, 0, 2*m.n.sh.Directory.Fanout())}
 		per[y] = st
 	}
 	return st
@@ -282,10 +281,11 @@ func (m *monitorState) onHashShare(share *wire.HashShare) {
 // reporting whether it was new.
 func (m *monitorState) applyShare(share *wire.HashShare) bool {
 	st := m.state(share.Round, share.Monitored)
-	if st.sharesSeen[share.Pred] {
+	p := st.peer(share.Pred)
+	if p.shared {
 		return false // duplicate
 	}
-	st.sharesSeen[share.Pred] = true
+	p.shared = true
 	if hFwd, err := m.n.sh.HashParams.DecodeValue(share.HFwdLifted); err == nil {
 		m.n.hasher.Mul(&st.obligation, hFwd, 1)
 	}
@@ -304,27 +304,33 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 // ---------------------------------------------------------------------------
 
 // acceptRelayedAck records the acknowledgement an AckRelay carries, for
-// the acknowledged node's forwarding check.
+// the acknowledged node's forwarding check, which reads only its
+// successors' acknowledgements: another signer's is not kept.
 func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
 	in := carried(relay.From, relay.Round, relay.AckBytes)
 	if !m.n.admit(&relayedAck, &in) {
 		return
 	}
 	ack := in.m.(*wire.Ack)
+	if _, ok := m.n.sh.Directory.ExchangeSlot(ack.To, ack.From, ack.Round); !ok {
+		return
+	}
 	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
 	if err != nil {
 		return
 	}
-	st := m.state(ack.Round, ack.To)
-	if _, ok := st.succAcks[ack.From]; !ok {
-		st.succAcks[ack.From] = h
+	if p := m.state(ack.Round, ack.To).peer(ack.From); p.ack == nil {
+		p.ack = h
 	}
 }
 
 // onNack excuses an investigated successor: its own monitors report it
-// stayed unresponsive, so the sender is not at fault (§IV-A).
+// stayed unresponsive, so the sender is not at fault (§IV-A). A Nack about
+// anyone but a successor of the accuser excuses nothing.
 func (m *monitorState) onNack(nack *wire.Nack) {
-	m.state(nack.Round, nack.Accuser).markNacked(nack.Against)
+	if _, ok := m.n.sh.Directory.ExchangeSlot(nack.Accuser, nack.Against, nack.Round); ok {
+		m.state(nack.Round, nack.Accuser).peer(nack.Against).nacked = true
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +374,7 @@ func (m *monitorState) verify(r model.Round) {
 		others, self := m.peers(key.accuser, r)
 		m.n.signAndSendAll(others, nack)
 		if self {
-			m.state(r, key.accuser).markNacked(key.accused)
+			m.state(r, key.accuser).peer(key.accused).nacked = true
 		}
 	}
 
@@ -398,17 +404,18 @@ func (m *monitorState) verify(r model.Round) {
 			continue
 		}
 		for _, succ := range m.n.sh.Directory.Successors(y, r) {
-			ack, ok := st.succAcks[succ]
+			p := st.find(succ)
 			switch {
-			case ok && ack.Cmp(prev) != 0:
+			case p != nil && p.ack != nil && p.ack.Cmp(prev) != 0:
 				m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("ack from %v does not match obligation", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
-			case !ok && st.succNacked[succ]:
-				// Excused: the successor was nacked by its monitors.
-			case !ok:
-				st.markRequested(succ)
+			case p != nil && (p.ack != nil || p.nacked):
+				// Acknowledged, or excused: the successor was nacked by
+				// its monitors.
+			default:
+				st.peer(succ).requested = true
 				req := &wire.AckRequest{Round: r, From: m.n.id, Succ: succ}
 				m.n.signAndSend(y, req)
 				if m.n.trace != nil {
@@ -459,7 +466,7 @@ func (m *monitorState) blameDigestMismatch(r model.Round, y model.NodeID, st *mo
 	monitors := m.n.sh.Directory.Monitors(y, r)
 	blamedMonitor := false
 	for _, pred := range m.n.sh.Directory.Predecessors(y, r) {
-		if st.sharesSeen[pred] {
+		if p := st.find(pred); p != nil && p.shared {
 			continue
 		}
 		d := designatedMonitor(monitors, pred, r)
@@ -509,10 +516,17 @@ func (m *monitorState) judge(r model.Round) {
 		}
 		// In successor order: the first of several same-key reports is
 		// the one the registry keeps.
-		for _, succ := range slices.Sorted(maps.Keys(st.requested)) {
-			if ack, ok := st.succAcks[succ]; ok {
+		if !slices.ContainsFunc(st.peers, func(p monPeer) bool { return p.requested }) {
+			continue
+		}
+		for _, succ := range m.n.sh.Directory.Successors(y, r) {
+			p := st.find(succ)
+			if p == nil || !p.requested {
+				continue
+			}
+			if p.ack != nil {
 				// A Confirm arrived during the investigation window.
-				if ack.Cmp(prev) != 0 {
+				if p.ack.Cmp(prev) != 0 {
 					m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 						Accused:  y,
 						Detail:   fmt.Sprintf("confirmed ack from %v mismatches obligation", succ),
@@ -520,10 +534,10 @@ func (m *monitorState) judge(r model.Round) {
 				}
 				continue
 			}
-			if st.succNacked[succ] {
+			if p.nacked {
 				continue // the successor was the guilty party
 			}
-			ex := st.exhibits[succ]
+			ex := p.exhibit
 			switch {
 			case ex == nil:
 				m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,

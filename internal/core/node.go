@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/hhash"
@@ -34,6 +33,7 @@ type pendingItem struct {
 // recvExchange is the receiver-side state of one predecessor exchange
 // during the current round (this node as B of Fig 5).
 type recvExchange struct {
+	pred  model.NodeID
 	prime hhash.Key
 	// served marks that the predecessor's Serve has been accepted; exp
 	// and fwd then hold the embedded products (∏ u^c mod M) of its
@@ -53,30 +53,65 @@ type recvExchange struct {
 
 // recvRound aggregates receiver-side state for one round.
 type recvRound struct {
-	exchanges map[model.NodeID]*recvExchange
-	// order preserves prime issuance order for deterministic remainders.
-	order []model.NodeID
+	// preds holds one record per predecessor exchange, those with a prime
+	// in the order their primes were issued, which is what K(R,B), the
+	// remainders, the monitor reports and the self-digest read them in. A
+	// record without one (a probed Serve that came before its KeyRequest)
+	// is in no product and in no report.
+	preds []recvExchange
 }
 
-func newRecvRound() *recvRound {
-	return &recvRound{exchanges: make(map[model.NodeID]*recvExchange)}
+// exchange returns pred's record, or nil: a scan of at most the in-degree.
+func (rr *recvRound) exchange(pred model.NodeID) *recvExchange {
+	for i := range rr.preds {
+		if rr.preds[i].pred == pred {
+			return &rr.preds[i]
+		}
+	}
+	return nil
+}
+
+// open appends a record for pred, reusing the reset slot past the list's
+// end when its array has one.
+func (rr *recvRound) open(pred model.NodeID) *recvExchange {
+	rr.preds = slices.Grow(rr.preds, 1)[:len(rr.preds)+1]
+	ex := &rr.preds[len(rr.preds)-1]
+	ex.pred = pred
+	return ex
+}
+
+// moveLast moves ex, a record of the list, behind every other one and
+// returns it at its new place.
+func (rr *recvRound) moveLast(ex *recvExchange) *recvExchange {
+	i := slices.IndexFunc(rr.preds, func(e recvExchange) bool { return e.pred == ex.pred })
+	moved := *ex
+	rr.preds = append(slices.Delete(rr.preds, i, i+1), moved)
+	return &rr.preds[len(rr.preds)-1]
+}
+
+// reset empties the list in place for the next round, keeping each
+// record's product storage and dropping everything else it points at.
+func (rr *recvRound) reset() {
+	for i := range rr.preds {
+		ex := &rr.preds[i]
+		ex.exp.Reset()
+		ex.fwd.Reset()
+		*ex = recvExchange{exp: ex.exp, fwd: ex.fwd}
+	}
+	rr.preds = rr.preds[:0]
 }
 
 // productKey returns K(R,B): the product of every prime issued this round.
 func (rr *recvRound) productKey() hhash.Key {
-	k := hhash.OneKey()
-	for _, pred := range rr.order {
-		k = k.Mul(rr.exchanges[pred].prime)
-	}
-	return k
+	return rr.remainderFor(model.NoNode)
 }
 
 // remainderFor returns ∏_{k≠j} p_k for the given predecessor.
 func (rr *recvRound) remainderFor(pred model.NodeID) hhash.Key {
 	k := hhash.OneKey()
-	for _, p := range rr.order {
-		if p != pred {
-			k = k.Mul(rr.exchanges[p].prime)
+	for i := range rr.preds {
+		if ex := &rr.preds[i]; ex.pred != pred && !ex.prime.IsZero() {
+			k = k.Mul(ex.prime)
 		}
 	}
 	return k
@@ -94,6 +129,7 @@ type early struct {
 // record what it carried, and serveOf rebuilds it byte for byte from
 // them, the round's items and kPrev when it has to go into an accusation.
 type sendExchange struct {
+	succ     model.NodeID
 	served   bool
 	acked    bool
 	ackBytes []byte
@@ -103,7 +139,7 @@ type sendExchange struct {
 	// nServed is how many of sendRound.items the Serve carried — fewer
 	// for a DropUpdates deviator — and refs[i] whether item i went as a
 	// ref; a refs shorter than nServed leaves the rest full. refs keeps
-	// its array across rounds with the recycled shell.
+	// its array across rounds with its record.
 	nServed int
 	refs    []bool
 	// slot is the slot of the round in which this exchange opens
@@ -122,10 +158,32 @@ type sendRound struct {
 	// expectedAckH is H(∏ items u^c)_(kPrev,M); every honest successor's
 	// Ack must carry exactly this value.
 	expectedAckH *big.Int
-	// succs is the round's successor list in directory order — the order
-	// KeyRequests go out in within a slot; perSucc is keyed by it.
-	succs   []model.NodeID
-	perSucc map[model.NodeID]*sendExchange
+	// succs holds one record per successor of the round, in directory
+	// order (ascending ids): the order KeyRequests go out in within a slot.
+	succs []sendExchange
+}
+
+// exchange returns succ's record, or nil: a scan of at most the fanout.
+func (sr *sendRound) exchange(succ model.NodeID) *sendExchange {
+	for i := range sr.succs {
+		if sr.succs[i].succ == succ {
+			return &sr.succs[i]
+		}
+	}
+	return nil
+}
+
+// reset empties the round in place for the next one, keeping each
+// record's refs array and the folds' storage and dropping everything else
+// the records point at. The forward set is BeginRound's to swap.
+func (sr *sendRound) reset() {
+	for i := range sr.succs {
+		ex := &sr.succs[i]
+		*ex = sendExchange{refs: ex.refs[:0]}
+	}
+	sr.succs = sr.succs[:0]
+	sr.exp.Reset()
+	sr.fwd.Reset()
 }
 
 // Node is one PAG participant. It is not safe for concurrent use: its
@@ -147,12 +205,15 @@ type Node struct {
 	store *update.Store
 	round model.Round
 
-	// pendingNext accumulates the forwardable receptions of the current
-	// round; it becomes sendRound.items at the next BeginRound.
-	pendingNext map[model.UpdateID]*pendingItem
-	// kNext is K(R, self), promoted to kPrev at the next BeginRound.
-	recvCur *recvRound
-	sendCur *sendRound
+	// next accumulates the forwardable receptions of the current round,
+	// nextAt indexing it by update; BeginRound swaps it with
+	// sendRound.items, whose array it then fills afresh.
+	next   []pendingItem
+	nextAt map[model.UpdateID]int
+	// recv and send are the round's exchanges, reset in place at every
+	// BeginRound.
+	recv recvRound
+	send sendRound
 	// kPrev is carried across rounds.
 	kPrev hhash.Key
 
@@ -175,17 +236,8 @@ type Node struct {
 	// keeps (keep): its own and its peers' Attestations and Acks. Nothing
 	// else holds a view of it — every send of those bytes is lent, and a
 	// monitor keeps a copy of its own — so BeginRound rewrites it from the
-	// start, as it recycles the exchange shells that point into it.
+	// start, as it resets the exchange records that point into it.
 	evidence []byte
-
-	// Round-scoped state is pooled across rounds (the flyweight arena):
-	// at BeginRound the previous round's containers are cleared and kept
-	// for reuse instead of reallocating.
-	recvFree *recvRound
-	sendFree *sendRound
-	rexFree  []*recvExchange
-	sexFree  []*sendExchange
-	itemFree []*pendingItem
 
 	// lifted receives the lifts whose value is encoded at once.
 	lifted big.Int
@@ -206,13 +258,13 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: node %v: %w", cfg.ID, err)
 	}
 	n := &Node{
-		cfg:         cfg,
-		sh:          sh,
-		id:          cfg.ID,
-		pool:        pool,
-		store:       update.NewStore(),
-		pendingNext: make(map[model.UpdateID]*pendingItem),
-		kPrev:       hhash.OneKey(),
+		cfg:    cfg,
+		sh:     sh,
+		id:     cfg.ID,
+		pool:   pool,
+		store:  update.NewStore(),
+		nextAt: make(map[model.UpdateID]int),
+		kPrev:  hhash.OneKey(),
 	}
 	n.hasher = hhash.NewHasher(sh.HashParams, &n.hops)
 	if sh.Metrics != nil {
@@ -241,20 +293,17 @@ func (n *Node) Stats() Stats {
 
 // Retire releases what a node that has left its session no longer needs —
 // the update store, the round state and forward set, the monitor
-// bookkeeping, the recycled shells and the prime pool — and keeps what is
+// bookkeeping and the prime pool — and keeps what is
 // still read from a departed node: its counters and its behaviour. A
 // retired node is not stepped and receives nothing.
 func (n *Node) Retire() {
 	n.store = update.NewStore()
-	n.pendingNext = make(map[model.UpdateID]*pendingItem)
-	n.recvCur = newRecvRound()
-	n.sendCur = &sendRound{perSucc: make(map[model.NodeID]*sendExchange)}
+	n.next, n.nextAt = nil, make(map[model.UpdateID]int)
+	n.recv, n.send = recvRound{}, sendRound{}
 	n.injected, n.deferred = nil, nil
 	n.mon = newMonitorState(n)
 	n.pool = nil
 	n.evidence = nil
-	n.recvFree, n.sendFree = nil, nil
-	n.rexFree, n.sexFree, n.itemFree = nil, nil, nil
 }
 
 // Store exposes the node's update store (read-mostly; used by the
@@ -297,51 +346,22 @@ func (n *Node) report(v judicial.Verdict) {
 func (n *Node) BeginRound(r model.Round) {
 	n.round = r
 
-	// Recycle the previous round's container shells into the node's
-	// free lists, and with them the evidence buffer they point into.
-	var items []pendingItem
-	if prev := n.sendCur; prev != nil {
-		// Recycled shells are zeroed as they are parked, here and for
-		// itemFree below: what they would keep pointing at (payload,
-		// signature, embedding) must not outlive the round because a
-		// slot happens not to be reused.
-		clear(prev.items)
-		items = prev.items[:0]
-		for _, ex := range prev.perSucc {
-			*ex = sendExchange{refs: ex.refs[:0]}
-			n.sexFree = append(n.sexFree, ex)
-		}
-		clear(prev.perSucc)
-		prev.exp.Reset()
-		prev.fwd.Reset()
-		*prev = sendRound{perSucc: prev.perSucc, exp: prev.exp, fwd: prev.fwd}
-		n.sendFree = prev
-		n.sendCur = nil
-	}
-	if prev := n.recvCur; prev != nil {
-		for _, ex := range prev.exchanges {
-			ex.exp.Reset()
-			ex.fwd.Reset()
-			*ex = recvExchange{exp: ex.exp, fwd: ex.fwd}
-			n.rexFree = append(n.rexFree, ex)
-		}
-		clear(prev.exchanges)
-		prev.order = prev.order[:0]
-		n.recvFree = prev
-		n.recvCur = nil
-	}
-	// No shell points into the evidence buffer any more.
+	// Reset last round's records in place, and with them the evidence
+	// buffer they point into. A reset zeroes what a record or item would
+	// keep pointing at (payload, signature, embedding): nothing outlives
+	// its round because a slot happens not to be reused.
+	send := &n.send
+	send.reset()
+	n.recv.reset()
 	wire.PoisonOnRelease(n.evidence)
 	n.evidence = n.evidence[:0]
 
-	// Promote last round's receptions into this round's forward set.
-	for _, it := range n.pendingNext {
-		items = append(items, *it)
-		*it = pendingItem{}
-		n.itemFree = append(n.itemFree, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].upd.ID.Less(items[j].upd.ID) })
-	clear(n.pendingNext)
+	// Last round's receptions become this round's forward set, and the
+	// old forward set's array, emptied, the next one's.
+	clear(send.items)
+	send.items, n.next = n.next, send.items[:0]
+	clear(n.nextAt)
+	slices.SortFunc(send.items, func(a, b pendingItem) int { return a.upd.ID.Compare(b.upd.ID) })
 
 	// Source-minted updates enter the forward set with multiplicity 1,
 	// under a fresh private key so acknowledgements stay unlinkable.
@@ -351,30 +371,15 @@ func (n *Node) BeginRound(r model.Round) {
 			// every receiver's store aliases one session-wide copy.
 			u = n.sh.Intern.Canonical(u)
 			n.store.Add(u, r, 1)
-			items = append(items, pendingItem{upd: u, count: 1, embed: n.embedOf(n.store.Get(u.ID))})
+			send.items = append(send.items, pendingItem{upd: u, count: 1, embed: n.embedOf(n.store.Get(u.ID))})
 		}
 		n.injected = nil
 		if fresh, err := n.pool.Get(); err == nil {
 			n.kPrev = n.kPrev.Mul(fresh)
 		}
 	}
-
-	send := n.sendFree
-	if send == nil {
-		send = &sendRound{perSucc: make(map[model.NodeID]*sendExchange)}
-	} else {
-		n.sendFree = nil
-	}
-	send.items = items
 	send.kPrev = n.kPrev
-	n.sendCur = send
 	n.foldServed()
-	if n.recvFree != nil {
-		n.recvCur = n.recvFree
-		n.recvFree = nil
-	} else {
-		n.recvCur = newRecvRound()
-	}
 
 	n.mon.beginRound(r)
 
@@ -386,10 +391,10 @@ func (n *Node) BeginRound(r model.Round) {
 
 	// Set up the exchange with every successor and open those of slot 0.
 	succs := n.sh.Directory.Successors(n.id, r)
-	send.succs = succs
+	send.succs = slices.Grow(send.succs, len(succs))[:len(succs)]
 	for i, succ := range succs {
-		ex := n.newSendExchange()
-		send.perSucc[succ] = ex
+		ex := &send.succs[i]
+		ex.succ = succ
 		ex.slot, _ = n.sh.Directory.ExchangeSlot(n.id, succ, r)
 		ex.skipped = dodge
 		if b := n.cfg.Behavior.SkipServeEvery; b > 0 && (int(r)+i)%b == 0 {
@@ -405,7 +410,7 @@ func (n *Node) BeginRound(r model.Round) {
 			n.trace.Emit("exchange",
 				obs.XID(model.ExchangeID(r, n.id, succ)), obs.Span(obs.SpanOpen),
 				obs.F("round", r), obs.F("from", n.id), obs.F("to", succ),
-				obs.F("items", len(items)))
+				obs.F("items", len(send.items)))
 		}
 	}
 
@@ -432,16 +437,16 @@ func (n *Node) ExchangeSlots() int { return n.sh.Directory.Fanout() }
 // it from one of them only. Nobody waits on anybody: a slot opens on the
 // driver's schedule whether or not the earlier exchanges completed.
 func (n *Node) OpenSlot(r model.Round, k int) {
-	if r == n.round && n.sendCur != nil {
+	if r == n.round {
 		n.openSlot(k)
 	}
 }
 
 // openSlot sends the KeyRequests of the current round's slot-k exchanges.
 func (n *Node) openSlot(k int) {
-	for _, succ := range n.sendCur.succs {
-		if ex := n.sendCur.perSucc[succ]; ex.slot == k && !ex.skipped {
-			n.signAndSend(succ, &wire.KeyRequest{Round: n.round, From: n.id, To: succ})
+	for _, ex := range n.send.succs {
+		if ex.slot == k && !ex.skipped {
+			n.signAndSend(ex.succ, &wire.KeyRequest{Round: n.round, From: n.id, To: ex.succ})
 		}
 	}
 }
@@ -486,7 +491,7 @@ func (n *Node) CloseRound(r model.Round) {
 	}
 
 	// K(R, self) becomes the serving key of round r+1.
-	n.kPrev = n.recvCur.productKey()
+	n.kPrev = n.recv.productKey()
 
 	if r > update.RetentionRounds {
 		n.store.DropBefore(r - update.RetentionRounds)
@@ -494,18 +499,13 @@ func (n *Node) CloseRound(r model.Round) {
 	n.mon.gc(r)
 	n.stats.RoundsRun++
 
-	if n.trace != nil && n.sendCur != nil {
-		// Close this round's exchange spans with their terminal outcome.
-		// Churn and evictions only land between rounds (round-top hooks),
-		// so a node that opened spans at BeginRound always reaches this
-		// close in the same round.
-		succs := make([]model.NodeID, 0, len(n.sendCur.perSucc))
-		for succ := range n.sendCur.perSucc {
-			succs = append(succs, succ)
-		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-		for _, succ := range succs {
-			ex := n.sendCur.perSucc[succ]
+	if n.trace != nil {
+		// Close this round's exchange spans with their terminal outcome, in
+		// ascending successor order. Churn and evictions only land between
+		// rounds (round-top hooks), so a node that opened spans at
+		// BeginRound always reaches this close in the same round.
+		for i := range n.send.succs {
+			ex := &n.send.succs[i]
 			outcome := "unresolved"
 			switch {
 			case ex.skipped:
@@ -516,8 +516,8 @@ func (n *Node) CloseRound(r model.Round) {
 				outcome = "accused"
 			}
 			n.trace.Emit("exchange",
-				obs.XID(model.ExchangeID(r, n.id, succ)), obs.Span(obs.SpanClose),
-				obs.F("round", r), obs.F("from", n.id), obs.F("to", succ),
+				obs.XID(model.ExchangeID(r, n.id, ex.succ)), obs.Span(obs.SpanClose),
+				obs.F("round", r), obs.F("from", n.id), obs.F("to", ex.succ),
 				obs.Outcome(outcome))
 		}
 	}
@@ -674,37 +674,6 @@ func (n *Node) tagsOf(s *tagScratch, prime hhash.Key) []uint64 {
 	s.tags = slices.Grow(s.tags[:0], len(s.embeds))[:len(s.embeds)]
 	n.hasher.Tags(s.tags, s.embeds, prime)
 	return s.tags
-}
-
-// newRecvExchange, newSendExchange and newPendingItem draw round-scoped
-// shells from the node's free lists (filled by BeginRound's recycling
-// pass), allocating only on pool misses.
-func (n *Node) newRecvExchange() *recvExchange {
-	if k := len(n.rexFree); k > 0 {
-		ex := n.rexFree[k-1]
-		n.rexFree = n.rexFree[:k-1]
-		return ex
-	}
-	return &recvExchange{}
-}
-
-func (n *Node) newSendExchange() *sendExchange {
-	if k := len(n.sexFree); k > 0 {
-		ex := n.sexFree[k-1]
-		n.sexFree = n.sexFree[:k-1]
-		return ex
-	}
-	return &sendExchange{}
-}
-
-func (n *Node) newPendingItem(u update.Update, count uint64, embed *big.Int) *pendingItem {
-	if k := len(n.itemFree); k > 0 {
-		it := n.itemFree[k-1]
-		n.itemFree = n.itemFree[:k-1]
-		*it = pendingItem{upd: u, count: count, embed: embed}
-		return it
-	}
-	return &pendingItem{upd: u, count: count, embed: embed}
 }
 
 // maxServedCount bounds one served multiplicity. An honest one is a sum

@@ -36,9 +36,9 @@ func TestJoinOpensEpochAndRedraws(t *testing.T) {
 	if err := d.Join(21, 10); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epochs() != 2 || d.epochFor(9).seq != 0 || d.epochFor(10).seq != 1 {
+	if len(d.epochs) != 2 || d.epochFor(9).seq != 0 || d.epochFor(10).seq != 1 {
 		t.Fatalf("epoch bookkeeping wrong: %d epochs, idx(9)=%d, idx(10)=%d",
-			d.Epochs(), d.epochFor(9).seq, d.epochFor(10).seq)
+			len(d.epochs), d.epochFor(9).seq, d.epochFor(10).seq)
 	}
 	if sameIDs(before, d.Successors(4, 10)) && sameIDs(monBefore, d.Monitors(4, 10)) {
 		t.Fatal("join did not re-draw round-10 assignments")

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/model"
@@ -134,7 +133,7 @@ func New(nodes []model.NodeID, cfg Config) (*Directory, error) {
 		seen[n] = true
 		sorted = append(sorted, n)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	if cfg.Fanout >= len(sorted) {
 		return nil, fmt.Errorf("membership: fanout %d must be < system size %d",
 			cfg.Fanout, len(sorted))
@@ -217,7 +216,7 @@ func (d *Directory) Join(id model.NodeID, from model.Round) error {
 	grown := make([]model.NodeID, 0, len(cur.nodes)+1)
 	grown = append(grown, cur.nodes...)
 	grown = append(grown, id)
-	sort.Slice(grown, func(i, j int) bool { return grown[i] < grown[j] })
+	slices.Sort(grown)
 	d.pushEpoch(from, grown)
 	d.joinsC.Inc()
 	return nil
@@ -346,13 +345,6 @@ func (d *Directory) DropLastEpoch() error {
 	return nil
 }
 
-// Epochs returns how many membership epochs exist (1 with no churn).
-func (d *Directory) Epochs() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.epochs)
-}
-
 // N returns the current system size.
 func (d *Directory) N() int {
 	d.mu.RLock()
@@ -462,7 +454,7 @@ func (d *Directory) buildView(r model.Round) *RoundView {
 		}
 	}
 	for _, x := range ep.nodes {
-		sort.Slice(v.pred[x], func(i, j int) bool { return v.pred[x][i] < v.pred[x][j] })
+		slices.Sort(v.pred[x])
 	}
 	return v
 }
@@ -550,7 +542,7 @@ func (d *Directory) Monitors(x model.NodeID, r model.Round) []model.NodeID {
 	for i, c := range top {
 		out[i] = c.id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 
 	d.mu.Lock()
 	// Keep the memo bounded by evicting entries from other membership
@@ -618,7 +610,7 @@ func (d *Directory) pick(ep *epoch, x model.NodeID, r model.Round, salt uint64, 
 		ov.set(j, vi)
 		out = append(out, ep.nodes[vj])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -5,6 +5,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -102,13 +103,11 @@ func (u UpdateID) String() string {
 	return fmt.Sprintf("u%d.%d", u.Stream, u.Seq)
 }
 
-// Less provides a total order on update identifiers, used to keep encoded
-// sets canonical (deterministic hashing and byte-exact bandwidth numbers).
-func (u UpdateID) Less(v UpdateID) bool {
-	if u.Stream != v.Stream {
-		return u.Stream < v.Stream
-	}
-	return u.Seq < v.Seq
+// Compare provides a total order on update identifiers, used to keep
+// encoded sets canonical (deterministic hashing and byte-exact bandwidth
+// numbers): by stream, then by sequence number.
+func (u UpdateID) Compare(v UpdateID) int {
+	return cmp.Or(cmp.Compare(u.Stream, v.Stream), cmp.Compare(u.Seq, v.Seq))
 }
 
 // Quality is one rung of the paper's video-quality ladder (Table I).

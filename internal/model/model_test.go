@@ -2,7 +2,7 @@ package model
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,9 +37,9 @@ func TestUpdateIDLessTotalOrder(t *testing.T) {
 		{Stream: 3, Seq: 0},
 		{Stream: 1, Seq: 2},
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, UpdateID.Compare)
 	for i := 1; i < len(ids); i++ {
-		if ids[i].Less(ids[i-1]) {
+		if ids[i].Compare(ids[i-1]) < 0 {
 			t.Fatalf("not sorted at %d: %v", i, ids)
 		}
 	}
@@ -51,7 +51,7 @@ func TestUpdateIDLessTotalOrder(t *testing.T) {
 func TestUpdateIDLessIrreflexive(t *testing.T) {
 	f := func(s uint32, q uint64) bool {
 		u := UpdateID{Stream: StreamID(s), Seq: q}
-		return !u.Less(u)
+		return u.Compare(u) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -63,9 +63,9 @@ func TestUpdateIDLessAsymmetric(t *testing.T) {
 		u := UpdateID{Stream: StreamID(s1), Seq: q1}
 		v := UpdateID{Stream: StreamID(s2), Seq: q2}
 		if u == v {
-			return !u.Less(v) && !v.Less(u)
+			return u.Compare(v) == 0 && v.Compare(u) == 0
 		}
-		return u.Less(v) != v.Less(u)
+		return u.Compare(v) == -v.Compare(u) && u.Compare(v) != 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -484,7 +484,7 @@ func (e *Engine) BandwidthSample(exclude ...model.NodeID) stats.Sample {
 	for _, n := range e.nodes {
 		ids = append(ids, n.ID())
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	xs := make([]float64, 0, len(ids))
 	for _, id := range ids {
 		if skip[id] {

@@ -2,7 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -334,7 +335,7 @@ func (p *FaultPlane) BeginRound() {
 	for id := range p.queues {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		q := p.queues[id]
 		// Expire from the head: FIFO means ages are non-increasing toward
@@ -491,7 +492,7 @@ func (p *FaultPlane) QueueBacklogs() []QueueBacklog {
 			out = append(out, QueueBacklog{Node: id, Depth: len(q)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	slices.SortFunc(out, func(a, b QueueBacklog) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -258,9 +257,7 @@ func (s *Store) DropBefore(r model.Round) int {
 }
 
 func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		return es[i].Update.ID.Less(es[j].Update.ID)
-	})
+	slices.SortFunc(es, func(a, b *Entry) int { return a.Update.ID.Compare(b.Update.ID) })
 }
 
 // ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ func TestLive(t *testing.T) {
 		t.Fatalf("Live(5) = %d entries from seq %d, want 4 from seq 2", len(got), got[0].Update.ID.Seq)
 	}
 	for i := 1; i < len(got); i++ {
-		if !got[i-1].Update.ID.Less(got[i].Update.ID) {
+		if got[i-1].Update.ID.Compare(got[i].Update.ID) >= 0 {
 			t.Fatal("live set not in canonical order")
 		}
 	}
