@@ -40,13 +40,14 @@ func (n *Node) flushMonitorReports(r model.Round) {
 
 		// Message 7: attestation + remainder, encrypted to the monitor
 		// so eavesdroppers never see prime products.
-		fwd := &wire.AttForward{
+		n.out.attForward = wire.AttForward{
 			Round:     r,
 			From:      n.id,
 			AttBytes:  ex.attBytes,
 			Remainder: n.recv.remainderFor(pred).Bytes(),
 		}
-		n.signEncryptSend(d, fwd, wire.KindAttForward)
+		n.signEncryptSend(d, &n.out.attForward, wire.KindAttForward)
+		n.out.attForward = wire.AttForward{}
 		if n.trace != nil {
 			n.trace.Emit("monitor_report",
 				obs.XID(model.ExchangeID(r, pred, n.id)),
@@ -74,11 +75,14 @@ func (n *Node) publishDigest(r model.Round) {
 			n.hasher.MulFold(&fwd, &ex.fwd)
 		}
 	}
-	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, n.recv.productKey(), &fwd))
+	n.out.values = n.out.values[:0]
+	enc, err := n.encodeValue(n.hasher.LiftFold(&n.lifted, n.recv.productKey(), &fwd))
 	if err != nil {
 		return
 	}
-	n.signAndSendAll(monitors, &wire.NodeDigest{Round: r, From: n.id, HFwd: enc})
+	n.out.digest = wire.NodeDigest{Round: r, From: n.id, HFwd: enc}
+	n.signAndSendAll(monitors, &n.out.digest)
+	n.out.digest = wire.NodeDigest{}
 }
 
 // raiseAccusations runs in MidRound on the sender side: every served but
@@ -168,9 +172,8 @@ func (n *Node) onProbe(probe *wire.Probe) {
 	if ex == nil || ex.ackBytes == nil {
 		// Process the relayed Serve (it is encrypted to this node) and
 		// attestation, then acknowledge.
-		srv := carried(probe.Origin, n.round, probe.ServeCipher)
-		srv.w = wire.GetWriter()
-		defer srv.w.Release() // the Serve aliases the opened plaintext until here
+		srv := carried(probe.From, probe.Origin, n.round, probe.ServeCipher)
+		defer srv.release()
 		if !n.accept(&probedServe, &srv) {
 			return
 		}
@@ -181,7 +184,8 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		}
 		ex = n.recv.exchange(probe.Origin)
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
-			att := carried(probe.Origin, n.round, probe.AttBytes)
+			att := carried(probe.From, probe.Origin, n.round, probe.AttBytes)
+			defer att.release()
 			if n.admit(&probedAttestation, &att) {
 				ex.attBytes = n.keep(probe.AttBytes) // evidence: outlives the delivery
 				n.maybeAck(probe.Origin, ex)
@@ -221,8 +225,7 @@ func (n *Node) onAckRequest(req *wire.AckRequest) {
 // onAckExhibit stores the investigated node's answer for judgement.
 func (m *monitorState) onAckExhibit(ex *wire.AckExhibit) {
 	if p := m.state(ex.Round, ex.From).find(ex.Succ); p != nil && p.requested && p.exhibit == nil {
-		// Kept until judgement: detach the evidence from the delivery.
-		ex.AckBytes, ex.Sig = bytes.Clone(ex.AckBytes), nil
-		p.exhibit = ex
+		// Kept until judgement: copy the evidence out of the delivery.
+		p.exhibit = &exhibit{ack: bytes.Clone(ex.AckBytes), accused: ex.Accused}
 	}
 }

@@ -545,7 +545,7 @@ func TestHashShareNamesRealExchange(t *testing.T) {
 		t.Fatalf("n%v→n%v is an exchange of round %v", pred, y, r)
 	}
 	h.engine.Run(int(r) - 1)
-	hv, err := h.params.EncodeValue(big.NewInt(7))
+	hv, err := h.params.EncodeValue(nil, big.NewInt(7))
 	if err != nil {
 		t.Fatal(err)
 	}

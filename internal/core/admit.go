@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/hhash"
 	"repro/internal/judicial"
@@ -18,7 +19,8 @@ import (
 // Every rule runs the same steps in the same order:
 //
 //  1. mute: a Behavior flag makes the node ignore the kind unread;
-//  2. open (sealed kinds), decode, and bind From (and To) to the envelope;
+//  2. open (sealed kinds), decode into the node's shell for the rule, and
+//     bind From (and To) to the envelope;
 //  3. the round window of the exchange kinds, which defers or drops;
 //  4. the signature, over the bytes it was decoded from;
 //  5. the round window of the monitor kinds, which drops;
@@ -37,24 +39,53 @@ type rule struct {
 	// or bind ("undecryptable name" for one that fails to open); without
 	// one, such a message is dropped silently.
 	malformed string
-	decode    func([]byte) (headed, error)
-	sealed    bool // encrypted to the receiver: opened before decoding
+	shell     func(*shells) shell // what the rule decodes into
+	sealed    bool                // encrypted to the receiver: opened before decoding
 	bind      binding
 	window    window
 	mute      Behavior // the flags under which the node ignores the kind
 	checks    []check
 }
 
-// headed is a decoded message as admission reads it.
-type headed interface {
+// shell is a node-owned message a rule decodes every arrival into
+// (wire's decoding in place), as admission reads it.
+type shell interface {
 	Kind() uint8
 	Head() wire.Head
+	Decode([]byte) error
 }
 
-// decoder adapts a wire decoder to the rule column.
-func decoder[M headed](unmarshal func([]byte) (M, error)) func([]byte) (headed, error) {
-	return func(b []byte) (headed, error) { return unmarshal(b) }
+// shells holds a node's decoded messages, one per rule, nested rules
+// included; AckForward and Confirm, one decoder under two kinds, share
+// one. No two uses of a shell overlap: a handler reaches a nested rule,
+// never its own. A shell is emptied when its handler returns
+// (inbound.release), so no view of a payload outlives its wave, and its
+// lists keep their arrays for the next arrival. The Serve rules borrow
+// theirs from servePool instead.
+type shells struct {
+	keyRequest                           wire.KeyRequest
+	keyResponse                          wire.KeyResponse
+	attestation, probedAtt, forwardedAtt wire.Attestation
+	ack, ackCopy, relayedAck             wire.Ack
+	attForward                           wire.AttForward
+	hashShare                            wire.HashShare
+	ackRelay                             wire.AckRelay
+	nodeDigest                           wire.NodeDigest
+	accusation                           wire.Accusation
+	probe                                wire.Probe
+	nack                                 wire.Nack
+	ackRequest                           wire.AckRequest
+	ackExhibit                           wire.AckExhibit
 }
+
+// servePool lends the Serves a node decodes and builds. A Serve's lists
+// grow with the round's forward set, to a few KB, and a node holds a Serve
+// only while it handles or seals one, a few times a round: lists kept per
+// node would hold that much for each of them between times.
+var servePool = sync.Pool{New: func() any { return new(wire.Serve) }}
+
+// borrowServe is the Serve rules' shell.
+func borrowServe(*shells) shell { return servePool.Get().(*wire.Serve) }
 
 // binding ties a message to its envelope: the transport envelope, or the
 // message that carried it.
@@ -116,36 +147,36 @@ var serveChecks = []check{servedItems, kPrevWidth, fromPredecessor}
 // rules is admission for every wire kind a node receives; a kind without a
 // decoder is unknown.
 var rules = [maxWireKind + 1]rule{
-	wire.KindKeyRequest: {name: "KeyRequest", malformed: "malformed KeyRequest", decode: decoder(wire.UnmarshalKeyRequest),
+	wire.KindKeyRequest: {name: "KeyRequest", malformed: "malformed KeyRequest", shell: func(s *shells) shell { return &s.keyRequest },
 		bind: toReceiver, window: exchangeRound, mute: refuseReceive, checks: []check{fromPredecessor}},
-	wire.KindKeyResponse: {name: "KeyResponse", malformed: "malformed KeyResponse", decode: decoder(wire.UnmarshalKeyResponse),
+	wire.KindKeyResponse: {name: "KeyResponse", malformed: "malformed KeyResponse", shell: func(s *shells) shell { return &s.keyResponse },
 		sealed: true, bind: toReceiver, window: thisRound, checks: []check{fromAsked, primeWidth}},
-	wire.KindServe: {name: "Serve", malformed: "malformed Serve", decode: decoder(wire.UnmarshalServe),
+	wire.KindServe: {name: "Serve", malformed: "malformed Serve", shell: borrowServe,
 		sealed: true, bind: toReceiver, window: thisRound, mute: refuseReceive, checks: serveChecks},
-	wire.KindAttestation: {name: "Attestation", malformed: "malformed Attestation", decode: decoder(wire.UnmarshalAttestation),
+	wire.KindAttestation: {name: "Attestation", malformed: "malformed Attestation", shell: func(s *shells) shell { return &s.attestation },
 		bind: toReceiver, window: exchangeRound, mute: refuseReceive},
-	wire.KindAck: {name: "Ack", malformed: "malformed Ack", decode: decoder(wire.UnmarshalAck),
+	wire.KindAck: {name: "Ack", malformed: "malformed Ack", shell: func(s *shells) shell { return &s.ack },
 		bind: toReceiver, window: exchangeRound},
-	wire.KindAckCopy: {name: "AckCopy", decode: decoder(wire.UnmarshalAck),
+	wire.KindAckCopy: {name: "AckCopy", shell: func(s *shells) shell { return &s.ackCopy },
 		window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
-	wire.KindAttForward: {name: "AttForward", decode: decoder(wire.UnmarshalAttForward),
+	wire.KindAttForward: {name: "AttForward", shell: func(s *shells) shell { return &s.attForward },
 		sealed: true, window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored, remainderWidth}},
-	wire.KindHashShare: {name: "HashShare", decode: decoder(wire.UnmarshalHashShare),
+	wire.KindHashShare: {name: "HashShare", shell: func(s *shells) shell { return &s.hashShare },
 		window: monitorRound, mute: silentMonitor, checks: []check{fromCoMonitor, fromDesignated, realExchange}},
 	// An AckRelay's window is its Ack's (relayedAck).
-	wire.KindAckForward: {name: "AckRelay", decode: decoder(wire.UnmarshalAckRelay), mute: silentMonitor},
-	wire.KindConfirm:    {name: "AckRelay", decode: decoder(wire.UnmarshalAckRelay), mute: silentMonitor},
-	wire.KindNodeDigest: {name: "NodeDigest", decode: decoder(wire.UnmarshalNodeDigest),
+	wire.KindAckForward: {name: "AckRelay", shell: func(s *shells) shell { return &s.ackRelay }, mute: silentMonitor},
+	wire.KindConfirm:    {name: "AckRelay", shell: func(s *shells) shell { return &s.ackRelay }, mute: silentMonitor},
+	wire.KindNodeDigest: {name: "NodeDigest", shell: func(s *shells) shell { return &s.nodeDigest },
 		window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
-	wire.KindAccusation: {name: "Accusation", decode: decoder(wire.UnmarshalAccusation),
+	wire.KindAccusation: {name: "Accusation", shell: func(s *shells) shell { return &s.accusation },
 		window: monitorRound, mute: silentMonitor, checks: []check{accusedMonitored, fromPredOfAccused}},
-	wire.KindProbe: {name: "Probe", decode: decoder(wire.UnmarshalProbe),
+	wire.KindProbe: {name: "Probe", shell: func(s *shells) shell { return &s.probe },
 		window: exchangeRound, mute: ignoreProbes, checks: []check{fromMonitor}},
-	wire.KindNack: {name: "Nack", decode: decoder(wire.UnmarshalNack),
+	wire.KindNack: {name: "Nack", shell: func(s *shells) shell { return &s.nack },
 		window: monitorRound, mute: silentMonitor, checks: []check{nackMonitors}},
-	wire.KindAckRequest: {name: "AckRequest", decode: decoder(wire.UnmarshalAckRequest),
+	wire.KindAckRequest: {name: "AckRequest", shell: func(s *shells) shell { return &s.ackRequest },
 		window: exchangeRound, checks: []check{fromMonitor}},
-	wire.KindAckExhibit: {name: "AckExhibit", decode: decoder(wire.UnmarshalAckExhibit),
+	wire.KindAckExhibit: {name: "AckExhibit", shell: func(s *shells) shell { return &s.ackExhibit },
 		window: monitorRound, mute: silentMonitor, checks: []check{fromMonitored}},
 }
 
@@ -154,12 +185,12 @@ var rules = [maxWireKind + 1]rule{
 // Serve and Attestation, which its origin must have sent this node; an
 // AttForward's Attestation, which must be to its sender; an AckRelay's Ack.
 var (
-	probedServe = rule{name: "probed Serve", decode: decoder(wire.UnmarshalServe),
+	probedServe = rule{name: "probed Serve", shell: borrowServe,
 		sealed: true, bind: toReceiver, window: thisRound, checks: serveChecks}
-	probedAttestation    = rule{decode: decoder(wire.UnmarshalAttestation), bind: toReceiver, window: thisRound}
+	probedAttestation    = rule{shell: func(s *shells) shell { return &s.probedAtt }, bind: toReceiver, window: thisRound}
 	forwardedAttestation = rule{name: "forwarded Attestation", malformed: "AttForward with inconsistent attestation",
-		decode: decoder(wire.UnmarshalAttestation), bind: toSender, checks: []check{toDesignated, realExchange}}
-	relayedAck = rule{name: "relayed Ack", decode: decoder(wire.UnmarshalAck), bind: relayMonitors, window: monitorRound}
+		shell: func(s *shells) shell { return &s.forwardedAtt }, bind: toSender, checks: []check{toDesignated, realExchange}}
+	relayedAck = rule{name: "relayed Ack", shell: func(s *shells) shell { return &s.relayedAck }, bind: relayMonitors, window: monitorRound}
 )
 
 // inbound is one message under admission, and what admission hands on.
@@ -170,31 +201,56 @@ type inbound struct {
 	// round is the envelope's: the node's own for a delivered message, the
 	// enclosing message's for a nested one.
 	round model.Round
-	w     *wire.Writer // where a sealed message opens
-	body  []byte       // the bytes the signature covers
-	m     headed
-	h     wire.Head
-	key   hhash.Key // the prime, K(R−1) or remainder a width check parsed
+	// carrier answers for the bytes' signature: the envelope's sender, or
+	// for a nested message the sender of the message that carried it,
+	// which signed them over (a Probe's monitor, not the origin its Serve
+	// is bound to).
+	carrier model.NodeID
+	w       *wire.Writer // where a sealed message opens, until release
+	body    []byte       // the bytes the signature covers
+	m       shell        // the rule's shell, once decoded into
+	h       wire.Head
+	key     hhash.Key // the prime, K(R−1) or remainder a width check parsed
 }
 
-// carried is the inbound of a message nested in one from `from` of round r.
-func carried(from model.NodeID, r model.Round, b []byte) inbound {
-	return inbound{msg: transport.Message{From: from, Payload: b}, round: r}
+// delivered is the inbound of a message delivered in the node's round.
+func (n *Node) delivered(msg transport.Message) inbound {
+	return inbound{msg: msg, round: n.round, carrier: msg.From}
+}
+
+// carried is the inbound of a message nested in one that carrier sent
+// about round r, bound to the envelope from: carrier itself, or the origin
+// a Probe relays.
+func carried(carrier, from model.NodeID, r model.Round, b []byte) inbound {
+	return inbound{msg: transport.Message{From: from, Payload: b}, round: r, carrier: carrier}
+}
+
+// release empties the shell in was decoded into, returning a borrowed one
+// to its pool, and returns its opened plaintext to the pool: nothing the
+// handler was handed survives it.
+func (in *inbound) release() {
+	if in.m != nil {
+		_ = in.m.Decode(nil) // decoding nothing empties a shell
+		if srv, ok := in.m.(*wire.Serve); ok {
+			servePool.Put(srv)
+		}
+	}
+	if in.w != nil {
+		in.w.Release()
+	}
+	*in = inbound{}
 }
 
 // handle admits a delivered message and hands it to its kind's handler.
 func (n *Node) handle(msg transport.Message) {
-	if int(msg.Kind) >= len(rules) || rules[msg.Kind].decode == nil {
+	if int(msg.Kind) >= len(rules) || rules[msg.Kind].shell == nil {
 		n.report(judicial.Verdict{Round: n.round, Kind: VerdictBadMessage, Accused: msg.From,
 			Detail: fmt.Sprintf("unknown kind %d", msg.Kind)})
 		return
 	}
 	r := &rules[msg.Kind]
-	in := inbound{msg: msg, round: n.round}
-	if r.sealed {
-		in.w = wire.GetWriter()
-		defer in.w.Release() // the message aliases the opened plaintext until here
-	}
+	in := n.delivered(msg)
+	defer in.release()
 	if !n.admit(r, &in) {
 		return
 	}
@@ -218,7 +274,8 @@ func (n *Node) handle(msg transport.Message) {
 	case wire.KindHashShare:
 		n.mon.onHashShare(in.m.(*wire.HashShare))
 	case wire.KindAckForward, wire.KindConfirm:
-		n.mon.acceptRelayedAck(in.m.(*wire.AckRelay))
+		relay := in.m.(*wire.AckRelay)
+		n.mon.acceptRelayedAck(relay.From, relay.Round, relay.AckBytes)
 	case wire.KindNodeDigest:
 		n.mon.onNodeDigest(in.m.(*wire.NodeDigest))
 	case wire.KindAccusation:
@@ -235,8 +292,10 @@ func (n *Node) handle(msg transport.Message) {
 }
 
 // admit runs rule r over in and reports whether the message may reach its
-// handler; otherwise it has been dropped, deferred or reported. A sealed
-// message opens into in.w, which must outlive the handler.
+// handler; otherwise it has been dropped, deferred or reported. The message
+// is decoded into the node's shell for r, and a sealed one opens into a
+// pooled writer: whoever made in releases it once the handler returns,
+// admitted or not.
 func (n *Node) admit(r *rule, in *inbound) bool {
 	return n.accept(r, in) && n.vet(r.checks, in)
 }
@@ -249,16 +308,17 @@ func (n *Node) accept(r *rule, in *inbound) bool {
 	}
 	in.body = in.msg.Payload
 	if r.sealed {
+		in.w = wire.GetWriter()
 		var err error
 		if in.body, err = in.w.Open(n.cfg.Identity, in.body); err != nil {
 			return n.refuse(r, in, "undecryptable "+r.name)
 		}
 	}
-	m, err := r.decode(in.body)
-	if err != nil {
+	in.m = r.shell(&n.shells)
+	if in.m.Decode(in.body) != nil {
 		return n.refuse(r, in, r.malformed)
 	}
-	in.m, in.h = m, m.Head()
+	in.h = in.m.Head()
 	h := &in.h
 	if !n.bound(r.bind, in) {
 		return n.refuse(r, in, r.malformed)
@@ -277,9 +337,11 @@ func (n *Node) accept(r *rule, in *inbound) bool {
 			return false
 		}
 	}
+	// A bad signature is its carrier's fault, not the claimed signer's:
+	// anyone can put a signer's name on bytes it never signed.
 	signed := wire.SignedPrefix(in.body, h.Sig)
 	if r.name == "" && n.sh.Suite.Verify(h.From, signed, h.Sig) != nil ||
-		r.name != "" && !n.verify(h.From, signed, h.Sig, r.name) {
+		r.name != "" && !n.verify(h.From, in.carrier, signed, h.Sig, r.name) {
 		return false
 	}
 	return r.window != monitorRound || n.round == 0 ||

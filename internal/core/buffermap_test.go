@@ -40,8 +40,8 @@ func TestBuffermapTagCollisionOutcome(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := wire.UnmarshalKeyResponse(plain)
-			if err != nil {
+			var resp wire.KeyResponse
+			if err := resp.Decode(plain); err != nil {
 				t.Fatal(err)
 			}
 			prime, err := hhash.KeyFromBytes(resp.Prime)
@@ -57,7 +57,7 @@ func TestBuffermapTagCollisionOutcome(t *testing.T) {
 			hasher.Tags(tag[:], []*big.Int{hasher.Embed(minted[0].Update.CanonicalBytes())}, prime)
 			resp.BufferMap = update.NewBufferMap(append(resp.BufferMap, tag[0]))
 			resp.Sig = nil
-			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[victim], resp)); err != nil {
+			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[victim], &resp)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -129,7 +129,7 @@ func TestServeBadMultiplicityRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned := node.Store().Live(round)
+	owned := node.Store().Live(nil, round)
 	if len(owned) == 0 {
 		t.Fatal("receiver owns nothing to reference")
 	}
@@ -253,7 +253,7 @@ func TestServeFromNonPredecessorRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := h.params.EncodeValue(big.NewInt(1))
+	one, err := h.params.EncodeValue(nil, big.NewInt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +305,12 @@ func TestWidePrimeRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := wire.UnmarshalKeyResponse(plain)
-			if err != nil {
+			var resp wire.KeyResponse
+			if err := resp.Decode(plain); err != nil {
 				t.Fatal(err)
 			}
 			resp.Prime, resp.Sig = wide, nil
-			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[responder], resp)); err != nil {
+			if m.Payload, err = h.suite.Encrypt(src, sealMsg(t, h.identities[responder], &resp)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -56,9 +56,11 @@ func (n *Node) onKeyRequest(req *wire.KeyRequest) {
 	// revealing identifiers.
 	s := getTagScratch()
 	defer s.release() // resp.BufferMap is s.tags until the send
-	for _, e := range n.store.Live(n.round) {
+	n.live = n.store.Live(n.live[:0], n.round)
+	for _, e := range n.live {
 		s.embeds = append(s.embeds, n.embedOf(e))
 	}
+	clear(n.live)
 	resp.BufferMap = update.NewBufferMap(n.tagsOf(s, ex.prime))
 	n.signEncryptSend(req.From, resp, wire.KindKeyResponse)
 	if n.trace != nil {
@@ -74,10 +76,15 @@ func (n *Node) onKeyRequest(req *wire.KeyRequest) {
 // into one pooled buffer presized to its sealed length and encrypted into
 // a second presized to the ciphertext's, so even a Serve past the writer
 // pool's cap is written once into each, never regrown through appends.
-// Both return to the pool when use returns: nothing is kept. A Serve is
-// sealed when it is served and sealed again, from what its exchange
-// recorded (serveOf), only when it has to go into an accusation.
+// Both return to the pool when use returns, and so does srv, emptied: it
+// is serveOf's, and nothing is kept. A Serve is sealed when it is served
+// and sealed again, from what its exchange recorded, only when it has to
+// go into an accusation.
 func (n *Node) sealServe(srv *wire.Serve, use func(cipher []byte)) error {
+	defer func() {
+		_ = srv.Decode(nil) // decoding nothing empties it, keeping its lists' arrays
+		servePool.Put(srv)
+	}()
 	pw := wire.GetWriterSize(srv.SealedLen(n.sh.Suite.SignatureSize()))
 	defer pw.Release()
 	plain, err := wire.Seal(pw, srv, n.cfg.Identity)
@@ -134,28 +141,30 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 		}
 		s.release()
 	}
-	srv := n.serveOf(succ, ex)
-	n.stats.RefsSent += uint64(len(srv.Refs))
-	n.stats.PayloadsSent += uint64(len(srv.Full))
-
 	// Attest the round's served set, folded once at BeginRound, under
 	// this successor's prime (§V-D); each attestation still counts the
 	// set's count-powers (hhash.Counter).
 	sr := &n.send
 	n.hasher.Recharge(&sr.exp)
 	n.hasher.Recharge(&sr.fwd)
-	att := &wire.Attestation{Round: n.round, From: n.id, To: succ}
+	att := &n.out.att
+	defer func() { *att = wire.Attestation{} }()
+	*att = wire.Attestation{Round: n.round, From: n.id, To: succ}
+	n.out.values = n.out.values[:0]
 	var err error
-	if att.HExpiring, err = n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.exp)); err != nil {
+	if att.HExpiring, err = n.encodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.exp)); err != nil {
 		return
 	}
-	if att.HForwardable, err = n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.fwd)); err != nil {
+	if att.HForwardable, err = n.encodeValue(n.hasher.LiftFold(&n.lifted, prime, &sr.fwd)); err != nil {
 		return
 	}
 
 	// Send the Serve encrypted, then the Attestation in the clear (it is
 	// meaningless without the prime); keep the Attestation for an
 	// accusation.
+	srv := n.serveOf(succ, ex)
+	n.stats.RefsSent += uint64(len(srv.Refs))
+	n.stats.PayloadsSent += uint64(len(srv.Full))
 	if err := n.sealServe(srv, func(cipher []byte) {
 		_ = transport.SendLent(n.cfg.Endpoint, wire.KindServe, cipher, succ)
 	}); err != nil {
@@ -168,28 +177,16 @@ func (n *Node) serve(succ model.NodeID, ex *sendExchange, prime hhash.Key, bm up
 	ex.served = true
 }
 
-// serveOf builds the Serve that ex records for succ: the first ex.nServed
-// items of the round's forward set, each as a ref where ex.refs marks it
-// and in full otherwise, every list allocated once at its length.
+// serveOf fills a Serve borrowed from servePool with what ex records for
+// succ: the first ex.nServed items of the round's forward set, each as a
+// ref where ex.refs marks it and in full otherwise, in the arrays the
+// lists kept from earlier Serves. sealServe returns it.
 func (n *Node) serveOf(succ model.NodeID, ex *sendExchange) *wire.Serve {
-	srv := &wire.Serve{
-		Round: n.round,
-		From:  n.id,
-		To:    succ,
-		KPrev: n.send.kPrev.Bytes(),
+	if n.send.kPrevBytes == nil {
+		n.send.kPrevBytes = n.send.kPrev.Bytes()
 	}
-	refs := 0
-	for _, ref := range ex.refs {
-		if ref {
-			refs++
-		}
-	}
-	if refs > 0 {
-		srv.Refs = make([]wire.ServedRef, 0, refs)
-	}
-	if full := ex.nServed - refs; full > 0 {
-		srv.Full = make([]wire.ServedUpdate, 0, full)
-	}
+	srv := servePool.Get().(*wire.Serve)
+	srv.Round, srv.From, srv.To, srv.KPrev = n.round, n.id, succ, n.send.kPrevBytes
 	for i, it := range n.send.items[:ex.nServed] {
 		if i < len(ex.refs) && ex.refs[i] {
 			srv.Refs = append(srv.Refs, wire.ServedRef{ID: it.upd.ID, Count: it.count})
@@ -256,7 +253,7 @@ func (n *Node) processServe(srv *wire.Serve, kPrevA hhash.Key) {
 		}
 		// "Updates are propagated along with their signature so that
 		// they can be verified by the nodes upon reception" (§III).
-		if !n.verifyUpdate(n.sh.Source, &su.Update) {
+		if !n.verifyUpdate(srv.From, &su.Update) {
 			return
 		}
 		// Content verified against the source signature. The served update
@@ -323,8 +320,8 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 	if !ex.served || ex.attBytes == nil || ex.ackBytes != nil {
 		return
 	}
-	att, err := wire.UnmarshalAttestation(ex.attBytes)
-	if err != nil {
+	var att wire.Attestation
+	if att.Decode(ex.attBytes) != nil {
 		return
 	}
 	if !ex.prime.IsZero() {
@@ -333,10 +330,10 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 		// anyone holding the prime, and no secret randomness is involved.
 		// Both lifts run whatever the outcome, so every path counts two
 		// hash-ops; an undecodable value (nil) never matches.
-		wantExp := n.hasher.LiftFold(new(big.Int), ex.prime, &ex.exp)
+		wantExp := n.hasher.LiftFold(&n.expected, ex.prime, &ex.exp)
 		wantFwd := n.hasher.LiftFold(&n.lifted, ex.prime, &ex.fwd)
-		gotExp, errExp := n.sh.HashParams.DecodeValue(att.HExpiring)
-		gotFwd, errFwd := n.sh.HashParams.DecodeValue(att.HForwardable)
+		gotExp, errExp := n.sh.HashParams.DecodeValue(&n.decoded[0], att.HExpiring)
+		gotFwd, errFwd := n.sh.HashParams.DecodeValue(&n.decoded[1], att.HForwardable)
 		if errExp != nil || errFwd != nil || gotExp.Cmp(wantExp) != 0 || gotFwd.Cmp(wantFwd) != 0 {
 			// A mis-attested: refusing to acknowledge routes the
 			// conflict through A's monitors, and the signed
@@ -355,12 +352,15 @@ func (n *Node) maybeAck(pred model.NodeID, ex *recvExchange) {
 
 // sendAck builds message 5 and remembers it for the monitor report.
 func (n *Node) sendAck(pred model.NodeID, ex *recvExchange) {
-	enc, err := n.sh.HashParams.EncodeValue(n.hasher.LiftFold(&n.lifted, ex.kPrevA, &ex.exp, &ex.fwd))
+	n.out.values = n.out.values[:0]
+	enc, err := n.encodeValue(n.hasher.LiftFold(&n.lifted, ex.kPrevA, &ex.exp, &ex.fwd))
 	if err != nil {
 		return
 	}
-	ack := &wire.Ack{Round: n.round, From: n.id, To: pred, H: enc}
-	if ex.ackBytes, err = n.signKept(ack); err != nil {
+	n.out.ack = wire.Ack{Round: n.round, From: n.id, To: pred, H: enc}
+	ex.ackBytes, err = n.signKept(&n.out.ack)
+	n.out.ack = wire.Ack{}
+	if err != nil {
 		return
 	}
 	_ = transport.SendLent(n.cfg.Endpoint, wire.KindAck, ex.ackBytes, pred)
@@ -380,7 +380,7 @@ func (n *Node) onAck(ack *wire.Ack, body []byte) {
 	if ex == nil || !ex.served || ex.acked {
 		return
 	}
-	h, err := n.sh.HashParams.DecodeValue(ack.H)
+	h, err := n.sh.HashParams.DecodeValue(&n.decoded[0], ack.H)
 	if err != nil {
 		return
 	}

@@ -94,8 +94,8 @@ func TestServedFoldMatchesHashSet(t *testing.T) {
 				before := n.hops.HashOps()
 				n.serve(succ, ex, c.prime, nil)
 				serveOps := n.hops.HashOps() - before
-				att, err := wire.UnmarshalAttestation(ex.attBytes)
-				if err != nil {
+				var att wire.Attestation
+				if err := att.Decode(ex.attBytes); err != nil {
 					t.Fatal(err)
 				}
 				wantExp, expOps := hashSet(t, oracle, &ops, c.prime, exp)
@@ -104,7 +104,7 @@ func TestServedFoldMatchesHashSet(t *testing.T) {
 					got  []byte
 					want *big.Int
 				}{{att.HExpiring, wantExp}, {att.HForwardable, wantFwd}} {
-					if got, err := n.sh.HashParams.DecodeValue(v.got); err != nil || got.Cmp(v.want) != 0 {
+					if got, err := n.sh.HashParams.DecodeValue(new(big.Int), v.got); err != nil || got.Cmp(v.want) != 0 {
 						t.Fatalf("attested %v, HashSet %v", got, v.want)
 					}
 				}
@@ -175,8 +175,8 @@ func everyOtherTag(c *attestationCheck) update.BufferMap {
 
 // TestServeAllocations: serving a successor whose buffermap holds every
 // other item costs the same allocations for 20 items as for 200 — the
-// Serve's payload and reference lists are each allocated once, it is
-// sealed and encrypted in pooled buffers and lent to the send — and
+// Serve is built in the node's outgoing Serve, whose lists keep their
+// arrays, sealed and encrypted in pooled buffers and lent to the send — and
 // fewer than the 15 objects a serve cost while the node kept every
 // Serve's ciphertext and a heap copy of its Attestation. Accusing the
 // unacknowledged successor, which seals the Serve again, is flat in the
@@ -326,8 +326,8 @@ func TestAccusationServeMatchesServed(t *testing.T) {
 				accused := 0
 				for _, copies := range got {
 					for _, b := range copies {
-						acc, err := wire.UnmarshalAccusation(b)
-						if err != nil || acc.Against != w.succ {
+						var acc wire.Accusation
+						if acc.Decode(b) != nil || acc.Against != w.succ {
 							continue
 						}
 						accused++

@@ -220,11 +220,11 @@ func newAttestationCheck(t *testing.T, id model.NodeID) *attestationCheck {
 func (c *attestationCheck) accepts(t *testing.T, hExp, hFwd *big.Int) bool {
 	t.Helper()
 	params := c.hasher.Params()
-	encExp, err := params.EncodeValue(hExp)
+	encExp, err := params.EncodeValue(nil, hExp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encFwd, err := params.EncodeValue(hFwd)
+	encFwd, err := params.EncodeValue(nil, hFwd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAttestationCheckIsExact(t *testing.T) {
 	}
 	t.Run("undecodable value rejected", func(t *testing.T) {
 		c := newAttestationCheck(t, id)
-		honest, err := c.hasher.Params().EncodeValue(c.hasher.Lift(c.fwd, c.prime))
+		honest, err := c.hasher.Params().EncodeValue(nil, c.hasher.Lift(c.fwd, c.prime))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -312,10 +312,12 @@ func TestEvidenceSurvivesPayloadOverwrite(t *testing.T) {
 	}
 }
 
-// TestRoundResetOwnership: the round lists a node resets in place at
-// every BeginRound must not keep an earlier round's content alive past
-// their length — not in the tail of a forward set that shrank, not in the
-// exchange records of a round with fewer predecessors — serially and on
+// TestRoundResetOwnership: the round lists a node resets in place must not
+// keep an earlier round's content alive past their length — not in the
+// tail of a forward set that shrank, not in the exchange records of a
+// round with fewer predecessors, not in a monitor's records of a retired
+// round — and the messages a node decodes arrivals into and builds its
+// sends in must hold no view once their wave is over, serially and on
 // four workers.
 func TestRoundResetOwnership(t *testing.T) {
 	for _, workers := range []int{0, 4} {
@@ -327,7 +329,7 @@ func TestRoundResetOwnership(t *testing.T) {
 				h.engine.Run(1)
 				for id, n := range h.nodes {
 					if n.StaleSlotsHoldContent() {
-						t.Fatalf("node %v: a slot past a round list's length still references content", id)
+						t.Fatalf("node %v: a reset slot, a retired record or an emptied message still references content", id)
 					}
 				}
 			}

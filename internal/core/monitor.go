@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math/big"
@@ -21,20 +20,24 @@ import (
 
 // monNodeRound is a monitor's per-(monitored node, round) state.
 type monNodeRound struct {
+	y model.NodeID
 	// obligation accumulates ∏ lifted forwardable attestation hashes:
 	// at round end it equals H(∏ received u^c)_(K(R,Y),M) (§V-C). Its
 	// value leaves it only as a copy (obligationOf).
 	obligation hhash.Fold
-	// digest is Y's self-reported value (§V-B), nil until received.
-	digest *big.Int
+	// digest is Y's self-reported value (§V-B), once hasDigest.
+	digest    big.Int
+	hasDigest bool
 	// peers holds what the monitor learned about Y's neighbours of the
 	// round, one record each, appended as admitted messages name them:
-	// predecessors whose exchange a share folded in and successors an
-	// acknowledgement, Nack or investigation is about, so at most Y's
-	// in-degree plus the fanout. It is never drawn from the directory up
-	// front: a message about round r+1 can arrive before r+1's epoch
-	// exists.
+	// predecessors whose exchange a share folded in and successors a Nack
+	// or investigation is about, so at most Y's in-degree plus the
+	// fanout. It is never drawn from the directory up front: a message
+	// about round r+1 can arrive before r+1's epoch exists.
 	peers []monPeer
+	// acks holds the acknowledgement hash of each successor of Y that one
+	// was relayed for (message 9 or Confirm), so at most the fanout.
+	acks []monAck
 	// suspect marks the obligation provably incomplete: the digest
 	// cross-check failed with missing shares (a designated monitor went
 	// silent — e.g. crashed undetected), so this round's obligation must
@@ -49,15 +52,42 @@ type monPeer struct {
 	// shared marks that the exchange of Y's predecessor id has been folded
 	// into the obligation.
 	shared bool
-	// ack is the acknowledgement hash of Y's successor id, relayed via
-	// message 9 or Confirm; nil until one arrives.
-	ack *big.Int
 	// nacked marks the successor excused by a Nack from its monitors,
 	// requested that it is under AckRequest investigation, and exhibit
 	// holds Y's AckExhibit answer for it.
 	nacked    bool
 	requested bool
-	exhibit   *wire.AckExhibit
+	exhibit   *exhibit
+}
+
+// exhibit is a monitored node's answer to an AckRequest: a copy of the Ack
+// it exhibited, if any, and its claim to have accused the successor
+// instead.
+type exhibit struct {
+	ack     []byte
+	accused bool
+}
+
+// monAck is the acknowledgement hash a successor sent the monitored node,
+// in storage its record keeps.
+type monAck struct {
+	succ model.NodeID
+	h    big.Int
+}
+
+// reset empties the record for reuse. Its lists keep their arrays, and
+// the hash values their storage, zeroed.
+func (st *monNodeRound) reset() {
+	clear(st.peers)
+	for i := range st.acks {
+		a := &st.acks[i]
+		a.succ = model.NoNode
+		a.h.SetUint64(0)
+	}
+	st.obligation.Reset()
+	st.digest.SetUint64(0)
+	st.y, st.hasDigest, st.suspect = model.NoNode, false, false
+	st.peers, st.acks = st.peers[:0], st.acks[:0]
 }
 
 // find returns id's record, or nil.
@@ -80,6 +110,90 @@ func (st *monNodeRound) peer(id model.NodeID) *monPeer {
 	return &st.peers[len(st.peers)-1]
 }
 
+// ackOf returns the acknowledgement hash succ sent, or nil. The pointer is
+// valid until the next keepAck.
+func (st *monNodeRound) ackOf(succ model.NodeID) *big.Int {
+	for i := range st.acks {
+		if st.acks[i].succ == succ {
+			return &st.acks[i].h
+		}
+	}
+	return nil
+}
+
+// keepAck records h as succ's acknowledgement hash unless one is kept
+// already, in the storage of the slot past the list's end when its array
+// has one.
+func (st *monNodeRound) keepAck(succ model.NodeID, h *big.Int) {
+	if st.ackOf(succ) != nil {
+		return
+	}
+	st.acks = slices.Grow(st.acks, 1)[:len(st.acks)+1]
+	a := &st.acks[len(st.acks)-1]
+	a.succ = succ
+	a.h.Set(h)
+}
+
+// monRound is a monitor's state for one round: a record for each node it
+// monitors that the round's admitted messages named. Records past the
+// list's length are reset and kept, and a retired round goes back to the
+// monitor's free list whole, so a monitor in steady state allocates none.
+type monRound struct {
+	nodes []*monNodeRound
+}
+
+// ackCopy is the Ack copy a monitored node reported for its exchange with
+// pred in round r.
+type ackCopy struct {
+	r               model.Round
+	monitored, pred model.NodeID
+	b               []byte
+}
+
+// copyOf returns round r's Ack copy of monitored's exchange with pred, or
+// nil.
+func (m *monitorState) copyOf(r model.Round, monitored, pred model.NodeID) *ackCopy {
+	for i := range m.copies {
+		if c := &m.copies[i]; c.r == r && c.monitored == monitored && c.pred == pred {
+			return c
+		}
+	}
+	return nil
+}
+
+// keepCopy keeps b as round r's Ack copy of monitored's exchange with
+// pred, replacing an earlier one, and returns the kept bytes: in a free
+// slot of b's length when the monitor has one. Every honest Ack copy has
+// the same length, so the slots gc frees take the copies to come.
+func (m *monitorState) keepCopy(r model.Round, monitored, pred model.NodeID, b []byte) []byte {
+	c := m.copyOf(r, monitored, pred)
+	if c == nil {
+		m.copies = append(m.copies, ackCopy{r: r, monitored: monitored, pred: pred})
+		c = &m.copies[len(m.copies)-1]
+	}
+	if len(c.b) != len(b) {
+		if k := len(m.slots); k > 0 && len(m.slots[k-1]) == len(b) {
+			c.b, m.slots = m.slots[k-1], m.slots[:k-1]
+		} else {
+			c.b = make([]byte, len(b))
+		}
+	}
+	copy(c.b, b)
+	return c.b
+}
+
+// reset empties the round's records for reuse, keeping their storage.
+// Records past the list's length, which this use of the round did not
+// need, are let go: the nodes a monitor watches change with membership,
+// and a round would otherwise keep the most it ever needed.
+func (mr *monRound) reset() {
+	for _, st := range mr.nodes {
+		st.reset()
+	}
+	clear(mr.nodes[len(mr.nodes):cap(mr.nodes)])
+	mr.nodes = mr.nodes[:0]
+}
+
 // probeKey identifies one accusation probe.
 type probeKey struct {
 	accuser model.NodeID
@@ -97,33 +211,74 @@ type monitorState struct {
 	monitoredEpoch int
 	monitoredValid bool
 
-	rounds map[model.Round]map[model.NodeID]*monNodeRound
-	// ackCopies holds message-6 payloads keyed by (monitored, pred).
-	ackCopies map[model.Round]map[[2]model.NodeID][]byte
-	probes    map[probeKey]bool // true = resolved
+	// rounds holds the state of every round in the admission window; free
+	// holds the retired rounds gc reset, for the rounds to come.
+	rounds map[model.Round]*monRound
+	free   []*monRound
+	// copies are the Ack copies (message 6) of the rounds gc keeps them
+	// for, kept past their delivery as evidence, each in a slot the
+	// monitor owns; slots holds the slots of the copies gc dropped.
+	copies []ackCopy
+	slots  [][]byte
+	probes map[probeKey]bool // true = resolved
+
+	// Storage the monitor reuses: others is what peers returns, and
+	// obligation what obligationOf does.
+	others     []model.NodeID
+	obligation big.Int
 }
 
 func newMonitorState(n *Node) *monitorState {
 	return &monitorState{
-		n:         n,
-		rounds:    make(map[model.Round]map[model.NodeID]*monNodeRound),
-		ackCopies: make(map[model.Round]map[[2]model.NodeID][]byte),
-		probes:    make(map[probeKey]bool),
+		n:      n,
+		rounds: make(map[model.Round]*monRound),
+		probes: make(map[probeKey]bool),
 	}
 }
 
+// round returns round r's state, opening it, from the free list when that
+// holds one, if there is none.
+func (m *monitorState) round(r model.Round) *monRound {
+	mr, ok := m.rounds[r]
+	if !ok {
+		if k := len(m.free); k > 0 {
+			mr, m.free = m.free[k-1], m.free[:k-1]
+		} else {
+			mr = new(monRound)
+		}
+		m.rounds[r] = mr
+	}
+	return mr
+}
+
+// find returns y's record of round r, or nil.
+func (m *monitorState) find(r model.Round, y model.NodeID) *monNodeRound {
+	if mr, ok := m.rounds[r]; ok {
+		for _, st := range mr.nodes {
+			if st.y == y {
+				return st
+			}
+		}
+	}
+	return nil
+}
+
+// state returns y's record of round r, opening one if there is none.
 func (m *monitorState) state(r model.Round, y model.NodeID) *monNodeRound {
-	per, ok := m.rounds[r]
-	if !ok {
-		per = make(map[model.NodeID]*monNodeRound)
-		m.rounds[r] = per
+	if st := m.find(r, y); st != nil {
+		return st
 	}
-	st, ok := per[y]
-	if !ok {
-		// A record each for Y's usual in-degree and fanout.
-		st = &monNodeRound{peers: make([]monPeer, 0, 2*m.n.sh.Directory.Fanout())}
-		per[y] = st
+	mr := m.round(r)
+	k := len(mr.nodes)
+	mr.nodes = slices.Grow(mr.nodes, 1)[:k+1]
+	if mr.nodes[k] == nil {
+		// A peer record each for Y's usual in-degree and fanout, an
+		// acknowledgement for each successor.
+		f := m.n.sh.Directory.Fanout()
+		mr.nodes[k] = &monNodeRound{peers: make([]monPeer, 0, 2*f), acks: make([]monAck, 0, f)}
 	}
+	st := mr.nodes[k]
+	st.y = y
 	return st
 }
 
@@ -152,13 +307,7 @@ func (m *monitorState) beginRound(r model.Round) {
 // ---------------------------------------------------------------------------
 
 func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
-	per, ok := m.ackCopies[ack.Round]
-	if !ok {
-		per = make(map[[2]model.NodeID][]byte)
-		m.ackCopies[ack.Round] = per
-	}
-	ackBytes := bytes.Clone(body) // evidence: outlives the delivery
-	per[[2]model.NodeID{ack.From, ack.To}] = ackBytes
+	ackBytes := m.keepCopy(ack.Round, ack.From, ack.To, body) // evidence: outlives the delivery
 
 	// A pending probe against ack.From for the exchange with ack.To is
 	// resolved by this acknowledgement: confirm to the accuser's
@@ -177,28 +326,29 @@ func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
 // onAttForward lifts an admitted AttForward's attestation by its parsed
 // remainder and shares the result with the monitored node's other monitors.
 func (m *monitorState) onAttForward(fwd *wire.AttForward, remainder hhash.Key) {
-	in := carried(fwd.From, fwd.Round, fwd.AttBytes)
+	in := carried(fwd.From, fwd.From, fwd.Round, fwd.AttBytes)
+	defer in.release()
 	if !m.n.admit(&forwardedAttestation, &in) {
 		return
 	}
 	att := in.m.(*wire.Attestation)
-	hExp, errE := m.n.sh.HashParams.DecodeValue(att.HExpiring)
-	hFwd, errF := m.n.sh.HashParams.DecodeValue(att.HForwardable)
+	hExp, errE := m.n.sh.HashParams.DecodeValue(&m.n.decoded[0], att.HExpiring)
+	hFwd, errF := m.n.sh.HashParams.DecodeValue(&m.n.decoded[1], att.HForwardable)
 	if errE != nil || errF != nil {
 		return
 	}
 
 	// Lift to K(R,B):  (H(S_A)_(p_j))^(∏_{k≠j}p_k)  (§V-B).
-	liftedExp := m.n.hasher.Lift(hExp, remainder)
-	liftedFwd := m.n.hasher.Lift(hFwd, remainder)
-	encExp, errE := m.n.sh.HashParams.EncodeValue(liftedExp)
-	encFwd, errF := m.n.sh.HashParams.EncodeValue(liftedFwd)
+	m.n.out.values = m.n.out.values[:0]
+	encExp, errE := m.n.encodeValue(m.n.hasher.Lift(hExp, remainder))
+	encFwd, errF := m.n.encodeValue(m.n.hasher.Lift(hFwd, remainder))
 	if errE != nil || errF != nil {
 		return
 	}
 
 	ackBytes := m.ackCopyFor(fwd.Round, fwd.From, att.From)
-	share := &wire.HashShare{
+	share := &m.n.out.share
+	*share = wire.HashShare{
 		Round:      fwd.Round,
 		From:       m.n.id,
 		Monitored:  fwd.From,
@@ -212,6 +362,7 @@ func (m *monitorState) onAttForward(fwd *wire.AttForward, remainder hhash.Key) {
 	others, _ := m.peers(fwd.From, fwd.Round)
 	m.n.signAndSendAll(others, share)
 	m.applyShare(share)
+	*share = wire.HashShare{}
 
 	// Relay the acknowledgement to the predecessor's monitors (msg 9).
 	if len(ackBytes) > 0 {
@@ -220,10 +371,10 @@ func (m *monitorState) onAttForward(fwd *wire.AttForward, remainder hhash.Key) {
 }
 
 // peers splits the monitors of y at round r into the others and whether
-// this node is one of them.
+// this node is one of them. The others are valid until the next call.
 func (m *monitorState) peers(y model.NodeID, r model.Round) (others []model.NodeID, self bool) {
 	monitors := m.n.sh.Directory.Monitors(y, r)
-	others = make([]model.NodeID, 0, len(monitors))
+	others = m.others[:0]
 	for _, peer := range monitors {
 		if peer == m.n.id {
 			self = true
@@ -231,12 +382,13 @@ func (m *monitorState) peers(y model.NodeID, r model.Round) (others []model.Node
 			others = append(others, peer)
 		}
 	}
+	m.others = others
 	return others, self
 }
 
 func (m *monitorState) ackCopyFor(r model.Round, monitored, pred model.NodeID) []byte {
-	if per, ok := m.ackCopies[r]; ok {
-		return per[[2]model.NodeID{monitored, pred}]
+	if c := m.copyOf(r, monitored, pred); c != nil {
+		return c.b
 	}
 	return nil
 }
@@ -246,24 +398,26 @@ func (m *monitorState) ackCopyFor(r model.Round, monitored, pred model.NodeID) [
 func (m *monitorState) relayAck(r model.Round, pred model.NodeID, ackBytes []byte, confirm bool) {
 	if m.n.trace.Enabled() {
 		// The exchange id needs the acknowledging successor, which only
-		// the ack body carries — unmarshal it just for the trace.
-		if ack, err := wire.UnmarshalAck(ackBytes); err == nil {
+		// the ack body carries — decode it just for the trace.
+		var ack wire.Ack
+		if ack.Decode(ackBytes) == nil {
 			m.n.trace.Emit("ack_relay",
 				obs.XID(model.ExchangeID(r, pred, ack.From)),
 				obs.F("round", r), obs.F("from", pred), obs.F("to", ack.From),
 				obs.F("monitor", m.n.id), obs.F("confirm", confirm))
 		}
 	}
-	var relay *wire.AckRelay
+	relay := &m.n.out.relay
 	if confirm {
-		relay = wire.NewConfirm(r, m.n.id, ackBytes)
+		*relay = *wire.NewConfirm(r, m.n.id, ackBytes)
 	} else {
-		relay = wire.NewAckForward(r, m.n.id, ackBytes)
+		*relay = *wire.NewAckForward(r, m.n.id, ackBytes)
 	}
 	others, self := m.peers(pred, r)
 	m.n.signAndSendAll(others, relay)
+	*relay = wire.AckRelay{}
 	if self {
-		m.acceptRelayedAck(relay)
+		m.acceptRelayedAck(m.n.id, r, ackBytes)
 	}
 }
 
@@ -286,7 +440,7 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 		return false // duplicate
 	}
 	p.shared = true
-	if hFwd, err := m.n.sh.HashParams.DecodeValue(share.HFwdLifted); err == nil {
+	if hFwd, err := m.n.sh.HashParams.DecodeValue(&m.n.decoded[0], share.HFwdLifted); err == nil {
 		m.n.hasher.Mul(&st.obligation, hFwd, 1)
 	}
 	if m.n.trace != nil {
@@ -303,11 +457,12 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 // Message 9 / Confirm reception (this node monitors the predecessor)
 // ---------------------------------------------------------------------------
 
-// acceptRelayedAck records the acknowledgement an AckRelay carries, for
-// the acknowledged node's forwarding check, which reads only its
-// successors' acknowledgements: another signer's is not kept.
-func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
-	in := carried(relay.From, relay.Round, relay.AckBytes)
+// acceptRelayedAck records the acknowledgement an AckRelay from relayer
+// carries, for the acknowledged node's forwarding check, which reads only
+// its successors' acknowledgements: another signer's is not kept.
+func (m *monitorState) acceptRelayedAck(relayer model.NodeID, r model.Round, ackBytes []byte) {
+	in := carried(relayer, relayer, r, ackBytes)
+	defer in.release()
 	if !m.n.admit(&relayedAck, &in) {
 		return
 	}
@@ -315,13 +470,11 @@ func (m *monitorState) acceptRelayedAck(relay *wire.AckRelay) {
 	if _, ok := m.n.sh.Directory.ExchangeSlot(ack.To, ack.From, ack.Round); !ok {
 		return
 	}
-	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
+	h, err := m.n.sh.HashParams.DecodeValue(&m.n.decoded[0], ack.H)
 	if err != nil {
 		return
 	}
-	if p := m.state(ack.Round, ack.To).peer(ack.From); p.ack == nil {
-		p.ack = h
-	}
+	m.state(ack.Round, ack.To).keepAck(ack.From, h)
 }
 
 // onNack excuses an investigated successor: its own monitors report it
@@ -338,8 +491,10 @@ func (m *monitorState) onNack(nack *wire.Nack) {
 // ---------------------------------------------------------------------------
 
 func (m *monitorState) onNodeDigest(d *wire.NodeDigest) {
-	if h, err := m.n.sh.HashParams.DecodeValue(d.HFwd); err == nil {
-		m.state(d.Round, d.From).digest = h
+	if h, err := m.n.sh.HashParams.DecodeValue(&m.n.decoded[0], d.HFwd); err == nil {
+		st := m.state(d.Round, d.From)
+		st.digest.Set(h)
+		st.hasDigest = true
 	}
 }
 
@@ -404,14 +559,14 @@ func (m *monitorState) verify(r model.Round) {
 			continue
 		}
 		for _, succ := range m.n.sh.Directory.Successors(y, r) {
-			p := st.find(succ)
+			p, ack := st.find(succ), st.ackOf(succ)
 			switch {
-			case p != nil && p.ack != nil && p.ack.Cmp(prev) != 0:
+			case ack != nil && ack.Cmp(prev) != 0:
 				m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("ack from %v does not match obligation", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
-			case p != nil && (p.ack != nil || p.nacked):
+			case ack != nil || p != nil && p.nacked:
 				// Acknowledged, or excused: the successor was nacked by
 				// its monitors.
 			default:
@@ -430,14 +585,12 @@ func (m *monitorState) verify(r model.Round) {
 }
 
 // obligationOf returns the accumulated obligation of y for round r (1 when
-// no exchange was folded in).
+// no exchange was folded in), valid until the next call.
 func (m *monitorState) obligationOf(r model.Round, y model.NodeID) *big.Int {
-	if per, ok := m.rounds[r]; ok {
-		if st, ok := per[y]; ok {
-			return m.n.hasher.FoldValue(new(big.Int), &st.obligation)
-		}
+	if st := m.find(r, y); st != nil {
+		return m.n.hasher.FoldValue(&m.obligation, &st.obligation)
 	}
-	return big.NewInt(1)
+	return m.obligation.SetUint64(1)
 }
 
 // baseline resolves the round-(r-1) obligation that y's round-r forwarding
@@ -450,10 +603,8 @@ func (m *monitorState) baseline(r model.Round, y model.NodeID, boundary bool) (p
 	if boundary && (!m.n.sh.Directory.ContainsAt(y, r-1) || !m.n.sh.Directory.IsMonitorOf(m.n.id, y, r-1)) {
 		return nil, false, false
 	}
-	if per, ok := m.rounds[r-1]; ok {
-		if prevSt, ok := per[y]; ok {
-			suspect = prevSt.suspect
-		}
+	if prevSt := m.find(r-1, y); prevSt != nil {
+		suspect = prevSt.suspect
 	}
 	return m.obligationOf(r-1, y), suspect, true
 }
@@ -490,12 +641,8 @@ func (m *monitorState) judge(r model.Round) {
 	boundary := r > 0 &&
 		m.n.sh.Directory.MonitorEpoch(r) != m.n.sh.Directory.MonitorEpoch(r-1)
 	for _, y := range m.monitored {
-		per, ok := m.rounds[r]
-		if !ok {
-			continue
-		}
-		st, ok := per[y]
-		if !ok {
+		st := m.find(r, y)
+		if st == nil {
 			continue
 		}
 
@@ -503,7 +650,7 @@ func (m *monitorState) judge(r model.Round) {
 		// round have settled, so the node's self-digest must match the
 		// accumulated obligation. A mismatch also poisons the round's
 		// obligation as a forwarding baseline (see verify).
-		if st.digest != nil && st.digest.Cmp(m.obligationOf(r, y)) != 0 {
+		if st.hasDigest && st.digest.Cmp(m.obligationOf(r, y)) != 0 {
 			m.blameDigestMismatch(r, y, st)
 			st.suspect = true
 		}
@@ -512,7 +659,7 @@ func (m *monitorState) judge(r model.Round) {
 		// same resolution applies at judgement.
 		prev, _, okBase := m.baseline(r, y, boundary)
 		if !okBase {
-			prev = big.NewInt(1)
+			prev = m.obligation.SetUint64(1)
 		}
 		// In successor order: the first of several same-key reports is
 		// the one the registry keeps.
@@ -524,9 +671,9 @@ func (m *monitorState) judge(r model.Round) {
 			if p == nil || !p.requested {
 				continue
 			}
-			if p.ack != nil {
+			if ack := st.ackOf(succ); ack != nil {
 				// A Confirm arrived during the investigation window.
-				if p.ack.Cmp(prev) != 0 {
+				if ack.Cmp(prev) != 0 {
 					m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 						Accused:  y,
 						Detail:   fmt.Sprintf("confirmed ack from %v mismatches obligation", succ),
@@ -537,16 +684,15 @@ func (m *monitorState) judge(r model.Round) {
 			if p.nacked {
 				continue // the successor was the guilty party
 			}
-			ex := p.exhibit
-			switch {
+			switch ex := p.exhibit; {
 			case ex == nil:
 				m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 					Accused:  y,
 					Detail:   fmt.Sprintf("no answer to AckRequest for successor %v", succ),
 					Exchange: model.ExchangeID(r, y, succ)})
-			case len(ex.AckBytes) > 0:
-				m.judgeExhibitedAck(r, y, succ, prev, ex.AckBytes)
-			case ex.Accused:
+			case len(ex.ack) > 0:
+				m.judgeExhibitedAck(r, y, succ, prev, ex.ack)
+			case ex.accused:
 				// "otherwise node B is considered guilty": the
 				// accusation flow owns the outcome (Confirm or
 				// Nack); nothing further to judge here.
@@ -562,8 +708,8 @@ func (m *monitorState) judge(r model.Round) {
 
 func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, prev *big.Int, ackBytes []byte) {
 	xid := model.ExchangeID(r, y, succ)
-	ack, err := wire.UnmarshalAck(ackBytes)
-	if err != nil || ack.From != succ || ack.To != y || ack.Round != r {
+	var ack wire.Ack
+	if ack.Decode(ackBytes) != nil || ack.From != succ || ack.To != y || ack.Round != r {
 		m.n.report(judicial.Verdict{Round: r, Kind: VerdictNoForward,
 			Accused: y, Detail: "exhibited ack is inconsistent", Exchange: xid})
 		return
@@ -573,7 +719,7 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 			Accused: y, Detail: "exhibited ack has a bad signature", Exchange: xid})
 		return
 	}
-	h, err := m.n.sh.HashParams.DecodeValue(ack.H)
+	h, err := m.n.sh.HashParams.DecodeValue(&m.n.decoded[0], ack.H)
 	if err != nil || h.Cmp(prev) != 0 {
 		m.n.report(judicial.Verdict{Round: r, Kind: VerdictWrongForward,
 			Accused: y, Detail: fmt.Sprintf("exhibited ack of %v mismatches obligation", succ),
@@ -590,24 +736,43 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 		Exchange: xid})
 }
 
-// gc drops monitor state older than the investigation horizon,
-// monitorKeep rounds (which bounds what admission lets in, too).
+// maxFreeRounds bounds the retired rounds a monitor keeps for reuse: in
+// steady state gc retires one round as the next one opens.
+const maxFreeRounds = 2
+
+// gc retires monitor state older than the investigation horizon,
+// monitorKeep rounds (which bounds what admission lets in, too), to the
+// free list.
 func (m *monitorState) gc(r model.Round) {
-	for rr := range m.rounds {
-		if rr+monitorKeep < r {
-			delete(m.rounds, rr)
-		}
-	}
 	// Ack copies are only consulted at their own round (onAttForward and
 	// onAccusation both key by the in-flight round), so they get a
 	// tighter horizon than the investigation state — they are the
 	// monitor's heaviest per-round buffers.
 	const keepAcks = 2
-	for rr := range m.ackCopies {
-		if rr+keepAcks < r {
-			delete(m.ackCopies, rr)
+	for rr, mr := range m.rounds {
+		if rr+monitorKeep < r {
+			delete(m.rounds, rr)
+			if len(m.free) < maxFreeRounds {
+				mr.reset()
+				m.free = append(m.free, mr)
+			}
 		}
 	}
+	// Free slots no round took since the last collection are let go: the
+	// copies per round vary, and the free slots would keep their peak.
+	clear(m.slots)
+	m.slots = m.slots[:0]
+	kept := m.copies[:0]
+	for _, c := range m.copies {
+		if c.r+keepAcks < r {
+			wire.PoisonOnRelease(c.b)
+			m.slots = append(m.slots, c.b)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	clear(m.copies[len(kept):])
+	m.copies = kept
 	for key := range m.probes {
 		if key.round+monitorKeep < r {
 			delete(m.probes, key)

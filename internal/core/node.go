@@ -150,8 +150,10 @@ type sendExchange struct {
 // sendRound aggregates sender-side state for one round.
 type sendRound struct {
 	items []pendingItem
-	// kPrev is K(R-1, self), the key successors acknowledge under.
-	kPrev hhash.Key
+	// kPrev is K(R-1, self), the key successors acknowledge under, and
+	// kPrevBytes its encoding once a Serve of the round has carried it.
+	kPrev      hhash.Key
+	kPrevBytes []byte
 	// exp and fwd are the round's served set folded once (foldServed):
 	// the embedded products of its expiring and forwardable items.
 	exp, fwd hhash.Fold
@@ -182,6 +184,7 @@ func (sr *sendRound) reset() {
 		*ex = sendExchange{refs: ex.refs[:0]}
 	}
 	sr.succs = sr.succs[:0]
+	sr.kPrevBytes = nil
 	sr.exp.Reset()
 	sr.fwd.Reset()
 }
@@ -239,8 +242,37 @@ type Node struct {
 	// start, as it resets the exchange records that point into it.
 	evidence []byte
 
-	// lifted receives the lifts whose value is encoded at once.
-	lifted big.Int
+	// lifted receives the lifts whose value is encoded at once, expected
+	// the one maybeAck compares beside it, and decoded the hash values
+	// read off a message and used before its handler returns
+	// (hhash.Params.DecodeValue).
+	lifted, expected big.Int
+	decoded          [2]big.Int
+
+	// shells are what admission decodes each arrival into (admit.go),
+	// out the messages the node builds, and live the store entries a
+	// buffermap tags: storage the node reuses, holding nothing between
+	// uses.
+	shells shells
+	out    outgoing
+	live   []*update.Entry
+}
+
+// outgoing holds the messages a node builds, one of each kind it sends in
+// every round but the Serve (borrowed from servePool): each is filled,
+// sealed and emptied in one go, so none holds anything between sends and a
+// send allocates no message.
+type outgoing struct {
+	keyRequest wire.KeyRequest
+	att        wire.Attestation
+	ack        wire.Ack
+	attForward wire.AttForward
+	digest     wire.NodeDigest
+	share      wire.HashShare
+	relay      wire.AckRelay
+	// values holds the hash values encoded for the message being built
+	// (encodeValue); each builder rewinds it first.
+	values []byte
 }
 
 // maxWireKind bounds the per-kind counter table (wire kinds are 1-based
@@ -293,7 +325,8 @@ func (n *Node) Stats() Stats {
 
 // Retire releases what a node that has left its session no longer needs —
 // the update store, the round state and forward set, the monitor
-// bookkeeping and the prime pool — and keeps what is
+// bookkeeping, the prime pool and the storage it decodes and builds
+// messages in — and keeps what is
 // still read from a departed node: its counters and its behaviour. A
 // retired node is not stepped and receives nothing.
 func (n *Node) Retire() {
@@ -304,6 +337,7 @@ func (n *Node) Retire() {
 	n.mon = newMonitorState(n)
 	n.pool = nil
 	n.evidence = nil
+	n.shells, n.out, n.live = shells{}, outgoing{}, nil
 }
 
 // Store exposes the node's update store (read-mostly; used by the
@@ -446,9 +480,11 @@ func (n *Node) OpenSlot(r model.Round, k int) {
 func (n *Node) openSlot(k int) {
 	for _, ex := range n.send.succs {
 		if ex.slot == k && !ex.skipped {
-			n.signAndSend(ex.succ, &wire.KeyRequest{Round: n.round, From: n.id, To: ex.succ})
+			n.out.keyRequest = wire.KeyRequest{Round: n.round, From: n.id, To: ex.succ}
+			n.signAndSend(ex.succ, &n.out.keyRequest)
 		}
 	}
+	n.out.keyRequest = wire.KeyRequest{}
 }
 
 // MidRound runs after the exchange messages of the round have quiesced:
@@ -579,6 +615,18 @@ func (n *Node) signKept(m wire.BodyMessage) ([]byte, error) {
 	return n.keep(payload), nil
 }
 
+// encodeValue appends v's wire encoding to the values of the message being
+// built (outgoing.values) and returns it.
+func (n *Node) encodeValue(v *big.Int) ([]byte, error) {
+	start := len(n.out.values)
+	enc, err := n.sh.HashParams.EncodeValue(n.out.values, v)
+	if err != nil {
+		return nil, err
+	}
+	n.out.values = enc
+	return enc[start:len(enc):len(enc)], nil
+}
+
 // keep copies b into the node's evidence buffer and returns the copy,
 // which is valid until the next BeginRound. The copy is capped at its
 // length, so an append to it cannot run into the next one.
@@ -588,21 +636,22 @@ func (n *Node) keep(b []byte) []byte {
 	return n.evidence[start:len(n.evidence):len(n.evidence)]
 }
 
-// verifyUpdate checks an update's source signature, encoding the
-// canonical bytes into a pooled buffer.
-func (n *Node) verifyUpdate(src model.NodeID, u *update.Update) bool {
+// verifyUpdate checks the source signature of an update carrier served,
+// encoding the canonical bytes into a pooled buffer.
+func (n *Node) verifyUpdate(carrier model.NodeID, u *update.Update) bool {
 	w := wire.GetWriter()
 	defer w.Release()
-	return n.verify(src, w.Canonical(u), u.SrcSig, "update source signature")
+	return n.verify(n.sh.Source, carrier, w.Canonical(u), u.SrcSig, "update source signature")
 }
 
-// verify checks a signature with op accounting; on failure a BadMessage
-// verdict is raised against the claimed signer.
-func (n *Node) verify(signer model.NodeID, body, sig []byte, what string) bool {
+// verify checks signer's signature with op accounting; on failure a
+// BadMessage verdict is raised against carrier, the node that handed the
+// signed bytes over (the signer itself when it sent them).
+func (n *Node) verify(signer, carrier model.NodeID, body, sig []byte, what string) bool {
 	err := pki.VerifyCounted(n.sh.Suite, n.cfg.Identity.Counter(), signer, body, sig)
 	if err != nil {
 		n.report(judicial.Verdict{
-			Round: n.round, Kind: VerdictBadMessage, Accused: signer,
+			Round: n.round, Kind: VerdictBadMessage, Accused: carrier,
 			Detail: fmt.Sprintf("bad signature on %s", what),
 		})
 		return false

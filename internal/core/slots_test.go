@@ -44,7 +44,7 @@ func TestPayloadCopiesPerReception(t *testing.T) {
 				case wire.KindKeyRequest:
 					n.HandleMessage(m)
 					owned := map[model.UpdateID]bool{}
-					for _, e := range n.Store().Live(n.Round()) {
+					for _, e := range n.Store().Live(nil, n.Round()) {
 						owned[e.Update.ID] = true
 					}
 					mu.Lock()

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -449,26 +450,28 @@ func (h *Hasher) verifyForwardingNaive(attestations []*big.Int, remainders []Key
 	return acc.Cmp(ackHash) == 0, nil
 }
 
-// EncodeValue encodes a hash value as a fixed-width big-endian byte string
-// of Params.ValueLen bytes, the wire representation.
-func (p Params) EncodeValue(v *big.Int) ([]byte, error) {
+// EncodeValue appends to dst the wire representation of a hash value, a
+// fixed-width big-endian byte string of Params.ValueLen bytes, and returns
+// the extended slice.
+func (p Params) EncodeValue(dst []byte, v *big.Int) ([]byte, error) {
 	if v == nil || v.Sign() < 0 || v.Cmp(p.m) >= 0 {
 		return nil, errors.New("hhash: value out of range for modulus")
 	}
-	out := make([]byte, p.ValueLen())
-	v.FillBytes(out)
-	return out, nil
+	n := len(dst)
+	dst = slices.Grow(dst, p.ValueLen())[:n+p.ValueLen()]
+	v.FillBytes(dst[n:])
+	return dst, nil
 }
 
-// DecodeValue decodes a value encoded by EncodeValue.
-func (p Params) DecodeValue(b []byte) (*big.Int, error) {
+// DecodeValue decodes a value encoded by EncodeValue into dst, in dst's
+// own storage, and returns dst. On an error dst holds no meaningful value.
+func (p Params) DecodeValue(dst *big.Int, b []byte) (*big.Int, error) {
 	if len(b) != p.ValueLen() {
 		return nil, fmt.Errorf("hhash: value encoding is %d bytes, want %d",
 			len(b), p.ValueLen())
 	}
-	v := new(big.Int).SetBytes(b)
-	if v.Cmp(p.m) >= 0 {
+	if dst.SetBytes(b).Cmp(p.m) >= 0 {
 		return nil, errors.New("hhash: decoded value exceeds modulus")
 	}
-	return v, nil
+	return dst, nil
 }

@@ -358,14 +358,14 @@ func TestValueEncodeDecode(t *testing.T) {
 	h := NewHasher(p, nil)
 	v := h.Hash(testKey(t, 17), []byte("payload"))
 
-	enc, err := p.EncodeValue(v)
+	enc, err := p.EncodeValue(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc) != p.ValueLen() {
 		t.Fatalf("encoded length %d, want %d", len(enc), p.ValueLen())
 	}
-	dec, err := p.DecodeValue(enc)
+	dec, err := p.DecodeValue(new(big.Int), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,24 +376,24 @@ func TestValueEncodeDecode(t *testing.T) {
 
 func TestValueEncodeRejectsOutOfRange(t *testing.T) {
 	p := testParams(t)
-	if _, err := p.EncodeValue(nil); err == nil {
+	if _, err := p.EncodeValue(nil, nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := p.EncodeValue(p.Modulus()); err == nil {
+	if _, err := p.EncodeValue(nil, p.Modulus()); err == nil {
 		t.Fatal("value == M accepted")
 	}
-	if _, err := p.EncodeValue(big.NewInt(-1)); err == nil {
+	if _, err := p.EncodeValue(nil, big.NewInt(-1)); err == nil {
 		t.Fatal("negative accepted")
 	}
 }
 
 func TestValueDecodeRejectsBad(t *testing.T) {
 	p := testParams(t)
-	if _, err := p.DecodeValue([]byte{1, 2, 3}); err == nil {
+	if _, err := p.DecodeValue(new(big.Int), []byte{1, 2, 3}); err == nil {
 		t.Fatal("short encoding accepted")
 	}
 	tooBig := bytes.Repeat([]byte{0xFF}, p.ValueLen())
-	if _, err := p.DecodeValue(tooBig); err == nil {
+	if _, err := p.DecodeValue(new(big.Int), tooBig); err == nil {
 		t.Fatal("oversized value accepted")
 	}
 }

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"testing"
@@ -412,6 +413,42 @@ func TestFastVerifyRejectsEveryByteFlip(t *testing.T) {
 		if err := s.Verify(1, msg, bad); !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("signature of %d bytes accepted", len(bad))
 		}
+	}
+}
+
+// FastSuite.Verify compares the whole signature with the tag in one pass:
+// a byte flipped in any one 32-byte block, whatever the others hold, is
+// rejected, and so is another message's tag repeated to the full width.
+func TestFastVerifyChecksEveryBlock(t *testing.T) {
+	s := NewFastSuite()
+	id, _ := s.NewIdentity(1)
+	msg := []byte("message")
+	sig, _ := id.Sign(msg)
+	other, _ := id.Sign([]byte("another message"))
+	const block = sha256.Size
+	if len(sig)%block != 0 || len(sig)/block < 2 {
+		t.Fatalf("a signature of %d bytes is not whole tags", len(sig))
+	}
+	for k := 0; k < len(sig)/block; k++ {
+		for _, at := range []int{k * block, k*block + k%block, (k+1)*block - 1} {
+			bad := bytes.Clone(sig)
+			bad[at] ^= 0x80
+			if err := s.Verify(1, msg, bad); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("block %d: flip of byte %d accepted", k, at)
+			}
+		}
+		// Every block but this one is another message's tag.
+		mixed := bytes.Clone(other)
+		copy(mixed[k*block:], sig[k*block:(k+1)*block])
+		if err := s.Verify(1, msg, mixed); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("a signature right only in block %d accepted", k)
+		}
+	}
+	if err := s.Verify(1, msg, other); !errors.Is(err, ErrBadSignature) {
+		t.Fatal("another message's signature accepted")
+	}
+	if err := s.Verify(1, msg, sig); err != nil {
+		t.Fatalf("the signature itself: %v", err)
 	}
 }
 

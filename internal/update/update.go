@@ -189,11 +189,12 @@ func (s *Store) ReceivedIn(r model.Round) []*Entry {
 // Live returns the buffermap source set at round r, in canonical order:
 // the entries a Serve may still carry — not expired at r, the only ones a
 // requester can be forwarding — received up to and including round r
-// itself.
-func (s *Store) Live(r model.Round) []*Entry {
+// itself. It fills dst's array, whatever dst held, growing it only when
+// the set does not fit.
+func (s *Store) Live(dst []*Entry, r model.Round) []*Entry {
 	// An update lives at most maxLife rounds past its reception, so older
 	// reception rounds hold nothing that is still live.
-	var out []*Entry
+	out := dst[:0]
 	for back := model.Round(0); back <= s.maxLife && back <= r; back++ {
 		for _, id := range s.byRound[r-back] {
 			if e, ok := s.byID[id]; ok && !e.Update.Expired(r) {

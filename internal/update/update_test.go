@@ -154,7 +154,7 @@ func TestLive(t *testing.T) {
 	for seq, round := range map[uint64]model.Round{2: 2, 3: 3, 4: 4, 5: 5, 6: 6} {
 		s.Add(mkUpdate(seq, 50), round, 1)
 	}
-	got := s.Live(5) // seq 2..5: seq 1 has expired, seq 6 is not received yet
+	got := s.Live(nil, 5) // seq 2..5: seq 1 has expired, seq 6 is not received yet
 	if len(got) != 4 || got[0].Update.ID.Seq != 2 {
 		t.Fatalf("Live(5) = %d entries from seq %d, want 4 from seq 2", len(got), got[0].Update.ID.Seq)
 	}
@@ -164,7 +164,7 @@ func TestLive(t *testing.T) {
 		}
 	}
 	// An early round must not underflow, and an unexpired update is live.
-	got = s.Live(2)
+	got = s.Live(nil, 2)
 	if len(got) != 2 {
 		t.Fatalf("early-round live set len = %d, want 2", len(got))
 	}
@@ -383,12 +383,12 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 				candidates = append(candidates, u)
 			}
 		}
-		owned := store.Live(now)
+		owned := store.Live(nil, now)
 		full := map[string]bool{}
 		tags := make([]uint64, len(owned))
 		for i, e := range owned {
 			v := lift(&e.Update, prime)
-			enc, err := params.EncodeValue(v)
+			enc, err := params.EncodeValue(nil, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,7 +402,7 @@ func TestTagMatchSetEqualsFullWidthMatchSet(t *testing.T) {
 		matched := 0
 		for i := range candidates {
 			v := lift(&candidates[i], prime)
-			enc, _ := params.EncodeValue(v)
+			enc, _ := params.EncodeValue(nil, v)
 			if byTag := bm.Contains(tag(&candidates[i], prime)); byTag != full[string(enc)] {
 				t.Fatalf("trial %d: update %v matches by tag %v, by value %v",
 					trial, candidates[i].ID, byTag, full[string(enc)])

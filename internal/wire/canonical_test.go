@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -56,11 +57,14 @@ func decoderOf(m Message) func([]byte) (Message, error) {
 }
 
 // checkCanonical feeds b to every decoder: whatever accepts it must
-// re-marshal to exactly b.
+// re-marshal to exactly b. Decoding b into a shell left dirty by a longer
+// message of the kind must succeed or fail with the fresh decode, and
+// succeed to the same fields (checkDirtyDecode).
 func checkCanonical(t *testing.T, b []byte) (accepted bool) {
 	t.Helper()
 	for name, dec := range decoders {
 		m, err := dec(b)
+		checkDirtyDecode(t, name, b, m, err)
 		if err != nil {
 			continue
 		}
@@ -70,6 +74,161 @@ func checkCanonical(t *testing.T, b []byte) (accepted bool) {
 		}
 	}
 	return accepted
+}
+
+// shell is a message a receiver decodes into again and again.
+type shell interface {
+	Message
+	Decode([]byte) error
+}
+
+// longMessages returns, per decoder, a message of its kind whose every
+// byte field and list is longer than any sample's.
+func longMessages() map[string]shell {
+	long := bytes.Repeat([]byte{0xEE}, 48)
+	sig := bytes.Repeat([]byte{0xA5}, 64)
+	upd := update.Update{ID: model.UpdateID{Stream: 9, Seq: 99}, Deadline: 77, Payload: long, SrcSig: long}
+	full := []ServedUpdate{{upd, 3}, {upd, 4}, {upd, 5}, {upd, 6}, {upd, 7}}
+	refs := []ServedRef{{upd.ID, 1}, {upd.ID, 2}, {upd.ID, 3}, {upd.ID, 4}, {upd.ID, 5}, {upd.ID, 6}}
+	confirm := NewConfirm(99, 9, long)
+	confirm.Sig = sig
+	return map[string]shell{
+		"KeyRequest":  &KeyRequest{Round: 99, From: 9, To: 8, Sig: sig},
+		"KeyResponse": &KeyResponse{Round: 99, From: 9, To: 8, Prime: long, BufferMap: []uint64{1, 2, 3, 4, 5, 6, 7, 8}, Sig: sig},
+		"Serve":       &Serve{Round: 99, From: 9, To: 8, KPrev: long, Full: full, Refs: refs, Sig: sig},
+		"Attestation": &Attestation{Round: 99, From: 9, To: 8, HExpiring: long, HForwardable: long, Sig: sig},
+		"Ack":         &Ack{Round: 99, From: 9, To: 8, H: long, Sig: sig},
+		"AttForward":  &AttForward{Round: 99, From: 9, AttBytes: long, Remainder: long, Sig: sig},
+		"HashShare":   &HashShare{Round: 99, From: 9, Monitored: 8, Pred: 7, HExpLifted: long, HFwdLifted: long, AckBytes: long, Sig: sig},
+		"AckRelay":    confirm,
+		"NodeDigest":  &NodeDigest{Round: 99, From: 9, HFwd: long, Sig: sig},
+		"Accusation":  &Accusation{Round: 99, From: 9, Against: 8, ServeCipher: long, AttBytes: long, Sig: sig},
+		"Probe":       &Probe{Round: 99, From: 9, Origin: 8, ServeCipher: long, AttBytes: long, Sig: sig},
+		"Nack":        &Nack{Round: 99, From: 9, Accuser: 8, Against: 7, Sig: sig},
+		"AckRequest":  &AckRequest{Round: 99, From: 9, Succ: 8, Sig: sig},
+		"AckExhibit":  &AckExhibit{Round: 99, From: 9, Succ: 8, AckBytes: long, Accused: true, Sig: sig},
+	}
+}
+
+// dirtyShells holds, per decoder, the encoding of its long message.
+var dirtyShells = func() map[string][]byte {
+	encs := map[string][]byte{}
+	for name, m := range longMessages() {
+		encs[name] = m.Marshal()
+	}
+	return encs
+}()
+
+// dirtyShell returns a shell of decoder name's kind that a long message
+// of the kind was decoded into.
+func dirtyShell(t *testing.T, name string) shell {
+	t.Helper()
+	enc := dirtyShells[name]
+	m, err := decoders[name](enc)
+	if err != nil {
+		t.Fatalf("%s: the long message does not decode: %v", name, err)
+	}
+	return m.(shell)
+}
+
+// checkDirtyDecode decodes b into a dirty shell of decoder name's kind:
+// it must fail where the fresh decode, fresh and err, failed, and
+// otherwise hold exactly fresh's fields, no entry of a list's earlier
+// content past the list's length.
+func checkDirtyDecode(t *testing.T, name string, b []byte, fresh Message, err error) {
+	t.Helper()
+	dirty := dirtyShell(t, name)
+	dErr := dirty.Decode(b)
+	if (dErr == nil) != (err == nil) {
+		t.Fatalf("%s: a fresh decode of %x gives %v, a dirty shell %v", name, b, err, dErr)
+	}
+	if err != nil {
+		return
+	}
+	if !sameFields(reflect.ValueOf(dirty).Elem(), reflect.ValueOf(fresh).Elem()) {
+		t.Fatalf("%s: decoded into a dirty shell, %x gives %+v, fresh %+v", name, b, dirty, fresh)
+	}
+	if staleEntry(reflect.ValueOf(dirty).Elem()) {
+		t.Fatalf("%s: decoding %x into a dirty shell left a list entry of the earlier message", name, b)
+	}
+}
+
+// sameFields reports whether a and b hold the same values field by field;
+// an empty list or byte field equals another whether or not it is nil.
+func sameFields(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameFields(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameFields(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	}
+	panic("sameFields: unexpected kind " + a.Kind().String())
+}
+
+// staleEntry reports whether a list of v's holds a non-zero entry past its
+// length, in the part of its array a longer list used.
+func staleEntry(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if staleEntry(v.Field(i)) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return false // a view: its array is the input's
+		}
+		all := v.Slice(0, v.Cap())
+		for i := v.Len(); i < all.Len(); i++ {
+			if !all.Index(i).IsZero() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDecodeIntoDirtyShell: every sample decoded into a shell left dirty
+// by a longer message of its kind equals its fresh decode, and decoding
+// nothing empties the shell.
+func TestDecodeIntoDirtyShell(t *testing.T) {
+	for _, m := range sampleMessages() {
+		name := KindName(m.Kind())
+		if m.Kind() == KindAckForward || m.Kind() == KindConfirm {
+			name = "AckRelay"
+		}
+		enc := m.Marshal()
+		fresh, err := decoders[name](enc)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		checkDirtyDecode(t, name, enc, fresh, err)
+		dirty := dirtyShell(t, name)
+		if dirty.Decode(nil) == nil {
+			t.Fatalf("%s: decoding nothing succeeded", name)
+		}
+		if v := reflect.ValueOf(dirty).Elem(); !sameFields(v, reflect.Zero(v.Type())) || staleEntry(v) {
+			t.Fatalf("%s: decoding nothing left %+v", name, dirty)
+		}
+	}
 }
 
 // TestDecodeIsCanonical: every kind round-trips to identical bytes, and no
@@ -154,7 +313,7 @@ func nonCanonicalKeyResponses() map[string][]byte {
 
 func TestKeyResponseRejectsNonCanonicalBufferMap(t *testing.T) {
 	for name, enc := range nonCanonicalKeyResponses() {
-		if _, err := UnmarshalKeyResponse(enc); err == nil {
+		if _, err := unmarshal[KeyResponse](enc); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if checkCanonical(t, enc) {
@@ -167,7 +326,7 @@ func TestKeyResponseRejectsNonCanonicalBufferMap(t *testing.T) {
 	w.U64(5)
 	w.U64(9)
 	w.Bytes([]byte{0x5A})
-	m, err := UnmarshalKeyResponse(keyResponseWith(3, w.Finish()))
+	m, err := unmarshal[KeyResponse](keyResponseWith(3, w.Finish()))
 	if err != nil || len(m.BufferMap) != 3 || m.BufferMap[2] != 9 {
 		t.Fatalf("ascending buffermap: %v, %v", m, err)
 	}
@@ -187,12 +346,17 @@ func FuzzDecodeIsCanonical(f *testing.F) {
 }
 
 // A decoded message aliases the buffer it was decoded from, field by
-// field: nothing is copied on the receive path.
+// field, whether it is fresh or a dirty shell decoded into again: nothing
+// is copied on the receive path.
 func TestDecodedFieldsAliasInput(t *testing.T) {
 	src := sampleMessages()[3].(*Serve)
 	enc := src.Marshal()
 	dec, err := UnmarshalServe(enc)
 	if err != nil {
+		t.Fatal(err)
+	}
+	again := dirtyShell(t, "Serve").(*Serve)
+	if err := again.Decode(enc); err != nil {
 		t.Fatal(err)
 	}
 	for i := range enc {
@@ -206,9 +370,11 @@ func TestDecodedFieldsAliasInput(t *testing.T) {
 		}
 		return len(got) == len(orig)
 	}
-	if !flipped(dec.KPrev, src.KPrev) || !flipped(dec.Sig, src.Sig) ||
-		!flipped(dec.Full[0].Update.Payload, src.Full[0].Update.Payload) ||
-		!flipped(dec.Full[0].Update.SrcSig, src.Full[0].Update.SrcSig) {
-		t.Fatal("a decoded field was copied instead of viewed")
+	for _, dec := range []*Serve{dec, again} {
+		if !flipped(dec.KPrev, src.KPrev) || !flipped(dec.Sig, src.Sig) ||
+			!flipped(dec.Full[0].Update.Payload, src.Full[0].Update.Payload) ||
+			!flipped(dec.Full[0].Update.SrcSig, src.Full[0].Update.SrcSig) {
+			t.Fatal("a decoded field was copied instead of viewed")
+		}
 	}
 }

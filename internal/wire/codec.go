@@ -334,6 +334,20 @@ func (c Codec) ListLen(n, minElem int) int {
 	return c.r.ListLen(minElem)
 }
 
+// resize returns s at length n for a decoding layout to fill: in s's own
+// array when it has room, with the entries past n that s held zeroed, and
+// in a fresh one at exactly n otherwise (nil for an empty list that had
+// none).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	if n < len(s) {
+		clear(s[n:])
+	}
+	return s[:n]
+}
+
 // Encoded sizes the list decoders bound their counts with (ListLen).
 const (
 	// UpdateIDLen is the encoding of one update identifier.

@@ -75,6 +75,16 @@ func KindName(k uint8) string {
 	}
 }
 
+// Decoding in place. Every message type has a Decode method that decodes
+// into the message it is called on, so a receiver can keep one shell per
+// kind and decode every arrival into it. Decode overwrites every field,
+// even when it fails (a field past the failure reads zero), and reuses the
+// arrays of the lists: a list is resliced to its new length when its array
+// has room, and the entries a shorter list leaves behind are zeroed, so no
+// view of an earlier input survives in the shell. Decoding nothing,
+// Decode(nil), therefore empties a shell and keeps its arrays. Byte fields
+// are views into b.
+
 // Message is the common surface of all wire messages.
 type Message interface {
 	// Kind returns the transport envelope kind.
@@ -109,14 +119,11 @@ func (m *KeyRequest) layout(c Codec) {
 // Marshal implements Message.
 func (m *KeyRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalKeyRequest decodes a KeyRequest.
-func UnmarshalKeyRequest(b []byte) (*KeyRequest, error) {
-	m, r := new(KeyRequest), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *KeyRequest) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -160,8 +167,8 @@ func (m *KeyResponse) layout(c Codec) {
 	c.Node(&m.To)
 	c.Bytes(&m.Prime)
 	n := c.ListLen(len(m.BufferMap), BufTagBytes)
-	if c.Decoding() && n > 0 {
-		m.BufferMap = make([]uint64, n)
+	if c.Decoding() {
+		m.BufferMap = resize(m.BufferMap, n)
 	}
 	for i := range n {
 		c.U64(&m.BufferMap[i])
@@ -174,14 +181,11 @@ func (m *KeyResponse) layout(c Codec) {
 // Marshal implements Message.
 func (m *KeyResponse) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalKeyResponse decodes a KeyResponse.
-func UnmarshalKeyResponse(b []byte) (*KeyResponse, error) {
-	m, r := new(KeyResponse), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *KeyResponse) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -228,16 +232,16 @@ func (m *Serve) layout(c Codec) {
 	c.Node(&m.To)
 	c.Bytes(&m.KPrev)
 	n := c.ListLen(len(m.Full), MinUpdateLen+8)
-	if c.Decoding() && n > 0 {
-		m.Full = make([]ServedUpdate, n)
+	if c.Decoding() {
+		m.Full = resize(m.Full, n)
 	}
 	for i := range n {
 		c.Update(&m.Full[i].Update)
 		c.U64(&m.Full[i].Count)
 	}
 	n = c.ListLen(len(m.Refs), UpdateIDLen+8)
-	if c.Decoding() && n > 0 {
-		m.Refs = make([]ServedRef, n)
+	if c.Decoding() {
+		m.Refs = resize(m.Refs, n)
 	}
 	for i := range n {
 		c.UpdateID(&m.Refs[i].ID)
@@ -259,11 +263,17 @@ func (m *Serve) SealedLen(sigSize int) int {
 // Marshal implements Message.
 func (m *Serve) Marshal() []byte { return marshal(m, m.Sig) }
 
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Serve) Decode(b []byte) error {
+	r := NewReader(b)
+	m.layout(r.Codec())
+	return r.Signature(&m.Sig)
+}
+
 // UnmarshalServe decodes a Serve.
 func UnmarshalServe(b []byte) (*Serve, error) {
-	m, r := new(Serve), NewReader(b)
-	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
+	m := new(Serve)
+	if err := m.Decode(b); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -302,14 +312,11 @@ func (m *Attestation) layout(c Codec) {
 // Marshal implements Message.
 func (m *Attestation) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAttestation decodes an Attestation.
-func UnmarshalAttestation(b []byte) (*Attestation, error) {
-	m, r := new(Attestation), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Attestation) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -341,14 +348,11 @@ func (m *Ack) layout(c Codec) {
 // Marshal implements Message.
 func (m *Ack) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAck decodes an Ack.
-func UnmarshalAck(b []byte) (*Ack, error) {
-	m, r := new(Ack), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Ack) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,14 +388,11 @@ func (m *AttForward) layout(c Codec) {
 // Marshal implements Message.
 func (m *AttForward) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAttForward decodes an AttForward.
-func UnmarshalAttForward(b []byte) (*AttForward, error) {
-	m, r := new(AttForward), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *AttForward) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -431,14 +432,11 @@ func (m *HashShare) layout(c Codec) {
 // Marshal implements Message.
 func (m *HashShare) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalHashShare decodes a HashShare.
-func UnmarshalHashShare(b []byte) (*HashShare, error) {
-	m, r := new(HashShare), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *HashShare) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -480,14 +478,11 @@ func (m *AckRelay) layout(c Codec) {
 // Marshal implements Message.
 func (m *AckRelay) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAckRelay decodes an AckRelay of either kind.
-func UnmarshalAckRelay(b []byte) (*AckRelay, error) {
-	m, r := new(AckRelay), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *AckRelay) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,14 +514,11 @@ func (m *NodeDigest) layout(c Codec) {
 // Marshal implements Message.
 func (m *NodeDigest) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalNodeDigest decodes a NodeDigest.
-func UnmarshalNodeDigest(b []byte) (*NodeDigest, error) {
-	m, r := new(NodeDigest), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *NodeDigest) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // ---------------------------------------------------------------------------
@@ -562,14 +554,11 @@ func (m *Accusation) layout(c Codec) {
 // Marshal implements Message.
 func (m *Accusation) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAccusation decodes an Accusation.
-func UnmarshalAccusation(b []byte) (*Accusation, error) {
-	m, r := new(Accusation), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Accusation) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // Probe is M(B)'s re-delivery of the accused exchange to B.
@@ -598,14 +587,11 @@ func (m *Probe) layout(c Codec) {
 // Marshal implements Message.
 func (m *Probe) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalProbe decodes a Probe.
-func UnmarshalProbe(b []byte) (*Probe, error) {
-	m, r := new(Probe), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Probe) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // Nack is M(B)'s notification to M(A) that B stayed unresponsive after the
@@ -632,14 +618,11 @@ func (m *Nack) layout(c Codec) {
 // Marshal implements Message.
 func (m *Nack) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalNack decodes a Nack.
-func UnmarshalNack(b []byte) (*Nack, error) {
-	m, r := new(Nack), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *Nack) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // AckRequest is M(A)'s demand that A exhibit the Ack a successor should
@@ -665,14 +648,11 @@ func (m *AckRequest) layout(c Codec) {
 // Marshal implements Message.
 func (m *AckRequest) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAckRequest decodes an AckRequest.
-func UnmarshalAckRequest(b []byte) (*AckRequest, error) {
-	m, r := new(AckRequest), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *AckRequest) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // AckExhibit is A's answer to an AckRequest: the Ack, or the claim that A
@@ -705,14 +685,11 @@ func (m *AckExhibit) layout(c Codec) {
 // Marshal implements Message.
 func (m *AckExhibit) Marshal() []byte { return marshal(m, m.Sig) }
 
-// UnmarshalAckExhibit decodes an AckExhibit.
-func UnmarshalAckExhibit(b []byte) (*AckExhibit, error) {
-	m, r := new(AckExhibit), NewReader(b)
+// Decode decodes b into m in place (see "Decoding in place").
+func (m *AckExhibit) Decode(b []byte) error {
+	r := NewReader(b)
 	m.layout(r.Codec())
-	if err := r.Signature(&m.Sig); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Signature(&m.Sig)
 }
 
 // Head is the part of a decoded message every receiver checks first: its

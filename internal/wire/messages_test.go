@@ -34,7 +34,7 @@ func TestKindNames(t *testing.T) {
 
 func TestKeyRequestRoundTrip(t *testing.T) {
 	m := &KeyRequest{Round: 9, From: 1, To: 2, Sig: []byte("sig")}
-	got, err := UnmarshalKeyRequest(m.Marshal())
+	got, err := unmarshal[KeyRequest](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestKeyResponseRoundTrip(t *testing.T) {
 		BufferMap: []uint64{1, 0x0202, 1 << 63},
 		Sig:       []byte("s"),
 	}
-	got, err := UnmarshalKeyResponse(m.Marshal())
+	got, err := unmarshal[KeyResponse](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestKeyResponseRoundTrip(t *testing.T) {
 
 func TestKeyResponseEmptyBufferMap(t *testing.T) {
 	m := &KeyResponse{Round: 1, From: 2, To: 1, Prime: []byte{5}, Sig: []byte("s")}
-	got, err := UnmarshalKeyResponse(m.Marshal())
+	got, err := unmarshal[KeyResponse](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAttestationRoundTrip(t *testing.T) {
 		HForwardable: []byte{3, 4},
 		Sig:          []byte("s"),
 	}
-	got, err := UnmarshalAttestation(m.Marshal())
+	got, err := unmarshal[Attestation](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAttestationRoundTrip(t *testing.T) {
 
 func TestAckRoundTrip(t *testing.T) {
 	m := &Ack{Round: 2, From: 2, To: 1, H: []byte{7, 7}, Sig: []byte("s")}
-	got, err := UnmarshalAck(m.Marshal())
+	got, err := unmarshal[Ack](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestAttForwardRoundTrip(t *testing.T) {
 		Remainder: []byte{0xFF, 0x01},
 		Sig:       []byte("s"),
 	}
-	got, err := UnmarshalAttForward(m.Marshal())
+	got, err := unmarshal[AttForward](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestHashShareRoundTrip(t *testing.T) {
 		AckBytes:   []byte("ack"),
 		Sig:        []byte("s"),
 	}
-	got, err := UnmarshalHashShare(m.Marshal())
+	got, err := unmarshal[HashShare](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestHashShareRoundTrip(t *testing.T) {
 func TestAckRelayBothKinds(t *testing.T) {
 	fw := NewAckForward(3, 9, []byte("ack"))
 	fw.Sig = []byte("s")
-	got, err := UnmarshalAckRelay(fw.Marshal())
+	got, err := unmarshal[AckRelay](fw.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAckRelayBothKinds(t *testing.T) {
 
 	cf := NewConfirm(3, 9, []byte("ack2"))
 	cf.Sig = []byte("s")
-	got, err = UnmarshalAckRelay(cf.Marshal())
+	got, err = unmarshal[AckRelay](cf.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAckRelayBothKinds(t *testing.T) {
 
 func TestNodeDigestRoundTrip(t *testing.T) {
 	m := &NodeDigest{Round: 5, From: 2, HFwd: []byte{9}, Sig: []byte("s")}
-	got, err := UnmarshalNodeDigest(m.Marshal())
+	got, err := unmarshal[NodeDigest](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAccusationRoundTrip(t *testing.T) {
 		AttBytes:    []byte("att"),
 		Sig:         []byte("s"),
 	}
-	got, err := UnmarshalAccusation(m.Marshal())
+	got, err := unmarshal[Accusation](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestProbeRoundTrip(t *testing.T) {
 		AttBytes:    []byte("att"),
 		Sig:         []byte("s"),
 	}
-	got, err := UnmarshalProbe(m.Marshal())
+	got, err := unmarshal[Probe](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestProbeRoundTrip(t *testing.T) {
 
 func TestNackRoundTrip(t *testing.T) {
 	m := &Nack{Round: 6, From: 9, Accuser: 1, Against: 2, Sig: []byte("s")}
-	got, err := UnmarshalNack(m.Marshal())
+	got, err := unmarshal[Nack](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestNackRoundTrip(t *testing.T) {
 
 func TestAckRequestRoundTrip(t *testing.T) {
 	m := &AckRequest{Round: 6, From: 9, Succ: 2, Sig: []byte("s")}
-	got, err := UnmarshalAckRequest(m.Marshal())
+	got, err := unmarshal[AckRequest](m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestAckExhibitRoundTrip(t *testing.T) {
 		{Round: 6, From: 1, Succ: 2, AckBytes: []byte("ack"), Sig: []byte("s")},
 		{Round: 6, From: 1, Succ: 2, Accused: true, AckBytes: []byte{}, Sig: []byte("s")},
 	} {
-		got, err := UnmarshalAckExhibit(m.Marshal())
+		got, err := unmarshal[AckExhibit](m.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,13 +303,13 @@ func TestAckExhibitRoundTrip(t *testing.T) {
 
 func TestUnmarshalRejectsWrongKind(t *testing.T) {
 	req := (&KeyRequest{Round: 1, From: 1, To: 2, Sig: []byte("s")}).Marshal()
-	if _, err := UnmarshalAck(req); err == nil {
+	if _, err := unmarshal[Ack](req); err == nil {
 		t.Fatal("Ack decoder accepted a KeyRequest")
 	}
 	if _, err := UnmarshalServe(req); err == nil {
 		t.Fatal("Serve decoder accepted a KeyRequest")
 	}
-	if _, err := UnmarshalAckRelay(req); err == nil {
+	if _, err := unmarshal[AckRelay](req); err == nil {
 		t.Fatal("AckRelay decoder accepted a KeyRequest")
 	}
 }
@@ -326,7 +326,7 @@ func TestUnmarshalRejectsTruncation(t *testing.T) {
 func TestUnmarshalRejectsTrailing(t *testing.T) {
 	enc := (&Ack{Round: 1, From: 2, To: 1, H: []byte{1}, Sig: []byte("s")}).Marshal()
 	enc = append(enc, 0xEE)
-	if _, err := UnmarshalAck(enc); err == nil {
+	if _, err := unmarshal[Ack](enc); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }

@@ -5,22 +5,34 @@ import (
 	"testing"
 )
 
+// unmarshal returns a fresh message decoded from b, or nil and the error.
+func unmarshal[M any, P interface {
+	*M
+	Decode([]byte) error
+}](b []byte) (P, error) {
+	m := P(new(M))
+	if err := m.Decode(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // decoders enumerates every message decoder.
 var decoders = map[string]func([]byte) (Message, error){
-	"KeyRequest":  func(b []byte) (Message, error) { return UnmarshalKeyRequest(b) },
-	"KeyResponse": func(b []byte) (Message, error) { return UnmarshalKeyResponse(b) },
+	"KeyRequest":  func(b []byte) (Message, error) { return unmarshal[KeyRequest](b) },
+	"KeyResponse": func(b []byte) (Message, error) { return unmarshal[KeyResponse](b) },
 	"Serve":       func(b []byte) (Message, error) { return UnmarshalServe(b) },
-	"Attestation": func(b []byte) (Message, error) { return UnmarshalAttestation(b) },
-	"Ack":         func(b []byte) (Message, error) { return UnmarshalAck(b) },
-	"AttForward":  func(b []byte) (Message, error) { return UnmarshalAttForward(b) },
-	"HashShare":   func(b []byte) (Message, error) { return UnmarshalHashShare(b) },
-	"AckRelay":    func(b []byte) (Message, error) { return UnmarshalAckRelay(b) },
-	"NodeDigest":  func(b []byte) (Message, error) { return UnmarshalNodeDigest(b) },
-	"Accusation":  func(b []byte) (Message, error) { return UnmarshalAccusation(b) },
-	"Probe":       func(b []byte) (Message, error) { return UnmarshalProbe(b) },
-	"Nack":        func(b []byte) (Message, error) { return UnmarshalNack(b) },
-	"AckRequest":  func(b []byte) (Message, error) { return UnmarshalAckRequest(b) },
-	"AckExhibit":  func(b []byte) (Message, error) { return UnmarshalAckExhibit(b) },
+	"Attestation": func(b []byte) (Message, error) { return unmarshal[Attestation](b) },
+	"Ack":         func(b []byte) (Message, error) { return unmarshal[Ack](b) },
+	"AttForward":  func(b []byte) (Message, error) { return unmarshal[AttForward](b) },
+	"HashShare":   func(b []byte) (Message, error) { return unmarshal[HashShare](b) },
+	"AckRelay":    func(b []byte) (Message, error) { return unmarshal[AckRelay](b) },
+	"NodeDigest":  func(b []byte) (Message, error) { return unmarshal[NodeDigest](b) },
+	"Accusation":  func(b []byte) (Message, error) { return unmarshal[Accusation](b) },
+	"Probe":       func(b []byte) (Message, error) { return unmarshal[Probe](b) },
+	"Nack":        func(b []byte) (Message, error) { return unmarshal[Nack](b) },
+	"AckRequest":  func(b []byte) (Message, error) { return unmarshal[AckRequest](b) },
+	"AckExhibit":  func(b []byte) (Message, error) { return unmarshal[AckExhibit](b) },
 }
 
 // TestDecodersSurviveRandomBytes throws random garbage at every decoder:
