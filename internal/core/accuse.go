@@ -172,7 +172,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 	if ex == nil || ex.ackBytes == nil {
 		// Process the relayed Serve (it is encrypted to this node) and
 		// attestation, then acknowledge.
-		srv := carried(probe.From, probe.Origin, n.round, probe.ServeCipher)
+		srv := carried(probe.Origin, n.round, probe.ServeCipher)
 		defer srv.release()
 		if !n.accept(&probedServe, &srv) {
 			return
@@ -184,7 +184,7 @@ func (n *Node) onProbe(probe *wire.Probe) {
 		}
 		ex = n.recv.exchange(probe.Origin)
 		if ex != nil && ex.ackBytes == nil && ex.attBytes == nil && len(probe.AttBytes) > 0 {
-			att := carried(probe.From, probe.Origin, n.round, probe.AttBytes)
+			att := carried(probe.Origin, n.round, probe.AttBytes)
 			defer att.release()
 			if n.admit(&probedAttestation, &att) {
 				ex.attBytes = n.keep(probe.AttBytes) // evidence: outlives the delivery

@@ -558,3 +558,45 @@ func TestHashShareNamesRealExchange(t *testing.T) {
 	h.engine.Run(roundsAfterLie)
 	h.requireNoVerdictsExcept()
 }
+
+// TestAckCopyNamesRealExchange: a monitor keeps the Ack copies (message 6)
+// a monitored node sends it for as long as an accusation or a forwarded
+// attestation of their round may read them, and only one of an exchange
+// of that round is ever read. A monitored node that sends validly signed
+// copies under every other node's name leaves its monitor one kept copy,
+// that of its real predecessor, however many it sends.
+func TestAckCopyNamesRealExchange(t *testing.T) {
+	const r = admissionRound
+	h := newHarness(t, 16, 2)
+	h.engine.Run(int(r) - 1)
+	var y, m model.NodeID
+	for _, y = range h.dir.MembersAt(r) {
+		if y != h.source && len(h.dir.Predecessors(y, r)) > 0 {
+			m = h.dir.Monitors(y, r)[0]
+			break
+		}
+	}
+	hv, err := h.params.EncodeValue(nil, big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range h.dir.MembersAt(r) {
+		if _, real := h.dir.ExchangeSlot(x, y, r); real || x == y {
+			continue
+		}
+		for range 3 {
+			c := sealMsg(t, h.identities[y], &wire.Ack{Round: r, From: y, To: x, H: hv})
+			h.nodes[m].HandleMessage(transport.Message{From: y, To: m, Kind: wire.KindAckCopy, Payload: c})
+		}
+	}
+	if got := h.nodes[m].AckCopies(r); got != 0 {
+		t.Fatalf("monitor %v keeps %d copies of exchanges %v does not have", m, got, y)
+	}
+	pred := h.dir.Predecessors(y, r)[0]
+	c := sealMsg(t, h.identities[y], &wire.Ack{Round: r, From: y, To: pred, H: hv})
+	h.nodes[m].HandleMessage(transport.Message{From: y, To: m, Kind: wire.KindAckCopy, Payload: c})
+	if got := h.nodes[m].AckCopies(r); got != 1 {
+		t.Fatalf("monitor %v keeps %d copies after %v's real one, want 1", m, got, y)
+	}
+	h.requireNoVerdictsExcept()
+}

@@ -184,8 +184,12 @@ var rules = [maxWireKind + 1]rule{
 // by rules of their own whose envelope is the enclosing message: a Probe's
 // Serve and Attestation, which its origin must have sent this node; an
 // AttForward's Attestation, which must be to its sender; an AckRelay's Ack.
+// A Probe's are checked quietly: its monitor relays them as the accuser
+// handed them over, the Serve sealed to this node, so a bad signature on
+// one is the monitor's fault or the accuser's, and this node cannot tell
+// which.
 var (
-	probedServe = rule{name: "probed Serve", shell: borrowServe,
+	probedServe = rule{shell: borrowServe,
 		sealed: true, bind: toReceiver, window: thisRound, checks: serveChecks}
 	probedAttestation    = rule{shell: func(s *shells) shell { return &s.probedAtt }, bind: toReceiver, window: thisRound}
 	forwardedAttestation = rule{name: "forwarded Attestation", malformed: "AttForward with inconsistent attestation",
@@ -201,28 +205,16 @@ type inbound struct {
 	// round is the envelope's: the node's own for a delivered message, the
 	// enclosing message's for a nested one.
 	round model.Round
-	// carrier answers for the bytes' signature: the envelope's sender, or
-	// for a nested message the sender of the message that carried it,
-	// which signed them over (a Probe's monitor, not the origin its Serve
-	// is bound to).
-	carrier model.NodeID
-	w       *wire.Writer // where a sealed message opens, until release
-	body    []byte       // the bytes the signature covers
-	m       shell        // the rule's shell, once decoded into
-	h       wire.Head
-	key     hhash.Key // the prime, K(R−1) or remainder a width check parsed
+	w     *wire.Writer // where a sealed message opens, until release
+	body  []byte       // the bytes the signature covers
+	m     shell        // the rule's shell, once decoded into
+	h     wire.Head
+	key   hhash.Key // the prime, K(R−1) or remainder a width check parsed
 }
 
-// delivered is the inbound of a message delivered in the node's round.
-func (n *Node) delivered(msg transport.Message) inbound {
-	return inbound{msg: msg, round: n.round, carrier: msg.From}
-}
-
-// carried is the inbound of a message nested in one that carrier sent
-// about round r, bound to the envelope from: carrier itself, or the origin
-// a Probe relays.
-func carried(carrier, from model.NodeID, r model.Round, b []byte) inbound {
-	return inbound{msg: transport.Message{From: from, Payload: b}, round: r, carrier: carrier}
+// carried is the inbound of a message nested in one from `from` of round r.
+func carried(from model.NodeID, r model.Round, b []byte) inbound {
+	return inbound{msg: transport.Message{From: from, Payload: b}, round: r}
 }
 
 // release empties the shell in was decoded into, returning a borrowed one
@@ -249,7 +241,7 @@ func (n *Node) handle(msg transport.Message) {
 		return
 	}
 	r := &rules[msg.Kind]
-	in := n.delivered(msg)
+	in := inbound{msg: msg, round: n.round}
 	defer in.release()
 	if !n.admit(r, &in) {
 		return
@@ -337,11 +329,11 @@ func (n *Node) accept(r *rule, in *inbound) bool {
 			return false
 		}
 	}
-	// A bad signature is its carrier's fault, not the claimed signer's:
-	// anyone can put a signer's name on bytes it never signed.
+	// A bad signature is the envelope sender's fault, not the claimed
+	// signer's: anyone can put a signer's name on bytes it never signed.
 	signed := wire.SignedPrefix(in.body, h.Sig)
 	if r.name == "" && n.sh.Suite.Verify(h.From, signed, h.Sig) != nil ||
-		r.name != "" && !n.verify(h.From, in.carrier, signed, h.Sig, r.name) {
+		r.name != "" && !n.verify(h.From, in.msg.From, signed, h.Sig, r.name) {
 		return false
 	}
 	return r.window != monitorRound || n.round == 0 ||

@@ -17,7 +17,8 @@ import (
 // in an AckForward or a Confirm, a Serve in a Probe, an update in a Serve.
 // A bad one is the fault of the carrier, the node that signed the
 // enclosing message over those bytes, never of the signer they name:
-// anyone can put a correct node's name on bytes it never signed.
+// anyone can put a correct node's name on bytes it never signed. A Probe's
+// monitor is the exception: it relays a Serve it cannot read.
 
 // badSig returns the signed message b with one byte of its signature
 // flipped, which leaves everything it decodes to unchanged.
@@ -167,24 +168,43 @@ func (c serveCase) serve(t *testing.T, badSource bool) []byte {
 		Full: []wire.ServedUpdate{{Update: u, Count: 1}}})
 }
 
-// TestCarrierAnswersForProbedServe: a monitor of b probes it with a Serve
-// from a whose signature is bad; b convicts the probing monitor, which
-// signed the Probe over it, not a.
-func TestCarrierAnswersForProbedServe(t *testing.T) {
-	c := newServeCase(t)
-	var m model.NodeID
-	for _, m = range c.h.dir.Monitors(c.b, c.r) {
-		if m != c.a {
-			break
-		}
+// TestProbedServeBadSignatureConvictsNobody: a Probe carries a Serve
+// whose signature is bad. Its monitor relays the Serve sealed to b, as the
+// accuser put it in its Accusation, so b cannot tell which of the two
+// tampered with it: it drops the Serve and convicts neither, whether the
+// monitor forged it (an honest accuser's name on it) or the accuser did
+// (an honest monitor relaying it).
+func TestProbedServeBadSignatureConvictsNobody(t *testing.T) {
+	for _, forger := range []string{"monitor", "accuser"} {
+		t.Run(forger, func(t *testing.T) {
+			c := newServeCase(t)
+			var m model.NodeID
+			for _, m = range c.h.dir.Monitors(c.b, c.r) {
+				if m != c.a {
+					break
+				}
+			}
+			cipher, err := c.h.suite.Encrypt(c.b, badSig(c.serve(t, false)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forger == "monitor" {
+				probe := sealMsg(t, c.h.identities[m], &wire.Probe{Round: c.r, From: m, Origin: c.a, ServeCipher: cipher})
+				c.h.nodes[c.b].HandleMessage(transport.Message{From: m, To: c.b, Kind: wire.KindProbe, Payload: probe})
+			} else {
+				acc := sealMsg(t, c.h.identities[c.a], &wire.Accusation{Round: c.r, From: c.a, Against: c.b, ServeCipher: cipher})
+				pending := c.h.net.PendingCount()
+				c.h.nodes[m].HandleMessage(transport.Message{From: c.a, To: m, Kind: wire.KindAccusation, Payload: acc})
+				if c.h.net.PendingCount() != pending+1 {
+					t.Fatalf("monitor %v did not probe %v", m, c.b)
+				}
+				c.h.net.DeliverAll()
+			}
+			if len(c.h.verdicts) != 0 {
+				t.Fatalf("verdicts %v, want none: neither %v nor %v provably forged the Serve", c.h.verdicts, m, c.a)
+			}
+		})
 	}
-	cipher, err := c.h.suite.Encrypt(c.b, badSig(c.serve(t, false)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := sealMsg(t, c.h.identities[m], &wire.Probe{Round: c.r, From: m, Origin: c.a, ServeCipher: cipher})
-	c.h.nodes[c.b].HandleMessage(transport.Message{From: m, To: c.b, Kind: wire.KindProbe, Payload: probe})
-	requireOneBadMessage(t, c.h, m, "bad signature on probed Serve")
 }
 
 // TestCarrierAnswersForServedUpdate: a predecessor serves an update whose

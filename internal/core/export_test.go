@@ -34,8 +34,10 @@ func (n *Node) StaleSlotsHoldContent() bool {
 	staleRecord := func(st **monNodeRound) bool {
 		return *st != nil && (record(*st) || staleHolds((*st).peers, peer) || staleHolds((*st).acks, ack))
 	}
-	if staleHolds(n.mon.copies, func(c *ackCopy) bool { return c.b != nil }) {
-		return true
+	for i := range n.mon.copies {
+		if staleHolds(n.mon.copies[i].index, func(k *ackCopy) bool { return k.b != nil }) {
+			return true
+		}
 	}
 	for _, mr := range n.mon.rounds {
 		if staleHolds(mr.nodes, staleRecord) {
@@ -106,13 +108,27 @@ func (n *Node) MonitorRounds() []model.Round {
 		rs = append(rs, r)
 	}
 	for _, c := range n.mon.copies {
-		rs = append(rs, c.r)
+		if len(c.index) > 0 {
+			rs = append(rs, c.r)
+		}
 	}
 	for k := range n.mon.probes {
 		rs = append(rs, k.round)
 	}
 	slices.Sort(rs)
 	return slices.Compact(rs)
+}
+
+// AckCopies returns how many Ack copies of round r the node's monitor
+// role keeps.
+func (n *Node) AckCopies(r model.Round) int {
+	k := 0
+	for _, c := range n.mon.copies {
+		if c.r == r {
+			k += len(c.index)
+		}
+	}
+	return k
 }
 
 // MonitorKeep is how many rounds back a monitor message may be about.
@@ -137,13 +153,13 @@ func (n *Node) Admit(msg transport.Message) bool {
 		return false
 	}
 	r := &rules[msg.Kind]
-	in := n.delivered(msg)
+	in := inbound{msg: msg, round: n.round}
 	defer in.release()
 	if !n.admit(r, &in) {
 		return false
 	}
 	if relay, ok := in.m.(*wire.AckRelay); ok {
-		ack := carried(relay.From, relay.From, relay.Round, relay.AckBytes)
+		ack := carried(relay.From, relay.Round, relay.AckBytes)
 		defer ack.release()
 		return n.admit(&relayedAck, &ack)
 	}

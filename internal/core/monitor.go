@@ -142,44 +142,52 @@ type monRound struct {
 	nodes []*monNodeRound
 }
 
+// ackCopies are one round's Ack copies (message 6), kept past their
+// delivery as evidence: their bytes back to back in buf, as a node keeps
+// its own (Node.keep), and in index the exchange each one acknowledges.
+type ackCopies struct {
+	r     model.Round
+	buf   []byte
+	index []ackCopy
+}
+
 // ackCopy is the Ack copy a monitored node reported for its exchange with
-// pred in round r.
+// pred.
 type ackCopy struct {
-	r               model.Round
 	monitored, pred model.NodeID
 	b               []byte
 }
 
-// copyOf returns round r's Ack copy of monitored's exchange with pred, or
-// nil.
-func (m *monitorState) copyOf(r model.Round, monitored, pred model.NodeID) *ackCopy {
-	for i := range m.copies {
-		if c := &m.copies[i]; c.r == r && c.monitored == monitored && c.pred == pred {
-			return c
+// find returns the copy of monitored's exchange with pred, or nil.
+func (c *ackCopies) find(monitored, pred model.NodeID) *ackCopy {
+	for i := range c.index {
+		if k := &c.index[i]; k.monitored == monitored && k.pred == pred {
+			return k
 		}
 	}
 	return nil
 }
 
-// keepCopy keeps b as round r's Ack copy of monitored's exchange with
-// pred, replacing an earlier one, and returns the kept bytes: in a free
-// slot of b's length when the monitor has one. Every honest Ack copy has
-// the same length, so the slots gc frees take the copies to come.
-func (m *monitorState) keepCopy(r model.Round, monitored, pred model.NodeID, b []byte) []byte {
-	c := m.copyOf(r, monitored, pred)
-	if c == nil {
-		m.copies = append(m.copies, ackCopy{r: r, monitored: monitored, pred: pred})
-		c = &m.copies[len(m.copies)-1]
+// keep keeps b as the copy of monitored's exchange with pred, in place of
+// an earlier one, and returns the kept bytes.
+func (c *ackCopies) keep(monitored, pred model.NodeID, b []byte) []byte {
+	k := c.find(monitored, pred)
+	if k == nil {
+		c.index = append(c.index, ackCopy{monitored: monitored, pred: pred})
+		k = &c.index[len(c.index)-1]
 	}
-	if len(c.b) != len(b) {
-		if k := len(m.slots); k > 0 && len(m.slots[k-1]) == len(b) {
-			c.b, m.slots = m.slots[k-1], m.slots[:k-1]
-		} else {
-			c.b = make([]byte, len(b))
-		}
-	}
-	copy(c.b, b)
-	return c.b
+	start := len(c.buf)
+	c.buf = append(c.buf, b...)
+	k.b = c.buf[start:len(c.buf):len(c.buf)]
+	return k.b
+}
+
+// rewind empties the copies, poisoning their bytes first; buf and index
+// keep their arrays for the round to come.
+func (c *ackCopies) rewind() {
+	wire.PoisonOnRelease(c.buf)
+	clear(c.index)
+	c.buf, c.index = c.buf[:0], c.index[:0]
 }
 
 // reset empties the round's records for reuse, keeping their storage.
@@ -215,11 +223,10 @@ type monitorState struct {
 	// holds the retired rounds gc reset, for the rounds to come.
 	rounds map[model.Round]*monRound
 	free   []*monRound
-	// copies are the Ack copies (message 6) of the rounds gc keeps them
-	// for, kept past their delivery as evidence, each in a slot the
-	// monitor owns; slots holds the slots of the copies gc dropped.
-	copies []ackCopy
-	slots  [][]byte
+	// copies holds the Ack copies of the last ackRounds rounds, round r's
+	// at r mod ackRounds, until gc rewinds them or a later
+	// round takes their place.
+	copies [ackRounds]ackCopies
 	probes map[probeKey]bool // true = resolved
 
 	// Storage the monitor reuses: others is what peers returns, and
@@ -306,8 +313,37 @@ func (m *monitorState) beginRound(r model.Round) {
 // Message 6: Ack copy from the monitored node
 // ---------------------------------------------------------------------------
 
+// keepAcks is how many rounds back a monitor keeps Ack copies. They are
+// only consulted at their own round (onAttForward and onAccusation both
+// key by the in-flight round), so they get a tighter horizon than the
+// investigation state: they are the monitor's heaviest per-round buffers.
+const keepAcks = 2
+
+// ackRounds is how many rounds' Ack copies a monitor holds at once: gc,
+// which runs as a round closes, keeps keepAcks rounds before the closed
+// one, and the next round's copies are admitted from a monitored node a
+// round ahead before the node's own round begins.
+const ackRounds = keepAcks + 3
+
+// onAckCopy keeps the copy of an acknowledgement the monitored node sent.
+// Only a copy of an exchange of its round is ever read, so only one is
+// kept: the copies a monitor holds are at most its monitored nodes'
+// in-degree per round, whatever the monitored nodes send.
 func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
-	ackBytes := m.keepCopy(ack.Round, ack.From, ack.To, body) // evidence: outlives the delivery
+	if _, ok := m.n.sh.Directory.ExchangeSlot(ack.To, ack.From, ack.Round); !ok {
+		return
+	}
+	c := &m.copies[ack.Round%ackRounds]
+	switch {
+	case ack.Round < c.r:
+		// ackRounds older than a round the monitor holds copies of: past
+		// any accusation or report, and its probes judged.
+		return
+	case ack.Round > c.r:
+		c.rewind()
+		c.r = ack.Round
+	}
+	ackBytes := c.keep(ack.From, ack.To, body) // evidence: outlives the delivery
 
 	// A pending probe against ack.From for the exchange with ack.To is
 	// resolved by this acknowledgement: confirm to the accuser's
@@ -326,7 +362,7 @@ func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
 // onAttForward lifts an admitted AttForward's attestation by its parsed
 // remainder and shares the result with the monitored node's other monitors.
 func (m *monitorState) onAttForward(fwd *wire.AttForward, remainder hhash.Key) {
-	in := carried(fwd.From, fwd.From, fwd.Round, fwd.AttBytes)
+	in := carried(fwd.From, fwd.Round, fwd.AttBytes)
 	defer in.release()
 	if !m.n.admit(&forwardedAttestation, &in) {
 		return
@@ -387,8 +423,10 @@ func (m *monitorState) peers(y model.NodeID, r model.Round) (others []model.Node
 }
 
 func (m *monitorState) ackCopyFor(r model.Round, monitored, pred model.NodeID) []byte {
-	if c := m.copyOf(r, monitored, pred); c != nil {
-		return c.b
+	if c := &m.copies[r%ackRounds]; c.r == r {
+		if k := c.find(monitored, pred); k != nil {
+			return k.b
+		}
 	}
 	return nil
 }
@@ -461,7 +499,7 @@ func (m *monitorState) applyShare(share *wire.HashShare) bool {
 // carries, for the acknowledged node's forwarding check, which reads only
 // its successors' acknowledgements: another signer's is not kept.
 func (m *monitorState) acceptRelayedAck(relayer model.NodeID, r model.Round, ackBytes []byte) {
-	in := carried(relayer, relayer, r, ackBytes)
+	in := carried(relayer, r, ackBytes)
 	defer in.release()
 	if !m.n.admit(&relayedAck, &in) {
 		return
@@ -742,13 +780,8 @@ const maxFreeRounds = 2
 
 // gc retires monitor state older than the investigation horizon,
 // monitorKeep rounds (which bounds what admission lets in, too), to the
-// free list.
+// free list, and rewinds the Ack copies older than keepAcks rounds.
 func (m *monitorState) gc(r model.Round) {
-	// Ack copies are only consulted at their own round (onAttForward and
-	// onAccusation both key by the in-flight round), so they get a
-	// tighter horizon than the investigation state — they are the
-	// monitor's heaviest per-round buffers.
-	const keepAcks = 2
 	for rr, mr := range m.rounds {
 		if rr+monitorKeep < r {
 			delete(m.rounds, rr)
@@ -758,21 +791,11 @@ func (m *monitorState) gc(r model.Round) {
 			}
 		}
 	}
-	// Free slots no round took since the last collection are let go: the
-	// copies per round vary, and the free slots would keep their peak.
-	clear(m.slots)
-	m.slots = m.slots[:0]
-	kept := m.copies[:0]
-	for _, c := range m.copies {
-		if c.r+keepAcks < r {
-			wire.PoisonOnRelease(c.b)
-			m.slots = append(m.slots, c.b)
-		} else {
-			kept = append(kept, c)
+	for i := range m.copies {
+		if c := &m.copies[i]; c.r+keepAcks < r {
+			c.rewind()
 		}
 	}
-	clear(m.copies[len(kept):])
-	m.copies = kept
 	for key := range m.probes {
 		if key.round+monitorKeep < r {
 			delete(m.probes, key)
