@@ -594,9 +594,15 @@ func TestAckCopyNamesRealExchange(t *testing.T) {
 	}
 	pred := h.dir.Predecessors(y, r)[0]
 	c := sealMsg(t, h.identities[y], &wire.Ack{Round: r, From: y, To: pred, H: hv})
-	h.nodes[m].HandleMessage(transport.Message{From: y, To: m, Kind: wire.KindAckCopy, Payload: c})
+	for range 3 {
+		h.nodes[m].HandleMessage(transport.Message{From: y, To: m, Kind: wire.KindAckCopy, Payload: c})
+	}
 	if got := h.nodes[m].AckCopies(r); got != 1 {
 		t.Fatalf("monitor %v keeps %d copies after %v's real one, want 1", m, got, y)
+	}
+	// Sending the copy again overwrites it: the buffer holds one.
+	if got := h.nodes[m].AckCopyBytes(r); got != len(c) {
+		t.Fatalf("monitor %v holds %d bytes of copies after three of one %d-byte copy", m, got, len(c))
 	}
 	h.requireNoVerdictsExcept()
 }

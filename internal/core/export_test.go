@@ -131,6 +131,18 @@ func (n *Node) AckCopies(r model.Round) int {
 	return k
 }
 
+// AckCopyBytes returns how many bytes the node's monitor role holds for
+// the Ack copies of round r.
+func (n *Node) AckCopyBytes(r model.Round) int {
+	k := 0
+	for _, c := range n.mon.copies {
+		if c.r == r {
+			k += len(c.buf)
+		}
+	}
+	return k
+}
+
 // MonitorKeep is how many rounds back a monitor message may be about.
 const MonitorKeep = monitorKeep
 

@@ -169,12 +169,17 @@ func (c *ackCopies) find(monitored, pred model.NodeID) *ackCopy {
 }
 
 // keep keeps b as the copy of monitored's exchange with pred, in place of
-// an earlier one, and returns the kept bytes.
+// an earlier one, and returns the kept bytes. A copy that fits where the
+// earlier one lies is written over it, so a node sending its copy again
+// does not grow buf.
 func (c *ackCopies) keep(monitored, pred model.NodeID, b []byte) []byte {
 	k := c.find(monitored, pred)
 	if k == nil {
 		c.index = append(c.index, ackCopy{monitored: monitored, pred: pred})
 		k = &c.index[len(c.index)-1]
+	} else if len(b) <= cap(k.b) {
+		k.b = k.b[:copy(k.b[:cap(k.b)], b)]
+		return k.b
 	}
 	start := len(c.buf)
 	c.buf = append(c.buf, b...)
