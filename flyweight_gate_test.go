@@ -27,7 +27,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	perRound := testing.AllocsPerRun(5, func() { s.Run(1) })
 	perNode := perRound / nodes
 
-	// Measured steady state is 123 allocs/node/round at these parameters.
+	// Measured steady state is 113 allocs/node/round at these parameters.
 	// What is left is mostly exponent arithmetic in math/big — the keys a
 	// node parses off a Serve, KeyResponse or AttForward
 	// (hhash.KeyFromBytes), the remainder and product keys it multiplies
@@ -38,19 +38,21 @@ func TestSteadyStateAllocations(t *testing.T) {
 	// every hash value into storage it keeps, builds what it sends in
 	// messages it reuses, lends every send (MemNet copies it into its
 	// recycled send arena), keeps what it keeps of an exchange in its
-	// recycled evidence buffer, and recycles its monitor's round records,
-	// so none of those allocates. It was 436 while every admitted message
-	// and every hash value read off one was a fresh heap object, 469 while
-	// a node kept its round state in maps fed by free lists (value records
-	// reset in place now), 484 while each Serve's ciphertext and the kept
-	// Attestations and Acks were heap copies, 1580-1680 while ciphertexts
-	// and transport payload copies dominated, ~3050 while every message
-	// was encoded three times and decoded into copies, ~5500 while every
-	// lift and every prime candidate went through math/big. The budget
-	// leaves ~25% headroom; treat growth past it as a leak or a pooling
-	// regression, not noise to be accommodated. (The race detector
-	// bypasses sync.Pool; the race job runs -short, which skips this
-	// test.)
+	// recycled evidence buffer, keeps its monitor's rounds in a fixed
+	// ring, and reads its successors and predecessors off the round view
+	// without copying them, so none of those allocates. It was 122 while
+	// every directory lookup of a successor or predecessor list returned a
+	// copy, 436 while every admitted message and every hash value read off
+	// one was a fresh heap object, 469 while a node kept its round state in
+	// maps fed by free lists (value records reset in place now), 484 while
+	// each Serve's ciphertext and the kept Attestations and Acks were heap
+	// copies, 1580-1680 while ciphertexts and transport payload copies
+	// dominated, ~3050 while every message was encoded three times and
+	// decoded into copies, ~5500 while every lift and every prime candidate
+	// went through math/big. The budget leaves ~25% headroom; treat growth
+	// past it as a leak or a pooling regression, not noise to be
+	// accommodated. (The race detector bypasses sync.Pool; the race job
+	// runs -short, which skips this test.)
 	const budget = 154
 	t.Logf("steady state: %.0f allocs/node/round", perNode)
 	if perNode > budget {

@@ -135,18 +135,18 @@ func (n *Node) raiseAccusations(r model.Round) {
 // relays the exchange to the accused as a Probe and opens a probe record
 // that verify() turns into a Nack + Unresponsive verdict if ignored.
 func (m *monitorState) onAccusation(acc *wire.Accusation) {
-	key := probeKey{accuser: acc.From, accused: acc.Against, round: acc.Round}
-	if _, seen := m.probes[key]; seen {
+	mr := m.round(acc.Round)
+	if mr.probe(acc.From, acc.Against) != nil {
 		return
 	}
 	// Already have the acknowledgement? Then the accuser simply lost it:
 	// confirm immediately.
 	if ackBytes := m.ackCopyFor(acc.Round, acc.Against, acc.From); len(ackBytes) > 0 {
-		m.probes[key] = true
+		mr.probes = append(mr.probes, probe{accuser: acc.From, accused: acc.Against, resolved: true})
 		m.relayAck(acc.Round, acc.From, ackBytes, true)
 		return
 	}
-	m.probes[key] = false
+	mr.probes = append(mr.probes, probe{accuser: acc.From, accused: acc.Against})
 	probe := &wire.Probe{
 		Round:       acc.Round,
 		From:        m.n.id,

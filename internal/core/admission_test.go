@@ -300,13 +300,6 @@ func TestOutOfWindowMonitorMessagesLeaveNoState(t *testing.T) {
 		}
 		return admissionRound + 2 + model.Round(i)
 	}
-	liveHeap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	for _, kind := range admissionKinds {
 		if !monitorKind(kind) {
 			continue
@@ -356,6 +349,47 @@ func TestOutOfWindowMonitorMessagesLeaveNoState(t *testing.T) {
 			h.requireNoVerdictsExcept()
 		})
 	}
+}
+
+// liveHeap returns the bytes the heap holds live after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestMonitorStateBoundedBeforeFirstRound: a node that has begun no round
+// admits monitor messages about any round, so what bounds its monitor's
+// state is the monitor's ring, not the admission window. A monitored node
+// sending it 2·10⁴ validly signed NodeDigests, each about another round,
+// leaves it state for at most MonitorKeep+2 rounds and no heap behind once
+// the session has run three rounds, clean.
+func TestMonitorStateBoundedBeforeFirstRound(t *testing.T) {
+	const count = 20_000
+	const b = model.NodeID(3)
+	h := newHarness(t, 16, 2)
+	node := h.nodes[b]
+	c := newAdmissionCast(t, h, b, 1)
+	hv, err := h.params.EncodeValue(nil, big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := liveHeap()
+	for i := range count {
+		d := &wire.NodeDigest{Round: model.Round(i + 1), From: c.y, HFwd: hv}
+		node.HandleMessage(transport.Message{From: c.y, To: b, Kind: wire.KindNodeDigest, Payload: sealMsg(t, h.identities[c.y], d)})
+	}
+	h.engine.Run(3)
+	grown := int64(liveHeap()) - int64(heap)
+	if held := node.MonitorRounds(); len(held) > core.MonitorKeep+2 {
+		t.Errorf("the monitor holds state for %d rounds (%v … %v), want at most %d", len(held), held[0], held[len(held)-1], core.MonitorKeep+2)
+	}
+	if grown > 1<<20 {
+		t.Errorf("live heap grew %d KB", grown>>10)
+	}
+	h.requireNoVerdictsExcept()
 }
 
 // TestRetiredKindIsUnknown: a correctly signed frame of the retired kind

@@ -108,8 +108,10 @@ const (
 	monitorRound                // [round − monitorKeep, round + 1]; any before the first
 )
 
-// monitorKeep is how many rounds back a monitor keeps state (monitorState.gc),
-// and so the oldest round a monitor message may still be about.
+// monitorKeep is how many rounds behind the node's a monitor message may
+// still be about. With the round ahead, the window spans monitorKeep+2
+// rounds: the slots of the monitor's ring (monitorState.rounds), so no two
+// rounds admitted once the node has begun one share a slot.
 const monitorKeep = 4
 
 // The Behavior flags under which a node ignores a kind (rule.mute).

@@ -14,9 +14,8 @@ import (
 // references content it should have let go: any slot past the length of
 // one of its round lists — the forward set, next round's, the exchange
 // records, the monitor's records and their peer records and Ack copies —
-// or any record on the monitor's free list holding an update's payload,
-// signature or embedding, a signed message, or a value or evidence of its
-// round; or any storage the node decodes or builds messages in — its
+// holding an update's payload, signature or embedding, a signed message,
+// or a value or evidence of its round; or any storage the node decodes or builds messages in — its
 // admission shells, its outgoing messages, its live-entry
 // scratch — still holding a view or a stale list entry.
 func (n *Node) StaleSlotsHoldContent() bool {
@@ -34,24 +33,15 @@ func (n *Node) StaleSlotsHoldContent() bool {
 	staleRecord := func(st **monNodeRound) bool {
 		return *st != nil && (record(*st) || staleHolds((*st).peers, peer) || staleHolds((*st).acks, ack))
 	}
-	for i := range n.mon.copies {
-		if staleHolds(n.mon.copies[i].index, func(k *ackCopy) bool { return k.b != nil }) {
-			return true
-		}
-	}
-	for _, mr := range n.mon.rounds {
-		if staleHolds(mr.nodes, staleRecord) {
+	for i := range n.mon.rounds {
+		mr := &n.mon.rounds[i]
+		if staleHolds(mr.index, func(k *ackCopy) bool { return k.b != nil }) || staleHolds(mr.nodes, staleRecord) {
 			return true
 		}
 		for _, st := range mr.nodes {
 			if staleHolds(st.peers, peer) || staleHolds(st.acks, ack) {
 				return true
 			}
-		}
-	}
-	for _, mr := range n.mon.free {
-		if len(mr.nodes) > 0 || staleHolds(mr.nodes, staleRecord) {
-			return true
 		}
 	}
 	out := n.out
@@ -100,47 +90,34 @@ func staleHolds[T any](s []T, holds func(*T) bool) bool {
 }
 
 // MonitorRounds returns every round the node's monitor role holds state
-// for — in its per-round records and ack copies, or probes — in ascending
-// order.
+// for — records, Ack copies or probes — in ascending order.
 func (n *Node) MonitorRounds() []model.Round {
 	var rs []model.Round
-	for r := range n.mon.rounds {
-		rs = append(rs, r)
-	}
-	for _, c := range n.mon.copies {
-		if len(c.index) > 0 {
-			rs = append(rs, c.r)
+	for i := range n.mon.rounds {
+		if mr := &n.mon.rounds[i]; len(mr.nodes) > 0 || len(mr.index) > 0 || len(mr.probes) > 0 {
+			rs = append(rs, mr.r)
 		}
 	}
-	for k := range n.mon.probes {
-		rs = append(rs, k.round)
-	}
 	slices.Sort(rs)
-	return slices.Compact(rs)
+	return rs
 }
 
 // AckCopies returns how many Ack copies of round r the node's monitor
 // role keeps.
 func (n *Node) AckCopies(r model.Round) int {
-	k := 0
-	for _, c := range n.mon.copies {
-		if c.r == r {
-			k += len(c.index)
-		}
+	if mr := n.mon.at(r); mr != nil {
+		return len(mr.index)
 	}
-	return k
+	return 0
 }
 
 // AckCopyBytes returns how many bytes the node's monitor role holds for
 // the Ack copies of round r.
 func (n *Node) AckCopyBytes(r model.Round) int {
-	k := 0
-	for _, c := range n.mon.copies {
-		if c.r == r {
-			k += len(c.buf)
-		}
+	if mr := n.mon.at(r); mr != nil {
+		return len(mr.buf)
 	}
-	return k
+	return 0
 }
 
 // MonitorKeep is how many rounds back a monitor message may be about.

@@ -209,9 +209,9 @@ func TestTamperSweepVerdicts(t *testing.T) {
 // after opening it), or of a kind the node does not admit, makes the node
 // send nothing; and whatever the input, the node's monitor keeps state
 // only for rounds of its window — MonitorKeep behind the round it has
-// begun (one more until CloseRound collects) to one ahead. One session
-// serves every input, so state a valid input leaves behind is the state
-// the next one meets.
+// begun (one more until a later round takes its ring slot) to one ahead.
+// One session serves every input, so state a valid input leaves behind is
+// the state the next one meets.
 func FuzzHandleMessage(f *testing.F) {
 	h := newHarness(f, 8, 2)
 	h.engine.Run(tamperRound)

@@ -135,20 +135,21 @@ func (st *monNodeRound) keepAck(succ model.NodeID, h *big.Int) {
 }
 
 // monRound is a monitor's state for one round: a record for each node it
-// monitors that the round's admitted messages named. Records past the
-// list's length are reset and kept, and a retired round goes back to the
-// monitor's free list whole, so a monitor in steady state allocates none.
+// monitors that the round's admitted messages named, the Ack copies
+// (message 6) they reported and the probes accusations about the round
+// opened. A monitor keeps its rounds in one ring (monitorState.rounds),
+// and a round taking a slot resets what the slot held, keeping its
+// storage, so a monitor in steady state allocates none.
 type monRound struct {
-	nodes []*monNodeRound
-}
-
-// ackCopies are one round's Ack copies (message 6), kept past their
-// delivery as evidence: their bytes back to back in buf, as a node keeps
-// its own (Node.keep), and in index the exchange each one acknowledges.
-type ackCopies struct {
 	r     model.Round
+	nodes []*monNodeRound
+	// The round's Ack copies, kept past their delivery as evidence: their
+	// bytes back to back in buf, as a node keeps its own (Node.keep), and
+	// in index the exchange each one acknowledges.
 	buf   []byte
 	index []ackCopy
+	// probes holds one record per accusation the monitor relayed (§IV-A).
+	probes []probe
 }
 
 // ackCopy is the Ack copy a monitored node reported for its exchange with
@@ -158,60 +159,71 @@ type ackCopy struct {
 	b               []byte
 }
 
-// find returns the copy of monitored's exchange with pred, or nil.
-func (c *ackCopies) find(monitored, pred model.NodeID) *ackCopy {
-	for i := range c.index {
-		if k := &c.index[i]; k.monitored == monitored && k.pred == pred {
+// probe is an accusation by accuser against accused, resolved once an
+// acknowledgement answered it or verify judged it.
+type probe struct {
+	accuser, accused model.NodeID
+	resolved         bool
+}
+
+// copyOf returns the copy of monitored's exchange with pred, or nil.
+func (mr *monRound) copyOf(monitored, pred model.NodeID) *ackCopy {
+	for i := range mr.index {
+		if k := &mr.index[i]; k.monitored == monitored && k.pred == pred {
 			return k
 		}
 	}
 	return nil
 }
 
-// keep keeps b as the copy of monitored's exchange with pred, in place of
-// an earlier one, and returns the kept bytes. A copy that fits where the
+// keepCopy keeps b as the copy of monitored's exchange with pred, in place
+// of an earlier one, and returns the kept bytes. A copy that fits where the
 // earlier one lies is written over it, so a node sending its copy again
 // does not grow buf.
-func (c *ackCopies) keep(monitored, pred model.NodeID, b []byte) []byte {
-	k := c.find(monitored, pred)
+func (mr *monRound) keepCopy(monitored, pred model.NodeID, b []byte) []byte {
+	k := mr.copyOf(monitored, pred)
 	if k == nil {
-		c.index = append(c.index, ackCopy{monitored: monitored, pred: pred})
-		k = &c.index[len(c.index)-1]
+		mr.index = append(mr.index, ackCopy{monitored: monitored, pred: pred})
+		k = &mr.index[len(mr.index)-1]
 	} else if len(b) <= cap(k.b) {
 		k.b = k.b[:copy(k.b[:cap(k.b)], b)]
 		return k.b
 	}
-	start := len(c.buf)
-	c.buf = append(c.buf, b...)
-	k.b = c.buf[start:len(c.buf):len(c.buf)]
+	start := len(mr.buf)
+	mr.buf = append(mr.buf, b...)
+	k.b = mr.buf[start:len(mr.buf):len(mr.buf)]
 	return k.b
 }
 
-// rewind empties the copies, poisoning their bytes first; buf and index
-// keep their arrays for the round to come.
-func (c *ackCopies) rewind() {
-	wire.PoisonOnRelease(c.buf)
-	clear(c.index)
-	c.buf, c.index = c.buf[:0], c.index[:0]
+// rewindCopies empties the Ack copies, poisoning their bytes first; buf
+// and index keep their arrays.
+func (mr *monRound) rewindCopies() {
+	wire.PoisonOnRelease(mr.buf)
+	clear(mr.index)
+	mr.buf, mr.index = mr.buf[:0], mr.index[:0]
 }
 
-// reset empties the round's records for reuse, keeping their storage.
-// Records past the list's length, which this use of the round did not
-// need, are let go: the nodes a monitor watches change with membership,
-// and a round would otherwise keep the most it ever needed.
-func (mr *monRound) reset() {
+// probe returns the probe of accuser's accusation against accused, or nil.
+func (mr *monRound) probe(accuser, accused model.NodeID) *probe {
+	for i := range mr.probes {
+		if p := &mr.probes[i]; p.accuser == accuser && p.accused == accused {
+			return p
+		}
+	}
+	return nil
+}
+
+// reset empties the slot for round r, keeping its storage. Records past
+// the list's length, which the slot's last round did not need, are let
+// go: the nodes a monitor watches change with membership, and a slot
+// would otherwise keep the most it ever needed.
+func (mr *monRound) reset(r model.Round) {
 	for _, st := range mr.nodes {
 		st.reset()
 	}
 	clear(mr.nodes[len(mr.nodes):cap(mr.nodes)])
-	mr.nodes = mr.nodes[:0]
-}
-
-// probeKey identifies one accusation probe.
-type probeKey struct {
-	accuser model.NodeID
-	accused model.NodeID
-	round   model.Round
+	mr.rewindCopies()
+	mr.r, mr.nodes, mr.probes = r, mr.nodes[:0], mr.probes[:0]
 }
 
 // monitorState is the monitor-role state of a node.
@@ -224,15 +236,11 @@ type monitorState struct {
 	monitoredEpoch int
 	monitoredValid bool
 
-	// rounds holds the state of every round in the admission window; free
-	// holds the retired rounds gc reset, for the rounds to come.
-	rounds map[model.Round]*monRound
-	free   []*monRound
-	// copies holds the Ack copies of the last ackRounds rounds, round r's
-	// at r mod ackRounds, until gc rewinds them or a later
-	// round takes their place.
-	copies [ackRounds]ackCopies
-	probes map[probeKey]bool // true = resolved
+	// rounds holds round r's state at r mod its length, which is the
+	// admission window's: once the node has begun a round, no two rounds it
+	// admits monitor messages about share a slot, and before that a round
+	// takes its slot from whatever round held it.
+	rounds [monitorKeep + 2]monRound
 
 	// Storage the monitor reuses: others is what peers returns, and
 	// obligation what obligationOf does.
@@ -241,31 +249,30 @@ type monitorState struct {
 }
 
 func newMonitorState(n *Node) *monitorState {
-	return &monitorState{
-		n:      n,
-		rounds: make(map[model.Round]*monRound),
-		probes: make(map[probeKey]bool),
-	}
+	return &monitorState{n: n}
 }
 
-// round returns round r's state, opening it, from the free list when that
-// holds one, if there is none.
+// at returns round r's state, or nil when its slot holds another round.
+func (m *monitorState) at(r model.Round) *monRound {
+	if mr := &m.rounds[r%model.Round(len(m.rounds))]; mr.r == r {
+		return mr
+	}
+	return nil
+}
+
+// round returns round r's state, resetting its slot for r when that holds
+// another round.
 func (m *monitorState) round(r model.Round) *monRound {
-	mr, ok := m.rounds[r]
-	if !ok {
-		if k := len(m.free); k > 0 {
-			mr, m.free = m.free[k-1], m.free[:k-1]
-		} else {
-			mr = new(monRound)
-		}
-		m.rounds[r] = mr
+	mr := &m.rounds[r%model.Round(len(m.rounds))]
+	if mr.r != r {
+		mr.reset(r)
 	}
 	return mr
 }
 
 // find returns y's record of round r, or nil.
 func (m *monitorState) find(r model.Round, y model.NodeID) *monNodeRound {
-	if mr, ok := m.rounds[r]; ok {
+	if mr := m.at(r); mr != nil {
 		for _, st := range mr.nodes {
 			if st.y == y {
 				return st
@@ -324,12 +331,6 @@ func (m *monitorState) beginRound(r model.Round) {
 // investigation state: they are the monitor's heaviest per-round buffers.
 const keepAcks = 2
 
-// ackRounds is how many rounds' Ack copies a monitor holds at once: gc,
-// which runs as a round closes, keeps keepAcks rounds before the closed
-// one, and the next round's copies are admitted from a monitored node a
-// round ahead before the node's own round begins.
-const ackRounds = keepAcks + 3
-
 // onAckCopy keeps the copy of an acknowledgement the monitored node sent.
 // Only a copy of an exchange of its round is ever read, so only one is
 // kept: the copies a monitor holds are at most its monitored nodes'
@@ -338,24 +339,14 @@ func (m *monitorState) onAckCopy(ack *wire.Ack, body []byte) {
 	if _, ok := m.n.sh.Directory.ExchangeSlot(ack.To, ack.From, ack.Round); !ok {
 		return
 	}
-	c := &m.copies[ack.Round%ackRounds]
-	switch {
-	case ack.Round < c.r:
-		// ackRounds older than a round the monitor holds copies of: past
-		// any accusation or report, and its probes judged.
-		return
-	case ack.Round > c.r:
-		c.rewind()
-		c.r = ack.Round
-	}
-	ackBytes := c.keep(ack.From, ack.To, body) // evidence: outlives the delivery
+	mr := m.round(ack.Round)
+	ackBytes := mr.keepCopy(ack.From, ack.To, body) // evidence: outlives the delivery
 
 	// A pending probe against ack.From for the exchange with ack.To is
 	// resolved by this acknowledgement: confirm to the accuser's
 	// monitors (§IV-A).
-	key := probeKey{accuser: ack.To, accused: ack.From, round: ack.Round}
-	if resolved, pending := m.probes[key]; pending && !resolved {
-		m.probes[key] = true
+	if p := mr.probe(ack.To, ack.From); p != nil && !p.resolved {
+		p.resolved = true
 		m.relayAck(ack.Round, ack.To, ackBytes, true)
 	}
 }
@@ -428,8 +419,8 @@ func (m *monitorState) peers(y model.NodeID, r model.Round) (others []model.Node
 }
 
 func (m *monitorState) ackCopyFor(r model.Round, monitored, pred model.NodeID) []byte {
-	if c := &m.copies[r%ackRounds]; c.r == r {
-		if k := c.find(monitored, pred); k != nil {
+	if mr := m.at(r); mr != nil {
+		if k := mr.copyOf(monitored, pred); k != nil {
 			return k.b
 		}
 	}
@@ -554,25 +545,25 @@ func (m *monitorState) verify(r model.Round) {
 	// and a Nack towards the accuser's monitors (§IV-A). They are judged
 	// in (accuser, accused) order, so which exchange a verdict's first
 	// report names, and the order the Nacks leave in, repeat per seed.
-	var due []probeKey
-	for key, resolved := range m.probes {
-		if key.round == r && !resolved {
-			due = append(due, key)
-		}
-	}
-	slices.SortFunc(due, func(a, b probeKey) int {
-		return cmp.Or(cmp.Compare(a.accuser, b.accuser), cmp.Compare(a.accused, b.accused))
-	})
-	for _, key := range due {
-		m.probes[key] = true
-		m.n.report(judicial.Verdict{Round: r, Kind: VerdictUnresponsive,
-			Accused: key.accused, Detail: "ignored monitor probe",
-			Exchange: model.ExchangeID(r, key.accuser, key.accused)})
-		nack := &wire.Nack{Round: r, From: m.n.id, Accuser: key.accuser, Against: key.accused}
-		others, self := m.peers(key.accuser, r)
-		m.n.signAndSendAll(others, nack)
-		if self {
-			m.state(r, key.accuser).peer(key.accused).nacked = true
+	if mr := m.at(r); mr != nil {
+		slices.SortFunc(mr.probes, func(a, b probe) int {
+			return cmp.Or(cmp.Compare(a.accuser, b.accuser), cmp.Compare(a.accused, b.accused))
+		})
+		for i := range mr.probes {
+			p := &mr.probes[i]
+			if p.resolved {
+				continue
+			}
+			p.resolved = true
+			m.n.report(judicial.Verdict{Round: r, Kind: VerdictUnresponsive,
+				Accused: p.accused, Detail: "ignored monitor probe",
+				Exchange: model.ExchangeID(r, p.accuser, p.accused)})
+			nack := &wire.Nack{Round: r, From: m.n.id, Accuser: p.accuser, Against: p.accused}
+			others, self := m.peers(p.accuser, r)
+			m.n.signAndSendAll(others, nack)
+			if self {
+				m.state(r, p.accuser).peer(p.accused).nacked = true
+			}
 		}
 	}
 
@@ -779,31 +770,12 @@ func (m *monitorState) judgeExhibitedAck(r model.Round, y, succ model.NodeID, pr
 		Exchange: xid})
 }
 
-// maxFreeRounds bounds the retired rounds a monitor keeps for reuse: in
-// steady state gc retires one round as the next one opens.
-const maxFreeRounds = 2
-
-// gc retires monitor state older than the investigation horizon,
-// monitorKeep rounds (which bounds what admission lets in, too), to the
-// free list, and rewinds the Ack copies older than keepAcks rounds.
+// gc rewinds the Ack copies of the rounds more than keepAcks behind r. The
+// rest of a round's state stays until a later round takes its slot.
 func (m *monitorState) gc(r model.Round) {
-	for rr, mr := range m.rounds {
-		if rr+monitorKeep < r {
-			delete(m.rounds, rr)
-			if len(m.free) < maxFreeRounds {
-				mr.reset()
-				m.free = append(m.free, mr)
-			}
-		}
-	}
-	for i := range m.copies {
-		if c := &m.copies[i]; c.r+keepAcks < r {
-			c.rewind()
-		}
-	}
-	for key := range m.probes {
-		if key.round+monitorKeep < r {
-			delete(m.probes, key)
+	for i := range m.rounds {
+		if mr := &m.rounds[i]; mr.r+keepAcks < r {
+			mr.rewindCopies()
 		}
 	}
 }

@@ -359,14 +359,14 @@ func (d *Directory) Fanout() int { return d.cfg.Fanout }
 func (d *Directory) Nodes() []model.NodeID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return copyIDs(d.current().nodes)
+	return slices.Clone(d.current().nodes)
 }
 
 // MembersAt returns the member list in effect at round r (a copy).
 func (d *Directory) MembersAt(r model.Round) []model.NodeID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return copyIDs(d.epochFor(r).nodes)
+	return slices.Clone(d.epochFor(r).nodes)
 }
 
 // Contains reports whether id is currently a member.
@@ -385,24 +385,24 @@ func (d *Directory) ContainsAt(id model.NodeID, r model.Round) bool {
 	return ok
 }
 
-// RoundView is the materialised assignment of one round.
+// RoundView is the materialised assignment of one round. It is immutable
+// once built: the lists its lookups return are its own, shared by every
+// caller, so read them and never write to or append to them in place
+// (slices.Clone first).
 type RoundView struct {
-	round model.Round
-	succ  map[model.NodeID][]model.NodeID
-	pred  map[model.NodeID][]model.NodeID
+	succ map[model.NodeID][]model.NodeID
+	pred map[model.NodeID][]model.NodeID
 }
 
-// Round returns the view's round.
-func (v *RoundView) Round() model.Round { return v.round }
-
-// Successors returns the successor set of x (a copy).
+// Successors returns the successor set of x (the view's own; read-only).
 func (v *RoundView) Successors(x model.NodeID) []model.NodeID {
-	return copyIDs(v.succ[x])
+	return v.succ[x]
 }
 
-// Predecessors returns every node whose successor set contains x (a copy).
+// Predecessors returns every node whose successor set contains x, in
+// ascending order (the view's own; read-only).
 func (v *RoundView) Predecessors(x model.NodeID) []model.NodeID {
-	return copyIDs(v.pred[x])
+	return v.pred[x]
 }
 
 // View materialises (and caches) the assignment for round r. The fast
@@ -442,9 +442,8 @@ func (d *Directory) View(r model.Round) *RoundView {
 func (d *Directory) buildView(r model.Round) *RoundView {
 	ep := d.epochFor(r)
 	v := &RoundView{
-		round: r,
-		succ:  make(map[model.NodeID][]model.NodeID, len(ep.nodes)),
-		pred:  make(map[model.NodeID][]model.NodeID, len(ep.nodes)),
+		succ: make(map[model.NodeID][]model.NodeID, len(ep.nodes)),
+		pred: make(map[model.NodeID][]model.NodeID, len(ep.nodes)),
 	}
 	for _, x := range ep.nodes {
 		succ := d.pick(ep, x, r, 0xA5CE55, d.cfg.Fanout)
@@ -459,12 +458,14 @@ func (d *Directory) buildView(r model.Round) *RoundView {
 	return v
 }
 
-// Successors returns x's successors in round r.
+// Successors returns x's successors in round r: the round view's list,
+// read-only, like RoundView.Successors.
 func (d *Directory) Successors(x model.NodeID, r model.Round) []model.NodeID {
 	return d.View(r).Successors(x)
 }
 
-// Predecessors returns x's predecessors in round r.
+// Predecessors returns x's predecessors in round r: the round view's list,
+// read-only, like RoundView.Predecessors.
 func (d *Directory) Predecessors(x model.NodeID, r model.Round) []model.NodeID {
 	return d.View(r).Predecessors(x)
 }
@@ -651,13 +652,4 @@ func (o *overlay) set(i, v int) {
 	}
 	o.pos = append(o.pos, i)
 	o.val = append(o.val, v)
-}
-
-func copyIDs(in []model.NodeID) []model.NodeID {
-	if in == nil {
-		return nil
-	}
-	out := make([]model.NodeID, len(in))
-	copy(out, in)
-	return out
 }

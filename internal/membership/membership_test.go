@@ -301,11 +301,23 @@ func TestMonitorsPinned(t *testing.T) {
 }
 
 // TestMonitorsHitAllocatesNothing: a memo hit returns the memo itself,
-// which every caller only reads.
+// and a lookup on a built round view the view's own list, which every
+// caller only reads.
 func TestMonitorsHitAllocatesNothing(t *testing.T) {
 	d := newDir(t, 30, Config{Seed: 17})
-	if got := testing.AllocsPerRun(100, func() { d.Monitors(4, 1) }); got != 0 {
-		t.Errorf("a memoised Monitors call allocates %.1f objects", got)
+	succ := d.Successors(4, 1)[0] // builds round 1's view
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Monitors", func() { d.Monitors(4, 1) }},
+		{"Successors", func() { d.Successors(4, 1) }},
+		{"Predecessors", func() { d.Predecessors(succ, 1) }},
+		{"ExchangeSlot", func() { d.ExchangeSlot(4, succ, 1) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.call); got != 0 {
+			t.Errorf("a %s call on a built view allocates %.1f objects", c.name, got)
+		}
 	}
 }
 

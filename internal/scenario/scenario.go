@@ -362,7 +362,6 @@ type Applied struct {
 // the churn generator state. One Timeline drives one run; compile a fresh
 // one per session.
 type Timeline struct {
-	scenario Scenario
 	byRound  map[model.Round][]Event
 	churnGen *churnGen
 	rng      model.SplitMix64
@@ -380,9 +379,8 @@ func Compile(s Scenario) (*Timeline, error) {
 		seed = 1
 	}
 	t := &Timeline{
-		scenario: s,
-		byRound:  make(map[model.Round][]Event),
-		rng:      model.SplitMix64{State: seed ^ 0xD1B54A32D192ED03},
+		byRound: make(map[model.Round][]Event),
+		rng:     model.SplitMix64{State: seed ^ 0xD1B54A32D192ED03},
 	}
 	for _, e := range s.Events {
 		t.byRound[e.Round] = append(t.byRound[e.Round], e)
@@ -392,9 +390,6 @@ func Compile(s Scenario) (*Timeline, error) {
 	}
 	return t, nil
 }
-
-// Scenario returns the compiled script.
-func (t *Timeline) Scenario() Scenario { return t.scenario }
 
 // Instrument attaches the round-event tracer (nil is a no-op): every
 // fired event — scripted, churn-generated or auto-resolved — emits one

@@ -7,37 +7,21 @@ import (
 	"repro/internal/transport"
 )
 
-func TestScheduleAtRunsBeforeHooksAndPhases(t *testing.T) {
-	net := transport.NewMemNet()
-	e, _ := NewEngine(net, 0)
-	var calls []string
-	e.OnRoundStart(func(model.Round) { calls = append(calls, "hook") })
-	e.Add(&phaseRecorder{id: 1, calls: &calls})
-	e.ScheduleAt(2, func(r model.Round) { calls = append(calls, "event") })
-	e.Run(2)
-	want := []string{
-		"hook", "begin", "mid", "end", "close",
-		"event", "hook", "begin", "mid", "end", "close",
-	}
-	if len(calls) != len(want) {
-		t.Fatalf("calls = %v", calls)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("calls = %v, want %v", calls, want)
-		}
-	}
-}
-
-// TestScheduledAddRemove: a node added by a round-r event steps from round
-// r on, and one removed by a round-r event no longer steps in round r.
-func TestScheduledAddRemove(t *testing.T) {
+// TestRoundTopAddRemove: a node a round-r hook adds steps from round r
+// on, and one a round-r hook removes no longer steps in round r.
+func TestRoundTopAddRemove(t *testing.T) {
 	net := transport.NewMemNet()
 	e, _ := NewEngine(net, 0)
 	var calls1, calls2 []string
 	e.Add(&phaseRecorder{id: 1, calls: &calls1})
-	e.ScheduleAt(3, func(model.Round) { e.Add(&phaseRecorder{id: 2, calls: &calls2}) })
-	e.ScheduleAt(4, func(model.Round) { e.Remove(1) })
+	e.OnRoundStart(func(r model.Round) {
+		switch r {
+		case 3:
+			e.Add(&phaseRecorder{id: 2, calls: &calls2})
+		case 4:
+			e.Remove(1)
+		}
+	})
 
 	e.Run(2)
 	if e.Nodes() != 1 || len(calls2) != 0 {
@@ -49,7 +33,7 @@ func TestScheduledAddRemove(t *testing.T) {
 	}
 	e.RunRound() // round 4: node 1 removed before phases
 	if e.Nodes() != 1 || e.Has(1) || !e.Has(2) {
-		t.Fatalf("node 1 still attached after its scheduled removal")
+		t.Fatalf("node 1 still attached after its removal")
 	}
 	if len(calls1) != 3*4 {
 		t.Fatalf("node 1 ran %d phase calls, want 12 (3 rounds)", len(calls1))

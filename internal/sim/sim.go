@@ -87,18 +87,14 @@ type Slotted interface {
 }
 
 // RoundHook runs at the start of each round, before nodes act — the
-// source's injection point.
+// injection point of the source, the scenario and membership churn.
 type RoundHook func(r model.Round)
-
-// Event is a scheduled action consulted at the top of its round, before
-// hooks and node phases run — the scenario engine's injection point.
-type Event func(r model.Round)
 
 // Engine coordinates nodes and the network.
 //
-// Mutating calls (Add, Remove, ScheduleAt, OnRoundStart, StartMeasuring)
-// are only legal between rounds or from round-top events and hooks, which
-// run single-threaded before any phase fans out.
+// Mutating calls (Add, Remove, OnRoundStart, StartMeasuring) are only
+// legal between rounds or from round-top hooks, which run single-threaded
+// before any phase fans out.
 type Engine struct {
 	net transport.SteppedNetwork
 	// mem is the network of a sharded engine (workers > 1); nil inline.
@@ -113,8 +109,6 @@ type Engine struct {
 	// slots is the largest ExchangeSlots of any Slotted node ever added
 	// (0 when there is none: BeginRound alone).
 	slots int
-	// events holds scheduled actions keyed by the round they fire at.
-	events map[model.Round][]Event
 
 	// The steady-state bandwidth window: traffic counters snapshotted at
 	// StartMeasuring, so warm-up rounds are excluded, as in the paper's
@@ -208,15 +202,6 @@ func (e *Engine) Has(id model.NodeID) bool {
 	return false
 }
 
-// ScheduleAt queues fn to run at the top of round r, before hooks and node
-// phases. Events scheduled for rounds that already completed never fire.
-func (e *Engine) ScheduleAt(r model.Round, fn Event) {
-	if e.events == nil {
-		e.events = make(map[model.Round][]Event)
-	}
-	e.events[r] = append(e.events[r], fn)
-}
-
 // Nodes returns the registered node count.
 func (e *Engine) Nodes() int { return len(e.nodes) }
 
@@ -232,8 +217,8 @@ func (e *Engine) PacedOverruns() int { return e.overruns }
 
 // RunRound advances one round through the four phases (and, after
 // BeginRound, the remaining exchange slots of Slotted nodes), delivering
-// all pending traffic after each. Events and hooks run single-threaded at
-// the round top, before any node acts.
+// all pending traffic after each. Hooks run single-threaded at the round
+// top, in registration order, before any node acts.
 func (e *Engine) RunRound() { e.runRound(func(int, int) int { return e.deliverAll() }) }
 
 // RunPaced advances one round through the same phase sequence as
@@ -278,12 +263,6 @@ func (e *Engine) runRound(barrier func(k, slots int) int) {
 	span := e.roundSpans.SpanStart()
 	r := e.round + 1
 	e.net.BeginRound()
-	if evs, ok := e.events[r]; ok {
-		delete(e.events, r)
-		for _, ev := range evs {
-			ev(r)
-		}
-	}
 	for _, h := range e.hooks {
 		h(r)
 	}

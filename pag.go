@@ -276,6 +276,8 @@ type Session struct {
 	joinedChunk map[model.NodeID]uint64
 	departed    map[model.NodeID]model.Round
 	epochMarks  []epochMark
+	// crashes holds the detections Crash scheduled, in crash order.
+	crashes []crash
 
 	// evicted marks ids the punishment loop expelled; unlike other
 	// departures they may re-join under the same id once their
@@ -416,10 +418,13 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	s.epochMarks = []epochMark{{start: 1}}
 
-	// The punishment loop runs first at every round top: it judges the
-	// evidence of completed rounds, so its evictions land before the
-	// scenario's churn (a scripted re-join of a just-evicted id must see
-	// the quarantine) and before the source injects.
+	// Crash detections land first at every round top, before any other
+	// hook sees the round's membership.
+	s.engine.OnRoundStart(s.detectCrashes)
+	// The punishment loop runs next: it judges the evidence of completed
+	// rounds, so its evictions land before the scenario's churn (a
+	// scripted re-join of a just-evicted id must see the quarantine) and
+	// before the source injects.
 	if s.bench.Policy().Enabled() {
 		s.engine.OnRoundStart(func(r model.Round) { s.applyJudgments(r) })
 	}

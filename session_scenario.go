@@ -196,16 +196,33 @@ func (s *Session) Crash(r model.Round, id model.NodeID, lingerRounds int) error 
 		return s.Leave(r, id)
 	}
 	s.depart(id, r)
-	s.engine.ScheduleAt(r+model.Round(lingerRounds), func(rr model.Round) {
-		// Detection: the membership drops the crashed node. A failed
-		// removal (system already at minimum size) keeps it as a
-		// permanently silent member — which monitors keep convicting,
-		// as they should.
-		if s.dir.Contains(id) && s.dir.Leave(id, rr) == nil {
-			s.bumpEpoch(rr)
-		}
-	})
+	s.crashes = append(s.crashes, crash{at: r + model.Round(lingerRounds), id: id})
 	return nil
+}
+
+// crash is a crashed node's detection: the round at whose top the
+// membership drops it.
+type crash struct {
+	at model.Round
+	id model.NodeID
+}
+
+// detectCrashes is the first round-top hook: the membership drops every
+// node whose crash is detected at r, in crash order. A failed removal
+// (system already at minimum size) keeps it as a permanently silent
+// member — which monitors keep convicting, as they should. A detection
+// due at a round already run never lands.
+func (s *Session) detectCrashes(r model.Round) {
+	kept := s.crashes[:0]
+	for _, c := range s.crashes {
+		switch {
+		case c.at > r:
+			kept = append(kept, c)
+		case c.at == r && s.dir.Contains(c.id) && s.dir.Leave(c.id, r) == nil:
+			s.bumpEpoch(r)
+		}
+	}
+	s.crashes = kept
 }
 
 // SetLossRate implements scenario.Applier. Like every fault hook below it
